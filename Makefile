@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test bench bench-docstore bench-aggregate bench-classify bench-swap bench-overload bench-e2e bench-durable bench-netbroker test-crash test-distributed bench-baseline profile cover docs-gate fuzz-smoke lint fmt
+.PHONY: build test bench bench-docstore bench-aggregate bench-classify bench-swap bench-overload bench-e2e bench-durable bench-netbroker bench-harness-smoke test-crash test-distributed bench-baseline profile cover docs-gate fuzz-smoke lint fmt
 
 ## build: compile every package and command
 build:
@@ -112,6 +112,15 @@ bench-netbroker:
 	echo "$$out"; \
 	echo "$$out" | grep -q 'BenchmarkNetBrokerRoundtrip' || \
 		{ echo "BenchmarkNetBrokerRoundtrip did not run"; exit 1; }
+
+## bench-harness-smoke: vet and race-test the benchmark harness
+## (BENCHMARK.json → bench/). bench/ is a module of its own, so `go
+## build ./...` and `go test ./...` never compile it: without this
+## target a change to a seam the harness wraps (serve.Cluster,
+## broker.GroupConsumer, broker.RecordSender, netbroker.Options) first
+## fails in the benchmark pipeline. CI `test` job.
+bench-harness-smoke:
+	cd bench && $(GO) vet . && $(GO) test -race .
 
 ## test-crash: the crash-recovery hammer on its own, race-instrumented —
 ## SIGKILL a child mid-sustained-ingest, reopen the data dir, assert

@@ -66,7 +66,9 @@ func parseOptions(args []string, output io.Writer) (options, error) {
 		"comma-separated replica addresses, own address included, in the fixed order shared by all nodes (empty = standalone)")
 	fs.StringVar(&o.metricsAddr, "metrics", "",
 		"HTTP listen address for /metrics (Prometheus text) and /healthz (empty = no HTTP)")
-	fs.DurationVar(&o.replInterval, "repl-interval", 0, "follower pull cadence (0 = default 5ms)")
+	fs.DurationVar(&o.replInterval, "repl-interval", 0,
+		"idle replication heartbeat: how long the leader holds a follower pull that has nothing to ship; "+
+			"appends wake held pulls at once; must stay below half of -election-timeout (0 = default 5ms)")
 	fs.DurationVar(&o.electionTimeout, "election-timeout", 0,
 		"leader-silence tolerance before standing for election, staggered by node id (0 = default 750ms)")
 	fs.DurationVar(&o.ackTimeout, "ack-timeout", 0, "append quorum-ack deadline (0 = default 5s)")
@@ -95,7 +97,23 @@ func parseOptions(args []string, output io.Writer) (options, error) {
 	case o.replInterval < 0 || o.electionTimeout < 0 || o.ackTimeout < 0 || o.sessionTimeout < 0:
 		return options{}, fmt.Errorf("brokerd: timeouts must be >= 0")
 	}
+	if err := o.server(nil).Validate(); err != nil {
+		return options{}, fmt.Errorf("brokerd: %w", err)
+	}
 	return o, nil
+}
+
+// server maps the flags onto the node's netbroker options.
+func (o options) server(repl *metrics.Replication) netbroker.Options {
+	return netbroker.Options{
+		NodeID:          o.node,
+		Peers:           o.peers,
+		ReplInterval:    o.replInterval,
+		ElectionTimeout: o.electionTimeout,
+		AckTimeout:      o.ackTimeout,
+		SessionTimeout:  o.sessionTimeout,
+		Repl:            repl,
+	}
 }
 
 func main() {
@@ -119,15 +137,7 @@ func run(o options) error {
 	b := broker.New()
 	defer b.Close()
 	repl := metrics.NewReplication()
-	srv, err := netbroker.NewServer(b, o.addr, netbroker.Options{
-		NodeID:          o.node,
-		Peers:           o.peers,
-		ReplInterval:    o.replInterval,
-		ElectionTimeout: o.electionTimeout,
-		AckTimeout:      o.ackTimeout,
-		SessionTimeout:  o.sessionTimeout,
-		Repl:            repl,
-	})
+	srv, err := netbroker.NewServer(b, o.addr, o.server(repl))
 	if err != nil {
 		return err
 	}

@@ -29,8 +29,14 @@ type Consumer struct {
 	member     string
 	partitions int
 
+	// conn carries the group's strictly ordered control RPCs (join,
+	// assign, commit, committed, heartbeat, leave); fetch carries only
+	// polls. An rpcConn is held for a whole round-trip, and the server
+	// parks a fetch until records are visible, so on one connection
+	// every commit and heartbeat would queue behind the parked fetch.
 	connMu sync.Mutex
 	conn   *rpcConn
+	fetch  *rpcConn
 
 	mu        sync.Mutex
 	gen       int64
@@ -63,10 +69,11 @@ func (c *Client) newConsumer(group, id string) (*Consumer, error) {
 	return cons, nil
 }
 
-// conn returns the consumer's dedicated connection to the leader.
-func (k *Consumer) getConn() (*rpcConn, error) {
+// leaderConn returns the connection kept in slot (&k.conn or &k.fetch),
+// dialing the current leader when the slot is empty.
+func (k *Consumer) leaderConn(slot **rpcConn) (*rpcConn, error) {
 	k.connMu.Lock()
-	rc := k.conn
+	rc := *slot
 	k.connMu.Unlock()
 	if rc != nil {
 		return rc, nil
@@ -80,29 +87,44 @@ func (k *Consumer) getConn() (*rpcConn, error) {
 		return nil, err
 	}
 	k.connMu.Lock()
-	if k.conn != nil {
-		old := k.conn
+	if *slot != nil {
+		old := *slot
 		k.connMu.Unlock()
 		rc.close()
 		return old, nil
 	}
-	k.conn = rc
+	*slot = rc
 	k.connMu.Unlock()
 	return rc, nil
 }
 
+// dropConn discards a failed connection and, the leader having moved or
+// died, its sibling: both re-aim at the next call. A connection already
+// replaced is only closed; nil drops whatever is open.
 func (k *Consumer) dropConn(rc *rpcConn) {
 	k.connMu.Lock()
-	if k.conn == rc {
-		k.conn = nil
+	stale := [...]*rpcConn{rc, nil}
+	if rc == nil || rc == k.conn || rc == k.fetch {
+		stale = [...]*rpcConn{k.conn, k.fetch}
+		k.conn, k.fetch = nil, nil
 	}
 	k.connMu.Unlock()
-	rc.close()
+	for _, c := range stale {
+		if c != nil {
+			c.close()
+		}
+	}
 }
 
-// call runs one consumer RPC; transport failures drop the connection.
+// call runs one control RPC on the ordered connection.
 func (k *Consumer) call(op byte, req any, resp interface{ toErr() error }) error {
-	rc, err := k.getConn()
+	return k.callOn(&k.conn, op, req, resp)
+}
+
+// callOn runs one RPC on the connection kept in slot; transport
+// failures and leader redirects drop the consumer's connections.
+func (k *Consumer) callOn(slot **rpcConn, op byte, req any, resp interface{ toErr() error }) error {
+	rc, err := k.leaderConn(slot)
 	if err != nil {
 		return err
 	}
@@ -299,9 +321,13 @@ func (k *Consumer) poll(max int, timeout time.Duration, dst []broker.Record) ([]
 		}
 		return dst, nil
 	}
-	req := fetchReq{Topic: k.c.topic, Parts: parts, Max: max, WaitMs: int(timeout / time.Millisecond)}
+	// Round the wait up to the wire's millisecond: truncating would turn
+	// a sub-millisecond timeout into a zero wait and the caller's poll
+	// loop into back-to-back RPCs.
+	waitMs := int((timeout + time.Millisecond - 1) / time.Millisecond)
+	req := fetchReq{Topic: k.c.topic, Parts: parts, Max: max, WaitMs: waitMs}
 	var resp fetchResp
-	if err := k.call(opFetch, req, &resp); err != nil {
+	if err := k.callOn(&k.fetch, opFetch, req, &resp); err != nil {
 		if errors.Is(err, broker.ErrInvalidOffset) {
 			return dst, err
 		}
@@ -438,11 +464,5 @@ func (k *Consumer) Close() {
 	var resp leaveResp
 	// Best-effort: the janitor expires us if the leave never lands.
 	_ = k.call(opLeave, leaveReq{Group: k.group, Member: k.member}, &resp)
-	k.connMu.Lock()
-	rc := k.conn
-	k.conn = nil
-	k.connMu.Unlock()
-	if rc != nil {
-		rc.close()
-	}
+	k.dropConn(nil)
 }

@@ -379,11 +379,20 @@ func clusterOpts(i int, addrs []string, rm *metrics.Replication) netbroker.Optio
 // startCluster boots an n-node replica set with test-fast timeouts.
 func startCluster(t *testing.T, n int) *testCluster {
 	t.Helper()
+	return startClusterWith(t, n, func(*netbroker.Options) {})
+}
+
+// startClusterWith is startCluster with each node's options adjusted
+// by tune before it boots.
+func startClusterWith(t *testing.T, n int, tune func(*netbroker.Options)) *testCluster {
+	t.Helper()
 	cl := &testCluster{addrs: freeAddrs(t, n)}
 	for i := 0; i < n; i++ {
 		b := broker.New()
 		rm := metrics.NewReplication()
-		srv, err := netbroker.NewServer(b, cl.addrs[i], clusterOpts(i, cl.addrs, rm))
+		opts := clusterOpts(i, cl.addrs, rm)
+		tune(&opts)
+		srv, err := netbroker.NewServer(b, cl.addrs[i], opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package netbroker
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"alarmverify/internal/broker"
@@ -59,7 +60,11 @@ func at(v []int64, p int) int64 {
 // handleReplFetch serves a follower pull on the leader: the request's
 // Sizes are replication acks (they advance the quorum commit index),
 // the response ships the records past them plus commit indexes and
-// gossiped consumer-group offsets.
+// gossiped consumer-group offsets. A pull with nothing to ship is held
+// until the local log grows or ReplInterval passes, so an append costs
+// one pull round-trip per follower — the records go out on the parked
+// pull, the ack comes back as the next one — and an idle set exchanges
+// one heartbeat per ReplInterval.
 //
 // An ack is counted only after verifying the follower's log is a true
 // prefix of the leader's: the epoch of the follower's last record must
@@ -81,6 +86,9 @@ func (s *Server) handleReplFetch(req replFetchReq) replFetchResp {
 	// The pull is proof a follower still recognizes this leader; the
 	// step-down check counts these against the quorum.
 	s.lastPull[req.NodeID] = time.Now()
+	// Read before looking at the log: an append after this point either
+	// is found by the scan below or ends the park.
+	seen := s.logGen
 	s.mu.Unlock()
 
 	// Verify each reported partition before counting its ack.
@@ -127,9 +135,36 @@ func (s *Server) handleReplFetch(req replFetchReq) replFetchResp {
 	}
 	s.publishLag(req.NodeID, verified)
 
+	s.shipLog(&resp, verified)
+	if len(resp.Recs) == 0 && len(resp.Truncs) == 0 {
+		s.mu.Lock()
+		grew := s.park(&s.logGen, seen, time.Now().Add(s.opts.ReplInterval))
+		s.mu.Unlock()
+		if grew {
+			s.shipLog(&resp, verified)
+		}
+	}
+	resp.Commits = make(map[string][]int64, len(resp.Partitions))
+	s.mu.Lock()
+	for name := range resp.Partitions {
+		resp.Commits[name] = slices.Clone(s.commits[name])
+	}
+	s.mu.Unlock()
+	resp.Groups = make(map[string]groupState)
+	for g, topicName := range s.b.GroupTopics() {
+		if offs, err := s.b.GroupCommitted(g); err == nil {
+			resp.Groups[g] = groupState{Topic: topicName, Offsets: offs}
+		}
+	}
+	return resp
+}
+
+// shipLog fills resp with every topic's partition count and the records
+// past the follower's verified sizes, skipping partitions that must
+// truncate first.
+func (s *Server) shipLog(resp *replFetchResp, verified map[string][]int64) {
 	resp.Partitions = s.topicSizes()
 	resp.Recs = make(map[string]map[int][]wireRecord)
-	resp.Commits = make(map[string][]int64)
 	budget := int64(respBudget)
 	for name, parts := range resp.Partitions {
 		t, err := s.b.Topic(name)
@@ -167,19 +202,7 @@ func (s *Server) handleReplFetch(req replFetchReq) replFetchResp {
 			}
 			pm[p] = ws
 		}
-		s.mu.Lock()
-		commits := make([]int64, len(s.commits[name]))
-		copy(commits, s.commits[name])
-		s.mu.Unlock()
-		resp.Commits[name] = commits
 	}
-	resp.Groups = make(map[string]groupState)
-	for g, topicName := range s.b.GroupTopics() {
-		if offs, err := s.b.GroupCommitted(g); err == nil {
-			resp.Groups[g] = groupState{Topic: topicName, Offsets: offs}
-		}
-	}
-	return resp
 }
 
 // verifyPrefix checks that a follower's reported log (size records,
@@ -320,33 +343,46 @@ func (s *Server) ensureLocalTopics(partitions map[string]int) {
 	}
 }
 
-// replLoop is the follower side of replication: pull from the current
-// leader every ReplInterval; when the leader goes silent past the
-// (NodeID-staggered) election timeout, stand for election. A node that
-// believes it leads instead verifies it still hears a follower quorum
-// — a leader partitioned away during an election would otherwise never
-// learn it was deposed and indefinitely serve stale state.
+// replLoop is the follower side of replication: keep one pull
+// outstanding at the current leader, which paces it (a pull with
+// nothing to ship is held there up to ReplInterval); a pull the leader
+// did not serve — not leader, unreachable, nothing applied — waits for
+// the ReplInterval ticker instead, so an election window cannot spin.
+// When the leader goes silent past the (NodeID-staggered) election
+// timeout, stand for election. A node that believes it leads instead
+// verifies it still hears a follower quorum — a leader partitioned away
+// during an election would otherwise never learn it was deposed and
+// indefinitely serve stale state.
 func (s *Server) replLoop() {
 	defer s.wg.Done()
 	tick := time.NewTicker(s.opts.ReplInterval)
 	defer tick.Stop()
+	served := false
 	for {
-		select {
-		case <-s.stopc:
-			return
-		case <-tick.C:
+		if !served {
+			select {
+			case <-s.stopc:
+				return
+			case <-tick.C:
+			}
 		}
+		served = false
 		s.mu.Lock()
+		closed := s.closed
 		leader := s.leader
 		self := leader == s.opts.NodeID
 		silent := time.Since(s.lastContact)
 		s.mu.Unlock()
+		if closed {
+			return
+		}
 		if self {
 			s.maybeStepDown()
 			continue
 		}
 		if leader >= 0 && leader < len(s.opts.Peers) {
-			if err := s.pullFrom(leader); err == nil {
+			var err error
+			if served, err = s.pullFrom(leader); err == nil {
 				continue
 			}
 		}
@@ -392,10 +428,14 @@ func (s *Server) maybeStepDown() {
 // applies the response: apply any truncate instructions (divergent
 // suffix repair), install shipped records, adopt commit indexes as
 // visible limits, merge gossiped group offsets, adopt any newer epoch.
-func (s *Server) pullFrom(leader int) error {
+// served reports that the node answered as leader and the exchange did
+// what a pull is for — it applied what was shipped, or shipped nothing
+// because the leader held the pull — so the next pull may follow at
+// once: it carries the ack and becomes the next held pull.
+func (s *Server) pullFrom(leader int) (served bool, err error) {
 	rc, err := s.peerConn(leader)
 	if err != nil {
-		return err
+		return false, err
 	}
 	s.mu.Lock()
 	epoch := s.epoch
@@ -405,7 +445,7 @@ func (s *Server) pullFrom(leader int) error {
 	var resp replFetchResp
 	if err := rc.call(opReplFetch, req, &resp); err != nil {
 		s.dropPeerConn(leader, rc)
-		return err
+		return false, err
 	}
 	s.mu.Lock()
 	if resp.Epoch > s.epoch {
@@ -419,9 +459,10 @@ func (s *Server) pullFrom(leader int) error {
 	stillFollower := s.leader != s.opts.NodeID && s.leader == leader
 	s.mu.Unlock()
 	s.publishRole()
-	if !stillFollower {
-		return nil
+	if !stillFollower || resp.Leader != leader || resp.Epoch < epoch {
+		return false, nil
 	}
+	applied := 0
 	s.ensureLocalTopics(resp.Partitions)
 	for name, parts := range resp.Truncs {
 		t, err := s.b.Topic(name)
@@ -436,6 +477,7 @@ func (s *Server) pullFrom(leader int) error {
 				// is corrupt — leave the log alone.
 				continue
 			}
+			applied++
 		}
 	}
 	for name, parts := range resp.Recs {
@@ -453,6 +495,7 @@ func (s *Server) pullFrom(leader int) error {
 				// fetch): skip, the next pull restarts from our size.
 				continue
 			}
+			applied++
 		}
 	}
 	for name, commits := range resp.Commits {
@@ -468,15 +511,19 @@ func (s *Server) pullFrom(leader int) error {
 			local = grown
 			s.commits[name] = local
 		}
+		moved := false
 		for p, c := range commits {
 			if c > local[p] {
 				local[p] = c
+				moved = true
 			}
-		}
-		s.mu.Unlock()
-		for p, c := range commits {
 			t.SetVisibleLimit(p, c)
 		}
+		if moved {
+			s.commitGen++
+			s.cond.Broadcast() // consumer fetches parked on this follower
+		}
+		s.mu.Unlock()
 	}
 	for g, st := range resp.Groups {
 		if t, err := s.b.Topic(st.Topic); err == nil {
@@ -485,7 +532,7 @@ func (s *Server) pullFrom(leader int) error {
 			_ = s.b.SeedGroupOffsets(g, t, st.Offsets)
 		}
 	}
-	return nil
+	return applied > 0 || len(resp.Recs)+len(resp.Truncs) == 0, nil
 }
 
 // runElection stands this node for leadership: collect votes for a

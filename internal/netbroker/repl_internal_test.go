@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -154,5 +155,62 @@ func TestRetriableClassification(t *testing.T) {
 		if got := retriable(c.err); got != c.want {
 			t.Errorf("%s: retriable(%v) = %v, want %v", c.name, c.err, got, c.want)
 		}
+	}
+}
+
+// TestUnservedPullFallsBackToTicker aims a follower at a peer that
+// answers every pull at once with "no leader here" — an election
+// window. The follower re-pulls at once only after a pull its leader
+// served; here it must fall back to the ReplInterval ticker instead of
+// spinning on the answers.
+func TestUnservedPullFallsBackToTicker(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var pulls atomic.Int64
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				var rbuf, wbuf []byte
+				for {
+					body, buf, err := readFrame(c, rbuf)
+					rbuf = buf
+					if err != nil || len(body) == 0 || body[0] != opReplFetch {
+						return
+					}
+					pulls.Add(1)
+					enc, _ := json.Marshal(replFetchResp{Epoch: 1, Leader: -1})
+					if wbuf, err = writeFrame(c, wbuf, append([]byte{opReplFetch}, enc...)); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+
+	const interval = 20 * time.Millisecond
+	b := broker.New()
+	defer b.Close()
+	srv, err := NewServer(b, "127.0.0.1:0", Options{
+		NodeID:          1,
+		Peers:           []string{ln.Addr().String(), "127.0.0.1:0"},
+		ReplInterval:    interval,
+		ElectionTimeout: 10 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	const window = 25 * interval
+	time.Sleep(window)
+	if n := pulls.Load(); n == 0 || n > int64(window/interval)+2 {
+		t.Fatalf("%d pulls in %s at ReplInterval %s", n, window, interval)
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -21,7 +21,12 @@ type Options struct {
 	// fixed order shared by all nodes: the index is the node id. Empty
 	// means standalone (replication factor 1).
 	Peers []string
-	// ReplInterval paces the follower pull loop (default 5ms).
+	// ReplInterval bounds how long the leader parks a follower pull
+	// that has nothing to ship — the idle heartbeat, not the pull
+	// cadence: an append wakes parked pulls at once (default 5ms). A
+	// follower hears nothing while its pull is parked, so it must stay
+	// below half of ElectionTimeout or silence would read as a dead
+	// leader.
 	ReplInterval time.Duration
 	// ElectionTimeout is how long a follower tolerates leader silence
 	// before standing for election; it is staggered by NodeID so
@@ -38,12 +43,21 @@ type Options struct {
 	Repl *metrics.Replication
 }
 
-func (o *Options) defaults() {
+// Validate reports whether the options, with defaults applied, make a
+// runnable node; NewServer refuses the same configurations.
+func (o Options) Validate() error { return o.defaults() }
+
+func (o *Options) defaults() error {
 	if o.ReplInterval <= 0 {
 		o.ReplInterval = 5 * time.Millisecond
 	}
 	if o.ElectionTimeout <= 0 {
 		o.ElectionTimeout = 750 * time.Millisecond
+	}
+	if o.ReplInterval >= o.ElectionTimeout/2 {
+		return fmt.Errorf("netbroker: ReplInterval %s must be below half of ElectionTimeout %s: "+
+			"a parked pull keeps a follower silent that long, which would read as a dead leader",
+			o.ReplInterval, o.ElectionTimeout)
 	}
 	o.ElectionTimeout += time.Duration(o.NodeID) * o.ElectionTimeout / 3
 	if o.AckTimeout <= 0 {
@@ -52,6 +66,7 @@ func (o *Options) defaults() {
 	if o.SessionTimeout <= 0 {
 		o.SessionTimeout = 3 * time.Second
 	}
+	return nil
 }
 
 // session is one remote consumer-group member: a real in-process
@@ -74,8 +89,9 @@ type Server struct {
 	ln     net.Listener
 	quorum int
 
-	// mu guards the replication state below; cond broadcasts on commit
-	// advances, epoch changes and shutdown (append ack waiters).
+	// mu guards the replication state below; cond broadcasts on local
+	// appends, commit advances, epoch changes and shutdown (append ack
+	// waiters, parked follower pulls, parked consumer fetches).
 	mu          sync.Mutex
 	cond        *sync.Cond
 	epoch       int64
@@ -95,7 +111,11 @@ type Server struct {
 	// commits[topic][partition] is the quorum commit index — the
 	// consumer-visible limit. Monotonic.
 	commits map[string][]int64
-	closed  bool
+	// logGen counts local appends (what a parked follower pull waits
+	// for), commitGen counts moves of any consumer-visible limit (what a
+	// parked consumer fetch waits for); see park.
+	logGen, commitGen uint64
+	closed            bool
 
 	sessMu   sync.Mutex
 	sessions map[string]*session
@@ -115,7 +135,9 @@ type Server struct {
 // joins the replica set: node 0 starts as leader of epoch 1, the rest
 // start pulling from it.
 func NewServer(b *broker.Broker, addr string, opts Options) (*Server, error) {
-	opts.defaults()
+	if err := opts.defaults(); err != nil {
+		return nil, err
+	}
 	if addr == "" {
 		addr = ":0"
 	}
@@ -486,7 +508,11 @@ func (s *Server) handleAppend(req appendReq) appendResp {
 		resp.setErr(err)
 		return resp
 	}
-	s.advance(req.Topic, t)
+	s.mu.Lock()
+	s.logGen++
+	s.cond.Broadcast() // parked follower pulls ship the new records at once
+	s.advanceLocked(req.Topic, t)
+	s.mu.Unlock()
 	if err := s.waitCommitted(req.Topic, req.Partition, want, epoch); err != nil {
 		resp.setErr(err)
 		return resp
@@ -502,11 +528,7 @@ func (s *Server) handleAppend(req appendReq) appendResp {
 // AckTimeout passes.
 func (s *Server) waitCommitted(topic string, partition int, want, epoch int64) error {
 	deadline := time.Now().Add(s.opts.AckTimeout)
-	timer := time.AfterFunc(s.opts.AckTimeout, func() {
-		s.mu.Lock()
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	})
+	timer := time.AfterFunc(s.opts.AckTimeout, s.wake)
 	defer timer.Stop()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -525,6 +547,28 @@ func (s *Server) waitCommitted(topic string, partition int, want, epoch int64) e
 		return fmt.Errorf("%w: partition %d commit %d < %d", ErrAckTimeout,
 			partition, s.commitLocked(topic, partition), want)
 	}
+}
+
+// wake rouses every cond waiter to re-check its deadline.
+func (s *Server) wake() {
+	s.mu.Lock()
+	s.cond.Broadcast()
+	s.mu.Unlock()
+}
+
+// park blocks until *gen moves past seen (reported as moved), the
+// server closes, or deadline passes. The caller holds s.mu and read seen
+// before looking for work, so a bump between that look and the park is
+// never slept through; the lock is released only inside cond.Wait.
+func (s *Server) park(gen *uint64, seen uint64, deadline time.Time) (moved bool) {
+	if wait := time.Until(deadline); *gen == seen && wait > 0 {
+		timer := time.AfterFunc(wait, s.wake)
+		defer timer.Stop()
+		for *gen == seen && !s.closed && time.Now().Before(deadline) {
+			s.cond.Wait()
+		}
+	}
+	return *gen != seen
 }
 
 func (s *Server) commitLocked(topic string, partition int) int64 {
@@ -553,10 +597,12 @@ func (s *Server) advanceLocked(name string, t *broker.Topic) {
 		commits = grown
 		s.commits[name] = commits
 	}
-	sizes := make([]int64, 0, len(s.opts.Peers)+1)
+	// Replica sets are a handful of nodes: the per-partition ack vector
+	// lives on the stack and sorts without a closure.
+	var buf [8]int64
 	advanced := false
 	for p := 0; p < n; p++ {
-		sizes = sizes[:0]
+		sizes := buf[:0]
 		own, err := t.LogSize(p)
 		if err != nil {
 			continue
@@ -576,10 +622,11 @@ func (s *Server) advanceLocked(name string, t *broker.Topic) {
 		for len(sizes) < len(s.opts.Peers) {
 			sizes = append(sizes, 0)
 		}
-		sort.Slice(sizes, func(i, j int) bool { return sizes[i] > sizes[j] })
-		commit := sizes[0]
-		if s.quorum-1 < len(sizes) {
-			commit = sizes[s.quorum-1]
+		// The quorum-th largest ack is on a quorum of logs.
+		slices.Sort(sizes)
+		commit := sizes[len(sizes)-1]
+		if s.quorum <= len(sizes) {
+			commit = sizes[len(sizes)-s.quorum]
 		}
 		if commit > commits[p] {
 			commits[p] = commit
@@ -588,6 +635,7 @@ func (s *Server) advanceLocked(name string, t *broker.Topic) {
 		}
 	}
 	if advanced {
+		s.commitGen++
 		s.cond.Broadcast()
 	}
 }
@@ -608,6 +656,9 @@ func (s *Server) handleFetch(req fetchReq) fetchResp {
 		wait = 30 * time.Second
 	}
 	deadline := time.Now().Add(wait)
+	s.mu.Lock()
+	seen := s.commitGen
+	s.mu.Unlock()
 	for {
 		got := 0
 		budget := int64(respBudget)
@@ -635,9 +686,16 @@ func (s *Server) handleFetch(req fetchReq) fetchResp {
 		if got > 0 || !time.Now().Before(deadline) {
 			return resp
 		}
-		// Poll-pace the blocking wait; a tighter per-partition cond
-		// wait is not worth the complexity across many partitions.
-		time.Sleep(2 * time.Millisecond)
+		// Nothing visible yet: sleep until a visible limit moves (a
+		// quorum commit here, an adopted commit index on a follower).
+		s.mu.Lock()
+		s.park(&s.commitGen, seen, deadline)
+		seen = s.commitGen
+		closed := s.closed
+		s.mu.Unlock()
+		if closed {
+			return resp
+		}
 	}
 }
 
