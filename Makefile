@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test bench bench-docstore bench-aggregate bench-classify bench-swap bench-overload bench-e2e bench-durable bench-netbroker bench-harness-smoke test-crash test-distributed bench-baseline profile cover docs-gate fuzz-smoke lint fmt
+.PHONY: build test bench bench-docstore bench-aggregate bench-classify bench-swap bench-overload bench-e2e bench-durable bench-netbroker bench-harness-smoke bench-record bench-record-smoke test-crash test-distributed bench-baseline profile cover docs-gate fuzz-smoke lint fmt
 
 ## build: compile every package and command
 build:
@@ -121,6 +121,25 @@ bench-netbroker:
 ## fails in the benchmark pipeline. CI `test` job.
 bench-harness-smoke:
 	cd bench && $(GO) vet . && $(GO) test -race .
+
+## bench-record: write this PR's entry of the benchmark trajectory,
+## BENCH_$(PR).json — the parent revision and this tree measured side
+## by side with `bash bench/run.sh` over interleaved seeds (10 pairs on
+## drain_mem, 3 on the other workloads, alternating which side runs
+## first), each side's median and quartiles per end-to-end cell, plus
+## one `--trace 1` layer dump of drain_mem per side (cmd/benchrecord;
+## ~45 min). Usage: make bench-record PR=17 [PARENT=HEAD~1]
+PARENT ?= HEAD~1
+bench-record:
+	@test -n "$(PR)" || { echo "usage: make bench-record PR=<n> [PARENT=<rev>]"; exit 1; }
+	$(GO) run ./cmd/benchrecord -pr $(PR) -parent $(PARENT)
+
+## bench-record-smoke: the same tool in one-seed smoke mode — one short
+## pair per workload at the harness's smoke scale, this tree against
+## its own HEAD, nothing written — so the recorder cannot rot (CI
+## `test` job).
+bench-record-smoke:
+	$(GO) run ./cmd/benchrecord -parent HEAD -smoke
 
 ## test-crash: the crash-recovery hammer on its own, race-instrumented —
 ## SIGKILL a child mid-sustained-ingest, reopen the data dir, assert

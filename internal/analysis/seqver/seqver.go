@@ -1,20 +1,24 @@
 // Package seqver proves the docstore's seqlock discipline: every
-// mutation of a partition's core state (the docs map, insertion
-// order, or secondary indexes) must be covered by a version bump —
+// mutation of a partition's core state (the id column, the field
+// columns, or secondary indexes) must be covered by a version bump —
 // either the function itself takes the write lock (writeLock, which
 // moves the seq counter to an odd value and invalidates the
 // optimistic snapshot caches), bumps the counter directly, or it
 // follows the repository's "Locked" naming contract, documenting that
 // its caller already holds the write lock.
 //
-// Without the bump, optimistic readers (cachedFieldValues/cachedTail)
-// can validate a snapshot that raced the mutation and serve stale
-// matches; the race hammer only catches that on lucky schedules.
+// Without the bump, optimistic readers (cachedAggPartial) can validate
+// a snapshot that raced the mutation and serve stale partials; the
+// race hammer only catches that on lucky schedules.
 //
 // A partition-like type is recognized structurally: any struct with
-// both `docs` and `order` fields. Fresh values built inside the same
-// function (constructors, recovery) are exempt — they are unpublished
-// and have no readers yet.
+// both `ids` and `cols` fields. Row data lives inside the columns, so
+// a call to one of a column's mutating methods (set, gather, promote)
+// on a column reached through the partition — p.cols[s], p.col(s),
+// p.colLocked(s), or a local variable bound to one of those — counts as
+// a mutation of p.cols. Fresh values built inside the same function
+// (constructors, recovery) are exempt — they are unpublished and have
+// no readers yet.
 package seqver
 
 import (
@@ -28,7 +32,7 @@ import (
 // Analyzer is the seqver checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "seqver",
-	Doc: "report partition-state mutations (docs/order/indexes) not " +
+	Doc: "report partition-state mutations (ids/cols/indexes) not " +
 		"covered by a version bump or the Locked-suffix contract",
 	Run: run,
 }
@@ -36,8 +40,15 @@ var Analyzer = &analysis.Analyzer{
 // guardedFields are the partition fields whose mutation must be
 // version-covered.
 var guardedFields = map[string]bool{
-	"docs": true, "order": true, "index": true, "indexes": true,
+	"ids": true, "cols": true, "index": true, "indexes": true,
 }
+
+// columnMutators are the column methods that write row data, and
+// columnGetters the partition methods that hand out a column.
+var (
+	columnMutators = map[string]bool{"set": true, "gather": true, "promote": true}
+	columnGetters  = map[string]bool{"col": true, "colLocked": true}
+)
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
@@ -65,6 +76,7 @@ func run(pass *analysis.Pass) error {
 func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
 	fresh := localFreshVars(pass, body)
 	bumps := bumpPositions(pass, body)
+	cols := columnVars(pass, body)
 
 	report := func(base ast.Expr, field string, pos token.Pos) {
 		baseKey := analysis.Render(base)
@@ -95,10 +107,16 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
 				report(base, field, t.X.Pos())
 			}
 		case *ast.CallExpr:
-			// delete(p.docs, k) mutates too.
+			// delete(p.indexes, k) mutates too.
 			if id, ok := ast.Unparen(t.Fun).(*ast.Ident); ok && id.Name == "delete" && len(t.Args) > 0 {
 				if base, field, ok := guardedTarget(pass, t.Args[0]); ok {
 					report(base, field, t.Args[0].Pos())
+				}
+			}
+			// p.cols[s].set(...), p.colLocked(s).set(...), col.gather(...).
+			if recv, name := analysis.CallName(t); recv != nil && columnMutators[name] {
+				if base := columnOwner(pass, recv, cols); base != nil {
+					report(base, "cols", t.Pos())
 				}
 			}
 		}
@@ -139,8 +157,8 @@ func bumpPositions(pass *analysis.Pass, body *ast.BlockStmt) []bump {
 }
 
 // guardedTarget decomposes an lvalue into (base, guardedField) when it
-// denotes guarded partition state: base.docs, base.docs[k],
-// base.order[i], base.indexes[name], with base a partition-like
+// denotes guarded partition state: base.ids, base.ids[i],
+// base.cols[s], base.indexes[name], with base a partition-like
 // struct.
 func guardedTarget(pass *analysis.Pass, e ast.Expr) (ast.Expr, string, bool) {
 	e = ast.Unparen(e)
@@ -152,10 +170,63 @@ func guardedTarget(pass *analysis.Pass, e ast.Expr) (ast.Expr, string, bool) {
 		return nil, "", false
 	}
 	names := analysis.StructFieldNames(pass.TypesInfo.TypeOf(sel.X))
-	if names == nil || !names["docs"] || !names["order"] {
+	if names == nil || !names["ids"] || !names["cols"] {
 		return nil, "", false
 	}
 	return sel.X, sel.Sel.Name, true
+}
+
+// columnOwner returns the partition-like expression a column
+// expression was reached through — base.cols[s], base.col(s),
+// base.colLocked(s), or a variable columnVars bound to one — or nil.
+func columnOwner(pass *analysis.Pass, e ast.Expr, vars map[token.Pos]ast.Expr) ast.Expr {
+	e = ast.Unparen(e)
+	if base, field, ok := guardedTarget(pass, e); ok && field == "cols" {
+		return base
+	}
+	switch t := e.(type) {
+	case *ast.CallExpr:
+		if recv, name := analysis.CallName(t); recv != nil && columnGetters[name] {
+			if names := analysis.StructFieldNames(pass.TypesInfo.TypeOf(recv)); names["ids"] && names["cols"] {
+				return recv
+			}
+		}
+	case *ast.Ident:
+		if obj := analysis.ObjectOf(pass.TypesInfo, t); obj != nil {
+			return vars[obj.Pos()]
+		}
+	}
+	return nil
+}
+
+// columnVars maps the def position of every local variable bound to a
+// partition's column (col := p.cols[s], col := p.colLocked(s), or
+// for _, col := range p.cols) to that partition expression.
+func columnVars(pass *analysis.Pass, body *ast.BlockStmt) map[token.Pos]ast.Expr {
+	out := make(map[token.Pos]ast.Expr)
+	bind := func(lhs ast.Expr, base ast.Expr) {
+		if id, ok := ast.Unparen(lhs).(*ast.Ident); ok && base != nil {
+			if obj := analysis.ObjectOf(pass.TypesInfo, id); obj != nil {
+				out[obj.Pos()] = base
+			}
+		}
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch t := n.(type) {
+		case *ast.AssignStmt:
+			for i := range t.Lhs {
+				if i < len(t.Rhs) {
+					bind(t.Lhs[i], columnOwner(pass, t.Rhs[i], out))
+				}
+			}
+		case *ast.RangeStmt:
+			if base, field, ok := guardedTarget(pass, t.X); ok && field == "cols" && t.Value != nil {
+				bind(t.Value, base)
+			}
+		}
+		return true
+	})
+	return out
 }
 
 // localFreshVars returns the def positions of variables initialized

@@ -1,5 +1,5 @@
 // Package a seeds seqver violations: partition-state mutations (the
-// docs map, insertion order) without a covering version bump, so
+// field columns, the id column) without a covering version bump, so
 // optimistic readers could validate a snapshot that raced the write.
 package a
 
@@ -8,12 +8,20 @@ import (
 	"sync/atomic"
 )
 
+// column holds one field's row data; set and gather write it.
+type column struct{ vals []string }
+
+func (c *column) set(v string)  { c.vals = append(c.vals, v) }
+func (c *column) gather(lo int) { c.vals = c.vals[:lo] }
+
 type partition struct {
-	mu    sync.RWMutex
-	seq   atomic.Uint64
-	docs  map[string]string
-	order []string
+	mu   sync.RWMutex
+	seq  atomic.Uint64
+	cols map[string]*column
+	ids  []string
 }
+
+func (p *partition) colLocked(k string) *column { return p.cols[k] }
 
 func (p *partition) writeLock() {
 	p.mu.Lock()
@@ -28,23 +36,42 @@ func (p *partition) writeUnlock() {
 func (p *partition) unguardedInsert(k, v string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.docs[k] = v                // want `mutation of p\.docs without a prior version bump`
-	p.order = append(p.order, k) // want `mutation of p\.order without a prior version bump`
+	p.cols[k] = &column{vals: []string{v}} // want `mutation of p\.cols without a prior version bump`
+	p.ids = append(p.ids, k)               // want `mutation of p\.ids without a prior version bump`
 }
 
 func (p *partition) unguardedDelete(k string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	delete(p.docs, k) // want `mutation of p\.docs without a prior version bump`
+	delete(p.cols, k) // want `mutation of p\.cols without a prior version bump`
 }
 
 func (p *partition) bumpAfterMutation(k, v string) {
 	p.mu.Lock()
-	p.docs[k] = v // want `mutation of p\.docs without a prior version bump`
+	p.cols[k] = &column{vals: []string{v}} // want `mutation of p\.cols without a prior version bump`
 	p.seq.Add(1)
 	p.mu.Unlock()
 }
 
+// Row data changes through the columns' own methods, however the
+// column was reached.
+func (p *partition) unguardedCellWrite(k, v string) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.cols[k].set(v)      // want `mutation of p\.cols without a prior version bump`
+	p.colLocked(k).set(v) // want `mutation of p\.cols without a prior version bump`
+	col := p.colLocked(k)
+	col.gather(0) // want `mutation of p\.cols without a prior version bump`
+}
+
+func (p *partition) unguardedCompact() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, col := range p.cols {
+		col.gather(0) // want `mutation of p\.cols without a prior version bump`
+	}
+}
+
 func (p *partition) recoveryRebuild(k, v string) {
-	p.docs[k] = v //alarmvet:ignore recovery rebuild runs before the partition is published to readers
+	p.cols[k] = &column{vals: []string{v}} //alarmvet:ignore recovery rebuild runs before the partition is published to readers
 }

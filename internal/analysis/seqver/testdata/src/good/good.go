@@ -9,12 +9,20 @@ import (
 	"sync/atomic"
 )
 
+// column holds one field's row data; set and gather write it.
+type column struct{ vals []string }
+
+func (c *column) set(v string)  { c.vals = append(c.vals, v) }
+func (c *column) gather(lo int) { c.vals = c.vals[:lo] }
+
 type partition struct {
-	mu    sync.RWMutex
-	seq   atomic.Uint64
-	docs  map[string]string
-	order []string
+	mu   sync.RWMutex
+	seq  atomic.Uint64
+	cols map[string]*column
+	ids  []string
 }
+
+func (p *partition) colLocked(k string) *column { return p.cols[k] }
 
 func (p *partition) writeLock() {
 	p.mu.Lock()
@@ -29,27 +37,47 @@ func (p *partition) writeUnlock() {
 func (p *partition) guardedInsert(k, v string) {
 	p.writeLock()
 	defer p.writeUnlock()
-	p.docs[k] = v
-	p.order = append(p.order, k)
+	p.cols[k] = &column{vals: []string{v}}
+	p.ids = append(p.ids, k)
 }
 
 func (p *partition) insertLocked(k, v string) {
-	p.docs[k] = v
-	p.order = append(p.order, k)
+	p.cols[k] = &column{vals: []string{v}}
+	p.ids = append(p.ids, k)
 }
+
+func (p *partition) guardedCellWrite(k, v string) {
+	p.writeLock()
+	defer p.writeUnlock()
+	p.cols[k].set(v)
+	p.colLocked(k).set(v)
+	for _, col := range p.cols {
+		col.gather(0)
+	}
+}
+
+func (p *partition) compactLocked() {
+	for _, col := range p.cols {
+		col.gather(0)
+	}
+}
+
+// A column's own methods, and reads, carry no obligation.
+func (c *column) reset() { c.gather(0); c.set("") }
 
 func (p *partition) directBump(k, v string) {
 	p.mu.Lock()
 	p.seq.Add(1)
-	p.docs[k] = v
-	p.order = append(p.order, k)
+	p.cols[k] = &column{vals: []string{v}}
+	p.ids = append(p.ids, k)
 	p.seq.Add(1)
 	p.mu.Unlock()
 }
 
 func newPartition() *partition {
-	p := &partition{docs: make(map[string]string)}
-	p.docs["boot"] = ""
-	p.order = append(p.order, "boot")
+	p := &partition{cols: make(map[string]*column)}
+	p.cols["boot"] = &column{}
+	p.cols["boot"].set("x")
+	p.ids = append(p.ids, "boot")
 	return p
 }

@@ -1,0 +1,96 @@
+//go:build !race
+
+package core
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"alarmverify/internal/docstore"
+)
+
+// The persist stage's allocation and footprint budgets. They hold
+// because an alarm is stored as a typed row — no map, no boxed value,
+// no heap object per alarm — and would not survive a return to one
+// document per alarm (19.4 allocations per recorded alarm, ≈ 21 per
+// histogram, 854 B and 13 live objects per stored alarm before the
+// typed store). The race runtime inflates all three, hence the tag.
+
+func budgetHistory(t *testing.T) *History {
+	t.Helper()
+	h, err := NewHistory(docstore.NewDBWithPartitions(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.EnableWriteBehind(1024)
+	t.Cleanup(h.Close)
+	return h
+}
+
+func TestRecordBatchAllocBudget(t *testing.T) {
+	_, alarms := testAlarms(512 * 8)
+	h := budgetHistory(t)
+	next := 0
+	record := func() {
+		h.RecordBatch(alarms[next : next+512])
+		if err := h.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		next = (next + 512) % len(alarms)
+	}
+	record() // grow the queue buffers and the row batch once
+	perAlarm := testing.AllocsPerRun(20, record) / 512
+	t.Logf("RecordBatch(512)+Flush: %.3f allocations per alarm", perAlarm)
+	if perAlarm > 1 {
+		t.Fatalf("RecordBatch(512)+Flush: %.2f allocations per alarm, budget 1", perAlarm)
+	}
+}
+
+func TestDeviceHistogramsAllocBudget(t *testing.T) {
+	_, alarms := testAlarms(4096)
+	h := budgetHistory(t)
+	h.RecordBatch(alarms)
+	seen := make(map[string]bool)
+	var macs []string
+	for i := range alarms[:512] {
+		if mac := alarms[i].DeviceMAC; !seen[mac] {
+			seen[mac] = true
+			macs = append(macs, mac)
+		}
+	}
+	since := alarms[0].Timestamp.Add(-30 * 24 * time.Hour)
+	perDevice := testing.AllocsPerRun(20, func() {
+		if _, err := h.DeviceHistograms(macs, since, 24*time.Hour); err != nil {
+			t.Fatal(err)
+		}
+	}) / float64(len(macs))
+	t.Logf("DeviceHistograms over %d devices: %.2f allocations per device", len(macs), perDevice)
+	if perDevice > 4 {
+		t.Fatalf("DeviceHistograms over %d devices: %.2f allocations per device, budget 4", len(macs), perDevice)
+	}
+}
+
+func TestStoredAlarmFootprintBudget(t *testing.T) {
+	const n = 100_000
+	_, alarms := testAlarms(n)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	h := budgetHistory(t)
+	for lo := 0; lo < n; lo += 512 {
+		h.RecordBatch(alarms[lo:min(lo+512, n)])
+	}
+	if h.Len() != n {
+		t.Fatalf("stored %d alarms, want %d", h.Len(), n)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.HeapAlloc-before.HeapAlloc) / n
+	objects := float64(after.HeapObjects-before.HeapObjects) / n
+	t.Logf("%.0f B and %.2f live heap objects per stored alarm", bytes, objects)
+	if bytes > 250 || objects > 1.5 {
+		t.Fatalf("%.0f B and %.2f live heap objects per stored alarm, budget 250 B and 1.5", bytes, objects)
+	}
+	runtime.KeepAlive(alarms)
+}

@@ -19,6 +19,7 @@ import (
 // land in one store partition and the histogram query touches exactly
 // that partition.
 type History struct {
+	db  *docstore.DB
 	col *docstore.Collection
 	// fb stores operator feedback (the /feedback endpoint): eventual
 	// ground-truth verdicts the retrainer folds into the next train
@@ -32,12 +33,73 @@ type History struct {
 
 	// wb, when non-nil, is the write-behind buffer: Record/RecordBatch
 	// enqueue and return immediately, a flusher goroutine drains the
-	// queue into one InsertMany per flush (coalescing batches from all
+	// queue into one InsertRows per flush (coalescing batches from all
 	// shards into one store round-trip), and query paths barrier on
 	// the queue so reads always observe prior writes. Published
 	// atomically so EnableWriteBehind is safe against concurrent use.
 	wb     atomic.Pointer[writeBehind]
 	wbOnce sync.Once
+
+	// rows recycles the typed row batches alarms are written and read
+	// through, so neither direction allocates per alarm.
+	rows sync.Pool
+}
+
+// alarmFields is the stored form of an alarm: one typed column per
+// field, in the order fillRow writes and rowAlarm reads. DeviceIP
+// (duplicates the MAC as device identity) and Payload (wire-size
+// padding, §5.5.2) are not stored. The sensor-specific fields ride
+// along so retraining from the store keeps the §5.3.4 extra features
+// (flexible schema: older rows without them read back as empty
+// strings).
+var alarmFields = []string{"alarmId", "deviceMac", "zip", "ts", "duration",
+	"alarmType", "objectType", "sensorType", "swVersion"}
+
+// fillRow writes an alarm into a row of alarmFields.
+//
+//alarmvet:hotpath
+func fillRow(row []docstore.Cell, a *alarm.Alarm) {
+	row[0] = docstore.Int64(a.ID)
+	row[1] = docstore.String(a.DeviceMAC)
+	row[2] = docstore.String(a.ZIP)
+	row[3] = docstore.Float(float64(a.Timestamp.Unix()))
+	row[4] = docstore.Float(a.Duration)
+	row[5] = docstore.String(a.Type.String())
+	row[6] = docstore.String(a.ObjectType.String())
+	row[7] = docstore.String(a.SensorType)
+	row[8] = docstore.String(a.SoftwareVersion)
+}
+
+// rowAlarm rebuilds an alarm from a row of alarmFields — the inverse
+// of fillRow, at the store's whole-second timestamp resolution.
+func rowAlarm(row []docstore.Cell) alarm.Alarm {
+	a := alarm.Alarm{
+		ID:              row[0].I64(),
+		DeviceMAC:       row[1].Str(),
+		ZIP:             row[2].Str(),
+		Duration:        row[4].Num(),
+		SensorType:      row[7].Str(),
+		SoftwareVersion: row[8].Str(),
+	}
+	if row[3].Present() {
+		a.Timestamp = time.Unix(row[3].I64(), 0).UTC()
+	}
+	a.Type, _ = alarm.ParseType(row[5].Str())
+	a.ObjectType, _ = alarm.ParseObjectType(row[6].Str())
+	return a
+}
+
+// insert stores alarms through a pooled row batch.
+//
+//alarmvet:hotpath
+func (h *History) insert(alarms []alarm.Alarm) {
+	rows := h.rows.Get().(*docstore.Rows)
+	for i := range alarms {
+		fillRow(rows.Next(), &alarms[i])
+	}
+	h.col.InsertRows(rows)
+	rows.Reset()
+	h.rows.Put(rows)
 }
 
 // SetSimulatedRTT makes every history round-trip (RecordBatch,
@@ -66,18 +128,23 @@ func NewHistory(db *docstore.DB) (*History, error) {
 		!errors.Is(err, docstore.ErrIndexExists) {
 		return nil, err
 	}
-	return &History{col: col, fb: db.Collection("feedback")}, nil
+	h := &History{db: db, col: col, fb: db.Collection("feedback")}
+	h.rows.New = func() any { return col.NewRows(alarmFields...) }
+	return h, nil
 }
 
 // writeBehind is a bounded asynchronous ingest queue. Producers block
 // only when the queue is at capacity (bounded queueing: backpressure
 // instead of unbounded buffering), and one flusher goroutine turns
-// however many documents accumulated during the previous store
-// round-trip into a single InsertMany.
+// however many alarms accumulated during the previous store
+// round-trip into a single InsertRows. The queue holds alarm copies,
+// in two buffers the flusher swaps, so enqueueing allocates nothing
+// once both have grown to the working batch size.
 type writeBehind struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
-	queue    []docstore.Doc
+	queue    []alarm.Alarm
+	spare    []alarm.Alarm
 	max      int
 	flushing bool
 	closed   bool
@@ -86,7 +153,7 @@ type writeBehind struct {
 }
 
 // EnableWriteBehind switches the history to asynchronous ingest with
-// the given queue bound (documents; <= 0 selects 4096). Call Close to
+// the given queue bound (alarms; <= 0 selects 4096). Call Close to
 // flush the queue and stop the flusher. Enabling twice (even
 // concurrently) is a no-op.
 func (h *History) EnableWriteBehind(maxQueued int) {
@@ -102,7 +169,7 @@ func (h *History) EnableWriteBehind(maxQueued int) {
 }
 
 // flusher drains the write-behind queue: each pass swaps out the
-// whole queue and persists it with one InsertMany (one simulated
+// whole queue and persists it with one InsertRows (one simulated
 // round-trip), so batches enqueued by many shards while a flush is in
 // flight coalesce into the next one.
 func (h *History) flusher(wb *writeBehind) {
@@ -117,15 +184,17 @@ func (h *History) flusher(wb *writeBehind) {
 			return
 		}
 		batch := wb.queue
-		wb.queue = nil
+		wb.queue, wb.spare = wb.spare[:0], nil
 		wb.flushing = true
 		wb.cond.Broadcast() // queue has room again
 		wb.mu.Unlock()
 
 		h.simulateRTT()
-		h.col.InsertMany(batch)
+		h.insert(batch)
+		clear(batch) // drop the copies' string references
 
 		wb.mu.Lock()
+		wb.spare = batch
 		wb.flushing = false
 		wb.flushes++ // a completed flush: everything swapped out is durable
 		wb.cond.Broadcast()
@@ -133,10 +202,12 @@ func (h *History) flusher(wb *writeBehind) {
 	}
 }
 
-// enqueue appends docs to the write-behind queue, blocking while the
-// queue is at capacity. After Close it reports false and the caller
-// falls back to a synchronous write.
-func (wb *writeBehind) enqueue(docs []docstore.Doc) bool {
+// enqueue appends copies of the alarms to the write-behind queue,
+// blocking while the queue is at capacity. After Close it reports
+// false and the caller falls back to a synchronous write.
+//
+//alarmvet:hotpath
+func (wb *writeBehind) enqueue(alarms []alarm.Alarm) bool {
 	wb.mu.Lock()
 	defer wb.mu.Unlock()
 	for !wb.closed && len(wb.queue) >= wb.max {
@@ -145,18 +216,28 @@ func (wb *writeBehind) enqueue(docs []docstore.Doc) bool {
 	if wb.closed {
 		return false
 	}
-	wb.queue = append(wb.queue, docs...)
+	wb.queue = append(wb.queue, alarms...)
 	wb.cond.Broadcast()
 	return true
 }
 
-// Flush blocks until every document enqueued before the call is
-// durable in the store. It waits on a flush generation, not on the
-// queue going empty, so concurrent writers refilling the queue cannot
-// starve it: at most two flush completions (the in-flight one plus
-// the one covering the current queue) release it. A no-op without
-// write-behind.
-func (h *History) Flush() {
+// Flush is the history's durability barrier: it blocks until every
+// alarm enqueued before the call has been handed to the store, then
+// reports the store's sticky durability error (docstore DB.Err) — on a
+// WAL-backed store, non-nil means some write since open exists in
+// memory only, and the caller must not acknowledge (commit) past it.
+func (h *History) Flush() error {
+	h.barrier()
+	return h.db.Err()
+}
+
+// barrier blocks until every alarm enqueued before the call is in the
+// store — what reads need to observe prior writes. It waits on a flush
+// generation, not on the queue going empty, so concurrent writers
+// refilling the queue cannot starve it: at most two flush completions
+// (the in-flight one plus the one covering the current queue) release
+// it. A no-op without write-behind.
+func (h *History) barrier() {
 	wb := h.wb.Load()
 	if wb == nil {
 		return
@@ -187,6 +268,11 @@ func (h *History) WriteBehindFlushes() int64 {
 	defer wb.mu.Unlock()
 	return wb.flushes
 }
+
+// Fields reports how the store holds each alarm field (docstore
+// Collection.Fields): nine typed columns, none boxed, while the typed
+// path is serving the history.
+func (h *History) Fields() []docstore.FieldInfo { return h.col.Fields() }
 
 // SetRetention bounds the alarm history to maxAge of ingest: on a
 // durable store, documents whose timestamp has aged out are pruned at
@@ -220,141 +306,52 @@ func (h *History) Close() {
 	<-wb.done
 }
 
-// Record stores one alarm as a document (the flexible-schema ingest
-// path of §4.3).
+// Record stores one alarm (the flexible-schema ingest path of §4.3).
 func (h *History) Record(a *alarm.Alarm) {
-	if wb := h.wb.Load(); wb != nil && wb.enqueue([]docstore.Doc{alarmDoc(a)}) {
-		return
-	}
-	h.simulateRTT()
-	h.col.Insert(alarmDoc(a))
+	one := [1]alarm.Alarm{*a}
+	h.RecordBatch(one[:])
 }
 
 // RecordBatch stores many alarms at once. With write-behind enabled
-// it only enqueues (blocking when the queue is full); the flusher
-// persists the documents asynchronously and query paths barrier on
-// the queue, so reads still observe prior writes.
+// it only enqueues copies (blocking when the queue is full); the
+// flusher persists them asynchronously and query paths barrier on the
+// queue, so reads still observe prior writes.
+//
+//alarmvet:hotpath
 func (h *History) RecordBatch(alarms []alarm.Alarm) {
 	if len(alarms) == 0 {
 		return
 	}
-	docs := make([]docstore.Doc, len(alarms))
-	for i := range alarms {
-		docs[i] = alarmDoc(&alarms[i])
-	}
-	if wb := h.wb.Load(); wb != nil && wb.enqueue(docs) {
+	if wb := h.wb.Load(); wb != nil && wb.enqueue(alarms) {
 		return
 	}
 	h.simulateRTT()
-	h.col.InsertMany(docs)
-}
-
-func alarmDoc(a *alarm.Alarm) docstore.Doc {
-	return docstore.Doc{
-		"alarmId":    a.ID,
-		"deviceMac":  a.DeviceMAC,
-		"zip":        a.ZIP,
-		"ts":         float64(a.Timestamp.Unix()),
-		"duration":   a.Duration,
-		"alarmType":  a.Type.String(),
-		"objectType": a.ObjectType.String(),
-		// Sensor-specific fields ride along so retraining from the
-		// store keeps the §5.3.4 extra features (flexible schema: older
-		// documents without them read back as empty strings).
-		"sensorType": a.SensorType,
-		"swVersion":  a.SoftwareVersion,
-	}
-}
-
-// asInt64 reads an integer document field whatever concrete integer
-// type the store hands back — int64 live, but possibly int or float64
-// after a WAL/snapshot JSON round-trip on older encodings — so the
-// retrain loop can never silently drop ids after a recovery.
-func asInt64(v any) (int64, bool) {
-	switch n := v.(type) {
-	case int64:
-		return n, true
-	case int:
-		return int64(n), true
-	case float64:
-		return int64(n), true
-	default:
-		return 0, false
-	}
-}
-
-// asInt is asInt64 for int-typed fields (e.g. feedback verdicts).
-func asInt(v any) (int, bool) {
-	n, ok := asInt64(v)
-	return int(n), ok
-}
-
-// docAlarm rebuilds an alarm from its stored document — the inverse
-// of alarmDoc, used when the retrainer pulls its train set out of the
-// history instead of holding alarms in memory.
-func docAlarm(d docstore.Doc) alarm.Alarm {
-	a := alarm.Alarm{}
-	if v, ok := asInt64(d["alarmId"]); ok {
-		a.ID = v
-	}
-	a.DeviceMAC, _ = d["deviceMac"].(string)
-	a.ZIP, _ = d["zip"].(string)
-	if ts, ok := d["ts"].(float64); ok {
-		a.Timestamp = time.Unix(int64(ts), 0).UTC()
-	}
-	a.Duration, _ = d["duration"].(float64)
-	if s, ok := d["alarmType"].(string); ok {
-		if t, found := alarm.ParseType(s); found {
-			a.Type = t
-		}
-	}
-	if s, ok := d["objectType"].(string); ok {
-		if o, found := alarm.ParseObjectType(s); found {
-			a.ObjectType = o
-		}
-	}
-	a.SensorType, _ = d["sensorType"].(string)
-	a.SoftwareVersion, _ = d["swVersion"].(string)
-	return a
+	h.insert(alarms)
 }
 
 // RecentAlarms returns up to limit of the most recently ingested
 // alarms in chronological order — the retrainer's train-set window.
-// The read is a pushdown top-K aggregation (sort by insertion id
-// descending, limit K): each store partition selects its K newest
-// documents under one lock — or serves them from a version-validated
-// snapshot when the partition has not changed since the last
-// identical scan — so the cost depends on limit, not on how large the
-// history has grown over the daemon's lifetime. limit <= 0 returns
-// everything (a bounded tail scan over the whole store).
+// The read is a typed tail scan (docstore Collection.TailRows): each
+// store partition hands over its limit newest rows under one lock,
+// column by column, and alarms are rebuilt from the cells without a
+// document in between — so the cost depends on limit, not on how
+// large the history has grown over the daemon's lifetime. limit <= 0
+// returns everything.
 func (h *History) RecentAlarms(limit int) ([]alarm.Alarm, error) {
-	h.Flush()
+	h.barrier()
 	h.simulateRTT()
-	var docs []docstore.Doc
-	if limit > 0 {
-		var err error
-		docs, err = h.col.Aggregate(nil,
-			docstore.SortStage{Field: "-_id"}, docstore.Limit{N: limit})
-		if err != nil {
-			return nil, err
-		}
-		// The top-K arrives newest first; restore insertion order (the
-		// order Tail used to return) before the chronological sort so
-		// equal-timestamp alarms keep their ingest order.
-		for i, j := 0, len(docs)-1; i < j; i, j = i+1, j-1 {
-			docs[i], docs[j] = docs[j], docs[i]
-		}
-	} else {
-		docs = h.col.Tail(limit)
+	rows := h.rows.Get().(*docstore.Rows)
+	h.col.TailRows(limit, rows)
+	out := make([]alarm.Alarm, rows.Len())
+	for i := range out {
+		out[i] = rowAlarm(rows.Row(i))
 	}
-	out := make([]alarm.Alarm, len(docs))
-	for i, d := range docs {
-		out[i] = docAlarm(d)
-	}
+	rows.Reset()
+	h.rows.Put(rows)
 	// Ingest order approximates time order but concurrent shards can
 	// interleave; restore strict chronology for the Δt-windowed
-	// train/holdout split.
-	sort.Slice(out, func(i, j int) bool { return out[i].Timestamp.Before(out[j].Timestamp) })
+	// train/holdout split (stable: equal timestamps keep ingest order).
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Timestamp.Before(out[j].Timestamp) })
 	return out, nil
 }
 
@@ -396,11 +393,9 @@ func (h *History) Feedbacks() ([]Feedback, error) {
 	out := make([]Feedback, 0, len(docs))
 	for _, d := range docs {
 		f := Feedback{}
-		if v, ok := asInt64(d["alarmId"]); ok {
-			f.AlarmID = v
-		}
+		f.AlarmID, _ = d["alarmId"].(int64)
 		f.DeviceMAC, _ = d["deviceMac"].(string)
-		if v, ok := asInt(d["verdict"]); ok {
+		if v, ok := d["verdict"].(int); ok {
 			f.Verdict = alarm.Label(v)
 		}
 		if ts, ok := d["at"].(float64); ok {
@@ -428,7 +423,7 @@ func (h *History) FeedbackLabels() (map[int64]alarm.Label, error) {
 // Len returns the number of stored alarms, including any still queued
 // in the write-behind buffer.
 func (h *History) Len() int {
-	h.Flush()
+	h.barrier()
 	return h.col.Len()
 }
 
@@ -446,78 +441,53 @@ type HistogramBucket struct {
 // are computed inside the store partition that owns the device (the
 // deviceMac equality is on the shard key), so no timestamps — let
 // alone documents — stream out; only the final (bucket, count) pairs
-// do. Repeats against an unchanged partition are served from the
-// store's version-validated partial snapshot cache.
+// do. Every call recomputes: typed plans carry no cache key (building
+// one cost more than the index probe and count it would save).
 func (h *History) DeviceHistogram(mac string, since time.Time, bucket time.Duration) ([]HistogramBucket, error) {
-	h.Flush()
-	h.simulateRTT()
-	if bucket <= 0 {
-		bucket = time.Hour
-	}
-	docs, err := h.col.Aggregate(
-		deviceSinceFilter(mac, since),
-		docstore.Bucket{Field: "ts", Origin: float64(since.Unix()), Width: bucket.Seconds()},
-	)
+	out, err := h.DeviceHistograms([]string{mac}, since, bucket)
 	if err != nil {
 		return nil, err
 	}
-	return histogramBuckets(docs), nil
-}
-
-// deviceSinceFilter is the shared per-device time-window filter of the
-// histogram queries.
-func deviceSinceFilter(mac string, since time.Time) docstore.Doc {
-	return docstore.Doc{
-		"deviceMac": mac,
-		"ts":        map[string]any{"$gte": float64(since.Unix())},
-	}
-}
-
-// histogramBuckets converts the docstore Bucket stage's (bucket,
-// count) documents into histogram bars.
-func histogramBuckets(docs []docstore.Doc) []HistogramBucket {
-	out := make([]HistogramBucket, len(docs))
-	for i, d := range docs {
-		lo, _ := d["bucket"].(float64)
-		n, _ := d["count"].(int)
-		out[i] = HistogramBucket{Start: time.Unix(int64(lo), 0).UTC(), Count: n}
-	}
-	return out
+	return out[0], nil
 }
 
 // DeviceHistograms answers one histogram per device in a single
-// history round-trip: the batch executes as one pushdown Bucket
-// aggregation sweep (docstore Collection.AggregateMulti) — each
-// touched partition is visited once, concurrently under a simulated
-// RTT, computes every resident device's bar counts in-place, and only
-// the (bucket, count) pairs travel. Result i corresponds to macs[i];
-// each is identical to what DeviceHistogram(macs[i], since, bucket)
-// would return against the same store state. This is the pipeline's
-// Persist-stage path: a micro-batch with N distinct devices pays one
-// round-trip instead of N serialized ones.
+// history round-trip: the batch executes as one typed pushdown Bucket
+// sweep (docstore Collection.BucketCounts) — each touched partition is
+// visited once, concurrently under a simulated RTT, probes the device
+// index and counts every resident device's bars off the timestamp
+// column, and only the (bucket, count) pairs travel; no filter
+// document goes in and no result document comes out. Result i
+// corresponds to macs[i]. This is the pipeline's Persist-stage path: a
+// micro-batch with N distinct devices pays one round-trip instead of N
+// serialized ones.
 func (h *History) DeviceHistograms(macs []string, since time.Time, bucket time.Duration) ([][]HistogramBucket, error) {
 	if len(macs) == 0 {
 		return nil, nil
 	}
-	h.Flush()
+	h.barrier()
 	h.simulateRTT()
 	if bucket <= 0 {
 		bucket = time.Hour
 	}
-	filters := make([]docstore.Doc, len(macs))
+	origin := float64(since.Unix())
+	conds := make([]docstore.Cond, 2*len(macs))
+	filters := make([][]docstore.Cond, len(macs))
 	for i, mac := range macs {
-		filters[i] = deviceSinceFilter(mac, since)
-	}
-	docsPer, err := h.col.AggregateMulti(filters,
-		docstore.Bucket{Field: "ts", Origin: float64(since.Unix()), Width: bucket.Seconds()})
-	if err != nil {
-		return nil, err
+		filters[i] = conds[2*i : 2*i+2]
+		filters[i][0] = docstore.Cond{Field: "deviceMac", Op: "$eq", Value: docstore.String(mac)}
+		filters[i][1] = docstore.Cond{Field: "ts", Op: "$gte", Value: docstore.Float(origin)}
 	}
 	out := make([][]HistogramBucket, len(macs))
-	for i, docs := range docsPer {
-		out[i] = histogramBuckets(docs)
-	}
-	return out, nil
+	err := h.col.BucketCounts(filters,
+		docstore.Bucket{Field: "ts", Origin: origin, Width: bucket.Seconds()},
+		func(i int, bars []docstore.BucketCount) {
+			out[i] = make([]HistogramBucket, len(bars))
+			for j, b := range bars {
+				out[i][j] = HistogramBucket{Start: time.Unix(int64(b.Start), 0).UTC(), Count: b.Count}
+			}
+		})
+	return out, err
 }
 
 // DeviceCount is one entry of a top-devices ranking: a device and how
@@ -529,75 +499,60 @@ type DeviceCount struct {
 
 // TopDevices returns the k devices with the most stored alarms,
 // descending (ties broken by ingest order). The ranking runs as a
-// pushdown Group aggregation — each partition counts its resident
-// devices in-place and only the per-device partial counts travel —
-// with the sort and cut applied to the merged (already tiny) group
-// set. This is the /stats "noisiest devices" panel (§6, lesson 3:
+// typed pushdown group count (docstore Collection.GroupCounts) — each
+// partition counts its resident devices straight off the device
+// column and only the per-device partial counts travel — with the sort
+// and cut applied to the merged (already tiny) group set. This is the /stats "noisiest devices" panel (§6, lesson 3:
 // recurring-problem devices dominate the alarm stream).
 func (h *History) TopDevices(k int) ([]DeviceCount, error) {
 	if k <= 0 {
 		return nil, nil
 	}
-	h.Flush()
 	h.simulateRTT()
-	docs, err := h.col.Aggregate(nil,
-		docstore.Group{
-			By:   []string{"deviceMac"},
-			Accs: map[string]docstore.Accumulator{"n": {Op: "count"}},
-		},
-		docstore.SortStage{Field: "-n"},
-		docstore.Limit{N: k},
-	)
+	groups, err := h.groupCounts(nil, "deviceMac")
 	if err != nil {
 		return nil, err
 	}
-	out := make([]DeviceCount, 0, len(docs))
-	for _, d := range docs {
-		mac, _ := d["deviceMac"].(string)
-		n, _ := d["n"].(int)
-		out = append(out, DeviceCount{Mac: mac, Count: n})
+	sort.SliceStable(groups, func(i, j int) bool { return groups[i].Count > groups[j].Count })
+	out := make([]DeviceCount, 0, min(k, len(groups)))
+	for _, g := range groups[:cap(out)] {
+		out = append(out, DeviceCount{Mac: g.Key.Str(), Count: g.Count})
+	}
+	return out, nil
+}
+
+// groupCounts is the typed group-count read the location and
+// top-device queries share, behind the write-behind barrier.
+func (h *History) groupCounts(filter docstore.Doc, field string) ([]docstore.GroupCount, error) {
+	h.barrier()
+	return h.col.GroupCounts(filter, field)
+}
+
+// countByZIP tallies the alarms matching filter per ZIP code.
+func (h *History) countByZIP(filter docstore.Doc) (map[string]int, error) {
+	groups, err := h.groupCounts(filter, "zip")
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]int, len(groups))
+	for _, g := range groups {
+		out[g.Key.Str()] = g.Count
 	}
 	return out, nil
 }
 
 // CountByLocation aggregates alarm counts per ZIP code (the
 // location-histogram query of §4.2).
-func (h *History) CountByLocation() (map[string]int, error) {
-	h.Flush()
-	docs, err := h.col.Aggregate(nil, docstore.Group{
-		By:   []string{"zip"},
-		Accs: map[string]docstore.Accumulator{"n": {Op: "count"}},
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]int, len(docs))
-	for _, d := range docs {
-		out[d["zip"].(string)] = d["n"].(int)
-	}
-	return out, nil
-}
+func (h *History) CountByLocation() (map[string]int, error) { return h.countByZIP(nil) }
 
 // TrueAlarmCountsByZIP counts alarms per ZIP whose duration exceeds
 // deltaT, per alarm type — the statistic behind Table 2 and Figure 7.
 func (h *History) TrueAlarmCountsByZIP(deltaT time.Duration, alarmType string) (map[string]int, error) {
-	h.Flush()
 	filter := docstore.Doc{
 		"duration": map[string]any{"$gte": deltaT.Seconds()},
 	}
 	if alarmType != "" {
 		filter["alarmType"] = alarmType
 	}
-	docs, err := h.col.Aggregate(filter, docstore.Group{
-		By:   []string{"zip"},
-		Accs: map[string]docstore.Accumulator{"n": {Op: "count"}},
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]int, len(docs))
-	for _, d := range docs {
-		out[d["zip"].(string)] = d["n"].(int)
-	}
-	return out, nil
+	return h.countByZIP(filter)
 }

@@ -15,7 +15,7 @@ import (
 // alarmWireOnlyFields are alarm.Alarm fields the history intentionally
 // does NOT persist: DeviceIP duplicates the MAC as device identity,
 // and Payload is wire-size padding (§5.5.2) with no analytical value.
-// Every other field must survive alarmDoc → store → docAlarm exactly —
+// Every other field must survive fillRow → store → rowAlarm exactly —
 // the reflection walk below fails when a field is added to the struct
 // without a decision here, which is how PR 4's silent
 // sensorType/swVersion loss stays fixed.
@@ -37,39 +37,71 @@ func randomAlarm(rng *rand.Rand, id int64) alarm.Alarm {
 	}
 }
 
-// TestAlarmDocRoundTripAllFields is the persistence property test: for
-// random alarms over the full value space, docAlarm(alarmDoc(a))
-// reproduces every persisted field, and a reflection walk over
-// alarm.Alarm pins the persisted-vs-wire-only split so a future schema
-// addition cannot be dropped silently — it must either round-trip or
-// be added to alarmWireOnlyFields deliberately.
-func TestAlarmDocRoundTripAllFields(t *testing.T) {
-	rt := reflect.TypeOf(alarm.Alarm{})
-	for i := 0; i < rt.NumField(); i++ {
-		name := rt.Field(i).Name
-		if alarmWireOnlyFields[name] {
-			continue
+// stored is what the history keeps of an alarm: the wire-only fields
+// zeroed, everything else as recorded.
+func stored(a alarm.Alarm) alarm.Alarm {
+	for name := range alarmWireOnlyFields {
+		reflect.ValueOf(&a).Elem().FieldByName(name).SetZero()
+	}
+	return a
+}
+
+// requireStored fails unless got holds exactly want's alarms, as
+// stored, matched by id.
+func requireStored(t *testing.T, got, want []alarm.Alarm) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("read back %d alarms, want %d", len(got), len(want))
+	}
+	byID := make(map[int64]alarm.Alarm, len(got))
+	for _, a := range got {
+		byID[a.ID] = a
+	}
+	for _, w := range want {
+		g, ok := byID[w.ID]
+		if !ok {
+			t.Fatalf("alarm %d missing", w.ID)
 		}
-		// Every persisted field must differ from the zero value in at
-		// least some random alarm, or the loss assertions below would
-		// pass vacuously.
-		t.Logf("persisted field: %s", name)
+		if !reflect.DeepEqual(g, stored(w)) {
+			t.Fatalf("alarm changed in the store:\n got %+v\nwant %+v", g, stored(w))
+		}
+	}
+}
+
+// TestAlarmRowRoundTripAllFields is the persistence property test: for
+// random alarms over the full value space, RecordBatch → RecentAlarms
+// reproduces every persisted field at the store's whole-second
+// timestamp resolution, and a reflection walk over alarm.Alarm pins
+// the persisted-vs-wire-only split so a future schema addition cannot
+// be dropped silently — it must either round-trip or be added to
+// alarmWireOnlyFields deliberately.
+func TestAlarmRowRoundTripAllFields(t *testing.T) {
+	h, err := NewHistory(docstore.NewDBWithPartitions(3))
+	if err != nil {
+		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 500; trial++ {
-		a := randomAlarm(rng, int64(trial)<<40|rng.Int63n(1<<30))
-		got := docAlarm(alarmDoc(&a))
-		want := a
-		for name := range alarmWireOnlyFields {
-			reflect.ValueOf(&want).Elem().FieldByName(name).SetZero()
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("round trip lost data:\n got %+v\nwant %+v", got, want)
-		}
-		// The reflection guard proper: any field that is neither
-		// declared wire-only nor reproduced by the round trip is a
-		// silently-dropped schema addition.
-		gv, av := reflect.ValueOf(got), reflect.ValueOf(a)
+	want := make([]alarm.Alarm, 500)
+	for i := range want {
+		want[i] = randomAlarm(rng, int64(i)<<40|rng.Int63n(1<<30))
+	}
+	h.RecordBatch(want)
+	got, err := h.RecentAlarms(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireStored(t, got, want)
+	// The reflection guard proper: any field that is neither declared
+	// wire-only nor reproduced by the round trip is a silently-dropped
+	// schema addition. (randomAlarm sets every field non-zero, so a
+	// dropped one cannot pass by being zero on both sides.)
+	byID := make(map[int64]alarm.Alarm, len(got))
+	for _, a := range got {
+		byID[a.ID] = a
+	}
+	rt := reflect.TypeOf(alarm.Alarm{})
+	for _, a := range want[:50] {
+		gv, av := reflect.ValueOf(byID[a.ID]), reflect.ValueOf(a)
 		for i := 0; i < rt.NumField(); i++ {
 			name := rt.Field(i).Name
 			if alarmWireOnlyFields[name] {
@@ -84,13 +116,17 @@ func TestAlarmDocRoundTripAllFields(t *testing.T) {
 }
 
 // TestAlarmRoundTripThroughWALReplay extends the property through the
-// durable store: alarms recorded into a WAL-backed history must come
-// back identical after a close + crash-style reopen, so the JSON
-// frame encoding (exact int64 ids, timestamps) cannot corrupt the
-// retrain loop's train set.
+// durable store: alarms recorded into a WAL-backed history — some
+// before a checkpoint, so they come back out of a snapshot, some
+// after, so they come back out of the log — must read back identical
+// after a close + reopen, so the row frames (exact int64 ids beyond
+// float64 exactness, timestamps) cannot corrupt the retrain loop's
+// train set. The nine alarm fields must also still be typed columns:
+// recovery must not have promoted any of them to the boxed fallback.
 func TestAlarmRoundTripThroughWALReplay(t *testing.T) {
 	dir := t.TempDir()
-	db, err := docstore.OpenDB(dir, docstore.DurableOptions{Partitions: 2, SyncInterval: -1, CheckpointInterval: -1})
+	opts := docstore.DurableOptions{Partitions: 2, SyncInterval: -1, CheckpointInterval: -1}
+	db, err := docstore.OpenDB(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,17 +136,21 @@ func TestAlarmRoundTripThroughWALReplay(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(11))
 	var want []alarm.Alarm
-	for i := 0; i < 64; i++ {
-		a := randomAlarm(rng, (int64(1)<<55)+int64(i)) // ids beyond float64 exactness
-		want = append(want, a)
+	for i := 0; i < 128; i++ {
+		want = append(want, randomAlarm(rng, (int64(1)<<55)+int64(i))) // ids beyond float64 exactness
 	}
-	h.RecordBatch(want)
+	h.RecordBatch(want[:64])
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	h.RecordBatch(want[64:])
+	requireTypedAlarmColumns(t, db)
 	h.RecordFeedback(Feedback{AlarmID: want[0].ID, DeviceMAC: want[0].DeviceMAC, Verdict: alarm.True, At: time.Unix(1700000001, 0)})
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	db2, err := docstore.OpenDB(dir, docstore.DurableOptions{Partitions: 2, SyncInterval: -1, CheckpointInterval: -1})
+	db2, err := docstore.OpenDB(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,31 +163,35 @@ func TestAlarmRoundTripThroughWALReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("recovered %d alarms, want %d", len(got), len(want))
-	}
-	byID := make(map[int64]alarm.Alarm, len(got))
-	for _, a := range got {
-		byID[a.ID] = a
-	}
-	for _, w := range want {
-		for name := range alarmWireOnlyFields {
-			reflect.ValueOf(&w).Elem().FieldByName(name).SetZero()
-		}
-		g, ok := byID[w.ID]
-		if !ok {
-			t.Fatalf("alarm %d missing after WAL replay", w.ID)
-		}
-		if !reflect.DeepEqual(g, w) {
-			t.Fatalf("alarm corrupted by WAL replay:\n got %+v\nwant %+v", g, w)
-		}
-	}
+	requireStored(t, got, want)
+	requireTypedAlarmColumns(t, db2)
 	fbs, err := h2.Feedbacks()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(fbs) != 1 || fbs[0].AlarmID != want[0].ID || fbs[0].Verdict != alarm.True {
 		t.Fatalf("feedback corrupted by WAL replay: %+v", fbs)
+	}
+}
+
+// requireTypedAlarmColumns asserts the fallback is not taken on the
+// alarms path: all nine stored fields sit in typed columns, none
+// promoted to the boxed representation.
+func requireTypedAlarmColumns(t *testing.T, db *docstore.DB) {
+	t.Helper()
+	kinds := map[string]string{"alarmId": "int64", "ts": "float64", "duration": "float64"}
+	fields := db.Collection("alarms").Fields()
+	if len(fields) != len(alarmFields) {
+		t.Fatalf("alarms has %d fields, want the %d of alarmFields: %+v", len(fields), len(alarmFields), fields)
+	}
+	for _, f := range fields {
+		want := kinds[f.Name]
+		if want == "" {
+			want = "string"
+		}
+		if f.Kind != want || f.Boxed != 0 {
+			t.Errorf("field %s: kind %s with %d boxed columns, want typed %s", f.Name, f.Kind, f.Boxed, want)
+		}
 	}
 }
 

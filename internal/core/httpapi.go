@@ -11,6 +11,7 @@ import (
 
 	"alarmverify/internal/alarm"
 	"alarmverify/internal/codec"
+	"alarmverify/internal/docstore"
 	"alarmverify/internal/metrics"
 )
 
@@ -275,6 +276,11 @@ type ServiceStats struct {
 	// (present when SetTopDevices enabled the panel and a history is
 	// attached).
 	TopDevices []DeviceCount `json:"topDevices,omitempty"`
+	// AlarmFields reports how the store holds each field of the alarms
+	// collection: its column kind, and in how many partitions the
+	// column has fallen back to the boxed representation (0 on a
+	// healthy history — the typed path is serving every field).
+	AlarmFields []docstore.FieldInfo `json:"alarmFields,omitempty"`
 }
 
 func (s *HTTPService) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -307,6 +313,7 @@ func (s *HTTPService) handleStats(w http.ResponseWriter, _ *http.Request) {
 	st.Features = info.Stats.Features
 	if s.history != nil {
 		st.FeedbackCount = s.history.FeedbackCount()
+		st.AlarmFields = s.history.Fields()
 		if s.topDevices > 0 {
 			if top, err := s.history.TopDevices(s.topDevices); err == nil {
 				st.TopDevices = top

@@ -267,6 +267,16 @@ func TestHTTPHistoryAndStats(t *testing.T) {
 	if routed != 2 {
 		t.Errorf("route counts = %v", st.ByRoute)
 	}
+	// The fallback counter: the verified alarms sit in nine typed
+	// columns, none boxed.
+	if len(st.AlarmFields) != len(alarmFields) {
+		t.Errorf("alarmFields = %+v, want the %d stored fields", st.AlarmFields, len(alarmFields))
+	}
+	for _, f := range st.AlarmFields {
+		if f.Kind == "boxed" || f.Boxed != 0 {
+			t.Errorf("field %s fell back to the boxed representation: %+v", f.Name, f)
+		}
+	}
 }
 
 func TestHTTPHealthzAndBadParams(t *testing.T) {

@@ -283,8 +283,10 @@ func TestRetrainerBacksOffOnFailure(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		h.RecordFeedback(Feedback{AlarmID: int64(i + 1), Verdict: alarm.True, At: time.Now()})
 	}
+	// Wait for the failed attempt to be fully recorded: Attempts moves
+	// when a retrain starts, LastErr only once it has failed.
 	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && rt.Stats().Attempts == 0 {
+	for time.Now().Before(deadline) && rt.Stats().LastErr == "" {
 		time.Sleep(2 * time.Millisecond)
 	}
 	st := rt.Stats()

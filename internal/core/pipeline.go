@@ -365,8 +365,13 @@ func (c *ConsumerApp) Persist(b *Batch) error {
 		// batch's documents are out of the write-behind queue, or a
 		// crash after commit would lose acknowledged alarms. The
 		// histogram queries above already flush as a side effect; this
-		// makes the committed-implies-durable guarantee structural.
-		c.history.Flush()
+		// makes the committed-implies-durable guarantee structural —
+		// and it is where a failed WAL stops the shard: the barrier
+		// reports the store's sticky error, Persist fails, and
+		// CommitBatch never runs for alarms that exist only in memory.
+		if err := c.history.Flush(); err != nil {
+			return err
+		}
 		b.Times.History = time.Since(start)
 	}
 

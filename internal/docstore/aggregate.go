@@ -23,14 +23,11 @@ type Stage interface {
 // Unplannable shapes fall back to AggregateStreaming; use Explain to
 // see which way a pipeline goes.
 func (c *Collection) Aggregate(filter Doc, stages ...Stage) ([]Doc, error) {
-	plan, ok, err := planAggregate(filter, stages)
+	out, err := c.AggregateMulti([]Doc{filter}, stages...)
 	if err != nil {
 		return nil, err
 	}
-	if !ok {
-		return c.AggregateStreaming(filter, stages...)
-	}
-	return c.runPushdown(plan)
+	return out[0], nil
 }
 
 // AggregateStreaming runs the pipeline the pre-pushdown way: Find
@@ -51,9 +48,10 @@ func (c *Collection) AggregateStreaming(filter Doc, stages ...Stage) ([]Doc, err
 type Match struct{ Filter Doc }
 
 func (m Match) apply(in []Doc) ([]Doc, error) {
+	f := compileFilter(nil, m.Filter)
 	var out []Doc
 	for _, d := range in {
-		ok, err := matchDoc(d, m.Filter)
+		ok, err := f.match(row{doc: d})
 		if err != nil {
 			return nil, err
 		}

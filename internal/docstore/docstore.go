@@ -2,8 +2,8 @@
 // alarm pipeline — the role MongoDB plays in the paper (§4.2, "Batch
 // Component / Alarm History").
 //
-// It is a schema-flexible document store: alarms are stored directly
-// as JSON-like documents (nested maps), queried by field path with
+// It is a schema-flexible document store: alarms go in and come out as
+// JSON-like documents (nested maps), queried by field path with
 // Mongo-style operator filters, optionally accelerated by hash or
 // ordered indexes, and aggregated through a pipeline (match → group →
 // sort → …) that serves the per-device alarm histograms of §4.1 and
@@ -13,13 +13,14 @@
 //
 // Internally each collection is hash-partitioned: documents split
 // across P partitions (default one per CPU, minimum two), each with
-// its own lock, document map, insertion order, and index shards, so
-// inserts and queries on different devices proceed in parallel
-// instead of funnelling through one collection-wide mutex. A
-// collection may declare a shard key (the history uses the device
-// address); documents then route by the hash of that field, and
-// queries that pin the shard key by equality touch exactly one
-// partition. SetSimulatedRTT emulates remote partition servers: every
+// its own lock, typed columns (rows.go — a document is stored as a
+// row, and built back into a Doc only by the calls that return one)
+// and index shards, so inserts and queries on different devices
+// proceed in parallel instead of funnelling through one
+// collection-wide mutex. A collection may declare a shard key (the
+// history uses the device address); documents then route by the hash
+// of that field, and queries that pin the shard key by equality touch
+// exactly one partition. SetSimulatedRTT emulates remote partition servers: every
 // partition round-trip sleeps while holding that partition's lock,
 // and multi-partition operations fan out concurrently, so the
 // partition count is a measurable throughput knob even on one CPU.
@@ -49,7 +50,8 @@ var (
 	ErrShardKeyMismatch = errors.New("docstore: collection exists with a different shard key")
 )
 
-// Doc is one stored document. Values are JSON-shaped: string, float64,
+// Doc is a document as the API takes and returns it — the edge type;
+// inside, a partition keeps rows (rows.go). Values are JSON-shaped: string, float64,
 // int, int64, bool, time.Time, nil, []any, or nested Doc /
 // map[string]any.
 type Doc = map[string]any
@@ -181,7 +183,9 @@ func (db *DB) Collections() []string {
 // parallel.
 type Collection struct {
 	name     string
-	shardKey string // routing field; "" = route by id
+	shardKey string   // routing field; "" = route by id
+	shard    fieldRef // shardKey's slot
+	dict     *fieldDict
 	parts    []*partition
 	nextID   atomic.Int64
 	// rttNanos, when non-zero, is slept once per partition round-trip
@@ -210,11 +214,15 @@ func newCollection(name, shardKey string, partitions int) *Collection {
 	c := &Collection{
 		name:      name,
 		shardKey:  shardKey,
+		dict:      new(fieldDict),
 		parts:     make([]*partition, partitions),
 		idxFields: make(map[string]struct{}),
 	}
+	if shardKey != "" {
+		c.shard = c.dict.ref(shardKey)
+	}
 	for i := range c.parts {
-		c.parts[i] = newPartition()
+		c.parts[i] = newPartition(c.dict)
 	}
 	return c
 }
@@ -261,18 +269,23 @@ func (c *Collection) Len() int {
 	return int(n)
 }
 
-// routeDoc picks the partition a new document belongs to: by shard-key
-// hash when the collection has one and the document carries it, by id
-// otherwise.
-func (c *Collection) routeDoc(doc Doc, id int64) *partition {
+// route picks the partition a new row belongs to: by shard-key hash
+// when the collection has one and the row carries it, by id otherwise.
+//
+//alarmvet:hotpath
+func (c *Collection) route(slots []int, cells []Cell, id int64) int {
 	if c.shardKey != "" {
-		if v, ok := lookup(doc, c.shardKey); ok {
-			if h, hok := hashValue(v); hok {
-				return c.parts[h%uint64(len(c.parts))]
+		for i, s := range slots {
+			if s != c.shard.slot {
+				continue
 			}
+			if k, ok := keyForCell(cells[i].descend(c.shard.rest)); ok {
+				return int(hashKey(k) % uint64(len(c.parts)))
+			}
+			break
 		}
 	}
-	return c.parts[uint64(id)%uint64(len(c.parts))]
+	return int(uint64(id) % uint64(len(c.parts)))
 }
 
 // pruneTo reports the single partition index a filter can be served
@@ -280,62 +293,57 @@ func (c *Collection) routeDoc(doc Doc, id int64) *partition {
 // documents carrying that key value live in the hashed partition, and
 // equality cannot match documents lacking the field, so pruning never
 // loses matches.
-func (c *Collection) pruneTo(filter Doc) (int, bool) {
+func (c *Collection) pruneTo(f *filter) (int, bool) {
 	if c.shardKey == "" {
 		return 0, false
 	}
-	cond, ok := filter[c.shardKey]
-	if !ok {
-		return 0, false
-	}
-	v := cond
-	if m, isOp := cond.(map[string]any); isOp {
-		eq, ok := m["$eq"]
-		if !ok || len(m) != 1 {
-			return 0, false
+	for i := range f.nodes {
+		if n := &f.nodes[i]; n.kind == nodePred && n.path == c.shardKey {
+			k, ok := n.eqKey()
+			return int(hashKey(k) % uint64(len(c.parts))), ok
 		}
-		v = eq
 	}
-	h, ok := hashValue(v)
-	if !ok {
-		return 0, false
-	}
-	return int(h % uint64(len(c.parts))), true
+	return 0, false
 }
 
-// targetParts returns the partitions a filter must visit.
-func (c *Collection) targetParts(filter Doc) []*partition {
-	if i, ok := c.pruneTo(filter); ok {
-		return c.parts[i : i+1]
+// targetRange returns the partitions [lo, hi) a filter must visit.
+func (c *Collection) targetRange(f *filter) (lo, hi int) {
+	if i, ok := c.pruneTo(f); ok {
+		return i, i + 1
 	}
-	return c.parts
+	return 0, len(c.parts)
 }
 
-// forEach runs fn over the given partitions: sequentially for the
-// in-process store, concurrently (one goroutine per partition) when a
-// simulated round-trip is configured — the fan-out a client of a real
-// partitioned store would perform. Every partition runs to completion
-// in both modes (an error in one partition does not spare the others
-// their side effects — identical stored state whatever the RTT knob),
-// and the first error is returned.
-func (c *Collection) forEach(parts []*partition, fn func(i int, p *partition) error) error {
-	if len(parts) == 1 || c.rttNanos.Load() == 0 {
-		var first error
-		for i, p := range parts {
-			if err := fn(i, p); err != nil && first == nil {
-				first = err
-			}
+// forEach runs fn over the partitions of [lo, hi) that busy selects
+// (nil: all of them): sequentially for the in-process store,
+// concurrently (one goroutine per partition) when a simulated
+// round-trip is configured and more than one partition has work — the
+// fan-out a client of a real partitioned store would perform. Every
+// partition runs to completion in both modes (an error in one
+// partition does not spare the others their side effects — identical
+// stored state whatever the RTT knob), and the first error in
+// partition order is returned.
+func (c *Collection) forEach(lo, hi int, busy func(pi int) bool, fn func(pi int, p *partition) error) error {
+	n := 0
+	for pi := lo; pi < hi; pi++ {
+		if busy == nil || busy(pi) {
+			n++
 		}
-		return first
 	}
-	errs := make([]error, len(parts))
+	errs := make([]error, hi-lo)
 	var wg sync.WaitGroup
-	for i, p := range parts {
-		wg.Add(1)
-		go func(i int, p *partition) {
-			defer wg.Done()
-			errs[i] = fn(i, p)
-		}(i, p)
+	for pi := lo; pi < hi; pi++ {
+		switch {
+		case busy != nil && !busy(pi):
+		case n == 1 || c.rttNanos.Load() == 0:
+			errs[pi-lo] = fn(pi, c.parts[pi])
+		default:
+			wg.Add(1)
+			go func(pi int) {
+				defer wg.Done()
+				errs[pi-lo] = fn(pi, c.parts[pi])
+			}(pi)
+		}
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -349,70 +357,104 @@ func (c *Collection) forEach(parts []*partition, fn func(i int, p *partition) er
 // Insert stores a copy of doc and returns its assigned _id. On a
 // durable collection the insert is logged to the owning partition's
 // WAL under the same lock that applies it.
-func (c *Collection) Insert(doc Doc) int64 {
-	id := c.nextID.Add(1) - 1
-	p := c.routeDoc(doc, id)
-	p.writeLock()
-	c.simulateRTT()
-	d := p.insertLocked(doc, id)
-	if w := p.wal.Load(); w != nil {
-		w.appendDocs(c.syncEveryAppend(), d)
-	}
-	p.writeUnlock()
-	return id
-}
+func (c *Collection) Insert(doc Doc) int64 { return c.insertDocs(doc) }
 
 // InsertMany stores all docs and returns their ids. The batch is
 // grouped by target partition and each partition's lock is acquired
 // exactly once, so a batch costs P lock round-trips at most — not one
 // per document.
 func (c *Collection) InsertMany(docs []Doc) []int64 {
-	n := len(docs)
-	if n == 0 {
+	if len(docs) == 0 {
 		return nil
 	}
-	base := c.nextID.Add(int64(n)) - int64(n)
-	ids := make([]int64, n)
-	groups := make(map[*partition][]int)
-	for i, d := range docs {
+	base := c.insertDocs(docs...)
+	ids := make([]int64, len(docs))
+	for i := range ids {
 		ids[i] = base + int64(i)
-		p := c.routeDoc(d, ids[i])
-		groups[p] = append(groups[p], i)
 	}
-	touched := make([]*partition, 0, len(groups))
-	for p := range groups {
-		touched = append(touched, p)
+	return ids
+}
+
+// insertDocs takes the documents apart into a pooled ragged batch and
+// inserts it; it returns the first of their consecutive ids.
+func (c *Collection) insertDocs(docs ...Doc) int64 {
+	rows := raggedPool.Get().(*Rows)
+	for _, d := range docs {
+		rows.addDoc(c.dict, d)
 	}
-	c.forEach(touched, func(_ int, p *partition) error {
+	base := c.InsertRows(rows)
+	rows.Reset()
+	raggedPool.Put(rows)
+	return base
+}
+
+// InsertRows stores a batch of typed rows and returns the first of
+// their consecutive ids (row i gets first+i). It is the store's one
+// insert path: rows are grouped by target partition, each partition's
+// lock is taken once, and on a durable collection each partition's
+// share of the batch travels as one WAL frame, encoded straight from
+// the cells. The batch is only read; the caller may Reset and refill
+// it afterwards.
+//
+//alarmvet:hotpath
+func (c *Collection) InsertRows(rows *Rows) int64 {
+	n := rows.n
+	base := c.nextID.Add(int64(n)) - int64(n)
+	if n == 0 {
+		return base
+	}
+	// Stable counting sort of the row numbers by target partition:
+	// afterwards partition pi's rows are order[starts[pi+1]:starts[pi+2]].
+	np := len(c.parts)
+	rows.part, rows.order, rows.starts = rows.part[:0], rows.order[:0], rows.starts[:0]
+	for i := 0; i < np+2; i++ {
+		rows.starts = append(rows.starts, 0)
+	}
+	starts := rows.starts
+	for i := 0; i < n; i++ {
+		slots, cells := rows.row(i)
+		pi := c.route(slots, cells, base+int64(i))
+		rows.part = append(rows.part, int32(pi))
+		rows.order = append(rows.order, 0)
+		starts[pi+1]++
+	}
+	for pi := 0; pi < np; pi++ {
+		starts[pi+1] += starts[pi]
+	}
+	starts[np+1] = int32(n)
+	for i := n - 1; i >= 0; i-- {
+		pi := rows.part[i]
+		starts[pi+1]--
+		rows.order[starts[pi+1]] = int32(i)
+	}
+	syncNow := c.syncEveryAppend()
+	touched := func(pi int) bool { return starts[pi+2] > starts[pi+1] }
+	c.forEach(0, np, touched, func(pi int, p *partition) error {
+		group := rows.order[starts[pi+1]:starts[pi+2]]
 		p.writeLock()
 		defer p.writeUnlock()
 		c.simulateRTT()
-		w := p.wal.Load()
-		var stored []Doc
-		if w != nil {
-			stored = make([]Doc, 0, len(groups[p]))
+		for _, i := range group {
+			slots, cells := rows.row(int(i))
+			p.appendRowLocked(base+int64(i), slots, cells)
 		}
-		for _, i := range groups[p] {
-			d := p.insertLocked(docs[i], ids[i])
-			if w != nil {
-				stored = append(stored, d)
-			}
-		}
-		if w != nil && len(stored) > 0 {
-			// The whole per-partition batch travels as one WAL frame:
-			// the write-behind flush upstream is the batching point.
-			w.appendDocs(c.syncEveryAppend(), stored...)
+		p.restoreOrderLocked()
+		if w := p.wal.Load(); w != nil {
+			// The partition's whole share of the batch travels as one
+			// WAL frame: the write-behind flush upstream is the batching
+			// point.
+			w.appendRows(syncNow, c.dict, rows, group, base)
 		}
 		return nil
 	})
-	return ids
+	return base
 }
 
 // Get returns the document with the given _id.
 func (c *Collection) Get(id int64) (Doc, error) {
 	// Under id routing the owning partition is known; under shard-key
-	// routing the id alone does not name it, so probe (map misses are
-	// cheap metadata lookups and charge no simulated round-trip).
+	// routing the id alone does not name it, so probe (a miss is a
+	// binary search and charges no simulated round-trip).
 	probe := c.parts
 	if c.shardKey == "" {
 		i := uint64(id) % uint64(len(c.parts))
@@ -420,11 +462,11 @@ func (c *Collection) Get(id int64) (Doc, error) {
 	}
 	for _, p := range probe {
 		p.mu.RLock()
-		s, ok := p.docs[id]
+		r, ok := p.rowOf(id)
 		var out Doc
 		if ok {
 			c.simulateRTT()
-			out = s.clone()
+			out = p.doc(r)
 		}
 		p.mu.RUnlock()
 		if ok {
@@ -441,33 +483,11 @@ type FindOptions struct {
 	Skip  int
 }
 
-// match pairs a clone of a matched document with its id so
-// cross-partition results can be merged back into insertion order.
+// match pairs a matched row's document with its id so cross-partition
+// results can be merged back into insertion order.
 type match struct {
 	id  int64
 	doc Doc
-}
-
-// scanMatches gathers clones of every document matching filter across
-// the filter's target partitions, merged into insertion (id) order.
-func (c *Collection) scanMatches(filter Doc) ([]match, error) {
-	parts := c.targetParts(filter)
-	results := make([][]match, len(parts))
-	err := c.forEach(parts, func(i int, p *partition) error {
-		p.mu.RLock()
-		defer p.mu.RUnlock()
-		c.simulateRTT()
-		var out []match
-		err := p.forEachMatch(filter, func(id int64, s *stored) {
-			out = append(out, match{id: id, doc: s.clone()})
-		})
-		results[i] = out
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return mergeByID(results), nil
 }
 
 // mergeByID concatenates per-partition scan results and restores the
@@ -492,62 +512,84 @@ func mergeByID(results [][]match) []match {
 
 // Tail returns copies of the n most recently inserted documents, in
 // insertion order (the oldest of the tail first). Unlike Find with a
-// sort, it reads only each partition's last n order entries, so the
-// cost is bounded by n × partitions however large the collection has
-// grown — the read path for bounded recent-window consumers (e.g.
-// the retrainer's history pull) over an unbounded ingest stream.
-// n <= 0 returns every document. Per-partition tails are served from
-// optimistic version-validated snapshots when the partition has not
-// changed since the last identical scan (see optimistic.go) — the
-// repeated bounded scans of the retrainer then skip the read lock and
-// the simulated round-trip entirely.
+// sort, it reads only each partition's last n rows, so the cost is
+// bounded by n × partitions however large the collection has grown.
+// n <= 0 returns every document.
 func (c *Collection) Tail(n int) []Doc {
-	if n < 0 {
-		n = 0
-	}
-	results := make([][]match, len(c.parts))
-	c.forEach(c.parts, func(i int, p *partition) error {
-		if tail, hit := p.cachedTail(n); hit {
-			// Serve clones: the snapshot is shared and immutable.
-			out := make([]match, len(tail))
-			for j, m := range tail {
-				out[j] = match{id: m.id, doc: cloneDoc(m.doc)}
-			}
-			results[i] = out
-			return nil
+	var rows Rows
+	names := c.dict.fieldNames()
+	for {
+		rows.slots = rows.slots[:0]
+		for s := range names {
+			rows.slots = append(rows.slots, s)
 		}
+		c.TailRows(n, &rows)
+		if grown := c.dict.fieldNames(); len(grown) != len(names) {
+			names = grown // a writer added a field mid-read: read again, whole
+			continue
+		}
+		break
+	}
+	out := make([]Doc, rows.n)
+	for i := range out {
+		out[i] = Doc{"_id": rows.ids[i]}
+		for s, cell := range rows.Row(i) {
+			if cell.Present() {
+				out[i][names[s]] = cell.value()
+			}
+		}
+	}
+	return out
+}
+
+// TailRows is Tail for typed readers: it fills rows (a batch from
+// NewRows, emptied first) with the fields of the n most recently
+// inserted documents, oldest first, without building a document.
+func (c *Collection) TailRows(n int, rows *Rows) {
+	rows.Reset()
+	w := len(rows.slots)
+	type run struct {
+		ids   []int64
+		cells []Cell
+	}
+	runs := make([]run, len(c.parts))
+	c.forEach(0, len(c.parts), nil, func(i int, p *partition) error {
 		p.mu.RLock()
 		defer p.mu.RUnlock()
 		c.simulateRTT()
-		order := p.order
-		if n > 0 && len(order) > n {
-			order = order[len(order)-n:]
+		lo, hi := 0, len(p.ids)
+		if n > 0 && hi > n {
+			lo = hi - n
 		}
-		out := make([]match, 0, len(order))
-		for _, id := range order {
-			if s, ok := p.docs[id]; ok {
-				out = append(out, match{id: id, doc: s.clone()})
+		run := run{ids: append([]int64(nil), p.ids[lo:hi]...), cells: make([]Cell, 0, (hi-lo)*w)}
+		for r := lo; r < hi; r++ {
+			for _, s := range rows.slots {
+				cell := p.col(s).cell(r)
+				cell.box = cloneValue(cell.box)
+				run.cells = append(run.cells, cell)
 			}
 		}
-		p.storeTail(n, p.seq.Load(), out)
-		// The published snapshot owns these docs now; hand the caller
-		// clones so later mutation cannot corrupt it.
-		served := make([]match, len(out))
-		for j, m := range out {
-			served[j] = match{id: m.id, doc: cloneDoc(m.doc)}
-		}
-		results[i] = served
+		runs[i] = run
 		return nil
 	})
-	all := mergeByID(results)
-	if n > 0 && len(all) > n {
-		all = all[len(all)-n:]
+	// Order every row read by id; the tail of that order is the
+	// collection's tail.
+	type ref struct{ run, j int }
+	var refs []ref
+	for i, run := range runs {
+		for j := range run.ids {
+			refs = append(refs, ref{i, j})
+		}
 	}
-	out := make([]Doc, len(all))
-	for i, m := range all {
-		out[i] = m.doc
+	sort.Slice(refs, func(a, b int) bool { return runs[refs[a].run].ids[refs[a].j] < runs[refs[b].run].ids[refs[b].j] })
+	if n > 0 && len(refs) > n {
+		refs = refs[len(refs)-n:]
 	}
-	return out
+	for _, at := range refs {
+		rows.ids = append(rows.ids, runs[at.run].ids[at.j])
+		rows.cells = append(rows.cells, runs[at.run].cells[at.j*w:(at.j+1)*w]...)
+	}
+	rows.n = len(refs)
 }
 
 // Find returns copies of all documents matching filter, in insertion
@@ -557,31 +599,12 @@ func (c *Collection) Find(filter Doc, opts ...FindOptions) ([]Doc, error) {
 	if len(opts) > 0 {
 		opt = opts[0]
 	}
-	matches, err := c.scanMatches(filter)
+	out, err := c.Aggregate(filter) // no stages: a filtered scan, merged into id order
 	if err != nil {
 		return nil, err
 	}
-	var out []Doc
-	if len(matches) > 0 {
-		out = make([]Doc, len(matches))
-		for i, m := range matches {
-			out[i] = m.doc
-		}
-	}
 	if opt.Sort != "" {
-		field, desc := opt.Sort, false
-		if strings.HasPrefix(field, "-") {
-			field, desc = field[1:], true
-		}
-		sort.SliceStable(out, func(i, j int) bool {
-			vi, _ := lookup(out[i], field)
-			vj, _ := lookup(out[j], field)
-			cmp := compareValues(vi, vj)
-			if desc {
-				return cmp > 0
-			}
-			return cmp < 0
-		})
+		out, _ = SortStage{Field: opt.Sort}.apply(out)
 	}
 	if opt.Skip > 0 {
 		if opt.Skip >= len(out) {
@@ -612,13 +635,14 @@ func (c *Collection) Count(filter Doc) (int, error) {
 	if len(filter) == 0 {
 		return c.Len(), nil
 	}
-	parts := c.targetParts(filter)
-	counts := make([]int, len(parts))
-	err := c.forEach(parts, func(i int, p *partition) error {
+	f := compileFilter(c.dict, filter)
+	lo, hi := c.targetRange(f)
+	counts := make([]int, hi)
+	err := c.forEach(lo, hi, nil, func(i int, p *partition) error {
 		p.mu.RLock()
 		defer p.mu.RUnlock()
 		c.simulateRTT()
-		return p.forEachMatch(filter, func(int64, *stored) { counts[i]++ })
+		return p.forEachMatch(f, func(int) { counts[i]++ })
 	})
 	if err != nil {
 		return 0, err
@@ -650,30 +674,7 @@ func (c *Collection) checkShardKeySet(set Doc) error {
 // many documents changed. Writing the shard-key field is an error
 // (ErrShardKey): it would require moving documents across partitions.
 func (c *Collection) Update(filter Doc, set Doc) (int, error) {
-	if err := c.checkShardKeySet(set); err != nil {
-		return 0, err
-	}
-	parts := c.targetParts(filter)
-	counts := make([]int, len(parts))
-	err := c.forEach(parts, func(i int, p *partition) error {
-		p.writeLock()
-		defer p.writeUnlock()
-		c.simulateRTT()
-		n, err := p.updateLocked(filter, set)
-		counts[i] = n
-		if n > 0 {
-			if w := p.wal.Load(); w != nil {
-				w.appendOp(walOp{Op: "upd", Filter: encodeValue(filter), Set: encodeValue(set)},
-					c.syncEveryAppend())
-			}
-		}
-		return err
-	})
-	n := 0
-	for _, cnt := range counts {
-		n += cnt
-	}
-	return n, err
+	return c.UpdateMany([]UpdateOp{{Filter: filter, Set: set}})
 }
 
 // UpdateOp is one filter/set pair of a batched update.
@@ -687,39 +688,64 @@ type UpdateOp struct {
 // partition by a shard-key equality only visit that partition).
 // Returns the total number of documents changed.
 func (c *Collection) UpdateMany(ops []UpdateOp) (int, error) {
-	if len(ops) == 0 {
-		return 0, nil
-	}
-	for _, op := range ops {
+	ms := make([]mutation, len(ops))
+	for i, op := range ops {
 		if err := c.checkShardKeySet(op.Set); err != nil {
 			return 0, err
 		}
+		if ms[i] = (mutation{filter: op.Filter, set: op.Set}); op.Set == nil {
+			ms[i].set = Doc{}
+		}
 	}
-	opsFor := make([][]UpdateOp, len(c.parts))
-	for _, op := range ops {
-		if i, ok := c.pruneTo(op.Filter); ok {
-			opsFor[i] = append(opsFor[i], op)
-		} else {
-			for i := range c.parts {
-				opsFor[i] = append(opsFor[i], op)
-			}
+	return c.mutate(ms)
+}
+
+// Delete removes all matching documents and returns how many were
+// removed.
+func (c *Collection) Delete(filter Doc) (int, error) {
+	return c.mutate([]mutation{{filter: filter}})
+}
+
+// mutation is one filter-shaped write: an update, or with a nil set a
+// delete.
+type mutation struct {
+	filter, set Doc
+	f           *filter // filter, compiled once for every partition
+}
+
+// mutate applies the mutations partition by partition — each touched
+// partition's lock taken once — and logs every one that changed
+// something to the partition's WAL under that lock.
+func (c *Collection) mutate(ms []mutation) (int, error) {
+	forPart := make([][]mutation, len(c.parts))
+	for _, m := range ms {
+		m.f = compileFilter(c.dict, m.filter)
+		lo, hi := c.targetRange(m.f)
+		for i := lo; i < hi; i++ {
+			forPart[i] = append(forPart[i], m)
 		}
 	}
 	counts := make([]int, len(c.parts))
-	err := c.forEach(c.parts, func(i int, p *partition) error {
-		if len(opsFor[i]) == 0 {
-			return nil
-		}
+	touched := func(pi int) bool { return len(forPart[pi]) > 0 }
+	err := c.forEach(0, len(c.parts), touched, func(i int, p *partition) error {
 		p.writeLock()
 		defer p.writeUnlock()
 		c.simulateRTT()
-		w := p.wal.Load()
-		for _, op := range opsFor[i] {
-			n, err := p.updateLocked(op.Filter, op.Set)
+		for _, m := range forPart[i] {
+			var n int
+			var err error
+			if m.set == nil {
+				n, err = p.deleteLocked(m.f)
+			} else {
+				n, err = p.updateLocked(m.f, m.set)
+			}
 			counts[i] += n
-			if n > 0 && w != nil {
-				w.appendOp(walOp{Op: "upd", Filter: encodeValue(op.Filter), Set: encodeValue(op.Set)},
-					c.syncEveryAppend())
+			if w := p.wal.Load(); n > 0 && w != nil {
+				op := walOp{Op: "del", Filter: encodeValue(m.filter)}
+				if m.set != nil {
+					op.Op, op.Set = "upd", encodeValue(m.set)
+				}
+				w.appendOp(op, c.syncEveryAppend())
 			}
 			if err != nil {
 				return err
@@ -734,134 +760,77 @@ func (c *Collection) UpdateMany(ops []UpdateOp) (int, error) {
 	return n, err
 }
 
-// Delete removes all matching documents and returns how many were
-// removed.
-func (c *Collection) Delete(filter Doc) (int, error) {
-	parts := c.targetParts(filter)
-	counts := make([]int, len(parts))
-	err := c.forEach(parts, func(i int, p *partition) error {
-		p.writeLock()
-		defer p.writeUnlock()
-		c.simulateRTT()
-		n, err := p.deleteLocked(filter)
-		counts[i] = n
-		if n > 0 {
-			if w := p.wal.Load(); w != nil {
-				w.appendOp(walOp{Op: "del", Filter: encodeValue(filter)}, c.syncEveryAppend())
-			}
-		}
-		return err
-	})
-	n := 0
-	for _, cnt := range counts {
-		n += cnt
-	}
-	return n, err
-}
-
 // FieldValues returns the value of one field across all documents
-// matching filter, skipping documents lacking the field. It avoids
-// cloning whole documents, making it the fast path for aggregations
-// that touch a single column (e.g. histogram queries). Values arrive
-// grouped by partition, not in global insertion order.
-//
-// Queries pinned to one partition by a shard-key equality (the
-// repeated per-device histogram shape) read optimistically: a result
-// snapshot published at the partition's current version is served
-// without the read lock or a store round-trip, falling back to the
-// locked path on any version conflict (see optimistic.go).
+// matching filter, in insertion order, skipping documents lacking the
+// field — a one-field projection, so whole documents are never built.
 func (c *Collection) FieldValues(filter Doc, field string) ([]any, error) {
-	if pi, ok := c.pruneTo(filter); ok {
-		if key, cacheable := cacheKey(filter, field); cacheable {
-			p := c.parts[pi]
-			if vals, hit := p.cachedFieldValues(key); hit {
-				return vals, nil
-			}
-			return c.fieldValuesFill(p, filter, field, key)
-		}
-	}
-	parts := c.targetParts(filter)
-	results := make([][]any, len(parts))
-	err := c.forEach(parts, func(i int, p *partition) error {
-		p.mu.RLock()
-		defer p.mu.RUnlock()
-		c.simulateRTT()
-		var out []any
-		err := p.forEachMatch(filter, func(_ int64, s *stored) {
-			if v, present := lookup(s.doc, field); present {
-				out = append(out, cloneValue(v))
-			}
-		})
-		results[i] = out
-		return err
-	})
+	out, err := c.FieldValuesMulti([]Doc{filter}, field)
 	if err != nil {
 		return nil, err
 	}
-	var out []any
-	for _, r := range results {
-		out = append(out, r...)
+	return out[0], nil
+}
+
+// FieldValuesMulti answers many FieldValues queries in one store sweep
+// (AggregateMulti over a one-field Project): result i holds the values
+// of field across the documents matching filters[i]. Filters pinned to
+// one partition by a shard-key equality only visit that partition, and
+// each touched partition's lock and simulated round-trip are paid once
+// for the whole batch.
+func (c *Collection) FieldValuesMulti(filters []Doc, field string) ([][]any, error) {
+	docs, err := c.AggregateMulti(filters, Project{Fields: []string{field}})
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]any, len(filters))
+	for i, matched := range docs {
+		for _, d := range matched {
+			if v, ok := lookup(d, field); ok {
+				out[i] = append(out[i], v)
+			}
+		}
 	}
 	return out, nil
 }
 
-// fieldValuesFill computes a single-partition FieldValues under the
-// read lock and publishes the result as an optimistic snapshot at the
-// partition version it was captured at. The cached slice stays
-// immutable; the caller gets a private copy.
-func (c *Collection) fieldValuesFill(p *partition, filter Doc, field, key string) ([]any, error) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	c.simulateRTT()
-	var vals []any
-	err := p.forEachMatch(filter, func(_ int64, s *stored) {
-		if v, present := lookup(s.doc, field); present {
-			vals = append(vals, cloneValue(v))
-		}
-	})
-	if err != nil {
-		return nil, err
+// cloneValues deep-copies a value slice (scalars copy by assignment).
+func cloneValues(vals []any) []any {
+	if len(vals) == 0 {
+		return nil
 	}
-	// Holding the read lock excludes writers, so the version is even
-	// and consistent with what was just scanned.
-	p.storeFieldValues(key, p.seq.Load(), vals)
-	return cloneValues(vals), nil
+	out := make([]any, len(vals))
+	for i, v := range vals {
+		out[i] = cloneValue(v)
+	}
+	return out
 }
 
-// hashValue hashes an indexable value (string, number, bool) for
-// shard routing, using the same normalization as the index keys so 3
-// and 3.0 route identically — matching equalValues.
-func hashValue(v any) (uint64, bool) {
-	k, ok := keyFor(v)
-	if !ok {
-		return 0, false
-	}
+// hashKey hashes an index key for shard routing. Keys normalize
+// numbers to float64, so 3 and 3.0 route identically — matching
+// equalValues.
+func hashKey(k indexKey) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	mix := func(b byte) {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	mix(byte(k.rank))
+	h = (h ^ uint64(byte(k.rank))) * prime64
 	if k.rank == 3 {
 		for i := 0; i < len(k.str); i++ {
-			mix(k.str[i])
+			h = (h ^ uint64(k.str[i])) * prime64
 		}
-	} else {
-		if k.num == 0 {
-			// -0.0 == 0.0 but their bit patterns differ; normalize so
-			// equal values always route to the same partition.
-			k.num = 0
-		}
-		bits := math.Float64bits(k.num)
-		for i := 0; i < 8; i++ {
-			mix(byte(bits >> (8 * i)))
-		}
+		return h
 	}
-	return h, true
+	if k.num == 0 {
+		// -0.0 == 0.0 but their bit patterns differ; normalize so
+		// equal values always route to the same partition.
+		k.num = 0
+	}
+	bits := math.Float64bits(k.num)
+	for i := 0; i < 8; i++ {
+		h = (h ^ uint64(byte(bits>>(8*i)))) * prime64
+	}
+	return h
 }
 
 // cloneDoc deep-copies a document (maps and slices; scalars are
@@ -887,29 +856,6 @@ func cloneValue(v any) any {
 	default:
 		return v
 	}
-}
-
-// valueIsNested reports whether v is a mutable container that read
-// isolation must deep-copy.
-func valueIsNested(v any) bool {
-	switch v.(type) {
-	case map[string]any, []any:
-		return true
-	default:
-		return false
-	}
-}
-
-// docIsDeep reports whether any top-level value is nested; flat
-// documents (the alarm fast path) then copy-on-read with a single
-// shallow map copy instead of a recursive clone.
-func docIsDeep(d Doc) bool {
-	for _, v := range d {
-		if valueIsNested(v) {
-			return true
-		}
-	}
-	return false
 }
 
 // lookup resolves a dotted field path inside a document.
@@ -958,53 +904,8 @@ func setPath(d Doc, path string, v any) {
 	}
 }
 
-// compareValues orders two document values: nil < bool < number <
-// string < time. Numbers compare numerically across int/int64/float64.
-func compareValues(a, b any) int {
-	ra, rb := rank(a), rank(b)
-	if ra != rb {
-		if ra < rb {
-			return -1
-		}
-		return 1
-	}
-	switch ra {
-	case 0:
-		return 0
-	case 1:
-		ab, bb := a.(bool), b.(bool)
-		switch {
-		case ab == bb:
-			return 0
-		case !ab:
-			return -1
-		default:
-			return 1
-		}
-	case 2:
-		fa, fb := toFloat(a), toFloat(b)
-		switch {
-		case fa < fb:
-			return -1
-		case fa > fb:
-			return 1
-		default:
-			return 0
-		}
-	case 3:
-		return strings.Compare(a.(string), b.(string))
-	default:
-		ta, tb := a.(time.Time), b.(time.Time)
-		switch {
-		case ta.Before(tb):
-			return -1
-		case ta.After(tb):
-			return 1
-		default:
-			return 0
-		}
-	}
-}
+// compareValues orders two document values (see compareCells).
+func compareValues(a, b any) int { return compareCells(cellOf(a), cellOf(b)) }
 
 func rank(v any) int {
 	switch v.(type) {

@@ -246,6 +246,18 @@ func lockDataDir(dir string) (*os.File, error) {
 	return f, nil
 }
 
+// Err returns the database's sticky durability error: the first WAL,
+// snapshot or meta-file failure since open, nil while every applied
+// mutation has reached its log (always nil on a memory-only database).
+// The write API is errorless, so this is what a caller that
+// acknowledges writes upstream must check before it does.
+func (db *DB) Err() error {
+	if db.dur == nil {
+		return nil
+	}
+	return db.dur.firstErr()
+}
+
 // DataDir returns the durable data directory, or "" for a memory-only
 // database.
 func (db *DB) DataDir() string {
@@ -514,32 +526,36 @@ func (dc *durableCollection) writeMeta(m collectionMeta) error {
 	if err != nil {
 		return fmt.Errorf("docstore: meta marshal: %w", err)
 	}
-	return replaceFileSync(filepath.Join(dc.dir, "meta.json"), raw)
+	return replaceFileSync(filepath.Join(dc.dir, "meta.json"), func(w *bufio.Writer) error {
+		_, err := w.Write(raw)
+		return err
+	})
 }
 
-// replaceFileSync writes data to path atomically: staged to a .tmp,
-// fsynced, renamed over the target, with the directory fsynced so the
-// rename itself is durable.
+// replaceFileSync writes a file atomically: write's output is staged
+// to a .tmp, fsynced and renamed over the target, with the directory
+// fsynced so the rename itself is durable. Meta files and snapshots
+// both install this way.
 //
-//alarmvet:ignore meta-file installs fsync under cold-path admin mutexes (db.mu/metaMu/idxMu) by design; no partition lock is ever held here
-func replaceFileSync(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+//alarmvet:ignore atomic installs fsync under cold-path admin mutexes (db.mu/metaMu/idxMu/ckptMu) by design; no partition lock is ever held here
+func replaceFileSync(path string, write func(w *bufio.Writer) error) error {
+	f, err := os.OpenFile(path+".tmp", os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err == nil {
+		bw := bufio.NewWriterSize(f, 1<<20)
+		if err = write(bw); err == nil {
+			err = bw.Flush()
+		}
+		if err == nil {
+			err = f.Sync()
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr // an earlier failure supersedes; the .tmp is abandoned
+		}
+	}
 	if err != nil {
 		return fmt.Errorf("docstore: stage %s: %w", filepath.Base(path), err)
 	}
-	if _, err := f.Write(data); err != nil {
-		_ = f.Close() // the write failure supersedes; the .tmp is abandoned
-		return fmt.Errorf("docstore: stage %s: %w", filepath.Base(path), err)
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close() // the fsync failure supersedes; the .tmp is abandoned
-		return fmt.Errorf("docstore: stage %s: %w", filepath.Base(path), err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("docstore: stage %s: %w", filepath.Base(path), err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := os.Rename(path+".tmp", path); err != nil {
 		return fmt.Errorf("docstore: publish %s: %w", filepath.Base(path), err)
 	}
 	return fsyncDir(filepath.Dir(path))
@@ -574,12 +590,7 @@ func (c *Collection) checkpointPartition(pi int) error {
 	old := p.wal.Load()
 	p.wal.Store(neww)
 	p.walEpoch = newEpoch
-	snap := make([]Doc, 0, len(p.order))
-	for _, id := range p.order {
-		if s, ok := p.docs[id]; ok {
-			snap = append(snap, s.clone())
-		}
-	}
+	snap := p.copyLocked()
 	nextID := c.nextID.Load()
 	p.writeUnlock()
 	// Close (flush + fsync) the rotated-out log before publishing the
@@ -594,44 +605,73 @@ func (c *Collection) checkpointPartition(pi int) error {
 	return dc.removeEpochsBefore(pi, newEpoch)
 }
 
-// writeSnapshot stages one partition snapshot and atomically renames
-// it into place.
-//
-//alarmvet:ignore snapshot staging fsyncs under ckptMu on the cold checkpoint path; no partition lock is ever held here
-func (dc *durableCollection) writeSnapshot(pi int, epoch uint64, docs []Doc, nextID int64) error {
-	final := dc.snapPath(pi, epoch)
-	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("docstore: stage snapshot: %w", err)
-	}
-	bw := bufio.NewWriterSize(f, 1<<20)
-	enc := json.NewEncoder(bw)
-	fail := func(err error) error {
-		_ = f.Close() // the encode/flush failure supersedes; the .tmp is abandoned
-		return fmt.Errorf("docstore: stage snapshot: %w", err)
-	}
-	if err := enc.Encode(snapHeader{Count: len(docs), NextID: nextID}); err != nil {
-		return fail(err)
-	}
-	for _, d := range docs {
-		if err := enc.Encode(encodeValue(d)); err != nil {
-			return fail(err)
+// copyLocked captures the partition's rows — ids and columns, nested
+// values deep-copied — as a detached partition nothing else refers to,
+// for the checkpointer to encode after it has released the lock.
+func (p *partition) copyLocked() *partition {
+	snap := &partition{dict: p.dict, ids: append([]int64(nil), p.ids...), cols: make([]*column, len(p.cols))}
+	for s, col := range p.cols {
+		if col == nil {
+			continue
 		}
+		cp := *col
+		cp.present = append([]uint64(nil), col.present...)
+		cp.strs = append([]string(nil), col.strs...)
+		cp.floats = append([]float64(nil), col.floats...)
+		cp.ints = append([]int64(nil), col.ints...)
+		cp.bools = append([]bool(nil), col.bools...)
+		cp.boxed = cloneValues(col.boxed)
+		snap.cols[s] = &cp
 	}
-	if err := bw.Flush(); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("docstore: stage snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		return fmt.Errorf("docstore: publish snapshot: %w", err)
-	}
-	return fsyncDir(dc.dir)
+	return snap
+}
+
+// snapshotFrameRows is how many rows a snapshot packs into one frame.
+const snapshotFrameRows = 1024
+
+// writeSnapshot installs one partition snapshot: a header frame, then
+// the rows in the WAL's own row frames.
+func (dc *durableCollection) writeSnapshot(pi int, epoch uint64, snap *partition, nextID int64) error {
+	return replaceFileSync(dc.snapPath(pi, epoch), func(w *bufio.Writer) error {
+		hdr, err := json.Marshal(snapHeader{Count: len(snap.ids), NextID: nextID})
+		if err != nil {
+			return err
+		}
+		if _, err := w.Write(frameOf(hdr)); err != nil {
+			return err
+		}
+		var enc rowEncoder
+		names := snap.dict.fieldNames()
+		slots := make([]int, len(snap.cols))
+		for s := range slots {
+			slots[s] = s
+		}
+		cells := make([]Cell, len(snap.cols))
+		row := func(r int) []Cell {
+			for s, col := range snap.cols {
+				cells[s] = col.cell(r)
+			}
+			return cells
+		}
+		for lo := 0; lo < len(snap.ids); lo += snapshotFrameRows {
+			hi := min(lo+snapshotFrameRows, len(snap.ids))
+			for r := lo; r < hi; r++ {
+				enc.define(slots, row(r))
+			}
+			enc.begin(names, hi-lo)
+			for r := lo; r < hi; r++ {
+				enc.add(snap.ids[r], slots, row(r))
+			}
+			frame, err := enc.finish()
+			if err != nil {
+				return err
+			}
+			if _, err := w.Write(frame); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // removeEpochsBefore garbage-collects every snapshot and WAL file of
@@ -759,7 +799,7 @@ func (db *DB) recoverCollection(name string) error {
 		dc := c.dur
 		snapEpoch := snapEpochs[pi]
 		if snapEpoch > 0 {
-			hdrNext, err := c.loadSnapshot(p, dc.snapPath(pi, snapEpoch), &maxID)
+			hdrNext, err := loadSnapshot(p, dc.snapPath(pi, snapEpoch), &maxID)
 			if err != nil {
 				return fmt.Errorf("docstore: recover %s/p%d: %w", name, pi, err)
 			}
@@ -786,18 +826,16 @@ func (db *DB) recoverCollection(name string) error {
 			if we > cur {
 				cur = we
 			}
-			ops, valid, err := readWAL(path)
+			dec := rowDecoder{dict: c.dict}
+			valid, err := readFrames(path, func(payload []byte) error {
+				return replayFrame(p, &dec, payload, &maxID)
+			})
 			if err != nil {
 				return fmt.Errorf("docstore: recover %s/p%d: %w", name, pi, err)
 			}
 			if fi, statErr := os.Stat(path); statErr == nil && fi.Size() > valid {
 				if err := os.Truncate(path, valid); err != nil {
 					return fmt.Errorf("docstore: recover %s/p%d: truncate torn tail: %w", name, pi, err)
-				}
-			}
-			for _, op := range ops {
-				if err := c.replayOp(p, op, &maxID); err != nil {
-					return fmt.Errorf("docstore: recover %s/p%d: %w", name, pi, err)
 				}
 			}
 		}
@@ -822,94 +860,52 @@ func (db *DB) recoverCollection(name string) error {
 // undecodable one means external corruption: recovery fails loudly
 // rather than silently dropping documents the WAL was truncated
 // against.
-func (c *Collection) loadSnapshot(p *partition, path string, maxID *int64) (int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
+func loadSnapshot(p *partition, path string, maxID *int64) (int64, error) {
+	var hdr *snapHeader
+	dec := rowDecoder{dict: p.dict}
+	_, err := readFrames(path, func(payload []byte) error {
+		if hdr == nil {
+			hdr = new(snapHeader)
+			if json.Unmarshal(payload, hdr) != nil {
+				return errBadFrame
+			}
+			return nil
+		}
+		return replayFrame(p, &dec, payload, maxID)
+	})
+	switch {
+	case err != nil:
 		return 0, err
-	}
-	defer f.Close()
-	dec := json.NewDecoder(bufio.NewReaderSize(f, 1<<20))
-	var hdr snapHeader
-	if err := dec.Decode(&hdr); err != nil {
-		return 0, fmt.Errorf("truncated snapshot %s: bad header: %w", filepath.Base(path), err)
-	}
-	for i := 0; i < hdr.Count; i++ {
-		var raw map[string]any
-		if err := dec.Decode(&raw); err != nil {
-			return 0, fmt.Errorf("truncated snapshot %s: document %d of %d: %w",
-				filepath.Base(path), i, hdr.Count, err)
-		}
-		doc, ok := decodeValue(raw).(map[string]any)
-		if !ok {
-			return 0, fmt.Errorf("corrupt snapshot %s: document %d is not an object", filepath.Base(path), i)
-		}
-		id, ok := docID(doc)
-		if !ok {
-			return 0, fmt.Errorf("corrupt snapshot %s: document %d lacks _id", filepath.Base(path), i)
-		}
-		delete(doc, "_id")
-		p.insertLocked(doc, id)
-		if id > *maxID {
-			*maxID = id
-		}
+	case hdr == nil:
+		return 0, fmt.Errorf("truncated snapshot %s: bad header", filepath.Base(path))
+	case len(p.ids) != hdr.Count:
+		return 0, fmt.Errorf("truncated snapshot %s: %d of %d documents", filepath.Base(path), len(p.ids), hdr.Count)
 	}
 	return hdr.NextID, nil
 }
 
-// replayOp applies one logged mutation to a recovering partition.
-func (c *Collection) replayOp(p *partition, op walOp, maxID *int64) error {
-	switch op.Op {
-	case "ins":
-		for _, raw := range op.Docs {
-			doc, ok := decodeValue(raw).(map[string]any)
-			if !ok {
-				return fmt.Errorf("wal insert: document is not an object")
-			}
-			id, ok := docID(doc)
-			if !ok {
-				return fmt.Errorf("wal insert: document lacks _id")
-			}
-			delete(doc, "_id")
-			p.insertLocked(doc, id)
-			if id > *maxID {
-				*maxID = id
-			}
+// replayFrame applies one logged frame to a recovering partition: a
+// row frame appends its rows, a JSON frame replays its update or
+// delete.
+func replayFrame(p *partition, dec *rowDecoder, payload []byte, maxID *int64) error {
+	if payload[0] != frameRows {
+		var op walOp
+		if json.Unmarshal(payload, &op) != nil {
+			return errBadFrame
 		}
-		return nil
-	case "upd":
-		filter, ok := decodeValue(op.Filter).(map[string]any)
-		if !ok {
-			return fmt.Errorf("wal update: filter is not an object")
-		}
-		set, ok := decodeValue(op.Set).(map[string]any)
-		if !ok {
-			return fmt.Errorf("wal update: set is not an object")
-		}
-		_, err := p.updateLocked(filter, set)
-		return err
-	case "del":
-		filter, ok := decodeValue(op.Filter).(map[string]any)
-		if !ok {
-			return fmt.Errorf("wal delete: filter is not an object")
-		}
-		_, err := p.deleteLocked(filter)
-		return err
-	default:
-		return fmt.Errorf("unknown wal op %q", op.Op)
+		op.Filter, op.Set = decodeValue(op.Filter), decodeValue(op.Set)
+		return p.applyLocked(op)
 	}
-}
-
-// docID extracts a document id, tolerating the integer encodings a
-// JSON round-trip can produce.
-func docID(d Doc) (int64, bool) {
-	switch v := d["_id"].(type) {
-	case int64:
-		return v, true
-	case int:
-		return int64(v), true
-	case float64:
-		return int64(v), true
-	default:
-		return 0, false
+	rows := raggedPool.Get().(*Rows)
+	defer func() { rows.Reset(); raggedPool.Put(rows) }()
+	if err := dec.decode(payload, rows); err != nil {
+		return err
 	}
+	for i := 0; i < rows.n; i++ {
+		slots, cells := rows.row(i)
+		p.appendRowLocked(rows.ids[i], slots, cells)
+		*maxID = max(*maxID, rows.ids[i])
+	}
+	p.restoreOrderLocked() // the log holds batches in arrival order
+	return nil
 }

@@ -253,7 +253,10 @@ func TestDurableSnapshotNewerThanWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.appendOp(walOp{Op: "ins", Docs: []any{map[string]any{"_id": map[string]any{"$i64": "0"}, "stale": true}}}, true)
+	dict := new(fieldDict)
+	rows := &Rows{slots: []int{dict.slot("stale")}}
+	rows.Next()[0] = boolCell(true)
+	w.appendRows(true, dict, rows, []int32{0}, 0)
 	if err := w.close(); err != nil {
 		t.Fatal(err)
 	}

@@ -2,18 +2,20 @@ package docstore
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
 
 // index is one partition's shard of a secondary index over a field
-// path. It keeps a hash map for equality lookups and a sorted key list
-// for range scans; both are maintained incrementally on
-// insert/update/delete under the owning partition's lock.
+// path. It keeps a hash map from key to the rows holding it (ascending
+// row numbers) for equality lookups and a sorted key list for range
+// scans; both are maintained incrementally on insert/update under the
+// owning partition's lock and rebuilt when rows move (delete, re-sort).
 type index struct {
 	field string
-	// eq maps an index key to the set of document ids holding it.
-	eq map[indexKey][]int64
+	ref   fieldRef
+	eq    map[indexKey][]int32
 	// keys holds the distinct index keys in sorted order for range
 	// queries; rebuilt lazily when dirty. keyMu serializes rebuilds,
 	// which may run under the partition's read lock.
@@ -30,19 +32,20 @@ type indexKey struct {
 	str  string
 }
 
-func keyFor(v any) (indexKey, bool) {
-	switch rank(v) {
+func keyFor(v any) (indexKey, bool) { return keyForCell(cellOf(v)) }
+
+func keyForCell(c Cell) (indexKey, bool) {
+	switch r := c.rank(); r {
 	case 2:
-		return indexKey{rank: 2, num: toFloat(v)}, true
+		return indexKey{rank: 2, num: c.Num()}, true
 	case 3:
-		return indexKey{rank: 3, str: v.(string)}, true
+		return indexKey{rank: 3, str: c.Str()}, true
 	case 1:
-		b := v.(bool)
-		n := 0.0
-		if b {
-			n = 1
+		k := indexKey{rank: 1}
+		if c.truth() {
+			k.num = 1
 		}
-		return indexKey{rank: 1, num: n}, true
+		return k, true
 	default:
 		return indexKey{}, false
 	}
@@ -86,12 +89,8 @@ func (c *Collection) addIndexLocked(field string) error {
 	}
 	for _, p := range c.parts {
 		p.writeLock()
-		idx := &index{field: field, eq: make(map[indexKey][]int64)}
-		for _, id := range p.order {
-			if s, ok := p.docs[id]; ok {
-				idx.add(s.doc, id)
-			}
-		}
+		idx := &index{field: field, ref: c.dict.ref(field)}
+		idx.rebuildLocked(p)
 		p.indexes[field] = idx
 		p.writeUnlock()
 	}
@@ -142,34 +141,33 @@ func (c *Collection) indexesLocked() []string {
 	return out
 }
 
-func (x *index) add(d Doc, id int64) {
-	v, ok := lookup(d, x.field)
+func (x *index) add(p *partition, r int) {
+	k, ok := keyForCell(p.cell(r, x.ref))
 	if !ok {
 		return
 	}
-	k, ok := keyFor(v)
-	if !ok {
-		return
-	}
-	if _, existed := x.eq[k]; !existed {
+	rows, existed := x.eq[k]
+	if !existed {
 		x.dirty = true
 	}
-	x.eq[k] = append(x.eq[k], id)
+	if n := len(rows); n == 0 || rows[n-1] < int32(r) {
+		x.eq[k] = append(rows, int32(r))
+		return
+	}
+	// An update re-adds a row in the middle: keep the list ascending.
+	i, _ := slices.BinarySearch(rows, int32(r))
+	x.eq[k] = slices.Insert(rows, i, int32(r))
 }
 
-func (x *index) remove(d Doc, id int64) {
-	v, ok := lookup(d, x.field)
+func (x *index) remove(p *partition, r int) {
+	k, ok := keyForCell(p.cell(r, x.ref))
 	if !ok {
 		return
 	}
-	k, ok := keyFor(v)
-	if !ok {
-		return
-	}
-	ids := x.eq[k]
-	for i, e := range ids {
-		if e == id {
-			x.eq[k] = append(ids[:i], ids[i+1:]...)
+	rows := x.eq[k]
+	for i, e := range rows {
+		if int(e) == r {
+			x.eq[k] = append(rows[:i], rows[i+1:]...)
 			break
 		}
 	}
@@ -179,22 +177,43 @@ func (x *index) remove(d Doc, id int64) {
 	}
 }
 
-func (x *index) lookupEq(v any) []int64 {
-	k, ok := keyFor(v)
-	if !ok {
-		return nil
+// rebuildLocked re-derives the shard from the partition's rows.
+func (x *index) rebuildLocked(p *partition) {
+	x.eq = make(map[indexKey][]int32)
+	x.dirty = true
+	for r := range p.ids {
+		x.add(p, r)
 	}
-	ids := x.eq[k]
-	out := make([]int64, len(ids))
-	copy(out, ids)
-	return out
+}
+
+// dropFrom forgets the rows from lo on — the tails of their keys'
+// ascending lists — ahead of a gather that moves them.
+func (x *index) dropFrom(p *partition, lo int) {
+	for r := lo; r < len(p.ids); r++ {
+		k, ok := keyForCell(p.cell(r, x.ref))
+		if !ok {
+			continue
+		}
+		rows := x.eq[k]
+		for len(rows) > 0 && int(rows[len(rows)-1]) >= lo {
+			rows = rows[:len(rows)-1]
+		}
+		if x.eq[k] = rows; len(rows) == 0 {
+			delete(x.eq, k)
+			x.dirty = true
+		}
+	}
 }
 
 // lookupRange serves operator maps consisting solely of range bounds
 // ($gt/$gte/$lt/$lte). It reports ok=false when the operator map
 // contains anything it cannot serve, in which case the caller falls
 // back to a scan.
-func (x *index) lookupRange(ops map[string]any) ([]int64, bool) {
+func (x *index) lookupRange(cond any) ([]int32, bool) {
+	ops, isOps := cond.(map[string]any)
+	if !isOps {
+		return nil, false
+	}
 	lo, hi := indexKey{rank: -1}, indexKey{rank: 99}
 	loExcl, hiExcl := false, false
 	for op, arg := range ops {
@@ -222,7 +241,7 @@ func (x *index) lookupRange(ops map[string]any) ([]int64, bool) {
 		}
 		return !x.keys[i].less(lo)
 	})
-	var out []int64
+	var out []int32
 	for i := start; i < len(x.keys); i++ {
 		k := x.keys[i]
 		if hiExcl {
@@ -234,6 +253,7 @@ func (x *index) lookupRange(ops map[string]any) ([]int64, bool) {
 		}
 		out = append(out, x.eq[k]...)
 	}
+	slices.Sort(out) // ascending rows = ascending ids, whatever the key order
 	return out, true
 }
 

@@ -1,36 +1,24 @@
 package docstore
 
-import (
-	"math"
-	"sort"
-	"strconv"
-	"strings"
-)
-
 // Optimistic reads.
 //
-// Read-mostly paths — repeated per-device column fetches (histogram
-// queries), bounded tail scans (the retrainer's train-set pull), and
-// collection counts (/stats) — do not need to take a partition's
-// RWMutex on every call. Each partition carries a seqlock-style
-// version counter: odd while a writer holds the partition lock, bumped
-// to a new even value when the writer releases it. Readers capture a
-// result snapshot under the read lock once, remember the version it
-// was computed at, and on later calls serve a copy of the snapshot
-// after validating that the version is even (no writer in progress)
-// and unchanged (no write since the capture) — loading the version
-// before and after the cache probe, retrying briefly on conflict, and
-// falling back to the locked path when the partition is write-hot.
+// A repeated bounded aggregation (/stats, dashboards) does not need to
+// take a partition's RWMutex on every call. Each partition carries a
+// seqlock-style version counter: odd while a writer holds the
+// partition lock, bumped to a new even value when the writer releases
+// it. A reader captures its partial result under the read lock once,
+// publishes it with the version it was computed at (pushdown.go), and
+// on later calls serves the published partial after validating that
+// the version is even (no writer in progress) and unchanged (no write
+// since the capture) — loading the version before and after the cache
+// probe, retrying briefly on conflict, and falling back to the locked
+// path when the partition is write-hot.
 //
 // Unlike a textbook seqlock, the optimistic read never dereferences
-// the live document maps outside the lock — reading Go maps that a
-// writer may be mutating is undefined behavior (and a -race report) —
-// it only reads immutable published snapshots, with the version
-// counter deciding their freshness. A validated hit costs two atomic
-// loads and a short cache-map probe instead of a read lock plus a
-// simulated store round-trip, which is what makes repeated device
-// lookups and retrainer scans cheap while the write path stays
-// untouched.
+// the live columns outside the lock — reading slices that a writer
+// may be appending to is undefined behavior (and a -race report) — it
+// only reads immutable published snapshots, with the version counter
+// deciding their freshness.
 
 // writeLock acquires the partition's write lock and marks the version
 // counter odd: every optimistic reader that loads the counter while a
@@ -46,246 +34,4 @@ func (p *partition) writeLock() {
 func (p *partition) writeUnlock() {
 	p.seq.Add(1)
 	p.mu.Unlock()
-}
-
-// fvCacheBound caps the per-partition field-values cache; at the
-// bound, an arbitrary entry is evicted (the working set of repeating
-// device queries is tiny compared to the bound).
-const fvCacheBound = 128
-
-// tailCacheBound caps the per-partition tail-snapshot cache (keyed by
-// requested length; consumers use a fixed window, so one entry is the
-// common case).
-const tailCacheBound = 4
-
-// fvEntry is one published FieldValues snapshot: the values of a
-// filter+field query captured at an even version. The vals slice and
-// its elements are immutable once published; readers serve clones.
-type fvEntry struct {
-	seq  uint64
-	vals []any
-}
-
-// tailEntry is one published Tail snapshot for a given length bound.
-type tailEntry struct {
-	seq  uint64
-	tail []match
-}
-
-// cacheKey canonicalizes a filter + projected field into a cache key.
-// Only filters whose every condition is a scalar equality or a single
-// $eq/$gt/$gte/$lt/$lte bound are cacheable; anything else reports
-// false and takes the locked path.
-func cacheKey(filter Doc, field string) (string, bool) {
-	names := make([]string, 0, len(filter))
-	for f := range filter {
-		if strings.HasPrefix(f, "$") {
-			return "", false
-		}
-		names = append(names, f)
-	}
-	sort.Strings(names)
-	var sb strings.Builder
-	sb.WriteString(field)
-	for _, f := range names {
-		op, v := "$eq", filter[f]
-		if m, isOp := v.(map[string]any); isOp {
-			if len(m) != 1 {
-				return "", false
-			}
-			for o, arg := range m {
-				op, v = o, arg
-			}
-			switch op {
-			case "$eq", "$gt", "$gte", "$lt", "$lte":
-			default:
-				return "", false
-			}
-		}
-		k, ok := keyFor(v)
-		if !ok {
-			return "", false
-		}
-		sb.WriteByte(0)
-		sb.WriteString(f)
-		sb.WriteByte(1)
-		sb.WriteString(op)
-		sb.WriteByte(1)
-		sb.WriteByte(byte('0' + k.rank))
-		if k.rank == 3 {
-			sb.WriteString(k.str)
-		} else {
-			sb.Write(strconv.AppendUint(nil, math.Float64bits(k.num), 16))
-		}
-	}
-	return sb.String(), true
-}
-
-// cachedFieldValues attempts an optimistic read of a published
-// field-values snapshot: version load, cache probe, version
-// revalidation, with one retry on conflict. A hit returns a fresh
-// copy of the snapshot.
-func (p *partition) cachedFieldValues(key string) ([]any, bool) {
-	for attempt := 0; attempt < 2; attempt++ {
-		v1 := p.seq.Load()
-		if v1&1 != 0 {
-			continue // writer in progress: retry, then locked path
-		}
-		p.cacheMu.Lock()
-		e := p.fv[key]
-		p.cacheMu.Unlock()
-		if e == nil || e.seq != v1 {
-			return nil, false // no snapshot at this version: capture one
-		}
-		if p.seq.Load() != v1 {
-			continue // a write raced the probe: the snapshot may be stale
-		}
-		return cloneValues(e.vals), true
-	}
-	return nil, false
-}
-
-// storeFieldValues publishes a snapshot captured at version seq.
-// Caller must have read seq while holding p.mu (any mode), so it is
-// even and the snapshot is consistent with it.
-func (p *partition) storeFieldValues(key string, seq uint64, vals []any) {
-	p.cacheMu.Lock()
-	if p.fv == nil {
-		p.fv = make(map[string]*fvEntry)
-	}
-	if len(p.fv) >= fvCacheBound {
-		for k := range p.fv {
-			delete(p.fv, k)
-			break
-		}
-	}
-	p.fv[key] = &fvEntry{seq: seq, vals: vals}
-	p.cacheMu.Unlock()
-}
-
-// cachedTail is the optimistic read of a published tail snapshot.
-func (p *partition) cachedTail(n int) ([]match, bool) {
-	for attempt := 0; attempt < 2; attempt++ {
-		v1 := p.seq.Load()
-		if v1&1 != 0 {
-			continue
-		}
-		p.cacheMu.Lock()
-		e := p.tails[n]
-		p.cacheMu.Unlock()
-		if e == nil || e.seq != v1 {
-			return nil, false
-		}
-		if p.seq.Load() != v1 {
-			continue
-		}
-		return e.tail, true
-	}
-	return nil, false
-}
-
-// storeTail publishes a tail snapshot captured at version seq.
-func (p *partition) storeTail(n int, seq uint64, tail []match) {
-	p.cacheMu.Lock()
-	if p.tails == nil {
-		p.tails = make(map[int]*tailEntry)
-	}
-	if len(p.tails) >= tailCacheBound {
-		for k := range p.tails {
-			delete(p.tails, k)
-			break
-		}
-	}
-	p.tails[n] = &tailEntry{seq: seq, tail: tail}
-	p.cacheMu.Unlock()
-}
-
-// cloneValues deep-copies a value slice (scalars copy by assignment).
-func cloneValues(vals []any) []any {
-	if len(vals) == 0 {
-		return nil
-	}
-	out := make([]any, len(vals))
-	for i, v := range vals {
-		out[i] = cloneValue(v)
-	}
-	return out
-}
-
-// FieldValuesMulti answers many FieldValues queries in one store
-// round-trip: result i holds the values of field across the documents
-// matching filters[i], each grouped by partition exactly as
-// FieldValues would return them. Filters pinned to one partition by a
-// shard-key equality only visit that partition; the batch acquires
-// each touched partition's read lock (and pays its simulated
-// round-trip) once, fanning out concurrently under a simulated RTT —
-// so a batch of N single-device queries costs one concurrent sweep
-// instead of N serialized round-trips. This is the in-store pushdown
-// behind the pipeline's batched per-device histograms.
-func (c *Collection) FieldValuesMulti(filters []Doc, field string) ([][]any, error) {
-	out := make([][]any, len(filters))
-	if len(filters) == 0 {
-		return out, nil
-	}
-	// Group filter indices by the partition that serves them;
-	// unpruneable filters visit every partition.
-	byPart := make([][]int, len(c.parts))
-	var everywhere []int
-	for i, f := range filters {
-		if pi, ok := c.pruneTo(f); ok {
-			byPart[pi] = append(byPart[pi], i)
-		} else {
-			everywhere = append(everywhere, i)
-		}
-	}
-	type task struct {
-		p    *partition
-		idxs []int
-	}
-	var tasks []task
-	for pi, p := range c.parts {
-		idxs := byPart[pi]
-		if len(everywhere) > 0 {
-			idxs = append(append(make([]int, 0, len(idxs)+len(everywhere)), idxs...), everywhere...)
-		}
-		if len(idxs) == 0 {
-			continue
-		}
-		tasks = append(tasks, task{p: p, idxs: idxs})
-	}
-	parts := make([]*partition, len(tasks))
-	for i, t := range tasks {
-		parts[i] = t.p
-	}
-	results := make([][][]any, len(tasks))
-	err := c.forEach(parts, func(i int, p *partition) error {
-		t := tasks[i]
-		p.mu.RLock()
-		defer p.mu.RUnlock()
-		c.simulateRTT()
-		outs := make([][]any, len(t.idxs))
-		for j, fi := range t.idxs {
-			err := p.forEachMatch(filters[fi], func(_ int64, s *stored) {
-				if v, present := lookup(s.doc, field); present {
-					outs[j] = append(outs[j], cloneValue(v))
-				}
-			})
-			if err != nil {
-				return err
-			}
-		}
-		results[i] = outs
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Stitch per-partition slices back to their filters in partition
-	// order — the same grouped-by-partition order FieldValues yields.
-	for i, t := range tasks {
-		for j, fi := range t.idxs {
-			out[fi] = append(out[fi], results[i][j]...)
-		}
-	}
-	return out, nil
 }

@@ -1,26 +1,38 @@
 package docstore
 
 import (
+	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 )
 
-// partition is one shard of a collection: its own lock, document map,
-// insertion order, and index shards. All methods suffixed Locked
-// require the caller to hold the appropriate mu mode. Write paths
-// acquire mu through writeLock/writeUnlock (optimistic.go), which
-// maintain the seqlock-style version counter the optimistic read
-// paths validate their published snapshots against.
+// partition is one shard of a collection: its own lock, an id column
+// in ascending order, one typed column per field slot (rows.go), and
+// index shards over row numbers. All methods suffixed Locked require
+// the caller to hold the appropriate mu mode. Write paths acquire mu
+// through writeLock/writeUnlock (optimistic.go), which maintain the
+// seqlock-style version counter the optimistic read paths validate
+// their published snapshots against.
 type partition struct {
-	mu      sync.RWMutex
-	docs    map[int64]*stored
-	order   []int64 // local insertion order, for stable scans and Dump
-	indexes map[string]*index
+	mu   sync.RWMutex
+	dict *fieldDict
+	// ids holds the document id of every row. Ids are issued in
+	// increasing order, so the column is ascending — id → row is a
+	// binary search and row order is insertion order. Concurrent
+	// batches can arrive out of order; sortFrom marks the first row
+	// such a batch displaced, and the insert path merges the tail back
+	// into order before it releases the lock.
+	ids      []int64
+	cols     []*column // by slot; nil until the partition sees the field
+	unsorted bool
+	sortFrom int
+	indexes  map[string]*index
 
 	// seq is the partition version: odd while a writer holds mu,
 	// advanced to a new even value on write release. size mirrors
-	// len(docs) so Len() needs no lock. Both are read without mu.
+	// len(ids) so Len() needs no lock. Both are read without mu.
 	seq  atomic.Uint64
 	size atomic.Int64
 
@@ -28,8 +40,6 @@ type partition struct {
 	// it is never held together with mu-as-writer, so optimistic
 	// readers only ever block on the short probe, not on store writes.
 	cacheMu sync.Mutex
-	fv      map[string]*fvEntry
-	tails   map[int]*tailEntry
 	agg     map[string]*aggEntry
 
 	// wal is the partition's current write-ahead log on a durable
@@ -42,152 +52,312 @@ type partition struct {
 	walEpoch uint64
 }
 
-func newPartition() *partition {
-	return &partition{
-		docs:    make(map[int64]*stored),
-		indexes: make(map[string]*index),
-	}
+func newPartition(dict *fieldDict) *partition {
+	return &partition{dict: dict, indexes: make(map[string]*index)}
 }
 
-// stored wraps a document with its copy-on-read classification: flat
-// documents (no nested maps or slices — the alarm ingest fast path)
-// clone with one shallow map copy, while deep documents pay the full
-// recursive clone.
-type stored struct {
-	doc  Doc
-	deep bool
+// fieldRef addresses a document field from inside a partition: the
+// slot of the path's first segment plus the dotted remainder, which
+// can only resolve inside a boxed (nested) value.
+type fieldRef struct {
+	slot int
+	rest string
 }
 
-func (s *stored) clone() Doc {
-	if s.deep {
-		return cloneDoc(s.doc)
+// slotID is the pseudo-slot of the _id field, served from the id
+// column.
+const slotID = -1
+
+func (d *fieldDict) ref(path string) fieldRef {
+	head, rest, _ := strings.Cut(path, ".")
+	if head == "_id" {
+		return fieldRef{slot: slotID, rest: rest}
 	}
-	out := make(Doc, len(s.doc))
-	for k, v := range s.doc {
-		out[k] = v
-	}
-	return out
+	return fieldRef{slot: d.slot(head), rest: rest}
 }
 
-// insertLocked stores a copy of doc under the given id, returning the
-// stored document (with _id set) so durable callers can log exactly
-// what was applied. Callers must not mutate the returned map. Caller
-// holds the write lock.
-func (p *partition) insertLocked(doc Doc, id int64) Doc {
-	deep := docIsDeep(doc)
-	var d Doc
-	if deep {
-		d = cloneDoc(doc)
+func (p *partition) col(slot int) *column {
+	if slot < len(p.cols) {
+		return p.cols[slot]
+	}
+	return nil
+}
+
+// cell reads the field f of row r, typed: a top-level field comes
+// straight off its column, a dotted path out of the boxed value it
+// descends into. Caller holds at least a read lock.
+func (p *partition) cell(r int, f fieldRef) Cell {
+	var c Cell
+	if f.slot == slotID {
+		c = Int64(p.ids[r])
 	} else {
-		d = make(Doc, len(doc)+1)
-		for k, v := range doc {
-			d[k] = v
+		c = p.col(f.slot).cell(r)
+	}
+	return c.descend(f.rest)
+}
+
+// descend follows a dotted path into a boxed nested value; the empty
+// path is the cell itself, a path nothing answers an absent cell.
+func (c Cell) descend(path string) Cell {
+	if path == "" {
+		return c
+	}
+	m, _ := c.box.(map[string]any)
+	v, ok := lookup(m, path)
+	if !ok {
+		return Cell{}
+	}
+	return cellOf(v)
+}
+
+// value is cell for callers that need a document value.
+func (p *partition) value(r int, f fieldRef) (any, bool) {
+	c := p.cell(r, f)
+	return c.value(), c.kind != kindAbsent
+}
+
+// doc builds row r's document — the only place a stored row becomes a
+// map. Nested values are deep-copied, so the result shares nothing
+// with the store.
+func (p *partition) doc(r int) Doc {
+	names := p.dict.fieldNames() // under the partition lock: covers every slot of p.cols
+	d := make(Doc, len(p.cols)+1)
+	for s, col := range p.cols {
+		if col != nil && col.has(r) {
+			d[names[s]] = cloneValue(col.cell(r).value())
 		}
 	}
-	d["_id"] = id
-	p.docs[id] = &stored{doc: d, deep: deep}
-	p.order = append(p.order, id)
-	p.size.Add(1)
-	for _, idx := range p.indexes {
-		idx.add(d, id)
-	}
+	d["_id"] = p.ids[r]
 	return d
 }
 
-// candidates returns the partition-local document ids a filter needs
-// to examine, using an index shard when the filter constrains an
-// indexed field. Caller holds at least a read lock.
-func (p *partition) candidates(filter Doc) []int64 {
-	for field, cond := range filter {
-		if strings.HasPrefix(field, "$") {
+// rowOf returns the row holding id.
+func (p *partition) rowOf(id int64) (int, bool) {
+	r := sort.Search(len(p.ids), func(i int) bool { return p.ids[i] >= id })
+	return r, r < len(p.ids) && p.ids[r] == id
+}
+
+// appendRowLocked appends one row: the id, then each present cell into
+// its slot's column, then the index shards. Every insert — typed or
+// document, live or replayed — ends here. Caller holds the write lock
+// and, after the last append of its batch (ascending ids), calls
+// restoreOrderLocked.
+//
+//alarmvet:hotpath
+func (p *partition) appendRowLocked(id int64, slots []int, cells []Cell) {
+	r := len(p.ids)
+	if r > 0 && id < p.ids[r-1] && !p.unsorted {
+		// The batch's first id is its smallest: everything before the
+		// first row above it is already in place.
+		p.unsorted = true
+		p.sortFrom, _ = p.rowOf(id)
+	}
+	p.ids = append(p.ids, id)
+	for i, s := range slots {
+		if cells[i].kind == kindAbsent {
 			continue
 		}
-		idx, ok := p.indexes[field]
+		p.colLocked(s).set(r, cells[i])
+	}
+	p.size.Add(1)
+	for _, idx := range p.indexes {
+		idx.add(p, r)
+	}
+}
+
+// restoreOrderLocked merges a batch that arrived out of order (two
+// concurrent batches whose id ranges and lock acquisitions
+// interleaved) back into id order: only the rows from the first
+// displaced one on move. A no-op in the common case.
+func (p *partition) restoreOrderLocked() {
+	if !p.unsorted {
+		return
+	}
+	p.unsorted = false
+	src := make([]int, len(p.ids)-p.sortFrom)
+	for i := range src {
+		src[i] = p.sortFrom + i
+	}
+	sort.SliceStable(src, func(i, j int) bool { return p.ids[src[i]] < p.ids[src[j]] })
+	p.gatherLocked(p.sortFrom, src)
+}
+
+// gatherLocked rebuilds the partition's tail: rows before lo stay, new
+// row lo+i is old row src[i] (every src[i] >= lo), and rows past the
+// end of src are dropped. It is the one primitive behind re-sorting
+// and compaction; the index shards drop and re-add exactly the rows
+// that moved.
+func (p *partition) gatherLocked(lo int, src []int) {
+	for _, idx := range p.indexes {
+		idx.dropFrom(p, lo)
+	}
+	ids := make([]int64, len(src))
+	for i, r := range src {
+		ids[i] = p.ids[r]
+	}
+	p.ids = append(p.ids[:lo], ids...)
+	for _, col := range p.cols {
+		if col != nil {
+			col.gather(lo, src)
+		}
+	}
+	for _, idx := range p.indexes {
+		for r := lo; r < len(p.ids); r++ {
+			idx.add(p, r)
+		}
+	}
+}
+
+// candidates returns the rows a filter needs to examine, in ascending
+// order, using an index shard when the filter constrains an indexed
+// field; all=true means every row. The result may alias an index
+// posting list: callers must not mutate the partition while they walk
+// it. Caller holds at least a read lock.
+func (p *partition) candidates(f *filter) (rows []int32, all bool) {
+	if len(p.indexes) == 0 {
+		return nil, true
+	}
+	for i := range f.nodes {
+		n := &f.nodes[i]
+		if n.kind != nodePred {
+			continue
+		}
+		idx, ok := p.indexes[n.path]
 		if !ok {
 			continue
 		}
-		// Equality: direct literal or {"$eq": v}.
-		if m, isOp := cond.(map[string]any); isOp {
-			if eq, ok := m["$eq"]; ok && len(m) == 1 {
-				return idx.lookupEq(eq)
-			}
-			if ids, ok := idx.lookupRange(m); ok {
-				return ids
-			}
-			continue
+		if k, ok := n.eqKey(); ok {
+			return idx.eq[k], false
 		}
-		return idx.lookupEq(cond)
+		if rows, ok := idx.lookupRange(n.cond); ok {
+			return rows, false
+		}
 	}
-	return p.order
+	return nil, true
 }
 
-// forEachMatch invokes fn for every document in the partition
-// matching filter, in candidate order. It is the one scan loop every
-// read and write path shares. Caller holds mu in a mode appropriate
-// for fn; fn may mutate or delete the current document (index lookups
-// return id copies, and deletions never modify p.order mid-scan).
-func (p *partition) forEachMatch(filter Doc, fn func(id int64, s *stored)) error {
-	for _, id := range p.candidates(filter) {
-		s := p.docs[id]
-		if s == nil {
-			continue
+// forEachMatch invokes fn for every row matching the filter, in
+// ascending row (= id) order. It is the one scan loop every read and
+// write path shares. Caller holds at least a read lock; fn must not
+// mutate the partition (write paths collect the rows first).
+func (p *partition) forEachMatch(f *filter, fn func(r int)) error {
+	rows, all := p.candidates(f)
+	n := len(rows)
+	if all {
+		n = len(p.ids)
+	}
+	for i := 0; i < n; i++ {
+		r := i
+		if !all {
+			r = int(rows[i])
 		}
-		ok, err := matchDoc(s.doc, filter)
+		ok, err := f.match(row{p: p, r: r})
 		if err != nil {
 			return err
 		}
 		if ok {
-			fn(id, s)
+			fn(r)
 		}
 	}
 	return nil
 }
 
-// updateLocked applies set to the partition's matching documents.
-// Caller holds the write lock.
-func (p *partition) updateLocked(filter, set Doc) (int, error) {
-	n := 0
-	err := p.forEachMatch(filter, func(id int64, s *stored) {
-		for _, idx := range p.indexes {
-			idx.remove(s.doc, id)
-		}
-		for k, v := range set {
-			setPath(s.doc, k, v)
-			// A nested value or a dotted path (which materializes
-			// intermediate maps) makes the document deep; stay deep
-			// conservatively once marked.
-			if valueIsNested(v) || strings.Contains(k, ".") {
-				s.deep = true
-			}
-		}
-		for _, idx := range p.indexes {
-			idx.add(s.doc, id)
-		}
-		n++
-	})
-	return n, err
+// matchingRows collects the rows matching the filter.
+func (p *partition) matchingRows(f *filter) ([]int, error) {
+	var rows []int
+	err := p.forEachMatch(f, func(r int) { rows = append(rows, r) })
+	return rows, err
 }
 
-// deleteLocked removes the partition's matching documents. Caller
-// holds the write lock.
-func (p *partition) deleteLocked(filter Doc) (int, error) {
-	n := 0
-	err := p.forEachMatch(filter, func(id int64, s *stored) {
-		for _, idx := range p.indexes {
-			idx.remove(s.doc, id)
-		}
-		delete(p.docs, id)
-		n++
-	})
-	if n > 0 {
-		p.size.Add(-int64(n))
-		kept := p.order[:0]
-		for _, id := range p.order {
-			if _, ok := p.docs[id]; ok {
-				kept = append(kept, id)
-			}
-		}
-		p.order = kept
+// applyLocked replays one logged update or delete (Filter and Set
+// decoded back into documents). Caller holds the write lock.
+func (p *partition) applyLocked(op walOp) error {
+	filter, ok := op.Filter.(Doc)
+	if !ok {
+		return fmt.Errorf("wal %s: filter is not an object", op.Op)
 	}
-	return n, err
+	var err error
+	switch set, ok := op.Set.(Doc); {
+	case op.Op == "del":
+		_, err = p.deleteLocked(compileFilter(p.dict, filter))
+	case op.Op == "upd" && ok:
+		_, err = p.updateLocked(compileFilter(p.dict, filter), set)
+	case op.Op == "upd":
+		err = fmt.Errorf("wal update: set is not an object")
+	default:
+		err = fmt.Errorf("unknown wal op %q", op.Op)
+	}
+	return err
+}
+
+// updateLocked applies set to the partition's matching rows: a value
+// of the column's kind is written in place, any other promotes the
+// column; a dotted path is written into the boxed value it descends
+// into. Caller holds the write lock.
+func (p *partition) updateLocked(f *filter, set Doc) (int, error) {
+	rows, err := p.matchingRows(f)
+	if len(rows) == 0 {
+		return 0, err
+	}
+	refs := make(map[string]fieldRef, len(set))
+	for k := range set {
+		refs[k] = p.dict.ref(k)
+	}
+	for _, r := range rows {
+		for _, idx := range p.indexes {
+			idx.remove(p, r)
+		}
+		for k, v := range set {
+			f := refs[k]
+			if f.slot == slotID {
+				continue // ids are the store's
+			}
+			v = cloneValue(v)
+			if f.rest != "" {
+				m, ok := p.col(f.slot).cell(r).box.(map[string]any)
+				if !ok {
+					m = make(map[string]any)
+				}
+				setPath(m, f.rest, v)
+				v = m
+			}
+			p.colLocked(f.slot).set(r, cellOf(v))
+		}
+		for _, idx := range p.indexes {
+			idx.add(p, r)
+		}
+	}
+	return len(rows), err
+}
+
+// colLocked returns the slot's column, creating it the first time the
+// partition sees the field. Caller holds the write lock.
+func (p *partition) colLocked(slot int) *column {
+	for len(p.cols) <= slot {
+		p.cols = append(p.cols, nil)
+	}
+	if p.cols[slot] == nil {
+		p.cols[slot] = new(column)
+	}
+	return p.cols[slot]
+}
+
+// deleteLocked removes the partition's matching rows and compacts the
+// columns. Caller holds the write lock.
+func (p *partition) deleteLocked(f *filter) (int, error) {
+	rows, err := p.matchingRows(f)
+	if len(rows) == 0 {
+		return 0, err
+	}
+	keep := make([]int, 0, len(p.ids)-rows[0]-len(rows))
+	for r, next := rows[0], 0; r < len(p.ids); r++ {
+		if next < len(rows) && rows[next] == r {
+			next++
+			continue
+		}
+		keep = append(keep, r)
+	}
+	p.gatherLocked(rows[0], keep)
+	p.size.Add(-int64(len(rows)))
+	return len(rows), err
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"time"
 )
@@ -33,10 +32,11 @@ type dumpHeader struct {
 const restoreBatch = 256
 
 // Wrapper keys that round-trip non-JSON-native value types through
-// the dump and WAL encodings without loss: time.Time would collapse
-// into a string, and int/int64 would come back as float64 — breaking
-// exact-integer fields like _id and alarmId after a recovery replay.
-// int64 travels as a decimal string so values beyond 2^53 survive.
+// the JSON encodings the store still uses — dumps, and in the WAL the
+// boxed cells and the update/delete frames — without loss: time.Time
+// would collapse into a string, and int/int64 would come back as
+// float64. int64 travels as a decimal string so values beyond 2^53
+// survive. (Typed row cells need none of this: wal.go.)
 const (
 	timeField  = "$time"
 	int64Field = "$i64"
@@ -108,17 +108,10 @@ func decodeValue(v any) any {
 // followed by one document per line, in insertion order (merged
 // across partitions by id).
 func (c *Collection) Dump(w io.Writer) error {
-	var all []match
-	for _, p := range c.parts {
-		p.mu.RLock()
-		for _, id := range p.order {
-			if s, ok := p.docs[id]; ok {
-				all = append(all, match{id: id, doc: s.clone()})
-			}
-		}
-		p.mu.RUnlock()
+	all, err := c.Find(nil)
+	if err != nil {
+		return err
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].id < all[j].id })
 
 	bw := bufio.NewWriterSize(w, 1<<20)
 	enc := json.NewEncoder(bw)
@@ -131,9 +124,9 @@ func (c *Collection) Dump(w io.Writer) error {
 	if err := enc.Encode(hdr); err != nil {
 		return err
 	}
-	for _, m := range all {
-		delete(m.doc, "_id") // ids are reassigned on restore
-		if err := enc.Encode(encodeValue(m.doc)); err != nil {
+	for _, doc := range all {
+		delete(doc, "_id") // ids are reassigned on restore
+		if err := enc.Encode(encodeValue(doc)); err != nil {
 			return err
 		}
 	}

@@ -2,48 +2,40 @@ package docstore
 
 import (
 	"fmt"
-	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // Analytics pushdown.
 //
-// The streaming Aggregate path (AggregateStreaming) moves every
-// matched document out of every partition — one copy-on-read clone per
-// document — and runs the stage pipeline centrally. For the batch
-// analytics of §4.1 (per-device alarm histograms, group-by statistics,
-// top-device queries) that clone-everything-then-compute shape is the
-// dominant cost: the answer is a handful of groups or buckets, yet the
-// store materializes the whole matched set to produce it.
+// The streaming Aggregate path (AggregateStreaming) builds a document
+// for every matched row of every partition and runs the stage pipeline
+// centrally. For the batch analytics of §4.1 (per-device alarm
+// histograms, group-by statistics, top-device queries) the answer is a
+// handful of groups or buckets, so this file computes it inside the
+// partitions instead, off the typed columns. The planner decomposes a
+// pipeline into a per-partition PARTIAL plan plus a central MERGE:
 //
-// This file pushes the computation into the partitions instead. The
-// planner decomposes a pipeline into a per-partition PARTIAL plan plus
-// a central MERGE plan:
-//
-//   - leading Match stages fold into the partition scan filter, so
-//     non-matching documents are never cloned;
+//   - leading Match stages fold into the compiled scan filter;
 //   - Group accumulators compute as mergeable partials — count/sum as
 //     sums, avg as (sum, n) pairs, min/max by pairwise compare with
 //     document-id tie-breaks, first by smallest document id;
-//   - Bucket histograms compute as per-partition count maps merged by
-//     bucket index;
-//   - SortStage+Limit compute as per-partition top-K heaps, so a
-//     top-device query clones K documents per partition instead of the
-//     partition's whole matched set;
-//   - a bare scan prefix (optional Project / Limit) clones only the
-//     projected fields of the selected documents.
+//   - Bucket histograms compute as per-partition (index, count) pairs;
+//   - SortStage+Limit compute as per-partition top-K heaps, so only K
+//     documents per partition are ever built;
+//   - a bare scan prefix (optional Project / Limit) builds only the
+//     selected documents, or just their projected fields.
 //
+// Partials and their merge stay typed; documents are boxed from the
+// merged result as the last step, by the calls that return documents
+// (BucketCounts and GroupCounts hand the typed result out as it is).
 // Partials execute with one lock acquisition and one simulated store
-// round-trip per touched partition, fanning out concurrently under a
-// simulated RTT exactly like FieldValuesMulti. Bounded partials
-// (group/bucket/top-K) additionally publish to the partition's
-// seqlock-style snapshot cache (optimistic.go): a repeated aggregation
-// against an unchanged partition is served from the validated snapshot
-// without the read lock or the round-trip. Stage shapes the planner
-// cannot push (custom Stage implementations) fall back to
+// round-trip per touched partition (execPlans). Bounded partials of
+// Doc-filtered plans additionally publish to the partition's
+// seqlock-style snapshot cache (optimistic.go). Stage shapes the
+// planner cannot push (custom Stage implementations) fall back to
 // AggregateStreaming — the streaming path stays alive as the
 // equivalence oracle the test battery pins this engine against.
 
@@ -102,7 +94,8 @@ func (c *Collection) Explain(filter Doc, stages ...Stage) PlanInfo {
 }
 
 // aggPlan is one planned pipeline: the partition-local partial shape
-// plus the central tail.
+// plus the central tail, then — once bound to a collection — the
+// compiled filter and the slots of every field the partial reads.
 type aggPlan struct {
 	scanFilter Doc      // base filter ∧ folded leading Match filters
 	kind       PlanKind // scan | group | bucket | topk
@@ -114,6 +107,46 @@ type aggPlan struct {
 	project    *Project
 	tail       []Stage // stages applied centrally after the merge
 	pushed     int     // pipeline stages folded into the partial plan
+
+	filter *filter    // scanFilter (or the typed conditions), compiled
+	typed  bool       // built from []Cond: no Doc to derive a cache key from
+	refs   []fieldRef // group By fields | bucket field | sort field | project fields
+	accs   []planAcc  // group accumulators, by output name
+}
+
+// planAcc is one Group accumulator bound to its source field.
+type planAcc struct {
+	out, op string
+	ref     fieldRef
+}
+
+// bind compiles the plan against a collection's field dictionary.
+func (p *aggPlan) bind(d *fieldDict) *aggPlan {
+	if p.filter == nil {
+		p.filter = compileFilter(d, p.scanFilter)
+	}
+	var fields []string
+	switch p.kind {
+	case PlanGroup:
+		fields = p.group.By
+		for out, acc := range p.group.Accs {
+			p.accs = append(p.accs, planAcc{out: out, op: acc.Op, ref: d.ref(acc.Field)})
+		}
+		sort.Slice(p.accs, func(i, j int) bool { return p.accs[i].out < p.accs[j].out })
+	case PlanBucket:
+		fields = []string{p.bucket.Field}
+	case PlanTopK:
+		fields = []string{p.sortField}
+	default:
+		if p.project != nil {
+			fields = p.project.Fields
+		}
+	}
+	p.refs = make([]fieldRef, len(fields))
+	for i, f := range fields {
+		p.refs[i] = d.ref(f)
+	}
+	return p
 }
 
 // planAggregate decomposes a pipeline. ok=false means the shape is
@@ -122,7 +155,7 @@ type aggPlan struct {
 func planAggregate(filter Doc, stages []Stage) (*aggPlan, bool, error) {
 	plan := &aggPlan{scanFilter: filter, limit: -1}
 	i := 0
-	// Fold leading Match stages into the scan filter: matchDoc's $and
+	// Fold leading Match stages into the scan filter: a filter's $and
 	// evaluates sub-filters in order with short-circuiting, so the
 	// folded scan errors on exactly the documents the staged Match
 	// evaluation would have errored on.
@@ -255,20 +288,37 @@ func (g Group) validate() error {
 // ---------------------------------------------------------------------------
 // Partial results
 
-// pGroup is one group's mergeable partial state. All captured values
-// (key, mins, maxs, firsts) are cloned out of the store under the
-// partition lock, so a partial outlives the lock and may be published
-// to the snapshot cache.
+// pGroup is one group's mergeable state — in a partition's partial and,
+// after the merge, in the typed result the documents are boxed from.
+// Every captured value is cloned out of the store under the partition
+// lock, so a partial outlives the lock and may be published to the
+// snapshot cache.
 type pGroup struct {
-	key                     []any
-	minID                   int64 // smallest doc id of the group in this partition
-	count                   int
-	sums                    map[string]float64
-	seen                    map[string]int
-	mins                    map[string]any
-	minID2, maxID2, firstID map[string]int64 // id tie-breaks per out field
-	maxs                    map[string]any
-	firsts                  map[string]any
+	ks    string     // the group's equivalence class: the oracle's %v key
+	key   []Cell     // By-field values of the group's smallest-id document
+	minID int64      // that document's id
+	count int        //
+	accs  []accState // one per plan accumulator, in plan.accs order
+}
+
+// accState is one accumulator's state: sum and n for sum/avg, the
+// chosen value and the id of the document it came from (the tie-break)
+// for min/max/first.
+type accState struct {
+	sum float64
+	n   int
+	val Cell
+	id  int64
+}
+
+// bucketCount is one histogram bar: the bucket index and its count.
+type bucketCount struct{ idx, n int }
+
+// topDoc is a top-K survivor: its id, sort key and document.
+type topDoc struct {
+	id  int64
+	key Cell
+	doc Doc
 }
 
 // aggPartial is one partition's contribution to a pushed aggregation.
@@ -276,10 +326,10 @@ type pGroup struct {
 // immutable once built: the merge step never mutates it, so the same
 // partial can be published to the snapshot cache and served again.
 type aggPartial struct {
-	groups  map[string]*pGroup
-	buckets map[int]int
-	top     []match // topk: sorted by (sort key, id), clipped to K
-	scan    []match // scan: sorted by id, clipped to the scan limit
+	groups  []pGroup      // group: in ascending minID order
+	buckets []bucketCount // bucket: in ascending idx order
+	top     []topDoc      // topk: sorted by (sort key, id), clipped to K
+	scan    []match       // scan: sorted by id, clipped to the scan limit
 	// matched records whether the scan saw any matching doc before the
 	// limit clip — the merge needs it to reproduce the oracle's
 	// nil-versus-empty-slice distinction (Find returns nil on zero
@@ -288,14 +338,22 @@ type aggPartial struct {
 	matched bool
 }
 
+// partialScratch is what one partition visit reuses across the plans
+// it computes: a sweep of several hundred per-device histograms then
+// allocates per result, not per query.
+type partialScratch struct {
+	counts map[int]int
+	key    []byte
+}
+
 // computePartial evaluates the plan's partial over one partition.
 // Caller holds at least the partition read lock.
-func computePartial(p *partition, plan *aggPlan) (*aggPartial, error) {
+func computePartial(p *partition, plan *aggPlan, sc *partialScratch) (*aggPartial, error) {
 	switch plan.kind {
 	case PlanGroup:
-		return groupPartial(p, plan)
+		return groupPartial(p, plan, sc)
 	case PlanBucket:
-		return bucketPartial(p, plan)
+		return bucketPartial(p, plan, sc)
 	case PlanTopK:
 		return topkPartial(p, plan)
 	default:
@@ -303,76 +361,57 @@ func computePartial(p *partition, plan *aggPlan) (*aggPartial, error) {
 	}
 }
 
-func groupPartial(p *partition, plan *aggPlan) (*aggPartial, error) {
-	g := plan.group
-	groups := make(map[string]*pGroup)
-	var sb strings.Builder
-	err := p.forEachMatch(plan.scanFilter, func(id int64, s *stored) {
-		key := make([]any, len(g.By))
-		sb.Reset()
-		for i, f := range g.By {
-			v, _ := lookup(s.doc, f)
-			key[i] = v
-			appendGroupKey(&sb, v)
+func groupPartial(p *partition, plan *aggPlan, sc *partialScratch) (*aggPartial, error) {
+	var groups []pGroup
+	index := make(map[string]int32)
+	single := len(plan.refs) == 1
+	err := p.forEachMatch(plan.filter, func(r int) {
+		// The class key is what the streaming Group stage builds with
+		// fmt's %v, NUL-terminated per field — except that one string
+		// field is its own key, with nothing to build.
+		var gi int32
+		var ok bool
+		var str Cell
+		if single {
+			str = p.cell(r, plan.refs[0])
 		}
-		ks := sb.String()
-		st, ok := groups[ks]
+		if str.kind == kindString {
+			gi, ok = index[str.str]
+		} else {
+			sc.key = sc.key[:0]
+			for _, f := range plan.refs {
+				sc.key = appendGroupKey(sc.key, p.cell(r, f))
+				if !single {
+					sc.key = append(sc.key, 0)
+				}
+			}
+			gi, ok = index[string(sc.key)]
+		}
 		if !ok {
-			for i := range key {
-				key[i] = cloneValue(key[i])
+			// Rows come in ascending id order, so a group's first row is
+			// its smallest id: its key values are the group's identity.
+			g := pGroup{minID: p.ids[r], key: make([]Cell, len(plan.refs)), accs: make([]accState, len(plan.accs))}
+			for i, f := range plan.refs {
+				g.key[i] = p.cell(r, f)
+				g.key[i].box = cloneValue(g.key[i].box)
 			}
-			st = &pGroup{
-				key:     key,
-				minID:   id,
-				sums:    make(map[string]float64),
-				seen:    make(map[string]int),
-				mins:    make(map[string]any),
-				maxs:    make(map[string]any),
-				firsts:  make(map[string]any),
-				minID2:  make(map[string]int64),
-				maxID2:  make(map[string]int64),
-				firstID: make(map[string]int64),
+			if g.ks = str.str; str.kind != kindString {
+				g.ks = string(sc.key)
 			}
-			groups[ks] = st
-		} else if id < st.minID {
-			// The partition scan is in arrival order, which concurrent
-			// batch inserts can leave non-monotonic in id; the group's
-			// identity (key values) belongs to its smallest doc id, as
-			// the id-ordered streaming path would have seen it.
-			st.minID = id
-			for i, f := range g.By {
-				v, _ := lookup(s.doc, f)
-				st.key[i] = cloneValue(v)
-			}
+			gi = int32(len(groups))
+			index[g.ks] = gi
+			groups = append(groups, g)
 		}
-		st.count++
-		for out, acc := range g.Accs {
-			if acc.Op == "count" {
+		g := &groups[gi]
+		g.count++
+		for i := range plan.accs {
+			acc := &plan.accs[i]
+			if acc.op == "count" {
 				continue
 			}
-			v, ok := lookup(s.doc, acc.Field)
-			if !ok {
-				continue
-			}
-			switch acc.Op {
-			case "sum", "avg":
-				st.sums[out] += toFloat(v)
-				st.seen[out]++
-			case "min":
-				if cur, ok := st.mins[out]; !ok || lessByValueThenID(v, id, cur, st.minID2[out]) {
-					st.mins[out] = cloneValue(v)
-					st.minID2[out] = id
-				}
-			case "max":
-				if cur, ok := st.maxs[out]; !ok || greaterByValueThenID(v, id, cur, st.maxID2[out]) {
-					st.maxs[out] = cloneValue(v)
-					st.maxID2[out] = id
-				}
-			case "first":
-				if fid, ok := st.firstID[out]; !ok || id < fid {
-					st.firsts[out] = cloneValue(v)
-					st.firstID[out] = id
-				}
+			if v := p.cell(r, acc.ref); v.kind != kindAbsent {
+				v.box = cloneValue(v.box)
+				g.accs[i].fold(acc.op, v, p.ids[r])
 			}
 		}
 	})
@@ -382,154 +421,131 @@ func groupPartial(p *partition, plan *aggPlan) (*aggPartial, error) {
 	return &aggPartial{groups: groups}, nil
 }
 
-// lessByValueThenID reproduces the id-ordered streaming scan's "min"
-// choice between two candidates from arbitrary scan positions: the
-// smaller value wins, and among compare-equal values the smaller doc
-// id wins (the streaming scan keeps the first occurrence).
-func lessByValueThenID(v any, id int64, cur any, curID int64) bool {
-	c := compareValues(v, cur)
-	return c < 0 || (c == 0 && id < curID)
-}
-
-func greaterByValueThenID(v any, id int64, cur any, curID int64) bool {
-	c := compareValues(v, cur)
-	return c > 0 || (c == 0 && id < curID)
+// fold merges one candidate — a row's value, or another partial's
+// state — into the accumulator. min and max keep the first of
+// compare-equal values, first keeps the smallest id: what the
+// id-ordered streaming scan would have kept.
+func (a *accState) fold(op string, v Cell, id int64) {
+	switch op {
+	case "sum", "avg":
+		a.sum += v.Num()
+		a.n++
+		return
+	}
+	take := a.n == 0
+	if !take {
+		switch c := compareCells(v, a.val); op {
+		case "min":
+			take = c < 0 || (c == 0 && id < a.id)
+		case "max":
+			take = c > 0 || (c == 0 && id < a.id)
+		case "first":
+			take = id < a.id
+		}
+	}
+	if take {
+		a.val, a.id, a.n = v, id, 1
+	}
 }
 
 // appendGroupKey appends a group-key component in exactly the
-// representation the streaming Group stage uses (fmt's %v verb,
-// NUL-terminated) — grouping equivalence classes must match the oracle
-// bit for bit — but via allocation-free fast paths for the document
-// scalar types, which is a large share of the pushdown win on grouped
-// scans.
-func appendGroupKey(sb *strings.Builder, v any) {
-	switch t := v.(type) {
-	case nil:
-		sb.WriteString("<nil>")
-	case string:
-		sb.WriteString(t)
-	case bool:
-		if t {
-			sb.WriteString("true")
-		} else {
-			sb.WriteString("false")
-		}
-	case int:
-		var buf [20]byte
-		sb.Write(strconv.AppendInt(buf[:0], int64(t), 10))
-	case int32:
-		var buf [20]byte
-		sb.Write(strconv.AppendInt(buf[:0], int64(t), 10))
-	case int64:
-		var buf [20]byte
-		sb.Write(strconv.AppendInt(buf[:0], t, 10))
-	case float64:
-		var buf [32]byte
-		sb.Write(appendFloatV(buf[:0], t))
-	case float32:
-		var buf [32]byte
-		sb.Write(strconv.AppendFloat(buf[:0], float64(t), 'g', -1, 32))
+// representation the streaming Group stage uses (fmt's %v verb) —
+// grouping equivalence classes must match the oracle bit for bit —
+// without boxing or allocating for the typed kinds.
+func appendGroupKey(b []byte, c Cell) []byte {
+	switch c.kind {
+	case kindAbsent:
+		return append(b, "<nil>"...)
+	case kindString:
+		return append(b, c.str...)
+	case kindBool:
+		return strconv.AppendBool(b, c.num != 0)
+	case kindInt, kindInt64:
+		return strconv.AppendInt(b, int64(c.num), 10)
+	case kindFloat:
+		// fmt's %v for float64 is strconv's shortest 'g' form.
+		return strconv.AppendFloat(b, c.Num(), 'g', -1, 64)
 	default:
-		fmt.Fprintf(sb, "%v", v)
+		return fmt.Appendf(b, "%v", c.box)
 	}
-	sb.WriteByte(0)
 }
 
-// appendFloatV formats a float64 as fmt's %v does: shortest 'g' form,
-// except that fmt pads the exponent to at least two digits.
-func appendFloatV(dst []byte, f float64) []byte {
-	out := strconv.AppendFloat(dst, f, 'g', -1, 64)
-	// fmt prints %v exponents with at least two digits (1e+06 style is
-	// strconv's too); strconv already matches fmt here, so no fixup is
-	// needed — kept as a seam should the formats ever diverge.
-	return out
-}
-
-func bucketPartial(p *partition, plan *aggPlan) (*aggPartial, error) {
-	b := plan.bucket
-	counts := make(map[int]int)
-	err := p.forEachMatch(plan.scanFilter, func(_ int64, s *stored) {
-		v, ok := lookup(s.doc, b.Field)
-		if !ok || rank(v) != 2 {
-			return
+func bucketPartial(p *partition, plan *aggPlan, sc *partialScratch) (*aggPartial, error) {
+	b, ref := plan.bucket, plan.refs[0]
+	if sc.counts == nil {
+		sc.counts = make(map[int]int)
+	}
+	clear(sc.counts)
+	err := p.forEachMatch(plan.filter, func(r int) {
+		if v := p.cell(r, ref); v.rank() == 2 {
+			sc.counts[int((v.Num()-b.Origin)/b.Width)]++
 		}
-		counts[int((toFloat(v)-b.Origin)/b.Width)]++
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &aggPartial{buckets: counts}, nil
+	out := make([]bucketCount, 0, len(sc.counts))
+	for idx, n := range sc.counts {
+		out = append(out, bucketCount{idx, n})
+	}
+	slices.SortFunc(out, func(a, b bucketCount) int { return a.idx - b.idx })
+	return &aggPartial{buckets: out}, nil
 }
 
 // topkElem is a top-K candidate held during the in-lock selection:
-// the document id, its sort-key value, and the stored doc (cloned only
-// if it survives the selection).
+// the row, its id and its sort-key value (the document is built only
+// if the row survives the selection).
 type topkElem struct {
 	id  int64
-	key any
-	s   *stored
+	key Cell
+	row int
 }
 
 // topkWorse reports whether a ranks strictly after b in the result
 // order (sort key, descending when desc, ties broken by ascending id —
 // the order a stable central sort over the id-ordered stream yields).
-func topkWorse(a, b topkElem, desc bool) bool {
-	c := compareValues(a.key, b.key)
-	if c != 0 {
-		if desc {
-			return c < 0
-		}
-		return c > 0
+func topkWorse(aKey Cell, aID int64, bKey Cell, bID int64, desc bool) bool {
+	if c := compareCells(aKey, bKey); c != 0 {
+		return (c < 0) == desc
 	}
-	return a.id > b.id
+	return aID > bID
 }
 
 func topkPartial(p *partition, plan *aggPlan) (*aggPartial, error) {
-	k := plan.limit
-	var heap []topkElem // max-heap by topkWorse: root is the worst kept
-	var all []topkElem
-	bounded := k >= 0
-	err := p.forEachMatch(plan.scanFilter, func(id int64, s *stored) {
-		v, _ := lookup(s.doc, plan.sortField)
-		e := topkElem{id: id, key: v, s: s}
-		if !bounded {
-			all = append(all, e)
-			return
-		}
-		if k == 0 {
-			return
-		}
-		if len(heap) < k {
-			heap = append(heap, e)
-			siftUp(heap, len(heap)-1, plan.sortDesc)
-			return
-		}
-		if topkWorse(heap[0], e, plan.sortDesc) {
-			heap[0] = e
-			siftDown(heap, 0, plan.sortDesc)
+	k, desc := plan.limit, plan.sortDesc
+	worse := func(a, b topkElem) bool { return topkWorse(a.key, a.id, b.key, b.id, desc) }
+	var kept []topkElem // bounded: a max-heap by worse, the root the worst kept
+	err := p.forEachMatch(plan.filter, func(r int) {
+		e := topkElem{id: p.ids[r], key: p.cell(r, plan.refs[0]), row: r}
+		switch {
+		case k < 0 || len(kept) < k:
+			kept = append(kept, e)
+			if k >= 0 {
+				siftUp(kept, len(kept)-1, worse)
+			}
+		case k > 0 && worse(kept[0], e):
+			kept[0] = e
+			siftDown(kept, 0, worse)
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	kept := heap
-	if !bounded {
-		kept = all
-	}
-	sort.Slice(kept, func(i, j int) bool { return topkWorse(kept[j], kept[i], plan.sortDesc) })
-	out := make([]match, len(kept))
+	sort.Slice(kept, func(i, j int) bool { return worse(kept[j], kept[i]) })
+	out := make([]topDoc, len(kept))
 	for i, e := range kept {
-		out[i] = match{id: e.id, doc: e.s.clone()}
+		e.key.box = cloneValue(e.key.box)
+		out[i] = topDoc{id: e.id, key: e.key, doc: p.doc(e.row)}
 	}
 	return &aggPartial{top: out}, nil
 }
 
 // siftUp/siftDown maintain the bounded top-K max-heap (ordered by
-// topkWorse, so the root is the element to evict first).
-func siftUp(h []topkElem, i int, desc bool) {
+// worse, so the root is the element to evict first).
+func siftUp(h []topkElem, i int, worse func(a, b topkElem) bool) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !topkWorse(h[i], h[parent], desc) {
+		if !worse(h[i], h[parent]) {
 			break
 		}
 		h[i], h[parent] = h[parent], h[i]
@@ -537,14 +553,14 @@ func siftUp(h []topkElem, i int, desc bool) {
 	}
 }
 
-func siftDown(h []topkElem, i int, desc bool) {
+func siftDown(h []topkElem, i int, worse func(a, b topkElem) bool) {
 	n := len(h)
 	for {
 		worst, l, r := i, 2*i+1, 2*i+2
-		if l < n && topkWorse(h[l], h[worst], desc) {
+		if l < n && worse(h[l], h[worst]) {
 			worst = l
 		}
-		if r < n && topkWorse(h[r], h[worst], desc) {
+		if r < n && worse(h[r], h[worst]) {
 			worst = r
 		}
 		if worst == i {
@@ -556,32 +572,28 @@ func siftDown(h []topkElem, i int, desc bool) {
 }
 
 func scanPartial(p *partition, plan *aggPlan) (*aggPartial, error) {
-	var elems []topkElem
-	err := p.forEachMatch(plan.scanFilter, func(id int64, s *stored) {
-		elems = append(elems, topkElem{id: id, s: s})
-	})
+	rows, err := p.matchingRows(plan.filter)
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(elems, func(i, j int) bool { return elems[i].id < elems[j].id })
-	matched := len(elems) > 0
-	if plan.limit >= 0 && len(elems) > plan.limit {
+	matched := len(rows) > 0
+	if plan.limit >= 0 && len(rows) > plan.limit {
 		// The global first N by id is a subset of each partition's
 		// first N by id, so clipping here loses nothing.
-		elems = elems[:plan.limit]
+		rows = rows[:plan.limit]
 	}
-	out := make([]match, len(elems))
-	for i, e := range elems {
-		if plan.project != nil {
-			nd := make(Doc, len(plan.project.Fields))
-			for _, f := range plan.project.Fields {
-				if v, ok := lookup(e.s.doc, f); ok {
-					setPath(nd, f, cloneValue(v))
-				}
+	out := make([]match, len(rows))
+	for i, r := range rows {
+		out[i].id = p.ids[r]
+		if plan.project == nil {
+			out[i].doc = p.doc(r)
+			continue
+		}
+		out[i].doc = make(Doc, len(plan.refs))
+		for j, f := range plan.project.Fields {
+			if v, ok := p.value(r, plan.refs[j]); ok {
+				setPath(out[i].doc, f, cloneValue(v))
 			}
-			out[i] = match{id: e.id, doc: nd}
-		} else {
-			out[i] = match{id: e.id, doc: e.s.clone()}
 		}
 	}
 	return &aggPartial{scan: out, matched: matched}, nil
@@ -589,132 +601,103 @@ func scanPartial(p *partition, plan *aggPlan) (*aggPartial, error) {
 
 // ---------------------------------------------------------------------------
 // Merge
-
-// mergePartials combines per-partition partials into the final
-// pre-tail document set. Partials are read-only here: when shared is
+//
+// Partials merge typed — groups stay pGroups, bars stay (index, count)
+// pairs — and are boxed into documents as the last step, by the calls
+// that return documents. Partials are read-only here: when shared is
 // true (any partial may be cache-published), every value that could
 // alias a partial is cloned on the way out.
-func mergePartials(plan *aggPlan, partials []*aggPartial, shared bool) []Doc {
+
+// mergeDocs merges a plan's partials into the pre-tail document set.
+func mergeDocs(plan *aggPlan, partials []*aggPartial, shared bool) []Doc {
 	switch plan.kind {
 	case PlanGroup:
-		return mergeGroupPartials(plan.group, partials, shared)
+		return groupDocs(plan, mergeGroups(plan, partials), shared)
 	case PlanBucket:
-		return mergeBucketPartials(plan.bucket, partials)
+		bars := mergeBuckets(plan.bucket, partials, nil)
+		out := make([]Doc, len(bars))
+		for i, b := range bars {
+			out[i] = Doc{"bucket": b.Start, "count": b.Count}
+		}
+		return out
 	case PlanTopK:
-		return mergeTopKPartials(plan, partials, shared)
+		return mergeTopK(plan, partials, shared)
 	default:
-		return mergeScanPartials(plan, partials, shared)
+		return mergeScan(plan, partials, shared)
 	}
 }
 
-func mergeGroupPartials(g *Group, partials []*aggPartial, shared bool) []Doc {
-	type mGroup struct {
-		key    []any
-		minID  int64
-		count  int
-		sums   map[string]float64
-		seen   map[string]int
-		mins   map[string]any
-		minIDs map[string]int64
-		maxs   map[string]any
-		maxIDs map[string]int64
-		firsts map[string]any
-		fIDs   map[string]int64
+// mergeGroups folds the partitions' groups together, in the order the
+// streaming oracle emits them: first-seen over the id-ordered stream —
+// exactly ascending smallest-member id. Partition index order keeps
+// the float merge deterministic run-to-run; with exactly-representable
+// sums it is also equal to the oracle's id-ordered accumulation.
+func mergeGroups(plan *aggPlan, partials []*aggPartial) []pGroup {
+	if len(partials) == 1 {
+		return partials[0].groups
 	}
-	merged := make(map[string]*mGroup)
-	var order []string
-	// Partition index order keeps the float merge deterministic
-	// run-to-run; with exactly-representable sums it is also equal to
-	// the oracle's id-ordered accumulation.
+	var merged []pGroup
+	index := make(map[string]int)
 	for _, part := range partials {
-		keys := make([]string, 0, len(part.groups))
-		for ks := range part.groups {
-			keys = append(keys, ks)
-		}
-		sort.Strings(keys)
-		for _, ks := range keys {
-			pg := part.groups[ks]
-			mg, ok := merged[ks]
+		for i := range part.groups {
+			pg := &part.groups[i]
+			mi, ok := index[pg.ks]
 			if !ok {
-				mg = &mGroup{
-					minID:  pg.minID,
-					key:    pg.key,
-					sums:   make(map[string]float64),
-					seen:   make(map[string]int),
-					mins:   make(map[string]any),
-					minIDs: make(map[string]int64),
-					maxs:   make(map[string]any),
-					maxIDs: make(map[string]int64),
-					firsts: make(map[string]any),
-					fIDs:   make(map[string]int64),
-				}
-				merged[ks] = mg
-				order = append(order, ks)
-			} else if pg.minID < mg.minID {
-				mg.minID = pg.minID
-				mg.key = pg.key
+				index[pg.ks] = len(merged)
+				g := *pg
+				g.accs = append([]accState(nil), pg.accs...)
+				merged = append(merged, g)
+				continue
+			}
+			mg := &merged[mi]
+			if pg.minID < mg.minID {
+				mg.minID, mg.key = pg.minID, pg.key
 			}
 			mg.count += pg.count
-			for out, s := range pg.sums {
-				mg.sums[out] += s
-			}
-			for out, n := range pg.seen {
-				mg.seen[out] += n
-			}
-			for out, v := range pg.mins {
-				if cur, ok := mg.mins[out]; !ok || lessByValueThenID(v, pg.minID2[out], cur, mg.minIDs[out]) {
-					mg.mins[out] = v
-					mg.minIDs[out] = pg.minID2[out]
-				}
-			}
-			for out, v := range pg.maxs {
-				if cur, ok := mg.maxs[out]; !ok || greaterByValueThenID(v, pg.maxID2[out], cur, mg.maxIDs[out]) {
-					mg.maxs[out] = v
-					mg.maxIDs[out] = pg.maxID2[out]
-				}
-			}
-			for out, v := range pg.firsts {
-				if fid, ok := mg.fIDs[out]; !ok || pg.firstID[out] < fid {
-					mg.firsts[out] = v
-					mg.fIDs[out] = pg.firstID[out]
+			for j := range pg.accs {
+				switch a := &pg.accs[j]; {
+				case a.n == 0:
+				case plan.accs[j].op == "sum" || plan.accs[j].op == "avg":
+					mg.accs[j].sum += a.sum
+					mg.accs[j].n += a.n
+				default:
+					mg.accs[j].fold(plan.accs[j].op, a.val, a.id)
 				}
 			}
 		}
 	}
-	// The streaming oracle emits groups in first-seen order over the
-	// id-ordered stream — exactly ascending smallest-member id.
-	sort.SliceStable(order, func(i, j int) bool { return merged[order[i]].minID < merged[order[j]].minID })
-	emit := func(v any) any {
+	sort.SliceStable(merged, func(i, j int) bool { return merged[i].minID < merged[j].minID })
+	return merged
+}
+
+func groupDocs(plan *aggPlan, groups []pGroup, shared bool) []Doc {
+	emit := func(c Cell) any {
 		if shared {
-			return cloneValue(v)
+			return cloneValue(c.value())
 		}
-		return v
+		return c.value()
 	}
-	out := make([]Doc, 0, len(order))
-	for _, ks := range order {
-		mg := merged[ks]
-		d := make(Doc)
-		for i, f := range g.By {
-			setPath(d, f, emit(mg.key[i]))
+	out := make([]Doc, 0, len(groups))
+	for gi := range groups {
+		g := &groups[gi]
+		d := make(Doc, len(g.key)+len(g.accs))
+		for i, f := range plan.group.By {
+			setPath(d, f, emit(g.key[i]))
 		}
-		for name, acc := range g.Accs {
-			switch acc.Op {
+		for i, acc := range plan.accs {
+			switch a := g.accs[i]; acc.op {
 			case "count":
-				d[name] = mg.count
+				d[acc.out] = g.count
 			case "sum":
-				d[name] = mg.sums[name]
+				d[acc.out] = a.sum
 			case "avg":
-				if n := mg.seen[name]; n > 0 {
-					d[name] = mg.sums[name] / float64(n)
+				if a.n > 0 {
+					d[acc.out] = a.sum / float64(a.n)
 				} else {
-					d[name] = 0.0
+					d[acc.out] = 0.0
 				}
-			case "min":
-				d[name] = emit(mg.mins[name])
-			case "max":
-				d[name] = emit(mg.maxs[name])
-			case "first":
-				d[name] = emit(mg.firsts[name])
+			default: // min, max, first: nil when no document carried the field
+				d[acc.out] = emit(a.val)
 			}
 		}
 		out = append(out, d)
@@ -722,56 +705,58 @@ func mergeGroupPartials(g *Group, partials []*aggPartial, shared bool) []Doc {
 	return out
 }
 
-func mergeBucketPartials(b *Bucket, partials []*aggPartial) []Doc {
-	counts := make(map[int]int)
-	for _, part := range partials {
-		for idx, n := range part.buckets {
-			counts[idx] += n
+// BucketCount is one bar of a pushed-down Bucket aggregation: the
+// bucket's lower bound and how many documents fell into it.
+type BucketCount struct {
+	Start float64
+	Count int
+}
+
+// mergeBuckets appends the merged bars, in ascending bucket order, to
+// out.
+func mergeBuckets(b *Bucket, partials []*aggPartial, out []BucketCount) []BucketCount {
+	var bars []bucketCount
+	if len(partials) == 1 {
+		bars = partials[0].buckets
+	} else {
+		counts := make(map[int]int)
+		for _, part := range partials {
+			for _, bar := range part.buckets {
+				counts[bar.idx] += bar.n
+			}
 		}
-	}
-	idxs := make([]int, 0, len(counts))
-	for i := range counts {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	out := make([]Doc, len(idxs))
-	for i, idx := range idxs {
-		out[i] = Doc{
-			"bucket": b.Origin + float64(idx)*b.Width,
-			"count":  counts[idx],
+		for idx, n := range counts {
+			bars = append(bars, bucketCount{idx, n})
 		}
+		slices.SortFunc(bars, func(a, b bucketCount) int { return a.idx - b.idx })
+	}
+	for _, bar := range bars {
+		out = append(out, BucketCount{Start: b.Origin + float64(bar.idx)*b.Width, Count: bar.n})
 	}
 	return out
 }
 
-func mergeTopKPartials(plan *aggPlan, partials []*aggPartial, shared bool) []Doc {
-	total := 0
+func mergeTopK(plan *aggPlan, partials []*aggPartial, shared bool) []Doc {
+	var all []topDoc
 	for _, part := range partials {
-		total += len(part.top)
+		all = append(all, part.top...)
 	}
-	all := make([]topkElem, 0, total)
-	for _, part := range partials {
-		for _, m := range part.top {
-			v, _ := lookup(m.doc, plan.sortField)
-			all = append(all, topkElem{id: m.id, key: v, s: &stored{doc: m.doc, deep: true}})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool { return topkWorse(all[j], all[i], plan.sortDesc) })
+	sort.Slice(all, func(i, j int) bool {
+		return topkWorse(all[j].key, all[j].id, all[i].key, all[i].id, plan.sortDesc)
+	})
 	if plan.limit >= 0 && len(all) > plan.limit {
 		all = all[:plan.limit]
 	}
 	out := make([]Doc, len(all))
 	for i, e := range all {
-		if shared {
-			out[i] = cloneDoc(e.s.doc)
-		} else {
-			out[i] = e.s.doc
+		if out[i] = e.doc; shared {
+			out[i] = cloneDoc(e.doc)
 		}
 	}
 	return out
 }
 
-func mergeScanPartials(plan *aggPlan, partials []*aggPartial, shared bool) []Doc {
+func mergeScan(plan *aggPlan, partials []*aggPartial, shared bool) []Doc {
 	results := make([][]match, len(partials))
 	for i, part := range partials {
 		results[i] = part.scan
@@ -796,10 +781,8 @@ func mergeScanPartials(plan *aggPlan, partials []*aggPartial, shared bool) []Doc
 	}
 	out := make([]Doc, len(all))
 	for i, m := range all {
-		if shared {
+		if out[i] = m.doc; shared {
 			out[i] = cloneDoc(m.doc)
-		} else {
-			out[i] = m.doc
 		}
 	}
 	return out
@@ -811,146 +794,21 @@ func mergeScanPartials(plan *aggPlan, partials []*aggPartial, shared bool) []Doc
 // signature canonicalizes the plan into a snapshot-cache key. Only
 // bounded partials cache (group, bucket, and top-K with a limit under
 // topkCacheMaxK); ok=false means the partial recomputes on every call.
+// The key is fmt's %#v form of the plan's parts: it prints maps in
+// sorted key order, quotes strings, and prints numbers that filters
+// treat as equal (1 and 1.0) alike, so equal keys mean equal answers.
 func (p *aggPlan) signature() (string, bool) {
-	switch p.kind {
-	case PlanGroup, PlanBucket:
-	case PlanTopK:
-		if p.limit < 0 || p.limit > topkCacheMaxK {
-			return "", false
-		}
-	default:
+	switch {
+	case p.typed, p.kind == PlanScan, p.kind == PlanTopK && (p.limit < 0 || p.limit > topkCacheMaxK):
 		return "", false
 	}
-	var sb strings.Builder
-	sb.WriteString(string(p.kind))
-	sb.WriteByte('|')
-	if !appendCanonicalValue(&sb, map[string]any(p.scanFilter)) {
-		return "", false
-	}
-	switch p.kind {
-	case PlanGroup:
-		g := p.group
-		sb.WriteString("|by:")
-		for _, f := range g.By {
-			appendLenPrefixed(&sb, f)
-		}
-		outs := make([]string, 0, len(g.Accs))
-		for out := range g.Accs {
-			outs = append(outs, out)
-		}
-		sort.Strings(outs)
-		sb.WriteString("|accs:")
-		for _, out := range outs {
-			acc := g.Accs[out]
-			appendLenPrefixed(&sb, out)
-			appendLenPrefixed(&sb, acc.Op)
-			appendLenPrefixed(&sb, acc.Field)
-		}
-	case PlanBucket:
-		b := p.bucket
-		sb.WriteString("|bucket:")
-		appendLenPrefixed(&sb, b.Field)
-		sb.WriteString(strconv.FormatUint(math.Float64bits(b.Origin), 16))
-		sb.WriteByte(',')
-		sb.WriteString(strconv.FormatUint(math.Float64bits(b.Width), 16))
-	case PlanTopK:
-		sb.WriteString("|topk:")
-		appendLenPrefixed(&sb, p.sortField)
-		if p.sortDesc {
-			sb.WriteString("desc,")
-		} else {
-			sb.WriteString("asc,")
-		}
-		sb.WriteString(strconv.Itoa(p.limit))
-	}
-	return sb.String(), true
+	return fmt.Sprintf("%s|%#v|%#v|%#v|%q,%v,%d", p.kind, map[string]any(p.scanFilter),
+		p.group, p.bucket, p.sortField, p.sortDesc, p.limit), true
 }
 
 // topkCacheMaxK bounds the per-partition snapshot footprint of cached
-// top-K partials. It is sized to cover the retrainer's recent-window
-// scan (MaxHistory, default 50k) — the same order of per-partition
-// memory the tail-snapshot cache already spends.
+// top-K partials.
 const topkCacheMaxK = 65536
-
-func appendLenPrefixed(sb *strings.Builder, s string) {
-	sb.WriteString(strconv.Itoa(len(s)))
-	sb.WriteByte(':')
-	sb.WriteString(s)
-}
-
-// appendCanonicalValue appends a collision-free canonical encoding of
-// a filter value: type-tagged, length-prefixed strings, maps in sorted
-// key order. Values outside the document type universe report false
-// (the plan then simply does not cache).
-func appendCanonicalValue(sb *strings.Builder, v any) bool {
-	switch t := v.(type) {
-	case nil:
-		sb.WriteByte('n')
-	case bool:
-		if t {
-			sb.WriteString("b1")
-		} else {
-			sb.WriteString("b0")
-		}
-	case int:
-		sb.WriteByte('i')
-		sb.WriteString(strconv.FormatInt(int64(t), 10))
-	case int32:
-		sb.WriteByte('i')
-		sb.WriteString(strconv.FormatInt(int64(t), 10))
-	case int64:
-		sb.WriteByte('i')
-		sb.WriteString(strconv.FormatInt(t, 10))
-	case float64:
-		sb.WriteByte('f')
-		sb.WriteString(strconv.FormatUint(math.Float64bits(t), 16))
-	case float32:
-		sb.WriteByte('f')
-		sb.WriteString(strconv.FormatUint(math.Float64bits(float64(t)), 16))
-	case string:
-		sb.WriteByte('s')
-		appendLenPrefixed(sb, t)
-	case time.Time:
-		sb.WriteByte('t')
-		sb.WriteString(strconv.FormatInt(t.UnixNano(), 10))
-	case []any:
-		sb.WriteByte('a')
-		sb.WriteString(strconv.Itoa(len(t)))
-		sb.WriteByte(':')
-		for _, e := range t {
-			if !appendCanonicalValue(sb, e) {
-				return false
-			}
-		}
-	case []Doc:
-		sb.WriteByte('a')
-		sb.WriteString(strconv.Itoa(len(t)))
-		sb.WriteByte(':')
-		for _, e := range t {
-			if !appendCanonicalValue(sb, map[string]any(e)) {
-				return false
-			}
-		}
-	case map[string]any:
-		keys := make([]string, 0, len(t))
-		for k := range t {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		sb.WriteByte('m')
-		sb.WriteString(strconv.Itoa(len(keys)))
-		sb.WriteByte(':')
-		for _, k := range keys {
-			appendLenPrefixed(sb, k)
-			if !appendCanonicalValue(sb, t[k]) {
-				return false
-			}
-		}
-	default:
-		return false
-	}
-	return true
-}
 
 // ---------------------------------------------------------------------------
 // Partial snapshot cache
@@ -972,7 +830,7 @@ type aggEntry struct {
 
 // cachedAggPartial attempts an optimistic read of a published partial:
 // version load, cache probe, version revalidation, one retry on
-// conflict — the same seqlock discipline as cachedFieldValues. A hit
+// conflict (the seqlock discipline of optimistic.go). A hit
 // serves the partition's contribution without the read lock or the
 // simulated round-trip.
 func (p *partition) cachedAggPartial(sig string) (*aggPartial, bool) {
@@ -1016,55 +874,131 @@ func (p *partition) storeAggPartial(sig string, seq uint64, pr *aggPartial) {
 // ---------------------------------------------------------------------------
 // Execution
 
-// runPushdown executes a planned aggregation: per-partition partials
-// (snapshot-cache reads where valid, one lock + one simulated
-// round-trip otherwise, concurrent across partitions under a simulated
-// RTT), a central merge, then the plan's central tail stages.
-func (c *Collection) runPushdown(plan *aggPlan) ([]Doc, error) {
-	parts := c.targetParts(plan.scanFilter)
-	sig, cacheable := plan.signature()
-	partials := make([]*aggPartial, len(parts))
-	var miss []*partition
-	var missIdx []int
-	if cacheable {
-		for i, p := range parts {
-			if pr, hit := p.cachedAggPartial(sig); hit {
-				partials[i] = pr
-				continue
-			}
-			miss = append(miss, p)
-			missIdx = append(missIdx, i)
+// planRun is one bound plan in flight: its n target partitions
+// (c.parts[lo:lo+n]), one partial slot per target, and its
+// snapshot-cache key.
+type planRun struct {
+	plan      *aggPlan
+	lo, n     int
+	partials  []*aggPartial
+	sig       string
+	cacheable bool
+}
+
+// newRuns prepares one run per plan; plans[i] nil leaves run i empty.
+func (c *Collection) newRuns(plans []*aggPlan) []planRun {
+	runs := make([]planRun, len(plans))
+	total := 0
+	for i, plan := range plans {
+		if plan == nil {
+			continue
 		}
-	} else {
-		miss = parts
-		missIdx = make([]int, len(parts))
-		for i := range parts {
-			missIdx[i] = i
+		run := &runs[i]
+		run.plan = plan
+		lo, hi := c.targetRange(plan.filter)
+		run.lo, run.n = lo, hi-lo
+		run.sig, run.cacheable = plan.signature()
+		total += run.n
+	}
+	slab := make([]*aggPartial, total) // one slab for every run's slots
+	for i := range runs {
+		n := runs[i].n
+		runs[i].partials, slab = slab[:n:n], slab[n:]
+	}
+	return runs
+}
+
+// execPlans computes the partials of every run in one store sweep:
+// filters pinned to one partition by a shard-key equality only visit
+// that partition, each touched partition's lock (and simulated
+// round-trip) is paid once for the whole batch — concurrently across
+// partitions under a simulated RTT — and partials already published to
+// the partition snapshot caches are served without visiting the
+// partition at all.
+func (c *Collection) execPlans(runs []planRun) error {
+	// missFor[pi] lists the (run, slot) pairs partition pi must still
+	// compute after the cache pass.
+	type missRef struct{ run, slot int }
+	missFor := make([][]missRef, len(c.parts))
+	missed := false
+	for ri := range runs {
+		run := &runs[ri]
+		for slot := range run.partials {
+			p := c.parts[run.lo+slot]
+			if run.cacheable {
+				if pr, hit := p.cachedAggPartial(run.sig); hit {
+					run.partials[slot] = pr
+					continue
+				}
+			}
+			missFor[run.lo+slot] = append(missFor[run.lo+slot], missRef{ri, slot})
+			missed = true
 		}
 	}
-	if len(miss) > 0 {
-		err := c.forEach(miss, func(i int, p *partition) error {
-			p.mu.RLock()
-			defer p.mu.RUnlock()
-			c.simulateRTT()
-			pr, err := computePartial(p, plan)
+	if !missed {
+		return nil
+	}
+	touched := func(pi int) bool { return len(missFor[pi]) > 0 }
+	return c.forEach(0, len(c.parts), touched, func(pi int, p *partition) error {
+		p.mu.RLock()
+		defer p.mu.RUnlock()
+		c.simulateRTT()
+		var sc partialScratch
+		for _, ref := range missFor[pi] {
+			run := &runs[ref.run]
+			pr, err := computePartial(p, run.plan, &sc)
 			if err != nil {
 				return err
 			}
-			if cacheable {
+			if run.cacheable {
 				// Holding the read lock excludes writers, so the version
 				// is even and consistent with the scan just performed.
-				p.storeAggPartial(sig, p.seq.Load(), pr)
+				p.storeAggPartial(run.sig, p.seq.Load(), pr)
 			}
-			partials[missIdx[i]] = pr
-			return nil
-		})
+			run.partials[ref.slot] = pr
+		}
+		return nil
+	})
+}
+
+// AggregateMulti answers many aggregations sharing one stage pipeline
+// in a single store sweep (execPlans): result i is exactly what
+// Aggregate(filters[i], stages...) would return against the same
+// store state, so a micro-batch of per-device aggregations costs one
+// concurrent sweep, or nothing, instead of N serialized round-trips.
+// Filters whose pipeline shape cannot push down fall back to the
+// streaming path individually.
+func (c *Collection) AggregateMulti(filters []Doc, stages ...Stage) ([][]Doc, error) {
+	out := make([][]Doc, len(filters))
+	plans := make([]*aggPlan, len(filters))
+	for i, filter := range filters {
+		plan, ok, err := planAggregate(filter, stages)
 		if err != nil {
 			return nil, err
 		}
+		if !ok {
+			if out[i], err = c.AggregateStreaming(filter, stages...); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		plans[i] = plan.bind(c.dict)
 	}
-	docs := mergePartials(plan, partials, cacheable)
-	return applyStages(docs, plan.tail)
+	runs := c.newRuns(plans)
+	if err := c.execPlans(runs); err != nil {
+		return nil, err
+	}
+	for i, run := range runs {
+		if run.plan == nil {
+			continue // served by the streaming fallback above
+		}
+		docs, err := applyStages(mergeDocs(run.plan, run.partials, run.cacheable), run.plan.tail)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = docs
+	}
+	return out, nil
 }
 
 func applyStages(docs []Doc, stages []Stage) ([]Doc, error) {
@@ -1078,101 +1012,67 @@ func applyStages(docs []Doc, stages []Stage) ([]Doc, error) {
 	return docs, nil
 }
 
-// AggregateMulti answers many aggregations sharing one stage pipeline
-// in a single store sweep: result i is exactly what
-// Aggregate(filters[i], stages...) would return against the same
-// store state. Filters pinned to one partition by a shard-key
-// equality only visit that partition, each touched partition's lock
-// (and simulated round-trip) is paid once for the whole batch, and
-// partials already published to the partition snapshot caches are
-// served without visiting the partition at all — so a micro-batch of
-// per-device histogram aggregations costs one concurrent sweep, or
-// nothing, instead of N serialized round-trips. Filters whose
-// pipeline shape cannot push down fall back to the streaming path
-// individually.
-func (c *Collection) AggregateMulti(filters []Doc, stages ...Stage) ([][]Doc, error) {
-	out := make([][]Doc, len(filters))
-	if len(filters) == 0 {
-		return out, nil
+// BucketCounts is AggregateMulti(filters, b) for typed callers: one
+// Bucket aggregation per conjunctive typed filter, all in one store
+// sweep, with neither a filter document going in nor a result document
+// coming out. visit is called once per filter, in order, with its bars
+// in ascending bucket order; bars is reused between calls.
+func (c *Collection) BucketCounts(filters [][]Cond, b Bucket, visit func(i int, bars []BucketCount)) error {
+	if b.Width <= 0 {
+		return fmt.Errorf("%w: bucket width must be positive", ErrBadFilter)
 	}
-	type fplan struct {
-		plan      *aggPlan
-		sig       string
-		cacheable bool
-		partials  []*aggPartial // one slot per target partition
-		parts     []*partition
+	nodes := 0
+	for _, conds := range filters {
+		nodes += len(conds)
 	}
-	plans := make([]*fplan, len(filters))
-	// missFor[p] lists the (filter, slot) pairs partition p must still
-	// compute after the cache pass.
-	type missRef struct {
-		f    *fplan
-		slot int
+	// One slab each for the compiled conditions, the filters and the
+	// plans: a sweep of N filters allocates per result, not per query.
+	slab := make([]node, 0, nodes)
+	compiled := make([]filter, len(filters))
+	plans := make([]aggPlan, len(filters))
+	bound := make([]*aggPlan, len(filters))
+	refs := []fieldRef{c.dict.ref(b.Field)}
+	for i, conds := range filters {
+		start := len(slab)
+		slab = compileConds(c.dict, conds, slab)
+		compiled[i].nodes = slab[start:len(slab):len(slab)]
+		plans[i] = aggPlan{kind: PlanBucket, bucket: &b, limit: -1, filter: &compiled[i], typed: true, refs: refs}
+		bound[i] = &plans[i]
 	}
-	missFor := make(map[*partition][]missRef)
-	for i, filter := range filters {
-		plan, ok, err := planAggregate(filter, stages)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			docs, err := c.AggregateStreaming(filter, stages...)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = docs
-			continue
-		}
-		fp := &fplan{plan: plan, parts: c.targetParts(plan.scanFilter)}
-		fp.sig, fp.cacheable = plan.signature()
-		fp.partials = make([]*aggPartial, len(fp.parts))
-		plans[i] = fp
-		for slot, p := range fp.parts {
-			if fp.cacheable {
-				if pr, hit := p.cachedAggPartial(fp.sig); hit {
-					fp.partials[slot] = pr
-					continue
-				}
-			}
-			missFor[p] = append(missFor[p], missRef{f: fp, slot: slot})
-		}
+	runs := c.newRuns(bound)
+	if err := c.execPlans(runs); err != nil {
+		return err
 	}
-	if len(missFor) > 0 {
-		parts := make([]*partition, 0, len(missFor))
-		for _, p := range c.parts {
-			if _, ok := missFor[p]; ok {
-				parts = append(parts, p)
-			}
-		}
-		err := c.forEach(parts, func(_ int, p *partition) error {
-			p.mu.RLock()
-			defer p.mu.RUnlock()
-			c.simulateRTT()
-			for _, ref := range missFor[p] {
-				pr, err := computePartial(p, ref.f.plan)
-				if err != nil {
-					return err
-				}
-				if ref.f.cacheable {
-					p.storeAggPartial(ref.f.sig, p.seq.Load(), pr)
-				}
-				ref.f.partials[ref.slot] = pr
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
+	var bars []BucketCount
+	for i, run := range runs {
+		bars = mergeBuckets(&b, run.partials, bars[:0])
+		visit(i, bars)
 	}
-	for i, fp := range plans {
-		if fp == nil {
-			continue // served by the streaming fallback above
-		}
-		docs, err := applyStages(mergePartials(fp.plan, fp.partials, fp.cacheable), fp.plan.tail)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = docs
+	return nil
+}
+
+// GroupCount is one group of a single-field count aggregation.
+type GroupCount struct {
+	Key   Cell // the group's field value (absent when its documents lack the field)
+	Count int
+}
+
+// GroupCounts counts the documents matching filter per value of one
+// field — Aggregate(filter, Group{By: {field}, Accs: {n: count}}) for
+// typed callers, in the same order, from the same partials.
+func (c *Collection) GroupCounts(filter Doc, field string) ([]GroupCount, error) {
+	plan, _, err := planAggregate(filter, []Stage{Group{By: []string{field}}})
+	if err != nil {
+		return nil, err
+	}
+	runs := c.newRuns([]*aggPlan{plan.bind(c.dict)})
+	if err := c.execPlans(runs); err != nil {
+		return nil, err
+	}
+	groups := mergeGroups(plan, runs[0].partials)
+	out := make([]GroupCount, len(groups))
+	for i := range groups {
+		out[i] = GroupCount{Key: groups[i].key[0], Count: groups[i].count}
 	}
 	return out, nil
 }

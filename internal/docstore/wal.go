@@ -8,12 +8,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
-	"strconv"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Per-partition write-ahead log.
@@ -30,7 +28,24 @@ import (
 //
 // Frame wire format (little endian):
 //
-//	[4 payload length][4 IEEE CRC32 of payload][payload JSON]
+//	[4 payload length][4 IEEE CRC32 of payload][payload]
+//
+// A payload is either a row frame (first byte frameRows) — the insert
+// path, and every frame of a snapshot — or a JSON walOp (first byte
+// '{') for the rare filter-shaped mutations, update and delete. A row
+// frame is
+//
+//	frameRows
+//	uvarint ndefs, then per def: uvarint slot, uvarint len, field name
+//	uvarint nrows, then per row:  uvarint id, uvarint ncells, then per
+//	cell: uvarint slot, kind byte, value
+//
+// with values by kind: string = uvarint len + bytes; float64 = 8 bytes;
+// int64/int = zigzag varint; bool = 1 byte; boxed = uvarint len + the
+// JSON of encodeValue(v). The defs are the field-dictionary delta: a
+// writer names a slot in the first frame that uses it, so every log
+// and snapshot file is self-describing, and a reader maps file slots
+// to its own dictionary by name.
 //
 // A torn tail — a partial frame after a crash, or any frame whose CRC
 // does not match — ends replay at the last valid frame boundary, and
@@ -41,16 +56,17 @@ import (
 // headers read as torn tails instead of huge allocations.
 const walMaxFrame = 64 << 20
 
-// walOp is one logged mutation. Document values travel through
+// frameRows tags a row-frame payload.
+const frameRows = 0x01
+
+// walOp is one logged update or delete. Filter and Set travel through
 // encodeValue/decodeValue, so time.Time and exact integer types
 // survive the JSON round-trip.
 type walOp struct {
-	// Op is "ins" (Docs carries inserted documents including their
-	// assigned _id), "upd" (Filter + Set of an update applied to this
+	// Op is "upd" (Filter + Set of an update applied to this
 	// partition) or "del" (Filter of a delete applied to this
 	// partition).
 	Op     string `json:"op"`
-	Docs   []any  `json:"docs,omitempty"`
 	Filter any    `json:"filter,omitempty"`
 	Set    any    `json:"set,omitempty"`
 }
@@ -63,6 +79,7 @@ type walWriter struct {
 	closed bool        // set by close(); makes a late sync() a no-op
 	dirty  atomic.Bool // appended since the last fsync
 	onErr  func(error) // sticky-error sink (durableDB.noteErr)
+	enc    rowEncoder  // guarded by the owning partition's write lock
 }
 
 func openWALWriter(path string, onErr func(error)) (*walWriter, error) {
@@ -86,57 +103,241 @@ func (w *walWriter) appendOp(op walOp, syncNow bool) {
 		w.onErr(fmt.Errorf("docstore: wal marshal: %w", err))
 		return
 	}
+	w.writeFrame(frameOf(payload), syncNow)
+}
+
+// frameOf wraps a payload in its [len][crc32] header.
+func frameOf(payload []byte) []byte {
 	frame := make([]byte, 8, 8+len(payload))
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	w.writeFrame(append(frame, payload...), syncNow)
+	return append(frame, payload...)
 }
 
-// walFramePool recycles whole-frame assembly buffers (header +
-// payload in one slice) across appendDocs calls.
-var walFramePool = sync.Pool{New: func() any { b := make([]byte, 0, 32<<10); return &b }}
+// rowEncoder assembles row frames for one file, remembering which
+// slots the file already names. A frame is built in two passes over
+// its rows — define each, then add each — between begin and finish.
+type rowEncoder struct {
+	named []bool // named[s]: an earlier frame, or this one, defines slot s
+	defs  []int  // slots this frame defines
+	buf   []byte
+	err   error // first boxed value of the frame that would not encode
+}
 
-// appendDocs frames one "ins" operation for the insert hot path,
-// serializing the documents straight into a pooled frame buffer —
-// skipping the encodeValue map cloning and json.Marshal reflection
-// that dominate the generic appendOp (the write-behind flusher calls
-// this once per partition per flush, so its per-document cost IS the
-// durability tax). The wire bytes decode identically to the generic
-// path: same walOp JSON shape, same $time/$i64/$int wrappers. A doc
-// holding a type the fast appender does not cover falls back to
-// appendOp for the whole frame.
+// define notes the slots a row uses that the file does not name yet.
 //
 //alarmvet:hotpath
-func (w *walWriter) appendDocs(syncNow bool, docs ...Doc) {
-	bp := walFramePool.Get().(*[]byte)
-	b := append((*bp)[:0], 0, 0, 0, 0, 0, 0, 0, 0) // frame header placeholder
-	b = append(b, `{"op":"ins","docs":[`...)
-	ok := true
-	for i, d := range docs {
-		if i > 0 {
-			b = append(b, ',')
+func (e *rowEncoder) define(slots []int, cells []Cell) {
+	for i, s := range slots {
+		for len(e.named) <= s {
+			e.named = append(e.named, false)
 		}
-		if b, ok = appendWALValue(b, d); !ok {
-			break
+		if cells[i].kind != kindAbsent && !e.named[s] {
+			e.named[s] = true
+			e.defs = append(e.defs, s)
 		}
 	}
-	if !ok {
-		*bp = b
-		walFramePool.Put(bp)
-		logged := make([]any, len(docs)) //alarmvet:ignore cold fallback: a doc type the fast appender cannot cover takes the generic path
-		for i, d := range docs {
-			logged[i] = encodeValue(d)
+}
+
+// begin writes the frame's head: header placeholder, tag, the
+// definitions gathered by define, and the row count.
+//
+//alarmvet:hotpath
+func (e *rowEncoder) begin(names []string, nrows int) {
+	b := append(e.buf[:0], 0, 0, 0, 0, 0, 0, 0, 0, frameRows)
+	b = binary.AppendUvarint(b, uint64(len(e.defs)))
+	for _, s := range e.defs {
+		b = binary.AppendUvarint(b, uint64(s))
+		b = binary.AppendUvarint(b, uint64(len(names[s])))
+		b = append(b, names[s]...)
+	}
+	e.buf, e.err = binary.AppendUvarint(b, uint64(nrows)), nil
+}
+
+// add writes one row.
+//
+//alarmvet:hotpath
+func (e *rowEncoder) add(id int64, slots []int, cells []Cell) {
+	b := binary.AppendUvarint(e.buf, uint64(id))
+	n := 0
+	for i := range cells {
+		if cells[i].kind != kindAbsent {
+			n++
 		}
-		w.appendOp(walOp{Op: "ins", Docs: logged}, syncNow)
+	}
+	b = binary.AppendUvarint(b, uint64(n))
+	for i, c := range cells {
+		if c.kind == kindAbsent {
+			continue
+		}
+		b = binary.AppendUvarint(b, uint64(slots[i]))
+		b = append(b, byte(c.kind))
+		switch c.kind {
+		case kindString:
+			b = binary.AppendUvarint(b, uint64(len(c.str)))
+			b = append(b, c.str...)
+		case kindFloat:
+			b = binary.LittleEndian.AppendUint64(b, c.num)
+		case kindInt64, kindInt:
+			b = binary.AppendVarint(b, int64(c.num))
+		case kindBool:
+			b = append(b, byte(c.num))
+		default:
+			// Boxed cells (nested values, times, nil) are the counted
+			// fallback, not the typed path: they keep a JSON encoding.
+			raw, err := json.Marshal(encodeValue(c.box))
+			if err != nil && e.err == nil {
+				e.err = fmt.Errorf("docstore: wal marshal: %w", err) //alarmvet:ignore error path
+			}
+			b = binary.AppendUvarint(b, uint64(len(raw)))
+			b = append(b, raw...)
+		}
+	}
+	e.buf = b
+}
+
+// finish fills in the frame header and returns the whole frame, valid
+// until the next begin. A frame that failed to encode is never written,
+// so the slots it would have defined go back to unnamed: the next frame
+// that uses them defines them, and the file stays self-describing.
+//
+//alarmvet:hotpath
+func (e *rowEncoder) finish() ([]byte, error) {
+	if e.err != nil {
+		for _, s := range e.defs {
+			e.named[s] = false
+		}
+	}
+	e.defs = e.defs[:0]
+	payload := e.buf[8:]
+	binary.LittleEndian.PutUint32(e.buf[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(e.buf[4:8], crc32.ChecksumIEEE(payload))
+	return e.buf, e.err
+}
+
+// appendRows logs one partition's share of an insert batch — the rows
+// numbered by group, with ids base+i — as a single row frame. Caller
+// holds the partition's write lock, which also guards the encoder.
+//
+//alarmvet:hotpath
+func (w *walWriter) appendRows(syncNow bool, dict *fieldDict, rows *Rows, group []int32, base int64) {
+	for _, i := range group {
+		w.enc.define(rows.row(int(i)))
+	}
+	w.enc.begin(dict.fieldNames(), len(group))
+	for _, i := range group {
+		slots, cells := rows.row(int(i))
+		w.enc.add(base+int64(i), slots, cells)
+	}
+	frame, err := w.enc.finish()
+	if err != nil {
+		w.onErr(err)
 		return
 	}
-	b = append(b, ']', '}')
-	payload := b[8:]
-	binary.LittleEndian.PutUint32(b[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(b[4:8], crc32.ChecksumIEEE(payload))
-	w.writeFrame(b, syncNow)
-	*bp = b
-	walFramePool.Put(bp)
+	w.writeFrame(frame, syncNow)
+}
+
+// rowDecoder reads the row frames of one file into the collection's
+// own slots, by field name.
+type rowDecoder struct {
+	dict   *fieldDict
+	slots  []int             // file slot → collection slot; -1 = not defined yet
+	intern map[string]string // one string per distinct value, not one per cell
+}
+
+// errBadFrame marks a CRC-valid frame that does not parse.
+var errBadFrame = errors.New("docstore: malformed frame")
+
+// decode parses a row-frame payload into rows (ragged, ids set),
+// replacing what rows held. Nothing is applied on error.
+func (d *rowDecoder) decode(payload []byte, rows *Rows) error {
+	rows.Reset()
+	b := payload[1:]
+	fail := false
+	uvarint := func() uint64 {
+		v, n := binary.Uvarint(b)
+		if n <= 0 {
+			fail, n = true, len(b)
+		}
+		b = b[n:]
+		return v
+	}
+	take := func(n uint64) []byte {
+		if n > uint64(len(b)) {
+			// Short: hand back zeros so the fixed-size reads stay in
+			// bounds; the frame is rejected below.
+			fail, b = true, nil
+			return make([]byte, min(n, 8))
+		}
+		out := b[:n]
+		b = b[n:]
+		return out
+	}
+	str := func() string {
+		raw := take(uvarint())
+		if s, ok := d.intern[string(raw)]; ok {
+			return s
+		}
+		s := string(raw)
+		if d.intern == nil {
+			d.intern = make(map[string]string)
+		}
+		if len(d.intern) < 1<<16 {
+			d.intern[s] = s
+		}
+		return s
+	}
+	for ndefs := uvarint(); ndefs > 0 && !fail; ndefs-- {
+		s, name := uvarint(), str()
+		if s > 1<<20 {
+			return errBadFrame
+		}
+		for uint64(len(d.slots)) <= s {
+			d.slots = append(d.slots, -1)
+		}
+		d.slots[s] = d.dict.slot(name)
+	}
+	for nrows := uvarint(); nrows > 0 && !fail; nrows-- {
+		rows.ids = append(rows.ids, int64(uvarint()))
+		for ncells := uvarint(); ncells > 0 && !fail; ncells-- {
+			s := uvarint()
+			if s >= uint64(len(d.slots)) || d.slots[s] < 0 {
+				return errBadFrame
+			}
+			var c Cell
+			switch k := kind(take(1)[0]); k {
+			case kindString:
+				c = String(str())
+			case kindFloat:
+				c = Cell{kind: kindFloat, num: binary.LittleEndian.Uint64(take(8))}
+			case kindInt64, kindInt:
+				v, n := binary.Varint(b)
+				if n <= 0 {
+					return errBadFrame
+				}
+				b = b[n:]
+				c = Cell{kind: k, num: uint64(v)}
+			case kindBool:
+				c = boolCell(take(1)[0] != 0)
+			case kindBoxed:
+				var v any
+				if err := json.Unmarshal(take(uvarint()), &v); err != nil {
+					return errBadFrame
+				}
+				c = Cell{kind: kindBoxed, box: decodeValue(v)}
+			default:
+				return errBadFrame
+			}
+			rows.slots = append(rows.slots, d.slots[s])
+			rows.cells = append(rows.cells, c)
+		}
+		rows.off = append(rows.off, int32(len(rows.cells)))
+		rows.n++
+	}
+	if fail || len(b) != 0 {
+		return errBadFrame
+	}
+	return nil
 }
 
 // writeFrame appends one pre-assembled frame (header included) to the
@@ -164,115 +365,6 @@ func (w *walWriter) writeFrame(frame []byte, syncNow bool) {
 		return
 	}
 	w.dirty.Store(true)
-}
-
-// appendWALValue appends v's WAL JSON encoding — byte-compatible with
-// what encodeValue + json.Marshal produce for the covered types. The
-// false return means v (or something nested in it) needs the generic
-// path; the caller discards the partial frame.
-//
-//alarmvet:hotpath
-func appendWALValue(b []byte, v any) ([]byte, bool) {
-	switch t := v.(type) {
-	case nil:
-		return append(b, "null"...), true
-	case string:
-		return appendWALString(b, t), true
-	case bool:
-		return strconv.AppendBool(b, t), true
-	case float64:
-		if math.IsNaN(t) || math.IsInf(t, 0) {
-			return b, false // not representable in JSON
-		}
-		// Shortest round-trip form; 'e' outside float64's plain-decimal
-		// comfort zone, mirroring encoding/json.
-		if abs := math.Abs(t); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-			return strconv.AppendFloat(b, t, 'e', -1, 64), true
-		}
-		return strconv.AppendFloat(b, t, 'f', -1, 64), true
-	case int:
-		b = append(b, `{"`+intField+`":"`...)
-		b = strconv.AppendInt(b, int64(t), 10)
-		return append(b, '"', '}'), true
-	case int64:
-		b = append(b, `{"`+int64Field+`":"`...)
-		b = strconv.AppendInt(b, t, 10)
-		return append(b, '"', '}'), true
-	case int32:
-		b = append(b, `{"`+intField+`":"`...)
-		b = strconv.AppendInt(b, int64(t), 10)
-		return append(b, '"', '}'), true
-	case time.Time:
-		// RFC3339Nano output never contains characters needing escape.
-		b = append(b, `{"`+timeField+`":"`...)
-		b = t.AppendFormat(b, time.RFC3339Nano)
-		return append(b, '"', '}'), true
-	case map[string]any:
-		b = append(b, '{')
-		first := true
-		var ok bool
-		for k, e := range t {
-			if !first {
-				b = append(b, ',')
-			}
-			first = false
-			b = appendWALString(b, k)
-			b = append(b, ':')
-			if b, ok = appendWALValue(b, e); !ok {
-				return b, false
-			}
-		}
-		return append(b, '}'), true
-	case []any:
-		b = append(b, '[')
-		var ok bool
-		for i, e := range t {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			if b, ok = appendWALValue(b, e); !ok {
-				return b, false
-			}
-		}
-		return append(b, ']'), true
-	default:
-		return b, false
-	}
-}
-
-// appendWALString appends s as a JSON string. Valid UTF-8 passes
-// through unescaped (json.Unmarshal accepts it verbatim); quotes,
-// backslashes and control bytes get the standard escapes.
-//
-//alarmvet:hotpath
-func appendWALString(b []byte, s string) []byte {
-	b = append(b, '"')
-	start := 0
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c != '"' && c != '\\' && c >= 0x20 {
-			continue
-		}
-		b = append(b, s[start:i]...)
-		switch c {
-		case '"':
-			b = append(b, '\\', '"')
-		case '\\':
-			b = append(b, '\\', '\\')
-		case '\n':
-			b = append(b, '\\', 'n')
-		case '\r':
-			b = append(b, '\\', 'r')
-		case '\t':
-			b = append(b, '\\', 't')
-		default:
-			const hex = "0123456789abcdef"
-			b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
-		}
-		start = i + 1
-	}
-	b = append(b, s[start:]...)
-	return append(b, '"')
 }
 
 // sync flushes buffered frames and fsyncs the file if anything was
@@ -320,23 +412,26 @@ func (w *walWriter) close() error {
 	return w.f.Close()
 }
 
-// readWAL loads every complete, CRC-valid frame of a partition WAL,
-// returning the decoded operations and the byte offset up to which the
-// file is valid. A missing file is an empty log. A torn or corrupt
-// tail ends the scan at the last valid frame; the caller truncates.
-func readWAL(path string) ([]walOp, int64, error) {
+// readFrames feeds every complete, CRC-valid frame payload of a file
+// to fn, in order, and returns the byte offset up to which the file is
+// valid. A missing file is an empty log. A torn or corrupt tail — or a
+// payload fn rejects with errBadFrame — ends the scan at the last
+// valid frame; the caller truncates (a log) or refuses (a snapshot).
+// Any other error from fn aborts the read. The payload is only valid
+// during the call.
+func readFrames(path string, fn func(payload []byte) error) (int64, error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return nil, 0, nil
+		return 0, nil
 	}
 	if err != nil {
-		return nil, 0, fmt.Errorf("docstore: read wal: %w", err)
+		return 0, fmt.Errorf("docstore: read %s: %w", filepath.Base(path), err)
 	}
 	defer f.Close()
 	br := bufio.NewReaderSize(f, 256<<10)
-	var ops []walOp
 	var valid int64
 	var hdr [8]byte
+	var payload []byte
 	for {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			break // EOF or torn header
@@ -346,19 +441,22 @@ func readWAL(path string) ([]walOp, int64, error) {
 		if plen == 0 || plen > walMaxFrame {
 			break // corrupt length: treat as torn tail
 		}
-		payload := make([]byte, plen)
+		if uint32(cap(payload)) < plen {
+			payload = make([]byte, plen)
+		}
+		payload = payload[:plen]
 		if _, err := io.ReadFull(br, payload); err != nil {
 			break // torn payload
 		}
 		if crc32.ChecksumIEEE(payload) != sum {
 			break // bit rot or torn rewrite: stop at the last good frame
 		}
-		var op walOp
-		if err := json.Unmarshal(payload, &op); err != nil {
+		if err := fn(payload); errors.Is(err, errBadFrame) {
 			break // CRC-valid but unparseable: treat as torn
+		} else if err != nil {
+			return valid, err
 		}
-		ops = append(ops, op)
 		valid += 8 + int64(plen)
 	}
-	return ops, valid, nil
+	return valid, nil
 }
