@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test bench bench-docstore bench-aggregate bench-classify bench-swap bench-overload bench-e2e bench-durable bench-netbroker bench-harness-smoke bench-record bench-record-smoke test-crash test-distributed bench-baseline profile cover docs-gate fuzz-smoke lint fmt
+.PHONY: build test bench bench-docstore bench-aggregate bench-classify bench-swap bench-overload bench-e2e bench-durable bench-netbroker bench-harness-smoke bench-record bench-record-smoke test-crash test-events test-distributed bench-baseline profile cover docs-gate fuzz-smoke lint fmt
 
 ## build: compile every package and command
 build:
@@ -147,6 +147,15 @@ bench-record-smoke:
 ## full suite; this target is the focused repro loop).
 test-crash:
 	$(GO) test -race -run 'TestCrashRecoveryHammer' -v ./internal/docstore
+
+## test-events: the event-driven wait paths — the in-process consumer's
+## park on its wake channel (internal/broker) and the wire's parked
+## pulls and fetches (internal/netbroker) — twenty times over under the
+## race detector, so the sweep/park/signal interleavings get more than
+## one shot per CI run (CI `test` job). A lost wake-up is a hang up to
+## the tests' 30 s poll timeouts, hence the explicit -timeout.
+test-events:
+	$(GO) test -race -count=20 -timeout 5m -run 'Event|Wake|Parked|LostWakeup' ./internal/broker ./internal/netbroker
 
 ## test-distributed: the multi-process chaos run (CI `distributed-e2e`
 ## job) — build brokerd + alarmd, boot a 3-node replica set and two

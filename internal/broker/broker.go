@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sync"
 	"time"
 )
@@ -344,14 +345,15 @@ func PartitionForKey(key []byte, partitions int) int {
 	return int(h.Sum32() % uint32(partitions))
 }
 
-// partition is a single append-only log with blocking-read support.
+// partition is a single append-only log; consumers assigned to it
+// park on their own wake channels, which the partition signals
+// whenever what they may read changes (see wakeLocked).
 type partition struct {
 	topic string
 	index int
 	clock func() time.Time
 
 	mu      sync.Mutex
-	cond    *sync.Cond
 	records []Record
 	// arena owns the payload bytes of appended records: append copies
 	// keys and values in, so the log never aliases producer buffers and
@@ -367,18 +369,58 @@ type partition struct {
 	visible int64
 	// writer persists appends for durable topics (nil otherwise).
 	writer *segmentWriter
+	// waiters holds the wake channel (capacity 1) of every consumer
+	// this partition is currently assigned to.
+	waiters []chan struct{}
 }
 
 func newPartition(topic string, index int, clock func() time.Time) *partition {
-	p := &partition{
+	return &partition{
 		topic:   topic,
 		index:   index,
 		clock:   clock,
 		seqs:    make(map[int64]int64),
 		visible: -1,
 	}
-	p.cond = sync.NewCond(&p.mu)
-	return p
+}
+
+// wakeLocked tells every consumer assigned this partition that what
+// it may read here has changed: a record was appended, the visible
+// limit moved, or the partition closed. Caller holds p.mu.
+//
+//alarmvet:hotpath
+func (p *partition) wakeLocked() {
+	for _, w := range p.waiters {
+		signal(w)
+	}
+}
+
+// signal leaves a token in a wake channel (capacity 1) without
+// blocking. The token is buffered, so a consumer between its sweep and
+// its park still finds it; a full channel means one is already
+// pending, and the sweep it causes starts after the signaller's
+// change, under the same locks, and so sees that change too.
+//
+//alarmvet:hotpath
+func signal(w chan struct{}) {
+	select {
+	case w <- struct{}{}:
+	default:
+	}
+}
+
+// watch registers a consumer's wake channel with the partition.
+func (p *partition) watch(w chan struct{}) {
+	p.mu.Lock()
+	p.waiters = append(p.waiters, w)
+	p.mu.Unlock()
+}
+
+// unwatch removes a wake channel registered with watch.
+func (p *partition) unwatch(w chan struct{}) {
+	p.mu.Lock()
+	p.waiters = slices.DeleteFunc(p.waiters, func(x chan struct{}) bool { return x == w })
+	p.mu.Unlock()
 }
 
 // visibleEndLocked returns the first offset consumers may NOT read:
@@ -431,7 +473,7 @@ func (p *partition) setVisibleLimit(off int64) {
 	} else if p.visible < 0 {
 		p.visible = off
 	}
-	p.cond.Broadcast()
+	p.wakeLocked()
 	p.mu.Unlock()
 }
 
@@ -476,7 +518,7 @@ func (p *partition) append(producerID, baseSeq int64, recs []Record) (int64, err
 			return 0, fmt.Errorf("broker: durable append: %w", err)
 		}
 	}
-	p.cond.Broadcast()
+	p.wakeLocked()
 	return base, nil
 }
 
@@ -548,7 +590,7 @@ func (p *partition) appendReplica(recs []Record) error {
 			return fmt.Errorf("broker: durable append: %w", err)
 		}
 	}
-	p.cond.Broadcast()
+	p.wakeLocked()
 	return nil
 }
 
@@ -571,27 +613,6 @@ func (p *partition) truncate(off int64) error {
 	return nil
 }
 
-// waitFor blocks until visible data past offset exists, the deadline
-// passes, or the partition closes. It reports whether data is
-// available.
-func (p *partition) waitFor(offset int64, deadline time.Time) bool {
-	timer := time.AfterFunc(time.Until(deadline), func() {
-		p.mu.Lock()
-		p.cond.Broadcast()
-		p.mu.Unlock()
-	})
-	defer timer.Stop()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for p.visibleEndLocked() <= offset && !p.closed {
-		if !p.clock().Before(deadline) {
-			return false
-		}
-		p.cond.Wait()
-	}
-	return p.visibleEndLocked() > offset
-}
-
 func (p *partition) close() error {
 	p.mu.Lock()
 	p.closed = true
@@ -600,7 +621,7 @@ func (p *partition) close() error {
 		err = p.writer.close()
 		p.writer = nil
 	}
-	p.cond.Broadcast()
+	p.wakeLocked()
 	p.mu.Unlock()
 	return err
 }

@@ -220,13 +220,24 @@ func (b *Broker) SeedGroupOffsets(groupName string, t *Topic, offsets map[int]in
 // Consumer reads records from the partitions assigned to it by its
 // consumer group. Position advances on Poll; progress becomes durable
 // (and visible to a successor after a crash/rebalance) only on Commit —
-// the read-committed half of the exactly-once contract.
+// the read-committed half of the exactly-once contract. One goroutine
+// polls at a time; every other method, Close included, may be called
+// from any goroutine beside it. The assigned partitions hold the
+// consumer's wake channel and signal it on every append, so a consumer
+// must be Closed to be released: dropping one without Close leaves its
+// channel registered for the life of the topic.
 type Consumer struct {
 	broker     *Broker
 	topic      *Topic
 	grp        *group
 	id         string
 	rebalances <-chan struct{}
+	// wake (capacity 1) is what a poll that found nothing parks on: the
+	// assigned partitions signal it (partition.wakeLocked), as do Close
+	// and a refreshed assignment. timer is the park's deadline, reused
+	// across polls and touched only by the polling goroutine.
+	wake  chan struct{}
+	timer *time.Timer
 
 	mu        sync.Mutex
 	gen       int64
@@ -248,7 +259,7 @@ func NewConsumer(b *Broker, groupName string, t *Topic, id string) (*Consumer, e
 	if err != nil {
 		return nil, err
 	}
-	c := &Consumer{broker: b, topic: t, grp: g, id: id}
+	c := &Consumer{broker: b, topic: t, grp: g, id: id, wake: make(chan struct{}, 1)}
 	c.rebalances = g.join(id)
 	if err := c.refreshAssignment(); err != nil {
 		return nil, err
@@ -272,8 +283,11 @@ func (c *Consumer) Generation() int64 {
 	return c.gen
 }
 
-// refreshAssignment re-reads the group's assignment for this member
-// and seeks newly-acquired partitions to their committed offsets.
+// refreshAssignment re-reads the group's assignment for this member,
+// seeks newly-acquired partitions to their committed offsets and moves
+// the wake channel to the new partitions; a poll parked under the old
+// assignment is woken to sweep the new one. A closed consumer watches
+// nothing and stays that way.
 func (c *Consumer) refreshAssignment() error {
 	parts, gen, err := c.grp.assignment(c.id)
 	if err != nil {
@@ -281,14 +295,28 @@ func (c *Consumer) refreshAssignment() error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.closed {
+		return ErrClosed
+	}
+	c.unwatchLocked()
 	c.gen = gen
 	c.assigned = parts
 	c.positions = make(map[int]int64, len(parts))
 	for _, p := range parts {
 		c.positions[p] = c.grp.committedOffset(p)
+		c.topic.partitions[p].watch(c.wake)
 	}
 	c.next = 0
+	signal(c.wake)
 	return nil
+}
+
+// unwatchLocked takes the wake channel off the assigned partitions.
+// Caller holds c.mu.
+func (c *Consumer) unwatchLocked() {
+	for _, p := range c.assigned {
+		c.topic.partitions[p].unwatch(c.wake)
+	}
 }
 
 // Assignment returns the partitions currently assigned to this
@@ -301,9 +329,14 @@ func (c *Consumer) Assignment() []int {
 	return out
 }
 
-// Poll fetches up to max records across assigned partitions, blocking
-// up to timeout when no data is available. A nil, nil return means the
-// timeout elapsed with no records.
+// Poll fetches up to max records across assigned partitions. When
+// none has data it parks until an append, a raised visible limit, a
+// refreshed assignment or a close on this consumer or one of its
+// partitions wakes it, for at most timeout. A nil, nil return means
+// the timeout elapsed, or the poll was parked when a partition or the
+// consumer closed, with no records; a poll that starts on partitions
+// already closed still waits out its timeout, so a caller looping on
+// Poll after Broker.Close stays paced.
 func (c *Consumer) Poll(max int, timeout time.Duration) ([]Record, error) {
 	if max <= 0 {
 		max = 1
@@ -348,50 +381,66 @@ func (c *Consumer) pollOnce(max int) ([]Record, error) {
 	return out, nil
 }
 
-// waitAny blocks until any assigned partition has data past the
-// current position or the deadline passes.
+// waitAny parks a poll that found nothing: it reports true as soon as
+// an assigned partition can be read past the consumer's position, and
+// false once the deadline passes or a wake finds that nothing more can
+// arrive (the consumer or one of its partitions closed while the poll
+// was parked; a close that predates the poll does not cut it short, so
+// polling what is already closed is paced by the timeout). In between
+// it waits on the wake channel, so a record costs one channel
+// hand-off; the only timer is the deadline's, which fires when nothing
+// arrived for the whole timeout (a stale tick from an earlier park
+// costs one more sweep). A member without partitions parks the same
+// way for its whole timeout, which paces its caller's poll loop.
+//
+//alarmvet:hotpath
 func (c *Consumer) waitAny(deadline time.Time) bool {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return false
-	}
-	if len(c.assigned) == 0 {
-		c.mu.Unlock()
-		// No partitions (more group members than partitions): pace the
-		// caller's poll loop for the full timeout instead of returning
-		// immediately, which would turn the caller into a busy-spin.
-		if d := time.Until(deadline); d > 0 {
-			time.Sleep(d)
+	for woken := false; ; woken = true {
+		d := time.Until(deadline)
+		if d <= 0 {
+			return false // a zero-timeout poll has swept once already
 		}
-		return false
+		if ready, open := c.readable(); ready || (woken && !open) {
+			return ready
+		}
+		if c.timer == nil {
+			c.timer = time.NewTimer(d)
+		} else {
+			c.timer.Reset(d)
+		}
+		select {
+		case <-c.wake:
+			c.timer.Stop()
+		case <-c.timer.C:
+		}
 	}
-	parts := make([]int, len(c.assigned))
-	copy(parts, c.assigned)
-	positions := make(map[int]int64, len(parts))
-	for _, p := range parts {
-		positions[p] = c.positions[p]
-	}
-	c.mu.Unlock()
+}
 
-	if len(parts) == 1 {
-		p := parts[0]
-		return c.topic.partitions[p].waitFor(positions[p], deadline)
+// readable sweeps the assigned partitions without fetching: ready
+// means one of them holds a visible record past the consumer's
+// position, open that none of them, nor the consumer, has closed.
+//
+//alarmvet:hotpath
+func (c *Consumer) readable() (ready, open bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return false, false
 	}
-	// Multiple partitions: poll-wait in slices of the remaining time.
-	for time.Now().Before(deadline) {
-		for _, p := range parts {
-			if hw, _ := c.topic.HighWatermark(p); hw > positions[p] {
-				return true
-			}
+	open = true
+	for _, p := range c.assigned {
+		part := c.topic.partitions[p]
+		part.mu.Lock()
+		end, closed := part.visibleEndLocked(), part.closed
+		part.mu.Unlock()
+		if end > c.positions[p] {
+			return true, true
 		}
-		step := 500 * time.Microsecond
-		if rem := time.Until(deadline); rem < step {
-			step = rem
+		if closed {
+			open = false
 		}
-		time.Sleep(step)
 	}
-	return false
+	return false, open
 }
 
 // Commit durably records the consumer's current positions in the
@@ -494,8 +543,9 @@ func (c *Consumer) Seek(p int, offset int64) error {
 	return fmt.Errorf("broker: partition %d not assigned to %s", p, c.id)
 }
 
-// Close leaves the group. Other members must call RefreshAssignment
-// (or be recreated) to pick up the released partitions.
+// Close leaves the group and ends a parked poll. Other members must
+// call RefreshAssignment (or be recreated) to pick up the released
+// partitions.
 func (c *Consumer) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -503,6 +553,8 @@ func (c *Consumer) Close() {
 		return
 	}
 	c.closed = true
+	c.unwatchLocked()
+	signal(c.wake)
 	c.mu.Unlock()
 	c.grp.leave(c.id)
 }

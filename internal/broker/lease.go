@@ -109,41 +109,51 @@ func NewLease(active *atomic.Int64) *Lease {
 	return &Lease{active: active}
 }
 
+// noLease is the lease of a poll that fetched nothing: it guards no
+// memory, counts as no outstanding lease and is already released, so
+// idle polls share it instead of allocating one each.
+var noLease = func() *Lease {
+	l := &Lease{}
+	l.released.Store(true)
+	return l
+}()
+
 // fetchLeasedLocked appends up to max records starting at offset to
-// dst. In check mode, record values are copied into lease-owned
-// buffers registered on l. Caller holds p.mu.
-func (p *partition) fetchLeasedLocked(offset int64, max int, dst []Record, l *Lease) ([]Record, error) {
+// dst. In check mode, record values are copied into one private buffer,
+// returned for the caller's lease to own and poison. Caller holds p.mu.
+func (p *partition) fetchLeasedLocked(offset int64, max int, dst []Record) ([]Record, []byte, error) {
 	if offset < 0 || offset > int64(len(p.records)) {
-		return dst, fmt.Errorf("%w: offset %d (hw %d)", ErrInvalidOffset, offset, len(p.records))
+		return dst, nil, fmt.Errorf("%w: offset %d (hw %d)", ErrInvalidOffset, offset, len(p.records))
 	}
 	end := offset + int64(max)
 	if ve := p.visibleEndLocked(); end > ve {
 		end = ve
 	}
 	if end <= offset {
-		return dst, nil
+		return dst, nil, nil
 	}
-	check := leaseCheckMode.Load()
-	var checkBuf []byte
-	if check {
-		total := 0
-		for _, r := range p.records[offset:end] {
-			total += len(r.Value)
-		}
-		checkBuf = make([]byte, 0, total)
+	if !leaseCheckMode.Load() {
+		return append(dst, p.records[offset:end]...), nil, nil
 	}
+	total := 0
 	for _, r := range p.records[offset:end] {
-		if check {
-			n := len(checkBuf)
-			checkBuf = append(checkBuf, r.Value...)
-			r.Value = checkBuf[n:len(checkBuf):len(checkBuf)]
-		}
+		total += len(r.Value)
+	}
+	checkBuf := make([]byte, 0, total)
+	for _, r := range p.records[offset:end] {
+		n := len(checkBuf)
+		checkBuf = append(checkBuf, r.Value...)
+		r.Value = checkBuf[n:len(checkBuf):len(checkBuf)]
 		dst = append(dst, r)
 	}
-	if check && len(checkBuf) > 0 {
-		l.bufs = append(l.bufs, checkBuf)
+	return dst, checkBuf, nil
+}
+
+// hold makes the lease own a check-mode buffer (nil is ignored).
+func (l *Lease) hold(buf []byte) {
+	if len(buf) > 0 {
+		l.bufs = append(l.bufs, buf)
 	}
-	return dst, nil
 }
 
 // FetchLease reads up to max records from partition p starting at
@@ -159,65 +169,72 @@ func (t *Topic) FetchLease(p int, offset int64, max int, dst []Record) ([]Record
 	l := &Lease{}
 	part := t.partitions[p]
 	part.mu.Lock()
-	out, err := part.fetchLeasedLocked(offset, max, dst, l)
+	out, buf, err := part.fetchLeasedLocked(offset, max, dst)
 	part.mu.Unlock()
+	l.hold(buf)
 	return out, l, err
 }
 
 // PollLeased is Poll's scratch-reusing twin: records append into dst
 // (typically a pooled slice with retained capacity) and their payload
 // bytes are borrowed from the broker under the returned lease instead
-// of staying referenced forever. The lease must be released after the
-// batch is fully processed; until then the values are stable. A nil
-// lease is returned only with an error.
+// of staying referenced forever. It waits exactly as Poll does. The
+// lease must be released after the batch is fully processed; until
+// then the values are stable. A poll that fetched nothing returns a
+// shared, already-released lease and allocates nothing; a nil lease is
+// returned only with an error.
 func (c *Consumer) PollLeased(max int, timeout time.Duration, dst []Record) ([]Record, *Lease, error) {
 	if max <= 0 {
 		max = 1
 	}
-	lease := &Lease{active: &c.leases}
-	c.leases.Add(1)
 	deadline := time.Now().Add(timeout)
-	base := len(dst)
 	for {
-		out, err := c.pollLeasedOnce(max, dst, lease)
-		if err != nil || len(out) > base {
+		out, lease, err := c.pollLeasedOnce(max, dst)
+		if err != nil || len(out) > len(dst) {
 			return out, lease, err
 		}
-		dst = out
 		if !c.waitAny(deadline) {
-			return dst, lease, nil
+			return dst, noLease, nil
 		}
 	}
 }
 
 // pollLeasedOnce sweeps the assigned partitions once, appending into
-// dst under the shared lease.
-func (c *Consumer) pollLeasedOnce(max int, dst []Record, lease *Lease) ([]Record, error) {
+// dst under one lease, made when the first record is fetched (nil
+// when none was).
+//
+//alarmvet:hotpath
+func (c *Consumer) pollLeasedOnce(max int, dst []Record) ([]Record, *Lease, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return dst, ErrClosed
+		return dst, nil, ErrClosed
 	}
+	var lease *Lease
 	base := len(dst)
 	n := len(c.assigned)
 	for i := 0; i < n && len(dst)-base < max; i++ {
 		p := c.assigned[(c.next+i)%n]
 		part := c.topic.partitions[p]
 		part.mu.Lock()
-		out, err := part.fetchLeasedLocked(c.positions[p], max-(len(dst)-base), dst, lease)
+		out, buf, err := part.fetchLeasedLocked(c.positions[p], max-(len(dst)-base), dst)
 		part.mu.Unlock()
 		if err != nil {
-			return dst, err
+			return dst, lease, err
 		}
 		if got := len(out) - len(dst); got > 0 {
 			c.positions[p] += int64(got)
+			if lease == nil {
+				lease = NewLease(&c.leases)
+			}
+			lease.hold(buf)
 		}
 		dst = out
 	}
 	if n > 0 {
 		c.next = (c.next + 1) % n
 	}
-	return dst, nil
+	return dst, lease, nil
 }
 
 // ActiveLeases returns how many leases handed out by this consumer

@@ -7,7 +7,11 @@ import (
 	"testing"
 	"time"
 
+	"alarmverify/internal/alarm"
+	"alarmverify/internal/broker"
+	"alarmverify/internal/codec"
 	"alarmverify/internal/docstore"
+	"alarmverify/internal/metrics"
 )
 
 // The persist stage's allocation and footprint budgets. They hold
@@ -93,4 +97,89 @@ func TestStoredAlarmFootprintBudget(t *testing.T) {
 		t.Fatalf("%.0f B and %.2f live heap objects per stored alarm, budget 250 B and 1.5", bytes, objects)
 	}
 	runtime.KeepAlive(alarms)
+}
+
+// The per-batch budgets. An event-driven consume path hands the
+// pipeline many small batches, so what a batch costs before its first
+// alarm is on the open-loop hot path: an idle poll cycle must cost
+// nothing, and a batch of one alarm little (35 allocations before the
+// per-batch scratch moved onto the pooled Batch and the store's sweep).
+
+// budgetApp wires a consumer of a 4-partition topic holding the given
+// alarms to a write-behind history, draining at most one alarm a batch.
+func budgetApp(t *testing.T, alarms []alarm.Alarm) *ConsumerApp {
+	t.Helper()
+	b := broker.New()
+	t.Cleanup(func() { b.Close() })
+	topic, err := b.CreateTopic("alarms", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prod := broker.NewProducer(topic)
+	var c codec.FastCodec
+	var buf []byte
+	for i := range alarms {
+		if buf, err = c.Marshal(buf[:0], &alarms[i]); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := prod.Send([]byte(alarms[i].DeviceMAC), buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, train := testAlarms(800)
+	cfg := DefaultConsumerConfig()
+	cfg.MaxPerBatch = 1
+	cfg.PollTimeout = time.Millisecond
+	cfg.Metrics = metrics.NewPipeline()
+	app, err := NewConsumerApp(b, "alarms", "budget", "c1", fastVerifier(t, train), budgetHistory(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(app.Close)
+	return app
+}
+
+func TestIdleDrainAllocBudget(t *testing.T) {
+	app := budgetApp(t, nil)
+	idle := func() {
+		b := app.Drain()
+		if b.Len() != 0 {
+			t.Fatal("idle drain returned records")
+		}
+		app.ReleaseBatch(b)
+	}
+	idle() // the pooled batch and the consumer's deadline timer
+	if allocs := testing.AllocsPerRun(20, idle); allocs != 0 {
+		t.Fatalf("one idle PollTimeout cycle of Drain: %.1f allocations, budget 0", allocs)
+	}
+}
+
+func TestOneAlarmBatchAllocBudget(t *testing.T) {
+	_, alarms := testAlarms(400)
+	app := budgetApp(t, alarms)
+	one := func() {
+		b := app.Drain()
+		app.Decode(b)
+		if b.Len() != 1 {
+			t.Fatalf("drained %d alarms, want 1", b.Len())
+		}
+		if err := app.Classify(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := app.Persist(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := app.CommitBatch(b); err != nil {
+			t.Fatal(err)
+		}
+		app.ReleaseBatch(b)
+	}
+	for i := 0; i < 100; i++ {
+		one() // grow every scratch, intern the devices' strings
+	}
+	allocs := testing.AllocsPerRun(200, one)
+	t.Logf("one-alarm batch, drain to release: %.1f allocations", allocs)
+	if allocs > 24 {
+		t.Fatalf("one-alarm batch, drain to release: %.1f allocations, budget 24", allocs)
+	}
 }

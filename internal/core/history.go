@@ -458,12 +458,37 @@ func (h *History) DeviceHistogram(mac string, since time.Time, bucket time.Durat
 // index and counts every resident device's bars off the timestamp
 // column, and only the (bucket, count) pairs travel; no filter
 // document goes in and no result document comes out. Result i
-// corresponds to macs[i]. This is the pipeline's Persist-stage path: a
-// micro-batch with N distinct devices pays one round-trip instead of N
-// serialized ones.
+// corresponds to macs[i].
 func (h *History) DeviceHistograms(macs []string, since time.Time, bucket time.Duration) ([][]HistogramBucket, error) {
-	if len(macs) == 0 {
-		return nil, nil
+	var sc histScratch
+	sc.macs = macs
+	err := h.deviceHistograms(&sc, since, bucket)
+	return sc.out, err
+}
+
+// histScratch is the memory of one DeviceHistograms sweep: the devices
+// asked about, their typed filters (two conditions each, one slab) and
+// the answers (every device's bars back to back in one slab, out[i] a
+// view of device i's; a view taken before the slab grew keeps the old
+// array, whose bars are never rewritten within a sweep). The pipeline's
+// Persist stage keeps one on each
+// pooled Batch, so a micro-batch's sweep — one round-trip for its N
+// distinct devices instead of N serialized ones — allocates only what
+// the store does.
+type histScratch struct {
+	macs    []string
+	conds   []docstore.Cond
+	filters [][]docstore.Cond
+	bars    []HistogramBucket
+	out     [][]HistogramBucket
+}
+
+// deviceHistograms answers sc.macs into sc.out, reusing sc's memory;
+// the answers are valid until sc's next sweep.
+func (h *History) deviceHistograms(sc *histScratch, since time.Time, bucket time.Duration) error {
+	sc.out = sc.out[:0]
+	if len(sc.macs) == 0 {
+		return nil
 	}
 	h.barrier()
 	h.simulateRTT()
@@ -471,23 +496,28 @@ func (h *History) DeviceHistograms(macs []string, since time.Time, bucket time.D
 		bucket = time.Hour
 	}
 	origin := float64(since.Unix())
-	conds := make([]docstore.Cond, 2*len(macs))
-	filters := make([][]docstore.Cond, len(macs))
-	for i, mac := range macs {
-		filters[i] = conds[2*i : 2*i+2]
-		filters[i][0] = docstore.Cond{Field: "deviceMac", Op: "$eq", Value: docstore.String(mac)}
-		filters[i][1] = docstore.Cond{Field: "ts", Op: "$gte", Value: docstore.Float(origin)}
+	sc.conds, sc.filters = sc.conds[:0], sc.filters[:0]
+	for _, mac := range sc.macs {
+		sc.conds = append(sc.conds,
+			docstore.Cond{Field: "deviceMac", Op: "$eq", Value: docstore.String(mac)},
+			docstore.Cond{Field: "ts", Op: "$gte", Value: docstore.Float(origin)})
 	}
-	out := make([][]HistogramBucket, len(macs))
-	err := h.col.BucketCounts(filters,
+	for i := range sc.macs {
+		sc.filters = append(sc.filters, sc.conds[2*i:2*i+2])
+	}
+	sc.bars = sc.bars[:0]
+	if sc.bars == nil {
+		sc.bars = []HistogramBucket{} // a device without alarms answers [], not nil (the HTTP edge encodes it)
+	}
+	return h.col.BucketCounts(sc.filters,
 		docstore.Bucket{Field: "ts", Origin: origin, Width: bucket.Seconds()},
-		func(i int, bars []docstore.BucketCount) {
-			out[i] = make([]HistogramBucket, len(bars))
-			for j, b := range bars {
-				out[i][j] = HistogramBucket{Start: time.Unix(int64(b.Start), 0).UTC(), Count: b.Count}
+		func(_ int, bars []docstore.BucketCount) {
+			start := len(sc.bars)
+			for _, b := range bars {
+				sc.bars = append(sc.bars, HistogramBucket{Start: time.Unix(int64(b.Start), 0).UTC(), Count: b.Count})
 			}
+			sc.out = append(sc.out, sc.bars[start:len(sc.bars):len(sc.bars)])
 		})
-	return out, err
 }
 
 // DeviceCount is one entry of a top-devices ranking: a device and how

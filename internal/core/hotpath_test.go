@@ -128,7 +128,7 @@ func TestFastDrainMatchesCopyingPath(t *testing.T) {
 	if !reflect.DeepEqual(fb.Offsets, rb.Offsets) {
 		t.Fatalf("offsets differ: fast %v, copy %v", fb.Offsets, rb.Offsets)
 	}
-	if fn, rn := fb.Raw.Count(fast.pool), rb.Raw.Count(ref.pool); fn != rn {
+	if fn, rn := len(fb.recs), rb.Raw.Count(ref.pool); fn != rn {
 		t.Fatalf("raw count %d != copying %d", fn, rn)
 	}
 	fast.ReleaseBatch(fb)

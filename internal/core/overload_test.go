@@ -64,11 +64,11 @@ func TestAdaptiveBatchGrowsUnderPressureShrinksWhenIdle(t *testing.T) {
 	grew := false
 	for drained < n {
 		batch := app.Drain()
-		drained += batch.Raw.Count(app.pool)
+		drained += len(batch.recs)
 		if app.BatchLimit() > 64 {
 			grew = true
 		}
-		if batch.Raw.Count(app.pool) == 0 {
+		if len(batch.recs) == 0 {
 			break
 		}
 	}

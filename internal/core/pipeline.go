@@ -24,7 +24,9 @@ import (
 // the ComponentTimes bookkeeping concurrency-safe under pipelining.
 type Batch struct {
 	// Raw is the drained record RDD (one partition per broker
-	// partition, the Direct-DStream mapping).
+	// partition, the Direct-DStream mapping). It is nil on a pooled
+	// batch of the zero-copy drain path, whose records stay in the
+	// batch's scratch and never become an RDD.
 	Raw *stream.RDD[broker.Record]
 	// Offsets snapshots the consumer positions right after the drain;
 	// CommitBatch makes exactly these durable once the batch has been
@@ -66,10 +68,9 @@ type Batch struct {
 	// broker arena memory under leases, reused across batches through
 	// the app's batch pool. They are populated only on pooled batches.
 	recs   []broker.Record
-	parts  [][]broker.Record
 	leases []*broker.Lease
 	seen   map[string]struct{} // distinct-device scratch
-	macs   []string            // histogram-query scratch
+	hist   histScratch         // histogram-query scratch
 	pooled bool
 }
 
@@ -104,11 +105,6 @@ func (c *ConsumerApp) Drain() *Batch {
 	}
 	b := c.getBatch()
 	b.recs, b.leases = c.source.DrainLeased(b.recs, b.leases)
-	// Raw stays observable (overload accounting reads it) as a
-	// single-partition view over the drained scratch; the fast decode
-	// below never materializes it.
-	b.parts = append(b.parts, b.recs)
-	b.Raw = stream.FromPartitions(b.parts)
 	b.Offsets = c.consumer.PositionsInto(b.Offsets)
 	b.DrainedAt = time.Now()
 	if c.cfg.AdaptiveBatch {
@@ -300,15 +296,36 @@ func (c *ConsumerApp) Classify(b *Batch) error {
 		b.Times.ML = time.Since(start)
 		return nil
 	}
-	chunk := c.cfg.ClassifyBatch
-	nChunks := (n + chunk - 1) / chunk
 	snap := c.verifier.snap.Load()
+	var err error
+	if chunk := c.cfg.ClassifyBatch; n <= chunk {
+		// One chunk runs on the caller, as the pool would run it, without
+		// the fan-out's closure and error lock.
+		err = snap.verifyBatchInto(alarms, b.Verified)
+	} else {
+		err = c.classifyChunks(snap, alarms, b.Verified, chunk)
+	}
+	if err != nil {
+		b.Verified = nil
+		return err
+	}
+	b.Times.ML = time.Since(start)
+	if m := c.cfg.Metrics; m != nil {
+		m.Stage(metrics.StageClassify).Record(b.Times.ML)
+	}
+	return nil
+}
+
+// classifyChunks fans the chunks of one micro-batch out over the
+// classify pool and returns the first error any of them reported.
+func (c *ConsumerApp) classifyChunks(snap *modelSnapshot, alarms []alarm.Alarm, out []alarm.Verification, chunk int) error {
+	n := len(alarms)
 	var errMu sync.Mutex
 	var firstErr error
-	c.classify.Run(nChunks, func(k int) {
+	c.classify.Run((n+chunk-1)/chunk, func(k int) {
 		lo := k * chunk
 		hi := min(lo+chunk, n)
-		if err := snap.verifyBatchInto(alarms[lo:hi], b.Verified[lo:hi]); err != nil {
+		if err := snap.verifyBatchInto(alarms[lo:hi], out[lo:hi]); err != nil {
 			errMu.Lock()
 			if firstErr == nil {
 				firstErr = err
@@ -316,15 +333,7 @@ func (c *ConsumerApp) Classify(b *Batch) error {
 			errMu.Unlock()
 		}
 	})
-	if firstErr != nil {
-		b.Verified = nil
-		return firstErr
-	}
-	b.Times.ML = time.Since(start)
-	if m := c.cfg.Metrics; m != nil {
-		m.Stage(metrics.StageClassify).Record(b.Times.ML)
-	}
-	return nil
+	return firstErr
 }
 
 // Persist is the batch component: it ingests the batch into the alarm
@@ -353,12 +362,11 @@ func (c *ConsumerApp) Persist(b *Batch) error {
 		// history round-trip (fanning out to its partitions
 		// concurrently), instead of one serialized round-trip per
 		// device — the dominant cost of the pre-optimization e2e path.
-		macs := b.macs[:0]
+		b.hist.macs = b.hist.macs[:0]
 		for i := range b.Devices {
-			macs = append(macs, b.Devices[i].DeviceMAC)
+			b.hist.macs = append(b.hist.macs, b.Devices[i].DeviceMAC)
 		}
-		b.macs = macs
-		if _, err := c.history.DeviceHistograms(macs, since, c.cfg.HistogramBucket); err != nil {
+		if err := c.history.deviceHistograms(&b.hist, since, c.cfg.HistogramBucket); err != nil {
 			return err
 		}
 		// Durability barrier: CommitBatch must never run before this

@@ -41,9 +41,7 @@ func (c *ConsumerApp) getBatch() *Batch {
 	b.Verified = b.Verified[:0]
 	b.Enqueued = b.Enqueued[:0]
 	b.recs = b.recs[:0]
-	b.parts = b.parts[:0]
 	b.leases = b.leases[:0]
-	b.macs = b.macs[:0]
 	clear(b.seen)
 	b.Times = ComponentTimes{}
 	b.DrainedAt = time.Time{}

@@ -322,7 +322,8 @@ func (c *Collection) targetRange(f *filter) (lo, hi int) {
 // partition runs to completion in both modes (an error in one
 // partition does not spare the others their side effects — identical
 // stored state whatever the RTT knob), and the first error in
-// partition order is returned.
+// partition order is returned. The sequential mode sets up nothing:
+// it is what every per-batch sweep of the in-process store runs.
 func (c *Collection) forEach(lo, hi int, busy func(pi int) bool, fn func(pi int, p *partition) error) error {
 	n := 0
 	for pi := lo; pi < hi; pi++ {
@@ -330,20 +331,29 @@ func (c *Collection) forEach(lo, hi int, busy func(pi int) bool, fn func(pi int,
 			n++
 		}
 	}
+	if n <= 1 || c.rttNanos.Load() == 0 {
+		var first error
+		for pi := lo; pi < hi; pi++ {
+			if busy != nil && !busy(pi) {
+				continue
+			}
+			if err := fn(pi, c.parts[pi]); err != nil && first == nil {
+				first = err
+			}
+		}
+		return first
+	}
 	errs := make([]error, hi-lo)
 	var wg sync.WaitGroup
 	for pi := lo; pi < hi; pi++ {
-		switch {
-		case busy != nil && !busy(pi):
-		case n == 1 || c.rttNanos.Load() == 0:
-			errs[pi-lo] = fn(pi, c.parts[pi])
-		default:
-			wg.Add(1)
-			go func(pi int) {
-				defer wg.Done()
-				errs[pi-lo] = fn(pi, c.parts[pi])
-			}(pi)
+		if busy != nil && !busy(pi) {
+			continue
 		}
+		wg.Add(1)
+		go func(pi int) {
+			defer wg.Done()
+			errs[pi-lo] = fn(pi, c.parts[pi])
+		}(pi)
 	}
 	wg.Wait()
 	for _, err := range errs {

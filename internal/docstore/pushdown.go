@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Analytics pushdown.
@@ -885,9 +886,58 @@ type planRun struct {
 	cacheable bool
 }
 
+// missRef names a partial a partition must still compute after the
+// cache pass: the run and its slot for that partition.
+type missRef struct{ run, slot int }
+
+// sweep is the reusable memory of one execPlans sweep, and of the
+// typed plans BucketCounts builds for one. A sweep's fixed cost — all
+// there is to a sweep of one filter, which is what a micro-batch of
+// one alarm asks for — is paid out of it, so only the partials
+// themselves are allocated. Sweeps are pooled, and every slice of a
+// pooled sweep is zero up to its capacity (release sees to it).
+type sweep struct {
+	runs     []planRun
+	partials []*aggPartial    // one slab for every run's slots
+	missFor  [][]missRef      // per partition
+	scratch  []partialScratch // per partition: visits may run concurrently
+
+	// BucketCounts' plans: compiled conditions, filters and plans in one
+	// slab each, the shared bucket and its field, and the merged bars.
+	nodes   []node
+	filters []filter
+	plans   []aggPlan
+	bound   []*aggPlan
+	bucket  Bucket
+	refs    [1]fieldRef
+	bars    []BucketCount
+}
+
+var sweepPool = sync.Pool{New: func() any { return new(sweep) }}
+
+// release drops what the sweep references (plans, partials, filter
+// literals) and returns it to the pool.
+func (sw *sweep) release() {
+	clear(sw.runs)
+	clear(sw.partials)
+	clear(sw.nodes)
+	clear(sw.plans)
+	clear(sw.bound)
+	sweepPool.Put(sw)
+}
+
+// resized returns s with length n, reusing its memory when it is large
+// enough; the elements are the caller's to overwrite.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // newRuns prepares one run per plan; plans[i] nil leaves run i empty.
-func (c *Collection) newRuns(plans []*aggPlan) []planRun {
-	runs := make([]planRun, len(plans))
+func (c *Collection) newRuns(sw *sweep, plans []*aggPlan) []planRun {
+	runs := resized(sw.runs, len(plans))
 	total := 0
 	for i, plan := range plans {
 		if plan == nil {
@@ -900,11 +950,13 @@ func (c *Collection) newRuns(plans []*aggPlan) []planRun {
 		run.sig, run.cacheable = plan.signature()
 		total += run.n
 	}
-	slab := make([]*aggPartial, total) // one slab for every run's slots
+	sw.partials = resized(sw.partials, total)
+	slab := sw.partials
 	for i := range runs {
 		n := runs[i].n
 		runs[i].partials, slab = slab[:n:n], slab[n:]
 	}
+	sw.runs = runs
 	return runs
 }
 
@@ -915,11 +967,15 @@ func (c *Collection) newRuns(plans []*aggPlan) []planRun {
 // partitions under a simulated RTT — and partials already published to
 // the partition snapshot caches are served without visiting the
 // partition at all.
-func (c *Collection) execPlans(runs []planRun) error {
+func (c *Collection) execPlans(sw *sweep, runs []planRun) error {
 	// missFor[pi] lists the (run, slot) pairs partition pi must still
 	// compute after the cache pass.
-	type missRef struct{ run, slot int }
-	missFor := make([][]missRef, len(c.parts))
+	sw.missFor = resized(sw.missFor, len(c.parts))
+	sw.scratch = resized(sw.scratch, len(c.parts))
+	missFor := sw.missFor
+	for pi := range missFor {
+		missFor[pi] = missFor[pi][:0]
+	}
 	missed := false
 	for ri := range runs {
 		run := &runs[ri]
@@ -939,26 +995,32 @@ func (c *Collection) execPlans(runs []planRun) error {
 		return nil
 	}
 	touched := func(pi int) bool { return len(missFor[pi]) > 0 }
-	return c.forEach(0, len(c.parts), touched, func(pi int, p *partition) error {
-		p.mu.RLock()
-		defer p.mu.RUnlock()
-		c.simulateRTT()
-		var sc partialScratch
-		for _, ref := range missFor[pi] {
-			run := &runs[ref.run]
-			pr, err := computePartial(p, run.plan, &sc)
-			if err != nil {
-				return err
-			}
-			if run.cacheable {
-				// Holding the read lock excludes writers, so the version
-				// is even and consistent with the scan just performed.
-				p.storeAggPartial(run.sig, p.seq.Load(), pr)
-			}
-			run.partials[ref.slot] = pr
-		}
-		return nil
+	return c.forEach(0, len(c.parts), touched, func(pi int, _ *partition) error {
+		return c.computeMissed(sw, runs, pi)
 	})
+}
+
+// computeMissed computes, under one read lock and one simulated
+// round-trip, every partial partition pi still owes the sweep.
+func (c *Collection) computeMissed(sw *sweep, runs []planRun, pi int) error {
+	p := c.parts[pi]
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	c.simulateRTT()
+	for _, ref := range sw.missFor[pi] {
+		run := &runs[ref.run]
+		pr, err := computePartial(p, run.plan, &sw.scratch[pi])
+		if err != nil {
+			return err
+		}
+		if run.cacheable {
+			// Holding the read lock excludes writers, so the version
+			// is even and consistent with the scan just performed.
+			p.storeAggPartial(run.sig, p.seq.Load(), pr)
+		}
+		run.partials[ref.slot] = pr
+	}
+	return nil
 }
 
 // AggregateMulti answers many aggregations sharing one stage pipeline
@@ -984,8 +1046,10 @@ func (c *Collection) AggregateMulti(filters []Doc, stages ...Stage) ([][]Doc, er
 		}
 		plans[i] = plan.bind(c.dict)
 	}
-	runs := c.newRuns(plans)
-	if err := c.execPlans(runs); err != nil {
+	sw := sweepPool.Get().(*sweep)
+	defer sw.release()
+	runs := c.newRuns(sw, plans)
+	if err := c.execPlans(sw, runs); err != nil {
 		return nil, err
 	}
 	for i, run := range runs {
@@ -1025,28 +1089,31 @@ func (c *Collection) BucketCounts(filters [][]Cond, b Bucket, visit func(i int, 
 	for _, conds := range filters {
 		nodes += len(conds)
 	}
+	sw := sweepPool.Get().(*sweep)
+	defer sw.release()
 	// One slab each for the compiled conditions, the filters and the
-	// plans: a sweep of N filters allocates per result, not per query.
-	slab := make([]node, 0, nodes)
-	compiled := make([]filter, len(filters))
-	plans := make([]aggPlan, len(filters))
-	bound := make([]*aggPlan, len(filters))
-	refs := []fieldRef{c.dict.ref(b.Field)}
+	// plans, all out of the pooled sweep: a sweep of N filters
+	// allocates per result, not per query, and nothing for being run.
+	sw.bucket, sw.refs[0] = b, c.dict.ref(b.Field)
+	slab := resized(sw.nodes, nodes)[:0]
+	sw.filters = resized(sw.filters, len(filters))
+	sw.plans = resized(sw.plans, len(filters))
+	sw.bound = resized(sw.bound, len(filters))
 	for i, conds := range filters {
 		start := len(slab)
 		slab = compileConds(c.dict, conds, slab)
-		compiled[i].nodes = slab[start:len(slab):len(slab)]
-		plans[i] = aggPlan{kind: PlanBucket, bucket: &b, limit: -1, filter: &compiled[i], typed: true, refs: refs}
-		bound[i] = &plans[i]
+		sw.filters[i] = filter{nodes: slab[start:len(slab):len(slab)]}
+		sw.plans[i] = aggPlan{kind: PlanBucket, bucket: &sw.bucket, limit: -1, filter: &sw.filters[i], typed: true, refs: sw.refs[:]}
+		sw.bound[i] = &sw.plans[i]
 	}
-	runs := c.newRuns(bound)
-	if err := c.execPlans(runs); err != nil {
+	sw.nodes = slab
+	runs := c.newRuns(sw, sw.bound)
+	if err := c.execPlans(sw, runs); err != nil {
 		return err
 	}
-	var bars []BucketCount
 	for i, run := range runs {
-		bars = mergeBuckets(&b, run.partials, bars[:0])
-		visit(i, bars)
+		sw.bars = mergeBuckets(&sw.bucket, run.partials, sw.bars[:0])
+		visit(i, sw.bars)
 	}
 	return nil
 }
@@ -1065,8 +1132,10 @@ func (c *Collection) GroupCounts(filter Doc, field string) ([]GroupCount, error)
 	if err != nil {
 		return nil, err
 	}
-	runs := c.newRuns([]*aggPlan{plan.bind(c.dict)})
-	if err := c.execPlans(runs); err != nil {
+	sw := sweepPool.Get().(*sweep)
+	defer sw.release()
+	runs := c.newRuns(sw, []*aggPlan{plan.bind(c.dict)})
+	if err := c.execPlans(sw, runs); err != nil {
 		return nil, err
 	}
 	groups := mergeGroups(plan, runs[0].partials)

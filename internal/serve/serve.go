@@ -531,9 +531,11 @@ func (s *shard) intake(wg *sync.WaitGroup, stop <-chan struct{}, out chan<- item
 		b := s.app.Drain()
 		s.app.Decode(b)
 		if b.Len() == 0 {
-			// Idle poll (paced by the consumer's PollTimeout): nothing
-			// to push downstream. Recycle the pooled scratch (and its
-			// leases — the drain may have pulled undecodable records).
+			// Idle poll: the drain sat parked in the consumer for its
+			// whole PollTimeout and no record woke it (or every record
+			// it pulled was undecodable), so there is nothing to push
+			// downstream — only the stop and rebalance checks above
+			// to come back to. Recycle the pooled scratch and leases.
 			s.app.ReleaseBatch(b)
 			continue
 		}

@@ -17,7 +17,10 @@ type BrokerSource struct {
 	// MaxPerBatch bounds how many records one micro-batch drains
 	// (backpressure); 0 means unlimited.
 	MaxPerBatch int
-	// PollTimeout bounds how long a batch waits for the first record.
+	// PollTimeout bounds how long a batch waits, parked in the
+	// consumer, for the first record: an append ends the wait at once,
+	// so this is only how often an idle caller gets to look at anything
+	// else (stop, rebalance), not a latency.
 	PollTimeout time.Duration
 }
 
@@ -46,7 +49,10 @@ func (s *BrokerSource) Stream(ctx *Context) *DStream[broker.Record] {
 }
 
 // Batch drains available records and groups them by broker partition
-// into RDD partitions.
+// into RDD partitions. Only the first poll of a batch waits — until a
+// record arrives, for at most PollTimeout; the rest take what is
+// already there, so a batch is whatever accumulated while the caller
+// was busy, and one record when it was not.
 func (s *BrokerSource) Batch() *RDD[broker.Record] {
 	max := s.MaxPerBatch
 	if max <= 0 {
@@ -64,8 +70,6 @@ func (s *BrokerSource) Batch() *RDD[broker.Record] {
 			parts[r.Partition] = append(parts[r.Partition], r)
 		}
 		total += len(recs)
-		// Only the first poll of a batch blocks; the rest drain
-		// whatever is immediately available.
 		timeout = 0
 	}
 	return FromPartitions(parts)
@@ -77,9 +81,11 @@ func (s *BrokerSource) Batch() *RDD[broker.Record] {
 // leases instead of copying them out. The accumulated leases append to
 // the caller's lease scratch; every one must be released once the
 // batch's records are fully processed — after that, the record values
-// must not be touched. Record count and poll pacing match Batch
-// exactly: only the first poll blocks (up to PollTimeout), the rest
-// drain what is immediately available, bounded by MaxPerBatch.
+// must not be touched. Record count and waiting match Batch exactly:
+// only the first poll parks (woken by the first record, for at most
+// PollTimeout), the rest drain what is immediately available, bounded
+// by MaxPerBatch. A drain that found nothing allocates nothing and
+// adds no lease.
 func (s *BrokerSource) DrainLeased(dst []broker.Record, leases []*broker.Lease) ([]broker.Record, []*broker.Lease) {
 	max := s.MaxPerBatch
 	if max <= 0 {
@@ -93,8 +99,9 @@ func (s *BrokerSource) DrainLeased(dst []broker.Record, leases []*broker.Lease) 
 		if got > 0 {
 			leases = append(leases, lease)
 		} else {
-			// An empty poll's lease guards nothing; release it now so
-			// idle polls don't inflate the leak detector.
+			// An empty poll's lease guards nothing (the in-process
+			// consumer hands out a shared released one); release it now
+			// so idle polls don't inflate the leak detector.
 			lease.Release()
 		}
 		if err != nil || got == 0 {
