@@ -125,14 +125,16 @@ bench-harness-smoke:
 ## bench-record: write this PR's entry of the benchmark trajectory,
 ## BENCH_$(PR).json — the parent revision and this tree measured side
 ## by side with `bash bench/run.sh` over interleaved seeds (10 pairs on
-## drain_mem, 3 on the other workloads, alternating which side runs
-## first), each side's median and quartiles per end-to-end cell, plus
-## one `--trace 1` layer dump of drain_mem per side (cmd/benchrecord;
-## ~45 min). Usage: make bench-record PR=17 [PARENT=HEAD~1]
+## the workload the PR's claim is about, CLAIM, 3 on the others,
+## alternating which side runs first), each side's median and quartiles
+## per end-to-end cell, plus one `--trace 1` layer dump of CLAIM per
+## side (cmd/benchrecord; ~45 min).
+## Usage: make bench-record PR=19 [PARENT=HEAD~1] [CLAIM=wire_rf3]
 PARENT ?= HEAD~1
+CLAIM ?= drain_mem
 bench-record:
-	@test -n "$(PR)" || { echo "usage: make bench-record PR=<n> [PARENT=<rev>]"; exit 1; }
-	$(GO) run ./cmd/benchrecord -pr $(PR) -parent $(PARENT)
+	@test -n "$(PR)" || { echo "usage: make bench-record PR=<n> [PARENT=<rev>] [CLAIM=<workload>]"; exit 1; }
+	$(GO) run ./cmd/benchrecord -pr $(PR) -parent $(PARENT) -claim $(CLAIM)
 
 ## bench-record-smoke: the same tool in one-seed smoke mode — one short
 ## pair per workload at the harness's smoke scale, this tree against
@@ -220,13 +222,17 @@ docs-gate:
 ## fuzz-smoke: short fuzz passes (CI `test` job) — the codec decoder
 ## (malformed payloads must error, never panic), the aggregation
 ## differential (any decodable pipeline must behave identically
-## through the pushdown planner and the streaming oracle), and the
+## through the pushdown planner and the streaming oracle), the
 ## wire-frame decoder (torn frames, hostile lengths and corrupt
-## payloads must error, never panic or over-allocate)
+## payloads must error, never panic or over-allocate), and the wire
+## message decoders (the same for the binary bodies inside the frames,
+## JSON bodies of the format before them included, plus: whatever
+## decodes survives a round trip)
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/codec
 	$(GO) test -run '^$$' -fuzz '^FuzzAggregate$$' -fuzztime 10s ./internal/docstore
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime 10s ./internal/netbroker
+	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime 10s ./internal/netbroker
 
 ## lint: vet, the alarmvet invariant suite (cmd/alarmvet run through
 ## `go vet -vettool`, so findings cache per package like vet's own),

@@ -7,12 +7,13 @@
 // both trees over interleaved seeds — pair i uses seed i+1 on both
 // sides and alternates which side runs first, so host drift lands on
 // both — and records, per end-to-end cell, each side's runs, median
-// and quartiles and how many pairs the change won. One `--trace 1` run
-// of the first workload per side adds the per-layer dump. It only ever
+// and quartiles and how many pairs the change won. The workload the
+// PR's claim is about (-claim) gets ten pairs and one `--trace 1` run
+// per side for the per-layer dump, the others three pairs. It only ever
 // calls bench/run.sh; it never reads or edits the harness.
 //
-//	go run ./cmd/benchrecord -pr 17 -parent HEAD~1        # make bench-record PR=17
-//	go run ./cmd/benchrecord -pr 0 -parent HEAD -smoke    # make bench-record-smoke (CI)
+//	go run ./cmd/benchrecord -pr 19 -parent HEAD~1 -claim wire_rf3   # make bench-record PR=19 CLAIM=wire_rf3
+//	go run ./cmd/benchrecord -pr 0 -parent HEAD -smoke               # make bench-record-smoke (CI)
 package main
 
 import (
@@ -74,31 +75,32 @@ type record struct {
 	Parent    string                      `json:"parent"`
 	Seconds   float64                     `json:"seconds"`
 	Workloads map[string]map[string]*cell `json:"workloads"`
-	// Trace holds one --trace 1 layer dump of the first workload per
+	// Trace holds one --trace 1 layer dump of the claimed workload per
 	// side: metric name → value.
 	TraceWorkload string                        `json:"trace_workload"`
 	Trace         map[string]map[string]float64 `json:"trace"`
 }
 
-// Interleaved pairs per workload: the first workload carries the PR's
-// claim, the others only have to show they did not move.
+// Interleaved pairs per workload: one workload carries the PR's claim,
+// the others only have to show they did not move.
 const (
-	pairsFirst = 10
+	pairsClaim = 10
 	pairsOther = 3
 )
 
 func main() {
 	pr := flag.Int("pr", 0, "PR number: the entry is written to BENCH_<pr>.json")
 	parent := flag.String("parent", "HEAD~1", "revision to measure as the parent")
+	claim := flag.String("claim", "drain_mem", "workload the PR's claim is about: it gets the ten pairs and the traced pair")
 	smoke := flag.Bool("smoke", false, "one short pair per workload at the harness's smoke scale: checks this tool, measures and writes nothing")
 	flag.Parse()
-	if err := run(*pr, *parent, *smoke); err != nil {
+	if err := run(*pr, *parent, *claim, *smoke); err != nil {
 		fmt.Fprintln(os.Stderr, "benchrecord:", err)
 		os.Exit(1)
 	}
 }
 
-func run(pr int, parent string, smoke bool) error {
+func run(pr int, parent, claim string, smoke bool) error {
 	raw, err := os.ReadFile("BENCHMARK.json")
 	if err != nil {
 		return fmt.Errorf("run from the repository root: %w", err)
@@ -110,8 +112,15 @@ func run(pr int, parent string, smoke bool) error {
 	if len(bf.Command) == 0 || len(bf.Workloads) == 0 || bf.RunSeconds <= 0 {
 		return fmt.Errorf("BENCHMARK.json declares no command, no workloads or no run_seconds")
 	}
+	known := false
+	for _, w := range bf.Workloads {
+		known = known || w.Name == claim
+	}
+	if !known {
+		return fmt.Errorf("-claim %s: BENCHMARK.json declares no such workload", claim)
+	}
 	// An entry is recorded at the run length the benchmark fixes.
-	first, other, seconds := pairsFirst, pairsOther, bf.RunSeconds
+	first, other, seconds := pairsClaim, pairsOther, bf.RunSeconds
 	if smoke {
 		first, other, seconds = 1, 1, 2
 	}
@@ -170,9 +179,9 @@ func run(pr int, parent string, smoke bool) error {
 
 	rec := record{PR: pr, Parent: strings.TrimSpace(string(rev)), Seconds: seconds,
 		Workloads: make(map[string]map[string]*cell), Trace: make(map[string]map[string]float64)}
-	for wi, w := range bf.Workloads {
+	for _, w := range bf.Workloads {
 		n := other
-		if wi == 0 {
+		if w.Name == claim {
 			n = first
 		}
 		cells := make(map[string]*cell)
@@ -205,7 +214,7 @@ func run(pr int, parent string, smoke bool) error {
 		}
 		rec.Workloads[w.Name] = cells
 	}
-	rec.TraceWorkload = bf.Workloads[0].Name
+	rec.TraceWorkload = claim
 	for _, tree := range []string{"parent", "change"} {
 		fmt.Fprintf(os.Stderr, "benchrecord: %s trace: %s\n", rec.TraceWorkload, tree)
 		if rec.Trace[tree], err = measure(tree, rec.TraceWorkload, 1, true); err != nil {

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 )
@@ -130,27 +131,48 @@ func (b *Broker) GroupCommit(groupName string, gen int64, offsets map[int]int64)
 	return g.commit(gen, offsets)
 }
 
-// GroupTopics maps every consumer group to the topic it is bound to —
-// the iteration surface replication uses to gossip committed offsets.
-func (b *Broker) GroupTopics() map[string]string {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	out := make(map[string]string, len(b.groups))
-	for name, g := range b.groups {
-		out[name] = g.topic.Name()
-	}
-	return out
+// GroupOffset is one committed offset of one consumer group.
+type GroupOffset struct {
+	Group, Topic string
+	Partition    int
+	Offset       int64
 }
 
-// Topics returns the names of all topics.
-func (b *Broker) Topics() []string {
+// AppendGroupOffsets appends every consumer group's committed offsets
+// to dst, ordered by group and partition — what replication gossips so
+// a promoted leader can seed its coordinator. With capacity in dst it
+// does not allocate.
+func (b *Broker) AppendGroupOffsets(dst []GroupOffset) []GroupOffset {
+	base := len(dst)
 	b.mu.RLock()
-	defer b.mu.RUnlock()
-	names := make([]string, 0, len(b.topics))
-	for n := range b.topics {
-		names = append(names, n)
+	for name, g := range b.groups {
+		g.mu.Lock()
+		for p, off := range g.committed {
+			dst = append(dst, GroupOffset{Group: name, Topic: g.topic.name, Partition: p, Offset: off})
+		}
+		g.mu.Unlock()
 	}
-	return names
+	b.mu.RUnlock()
+	slices.SortFunc(dst[base:], func(x, y GroupOffset) int {
+		if c := strings.Compare(x.Group, y.Group); c != 0 {
+			return c
+		}
+		return x.Partition - y.Partition
+	})
+	return dst
+}
+
+// AppendTopics appends every topic to dst, ordered by name. With
+// capacity in dst it does not allocate.
+func (b *Broker) AppendTopics(dst []*Topic) []*Topic {
+	base := len(dst)
+	b.mu.RLock()
+	for _, t := range b.topics {
+		dst = append(dst, t)
+	}
+	b.mu.RUnlock()
+	slices.SortFunc(dst[base:], func(x, y *Topic) int { return strings.Compare(x.name, y.name) })
+	return dst
 }
 
 // Close shuts the broker down and wakes all blocked consumers. The
@@ -208,10 +230,18 @@ func (t *Topic) HighWatermark(p int) (int64, error) {
 // It never blocks; it returns an empty slice when offset is at the
 // high watermark.
 func (t *Topic) Fetch(p int, offset int64, max int) ([]Record, error) {
+	return t.FetchInto(p, offset, max, nil)
+}
+
+// FetchInto is Fetch appending to dst, which it returns as it was on an
+// error. The records' keys and values are views of the partition's
+// arena, which is never rewritten: they stay valid for as long as the
+// caller keeps them, and with capacity in dst nothing is allocated.
+func (t *Topic) FetchInto(p int, offset int64, max int, dst []Record) ([]Record, error) {
 	if p < 0 || p >= len(t.partitions) {
-		return nil, fmt.Errorf("%w: partition %d", ErrInvalidOffset, p)
+		return dst, fmt.Errorf("%w: partition %d", ErrInvalidOffset, p)
 	}
-	return t.partitions[p].fetch(offset, max)
+	return t.partitions[p].read(offset, max, true, dst)
 }
 
 // Append appends a batch to partition p with explicit idempotence
@@ -295,10 +325,15 @@ func (t *Topic) EpochAt(p int, off int64) (int64, error) {
 // offset, ignoring the consumer-visible limit — the replication fetch:
 // followers must copy records before they are quorum-committed.
 func (t *Topic) FetchLog(p int, offset int64, max int) ([]Record, error) {
+	return t.FetchLogInto(p, offset, max, nil)
+}
+
+// FetchLogInto is FetchLog appending to dst, under FetchInto's terms.
+func (t *Topic) FetchLogInto(p int, offset int64, max int, dst []Record) ([]Record, error) {
 	if p < 0 || p >= len(t.partitions) {
-		return nil, fmt.Errorf("%w: partition %d", ErrInvalidOffset, p)
+		return dst, fmt.Errorf("%w: partition %d", ErrInvalidOffset, p)
 	}
-	return t.partitions[p].fetchLog(offset, max)
+	return t.partitions[p].read(offset, max, false, dst)
 }
 
 // SetVisibleLimit bounds the offsets consumers may observe in
@@ -522,42 +557,30 @@ func (p *partition) append(producerID, baseSeq int64, recs []Record) (int64, err
 	return base, nil
 }
 
-func (p *partition) fetch(offset int64, max int) ([]Record, error) {
+// read appends up to max records starting at offset to dst: up to the
+// visible limit when committed is set (what consumers may see), up to
+// the end of the log otherwise (the replication read path — followers
+// copy records before they are committed).
+func (p *partition) read(offset int64, max int, committed bool, dst []Record) ([]Record, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if offset < 0 || offset > int64(len(p.records)) {
-		return nil, fmt.Errorf("%w: offset %d (hw %d)", ErrInvalidOffset, offset, len(p.records))
+		return dst, fmt.Errorf("%w: offset %d (log %d)", ErrInvalidOffset, offset, len(p.records))
 	}
-	end := offset + int64(max)
-	if ve := p.visibleEndLocked(); end > ve {
-		end = ve
+	end := int64(len(p.records))
+	if committed {
+		end = p.visibleEndLocked()
 	}
-	if end <= offset {
-		return nil, nil
+	if max < 0 {
+		max = 0
 	}
-	out := make([]Record, end-offset)
-	copy(out, p.records[offset:end])
-	return out, nil
-}
-
-// fetchLog is fetch without the visible-limit clamp — the replication
-// read path (followers copy records before they are committed).
-func (p *partition) fetchLog(offset int64, max int) ([]Record, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if offset < 0 || offset > int64(len(p.records)) {
-		return nil, fmt.Errorf("%w: offset %d (log %d)", ErrInvalidOffset, offset, len(p.records))
-	}
-	end := offset + int64(max)
-	if end > int64(len(p.records)) {
-		end = int64(len(p.records))
+	if end-offset > int64(max) {
+		end = offset + int64(max)
 	}
 	if end <= offset {
-		return nil, nil
+		return dst, nil
 	}
-	out := make([]Record, end-offset)
-	copy(out, p.records[offset:end])
-	return out, nil
+	return append(dst, p.records[offset:end]...), nil
 }
 
 // appendReplica installs leader records verbatim; recs[0].Offset must

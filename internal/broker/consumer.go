@@ -183,37 +183,26 @@ type GroupConsumer interface {
 	Close()
 }
 
-// seed merges offsets into the group's committed map, keeping the
-// larger of the existing and incoming value per partition, without
-// bumping the generation (it is recovery state, not a rebalance).
-func (g *group) seed(offsets map[int]int64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for p, off := range offsets {
-		if off > g.committed[p] {
-			g.committed[p] = off
-		}
-	}
-}
-
-// SeedGroupOffsets installs replicated committed offsets for a group
-// on topic t, merging monotonically per partition. A freshly promoted
-// replica leader calls this with the offsets the old leader gossiped,
-// so consumer groups resume near where they left off instead of at
-// zero. Offsets beyond the local log are clamped to the log size.
-func (b *Broker) SeedGroupOffsets(groupName string, t *Topic, offsets map[int]int64) error {
+// SeedGroupOffset installs one replicated committed offset for a group
+// on topic t, keeping the larger of the existing and incoming value
+// without bumping the generation (it is recovery state, not a
+// rebalance). A freshly promoted replica leader has been fed the
+// offsets the old leader gossiped this way, so consumer groups resume
+// near where they left off instead of at zero. An offset beyond the
+// local log is clamped to the log size.
+func (b *Broker) SeedGroupOffset(groupName string, t *Topic, p int, off int64) error {
 	g, err := b.groupFor(groupName, t)
 	if err != nil {
 		return err
 	}
-	clamped := make(map[int]int64, len(offsets))
-	for p, off := range offsets {
-		if size, err := t.LogSize(p); err == nil && off > size {
-			off = size
-		}
-		clamped[p] = off
+	if size, err := t.LogSize(p); err == nil && off > size {
+		off = size
 	}
-	g.seed(clamped)
+	g.mu.Lock()
+	if off > g.committed[p] {
+		g.committed[p] = off
+	}
+	g.mu.Unlock()
 	return nil
 }
 

@@ -44,27 +44,57 @@ func dialRPC(addr string, timeout time.Duration) (*rpcConn, error) {
 	return &rpcConn{c: c}, nil
 }
 
-// call sends one request frame and decodes the matching response. The
-// connection mutex is intentionally held across the network
-// round-trip: requests on one connection are strictly ordered, which
-// is what keeps per-partition sequence numbers in order (the same
-// reasoning as the in-process producer's per-partition lock).
-//
-//alarmvet:ignore conn-ordered RPC: rc.mu must span the frame write and the response read so responses match requests; only this connection's state is held, never broker or partition locks
+// request is a message body that encodes itself: the binary messages of
+// wire.go, or an already marshalled JSON body.
+type request interface {
+	appendTo(dst []byte) []byte
+}
+
+// response is a message body that decodes itself and reports the error
+// the server put in its envelope.
+type response interface {
+	decode(b []byte) error
+	toErr() error
+}
+
+// jsonBody is a control opcode's marshalled request.
+type jsonBody []byte
+
+func (b jsonBody) appendTo(dst []byte) []byte { return append(dst, b...) }
+
+// jsonResp decodes a control opcode's response into the struct it wraps.
+type jsonResp struct{ v interface{ toErr() error } }
+
+func (r jsonResp) decode(b []byte) error { return json.Unmarshal(b, r.v) }
+func (r jsonResp) toErr() error          { return r.v.toErr() }
+
+// call is callWire for the control opcodes, whose bodies are JSON.
 func (rc *rpcConn) call(op byte, req any, resp interface{ toErr() error }) error {
 	enc, err := json.Marshal(req)
 	if err != nil {
 		return err
 	}
+	return rc.callWire(op, jsonBody(enc), jsonResp{resp})
+}
+
+// callWire sends one request frame and decodes the matching response,
+// both through the connection's own buffers: what resp.decode leaves
+// pointing into the body (record keys and values) is good until the
+// next call on this connection. The connection mutex is intentionally
+// held across the network round-trip: requests on one connection are
+// strictly ordered, which is what keeps per-partition sequence numbers
+// in order (the same reasoning as the in-process producer's
+// per-partition lock).
+//
+//alarmvet:ignore conn-ordered RPC: rc.mu must span the frame write and the response read so responses match requests; only this connection's state is held, never broker or partition locks
+func (rc *rpcConn) callWire(op byte, req request, resp response) error {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	if rc.dead {
 		return fmt.Errorf("%w: connection closed", errTransport)
 	}
-	body := append(rc.wbuf[:0], op)
-	body = append(body, enc...)
-	rc.wbuf = body
-	fbuf, err := writeFrame(rc.c, rc.fbuf, body)
+	rc.wbuf = req.appendTo(append(rc.wbuf[:0], op))
+	fbuf, err := writeFrame(rc.c, rc.fbuf, rc.wbuf)
 	rc.fbuf = fbuf
 	if err != nil {
 		rc.dead = true
@@ -80,7 +110,7 @@ func (rc *rpcConn) call(op byte, req any, resp interface{ toErr() error }) error
 		rc.dead = true
 		return fmt.Errorf("%w: response opcode mismatch", errTransport)
 	}
-	if err := json.Unmarshal(rbody[1:], resp); err != nil {
+	if err := resp.decode(rbody[1:]); err != nil {
 		rc.dead = true
 		return fmt.Errorf("%w: %w", errTransport, err)
 	}
@@ -348,10 +378,16 @@ type Producer struct {
 	conn   *rpcConn
 
 	rr    atomic.Int64
-	parts []struct {
-		sync.Mutex
-		seq int64
-	}
+	parts []sendPartition
+}
+
+// sendPartition is one partition's send state: the next sequence number
+// and the messages of the one send in flight, all under the lock.
+type sendPartition struct {
+	sync.Mutex
+	seq  int64
+	req  appendReq
+	resp appendResp
 }
 
 // NewProducer builds a producer for the client's topic. The topic must
@@ -365,10 +401,7 @@ func (c *Client) NewProducer() (*Producer, error) {
 		c:          c,
 		id:         randomProducerID(),
 		partitions: parts,
-		parts: make([]struct {
-			sync.Mutex
-			seq int64
-		}, parts),
+		parts:      make([]sendPartition, parts),
 	}, nil
 }
 
@@ -432,28 +465,19 @@ func (p *Producer) SendAt(key, value []byte, ts time.Time) (int, int64, error) {
 	defer pp.Unlock()
 	seq := pp.seq
 	pp.seq++
-	var tsn int64
-	if !ts.IsZero() {
-		tsn = ts.UnixNano()
-	} else {
-		tsn = time.Now().UnixNano()
+	if ts.IsZero() {
+		ts = time.Now()
 	}
-	req := appendReq{
-		Topic:      p.c.topic,
-		Partition:  part,
-		ProducerID: p.id,
-		BaseSeq:    seq,
-		Recs:       []wireRecord{{P: part, K: key, V: value, TS: tsn}},
-	}
+	pp.req.Topic, pp.req.Partition, pp.req.ProducerID, pp.req.BaseSeq = p.c.topic, part, p.id, seq
+	pp.req.Recs = append(pp.req.Recs[:0], broker.Record{Key: key, Value: value, Timestamp: ts})
 	deadline := time.Now().Add(p.c.opts.RetryTimeout)
 	var lastErr error
 	for {
 		rc, err := p.sendConn()
 		if err == nil {
-			var resp appendResp
-			err = rc.call(opAppend, req, &resp)
+			err = rc.callWire(opAppend, &pp.req, &pp.resp)
 			if err == nil {
-				return part, resp.Base, nil
+				return part, pp.resp.Base, nil
 			}
 			if !retriable(err) {
 				return part, 0, err

@@ -1,6 +1,7 @@
 package netbroker
 
 import (
+	"encoding/json"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -23,6 +24,10 @@ import (
 // too. Commits interrupted by the failover report ErrRebalanceStale,
 // which the pipeline already counts as benign (at-least-once across
 // rebalances).
+//
+// One goroutine polls at a time (the fetch messages below are its
+// scratch); every other method may be called from any goroutine beside
+// it.
 type Consumer struct {
 	c          *Client
 	group      string
@@ -37,6 +42,11 @@ type Consumer struct {
 	connMu sync.Mutex
 	conn   *rpcConn
 	fetch  *rpcConn
+
+	// fetchReq and fetchResp are the polling goroutine's messages, kept
+	// for their capacity.
+	fetchReq  fetchReq
+	fetchResp fetchResp
 
 	mu        sync.Mutex
 	gen       int64
@@ -116,19 +126,23 @@ func (k *Consumer) dropConn(rc *rpcConn) {
 	}
 }
 
-// call runs one control RPC on the ordered connection.
+// call runs one JSON control RPC on the ordered connection.
 func (k *Consumer) call(op byte, req any, resp interface{ toErr() error }) error {
-	return k.callOn(&k.conn, op, req, resp)
+	enc, err := json.Marshal(req)
+	if err != nil {
+		return err
+	}
+	return k.callOn(&k.conn, op, jsonBody(enc), jsonResp{resp})
 }
 
 // callOn runs one RPC on the connection kept in slot; transport
 // failures and leader redirects drop the consumer's connections.
-func (k *Consumer) callOn(slot **rpcConn, op byte, req any, resp interface{ toErr() error }) error {
+func (k *Consumer) callOn(slot **rpcConn, op byte, req request, resp response) error {
 	rc, err := k.leaderConn(slot)
 	if err != nil {
 		return err
 	}
-	if err := rc.call(op, req, resp); err != nil {
+	if err := rc.callWire(op, req, resp); err != nil {
 		if retriable(err) {
 			k.dropConn(rc)
 		}
@@ -284,50 +298,64 @@ func (k *Consumer) Poll(max int, timeout time.Duration) ([]broker.Record, error)
 	return recs, err
 }
 
-// PollLeased is Poll appending into dst under a lease. The "borrowed"
-// memory is this client's receive buffers (decoded fresh per poll), so
-// the lease's only job is leak accounting — but the contract is the
-// same as in-process: release after the batch is done.
+// noLease is the lease of a poll that fetched nothing: already released
+// and counted nowhere, so idle polls share it instead of allocating.
+var noLease = func() *broker.Lease {
+	l := broker.NewLease(nil)
+	l.Release()
+	return l
+}()
+
+// PollLeased is Poll appending into dst under a lease. The records'
+// bytes are a copy this poll made out of its receive buffer, so the
+// lease's only job is leak accounting — but the contract is the same as
+// in-process: release after the batch is done.
 func (k *Consumer) PollLeased(max int, timeout time.Duration, dst []broker.Record) ([]broker.Record, *broker.Lease, error) {
-	lease := broker.NewLease(&k.leases)
 	out, err := k.poll(max, timeout, dst)
-	return out, lease, err
+	if len(out) == len(dst) {
+		return out, noLease, err
+	}
+	return out, broker.NewLease(&k.leases), err
 }
 
 func (k *Consumer) poll(max int, timeout time.Duration, dst []broker.Record) ([]broker.Record, error) {
 	if max <= 0 {
 		max = 1
 	}
+	req, resp := &k.fetchReq, &k.fetchResp
 	k.mu.Lock()
 	if k.closed {
 		k.mu.Unlock()
 		return dst, broker.ErrClosed
 	}
 	n := len(k.assigned)
-	parts := make([]fetchPart, 0, n)
+	req.Parts = req.Parts[:0]
 	for i := 0; i < n; i++ {
 		p := k.assigned[(k.next+i)%n]
-		parts = append(parts, fetchPart{Partition: p, Offset: k.positions[p]})
+		req.Parts = append(req.Parts, partOffset{P: p, Off: k.positions[p]})
 	}
 	if n > 0 {
 		k.next = (k.next + 1) % n
 	}
 	k.mu.Unlock()
-	if len(parts) == 0 {
+	if n == 0 {
 		// Over-subscribed group (more members than partitions): pace
-		// the caller instead of busy-spinning.
+		// the caller instead of busy-spinning, but not past a Close or a
+		// rebalance that may hand it partitions.
 		if timeout > 0 {
-			time.Sleep(timeout)
+			timer := time.NewTimer(timeout)
+			defer timer.Stop()
+			select {
+			case <-timer.C:
+			case <-k.stopc:
+			case <-k.rebalance:
+				k.signalRebalance() // the token is the shard's to consume
+			}
 		}
 		return dst, nil
 	}
-	// Round the wait up to the wire's millisecond: truncating would turn
-	// a sub-millisecond timeout into a zero wait and the caller's poll
-	// loop into back-to-back RPCs.
-	waitMs := int((timeout + time.Millisecond - 1) / time.Millisecond)
-	req := fetchReq{Topic: k.c.topic, Parts: parts, Max: max, WaitMs: waitMs}
-	var resp fetchResp
-	if err := k.callOn(&k.fetch, opFetch, req, &resp); err != nil {
+	req.Topic, req.Max, req.WaitMicros = k.c.topic, max, timeout.Microseconds()
+	if err := k.callOn(&k.fetch, opFetch, req, resp); err != nil {
 		if errors.Is(err, broker.ErrInvalidOffset) {
 			return dst, err
 		}
@@ -335,15 +363,31 @@ func (k *Consumer) poll(max int, timeout time.Duration, dst []broker.Record) ([]
 		// re-aims the consumer and signals a rebalance.
 		return dst, nil
 	}
+	// resp.Recs point into the fetch connection's receive buffer, which
+	// the next poll overwrites: the records handed out get one slab of
+	// their own.
+	size := 0
+	for i := range resp.Recs {
+		size += len(resp.Recs[i].Key) + len(resp.Recs[i].Value)
+	}
+	slab := make([]byte, 0, size)
+	own := func(b []byte) []byte {
+		if len(b) == 0 {
+			return nil
+		}
+		slab = append(slab, b...)
+		return slab[len(slab)-len(b) : len(slab) : len(slab)]
+	}
 	k.mu.Lock()
-	for _, w := range resp.Recs {
-		if pos, ok := k.positions[w.P]; !ok || w.Off != pos {
+	for _, r := range resp.Recs {
+		if pos, ok := k.positions[r.Partition]; !ok || r.Offset != pos {
 			// Stale response relative to a concurrent re-seek
 			// (rebalance): drop the tail, the next poll re-fetches.
 			continue
 		}
-		k.positions[w.P]++
-		dst = append(dst, fromWire(k.c.topic, w))
+		k.positions[r.Partition]++
+		r.Topic, r.Key, r.Value = k.c.topic, own(r.Key), own(r.Value)
+		dst = append(dst, r)
 	}
 	k.mu.Unlock()
 	return dst, nil
@@ -354,6 +398,15 @@ func (k *Consumer) Commit() error {
 	return k.CommitOffsets(k.Positions())
 }
 
+// commitMsgs is one commit's messages; commits may come from any
+// goroutine, so they are pooled rather than kept on the consumer.
+type commitMsgs struct {
+	req  commitReq
+	resp commitResp
+}
+
+var commitPool = sync.Pool{New: func() any { return new(commitMsgs) }}
+
 // CommitOffsets durably records offsets under the consumer's current
 // generation. A commit interrupted by a failover reports
 // ErrRebalanceStale — the records are persisted but not committed, so
@@ -362,13 +415,13 @@ func (k *Consumer) CommitOffsets(offsets map[int]int64) error {
 	k.mu.Lock()
 	gen := k.gen
 	k.mu.Unlock()
-	snap := make(map[int]int64, len(offsets))
+	cm := commitPool.Get().(*commitMsgs)
+	defer commitPool.Put(cm)
+	cm.req.Group, cm.req.Member, cm.req.Gen, cm.req.Offsets = k.group, k.member, gen, cm.req.Offsets[:0]
 	for p, off := range offsets {
-		snap[p] = off
+		cm.req.Offsets = append(cm.req.Offsets, partOffset{P: p, Off: off})
 	}
-	req := commitReq{Group: k.group, Member: k.member, Gen: gen, Offsets: snap}
-	var resp commitResp
-	err := k.call(opCommit, req, &resp)
+	err := k.callOn(&k.conn, opCommit, &cm.req, &cm.resp)
 	if err == nil {
 		return nil
 	}

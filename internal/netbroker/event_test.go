@@ -215,3 +215,42 @@ func TestSubMillisecondPollWaits(t *testing.T) {
 		}
 	}
 }
+
+// TestParkedPollWithoutPartitionsEndsOnClose: a member of an
+// over-subscribed group owns nothing and its poll only paces the
+// caller; Close must end that wait, not sleep through it.
+func TestParkedPollWithoutPartitionsEndsOnClose(t *testing.T) {
+	srv, _ := startStandalone(t)
+	c, err := netbroker.Dial([]string{srv.Addr()}, "alarms", fastClientOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.EnsureTopic(1); err != nil {
+		t.Fatal(err)
+	}
+	owner, _, err := c.NewGroupConsumer("verify", "m1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer owner.Close()
+	idle, _, err := c.NewGroupConsumer("verify", "m2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	if parts := idle.Assignment(); len(parts) != 0 {
+		t.Fatalf("second member of a one-partition topic owns %v", parts)
+	}
+	polled := parkPoll(idle, 30*time.Second)
+	start := time.Now()
+	idle.Close()
+	select {
+	case <-polled:
+		if late := time.Since(start); late >= 100*time.Millisecond {
+			t.Fatalf("poll without partitions ended %s after Close", late)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("poll without partitions slept through Close")
+	}
+}

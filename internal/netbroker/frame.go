@@ -12,11 +12,45 @@
 //
 //	uint32 big-endian body length | uint32 CRC-32 (IEEE) of body | body
 //
-// where body is one opcode byte followed by a JSON payload. Frames are
+// where body is one opcode byte followed by the payload. Frames are
 // bounded by MaxFrame; a torn, oversized, or CRC-corrupt frame is an
 // error, never a panic, and decoding allocates proportionally to the
 // bytes actually delivered, not to the claimed length (a hostile
 // length prefix cannot balloon memory).
+//
+// Payloads: each opcode has one encoding. The five opcodes that carry
+// the traffic have binary bodies (wire.go). Numbers are zig-zag
+// varints, lengths and counts unsigned varints, strings and byte
+// strings length-prefixed; a response opens with one error-kind byte,
+// 0 for success, else the kind followed by the text.
+//
+//	record       timestamp (Unix ns) | epoch | key | value
+//	runs         { count | partition | first offset | count × record } … | 0
+//
+//	opAppend     partition | producer id | base seq | topic | n | n × record
+//	             → kind | base offset
+//	opFetch      wait (µs) | max | topic | n | n × (partition | offset)
+//	             → kind | runs
+//	opCommit     generation | group | member | n | n × (partition | offset)
+//	             → kind
+//	opFetchLog   partition | offset | max | topic
+//	             → kind | runs
+//	opReplFetch  node | epoch | topics | per topic: name | n | n × (size | tail epoch)
+//	             → kind | epoch | leader
+//	               | topics | per topic: name | n | n × commit index | runs
+//	               | truncations | each: topic | partition | size
+//	               | group offsets | each: group | topic | partition | offset
+//
+// Topics travel in name order. A decoder checks every count and length
+// against the bytes that remain before sizing anything from it and
+// treats trailing bytes as an error; because every request opens with
+// a varint that cannot be negative and every response with the kind
+// byte, a JSON body from a node that predates this format is refused
+// at its first field. The control opcodes (meta, ensure-topic, join,
+// leave, assign, committed, group-committed, heartbeat,
+// high-watermarks, vote, declare) keep JSON bodies: they run at
+// set-up, a few times a second, or once per election, and carry none
+// of the traffic.
 //
 // See ARCHITECTURE.md "Distributed deployment" for the replication
 // protocol and its delivery invariants.

@@ -3,7 +3,6 @@ package netbroker
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"alarmverify/internal/broker"
 )
@@ -57,7 +56,9 @@ var (
 	ErrAckTimeout = errors.New("netbroker: replication quorum ack timeout")
 )
 
-// wireErr is the error envelope embedded in every response.
+// wireErr is the error envelope embedded in every response: JSON
+// fields on the control opcodes, a kind byte and the text on the binary
+// ones (wire.go).
 type wireErr struct {
 	Err  string `json:"err,omitempty"`
 	Kind string `json:"kind,omitempty"`
@@ -119,43 +120,6 @@ func (e *wireErr) setErr(err error) {
 	}
 }
 
-// wireRecord is one log record on the wire. JSON base64-encodes the
-// byte slices; timestamps travel as Unix nanoseconds. E is the
-// replication epoch that appended the record — replicas install it
-// verbatim so log reconciliation can compare (epoch, offset) pairs.
-type wireRecord struct {
-	P   int    `json:"p"`
-	Off int64  `json:"off"`
-	K   []byte `json:"k,omitempty"`
-	V   []byte `json:"v,omitempty"`
-	TS  int64  `json:"ts"`
-	E   int64  `json:"e,omitempty"`
-}
-
-func toWire(r broker.Record) wireRecord {
-	return wireRecord{P: r.Partition, Off: r.Offset, K: r.Key, V: r.Value, TS: r.Timestamp.UnixNano(), E: r.Epoch}
-}
-
-func fromWire(topic string, w wireRecord) broker.Record {
-	return broker.Record{
-		Topic:     topic,
-		Partition: w.P,
-		Offset:    w.Off,
-		Key:       w.K,
-		Value:     w.V,
-		Timestamp: time.Unix(0, w.TS),
-		Epoch:     w.E,
-	}
-}
-
-// wireSize estimates a record's encoded footprint in a JSON response
-// (base64 expands payloads 4/3, plus field overhead). Response
-// builders subtract it from a byte budget so no frame approaches
-// MaxFrame.
-func wireSize(r broker.Record) int64 {
-	return int64(len(r.Key)+len(r.Value))*4/3 + 96
-}
-
 type metaReq struct{}
 
 type metaResp struct {
@@ -174,37 +138,6 @@ type ensureTopicReq struct {
 type ensureTopicResp struct {
 	wireErr
 	Partitions int `json:"partitions"`
-}
-
-type appendReq struct {
-	Topic      string       `json:"topic"`
-	Partition  int          `json:"partition"`
-	ProducerID int64        `json:"pid"`
-	BaseSeq    int64        `json:"seq"`
-	Recs       []wireRecord `json:"recs"`
-}
-
-type appendResp struct {
-	wireErr
-	Base int64 `json:"base"`
-}
-
-// fetchPart addresses one partition cursor inside a fetch sweep.
-type fetchPart struct {
-	Partition int   `json:"p"`
-	Offset    int64 `json:"off"`
-}
-
-type fetchReq struct {
-	Topic  string      `json:"topic"`
-	Parts  []fetchPart `json:"parts"`
-	Max    int         `json:"max"`
-	WaitMs int         `json:"waitMs"`
-}
-
-type fetchResp struct {
-	wireErr
-	Recs []wireRecord `json:"recs,omitempty"`
 }
 
 type hwReq struct {
@@ -248,15 +181,6 @@ type assignResp struct {
 	Parts []int `json:"parts"`
 }
 
-type commitReq struct {
-	Group   string        `json:"group"`
-	Member  string        `json:"member"`
-	Gen     int64         `json:"gen"`
-	Offsets map[int]int64 `json:"offsets"`
-}
-
-type commitResp struct{ wireErr }
-
 type committedReq struct {
 	Group string `json:"group"`
 	Parts []int  `json:"parts"`
@@ -284,42 +208,6 @@ type heartbeatReq struct {
 type heartbeatResp struct {
 	wireErr
 	Gen int64 `json:"gen"`
-}
-
-// groupState piggybacks a consumer group's committed offsets on the
-// replication stream, so a promoted leader can seed its coordinator.
-type groupState struct {
-	Topic   string        `json:"topic"`
-	Offsets map[int]int64 `json:"offsets"`
-}
-
-// replFetchReq is the follower's pull: its current log sizes per
-// topic/partition double as replication acks, and Tails carries the
-// epoch of each partition's last record so the leader can verify the
-// follower's log is a true prefix of its own before counting the ack
-// (a bare size cannot distinguish a caught-up follower from one
-// holding an equal-length divergent log).
-type replFetchReq struct {
-	NodeID int                `json:"node"`
-	Epoch  int64              `json:"epoch"`
-	Sizes  map[string][]int64 `json:"sizes"`
-	Tails  map[string][]int64 `json:"tails,omitempty"`
-}
-
-// replFetchResp ships records past the follower's verified prefix. A
-// partition whose reported tail disagrees with the leader's log gets a
-// Truncs entry instead of records: the follower truncates to that size
-// and the next pull re-checks one record earlier, converging on the
-// divergence point.
-type replFetchResp struct {
-	wireErr
-	Epoch      int64                           `json:"epoch"`
-	Leader     int                             `json:"leader"`
-	Partitions map[string]int                  `json:"partitions,omitempty"`
-	Recs       map[string]map[int][]wireRecord `json:"recs,omitempty"`
-	Truncs     map[string]map[int]int64        `json:"truncs,omitempty"`
-	Commits    map[string][]int64              `json:"commits,omitempty"`
-	Groups     map[string]groupState           `json:"groups,omitempty"`
 }
 
 type voteReq struct {
@@ -356,16 +244,4 @@ type declareReq struct {
 type declareResp struct {
 	wireErr
 	Epoch int64 `json:"epoch"`
-}
-
-type fetchLogReq struct {
-	Topic     string `json:"topic"`
-	Partition int    `json:"partition"`
-	Offset    int64  `json:"off"`
-	Max       int    `json:"max"`
-}
-
-type fetchLogResp struct {
-	wireErr
-	Recs []wireRecord `json:"recs,omitempty"`
 }

@@ -2,7 +2,6 @@ package netbroker
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"alarmverify/internal/broker"
@@ -12,38 +11,29 @@ import (
 // round-trip.
 const replBatch = 512
 
-// respBudget bounds the approximate encoded size of the records packed
-// into one response (replication pull, log fetch, consumer fetch).
-// Half of MaxFrame leaves generous headroom for base64 expansion
-// estimation error plus the rest of the body: without the budget, a
-// response spanning many partitions or large values could exceed
-// MaxFrame, fail the frame write, and — since the peer's next request
-// regenerates the same oversized response — wedge permanently.
+// respBudget bounds the encoded size of the records packed into one
+// response (replication pull, log fetch, consumer fetch), counted
+// exactly (recordLen). Half of MaxFrame leaves the rest of the body
+// generous room: without the budget, a response spanning many
+// partitions or large values could exceed MaxFrame, fail the frame
+// write, and — since the peer's next request regenerates the same
+// oversized response — wedge permanently.
 const respBudget = MaxFrame / 2
 
-// localSizes snapshots every local topic's per-partition log sizes.
-func (s *Server) localSizes() map[string][]int64 {
-	sizes, _ := s.localState()
-	return sizes
-}
-
 // localState snapshots every local topic's per-partition log sizes and
-// tail epochs (the epoch of each partition's last record).
+// tail epochs (the epoch of each partition's last record) for the
+// election messages.
 func (s *Server) localState() (sizes, tails map[string][]int64) {
 	sizes = make(map[string][]int64)
 	tails = make(map[string][]int64)
-	for name, parts := range s.topicSizes() {
-		t, err := s.b.Topic(name)
-		if err != nil {
-			continue
-		}
-		sz := make([]int64, parts)
-		te := make([]int64, parts)
-		for p := 0; p < parts; p++ {
+	for _, t := range s.b.AppendTopics(nil) {
+		sz := make([]int64, t.Partitions())
+		te := make([]int64, t.Partitions())
+		for p := range sz {
 			sz[p], te[p], _ = t.LogTail(p)
 		}
-		sizes[name] = sz
-		tails[name] = te
+		sizes[t.Name()] = sz
+		tails[t.Name()] = te
 	}
 	return sizes, tails
 }
@@ -72,8 +62,9 @@ func at(v []int64, p int) int64 {
 // equal-length divergent log (a deposed leader's unacked suffix) would
 // otherwise ack sizes it does not actually replicate, corrupting the
 // quorum commit; instead it gets a truncate instruction and re-syncs.
-func (s *Server) handleReplFetch(req replFetchReq) replFetchResp {
-	var resp replFetchResp
+func (s *Server) handleReplFetch(req *replFetchReq, resp *replFetchResp, sc *connScratch) {
+	resp.wireErr = wireErr{}
+	resp.Topics, resp.Recs, resp.Truncs, resp.Groups = resp.Topics[:0], resp.Recs[:0], resp.Truncs[:0], resp.Groups[:0]
 	s.mu.Lock()
 	resp.Epoch = s.epoch
 	resp.Leader = s.leader
@@ -81,7 +72,7 @@ func (s *Server) handleReplFetch(req replFetchReq) replFetchResp {
 		// Not leading (or the follower knows a newer epoch): answer
 		// with our view so the follower re-aims, ship nothing.
 		s.mu.Unlock()
-		return resp
+		return
 	}
 	// The pull is proof a follower still recognizes this leader; the
 	// step-down check counts these against the quorum.
@@ -91,118 +82,99 @@ func (s *Server) handleReplFetch(req replFetchReq) replFetchResp {
 	seen := s.logGen
 	s.mu.Unlock()
 
-	// Verify each reported partition before counting its ack.
-	verified := make(map[string][]int64, len(req.Sizes))
-	for name, sizes := range req.Sizes {
-		t, err := s.b.Topic(name)
-		if err != nil {
+	// Verify each reported partition before counting its ack: a size
+	// that fails is zeroed, so req's Sizes become the acks.
+	sc.topics = s.b.AppendTopics(sc.topics[:0])
+	for _, t := range sc.topics {
+		rt := req.topic(t.Name())
+		if rt == nil {
 			continue
 		}
-		tails := req.Tails[name]
-		acks := make([]int64, len(sizes))
-		for p, size := range sizes {
-			ok, trunc := s.verifyPrefix(t, p, size, at(tails, p))
+		for p, size := range rt.Sizes {
+			ok, trunc := s.verifyPrefix(t, p, size, at(rt.Tails, p))
 			if ok {
-				acks[p] = size
 				continue
 			}
+			rt.Sizes[p] = 0
 			if trunc >= 0 {
-				if resp.Truncs == nil {
-					resp.Truncs = make(map[string]map[int]int64)
-				}
-				if resp.Truncs[name] == nil {
-					resp.Truncs[name] = make(map[int]int64)
-				}
-				resp.Truncs[name][p] = trunc
+				resp.Truncs = append(resp.Truncs, truncAt{Topic: t.Name(), P: p, Size: trunc})
 			}
 		}
-		verified[name] = acks
-	}
-	s.mu.Lock()
-	for name, acks := range verified {
-		m := s.match[name]
+		s.mu.Lock()
+		m := s.match[rt.Name]
 		if m == nil {
 			m = make(map[int][]int64)
-			s.match[name] = m
+			s.match[rt.Name] = m
 		}
-		m[req.NodeID] = acks
+		m[req.NodeID] = append(m[req.NodeID][:0], rt.Sizes...)
+		s.advanceLocked(rt.Name, t)
+		s.mu.Unlock()
 	}
-	s.mu.Unlock()
-	for name := range verified {
-		if t, err := s.b.Topic(name); err == nil {
-			s.advance(name, t)
-		}
-	}
-	s.publishLag(req.NodeID, verified)
+	s.publishLag(req, sc.topics)
 
-	s.shipLog(&resp, verified)
+	s.shipLog(req, resp, sc.topics)
 	if len(resp.Recs) == 0 && len(resp.Truncs) == 0 {
 		s.mu.Lock()
-		grew := s.park(&s.logGen, seen, time.Now().Add(s.opts.ReplInterval))
+		grew := s.park(&s.logGen, seen, time.Now().Add(s.opts.ReplInterval), sc.timer)
 		s.mu.Unlock()
 		if grew {
-			s.shipLog(&resp, verified)
+			s.shipLog(req, resp, sc.topics)
 		}
 	}
-	resp.Commits = make(map[string][]int64, len(resp.Partitions))
 	s.mu.Lock()
-	for name := range resp.Partitions {
-		resp.Commits[name] = slices.Clone(s.commits[name])
+	for i, t := range sc.topics {
+		// A topic created on the broker directly has no commit indexes
+		// yet: zeros, one per partition.
+		c := resp.Topics[i].Commits[:0]
+		c = append(c, s.commits[t.Name()]...)
+		for len(c) < t.Partitions() {
+			c = append(c, 0)
+		}
+		resp.Topics[i].Commits = c
 	}
 	s.mu.Unlock()
-	resp.Groups = make(map[string]groupState)
-	for g, topicName := range s.b.GroupTopics() {
-		if offs, err := s.b.GroupCommitted(g); err == nil {
-			resp.Groups[g] = groupState{Topic: topicName, Offsets: offs}
-		}
-	}
-	return resp
+	resp.Groups = s.b.AppendGroupOffsets(resp.Groups)
 }
 
-// shipLog fills resp with every topic's partition count and the records
-// past the follower's verified sizes, skipping partitions that must
-// truncate first.
-func (s *Server) shipLog(resp *replFetchResp, verified map[string][]int64) {
-	resp.Partitions = s.topicSizes()
-	resp.Recs = make(map[string]map[int][]wireRecord)
-	budget := int64(respBudget)
-	for name, parts := range resp.Partitions {
-		t, err := s.b.Topic(name)
-		if err != nil {
-			continue
+// shipLog lists topics in resp.Topics, index for index, and fills
+// resp.Recs with the records past the follower's verified sizes,
+// skipping partitions that must truncate first.
+//
+//alarmvet:hotpath
+func (s *Server) shipLog(req *replFetchReq, resp *replFetchResp, topics []*broker.Topic) {
+	resp.Topics, resp.Recs = resp.Topics[:0], resp.Recs[:0]
+	budget := respBudget
+	for _, t := range topics {
+		var rt *topicCommits
+		resp.Topics, rt = next(resp.Topics)
+		rt.Name = t.Name()
+		var acked []int64
+		if ft := req.topic(rt.Name); ft != nil {
+			acked = ft.Sizes
 		}
-		acked := verified[name]
-		for p := 0; p < parts && budget > 0; p++ {
-			if resp.Truncs[name] != nil {
-				if _, pending := resp.Truncs[name][p]; pending {
-					// The follower must truncate before pulling records.
-					continue
-				}
+		for p := 0; p < t.Partitions() && budget > 0; p++ {
+			if resp.truncates(rt.Name, p) {
+				continue // the follower must truncate before pulling records
 			}
-			from := at(acked, p)
-			recs, err := t.FetchLog(p, from, replBatch)
-			if err != nil || len(recs) == 0 {
+			from := len(resp.Recs)
+			recs, err := t.FetchLogInto(p, at(acked, p), replBatch, resp.Recs)
+			if err != nil {
 				continue
 			}
-			ws := make([]wireRecord, 0, len(recs))
-			for _, r := range recs {
-				// Always ship at least one record per response so a
-				// single large record still makes progress; otherwise
-				// stop at the budget and let the next pull continue.
-				if budget <= 0 && len(ws) > 0 {
-					break
-				}
-				budget -= wireSize(r)
-				ws = append(ws, toWire(r))
-			}
-			pm := resp.Recs[name]
-			if pm == nil {
-				pm = make(map[int][]wireRecord)
-				resp.Recs[name] = pm
-			}
-			pm[p] = ws
+			resp.Recs, budget = fit(recs, from, budget)
 		}
 	}
+}
+
+// truncates reports whether resp tells the follower to truncate the
+// partition.
+func (m *replFetchResp) truncates(topic string, p int) bool {
+	for i := range m.Truncs {
+		if m.Truncs[i].P == p && m.Truncs[i].Topic == topic {
+			return true
+		}
+	}
+	return false
 }
 
 // verifyPrefix checks that a follower's reported log (size records,
@@ -234,25 +206,25 @@ func (s *Server) verifyPrefix(t *broker.Topic, p int, size, tailEpoch int64) (ok
 	return false, size - 1
 }
 
-// publishLag mirrors one follower's replication lag into the metrics.
-func (s *Server) publishLag(node int, acked map[string][]int64) {
+// publishLag mirrors one follower's replication lag — the leader's log
+// sizes less the acks in req — into the metrics.
+func (s *Server) publishLag(req *replFetchReq, topics []*broker.Topic) {
 	if s.opts.Repl == nil {
 		return
 	}
 	var lag int64
-	for name, sizes := range s.localSizes() {
-		a := acked[name]
-		for p, size := range sizes {
-			var v int64
-			if p < len(a) {
-				v = a[p]
-			}
-			if size > v {
-				lag += size - v
+	for _, t := range topics {
+		var acked []int64
+		if ft := req.topic(t.Name()); ft != nil {
+			acked = ft.Sizes
+		}
+		for p := 0; p < t.Partitions(); p++ {
+			if size, _ := t.LogSize(p); size > at(acked, p) {
+				lag += size - at(acked, p)
 			}
 		}
 	}
-	s.opts.Repl.SetReplicaLag(node, lag)
+	s.opts.Repl.SetReplicaLag(req.NodeID, lag)
 }
 
 // handleVote grants a vote iff the candidate's epoch is newer than any
@@ -330,17 +302,25 @@ func (s *Server) handleDeclare(req declareReq) declareResp {
 	return resp
 }
 
-// ensureLocalTopics creates any topics this node has not seen yet,
-// under replicated visibility.
+// ensureLocalTopics creates any topics this node has not seen yet.
 func (s *Server) ensureLocalTopics(partitions map[string]int) {
 	for name, parts := range partitions {
-		if _, err := s.b.Topic(name); err == nil {
-			continue
-		}
-		if t, err := s.b.CreateTopic(name, parts); err == nil {
-			s.initTopic(name, t)
-		}
+		s.ensureLocalTopic(name, parts)
 	}
+}
+
+// ensureLocalTopic creates a topic this node has not seen yet, under
+// replicated visibility, and returns it (nil when it cannot exist).
+func (s *Server) ensureLocalTopic(name string, parts int) *broker.Topic {
+	if t, err := s.b.Topic(name); err == nil {
+		return t
+	}
+	t, err := s.b.CreateTopic(name, parts)
+	if err != nil {
+		return nil
+	}
+	s.initTopic(name, t)
+	return t
 }
 
 // replLoop is the follower side of replication: keep one pull
@@ -440,10 +420,19 @@ func (s *Server) pullFrom(leader int) (served bool, err error) {
 	s.mu.Lock()
 	epoch := s.epoch
 	s.mu.Unlock()
-	sizes, tails := s.localState()
-	req := replFetchReq{NodeID: s.opts.NodeID, Epoch: epoch, Sizes: sizes, Tails: tails}
-	var resp replFetchResp
-	if err := rc.call(opReplFetch, req, &resp); err != nil {
+	req, resp := &s.pull.req, &s.pull.resp
+	req.NodeID, req.Epoch, req.Topics = s.opts.NodeID, epoch, req.Topics[:0]
+	s.pull.topics = s.b.AppendTopics(s.pull.topics[:0])
+	for _, t := range s.pull.topics {
+		var rt *topicTails
+		req.Topics, rt = next(req.Topics)
+		rt.Name, rt.Sizes, rt.Tails = t.Name(), rt.Sizes[:0], rt.Tails[:0]
+		for p := 0; p < t.Partitions(); p++ {
+			size, tail, _ := t.LogTail(p)
+			rt.Sizes, rt.Tails = append(rt.Sizes, size), append(rt.Tails, tail)
+		}
+	}
+	if err := rc.callWire(opReplFetch, req, resp); err != nil {
 		s.dropPeerConn(leader, rc)
 		return false, err
 	}
@@ -463,56 +452,53 @@ func (s *Server) pullFrom(leader int) (served bool, err error) {
 		return false, nil
 	}
 	applied := 0
-	s.ensureLocalTopics(resp.Partitions)
-	for name, parts := range resp.Truncs {
-		t, err := s.b.Topic(name)
+	for _, tr := range resp.Truncs {
+		t, err := s.b.Topic(tr.Topic)
 		if err != nil {
 			continue
 		}
-		for p, target := range parts {
-			if err := t.Truncate(p, target); err != nil {
-				// Truncating below the visible limit would violate the
-				// commit invariant; the leader's log covers every
-				// committed record, so this is unreachable unless state
-				// is corrupt — leave the log alone.
-				continue
-			}
-			applied++
+		if err := t.Truncate(tr.P, tr.Size); err != nil {
+			// Truncating below the visible limit would violate the
+			// commit invariant; the leader's log covers every committed
+			// record, so this is unreachable unless state is corrupt —
+			// leave the log alone.
+			continue
 		}
+		applied++
 	}
-	for name, parts := range resp.Recs {
-		t, err := s.b.Topic(name)
-		if err != nil {
-			continue
-		}
-		for p, ws := range parts {
-			recs := make([]broker.Record, len(ws))
-			for i, w := range ws {
-				recs[i] = fromWire(name, w)
-			}
-			if err := t.AppendReplica(p, recs); err != nil {
+	recs := resp.Recs
+	for i := range resp.Topics {
+		rt := &resp.Topics[i]
+		t := s.ensureLocalTopic(rt.Name, len(rt.Commits))
+		for len(recs) > 0 && recs[0].Topic == rt.Name {
+			run := recs[:runLen(recs)]
+			recs = recs[len(run):]
+			if t == nil || t.AppendReplica(run[0].Partition, run) != nil {
 				// Out-of-order chunk (e.g. a truncation raced the
 				// fetch): skip, the next pull restarts from our size.
 				continue
 			}
 			applied++
 		}
-	}
-	for name, commits := range resp.Commits {
-		t, err := s.b.Topic(name)
-		if err != nil {
+		if t == nil {
 			continue
 		}
 		s.mu.Lock()
-		local := s.commits[name]
-		if len(local) < len(commits) {
-			grown := make([]int64, len(commits))
+		local := s.commits[rt.Name]
+		if len(local) < len(rt.Commits) {
+			grown := make([]int64, len(rt.Commits))
 			copy(grown, local)
 			local = grown
-			s.commits[name] = local
+			s.commits[rt.Name] = local
 		}
 		moved := false
-		for p, c := range commits {
+		for p, c := range rt.Commits {
+			if resp.truncates(rt.Name, p) {
+				// Not a prefix of the leader's log yet: a visible limit
+				// over the divergent tail would refuse the truncations
+				// still to come.
+				continue
+			}
 			if c > local[p] {
 				local[p] = c
 				moved = true
@@ -525,11 +511,16 @@ func (s *Server) pullFrom(leader int) (served bool, err error) {
 		}
 		s.mu.Unlock()
 	}
-	for g, st := range resp.Groups {
-		if t, err := s.b.Topic(st.Topic); err == nil {
+	var t *broker.Topic
+	for i := range resp.Groups {
+		g := &resp.Groups[i]
+		if t == nil || t.Name() != g.Topic {
+			t, _ = s.b.Topic(g.Topic)
+		}
+		if t != nil {
 			// Best-effort: a promoted leader seeds its coordinator from
 			// this gossip, clamped monotonically.
-			_ = s.b.SeedGroupOffsets(g, t, st.Offsets)
+			_ = s.b.SeedGroupOffset(g.Group, t, g.Partition, g.Offset)
 		}
 	}
 	return applied > 0 || len(resp.Recs)+len(resp.Truncs) == 0, nil
@@ -644,10 +635,11 @@ func (s *Server) runElection() {
 		s.opts.Repl.AddFailover()
 	}
 	s.publishRole()
+	sizes, _ := s.localState()
 	declare := declareReq{
 		Epoch:      newEpoch,
 		Leader:     s.opts.NodeID,
-		Sizes:      s.localSizes(),
+		Sizes:      sizes,
 		Partitions: s.topicSizes(),
 	}
 	for node := range s.opts.Peers {
@@ -690,16 +682,16 @@ func (s *Server) reconcilePartition(t *broker.Topic, name string, p int, theirs 
 		if err != nil {
 			return false
 		}
-		var resp fetchLogResp
+		var resp fetchResp
 		req := fetchLogReq{Topic: name, Partition: p, Offset: local - 1, Max: 1}
-		if err := rc.call(opFetchLog, req, &resp); err != nil {
+		if err := rc.callWire(opFetchLog, &req, &resp); err != nil {
 			s.dropPeerConn(node, rc)
 			return false
 		}
 		if len(resp.Recs) == 0 {
 			return false // voter log shrank under us; stand down
 		}
-		if resp.Recs[0].E == localTail {
+		if resp.Recs[0].Epoch == localTail {
 			break // prefixes agree; pure catch-up from here
 		}
 		if t.Truncate(p, local-1) != nil {
@@ -721,20 +713,15 @@ func (s *Server) syncPartition(t *broker.Topic, name string, p int, theirs int64
 		if err != nil {
 			return false
 		}
-		var resp fetchLogResp
+		var resp fetchResp
 		req := fetchLogReq{Topic: name, Partition: p, Offset: local, Max: replBatch}
-		if err := rc.call(opFetchLog, req, &resp); err != nil {
+		if err := rc.callWire(opFetchLog, &req, &resp); err != nil {
 			s.dropPeerConn(node, rc)
 			return false
 		}
-		if len(resp.Recs) == 0 {
-			return false
-		}
-		recs := make([]broker.Record, len(resp.Recs))
-		for i, w := range resp.Recs {
-			recs[i] = fromWire(name, w)
-		}
-		if err := t.AppendReplica(p, recs); err != nil {
+		// The records point into the peer connection's receive buffer;
+		// the log copies them before the next call reuses it.
+		if len(resp.Recs) == 0 || t.AppendReplica(p, resp.Recs) != nil {
 			return false
 		}
 	}

@@ -2,7 +2,6 @@ package netbroker
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -90,39 +89,35 @@ func TestReplFetchRespectsBudget(t *testing.T) {
 
 	var size, tail int64
 	pulls := 0
+	sc := srv.newConnScratch()
+	var resp replFetchResp
 	for size < n {
 		if pulls++; pulls > 3*n {
 			t.Fatalf("replication stalled: %d pulls reached only %d/%d records", pulls, size, n)
 		}
-		resp := srv.handleReplFetch(replFetchReq{
+		srv.handleReplFetch(&replFetchReq{
 			NodeID: 1,
 			Epoch:  1,
-			Sizes:  map[string][]int64{"alarms": {size}},
-			Tails:  map[string][]int64{"alarms": {tail}},
-		})
+			Topics: []topicTails{{Name: "alarms", Sizes: []int64{size}, Tails: []int64{tail}}},
+		}, &resp, sc)
 		if resp.Err != "" {
 			t.Fatalf("pull %d: %s", pulls, resp.Err)
 		}
 		if len(resp.Truncs) != 0 {
 			t.Fatalf("pull %d: unexpected truncate instruction %v", pulls, resp.Truncs)
 		}
-		enc, err := json.Marshal(resp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := AppendFrame(nil, append([]byte{opReplFetch}, enc...)); err != nil {
+		if _, err := AppendFrame(nil, resp.appendTo([]byte{opReplFetch})); err != nil {
 			t.Fatalf("pull %d: response does not frame: %v", pulls, err)
 		}
-		ws := resp.Recs["alarms"][0]
-		if len(ws) == 0 {
+		if len(resp.Recs) == 0 {
 			t.Fatalf("pull %d shipped nothing at size %d", pulls, size)
 		}
-		for _, w := range ws {
-			if w.Off != size {
-				t.Fatalf("pull %d: record at offset %d, want %d", pulls, w.Off, size)
+		for _, r := range resp.Recs {
+			if r.Offset != size {
+				t.Fatalf("pull %d: record at offset %d, want %d", pulls, r.Offset, size)
 			}
 			size++
-			tail = w.E
+			tail = r.Epoch
 		}
 	}
 	if pulls < 2 {
@@ -186,8 +181,8 @@ func TestUnservedPullFallsBackToTicker(t *testing.T) {
 						return
 					}
 					pulls.Add(1)
-					enc, _ := json.Marshal(replFetchResp{Epoch: 1, Leader: -1})
-					if wbuf, err = writeFrame(c, wbuf, append([]byte{opReplFetch}, enc...)); err != nil {
+					resp := replFetchResp{Epoch: 1, Leader: -1}
+					if wbuf, err = writeFrame(c, wbuf, resp.appendTo([]byte{opReplFetch})); err != nil {
 						return
 					}
 				}

@@ -118,13 +118,21 @@ type Server struct {
 	closed            bool
 
 	sessMu   sync.Mutex
-	sessions map[string]*session
+	sessions map[sessionKey]*session
 
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
 
 	peerMu    sync.Mutex
 	peerConns map[int]*rpcConn
+
+	// pull is replLoop's own: the follower's pull messages and topic
+	// list, kept for their capacity.
+	pull struct {
+		topics []*broker.Topic
+		req    replFetchReq
+		resp   replFetchResp
+	}
 
 	stopc chan struct{}
 	wg    sync.WaitGroup
@@ -157,7 +165,7 @@ func NewServer(b *broker.Broker, addr string, opts Options) (*Server, error) {
 		lastPull:    make(map[int]time.Time),
 		leadSince:   time.Now(),
 		commits:     make(map[string][]int64),
-		sessions:    make(map[string]*session),
+		sessions:    make(map[sessionKey]*session),
 		conns:       make(map[net.Conn]struct{}),
 		peerConns:   make(map[int]*rpcConn),
 		stopc:       make(chan struct{}),
@@ -249,6 +257,33 @@ func (s *Server) isClosed() bool {
 	return s.closed
 }
 
+// connScratch is what one connection's requests are decoded into and
+// its responses built in, kept between requests for the capacity: the
+// messages of the binary opcodes, the broker-side forms they are turned
+// into, the response body, and the one deadline timer a parked request
+// arms (it fires into wake; stopped whenever no request is parked).
+type connScratch struct {
+	appendReq  appendReq
+	appendResp appendResp
+	fetchReq   fetchReq
+	logReq     fetchLogReq
+	fetchResp  fetchResp
+	commitReq  commitReq
+	commitResp commitResp
+	replReq    replFetchReq
+	replResp   replFetchResp
+	topics     []*broker.Topic
+	offsets    map[int]int64
+	timer      *time.Timer
+	out        []byte
+}
+
+func (s *Server) newConnScratch() *connScratch {
+	sc := &connScratch{offsets: make(map[int]int64), timer: time.AfterFunc(time.Hour, s.wake)}
+	sc.timer.Stop()
+	return sc
+}
+
 // serveConn handles one connection: sequential request/response frames
 // until the peer hangs up or sends garbage.
 func (s *Server) serveConn(c net.Conn) {
@@ -259,6 +294,7 @@ func (s *Server) serveConn(c net.Conn) {
 		delete(s.conns, c)
 		s.connMu.Unlock()
 	}()
+	sc := s.newConnScratch()
 	var rbuf, wbuf []byte
 	for {
 		body, buf, err := readFrame(c, rbuf)
@@ -269,7 +305,7 @@ func (s *Server) serveConn(c net.Conn) {
 		if len(body) == 0 {
 			return
 		}
-		respBody, err := s.dispatch(body[0], body[1:])
+		respBody, err := s.dispatch(sc, body[0], body[1:])
 		if err != nil {
 			return
 		}
@@ -280,114 +316,85 @@ func (s *Server) serveConn(c net.Conn) {
 	}
 }
 
-// dispatch decodes one request, runs its handler and encodes the
-// response under the echoed opcode. Unknown opcodes and malformed
-// payloads drop the connection (err != nil).
-func (s *Server) dispatch(op byte, payload []byte) ([]byte, error) {
-	var resp any
-	switch op {
-	case opMeta:
-		resp = s.handleMeta()
-	case opEnsureTopic:
-		var req ensureTopicReq
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		resp = s.handleEnsureTopic(req)
-	case opAppend:
-		var req appendReq
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		resp = s.handleAppend(req)
-	case opFetch:
-		var req fetchReq
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		resp = s.handleFetch(req)
-	case opHighWatermarks:
-		var req hwReq
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		resp = s.handleHighWatermarks(req)
-	case opJoin:
-		var req joinReq
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		resp = s.handleJoin(req)
-	case opLeave:
-		var req leaveReq
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		resp = s.handleLeave(req)
-	case opAssign:
-		var req assignReq
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		resp = s.handleAssign(req)
-	case opCommit:
-		var req commitReq
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		resp = s.handleCommit(req)
-	case opCommitted:
-		var req committedReq
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		resp = s.handleCommitted(req)
-	case opGroupCommitted:
-		var req groupCommittedReq
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		resp = s.handleGroupCommitted(req)
-	case opHeartbeat:
-		var req heartbeatReq
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		resp = s.handleHeartbeat(req)
-	case opReplFetch:
-		var req replFetchReq
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		resp = s.handleReplFetch(req)
-	case opVote:
-		var req voteReq
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		resp = s.handleVote(req)
-	case opDeclare:
-		var req declareReq
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		resp = s.handleDeclare(req)
-	case opFetchLog:
-		var req fetchLogReq
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		resp = s.handleFetchLog(req)
-	default:
-		return nil, fmt.Errorf("netbroker: unknown opcode %d", op)
+// viaJSON runs a control opcode's handler between its JSON bodies.
+func viaJSON[Q, R any](payload []byte, handle func(Q) R) (any, error) {
+	var req Q
+	if err := json.Unmarshal(payload, &req); err != nil {
+		return nil, err
 	}
-	enc, err := json.Marshal(resp)
+	return handle(req), nil
+}
+
+// dispatch decodes one request, runs its handler and encodes the
+// response under the echoed opcode into sc.out. Unknown opcodes and
+// malformed payloads drop the connection (err != nil).
+func (s *Server) dispatch(sc *connScratch, op byte, payload []byte) ([]byte, error) {
+	out := append(sc.out[:0], op)
+	var resp any
+	var err error
+	switch op {
+	case opAppend:
+		if err = sc.appendReq.decode(payload); err == nil {
+			s.handleAppend(&sc.appendReq, &sc.appendResp, sc.timer)
+			out = sc.appendResp.appendTo(out)
+		}
+	case opFetch:
+		if err = sc.fetchReq.decode(payload); err == nil {
+			s.handleFetch(&sc.fetchReq, &sc.fetchResp, sc.timer)
+			out = sc.fetchResp.appendTo(out)
+		}
+	case opCommit:
+		if err = sc.commitReq.decode(payload); err == nil {
+			s.handleCommit(&sc.commitReq, &sc.commitResp, sc.offsets)
+			out = sc.commitResp.appendTo(out)
+		}
+	case opReplFetch:
+		if err = sc.replReq.decode(payload); err == nil {
+			s.handleReplFetch(&sc.replReq, &sc.replResp, sc)
+			out = sc.replResp.appendTo(out)
+		}
+	case opFetchLog:
+		if err = sc.logReq.decode(payload); err == nil {
+			s.handleFetchLog(&sc.logReq, &sc.fetchResp)
+			out = sc.fetchResp.appendTo(out)
+		}
+	case opMeta:
+		resp, err = viaJSON(payload, s.handleMeta)
+	case opEnsureTopic:
+		resp, err = viaJSON(payload, s.handleEnsureTopic)
+	case opHighWatermarks:
+		resp, err = viaJSON(payload, s.handleHighWatermarks)
+	case opJoin:
+		resp, err = viaJSON(payload, s.handleJoin)
+	case opLeave:
+		resp, err = viaJSON(payload, s.handleLeave)
+	case opAssign:
+		resp, err = viaJSON(payload, s.handleAssign)
+	case opCommitted:
+		resp, err = viaJSON(payload, s.handleCommitted)
+	case opGroupCommitted:
+		resp, err = viaJSON(payload, s.handleGroupCommitted)
+	case opHeartbeat:
+		resp, err = viaJSON(payload, s.handleHeartbeat)
+	case opVote:
+		resp, err = viaJSON(payload, s.handleVote)
+	case opDeclare:
+		resp, err = viaJSON(payload, s.handleDeclare)
+	default:
+		err = fmt.Errorf("netbroker: unknown opcode %d", op)
+	}
 	if err != nil {
 		return nil, err
 	}
-	body := make([]byte, 0, 1+len(enc))
-	body = append(body, op)
-	return append(body, enc...), nil
+	if resp != nil {
+		enc, err := json.Marshal(resp)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, enc...)
+	}
+	sc.out = out
+	return out, nil
 }
 
 // notLeader builds the standard redirect error for follower-refused
@@ -410,7 +417,7 @@ func (s *Server) requireLeader() error {
 	return nil
 }
 
-func (s *Server) handleMeta() metaResp {
+func (s *Server) handleMeta(metaReq) metaResp {
 	var resp metaResp
 	s.mu.Lock()
 	resp.NodeID = s.opts.NodeID
@@ -424,10 +431,8 @@ func (s *Server) handleMeta() metaResp {
 // topicSizes maps every local topic to its partition count.
 func (s *Server) topicSizes() map[string]int {
 	out := make(map[string]int)
-	for _, name := range s.b.Topics() {
-		if t, err := s.b.Topic(name); err == nil {
-			out[name] = t.Partitions()
-		}
+	for _, t := range s.b.AppendTopics(nil) {
+		out[t.Name()] = t.Partitions()
 	}
 	return out
 }
@@ -471,34 +476,33 @@ func (s *Server) initTopic(name string, t *broker.Topic) {
 	s.mu.Unlock()
 }
 
-func (s *Server) handleAppend(req appendReq) appendResp {
-	var resp appendResp
+func (s *Server) handleAppend(req *appendReq, resp *appendResp, timer *time.Timer) {
+	*resp = appendResp{}
 	s.mu.Lock()
 	if s.leader != s.opts.NodeID {
 		leader := s.leader
 		s.mu.Unlock()
 		resp.setErr(fmt.Errorf("%w (node %d, leader %d)", ErrNotLeader, s.opts.NodeID, leader))
-		return resp
+		return
 	}
 	epoch := s.epoch
 	s.mu.Unlock()
 	t, err := s.b.Topic(req.Topic)
 	if err != nil {
 		resp.setErr(err)
-		return resp
+		return
 	}
-	recs := make([]broker.Record, len(req.Recs))
-	for i, w := range req.Recs {
-		recs[i] = fromWire(req.Topic, w)
-		// Stamp the appending epoch: replicas install it verbatim, and
-		// log reconciliation compares (epoch, offset) pairs to detect
-		// divergent suffixes that equal log sizes would hide.
-		recs[i].Epoch = epoch
+	// Stamp the appending epoch: replicas install it verbatim, and log
+	// reconciliation compares (epoch, offset) pairs to detect divergent
+	// suffixes that equal log sizes would hide. The log copies keys and
+	// values out of the frame they still point into.
+	for i := range req.Recs {
+		req.Recs[i].Epoch = epoch
 	}
-	base, err := t.Append(req.Partition, req.ProducerID, req.BaseSeq, recs)
+	base, err := t.Append(req.Partition, req.ProducerID, req.BaseSeq, req.Recs)
 	if err != nil {
 		resp.setErr(err)
-		return resp
+		return
 	}
 	// Ack target: everything in the log after this append (a retried
 	// duplicate reports the post-original size, so waiting on the
@@ -506,29 +510,28 @@ func (s *Server) handleAppend(req appendReq) appendResp {
 	want, err := t.LogSize(req.Partition)
 	if err != nil {
 		resp.setErr(err)
-		return resp
+		return
 	}
 	s.mu.Lock()
 	s.logGen++
 	s.cond.Broadcast() // parked follower pulls ship the new records at once
 	s.advanceLocked(req.Topic, t)
 	s.mu.Unlock()
-	if err := s.waitCommitted(req.Topic, req.Partition, want, epoch); err != nil {
+	if err := s.waitCommitted(req.Topic, req.Partition, want, epoch, timer); err != nil {
 		resp.setErr(err)
-		return resp
+		return
 	}
 	resp.Base = base
-	return resp
 }
 
 // waitCommitted blocks until the partition's quorum commit index
 // reaches want, the epoch moves on or this node stops leading
 // (deposed or stepped down: the append may or may not survive — the
 // producer retries at the new leader), the server closes, or
-// AckTimeout passes.
-func (s *Server) waitCommitted(topic string, partition int, want, epoch int64) error {
+// AckTimeout passes; timer is the connection's.
+func (s *Server) waitCommitted(topic string, partition int, want, epoch int64, timer *time.Timer) error {
 	deadline := time.Now().Add(s.opts.AckTimeout)
-	timer := time.AfterFunc(s.opts.AckTimeout, s.wake)
+	timer.Reset(s.opts.AckTimeout)
 	defer timer.Stop()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -557,16 +560,17 @@ func (s *Server) wake() {
 }
 
 // park blocks until *gen moves past seen (reported as moved), the
-// server closes, or deadline passes. The caller holds s.mu and read seen
-// before looking for work, so a bump between that look and the park is
-// never slept through; the lock is released only inside cond.Wait.
-func (s *Server) park(gen *uint64, seen uint64, deadline time.Time) (moved bool) {
+// server closes, or deadline passes, which the connection's timer turns
+// into a wake-up. The caller holds s.mu and read seen before looking
+// for work, so a bump between that look and the park is never slept
+// through; the lock is released only inside cond.Wait.
+func (s *Server) park(gen *uint64, seen uint64, deadline time.Time, timer *time.Timer) (moved bool) {
 	if wait := time.Until(deadline); *gen == seen && wait > 0 {
-		timer := time.AfterFunc(wait, s.wake)
-		defer timer.Stop()
+		timer.Reset(wait)
 		for *gen == seen && !s.closed && time.Now().Before(deadline) {
 			s.cond.Wait()
 		}
+		timer.Stop()
 	}
 	return *gen != seen
 }
@@ -640,61 +644,70 @@ func (s *Server) advanceLocked(name string, t *broker.Topic) {
 	}
 }
 
-func (s *Server) handleFetch(req fetchReq) fetchResp {
-	var resp fetchResp
+// maxFetchWait caps how long a consumer fetch may ask to be held.
+const maxFetchWait = 30 * time.Second
+
+// fit cuts recs[from:], a partition's records just added to a response,
+// where the byte budget runs out, and returns what is left of it. The
+// partition's first record always ships, so a record larger than the
+// budget still makes progress; the peer's next request resumes where
+// this response ends.
+//
+//alarmvet:hotpath
+func fit(recs []broker.Record, from, budget int) ([]broker.Record, int) {
+	for i := from; i < len(recs); i++ {
+		if budget <= 0 && i > from {
+			return recs[:i], budget
+		}
+		budget -= recordLen(&recs[i])
+	}
+	return recs, budget
+}
+
+func (s *Server) handleFetch(req *fetchReq, resp *fetchResp, timer *time.Timer) {
+	resp.wireErr, resp.Recs = wireErr{}, resp.Recs[:0]
 	t, err := s.b.Topic(req.Topic)
 	if err != nil {
 		resp.setErr(err)
-		return resp
+		return
 	}
 	max := req.Max
 	if max <= 0 {
 		max = 1
 	}
-	wait := time.Duration(req.WaitMs) * time.Millisecond
-	if wait > 30*time.Second {
-		wait = 30 * time.Second
+	wait := maxFetchWait
+	if req.WaitMicros < int64(maxFetchWait/time.Microsecond) {
+		wait = time.Duration(req.WaitMicros) * time.Microsecond
 	}
 	deadline := time.Now().Add(wait)
 	s.mu.Lock()
 	seen := s.commitGen
 	s.mu.Unlock()
 	for {
-		got := 0
-		budget := int64(respBudget)
+		budget := respBudget
 		for _, fp := range req.Parts {
+			got := len(resp.Recs)
 			if got >= max || budget <= 0 {
 				break
 			}
-			recs, err := t.Fetch(fp.Partition, fp.Offset, max-got)
-			if err != nil {
+			if resp.Recs, err = t.FetchInto(fp.P, fp.Off, max-got, resp.Recs); err != nil {
 				resp.setErr(err)
-				return resp
+				return
 			}
-			for _, r := range recs {
-				// Bound the encoded response below MaxFrame; the client's
-				// next poll resumes from its positions. At least one
-				// record always ships so large records make progress.
-				if budget <= 0 && got > 0 {
-					break
-				}
-				budget -= wireSize(r)
-				resp.Recs = append(resp.Recs, toWire(r))
-				got++
-			}
+			resp.Recs, budget = fit(resp.Recs, got, budget)
 		}
-		if got > 0 || !time.Now().Before(deadline) {
-			return resp
+		if len(resp.Recs) > 0 || !time.Now().Before(deadline) {
+			return
 		}
 		// Nothing visible yet: sleep until a visible limit moves (a
 		// quorum commit here, an adopted commit index on a follower).
 		s.mu.Lock()
-		s.park(&s.commitGen, seen, deadline)
+		s.park(&s.commitGen, seen, deadline, timer)
 		seen = s.commitGen
 		closed := s.closed
 		s.mu.Unlock()
 		if closed {
-			return resp
+			return
 		}
 	}
 }
@@ -718,7 +731,8 @@ func (s *Server) handleHighWatermarks(req hwReq) hwResp {
 	return resp
 }
 
-func sessionKey(group, member string) string { return group + "\x00" + member }
+// sessionKey names one member of one group.
+type sessionKey struct{ group, member string }
 
 func (s *Server) handleJoin(req joinReq) joinResp {
 	var resp joinResp
@@ -736,7 +750,7 @@ func (s *Server) handleJoin(req joinReq) joinResp {
 		resp.setErr(err)
 		return resp
 	}
-	key := sessionKey(req.Group, req.Member)
+	key := sessionKey{req.Group, req.Member}
 	s.sessMu.Lock()
 	if old, ok := s.sessions[key]; ok {
 		old.cons.Close()
@@ -754,7 +768,7 @@ func (s *Server) handleJoin(req joinReq) joinResp {
 func (s *Server) lookupSession(group, member string) (*session, error) {
 	s.sessMu.Lock()
 	defer s.sessMu.Unlock()
-	sess, ok := s.sessions[sessionKey(group, member)]
+	sess, ok := s.sessions[sessionKey{group, member}]
 	if !ok {
 		return nil, broker.ErrNotMember
 	}
@@ -764,7 +778,7 @@ func (s *Server) lookupSession(group, member string) (*session, error) {
 
 func (s *Server) handleLeave(req leaveReq) leaveResp {
 	var resp leaveResp
-	key := sessionKey(req.Group, req.Member)
+	key := sessionKey{req.Group, req.Member}
 	s.sessMu.Lock()
 	sess, ok := s.sessions[key]
 	delete(s.sessions, key)
@@ -795,21 +809,23 @@ func (s *Server) handleAssign(req assignReq) assignResp {
 	return resp
 }
 
-func (s *Server) handleCommit(req commitReq) commitResp {
-	var resp commitResp
+func (s *Server) handleCommit(req *commitReq, resp *commitResp, offsets map[int]int64) {
+	*resp = commitResp{}
 	if err := s.requireLeader(); err != nil {
 		resp.setErr(err)
-		return resp
+		return
 	}
 	if _, err := s.lookupSession(req.Group, req.Member); err != nil {
 		resp.setErr(err)
-		return resp
+		return
 	}
-	if err := s.b.GroupCommit(req.Group, req.Gen, req.Offsets); err != nil {
+	clear(offsets)
+	for _, po := range req.Offsets {
+		offsets[po.P] = po.Off
+	}
+	if err := s.b.GroupCommit(req.Group, req.Gen, offsets); err != nil {
 		resp.setErr(err)
-		return resp
 	}
-	return resp
 }
 
 func (s *Server) handleCommitted(req committedReq) committedResp {
@@ -863,35 +879,22 @@ func (s *Server) handleHeartbeat(req heartbeatReq) heartbeatResp {
 	return resp
 }
 
-func (s *Server) handleFetchLog(req fetchLogReq) fetchLogResp {
-	var resp fetchLogResp
+func (s *Server) handleFetchLog(req *fetchLogReq, resp *fetchResp) {
+	resp.wireErr, resp.Recs = wireErr{}, resp.Recs[:0]
 	t, err := s.b.Topic(req.Topic)
 	if err != nil {
 		resp.setErr(err)
-		return resp
+		return
 	}
 	max := req.Max
 	if max <= 0 || max > replBatch {
 		max = replBatch
 	}
-	recs, err := t.FetchLog(req.Partition, req.Offset, max)
-	if err != nil {
+	if resp.Recs, err = t.FetchLogInto(req.Partition, req.Offset, max, resp.Recs); err != nil {
 		resp.setErr(err)
-		return resp
+		return
 	}
-	resp.Recs = make([]wireRecord, 0, len(recs))
-	budget := int64(respBudget)
-	for _, r := range recs {
-		// Bound the encoded response below MaxFrame (the puller resumes
-		// from where this batch ends); ship at least one record so
-		// large records still make progress.
-		if budget <= 0 && len(resp.Recs) > 0 {
-			break
-		}
-		budget -= wireSize(r)
-		resp.Recs = append(resp.Recs, toWire(r))
-	}
-	return resp
+	resp.Recs, _ = fit(resp.Recs, 0, respBudget)
 }
 
 // janitor expires consumer-group sessions that stopped heartbeating,

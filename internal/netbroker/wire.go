@@ -1,0 +1,612 @@
+package netbroker
+
+import (
+	"encoding/binary"
+	"errors"
+	"math/bits"
+	"time"
+
+	"alarmverify/internal/broker"
+)
+
+// The binary bodies of the five opcodes that carry the traffic (append,
+// fetch, commit, replication pull, log fetch); frame.go's package
+// comment has the layouts. Encoders append to the caller's buffer;
+// decoders fill a message the caller keeps between calls, reusing its
+// slices and strings, so a steady-state round trip allocates nothing.
+// Decoded keys, values and records are views of the body: they live
+// until the connection reads its next frame.
+
+// errMalformed reports a body that is not the encoding of its opcode's
+// message: a length or count beyond the bytes that remain, a negative
+// value where none is possible, an unknown error kind, trailing bytes.
+// It drops the connection.
+var errMalformed = errors.New("netbroker: malformed message body")
+
+// partOffset is an offset in one partition: a fetch cursor, a commit.
+type partOffset struct {
+	P   int
+	Off int64
+}
+
+// truncAt tells a follower to cut one partition's log back to Size.
+type truncAt struct {
+	Topic string
+	P     int
+	Size  int64
+}
+
+// topicTails is a follower's log position in one topic: per partition,
+// the log size and the epoch of the last record.
+type topicTails struct {
+	Name         string
+	Sizes, Tails []int64
+}
+
+// topicCommits is one topic on the leader: per partition, the quorum
+// commit index; the length is the partition count.
+type topicCommits struct {
+	Name    string
+	Commits []int64
+}
+
+type appendReq struct {
+	Partition  int
+	ProducerID int64
+	BaseSeq    int64
+	Topic      string
+	Recs       []broker.Record // Timestamp, Key and Value travel
+}
+
+type appendResp struct {
+	wireErr
+	Base int64
+}
+
+type fetchReq struct {
+	WaitMicros int64
+	Max        int
+	Topic      string
+	Parts      []partOffset
+}
+
+// fetchResp answers opFetch and opFetchLog. Recs are whole runs of one
+// partition at consecutive offsets; Partition, Offset, Timestamp, Epoch,
+// Key and Value travel, the topic is the request's.
+type fetchResp struct {
+	wireErr
+	Recs []broker.Record
+}
+
+type commitReq struct {
+	Gen     int64
+	Group   string
+	Member  string
+	Offsets []partOffset
+}
+
+type commitResp struct{ wireErr }
+
+type fetchLogReq struct {
+	Partition int
+	Offset    int64
+	Max       int
+	Topic     string
+}
+
+// replFetchReq is the follower's pull: its log sizes per topic and
+// partition double as replication acks, and Tails carries the epoch of
+// each partition's last record so the leader can verify the follower's
+// log is a true prefix of its own before counting the ack (a bare size
+// cannot distinguish a caught-up follower from one holding an
+// equal-length divergent log). Topics are in name order.
+type replFetchReq struct {
+	NodeID int
+	Epoch  int64
+	Topics []topicTails
+}
+
+// topic returns the follower's entry for a topic, nil when it has not
+// heard of it.
+func (m *replFetchReq) topic(name string) *topicTails {
+	for i := range m.Topics {
+		if m.Topics[i].Name == name {
+			return &m.Topics[i]
+		}
+	}
+	return nil
+}
+
+// replFetchResp ships the records past the follower's verified prefix:
+// Recs holds them topic by topic in Topics' (name) order, each topic's
+// as runs of one partition. A partition whose reported tail disagrees
+// with the leader's log gets a Truncs entry instead of records: the
+// follower truncates to that size and the next pull re-checks one record
+// earlier, converging on the divergence point. Topics lists every topic
+// the leader holds with its commit indexes; Groups piggybacks the
+// consumer groups' committed offsets, so a promoted leader can seed its
+// coordinator.
+type replFetchResp struct {
+	wireErr
+	Epoch  int64
+	Leader int
+	Topics []topicCommits
+	Recs   []broker.Record
+	Truncs []truncAt
+	Groups []broker.GroupOffset
+}
+
+// next extends s by one element and returns it. An element an earlier,
+// longer use left in s's capacity comes back as it was, so the slices
+// and strings inside it are reused; the caller sets every field.
+func next[T any](s []T) ([]T, *T) {
+	if len(s) < cap(s) {
+		s = s[:len(s)+1]
+	} else {
+		var zero T
+		s = append(s, zero)
+	}
+	return s, &s[len(s)-1]
+}
+
+//alarmvet:hotpath
+func appendString(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
+}
+
+// appendRecord encodes what a record carries besides its position.
+//
+//alarmvet:hotpath
+func appendRecord(dst []byte, r *broker.Record) []byte {
+	dst = binary.AppendVarint(dst, r.Timestamp.UnixNano())
+	dst = binary.AppendVarint(dst, r.Epoch)
+	dst = binary.AppendUvarint(dst, uint64(len(r.Key)))
+	dst = append(dst, r.Key...)
+	dst = binary.AppendUvarint(dst, uint64(len(r.Value)))
+	return append(dst, r.Value...)
+}
+
+// minRecord is the shortest encoding appendRecord produces.
+const minRecord = 4
+
+func varintLen(v int64) int { return uvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
+
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// recordLen is the number of bytes appendRecord adds — what a response
+// builder subtracts from its byte budget.
+func recordLen(r *broker.Record) int {
+	return varintLen(r.Timestamp.UnixNano()) + varintLen(r.Epoch) +
+		uvarintLen(uint64(len(r.Key))) + len(r.Key) + uvarintLen(uint64(len(r.Value))) + len(r.Value)
+}
+
+// runLen counts the leading records of recs (not empty) that form one
+// run: one topic, one partition, consecutive offsets.
+//
+//alarmvet:hotpath
+func runLen(recs []broker.Record) int {
+	n := 1
+	for n < len(recs) && recs[n].Partition == recs[0].Partition &&
+		recs[n].Offset == recs[0].Offset+int64(n) && recs[n].Topic == recs[0].Topic {
+		n++
+	}
+	return n
+}
+
+// appendRuns encodes recs run by run — count, partition, first offset,
+// records — and ends the list with a zero count.
+//
+//alarmvet:hotpath
+func appendRuns(dst []byte, recs []broker.Record) []byte {
+	for len(recs) > 0 {
+		n := runLen(recs)
+		dst = binary.AppendUvarint(dst, uint64(n))
+		dst = binary.AppendVarint(dst, int64(recs[0].Partition))
+		dst = binary.AppendVarint(dst, recs[0].Offset)
+		for i := range recs[:n] {
+			dst = appendRecord(dst, &recs[i])
+		}
+		recs = recs[n:]
+	}
+	return append(dst, 0)
+}
+
+//alarmvet:hotpath
+func appendPartOffsets(dst []byte, v []partOffset) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(v)))
+	for _, po := range v {
+		dst = binary.AppendVarint(dst, int64(po.P))
+		dst = binary.AppendVarint(dst, po.Off)
+	}
+	return dst
+}
+
+// errKinds lists the error kinds in wire order: a response opens with
+// one byte, 0 for success or 1 + the kind's index followed by the text.
+var errKinds = [...]string{"", kindNotLeader, kindStale, kindNotMember, kindUnknownTopic,
+	kindTopicExists, kindInvalidOffset, kindUnknownGroup, kindClosed, kindAckTimeout}
+
+//alarmvet:hotpath
+func (e *wireErr) appendEnvelope(dst []byte) []byte {
+	if e.Err == "" && e.Kind == "" {
+		return append(dst, 0)
+	}
+	code := byte(1)
+	for i, k := range errKinds {
+		if k == e.Kind {
+			code = byte(i + 1)
+		}
+	}
+	dst = append(dst, code)
+	return appendString(dst, e.Err)
+}
+
+// wireReader walks a body. The first malformed field latches bad and
+// empties the reader, so every later read fails too and a decoder
+// checks once, in end. Every count is checked against the bytes that
+// remain before anything is sized from it, which bounds what a hostile
+// body can make a decoder allocate by the body's own length.
+type wireReader struct {
+	b   []byte
+	bad bool
+}
+
+func (r *wireReader) fail() { r.b, r.bad = nil, true }
+
+//alarmvet:hotpath
+func (r *wireReader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		r.fail()
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+//alarmvet:hotpath
+func (r *wireReader) varint() int64 {
+	v, n := binary.Varint(r.b)
+	if n <= 0 {
+		r.fail()
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+// nonneg reads a varint that cannot be negative: a partition, an offset,
+// a size, an epoch, a generation. Every request opens with one, so a
+// JSON body from a node that predates this format — '{' reads as -62 —
+// is refused at its first field.
+//
+//alarmvet:hotpath
+func (r *wireReader) nonneg() int64 {
+	v := r.varint()
+	if v < 0 {
+		r.fail()
+		return 0
+	}
+	return v
+}
+
+// count reads the number of items that follow, each at least each bytes
+// long, and refuses one the remaining bytes cannot hold.
+//
+//alarmvet:hotpath
+func (r *wireReader) count(each int) int {
+	n := r.uvarint()
+	if n > uint64(len(r.b)/each) {
+		r.fail()
+		return 0
+	}
+	return int(n)
+}
+
+// bytes reads a length-prefixed byte string as a view of the body (nil
+// when empty, as the log stores it).
+//
+//alarmvet:hotpath
+func (r *wireReader) bytes() []byte {
+	n := r.count(1)
+	if n == 0 {
+		return nil
+	}
+	v := r.b[:n:n]
+	r.b = r.b[n:]
+	return v
+}
+
+// str reads a string into *dst, keeping the string already there when
+// it is the same one: names repeat from message to message.
+//
+//alarmvet:hotpath
+func (r *wireReader) str(dst *string) {
+	if b := r.bytes(); string(b) != *dst {
+		*dst = string(b)
+	}
+}
+
+//alarmvet:hotpath
+func (r *wireReader) record() broker.Record {
+	var rec broker.Record
+	rec.Timestamp = time.Unix(0, r.varint())
+	rec.Epoch = r.nonneg()
+	rec.Key = r.bytes()
+	rec.Value = r.bytes()
+	return rec
+}
+
+// runs decodes what appendRuns wrote, appending to dst.
+//
+//alarmvet:hotpath
+func (r *wireReader) runs(topic string, dst []broker.Record) []broker.Record {
+	for n := r.count(minRecord); n > 0; n = r.count(minRecord) {
+		p, base := int(r.nonneg()), r.nonneg()
+		for i := 0; i < n && !r.bad; i++ {
+			rec := r.record()
+			rec.Topic, rec.Partition, rec.Offset = topic, p, base+int64(i)
+			dst = append(dst, rec)
+		}
+	}
+	return dst
+}
+
+//alarmvet:hotpath
+func (r *wireReader) partOffsets(dst []partOffset) []partOffset {
+	dst = dst[:0]
+	for n := r.count(2); n > 0; n-- {
+		dst = append(dst, partOffset{P: int(r.nonneg()), Off: r.nonneg()})
+	}
+	return dst
+}
+
+//alarmvet:hotpath
+func (r *wireReader) envelope(e *wireErr) {
+	e.Err, e.Kind = "", ""
+	if len(r.b) == 0 || int(r.b[0]) > len(errKinds) {
+		r.fail()
+		return
+	}
+	code := r.b[0]
+	r.b = r.b[1:]
+	if code != 0 {
+		e.Kind = errKinds[code-1]
+		e.Err = string(r.bytes())
+	}
+}
+
+// end closes a decode: bytes left over are as malformed as bytes
+// missing.
+func (r *wireReader) end() error {
+	if r.bad || len(r.b) != 0 {
+		return errMalformed
+	}
+	return nil
+}
+
+//alarmvet:hotpath
+func (m *appendReq) appendTo(dst []byte) []byte {
+	dst = binary.AppendVarint(dst, int64(m.Partition))
+	dst = binary.AppendVarint(dst, m.ProducerID)
+	dst = binary.AppendVarint(dst, m.BaseSeq)
+	dst = appendString(dst, m.Topic)
+	dst = binary.AppendUvarint(dst, uint64(len(m.Recs)))
+	for i := range m.Recs {
+		dst = appendRecord(dst, &m.Recs[i])
+	}
+	return dst
+}
+
+//alarmvet:hotpath
+func (m *appendReq) decode(b []byte) error {
+	r := wireReader{b: b}
+	m.Partition = int(r.nonneg())
+	m.ProducerID = r.varint()
+	m.BaseSeq = r.varint()
+	r.str(&m.Topic)
+	m.Recs = m.Recs[:0]
+	for n := r.count(minRecord); n > 0 && !r.bad; n-- {
+		m.Recs = append(m.Recs, r.record())
+	}
+	return r.end()
+}
+
+//alarmvet:hotpath
+func (m *appendResp) appendTo(dst []byte) []byte {
+	return binary.AppendVarint(m.appendEnvelope(dst), m.Base)
+}
+
+//alarmvet:hotpath
+func (m *appendResp) decode(b []byte) error {
+	r := wireReader{b: b}
+	r.envelope(&m.wireErr)
+	m.Base = r.varint()
+	return r.end()
+}
+
+//alarmvet:hotpath
+func (m *fetchReq) appendTo(dst []byte) []byte {
+	dst = binary.AppendVarint(dst, m.WaitMicros)
+	dst = binary.AppendVarint(dst, int64(m.Max))
+	dst = appendString(dst, m.Topic)
+	return appendPartOffsets(dst, m.Parts)
+}
+
+//alarmvet:hotpath
+func (m *fetchReq) decode(b []byte) error {
+	r := wireReader{b: b}
+	m.WaitMicros = r.nonneg()
+	m.Max = int(r.varint())
+	r.str(&m.Topic)
+	m.Parts = r.partOffsets(m.Parts)
+	return r.end()
+}
+
+//alarmvet:hotpath
+func (m *fetchResp) appendTo(dst []byte) []byte {
+	return appendRuns(m.appendEnvelope(dst), m.Recs)
+}
+
+//alarmvet:hotpath
+func (m *fetchResp) decode(b []byte) error {
+	r := wireReader{b: b}
+	r.envelope(&m.wireErr)
+	m.Recs = r.runs("", m.Recs[:0])
+	return r.end()
+}
+
+//alarmvet:hotpath
+func (m *commitReq) appendTo(dst []byte) []byte {
+	dst = binary.AppendVarint(dst, m.Gen)
+	dst = appendString(dst, m.Group)
+	dst = appendString(dst, m.Member)
+	return appendPartOffsets(dst, m.Offsets)
+}
+
+//alarmvet:hotpath
+func (m *commitReq) decode(b []byte) error {
+	r := wireReader{b: b}
+	m.Gen = r.nonneg()
+	r.str(&m.Group)
+	r.str(&m.Member)
+	m.Offsets = r.partOffsets(m.Offsets)
+	return r.end()
+}
+
+//alarmvet:hotpath
+func (m *commitResp) appendTo(dst []byte) []byte { return m.appendEnvelope(dst) }
+
+//alarmvet:hotpath
+func (m *commitResp) decode(b []byte) error {
+	r := wireReader{b: b}
+	r.envelope(&m.wireErr)
+	return r.end()
+}
+
+//alarmvet:hotpath
+func (m *fetchLogReq) appendTo(dst []byte) []byte {
+	dst = binary.AppendVarint(dst, int64(m.Partition))
+	dst = binary.AppendVarint(dst, m.Offset)
+	dst = binary.AppendVarint(dst, int64(m.Max))
+	return appendString(dst, m.Topic)
+}
+
+//alarmvet:hotpath
+func (m *fetchLogReq) decode(b []byte) error {
+	r := wireReader{b: b}
+	m.Partition = int(r.nonneg())
+	m.Offset = r.nonneg()
+	m.Max = int(r.varint())
+	r.str(&m.Topic)
+	return r.end()
+}
+
+//alarmvet:hotpath
+func (m *replFetchReq) appendTo(dst []byte) []byte {
+	dst = binary.AppendVarint(dst, int64(m.NodeID))
+	dst = binary.AppendVarint(dst, m.Epoch)
+	dst = binary.AppendUvarint(dst, uint64(len(m.Topics)))
+	for i := range m.Topics {
+		t := &m.Topics[i]
+		dst = appendString(dst, t.Name)
+		dst = binary.AppendUvarint(dst, uint64(len(t.Sizes)))
+		for p, size := range t.Sizes {
+			dst = binary.AppendVarint(dst, size)
+			dst = binary.AppendVarint(dst, t.Tails[p])
+		}
+	}
+	return dst
+}
+
+//alarmvet:hotpath
+func (m *replFetchReq) decode(b []byte) error {
+	r := wireReader{b: b}
+	m.NodeID = int(r.nonneg())
+	m.Epoch = r.nonneg()
+	m.Topics = m.Topics[:0]
+	for n := r.count(2); n > 0 && !r.bad; n-- {
+		var t *topicTails
+		m.Topics, t = next(m.Topics)
+		r.str(&t.Name)
+		t.Sizes, t.Tails = t.Sizes[:0], t.Tails[:0]
+		for parts := r.count(2); parts > 0; parts-- {
+			t.Sizes = append(t.Sizes, r.nonneg())
+			t.Tails = append(t.Tails, r.nonneg())
+		}
+	}
+	return r.end()
+}
+
+//alarmvet:hotpath
+func (m *replFetchResp) appendTo(dst []byte) []byte {
+	dst = m.appendEnvelope(dst)
+	dst = binary.AppendVarint(dst, m.Epoch)
+	dst = binary.AppendVarint(dst, int64(m.Leader))
+	dst = binary.AppendUvarint(dst, uint64(len(m.Topics)))
+	recs := m.Recs
+	for i := range m.Topics {
+		t := &m.Topics[i]
+		dst = appendString(dst, t.Name)
+		dst = binary.AppendUvarint(dst, uint64(len(t.Commits)))
+		for _, c := range t.Commits {
+			dst = binary.AppendVarint(dst, c)
+		}
+		mine := 0
+		for mine < len(recs) && recs[mine].Topic == t.Name {
+			mine++
+		}
+		dst = appendRuns(dst, recs[:mine])
+		recs = recs[mine:]
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(m.Truncs)))
+	for i := range m.Truncs {
+		dst = appendString(dst, m.Truncs[i].Topic)
+		dst = binary.AppendVarint(dst, int64(m.Truncs[i].P))
+		dst = binary.AppendVarint(dst, m.Truncs[i].Size)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(m.Groups)))
+	for i := range m.Groups {
+		dst = appendString(dst, m.Groups[i].Group)
+		dst = appendString(dst, m.Groups[i].Topic)
+		dst = binary.AppendVarint(dst, int64(m.Groups[i].Partition))
+		dst = binary.AppendVarint(dst, m.Groups[i].Offset)
+	}
+	return dst
+}
+
+//alarmvet:hotpath
+func (m *replFetchResp) decode(b []byte) error {
+	r := wireReader{b: b}
+	r.envelope(&m.wireErr)
+	m.Epoch = r.nonneg()
+	m.Leader = int(r.varint())
+	m.Topics, m.Recs = m.Topics[:0], m.Recs[:0]
+	for n := r.count(3); n > 0 && !r.bad; n-- {
+		var t *topicCommits
+		m.Topics, t = next(m.Topics)
+		r.str(&t.Name)
+		t.Commits = t.Commits[:0]
+		for parts := r.count(1); parts > 0; parts-- {
+			t.Commits = append(t.Commits, r.nonneg())
+		}
+		m.Recs = r.runs(t.Name, m.Recs)
+	}
+	m.Truncs = m.Truncs[:0]
+	for n := r.count(3); n > 0 && !r.bad; n-- {
+		var t *truncAt
+		m.Truncs, t = next(m.Truncs)
+		r.str(&t.Topic)
+		t.P, t.Size = int(r.nonneg()), r.nonneg()
+	}
+	m.Groups = m.Groups[:0]
+	for n := r.count(4); n > 0 && !r.bad; n-- {
+		var g *broker.GroupOffset
+		m.Groups, g = next(m.Groups)
+		r.str(&g.Group)
+		r.str(&g.Topic)
+		g.Partition, g.Offset = int(r.nonneg()), r.nonneg()
+	}
+	return r.end()
+}
