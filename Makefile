@@ -195,12 +195,12 @@ bench-baseline:
 	printf '%s\n' "$$out" | tee bench-baseline.txt
 
 ## cover: per-package statement coverage with enforced floors on the
-## serving layers (CI `coverage` job). Floors sit ~10 points under
-## measured coverage (core 86%, serve 80%, loadgen 90%, metrics 90%,
-## docstore 88%, netbroker 78%) so they catch real erosion without
-## flaking on noise. Profiles land in coverage/ for the CI artifact
-## upload.
-COVER_FLOORS = internal/core:75 internal/serve:70 internal/loadgen:80 internal/metrics:80 internal/docstore:78 internal/netbroker:70
+## serving layers and the classifiers (CI `coverage` job). Floors sit
+## ~10 points under measured coverage (core 86%, serve 80%, loadgen 90%,
+## metrics 90%, docstore 88%, netbroker 78%, ml 96%) so they catch real
+## erosion without flaking on noise. Profiles land in coverage/ for the
+## CI artifact upload.
+COVER_FLOORS = internal/core:75 internal/serve:70 internal/loadgen:80 internal/metrics:80 internal/docstore:78 internal/netbroker:70 internal/ml:88
 cover:
 	@mkdir -p coverage; fail=0; \
 	for spec in $(COVER_FLOORS); do \
@@ -227,12 +227,15 @@ docs-gate:
 ## payloads must error, never panic or over-allocate), and the wire
 ## message decoders (the same for the binary bodies inside the frames,
 ## JSON bodies of the format before them included, plus: whatever
-## decodes survives a round trip)
+## decodes survives a round trip), and the model-file loader (a file
+## either fails with ErrBadModelFile or loads into a classifier that
+## answers — no panic, no endless tree walk)
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/codec
 	$(GO) test -run '^$$' -fuzz '^FuzzAggregate$$' -fuzztime 10s ./internal/docstore
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime 10s ./internal/netbroker
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime 10s ./internal/netbroker
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadClassifier$$' -fuzztime 10s ./internal/ml
 
 ## lint: vet, the alarmvet invariant suite (cmd/alarmvet run through
 ## `go vet -vettool`, so findings cache per package like vet's own),

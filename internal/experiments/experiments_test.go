@@ -109,13 +109,13 @@ func TestFig10AndTable8Shape(t *testing.T) {
 			get(Sitasys, core.RandomForest).Accuracy,
 			get(SanFrancisco, core.RandomForest).Accuracy)
 	}
-	// Table 8 shape: LR trains fastest on Sitasys; SF trains much
-	// faster than LFB (tiny usable subset).
+	// Table 8 shape: the DNN trains no faster than LR on Sitasys; SF
+	// trains much faster than LFB (tiny usable subset). The forest is
+	// not in the ordering: it trained slower than LR only while it
+	// scanned the row-major matrix a feature at a time (EXPERIMENTS.md).
 	lr := get(Sitasys, core.LogisticRegression).TrainTime
-	for _, a := range []core.Algorithm{core.RandomForest, core.DeepNeuralNetwork} {
-		if tt := get(Sitasys, a).TrainTime; tt < lr {
-			t.Errorf("%s trained faster (%v) than LR (%v)", a, tt, lr)
-		}
+	if tt := get(Sitasys, core.DeepNeuralNetwork).TrainTime; tt < lr {
+		t.Errorf("%s trained faster (%v) than LR (%v)", core.DeepNeuralNetwork, tt, lr)
 	}
 	if get(SanFrancisco, core.RandomForest).TrainRows >= get(LondonFire, core.RandomForest).TrainRows {
 		t.Error("SF usable subset should be far smaller than LFB")

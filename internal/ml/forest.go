@@ -1,10 +1,13 @@
 package ml
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // RandomForestConfig mirrors the paper's Table 3.
@@ -20,8 +23,6 @@ type RandomForestConfig struct {
 	// feature (one-hot features only ever have one).
 	MaxThresholds int
 	Seed          int64
-	// Parallel trains trees on all cores when true.
-	Parallel bool
 }
 
 // DefaultRandomForestConfig returns the paper's Table 3 parameters
@@ -37,7 +38,6 @@ func DefaultRandomForestConfig() RandomForestConfig {
 		MinLeaf:       1,
 		MaxThresholds: 16,
 		Seed:          1,
-		Parallel:      true,
 	}
 }
 
@@ -72,7 +72,9 @@ type treeNode struct {
 	prob        float64 // P(class 1) at a leaf
 }
 
-// Fit implements Classifier.
+// Fit implements Classifier. Training is deterministic for a seed:
+// every tree draws from its own RNG, so which worker grows it and when
+// does not matter.
 func (m *RandomForest) Fit(d *Dataset) error {
 	if d == nil || d.Len() == 0 {
 		return ErrEmptyDataset
@@ -97,52 +99,181 @@ func (m *RandomForest) Fit(d *Dataset) error {
 	if mtry > d.Width() {
 		mtry = d.Width()
 	}
-	m.trees = make([]*treeNode, cfg.NumTrees)
+	// The view and the workers' scratch live for this call only; the
+	// trees are all that Fit keeps.
+	view, err := newTrainView(d)
+	if err != nil {
+		return err
+	}
+	trees := make([]*treeNode, cfg.NumTrees)
 	seedRng := rand.New(rand.NewSource(cfg.Seed))
 	seeds := make([]int64, cfg.NumTrees)
 	for i := range seeds {
 		seeds[i] = seedRng.Int63()
 	}
-	build := func(i int) {
-		rng := rand.New(rand.NewSource(seeds[i]))
-		// Bootstrap sample.
-		idx := make([]int, d.Len())
-		for j := range idx {
-			idx[j] = rng.Intn(d.Len())
-		}
-		b := &treeBuilder{d: d, cfg: cfg, mtry: mtry, rng: rng}
-		m.trees[i] = b.grow(idx, 0)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), cfg.NumTrees); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b := newTreeBuilder(view, cfg, mtry)
+			for i := int(next.Add(1)) - 1; i < len(trees); i = int(next.Add(1)) - 1 {
+				trees[i] = b.tree(seeds[i])
+			}
+		}()
 	}
-	if cfg.Parallel {
-		var wg sync.WaitGroup
-		for i := range m.trees {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				build(i)
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for i := range m.trees {
-			build(i)
-		}
-	}
+	wg.Wait()
+	m.trees = trees
 	m.fitted = true
 	return nil
 }
 
+// trainView is the design matrix turned feature-major for one Fit.
+// Tree growth reads one feature over a node's rows, and in the row-major
+// Dataset those reads are a row apart — 8 KB at a thousand features, a
+// cache miss each. The view stores what growth reads the way it reads
+// it, by the kind of column Fit found:
+//
+//   - a column that holds only 0 and 1 over every row (a one-hot
+//     indicator) is a []uint8, and each row also lists which of these
+//     columns are 1 in it, so a node can count all of them in one pass
+//     over its rows' lists (treeBuilder.countOnes);
+//   - a column with any other value is a contiguous []float64.
+type trainView struct {
+	y     []uint8     // label by row
+	bin   [][]uint8   // bin[f] is column f if it is 0/1 throughout, else nil
+	num   [][]float64 // num[f] is column f otherwise, else nil
+	ones  []int32     // the 0/1 columns that are 1, row after row
+	start []int       // row i's list is ones[start[i]:start[i+1]]
+}
+
+// newTrainView reads d once, row by row, and builds the view.
+func newTrainView(d *Dataset) (*trainView, error) {
+	n, width := d.Len(), d.Width()
+	if len(d.Y) != n {
+		return nil, fmt.Errorf("%w: %d rows vs %d labels", ErrShape, n, len(d.Y))
+	}
+	v := &trainView{
+		y:     make([]uint8, n),
+		bin:   make([][]uint8, width),
+		num:   make([][]float64, width),
+		start: make([]int, n+1),
+	}
+	numeric := make([]bool, width)
+	numerics := 0
+	for i, row := range d.X {
+		if len(row) < width {
+			return nil, fmt.Errorf("%w: row %d has %d features, want %d", ErrShape, i, len(row), width)
+		}
+		if y := d.Y[i]; y != 0 && y != 1 {
+			return nil, fmt.Errorf("%w: label %d at row %d (want 0/1)", ErrShape, y, i)
+		}
+		v.y[i] = uint8(d.Y[i])
+		for f, x := range row[:width] {
+			switch x {
+			case 0:
+			case 1:
+				v.ones = append(v.ones, int32(f))
+			default:
+				if !numeric[f] {
+					numeric[f] = true
+					numerics++
+				}
+			}
+		}
+		v.start[i+1] = len(v.ones)
+	}
+	if numerics > 0 {
+		// A column that turned out to hold something else takes its 1s
+		// back out of the lists.
+		w, lo := 0, 0
+		for i := 0; i < n; i++ {
+			hi := v.start[i+1]
+			for _, f := range v.ones[lo:hi] {
+				if !numeric[f] {
+					v.ones[w] = f
+					w++
+				}
+			}
+			lo, v.start[i+1] = hi, w
+		}
+		v.ones = v.ones[:w]
+	}
+	bins := make([]uint8, (width-numerics)*n)
+	nums := make([]float64, numerics*n)
+	for f := range numeric {
+		if !numeric[f] {
+			v.bin[f], bins = bins[:n:n], bins[n:]
+			continue
+		}
+		v.num[f], nums = nums[:n:n], nums[n:]
+		for i, row := range d.X {
+			v.num[f][i] = row[f]
+		}
+	}
+	for i := 0; i < n; i++ {
+		for _, f := range v.ones[v.start[i]:v.start[i+1]] {
+			v.bin[f][i] = 1
+		}
+	}
+	return v, nil
+}
+
+// maxThresholdSample is how many of a node's rows a numeric column's
+// candidate thresholds are drawn from.
+const maxThresholdSample = 256
+
+// treeBuilder grows trees from a view, one after another, out of one
+// set of scratch.
 type treeBuilder struct {
-	d    *Dataset
+	v    *trainView
 	cfg  RandomForestConfig
 	mtry int
 	rng  *rand.Rand
+
+	rows   []int32    // the tree's bootstrap sample (row numbers); a node is a sub-slice of it
+	spill  []int32    // rows going right while a node is partitioned
+	counts []oneCount // per 0/1 column over the current node's rows
+	vals   []float64  // one numeric column over the current node's rows
+	sample []float64  // the values its thresholds are drawn from
+	thr    []float64  // the thresholds
 }
 
-func (b *treeBuilder) grow(idx []int, depth int) *treeNode {
+// oneCount is what a split on a 0/1 column needs to know about a node.
+type oneCount struct {
+	n   int32 // rows of the node with a 1 in the column
+	pos int32 // positives among them
+}
+
+func newTreeBuilder(v *trainView, cfg RandomForestConfig, mtry int) *treeBuilder {
+	n := len(v.y)
+	return &treeBuilder{
+		v: v, cfg: cfg, mtry: mtry,
+		rows:   make([]int32, n),
+		spill:  make([]int32, 0, n),
+		counts: make([]oneCount, len(v.bin)),
+		sample: make([]float64, 0, maxThresholdSample),
+		thr:    make([]float64, 0, cfg.MaxThresholds),
+	}
+}
+
+// tree grows one tree on a bootstrap sample drawn from seed.
+func (b *treeBuilder) tree(seed int64) *treeNode {
+	b.rng = rand.New(rand.NewSource(seed))
+	for j := range b.rows {
+		b.rows[j] = int32(b.rng.Intn(len(b.rows)))
+	}
+	return b.grow(b.rows, 0)
+}
+
+// grow builds the subtree over idx, reordering idx as it goes: a split
+// moves the rows that go left to the front, each side keeping its order
+// (the numeric threshold sample indexes a node's rows by position).
+func (b *treeBuilder) grow(idx []int32, depth int) *treeNode {
 	pos := 0
 	for _, i := range idx {
-		pos += b.d.Y[i]
+		pos += int(b.v.y[i])
 	}
 	n := len(idx)
 	leaf := func() *treeNode {
@@ -155,23 +286,40 @@ func (b *treeBuilder) grow(idx []int, depth int) *treeNode {
 	if !ok {
 		return leaf()
 	}
-	var left, right []int
-	for _, i := range idx {
-		if b.d.X[i][feat] <= thr {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
-		}
-	}
-	if len(left) < b.cfg.MinLeaf || len(right) < b.cfg.MinLeaf {
+	nl := b.partition(idx, feat, thr)
+	if nl < b.cfg.MinLeaf || n-nl < b.cfg.MinLeaf {
 		return leaf()
 	}
 	return &treeNode{
 		feature:   feat,
 		threshold: thr,
-		left:      b.grow(left, depth+1),
-		right:     b.grow(right, depth+1),
+		left:      b.grow(idx[:nl], depth+1),
+		right:     b.grow(idx[nl:], depth+1),
 	}
+}
+
+// partition moves the rows of idx with feature feat ≤ thr to the front,
+// both sides in their original order, and returns how many there are.
+func (b *treeBuilder) partition(idx []int32, feat int, thr float64) int {
+	if col := b.v.bin[feat]; col != nil {
+		return partitionBy(idx, b.spill, col, 0) // thr is 0.5: the 0s go left
+	}
+	return partitionBy(idx, b.spill, b.v.num[feat], thr)
+}
+
+// partitionBy is partition over one column; spill has room for idx.
+func partitionBy[T uint8 | float64](idx, spill []int32, col []T, thr T) int {
+	nl, spill := 0, spill[:0]
+	for _, i := range idx {
+		if col[i] <= thr {
+			idx[nl] = i
+			nl++
+		} else {
+			spill = append(spill, i)
+		}
+	}
+	copy(idx[nl:], spill)
+	return nl
 }
 
 // laplaceSmooth avoids hard 0/1 leaf probabilities.
@@ -179,35 +327,65 @@ func laplaceSmooth(pos, n int) float64 {
 	return (float64(pos) + 1) / (float64(n) + 2)
 }
 
+// countOnes fills b.counts for the node idx: one pass over its rows'
+// lists of 1s — a handful of increments a row into an array that stays
+// in L1 — after which every 0/1 column's split is known without another
+// look at the rows.
+func (b *treeBuilder) countOnes(idx []int32) {
+	clear(b.counts)
+	v := b.v
+	for _, i := range idx {
+		y := int32(v.y[i])
+		for _, f := range v.ones[v.start[i]:v.start[i+1]] {
+			c := &b.counts[f]
+			c.n++
+			c.pos += y
+		}
+	}
+}
+
 // bestSplit searches mtry random features for the gini-optimal
 // threshold.
-func (b *treeBuilder) bestSplit(idx []int, pos int) (feature int, threshold float64, ok bool) {
+func (b *treeBuilder) bestSplit(idx []int32, pos int) (feature int, threshold float64, ok bool) {
 	n := len(idx)
-	total := float64(n)
 	parentGini := giniImpurity(pos, n)
 	bestGain := 1e-12
-	width := b.d.Width()
+	width := len(b.v.bin)
+	b.countOnes(idx)
 
-	// Sample mtry distinct features.
+	// Sample mtry features (with replacement).
 	for k := 0; k < b.mtry; k++ {
 		f := b.rng.Intn(width)
-		thresholds := b.candidateThresholds(idx, f)
-		for _, t := range thresholds {
+		if b.v.bin[f] != nil {
+			// The one threshold is 0.5 and the rows with a 0 go left.
+			c := b.counts[f]
+			ln, lp := n-int(c.n), pos-int(c.pos)
+			if ln == 0 || ln == n {
+				continue
+			}
+			if gain := splitGain(parentGini, lp, ln, pos, n); gain > bestGain {
+				bestGain, feature, threshold, ok = gain, f, 0.5, true
+			}
+			continue
+		}
+		col := b.v.num[f]
+		vals := b.vals[:0]
+		for _, i := range idx {
+			vals = append(vals, col[i])
+		}
+		b.vals = vals
+		for _, t := range b.candidateThresholds(vals) {
 			lp, ln := 0, 0
-			for _, i := range idx {
-				if b.d.X[i][f] <= t {
+			for j, x := range vals {
+				if x <= t {
 					ln++
-					lp += b.d.Y[i]
+					lp += int(b.v.y[idx[j]])
 				}
 			}
 			if ln == 0 || ln == n {
 				continue
 			}
-			rp, rn := pos-lp, n-ln
-			gain := parentGini -
-				(float64(ln)/total)*giniImpurity(lp, ln) -
-				(float64(rn)/total)*giniImpurity(rp, rn)
-			if gain > bestGain {
+			if gain := splitGain(parentGini, lp, ln, pos, n); gain > bestGain {
 				bestGain, feature, threshold, ok = gain, f, t, true
 			}
 		}
@@ -215,14 +393,23 @@ func (b *treeBuilder) bestSplit(idx []int, pos int) (feature int, threshold floa
 	return feature, threshold, ok
 }
 
-// candidateThresholds returns up to MaxThresholds split points for
-// feature f over the rows idx. Binary (one-hot) features yield the
-// single threshold 0.5 on the fast path.
-func (b *treeBuilder) candidateThresholds(idx []int, f int) []float64 {
+// splitGain is the gini gain of sending ln of a node's n rows left, lp
+// of its pos positives among them.
+func splitGain(parentGini float64, lp, ln, pos, n int) float64 {
+	total := float64(n)
+	rp, rn := pos-lp, n-ln
+	return parentGini -
+		(float64(ln)/total)*giniImpurity(lp, ln) -
+		(float64(rn)/total)*giniImpurity(rp, rn)
+}
+
+// candidateThresholds returns up to MaxThresholds split points for a
+// numeric column's values over a node's rows, in b.thr. Values that
+// happen to be all 0/1 inside the node yield the single threshold 0.5.
+func (b *treeBuilder) candidateThresholds(vals []float64) []float64 {
 	onlyBinary := true
 	seen0, seen1 := false, false
-	for _, i := range idx {
-		v := b.d.X[i][f]
+	for _, v := range vals {
 		switch v {
 		case 0:
 			seen0 = true
@@ -235,28 +422,25 @@ func (b *treeBuilder) candidateThresholds(idx []int, f int) []float64 {
 			break
 		}
 	}
+	out := b.thr[:0]
 	if onlyBinary {
 		if seen0 && seen1 {
-			return []float64{0.5}
+			return append(out, 0.5)
 		}
 		return nil
 	}
-	// Numeric feature: distinct values (sampled) → midpoints.
-	sample := idx
-	if len(sample) > 256 {
-		s := make([]int, 256)
-		for j := range s {
-			s[j] = idx[b.rng.Intn(len(idx))]
+	// Distinct values (sampled) → midpoints.
+	sample := b.sample[:0]
+	if len(vals) > maxThresholdSample {
+		for j := 0; j < maxThresholdSample; j++ {
+			sample = append(sample, vals[b.rng.Intn(len(vals))])
 		}
-		sample = s
+	} else {
+		sample = append(sample, vals...)
 	}
-	vals := make([]float64, 0, len(sample))
-	for _, i := range sample {
-		vals = append(vals, b.d.X[i][f])
-	}
-	sort.Float64s(vals)
-	uniq := vals[:0]
-	for i, v := range vals {
+	sort.Float64s(sample)
+	uniq := sample[:0]
+	for i, v := range sample {
 		if i == 0 || v != uniq[len(uniq)-1] {
 			uniq = append(uniq, v)
 		}
@@ -265,7 +449,6 @@ func (b *treeBuilder) candidateThresholds(idx []int, f int) []float64 {
 		return nil
 	}
 	maxT := b.cfg.MaxThresholds
-	var out []float64
 	if len(uniq)-1 <= maxT {
 		for i := 0; i+1 < len(uniq); i++ {
 			out = append(out, (uniq[i]+uniq[i+1])/2)

@@ -168,9 +168,16 @@ func validateDNNState(st *dnnState) error {
 	if nLayers < 1 || len(st.Weights) != nLayers || len(st.Biases) != nLayers {
 		return fmt.Errorf("%w: inconsistent DNN layers", ErrBadModelFile)
 	}
+	if st.Sizes[nLayers] != 2 {
+		return fmt.Errorf("%w: DNN output layer has %d units, want 2", ErrBadModelFile, st.Sizes[nLayers])
+	}
 	for l := 0; l < nLayers; l++ {
-		if len(st.Weights[l]) != st.Sizes[l]*st.Sizes[l+1] ||
-			len(st.Biases[l]) != st.Sizes[l+1] {
+		// Every width is checked against a length the file really holds
+		// (by division: the product of two hostile widths can wrap), so
+		// nothing Proba later sizes from it is larger than the file.
+		in, out := st.Sizes[l], st.Sizes[l+1]
+		if in < 1 || out < 1 || len(st.Biases[l]) != out ||
+			len(st.Weights[l])%out != 0 || len(st.Weights[l])/out != in {
 			return fmt.Errorf("%w: DNN layer %d shape", ErrBadModelFile, l)
 		}
 	}
@@ -198,6 +205,10 @@ func flattenTree(root *treeNode) []flatNode {
 	return out
 }
 
+// unflattenTree rebuilds a tree from its node list. SaveClassifier
+// writes preorder, so a child's index is always greater than its
+// parent's; anything else is refused — a child index at or below its
+// parent's can close a cycle, and Proba would walk it forever.
 func unflattenTree(flat []flatNode) (*treeNode, error) {
 	if len(flat) == 0 {
 		return nil, fmt.Errorf("%w: empty tree", ErrBadModelFile)
@@ -210,7 +221,7 @@ func unflattenTree(flat []flatNode) (*treeNode, error) {
 		if f.Feature < 0 {
 			continue
 		}
-		if f.Left < 0 || f.Left >= len(nodes) || f.Right < 0 || f.Right >= len(nodes) {
+		if f.Left <= i || f.Left >= len(nodes) || f.Right <= i || f.Right >= len(nodes) {
 			return nil, fmt.Errorf("%w: tree node %d has bad children", ErrBadModelFile, i)
 		}
 		nodes[i].left = nodes[f.Left]

@@ -14,7 +14,9 @@ import (
 // keeps, and would not survive a return to encoding/json (a send was 29
 // allocations, an idle pull about as many on each side). Each run
 // counts both ends of the round trip: client and server share the
-// process. The race runtime inflates the counts, hence the tag.
+// process. Since readFrame reads its header into the connection's
+// scratch (it cost each end one allocation a frame), an idle round trip
+// allocates nothing. The race runtime inflates the counts, hence the tag.
 
 // budgetClient boots a standalone node with an eight-partition topic
 // and a client whose heartbeats stay out of the measurements.
@@ -55,8 +57,8 @@ func TestSendAllocBudget(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(500, send)
 	t.Logf("RF 1 SendAt round trip: %.2f allocations", allocs)
-	if allocs > 9 {
-		t.Fatalf("RF 1 SendAt round trip: %.2f allocations, budget 9", allocs)
+	if allocs > 7 {
+		t.Fatalf("RF 1 SendAt round trip: %.2f allocations, budget 7", allocs)
 	}
 }
 
@@ -78,8 +80,8 @@ func TestIdlePullAllocBudget(t *testing.T) {
 	pull()
 	allocs := testing.AllocsPerRun(50, pull)
 	t.Logf("idle held pull round: %.2f allocations", allocs)
-	if allocs > 2 {
-		t.Fatalf("idle held pull round: %.2f allocations, budget 2", allocs)
+	if allocs > 0 {
+		t.Fatalf("idle held pull round: %.2f allocations, budget 0", allocs)
 	}
 }
 
@@ -101,8 +103,8 @@ func TestEmptyPollLeasedAllocBudget(t *testing.T) {
 	poll()
 	allocs := testing.AllocsPerRun(50, poll)
 	t.Logf("empty PollLeased: %.2f allocations", allocs)
-	if allocs > 2 {
-		t.Fatalf("empty PollLeased: %.2f allocations, budget 2", allocs)
+	if allocs > 0 {
+		t.Fatalf("empty PollLeased: %.2f allocations, budget 0", allocs)
 	}
 }
 
@@ -125,7 +127,7 @@ func TestCommitOffsetsAllocBudget(t *testing.T) {
 	commit()
 	allocs := testing.AllocsPerRun(100, commit)
 	t.Logf("CommitOffsets of 8 partitions: %.2f allocations", allocs)
-	if allocs > 4 {
-		t.Fatalf("CommitOffsets of 8 partitions: %.2f allocations, budget 4", allocs)
+	if allocs > 2 {
+		t.Fatalf("CommitOffsets of 8 partitions: %.2f allocations, budget 2", allocs)
 	}
 }

@@ -124,20 +124,26 @@ const readChunk = 256 << 10
 
 // readFrame reads one complete frame body from r, reusing scratch's
 // capacity when possible, and returns the body plus the (possibly
-// grown) scratch for the next call. The buffer grows chunk by chunk as
-// bytes actually arrive, so allocation tracks delivery.
+// grown) scratch for the next call. The header is read into the front
+// of scratch and its two fields lifted out before the body overwrites
+// it — a header array of its own would escape through the io.Reader
+// and cost every frame an allocation. The buffer grows chunk by chunk
+// as bytes actually arrive, so allocation tracks delivery.
 func readFrame(r io.Reader, scratch []byte) (body, newScratch []byte, err error) {
-	var hdr [frameHeader]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, scratch, err
+	buf := scratch
+	if cap(buf) < frameHeader {
+		buf = make([]byte, frameHeader)
 	}
-	n := int(binary.BigEndian.Uint32(hdr[0:4]))
+	if _, err := io.ReadFull(r, buf[:frameHeader]); err != nil {
+		return nil, buf, err
+	}
+	n := int(binary.BigEndian.Uint32(buf[0:4]))
+	sum := binary.BigEndian.Uint32(buf[4:8])
 	if n > MaxFrame {
-		return nil, scratch, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+		return nil, buf, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
 	// Grow incrementally: each ReadFull below fills at most one chunk,
 	// and the buffer only extends once the previous chunk arrived.
-	buf := scratch[:0]
 	have := 0
 	for have < n {
 		step := n - have
@@ -156,7 +162,7 @@ func readFrame(r io.Reader, scratch []byte) (body, newScratch []byte, err error)
 		have += step
 	}
 	buf = buf[:n]
-	if crc32.ChecksumIEEE(buf) != binary.BigEndian.Uint32(hdr[4:8]) {
+	if crc32.ChecksumIEEE(buf) != sum {
 		return nil, buf, ErrFrameCorrupt
 	}
 	return buf, buf, nil
