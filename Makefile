@@ -197,10 +197,11 @@ bench-baseline:
 ## cover: per-package statement coverage with enforced floors on the
 ## serving layers and the classifiers (CI `coverage` job). Floors sit
 ## ~10 points under measured coverage (core 86%, serve 80%, loadgen 90%,
-## metrics 90%, docstore 88%, netbroker 78%, ml 96%) so they catch real
-## erosion without flaking on noise. Profiles land in coverage/ for the
+## metrics 90%, netbroker 78%, ml 96%) so they catch real erosion
+## without flaking on noise; docstore's sits one point under its 92.6%,
+## most of it the pushdown battery. Profiles land in coverage/ for the
 ## CI artifact upload.
-COVER_FLOORS = internal/core:75 internal/serve:70 internal/loadgen:80 internal/metrics:80 internal/docstore:78 internal/netbroker:70 internal/ml:88
+COVER_FLOORS = internal/core:75 internal/serve:70 internal/loadgen:80 internal/metrics:80 internal/docstore:91 internal/netbroker:70 internal/ml:88
 cover:
 	@mkdir -p coverage; fail=0; \
 	for spec in $(COVER_FLOORS); do \

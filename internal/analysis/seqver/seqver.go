@@ -1,15 +1,15 @@
-// Package seqver proves the docstore's seqlock discipline: every
+// Package seqver proves the docstore's write-section discipline: every
 // mutation of a partition's core state (the id column, the field
-// columns, or secondary indexes) must be covered by a version bump —
-// either the function itself takes the write lock (writeLock, which
-// moves the seq counter to an odd value and invalidates the
-// optimistic snapshot caches), bumps the counter directly, or it
-// follows the repository's "Locked" naming contract, documenting that
-// its caller already holds the write lock.
+// columns, or secondary indexes) happens inside a write section —
+// either the function itself opens one (writeLock, the partition's one
+// named way to its write lock), or it follows the repository's "Locked"
+// naming contract, documenting that its caller already has.
 //
-// Without the bump, optimistic readers (cachedAggPartial) can validate
-// a snapshot that raced the mutation and serve stale partials; the
-// race hammer only catches that on lucky schedules.
+// The cached aggregation partials rest on it: a reader advances a
+// partial under the read lock, trusting that rows below its mark only
+// change through the Locked primitives that invalidate it. (The name
+// is from when the section also bumped a seqlock version counter, which
+// the partials no longer need.)
 //
 // A partition-like type is recognized structurally: any struct with
 // both `ids` and `cols` fields. Row data lives inside the columns, so
@@ -32,13 +32,13 @@ import (
 // Analyzer is the seqver checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "seqver",
-	Doc: "report partition-state mutations (ids/cols/indexes) not " +
-		"covered by a version bump or the Locked-suffix contract",
+	Doc: "report partition-state mutations (ids/cols/indexes) outside " +
+		"a write section or the Locked-suffix contract",
 	Run: run,
 }
 
-// guardedFields are the partition fields whose mutation must be
-// version-covered.
+// guardedFields are the partition fields whose mutation needs a write
+// section.
 var guardedFields = map[string]bool{
 	"ids": true, "cols": true, "index": true, "indexes": true,
 }
@@ -70,18 +70,18 @@ func run(pass *analysis.Pass) error {
 }
 
 // checkBody flags guarded-field mutations not preceded (in source
-// order) by a version bump on the same base expression. Source order
-// is a sound approximation here: the repo's writeLock/mutate/
-// writeUnlock sections are straight-line.
+// order) by a writeLock on the same base expression. Source order is a
+// sound approximation here: the repo's writeLock/mutate/writeUnlock
+// sections are straight-line.
 func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
 	fresh := localFreshVars(pass, body)
-	bumps := bumpPositions(pass, body)
+	sections := sectionStarts(pass, body)
 	cols := columnVars(pass, body)
 
 	report := func(base ast.Expr, field string, pos token.Pos) {
 		baseKey := analysis.Render(base)
-		for _, b := range bumps {
-			if b.base == baseKey && b.pos < pos {
+		for _, sec := range sections {
+			if sec.base == baseKey && sec.pos < pos {
 				return
 			}
 		}
@@ -90,8 +90,8 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
 				return // unpublished value built in this function
 			}
 		}
-		pass.Reportf(pos, "mutation of %s.%s without a prior version bump (call %s.writeLock, bump %s.seq, or use the Locked-suffix caller-holds contract)",
-			baseKey, field, baseKey, baseKey)
+		pass.Reportf(pos, "mutation of %s.%s outside a write section (call %s.writeLock first, or use the Locked-suffix caller-holds contract)",
+			baseKey, field, baseKey)
 	}
 
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -124,31 +124,20 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
 	})
 }
 
-// bump is one version-bump site: a writeLock call or a direct seq
-// counter add on some base expression.
-type bump struct {
+// section is where a write section opens: a writeLock call on some
+// base expression.
+type section struct {
 	base string
 	pos  token.Pos
 }
 
-// bumpPositions collects writeLock calls and seq.Add calls.
-func bumpPositions(pass *analysis.Pass, body *ast.BlockStmt) []bump {
-	var out []bump
+// sectionStarts collects the body's writeLock calls.
+func sectionStarts(pass *analysis.Pass, body *ast.BlockStmt) []section {
+	var out []section
 	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		recv, name := analysis.CallName(call)
-		if name == "writeLock" && recv != nil {
-			out = append(out, bump{base: analysis.Render(recv), pos: call.Pos()})
-			return true
-		}
-		// p.seq.Add(...) — the base is the expression owning the seq
-		// field.
-		if name == "Add" && recv != nil {
-			if sel, ok := ast.Unparen(recv).(*ast.SelectorExpr); ok && sel.Sel.Name == "seq" {
-				out = append(out, bump{base: analysis.Render(sel.X), pos: call.Pos()})
+		if call, ok := n.(*ast.CallExpr); ok {
+			if recv, name := analysis.CallName(call); name == "writeLock" && recv != nil {
+				out = append(out, section{base: analysis.Render(recv), pos: call.Pos()})
 			}
 		}
 		return true

@@ -1,12 +1,9 @@
 // Package a seeds seqver violations: partition-state mutations (the
-// field columns, the id column) without a covering version bump, so
-// optimistic readers could validate a snapshot that raced the write.
+// field columns, the id column) outside a write section, where the
+// primitives that invalidate cached partials cannot vouch for them.
 package a
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // column holds one field's row data; set and gather write it.
 type column struct{ vals []string }
@@ -16,41 +13,33 @@ func (c *column) gather(lo int) { c.vals = c.vals[:lo] }
 
 type partition struct {
 	mu   sync.RWMutex
-	seq  atomic.Uint64
 	cols map[string]*column
 	ids  []string
 }
 
 func (p *partition) colLocked(k string) *column { return p.cols[k] }
 
-func (p *partition) writeLock() {
-	p.mu.Lock()
-	p.seq.Add(1)
-}
+func (p *partition) writeLock() { p.mu.Lock() }
 
-func (p *partition) writeUnlock() {
-	p.seq.Add(1)
-	p.mu.Unlock()
-}
+func (p *partition) writeUnlock() { p.mu.Unlock() }
 
 func (p *partition) unguardedInsert(k, v string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.cols[k] = &column{vals: []string{v}} // want `mutation of p\.cols without a prior version bump`
-	p.ids = append(p.ids, k)               // want `mutation of p\.ids without a prior version bump`
+	p.cols[k] = &column{vals: []string{v}} // want `mutation of p\.cols outside a write section`
+	p.ids = append(p.ids, k)               // want `mutation of p\.ids outside a write section`
 }
 
 func (p *partition) unguardedDelete(k string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	delete(p.cols, k) // want `mutation of p\.cols without a prior version bump`
+	delete(p.cols, k) // want `mutation of p\.cols outside a write section`
 }
 
-func (p *partition) bumpAfterMutation(k, v string) {
-	p.mu.Lock()
-	p.cols[k] = &column{vals: []string{v}} // want `mutation of p\.cols without a prior version bump`
-	p.seq.Add(1)
-	p.mu.Unlock()
+func (p *partition) sectionAfterMutation(k, v string) {
+	p.cols[k] = &column{vals: []string{v}} // want `mutation of p\.cols outside a write section`
+	p.writeLock()
+	p.writeUnlock()
 }
 
 // Row data changes through the columns' own methods, however the
@@ -58,17 +47,17 @@ func (p *partition) bumpAfterMutation(k, v string) {
 func (p *partition) unguardedCellWrite(k, v string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.cols[k].set(v)      // want `mutation of p\.cols without a prior version bump`
-	p.colLocked(k).set(v) // want `mutation of p\.cols without a prior version bump`
+	p.cols[k].set(v)      // want `mutation of p\.cols outside a write section`
+	p.colLocked(k).set(v) // want `mutation of p\.cols outside a write section`
 	col := p.colLocked(k)
-	col.gather(0) // want `mutation of p\.cols without a prior version bump`
+	col.gather(0) // want `mutation of p\.cols outside a write section`
 }
 
 func (p *partition) unguardedCompact() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, col := range p.cols {
-		col.gather(0) // want `mutation of p\.cols without a prior version bump`
+		col.gather(0) // want `mutation of p\.cols outside a write section`
 	}
 }
 

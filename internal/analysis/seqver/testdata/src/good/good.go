@@ -1,13 +1,9 @@
-// Package good mirrors the repository's correct seqlock idioms: the
-// writeLock/writeUnlock wrapper pair, direct seq bumps, the
-// Locked-suffix caller-holds contract, and unpublished fresh values.
-// No findings are expected.
+// Package good mirrors the repository's correct write-section idioms:
+// the writeLock/writeUnlock pair, the Locked-suffix caller-holds
+// contract, and unpublished fresh values. No findings are expected.
 package good
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // column holds one field's row data; set and gather write it.
 type column struct{ vals []string }
@@ -17,22 +13,15 @@ func (c *column) gather(lo int) { c.vals = c.vals[:lo] }
 
 type partition struct {
 	mu   sync.RWMutex
-	seq  atomic.Uint64
 	cols map[string]*column
 	ids  []string
 }
 
 func (p *partition) colLocked(k string) *column { return p.cols[k] }
 
-func (p *partition) writeLock() {
-	p.mu.Lock()
-	p.seq.Add(1)
-}
+func (p *partition) writeLock() { p.mu.Lock() }
 
-func (p *partition) writeUnlock() {
-	p.seq.Add(1)
-	p.mu.Unlock()
-}
+func (p *partition) writeUnlock() { p.mu.Unlock() }
 
 func (p *partition) guardedInsert(k, v string) {
 	p.writeLock()
@@ -64,15 +53,6 @@ func (p *partition) compactLocked() {
 
 // A column's own methods, and reads, carry no obligation.
 func (c *column) reset() { c.gather(0); c.set("") }
-
-func (p *partition) directBump(k, v string) {
-	p.mu.Lock()
-	p.seq.Add(1)
-	p.cols[k] = &column{vals: []string{v}}
-	p.ids = append(p.ids, k)
-	p.seq.Add(1)
-	p.mu.Unlock()
-}
 
 func newPartition() *partition {
 	p := &partition{cols: make(map[string]*column)}

@@ -179,7 +179,40 @@ func TestOneAlarmBatchAllocBudget(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(200, one)
 	t.Logf("one-alarm batch, drain to release: %.1f allocations", allocs)
-	if allocs > 24 {
-		t.Fatalf("one-alarm batch, drain to release: %.1f allocations, budget 24", allocs)
+	if allocs > 6 {
+		t.Fatalf("one-alarm batch, drain to release: %.1f allocations, budget 6", allocs)
+	}
+}
+
+// TestStandingQueryAllocBudget: the dashboard's two group counts, asked
+// again after one more alarm, fold that alarm into the partials the
+// store kept — they do not rebuild a group per device per partition
+// (1 300 to 2 400 allocations before the partials advanced).
+func TestStandingQueryAllocBudget(t *testing.T) {
+	_, alarms := testAlarms(4096 + 300)
+	h := budgetHistory(t)
+	h.RecordBatch(alarms[:4096])
+	next := 4096
+	ask := func() {
+		h.Record(&alarms[next])
+		next++
+		if top, err := h.TopDevices(10); err != nil || len(top) != 10 {
+			t.Fatalf("TopDevices(10) = %d rows, %v", len(top), err)
+		}
+		if _, err := h.CountByLocation(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		ask() // the first ask folds every row; the sweeps grow their slabs
+	}
+	before := h.AggPartials()
+	allocs := testing.AllocsPerRun(200, ask)
+	t.Logf("one alarm, TopDevices(10), CountByLocation: %.1f allocations", allocs)
+	if allocs > 40 {
+		t.Fatalf("one alarm, TopDevices(10), CountByLocation: %.1f allocations, budget 40", allocs)
+	}
+	if st := h.AggPartials(); st.Recomputed != before.Recomputed {
+		t.Fatalf("%d partials recomputed over tail appends, want 0", st.Recomputed-before.Recomputed)
 	}
 }

@@ -231,6 +231,10 @@ func (h *History) Flush() error {
 	return h.db.Err()
 }
 
+// Err reports the store's sticky durability error without waiting for
+// anything: non-nil once a WAL append has failed, from then on.
+func (h *History) Err() error { return h.db.Err() }
+
 // barrier blocks until every alarm enqueued before the call is in the
 // store — what reads need to observe prior writes. It waits on a flush
 // generation, not on the queue going empty, so concurrent writers
@@ -273,6 +277,11 @@ func (h *History) WriteBehindFlushes() int64 {
 // Collection.Fields): nine typed columns, none boxed, while the typed
 // path is serving the history.
 func (h *History) Fields() []docstore.FieldInfo { return h.col.Fields() }
+
+// AggPartials reports how the store brought its cached aggregation
+// partials up to date for the standing queries (docstore
+// Collection.AggPartialStats).
+func (h *History) AggPartials() docstore.AggPartialStats { return h.col.AggPartialStats() }
 
 // SetRetention bounds the alarm history to maxAge of ingest: on a
 // durable store, documents whose timestamp has aged out are pruned at
@@ -442,7 +451,8 @@ type HistogramBucket struct {
 // deviceMac equality is on the shard key), so no timestamps — let
 // alone documents — stream out; only the final (bucket, count) pairs
 // do. Every call recomputes: typed plans carry no cache key (building
-// one cost more than the index probe and count it would save).
+// one cost more than the index probe and count it would save), and
+// their partials live in the sweep's own memory.
 func (h *History) DeviceHistogram(mac string, since time.Time, bucket time.Duration) ([]HistogramBucket, error) {
 	out, err := h.DeviceHistograms([]string{mac}, since, bucket)
 	if err != nil {
@@ -530,10 +540,11 @@ type DeviceCount struct {
 // TopDevices returns the k devices with the most stored alarms,
 // descending (ties broken by ingest order). The ranking runs as a
 // typed pushdown group count (docstore Collection.GroupCounts) — each
-// partition counts its resident devices straight off the device
-// column and only the per-device partial counts travel — with the sort
-// and cut applied to the merged (already tiny) group set. This is the /stats "noisiest devices" panel (§6, lesson 3:
-// recurring-problem devices dominate the alarm stream).
+// partition keeps its resident devices' counts and folds in only the
+// alarms stored since the last ask, and only the per-device partial
+// counts travel — with the k largest selected from the merged group
+// set in one pass. This is the /stats "noisiest devices" panel (§6,
+// lesson 3: recurring-problem devices dominate the alarm stream).
 func (h *History) TopDevices(k int) ([]DeviceCount, error) {
 	if k <= 0 {
 		return nil, nil
@@ -543,10 +554,19 @@ func (h *History) TopDevices(k int) ([]DeviceCount, error) {
 	if err != nil {
 		return nil, err
 	}
-	sort.SliceStable(groups, func(i, j int) bool { return groups[i].Count > groups[j].Count })
+	// out holds the best so far, descending. Groups come in ingest
+	// order, so one goes in behind every count it does not beat.
 	out := make([]DeviceCount, 0, min(k, len(groups)))
-	for _, g := range groups[:cap(out)] {
-		out = append(out, DeviceCount{Mac: g.Key.Str(), Count: g.Count})
+	for _, g := range groups {
+		if len(out) == cap(out) && g.Count <= out[len(out)-1].Count {
+			continue
+		}
+		at := sort.Search(len(out), func(i int) bool { return out[i].Count < g.Count })
+		if len(out) < cap(out) {
+			out = append(out, DeviceCount{})
+		}
+		copy(out[at+1:], out[at:])
+		out[at] = DeviceCount{Mac: g.Key.Str(), Count: g.Count}
 	}
 	return out, nil
 }

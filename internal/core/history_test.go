@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -126,5 +129,51 @@ func TestWriteBehindClosedFallsBackToSync(t *testing.T) {
 	h.Record(&a[0])
 	if h.Len() != 4 {
 		t.Fatalf("len = %d, want 4", h.Len())
+	}
+}
+
+// TestTopDevicesTieOrder pins the ranking on a tied dataset against a
+// stable sort of every group — what TopDevices did before it selected
+// the k largest in one pass: count descending, ties in ingest order.
+func TestTopDevicesTieOrder(t *testing.T) {
+	h, err := NewHistory(docstore.NewDBWithPartitions(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 40 devices, counts 1 to 5 with many ties, first seen in an order
+	// unrelated to their count.
+	_, alarms := testAlarms(1)
+	counts := make(map[string]int)
+	var ingest []string // devices by first appearance
+	for round := 0; round < 5; round++ {
+		for dev := 0; dev < 40; dev++ {
+			if (dev*7+3)%5 < round {
+				continue
+			}
+			a := alarms[0]
+			a.DeviceMAC = fmt.Sprintf("dev-%02d", (dev*13)%40)
+			if counts[a.DeviceMAC] == 0 {
+				ingest = append(ingest, a.DeviceMAC)
+			}
+			counts[a.DeviceMAC]++
+			h.Record(&a)
+		}
+	}
+	want := make([]DeviceCount, len(ingest))
+	for i, mac := range ingest {
+		want[i] = DeviceCount{Mac: mac, Count: counts[mac]}
+	}
+	sort.SliceStable(want, func(i, j int) bool { return want[i].Count > want[j].Count })
+	for _, k := range []int{1, 7, 10, 39, 40, 100} {
+		got, err := h.TopDevices(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want[:min(k, len(want))]) {
+			t.Fatalf("TopDevices(%d) = %v, want %v", k, got, want[:min(k, len(want))])
+		}
+	}
+	if got, _ := h.TopDevices(0); got != nil {
+		t.Fatalf("TopDevices(0) = %v, want nil", got)
 	}
 }

@@ -26,8 +26,10 @@ import (
 //	GET  /history/{mac}   per-device alarm histogram (§4.1)
 //	GET  /stats           service statistics (latency quantiles included)
 //	GET  /metrics         Prometheus text exposition of the edge and
-//	                      pipeline latency histograms + shed counter
-//	GET  /healthz         liveness
+//	                      pipeline latency histograms, the shed counter
+//	                      and the store's cached-partial counters
+//	GET  /healthz         liveness: 503 with the error once the store's
+//	                      log has failed
 type HTTPService struct {
 	verifier *Verifier
 	history  *History
@@ -81,11 +83,21 @@ func (s *HTTPService) Handler() http.Handler {
 	mux.HandleFunc("GET /history/{mac}", s.handleHistory)
 	mux.HandleFunc("GET /stats", s.handleStats)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprintln(w, "ok")
-	})
+	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	return mux
+}
+
+// handleHealthz answers ok until the history's store has reported a
+// durability failure: from then on the shards are halted (nothing more
+// is committed) and the service is not healthy, whatever else answers.
+func (s *HTTPService) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+	if s.history != nil {
+		if err := s.history.Err(); err != nil {
+			http.Error(w, err.Error(), http.StatusServiceUnavailable)
+			return
+		}
+	}
+	fmt.Fprintln(w, "ok")
 }
 
 // verifyResponse is the wire shape of a verification result.
@@ -326,12 +338,26 @@ func (s *HTTPService) handleStats(w http.ResponseWriter, _ *http.Request) {
 
 // handleMetrics renders the latency histograms in the Prometheus text
 // exposition format: the HTTP edge histogram always, plus the
-// attached pipeline's stage/e2e histograms and shed counter.
+// attached pipeline's stage/e2e histograms and shed counter, plus how
+// the attached history's store kept its cached aggregation partials up
+// to date (recomputed is the fallback; served and advanced are the
+// fast paths).
 func (s *HTTPService) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	metrics.WritePromHistogram(w, "alarmverify_http_verify_latency_seconds",
 		s.edgeLatency.Snapshot())
 	if s.pipeline != nil {
 		s.pipeline.Snapshot().WriteProm(w)
+	}
+	if s.history != nil {
+		st := s.history.AggPartials()
+		fmt.Fprintln(w, "# HELP alarmverify_store_agg_partials_total Cached aggregation partials by how an ask found them.")
+		fmt.Fprintln(w, "# TYPE alarmverify_store_agg_partials_total counter")
+		fmt.Fprintf(w, "alarmverify_store_agg_partials_total{outcome=\"served\"} %d\n", st.Served)
+		fmt.Fprintf(w, "alarmverify_store_agg_partials_total{outcome=\"advanced\"} %d\n", st.Advanced)
+		fmt.Fprintf(w, "alarmverify_store_agg_partials_total{outcome=\"recomputed\"} %d\n", st.Recomputed)
+		fmt.Fprintln(w, "# HELP alarmverify_store_agg_rows_folded_total Rows read to bring cached aggregation partials up to date.")
+		fmt.Fprintln(w, "# TYPE alarmverify_store_agg_rows_folded_total counter")
+		fmt.Fprintf(w, "alarmverify_store_agg_rows_folded_total %d\n", st.RowsFolded)
 	}
 }

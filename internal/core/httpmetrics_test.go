@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -18,14 +19,23 @@ func TestHTTPMetricsEndpoint(t *testing.T) {
 	pipe.Stage(metrics.StageE2E).Record(25 * time.Millisecond)
 	pipe.AddShed(9)
 	svc.AttachPipeline(pipe)
+	svc.SetTopDevices(3)
 
-	// Drive one verification so the edge histogram has an observation.
-	resp, err := http.Post(srv.URL+"/verify", "application/json", bytes.NewReader(wire))
-	if err != nil {
-		t.Fatal(err)
+	// Drive one verification so the edge histogram has an observation,
+	// and the /stats ranking around it so the store's partials are built,
+	// then advanced over the verified alarm.
+	for _, step := range []string{"/stats", "/verify", "/stats"} {
+		resp, err := http.Post(srv.URL+step, "application/json", bytes.NewReader(wire))
+		if step == "/stats" {
+			resp, err = http.Get(srv.URL + step)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
+	parts := svc.history.col.NumPartitions()
 
 	mresp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
@@ -48,6 +58,12 @@ func TestHTTPMetricsEndpoint(t *testing.T) {
 		"alarmverify_http_verify_latency_seconds_count{} 1",
 		`alarmverify_stage_latency_seconds{stage="e2e",quantile="0.5"}`,
 		"alarmverify_shed_records_total 9",
+		// One alarm in one partition: that partial advanced over one row,
+		// the others were served as they stood.
+		fmt.Sprintf(`alarmverify_store_agg_partials_total{outcome="served"} %d`, parts-1),
+		`alarmverify_store_agg_partials_total{outcome="advanced"} 1`,
+		fmt.Sprintf(`alarmverify_store_agg_partials_total{outcome="recomputed"} %d`, parts),
+		"alarmverify_store_agg_rows_folded_total 1",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, out)

@@ -3,6 +3,9 @@
 package core
 
 import (
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -105,4 +108,49 @@ func TestWALFailureStopsTheShard(t *testing.T) {
 			t.Fatal("Close did not surface the WAL failure")
 		}
 	}
+}
+
+// TestHealthzReportsWALFailure: /healthz answers ok while the store's
+// log takes writes and 503 with the error from the first failed append
+// on — it reads the sticky error, not a barrier, so it answers even
+// though the shards have halted. (Here rather than in httpapi_test.go:
+// the fault needs breakWALs, which needs linux.)
+func TestHealthzReportsWALFailure(t *testing.T) {
+	_, alarms := testAlarms(400)
+	dir := t.TempDir()
+	db, err := docstore.OpenDB(dir, docstore.DurableOptions{Partitions: 2, CheckpointInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := NewHistory(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewHTTPService(fastVerifier(t, alarms[:300]), h, DefaultCustomerPolicy()).Handler())
+	defer srv.Close()
+	healthz := func() (int, string) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, strings.TrimSpace(string(body))
+	}
+	h.RecordBatch(alarms[300:350])
+	if code, body := healthz(); code != http.StatusOK || body != "ok" {
+		t.Fatalf("healthy store: /healthz = %d %q", code, body)
+	}
+	breakWALs(t, dir)
+	h.RecordBatch(alarms[350:])
+	if err := h.Flush(); err == nil {
+		t.Fatal("the broken log took a write")
+	}
+	code, body := healthz()
+	if code != http.StatusServiceUnavailable || body != h.Err().Error() {
+		t.Fatalf("failed log: /healthz = %d %q, want 503 %q", code, body, h.Err())
+	}
+	h.Close()
+	db.Close()
 }

@@ -6,13 +6,12 @@ import (
 	"testing"
 )
 
-// Snapshot-cache coherence regressions (ISSUE 7 audit): every
-// mutating path must pass through writeLock/writeUnlock so the
-// partition version advances and no published cachedTail /
-// cachedFieldValues snapshot can serve deleted or stale documents.
+// Read-after-write coherence regressions (ISSUE 7 audit): no read may
+// serve deleted or stale documents after a mutating path returned.
 // These pin the two interleavings the audit was asked about —
 // update-then-Tail and delete-then-FieldValues — plus the DDL paths
-// (CreateIndex/DropIndex) that also rewrite partition state.
+// (CreateIndex/DropIndex), which rewrite index shards under a cached
+// aggregation partial.
 
 // TestCoherenceUpdateThenTail: prime the tail snapshot, update a
 // document inside the cached window, and require the very next Tail
@@ -87,41 +86,44 @@ func TestCoherenceDeleteThenFieldValues(t *testing.T) {
 	}
 }
 
-// TestCoherenceIndexDDL: CreateIndex and DropIndex rebuild partition
-// state under the write lock, so they too must advance the version —
-// a cached snapshot captured before the DDL must not be served after
-// it at the same version number.
+// TestCoherenceIndexDDL: CreateIndex and DropIndex rebuild index
+// shards under the write lock but move no row, so a cached partial
+// stays valid across them — the standing query is served, not
+// recomputed — while what it folds next comes through the new index
+// (or, once dropped, without it) and must still be right.
 func TestCoherenceIndexDDL(t *testing.T) {
 	c := optimisticCollection(t, 2)
 	for i := 0; i < 20; i++ {
 		c.Insert(Doc{"deviceMac": "mac-a", "ts": float64(i), "zip": "1011"})
 	}
-	filter := Doc{"deviceMac": "mac-a"}
-	c.FieldValues(filter, "ts")
-	seqBefore := make([]uint64, len(c.parts))
-	for i, p := range c.parts {
-		seqBefore[i] = p.seq.Load()
+	filter := Doc{"zip": "1011"}
+	ask := func(want int) {
+		t.Helper()
+		got, err := c.GroupCounts(filter, "deviceMac")
+		if err != nil || len(got) != 1 || got[0].Count != want {
+			t.Fatalf("GroupCounts = %v, %v; want one group of %d", got, err, want)
+		}
 	}
+	ask(20)
+	before := c.AggPartialStats()
 	if err := c.CreateIndex("zip"); err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range c.parts {
-		if p.seq.Load() == seqBefore[i] {
-			t.Fatalf("partition %d version unchanged across CreateIndex", i)
-		}
-		seqBefore[i] = p.seq.Load()
-	}
+	ask(20)
+	c.Insert(Doc{"deviceMac": "mac-a", "ts": 20.0, "zip": "1011"})
+	c.Insert(Doc{"deviceMac": "mac-a", "ts": 21.0, "zip": "2022"})
+	ask(21) // the advance reads the index's posting list from the mark on
 	if err := c.DropIndex("zip"); err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range c.parts {
-		if p.seq.Load() == seqBefore[i] {
-			t.Fatalf("partition %d version unchanged across DropIndex", i)
-		}
+	c.Insert(Doc{"deviceMac": "mac-a", "ts": 22.0, "zip": "1011"})
+	ask(22)
+	if st := c.AggPartialStats(); st.Recomputed != before.Recomputed {
+		t.Fatalf("index DDL cost %d recomputed partials, want 0", st.Recomputed-before.Recomputed)
 	}
 	// Reads after the DDL still observe current data.
-	got, err := c.FieldValues(filter, "ts")
-	if err != nil || len(got) != 20 {
+	got, err := c.FieldValues(Doc{"deviceMac": "mac-a"}, "ts")
+	if err != nil || len(got) != 23 {
 		t.Fatalf("FieldValues after DDL: %d values err=%v", len(got), err)
 	}
 }

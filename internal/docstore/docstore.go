@@ -205,6 +205,10 @@ type Collection struct {
 	// persist it into meta.json.
 	dur *durableCollection
 	ret atomic.Pointer[retentionCfg]
+
+	// aggStats counts how the cached aggregation partials were brought
+	// up to date (optimistic.go).
+	aggStats aggCounters
 }
 
 func newCollection(name, shardKey string, partitions int) *Collection {
@@ -652,7 +656,7 @@ func (c *Collection) Count(filter Doc) (int, error) {
 		p.mu.RLock()
 		defer p.mu.RUnlock()
 		c.simulateRTT()
-		return p.forEachMatch(f, func(int) { counts[i]++ })
+		return p.forEachMatch(f, 0, func(int) { counts[i]++ })
 	})
 	if err != nil {
 		return 0, err

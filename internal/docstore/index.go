@@ -206,10 +206,10 @@ func (x *index) dropFrom(p *partition, lo int) {
 }
 
 // lookupRange serves operator maps consisting solely of range bounds
-// ($gt/$gte/$lt/$lte). It reports ok=false when the operator map
-// contains anything it cannot serve, in which case the caller falls
-// back to a scan.
-func (x *index) lookupRange(cond any) ([]int32, bool) {
+// ($gt/$gte/$lt/$lte), returning the rows at or past row from. It
+// reports ok=false when the operator map contains anything it cannot
+// serve, in which case the caller falls back to a scan.
+func (x *index) lookupRange(cond any, from int) ([]int32, bool) {
 	ops, isOps := cond.(map[string]any)
 	if !isOps {
 		return nil, false
@@ -251,7 +251,7 @@ func (x *index) lookupRange(cond any) ([]int32, bool) {
 		} else if hi.less(k) {
 			break
 		}
-		out = append(out, x.eq[k]...)
+		out = append(out, rowsFrom(x.eq[k], from)...)
 	}
 	slices.Sort(out) // ascending rows = ascending ids, whatever the key order
 	return out, true

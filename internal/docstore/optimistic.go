@@ -1,37 +1,180 @@
 package docstore
 
-// Optimistic reads.
-//
-// A repeated bounded aggregation (/stats, dashboards) does not need to
-// take a partition's RWMutex on every call. Each partition carries a
-// seqlock-style version counter: odd while a writer holds the
-// partition lock, bumped to a new even value when the writer releases
-// it. A reader captures its partial result under the read lock once,
-// publishes it with the version it was computed at (pushdown.go), and
-// on later calls serves the published partial after validating that
-// the version is even (no writer in progress) and unchanged (no write
-// since the capture) — loading the version before and after the cache
-// probe, retrying briefly on conflict, and falling back to the locked
-// path when the partition is write-hot.
-//
-// Unlike a textbook seqlock, the optimistic read never dereferences
-// the live columns outside the lock — reading slices that a writer
-// may be appending to is undefined behavior (and a -race report) — it
-// only reads immutable published snapshots, with the version counter
-// deciding their freshness.
+import (
+	"sync"
+	"sync/atomic"
+)
 
-// writeLock acquires the partition's write lock and marks the version
-// counter odd: every optimistic reader that loads the counter while a
-// write is in progress backs off to the locked path.
-func (p *partition) writeLock() {
-	p.mu.Lock()
-	p.seq.Add(1)
+// Reads beside writes: cached partials that advance.
+//
+// A standing aggregation (/stats, a dashboard panel) asks the same
+// question of a store that, between two asks, has almost only grown at
+// its tail. So a partition keeps the partial it computed for a group or
+// bucket plan — the groups or the bucket counts, keyed by the plan's
+// signature (pushdown.go) — together with a mark: the number of rows
+// folded into it. The next ask, under the partition's read lock, folds
+// only rows [mark, len(ids)) through the plan's filter and moves the
+// mark to the tail; an ask costs the rows appended since the last one
+// plus the groups it copies out, whatever the history's size. Rows
+// arrive in ascending id order and every accumulator breaks ties by id
+// (accState.fold), so the advanced partial is the one a scan from row 0
+// would build. The insert path does nothing for this: the advance is
+// lazy, on the reader.
+//
+// A cached partial is folded again from row 0 only when something
+// other than a tail append touched a row below its mark. There are
+// three such writes, and they pass through two primitives
+// (partition.go):
+//
+//   - an out-of-order batch merged back into id order
+//     (restoreOrderLocked → gatherLocked),
+//   - a delete, a retention prune included (deleteLocked → gatherLocked),
+//   - an update (updateLocked),
+//
+// each of which marks stale the partials whose mark lies past the first
+// row it rewrites (invalidatePartialsLocked). Index DDL moves no row
+// and leaves the partials alone.
+//
+// Readers hold the partition's read lock for the whole of an ask, share
+// the cache through cacheMu and take a partial's own lock to advance it
+// and copy it into their sweep — the merge then works on the copy, so
+// readers of one signature never see each other's folds half-done. A
+// writer holds the partition's write lock, which keeps every reader
+// out, and needs neither.
+
+// writeLock and writeUnlock bracket a write section: the one named way
+// into mutating a partition, which alarmvet's seqver keys on.
+func (p *partition) writeLock() { p.mu.Lock() }
+
+func (p *partition) writeUnlock() { p.mu.Unlock() }
+
+// aggCacheBound caps the per-partition partial cache; at the bound an
+// arbitrary entry is evicted (the working set of repeating analytics
+// queries — /stats, retrainer scans, histogram dashboards — is a
+// handful of plan signatures).
+const aggCacheBound = 32
+
+// stale marks a cached partial that holds nothing to build on: new,
+// invalidated, or left half-folded by a failed scan.
+const stale = -1
+
+// aggEntry is one partition's cached partial for one plan signature:
+// rows [0, mark) are folded into it.
+type aggEntry struct {
+	mu     sync.Mutex
+	mark   int
+	groups []pGroup         // group plans: in ascending minID order
+	index  map[string]int32 // group plans: class key → position in groups
+	counts map[int]int      // bucket plans: bucket index → count
 }
 
-// writeUnlock bumps the version counter to the next even value and
-// releases the write lock, invalidating every snapshot captured at an
-// earlier version.
-func (p *partition) writeUnlock() {
-	p.seq.Add(1)
-	p.mu.Unlock()
+// reset empties a stale entry for a plan of the given kind to fold
+// into from row 0.
+func (e *aggEntry) reset(kind PlanKind) {
+	e.groups = nil
+	clear(e.index)
+	clear(e.counts)
+	switch {
+	case kind == PlanGroup && e.index == nil:
+		e.index = make(map[string]int32)
+	case kind == PlanBucket && e.counts == nil:
+		e.counts = make(map[int]int)
+	}
+}
+
+// entryFor returns the partition's cached partial for a signature — a
+// stale one the first time it is asked for. Caller holds the read
+// lock, and keeps holding it for as long as it uses the entry.
+func (p *partition) entryFor(sig string) *aggEntry {
+	p.cacheMu.Lock()
+	defer p.cacheMu.Unlock()
+	e := p.agg[sig]
+	if e == nil {
+		if p.agg == nil {
+			p.agg = make(map[string]*aggEntry)
+		}
+		if len(p.agg) >= aggCacheBound {
+			for k := range p.agg {
+				delete(p.agg, k)
+				break
+			}
+		}
+		e = &aggEntry{mark: stale}
+		p.agg[sig] = e
+	}
+	return e
+}
+
+// invalidatePartialsLocked marks stale every cached partial that has
+// folded a row at or past lo: the caller is about to rewrite those
+// rows. Caller holds the write lock.
+func (p *partition) invalidatePartialsLocked(lo int) {
+	for _, e := range p.agg {
+		if e.mark > lo {
+			e.mark = stale
+		}
+	}
+}
+
+// advance answers a cacheable plan from the partition's cached partial,
+// folding in the rows appended since it was last asked (every row, when
+// it is stale), and copies the result into out. Caller holds the read
+// lock.
+//
+//alarmvet:hotpath
+func (p *partition) advance(run *planRun, out *aggPartial, sc *partialScratch, st *aggCounters) error {
+	e := p.entryFor(run.sig)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	from, n := e.mark, len(p.ids)
+	switch from {
+	case n:
+		st.served.Add(1)
+	case stale:
+		from = 0
+		e.reset(run.plan.kind)
+		st.recomputed.Add(1)
+	default:
+		st.advanced.Add(1)
+	}
+	st.rowsFolded.Add(int64(n - from))
+	e.mark = stale // until the fold has gone through
+	var err error
+	if run.plan.kind == PlanGroup {
+		err = groupPartial(p, run.plan, e, from, sc, out)
+	} else {
+		err = bucketPartial(p, run.plan, e.counts, from, sc, out)
+	}
+	if err == nil {
+		e.mark = n
+	}
+	return err
+}
+
+// aggCounters counts, per collection, how its cached partials were
+// brought up to date (AggPartialStats).
+type aggCounters struct {
+	served, advanced, recomputed, rowsFolded atomic.Int64
+}
+
+// AggPartialStats reports how often a partition's cached partial
+// answered an aggregation as it stood (Served: no row since the last
+// ask), after folding in appended rows (Advanced), or only after a
+// fold from row 0 (Recomputed: the first ask of a signature, or the
+// first after a write below the partial's mark), and how many rows
+// those folds read — the fallback rate of the optimistic design. One
+// aggregation counts once per partition it visits.
+type AggPartialStats struct {
+	Served, Advanced, Recomputed, RowsFolded int64
+}
+
+// AggPartialStats returns the collection's cached-partial counters.
+func (c *Collection) AggPartialStats() AggPartialStats {
+	st := &c.aggStats
+	return AggPartialStats{
+		Served:     st.served.Load(),
+		Advanced:   st.advanced.Load(),
+		Recomputed: st.recomputed.Load(),
+		RowsFolded: st.rowsFolded.Load(),
+	}
 }

@@ -160,11 +160,14 @@ func TestCachedResultsAreIsolated(t *testing.T) {
 	}
 }
 
-// TestOptimisticReadHammer races the optimistic read paths against
-// writers on the same partitions — the -race target for the version
-// protocol. Reads must always return internally consistent results
-// (never an error, never a torn count below what was durably inserted
-// before the reads began).
+// TestOptimisticReadHammer races the read paths against writers on the
+// same partitions — the -race target for the cached partials: four
+// readers keep asking one group count, each advancing the partials the
+// others are advancing, while the writers' inserts move the tail and
+// their deletes invalidate. Reads must always return internally
+// consistent results (never an error, never a torn count below what
+// was durably inserted before the reads began, and for the documents no
+// writer touches, exactly their count).
 func TestOptimisticReadHammer(t *testing.T) {
 	c := optimisticCollection(t, 4)
 	const devices = 8
@@ -231,11 +234,54 @@ func TestOptimisticReadHammer(t *testing.T) {
 			}
 		}(r)
 	}
+	// Readers of one signature, advancing it together.
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				kept, err := c.GroupCounts(Doc{"kind": "keep"}, "deviceMac")
+				if err != nil || len(kept) != devices {
+					t.Errorf("groupcounts: %d groups, %v", len(kept), err)
+					return
+				}
+				for _, g := range kept {
+					if g.Count != floor[g.Key.Str()] {
+						t.Errorf("torn partial: %s counts %d kept docs, want %d", g.Key.Str(), g.Count, floor[g.Key.Str()])
+						return
+					}
+				}
+				all, err := c.GroupCounts(nil, "deviceMac")
+				if err != nil {
+					t.Errorf("groupcounts: %v", err)
+					return
+				}
+				for _, g := range all {
+					if g.Count < floor[g.Key.Str()] {
+						t.Errorf("torn partial: %s counts %d docs, floor %d", g.Key.Str(), g.Count, floor[g.Key.Str()])
+						return
+					}
+				}
+			}
+		}()
+	}
 	wg.Wait()
+	if st := c.AggPartialStats(); st.Advanced == 0 || st.Recomputed == 0 {
+		t.Errorf("the hammer never advanced or never invalidated a partial: %+v", st)
+	}
 
 	// Settle and check the caches converge on the final truth.
 	if _, err := c.Delete(Doc{"kind": "temp"}); err != nil {
 		t.Fatal(err)
+	}
+	settled, err := c.GroupCounts(nil, "deviceMac")
+	if err != nil || len(settled) != devices {
+		t.Fatalf("settled group count: %d groups, %v", len(settled), err)
+	}
+	for _, g := range settled {
+		if g.Count != floor[g.Key.Str()] {
+			t.Fatalf("%s: %d docs after settle, want %d", g.Key.Str(), g.Count, floor[g.Key.Str()])
+		}
 	}
 	for i := 0; i < devices; i++ {
 		vals, err := c.FieldValues(Doc{"deviceMac": mac(i)}, "ts")

@@ -2,6 +2,7 @@ package docstore
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -12,9 +13,7 @@ import (
 // in ascending order, one typed column per field slot (rows.go), and
 // index shards over row numbers. All methods suffixed Locked require
 // the caller to hold the appropriate mu mode. Write paths acquire mu
-// through writeLock/writeUnlock (optimistic.go), which maintain the
-// seqlock-style version counter the optimistic read paths validate
-// their published snapshots against.
+// through writeLock/writeUnlock (optimistic.go).
 type partition struct {
 	mu   sync.RWMutex
 	dict *fieldDict
@@ -30,15 +29,13 @@ type partition struct {
 	sortFrom int
 	indexes  map[string]*index
 
-	// seq is the partition version: odd while a writer holds mu,
-	// advanced to a new even value on write release. size mirrors
-	// len(ids) so Len() needs no lock. Both are read without mu.
-	seq  atomic.Uint64
+	// size mirrors len(ids) so Len() needs no lock.
 	size atomic.Int64
 
-	// cacheMu guards the published read snapshots (optimistic.go);
-	// it is never held together with mu-as-writer, so optimistic
-	// readers only ever block on the short probe, not on store writes.
+	// agg holds the partition's cached aggregation partials by plan
+	// signature (optimistic.go). Readers reach it under mu.RLock and
+	// share it through cacheMu; a writer, alone under mu.Lock, walks it
+	// without.
 	cacheMu sync.Mutex
 	agg     map[string]*aggEntry
 
@@ -186,8 +183,10 @@ func (p *partition) restoreOrderLocked() {
 // row lo+i is old row src[i] (every src[i] >= lo), and rows past the
 // end of src are dropped. It is the one primitive behind re-sorting
 // and compaction; the index shards drop and re-add exactly the rows
-// that moved.
+// that moved, and the cached partials that had folded a row at or past
+// lo start over.
 func (p *partition) gatherLocked(lo int, src []int) {
+	p.invalidatePartialsLocked(lo)
 	for _, idx := range p.indexes {
 		idx.dropFrom(p, lo)
 	}
@@ -208,12 +207,12 @@ func (p *partition) gatherLocked(lo int, src []int) {
 	}
 }
 
-// candidates returns the rows a filter needs to examine, in ascending
-// order, using an index shard when the filter constrains an indexed
-// field; all=true means every row. The result may alias an index
-// posting list: callers must not mutate the partition while they walk
-// it. Caller holds at least a read lock.
-func (p *partition) candidates(f *filter) (rows []int32, all bool) {
+// candidates returns the rows from row from on that a filter needs to
+// examine, in ascending order, using an index shard when the filter
+// constrains an indexed field; all=true means every one of them. The
+// result may alias an index posting list: callers must not mutate the
+// partition while they walk it. Caller holds at least a read lock.
+func (p *partition) candidates(f *filter, from int) (rows []int32, all bool) {
 	if len(p.indexes) == 0 {
 		return nil, true
 	}
@@ -227,27 +226,38 @@ func (p *partition) candidates(f *filter) (rows []int32, all bool) {
 			continue
 		}
 		if k, ok := n.eqKey(); ok {
-			return idx.eq[k], false
+			return rowsFrom(idx.eq[k], from), false
 		}
-		if rows, ok := idx.lookupRange(n.cond); ok {
+		if rows, ok := idx.lookupRange(n.cond, from); ok {
 			return rows, false
 		}
 	}
 	return nil, true
 }
 
-// forEachMatch invokes fn for every row matching the filter, in
-// ascending row (= id) order. It is the one scan loop every read and
-// write path shares. Caller holds at least a read lock; fn must not
-// mutate the partition (write paths collect the rows first).
-func (p *partition) forEachMatch(f *filter, fn func(r int)) error {
-	rows, all := p.candidates(f)
+// rowsFrom returns the part of an ascending posting list at or past
+// row from.
+func rowsFrom(rows []int32, from int) []int32 {
+	if from == 0 {
+		return rows
+	}
+	at, _ := slices.BinarySearch(rows, int32(from))
+	return rows[at:]
+}
+
+// forEachMatch invokes fn for every row from row from on that matches
+// the filter, in ascending row (= id) order. It is the one scan loop
+// every read and write path shares. Caller holds at least a read lock;
+// fn must not mutate the partition (write paths collect the rows
+// first).
+func (p *partition) forEachMatch(f *filter, from int, fn func(r int)) error {
+	rows, all := p.candidates(f, from)
 	n := len(rows)
 	if all {
-		n = len(p.ids)
+		n = len(p.ids) - from
 	}
 	for i := 0; i < n; i++ {
-		r := i
+		r := from + i
 		if !all {
 			r = int(rows[i])
 		}
@@ -265,7 +275,7 @@ func (p *partition) forEachMatch(f *filter, fn func(r int)) error {
 // matchingRows collects the rows matching the filter.
 func (p *partition) matchingRows(f *filter) ([]int, error) {
 	var rows []int
-	err := p.forEachMatch(f, func(r int) { rows = append(rows, r) })
+	err := p.forEachMatch(f, 0, func(r int) { rows = append(rows, r) })
 	return rows, err
 }
 
@@ -293,12 +303,14 @@ func (p *partition) applyLocked(op walOp) error {
 // updateLocked applies set to the partition's matching rows: a value
 // of the column's kind is written in place, any other promotes the
 // column; a dotted path is written into the boxed value it descends
-// into. Caller holds the write lock.
+// into. The cached partials that had folded one of those rows start
+// over. Caller holds the write lock.
 func (p *partition) updateLocked(f *filter, set Doc) (int, error) {
 	rows, err := p.matchingRows(f)
 	if len(rows) == 0 {
 		return 0, err
 	}
+	p.invalidatePartialsLocked(rows[0])
 	refs := make(map[string]fieldRef, len(set))
 	for k := range set {
 		refs[k] = p.dict.ref(k)

@@ -33,9 +33,10 @@ import (
 // merged result as the last step, by the calls that return documents
 // (BucketCounts and GroupCounts hand the typed result out as it is).
 // Partials execute with one lock acquisition and one simulated store
-// round-trip per touched partition (execPlans). Bounded partials of
-// Doc-filtered plans additionally publish to the partition's
-// seqlock-style snapshot cache (optimistic.go). Stage shapes the
+// round-trip per touched partition (execPlans). The group and bucket
+// partials of Doc-filtered plans stay behind in the partition and are
+// advanced over the rows appended since, not computed again
+// (optimistic.go). Stage shapes the
 // planner cannot push (custom Stage implementations) fall back to
 // AggregateStreaming — the streaming path stays alive as the
 // equivalence oracle the test battery pins this engine against.
@@ -73,8 +74,9 @@ type PlanInfo struct {
 	PushedStages int
 	// CentralStages counts stages applied centrally after the merge.
 	CentralStages int
-	// Cacheable reports whether the partials publish to the partition
-	// snapshot caches (bounded partials with canonicalizable specs).
+	// Cacheable reports whether the partitions keep the plan's partials
+	// and advance them over appended rows (group and bucket plans with a
+	// Doc filter).
 	Cacheable bool
 }
 
@@ -85,12 +87,11 @@ func (c *Collection) Explain(filter Doc, stages ...Stage) PlanInfo {
 	if !ok || err != nil {
 		return PlanInfo{Kind: PlanStreaming, CentralStages: len(stages)}
 	}
-	_, cacheable := plan.signature()
 	return PlanInfo{
 		Kind:          plan.kind,
 		PushedStages:  plan.pushed,
 		CentralStages: len(plan.tail),
-		Cacheable:     cacheable,
+		Cacheable:     plan.cacheable(),
 	}
 }
 
@@ -292,8 +293,8 @@ func (g Group) validate() error {
 // pGroup is one group's mergeable state — in a partition's partial and,
 // after the merge, in the typed result the documents are boxed from.
 // Every captured value is cloned out of the store under the partition
-// lock, so a partial outlives the lock and may be published to the
-// snapshot cache.
+// lock, so a partial outlives the lock and may stay behind in the
+// partition's cache.
 type pGroup struct {
 	ks    string     // the group's equivalence class: the oracle's %v key
 	key   []Cell     // By-field values of the group's smallest-id document
@@ -323,9 +324,11 @@ type topDoc struct {
 }
 
 // aggPartial is one partition's contribution to a pushed aggregation.
-// Exactly one of the per-kind fields is populated. A partial is
-// immutable once built: the merge step never mutates it, so the same
-// partial can be published to the snapshot cache and served again.
+// Exactly one of the per-kind fields is populated. It belongs to the
+// sweep that asked for it: groups and buckets are views into the
+// sweep's slabs — of a cached partial, a copy taken under its lock —
+// so the merge may take them apart; only boxed values may still be
+// shared with a cached partial, and are cloned on the way out.
 type aggPartial struct {
 	groups  []pGroup      // group: in ascending minID order
 	buckets []bucketCount // bucket: in ascending idx order
@@ -340,33 +343,24 @@ type aggPartial struct {
 }
 
 // partialScratch is what one partition visit reuses across the plans
-// it computes: a sweep of several hundred per-device histograms then
-// allocates per result, not per query.
+// it computes, and where their group and bucket partials live: a sweep
+// of several hundred per-device histograms then allocates nothing per
+// query. Each slab holds one visit's partials back to back; a view
+// taken before a slab grew keeps the old array.
 type partialScratch struct {
-	counts map[int]int
-	key    []byte
+	counts map[int]int   // an uncached bucket plan's counts
+	key    []byte        // a group's class key under construction
+	bars   []bucketCount // the visit's bucket partials
+	groups []pGroup      // the visit's group partials
+	accs   []accState    // those groups' accumulators
 }
 
-// computePartial evaluates the plan's partial over one partition.
-// Caller holds at least the partition read lock.
-func computePartial(p *partition, plan *aggPlan, sc *partialScratch) (*aggPartial, error) {
-	switch plan.kind {
-	case PlanGroup:
-		return groupPartial(p, plan, sc)
-	case PlanBucket:
-		return bucketPartial(p, plan, sc)
-	case PlanTopK:
-		return topkPartial(p, plan)
-	default:
-		return scanPartial(p, plan)
-	}
-}
-
-func groupPartial(p *partition, plan *aggPlan, sc *partialScratch) (*aggPartial, error) {
-	var groups []pGroup
-	index := make(map[string]int32)
+// groupPartial folds the rows from row from on into the cached partial
+// e — rows come in ascending id order, so the fold is the tail of the
+// one a scan from row 0 performs — and copies the result into out.
+func groupPartial(p *partition, plan *aggPlan, e *aggEntry, from int, sc *partialScratch, out *aggPartial) error {
 	single := len(plan.refs) == 1
-	err := p.forEachMatch(plan.filter, func(r int) {
+	err := p.forEachMatch(plan.filter, from, func(r int) {
 		// The class key is what the streaming Group stage builds with
 		// fmt's %v, NUL-terminated per field — except that one string
 		// field is its own key, with nothing to build.
@@ -377,7 +371,7 @@ func groupPartial(p *partition, plan *aggPlan, sc *partialScratch) (*aggPartial,
 			str = p.cell(r, plan.refs[0])
 		}
 		if str.kind == kindString {
-			gi, ok = index[str.str]
+			gi, ok = e.index[str.str]
 		} else {
 			sc.key = sc.key[:0]
 			for _, f := range plan.refs {
@@ -386,7 +380,7 @@ func groupPartial(p *partition, plan *aggPlan, sc *partialScratch) (*aggPartial,
 					sc.key = append(sc.key, 0)
 				}
 			}
-			gi, ok = index[string(sc.key)]
+			gi, ok = e.index[string(sc.key)]
 		}
 		if !ok {
 			// Rows come in ascending id order, so a group's first row is
@@ -399,11 +393,11 @@ func groupPartial(p *partition, plan *aggPlan, sc *partialScratch) (*aggPartial,
 			if g.ks = str.str; str.kind != kindString {
 				g.ks = string(sc.key)
 			}
-			gi = int32(len(groups))
-			index[g.ks] = gi
-			groups = append(groups, g)
+			gi = int32(len(e.groups))
+			e.index[g.ks] = gi
+			e.groups = append(e.groups, g)
 		}
-		g := &groups[gi]
+		g := &e.groups[gi]
 		g.count++
 		for i := range plan.accs {
 			acc := &plan.accs[i]
@@ -417,9 +411,21 @@ func groupPartial(p *partition, plan *aggPlan, sc *partialScratch) (*aggPartial,
 		}
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &aggPartial{groups: groups}, nil
+	// The copy the sweep merges from: the groups, then their
+	// accumulators, which later folds update in place.
+	start := len(sc.groups)
+	sc.groups = append(sc.groups, e.groups...)
+	out.groups = sc.groups[start:len(sc.groups):len(sc.groups)]
+	if len(plan.accs) > 0 {
+		for i := range out.groups {
+			g, at := &out.groups[i], len(sc.accs)
+			sc.accs = append(sc.accs, g.accs...)
+			g.accs = sc.accs[at:len(sc.accs):len(sc.accs)]
+		}
+	}
+	return nil
 }
 
 // fold merges one candidate — a row's value, or another partial's
@@ -471,26 +477,28 @@ func appendGroupKey(b []byte, c Cell) []byte {
 	}
 }
 
-func bucketPartial(p *partition, plan *aggPlan, sc *partialScratch) (*aggPartial, error) {
+// bucketPartial folds the rows from row from on into counts — a cached
+// partial's, or the visit's own cleared map with from 0 — and writes
+// the histogram into the visit's slab.
+//
+//alarmvet:hotpath
+func bucketPartial(p *partition, plan *aggPlan, counts map[int]int, from int, sc *partialScratch, out *aggPartial) error {
 	b, ref := plan.bucket, plan.refs[0]
-	if sc.counts == nil {
-		sc.counts = make(map[int]int)
-	}
-	clear(sc.counts)
-	err := p.forEachMatch(plan.filter, func(r int) {
+	err := p.forEachMatch(plan.filter, from, func(r int) {
 		if v := p.cell(r, ref); v.rank() == 2 {
-			sc.counts[int((v.Num()-b.Origin)/b.Width)]++
+			counts[int((v.Num()-b.Origin)/b.Width)]++
 		}
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := make([]bucketCount, 0, len(sc.counts))
-	for idx, n := range sc.counts {
-		out = append(out, bucketCount{idx, n})
+	start := len(sc.bars)
+	for idx, n := range counts {
+		sc.bars = append(sc.bars, bucketCount{idx, n})
 	}
-	slices.SortFunc(out, func(a, b bucketCount) int { return a.idx - b.idx })
-	return &aggPartial{buckets: out}, nil
+	out.buckets = sc.bars[start:len(sc.bars):len(sc.bars)]
+	slices.SortFunc(out.buckets, func(a, b bucketCount) int { return a.idx - b.idx })
+	return nil
 }
 
 // topkElem is a top-K candidate held during the in-lock selection:
@@ -512,11 +520,11 @@ func topkWorse(aKey Cell, aID int64, bKey Cell, bID int64, desc bool) bool {
 	return aID > bID
 }
 
-func topkPartial(p *partition, plan *aggPlan) (*aggPartial, error) {
+func topkPartial(p *partition, plan *aggPlan, out *aggPartial) error {
 	k, desc := plan.limit, plan.sortDesc
 	worse := func(a, b topkElem) bool { return topkWorse(a.key, a.id, b.key, b.id, desc) }
 	var kept []topkElem // bounded: a max-heap by worse, the root the worst kept
-	err := p.forEachMatch(plan.filter, func(r int) {
+	err := p.forEachMatch(plan.filter, 0, func(r int) {
 		e := topkElem{id: p.ids[r], key: p.cell(r, plan.refs[0]), row: r}
 		switch {
 		case k < 0 || len(kept) < k:
@@ -530,15 +538,15 @@ func topkPartial(p *partition, plan *aggPlan) (*aggPartial, error) {
 		}
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	sort.Slice(kept, func(i, j int) bool { return worse(kept[j], kept[i]) })
-	out := make([]topDoc, len(kept))
+	out.top = make([]topDoc, len(kept))
 	for i, e := range kept {
 		e.key.box = cloneValue(e.key.box)
-		out[i] = topDoc{id: e.id, key: e.key, doc: p.doc(e.row)}
+		out.top[i] = topDoc{id: e.id, key: e.key, doc: p.doc(e.row)}
 	}
-	return &aggPartial{top: out}, nil
+	return nil
 }
 
 // siftUp/siftDown maintain the bounded top-K max-heap (ordered by
@@ -572,32 +580,33 @@ func siftDown(h []topkElem, i int, worse func(a, b topkElem) bool) {
 	}
 }
 
-func scanPartial(p *partition, plan *aggPlan) (*aggPartial, error) {
+func scanPartial(p *partition, plan *aggPlan, out *aggPartial) error {
 	rows, err := p.matchingRows(plan.filter)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	matched := len(rows) > 0
+	out.matched = len(rows) > 0
 	if plan.limit >= 0 && len(rows) > plan.limit {
 		// The global first N by id is a subset of each partition's
 		// first N by id, so clipping here loses nothing.
 		rows = rows[:plan.limit]
 	}
-	out := make([]match, len(rows))
+	out.scan = make([]match, len(rows))
 	for i, r := range rows {
-		out[i].id = p.ids[r]
+		m := &out.scan[i]
+		m.id = p.ids[r]
 		if plan.project == nil {
-			out[i].doc = p.doc(r)
+			m.doc = p.doc(r)
 			continue
 		}
-		out[i].doc = make(Doc, len(plan.refs))
+		m.doc = make(Doc, len(plan.refs))
 		for j, f := range plan.project.Fields {
 			if v, ok := p.value(r, plan.refs[j]); ok {
-				setPath(out[i].doc, f, cloneValue(v))
+				setPath(m.doc, f, cloneValue(v))
 			}
 		}
 	}
-	return &aggPartial{scan: out, matched: matched}, nil
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -605,69 +614,85 @@ func scanPartial(p *partition, plan *aggPlan) (*aggPartial, error) {
 //
 // Partials merge typed — groups stay pGroups, bars stay (index, count)
 // pairs — and are boxed into documents as the last step, by the calls
-// that return documents. Partials are read-only here: when shared is
-// true (any partial may be cache-published), every value that could
-// alias a partial is cloned on the way out.
+// that return documents. When shared is true (the partials are copies
+// of cached ones), every boxed value is cloned on the way out.
 
-// mergeDocs merges a plan's partials into the pre-tail document set.
-func mergeDocs(plan *aggPlan, partials []*aggPartial, shared bool) []Doc {
+// mergeDocs merges a run's partials into the pre-tail document set.
+func mergeDocs(sw *sweep, run *planRun) []Doc {
+	plan, shared := run.plan, run.sig != ""
 	switch plan.kind {
 	case PlanGroup:
-		return groupDocs(plan, mergeGroups(plan, partials), shared)
+		return groupDocs(plan, mergeGroups(sw, run), shared)
 	case PlanBucket:
-		bars := mergeBuckets(plan.bucket, partials, nil)
+		bars := mergeBuckets(plan.bucket, run.partials, nil)
 		out := make([]Doc, len(bars))
 		for i, b := range bars {
 			out[i] = Doc{"bucket": b.Start, "count": b.Count}
 		}
 		return out
 	case PlanTopK:
-		return mergeTopK(plan, partials, shared)
+		return mergeTopK(plan, run.partials)
 	default:
-		return mergeScan(plan, partials, shared)
+		return mergeScan(plan, run.partials)
 	}
 }
 
 // mergeGroups folds the partitions' groups together, in the order the
 // streaming oracle emits them: first-seen over the id-ordered stream —
-// exactly ascending smallest-member id. Partition index order keeps
-// the float merge deterministic run-to-run; with exactly-representable
-// sums it is also equal to the oracle's id-ordered accumulation.
-func mergeGroups(plan *aggPlan, partials []*aggPartial) []pGroup {
+// exactly ascending smallest-member id. Every partial is in that order
+// already, so the merge draws the group with the smallest first id
+// among the partials' heads: groups arrive in the merged order, and a
+// class's first sighting is its smallest id. The partials of one class
+// fold in the order of their first ids, which keeps the float merge
+// deterministic run-to-run; with exactly-representable sums it is also
+// equal to the oracle's id-ordered accumulation. The result lives in
+// the sweep until its next merge.
+func mergeGroups(sw *sweep, run *planRun) []pGroup {
+	plan, partials := run.plan, run.partials
 	if len(partials) == 1 {
 		return partials[0].groups
 	}
-	var merged []pGroup
-	index := make(map[string]int)
-	for _, part := range partials {
-		for i := range part.groups {
-			pg := &part.groups[i]
-			mi, ok := index[pg.ks]
-			if !ok {
-				index[pg.ks] = len(merged)
-				g := *pg
-				g.accs = append([]accState(nil), pg.accs...)
-				merged = append(merged, g)
-				continue
-			}
-			mg := &merged[mi]
-			if pg.minID < mg.minID {
-				mg.minID, mg.key = pg.minID, pg.key
-			}
-			mg.count += pg.count
-			for j := range pg.accs {
-				switch a := &pg.accs[j]; {
-				case a.n == 0:
-				case plan.accs[j].op == "sum" || plan.accs[j].op == "avg":
-					mg.accs[j].sum += a.sum
-					mg.accs[j].n += a.n
-				default:
-					mg.accs[j].fold(plan.accs[j].op, a.val, a.id)
+	if sw.index == nil {
+		sw.index = make(map[string]int32)
+	}
+	clear(sw.index)
+	sw.heads = resized(sw.heads, len(partials))
+	clear(sw.heads)
+	merged := sw.merged[:0]
+	for {
+		var pg *pGroup
+		from := -1
+		for pi := range partials {
+			if h := sw.heads[pi]; h < len(partials[pi].groups) {
+				if g := &partials[pi].groups[h]; pg == nil || g.minID < pg.minID {
+					pg, from = g, pi
 				}
 			}
 		}
+		if pg == nil {
+			break
+		}
+		sw.heads[from]++
+		mi, ok := sw.index[pg.ks]
+		if !ok {
+			sw.index[pg.ks] = int32(len(merged))
+			merged = append(merged, *pg)
+			continue
+		}
+		mg := &merged[mi]
+		mg.count += pg.count
+		for j := range pg.accs {
+			switch a := &pg.accs[j]; {
+			case a.n == 0:
+			case plan.accs[j].op == "sum" || plan.accs[j].op == "avg":
+				mg.accs[j].sum += a.sum
+				mg.accs[j].n += a.n
+			default:
+				mg.accs[j].fold(plan.accs[j].op, a.val, a.id)
+			}
+		}
 	}
-	sort.SliceStable(merged, func(i, j int) bool { return merged[i].minID < merged[j].minID })
+	sw.merged = merged
 	return merged
 }
 
@@ -715,7 +740,7 @@ type BucketCount struct {
 
 // mergeBuckets appends the merged bars, in ascending bucket order, to
 // out.
-func mergeBuckets(b *Bucket, partials []*aggPartial, out []BucketCount) []BucketCount {
+func mergeBuckets(b *Bucket, partials []aggPartial, out []BucketCount) []BucketCount {
 	var bars []bucketCount
 	if len(partials) == 1 {
 		bars = partials[0].buckets
@@ -737,7 +762,7 @@ func mergeBuckets(b *Bucket, partials []*aggPartial, out []BucketCount) []Bucket
 	return out
 }
 
-func mergeTopK(plan *aggPlan, partials []*aggPartial, shared bool) []Doc {
+func mergeTopK(plan *aggPlan, partials []aggPartial) []Doc {
 	var all []topDoc
 	for _, part := range partials {
 		all = append(all, part.top...)
@@ -750,14 +775,12 @@ func mergeTopK(plan *aggPlan, partials []*aggPartial, shared bool) []Doc {
 	}
 	out := make([]Doc, len(all))
 	for i, e := range all {
-		if out[i] = e.doc; shared {
-			out[i] = cloneDoc(e.doc)
-		}
+		out[i] = e.doc
 	}
 	return out
 }
 
-func mergeScan(plan *aggPlan, partials []*aggPartial, shared bool) []Doc {
+func mergeScan(plan *aggPlan, partials []aggPartial) []Doc {
 	results := make([][]match, len(partials))
 	for i, part := range partials {
 		results[i] = part.scan
@@ -782,125 +805,93 @@ func mergeScan(plan *aggPlan, partials []*aggPartial, shared bool) []Doc {
 	}
 	out := make([]Doc, len(all))
 	for i, m := range all {
-		if out[i] = m.doc; shared {
-			out[i] = cloneDoc(m.doc)
-		}
+		out[i] = m.doc
 	}
 	return out
 }
 
 // ---------------------------------------------------------------------------
-// Plan signatures (snapshot-cache keys)
+// Plan signatures (cache keys)
 
-// signature canonicalizes the plan into a snapshot-cache key. Only
-// bounded partials cache (group, bucket, and top-K with a limit under
-// topkCacheMaxK); ok=false means the partial recomputes on every call.
-// The key is fmt's %#v form of the plan's parts: it prints maps in
-// sorted key order, quotes strings, and prints numbers that filters
-// treat as equal (1 and 1.0) alike, so equal keys mean equal answers.
-func (p *aggPlan) signature() (string, bool) {
-	switch {
-	case p.typed, p.kind == PlanScan, p.kind == PlanTopK && (p.limit < 0 || p.limit > topkCacheMaxK):
-		return "", false
-	}
-	return fmt.Sprintf("%s|%#v|%#v|%#v|%q,%v,%d", p.kind, map[string]any(p.scanFilter),
-		p.group, p.bucket, p.sortField, p.sortDesc, p.limit), true
+// cacheable reports whether the partitions keep the plan's partials
+// (optimistic.go): group and bucket plans whose filter is a Doc. A
+// typed plan has no Doc to derive a key from, and building one would
+// cost more than the index probe and count it saved; a top-K or scan
+// partial holds documents, not a fold.
+func (p *aggPlan) cacheable() bool {
+	return !p.typed && (p.kind == PlanGroup || p.kind == PlanBucket)
 }
 
-// topkCacheMaxK bounds the per-partition snapshot footprint of cached
-// top-K partials.
-const topkCacheMaxK = 65536
-
-// ---------------------------------------------------------------------------
-// Partial snapshot cache
-
-// aggCacheBound caps the per-partition aggregation-partial cache; at
-// the bound an arbitrary entry is evicted (the working set of
-// repeating analytics queries — /stats, retrainer scans, histogram
-// dashboards — is a handful of plan signatures).
-const aggCacheBound = 32
-
-// aggEntry is one published aggregation partial: the partition's
-// contribution to a plan signature, captured at an even version. The
-// partial is immutable once published; the merge step clones any value
-// it hands out.
-type aggEntry struct {
-	seq uint64
-	pr  *aggPartial
-}
-
-// cachedAggPartial attempts an optimistic read of a published partial:
-// version load, cache probe, version revalidation, one retry on
-// conflict (the seqlock discipline of optimistic.go). A hit
-// serves the partition's contribution without the read lock or the
-// simulated round-trip.
-func (p *partition) cachedAggPartial(sig string) (*aggPartial, bool) {
-	for attempt := 0; attempt < 2; attempt++ {
-		v1 := p.seq.Load()
-		if v1&1 != 0 {
-			continue // writer in progress: retry, then locked path
-		}
-		p.cacheMu.Lock()
-		e := p.agg[sig]
-		p.cacheMu.Unlock()
-		if e == nil || e.seq != v1 {
-			return nil, false // no snapshot at this version: capture one
-		}
-		if p.seq.Load() != v1 {
-			continue // a write raced the probe: the snapshot may be stale
-		}
-		return e.pr, true
+// signature canonicalizes a bound plan into the key its partials are
+// cached under, "" for a plan that is computed on every call. Equal
+// keys mean equal answers: names are quoted, accumulators come in
+// p.accs' sorted order, and the filter prints in fmt's %#v form, which
+// sorts map keys and prints numbers that filters treat as equal (1 and
+// 1.0) alike.
+func (p *aggPlan) signature() string {
+	if !p.cacheable() {
+		return ""
 	}
-	return nil, false
-}
-
-// storeAggPartial publishes a partial captured at version seq. Caller
-// must have read seq while holding p.mu (any mode), so it is even and
-// the partial is consistent with it.
-func (p *partition) storeAggPartial(sig string, seq uint64, pr *aggPartial) {
-	p.cacheMu.Lock()
-	if p.agg == nil {
-		p.agg = make(map[string]*aggEntry)
+	var buf [128]byte
+	b := append(buf[:0], p.kind...)
+	if p.kind == PlanBucket {
+		b = strconv.AppendQuote(append(b, '|'), p.bucket.Field)
+		b = strconv.AppendFloat(append(b, ','), p.bucket.Origin, 'g', -1, 64)
+		b = strconv.AppendFloat(append(b, ','), p.bucket.Width, 'g', -1, 64)
 	}
-	if len(p.agg) >= aggCacheBound {
-		for k := range p.agg {
-			delete(p.agg, k)
-			break
+	if p.kind == PlanGroup {
+		for _, f := range p.group.By {
+			b = strconv.AppendQuote(append(b, '|'), f)
+		}
+		for _, acc := range p.accs {
+			b = strconv.AppendQuote(append(b, ';'), acc.out)
+			b = strconv.AppendQuote(append(b, acc.op...), p.group.Accs[acc.out].Field)
 		}
 	}
-	p.agg[sig] = &aggEntry{seq: seq, pr: pr}
-	p.cacheMu.Unlock()
+	if len(p.scanFilter) > 0 {
+		b = fmt.Appendf(append(b, '|'), "%#v", map[string]any(p.scanFilter))
+	}
+	return string(b)
 }
 
 // ---------------------------------------------------------------------------
 // Execution
 
 // planRun is one bound plan in flight: its n target partitions
-// (c.parts[lo:lo+n]), one partial slot per target, and its
-// snapshot-cache key.
+// (c.parts[lo:lo+n]), one partial per target, and the key its partials
+// are cached under ("": they are not).
 type planRun struct {
-	plan      *aggPlan
-	lo, n     int
-	partials  []*aggPartial
-	sig       string
-	cacheable bool
+	plan     *aggPlan
+	lo, n    int
+	partials []aggPartial
+	sig      string
 }
-
-// missRef names a partial a partition must still compute after the
-// cache pass: the run and its slot for that partition.
-type missRef struct{ run, slot int }
 
 // sweep is the reusable memory of one execPlans sweep, and of the
 // typed plans BucketCounts builds for one. A sweep's fixed cost — all
 // there is to a sweep of one filter, which is what a micro-batch of
-// one alarm asks for — is paid out of it, so only the partials
-// themselves are allocated. Sweeps are pooled, and every slice of a
-// pooled sweep is zero up to its capacity (release sees to it).
+// one alarm asks for — is paid out of it, and so are the group and
+// bucket partials themselves (partialScratch). Sweeps are pooled, and
+// every slice of a pooled sweep is zero up to its capacity (release
+// sees to it).
 type sweep struct {
 	runs     []planRun
-	partials []*aggPartial    // one slab for every run's slots
-	missFor  [][]missRef      // per partition
+	partials []aggPartial     // one slab for every run's partials
+	touched  []bool           // per partition: it has partials to supply
 	scratch  []partialScratch // per partition: visits may run concurrently
+
+	// What execPlans hands forEach: the collection being swept, and two
+	// closures over the sweep itself, made once with it — a sweep costs
+	// no closure.
+	c     *Collection
+	busy  func(pi int) bool
+	visit func(pi int, p *partition) error
+
+	// mergeGroups' memory: the merged groups, their positions by key and
+	// how far into each partial the merge has drawn.
+	merged []pGroup
+	index  map[string]int32
+	heads  []int
 
 	// BucketCounts' plans: compiled conditions, filters and plans in one
 	// slab each, the shared bucket and its field, and the merged bars.
@@ -913,13 +904,28 @@ type sweep struct {
 	bars    []BucketCount
 }
 
-var sweepPool = sync.Pool{New: func() any { return new(sweep) }}
+var sweepPool = sync.Pool{New: func() any {
+	sw := new(sweep)
+	sw.busy = func(pi int) bool { return sw.touched[pi] }
+	sw.visit = func(pi int, _ *partition) error { return sw.c.visit(sw, pi) }
+	return sw
+}}
 
 // release drops what the sweep references (plans, partials, filter
-// literals) and returns it to the pool.
+// literals, group keys) and returns it to the pool.
 func (sw *sweep) release() {
+	sw.c = nil
 	clear(sw.runs)
 	clear(sw.partials)
+	for i := range sw.scratch {
+		sc := &sw.scratch[i]
+		clear(sc.groups)
+		clear(sc.accs)
+		sc.bars, sc.groups, sc.accs = sc.bars[:0], sc.groups[:0], sc.accs[:0]
+	}
+	clear(sw.merged)
+	sw.merged = sw.merged[:0]
+	clear(sw.index)
 	clear(sw.nodes)
 	clear(sw.plans)
 	clear(sw.bound)
@@ -947,7 +953,7 @@ func (c *Collection) newRuns(sw *sweep, plans []*aggPlan) []planRun {
 		run.plan = plan
 		lo, hi := c.targetRange(plan.filter)
 		run.lo, run.n = lo, hi-lo
-		run.sig, run.cacheable = plan.signature()
+		run.sig = plan.signature()
 		total += run.n
 	}
 	sw.partials = resized(sw.partials, total)
@@ -962,63 +968,53 @@ func (c *Collection) newRuns(sw *sweep, plans []*aggPlan) []planRun {
 
 // execPlans computes the partials of every run in one store sweep:
 // filters pinned to one partition by a shard-key equality only visit
-// that partition, each touched partition's lock (and simulated
+// that partition, and each touched partition's lock (and simulated
 // round-trip) is paid once for the whole batch — concurrently across
-// partitions under a simulated RTT — and partials already published to
-// the partition snapshot caches are served without visiting the
-// partition at all.
+// partitions under a simulated RTT.
 func (c *Collection) execPlans(sw *sweep, runs []planRun) error {
-	// missFor[pi] lists the (run, slot) pairs partition pi must still
-	// compute after the cache pass.
-	sw.missFor = resized(sw.missFor, len(c.parts))
+	sw.touched = resized(sw.touched, len(c.parts))
 	sw.scratch = resized(sw.scratch, len(c.parts))
-	missFor := sw.missFor
-	for pi := range missFor {
-		missFor[pi] = missFor[pi][:0]
-	}
-	missed := false
+	clear(sw.touched)
 	for ri := range runs {
-		run := &runs[ri]
-		for slot := range run.partials {
-			p := c.parts[run.lo+slot]
-			if run.cacheable {
-				if pr, hit := p.cachedAggPartial(run.sig); hit {
-					run.partials[slot] = pr
-					continue
-				}
-			}
-			missFor[run.lo+slot] = append(missFor[run.lo+slot], missRef{ri, slot})
-			missed = true
+		for pi := runs[ri].lo; pi < runs[ri].lo+runs[ri].n; pi++ {
+			sw.touched[pi] = true
 		}
 	}
-	if !missed {
-		return nil
-	}
-	touched := func(pi int) bool { return len(missFor[pi]) > 0 }
-	return c.forEach(0, len(c.parts), touched, func(pi int, _ *partition) error {
-		return c.computeMissed(sw, runs, pi)
-	})
+	sw.c = c
+	return c.forEach(0, len(c.parts), sw.busy, sw.visit)
 }
 
-// computeMissed computes, under one read lock and one simulated
-// round-trip, every partial partition pi still owes the sweep.
-func (c *Collection) computeMissed(sw *sweep, runs []planRun, pi int) error {
-	p := c.parts[pi]
+// visit computes, under one read lock and one simulated round-trip,
+// every partial partition pi owes the sweep.
+func (c *Collection) visit(sw *sweep, pi int) error {
+	runs, p, sc := sw.runs, c.parts[pi], &sw.scratch[pi]
+	if sc.counts == nil {
+		sc.counts = make(map[int]int)
+	}
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	c.simulateRTT()
-	for _, ref := range sw.missFor[pi] {
-		run := &runs[ref.run]
-		pr, err := computePartial(p, run.plan, &sw.scratch[pi])
+	for ri := range runs {
+		run := &runs[ri]
+		slot := pi - run.lo
+		if slot < 0 || slot >= run.n {
+			continue
+		}
+		var err error
+		switch out := &run.partials[slot]; {
+		case run.sig != "":
+			err = p.advance(run, out, sc, &c.aggStats)
+		case run.plan.kind == PlanBucket:
+			clear(sc.counts)
+			err = bucketPartial(p, run.plan, sc.counts, 0, sc, out)
+		case run.plan.kind == PlanTopK:
+			err = topkPartial(p, run.plan, out)
+		default:
+			err = scanPartial(p, run.plan, out)
+		}
 		if err != nil {
 			return err
 		}
-		if run.cacheable {
-			// Holding the read lock excludes writers, so the version
-			// is even and consistent with the scan just performed.
-			p.storeAggPartial(run.sig, p.seq.Load(), pr)
-		}
-		run.partials[ref.slot] = pr
 	}
 	return nil
 }
@@ -1052,11 +1048,12 @@ func (c *Collection) AggregateMulti(filters []Doc, stages ...Stage) ([][]Doc, er
 	if err := c.execPlans(sw, runs); err != nil {
 		return nil, err
 	}
-	for i, run := range runs {
+	for i := range runs {
+		run := &runs[i]
 		if run.plan == nil {
 			continue // served by the streaming fallback above
 		}
-		docs, err := applyStages(mergeDocs(run.plan, run.partials, run.cacheable), run.plan.tail)
+		docs, err := applyStages(mergeDocs(sw, run), run.plan.tail)
 		if err != nil {
 			return nil, err
 		}
@@ -1138,7 +1135,7 @@ func (c *Collection) GroupCounts(filter Doc, field string) ([]GroupCount, error)
 	if err := c.execPlans(sw, runs); err != nil {
 		return nil, err
 	}
-	groups := mergeGroups(plan, runs[0].partials)
+	groups := mergeGroups(sw, &runs[0])
 	out := make([]GroupCount, len(groups))
 	for i := range groups {
 		out[i] = GroupCount{Key: groups[i].key[0], Count: groups[i].count}

@@ -121,7 +121,9 @@ func runBoth(t *testing.T, c *Collection, filter Doc, stages []Stage, tag string
 // property: over random corpora, filters, and pipelines, Aggregate
 // (pushdown where plannable) and AggregateStreaming (the executable
 // specification) return byte-identical answers, across partition
-// counts and with indexes present or absent.
+// counts and with indexes present or absent — on a store at rest, and
+// then with the standing queries asked between writes of every kind on
+// a durable one (pushdown_interleave_test.go).
 func TestPropertyPushdownEquivalence(t *testing.T) {
 	for _, parts := range []int{1, 3, 8} {
 		t.Run(fmt.Sprintf("partitions=%d", parts), func(t *testing.T) {
@@ -141,6 +143,9 @@ func TestPropertyPushdownEquivalence(t *testing.T) {
 				}
 				runBoth(t, c, filter, genStages(r), fmt.Sprintf("round %d", round))
 			}
+			script := make([]byte, 6000)
+			r.Read(script)
+			runInterleaved(t, &fuzzReader{data: script}, parts, 300, 120, t.TempDir(), nil)
 		})
 	}
 }
@@ -161,10 +166,6 @@ func TestPropertyPushdownPartitionInvariance(t *testing.T) {
 		return c
 	}
 	r := rand.New(rand.NewSource(99991))
-	type probe struct {
-		filter Doc
-		stages []Stage
-	}
 	probes := make([]probe, 50)
 	for i := range probes {
 		var filter Doc
@@ -219,10 +220,6 @@ func TestPropertyPushdownDurableReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	type probe struct {
-		filter Doc
-		stages []Stage
-	}
 	probes := make([]probe, 40)
 	for i := range probes {
 		var filter Doc

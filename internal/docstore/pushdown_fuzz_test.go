@@ -119,8 +119,10 @@ func decodeStages(f *fuzzReader) []Stage {
 // FuzzAggregate is the differential fuzz half of the pushdown battery:
 // any filter+pipeline the decoder can express must behave identically
 // through the pushdown planner and the streaming oracle — same error
-// presence, and byte-identical documents on success. Run continuously
-// by `make fuzz-smoke`.
+// presence, and byte-identical documents on success — on the fixed
+// corpus, and then, with whatever bytes are left as a script of writes,
+// asked between those writes on a small store of its own
+// (pushdown_interleave_test.go). Run continuously by `make fuzz-smoke`.
 func FuzzAggregate(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 3, 2, 1, 0, 5})
@@ -129,6 +131,8 @@ func FuzzAggregate(f *testing.F) {
 	f.Add([]byte{5, 1, 1, 2, 2, 0, 0})                   // zero-width bucket
 	f.Add([]byte{2, 7, 3, 7, 3, 1, 4, 20})               // fallback + tail
 	f.Add([]byte{4, 1, 1, 2, 1, 6, 1, 1, 0, 2, 3, 1, 4}) // mixed
+	f.Add([]byte{0, 0, 1, 0, 1, 5, 0,                    // a group head, then a script of writes
+		0, 3, 2, 2, 2, 3, 2, 2, 4, 3, 0, 9, 1, 5, 40, 6, 7, 7, 4, 5, 1, 7, 0, 5, 90, 2, 1, 1, 6, 0, 2, 3, 1, 1, 5, 0, 7})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr := &fuzzReader{data: data}
 		filter := decodeFilter(fr)
@@ -142,6 +146,9 @@ func FuzzAggregate(f *testing.F) {
 		if gotErr == nil && !reflect.DeepEqual(got, want) {
 			t.Fatalf("filter %v stages %v:\npushdown  %v\nstreaming %v",
 				filter, stages, got, want)
+		}
+		if fr.pos < len(fr.data) {
+			runInterleaved(t, fr, 2, 30, 12, "", &probe{filter, stages})
 		}
 	})
 }

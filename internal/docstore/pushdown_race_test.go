@@ -11,9 +11,11 @@ import (
 // TestPushdownConcurrentHammer runs pushdown aggregations against a
 // durable store while writers insert, update, and delete, and a
 // maintenance goroutine checkpoints and prunes expired documents.
-// Run under -race (the repo's `make test` does), it checks the
-// seqlock'd snapshot cache and the per-partition partial scans for
-// data races, and asserts the invariants a torn partial would break:
+// Run under -race (the repo's `make test` does), it checks the cached
+// partials — four readers share the group and bucket signatures, each
+// advancing what the others advance and what the writers invalidate —
+// and the per-partition partial scans for data races, and asserts the
+// invariants a torn partial would break:
 //
 //   - count ≡ sum over a field that is 1.0 in every document — both
 //     are computed under the same partition lock, so they can never
@@ -196,9 +198,10 @@ func TestPushdownConcurrentHammer(t *testing.T) {
 			}
 		}
 	}
-	wg.Add(2)
-	go reader(51)
-	go reader(61)
+	wg.Add(4)
+	for _, seed := range []int64{51, 61, 71, 81} {
+		go reader(seed)
+	}
 
 	// Writers run a fixed amount of work; readers spin through a short
 	// mixed-load window and are then released. A goroutine that hit an

@@ -24,10 +24,11 @@ func TestOverloadSweep(t *testing.T) {
 	var res *OverloadResult
 	for attempt := 1; ; attempt++ {
 		var err error
-		res, err = OverloadWithConfig(env, OverloadConfig{
-			Duration:           1500 * time.Millisecond,
-			CalibrationRecords: 2048,
-		})
+		// The default 4 096 calibration records: half of that, on a cold
+		// process, read ≈ 58 k alarms/s where the service sustains ≈ 100 k,
+		// and the flash crowd sized from it only just reached the shed
+		// bound — or, once the persist stage got cheaper, did not.
+		res, err = OverloadWithConfig(env, OverloadConfig{Duration: 1500 * time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
