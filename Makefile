@@ -9,9 +9,14 @@ GO ?= go
 build:
 	$(GO) build ./...
 
-## test: run the full suite with the race detector (CI `test` job)
+## test: run the full suite with the race detector (CI `test` job),
+## then by name the test that drains payload-carrying alarms through the
+## sharded service over both brokers with the lease and batch poison
+## modes armed — a decoded alarm's Payload is a view of its leased
+## record, and this is what fails if a copy of one outlives the lease
 test:
 	$(GO) test -race ./...
+	$(GO) test -race -count=1 -run 'TestLeasedPayloadNeverRetained|TestPayloadViewStaysInTheBatch' -v ./internal/serve ./internal/core
 
 ## bench: one pass over every benchmark — the reproduction smoke run
 ## (CI `bench-smoke` job). Set ALARMVERIFY_SCALE=medium|paper to rerun
@@ -42,16 +47,19 @@ bench-aggregate:
 	echo "$$out" | grep -q 'BenchmarkAggregatePushdown/mode=pushdown/partitions=8' || \
 		{ echo "BenchmarkAggregatePushdown did not run"; exit 1; }
 
-## bench-classify: the classify batch-size × worker sweep on its own —
-## the CI bench-smoke job runs this explicitly (and fails if the
-## benchmark disappears) so the vectorized-inference scaling story
-## can't rot
+## bench-classify: where a classify batch's time goes at the benchmark
+## harness's scale (1 001 features, 512-alarm batches, 50 trees × depth
+## 30): alarms into sparse rows (encode-ns/alarm) and rows through the
+## compiled forest (walk-ns/alarm), timed apart, beside the whole
+## verifyBatchInto call — means over 200 batches on one CPU. The CI
+## bench-smoke job runs this explicitly (and fails if the benchmark
+## disappears)
 bench-classify:
-	@out=$$($(GO) test -run=- -bench=BenchmarkClassifyBatch -benchtime=1x .) || \
-		{ echo "$$out"; echo "BenchmarkClassifyBatch failed"; exit 1; }; \
+	@out=$$($(GO) test -run=- -bench=BenchmarkVerifyBatchSplit -benchtime=200x -cpu 1 ./internal/core) || \
+		{ echo "$$out"; echo "BenchmarkVerifyBatchSplit failed"; exit 1; }; \
 	echo "$$out"; \
-	echo "$$out" | grep -q 'BenchmarkClassifyBatch/batch=512' || \
-		{ echo "BenchmarkClassifyBatch did not run"; exit 1; }
+	echo "$$out" | grep -q 'walk-ns/alarm' || \
+		{ echo "BenchmarkVerifyBatchSplit did not run"; exit 1; }
 
 ## bench-swap: serving throughput across the model lifecycle's three
 ## regimes (steady, hot-swap hammer, concurrent retrain) — the CI
@@ -228,15 +236,18 @@ docs-gate:
 ## payloads must error, never panic or over-allocate), and the wire
 ## message decoders (the same for the binary bodies inside the frames,
 ## JSON bodies of the format before them included, plus: whatever
-## decodes survives a round trip), and the model-file loader (a file
+## decodes survives a round trip), the model-file loader (a file
 ## either fails with ErrBadModelFile or loads into a classifier that
-## answers — no panic, no endless tree walk)
+## answers — no panic, no endless tree walk), and the forest compiler
+## (any forest over any rows answers from sparse rows what Proba
+## answers from dense ones, to the bit)
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/codec
 	$(GO) test -run '^$$' -fuzz '^FuzzAggregate$$' -fuzztime 10s ./internal/docstore
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime 10s ./internal/netbroker
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime 10s ./internal/netbroker
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadClassifier$$' -fuzztime 10s ./internal/ml
+	$(GO) test -run '^$$' -fuzz '^FuzzCompiledForest$$' -fuzztime 10s ./internal/ml
 
 ## lint: vet, the alarmvet invariant suite (cmd/alarmvet run through
 ## `go vet -vettool`, so findings cache per package like vet's own),

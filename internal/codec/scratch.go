@@ -18,7 +18,10 @@ type ScratchUnmarshaler interface {
 	// UnmarshalScratch parses data into a exactly like Unmarshal —
 	// the decoded alarm is bit-identical — but routes string fields
 	// through the scratch's interner instead of allocating a fresh
-	// string per field. A nil scratch degrades to per-field copies.
+	// string per field, and hands Payload out as a view of data: it is
+	// valid for as long as data is, and a copy of the alarm that may
+	// outlive data must drop it. A nil scratch degrades to per-field
+	// copies, Payload included.
 	UnmarshalScratch(data []byte, a *alarm.Alarm, s *Scratch) error
 }
 
@@ -94,9 +97,11 @@ func (in *Interner) Reset() {
 // over the Fig. 11 key set that writes fields straight into a. Numbers
 // parse through a non-retaining view of the input (strconv does not
 // keep its argument), enum names match in place, and string fields
-// intern through the scratch — so a record whose field values have
-// been seen before decodes with zero heap allocations, while the
-// decoded alarm stays bit-identical to the copying Unmarshal path.
+// intern through the scratch, and the payload — freeform padding no
+// stage reads — is not copied at all but left a view of data. So a
+// record whose field values have been seen before decodes with zero
+// heap allocations, while the decoded alarm stays bit-identical to the
+// copying Unmarshal path.
 func (FastCodec) UnmarshalScratch(data []byte, a *alarm.Alarm, sc *Scratch) error {
 	var in *Interner
 	if sc != nil {
@@ -239,13 +244,19 @@ func (p *parser) valueScratch(key []byte, a *alarm.Alarm, in *Interner,
 		return err
 	case "payload":
 		// Payload is freeform data, not a low-cardinality enum-like
-		// field; interning it would only churn the table.
+		// field; interning it would only churn the table. It stays where
+		// it is: a view of the record, or of the bytes rawString decoded
+		// its escapes into, which nothing else refers to.
 		b, _, err := p.rawString()
 		if err != nil {
 			return err
 		}
-		a.Payload = string(b)
-		return err
+		if in == nil {
+			a.Payload = string(b)
+		} else {
+			a.Payload = viewString(b)
+		}
+		return nil
 	default:
 		return p.skip()
 	}
@@ -334,9 +345,9 @@ func (p *parser) floatScratch() (float64, error) {
 }
 
 // viewString returns a string header over b without copying. The
-// result must not be retained past b's lifetime; it is only ever
-// passed to non-retaining consumers (strconv parsing, enum-name
-// comparison, map probes).
+// result must not be retained past b's lifetime; it is passed to
+// non-retaining consumers (strconv parsing, enum-name comparison, map
+// probes) and handed out once, as the decoded alarm's Payload.
 func viewString(b []byte) string {
 	if len(b) == 0 {
 		return ""

@@ -8,7 +8,10 @@ import (
 	"alarmverify/internal/alarm"
 	"alarmverify/internal/broker"
 	"alarmverify/internal/codec"
+	"alarmverify/internal/dataset"
 	"alarmverify/internal/ml"
+	"alarmverify/internal/risk"
+	"alarmverify/internal/textproc"
 )
 
 // equivClassifiers builds one fast-training classifier per algorithm.
@@ -89,6 +92,77 @@ func TestVerifyBatchMatchesSequential(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// denseVerify is the oracle the serving path is held to: the alarm goes
+// the long way — labelled record, string row, Width()-wide one-hot
+// vector — and the classifier's own Proba reads it.
+func denseVerify(t *testing.T, v *Verifier, a *alarm.Alarm) alarm.Verification {
+	t.Helper()
+	s := v.snap.Load()
+	la := dataset.ToLabeled([]alarm.Alarm{*a}, s.deltaT, s.numExtras > 0)
+	if s.hasRisk {
+		dataset.AttachRisk(la, s.riskModel, s.riskKind)
+	}
+	row, err := dataset.LabeledToRow(&la[0], s.numExtras, s.hasRisk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := s.enc.Transform(row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	class, prob := ml.Confidence(s.model, x)
+	return alarm.Verification{AlarmID: a.ID, Predicted: alarm.Label(class), Probability: prob, ModelName: s.model.Name()}
+}
+
+// TestServingMatchesDenseOracle: for each of the four classifiers, with
+// the hybrid risk column and without, what serving answers from sparse
+// rows is what Proba answers from the dense vector, bit for bit — over
+// a replay that holds devices, ZIP codes and sensor versions the
+// encoder never saw, and alarm and property types outside the enums.
+func TestServingMatchesDenseOracle(t *testing.T) {
+	w, alarms := testAlarms(1500)
+	train, live := alarms[:600], append([]alarm.Alarm(nil), alarms[600:]...)
+	for i := range live {
+		switch i % 50 {
+		case 0:
+			live[i].ZIP = "zip-never-seen"
+		case 1:
+			live[i].SensorType, live[i].SoftwareVersion = "sensor-new", "9.9.9"
+		case 2:
+			live[i].Type, live[i].ObjectType = alarm.Type(99), alarm.ObjectType(-3)
+		}
+	}
+	var incidents []textproc.Incident
+	for _, p := range w.Gaz.Places()[:15] {
+		incidents = append(incidents, textproc.Incident{Location: p.Name, Topic: textproc.TopicFire})
+	}
+	riskModel := risk.BuildModel(w.Gaz, incidents)
+	for _, hybrid := range []bool{false, true} {
+		for algo, cls := range equivClassifiers() {
+			t.Run(fmt.Sprintf("%s_risk=%v", algo, hybrid), func(t *testing.T) {
+				cfg := DefaultVerifierConfig()
+				cfg.Classifier = cls
+				if hybrid {
+					cfg.Risk, cfg.RiskKind = riskModel, risk.Normalized
+				}
+				v, err := Train(train, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := v.VerifyBatch(live)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range live {
+					if err := sameVerification(got[i], denseVerify(t, v, &live[i])); err != nil {
+						t.Fatalf("alarm %d: serving vs dense oracle: %v", i, err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ package core
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -181,6 +182,68 @@ func TestOneAlarmBatchAllocBudget(t *testing.T) {
 	t.Logf("one-alarm batch, drain to release: %.1f allocations", allocs)
 	if allocs > 6 {
 		t.Fatalf("one-alarm batch, drain to release: %.1f allocations, budget 6", allocs)
+	}
+}
+
+// TestDecodeAllocBudget: a record whose strings the interner has seen
+// decodes without an allocation, payload and all — the payload is a view
+// of the leased record (one copy per alarm before it was).
+func TestDecodeAllocBudget(t *testing.T) {
+	_, alarms := testAlarms(400)
+	for i := range alarms {
+		alarms[i].Payload = strings.Repeat("p", 256)
+	}
+	app := budgetApp(t, alarms)
+	for i := 0; i < 300; i++ { // intern the devices' strings
+		b := app.Drain()
+		app.Decode(b)
+		app.ReleaseBatch(b)
+	}
+	b := app.Drain()
+	defer app.ReleaseBatch(b)
+	allocs := testing.AllocsPerRun(100, func() {
+		b.Alarms, b.Devices, b.Enqueued = b.Alarms[:0], b.Devices[:0], b.Enqueued[:0]
+		clear(b.seen)
+		app.Decode(b)
+	})
+	if b.Len() != 1 || len(b.Alarms[0].Payload) != 256 {
+		t.Fatalf("decoded %d alarms, payload %d bytes; want 1 and 256", b.Len(), len(b.Alarms[0].Payload))
+	}
+	if allocs != 0 {
+		t.Fatalf("decode of an interned record: %.1f allocations, budget 0", allocs)
+	}
+}
+
+// TestClassifyScratchBudget: what a 512-alarm classify call keeps
+// between batches is its sparse rows and probabilities, 30 bytes an
+// alarm — 15 KB asked for, two 8 KB blocks once the allocator has
+// rounded the slabs up, plus the pooled struct that holds them — where
+// the dense feature matrix was 4 MB (512 rows × 1 001 float64s at the
+// benchmark's scale). The bound leaves half a kilobyte for whatever
+// else the test binary allocates meanwhile.
+func TestClassifyScratchBudget(t *testing.T) {
+	_, alarms := testAlarms(1312)
+	v := fastVerifier(t, alarms[:800])
+	out := make([]alarm.Verification, 512)
+	runtime.GC()
+	runtime.GC() // twice: the pooled scratch of earlier tests is gone
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := v.VerifyBatchInto(alarms[800:], out); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("first 512-alarm classify call allocated %d B", bytes)
+	if bytes > 17<<10 {
+		t.Fatalf("first 512-alarm classify call allocated %d B, budget 16 KB of slabs", bytes)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if err := v.VerifyBatchInto(alarms[800:], out); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("warm 512-alarm classify call: %.1f allocations, budget 0", allocs)
 	}
 }
 

@@ -60,7 +60,7 @@ type ConsumerConfig struct {
 	ClassifyWorkers int
 	// ClassifyBatch is the micro-chunk size of the vectorized
 	// classify path: each classify worker verifies this many alarms
-	// per ml.BatchClassifier call against one pooled feature matrix.
+	// per ml.SparseModel call out of one pooled batch of sparse rows.
 	// 0 means the 256 default; 1 reproduces the per-alarm baseline.
 	ClassifyBatch int
 	// CacheDecoded controls whether the deserialized batch is cached

@@ -204,7 +204,10 @@ func (h *History) flusher(wb *writeBehind) {
 
 // enqueue appends copies of the alarms to the write-behind queue,
 // blocking while the queue is at capacity. After Close it reports
-// false and the caller falls back to a synchronous write.
+// false and the caller falls back to a synchronous write. The copies
+// outlive the caller's batch, and a decoded alarm's Payload is a view
+// of its leased record (codec.ScratchUnmarshaler): the queue drops it —
+// it is not stored anyway.
 //
 //alarmvet:hotpath
 func (wb *writeBehind) enqueue(alarms []alarm.Alarm) bool {
@@ -217,6 +220,9 @@ func (wb *writeBehind) enqueue(alarms []alarm.Alarm) bool {
 		return false
 	}
 	wb.queue = append(wb.queue, alarms...)
+	for i := len(wb.queue) - len(alarms); i < len(wb.queue); i++ {
+		wb.queue[i].Payload = ""
+	}
 	wb.cond.Broadcast()
 	return true
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -212,6 +214,54 @@ func TestReleasePoisonsBatch(t *testing.T) {
 		if retained[i].ID != -1 || retained[i].DeviceMAC != poisonedField {
 			t.Fatalf("alarm %d not poisoned after release: %+v", i, retained[i])
 		}
+	}
+}
+
+// TestPayloadViewStaysInTheBatch: a decoded alarm's Payload is a view of
+// its leased record — under lease check mode a header kept past the
+// release reads poison — so the two places that copy an alarm out of
+// the batch's alarm slots drop it: the distinct-device entries and the
+// write-behind queue.
+func TestPayloadViewStaysInTheBatch(t *testing.T) {
+	_, alarms := testAlarms(60)
+	for i := range alarms {
+		alarms[i].Payload = fmt.Sprintf("payload-of-%d", alarms[i].ID)
+	}
+	b := hotpathBroker(t, alarms)
+	app := hotpathApp(t, b, "view", fastVerifier(t, alarms), codec.FastCodec{}, len(alarms)*2)
+
+	broker.SetLeaseCheck(true)
+	defer broker.SetLeaseCheck(false)
+
+	batch := app.Drain()
+	app.Decode(batch)
+	if batch.Len() != len(alarms) {
+		t.Fatalf("decoded %d alarms, want %d", batch.Len(), len(alarms))
+	}
+	for i := range batch.Alarms {
+		if batch.Alarms[i].Payload != alarms[i].Payload {
+			t.Fatalf("alarm %d: payload %q, produced %q", i, batch.Alarms[i].Payload, alarms[i].Payload)
+		}
+	}
+	for i := range batch.Devices {
+		if batch.Devices[i].Payload != "" {
+			t.Fatalf("device entry %d keeps a payload view: %q", i, batch.Devices[i].Payload)
+		}
+	}
+	wb := &writeBehind{max: len(alarms)}
+	wb.cond = sync.NewCond(&wb.mu)
+	if !wb.enqueue(batch.Alarms) || len(wb.queue) != len(alarms) {
+		t.Fatalf("enqueued %d of %d alarms", len(wb.queue), len(alarms))
+	}
+	for i := range wb.queue {
+		if wb.queue[i].Payload != "" || wb.queue[i].DeviceMAC != alarms[i].DeviceMAC {
+			t.Fatalf("queued copy %d = %+v: wants the alarm without its payload view", i, wb.queue[i])
+		}
+	}
+	view := batch.Alarms[0].Payload // the bug the two blankings prevent: a header outliving the lease
+	app.ReleaseBatch(batch)
+	if want := strings.Repeat("\xdb", len(alarms[0].Payload)); view != want {
+		t.Fatalf("a payload kept past the release reads %q: not a view of the leased record", view)
 	}
 }
 

@@ -139,6 +139,13 @@ func (stubClassifier) Name() string               { return "rf" }
 func (stubClassifier) Fit(*ml.Dataset) error      { return nil }
 func (stubClassifier) Proba([]float64) [2]float64 { return [2]float64{0.1, 0.9} }
 
+// ProbSparse makes the stub its own serving form (ml.Compile).
+func (c stubClassifier) ProbSparse(rows *ml.SparseRows, out [][2]float64) {
+	for i := range out[:rows.Len()] {
+		out[i] = c.Proba(nil)
+	}
+}
+
 func TestRetrainerSwapsAndRegisters(t *testing.T) {
 	_, alarms := testAlarms(3000)
 	live := fastVerifier(t, alarms[:800])

@@ -81,5 +81,5 @@ func LoadVerifier(r io.Reader, riskModel *risk.Model) (*Verifier, error) {
 	if st.HasRisk {
 		s.riskModel = riskModel
 	}
-	return newVerifier(s), nil
+	return newVerifier(s)
 }

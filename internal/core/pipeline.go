@@ -34,7 +34,9 @@ type Batch struct {
 	// later batches have already advanced the live positions.
 	Offsets map[int]int64
 
-	// Alarms are the decoded, filtered alarms of the batch.
+	// Alarms are the decoded, filtered alarms of the batch. On a pooled
+	// batch an alarm's Payload is a view of its leased record: a copy of
+	// the alarm that outlives the batch must drop it.
 	Alarms []alarm.Alarm
 	// Decoded is the (cached) alarm RDD. Decode derives the distinct
 	// devices from it, and Classify re-collects it when caching is
@@ -212,12 +214,13 @@ func (c *ConsumerApp) Decode(b *Batch) {
 // decodeScratch is Decode's zero-copy twin for pooled batches: it
 // deserializes straight out of the leased record views into the
 // batch's reusable alarm scratch (string fields are interned through
-// the app's codec scratch, so steady-state decode performs no heap
-// allocation), then extracts the distinct devices with a reusable
-// seen-set instead of a shuffle. Records the copying path would
-// filter out — decode errors and zero IDs — are dropped identically:
-// the copying codec leaves the alarm untouched on any error, so its
-// filter (ID != 0) reduces to exactly this predicate.
+// the app's codec scratch and Payload stays a view of the record, valid
+// until the batch's leases are released, so steady-state decode
+// performs no heap allocation), then extracts the distinct devices
+// with a reusable seen-set instead of a shuffle. Records the copying
+// path would filter out — decode errors and zero IDs — are dropped
+// identically: the copying codec leaves the alarm untouched on any
+// error, so its filter (ID != 0) reduces to exactly this predicate.
 //
 //alarmvet:hotpath
 func (c *ConsumerApp) decodeScratch(b *Batch) {
@@ -248,6 +251,9 @@ func (c *ConsumerApp) decodeScratch(b *Batch) {
 		if _, ok := b.seen[mac]; !ok {
 			b.seen[mac] = struct{}{}
 			devices = append(devices, b.Alarms[i])
+			// A device entry is read for its address; it does not keep
+			// the alarm's view of the leased record alive.
+			devices[len(devices)-1].Payload = ""
 		}
 	}
 	b.Devices = devices
@@ -317,20 +323,27 @@ func (c *ConsumerApp) Classify(b *Batch) error {
 }
 
 // classifyChunks fans the chunks of one micro-batch out over the
-// classify pool and returns the first error any of them reported.
+// classify pool and returns the first error any of them reported. Each
+// worker takes one contiguous run of chunks — a hand-off per worker, not
+// per chunk: a chunk is a few microseconds of work an alarm, and at
+// small chunk sizes a pool dispatch costs as much as the chunk.
 func (c *ConsumerApp) classifyChunks(snap *modelSnapshot, alarms []alarm.Alarm, out []alarm.Verification, chunk int) error {
 	n := len(alarms)
+	chunks := (n + chunk - 1) / chunk
+	runs := min(chunks, c.classify.Workers())
 	var errMu sync.Mutex
 	var firstErr error
-	c.classify.Run((n+chunk-1)/chunk, func(k int) {
-		lo := k * chunk
-		hi := min(lo+chunk, n)
-		if err := snap.verifyBatchInto(alarms[lo:hi], out[lo:hi]); err != nil {
-			errMu.Lock()
-			if firstErr == nil {
-				firstErr = err
+	c.classify.Run(runs, func(r int) {
+		for k := r * chunks / runs; k < (r+1)*chunks/runs; k++ {
+			lo := k * chunk
+			hi := min(lo+chunk, n)
+			if err := snap.verifyBatchInto(alarms[lo:hi], out[lo:hi]); err != nil {
+				errMu.Lock()
+				if firstErr == nil {
+					firstErr = err
+				}
+				errMu.Unlock()
 			}
-			errMu.Unlock()
 		}
 	})
 	return firstErr

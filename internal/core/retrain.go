@@ -399,5 +399,5 @@ func LoadFromRegistry(reg *modelreg.Registry, version int, riskModel *risk.Model
 	if m.HasRisk {
 		s.riskModel = riskModel
 	}
-	return newVerifier(s), nil
+	return newVerifier(s)
 }

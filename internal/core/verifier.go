@@ -108,8 +108,13 @@ type Verifier struct {
 // A snapshot is never mutated after publication; hot-swapping
 // installs a whole new snapshot.
 type modelSnapshot struct {
-	model      ml.Classifier
-	enc        *ml.SchemaEncoder
+	model ml.Classifier
+	enc   *ml.SchemaEncoder
+	// rows and compiled are what serving reads: the alarm → ml.SparseRow
+	// encoder bound to enc, and model compiled against its layout. model
+	// and enc themselves are kept for Save and the registry.
+	rows       *dataset.AlarmEncoder
+	compiled   ml.SparseModel
 	numExtras  int
 	hasRisk    bool
 	riskModel  *risk.Model
@@ -190,7 +195,7 @@ func TrainWithFeedback(history []alarm.Alarm, feedback map[int64]alarm.Label, cf
 	if err := model.Fit(ds); err != nil {
 		return nil, err
 	}
-	s := &modelSnapshot{
+	return newVerifier(&modelSnapshot{
 		model:     model,
 		enc:       enc,
 		numExtras: len(labeled[0].Extras),
@@ -204,15 +209,25 @@ func TrainWithFeedback(history []alarm.Alarm, feedback map[int64]alarm.Label, cf
 			Features:     ds.Width(),
 			TrainTime:    time.Since(start),
 		},
-	}
-	return newVerifier(s), nil
+	})
 }
 
-// newVerifier wraps a snapshot in a served verifier.
-func newVerifier(s *modelSnapshot) *Verifier {
+// newVerifier makes a snapshot servable — binds its encoder to live
+// alarms and compiles its model against the encoder's layout — and
+// wraps it in a verifier. Every snapshot is born here (Train,
+// LoadVerifier, LoadFromRegistry), so a model that does not fit its
+// encoder never serves: it fails here with ml.ErrBadModelFile.
+func newVerifier(s *modelSnapshot) (*Verifier, error) {
+	var err error
+	if s.rows, err = dataset.NewAlarmEncoder(s.enc, s.numExtras > 0, s.riskModel, s.riskKind); err != nil {
+		return nil, err
+	}
+	if s.compiled, err = ml.Compile(s.model, s.rows.Layout()); err != nil {
+		return nil, err
+	}
 	v := &Verifier{}
 	v.snap.Store(s)
-	return v
+	return v, nil
 }
 
 // Stats returns the training summary of the live snapshot.
@@ -252,100 +267,29 @@ func (v *Verifier) withVersion(version int) {
 	v.snap.CompareAndSwap(old, &s)
 }
 
-// fillLabeled rewrites la as the labelled view of a live alarm,
-// reusing extras as the backing array for la.Extras (the caller keeps
-// it alive for the duration of the row encoding).
-func (s *modelSnapshot) fillLabeled(a *alarm.Alarm, la *alarm.LabeledAlarm, extras []alarm.Extra) {
-	*la = alarm.LabeledAlarm{
-		Location:     a.ZIP,
-		PropertyType: a.ObjectType.String(),
-		HourOfDay:    a.HourOfDay(),
-		DayOfWeek:    a.DayOfWeek(),
-		AlarmType:    a.Type.String(),
-	}
-	if s.numExtras > 0 {
-		la.Extras = append(extras[:0],
-			alarm.Extra{Name: "sensorType", Value: a.SensorType},
-			alarm.Extra{Name: "softwareVersion", Value: a.SoftwareVersion},
-		)
-	}
-	if s.hasRisk {
-		la.Risk = s.riskModel.FactorByZIP(a.ZIP, s.riskKind)
-		la.HasRisk = true
-	}
-}
-
-// features converts a live alarm into the snapshot's feature vector.
-func (s *modelSnapshot) features(a *alarm.Alarm) ([]float64, error) {
-	var la alarm.LabeledAlarm
-	s.fillLabeled(a, &la, nil)
-	row, err := dataset.LabeledToRow(&la, s.numExtras, s.hasRisk)
-	if err != nil {
-		return nil, err
-	}
-	return s.enc.Transform(row)
-}
-
 // Verify classifies one live alarm and returns the verification with
-// its confidence and service latency. The model snapshot is loaded
-// once, so the whole call is served by exactly one model even if a
-// hot swap lands mid-call.
+// its confidence and service latency — a batch of one through
+// VerifyBatchInto's path, so the whole call is served by exactly one
+// model even if a hot swap lands mid-call.
 func (v *Verifier) Verify(a *alarm.Alarm) (alarm.Verification, error) {
-	start := time.Now()
-	s := v.snap.Load()
-	x, err := s.features(a)
-	if err != nil {
-		return alarm.Verification{}, err
-	}
-	class, prob := ml.Confidence(s.model, x)
-	return alarm.Verification{
-		AlarmID:     a.ID,
-		Predicted:   alarm.Label(class),
-		Probability: prob,
-		ModelName:   s.model.Name(),
-		LatencyMS:   float64(time.Since(start).Microseconds()) / 1000,
-	}, nil
+	one, out := [1]alarm.Alarm{*a}, [1]alarm.Verification{}
+	err := v.VerifyBatchInto(one[:], out[:])
+	return out[0], err
 }
 
-// batchScratch is one batch's pooled serving state: a flat backing
-// array carved into feature-matrix rows, the probability column the
-// model fills, and the row/extras scratch the per-alarm encoding
-// reuses. Recycled through sync.Pool so steady-state batches allocate
-// nothing.
+// batchScratch is one batch's pooled serving state: the sparse rows
+// the alarms are encoded into and the probability column the model
+// fills — 30 bytes an alarm. Recycled through sync.Pool so steady-state
+// batches allocate nothing.
 type batchScratch struct {
-	flat   []float64
-	rows   [][]float64
-	probs  [][2]float64
-	row    ml.Row
-	extras []alarm.Extra
+	rows  ml.SparseRows
+	probs [][2]float64
 }
 
 var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
-// size grows the scratch to n rows of width w and re-carves the row
-// headers over the flat backing array.
-func (s *batchScratch) size(n, w int) {
-	if cap(s.flat) < n*w {
-		s.flat = make([]float64, n*w)
-	}
-	s.flat = s.flat[:n*w]
-	if cap(s.rows) < n {
-		s.rows = make([][]float64, n)
-	}
-	s.rows = s.rows[:n]
-	for i := range s.rows {
-		s.rows[i] = s.flat[i*w : (i+1)*w]
-	}
-	if cap(s.probs) < n {
-		s.probs = make([][2]float64, n)
-	}
-	s.probs = s.probs[:n]
-}
-
 // VerifyBatch classifies a slice of alarms, returning one
-// verification per alarm. The whole batch is encoded into one pooled
-// flat feature matrix and classified through the model's vectorized
-// path (ml.BatchClassifier); predictions and probabilities are
+// verification per alarm; predictions and probabilities are
 // bit-identical to calling Verify per alarm, with LatencyMS reporting
 // the batch's amortized per-alarm latency.
 func (v *Verifier) VerifyBatch(alarms []alarm.Alarm) ([]alarm.Verification, error) {
@@ -366,6 +310,9 @@ func (v *Verifier) VerifyBatchInto(alarms []alarm.Alarm, out []alarm.Verificatio
 	return v.snap.Load().verifyBatchInto(alarms, out)
 }
 
+// verifyBatchInto is the one serving path: every alarm becomes a
+// sparse row (dataset.AlarmEncoder) and the compiled model scores the
+// batch. No dense feature vector exists on it.
 func (s *modelSnapshot) verifyBatchInto(alarms []alarm.Alarm, out []alarm.Verification) error {
 	if len(out) < len(alarms) {
 		return fmt.Errorf("core: verify batch: %d outputs for %d alarms", len(out), len(alarms))
@@ -376,21 +323,15 @@ func (s *modelSnapshot) verifyBatchInto(alarms []alarm.Alarm, out []alarm.Verifi
 	}
 	start := time.Now()
 	sc := batchPool.Get().(*batchScratch)
-	sc.size(n, s.enc.Width())
-	var la alarm.LabeledAlarm
-	for i := range alarms {
-		s.fillLabeled(&alarms[i], &la, sc.extras)
-		sc.extras = la.Extras[:0:cap(la.Extras)]
-		if err := dataset.LabeledToRowInto(&la, s.numExtras, s.hasRisk, &sc.row); err != nil {
-			batchPool.Put(sc)
-			return fmt.Errorf("core: alarm %d: %w", alarms[i].ID, err)
-		}
-		if err := s.enc.TransformInto(sc.row, sc.rows[i]); err != nil {
-			batchPool.Put(sc)
-			return fmt.Errorf("core: alarm %d: %w", alarms[i].ID, err)
-		}
+	sc.rows.Resize(s.rows.Layout(), n)
+	if cap(sc.probs) < n {
+		sc.probs = make([][2]float64, n)
 	}
-	ml.ProbaBatch(s.model, sc.rows, sc.probs)
+	sc.probs = sc.probs[:n]
+	for i := range alarms {
+		s.rows.Encode(&alarms[i], sc.rows.Row(i))
+	}
+	s.compiled.ProbSparse(&sc.rows, sc.probs)
 	perAlarmMS := float64(time.Since(start).Microseconds()) / 1000 / float64(n)
 	name := s.model.Name()
 	for i := range alarms {
@@ -411,8 +352,7 @@ func (s *modelSnapshot) verifyBatchInto(alarms []alarm.Alarm, out []alarm.Verifi
 	return nil
 }
 
-// evalChunk bounds the pooled feature-matrix size of chunked
-// evaluation runs (rows × ~800 features each).
+// evalChunk bounds the pooled scratch of chunked evaluation runs.
 const evalChunk = 1024
 
 // EvaluateHoldout measures verification accuracy on held-out alarms

@@ -94,74 +94,128 @@ func Encode(labeled []alarm.LabeledAlarm) (*ml.Dataset, *ml.SchemaEncoder, error
 	return ds, enc, nil
 }
 
-// hourCats and dayCats intern the "h<hour>" / "d<day>" category
-// strings so the per-alarm row building on the batched serving path
-// allocates nothing.
-var (
-	hourCats = func() [24]string {
-		var out [24]string
-		for i := range out {
-			out[i] = "h" + strconv.Itoa(i)
-		}
-		return out
-	}()
-	dayCats = func() [7]string {
-		var out [7]string
-		for i := range out {
-			out[i] = "d" + strconv.Itoa(i)
-		}
-		return out
-	}()
+func hourCat(h int) string { return "h" + strconv.Itoa(h) }
+
+func dayCat(d int) string { return "d" + strconv.Itoa(d) }
+
+// The categorical columns every labelled alarm has, in the order Encode
+// declares them and LabeledToRow fills them; a record's extras follow.
+const (
+	colLocation = iota
+	colPropertyType
+	colHourOfDay
+	colDayOfWeek
+	colAlarmType
+	colExtras
 )
-
-func hourCat(h int) string {
-	if h >= 0 && h < len(hourCats) {
-		return hourCats[h]
-	}
-	return "h" + strconv.Itoa(h)
-}
-
-func dayCat(d int) string {
-	if d >= 0 && d < len(dayCats) {
-		return dayCats[d]
-	}
-	return "d" + strconv.Itoa(d)
-}
 
 // LabeledToRow converts one record into the encoder's row shape. The
 // record must have exactly wantExtras extras and match wantRisk.
 func LabeledToRow(la *alarm.LabeledAlarm, wantExtras int, wantRisk bool) (ml.Row, error) {
-	var row ml.Row
-	if err := LabeledToRowInto(la, wantExtras, wantRisk, &row); err != nil {
-		return ml.Row{}, err
+	if len(la.Extras) != wantExtras {
+		return ml.Row{}, fmt.Errorf("record has %d extras, schema wants %d", len(la.Extras), wantExtras)
+	}
+	if la.HasRisk != wantRisk {
+		return ml.Row{}, fmt.Errorf("record risk flag %v, schema wants %v", la.HasRisk, wantRisk)
+	}
+	row := ml.Row{Cats: make([]string, colExtras, colExtras+wantExtras)}
+	row.Cats[colLocation] = la.Location
+	row.Cats[colPropertyType] = la.PropertyType
+	row.Cats[colHourOfDay] = hourCat(la.HourOfDay)
+	row.Cats[colDayOfWeek] = dayCat(la.DayOfWeek)
+	row.Cats[colAlarmType] = la.AlarmType
+	for _, e := range la.Extras {
+		row.Cats = append(row.Cats, e.Value)
+	}
+	if la.HasRisk {
+		row.Nums = []float64{la.Risk}
 	}
 	return row, nil
 }
 
-// LabeledToRowInto converts one record into row, reusing row's
-// backing arrays — the allocation-free path the batched verifier
-// calls once per alarm per micro-batch. The record must have exactly
-// wantExtras extras and match wantRisk.
-func LabeledToRowInto(la *alarm.LabeledAlarm, wantExtras int, wantRisk bool, row *ml.Row) error {
-	if len(la.Extras) != wantExtras {
-		return fmt.Errorf("record has %d extras, schema wants %d", len(la.Extras), wantExtras)
+// AlarmEncoder turns a live alarm into the serving row (ml.SparseRow)
+// of an encoder Encode fitted: the cells ToLabeled, LabeledToRow and
+// Transform would set, without the record, the strings or the vector in
+// between. The fields with a fixed range — hour, weekday, alarm type,
+// property type — resolve through tables filled once; the ZIP code and
+// the sensor fields cost one vocabulary lookup each.
+type AlarmEncoder struct {
+	layout   *ml.RowLayout
+	hour     [24]uint16
+	day      [7]uint16
+	typ      []uint16
+	property []uint16
+	extras   bool
+	risk     *risk.Model
+	riskKind risk.Kind
+}
+
+// NewAlarmEncoder binds enc to live alarms. extras says whether the
+// encoder was fitted with the Sitasys sensor features (ToLabeled's
+// includeExtras), riskModel — nil for none — supplies the a-priori risk
+// feature. An encoder with other columns than that schema has is
+// refused with ml.ErrBadModelFile.
+func NewAlarmEncoder(enc *ml.SchemaEncoder, extras bool, riskModel *risk.Model, kind risk.Kind) (*AlarmEncoder, error) {
+	layout, err := enc.Layout()
+	if err != nil {
+		return nil, err
 	}
-	if la.HasRisk != wantRisk {
-		return fmt.Errorf("record risk flag %v, schema wants %v", la.HasRisk, wantRisk)
+	groups, nums := colExtras, 0
+	if extras {
+		groups += 2
 	}
-	row.Cats = append(row.Cats[:0],
-		la.Location,
-		la.PropertyType,
-		hourCat(la.HourOfDay),
-		dayCat(la.DayOfWeek),
-		la.AlarmType,
-	)
-	for _, e := range la.Extras {
-		row.Cats = append(row.Cats, e.Value)
+	if riskModel != nil {
+		nums = 1
 	}
-	row.Nums = row.Nums[:0]
-	if la.HasRisk {
-		row.Nums = append(row.Nums, la.Risk)
+	if layout.Groups() != groups || layout.Nums() != nums {
+		return nil, fmt.Errorf("%w: encoder has %d categorical and %d numeric columns, the alarm schema %d and %d",
+			ml.ErrBadModelFile, layout.Groups(), layout.Nums(), groups, nums)
 	}
-	return nil
+	e := &AlarmEncoder{layout: layout, extras: extras, risk: riskModel, riskKind: kind,
+		typ:      make([]uint16, alarm.NumTypes()),
+		property: make([]uint16, alarm.NumObjectTypes()),
+	}
+	for h := range e.hour {
+		e.hour[h] = layout.Column(colHourOfDay, hourCat(h))
+	}
+	for d := range e.day {
+		e.day[d] = layout.Column(colDayOfWeek, dayCat(d))
+	}
+	for t := range e.typ {
+		e.typ[t] = layout.Column(colAlarmType, alarm.Type(t).String())
+	}
+	for o := range e.property {
+		e.property[o] = layout.Column(colPropertyType, alarm.ObjectType(o).String())
+	}
+	return e, nil
+}
+
+// Layout returns the layout of the rows Encode fills.
+func (e *AlarmEncoder) Layout() *ml.RowLayout { return e.layout }
+
+// Encode fills row, which must have the layout's shape, from a.
+//
+//alarmvet:hotpath
+func (e *AlarmEncoder) Encode(a *alarm.Alarm, row ml.SparseRow) {
+	l, act := e.layout, row.Active
+	act[colLocation] = l.Column(colLocation, a.ZIP)
+	if o := a.ObjectType; uint(o) < uint(len(e.property)) {
+		act[colPropertyType] = e.property[o]
+	} else {
+		act[colPropertyType] = l.Column(colPropertyType, o.String())
+	}
+	act[colHourOfDay] = e.hour[a.HourOfDay()]
+	act[colDayOfWeek] = e.day[a.DayOfWeek()]
+	if t := a.Type; uint(t) < uint(len(e.typ)) {
+		act[colAlarmType] = e.typ[t]
+	} else {
+		act[colAlarmType] = l.Column(colAlarmType, t.String())
+	}
+	if e.extras {
+		act[colExtras] = l.Column(colExtras, a.SensorType)
+		act[colExtras+1] = l.Column(colExtras+1, a.SoftwareVersion)
+	}
+	if e.risk != nil {
+		row.Nums[0] = e.risk.FactorByZIP(a.ZIP, e.riskKind)
+	}
 }

@@ -441,27 +441,38 @@ func (c *Collection) InsertRows(rows *Rows) int64 {
 		starts[pi+1]--
 		rows.order[starts[pi+1]] = int32(i)
 	}
-	syncNow := c.syncEveryAppend()
-	touched := func(pi int) bool { return starts[pi+2] > starts[pi+1] }
-	c.forEach(0, np, touched, func(pi int, p *partition) error {
-		group := rows.order[starts[pi+1]:starts[pi+2]]
-		p.writeLock()
-		defer p.writeUnlock()
-		c.simulateRTT()
-		for _, i := range group {
-			slots, cells := rows.row(int(i))
-			p.appendRowLocked(base+int64(i), slots, cells)
-		}
-		p.restoreOrderLocked()
-		if w := p.wal.Load(); w != nil {
-			// The partition's whole share of the batch travels as one
-			// WAL frame: the write-behind flush upstream is the batching
-			// point.
-			w.appendRows(syncNow, c.dict, rows, group, base)
-		}
-		return nil
-	})
+	if rows.insert == nil {
+		rows.touched = func(pi int) bool { return rows.starts[pi+2] > rows.starts[pi+1] }
+		rows.insert = rows.insertShare
+	}
+	rows.ins = insertRun{c: c, base: base, syncNow: c.syncEveryAppend()}
+	c.forEach(0, np, rows.touched, rows.insert)
+	rows.ins.c = nil
 	return base
+}
+
+// insertShare stores partition pi's share of the batch, under one write
+// lock and one simulated round-trip.
+//
+//alarmvet:hotpath
+func (r *Rows) insertShare(pi int, p *partition) error {
+	c, base := r.ins.c, r.ins.base
+	group := r.order[r.starts[pi+1]:r.starts[pi+2]]
+	p.writeLock()
+	defer p.writeUnlock()
+	c.simulateRTT()
+	for _, i := range group {
+		slots, cells := r.row(int(i))
+		p.appendRowLocked(base+int64(i), slots, cells)
+	}
+	p.restoreOrderLocked()
+	if w := p.wal.Load(); w != nil {
+		// The partition's whole share of the batch travels as one
+		// WAL frame: the write-behind flush upstream is the batching
+		// point.
+		w.appendRows(r.ins.syncNow, c.dict, r, group, base)
+	}
+	return nil
 }
 
 // Get returns the document with the given _id.

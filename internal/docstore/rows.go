@@ -363,6 +363,20 @@ type Rows struct {
 	// InsertRows scratch: target partition per row, the rows grouped
 	// by partition, and where each partition's group starts.
 	part, order, starts []int32
+	// What InsertRows hands forEach: the insert under way, and two
+	// closures over the batch itself, made with its first insert — a
+	// reused batch costs no closure.
+	ins     insertRun
+	touched func(pi int) bool
+	insert  func(pi int, p *partition) error
+}
+
+// insertRun is one InsertRows call: where the rows go, the id of the
+// first, and whether each WAL frame is synced as it is written.
+type insertRun struct {
+	c       *Collection
+	base    int64
+	syncNow bool
 }
 
 // NewRows returns an empty batch whose rows hold the given top-level

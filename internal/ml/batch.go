@@ -210,7 +210,36 @@ func (m *DNN) ProbBatch(xs [][]float64, out [][2]float64) {
 		}
 		return
 	}
-	n := len(xs)
+	in := m.sizes[0]
+	m.probBatch(len(xs), func(r int, act []float64) {
+		// forward() copies the input into a sizes[0]-length buffer;
+		// clamp so over-wide rows truncate identically (short rows
+		// read the same — the zero tail is skipped).
+		x := xs[r]
+		if len(x) > in {
+			x = x[:in]
+		}
+		for o := range act {
+			act[o] = denseDot(m.biases[0][o], m.weights[0][o*in:(o+1)*in], x)
+		}
+	}, out)
+}
+
+// denseDot adds w·x to z the way forward() does: in column order,
+// skipping zero cells.
+func denseDot(z float64, w, x []float64) float64 {
+	for i, v := range x {
+		if v != 0 {
+			z += w[i] * v
+		}
+	}
+	return z
+}
+
+// probBatch is the batch forward pass behind ProbBatch and the sparse
+// serving form, which differ only in how a row reaches the first layer:
+// first fills act with row r's first-layer sums before activation.
+func (m *DNN) probBatch(n int, first func(r int, act []float64), out [][2]float64) {
 	if n == 0 {
 		return
 	}
@@ -226,30 +255,15 @@ func (m *DNN) ProbBatch(xs [][]float64, out [][2]float64) {
 	cur, next := ar.a, ar.b
 	for l := 0; l < nLayers; l++ {
 		in, outW := m.sizes[l], m.sizes[l+1]
-		w := m.weights[l]
 		for r := 0; r < n; r++ {
-			var prev []float64
-			if l == 0 {
-				// forward() copies the input into a sizes[0]-length
-				// buffer; clamp so over-wide rows truncate identically
-				// (short rows read the same — the zero tail is skipped).
-				prev = xs[r]
-				if len(prev) > in {
-					prev = prev[:in]
-				}
-			} else {
-				prev = cur[r*stride : r*stride+in]
-			}
 			act := next[r*stride : r*stride+outW]
-			for o := 0; o < outW; o++ {
-				z := m.biases[l][o]
-				row := w[o*in : (o+1)*in]
-				for i, v := range prev {
-					if v != 0 {
-						z += row[i] * v
-					}
+			if l == 0 {
+				first(r, act)
+			} else {
+				prev := cur[r*stride : r*stride+in]
+				for o := range act {
+					act[o] = denseDot(m.biases[l][o], m.weights[l][o*in:(o+1)*in], prev)
 				}
-				act[o] = z
 			}
 			if l < nLayers-1 {
 				relu(act)

@@ -165,32 +165,17 @@ func (e *SchemaEncoder) FeatureNames() []string {
 	return names
 }
 
-// Transform encodes one row into a fresh feature vector.
+// Transform encodes one row into a fresh feature vector. This is the
+// dense form training and the experiments read; serving reads the same
+// cells as a SparseRow (see Layout).
 func (e *SchemaEncoder) Transform(row Row) ([]float64, error) {
-	out := make([]float64, e.Width())
-	if err := e.TransformInto(row, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// TransformInto encodes one row into dst, which must have exactly
-// Width() elements; dst is zeroed first. This is the allocation-free
-// path the batched verifier uses to fill pooled feature matrices.
-func (e *SchemaEncoder) TransformInto(row Row, dst []float64) error {
 	if !e.fitted {
-		return ErrNotFitted
+		return nil, ErrNotFitted
 	}
 	if err := e.check(row); err != nil {
-		return err
+		return nil, err
 	}
-	if len(dst) != e.Width() {
-		return fmt.Errorf("%w: destination has %d slots, schema wants %d",
-			ErrShape, len(dst), e.Width())
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
+	dst := make([]float64, e.Width())
 	pos, ci, ni := 0, 0, 0
 	for i, c := range e.cols {
 		if c.Numeric {
@@ -204,7 +189,7 @@ func (e *SchemaEncoder) TransformInto(row Row, dst []float64) error {
 		pos += ind.OneHotWidth()
 		ci++
 	}
-	return nil
+	return dst, nil
 }
 
 // TransformAll encodes rows with labels into a Dataset.

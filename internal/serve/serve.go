@@ -31,9 +31,9 @@
 //
 // Within each shard, the classify stage is the paper's dominant cost
 // (Figure 12: ~80 % ML). It runs vectorized: the batch is split into
-// ConsumerConfig.ClassifyBatch-sized chunks, each verified through
-// the models' batched inference path (ml.BatchClassifier) against
-// pooled flat feature matrices, on a dedicated bounded pool of
+// ConsumerConfig.ClassifyBatch-sized chunks, each encoded into pooled
+// sparse rows and scored by the model's compiled serving form
+// (ml.SparseModel), on a dedicated bounded pool of
 // ConsumerConfig.ClassifyWorkers — separate from the decode executor
 // pool, so classification of batch N overlaps decode of batch N+1
 // and persist of batch N−1 even inside a single shard. See
