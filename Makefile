@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test bench bench-docstore bench-aggregate bench-classify bench-swap bench-overload bench-e2e bench-durable bench-netbroker bench-harness-smoke bench-record bench-record-smoke test-crash test-events test-distributed bench-baseline profile cover docs-gate fuzz-smoke lint fmt
+.PHONY: build test test-budgets bench bench-docstore bench-aggregate bench-classify bench-swap bench-overload bench-e2e bench-durable bench-netbroker bench-harness-smoke bench-record bench-record-smoke test-crash test-events test-distributed bench-baseline profile cover docs-gate fuzz-smoke lint fmt
 
 ## build: compile every package and command
 build:
@@ -166,6 +166,17 @@ test-crash:
 ## the tests' 30 s poll timeouts, hence the explicit -timeout.
 test-events:
 	$(GO) test -race -count=20 -timeout 5m -run 'Event|Wake|Parked|LostWakeup' ./internal/broker ./internal/netbroker
+
+## test-budgets: the allocation and footprint budgets by name, without
+## the race detector — they carry a `!race` tag (the race runtime
+## inflates the counts), so `make test` never compiles them and `make
+## cover` runs only those whose package it lists. Fails if one of the
+## three packages ran none (CI `test` job).
+test-budgets:
+	@out=$$($(GO) test -count=1 -v -run 'AllocBudget|ScratchBudget|FootprintBudget|IdleAllocs' ./internal/broker ./internal/netbroker ./internal/core) || \
+		{ echo "$$out"; echo "budget tests failed"; exit 1; }; \
+	echo "$$out"; \
+	if echo "$$out" | grep -q 'no tests to run'; then echo "a package ran no budget test"; exit 1; fi
 
 ## test-distributed: the multi-process chaos run (CI `distributed-e2e`
 ## job) — build brokerd + alarmd, boot a 3-node replica set and two

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -179,6 +178,8 @@ type GroupConsumer interface {
 	Assignment() []int
 	// ActiveLeases counts outstanding unreleased leases.
 	ActiveLeases() int64
+	// LeaseStats snapshots the free list PollLeased draws leases from.
+	LeaseStats() LeaseStats
 	// Close leaves the group.
 	Close()
 }
@@ -235,8 +236,8 @@ type Consumer struct {
 	next      int // round-robin cursor over assigned partitions
 	closed    bool
 
-	// leases counts outstanding PollLeased leases (see ActiveLeases).
-	leases atomic.Int64
+	// leases is the free list PollLeased draws from (see ActiveLeases).
+	leases LeasePool
 }
 
 // NewConsumer joins (or creates) the named consumer group on topic t

@@ -2,28 +2,24 @@ package broker
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// leaseCheckMode, when enabled, makes leased reads hand out private
-// copies of record payloads and poison them on release, so any
-// consumer that keeps reading a record value after releasing its lease
-// fails loudly instead of silently observing reused memory. See
-// SetLeaseCheck.
+// leaseCheckMode is SetLeaseCheck's switch.
 var leaseCheckMode atomic.Bool
 
-// SetLeaseCheck toggles the lease-checking mode globally. It is a test
+// SetLeaseCheck toggles the lease-checking mode globally, a test
 // facility: with checking on, every leased fetch copies record values
-// into lease-owned buffers and Lease.Release overwrites them with the
-// 0xDB poison byte, turning use-after-release bugs into immediate,
-// deterministic data corruption the aliasing tests assert on. The
-// production mode (off, the default) hands out views of segment-arena
-// memory with no extra copy.
+// into lease-owned buffers, and Lease.Release overwrites those and a wire
+// consumer's receive buffer with the 0xDB poison byte and retires the
+// lease, turning use-after-release bugs into immediate, deterministic
+// data corruption the aliasing tests assert on. Production mode (off, the
+// default) hands out views with no extra copy and recycles leases.
 func SetLeaseCheck(on bool) { leaseCheckMode.Store(on) }
 
-// leasePoison is the byte pattern released check-mode buffers are
-// filled with.
+// leasePoison fills released check-mode buffers.
 const leasePoison = 0xDB
 
 // valueArena owns the payload bytes of a partition's in-memory log.
@@ -62,61 +58,124 @@ func (a *valueArena) hold(b []byte) []byte {
 }
 
 // Lease is the borrow handle of a leased fetch: every Record returned
-// alongside it has a Value (and Key) that borrows from broker-owned
-// memory, valid only until Release. Callers must call Release exactly
-// once, after the last touch of any borrowed Record; the pipeline
-// releases when a batch's scratch is recycled, after its offsets are
-// committed. Release is idempotent and safe from any goroutine.
+// alongside it has a Value (and Key) that borrows from memory valid only
+// until Release — the broker's arena in process, the lease's own receive
+// buffer over the wire, where the next fetch overwrites it. Callers must
+// call Release exactly once, after the last touch of any borrowed
+// Record; the pipeline releases when a batch's scratch is recycled,
+// after its offsets are committed. Release is safe from any goroutine.
 type Lease struct {
-	released atomic.Bool
-	// bufs holds the check-mode private copies to poison on release;
-	// empty in production mode.
+	// live is set while the lease is lent: the zero Lease is released.
+	live atomic.Bool
+	// pool is the free list Release returns the lease to; nil for a
+	// FetchLease's and for noLease, which nothing recycles.
+	pool *LeasePool
+	// buf is the memory the lease owns (a wire consumer's receive
+	// buffer), bufs the check-mode private copies of an in-process fetch.
+	buf  []byte
 	bufs [][]byte
-	// active tracks the owning consumer's outstanding-lease counter.
-	active *atomic.Int64
 }
 
-// Release returns the borrowed memory to the broker. After Release,
-// the values of the records fetched under this lease must not be
-// touched; in lease-check mode they are poisoned to make violations
-// deterministic.
+// Release returns the borrowed memory — and, from a consumer's poll,
+// the lease itself — for reuse. After Release the values of the records
+// fetched under this lease must not be touched: over the wire they read
+// the next fetch, and in lease-check mode they are poisoned to make the
+// violation deterministic. A second Release is absorbed only until the
+// lease is lent again; after that a stale holder's Release ends the new
+// holder's borrow, which no flag on a recycled handle can tell apart.
+// Check mode therefore retires a released lease instead of recycling it
+// and panics on its second Release.
+//
+//alarmvet:hotpath
 func (l *Lease) Release() {
-	if l == nil || l.released.Swap(true) {
+	if l == nil {
 		return
 	}
-	for _, b := range l.bufs {
-		for i := range b {
-			b[i] = leasePoison
+	check := leaseCheckMode.Load()
+	if !l.live.Swap(false) {
+		if check && l.pool != nil {
+			panic("broker: pooled lease released twice")
+		}
+		return
+	}
+	if check {
+		for _, b := range append(l.bufs, l.buf) {
+			for i := range b {
+				b[i] = leasePoison
+			}
 		}
 	}
 	l.bufs = nil
-	if l.active != nil {
-		l.active.Add(-1)
+	if p := l.pool; p != nil {
+		p.mu.Lock()
+		p.stats.Active--
+		if check {
+			p.stats.Bytes -= int64(cap(l.buf))
+		} else {
+			p.free = append(p.free, l)
+		}
+		p.mu.Unlock()
 	}
 }
 
 // Released reports whether the lease has been released.
-func (l *Lease) Released() bool { return l.released.Load() }
+func (l *Lease) Released() bool { return !l.live.Load() }
 
-// NewLease builds a lease tied to an outstanding-lease counter, for
-// GroupConsumer implementations outside this package (the network
-// client hands out leases over its own receive buffers). active is
-// incremented here and decremented on Release; nil means untracked.
-func NewLease(active *atomic.Int64) *Lease {
-	if active != nil {
-		active.Add(1)
+// LeaseStats is a LeasePool's occupancy: leases lent, leases on the free
+// list, and the bytes of buffer the two own between them.
+type LeaseStats struct{ Active, Free, Bytes int64 }
+
+// LeasePool is the free list a consumer's polls draw their leases from,
+// in this package and in internal/netbroker. Nothing caps it: it holds
+// what was once lent at the same time, which the batches a shard's
+// pipeline can hold bound. The zero value is ready to use.
+type LeasePool struct {
+	mu    sync.Mutex
+	free  []*Lease
+	stats LeaseStats
+}
+
+// Lend hands out a lease that owns buf until its Release, off the free
+// list when one waits there, and returns the buffer that lease owned
+// before, emptied, for the caller's next read.
+//
+//alarmvet:hotpath
+func (p *LeasePool) Lend(buf []byte) (*Lease, []byte) {
+	p.mu.Lock()
+	var l *Lease
+	if n := len(p.free); n > 0 {
+		l, p.free = p.free[n-1], p.free[:n-1]
+	} else {
+		l = p.grow()
 	}
-	return &Lease{active: active}
+	spare := l.buf[:0]
+	l.buf = buf
+	p.stats.Active++
+	p.stats.Bytes += int64(cap(buf) - cap(spare))
+	p.mu.Unlock()
+	l.live.Store(true)
+	return l, spare
+}
+
+// grow makes the lease of a Lend that found the free list empty.
+func (p *LeasePool) grow() *Lease { return &Lease{pool: p} }
+
+// Stats snapshots the pool's occupancy.
+func (p *LeasePool) Stats() LeaseStats {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	st := p.stats
+	st.Free = int64(len(p.free))
+	return st
 }
 
 // noLease is the lease of a poll that fetched nothing: it guards no
 // memory, counts as no outstanding lease and is already released, so
 // idle polls share it instead of allocating one each.
-var noLease = func() *Lease {
-	l := &Lease{}
-	l.released.Store(true)
-	return l
-}()
+var noLease Lease
+
+// NoLease returns that shared, already released lease.
+func NoLease() *Lease { return &noLease }
 
 // fetchLeasedLocked appends up to max records starting at offset to
 // dst. In check mode, record values are copied into one private buffer,
@@ -167,6 +226,7 @@ func (t *Topic) FetchLease(p int, offset int64, max int, dst []Record) ([]Record
 		return dst, nil, fmt.Errorf("%w: partition %d", ErrInvalidOffset, p)
 	}
 	l := &Lease{}
+	l.live.Store(true)
 	part := t.partitions[p]
 	part.mu.Lock()
 	out, buf, err := part.fetchLeasedLocked(offset, max, dst)
@@ -194,7 +254,7 @@ func (c *Consumer) PollLeased(max int, timeout time.Duration, dst []Record) ([]R
 			return out, lease, err
 		}
 		if !c.waitAny(deadline) {
-			return dst, noLease, nil
+			return dst, &noLease, nil
 		}
 	}
 }
@@ -225,7 +285,7 @@ func (c *Consumer) pollLeasedOnce(max int, dst []Record) ([]Record, *Lease, erro
 		if got := len(out) - len(dst); got > 0 {
 			c.positions[p] += int64(got)
 			if lease == nil {
-				lease = NewLease(&c.leases)
+				lease, _ = c.leases.Lend(nil)
 			}
 			lease.hold(buf)
 		}
@@ -240,4 +300,7 @@ func (c *Consumer) pollLeasedOnce(max int, dst []Record) ([]Record, *Lease, erro
 // ActiveLeases returns how many leases handed out by this consumer
 // have not been released yet — the leak detector the aliasing tests
 // (and operators watching for buffer leaks) read.
-func (c *Consumer) ActiveLeases() int64 { return c.leases.Load() }
+func (c *Consumer) ActiveLeases() int64 { return c.leases.Stats().Active }
+
+// LeaseStats snapshots the consumer's lease free list.
+func (c *Consumer) LeaseStats() LeaseStats { return c.leases.Stats() }

@@ -232,3 +232,50 @@ func TestLeaseHammer(t *testing.T) {
 		t.Fatalf("%d leases leaked", cons.ActiveLeases())
 	}
 }
+
+// TestReleaseAfterRecycling pins what recycling does to Release's
+// idempotence. A released lease goes out again with the next poll that
+// fetches, so a second Release is absorbed only until then: after it, a
+// stale holder's Release ends the new holder's borrow. Check mode
+// surfaces the bug instead — a released lease is retired, never lent
+// again, and its second Release panics.
+func TestReleaseAfterRecycling(t *testing.T) {
+	b, topic := leaseTopic(t, 1, 3)
+	cons, err := NewConsumer(b, "g", topic, "c0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cons.Close()
+	poll := func() *Lease {
+		recs, lease, err := cons.PollLeased(1, time.Second, nil)
+		if err != nil || len(recs) != 1 {
+			t.Fatalf("poll = %d records, %v", len(recs), err)
+		}
+		return lease
+	}
+	first := poll()
+	first.Release()
+	first.Release() // not lent again yet: absorbed
+	second := poll()
+	if second != first || cons.ActiveLeases() != 1 {
+		t.Fatalf("second poll drew a new lease (%d active), want the released one", cons.ActiveLeases())
+	}
+	first.Release() // the stale holder
+	if !second.Released() || cons.ActiveLeases() != 0 {
+		t.Fatal("a stale Release after recycling was absorbed; the doc says it is not")
+	}
+
+	SetLeaseCheck(true)
+	defer SetLeaseCheck(false)
+	third := poll()
+	third.Release()
+	if st := cons.LeaseStats(); st.Active != 0 || st.Free != 0 {
+		t.Fatalf("check mode kept a released lease: %+v", st)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("check mode absorbed a second Release of a pooled lease")
+		}
+	}()
+	third.Release()
+}

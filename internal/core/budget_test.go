@@ -180,8 +180,8 @@ func TestOneAlarmBatchAllocBudget(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(200, one)
 	t.Logf("one-alarm batch, drain to release: %.1f allocations", allocs)
-	if allocs > 6 {
-		t.Fatalf("one-alarm batch, drain to release: %.1f allocations, budget 6", allocs)
+	if allocs > 3 { // reads 2: a poll that fetches draws its lease from the consumer's free list
+		t.Fatalf("one-alarm batch, drain to release: %.1f allocations, budget 3", allocs)
 	}
 }
 

@@ -494,3 +494,6 @@ func (c *ConsumerApp) Committed() map[int]int64 { return c.consumer.Committed() 
 // Lag returns how many records sit between the consumer's positions
 // and the high watermarks of its partitions.
 func (c *ConsumerApp) Lag() (int64, error) { return c.consumer.Lag() }
+
+// LeaseStats snapshots the consumer's lease free list.
+func (c *ConsumerApp) LeaseStats() broker.LeaseStats { return c.consumer.LeaseStats() }

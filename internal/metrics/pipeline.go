@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -35,6 +36,25 @@ func Stages() []Stage {
 type Pipeline struct {
 	stages map[Stage]*Histogram
 	shed   atomic.Int64
+
+	mu        sync.Mutex
+	consumers []func() ConsumerLeases
+}
+
+// ConsumerLeases is one shard consumer's lease occupancy: leases lent to
+// batches in flight, leases waiting on its free list, and the bytes of
+// receive buffer the two hold between them.
+type ConsumerLeases struct {
+	Shard               string
+	Active, Free, Bytes int64
+}
+
+// WatchConsumer makes read the source of one shard's lease occupancy;
+// every Snapshot asks it.
+func (p *Pipeline) WatchConsumer(read func() ConsumerLeases) {
+	p.mu.Lock()
+	p.consumers = append(p.consumers, read)
+	p.mu.Unlock()
 }
 
 // NewPipeline builds a pipeline metric set with one histogram per
@@ -65,6 +85,9 @@ type PipelineSnapshot struct {
 	Stages map[Stage]*Snapshot
 	// ShedRecords is the cumulative load-shed record count.
 	ShedRecords int64
+	// Consumers holds the watched consumers' lease occupancy, in the
+	// order they were registered.
+	Consumers []ConsumerLeases
 }
 
 // Snapshot captures all stage histograms and the shed counter.
@@ -75,6 +98,12 @@ func (p *Pipeline) Snapshot() PipelineSnapshot {
 	}
 	for s, h := range p.stages {
 		ps.Stages[s] = h.Snapshot()
+	}
+	p.mu.Lock()
+	watched := p.consumers[:len(p.consumers):len(p.consumers)]
+	p.mu.Unlock()
+	for _, read := range watched {
+		ps.Consumers = append(ps.Consumers, read())
 	}
 	return ps
 }
@@ -122,6 +151,20 @@ func (ps PipelineSnapshot) WriteProm(w io.Writer) {
 	fmt.Fprintf(w, "# HELP alarmverify_shed_records_total Records dropped by load shedding.\n")
 	fmt.Fprintf(w, "# TYPE alarmverify_shed_records_total counter\n")
 	fmt.Fprintf(w, "alarmverify_shed_records_total %d\n", ps.ShedRecords)
+	if len(ps.Consumers) == 0 {
+		return
+	}
+	fmt.Fprintf(w, "# HELP alarmverify_consumer_leases Leases of a shard's consumer: lent to batches in flight (active) or waiting on its free list.\n")
+	fmt.Fprintf(w, "# TYPE alarmverify_consumer_leases gauge\n")
+	for _, c := range ps.Consumers {
+		fmt.Fprintf(w, "alarmverify_consumer_leases{shard=%q,state=\"active\"} %d\n", c.Shard, c.Active)
+		fmt.Fprintf(w, "alarmverify_consumer_leases{shard=%q,state=\"free\"} %d\n", c.Shard, c.Free)
+	}
+	fmt.Fprintf(w, "# HELP alarmverify_consumer_lease_bytes Receive buffer a shard's consumer holds under its leases, lent and free.\n")
+	fmt.Fprintf(w, "# TYPE alarmverify_consumer_lease_bytes gauge\n")
+	for _, c := range ps.Consumers {
+		fmt.Fprintf(w, "alarmverify_consumer_lease_bytes{shard=%q} %d\n", c.Shard, c.Bytes)
+	}
 }
 
 // WritePromHistogram renders one standalone histogram snapshot as a

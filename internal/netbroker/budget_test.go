@@ -108,6 +108,47 @@ func TestEmptyPollLeasedAllocBudget(t *testing.T) {
 	}
 }
 
+// TestPollLeasedAllocBudget: a poll that fetches reads the response
+// into a buffer its lease owns and hands out views of it; lease and
+// buffer come off the consumer's free list, so fetch and Release
+// allocate nothing on either end (a slab and a lease per poll before).
+func TestPollLeasedAllocBudget(t *testing.T) {
+	_, c := budgetClient(t)
+	p, err := c.NewProducer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	for i := 0; i < 300; i++ {
+		if _, _, err := p.SendAt([]byte{byte(i)}, make([]byte, 300), time.Unix(1_700_000_000, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cons, _, err := c.NewGroupConsumer("verify", "m1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cons.Close()
+	dst := make([]broker.Record, 0, 16)
+	poll := func() {
+		out, lease, err := cons.PollLeased(1, time.Second, dst)
+		if err != nil || len(out) != 1 || len(out[0].Value) != 300 {
+			t.Fatalf("leased poll = %d records, %v; want 1 of 300 bytes", len(out), err)
+		}
+		lease.Release()
+	}
+	poll() // the lease and its buffer
+	poll() // the buffer the first poll swapped it for
+	allocs := testing.AllocsPerRun(200, poll)
+	t.Logf("PollLeased of one record + Release: %.2f allocations", allocs)
+	if allocs > 0 {
+		t.Fatalf("PollLeased of one record + Release: %.2f allocations, budget 0", allocs)
+	}
+	if st := cons.LeaseStats(); st.Active != 0 || st.Free != 1 || st.Bytes == 0 {
+		t.Fatalf("lease stats after the run: %+v, want one lease, free, with a buffer", st)
+	}
+}
+
 func TestCommitOffsetsAllocBudget(t *testing.T) {
 	_, c := budgetClient(t)
 	cons, _, err := c.NewGroupConsumer("verify", "m1")

@@ -74,24 +74,29 @@ func (rc *rpcConn) call(op byte, req any, resp interface{ toErr() error }) error
 	if err != nil {
 		return err
 	}
-	return rc.callWire(op, jsonBody(enc), jsonResp{resp})
+	return rc.callWire(op, jsonBody(enc), jsonResp{resp}, nil)
 }
 
-// callWire sends one request frame and decodes the matching response,
-// both through the connection's own buffers: what resp.decode leaves
-// pointing into the body (record keys and values) is good until the
-// next call on this connection. The connection mutex is intentionally
+// callWire sends one request frame and decodes the matching response
+// out of *rbuf — the caller's receive buffer, grown to fit and handed
+// back holding the body, or the connection's own when nil. What
+// resp.decode leaves pointing into the body (record keys and values) is
+// good for as long as that buffer is left alone: until the next call,
+// for the connection's own. The connection mutex is intentionally
 // held across the network round-trip: requests on one connection are
 // strictly ordered, which is what keeps per-partition sequence numbers
 // in order (the same reasoning as the in-process producer's
 // per-partition lock).
 //
 //alarmvet:ignore conn-ordered RPC: rc.mu must span the frame write and the response read so responses match requests; only this connection's state is held, never broker or partition locks
-func (rc *rpcConn) callWire(op byte, req request, resp response) error {
+func (rc *rpcConn) callWire(op byte, req request, resp response, rbuf *[]byte) error {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	if rc.dead {
 		return fmt.Errorf("%w: connection closed", errTransport)
+	}
+	if rbuf == nil {
+		rbuf = &rc.rbuf
 	}
 	rc.wbuf = req.appendTo(append(rc.wbuf[:0], op))
 	fbuf, err := writeFrame(rc.c, rc.fbuf, rc.wbuf)
@@ -100,8 +105,8 @@ func (rc *rpcConn) callWire(op byte, req request, resp response) error {
 		rc.dead = true
 		return fmt.Errorf("%w: %w", errTransport, err)
 	}
-	rbody, rbuf, err := readFrame(rc.c, rc.rbuf)
-	rc.rbuf = rbuf
+	rbody, buf, err := readFrame(rc.c, *rbuf)
+	*rbuf = buf
 	if err != nil {
 		rc.dead = true
 		return fmt.Errorf("%w: %w", errTransport, err)
@@ -475,7 +480,7 @@ func (p *Producer) SendAt(key, value []byte, ts time.Time) (int, int64, error) {
 	for {
 		rc, err := p.sendConn()
 		if err == nil {
-			err = rc.callWire(opAppend, &pp.req, &pp.resp)
+			err = rc.callWire(opAppend, &pp.req, &pp.resp, nil)
 			if err == nil {
 				return part, pp.resp.Base, nil
 			}

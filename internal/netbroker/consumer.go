@@ -1,10 +1,10 @@
 package netbroker
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"alarmverify/internal/broker"
@@ -25,9 +25,9 @@ import (
 // which the pipeline already counts as benign (at-least-once across
 // rebalances).
 //
-// One goroutine polls at a time (the fetch messages below are its
-// scratch); every other method may be called from any goroutine beside
-// it.
+// One goroutine polls at a time (the fetch messages and receive buffer
+// below are its scratch); every other method may be called from any
+// goroutine beside it.
 type Consumer struct {
 	c          *Client
 	group      string
@@ -44,9 +44,11 @@ type Consumer struct {
 	fetch  *rpcConn
 
 	// fetchReq and fetchResp are the polling goroutine's messages, kept
-	// for their capacity.
+	// for their capacity; recv is the buffer its next fetch response is
+	// read into, swapped for a released lease's when a poll lends it out.
 	fetchReq  fetchReq
 	fetchResp fetchResp
+	recv      []byte
 
 	mu        sync.Mutex
 	gen       int64
@@ -58,7 +60,7 @@ type Consumer struct {
 	rebalance chan struct{}
 	stopc     chan struct{}
 	hbWG      sync.WaitGroup
-	leases    atomic.Int64
+	leases    broker.LeasePool
 }
 
 // newConsumer joins the group on the leader and starts the heartbeat.
@@ -132,17 +134,18 @@ func (k *Consumer) call(op byte, req any, resp interface{ toErr() error }) error
 	if err != nil {
 		return err
 	}
-	return k.callOn(&k.conn, op, jsonBody(enc), jsonResp{resp})
+	return k.callOn(&k.conn, op, jsonBody(enc), jsonResp{resp}, nil)
 }
 
-// callOn runs one RPC on the connection kept in slot; transport
-// failures and leader redirects drop the consumer's connections.
-func (k *Consumer) callOn(slot **rpcConn, op byte, req request, resp response) error {
+// callOn runs one RPC on the connection kept in slot, the response read
+// into *rbuf (see callWire); transport failures and leader redirects
+// drop the consumer's connections.
+func (k *Consumer) callOn(slot **rpcConn, op byte, req request, resp response, rbuf *[]byte) error {
 	rc, err := k.leaderConn(slot)
 	if err != nil {
 		return err
 	}
-	if err := rc.callWire(op, req, resp); err != nil {
+	if err := rc.callWire(op, req, resp, rbuf); err != nil {
 		if retriable(err) {
 			k.dropConn(rc)
 		}
@@ -289,36 +292,28 @@ func (k *Consumer) Generation() int64 {
 }
 
 // Poll fetches up to max records across assigned partitions, blocking
-// up to timeout server-side when nothing is available.
+// up to timeout server-side when nothing is available. The records'
+// bytes are copies the caller keeps.
 func (k *Consumer) Poll(max int, timeout time.Duration) ([]broker.Record, error) {
-	recs, err := k.poll(max, timeout, nil)
-	if len(recs) == 0 {
-		recs = nil
+	recs, lease, err := k.PollLeased(max, timeout, nil)
+	for i := range recs {
+		recs[i].Key, recs[i].Value = bytes.Clone(recs[i].Key), bytes.Clone(recs[i].Value)
 	}
+	lease.Release()
 	return recs, err
 }
 
-// noLease is the lease of a poll that fetched nothing: already released
-// and counted nowhere, so idle polls share it instead of allocating.
-var noLease = func() *broker.Lease {
-	l := broker.NewLease(nil)
-	l.Release()
-	return l
-}()
-
-// PollLeased is Poll appending into dst under a lease. The records'
-// bytes are a copy this poll made out of its receive buffer, so the
-// lease's only job is leak accounting — but the contract is the same as
-// in-process: release after the batch is done.
+// PollLeased is Poll appending into dst under a lease, without the
+// copy: the fetch response is read into a buffer the returned lease
+// owns and the records' keys and values are views of it. Release puts
+// lease and buffer on the consumer's free list and a later fetch is
+// read over those bytes, so the in-process contract has teeth here:
+// release after the batch is done, touch nothing after. A poll that
+// fetched nothing returns the shared released lease; neither kind
+// allocates once the free list has grown to the leases out at once.
+//
+//alarmvet:hotpath
 func (k *Consumer) PollLeased(max int, timeout time.Duration, dst []broker.Record) ([]broker.Record, *broker.Lease, error) {
-	out, err := k.poll(max, timeout, dst)
-	if len(out) == len(dst) {
-		return out, noLease, err
-	}
-	return out, broker.NewLease(&k.leases), err
-}
-
-func (k *Consumer) poll(max int, timeout time.Duration, dst []broker.Record) ([]broker.Record, error) {
 	if max <= 0 {
 		max = 1
 	}
@@ -326,7 +321,7 @@ func (k *Consumer) poll(max int, timeout time.Duration, dst []broker.Record) ([]
 	k.mu.Lock()
 	if k.closed {
 		k.mu.Unlock()
-		return dst, broker.ErrClosed
+		return dst, broker.NoLease(), broker.ErrClosed
 	}
 	n := len(k.assigned)
 	req.Parts = req.Parts[:0]
@@ -352,32 +347,18 @@ func (k *Consumer) poll(max int, timeout time.Duration, dst []broker.Record) ([]
 				k.signalRebalance() // the token is the shard's to consume
 			}
 		}
-		return dst, nil
+		return dst, broker.NoLease(), nil
 	}
 	req.Topic, req.Max, req.WaitMicros = k.c.topic, max, timeout.Microseconds()
-	if err := k.callOn(&k.fetch, opFetch, req, resp); err != nil {
-		if errors.Is(err, broker.ErrInvalidOffset) {
-			return dst, err
+	if err := k.callOn(&k.fetch, opFetch, req, resp, &k.recv); err != nil {
+		if !errors.Is(err, broker.ErrInvalidOffset) {
+			// Failover window: return an empty poll; the heartbeat loop
+			// re-aims the consumer and signals a rebalance.
+			err = nil
 		}
-		// Failover window: return an empty poll; the heartbeat loop
-		// re-aims the consumer and signals a rebalance.
-		return dst, nil
+		return dst, broker.NoLease(), err
 	}
-	// resp.Recs point into the fetch connection's receive buffer, which
-	// the next poll overwrites: the records handed out get one slab of
-	// their own.
-	size := 0
-	for i := range resp.Recs {
-		size += len(resp.Recs[i].Key) + len(resp.Recs[i].Value)
-	}
-	slab := make([]byte, 0, size)
-	own := func(b []byte) []byte {
-		if len(b) == 0 {
-			return nil
-		}
-		slab = append(slab, b...)
-		return slab[len(slab)-len(b) : len(slab) : len(slab)]
-	}
+	base := len(dst)
 	k.mu.Lock()
 	for _, r := range resp.Recs {
 		if pos, ok := k.positions[r.Partition]; !ok || r.Offset != pos {
@@ -386,11 +367,18 @@ func (k *Consumer) poll(max int, timeout time.Duration, dst []broker.Record) ([]
 			continue
 		}
 		k.positions[r.Partition]++
-		r.Topic, r.Key, r.Value = k.c.topic, own(r.Key), own(r.Value)
+		r.Topic = k.c.topic
 		dst = append(dst, r)
 	}
 	k.mu.Unlock()
-	return dst, nil
+	if len(dst) == base {
+		return dst, broker.NoLease(), nil
+	}
+	// resp.Recs, and so dst, point into k.recv: the lease takes it and
+	// the next fetch reads into the buffer of a lease released earlier.
+	lease, spare := k.leases.Lend(k.recv)
+	k.recv = spare
+	return dst, lease, nil
 }
 
 // Commit durably records the current positions.
@@ -421,7 +409,7 @@ func (k *Consumer) CommitOffsets(offsets map[int]int64) error {
 	for p, off := range offsets {
 		cm.req.Offsets = append(cm.req.Offsets, partOffset{P: p, Off: off})
 	}
-	err := k.callOn(&k.conn, opCommit, &cm.req, &cm.resp)
+	err := k.callOn(&k.conn, opCommit, &cm.req, &cm.resp, nil)
 	if err == nil {
 		return nil
 	}
@@ -501,7 +489,10 @@ func (k *Consumer) Lag() (int64, error) {
 }
 
 // ActiveLeases counts outstanding unreleased leases.
-func (k *Consumer) ActiveLeases() int64 { return k.leases.Load() }
+func (k *Consumer) ActiveLeases() int64 { return k.leases.Stats().Active }
+
+// LeaseStats snapshots the lease free list and the receive buffer under it.
+func (k *Consumer) LeaseStats() broker.LeaseStats { return k.leases.Stats() }
 
 // Close leaves the group and stops the heartbeat.
 func (k *Consumer) Close() {

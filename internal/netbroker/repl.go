@@ -432,7 +432,7 @@ func (s *Server) pullFrom(leader int) (served bool, err error) {
 			rt.Sizes, rt.Tails = append(rt.Sizes, size), append(rt.Tails, tail)
 		}
 	}
-	if err := rc.callWire(opReplFetch, req, resp); err != nil {
+	if err := rc.callWire(opReplFetch, req, resp, nil); err != nil {
 		s.dropPeerConn(leader, rc)
 		return false, err
 	}
@@ -684,7 +684,7 @@ func (s *Server) reconcilePartition(t *broker.Topic, name string, p int, theirs 
 		}
 		var resp fetchResp
 		req := fetchLogReq{Topic: name, Partition: p, Offset: local - 1, Max: 1}
-		if err := rc.callWire(opFetchLog, &req, &resp); err != nil {
+		if err := rc.callWire(opFetchLog, &req, &resp, nil); err != nil {
 			s.dropPeerConn(node, rc)
 			return false
 		}
@@ -715,7 +715,7 @@ func (s *Server) syncPartition(t *broker.Topic, name string, p int, theirs int64
 		}
 		var resp fetchResp
 		req := fetchLogReq{Topic: name, Partition: p, Offset: local, Max: replBatch}
-		if err := rc.callWire(opFetchLog, &req, &resp); err != nil {
+		if err := rc.callWire(opFetchLog, &req, &resp, nil); err != nil {
 			s.dropPeerConn(node, rc)
 			return false
 		}

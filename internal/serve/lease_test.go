@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"net/http/httptest"
 	"sort"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"alarmverify/internal/broker"
 	"alarmverify/internal/core"
 	"alarmverify/internal/docstore"
+	"alarmverify/internal/metrics"
 	"alarmverify/internal/netbroker"
 )
 
@@ -128,5 +130,76 @@ func TestLeasedPayloadNeverRetained(t *testing.T) {
 				clean("top device", d.Mac)
 			}
 		})
+	}
+}
+
+// TestLeaseOccupancyOnMetrics: each shard's consumer publishes its lease
+// free list through the pipeline metrics the HTTP edge serves — leases
+// lent and free, and the bytes of receive buffer under them. While
+// batches are in flight some are out; once the service has stopped every
+// batch was released, so active reads 0, and over the wire the free
+// leases hold the buffers the fetches were read into.
+func TestLeaseOccupancyOnMetrics(t *testing.T) {
+	v, stream := testSetup(t)
+	alarms := stream[:1500]
+	b := loadedBroker(t, alarms, 4)
+	defer b.Close()
+	srv, err := netbroker.NewServer(b, "127.0.0.1:0", netbroker.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	client, err := netbroker.Dial([]string{srv.Addr()}, "alarms", netbroker.ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	h, err := core.NewHistory(docstore.NewDB())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	cfg := testConfig(2)
+	cfg.Consumer.MaxPerBatch = 64
+	cfg.Consumer.Metrics = metrics.NewPipeline()
+	svc, err := NewWith(client, "g", v, h, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	svc.Start()
+	waitFor(t, 30*time.Second, "all alarms verified", func() bool {
+		return svc.Records() >= len(alarms) || svc.Err() != nil
+	})
+	svc.Stop()
+	if err := svc.Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	api := core.NewHTTPService(v, h, core.DefaultCustomerPolicy())
+	api.AttachPipeline(cfg.Consumer.Metrics)
+	rec := httptest.NewRecorder()
+	api.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	body := rec.Body.String()
+	for i, sh := range svc.Stats().Shards {
+		st := sh.Leases
+		t.Logf("%s: %d batches drained through %d leases holding %d B", sh.ID, sh.Batches, st.Free, st.Bytes)
+		if st.Active != 0 || st.Free == 0 || st.Bytes == 0 {
+			t.Fatalf("%s after Stop: %+v, want nothing lent and free leases holding receive buffers", sh.ID, st)
+		}
+		// Lent at once: a batch per pipeline queue slot and stage, a poll
+		// or two each — not one per batch the shard ever drained.
+		if st.Free > 32 || int(st.Free) >= sh.Batches {
+			t.Fatalf("%s drained %d batches and keeps %d leases", sh.ID, sh.Batches, st.Free)
+		}
+		for _, line := range []string{
+			fmt.Sprintf(`alarmverify_consumer_leases{shard="shard-%d",state="active"} 0`, i),
+			fmt.Sprintf(`alarmverify_consumer_leases{shard="shard-%d",state="free"} %d`, i, st.Free),
+			fmt.Sprintf(`alarmverify_consumer_lease_bytes{shard="shard-%d"} %d`, i, st.Bytes),
+		} {
+			if !strings.Contains(body, line+"\n") {
+				t.Fatalf("/metrics lacks %q:\n%s", line, body)
+			}
+		}
 	}
 }

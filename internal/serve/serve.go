@@ -59,6 +59,7 @@ import (
 	"alarmverify/internal/alarm"
 	"alarmverify/internal/broker"
 	"alarmverify/internal/core"
+	"alarmverify/internal/metrics"
 )
 
 // Config tunes the sharded service.
@@ -207,6 +208,12 @@ func NewWith(cluster Cluster, group string, verifier *core.Verifier,
 			return nil, fmt.Errorf("serve: shard %d: %w", i, err)
 		}
 		app := core.NewConsumerAppFor(cons, partitions, verifier, history, cfg.Consumer)
+		if m := cfg.Consumer.Metrics; m != nil {
+			m.WatchConsumer(func() metrics.ConsumerLeases {
+				st := cons.LeaseStats()
+				return metrics.ConsumerLeases{Shard: id, Active: st.Active, Free: st.Free, Bytes: st.Bytes}
+			})
+		}
 		s.shards = append(s.shards, newShard(id, app, cfg.PipelineDepth, cfg.ShedQueue, cfg.CommitInterval))
 	}
 	// Joining is sequential, so every shard but the last computed its
@@ -344,6 +351,10 @@ type ShardStats struct {
 	StaleCommits int64
 	// Rebalances counts assignment refreshes this shard performed.
 	Rebalances int64
+	// Leases is the occupancy of the consumer's lease free list: leases
+	// lent to batches in flight (0 once the shard has drained), leases
+	// free, and the bytes of receive buffer they hold between them.
+	Leases broker.LeaseStats
 	// Err is the first stage error observed (nil when healthy).
 	Err error
 }
@@ -377,6 +388,7 @@ func (s *Service) Stats() Stats {
 			ShedRecords:  sh.shedRecords.Load(),
 			StaleCommits: sh.staleCommits.Load(),
 			Rebalances:   sh.rebalances.Load(),
+			Leases:       sh.app.LeaseStats(),
 			Err:          sh.err(),
 		}
 		st.Records += shs.Records

@@ -99,9 +99,9 @@ func (s *BrokerSource) DrainLeased(dst []broker.Record, leases []*broker.Lease) 
 		if got > 0 {
 			leases = append(leases, lease)
 		} else {
-			// An empty poll's lease guards nothing (the in-process
-			// consumer hands out a shared released one); release it now
-			// so idle polls don't inflate the leak detector.
+			// An empty poll's lease guards nothing (the consumers hand
+			// out a shared released one); release it now so idle polls
+			// don't inflate the leak detector.
 			lease.Release()
 		}
 		if err != nil || got == 0 {
