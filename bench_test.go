@@ -482,170 +482,6 @@ func BenchmarkClassifyBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkDocstoreParallel sweeps the document store's partition
-// count under a mixed insert + histogram workload: 8 workers each
-// batch-insert alarms for their own devices and immediately run the
-// per-device histogram column query (§4.1). The collection is
-// shard-keyed by device, so each batch lands in one partition and
-// each query prunes to one partition, and a simulated 200 µs
-// per-partition round-trip emulates the paper's remote document store
-// — so throughput scales with the number of partition servers the
-// round-trips overlap across, the same monotonic story the sharded
-// serve benchmark tells one layer up.
-func BenchmarkDocstoreParallel(b *testing.B) {
-	const (
-		workers          = 8
-		devicesPerWorker = 16
-		batchesPerWorker = 32
-		batchSize        = 64
-		rtt              = 200 * time.Microsecond
-	)
-	mac := func(w, batch int) string {
-		return fmt.Sprintf("mac-%02d-%02d", w, batch%devicesPerWorker)
-	}
-	for _, parts := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("partitions=%d", parts), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				db := docstore.NewDBWithPartitions(parts)
-				col, err := db.CollectionWithShardKey("alarms", "deviceMac")
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := col.CreateIndex("deviceMac"); err != nil {
-					b.Fatal(err)
-				}
-				col.SetSimulatedRTT(rtt)
-				// Documents are built outside the timed region; only
-				// store round-trips are measured.
-				batches := make([][][]docstore.Doc, workers)
-				for w := 0; w < workers; w++ {
-					batches[w] = make([][]docstore.Doc, batchesPerWorker)
-					for bt := 0; bt < batchesPerWorker; bt++ {
-						docs := make([]docstore.Doc, batchSize)
-						for d := range docs {
-							docs[d] = docstore.Doc{
-								"deviceMac": mac(w, bt),
-								"zip":       fmt.Sprintf("%04d", 8000+d%10),
-								"ts":        float64(1_000_000 + bt*batchSize + d),
-								"duration":  float64(d % 600),
-							}
-						}
-						batches[w][bt] = docs
-					}
-				}
-				b.StartTimer()
-				start := time.Now()
-				var wg sync.WaitGroup
-				for w := 0; w < workers; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						for bt := 0; bt < batchesPerWorker; bt++ {
-							col.InsertMany(batches[w][bt])
-							if _, err := col.FieldValues(docstore.Doc{
-								"deviceMac": mac(w, bt),
-								"ts":        map[string]any{"$gte": 1_000_000.0},
-							}, "ts"); err != nil {
-								b.Error(err)
-								return
-							}
-						}
-					}(w)
-				}
-				wg.Wait()
-				elapsed := time.Since(start)
-				b.StopTimer()
-				total := workers * batchesPerWorker * batchSize
-				if col.Len() != total {
-					b.Fatalf("stored %d docs, want %d", col.Len(), total)
-				}
-				b.ReportMetric(float64(total)/elapsed.Seconds(), "alarms/s")
-			}
-		})
-	}
-}
-
-// BenchmarkAggregatePushdown prices the in-database analytics
-// pushdown against the streaming baseline it replaced: the same
-// analytics mix — a group-by-device count/sum rollup, a top-K scan,
-// and a per-device time histogram — over a shard-keyed collection
-// with a simulated 200 µs per-partition round-trip, swept across the
-// partition count. Streaming pays the round-trips AND clones every
-// matching document out of the store on every query; pushdown ships
-// per-partition partials (and serves repeated plans from validated
-// snapshots without re-visiting partitions at all), so the gap widens
-// with both corpus size and partition count. The acceptance bar —
-// pushdown ≥ 3× streaming at 8 partitions — is gated by benchdiff on
-// the aggs_per_s cells (EXPERIMENTS.md records the measured sweep).
-func BenchmarkAggregatePushdown(b *testing.B) {
-	const (
-		docsN = 4000
-		rtt   = 200 * time.Microsecond
-	)
-	build := func(parts int) *docstore.Collection {
-		db := docstore.NewDBWithPartitions(parts)
-		col, err := db.CollectionWithShardKey("alarms", "deviceMac")
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < docsN; i++ {
-			col.Insert(docstore.Doc{
-				"deviceMac": fmt.Sprintf("mac-%02d", i%32),
-				"zip":       fmt.Sprintf("%04d", 8000+i%12),
-				"ts":        float64(1_000_000 + i),
-				"duration":  float64(i % 600),
-			})
-		}
-		col.SetSimulatedRTT(rtt)
-		return col
-	}
-	type aggFn func(*docstore.Collection, docstore.Doc, ...docstore.Stage) ([]docstore.Doc, error)
-	modes := []struct {
-		name string
-		run  aggFn
-	}{
-		{"streaming", func(c *docstore.Collection, f docstore.Doc, s ...docstore.Stage) ([]docstore.Doc, error) {
-			return c.AggregateStreaming(f, s...)
-		}},
-		{"pushdown", func(c *docstore.Collection, f docstore.Doc, s ...docstore.Stage) ([]docstore.Doc, error) {
-			return c.Aggregate(f, s...)
-		}},
-	}
-	for _, mode := range modes {
-		for _, parts := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("mode=%s/partitions=%d", mode.name, parts), func(b *testing.B) {
-				col := build(parts)
-				b.ReportAllocs()
-				b.ResetTimer()
-				start := time.Now()
-				queries := 0
-				for i := 0; i < b.N; i++ {
-					if _, err := mode.run(col, nil, docstore.Group{
-						By: []string{"deviceMac"},
-						Accs: map[string]docstore.Accumulator{
-							"n": {Op: "count"}, "d": {Op: "sum", Field: "duration"}},
-					}, docstore.SortStage{Field: "-n"}, docstore.Limit{N: 5}); err != nil {
-						b.Fatal(err)
-					}
-					if _, err := mode.run(col, nil,
-						docstore.SortStage{Field: "-duration"}, docstore.Limit{N: 10}); err != nil {
-						b.Fatal(err)
-					}
-					if _, err := mode.run(col, docstore.Doc{"deviceMac": "mac-07"},
-						docstore.Bucket{Field: "ts", Origin: 1_000_000, Width: 500}); err != nil {
-						b.Fatal(err)
-					}
-					queries += 3
-				}
-				elapsed := time.Since(start)
-				b.StopTimer()
-				b.ReportMetric(float64(queries)/elapsed.Seconds(), "aggs_per_s")
-			})
-		}
-	}
-}
-
 // BenchmarkOverload regenerates the overload sweep: the same
 // capacity-bounded sharded service faces steady, bursty and
 // flash-crowd open-loop arrival processes (internal/loadgen) with

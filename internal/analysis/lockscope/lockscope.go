@@ -1,6 +1,6 @@
 // Package lockscope proves the repository's lock-scope invariants: a
 // partition/collection/consumer mutex must never be held across a
-// blocking operation (simulated-RTT sleeps, fsync, network/stream
+// blocking operation (sleeps, fsync, network/stream
 // I/O, channel sends, selects), and every Lock/RLock must be paired
 // with its unlock on every return path. These are the rules the docstore and broker
 // hot paths rely on for tail latency: one shard sleeping under a
@@ -8,13 +8,13 @@
 //
 // The checker simulates each function body with a branch-aware
 // abstract interpreter over the held-lock set. Package-local lock
-// wrappers (docstore's writeLock/writeUnlock seqlock pair) are
+// wrappers (a method whose body is the Lock, or the Unlock) are
 // classified by their bodies and treated as acquire/release at call
 // sites; package-local functions whose bodies (transitively) sleep,
 // fsync or send are classified as blocking. A function annotated
 // //alarmvet:ignore <reason> is exempted from the blocking set — the
-// audited escape hatch for docstore's simulateRTT, whose sleep-under-
-// lock IS the modeled remote round-trip.
+// audited escape hatch for the docstore WAL's writeFrame and sync,
+// whose fsync under w.mu IS the group-commit ordering.
 package lockscope
 
 import (

@@ -1,9 +1,10 @@
 // Package seqver proves the docstore's write-section discipline: every
 // mutation of a partition's core state (the id column, the field
 // columns, or secondary indexes) happens inside a write section —
-// either the function itself opens one (writeLock, the partition's one
-// named way to its write lock), or it follows the repository's "Locked"
-// naming contract, documenting that its caller already has.
+// either the function itself opens one (p.mu.Lock() on the partition
+// it mutates; a read lock does not count), or it follows the
+// repository's "Locked" naming contract, documenting that its caller
+// already has.
 //
 // The cached aggregation partials rest on it: a reader advances a
 // partial under the read lock, trusting that rows below its mark only
@@ -70,9 +71,9 @@ func run(pass *analysis.Pass) error {
 }
 
 // checkBody flags guarded-field mutations not preceded (in source
-// order) by a writeLock on the same base expression. Source order is a
-// sound approximation here: the repo's writeLock/mutate/writeUnlock
-// sections are straight-line.
+// order) by a mu.Lock() on the same base expression. Source order is a
+// sound approximation here: the repo's Lock/mutate/Unlock sections are
+// straight-line.
 func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
 	fresh := localFreshVars(pass, body)
 	sections := sectionStarts(pass, body)
@@ -90,7 +91,7 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
 				return // unpublished value built in this function
 			}
 		}
-		pass.Reportf(pos, "mutation of %s.%s outside a write section (call %s.writeLock first, or use the Locked-suffix caller-holds contract)",
+		pass.Reportf(pos, "mutation of %s.%s outside a write section (call %s.mu.Lock first, or use the Locked-suffix caller-holds contract)",
 			baseKey, field, baseKey)
 	}
 
@@ -124,20 +125,22 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
 	})
 }
 
-// section is where a write section opens: a writeLock call on some
+// section is where a write section opens: a mu.Lock() call on some
 // base expression.
 type section struct {
 	base string
 	pos  token.Pos
 }
 
-// sectionStarts collects the body's writeLock calls.
+// sectionStarts collects the body's base.mu.Lock() calls.
 func sectionStarts(pass *analysis.Pass, body *ast.BlockStmt) []section {
 	var out []section
 	ast.Inspect(body, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
-			if recv, name := analysis.CallName(call); name == "writeLock" && recv != nil {
-				out = append(out, section{base: analysis.Render(recv), pos: call.Pos()})
+			if recv, name := analysis.CallName(call); name == "Lock" && recv != nil {
+				if mu, ok := ast.Unparen(recv).(*ast.SelectorExpr); ok && mu.Sel.Name == "mu" {
+					out = append(out, section{base: analysis.Render(mu.X), pos: call.Pos()})
+				}
 			}
 		}
 		return true

@@ -19,34 +19,32 @@ type partition struct {
 
 func (p *partition) colLocked(k string) *column { return p.cols[k] }
 
-func (p *partition) writeLock() { p.mu.Lock() }
-
-func (p *partition) writeUnlock() { p.mu.Unlock() }
-
+// A read lock opens no write section.
 func (p *partition) unguardedInsert(k, v string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.mu.RLock()
+	defer p.mu.RUnlock()
 	p.cols[k] = &column{vals: []string{v}} // want `mutation of p\.cols outside a write section`
 	p.ids = append(p.ids, k)               // want `mutation of p\.ids outside a write section`
 }
 
-func (p *partition) unguardedDelete(k string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+// Nor does another partition's write lock.
+func (p *partition) unguardedDelete(q *partition, k string) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	delete(p.cols, k) // want `mutation of p\.cols outside a write section`
 }
 
 func (p *partition) sectionAfterMutation(k, v string) {
 	p.cols[k] = &column{vals: []string{v}} // want `mutation of p\.cols outside a write section`
-	p.writeLock()
-	p.writeUnlock()
+	p.mu.Lock()
+	p.mu.Unlock()
 }
 
 // Row data changes through the columns' own methods, however the
 // column was reached.
 func (p *partition) unguardedCellWrite(k, v string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.mu.RLock()
+	defer p.mu.RUnlock()
 	p.cols[k].set(v)      // want `mutation of p\.cols outside a write section`
 	p.colLocked(k).set(v) // want `mutation of p\.cols outside a write section`
 	col := p.colLocked(k)
@@ -54,8 +52,6 @@ func (p *partition) unguardedCellWrite(k, v string) {
 }
 
 func (p *partition) unguardedCompact() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	for _, col := range p.cols {
 		col.gather(0) // want `mutation of p\.cols outside a write section`
 	}

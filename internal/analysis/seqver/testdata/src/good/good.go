@@ -1,5 +1,5 @@
 // Package good mirrors the repository's correct write-section idioms:
-// the writeLock/writeUnlock pair, the Locked-suffix caller-holds
+// the mu.Lock/mu.Unlock pair, the Locked-suffix caller-holds
 // contract, and unpublished fresh values. No findings are expected.
 package good
 
@@ -19,13 +19,9 @@ type partition struct {
 
 func (p *partition) colLocked(k string) *column { return p.cols[k] }
 
-func (p *partition) writeLock() { p.mu.Lock() }
-
-func (p *partition) writeUnlock() { p.mu.Unlock() }
-
 func (p *partition) guardedInsert(k, v string) {
-	p.writeLock()
-	defer p.writeUnlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.cols[k] = &column{vals: []string{v}}
 	p.ids = append(p.ids, k)
 }
@@ -36,8 +32,8 @@ func (p *partition) insertLocked(k, v string) {
 }
 
 func (p *partition) guardedCellWrite(k, v string) {
-	p.writeLock()
-	defer p.writeUnlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.cols[k].set(v)
 	p.colLocked(k).set(v)
 	for _, col := range p.cols {

@@ -19,29 +19,14 @@ type Stage interface {
 // Pipelines whose shape the planner recognizes execute as pushdown
 // aggregations — per-partition partials merged centrally, with the
 // filter and any leading Match stages evaluated inside the partition
-// scan so non-matching documents are never cloned (pushdown.go).
-// Unplannable shapes fall back to AggregateStreaming; use Explain to
-// see which way a pipeline goes.
+// scan so non-matching documents are never cloned (pushdown.go). A
+// pipeline headed by a stage the planner cannot push is ErrBadFilter.
 func (c *Collection) Aggregate(filter Doc, stages ...Stage) ([]Doc, error) {
 	out, err := c.AggregateMulti([]Doc{filter}, stages...)
 	if err != nil {
 		return nil, err
 	}
 	return out[0], nil
-}
-
-// AggregateStreaming runs the pipeline the pre-pushdown way: Find
-// streams a clone of every matched document out of every partition and
-// the stages apply centrally, one after another. It is kept exported
-// as the executable specification of Aggregate — the equivalence
-// oracle the pushdown battery (property, fuzz, and race tests) pins
-// the planner against.
-func (c *Collection) AggregateStreaming(filter Doc, stages ...Stage) ([]Doc, error) {
-	docs, err := c.Find(filter)
-	if err != nil {
-		return nil, err
-	}
-	return applyStages(docs, stages)
 }
 
 // Match filters documents mid-pipeline.
@@ -209,23 +194,6 @@ func (l Limit) apply(in []Doc) ([]Doc, error) {
 		in = in[:l.N]
 	}
 	return in, nil
-}
-
-// Project keeps only the named fields (plus _id when requested).
-type Project struct{ Fields []string }
-
-func (p Project) apply(in []Doc) ([]Doc, error) {
-	out := make([]Doc, len(in))
-	for i, d := range in {
-		nd := make(Doc, len(p.Fields))
-		for _, f := range p.Fields {
-			if v, ok := lookup(d, f); ok {
-				setPath(nd, f, v)
-			}
-		}
-		out[i] = nd
-	}
-	return out, nil
 }
 
 // Bucket histograms documents by a numeric field into fixed-width

@@ -1,96 +1,95 @@
 package docstore
 
 import (
-	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 // Read-after-write coherence regressions (ISSUE 7 audit): no read may
 // serve deleted or stale documents after a mutating path returned.
-// These pin the two interleavings the audit was asked about —
-// update-then-Tail and delete-then-FieldValues — plus the DDL paths
-// (CreateIndex/DropIndex), which rewrite index shards under a cached
-// aggregation partial.
+// These pin delete-then-read against a cached partial, plus CreateIndex,
+// which builds index shards under a cached aggregation partial.
 
-// TestCoherenceUpdateThenTail: prime the tail snapshot, update a
-// document inside the cached window, and require the very next Tail
-// to serve the updated value — an Update that failed to bump the
-// partition seq would hand back the stale cached tail.
-func TestCoherenceUpdateThenTail(t *testing.T) {
-	c := optimisticCollection(t, 2)
-	for i := 0; i < 30; i++ {
-		c.Insert(Doc{"deviceMac": fmt.Sprintf("mac-%d", i%2), "ts": float64(i), "verdict": 0})
-	}
-	// Two identical reads: the second is served from the published
-	// snapshot (same version), which is the state under test.
-	c.Tail(10)
-	before := c.Tail(10)
-	target := before[len(before)-1]["ts"].(float64)
-
-	n, err := c.Update(Doc{"ts": target}, Doc{"verdict": 1})
-	if err != nil || n != 1 {
-		t.Fatalf("update: n=%d err=%v", n, err)
-	}
-	after := c.Tail(10)
-	for _, d := range after {
-		if d["ts"].(float64) == target && d["verdict"] != 1 {
-			t.Fatalf("Tail served stale pre-update doc: %v", d)
+// fieldValues reads one field across the documents matching filter, in
+// insertion order, skipping documents that lack it.
+func fieldValues(c *Collection, filter Doc, field string) ([]any, error) {
+	docs, err := c.Find(filter)
+	var out []any
+	for _, d := range docs {
+		if v, ok := lookup(d, field); ok {
+			out = append(out, v)
 		}
 	}
-	// UpdateMany must invalidate identically.
-	c.Tail(10)
-	if _, err := c.UpdateMany([]UpdateOp{{Filter: Doc{"ts": target}, Set: Doc{"verdict": 2}}}); err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range c.Tail(10) {
-		if d["ts"].(float64) == target && d["verdict"] != 2 {
-			t.Fatalf("Tail served stale doc after UpdateMany: %v", d)
-		}
-	}
+	return out, err
 }
 
-// TestCoherenceDeleteThenFieldValues: prime a per-device field-values
-// snapshot, delete some of its documents, and require the next read
-// to reflect the deletion — a Delete outside the seq discipline would
-// keep serving the deleted docs' values from the cache.
+// tailDocs reads the n most recent documents back through TailRows: one
+// Doc per row, holding _id and those of the named fields it carries.
+func tailDocs(c *Collection, n int, fields ...string) []Doc {
+	rows := c.NewRows(fields...)
+	c.TailRows(n, rows)
+	out := make([]Doc, rows.Len())
+	for i := range out {
+		out[i] = Doc{"_id": rows.ids[i]}
+		for j, cell := range rows.Row(i) {
+			if cell.Present() {
+				out[i][fields[j]] = cell.value()
+			}
+		}
+	}
+	return out
+}
+
+// TestCoherenceDeleteThenFieldValues: prime a per-device cached
+// histogram, delete some of its documents, and require the next ask —
+// and a plain scan of the values — to reflect the deletion: a Delete
+// that failed to invalidate would keep serving the deleted docs' counts
+// from the partial.
 func TestCoherenceDeleteThenFieldValues(t *testing.T) {
 	c := optimisticCollection(t, 2)
 	for i := 0; i < 40; i++ {
 		c.Insert(Doc{"deviceMac": "mac-a", "ts": float64(i)})
 	}
 	filter := Doc{"deviceMac": "mac-a"}
-	c.FieldValues(filter, "ts")
-	before, err := c.FieldValues(filter, "ts") // snapshot-served
+	hist := Bucket{Field: "ts", Width: 10}
+	c.Aggregate(filter, hist)
+	before, err := c.Aggregate(filter, hist) // served from the partial
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(before) != 40 {
-		t.Fatalf("prime read: %d values", len(before))
+	if len(before) != 4 {
+		t.Fatalf("prime read: %d bars", len(before))
 	}
 	n, err := c.Delete(Doc{"deviceMac": "mac-a", "ts": map[string]any{"$gte": 30.0}})
 	if err != nil || n != 10 {
 		t.Fatalf("delete: n=%d err=%v", n, err)
 	}
-	after, err := c.FieldValues(filter, "ts")
+	bars, err := c.Aggregate(filter, hist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bars) != 3 {
+		t.Fatalf("histogram has %d bars after delete, want 3 (stale partial?): %v", len(bars), bars)
+	}
+	after, err := fieldValues(c, filter, "ts")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(after) != 30 {
-		t.Fatalf("FieldValues served %d values after delete, want 30 (stale snapshot?)", len(after))
+		t.Fatalf("scan served %d values after delete, want 30", len(after))
 	}
 	for _, v := range after {
 		if v.(float64) >= 30.0 {
-			t.Fatalf("FieldValues served deleted doc's value %v", v)
+			t.Fatalf("scan served deleted doc's value %v", v)
 		}
 	}
 }
 
-// TestCoherenceIndexDDL: CreateIndex and DropIndex rebuild index
-// shards under the write lock but move no row, so a cached partial
-// stays valid across them — the standing query is served, not
-// recomputed — while what it folds next comes through the new index
-// (or, once dropped, without it) and must still be right.
+// TestCoherenceIndexDDL: CreateIndex builds index shards under the
+// write lock but moves no row, so a cached partial stays valid across
+// it — the standing query is served, not recomputed — while what it
+// folds next comes through the new index and must still be right.
 func TestCoherenceIndexDDL(t *testing.T) {
 	c := optimisticCollection(t, 2)
 	for i := 0; i < 20; i++ {
@@ -113,18 +112,13 @@ func TestCoherenceIndexDDL(t *testing.T) {
 	c.Insert(Doc{"deviceMac": "mac-a", "ts": 20.0, "zip": "1011"})
 	c.Insert(Doc{"deviceMac": "mac-a", "ts": 21.0, "zip": "2022"})
 	ask(21) // the advance reads the index's posting list from the mark on
-	if err := c.DropIndex("zip"); err != nil {
-		t.Fatal(err)
-	}
-	c.Insert(Doc{"deviceMac": "mac-a", "ts": 22.0, "zip": "1011"})
-	ask(22)
 	if st := c.AggPartialStats(); st.Recomputed != before.Recomputed {
 		t.Fatalf("index DDL cost %d recomputed partials, want 0", st.Recomputed-before.Recomputed)
 	}
 	// Reads after the DDL still observe current data.
-	got, err := c.FieldValues(Doc{"deviceMac": "mac-a"}, "ts")
-	if err != nil || len(got) != 23 {
-		t.Fatalf("FieldValues after DDL: %d values err=%v", len(got), err)
+	got, err := fieldValues(c, Doc{"deviceMac": "mac-a"}, "ts")
+	if err != nil || len(got) != 22 {
+		t.Fatalf("scan after DDL: %d values err=%v", len(got), err)
 	}
 }
 
@@ -135,12 +129,13 @@ func TestCoherenceIndexDDL(t *testing.T) {
 func TestCoherenceHammer(t *testing.T) {
 	c := optimisticCollection(t, 2)
 	for i := 0; i < 50; i++ {
-		c.Insert(Doc{"deviceMac": "mac-a", "ts": float64(i), "live": true})
+		c.Insert(Doc{"deviceMac": "mac-a", "ts": float64(i)})
 	}
+	c.SetRetention("ts", time.Hour)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { // writer: churn updates and deletes on one device
+	go func() { // writer: churn inserts, deletes and retention prunes on one device
 		defer wg.Done()
 		i := 50
 		for {
@@ -149,15 +144,17 @@ func TestCoherenceHammer(t *testing.T) {
 				return
 			default:
 			}
-			c.Insert(Doc{"deviceMac": "mac-a", "ts": float64(i), "live": true})
-			c.Update(Doc{"ts": float64(i - 25)}, Doc{"live": false})
-			c.Delete(Doc{"ts": float64(i - 40)})
+			c.Insert(Doc{"deviceMac": "mac-a", "ts": float64(i)})
+			if i%2 == 0 {
+				c.Delete(Doc{"ts": float64(i - 40)})
+			}
+			c.PruneExpired(time.Unix(int64(i-45), 0).Add(time.Hour)) // what the deletes left below ts i-45
 			i++
 		}
 	}()
 	filter := Doc{"deviceMac": "mac-a"}
 	for r := 0; r < 2000; r++ {
-		vals, err := c.FieldValues(filter, "ts")
+		vals, err := fieldValues(c, filter, "ts")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,10 +166,10 @@ func TestCoherenceHammer(t *testing.T) {
 			}
 			seen[ts] = true
 		}
-		tail := c.Tail(8)
+		tail := tailDocs(c, 8, "ts")
 		for j := 1; j < len(tail); j++ {
 			if tail[j]["_id"].(int64) <= tail[j-1]["_id"].(int64) {
-				t.Fatalf("Tail out of insertion order: %v", tail)
+				t.Fatalf("TailRows out of insertion order: %v", tail)
 			}
 		}
 	}

@@ -124,7 +124,7 @@ func TestCrashRecoveryHammer(t *testing.T) {
 		}
 		col := db.Collection("alarms")
 		seen := make(map[int]bool, col.Len())
-		for _, d := range col.Tail(0) {
+		for _, d := range tailDocs(col, 0, "seq") {
 			if s, ok := d["seq"].(int); ok {
 				seen[s] = true
 			}

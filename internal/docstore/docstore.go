@@ -20,17 +20,25 @@
 // collection-wide mutex. A collection may declare a shard key (the
 // history uses the device address); documents then route by the hash
 // of that field, and queries that pin the shard key by equality touch
-// exactly one partition. SetSimulatedRTT emulates remote partition servers: every
-// partition round-trip sleeps while holding that partition's lock,
-// and multi-partition operations fan out concurrently, so the
-// partition count is a measurable throughput knob even on one CPU.
+// exactly one partition.
+//
+// The API is the one the pipeline calls — append (Insert, InsertMany,
+// InsertRows), age out (SetRetention → PruneExpired → Delete), read
+// back (BucketCounts, GroupCounts, TailRows, Aggregate, Find) — plus
+// the durability surface of durable.go. There is no update, no
+// dump/restore, no index or collection drop, and no latency model
+// inside the engine (the overload experiment's simulated round-trip is
+// core.History's, around the store). Kept on purpose although no
+// production path calls them: Get and Count (how the crash, durable and
+// equivalence batteries observe stored state), the one-line accessors,
+// and boxed cells with dotted paths (the paper's schema-flexibility
+// argument, above).
 package docstore
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"runtime"
 	"sort"
 	"strings"
@@ -44,9 +52,6 @@ var (
 	ErrNotFound         = errors.New("docstore: document not found")
 	ErrBadFilter        = errors.New("docstore: malformed filter")
 	ErrIndexExists      = errors.New("docstore: index already exists")
-	ErrIndexAbsent      = errors.New("docstore: no such index")
-	ErrCollectionAbsent = errors.New("docstore: unknown collection")
-	ErrShardKey         = errors.New("docstore: shard-key field is immutable")
 	ErrShardKeyMismatch = errors.New("docstore: collection exists with a different shard key")
 )
 
@@ -139,45 +144,6 @@ func (db *DB) collection(name, key string, wantKey bool) (*Collection, error) {
 	return c, nil
 }
 
-// Drop removes a collection and its documents — on a durable database
-// its on-disk files too. Dropping a collection other goroutines are
-// still writing to is caller misuse (their appends land in closed
-// logs and surface as a sticky error).
-func (db *DB) Drop(name string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	c, ok := db.collections[name]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrCollectionAbsent, name)
-	}
-	delete(db.collections, name)
-	if c.dur != nil {
-		for _, p := range c.parts {
-			if w := p.wal.Load(); w != nil {
-				if err := w.close(); err != nil {
-					db.dur.noteErr(err)
-				}
-			}
-		}
-		if err := os.RemoveAll(c.dur.dir); err != nil {
-			return fmt.Errorf("docstore: drop %s: %w", name, err)
-		}
-	}
-	return nil
-}
-
-// Collections lists collection names.
-func (db *DB) Collections() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]string, 0, len(db.collections))
-	for n := range db.collections {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Collection stores documents addressed by an auto-assigned int64 _id,
 // hash-partitioned so operations on different partitions proceed in
 // parallel.
@@ -188,10 +154,6 @@ type Collection struct {
 	dict     *fieldDict
 	parts    []*partition
 	nextID   atomic.Int64
-	// rttNanos, when non-zero, is slept once per partition round-trip
-	// while holding that partition's lock, emulating remote partition
-	// servers; multi-partition operations then fan out concurrently.
-	rttNanos atomic.Int64
 
 	// idxMu serializes index DDL; idxFields is the collection-level
 	// registry (each partition holds the authoritative shard).
@@ -240,27 +202,6 @@ func (c *Collection) ShardKey() string { return c.shardKey }
 
 // NumPartitions returns how many partitions the collection spans.
 func (c *Collection) NumPartitions() int { return len(c.parts) }
-
-// SetSimulatedRTT makes every partition round-trip take at least d,
-// held under that partition's lock — emulating the network latency of
-// the remote document store in the paper's deployment (§4.3) at
-// per-partition granularity. Multi-partition operations fan out
-// concurrently while a RTT is configured, so more partitions mean
-// more overlapped round-trips. Zero (the default) disables the
-// simulation. Safe to call concurrently with any operation.
-func (c *Collection) SetSimulatedRTT(d time.Duration) { c.rttNanos.Store(int64(d)) }
-
-// simulateRTT stalls for the configured remote round-trip. It runs
-// inside partition critical sections on purpose: the sleep models the
-// paper's remote document store, whose latency IS the time the
-// partition is busy serving one operation.
-//
-//alarmvet:ignore the sleep under the partition lock is the modeled remote round-trip (SetSimulatedRTT)
-func (c *Collection) simulateRTT() {
-	if d := c.rttNanos.Load(); d > 0 {
-		time.Sleep(time.Duration(d))
-	}
-}
 
 // Len returns the number of stored documents. It is lock-free: each
 // partition maintains an atomic document count, so monitoring paths
@@ -319,53 +260,21 @@ func (c *Collection) targetRange(f *filter) (lo, hi int) {
 }
 
 // forEach runs fn over the partitions of [lo, hi) that busy selects
-// (nil: all of them): sequentially for the in-process store,
-// concurrently (one goroutine per partition) when a simulated
-// round-trip is configured and more than one partition has work — the
-// fan-out a client of a real partitioned store would perform. Every
-// partition runs to completion in both modes (an error in one
-// partition does not spare the others their side effects — identical
-// stored state whatever the RTT knob), and the first error in
-// partition order is returned. The sequential mode sets up nothing:
-// it is what every per-batch sweep of the in-process store runs.
+// (nil: all of them), in partition order. Every partition runs to
+// completion (an error in one partition does not spare the others
+// their side effects), and the first error in partition order is
+// returned. It sets up nothing: it is what every per-batch sweep runs.
 func (c *Collection) forEach(lo, hi int, busy func(pi int) bool, fn func(pi int, p *partition) error) error {
-	n := 0
-	for pi := lo; pi < hi; pi++ {
-		if busy == nil || busy(pi) {
-			n++
-		}
-	}
-	if n <= 1 || c.rttNanos.Load() == 0 {
-		var first error
-		for pi := lo; pi < hi; pi++ {
-			if busy != nil && !busy(pi) {
-				continue
-			}
-			if err := fn(pi, c.parts[pi]); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
-	errs := make([]error, hi-lo)
-	var wg sync.WaitGroup
+	var first error
 	for pi := lo; pi < hi; pi++ {
 		if busy != nil && !busy(pi) {
 			continue
 		}
-		wg.Add(1)
-		go func(pi int) {
-			defer wg.Done()
-			errs[pi-lo] = fn(pi, c.parts[pi])
-		}(pi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+		if err := fn(pi, c.parts[pi]); err != nil && first == nil {
+			first = err
 		}
 	}
-	return nil
+	return first
 }
 
 // Insert stores a copy of doc and returns its assigned _id. On a
@@ -452,15 +361,14 @@ func (c *Collection) InsertRows(rows *Rows) int64 {
 }
 
 // insertShare stores partition pi's share of the batch, under one write
-// lock and one simulated round-trip.
+// lock.
 //
 //alarmvet:hotpath
 func (r *Rows) insertShare(pi int, p *partition) error {
 	c, base := r.ins.c, r.ins.base
 	group := r.order[r.starts[pi+1]:r.starts[pi+2]]
-	p.writeLock()
-	defer p.writeUnlock()
-	c.simulateRTT()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	for _, i := range group {
 		slots, cells := r.row(int(i))
 		p.appendRowLocked(base+int64(i), slots, cells)
@@ -479,7 +387,7 @@ func (r *Rows) insertShare(pi int, p *partition) error {
 func (c *Collection) Get(id int64) (Doc, error) {
 	// Under id routing the owning partition is known; under shard-key
 	// routing the id alone does not name it, so probe (a miss is a
-	// binary search and charges no simulated round-trip).
+	// binary search).
 	probe := c.parts
 	if c.shardKey == "" {
 		i := uint64(id) % uint64(len(c.parts))
@@ -490,7 +398,6 @@ func (c *Collection) Get(id int64) (Doc, error) {
 		r, ok := p.rowOf(id)
 		var out Doc
 		if ok {
-			c.simulateRTT()
 			out = p.doc(r)
 		}
 		p.mu.RUnlock()
@@ -499,13 +406,6 @@ func (c *Collection) Get(id int64) (Doc, error) {
 		}
 	}
 	return nil, fmt.Errorf("%w: _id=%d", ErrNotFound, id)
-}
-
-// FindOptions controls Find result shaping.
-type FindOptions struct {
-	Sort  string // field path; prefix with "-" for descending
-	Limit int    // 0 = unlimited
-	Skip  int
 }
 
 // match pairs a matched row's document with its id so cross-partition
@@ -535,41 +435,12 @@ func mergeByID(results [][]match) []match {
 	return all
 }
 
-// Tail returns copies of the n most recently inserted documents, in
-// insertion order (the oldest of the tail first). Unlike Find with a
-// sort, it reads only each partition's last n rows, so the cost is
-// bounded by n × partitions however large the collection has grown.
-// n <= 0 returns every document.
-func (c *Collection) Tail(n int) []Doc {
-	var rows Rows
-	names := c.dict.fieldNames()
-	for {
-		rows.slots = rows.slots[:0]
-		for s := range names {
-			rows.slots = append(rows.slots, s)
-		}
-		c.TailRows(n, &rows)
-		if grown := c.dict.fieldNames(); len(grown) != len(names) {
-			names = grown // a writer added a field mid-read: read again, whole
-			continue
-		}
-		break
-	}
-	out := make([]Doc, rows.n)
-	for i := range out {
-		out[i] = Doc{"_id": rows.ids[i]}
-		for s, cell := range rows.Row(i) {
-			if cell.Present() {
-				out[i][names[s]] = cell.value()
-			}
-		}
-	}
-	return out
-}
-
-// TailRows is Tail for typed readers: it fills rows (a batch from
-// NewRows, emptied first) with the fields of the n most recently
-// inserted documents, oldest first, without building a document.
+// TailRows fills rows (a batch from NewRows, emptied first) with the
+// fields of the n most recently inserted documents, in insertion order
+// (the oldest of the tail first), without building a document. It
+// reads only each partition's last n rows, so the cost is bounded by
+// n × partitions however large the collection has grown. n <= 0 returns
+// every document.
 func (c *Collection) TailRows(n int, rows *Rows) {
 	rows.Reset()
 	w := len(rows.slots)
@@ -581,7 +452,6 @@ func (c *Collection) TailRows(n int, rows *Rows) {
 	c.forEach(0, len(c.parts), nil, func(i int, p *partition) error {
 		p.mu.RLock()
 		defer p.mu.RUnlock()
-		c.simulateRTT()
 		lo, hi := 0, len(p.ids)
 		if n > 0 && hi > n {
 			lo = hi - n
@@ -618,41 +488,9 @@ func (c *Collection) TailRows(n int, rows *Rows) {
 }
 
 // Find returns copies of all documents matching filter, in insertion
-// order unless opts.Sort is set.
-func (c *Collection) Find(filter Doc, opts ...FindOptions) ([]Doc, error) {
-	var opt FindOptions
-	if len(opts) > 0 {
-		opt = opts[0]
-	}
-	out, err := c.Aggregate(filter) // no stages: a filtered scan, merged into id order
-	if err != nil {
-		return nil, err
-	}
-	if opt.Sort != "" {
-		out, _ = SortStage{Field: opt.Sort}.apply(out)
-	}
-	if opt.Skip > 0 {
-		if opt.Skip >= len(out) {
-			return nil, nil
-		}
-		out = out[opt.Skip:]
-	}
-	if opt.Limit > 0 && len(out) > opt.Limit {
-		out = out[:opt.Limit]
-	}
-	return out, nil
-}
-
-// FindOne returns the first matching document.
-func (c *Collection) FindOne(filter Doc) (Doc, error) {
-	docs, err := c.Find(filter, FindOptions{Limit: 1})
-	if err != nil {
-		return nil, err
-	}
-	if len(docs) == 0 {
-		return nil, ErrNotFound
-	}
-	return docs[0], nil
+// order.
+func (c *Collection) Find(filter Doc) ([]Doc, error) {
+	return c.Aggregate(filter) // no stages: a filtered scan, merged into id order
 }
 
 // Count returns the number of matching documents.
@@ -666,7 +504,6 @@ func (c *Collection) Count(filter Doc) (int, error) {
 	err := c.forEach(lo, hi, nil, func(i int, p *partition) error {
 		p.mu.RLock()
 		defer p.mu.RUnlock()
-		c.simulateRTT()
 		return p.forEachMatch(f, 0, func(int) { counts[i]++ })
 	})
 	if err != nil {
@@ -679,143 +516,24 @@ func (c *Collection) Count(filter Doc) (int, error) {
 	return n, nil
 }
 
-// checkShardKeySet rejects updates that would move a document between
-// partitions: the shard key is immutable, as in real partitioned
-// stores.
-func (c *Collection) checkShardKeySet(set Doc) error {
-	if c.shardKey == "" {
-		return nil
-	}
-	for k := range set {
-		if k == c.shardKey || strings.HasPrefix(c.shardKey, k+".") ||
-			strings.HasPrefix(k, c.shardKey+".") {
-			return fmt.Errorf("%w: %s", ErrShardKey, k)
-		}
-	}
-	return nil
-}
-
-// Update applies set to all documents matching filter and returns how
-// many documents changed. Writing the shard-key field is an error
-// (ErrShardKey): it would require moving documents across partitions.
-func (c *Collection) Update(filter Doc, set Doc) (int, error) {
-	return c.UpdateMany([]UpdateOp{{Filter: filter, Set: set}})
-}
-
-// UpdateOp is one filter/set pair of a batched update.
-type UpdateOp struct {
-	Filter Doc
-	Set    Doc
-}
-
-// UpdateMany applies a batch of update operations, acquiring each
-// partition's lock once for the whole batch (operations pinned to one
-// partition by a shard-key equality only visit that partition).
-// Returns the total number of documents changed.
-func (c *Collection) UpdateMany(ops []UpdateOp) (int, error) {
-	ms := make([]mutation, len(ops))
-	for i, op := range ops {
-		if err := c.checkShardKeySet(op.Set); err != nil {
-			return 0, err
-		}
-		if ms[i] = (mutation{filter: op.Filter, set: op.Set}); op.Set == nil {
-			ms[i].set = Doc{}
-		}
-	}
-	return c.mutate(ms)
-}
-
 // Delete removes all matching documents and returns how many were
-// removed.
+// removed. Each touched partition's lock is taken once, and a partition
+// that lost rows logs the delete to its WAL under that lock.
 func (c *Collection) Delete(filter Doc) (int, error) {
-	return c.mutate([]mutation{{filter: filter}})
-}
-
-// mutation is one filter-shaped write: an update, or with a nil set a
-// delete.
-type mutation struct {
-	filter, set Doc
-	f           *filter // filter, compiled once for every partition
-}
-
-// mutate applies the mutations partition by partition — each touched
-// partition's lock taken once — and logs every one that changed
-// something to the partition's WAL under that lock.
-func (c *Collection) mutate(ms []mutation) (int, error) {
-	forPart := make([][]mutation, len(c.parts))
-	for _, m := range ms {
-		m.f = compileFilter(c.dict, m.filter)
-		lo, hi := c.targetRange(m.f)
-		for i := lo; i < hi; i++ {
-			forPart[i] = append(forPart[i], m)
+	f := compileFilter(c.dict, filter)
+	lo, hi := c.targetRange(f)
+	total := 0
+	err := c.forEach(lo, hi, nil, func(_ int, p *partition) error {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		n, err := p.deleteLocked(f)
+		total += n
+		if w := p.wal.Load(); n > 0 && w != nil {
+			w.appendOp(walOp{Op: "del", Filter: encodeValue(filter)}, c.syncEveryAppend())
 		}
-	}
-	counts := make([]int, len(c.parts))
-	touched := func(pi int) bool { return len(forPart[pi]) > 0 }
-	err := c.forEach(0, len(c.parts), touched, func(i int, p *partition) error {
-		p.writeLock()
-		defer p.writeUnlock()
-		c.simulateRTT()
-		for _, m := range forPart[i] {
-			var n int
-			var err error
-			if m.set == nil {
-				n, err = p.deleteLocked(m.f)
-			} else {
-				n, err = p.updateLocked(m.f, m.set)
-			}
-			counts[i] += n
-			if w := p.wal.Load(); n > 0 && w != nil {
-				op := walOp{Op: "del", Filter: encodeValue(m.filter)}
-				if m.set != nil {
-					op.Op, op.Set = "upd", encodeValue(m.set)
-				}
-				w.appendOp(op, c.syncEveryAppend())
-			}
-			if err != nil {
-				return err
-			}
-		}
-		return nil
+		return err
 	})
-	n := 0
-	for _, cnt := range counts {
-		n += cnt
-	}
-	return n, err
-}
-
-// FieldValues returns the value of one field across all documents
-// matching filter, in insertion order, skipping documents lacking the
-// field — a one-field projection, so whole documents are never built.
-func (c *Collection) FieldValues(filter Doc, field string) ([]any, error) {
-	out, err := c.FieldValuesMulti([]Doc{filter}, field)
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
-}
-
-// FieldValuesMulti answers many FieldValues queries in one store sweep
-// (AggregateMulti over a one-field Project): result i holds the values
-// of field across the documents matching filters[i]. Filters pinned to
-// one partition by a shard-key equality only visit that partition, and
-// each touched partition's lock and simulated round-trip are paid once
-// for the whole batch.
-func (c *Collection) FieldValuesMulti(filters []Doc, field string) ([][]any, error) {
-	docs, err := c.AggregateMulti(filters, Project{Fields: []string{field}})
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]any, len(filters))
-	for i, matched := range docs {
-		for _, d := range matched {
-			if v, ok := lookup(d, field); ok {
-				out[i] = append(out[i], v)
-			}
-		}
-	}
-	return out, nil
+	return total, err
 }
 
 // cloneValues deep-copies a value slice (scalars copy by assignment).

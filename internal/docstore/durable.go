@@ -586,13 +586,13 @@ func (c *Collection) checkpointPartition(pi int) error {
 	if err != nil {
 		return err
 	}
-	p.writeLock()
+	p.mu.Lock()
 	old := p.wal.Load()
 	p.wal.Store(neww)
 	p.walEpoch = newEpoch
 	snap := p.copyLocked()
 	nextID := c.nextID.Load()
-	p.writeUnlock()
+	p.mu.Unlock()
 	// Close (flush + fsync) the rotated-out log before publishing the
 	// snapshot that supersedes it: its frames must be durable in case
 	// the snapshot write below crashes halfway.
@@ -885,15 +885,14 @@ func loadSnapshot(p *partition, path string, maxID *int64) (int64, error) {
 }
 
 // replayFrame applies one logged frame to a recovering partition: a
-// row frame appends its rows, a JSON frame replays its update or
-// delete.
+// row frame appends its rows, a JSON frame replays its delete.
 func replayFrame(p *partition, dec *rowDecoder, payload []byte, maxID *int64) error {
 	if payload[0] != frameRows {
 		var op walOp
 		if json.Unmarshal(payload, &op) != nil {
 			return errBadFrame
 		}
-		op.Filter, op.Set = decodeValue(op.Filter), decodeValue(op.Set)
+		op.Filter = decodeValue(op.Filter)
 		return p.applyLocked(op)
 	}
 	rows := raggedPool.Get().(*Rows)

@@ -1,6 +1,7 @@
 package docstore
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -45,9 +46,6 @@ func TestDurableRoundTrip(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		col.Insert(Doc{"deviceMac": "dd:ee:ff", "zip": "2000", "n": float64(i)})
 	}
-	if n, err := col.Update(Doc{"zip": "2000", "n": 3.0}, Doc{"upd": true}); err != nil || n != 1 {
-		t.Fatalf("update: n=%d err=%v", n, err)
-	}
 	if n, err := col.Delete(Doc{"zip": "2000", "n": 4.0}); err != nil || n != 1 {
 		t.Fatalf("delete: n=%d err=%v", n, err)
 	}
@@ -78,10 +76,7 @@ func TestDurableRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("recovered doc mismatch:\n got %#v\nwant %#v", got, want)
 	}
-	if vals, err := col2.FieldValues(Doc{"upd": true}, "n"); err != nil || len(vals) != 1 || vals[0] != 3.0 {
-		t.Fatalf("update not recovered: vals=%v err=%v", vals, err)
-	}
-	if docs, err := col2.Find(Doc{"n": 4.0}, FindOptions{}); err != nil || len(docs) != 0 {
+	if docs, err := col2.Find(Doc{"n": 4.0}); err != nil || len(docs) != 0 {
 		t.Fatalf("deleted doc resurrected: %v err=%v", docs, err)
 	}
 	// The id watermark must continue past everything ever assigned.
@@ -233,6 +228,72 @@ func TestDurableTruncatedSnapshotFailsLoudly(t *testing.T) {
 	}
 }
 
+// TestRecoveryRefusesUnknownOp: a CRC-valid frame carrying an op this
+// store does not write (the "upd" frames older builds logged) is not a
+// torn tail. Recovery must fail naming the op, and leave the log as it
+// found it, rather than truncate away the frames behind it.
+func TestRecoveryRefusesUnknownOp(t *testing.T) {
+	dir := t.TempDir()
+	opts := DurableOptions{Partitions: 1, SyncInterval: -1, CheckpointInterval: -1}
+	db, err := OpenDB(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Collection("a").Insert(Doc{"n": 1.0})
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// By hand, behind the valid row frame: the foreign op, then another
+	// valid row frame.
+	path := filepath.Join(dir, "a", "p0-1.wal")
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(frameOf([]byte(`{"op":"upd","filter":{"n":1},"set":{"n":2}}`))); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w, err := openWALWriter(path, func(err error) { t.Error(err) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	dict := new(fieldDict)
+	rows := &Rows{slots: []int{dict.slot("n")}}
+	rows.Next()[0] = Float(3)
+	w.appendRows(true, dict, rows, []int32{0}, 1)
+	if err := w.close(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	db2, err := OpenDB(dir, opts)
+	if err == nil {
+		db2.Close()
+		t.Fatal("OpenDB replayed a log holding an op it does not understand")
+	}
+	if !strings.Contains(err.Error(), `unknown wal op "upd"`) {
+		t.Fatalf("OpenDB failed with %q, want it to name the op", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Fatalf("refused log was rewritten: %d bytes, was %d", len(after), len(before))
+	}
+	// The refusal released the directory: a second attempt fails the
+	// same way, not with ErrLocked.
+	if _, err := OpenDB(dir, opts); err == nil || errors.Is(err, ErrLocked) {
+		t.Fatalf("second OpenDB: %v", err)
+	}
+}
+
 func TestDurableSnapshotNewerThanWAL(t *testing.T) {
 	dir := t.TempDir()
 	db, err := OpenDB(dir, DurableOptions{Partitions: 1, SyncInterval: -1, CheckpointInterval: -1})
@@ -269,7 +330,7 @@ func TestDurableSnapshotNewerThanWAL(t *testing.T) {
 	if n := col.Len(); n != 1 {
 		t.Fatalf("Len=%d, want 1 (stale WAL must not replay)", n)
 	}
-	if docs, _ := col.Find(Doc{"stale": true}, FindOptions{}); len(docs) != 0 {
+	if docs, _ := col.Find(Doc{"stale": true}); len(docs) != 0 {
 		t.Fatalf("stale WAL op replayed over newer snapshot: %v", docs)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "a", "p0-1.wal")); !errors.Is(err, os.ErrNotExist) {
@@ -314,7 +375,7 @@ func TestDurableEmptyDataDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := db.Collections(); len(got) != 0 {
+	if got := db.snapshotCollections(); len(got) != 0 {
 		t.Fatalf("fresh dir recovered collections: %v", got)
 	}
 	if db.DataDir() != dir {
@@ -374,7 +435,7 @@ func TestDurableRetention(t *testing.T) {
 	if n := col.Len(); n != 10 {
 		t.Fatalf("Len=%d after retention checkpoint, want 10", n)
 	}
-	if docs, _ := col.Find(Doc{"age": "old"}, FindOptions{}); len(docs) != 0 {
+	if docs, _ := col.Find(Doc{"age": "old"}); len(docs) != 0 {
 		t.Fatalf("expired docs survived: %d", len(docs))
 	}
 	if err := db.Close(); err != nil {
@@ -447,7 +508,7 @@ func TestDurableConcurrentWritesWithBackgroundLoops(t *testing.T) {
 				case 1:
 					col.InsertMany([]Doc{{"mac": w, "i": i}, {"mac": w, "i": i, "b": true}})
 				default:
-					col.Update(Doc{"mac": w, "i": i - 1}, Doc{"seen": true})
+					col.Delete(Doc{"mac": w, "i": i - 1})
 				}
 			}
 		}(w)
@@ -464,25 +525,6 @@ func TestDurableConcurrentWritesWithBackgroundLoops(t *testing.T) {
 	defer db2.Close()
 	if got := db2.Collection("alarms").Len(); got != want {
 		t.Fatalf("recovered Len=%d, want %d", got, want)
-	}
-}
-
-func TestDurableDropRemovesFiles(t *testing.T) {
-	dir := t.TempDir()
-	db, err := OpenDB(dir, fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	db.Collection("gone").Insert(Doc{"x": 1})
-	if err := db.Drop("gone"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "gone")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("dropped collection directory still on disk")
-	}
-	if err := db.Sync(); err != nil {
-		t.Fatalf("sync after drop: %v", err)
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 // index is one partition's shard of a secondary index over a field
 // path. It keeps a hash map from key to the rows holding it (ascending
 // row numbers) for equality lookups and a sorted key list for range
-// scans; both are maintained incrementally on insert/update under the
-// owning partition's lock and rebuilt when rows move (delete, re-sort).
+// scans; both are maintained incrementally on insert under the owning
+// partition's lock and rebuilt when rows move (delete, re-sort).
 type index struct {
 	field string
 	ref   fieldRef
@@ -69,10 +69,12 @@ func (k indexKey) less(o indexKey) bool {
 func (c *Collection) CreateIndex(field string) error {
 	c.idxMu.Lock()
 	defer c.idxMu.Unlock()
-	if err := c.addIndexLocked(field); err != nil {
+	if err := c.addIndexLocked(field); err != nil || c.dur == nil {
 		return err
 	}
-	return c.persistMetaLocked()
+	// idxMu is held, so the index list is read inline instead of
+	// through Indexes().
+	return c.dur.writeMeta(c.metaSnapshot(c.indexesLocked()))
 }
 
 // addIndex builds the index without touching meta.json — the recovery
@@ -88,41 +90,14 @@ func (c *Collection) addIndexLocked(field string) error {
 		return fmt.Errorf("%w: %s", ErrIndexExists, field)
 	}
 	for _, p := range c.parts {
-		p.writeLock()
+		p.mu.Lock()
 		idx := &index{field: field, ref: c.dict.ref(field)}
 		idx.rebuildLocked(p)
 		p.indexes[field] = idx
-		p.writeUnlock()
+		p.mu.Unlock()
 	}
 	c.idxFields[field] = struct{}{}
 	return nil
-}
-
-// DropIndex removes the index over the given field path from every
-// partition. Queries fall back to partition scans.
-func (c *Collection) DropIndex(field string) error {
-	c.idxMu.Lock()
-	defer c.idxMu.Unlock()
-	if _, ok := c.idxFields[field]; !ok {
-		return fmt.Errorf("%w: %s", ErrIndexAbsent, field)
-	}
-	for _, p := range c.parts {
-		p.writeLock()
-		delete(p.indexes, field)
-		p.writeUnlock()
-	}
-	delete(c.idxFields, field)
-	return c.persistMetaLocked()
-}
-
-// persistMetaLocked rewrites the durable collection's meta.json after
-// an index DDL change. Caller holds idxMu, so the index list is read
-// inline instead of through Indexes().
-func (c *Collection) persistMetaLocked() error {
-	if c.dur == nil {
-		return nil
-	}
-	return c.dur.writeMeta(c.metaSnapshot(c.indexesLocked()))
 }
 
 // Indexes returns the indexed field paths.
@@ -150,31 +125,7 @@ func (x *index) add(p *partition, r int) {
 	if !existed {
 		x.dirty = true
 	}
-	if n := len(rows); n == 0 || rows[n-1] < int32(r) {
-		x.eq[k] = append(rows, int32(r))
-		return
-	}
-	// An update re-adds a row in the middle: keep the list ascending.
-	i, _ := slices.BinarySearch(rows, int32(r))
-	x.eq[k] = slices.Insert(rows, i, int32(r))
-}
-
-func (x *index) remove(p *partition, r int) {
-	k, ok := keyForCell(p.cell(r, x.ref))
-	if !ok {
-		return
-	}
-	rows := x.eq[k]
-	for i, e := range rows {
-		if int(e) == r {
-			x.eq[k] = append(rows[:i], rows[i+1:]...)
-			break
-		}
-	}
-	if len(x.eq[k]) == 0 {
-		delete(x.eq, k)
-		x.dirty = true
-	}
+	x.eq[k] = append(rows, int32(r)) // rows are added in ascending order: the list stays sorted
 }
 
 // rebuildLocked re-derives the shard from the partition's rows.

@@ -22,17 +22,15 @@ import (
 // lazy, on the reader.
 //
 // A cached partial is folded again from row 0 only when something
-// other than a tail append touched a row below its mark. There are
-// three such writes, and they pass through two primitives
-// (partition.go):
+// other than a tail append touched a row below its mark. There are two
+// such writes, and they pass through one primitive (partition.go):
 //
 //   - an out-of-order batch merged back into id order
 //     (restoreOrderLocked → gatherLocked),
 //   - a delete, a retention prune included (deleteLocked → gatherLocked),
-//   - an update (updateLocked),
 //
-// each of which marks stale the partials whose mark lies past the first
-// row it rewrites (invalidatePartialsLocked). Index DDL moves no row
+// which marks stale the partials whose mark lies past the first row it
+// rewrites (invalidatePartialsLocked). Creating an index moves no row
 // and leaves the partials alone.
 //
 // Readers hold the partition's read lock for the whole of an ask, share
@@ -41,12 +39,6 @@ import (
 // readers of one signature never see each other's folds half-done. A
 // writer holds the partition's write lock, which keeps every reader
 // out, and needs neither.
-
-// writeLock and writeUnlock bracket a write section: the one named way
-// into mutating a partition, which alarmvet's seqver keys on.
-func (p *partition) writeLock() { p.mu.Lock() }
-
-func (p *partition) writeUnlock() { p.mu.Unlock() }
 
 // aggCacheBound caps the per-partition partial cache; at the bound an
 // arbitrary entry is evicted (the working set of repeating analytics

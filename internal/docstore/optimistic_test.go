@@ -16,54 +16,6 @@ func optimisticCollection(t *testing.T, parts int) *Collection {
 	return c
 }
 
-// TestFieldValuesMultiMatchesSingle pins the batched query's contract:
-// for any mix of pruneable and unpruneable filters, result i equals
-// what FieldValues(filters[i], field) returns.
-func TestFieldValuesMultiMatchesSingle(t *testing.T) {
-	c := optimisticCollection(t, 4)
-	for i := 0; i < 240; i++ {
-		c.Insert(Doc{
-			"deviceMac": fmt.Sprintf("mac-%02d", i%12),
-			"zip":       fmt.Sprintf("%04d", 8000+i%5),
-			"ts":        float64(1000 + i),
-		})
-	}
-	filters := []Doc{
-		{"deviceMac": "mac-03"},
-		{"deviceMac": "mac-03", "ts": map[string]any{"$gte": 1100.0}},
-		{"deviceMac": "mac-07"},
-		{"deviceMac": "mac-absent"},
-		{"zip": "8002"},                                // unpruneable: every partition
-		{"ts": map[string]any{"$lt": 1050.0}},          // unpruneable range
-		{"deviceMac": "mac-00", "zip": "8000"},         // pruned + extra condition
-		{"deviceMac": map[string]any{"$eq": "mac-05"}}, // $eq prunes too
-	}
-	batched, err := c.FieldValuesMulti(filters, "ts")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batched) != len(filters) {
-		t.Fatalf("%d results for %d filters", len(batched), len(filters))
-	}
-	for i, f := range filters {
-		single, err := c.FieldValues(f, "ts")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(batched[i], single) {
-			t.Fatalf("filter %d (%v): batched %v != single %v", i, f, batched[i], single)
-		}
-	}
-	if out, err := c.FieldValuesMulti(nil, "ts"); err != nil || len(out) != 0 {
-		t.Fatalf("empty batch: %v, %v", out, err)
-	}
-
-	// Errors propagate, not panic: an invalid operator fails the batch.
-	if _, err := c.FieldValuesMulti([]Doc{{"ts": map[string]any{"$bogus": 1.0}}}, "ts"); err == nil {
-		t.Fatal("invalid operator accepted")
-	}
-}
-
 // TestOptimisticReadsSeeWrites drives the snapshot-cache protocol
 // through its lifecycle: a repeated query is served from the published
 // snapshot, any write invalidates it, and the next read observes the
@@ -75,11 +27,11 @@ func TestOptimisticReadsSeeWrites(t *testing.T) {
 	}
 	filter := Doc{"deviceMac": "mac-1"}
 
-	first, err := c.FieldValues(filter, "ts")
+	first, err := fieldValues(c, filter, "ts")
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := c.FieldValues(filter, "ts")
+	again, err := fieldValues(c, filter, "ts")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +41,7 @@ func TestOptimisticReadsSeeWrites(t *testing.T) {
 
 	// A write to the same partition must invalidate the snapshot.
 	c.Insert(Doc{"deviceMac": "mac-1", "ts": 999.0})
-	after, err := c.FieldValues(filter, "ts")
+	after, err := fieldValues(c, filter, "ts")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,13 +50,13 @@ func TestOptimisticReadsSeeWrites(t *testing.T) {
 	}
 
 	// Same protocol for Tail.
-	t1 := c.Tail(10)
-	t2 := c.Tail(10)
+	t1 := tailDocs(c, 10, "deviceMac", "ts")
+	t2 := tailDocs(c, 10, "deviceMac", "ts")
 	if !reflect.DeepEqual(t1, t2) {
 		t.Fatal("repeated Tail differs")
 	}
 	c.Insert(Doc{"deviceMac": "mac-2", "ts": 1000.0})
-	t3 := c.Tail(10)
+	t3 := tailDocs(c, 10, "deviceMac", "ts")
 	last := t3[len(t3)-1]
 	if last["ts"].(float64) != 1000.0 {
 		t.Fatalf("Tail after write misses the new doc: %v", last)
@@ -129,15 +81,16 @@ func TestCachedResultsAreIsolated(t *testing.T) {
 		c.Insert(Doc{"deviceMac": "mac-x", "ts": float64(i), "nested": map[string]any{"k": float64(i)}})
 	}
 	filter := Doc{"deviceMac": "mac-x"}
-	got, err := c.FieldValues(filter, "ts")
+	// A group's captured values live on in the partition's cached partial.
+	firstNested := Group{By: []string{"deviceMac"}, Accs: map[string]Accumulator{"first": {Op: "first", Field: "nested"}}}
+	got, err := c.Aggregate(filter, firstNested)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := append([]any(nil), got...)
-	for i := range got {
-		got[i] = "scribbled"
-	}
-	again, err := c.FieldValues(filter, "ts")
+	want := []Doc{cloneDoc(got[0])}
+	got[0]["first"].(map[string]any)["k"] = "scribbled"
+	got[0]["deviceMac"] = "scribbled"
+	again, err := c.Aggregate(filter, firstNested)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,12 +98,12 @@ func TestCachedResultsAreIsolated(t *testing.T) {
 		t.Fatalf("cache corrupted by caller mutation: %v", again)
 	}
 
-	tail := c.Tail(5)
+	tail := tailDocs(c, 5, "ts", "nested")
 	for _, d := range tail {
 		d["ts"] = "scribbled"
 		d["nested"].(map[string]any)["k"] = "scribbled"
 	}
-	for _, d := range c.Tail(5) {
+	for _, d := range tailDocs(c, 5, "ts", "nested") {
 		if _, ok := d["ts"].(float64); !ok {
 			t.Fatalf("tail snapshot corrupted by caller mutation: %v", d)
 		}
@@ -205,7 +158,7 @@ func TestOptimisticReadHammer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				m := mac(i + r)
-				vals, err := c.FieldValues(Doc{"deviceMac": m}, "ts")
+				vals, err := fieldValues(c, Doc{"deviceMac": m}, "ts")
 				if err != nil {
 					t.Errorf("fieldvalues: %v", err)
 					return
@@ -214,7 +167,7 @@ func TestOptimisticReadHammer(t *testing.T) {
 					t.Errorf("torn read: %s has %d values, floor %d", m, len(vals), floor[m])
 					return
 				}
-				if got := c.Tail(7); len(got) > 7*c.NumPartitions() {
+				if got := tailDocs(c, 7, "ts"); len(got) > 7*c.NumPartitions() {
 					t.Errorf("tail returned %d docs for n=7", len(got))
 					return
 				}
@@ -222,9 +175,9 @@ func TestOptimisticReadHammer(t *testing.T) {
 					t.Errorf("len %d below durable floor 200", c.Len())
 					return
 				}
-				multi, err := c.FieldValuesMulti([]Doc{{"deviceMac": m}, {"kind": "keep"}}, "ts")
+				multi, err := c.AggregateMulti([]Doc{{"deviceMac": m}, {"kind": "keep"}})
 				if err != nil {
-					t.Errorf("fieldvaluesmulti: %v", err)
+					t.Errorf("aggregatemulti: %v", err)
 					return
 				}
 				if len(multi[0]) < floor[m] || len(multi[1]) < 200 {
@@ -284,7 +237,7 @@ func TestOptimisticReadHammer(t *testing.T) {
 		}
 	}
 	for i := 0; i < devices; i++ {
-		vals, err := c.FieldValues(Doc{"deviceMac": mac(i)}, "ts")
+		vals, err := fieldValues(c, Doc{"deviceMac": mac(i)}, "ts")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,8 +12,7 @@ import (
 // partition is one shard of a collection: its own lock, an id column
 // in ascending order, one typed column per field slot (rows.go), and
 // index shards over row numbers. All methods suffixed Locked require
-// the caller to hold the appropriate mu mode. Write paths acquire mu
-// through writeLock/writeUnlock (optimistic.go).
+// the caller to hold the appropriate mu mode.
 type partition struct {
 	mu   sync.RWMutex
 	dict *fieldDict
@@ -279,67 +278,20 @@ func (p *partition) matchingRows(f *filter) ([]int, error) {
 	return rows, err
 }
 
-// applyLocked replays one logged update or delete (Filter and Set
-// decoded back into documents). Caller holds the write lock.
+// applyLocked replays one logged delete (its filter decoded back into
+// a document). Any other op is one this store does not write, and
+// recovery refuses the log rather than skip it. Caller holds the write
+// lock.
 func (p *partition) applyLocked(op walOp) error {
+	if op.Op != "del" {
+		return fmt.Errorf("unknown wal op %q", op.Op)
+	}
 	filter, ok := op.Filter.(Doc)
 	if !ok {
 		return fmt.Errorf("wal %s: filter is not an object", op.Op)
 	}
-	var err error
-	switch set, ok := op.Set.(Doc); {
-	case op.Op == "del":
-		_, err = p.deleteLocked(compileFilter(p.dict, filter))
-	case op.Op == "upd" && ok:
-		_, err = p.updateLocked(compileFilter(p.dict, filter), set)
-	case op.Op == "upd":
-		err = fmt.Errorf("wal update: set is not an object")
-	default:
-		err = fmt.Errorf("unknown wal op %q", op.Op)
-	}
+	_, err := p.deleteLocked(compileFilter(p.dict, filter))
 	return err
-}
-
-// updateLocked applies set to the partition's matching rows: a value
-// of the column's kind is written in place, any other promotes the
-// column; a dotted path is written into the boxed value it descends
-// into. The cached partials that had folded one of those rows start
-// over. Caller holds the write lock.
-func (p *partition) updateLocked(f *filter, set Doc) (int, error) {
-	rows, err := p.matchingRows(f)
-	if len(rows) == 0 {
-		return 0, err
-	}
-	p.invalidatePartialsLocked(rows[0])
-	refs := make(map[string]fieldRef, len(set))
-	for k := range set {
-		refs[k] = p.dict.ref(k)
-	}
-	for _, r := range rows {
-		for _, idx := range p.indexes {
-			idx.remove(p, r)
-		}
-		for k, v := range set {
-			f := refs[k]
-			if f.slot == slotID {
-				continue // ids are the store's
-			}
-			v = cloneValue(v)
-			if f.rest != "" {
-				m, ok := p.col(f.slot).cell(r).box.(map[string]any)
-				if !ok {
-					m = make(map[string]any)
-				}
-				setPath(m, f.rest, v)
-				v = m
-			}
-			p.colLocked(f.slot).set(r, cellOf(v))
-		}
-		for _, idx := range p.indexes {
-			idx.add(p, r)
-		}
-	}
-	return len(rows), err
 }
 
 // colLocked returns the slot's column, creating it the first time the

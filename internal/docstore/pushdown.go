@@ -11,13 +11,15 @@ import (
 
 // Analytics pushdown.
 //
-// The streaming Aggregate path (AggregateStreaming) builds a document
-// for every matched row of every partition and runs the stage pipeline
-// centrally. For the batch analytics of §4.1 (per-device alarm
-// histograms, group-by statistics, top-device queries) the answer is a
-// handful of groups or buckets, so this file computes it inside the
-// partitions instead, off the typed columns. The planner decomposes a
-// pipeline into a per-partition PARTIAL plan plus a central MERGE:
+// Streaming a pipeline — building a document for every matched row of
+// every partition and running the stages centrally — is the executable
+// specification of Aggregate, and lives on as the test battery's oracle
+// (aggregateStreaming, pushdown_test.go). For the batch analytics of
+// §4.1 (per-device alarm histograms, group-by statistics, top-device
+// queries) the answer is a handful of groups or buckets, so this file
+// computes it inside the partitions instead, off the typed columns. The
+// planner decomposes a pipeline into a per-partition PARTIAL plan plus
+// a central MERGE:
 //
 //   - leading Match stages fold into the compiled scan filter;
 //   - Group accumulators compute as mergeable partials — count/sum as
@@ -26,29 +28,27 @@ import (
 //   - Bucket histograms compute as per-partition (index, count) pairs;
 //   - SortStage+Limit compute as per-partition top-K heaps, so only K
 //     documents per partition are ever built;
-//   - a bare scan prefix (optional Project / Limit) builds only the
-//     selected documents, or just their projected fields.
+//   - a bare scan prefix (optional Limit) builds only the selected
+//     documents.
 //
 // Partials and their merge stay typed; documents are boxed from the
 // merged result as the last step, by the calls that return documents
 // (BucketCounts and GroupCounts hand the typed result out as it is).
-// Partials execute with one lock acquisition and one simulated store
-// round-trip per touched partition (execPlans). The group and bucket
-// partials of Doc-filtered plans stay behind in the partition and are
-// advanced over the rows appended since, not computed again
-// (optimistic.go). Stage shapes the
-// planner cannot push (custom Stage implementations) fall back to
-// AggregateStreaming — the streaming path stays alive as the
-// equivalence oracle the test battery pins this engine against.
+// Partials execute with one lock acquisition per touched partition
+// (execPlans). The group and bucket partials of Doc-filtered plans stay
+// behind in the partition and are advanced over the rows appended
+// since, not computed again (optimistic.go). A pipeline headed by a
+// stage the planner cannot push is refused (ErrBadFilter): there is no
+// second execution path to keep equivalent.
 
-// PlanKind names how Aggregate executes a pipeline.
+// PlanKind names how Aggregate executes a pipeline: the shape of the
+// per-partition partials the merge combines.
 type PlanKind string
 
-// The planner's execution shapes. Every kind except PlanStreaming
-// runs per-partition partials merged centrally.
+// The planner's execution shapes.
 const (
-	// PlanScan is a filtered scan with an optional pushed Project and
-	// Limit: partitions return (id, doc) pairs merged by insertion id.
+	// PlanScan is a filtered scan with an optional pushed Limit:
+	// partitions return (id, doc) pairs merged by insertion id.
 	PlanScan PlanKind = "scan"
 	// PlanGroup pushes Group accumulators down as mergeable partials.
 	PlanGroup PlanKind = "group"
@@ -57,43 +57,7 @@ const (
 	// PlanTopK pushes SortStage (+ optional Limit) down as
 	// per-partition top-K selections.
 	PlanTopK PlanKind = "topk"
-	// PlanStreaming is the fallback: Find everything, run the stage
-	// pipeline centrally (AggregateStreaming).
-	PlanStreaming PlanKind = "streaming"
 )
-
-// PlanInfo describes how Aggregate would execute a pipeline — the
-// explain output the planner tests and docs build on.
-type PlanInfo struct {
-	// Kind is the partial shape pushed into the partitions
-	// (PlanStreaming when nothing pushes down).
-	Kind PlanKind
-	// PushedStages counts pipeline stages folded into the partial plan
-	// (leading Match stages, the Group/Bucket/Sort head, an absorbed
-	// Limit or Project).
-	PushedStages int
-	// CentralStages counts stages applied centrally after the merge.
-	CentralStages int
-	// Cacheable reports whether the partitions keep the plan's partials
-	// and advance them over appended rows (group and bucket plans with a
-	// Doc filter).
-	Cacheable bool
-}
-
-// Explain reports the execution plan Aggregate would choose for the
-// pipeline, without running it.
-func (c *Collection) Explain(filter Doc, stages ...Stage) PlanInfo {
-	plan, ok, err := planAggregate(filter, stages)
-	if !ok || err != nil {
-		return PlanInfo{Kind: PlanStreaming, CentralStages: len(stages)}
-	}
-	return PlanInfo{
-		Kind:          plan.kind,
-		PushedStages:  plan.pushed,
-		CentralStages: len(plan.tail),
-		Cacheable:     plan.cacheable(),
-	}
-}
 
 // aggPlan is one planned pipeline: the partition-local partial shape
 // plus the central tail, then — once bound to a collection — the
@@ -105,14 +69,12 @@ type aggPlan struct {
 	bucket     *Bucket
 	sortField  string
 	sortDesc   bool
-	limit      int // top-K bound / scan limit; -1 = unbounded
-	project    *Project
+	limit      int     // top-K bound / scan limit; -1 = unbounded
 	tail       []Stage // stages applied centrally after the merge
-	pushed     int     // pipeline stages folded into the partial plan
 
 	filter *filter    // scanFilter (or the typed conditions), compiled
 	typed  bool       // built from []Cond: no Doc to derive a cache key from
-	refs   []fieldRef // group By fields | bucket field | sort field | project fields
+	refs   []fieldRef // group By fields | bucket field | sort field
 	accs   []planAcc  // group accumulators, by output name
 }
 
@@ -139,10 +101,6 @@ func (p *aggPlan) bind(d *fieldDict) *aggPlan {
 		fields = []string{p.bucket.Field}
 	case PlanTopK:
 		fields = []string{p.sortField}
-	default:
-		if p.project != nil {
-			fields = p.project.Fields
-		}
 	}
 	p.refs = make([]fieldRef, len(fields))
 	for i, f := range fields {
@@ -151,10 +109,10 @@ func (p *aggPlan) bind(d *fieldDict) *aggPlan {
 	return p
 }
 
-// planAggregate decomposes a pipeline. ok=false means the shape is
-// not pushable (fall back to streaming); a non-nil error reproduces
-// the upfront validation error the streaming stage would raise.
-func planAggregate(filter Doc, stages []Stage) (*aggPlan, bool, error) {
+// planAggregate decomposes a pipeline. The error is the upfront
+// validation error the head stage would raise applied centrally, or
+// ErrBadFilter for a head that is not a stage of this package.
+func planAggregate(filter Doc, stages []Stage) (*aggPlan, error) {
 	plan := &aggPlan{scanFilter: filter, limit: -1}
 	i := 0
 	// Fold leading Match stages into the scan filter: a filter's $and
@@ -173,7 +131,6 @@ func planAggregate(filter Doc, stages []Stage) (*aggPlan, bool, error) {
 		if len(m.Filter) > 0 {
 			folded = append(folded, m.Filter)
 		}
-		plan.pushed++
 	}
 	switch len(folded) {
 	case 0:
@@ -190,86 +147,60 @@ func planAggregate(filter Doc, stages []Stage) (*aggPlan, bool, error) {
 
 	if i == len(stages) {
 		plan.kind = PlanScan
-		return plan, true, nil
+		return plan, nil
 	}
 	switch head := stages[i].(type) {
 	case Group:
 		if err := head.validate(); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		g := head
 		plan.kind = PlanGroup
 		plan.group = &g
-		plan.pushed++
 		plan.tail = stages[i+1:]
-		return plan, true, nil
+		return plan, nil
 	case Bucket:
 		if head.Width <= 0 {
-			return nil, false, fmt.Errorf("%w: bucket width must be positive", ErrBadFilter)
+			return nil, fmt.Errorf("%w: bucket width must be positive", ErrBadFilter)
 		}
 		b := head
 		plan.kind = PlanBucket
 		plan.bucket = &b
-		plan.pushed++
 		plan.tail = stages[i+1:]
-		return plan, true, nil
+		return plan, nil
 	case SortStage:
 		plan.kind = PlanTopK
 		plan.sortField, plan.sortDesc = head.Field, false
 		if strings.HasPrefix(plan.sortField, "-") {
 			plan.sortField, plan.sortDesc = plan.sortField[1:], true
 		}
-		plan.pushed++
 		i++
 		if i < len(stages) {
 			if l, isLimit := stages[i].(Limit); isLimit {
 				if l.N < 0 {
-					return nil, false, fmt.Errorf("%w: limit must be non-negative, got %d", ErrBadFilter, l.N)
+					return nil, fmt.Errorf("%w: limit must be non-negative, got %d", ErrBadFilter, l.N)
 				}
 				plan.limit = l.N
-				plan.pushed++
 				i++
 			}
 		}
 		plan.tail = stages[i:]
-		return plan, true, nil
-	case Limit, Project:
-		plan.kind = PlanScan
-		// Absorb at most one Project and one Limit, in either order:
-		// both commute with the id-ordered merge (Project is per-doc
-		// deterministic; the global first N by id is a subset of the
-		// per-partition first N by id).
-		for ; i < len(stages); i++ {
-			switch s := stages[i].(type) {
-			case Limit:
-				if plan.limit >= 0 {
-					plan.tail = stages[i:]
-					return plan, true, nil
-				}
-				if s.N < 0 {
-					return nil, false, fmt.Errorf("%w: limit must be non-negative, got %d", ErrBadFilter, s.N)
-				}
-				plan.limit = s.N
-				plan.pushed++
-			case Project:
-				if plan.project != nil {
-					plan.tail = stages[i:]
-					return plan, true, nil
-				}
-				p := s
-				plan.project = &p
-				plan.pushed++
-			default:
-				plan.tail = stages[i:]
-				return plan, true, nil
-			}
+		return plan, nil
+	case Limit:
+		// The global first N by id is a subset of the per-partition
+		// first N by id, so the limit commutes with the id-ordered merge.
+		if head.N < 0 {
+			return nil, fmt.Errorf("%w: limit must be non-negative, got %d", ErrBadFilter, head.N)
 		}
-		return plan, true, nil
+		plan.kind = PlanScan
+		plan.limit = head.N
+		plan.tail = stages[i+1:]
+		return plan, nil
 	default:
-		// An unknown Stage implementation heads the pipeline: nothing
-		// to push. (Match cannot reach here — the folding loop consumed
-		// every leading Match.)
-		return nil, false, nil
+		// Not a stage of this package (Match cannot reach here — the
+		// folding loop consumed every leading Match): nothing to push,
+		// and no other way to run it.
+		return nil, fmt.Errorf("%w: cannot plan a pipeline headed by %T", ErrBadFilter, head)
 	}
 }
 
@@ -593,18 +524,7 @@ func scanPartial(p *partition, plan *aggPlan, out *aggPartial) error {
 	}
 	out.scan = make([]match, len(rows))
 	for i, r := range rows {
-		m := &out.scan[i]
-		m.id = p.ids[r]
-		if plan.project == nil {
-			m.doc = p.doc(r)
-			continue
-		}
-		m.doc = make(Doc, len(plan.refs))
-		for j, f := range plan.project.Fields {
-			if v, ok := p.value(r, plan.refs[j]); ok {
-				setPath(m.doc, f, cloneValue(v))
-			}
-		}
+		out.scan[i] = match{id: p.ids[r], doc: p.doc(r)}
 	}
 	return nil
 }
@@ -790,15 +710,14 @@ func mergeScan(plan *aggPlan, partials []aggPartial) []Doc {
 		all = all[:plan.limit]
 	}
 	if len(all) == 0 {
-		// Mirror the oracle's nil/empty distinction: Project always
-		// yields a non-nil slice, Limit over a non-empty match set
-		// yields a non-nil empty slice, but a plain scan with zero
-		// matches yields nil (Find's contract).
+		// Mirror the oracle's nil/empty distinction: Limit over a
+		// non-empty match set yields a non-nil empty slice, but a plain
+		// scan with zero matches yields nil (Find's contract).
 		anyMatched := false
 		for _, part := range partials {
 			anyMatched = anyMatched || part.matched
 		}
-		if plan.project != nil || (plan.limit >= 0 && anyMatched) {
+		if plan.limit >= 0 && anyMatched {
 			return []Doc{}
 		}
 		return nil
@@ -878,7 +797,7 @@ type sweep struct {
 	runs     []planRun
 	partials []aggPartial     // one slab for every run's partials
 	touched  []bool           // per partition: it has partials to supply
-	scratch  []partialScratch // per partition: visits may run concurrently
+	scratch  []partialScratch // per partition
 
 	// What execPlans hands forEach: the collection being swept, and two
 	// closures over the sweep itself, made once with it — a sweep costs
@@ -941,14 +860,11 @@ func resized[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// newRuns prepares one run per plan; plans[i] nil leaves run i empty.
+// newRuns prepares one run per plan.
 func (c *Collection) newRuns(sw *sweep, plans []*aggPlan) []planRun {
 	runs := resized(sw.runs, len(plans))
 	total := 0
 	for i, plan := range plans {
-		if plan == nil {
-			continue
-		}
 		run := &runs[i]
 		run.plan = plan
 		lo, hi := c.targetRange(plan.filter)
@@ -968,9 +884,8 @@ func (c *Collection) newRuns(sw *sweep, plans []*aggPlan) []planRun {
 
 // execPlans computes the partials of every run in one store sweep:
 // filters pinned to one partition by a shard-key equality only visit
-// that partition, and each touched partition's lock (and simulated
-// round-trip) is paid once for the whole batch — concurrently across
-// partitions under a simulated RTT.
+// that partition, and each touched partition's lock is taken once for
+// the whole batch.
 func (c *Collection) execPlans(sw *sweep, runs []planRun) error {
 	sw.touched = resized(sw.touched, len(c.parts))
 	sw.scratch = resized(sw.scratch, len(c.parts))
@@ -984,8 +899,8 @@ func (c *Collection) execPlans(sw *sweep, runs []planRun) error {
 	return c.forEach(0, len(c.parts), sw.busy, sw.visit)
 }
 
-// visit computes, under one read lock and one simulated round-trip,
-// every partial partition pi owes the sweep.
+// visit computes, under one read lock, every partial partition pi owes
+// the sweep.
 func (c *Collection) visit(sw *sweep, pi int) error {
 	runs, p, sc := sw.runs, c.parts[pi], &sw.scratch[pi]
 	if sc.counts == nil {
@@ -993,7 +908,6 @@ func (c *Collection) visit(sw *sweep, pi int) error {
 	}
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	c.simulateRTT()
 	for ri := range runs {
 		run := &runs[ri]
 		slot := pi - run.lo
@@ -1023,22 +937,15 @@ func (c *Collection) visit(sw *sweep, pi int) error {
 // in a single store sweep (execPlans): result i is exactly what
 // Aggregate(filters[i], stages...) would return against the same
 // store state, so a micro-batch of per-device aggregations costs one
-// concurrent sweep, or nothing, instead of N serialized round-trips.
-// Filters whose pipeline shape cannot push down fall back to the
-// streaming path individually.
+// sweep, or nothing, instead of N. A pipeline the planner cannot push
+// is ErrBadFilter.
 func (c *Collection) AggregateMulti(filters []Doc, stages ...Stage) ([][]Doc, error) {
 	out := make([][]Doc, len(filters))
 	plans := make([]*aggPlan, len(filters))
 	for i, filter := range filters {
-		plan, ok, err := planAggregate(filter, stages)
+		plan, err := planAggregate(filter, stages)
 		if err != nil {
 			return nil, err
-		}
-		if !ok {
-			if out[i], err = c.AggregateStreaming(filter, stages...); err != nil {
-				return nil, err
-			}
-			continue
 		}
 		plans[i] = plan.bind(c.dict)
 	}
@@ -1050,9 +957,6 @@ func (c *Collection) AggregateMulti(filters []Doc, stages ...Stage) ([][]Doc, er
 	}
 	for i := range runs {
 		run := &runs[i]
-		if run.plan == nil {
-			continue // served by the streaming fallback above
-		}
 		docs, err := applyStages(mergeDocs(sw, run), run.plan.tail)
 		if err != nil {
 			return nil, err
@@ -1125,7 +1029,7 @@ type GroupCount struct {
 // field — Aggregate(filter, Group{By: {field}, Accs: {n: count}}) for
 // typed callers, in the same order, from the same partials.
 func (c *Collection) GroupCounts(filter Doc, field string) ([]GroupCount, error) {
-	plan, _, err := planAggregate(filter, []Stage{Group{By: []string{field}}})
+	plan, err := planAggregate(filter, []Stage{Group{By: []string{field}}})
 	if err != nil {
 		return nil, err
 	}

@@ -9,10 +9,23 @@ import (
 )
 
 // passthrough is a Stage implementation the planner has never heard
-// of — the shape that must fall back to the streaming path.
+// of: it runs as a central tail stage, and cannot head a pipeline.
 type passthrough struct{}
 
 func (passthrough) apply(in []Doc) ([]Doc, error) { return in, nil }
+
+// aggregateStreaming runs the pipeline the pre-pushdown way: Find
+// streams a clone of every matched document out of every partition and
+// the stages apply centrally, one after another. It is the executable
+// specification of Aggregate — the equivalence oracle the pushdown
+// battery (property, fuzz, and race tests) pins the planner against.
+func (c *Collection) aggregateStreaming(filter Doc, stages ...Stage) ([]Doc, error) {
+	docs, err := c.Find(filter)
+	if err != nil {
+		return nil, err
+	}
+	return applyStages(docs, stages)
+}
 
 // Regression: Limit.apply used to slice in[:N] with a negative N and
 // panic. A negative limit is a malformed pipeline — ErrBadFilter on
@@ -23,7 +36,7 @@ func TestLimitNegativeN(t *testing.T) {
 	c.Insert(Doc{"v": 2.0})
 	for name, run := range map[string]func() ([]Doc, error){
 		"pushdown":  func() ([]Doc, error) { return c.Aggregate(nil, Limit{N: -1}) },
-		"streaming": func() ([]Doc, error) { return c.AggregateStreaming(nil, Limit{N: -1}) },
+		"streaming": func() ([]Doc, error) { return c.aggregateStreaming(nil, Limit{N: -1}) },
 		"tail":      func() ([]Doc, error) { return c.Aggregate(nil, SortStage{Field: "v"}, Limit{N: -3}) },
 		"central": func() ([]Doc, error) {
 			return c.Aggregate(nil, Group{By: []string{"v"}, Accs: map[string]Accumulator{"n": {Op: "count"}}}, Limit{N: -2})
@@ -74,7 +87,7 @@ func TestSortStageMixedTypePin(t *testing.T) {
 		if !reflect.DeepEqual(tags, want) {
 			t.Fatalf("ascending mixed-type sort order %v, want %v", tags, want)
 		}
-		oracle, err := c.AggregateStreaming(nil, pipeline...)
+		oracle, err := c.aggregateStreaming(nil, pipeline...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,43 +108,64 @@ func TestSortStageMixedTypePin(t *testing.T) {
 }
 
 // TestExplainPlans pins the planner's shape dispatch: which pipelines
-// push down, as what kind, and how many stages land where.
+// push down, as what kind, how many stages land where, and that a head
+// the planner cannot push is an error.
 func TestExplainPlans(t *testing.T) {
-	c := NewDBWithPartitions(2).Collection("x")
 	group := Group{By: []string{"zip"}, Accs: map[string]Accumulator{"n": {Op: "count"}}}
+	type shape struct {
+		kind      PlanKind
+		pushed    int
+		central   int
+		cacheable bool
+	}
 	cases := []struct {
 		name   string
 		filter Doc
 		stages []Stage
-		want   PlanInfo
+		want   shape
 	}{
 		{"bare find", Doc{"zip": "8000"}, nil,
-			PlanInfo{Kind: PlanScan}},
+			shape{kind: PlanScan}},
 		{"match fold", nil, []Stage{Match{Filter: Doc{"zip": "8000"}}, Match{Filter: Doc{"verified": true}}},
-			PlanInfo{Kind: PlanScan, PushedStages: 2}},
+			shape{kind: PlanScan, pushed: 2}},
 		{"group", nil, []Stage{group},
-			PlanInfo{Kind: PlanGroup, PushedStages: 1, Cacheable: true}},
+			shape{kind: PlanGroup, pushed: 1, cacheable: true}},
 		{"match group tail", nil, []Stage{Match{Filter: Doc{"verified": true}}, group, SortStage{Field: "-n"}, Limit{N: 3}},
-			PlanInfo{Kind: PlanGroup, PushedStages: 2, CentralStages: 2, Cacheable: true}},
+			shape{kind: PlanGroup, pushed: 2, central: 2, cacheable: true}},
 		{"bucket", nil, []Stage{Bucket{Field: "ts", Origin: 0, Width: 60}},
-			PlanInfo{Kind: PlanBucket, PushedStages: 1, Cacheable: true}},
+			shape{kind: PlanBucket, pushed: 1, cacheable: true}},
 		{"topk", nil, []Stage{SortStage{Field: "-duration"}, Limit{N: 10}},
-			PlanInfo{Kind: PlanTopK, PushedStages: 2}},
+			shape{kind: PlanTopK, pushed: 2}},
 		{"full sort", nil, []Stage{SortStage{Field: "duration"}},
-			PlanInfo{Kind: PlanTopK, PushedStages: 1}},
-		{"project limit scan", nil, []Stage{Project{Fields: []string{"zip"}}, Limit{N: 5}},
-			PlanInfo{Kind: PlanScan, PushedStages: 2}},
-		{"custom stage streams", nil, []Stage{passthrough{}, group},
-			PlanInfo{Kind: PlanStreaming, CentralStages: 2}},
+			shape{kind: PlanTopK, pushed: 1}},
+		{"limit scan", nil, []Stage{Limit{N: 5}, Limit{N: 3}},
+			shape{kind: PlanScan, pushed: 1, central: 1}},
 		{"custom tail stays central", nil, []Stage{group, passthrough{}},
-			PlanInfo{Kind: PlanGroup, PushedStages: 1, CentralStages: 1, Cacheable: true}},
+			shape{kind: PlanGroup, pushed: 1, central: 1, cacheable: true}},
 		{"regex filter uncacheable", Doc{"zip": map[string]any{"$regexPrefix": "80"}}, []Stage{group},
-			PlanInfo{Kind: PlanGroup, PushedStages: 1, Cacheable: true}},
+			shape{kind: PlanGroup, pushed: 1, cacheable: true}},
 	}
 	for _, tc := range cases {
-		if got := c.Explain(tc.filter, tc.stages...); got != tc.want {
-			t.Errorf("%s: Explain = %+v, want %+v", tc.name, got, tc.want)
+		plan, err := planAggregate(tc.filter, tc.stages)
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
 		}
+		got := shape{plan.kind, len(tc.stages) - len(plan.tail), len(plan.tail), plan.cacheable()}
+		if got != tc.want {
+			t.Errorf("%s: plan = %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+	// A custom stage at the head has nowhere to run.
+	for _, stages := range [][]Stage{{passthrough{}, group}, {Match{Filter: Doc{"zip": "8000"}}, passthrough{}}, {nil}} {
+		if plan, err := planAggregate(nil, stages); !errors.Is(err, ErrBadFilter) {
+			t.Errorf("unplannable head %T: plan %+v, err %v; want ErrBadFilter", stages[len(stages)-1], plan, err)
+		}
+	}
+	c := NewDBWithPartitions(2).Collection("x")
+	c.Insert(Doc{"zip": "8000"})
+	if out, err := c.Aggregate(nil, passthrough{}, group); !errors.Is(err, ErrBadFilter) {
+		t.Errorf("Aggregate ran an unplannable pipeline: %v, %v", out, err)
 	}
 }
 
@@ -169,18 +203,16 @@ func TestPushdownMatchesStreamingBasics(t *testing.T) {
 		{Bucket{Field: "ts", Origin: 1000, Width: 250}},
 		{Match{Filter: Doc{"deviceMac": "mac-3"}}, Bucket{Field: "ts", Origin: 0, Width: 100}},
 		{SortStage{Field: "-ts"}, Limit{N: 9}},
-		{SortStage{Field: "duration"}, Limit{N: 15}, Project{Fields: []string{"deviceMac", "duration"}}},
+		{SortStage{Field: "duration"}, Limit{N: 15}, Match{Filter: Doc{"verified": true}}},
 		{SortStage{Field: "duration"}},
 		{Limit{N: 13}},
-		{Project{Fields: []string{"zip", "ts"}}, Limit{N: 50}},
-		{Limit{N: 17}, Project{Fields: []string{"deviceMac"}}, Limit{N: 11}},
-		{passthrough{}, group},
+		{Limit{N: 17}, Match{Filter: Doc{"verified": true}}, Limit{N: 11}},
 		{group, passthrough{}, SortStage{Field: "-sum"}},
 	}
 	filters := []Doc{nil, {"deviceMac": "mac-2"}, {"verified": false}}
 	for fi, filter := range filters {
 		for pi, stages := range pipelines {
-			want, werr := c.AggregateStreaming(filter, stages...)
+			want, werr := c.aggregateStreaming(filter, stages...)
 			got, gerr := c.Aggregate(filter, stages...)
 			if (werr != nil) != (gerr != nil) {
 				t.Fatalf("filter %d pipeline %d: streaming err %v vs pushdown err %v", fi, pi, werr, gerr)
@@ -193,8 +225,7 @@ func TestPushdownMatchesStreamingBasics(t *testing.T) {
 }
 
 // TestAggregateMultiMatchesSingle: the batched sweep must answer each
-// filter exactly as a standalone Aggregate would, including streaming
-// fallbacks mixed into the batch.
+// filter exactly as a standalone Aggregate would.
 func TestAggregateMultiMatchesSingle(t *testing.T) {
 	c, err := NewDBWithPartitions(3).CollectionWithShardKey("alarms", "deviceMac")
 	if err != nil {
@@ -218,7 +249,6 @@ func TestAggregateMultiMatchesSingle(t *testing.T) {
 		{Bucket{Field: "ts", Origin: 0, Width: 1000}},
 		{Group{By: []string{"deviceMac"}, Accs: map[string]Accumulator{"n": {Op: "count"}}}},
 		{SortStage{Field: "-ts"}, Limit{N: 4}},
-		{passthrough{}}, // unplannable: every filter falls back individually
 	} {
 		batch, err := c.AggregateMulti(filters, stages...)
 		if err != nil {
@@ -293,7 +323,7 @@ func TestAggregateSnapshotCache(t *testing.T) {
 	if after[0]["n"].(int) != first[0]["n"].(int)+1 {
 		t.Fatalf("post-insert count %v, want %d", after[0]["n"], first[0]["n"].(int)+1)
 	}
-	if oracle, _ := c.AggregateStreaming(nil, pipeline...); !reflect.DeepEqual(after, oracle) {
+	if oracle, _ := c.aggregateStreaming(nil, pipeline...); !reflect.DeepEqual(after, oracle) {
 		t.Fatalf("post-insert pushdown %v != streaming %v", after, oracle)
 	}
 }
@@ -307,13 +337,13 @@ func TestGroupValidationErrors(t *testing.T) {
 	if _, err := c.Aggregate(nil, bad...); !errors.Is(err, ErrBadFilter) {
 		t.Fatalf("pushdown bad accumulator: %v", err)
 	}
-	if _, err := c.AggregateStreaming(nil, bad...); !errors.Is(err, ErrBadFilter) {
+	if _, err := c.aggregateStreaming(nil, bad...); !errors.Is(err, ErrBadFilter) {
 		t.Fatalf("streaming bad accumulator: %v", err)
 	}
 	if _, err := c.Aggregate(nil, Bucket{Field: "v", Width: 0}); !errors.Is(err, ErrBadFilter) {
 		t.Fatalf("pushdown zero bucket width: %v", err)
 	}
-	if _, err := c.AggregateStreaming(nil, Bucket{Field: "v", Width: -1}); !errors.Is(err, ErrBadFilter) {
+	if _, err := c.aggregateStreaming(nil, Bucket{Field: "v", Width: -1}); !errors.Is(err, ErrBadFilter) {
 		t.Fatalf("streaming negative bucket width: %v", err)
 	}
 }

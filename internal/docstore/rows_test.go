@@ -241,9 +241,9 @@ func TestTypedRowsMatchDocs(t *testing.T) {
 		t.Fatalf("typed rows and documents diverge:\n%v\n%v", a, b)
 	}
 	typed.TailRows(10, rows)
-	tail := typed.Tail(10)
+	tail := a[len(a)-10:]
 	if rows.Len() != len(tail) {
-		t.Fatalf("TailRows read %d rows, Tail %d", rows.Len(), len(tail))
+		t.Fatalf("TailRows read %d rows, want %d", rows.Len(), len(tail))
 	}
 	for i, d := range tail {
 		row := rows.Row(i)

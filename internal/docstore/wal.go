@@ -32,8 +32,7 @@ import (
 //
 // A payload is either a row frame (first byte frameRows) — the insert
 // path, and every frame of a snapshot — or a JSON walOp (first byte
-// '{') for the rare filter-shaped mutations, update and delete. A row
-// frame is
+// '{') for the one filter-shaped mutation, delete. A row frame is
 //
 //	frameRows
 //	uvarint ndefs, then per def: uvarint slot, uvarint len, field name
@@ -59,16 +58,14 @@ const walMaxFrame = 64 << 20
 // frameRows tags a row-frame payload.
 const frameRows = 0x01
 
-// walOp is one logged update or delete. Filter and Set travel through
+// walOp is one logged delete. Filter travels through
 // encodeValue/decodeValue, so time.Time and exact integer types
 // survive the JSON round-trip.
 type walOp struct {
-	// Op is "upd" (Filter + Set of an update applied to this
-	// partition) or "del" (Filter of a delete applied to this
-	// partition).
+	// Op is "del": Filter of a delete applied to this partition. Replay
+	// refuses any other op (partition.applyLocked).
 	Op     string `json:"op"`
 	Filter any    `json:"filter,omitempty"`
-	Set    any    `json:"set,omitempty"`
 }
 
 // walWriter appends frames to one partition's WAL file.

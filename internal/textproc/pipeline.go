@@ -1,10 +1,6 @@
 package textproc
 
-import (
-	"time"
-
-	"alarmverify/internal/docstore"
-)
+import "time"
 
 // Report is one raw item collected from an external source (Twitter
 // account, RSS feed, web page) before filtering.
@@ -97,21 +93,4 @@ func (p *Pipeline) Process(reports []Report) ([]Incident, PipelineStats) {
 		out = append(out, inc)
 	}
 	return out, st
-}
-
-// Store writes incidents into a document-store collection, mirroring
-// the paper's choice to keep the incident history in MongoDB (§4.2).
-func Store(col *docstore.Collection, incidents []Incident) {
-	docs := make([]docstore.Doc, len(incidents))
-	for i, inc := range incidents {
-		docs[i] = docstore.Doc{
-			"source":   inc.Source,
-			"text":     inc.Text,
-			"topic":    string(inc.Topic),
-			"language": string(inc.Language),
-			"date":     inc.Date,
-			"location": inc.Location,
-		}
-	}
-	col.InsertMany(docs)
 }

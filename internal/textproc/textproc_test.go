@@ -5,8 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-
-	"alarmverify/internal/docstore"
 )
 
 func TestTokenize(t *testing.T) {
@@ -176,21 +174,5 @@ func TestPipelineProcess(t *testing.T) {
 	}
 	if st.DateFromText != 1 || st.DateFromMeta != 1 || st.LocFromMeta != 1 {
 		t.Errorf("stage stats = %+v", st)
-	}
-}
-
-func TestStore(t *testing.T) {
-	col := docstore.NewDB().Collection("incidents")
-	Store(col, []Incident{
-		{Source: "s", Text: "t", Topic: TopicFire, Language: German,
-			Date: time.Date(2016, 1, 1, 0, 0, 0, 0, time.UTC), Location: "Basel"},
-		{Source: "s", Text: "t2", Topic: TopicIntrusion, Language: French, Location: "Basel"},
-	})
-	if col.Len() != 2 {
-		t.Fatalf("stored %d docs", col.Len())
-	}
-	n, err := col.Count(docstore.Doc{"location": "Basel", "topic": "fire"})
-	if err != nil || n != 1 {
-		t.Errorf("count = %d, %v", n, err)
 	}
 }
