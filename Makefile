@@ -160,9 +160,9 @@ test-events:
 ## the race detector — they carry a `!race` tag (the race runtime
 ## inflates the counts), so `make test` never compiles them and `make
 ## cover` runs only those whose package it lists. Fails if one of the
-## three packages ran none (CI `test` job).
+## four packages ran none (CI `test` job).
 test-budgets:
-	@out=$$($(GO) test -count=1 -v -run 'AllocBudget|ScratchBudget|FootprintBudget|IdleAllocs' ./internal/broker ./internal/netbroker ./internal/core) || \
+	@out=$$($(GO) test -count=1 -v -run 'AllocBudget|ScratchBudget|FootprintBudget|IdleAllocs' ./internal/broker ./internal/netbroker ./internal/core ./internal/docstore) || \
 		{ echo "$$out"; echo "budget tests failed"; exit 1; }; \
 	echo "$$out"; \
 	if echo "$$out" | grep -q 'no tests to run'; then echo "a package ran no budget test"; exit 1; fi

@@ -43,14 +43,24 @@ func (s *Scratch) Strings() *Interner { return s.strings }
 
 // Interner deduplicates the low-cardinality string fields of the alarm
 // stream (device addresses, ZIP hashes, sensor types, software
-// versions): the first sighting of a value pays one allocation, every
-// later sighting returns the retained copy without allocating. The
-// table is bounded; once full, unseen values fall back to plain copies
-// so a high-cardinality field cannot grow the table without bound.
+// versions): every later sighting of a value returns the retained copy
+// without allocating, and a first sighting is copied into the current
+// append-only byte chunk, so a chunk's allocation pays for hundreds of
+// them. A retained string is a view of its chunk's bytes, which are
+// never rewritten — not even by Reset, which starts a fresh chunk — and
+// never of the input, so it may outlive any record it was read from.
+// The table is bounded; once full, unseen values fall back to plain
+// copies so a high-cardinality field cannot grow the table without
+// bound.
 type Interner struct {
-	m   map[string]string
-	max int
+	m     map[string]string
+	max   int
+	chunk []byte // the current chunk: its bytes up to len are handed out
 }
+
+// internChunk is the size of an interner's byte chunks; a value longer
+// than a chunk gets a plain copy of its own.
+const internChunk = 16 << 10
 
 // NewInterner creates an interner bounded to max retained strings;
 // max <= 0 selects the 4096 default.
@@ -63,7 +73,10 @@ func NewInterner(max int) *Interner {
 
 // Intern returns a string equal to b, reusing a previously retained
 // copy when one exists. The lookup compiles to a no-allocation map
-// probe; only first sightings (while the table has room) allocate.
+// probe; a first sighting (while the table has room) allocates only
+// when it opens a chunk.
+//
+//alarmvet:hotpath
 func (in *Interner) Intern(b []byte) string {
 	if in == nil {
 		return string(b)
@@ -71,12 +84,31 @@ func (in *Interner) Intern(b []byte) string {
 	if s, ok := in.m[string(b)]; ok {
 		return s
 	}
-	s := string(b)
-	if len(in.m) < in.max {
-		in.m[s] = s
+	if len(in.m) >= in.max {
+		return string(b)
 	}
+	s := in.retain(b)
+	in.m[s] = s
 	return s
 }
+
+// retain copies b to the end of the current chunk — into a fresh one
+// when it does not fit — and returns the copy.
+func (in *Interner) retain(b []byte) string {
+	if len(b) == 0 || len(b) > internChunk {
+		return string(b)
+	}
+	if cap(in.chunk)-len(in.chunk) < len(b) {
+		in.newChunk()
+	}
+	at := len(in.chunk)
+	in.chunk = append(in.chunk, b...) // within capacity: earlier views stay put
+	return unsafe.String(&in.chunk[at], len(b))
+}
+
+// newChunk starts the next chunk; the last one stays alive for as long
+// as a string retained from it does.
+func (in *Interner) newChunk() { in.chunk = make([]byte, 0, internChunk) }
 
 // Len returns how many strings the interner currently retains.
 func (in *Interner) Len() int {
@@ -86,10 +118,12 @@ func (in *Interner) Len() int {
 	return len(in.m)
 }
 
-// Reset drops every retained string.
+// Reset drops every retained string. The strings already handed out
+// stay valid: the next first sighting opens a fresh chunk.
 func (in *Interner) Reset() {
 	if in != nil {
 		clear(in.m)
+		in.chunk = nil
 	}
 }
 

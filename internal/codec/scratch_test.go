@@ -1,11 +1,14 @@
 package codec
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"alarmverify/internal/alarm"
 )
@@ -155,6 +158,59 @@ func TestInternerBoundsAndHits(t *testing.T) {
 	in.Reset()
 	if in.Len() != 0 {
 		t.Fatalf("reset left %d entries", in.Len())
+	}
+}
+
+// TestInternerChunks: first sightings are copied into byte chunks, and
+// what Intern hands out stays equal to what it was given — across
+// several chunks, a GC, and the input buffer being overwritten after
+// every call (a retained string never aliases a record) — while the
+// table stays within its bound and a repeat sighting returns the
+// retained bytes themselves.
+func TestInternerChunks(t *testing.T) {
+	in := NewInterner(0)
+	const n = 5000 // past the 4 096 bound: the rest are plain copies
+	want, got := make([]string, n), make([]string, n)
+	buf := make([]byte, 0, 64)
+	bytes := 0
+	for i := range want {
+		want[i] = fmt.Sprintf("%02x:%04d:%s", i%251, i, strings.Repeat("z", i%23))
+		buf = append(buf[:0], want[i]...)
+		got[i] = in.Intern(buf)
+		for j := range buf {
+			buf[j] = 0xDB // poison the source
+		}
+		if i < 4096 {
+			bytes += len(want[i])
+		}
+	}
+	if bytes < 4*internChunk {
+		t.Fatalf("retained %d bytes: fewer than four chunks' worth", bytes)
+	}
+	runtime.GC()
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("string %d reads %q, want %q", i, got[i], want[i])
+		}
+	}
+	if in.Len() > 4096 {
+		t.Fatalf("interner holds %d strings, bound 4096", in.Len())
+	}
+	again := in.Intern([]byte(want[17]))
+	if unsafe.StringData(again) != unsafe.StringData(got[17]) {
+		t.Fatal("a repeat sighting did not return the retained string")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { in.Intern([]byte(want[17])) }); allocs != 0 {
+		t.Fatalf("a repeat sighting allocates %.1f, want 0", allocs)
+	}
+	in.Reset() // the next sightings go to a fresh chunk, not over these
+	for i := 0; i < 100; i++ {
+		in.Intern([]byte(strings.Repeat("r", 1+i%40)))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("after Reset string %d reads %q, want %q", i, got[i], want[i])
+		}
 	}
 }
 

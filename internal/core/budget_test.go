@@ -47,8 +47,10 @@ func TestRecordBatchAllocBudget(t *testing.T) {
 	record() // grow the queue buffers and the row batch once
 	perAlarm := testing.AllocsPerRun(20, record) / 512
 	t.Logf("RecordBatch(512)+Flush: %.3f allocations per alarm", perAlarm)
-	if perAlarm > 1 {
-		t.Fatalf("RecordBatch(512)+Flush: %.2f allocations per alarm, budget 1", perAlarm)
+	// Reads ≈ 0.03, the columns' growth; 0.14 while the device index's
+	// posting lists regrew as they filled.
+	if perAlarm > 0.05 {
+		t.Fatalf("RecordBatch(512)+Flush: %.3f allocations per alarm, budget 0.05", perAlarm)
 	}
 }
 
@@ -180,7 +182,7 @@ func TestOneAlarmBatchAllocBudget(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(200, one)
 	t.Logf("one-alarm batch, drain to release: %.1f allocations", allocs)
-	if allocs > 3 { // reads 2: a poll that fetches draws its lease from the consumer's free list
+	if allocs > 3 { // reads 0; 2 while posting lists regrew and each new string was its own copy
 		t.Fatalf("one-alarm batch, drain to release: %.1f allocations, budget 3", allocs)
 	}
 }

@@ -73,6 +73,7 @@ type Batch struct {
 	leases []*broker.Lease
 	seen   map[string]struct{} // distinct-device scratch
 	hist   histScratch         // histogram-query scratch
+	chunks chunkRun            // Classify's fan-out state
 	pooled bool
 }
 
@@ -309,7 +310,7 @@ func (c *ConsumerApp) Classify(b *Batch) error {
 		// the fan-out's closure and error lock.
 		err = snap.verifyBatchInto(alarms, b.Verified)
 	} else {
-		err = c.classifyChunks(snap, alarms, b.Verified, chunk)
+		err = c.classifyChunks(&b.chunks, snap, alarms, b.Verified, chunk)
 	}
 	if err != nil {
 		b.Verified = nil
@@ -326,27 +327,47 @@ func (c *ConsumerApp) Classify(b *Batch) error {
 // classify pool and returns the first error any of them reported. Each
 // worker takes one contiguous run of chunks — a hand-off per worker, not
 // per chunk: a chunk is a few microseconds of work an alarm, and at
-// small chunk sizes a pool dispatch costs as much as the chunk.
-func (c *ConsumerApp) classifyChunks(snap *modelSnapshot, alarms []alarm.Alarm, out []alarm.Verification, chunk int) error {
-	n := len(alarms)
-	chunks := (n + chunk - 1) / chunk
-	runs := min(chunks, c.classify.Workers())
-	var errMu sync.Mutex
-	var firstErr error
-	c.classify.Run(runs, func(r int) {
-		for k := r * chunks / runs; k < (r+1)*chunks/runs; k++ {
-			lo := k * chunk
-			hi := min(lo+chunk, n)
-			if err := snap.verifyBatchInto(alarms[lo:hi], out[lo:hi]); err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
+// small chunk sizes a pool dispatch costs as much as the chunk. The
+// fan-out's state lives in cr, the batch's, whose task closure is made
+// once with the batch: a pooled batch's classify allocates nothing.
+func (c *ConsumerApp) classifyChunks(cr *chunkRun, snap *modelSnapshot, alarms []alarm.Alarm, out []alarm.Verification, chunk int) error {
+	if cr.task == nil {
+		cr.task = cr.run
+	}
+	cr.snap, cr.alarms, cr.out, cr.chunk = snap, alarms, out, chunk
+	cr.chunks = (len(alarms) + chunk - 1) / chunk
+	cr.runs = min(cr.chunks, c.classify.Workers())
+	c.classify.Run(cr.runs, cr.task)
+	err := cr.err
+	cr.snap, cr.alarms, cr.out, cr.err = nil, nil, nil, nil
+	return err
+}
+
+// chunkRun is one classifyChunks fan-out: the chunks' inputs, the
+// first error a chunk reported, and the pool task over them.
+type chunkRun struct {
+	snap                *modelSnapshot
+	alarms              []alarm.Alarm
+	out                 []alarm.Verification
+	chunk, chunks, runs int
+	mu                  sync.Mutex
+	err                 error
+	task                func(r int)
+}
+
+// run verifies the r-th contiguous run of chunks.
+func (cr *chunkRun) run(r int) {
+	for k := r * cr.chunks / cr.runs; k < (r+1)*cr.chunks/cr.runs; k++ {
+		lo := k * cr.chunk
+		hi := min(lo+cr.chunk, len(cr.alarms))
+		if err := cr.snap.verifyBatchInto(cr.alarms[lo:hi], cr.out[lo:hi]); err != nil {
+			cr.mu.Lock()
+			if cr.err == nil {
+				cr.err = err
 			}
+			cr.mu.Unlock()
 		}
-	})
-	return firstErr
+	}
 }
 
 // Persist is the batch component: it ingests the batch into the alarm

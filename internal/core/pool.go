@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"alarmverify/internal/alarm"
+	"alarmverify/internal/broker"
+	"alarmverify/internal/docstore"
 )
 
 // batchCheckMode, when enabled, makes ReleaseBatch poison the released
@@ -32,7 +34,7 @@ const poisonedField = "\xdb\xdbRELEASED-BATCH\xdb\xdb"
 func (c *ConsumerApp) getBatch() *Batch {
 	b, _ := c.batchPool.Get().(*Batch)
 	if b == nil {
-		b = &Batch{seen: make(map[string]struct{})}
+		b = c.newBatch()
 	}
 	b.Raw = nil
 	b.Decoded = nil
@@ -47,6 +49,33 @@ func (c *ConsumerApp) getBatch() *Batch {
 	b.DrainedAt = time.Time{}
 	b.Shed = false
 	b.pooled = true
+	return b
+}
+
+// newBatch builds a pooled batch with its scratch allocated once, for
+// a full drain at the source's current record bound (MaxPerBatch
+// unless adaptive batching moves it): records, alarms, devices,
+// verifications, enqueue times when metrics are attached, the
+// distinct-device set and the histogram sweep's devices, filters and
+// answers. A cold batch then regrows none of them on its way through
+// the pipeline. An unbounded source (MaxPerBatch 0) lets them grow
+// with the drains instead.
+func (c *ConsumerApp) newBatch() *Batch {
+	n := c.source.MaxPerBatch
+	b := &Batch{
+		recs:     make([]broker.Record, 0, n),
+		Alarms:   make([]alarm.Alarm, 0, n),
+		Devices:  make([]alarm.Alarm, 0, n),
+		Verified: make([]alarm.Verification, 0, n),
+		seen:     make(map[string]struct{}, n),
+	}
+	if c.cfg.Metrics != nil {
+		b.Enqueued = make([]time.Time, 0, n)
+	}
+	b.hist.macs = make([]string, 0, n)
+	b.hist.conds = make([]docstore.Cond, 0, 2*n)
+	b.hist.filters = make([][]docstore.Cond, 0, n)
+	b.hist.out = make([][]HistogramBucket, 0, n)
 	return b
 }
 

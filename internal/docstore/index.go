@@ -8,20 +8,61 @@ import (
 )
 
 // index is one partition's shard of a secondary index over a field
-// path. It keeps a hash map from key to the rows holding it (ascending
-// row numbers) for equality lookups and a sorted key list for range
-// scans; both are maintained incrementally on insert under the owning
-// partition's lock and rebuilt when rows move (delete, re-sort).
+// path. It keeps a hash map from key to the key's posting list — the
+// rows holding it, ascending — for equality lookups and a sorted key
+// list for range scans; both are maintained incrementally on insert
+// under the owning partition's lock.
+//
+// A posting list is a chain of fixed 64-byte blocks of 15 rows, carved
+// from the shard's pages. An insert writes its row into the key's tail
+// block in place, and a full tail links the next block: nothing is
+// copied and no list regrows, so under the partition lock the steady
+// state allocates only a page every ≈ 60 k rows and map growth for new
+// keys. Pages are never copied or regrown either; they double from 16
+// blocks to 4 096 (256 KB), so a small store stays small. When rows
+// move (a re-sort, a delete: gatherLocked) the affected lists are cut
+// back to their rows below the first moved one — their blocks stay
+// chained — and refilled in place: the upkeep is the rows moved, plus a
+// walk down the chain of a list that loses more than its tail block. A
+// list cut to nothing hands its chain to the shard's free chain, and
+// its key leaves the map.
 type index struct {
 	field string
 	ref   fieldRef
-	eq    map[indexKey][]int32
+	eq    map[indexKey]postings
+	// pages hold the blocks: block b is pages[b>>pageShift][b&pageMask].
+	// used counts the blocks carved from the last page; free heads the
+	// chain of blocks given back by emptied lists (noBlock: none).
+	pages [][]block
+	used  int32
+	free  int32
 	// keys holds the distinct index keys in sorted order for range
 	// queries; rebuilt lazily when dirty. keyMu serializes rebuilds,
 	// which may run under the partition's read lock.
 	keyMu sync.Mutex
 	keys  []indexKey
 	dirty bool
+}
+
+const (
+	blockRows      = 15 // rows per posting block: 15 int32 rows + next = 64 bytes
+	pageShift      = 12 // a full page holds 1 << pageShift blocks, ≈ 61 k rows
+	pageMask       = 1<<pageShift - 1
+	firstPageShift = 4 // the first page holds 16 blocks; each next one twice the last's
+	noBlock        = -1
+)
+
+// block is one link of a posting list's chain.
+type block struct {
+	rows [blockRows]int32
+	next int32 // the chain's next block, noBlock at its end
+}
+
+// postings is one key's posting list: n rows, in the chain from block
+// head to block tail, every block but the tail full. Blocks past the
+// tail, left over from a cut, stay chained for the refill.
+type postings struct {
+	head, tail, n int32
 }
 
 // indexKey is the comparable form of an indexed value: the value's
@@ -91,8 +132,10 @@ func (c *Collection) addIndexLocked(field string) error {
 	}
 	for _, p := range c.parts {
 		p.mu.Lock()
-		idx := &index{field: field, ref: c.dict.ref(field)}
-		idx.rebuildLocked(p)
+		idx := &index{field: field, ref: c.dict.ref(field), eq: make(map[indexKey]postings), free: noBlock}
+		for r := range p.ids {
+			idx.add(p, r)
+		}
 		p.indexes[field] = idx
 		p.mu.Unlock()
 	}
@@ -116,44 +159,135 @@ func (c *Collection) indexesLocked() []string {
 	return out
 }
 
+func (x *index) block(b int32) *block { return &x.pages[b>>pageShift][b&pageMask] }
+
+// add appends row r — past every row the shard holds — to its key's
+// list.
+//
+//alarmvet:hotpath
 func (x *index) add(p *partition, r int) {
 	k, ok := keyForCell(p.cell(r, x.ref))
 	if !ok {
 		return
 	}
-	rows, existed := x.eq[k]
-	if !existed {
+	pl, existed := x.eq[k]
+	switch {
+	case !existed:
 		x.dirty = true
+		pl.head = x.carve()
+		pl.tail = pl.head
+	case pl.n%blockRows == 0: // the tail is full: on to the next block
+		t := x.block(pl.tail)
+		if t.next == noBlock {
+			t.next = x.carve() // pages never move, so t stays valid
+		}
+		pl.tail = t.next
 	}
-	x.eq[k] = append(rows, int32(r)) // rows are added in ascending order: the list stays sorted
+	x.block(pl.tail).rows[pl.n%blockRows] = int32(r)
+	pl.n++
+	x.eq[k] = pl
 }
 
-// rebuildLocked re-derives the shard from the partition's rows.
-func (x *index) rebuildLocked(p *partition) {
-	x.eq = make(map[indexKey][]int32)
-	x.dirty = true
-	for r := range p.ids {
-		x.add(p, r)
+// carve returns a block to end a chain with: the free chain's first,
+// else the last page's next unused one.
+func (x *index) carve() int32 {
+	b := x.free
+	if b != noBlock {
+		x.free = x.block(b).next
+	} else {
+		if len(x.pages) == 0 || int(x.used) == len(x.pages[len(x.pages)-1]) {
+			x.newPage()
+		}
+		b = int32(len(x.pages)-1)<<pageShift | x.used
+		x.used++
 	}
+	x.block(b).next = noBlock
+	return b
 }
 
-// dropFrom forgets the rows from lo on — the tails of their keys'
-// ascending lists — ahead of a gather that moves them.
-func (x *index) dropFrom(p *partition, lo int) {
+// newPage adds a page to carve blocks from: 16 blocks the first time,
+// then twice the last page's, up to 1 << pageShift.
+func (x *index) newPage() {
+	n := 1 << firstPageShift
+	if len(x.pages) > 0 {
+		n = min(2*len(x.pages[len(x.pages)-1]), 1<<pageShift)
+	}
+	x.pages = append(x.pages, make([]block, n))
+	x.used = 0
+}
+
+// nextBlock returns the rows of pl's first block and advances pl past
+// it, nil once pl is empty: walking a copy of a key's postings this way
+// reads its rows in ascending order.
+//
+//alarmvet:hotpath
+func (x *index) nextBlock(pl *postings) []int32 {
+	if pl.n <= 0 {
+		return nil
+	}
+	b := x.block(pl.head)
+	m := min(pl.n, blockRows)
+	pl.head, pl.n = b.next, pl.n-m
+	return b.rows[:m]
+}
+
+// cut forgets the rows from lo on — the tails of their keys' ascending
+// lists — ahead of a gather that moves them. A list keeps its rows
+// below lo and its blocks chained for the refill; a list left empty
+// frees its chain, and its key leaves the map.
+func (x *index) cut(p *partition, lo int) {
 	for r := lo; r < len(p.ids); r++ {
 		k, ok := keyForCell(p.cell(r, x.ref))
 		if !ok {
 			continue
 		}
-		rows := x.eq[k]
-		for len(rows) > 0 && int(rows[len(rows)-1]) >= lo {
-			rows = rows[:len(rows)-1]
+		pl, ok := x.eq[k]
+		if !ok || int(x.block(pl.tail).rows[(pl.n-1)%blockRows]) < lo {
+			continue // cut already
 		}
-		if x.eq[k] = rows; len(rows) == 0 {
+		if pl = x.cutList(pl, lo); pl.n == 0 {
+			x.freeChain(pl.head)
 			delete(x.eq, k)
 			x.dirty = true
+			continue
+		}
+		x.eq[k] = pl
+	}
+}
+
+// cutList returns pl holding only its rows below lo. When the first row
+// at or past lo is in the tail block, that is all it looks at; only a
+// list losing more than its tail block is walked from its head.
+func (x *index) cutList(pl postings, lo int) postings {
+	at, prev := pl.tail, int32(noBlock)
+	below := (pl.n - 1) / blockRows * blockRows // rows in the blocks before at
+	if int(x.block(pl.tail).rows[0]) >= lo {
+		at, below = pl.head, 0
+		for at != pl.tail {
+			b := x.block(at)
+			if int(b.rows[blockRows-1]) >= lo {
+				break
+			}
+			prev, at, below = at, b.next, below+blockRows
 		}
 	}
+	rows := x.block(at).rows[:min(pl.n-below, blockRows)]
+	i := int32(sort.Search(len(rows), func(i int) bool { return int(rows[i]) >= lo }))
+	pl.n = below + i
+	if i == 0 && prev != noBlock {
+		at = prev // at keeps no row: the full block before it is the tail
+	}
+	pl.tail = at
+	return pl
+}
+
+// freeChain hands the chain from block b on to the free chain.
+func (x *index) freeChain(b int32) {
+	end := x.block(b)
+	for end.next != noBlock {
+		end = x.block(end.next)
+	}
+	end.next, x.free = x.free, b
 }
 
 // lookupRange serves operator maps consisting solely of range bounds
@@ -202,7 +336,14 @@ func (x *index) lookupRange(cond any, from int) ([]int32, bool) {
 		} else if hi.less(k) {
 			break
 		}
-		out = append(out, rowsFrom(x.eq[k], from)...)
+		pl := x.eq[k]
+		for rows := x.nextBlock(&pl); rows != nil; rows = x.nextBlock(&pl) {
+			for _, r := range rows {
+				if int(r) >= from {
+					out = append(out, r)
+				}
+			}
+		}
 	}
 	slices.Sort(out) // ascending rows = ascending ids, whatever the key order
 	return out, true

@@ -3,6 +3,7 @@ package docstore
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Reads beside writes: cached partials that advance.
@@ -58,12 +59,19 @@ type aggEntry struct {
 	groups []pGroup         // group plans: in ascending minID order
 	index  map[string]int32 // group plans: class key → position in groups
 	counts map[int]int      // bucket plans: bucket index → count
+	// The slabs the groups' key values, accumulators and built class
+	// keys are carved from. A sweep's copy of a group still reads them
+	// after the entry's lock is gone, so reset drops them rather than
+	// carve over them.
+	cells []Cell
+	accs  []accState
+	kbuf  []byte
 }
 
 // reset empties a stale entry for a plan of the given kind to fold
 // into from row 0.
 func (e *aggEntry) reset(kind PlanKind) {
-	e.groups = nil
+	e.groups, e.cells, e.accs, e.kbuf = nil, nil, nil, nil
 	clear(e.index)
 	clear(e.counts)
 	switch {
@@ -72,6 +80,30 @@ func (e *aggEntry) reset(kind PlanKind) {
 	case kind == PlanBucket && e.counts == nil:
 		e.counts = make(map[int]int)
 	}
+}
+
+// classKey returns a copy of a built class key, carved from the
+// entry's byte slab.
+func (e *aggEntry) classKey(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	k := carveFrom(&e.kbuf, len(b))
+	copy(k, b)
+	return unsafe.String(&k[0], len(k))
+}
+
+// carveFrom returns n zero elements off the end of slab. A slab without
+// room for them is replaced by a fresh chunk, twice the last one's size
+// (up to 1 024 elements), and the old chunk is left to the carves
+// already made from it: no carve moves or rewrites another's elements.
+func carveFrom[T any](slab *[]T, n int) []T {
+	s := *slab
+	if cap(s)-len(s) < n {
+		s = make([]T, 0, max(n, min(2*cap(s), 1024), 8))
+	}
+	*slab = s[:len(s)+n]
+	return s[len(s) : len(s)+n : len(s)+n]
 }
 
 // entryFor returns the partition's cached partial for a signature — a

@@ -2,7 +2,6 @@ package docstore
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -181,13 +180,13 @@ func (p *partition) restoreOrderLocked() {
 // gatherLocked rebuilds the partition's tail: rows before lo stay, new
 // row lo+i is old row src[i] (every src[i] >= lo), and rows past the
 // end of src are dropped. It is the one primitive behind re-sorting
-// and compaction; the index shards drop and re-add exactly the rows
-// that moved, and the cached partials that had folded a row at or past
-// lo start over.
+// and compaction; the index shards cut their lists back to the rows
+// before lo and refill them with the rows that moved, and the cached
+// partials that had folded a row at or past lo start over.
 func (p *partition) gatherLocked(lo int, src []int) {
 	p.invalidatePartialsLocked(lo)
 	for _, idx := range p.indexes {
-		idx.dropFrom(p, lo)
+		idx.cut(p, lo)
 	}
 	ids := make([]int64, len(src))
 	for i, r := range src {
@@ -206,69 +205,64 @@ func (p *partition) gatherLocked(lo int, src []int) {
 	}
 }
 
-// candidates returns the rows from row from on that a filter needs to
-// examine, in ascending order, using an index shard when the filter
-// constrains an indexed field; all=true means every one of them. The
-// result may alias an index posting list: callers must not mutate the
-// partition while they walk it. Caller holds at least a read lock.
-func (p *partition) candidates(f *filter, from int) (rows []int32, all bool) {
-	if len(p.indexes) == 0 {
-		return nil, true
-	}
+// forEachMatch invokes fn for every row from row from on that matches
+// the filter, in ascending row (= id) order. It is the one scan loop
+// every read and write path shares: when the filter constrains an
+// indexed field it examines only the rows the index shard names — an
+// equality walks its key's posting blocks, skipping those wholly below
+// from, a range collects its keys' rows — and every row otherwise.
+// Caller holds at least a read lock; fn must not mutate the partition
+// (write paths collect the rows first).
+func (p *partition) forEachMatch(f *filter, from int, fn func(r int)) error {
 	for i := range f.nodes {
 		n := &f.nodes[i]
 		if n.kind != nodePred {
 			continue
 		}
-		idx, ok := p.indexes[n.path]
-		if !ok {
+		idx := p.indexes[n.path]
+		if idx == nil {
 			continue
 		}
 		if k, ok := n.eqKey(); ok {
-			return rowsFrom(idx.eq[k], from), false
+			pl := idx.eq[k]
+			for rows := idx.nextBlock(&pl); rows != nil; rows = idx.nextBlock(&pl) {
+				if int(rows[len(rows)-1]) < from {
+					continue
+				}
+				for _, r := range rows {
+					if int(r) >= from {
+						if err := p.visitRow(f, int(r), fn); err != nil {
+							return err
+						}
+					}
+				}
+			}
+			return nil
 		}
 		if rows, ok := idx.lookupRange(n.cond, from); ok {
-			return rows, false
+			for _, r := range rows {
+				if err := p.visitRow(f, int(r), fn); err != nil {
+					return err
+				}
+			}
+			return nil
 		}
 	}
-	return nil, true
-}
-
-// rowsFrom returns the part of an ascending posting list at or past
-// row from.
-func rowsFrom(rows []int32, from int) []int32 {
-	if from == 0 {
-		return rows
-	}
-	at, _ := slices.BinarySearch(rows, int32(from))
-	return rows[at:]
-}
-
-// forEachMatch invokes fn for every row from row from on that matches
-// the filter, in ascending row (= id) order. It is the one scan loop
-// every read and write path shares. Caller holds at least a read lock;
-// fn must not mutate the partition (write paths collect the rows
-// first).
-func (p *partition) forEachMatch(f *filter, from int, fn func(r int)) error {
-	rows, all := p.candidates(f, from)
-	n := len(rows)
-	if all {
-		n = len(p.ids) - from
-	}
-	for i := 0; i < n; i++ {
-		r := from + i
-		if !all {
-			r = int(rows[i])
-		}
-		ok, err := f.match(row{p: p, r: r})
-		if err != nil {
+	for r := from; r < len(p.ids); r++ {
+		if err := p.visitRow(f, r, fn); err != nil {
 			return err
-		}
-		if ok {
-			fn(r)
 		}
 	}
 	return nil
+}
+
+// visitRow invokes fn for row r if it matches the filter.
+func (p *partition) visitRow(f *filter, r int, fn func(r int)) error {
+	ok, err := f.match(row{p: p, r: r})
+	if ok && err == nil {
+		fn(r)
+	}
+	return err
 }
 
 // matchingRows collects the rows matching the filter.

@@ -316,13 +316,13 @@ func groupPartial(p *partition, plan *aggPlan, e *aggEntry, from int, sc *partia
 		if !ok {
 			// Rows come in ascending id order, so a group's first row is
 			// its smallest id: its key values are the group's identity.
-			g := pGroup{minID: p.ids[r], key: make([]Cell, len(plan.refs)), accs: make([]accState, len(plan.accs))}
+			g := pGroup{minID: p.ids[r], key: carveFrom(&e.cells, len(plan.refs)), accs: carveFrom(&e.accs, len(plan.accs))}
 			for i, f := range plan.refs {
 				g.key[i] = p.cell(r, f)
 				g.key[i].box = cloneValue(g.key[i].box)
 			}
 			if g.ks = str.str; str.kind != kindString {
-				g.ks = string(sc.key)
+				g.ks = e.classKey(sc.key)
 			}
 			gi = int32(len(e.groups))
 			e.index[g.ks] = gi
