@@ -47,10 +47,11 @@ func TestRecordBatchAllocBudget(t *testing.T) {
 	record() // grow the queue buffers and the row batch once
 	perAlarm := testing.AllocsPerRun(20, record) / 512
 	t.Logf("RecordBatch(512)+Flush: %.3f allocations per alarm", perAlarm)
-	// Reads ≈ 0.03, the columns' growth; 0.14 while the device index's
+	// Reads ≈ 0.015, the lanes' chunks and the id column's growth; 0.03
+	// while every column regrew by copy, 0.14 while the device index's
 	// posting lists regrew as they filled.
-	if perAlarm > 0.05 {
-		t.Fatalf("RecordBatch(512)+Flush: %.3f allocations per alarm, budget 0.05", perAlarm)
+	if perAlarm > 0.025 {
+		t.Fatalf("RecordBatch(512)+Flush: %.3f allocations per alarm, budget 0.025", perAlarm)
 	}
 }
 

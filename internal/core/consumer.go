@@ -9,6 +9,7 @@ import (
 	"alarmverify/internal/anomaly"
 	"alarmverify/internal/broker"
 	"alarmverify/internal/codec"
+	"alarmverify/internal/docstore"
 	"alarmverify/internal/metrics"
 	"alarmverify/internal/stream"
 )
@@ -134,6 +135,9 @@ type ConsumerApp struct {
 	scratch   codec.ScratchUnmarshaler
 	sc        *codec.Scratch
 	batchPool sync.Pool
+	// hist is Persist's histogram-sweep scratch, one per app: only
+	// Persist touches it, and an app runs one persist goroutine.
+	hist histScratch
 
 	mu       sync.Mutex
 	times    ComponentTimes
@@ -205,6 +209,10 @@ func NewConsumerAppFor(cons broker.GroupConsumer, partitions int,
 		// Start at the floor: the first saturated drain doubles it.
 		app.batchLimit.Store(int64(cfg.AdaptiveMinBatch))
 	}
+	// Persist's sweep scratch, sized like a pooled batch for a full drain.
+	n := src.MaxPerBatch
+	app.hist = histScratch{macs: make([]string, 0, n), conds: make([]docstore.Cond, 0, 2*n),
+		filters: make([][]docstore.Cond, 0, n), out: make([][]HistogramBucket, 0, n)}
 	if su, ok := cfg.Codec.(codec.ScratchUnmarshaler); ok && cfg.CacheDecoded {
 		// The §6.2 cache ablation (CacheDecoded=false) must keep the
 		// copying RDD lineage, so the zero-copy path is gated on both.

@@ -487,10 +487,9 @@ func (h *History) DeviceHistograms(macs []string, since time.Time, bucket time.D
 // the answers (every device's bars back to back in one slab, out[i] a
 // view of device i's; a view taken before the slab grew keeps the old
 // array, whose bars are never rewritten within a sweep). The pipeline's
-// Persist stage keeps one on each
-// pooled Batch, so a micro-batch's sweep — one round-trip for its N
-// distinct devices instead of N serialized ones — allocates only what
-// the store does.
+// Persist stage keeps one on its ConsumerApp, so a micro-batch's sweep —
+// one round-trip for its N distinct devices instead of N serialized
+// ones — allocates only what the store does.
 type histScratch struct {
 	macs    []string
 	conds   []docstore.Cond

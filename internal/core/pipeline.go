@@ -72,7 +72,6 @@ type Batch struct {
 	recs   []broker.Record
 	leases []*broker.Lease
 	seen   map[string]struct{} // distinct-device scratch
-	hist   histScratch         // histogram-query scratch
 	chunks chunkRun            // Classify's fan-out state
 	pooled bool
 }
@@ -380,6 +379,11 @@ func (cr *chunkRun) run(r int) {
 // stage; a batch must not be committed before Persist returns. Note
 // Times.Ingest measures the enqueue under write-behind; the flush
 // wait lands in Times.History.
+//
+// Persist must not run concurrently with itself on one app: the
+// histogram sweep's scratch is the app's. Every caller runs one persist
+// goroutine an app — the sharded service's per-shard persist stage, and
+// processBatch under ProcessBatches/Run.
 func (c *ConsumerApp) Persist(b *Batch) error {
 	if c.history != nil {
 		start := time.Now()
@@ -396,11 +400,11 @@ func (c *ConsumerApp) Persist(b *Batch) error {
 		// history round-trip (fanning out to its partitions
 		// concurrently), instead of one serialized round-trip per
 		// device — the dominant cost of the pre-optimization e2e path.
-		b.hist.macs = b.hist.macs[:0]
+		c.hist.macs = c.hist.macs[:0]
 		for i := range b.Devices {
-			b.hist.macs = append(b.hist.macs, b.Devices[i].DeviceMAC)
+			c.hist.macs = append(c.hist.macs, b.Devices[i].DeviceMAC)
 		}
-		if err := c.history.deviceHistograms(&b.hist, since, c.cfg.HistogramBucket); err != nil {
+		if err := c.history.deviceHistograms(&c.hist, since, c.cfg.HistogramBucket); err != nil {
 			return err
 		}
 		// Durability barrier: CommitBatch must never run before this

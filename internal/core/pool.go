@@ -6,7 +6,6 @@ import (
 
 	"alarmverify/internal/alarm"
 	"alarmverify/internal/broker"
-	"alarmverify/internal/docstore"
 )
 
 // batchCheckMode, when enabled, makes ReleaseBatch poison the released
@@ -55,10 +54,9 @@ func (c *ConsumerApp) getBatch() *Batch {
 // newBatch builds a pooled batch with its scratch allocated once, for
 // a full drain at the source's current record bound (MaxPerBatch
 // unless adaptive batching moves it): records, alarms, devices,
-// verifications, enqueue times when metrics are attached, the
-// distinct-device set and the histogram sweep's devices, filters and
-// answers. A cold batch then regrows none of them on its way through
-// the pipeline. An unbounded source (MaxPerBatch 0) lets them grow
+// verifications, enqueue times when metrics are attached and the
+// distinct-device set. A cold batch then regrows none of them on its way
+// through the pipeline. An unbounded source (MaxPerBatch 0) lets them grow
 // with the drains instead.
 func (c *ConsumerApp) newBatch() *Batch {
 	n := c.source.MaxPerBatch
@@ -72,10 +70,6 @@ func (c *ConsumerApp) newBatch() *Batch {
 	if c.cfg.Metrics != nil {
 		b.Enqueued = make([]time.Time, 0, n)
 	}
-	b.hist.macs = make([]string, 0, n)
-	b.hist.conds = make([]docstore.Cond, 0, 2*n)
-	b.hist.filters = make([][]docstore.Cond, 0, n)
-	b.hist.out = make([][]HistogramBucket, 0, n)
 	return b
 }
 

@@ -4,7 +4,9 @@ package docstore
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -40,5 +42,46 @@ func TestIndexAppendAllocBudget(t *testing.T) {
 	t.Logf("%d rows appended: %d allocations, %d new pages", rows, allocs, grown)
 	if allocs > uint64(2*grown) { // a page, and the page list's growth
 		t.Fatalf("%d rows appended: %d allocations for %d new pages, budget 0 a row beyond them", rows, allocs, grown)
+	}
+}
+
+// TestColumnAppendAllocBudget: appending rows to a partition's columns
+// allocates their lanes' chunks and nothing else — no column is copied as
+// it grows, and a dense column keeps no presence bitmap. Before the lanes
+// each typed slice regrew by copy at 1.25×, and so did an all-ones
+// bitmap beside it.
+func TestColumnAppendAllocBudget(t *testing.T) {
+	const rows = 20_000
+	row := []Cell{
+		Int64(7), String("00:1a:2b:3c:4d:5e"), Float(1.7e9), String("fire"), String("Zürich"),
+		Float(47.37), Float(8.54), boolCell(true), Cell{kind: kindInt, num: 3},
+	}
+	cols := make([]column, len(row))
+	// A collection during the appends would count the runtime's own
+	// allocations too.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for r := 0; r < rows; r++ {
+		for i := range cols {
+			cols[i].set(r, row[i])
+		}
+	}
+	runtime.ReadMemStats(&after)
+	// A lane allocates its chunk list, chunk 0 at each size it doubles
+	// through, and every later chunk.
+	var chunks uint64
+	for i := range cols {
+		c := &cols[i]
+		if c.present != nil {
+			t.Fatalf("column %d holds every row yet keeps a bitmap", i)
+		}
+		n := len(c.strs.chunks) + len(c.nums.chunks) + len(c.boxed.chunks)
+		chunks += 1 + uint64(bits.Len(chunkRows/firstChunkRows)) + uint64(n-1)
+	}
+	allocs := after.Mallocs - before.Mallocs
+	t.Logf("%d rows of %d fields appended: %d allocations, %d of them the lanes' chunks", rows, len(row), allocs, chunks)
+	if allocs > chunks {
+		t.Fatalf("%d rows of %d fields appended: %d allocations, budget the lanes' %d", rows, len(row), allocs, chunks)
 	}
 }

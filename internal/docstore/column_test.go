@@ -1,0 +1,264 @@
+package docstore
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+)
+
+// laneRows returns every row a lane holds, checking its layout on the
+// way: every chunk but the last is full, chunk 0 holds at most chunkRows
+// and a later chunk exactly chunkRows.
+func laneRows(t *testing.T, l *lane[int]) []int {
+	t.Helper()
+	var out []int
+	for k, ch := range l.chunks {
+		switch {
+		case k == 0 && cap(ch) > chunkRows, k > 0 && cap(ch) != chunkRows:
+			t.Fatalf("chunk %d has capacity %d", k, cap(ch))
+		case k < len(l.chunks)-1 && len(ch) != cap(ch):
+			t.Fatalf("chunk %d of %d holds %d of %d rows", k, len(l.chunks), len(ch), cap(ch))
+		}
+		out = append(out, ch...)
+	}
+	for r := range out {
+		if got := l.at(r); got != out[r] {
+			t.Fatalf("at(%d) = %d, chunk holds %d", r, got, out[r])
+		}
+	}
+	return out
+}
+
+// TestLaneMatchesFlat: a lane holds what a flat slice does at the sizes
+// either side of chunk 0's doublings and of the full chunks; truncated on
+// and beside a chunk boundary and refilled, it holds the flat slice's
+// prefix plus the refill, while a copy shared before the truncation
+// still reads every row it captured.
+func TestLaneMatchesFlat(t *testing.T) {
+	sizes := []int{0, 1, 511, 512, 513, 1024, 4095, 4096, 4097, 8192, 8193}
+	for _, n := range sizes {
+		for _, lo := range append(sizes, n/2, n-1) {
+			if lo < 0 || lo > n {
+				continue
+			}
+			var l lane[int]
+			flat := make([]int, n)
+			for i := range flat {
+				flat[i] = i
+				l.push(i)
+			}
+			if got := laneRows(t, &l); !slices.Equal(got, flat) {
+				t.Fatalf("%d rows pushed: lane holds %d", n, len(got))
+			}
+			if n > 0 && cap(l.chunks) < 8 {
+				t.Fatalf("%d rows: chunk list capacity %d, want at least 8", n, cap(l.chunks))
+			}
+			shared := l.share()
+			l.truncate(lo)
+			want := append([]int(nil), flat[:lo]...)
+			for i := 0; i < 600; i++ {
+				l.push(-1 - i)
+				want = append(want, -1-i)
+			}
+			if got := laneRows(t, &l); !slices.Equal(got, want) {
+				t.Fatalf("%d rows truncated to %d and refilled: lane diverges from the flat slice", n, lo)
+			}
+			if got := laneRows(t, &shared); !slices.Equal(got, flat) {
+				t.Fatalf("%d rows truncated to %d: the shared copy changed", n, lo)
+			}
+		}
+	}
+}
+
+// TestColumnMatchesFlat drives a column and a flat []Cell through the
+// same appends — runs with and without gaps, a second kind that promotes
+// the column mid-chunk — and gathers with lo on and beside chunk
+// boundaries (re-sorts, deletes), then appends again. Every row must read
+// back the same, and the presence bitmap must stay nil until the first
+// gap and exist from then on.
+func TestColumnMatchesFlat(t *testing.T) {
+	r := rand.New(rand.NewSource(26))
+	for trial := 0; trial < 24; trial++ {
+		var (
+			c   column
+			ref []Cell
+		)
+		gaps := trial%3 != 0 // a third of the columns stay dense
+		promoteAt := -1      // the row that brings a second kind
+		if trial%4 == 1 {
+			promoteAt = []int{100, 700, 4100, 6000}[r.Intn(4)]
+		}
+		typed := []func(i int) Cell{
+			func(i int) Cell { return String(fmt.Sprintf("s%d", i%37)) },
+			func(i int) Cell { return Float(float64(i) / 4) },
+			func(i int) Cell { return Int64(int64(i) << 40) },
+			func(i int) Cell { return boolCell(i%3 == 0) },
+			func(i int) Cell { return Cell{kind: kindInt, num: uint64(i)} },
+		}[trial%5]
+		appendRows := func(n int) {
+			afterGap := false
+			for end := len(ref) + n; len(ref) < end; {
+				if gaps && r.Intn(50) == 0 {
+					ref = append(ref, Cell{}) // a gap: the row holds no value
+					afterGap = true
+					continue
+				}
+				v := typed(len(ref))
+				if len(ref) == promoteAt {
+					v = cellOf(time.Unix(int64(len(ref)), 0).UTC())
+				}
+				c.set(len(ref), v)
+				ref = append(ref, v)
+				if afterGap && c.present == nil {
+					t.Fatalf("trial %d: row %d set past a gap, and the column has no bitmap", trial, len(ref)-1)
+				}
+			}
+		}
+		check := func(stage string) {
+			t.Helper()
+			for i := 0; i < len(ref)+2; i++ {
+				want := Cell{}
+				if i < len(ref) {
+					want = ref[i]
+				}
+				if c.kind == kindBoxed && want.Present() {
+					want = Cell{kind: kindBoxed, box: want.value()}
+				}
+				if got := c.cell(i); got != want {
+					t.Fatalf("trial %d, %s: row %d of %d reads %+v, want %+v", trial, stage, i, len(ref), got, want)
+				}
+			}
+			if !gaps && c.present != nil {
+				t.Fatalf("trial %d, %s: a column without a gap has a bitmap", trial, stage)
+			}
+		}
+		appendRows(4000 + r.Intn(5000))
+		check("appended")
+		for _, lo := range []int{0, 511, 512, 513, 4095, 4096, 4097, len(ref) - 1, r.Intn(len(ref))} {
+			if lo > len(ref) {
+				continue
+			}
+			src := make([]int, 0, len(ref)-lo)
+			for i := lo; i < len(ref); i++ {
+				if r.Intn(4) != 0 { // a delete drops a quarter of the tail
+					src = append(src, i)
+				}
+			}
+			if r.Intn(2) == 0 { // a re-sort moves the rest
+				r.Shuffle(len(src), func(i, j int) { src[i], src[j] = src[j], src[i] })
+			}
+			moved := make([]Cell, len(src))
+			for i, s := range src {
+				moved[i] = ref[s]
+			}
+			c.gather(lo, src)
+			ref = append(ref[:lo], moved...)
+			check(fmt.Sprintf("gathered from %d", lo))
+			appendRows(r.Intn(700))
+			check(fmt.Sprintf("appended after the gather from %d", lo))
+		}
+	}
+}
+
+// TestCheckpointBesideWriters checkpoints a one-partition collection
+// over and over while writers append out-of-order batches (concurrent
+// InsertMany calls take the lock in the other order) of rows with gaps
+// and a field that gets promoted, delete id ranges, and prune by
+// retention — so gathers cut the lanes at every depth while a snapshot
+// shares their chunks. Under -race a snapshot that reads a row a writer
+// rewrites fails; in any mode the reopened store must equal the live one.
+func TestCheckpointBesideWriters(t *testing.T) {
+	dir := t.TempDir()
+	opts := DurableOptions{Partitions: 1, SyncInterval: -1, CheckpointInterval: -1}
+	db, err := OpenDB(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := db.Collection("h")
+	c.SetRetention("ts", time.Hour)
+	now := time.Now()
+	const writers, batches, size = 4, 40, 64
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for b := 0; b < batches; b++ {
+				docs := make([]Doc, size)
+				for i := range docs {
+					seq := (w*batches+b)*size + i
+					age := time.Duration(seq%7) * 15 * time.Minute // 2 in 7 expire
+					d := Doc{"ts": float64(now.Add(-age).Unix()), "w": w, "seq": seq}
+					if seq%5 != 0 {
+						d["tag"] = fmt.Sprintf("t%d", seq%3) // a gap every fifth row
+					}
+					if seq%997 == 500 {
+						d["w"] = "second kind" // promotes w mid-chunk
+					}
+					docs[i] = d
+				}
+				c.InsertMany(docs)
+				if b%8 == 7 {
+					lo := (w*batches + b - 7) * size
+					if _, err := c.Delete(Doc{"seq": map[string]any{"$gte": lo, "$lt": lo + size/2}}); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	var bg sync.WaitGroup
+	bg.Add(2)
+	go func() {
+		defer bg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if _, err := c.PruneExpired(now); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	go func() {
+		defer bg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if err := db.Checkpoint(); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	wg.Wait()
+	close(done)
+	bg.Wait()
+	if err := db.Checkpoint(); err != nil { // a snapshot of the final state, then more log on top
+		t.Fatal(err)
+	}
+	c.Insert(Doc{"ts": float64(now.Unix()), "w": 0, "seq": -1})
+	want := findAll(t, c)
+	if len(want) < 4096 {
+		t.Fatalf("%d rows left: the lanes never filled chunk 0", len(want))
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = OpenDB(dir, opts); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if got := findAll(t, db.Collection("h")); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened store differs from the live one: %d rows, want %d", len(got), len(want))
+	}
+}

@@ -605,9 +605,11 @@ func (c *Collection) checkpointPartition(pi int) error {
 	return dc.removeEpochsBefore(pi, newEpoch)
 }
 
-// copyLocked captures the partition's rows — ids and columns, nested
-// values deep-copied — as a detached partition nothing else refers to,
-// for the checkpointer to encode after it has released the lock.
+// copyLocked captures the partition's rows for the checkpointer to encode
+// after it has released the lock. The typed lanes' chunks are shared:
+// writers append past the captured rows, and a gather refills fresh
+// memory (lane.truncate). Copied are the ids, the presence bitmap (set
+// ORs bits into words it shares) and the boxed values, deep.
 func (p *partition) copyLocked() *partition {
 	snap := &partition{dict: p.dict, ids: append([]int64(nil), p.ids...), cols: make([]*column, len(p.cols))}
 	for s, col := range p.cols {
@@ -616,11 +618,11 @@ func (p *partition) copyLocked() *partition {
 		}
 		cp := *col
 		cp.present = append([]uint64(nil), col.present...)
-		cp.strs = append([]string(nil), col.strs...)
-		cp.floats = append([]float64(nil), col.floats...)
-		cp.ints = append([]int64(nil), col.ints...)
-		cp.bools = append([]bool(nil), col.bools...)
-		cp.boxed = cloneValues(col.boxed)
+		cp.strs, cp.nums = col.strs.share(), col.nums.share()
+		cp.boxed.chunks = make([][]any, len(col.boxed.chunks))
+		for i, ch := range col.boxed.chunks {
+			cp.boxed.chunks[i] = cloneValues(ch)
+		}
 		snap.cols[s] = &cp
 	}
 	return snap

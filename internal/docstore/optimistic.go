@@ -70,14 +70,14 @@ type aggEntry struct {
 
 // reset empties a stale entry for a plan of the given kind to fold
 // into from row 0.
-func (e *aggEntry) reset(kind PlanKind) {
+func (e *aggEntry) reset(kind planKind) {
 	e.groups, e.cells, e.accs, e.kbuf = nil, nil, nil, nil
 	clear(e.index)
 	clear(e.counts)
 	switch {
-	case kind == PlanGroup && e.index == nil:
+	case kind == planGroup && e.index == nil:
 		e.index = make(map[string]int32)
-	case kind == PlanBucket && e.counts == nil:
+	case kind == planBucket && e.counts == nil:
 		e.counts = make(map[int]int)
 	}
 }
@@ -164,7 +164,7 @@ func (p *partition) advance(run *planRun, out *aggPartial, sc *partialScratch, s
 	st.rowsFolded.Add(int64(n - from))
 	e.mark = stale // until the fold has gone through
 	var err error
-	if run.plan.kind == PlanGroup {
+	if run.plan.kind == planGroup {
 		err = groupPartial(p, run.plan, e, from, sc, out)
 	} else {
 		err = bucketPartial(p, run.plan, e.counts, from, sc, out)

@@ -41,22 +41,22 @@ import (
 // stage the planner cannot push is refused (ErrBadFilter): there is no
 // second execution path to keep equivalent.
 
-// PlanKind names how Aggregate executes a pipeline: the shape of the
+// planKind names how Aggregate executes a pipeline: the shape of the
 // per-partition partials the merge combines.
-type PlanKind string
+type planKind string
 
 // The planner's execution shapes.
 const (
-	// PlanScan is a filtered scan with an optional pushed Limit:
+	// planScan is a filtered scan with an optional pushed Limit:
 	// partitions return (id, doc) pairs merged by insertion id.
-	PlanScan PlanKind = "scan"
-	// PlanGroup pushes Group accumulators down as mergeable partials.
-	PlanGroup PlanKind = "group"
-	// PlanBucket pushes Bucket down as per-partition count maps.
-	PlanBucket PlanKind = "bucket"
-	// PlanTopK pushes SortStage (+ optional Limit) down as
+	planScan planKind = "scan"
+	// planGroup pushes Group accumulators down as mergeable partials.
+	planGroup planKind = "group"
+	// planBucket pushes Bucket down as per-partition count maps.
+	planBucket planKind = "bucket"
+	// planTopK pushes SortStage (+ optional Limit) down as
 	// per-partition top-K selections.
-	PlanTopK PlanKind = "topk"
+	planTopK planKind = "topk"
 )
 
 // aggPlan is one planned pipeline: the partition-local partial shape
@@ -64,7 +64,7 @@ const (
 // compiled filter and the slots of every field the partial reads.
 type aggPlan struct {
 	scanFilter Doc      // base filter ∧ folded leading Match filters
-	kind       PlanKind // scan | group | bucket | topk
+	kind       planKind // scan | group | bucket | topk
 	group      *Group
 	bucket     *Bucket
 	sortField  string
@@ -91,15 +91,15 @@ func (p *aggPlan) bind(d *fieldDict) *aggPlan {
 	}
 	var fields []string
 	switch p.kind {
-	case PlanGroup:
+	case planGroup:
 		fields = p.group.By
 		for out, acc := range p.group.Accs {
 			p.accs = append(p.accs, planAcc{out: out, op: acc.Op, ref: d.ref(acc.Field)})
 		}
 		sort.Slice(p.accs, func(i, j int) bool { return p.accs[i].out < p.accs[j].out })
-	case PlanBucket:
+	case planBucket:
 		fields = []string{p.bucket.Field}
-	case PlanTopK:
+	case planTopK:
 		fields = []string{p.sortField}
 	}
 	p.refs = make([]fieldRef, len(fields))
@@ -146,7 +146,7 @@ func planAggregate(filter Doc, stages []Stage) (*aggPlan, error) {
 	}
 
 	if i == len(stages) {
-		plan.kind = PlanScan
+		plan.kind = planScan
 		return plan, nil
 	}
 	switch head := stages[i].(type) {
@@ -155,7 +155,7 @@ func planAggregate(filter Doc, stages []Stage) (*aggPlan, error) {
 			return nil, err
 		}
 		g := head
-		plan.kind = PlanGroup
+		plan.kind = planGroup
 		plan.group = &g
 		plan.tail = stages[i+1:]
 		return plan, nil
@@ -164,12 +164,12 @@ func planAggregate(filter Doc, stages []Stage) (*aggPlan, error) {
 			return nil, fmt.Errorf("%w: bucket width must be positive", ErrBadFilter)
 		}
 		b := head
-		plan.kind = PlanBucket
+		plan.kind = planBucket
 		plan.bucket = &b
 		plan.tail = stages[i+1:]
 		return plan, nil
 	case SortStage:
-		plan.kind = PlanTopK
+		plan.kind = planTopK
 		plan.sortField, plan.sortDesc = head.Field, false
 		if strings.HasPrefix(plan.sortField, "-") {
 			plan.sortField, plan.sortDesc = plan.sortField[1:], true
@@ -192,7 +192,7 @@ func planAggregate(filter Doc, stages []Stage) (*aggPlan, error) {
 		if head.N < 0 {
 			return nil, fmt.Errorf("%w: limit must be non-negative, got %d", ErrBadFilter, head.N)
 		}
-		plan.kind = PlanScan
+		plan.kind = planScan
 		plan.limit = head.N
 		plan.tail = stages[i+1:]
 		return plan, nil
@@ -541,16 +541,16 @@ func scanPartial(p *partition, plan *aggPlan, out *aggPartial) error {
 func mergeDocs(sw *sweep, run *planRun) []Doc {
 	plan, shared := run.plan, run.sig != ""
 	switch plan.kind {
-	case PlanGroup:
+	case planGroup:
 		return groupDocs(plan, mergeGroups(sw, run), shared)
-	case PlanBucket:
+	case planBucket:
 		bars := mergeBuckets(plan.bucket, run.partials, nil)
 		out := make([]Doc, len(bars))
 		for i, b := range bars {
 			out[i] = Doc{"bucket": b.Start, "count": b.Count}
 		}
 		return out
-	case PlanTopK:
+	case planTopK:
 		return mergeTopK(plan, run.partials)
 	default:
 		return mergeScan(plan, run.partials)
@@ -738,7 +738,7 @@ func mergeScan(plan *aggPlan, partials []aggPartial) []Doc {
 // cost more than the index probe and count it saved; a top-K or scan
 // partial holds documents, not a fold.
 func (p *aggPlan) cacheable() bool {
-	return !p.typed && (p.kind == PlanGroup || p.kind == PlanBucket)
+	return !p.typed && (p.kind == planGroup || p.kind == planBucket)
 }
 
 // signature canonicalizes a bound plan into the key its partials are
@@ -753,12 +753,12 @@ func (p *aggPlan) signature() string {
 	}
 	var buf [128]byte
 	b := append(buf[:0], p.kind...)
-	if p.kind == PlanBucket {
+	if p.kind == planBucket {
 		b = strconv.AppendQuote(append(b, '|'), p.bucket.Field)
 		b = strconv.AppendFloat(append(b, ','), p.bucket.Origin, 'g', -1, 64)
 		b = strconv.AppendFloat(append(b, ','), p.bucket.Width, 'g', -1, 64)
 	}
-	if p.kind == PlanGroup {
+	if p.kind == planGroup {
 		for _, f := range p.group.By {
 			b = strconv.AppendQuote(append(b, '|'), f)
 		}
@@ -918,10 +918,10 @@ func (c *Collection) visit(sw *sweep, pi int) error {
 		switch out := &run.partials[slot]; {
 		case run.sig != "":
 			err = p.advance(run, out, sc, &c.aggStats)
-		case run.plan.kind == PlanBucket:
+		case run.plan.kind == planBucket:
 			clear(sc.counts)
 			err = bucketPartial(p, run.plan, sc.counts, 0, sc, out)
-		case run.plan.kind == PlanTopK:
+		case run.plan.kind == planTopK:
 			err = topkPartial(p, run.plan, out)
 		default:
 			err = scanPartial(p, run.plan, out)
@@ -1004,7 +1004,7 @@ func (c *Collection) BucketCounts(filters [][]Cond, b Bucket, visit func(i int, 
 		start := len(slab)
 		slab = compileConds(c.dict, conds, slab)
 		sw.filters[i] = filter{nodes: slab[start:len(slab):len(slab)]}
-		sw.plans[i] = aggPlan{kind: PlanBucket, bucket: &sw.bucket, limit: -1, filter: &sw.filters[i], typed: true, refs: sw.refs[:]}
+		sw.plans[i] = aggPlan{kind: planBucket, bucket: &sw.bucket, limit: -1, filter: &sw.filters[i], typed: true, refs: sw.refs[:]}
 		sw.bound[i] = &sw.plans[i]
 	}
 	sw.nodes = slab

@@ -113,7 +113,7 @@ func TestSortStageMixedTypePin(t *testing.T) {
 func TestExplainPlans(t *testing.T) {
 	group := Group{By: []string{"zip"}, Accs: map[string]Accumulator{"n": {Op: "count"}}}
 	type shape struct {
-		kind      PlanKind
+		kind      planKind
 		pushed    int
 		central   int
 		cacheable bool
@@ -125,25 +125,25 @@ func TestExplainPlans(t *testing.T) {
 		want   shape
 	}{
 		{"bare find", Doc{"zip": "8000"}, nil,
-			shape{kind: PlanScan}},
+			shape{kind: planScan}},
 		{"match fold", nil, []Stage{Match{Filter: Doc{"zip": "8000"}}, Match{Filter: Doc{"verified": true}}},
-			shape{kind: PlanScan, pushed: 2}},
+			shape{kind: planScan, pushed: 2}},
 		{"group", nil, []Stage{group},
-			shape{kind: PlanGroup, pushed: 1, cacheable: true}},
+			shape{kind: planGroup, pushed: 1, cacheable: true}},
 		{"match group tail", nil, []Stage{Match{Filter: Doc{"verified": true}}, group, SortStage{Field: "-n"}, Limit{N: 3}},
-			shape{kind: PlanGroup, pushed: 2, central: 2, cacheable: true}},
+			shape{kind: planGroup, pushed: 2, central: 2, cacheable: true}},
 		{"bucket", nil, []Stage{Bucket{Field: "ts", Origin: 0, Width: 60}},
-			shape{kind: PlanBucket, pushed: 1, cacheable: true}},
+			shape{kind: planBucket, pushed: 1, cacheable: true}},
 		{"topk", nil, []Stage{SortStage{Field: "-duration"}, Limit{N: 10}},
-			shape{kind: PlanTopK, pushed: 2}},
+			shape{kind: planTopK, pushed: 2}},
 		{"full sort", nil, []Stage{SortStage{Field: "duration"}},
-			shape{kind: PlanTopK, pushed: 1}},
+			shape{kind: planTopK, pushed: 1}},
 		{"limit scan", nil, []Stage{Limit{N: 5}, Limit{N: 3}},
-			shape{kind: PlanScan, pushed: 1, central: 1}},
+			shape{kind: planScan, pushed: 1, central: 1}},
 		{"custom tail stays central", nil, []Stage{group, passthrough{}},
-			shape{kind: PlanGroup, pushed: 1, central: 1, cacheable: true}},
+			shape{kind: planGroup, pushed: 1, central: 1, cacheable: true}},
 		{"regex filter uncacheable", Doc{"zip": map[string]any{"$regexPrefix": "80"}}, []Stage{group},
-			shape{kind: PlanGroup, pushed: 1, cacheable: true}},
+			shape{kind: planGroup, pushed: 1, cacheable: true}},
 	}
 	for _, tc := range cases {
 		plan, err := planAggregate(tc.filter, tc.stages)

@@ -13,12 +13,13 @@ import (
 // keeps a field dictionary (name → slot, grown the first time a name
 // is seen, so the schema stays as flexible as the paper needs), and
 // each partition keeps an id column plus one column per slot, typed by
-// what the slot has held so far — []string, []float64, []int64 (for
-// int64 and, as a kind of its own, int) or []bool, with a presence
-// bitmap. The first time a slot sees anything else (nil, time.Time, a
-// nested map or slice, a narrower numeric type) or a second kind, its
-// column is promoted to a boxed []any and stays there. A Doc is built
-// from a row only by the calls that return documents.
+// what the slot has held so far — string, float64, int64, int (a kind
+// of its own) or bool, in fixed chunks that are never copied (lane), a
+// presence bitmap from the first gap on. The first time a slot sees
+// anything else (nil, time.Time, a nested map or slice, a narrower
+// numeric type) or a second kind, its column is promoted to boxed
+// values and stays there. A Doc is built from a row only by the calls
+// that return documents.
 //
 // Cell and Rows are the typed edge of the store: InsertRows appends
 // rows without a map or a boxed value per field, TailRows reads them
@@ -198,22 +199,90 @@ func compareCells(a, b Cell) int {
 	}
 }
 
-// column is one slot of one partition. Exactly one of the typed slices
-// is in use, chosen by kind; rows past its end, and rows whose
-// presence bit is clear, hold no value.
+// Chunk sizes of a lane: chunk 0 starts at firstChunkRows and doubles up
+// to chunkRows, so a small partition stays small; later chunks are full.
+const (
+	chunkShift     = 12
+	chunkRows      = 1 << chunkShift
+	chunkMask      = chunkRows - 1
+	firstChunkRows = 512
+)
+
+// lane holds one column's values in fixed chunks: row r lives at
+// chunks[r>>chunkShift][r&chunkMask], and a chunk's length is how many
+// rows it holds. An append writes past every row already stored and
+// never moves one (chunk 0's doublings copy it to fresh memory), so a
+// checkpoint can share the chunks (share).
+type lane[T any] struct{ chunks [][]T }
+
+// at reads row r.
+//
+//alarmvet:hotpath
+func (l *lane[T]) at(r int) T { return l.chunks[r>>chunkShift][r&chunkMask] }
+
+// push appends a row.
+//
+//alarmvet:hotpath
+func (l *lane[T]) push(v T) {
+	last := len(l.chunks) - 1
+	if last < 0 || len(l.chunks[last]) == cap(l.chunks[last]) {
+		l.grow()
+		last = len(l.chunks) - 1
+	}
+	l.chunks[last] = append(l.chunks[last], v)
+}
+
+// grow makes room for one more row: the first chunk, chunk 0 doubled,
+// or a new full-size chunk.
+func (l *lane[T]) grow() {
+	switch {
+	case len(l.chunks) == 0:
+		l.chunks = make([][]T, 1, 8)
+		l.chunks[0] = make([]T, 0, firstChunkRows)
+	case len(l.chunks) == 1 && cap(l.chunks[0]) < chunkRows:
+		l.chunks[0] = append(make([]T, 0, 2*cap(l.chunks[0])), l.chunks[0]...)
+	default:
+		l.chunks = append(l.chunks, make([]T, 0, chunkRows))
+	}
+}
+
+// truncate drops the rows from n on, n at most the lane's length. The
+// chunk holding row n moves to fresh memory first — a checkpoint may
+// share it, and the appends that follow would overwrite rows it reads.
+func (l *lane[T]) truncate(n int) {
+	k, off := n>>chunkShift, n&chunkMask
+	if k >= len(l.chunks) {
+		return
+	}
+	if off > 0 {
+		l.chunks[k] = append(make([]T, 0, cap(l.chunks[k])), l.chunks[k][:off]...)
+		k++
+	}
+	clear(l.chunks[k:])
+	l.chunks = l.chunks[:k]
+}
+
+// share returns a lane reading the same rows whose chunk list is its
+// own: later appends and truncations of l never write a row it reads.
+func (l *lane[T]) share() lane[T] {
+	return lane[T]{chunks: append([][]T(nil), l.chunks...)}
+}
+
+// column is one slot of one partition: n rows, in the one lane its kind
+// uses — strings, numbers as Cell.num bits (float64, int64, int and
+// bool), or boxed values. While every row below n holds a value present
+// is nil; the first gap turns it into a presence bitmap.
 type column struct {
 	kind    kind
+	n       int
 	present []uint64
-	strs    []string
-	floats  []float64
-	ints    []int64
-	bools   []bool
-	boxed   []any
+	strs    lane[string]
+	nums    lane[uint64]
+	boxed   lane[any]
 }
 
 func (c *column) has(r int) bool {
-	w := r >> 6
-	return w < len(c.present) && c.present[w]&(1<<(r&63)) != 0
+	return r < c.n && (c.present == nil || c.present[r>>6]&(1<<(r&63)) != 0)
 }
 
 // cell reads row r without boxing.
@@ -223,21 +292,17 @@ func (c *column) cell(r int) Cell {
 	}
 	switch c.kind {
 	case kindString:
-		return Cell{kind: kindString, str: c.strs[r]}
-	case kindFloat:
-		return Cell{kind: kindFloat, num: math.Float64bits(c.floats[r])}
-	case kindInt64, kindInt:
-		return Cell{kind: c.kind, num: uint64(c.ints[r])}
-	case kindBool:
-		return boolCell(c.bools[r])
+		return Cell{kind: kindString, str: c.strs.at(r)}
+	case kindBoxed:
+		return Cell{kind: kindBoxed, box: c.boxed.at(r)}
 	default:
-		return Cell{kind: kindBoxed, box: c.boxed[r]}
+		return Cell{kind: c.kind, num: c.nums.at(r)}
 	}
 }
 
-// set writes row r, padding the column up to it and promoting the
-// column to the boxed representation when v is of another kind than
-// the column has held so far.
+// set appends row r (r >= n), padding the rows between with no value
+// and promoting the column to the boxed representation when v is of
+// another kind than the column has held so far.
 //
 //alarmvet:hotpath
 func (c *column) set(r int, v Cell) {
@@ -246,44 +311,52 @@ func (c *column) set(r int, v Cell) {
 	} else if c.kind != v.kind && c.kind != kindBoxed {
 		c.promote()
 	}
-	switch c.kind {
-	case kindString:
-		c.strs = setAt(c.strs, r, v.str)
-	case kindFloat:
-		c.floats = setAt(c.floats, r, math.Float64frombits(v.num))
-	case kindInt64, kindInt:
-		c.ints = setAt(c.ints, r, int64(v.num))
-	case kindBool:
-		c.bools = setAt(c.bools, r, v.num != 0)
-	default:
-		c.boxed = setAt(c.boxed, r, v.value())
+	if r > c.n && c.present == nil {
+		c.sparse()
 	}
-	for len(c.present) <= r>>6 {
-		c.present = append(c.present, 0)
+	for c.n < r {
+		c.push(Cell{})
 	}
-	c.present[r>>6] |= 1 << (r & 63)
+	c.push(v)
+	if c.present != nil {
+		for len(c.present) <= r>>6 {
+			c.present = append(c.present, 0)
+		}
+		c.present[r>>6] |= 1 << (r & 63)
+	}
 }
 
-func setAt[T any](s []T, r int, v T) []T {
-	if r < len(s) {
-		s[r] = v
-		return s
+// push appends v to the column's lane.
+//
+//alarmvet:hotpath
+func (c *column) push(v Cell) {
+	switch c.kind {
+	case kindString:
+		c.strs.push(v.str)
+	case kindBoxed:
+		c.boxed.push(v.value())
+	default:
+		c.nums.push(v.num)
 	}
-	var zero T
-	for len(s) < r {
-		s = append(s, zero)
+	c.n++
+}
+
+// sparse gives a dense column its presence bitmap: every row below n
+// holds a value.
+func (c *column) sparse() {
+	c.present = make([]uint64, (c.n+63)>>6)
+	for r := 0; r < c.n; r++ {
+		c.present[r>>6] |= 1 << (r & 63)
 	}
-	return append(s, v)
 }
 
 // promote rewrites a typed column as a boxed one.
 func (c *column) promote() {
-	n := max(len(c.strs), len(c.floats), len(c.ints), len(c.bools))
-	boxed := make([]any, n)
-	for r := range boxed {
-		boxed[r] = c.cell(r).value()
+	var boxed lane[any]
+	for r := 0; r < c.n; r++ {
+		boxed.push(c.cell(r).value())
 	}
-	*c = column{kind: kindBoxed, present: c.present, boxed: boxed}
+	*c = column{kind: kindBoxed, n: c.n, present: c.present, boxed: boxed}
 }
 
 // gather rebuilds the column's tail: rows before lo stay, new row lo+i
@@ -293,9 +366,13 @@ func (c *column) gather(lo int, src []int) {
 	for i, r := range src {
 		moved[i] = c.cell(r)
 	}
-	// Truncate to lo rows: the typed slice, and the presence bits.
-	c.strs, c.floats, c.ints = c.strs[:min(lo, len(c.strs))], c.floats[:min(lo, len(c.floats))], c.ints[:min(lo, len(c.ints))]
-	c.bools, c.boxed = c.bools[:min(lo, len(c.bools))], c.boxed[:min(lo, len(c.boxed))]
+	// Truncate to lo rows: the lanes, and the presence bits.
+	if lo < c.n {
+		c.strs.truncate(lo)
+		c.nums.truncate(lo)
+		c.boxed.truncate(lo)
+		c.n = lo
+	}
 	if w := (lo + 63) >> 6; w < len(c.present) {
 		c.present = c.present[:w]
 	}

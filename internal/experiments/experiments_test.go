@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -254,22 +253,24 @@ func TestEndToEndLadder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 3 {
-		t.Fatalf("configs = %d", len(results))
+	// Counted facts only: which of the ladder's tiny runs is faster is
+	// host noise (cmd/experiments prints the throughputs).
+	p := env.Scale.Partitions
+	shape := [][2]int{{1, 1}, {p, 1}, {p, p}}
+	// The replay is what training (5 000 alarms, at most half) leaves,
+	// capped at the scale's stream.
+	alarms := len(env.Alarms())
+	replayed := min(alarms-min(5_000, alarms/2), env.Scale.StreamAlarms)
+	if len(results) != len(shape) {
+		t.Fatalf("configs = %d, want %d", len(results), len(shape))
 	}
-	for _, r := range results {
-		if r.Records == 0 {
-			t.Errorf("config %q processed nothing", r.Label)
+	for i, r := range results {
+		if r.Partitions != shape[i][0] || r.Workers != shape[i][1] {
+			t.Errorf("config %q: %d partitions, %d workers; want %v", r.Label, r.Partitions, r.Workers, shape[i])
 		}
-	}
-	// The optimized configuration beats the serial one (§5.5.2) —
-	// but only when the host actually has parallel hardware; on a
-	// single-core machine the partitioning cannot pay off in
-	// wall-clock terms (the overlap mechanics are asserted in the
-	// stream package instead).
-	if runtime.GOMAXPROCS(0) > 1 && results[2].PerSec <= results[0].PerSec {
-		t.Errorf("optimized (%.0f/s) should beat serial (%.0f/s)",
-			results[2].PerSec, results[0].PerSec)
+		if r.Records != replayed {
+			t.Errorf("config %q processed %d records, want all %d", r.Label, r.Records, replayed)
+		}
 	}
 }
 
