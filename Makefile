@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-budgets bench bench-aggregate bench-classify bench-swap bench-overload bench-e2e bench-durable bench-netbroker bench-harness-smoke bench-record bench-record-smoke test-crash test-events test-distributed bench-baseline profile cover docs-gate fuzz-smoke lint fmt
+.PHONY: build test test-budgets bench bench-aggregate bench-classify bench-persist bench-swap bench-overload bench-e2e bench-durable bench-netbroker bench-harness-smoke bench-record bench-record-smoke test-crash test-events test-distributed bench-baseline profile cover docs-gate fuzz-smoke lint fmt
 
 ## build: compile every package and command
 build:
@@ -49,6 +49,19 @@ bench-classify:
 	echo "$$out"; \
 	echo "$$out" | grep -q 'walk-ns/alarm' || \
 		{ echo "BenchmarkVerifyBatchSplit did not run"; exit 1; }
+
+## bench-persist: the persist stage's two store calls at the size of one
+## benchmark drain round (internal/core) — 40 000 alarms recorded 512 at
+## a time, and one histogram sweep over every device — seven runs each
+## on one CPU, the before/after evidence for store write- and read-path
+## changes (compare two trees' outputs run by run). The CI bench-smoke
+## job runs this explicitly (and fails if either benchmark disappears)
+bench-persist:
+	@out=$$($(GO) test -run=- -bench='^(BenchmarkRecordBatch|BenchmarkDeviceHistograms)$$' -benchmem -cpu 1 -count 7 ./internal/core) || \
+		{ echo "$$out"; echo "persist benchmarks failed"; exit 1; }; \
+	echo "$$out"; \
+	echo "$$out" | grep -q '^BenchmarkRecordBatch' && echo "$$out" | grep -q '^BenchmarkDeviceHistograms' || \
+		{ echo "BenchmarkRecordBatch or BenchmarkDeviceHistograms did not run"; exit 1; }
 
 ## bench-swap: serving throughput across the model lifecycle's three
 ## regimes (steady, hot-swap hammer, concurrent retrain) — the CI

@@ -22,7 +22,8 @@
 //
 // -metrics serves the node's replication health — current epoch,
 // leadership, failover count, per-follower replica lag in records — in
-// Prometheus text format on /metrics, plus /healthz.
+// Prometheus text format on /metrics, plus /healthz, which answers 503
+// with the reason while the node is closed or knows no leader.
 package main
 
 import (
@@ -155,9 +156,7 @@ func run(o options) error {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 			repl.WriteProm(w)
 		})
-		mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-			fmt.Fprintln(w, "ok")
-		})
+		mux.HandleFunc("/healthz", healthz(srv))
 		msrv := &http.Server{Addr: o.metricsAddr, Handler: mux}
 		go func() {
 			if err := msrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -174,4 +173,16 @@ func run(o options) error {
 	s := <-sig
 	fmt.Printf("%s: shutting down\n", s)
 	return nil
+}
+
+// healthz answers "ok" while the node can serve, and 503 with the
+// reason once it is closed or knows no leader.
+func healthz(srv *netbroker.Server) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if err := srv.Health(); err != nil {
+			http.Error(w, err.Error(), http.StatusServiceUnavailable)
+			return
+		}
+		fmt.Fprintln(w, "ok")
+	}
 }

@@ -468,13 +468,14 @@ func (h *History) DeviceHistogram(mac string, since time.Time, bucket time.Durat
 }
 
 // DeviceHistograms answers one histogram per device in a single
-// history round-trip: the batch executes as one typed pushdown Bucket
-// sweep (docstore Collection.BucketCounts) — each touched partition is
-// visited once, concurrently under a simulated RTT, probes the device
-// index and counts every resident device's bars off the timestamp
-// column, and only the (bucket, count) pairs travel; no filter
-// document goes in and no result document comes out. Result i
-// corresponds to macs[i].
+// history round-trip (one simulated RTT, when SetSimulatedRTT set one):
+// the batch executes as one typed pushdown Bucket sweep (docstore
+// Collection.BucketCounts) — the touched partitions are visited one
+// after another, once each; each probes the device index and counts
+// every resident device's bars off the timestamp column as sorted
+// runs, and only the (bucket, count) pairs travel; no filter document
+// goes in and no result document comes out. Result i corresponds to
+// macs[i].
 func (h *History) DeviceHistograms(macs []string, since time.Time, bucket time.Duration) ([][]HistogramBucket, error) {
 	var sc histScratch
 	sc.macs = macs

@@ -397,9 +397,10 @@ func (c *ConsumerApp) Persist(b *Batch) error {
 		}
 		// One batched histogram query for all of the window's devices:
 		// the store answers every per-device histogram in a single
-		// history round-trip (fanning out to its partitions
-		// concurrently), instead of one serialized round-trip per
-		// device — the dominant cost of the pre-optimization e2e path.
+		// history round-trip (one sweep that visits each touched
+		// partition once, in turn), instead of one serialized
+		// round-trip per device — the dominant cost of the
+		// pre-optimization e2e path.
 		c.hist.macs = c.hist.macs[:0]
 		for i := range b.Devices {
 			c.hist.macs = append(c.hist.macs, b.Devices[i].DeviceMAC)

@@ -36,7 +36,7 @@ func (m Match) apply(in []Doc) ([]Doc, error) {
 	f := compileFilter(nil, m.Filter)
 	var out []Doc
 	for _, d := range in {
-		ok, err := f.match(row{doc: d})
+		ok, err := f.match(row{doc: d}, -1)
 		if err != nil {
 			return nil, err
 		}

@@ -27,18 +27,31 @@ func TestIndexAppendAllocBudget(t *testing.T) {
 	p := c.parts[0]
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	x := &index{ref: c.dict.ref("k"), eq: make(map[indexKey]postings), free: noBlock}
-	for r := 0; r < warm; r++ {
-		x.add(p, r) // every key seen, its first blocks carved
+	// A collection during the appends would count the runtime's own
+	// allocations too.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	measure := func() (allocs uint64, grown int) {
+		x := &index{ref: c.dict.ref("k"), eq: make(map[indexKey]postings), free: noBlock}
+		for r := 0; r < warm; r++ {
+			x.add(p, r) // every key seen, its first blocks carved
+		}
+		pages := len(x.pages)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for r := warm; r < warm+rows; r++ {
+			x.add(p, r)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs, len(x.pages) - pages
 	}
-	pages := len(x.pages)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for r := warm; r < warm+rows; r++ {
-		x.add(p, r)
+	// Mallocs counts the whole process, so a goroutine of the test
+	// binary's can land in the window: the appends' own count is the
+	// least of a few trials. Each trial builds a fresh index, so an
+	// allocation the appends make themselves fails every one of them.
+	allocs, grown := measure()
+	for trial := 1; trial < 3 && allocs > uint64(2*grown); trial++ {
+		allocs, grown = measure()
 	}
-	runtime.ReadMemStats(&after)
-	allocs, grown := after.Mallocs-before.Mallocs, len(x.pages)-pages
 	t.Logf("%d rows appended: %d allocations, %d new pages", rows, allocs, grown)
 	if allocs > uint64(2*grown) { // a page, and the page list's growth
 		t.Fatalf("%d rows appended: %d allocations for %d new pages, budget 0 a row beyond them", rows, allocs, grown)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 )
 
 // Regression: -0.0 and 0.0 compare equal, so they must route to the
@@ -82,12 +83,37 @@ func resultKey(docs []Doc) []int64 {
 	return ids
 }
 
+// edgeDoc is row i of the corpus where an index key and $eq could part
+// ways: "nan" is a typed float column holding NaN, "count" a typed int
+// column, and "mixed" a column promoted to boxed values by holding
+// every edge literal in turn.
+func edgeDoc(i int) Doc {
+	return Doc{
+		"nan":      []float64{math.NaN(), 5, 5.5}[i%3],
+		"count":    i % 7,
+		"mixed":    edgeLits[i%len(edgeLits)],
+		"verified": i%2 == 0,
+		"ts":       float64(1_000_000 + i),
+	}
+}
+
+// edgeLits are the equality literals asked of the edge fields: NaN,
+// ints and floats, the string "5" and a bool.
+var edgeLits = []any{math.NaN(), 5, 5.0, int64(5), "5", true, 7.5}
+
 // TestPropertyIndexScanEquivalence is the partition-split regression
 // net: for a corpus of generated filters, Find served by index shards
 // and Find over an unindexed collection holding the same documents
 // must return identical result sets, across several partition counts.
 // A bug that loses or duplicates documents when an index is split
 // across partitions shows up as a diff here.
+//
+// An equality the index resolves checks only the filter's other nodes,
+// so the test then asks equalities on the edge corpus — every edge
+// literal on every edge field, alone, beside another node, as a Doc
+// filter and as a typed BucketCounts condition — and ranges with and
+// on NaN, before and after rows are deleted and pruned: NaN must still
+// match nothing under $eq, and a range must still find NaN rows.
 func TestPropertyIndexScanEquivalence(t *testing.T) {
 	for _, parts := range []int{1, 3, 8} {
 		t.Run(fmt.Sprintf("partitions=%d", parts), func(t *testing.T) {
@@ -126,6 +152,86 @@ func TestPropertyIndexScanEquivalence(t *testing.T) {
 				}
 				grow(5) // later rounds read shards maintained on insert
 			}
+
+			for _, f := range []string{"nan", "count", "mixed"} {
+				if err := withIndex.CreateIndex(f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			edges := func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					withIndex.Insert(edgeDoc(i))
+					without.Insert(edgeDoc(i))
+				}
+			}
+			same := func(stage string, filter Doc) {
+				indexed, err := withIndex.Find(filter)
+				if err != nil {
+					t.Fatalf("%s: filter %v (indexed): %v", stage, filter, err)
+				}
+				scanned, err := without.Find(filter)
+				if err != nil {
+					t.Fatalf("%s: filter %v (scan): %v", stage, filter, err)
+				}
+				if got, want := resultKey(indexed), resultKey(scanned); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: filter %v: indexed ids %v != scan ids %v", stage, filter, got, want)
+				}
+			}
+			askEdges := func(stage string) {
+				checkPostings(t, withIndex, stage) // NaN rows included: each is counted, under no key
+				for _, field := range []string{"nan", "count", "mixed"} {
+					// NaN is equal to every number under $gte and $lte,
+					// as a bound and as a row's value alike.
+					for _, bounds := range []map[string]any{
+						{"$gte": math.NaN()}, {"$lte": math.NaN()}, {"$gte": 5}, {"$gt": 5, "$lte": 7.5},
+					} {
+						same(stage, Doc{field: bounds})
+					}
+					for _, lit := range edgeLits {
+						for _, filter := range []Doc{
+							{field: lit},
+							{field: map[string]any{"$eq": lit}},
+							{field: lit, "verified": true},
+						} {
+							same(stage, filter)
+						}
+						conds := []Cond{{Field: field, Op: "$eq", Value: cellOf(lit)}, {Field: "ts", Op: "$gte", Value: Float(0)}}
+						b := Bucket{Field: "ts", Origin: 1_000_000, Width: 10}
+						var got, want []BucketCount
+						if err := withIndex.BucketCounts([][]Cond{conds}, b, func(_ int, bars []BucketCount) { got = append(got, bars...) }); err != nil {
+							t.Fatal(err)
+						}
+						if err := without.BucketCounts([][]Cond{conds}, b, func(_ int, bars []BucketCount) { want = append(want, bars...) }); err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s: %s == %v: indexed bars %v != scan bars %v", stage, field, lit, got, want)
+						}
+					}
+				}
+			}
+			edges(0, 140)
+			askEdges("inserted")
+			for _, c := range []*Collection{withIndex, without} {
+				c.SetRetention("ts", time.Hour)
+				if _, err := c.PruneExpired(time.Unix(1_000_000+3600+30, 0)); err != nil {
+					t.Fatal(err)
+				}
+				for _, filter := range []Doc{{"mixed": "5"}, {"nan": 5.5}, {"count": 3}} {
+					if _, err := c.Delete(filter); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			askEdges("deleted and pruned")
+			edges(140, 180)
+			askEdges("appended after deletes")
+			for _, c := range []*Collection{withIndex, without} {
+				if _, err := c.Delete(Doc{"nan": map[string]any{"$gte": 5.5, "$lte": 5}}); err != nil { // only NaN is both
+					t.Fatal(err)
+				}
+			}
+			askEdges("NaN rows deleted")
 		})
 	}
 }

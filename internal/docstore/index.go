@@ -2,6 +2,7 @@ package docstore
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -42,6 +43,7 @@ type index struct {
 	keyMu sync.Mutex
 	keys  []indexKey
 	dirty bool
+	nans  int // the rows holding NaN, which have no key
 }
 
 const (
@@ -75,10 +77,12 @@ type indexKey struct {
 
 func keyFor(v any) (indexKey, bool) { return keyForCell(cellOf(v)) }
 
+// keyForCell reports false for a value no key stands for, NaN included.
 func keyForCell(c Cell) (indexKey, bool) {
 	switch r := c.rank(); r {
 	case 2:
-		return indexKey{rank: 2, num: c.Num()}, true
+		f := c.Num()
+		return indexKey{rank: 2, num: f}, !math.IsNaN(f)
 	case 3:
 		return indexKey{rank: 3, str: c.Str()}, true
 	case 1:
@@ -166,8 +170,12 @@ func (x *index) block(b int32) *block { return &x.pages[b>>pageShift][b&pageMask
 //
 //alarmvet:hotpath
 func (x *index) add(p *partition, r int) {
-	k, ok := keyForCell(p.cell(r, x.ref))
+	c := p.cell(r, x.ref)
+	k, ok := keyForCell(c)
 	if !ok {
+		if c.rank() == 2 { // the one number without a key: NaN
+			x.nans++
+		}
 		return
 	}
 	pl, existed := x.eq[k]
@@ -237,8 +245,12 @@ func (x *index) nextBlock(pl *postings) []int32 {
 // frees its chain, and its key leaves the map.
 func (x *index) cut(p *partition, lo int) {
 	for r := lo; r < len(p.ids); r++ {
-		k, ok := keyForCell(p.cell(r, x.ref))
+		c := p.cell(r, x.ref)
+		k, ok := keyForCell(c)
 		if !ok {
+			if c.rank() == 2 {
+				x.nans--
+			}
 			continue
 		}
 		pl, ok := x.eq[k]
@@ -293,10 +305,11 @@ func (x *index) freeChain(b int32) {
 // lookupRange serves operator maps consisting solely of range bounds
 // ($gt/$gte/$lt/$lte), returning the rows at or past row from. It
 // reports ok=false when the operator map contains anything it cannot
-// serve, in which case the caller falls back to a scan.
+// serve, or the shard holds NaN rows ($gte and $lte match NaN, yet no
+// key finds it), in which case the caller falls back to a scan.
 func (x *index) lookupRange(cond any, from int) ([]int32, bool) {
 	ops, isOps := cond.(map[string]any)
-	if !isOps {
+	if !isOps || x.nans > 0 {
 		return nil, false
 	}
 	lo, hi := indexKey{rank: -1}, indexKey{rank: 99}

@@ -17,14 +17,20 @@ func checkPostings(t *testing.T, c *Collection, tag string) {
 	for pi, p := range c.parts {
 		p.mu.RLock()
 		for field, x := range p.indexes {
-			want := make(map[indexKey][]int32)
+			want, nans := make(map[indexKey][]int32), 0
 			for r := range p.ids {
-				if k, ok := keyForCell(p.cell(r, x.ref)); ok {
+				c := p.cell(r, x.ref)
+				if k, ok := keyForCell(c); ok {
 					want[k] = append(want[k], int32(r))
+				} else if c.rank() == 2 {
+					nans++
 				}
 			}
 			if len(want) != len(x.eq) {
 				t.Fatalf("%s: partition %d index %s holds %d keys, the rows %d", tag, pi, field, len(x.eq), len(want))
+			}
+			if nans != x.nans {
+				t.Fatalf("%s: partition %d index %s counts %d NaN rows, the rows %d", tag, pi, field, x.nans, nans)
 			}
 			owner := make(map[int32]string)
 			claim := func(b int32, who string) {

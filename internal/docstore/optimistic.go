@@ -58,7 +58,7 @@ type aggEntry struct {
 	mark   int
 	groups []pGroup         // group plans: in ascending minID order
 	index  map[string]int32 // group plans: class key → position in groups
-	counts map[int]int      // bucket plans: bucket index → count
+	bars   []bucketCount    // bucket plans: in ascending bucket order
 	// The slabs the groups' key values, accumulators and built class
 	// keys are carved from. A sweep's copy of a group still reads them
 	// after the entry's lock is gone, so reset drops them rather than
@@ -71,14 +71,10 @@ type aggEntry struct {
 // reset empties a stale entry for a plan of the given kind to fold
 // into from row 0.
 func (e *aggEntry) reset(kind planKind) {
-	e.groups, e.cells, e.accs, e.kbuf = nil, nil, nil, nil
+	e.groups, e.cells, e.accs, e.kbuf, e.bars = nil, nil, nil, nil, e.bars[:0]
 	clear(e.index)
-	clear(e.counts)
-	switch {
-	case kind == planGroup && e.index == nil:
+	if kind == planGroup && e.index == nil {
 		e.index = make(map[string]int32)
-	case kind == planBucket && e.counts == nil:
-		e.counts = make(map[int]int)
 	}
 }
 
@@ -166,8 +162,8 @@ func (p *partition) advance(run *planRun, out *aggPartial, sc *partialScratch, s
 	var err error
 	if run.plan.kind == planGroup {
 		err = groupPartial(p, run.plan, e, from, sc, out)
-	} else {
-		err = bucketPartial(p, run.plan, e.counts, from, sc, out)
+	} else if err = bucketPartial(p, run.plan, e.bars, from, sc, out); err == nil {
+		e.bars = append(e.bars[:0], out.buckets...)
 	}
 	if err == nil {
 		e.mark = n

@@ -210,9 +210,10 @@ func (p *partition) gatherLocked(lo int, src []int) {
 // every read and write path shares: when the filter constrains an
 // indexed field it examines only the rows the index shard names — an
 // equality walks its key's posting blocks, skipping those wholly below
-// from, a range collects its keys' rows — and every row otherwise.
-// Caller holds at least a read lock; fn must not mutate the partition
-// (write paths collect the rows first).
+// from, and checks them against the filter's other nodes only (a key
+// is equal under $eq to exactly the values it keys), a range collects
+// its keys' rows — and every row otherwise. Caller holds at least a read lock; fn must
+// not mutate the partition (write paths collect the rows first).
 func (p *partition) forEachMatch(f *filter, from int, fn func(r int)) error {
 	for i := range f.nodes {
 		n := &f.nodes[i]
@@ -231,7 +232,7 @@ func (p *partition) forEachMatch(f *filter, from int, fn func(r int)) error {
 				}
 				for _, r := range rows {
 					if int(r) >= from {
-						if err := p.visitRow(f, int(r), fn); err != nil {
+						if err := p.visitRow(f, i, int(r), fn); err != nil {
 							return err
 						}
 					}
@@ -241,7 +242,7 @@ func (p *partition) forEachMatch(f *filter, from int, fn func(r int)) error {
 		}
 		if rows, ok := idx.lookupRange(n.cond, from); ok {
 			for _, r := range rows {
-				if err := p.visitRow(f, int(r), fn); err != nil {
+				if err := p.visitRow(f, -1, int(r), fn); err != nil {
 					return err
 				}
 			}
@@ -249,16 +250,16 @@ func (p *partition) forEachMatch(f *filter, from int, fn func(r int)) error {
 		}
 	}
 	for r := from; r < len(p.ids); r++ {
-		if err := p.visitRow(f, r, fn); err != nil {
+		if err := p.visitRow(f, -1, r, fn); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// visitRow invokes fn for row r if it matches the filter.
-func (p *partition) visitRow(f *filter, r int, fn func(r int)) error {
-	ok, err := f.match(row{p: p, r: r})
+// visitRow invokes fn for row r if it matches the filter, node skip aside.
+func (p *partition) visitRow(f *filter, skip, r int, fn func(r int)) error {
+	ok, err := f.match(row{p: p, r: r}, skip)
 	if ok && err == nil {
 		fn(r)
 	}

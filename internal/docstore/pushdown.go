@@ -25,7 +25,7 @@ import (
 //   - Group accumulators compute as mergeable partials — count/sum as
 //     sums, avg as (sum, n) pairs, min/max by pairwise compare with
 //     document-id tie-breaks, first by smallest document id;
-//   - Bucket histograms compute as per-partition (index, count) pairs;
+//   - Bucket histograms compute as per-partition sorted (index, count) runs;
 //   - SortStage+Limit compute as per-partition top-K heaps, so only K
 //     documents per partition are ever built;
 //   - a bare scan prefix (optional Limit) builds only the selected
@@ -52,7 +52,7 @@ const (
 	planScan planKind = "scan"
 	// planGroup pushes Group accumulators down as mergeable partials.
 	planGroup planKind = "group"
-	// planBucket pushes Bucket down as per-partition count maps.
+	// planBucket pushes Bucket down as per-partition sorted bars.
 	planBucket planKind = "bucket"
 	// planTopK pushes SortStage (+ optional Limit) down as
 	// per-partition top-K selections.
@@ -273,16 +273,16 @@ type aggPartial struct {
 	matched bool
 }
 
-// partialScratch is what one partition visit reuses across the plans
-// it computes, and where their group and bucket partials live: a sweep
-// of several hundred per-device histograms then allocates nothing per
-// query. Each slab holds one visit's partials back to back; a view
-// taken before a slab grew keeps the old array.
+// partialScratch is what a sweep's partition visits, one after another,
+// reuse across the plans they compute, and where their group and bucket
+// partials live: a sweep of several hundred per-device histograms then
+// allocates nothing per query. Each slab holds the sweep's partials
+// back to back; a view taken before a slab grew keeps the old array.
 type partialScratch struct {
-	counts map[int]int   // an uncached bucket plan's counts
+	idx    []int         // a bucket plan's new rows' bucket indexes
 	key    []byte        // a group's class key under construction
-	bars   []bucketCount // the visit's bucket partials
-	groups []pGroup      // the visit's group partials
+	bars   []bucketCount // the bucket partials
+	groups []pGroup      // the group partials
 	accs   []accState    // those groups' accumulators
 }
 
@@ -408,27 +408,41 @@ func appendGroupKey(b []byte, c Cell) []byte {
 	}
 }
 
-// bucketPartial folds the rows from row from on into counts — a cached
-// partial's, or the visit's own cleared map with from 0 — and writes
-// the histogram into the visit's slab.
+// bucketPartial counts the rows from row from on as sorted runs of
+// bucket indexes — a run of one index is a bar — and writes their bars,
+// merged in bucket order into held (a cached partial's bars, or none),
+// into the sweep's slab.
 //
 //alarmvet:hotpath
-func bucketPartial(p *partition, plan *aggPlan, counts map[int]int, from int, sc *partialScratch, out *aggPartial) error {
+func bucketPartial(p *partition, plan *aggPlan, held []bucketCount, from int, sc *partialScratch, out *aggPartial) error {
 	b, ref := plan.bucket, plan.refs[0]
+	sc.idx = sc.idx[:0]
 	err := p.forEachMatch(plan.filter, from, func(r int) {
 		if v := p.cell(r, ref); v.rank() == 2 {
-			counts[int((v.Num()-b.Origin)/b.Width)]++
+			sc.idx = append(sc.idx, int((v.Num()-b.Origin)/b.Width))
 		}
 	})
 	if err != nil {
 		return err
 	}
+	slices.Sort(sc.idx)
 	start := len(sc.bars)
-	for idx, n := range counts {
-		sc.bars = append(sc.bars, bucketCount{idx, n})
+	for idx := sc.idx; len(idx) > 0; {
+		bar := bucketCount{idx[0], 1}
+		for bar.n < len(idx) && idx[bar.n] == bar.idx {
+			bar.n++
+		}
+		idx = idx[bar.n:]
+		for len(held) > 0 && held[0].idx < bar.idx {
+			sc.bars, held = append(sc.bars, held[0]), held[1:]
+		}
+		if len(held) > 0 && held[0].idx == bar.idx {
+			bar.n, held = bar.n+held[0].n, held[1:]
+		}
+		sc.bars = append(sc.bars, bar)
 	}
+	sc.bars = append(sc.bars, held...)
 	out.buckets = sc.bars[start:len(sc.bars):len(sc.bars)]
-	slices.SortFunc(out.buckets, func(a, b bucketCount) int { return a.idx - b.idx })
 	return nil
 }
 
@@ -659,27 +673,28 @@ type BucketCount struct {
 }
 
 // mergeBuckets appends the merged bars, in ascending bucket order, to
-// out.
+// out, drawing them from the heads of the partials' bars (consumed).
+//
+//alarmvet:hotpath
 func mergeBuckets(b *Bucket, partials []aggPartial, out []BucketCount) []BucketCount {
-	var bars []bucketCount
-	if len(partials) == 1 {
-		bars = partials[0].buckets
-	} else {
-		counts := make(map[int]int)
-		for _, part := range partials {
-			for _, bar := range part.buckets {
-				counts[bar.idx] += bar.n
+	for {
+		var head *bucketCount
+		for i := range partials {
+			if bars := partials[i].buckets; len(bars) > 0 && (head == nil || bars[0].idx < head.idx) {
+				head = &bars[0]
 			}
 		}
-		for idx, n := range counts {
-			bars = append(bars, bucketCount{idx, n})
+		if head == nil {
+			return out
 		}
-		slices.SortFunc(bars, func(a, b bucketCount) int { return a.idx - b.idx })
+		idx, n := head.idx, 0
+		for i := range partials {
+			if bars := partials[i].buckets; len(bars) > 0 && bars[0].idx == idx {
+				n, partials[i].buckets = n+bars[0].n, bars[1:]
+			}
+		}
+		out = append(out, BucketCount{Start: b.Origin + float64(idx)*b.Width, Count: n})
 	}
-	for _, bar := range bars {
-		out = append(out, BucketCount{Start: b.Origin + float64(bar.idx)*b.Width, Count: bar.n})
-	}
-	return out
 }
 
 func mergeTopK(plan *aggPlan, partials []aggPartial) []Doc {
@@ -795,9 +810,9 @@ type planRun struct {
 // sees to it).
 type sweep struct {
 	runs     []planRun
-	partials []aggPartial     // one slab for every run's partials
-	touched  []bool           // per partition: it has partials to supply
-	scratch  []partialScratch // per partition
+	partials []aggPartial   // one slab for every run's partials
+	touched  []bool         // per partition: it has partials to supply
+	scratch  partialScratch // every visit's: they run one after another
 
 	// What execPlans hands forEach: the collection being swept, and two
 	// closures over the sweep itself, made once with it — a sweep costs
@@ -836,12 +851,10 @@ func (sw *sweep) release() {
 	sw.c = nil
 	clear(sw.runs)
 	clear(sw.partials)
-	for i := range sw.scratch {
-		sc := &sw.scratch[i]
-		clear(sc.groups)
-		clear(sc.accs)
-		sc.bars, sc.groups, sc.accs = sc.bars[:0], sc.groups[:0], sc.accs[:0]
-	}
+	sc := &sw.scratch
+	clear(sc.groups)
+	clear(sc.accs)
+	sc.bars, sc.groups, sc.accs = sc.bars[:0], sc.groups[:0], sc.accs[:0]
 	clear(sw.merged)
 	sw.merged = sw.merged[:0]
 	clear(sw.index)
@@ -851,11 +864,11 @@ func (sw *sweep) release() {
 	sweepPool.Put(sw)
 }
 
-// resized returns s with length n, reusing its memory when it is large
-// enough; the elements are the caller's to overwrite.
+// resized returns s with length n: its memory when large enough, else
+// at least twice as much; the elements are the caller's to overwrite.
 func resized[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, n)
+		return make([]T, n, max(n, 2*cap(s)))
 	}
 	return s[:n]
 }
@@ -888,7 +901,6 @@ func (c *Collection) newRuns(sw *sweep, plans []*aggPlan) []planRun {
 // the whole batch.
 func (c *Collection) execPlans(sw *sweep, runs []planRun) error {
 	sw.touched = resized(sw.touched, len(c.parts))
-	sw.scratch = resized(sw.scratch, len(c.parts))
 	clear(sw.touched)
 	for ri := range runs {
 		for pi := runs[ri].lo; pi < runs[ri].lo+runs[ri].n; pi++ {
@@ -902,10 +914,7 @@ func (c *Collection) execPlans(sw *sweep, runs []planRun) error {
 // visit computes, under one read lock, every partial partition pi owes
 // the sweep.
 func (c *Collection) visit(sw *sweep, pi int) error {
-	runs, p, sc := sw.runs, c.parts[pi], &sw.scratch[pi]
-	if sc.counts == nil {
-		sc.counts = make(map[int]int)
-	}
+	runs, p, sc := sw.runs, c.parts[pi], &sw.scratch
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	for ri := range runs {
@@ -919,8 +928,7 @@ func (c *Collection) visit(sw *sweep, pi int) error {
 		case run.sig != "":
 			err = p.advance(run, out, sc, &c.aggStats)
 		case run.plan.kind == planBucket:
-			clear(sc.counts)
-			err = bucketPartial(p, run.plan, sc.counts, 0, sc, out)
+			err = bucketPartial(p, run.plan, nil, 0, sc, out)
 		case run.plan.kind == planTopK:
 			err = topkPartial(p, run.plan, out)
 		default:

@@ -158,21 +158,23 @@ func (n *node) eqKey() (indexKey, bool) {
 	return keyFor(v)
 }
 
-// match reports whether the row satisfies the filter.
-func (f *filter) match(src row) (bool, error) {
+// match reports whether the row satisfies the filter, node skip (one
+// the caller proved true for the row; -1: none) aside.
+func (f *filter) match(src row, skip int) (bool, error) {
 	for i := range f.nodes {
 		n := &f.nodes[i]
-		switch n.kind {
-		case nodeErr:
+		switch {
+		case i == skip:
+		case n.kind == nodeErr:
 			return false, n.err
-		case nodePred:
+		case n.kind == nodePred:
 			ok, err := n.matchRow(src)
 			if err != nil || !ok {
 				return false, err
 			}
-		case nodeAnd:
+		case n.kind == nodeAnd:
 			for _, s := range n.subs {
-				ok, err := s.match(src)
+				ok, err := s.match(src, -1)
 				if err != nil || !ok {
 					return false, err
 				}
@@ -180,7 +182,7 @@ func (f *filter) match(src row) (bool, error) {
 		default: // nodeOr, nodeNor
 			hit := false
 			for _, s := range n.subs {
-				ok, err := s.match(src)
+				ok, err := s.match(src, -1)
 				if err != nil {
 					return false, err
 				}

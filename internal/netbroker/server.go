@@ -203,6 +203,21 @@ func (s *Server) Epoch() int64 {
 	return s.epoch
 }
 
+// Health reports why the node cannot serve — it is closed, or it knows
+// no leader (an election is under way, or it led and lost its follower
+// quorum) — or nil when it can.
+func (s *Server) Health() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case s.closed:
+		return broker.ErrClosed
+	case s.leader < 0:
+		return fmt.Errorf("%w: no leader known at epoch %d (node %d)", ErrNotLeader, s.epoch, s.opts.NodeID)
+	}
+	return nil
+}
+
 // Close stops serving: the listener and every open connection close,
 // background loops exit, and blocked append waiters fail. The wrapped
 // broker is left to its owner.
