@@ -210,19 +210,19 @@ profile:
 ## commit the result, and the CI perf-regression job compares PRs
 ## against it with cmd/benchdiff.
 bench-baseline:
-	@out=$$($(GO) test -run=- -bench='BenchmarkShardedThroughput|BenchmarkClassifyBatch|BenchmarkSwap|BenchmarkOverload|BenchmarkDurableThroughput|BenchmarkNetBrokerRoundtrip' \
+	@out=$$($(GO) test -run=- -bench='BenchmarkShardedThroughput|BenchmarkSwap|BenchmarkOverload|BenchmarkDurableThroughput|BenchmarkNetBrokerRoundtrip' \
 		-benchmem -benchtime=1x -timeout 30m .) || \
 		{ echo "$$out"; echo "named sweeps failed; baseline not refreshed"; exit 1; }; \
 	printf '%s\n' "$$out" | tee bench-baseline.txt
 
 ## cover: per-package statement coverage with enforced floors on the
 ## serving layers and the classifiers (CI `coverage` job). Floors sit
-## ~10 points under measured coverage (core 86%, serve 80%, loadgen 90%,
+## ~10 points under measured coverage (core 89%, serve 80%, loadgen 90%,
 ## metrics 90%, netbroker 78%, ml 96%) so they catch real erosion
 ## without flaking on noise; docstore's sits one point under its 93.0%,
 ## most of it the pushdown battery. Profiles land in coverage/ for the
 ## CI artifact upload.
-COVER_FLOORS = internal/core:75 internal/serve:70 internal/loadgen:80 internal/metrics:80 internal/docstore:92 internal/netbroker:70 internal/ml:88
+COVER_FLOORS = internal/core:79 internal/serve:70 internal/loadgen:80 internal/metrics:80 internal/docstore:92 internal/netbroker:70 internal/ml:88
 cover:
 	@mkdir -p coverage; fail=0; \
 	for spec in $(COVER_FLOORS); do \

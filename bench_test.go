@@ -11,7 +11,6 @@ package alarmverify
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -251,8 +250,8 @@ func shardedVerifier(b *testing.B, env *experiments.Env) *core.Verifier {
 
 // BenchmarkShardedThroughput regenerates the §5.5.2 scaling curve for
 // the sharded service: wall-clock alarms/s over a preloaded
-// 8-partition topic as the shard count grows 1 → 8. Per-shard pools
-// are pinned to one worker so the consumer-group shards — the
+// 8-partition topic as the shard count grows 1 → 8. A shard has no
+// worker pool of its own, so the consumer-group shards — the
 // partition-assignment knob the paper identifies — are the only
 // parallelism under test. The history runs with a simulated
 // document-store round-trip (the paper's deployment queries a remote
@@ -295,8 +294,6 @@ func BenchmarkShardedThroughput(b *testing.B) {
 					PipelineDepth: 2,
 					Consumer:      core.DefaultConsumerConfig(),
 				}
-				cfg.Consumer.Workers = 1
-				cfg.Consumer.ClassifyWorkers = 1
 				cfg.Consumer.MaxPerBatch = 512
 				cfg.Consumer.PollTimeout = time.Millisecond
 				svc, err := serve.New(br, "alarms", "bench", verifier, history, cfg)
@@ -373,8 +370,6 @@ func BenchmarkDurableThroughput(b *testing.B) {
 					PipelineDepth: 2,
 					Consumer:      core.DefaultConsumerConfig(),
 				}
-				cfg.Consumer.Workers = 1
-				cfg.Consumer.ClassifyWorkers = 1
 				cfg.Consumer.MaxPerBatch = 512
 				cfg.Consumer.PollTimeout = time.Millisecond
 				svc, err := serve.New(br, "alarms", "bench", verifier, history, cfg)
@@ -403,82 +398,6 @@ func BenchmarkDurableThroughput(b *testing.B) {
 				b.ReportMetric(float64(len(replay))/elapsed.Seconds(), "alarms/s")
 			}
 		})
-	}
-}
-
-// classifySweepWorkers returns the classify-worker counts worth
-// sweeping on this hardware: {1, 2, 4} clamped to GOMAXPROCS, so the
-// reported curve stays monotonic (workers beyond the core count
-// cannot add throughput to the CPU-bound classify stage and would
-// only report scheduler noise).
-func classifySweepWorkers() []int {
-	maxW := runtime.GOMAXPROCS(0)
-	out := []int{1}
-	for _, w := range []int{2, 4} {
-		if w <= maxW {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
-// BenchmarkClassifyBatch sweeps the vectorized classify stage of the
-// consumer pipeline: alarms per ml.BatchClassifier call (batch=1
-// reproduces the per-alarm baseline the paper's consumer used) ×
-// bounded classify workers. One micro-batch is drained and decoded
-// once outside the timed region; the timed loop re-runs exactly the
-// pipeline's Classify stage, so the metric isolates the ML component
-// that dominates the paper's Figure 12 breakdown. Throughput must
-// grow monotonically from batch=1/workers=1 to the largest swept
-// configuration (EXPERIMENTS.md records the sweep).
-func BenchmarkClassifyBatch(b *testing.B) {
-	env := benchEnv(b)
-	verifier := shardedVerifier(b, env)
-	alarms := env.Alarms()
-	replay := alarms[len(alarms)/3:]
-	if len(replay) > 4096 {
-		replay = replay[:4096]
-	}
-	for _, batchSize := range []int{1, 64, 512} {
-		for _, workers := range classifySweepWorkers() {
-			b.Run(fmt.Sprintf("batch=%d/workers=%d", batchSize, workers), func(b *testing.B) {
-				br := broker.New()
-				defer br.Close()
-				topic, err := br.CreateTopic("alarms", 4)
-				if err != nil {
-					b.Fatal(err)
-				}
-				prod := core.NewProducerApp(topic, codec.FastCodec{})
-				prod.Threads = 2
-				if _, err := prod.Replay(replay, 0); err != nil {
-					b.Fatal(err)
-				}
-				cfg := core.DefaultConsumerConfig()
-				cfg.ClassifyWorkers = workers
-				cfg.ClassifyBatch = batchSize
-				cfg.MaxPerBatch = len(replay)
-				app, err := core.NewConsumerApp(br, "alarms", "bench-classify", "c1", verifier, nil, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer app.Close()
-				batch := app.Drain()
-				app.Decode(batch)
-				if batch.Len() != len(replay) {
-					b.Fatalf("decoded %d alarms, want %d", batch.Len(), len(replay))
-				}
-				b.ResetTimer()
-				start := time.Now()
-				for i := 0; i < b.N; i++ {
-					if err := app.Classify(batch); err != nil {
-						b.Fatal(err)
-					}
-				}
-				elapsed := time.Since(start)
-				b.StopTimer()
-				b.ReportMetric(float64(b.N*len(replay))/elapsed.Seconds(), "alarms/s")
-			})
-		}
 	}
 }
 

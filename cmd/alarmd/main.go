@@ -46,7 +46,6 @@
 //
 //	alarmd -rate 5000 -scenario flash -duration 10s -partitions 8 -shards 4 -pipeline-depth 2 \
 //	       -adaptive-batch -shed-queue 8192 -store-partitions 8 \
-//	       -classify-workers 4 -classify-batch 256 \
 //	       -model-dir ./models -retrain-interval 5s -retrain-min-feedback 200 -listen :8080
 package main
 
@@ -94,8 +93,6 @@ type options struct {
 	dataDir         string
 	walSync         time.Duration
 	retention       time.Duration
-	classifyWorkers int
-	classifyBatch   int
 	interval        time.Duration
 	trainN          int
 	modelDir        string
@@ -143,10 +140,6 @@ func parseOptions(args []string, output io.Writer) (options, error) {
 		"WAL group-fsync interval; 0 fsyncs every append (strict, slow); requires -data-dir")
 	fs.DurationVar(&o.retention, "retention", 0,
 		"prune alarm history older than this at each snapshot (0 = keep everything); requires -data-dir")
-	fs.IntVar(&o.classifyWorkers, "classify-workers", 0,
-		"bounded classify worker pool per shard (0 = one per CPU)")
-	fs.IntVar(&o.classifyBatch, "classify-batch", 256,
-		"alarms per vectorized classifier call (1 = per-alarm baseline)")
 	fs.DurationVar(&o.interval, "interval", 50*time.Millisecond, "idle poll wait per micro-batch drain")
 	fs.IntVar(&o.trainN, "train", 30_000, "alarms for offline training")
 	fs.StringVar(&o.modelDir, "model-dir", "",
@@ -213,10 +206,6 @@ func parseOptions(args []string, output io.Writer) (options, error) {
 		return options{}, fmt.Errorf("alarmd: -wal-sync must be >= 0, got %s", o.walSync)
 	case o.retention < 0:
 		return options{}, fmt.Errorf("alarmd: -retention must be >= 0, got %s", o.retention)
-	case o.classifyWorkers < 0:
-		return options{}, fmt.Errorf("alarmd: -classify-workers must be >= 0, got %d", o.classifyWorkers)
-	case o.classifyBatch < 1:
-		return options{}, fmt.Errorf("alarmd: -classify-batch must be >= 1, got %d", o.classifyBatch)
 	case o.interval <= 0:
 		return options{}, fmt.Errorf("alarmd: -interval must be positive, got %s", o.interval)
 	case o.trainN < 1:
@@ -424,8 +413,6 @@ func run(o options) error {
 		Consumer:       core.DefaultConsumerConfig(),
 	}
 	svcCfg.Consumer.PollTimeout = o.interval
-	svcCfg.Consumer.ClassifyWorkers = o.classifyWorkers
-	svcCfg.Consumer.ClassifyBatch = o.classifyBatch
 	svcCfg.Consumer.AdaptiveBatch = o.adaptiveBatch
 	svcCfg.Consumer.Metrics = pipeMetrics
 	svcCfg.MemberPrefix = memberPrefix
@@ -435,8 +422,8 @@ func run(o options) error {
 	}
 	defer svc.Close()
 	svc.Start()
-	fmt.Printf("serving with %d shard(s), pipeline depth %d, %d broker partitions, %d store partitions (write-behind %d), classify batch %d\n",
-		o.shards, o.depth, o.partitions, db.Partitions(), o.writeBehind, o.classifyBatch)
+	fmt.Printf("serving with %d shard(s), pipeline depth %d, %d broker partitions, %d store partitions (write-behind %d)\n",
+		o.shards, o.depth, o.partitions, db.Partitions(), o.writeBehind)
 	if o.adaptiveBatch || o.shedQueue > 0 {
 		fmt.Printf("overload control: adaptive-batch=%v shed-queue=%d\n", o.adaptiveBatch, o.shedQueue)
 	}

@@ -35,10 +35,6 @@ func TestParseOptionsDefaults(t *testing.T) {
 		t.Errorf("durability defaults wrong: data-dir=%q wal-sync=%s retention=%s",
 			o.dataDir, o.walSync, o.retention)
 	}
-	if o.classifyWorkers != 0 || o.classifyBatch != 256 {
-		t.Errorf("classify defaults wrong: classify-workers=%d classify-batch=%d",
-			o.classifyWorkers, o.classifyBatch)
-	}
 	if o.interval != 50*time.Millisecond || o.trainN != 30_000 {
 		t.Errorf("remaining defaults wrong: %+v", o)
 	}
@@ -67,8 +63,6 @@ func TestParseOptionsOverrides(t *testing.T) {
 		"-data-dir", "/tmp/alarmd-data",
 		"-wal-sync", "20ms",
 		"-retention", "24h",
-		"-classify-workers", "3",
-		"-classify-batch", "64",
 		"-interval", "5ms",
 		"-train", "1000",
 		"-model-dir", "/tmp/models",
@@ -102,10 +96,6 @@ func TestParseOptionsOverrides(t *testing.T) {
 		t.Errorf("durability overrides lost: data-dir=%q wal-sync=%s retention=%s",
 			o.dataDir, o.walSync, o.retention)
 	}
-	if o.classifyWorkers != 3 || o.classifyBatch != 64 {
-		t.Errorf("classify overrides lost: classify-workers=%d classify-batch=%d",
-			o.classifyWorkers, o.classifyBatch)
-	}
 	if o.interval != 5*time.Millisecond || o.trainN != 1000 {
 		t.Errorf("remaining overrides lost: %+v", o)
 	}
@@ -136,15 +126,12 @@ func TestParseOptionsValidation(t *testing.T) {
 		{"negative shards", []string{"-shards", "-3"}, "-shards"},
 		{"zero depth", []string{"-pipeline-depth", "0"}, "-pipeline-depth"},
 		{"negative depth", []string{"-pipeline-depth", "-2"}, "-pipeline-depth"},
-		{"negative classify batch", []string{"-classify-batch", "-64"}, "-classify-batch"},
 		{"negative store partitions", []string{"-store-partitions", "-1"}, "-store-partitions"},
 		{"negative write-behind", []string{"-write-behind", "-1"}, "-write-behind"},
 		{"negative wal-sync", []string{"-data-dir", "/tmp/d", "-wal-sync", "-5ms"}, "-wal-sync"},
 		{"negative retention", []string{"-data-dir", "/tmp/d", "-retention", "-1h"}, "-retention"},
 		{"wal-sync without data-dir", []string{"-wal-sync", "5ms"}, "-data-dir"},
 		{"retention without data-dir", []string{"-retention", "1h"}, "-data-dir"},
-		{"negative classify workers", []string{"-classify-workers", "-1"}, "-classify-workers"},
-		{"zero classify batch", []string{"-classify-batch", "0"}, "-classify-batch"},
 		{"zero interval", []string{"-interval", "0s"}, "-interval"},
 		{"zero train", []string{"-train", "0"}, "-train"},
 		{"negative retrain interval", []string{"-retrain-interval", "-5s"}, "-retrain-interval"},

@@ -9,22 +9,6 @@ import (
 	"alarmverify/internal/alarm"
 )
 
-// ScratchUnmarshaler is implemented by codecs that can decode into
-// caller-owned scratch without per-field allocations. The pipeline's
-// decode stage type-asserts its codec against this interface and takes
-// the allocation-free path when it is available.
-type ScratchUnmarshaler interface {
-	Codec
-	// UnmarshalScratch parses data into a exactly like Unmarshal —
-	// the decoded alarm is bit-identical — but routes string fields
-	// through the scratch's interner instead of allocating a fresh
-	// string per field, and hands Payload out as a view of data: it is
-	// valid for as long as data is, and a copy of the alarm that may
-	// outlive data must drop it. A nil scratch degrades to per-field
-	// copies, Payload included.
-	UnmarshalScratch(data []byte, a *alarm.Alarm, s *Scratch) error
-}
-
 // Scratch is the caller-owned decode state for the allocation-free
 // unmarshal path. It is not safe for concurrent use: give each decode
 // goroutine its own Scratch (the pipeline keeps one per shard, used
@@ -127,8 +111,14 @@ func (in *Interner) Reset() {
 	}
 }
 
-// UnmarshalScratch implements ScratchUnmarshaler: a single-pass scan
-// over the Fig. 11 key set that writes fields straight into a. Numbers
+// UnmarshalScratch parses data into a exactly like Unmarshal — the
+// decoded alarm is bit-identical — but routes string fields through
+// the scratch's interner instead of allocating a fresh string per
+// field, and hands Payload out as a view of data: it is valid for as
+// long as data is, and a copy of the alarm that may outlive data must
+// drop it. A nil scratch degrades to per-field copies, Payload
+// included. It is a single-pass scan over the Fig. 11 key set that
+// writes fields straight into a. Numbers
 // parse through a non-retaining view of the input (strconv does not
 // keep its argument), enum names match in place, and string fields
 // intern through the scratch, and the payload — freeform padding no

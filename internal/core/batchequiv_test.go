@@ -236,43 +236,40 @@ func TestVerifyBatchIntoValidatesLength(t *testing.T) {
 	}
 }
 
-// TestClassifyStageMatchesSequential runs the whole pipeline Classify
-// stage (chunked, on the bounded classify pool) against per-alarm
-// Verify over the same decoded batch, across worker and chunk
-// configurations.
+// TestClassifyStageMatchesSequential runs the pipeline's Classify
+// stage, chunk by chunk, against one VerifyBatch call over the same
+// decoded batch: for each chunk size, batches of 1, 255, 256, 257 and
+// 512 alarms must verify bit-identically.
 func TestClassifyStageMatchesSequential(t *testing.T) {
-	_, alarms := testAlarms(800)
-	verifier := fastVerifier(t, alarms[:500])
-	live := alarms[500:]
-	want := make([]alarm.Verification, len(live))
-	for i := range live {
-		var err error
-		want[i], err = verifier.Verify(&live[i])
-		if err != nil {
-			t.Fatal(err)
-		}
+	_, alarms := testAlarms(1024)
+	verifier := fastVerifier(t, alarms[:512])
+	live := alarms[512:]
+	want, err := verifier.VerifyBatch(live)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range []struct{ workers, batch int }{
-		{1, 1}, {1, 64}, {2, 32}, {4, 256}, {3, 7},
-	} {
-		t.Run(fmt.Sprintf("workers=%d_batch=%d", tc.workers, tc.batch), func(t *testing.T) {
-			app := newClassifyApp(t, verifier, live, tc.workers, tc.batch)
-			defer app.Close()
-			b := app.Drain()
-			app.Decode(b)
-			if b.Len() != len(live) {
-				t.Fatalf("decoded %d alarms, want %d", b.Len(), len(live))
-			}
-			if err := app.Classify(b); err != nil {
-				t.Fatal(err)
-			}
-			if len(b.Verified) != len(live) {
-				t.Fatalf("%d verifications for %d alarms", len(b.Verified), len(live))
-			}
-			for i := range b.Verified {
-				if err := sameVerification(b.Verified[i], want[i]); err != nil {
-					t.Fatalf("alarm %d: %v", i, err)
+	for _, batch := range []int{1, 64, 32, 256, 7} {
+		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
+			for _, n := range []int{1, 255, 256, 257, 512} {
+				app := newClassifyApp(t, verifier, live[:n], batch)
+				b := app.Drain()
+				app.Decode(b)
+				if b.Len() != n {
+					t.Fatalf("decoded %d alarms, want %d", b.Len(), n)
 				}
+				if err := app.Classify(b); err != nil {
+					t.Fatal(err)
+				}
+				if len(b.Verified) != n {
+					t.Fatalf("%d verifications for %d alarms", len(b.Verified), n)
+				}
+				for i := range b.Verified {
+					if err := sameVerification(b.Verified[i], want[i]); err != nil {
+						t.Fatalf("%d alarms, alarm %d: %v", n, i, err)
+					}
+				}
+				app.ReleaseBatch(b)
+				app.Close()
 			}
 		})
 	}
@@ -280,8 +277,9 @@ func TestClassifyStageMatchesSequential(t *testing.T) {
 
 // newClassifyApp preloads a single-partition topic with the alarms
 // (one producer thread, so replay order is preserved end to end) and
-// returns a consumer app configured to drain them in one batch.
-func newClassifyApp(t *testing.T, verifier *Verifier, alarms []alarm.Alarm, workers, batch int) *ConsumerApp {
+// returns a consumer app configured to drain them in one batch and
+// classify them in chunks of batch alarms.
+func newClassifyApp(t *testing.T, verifier *Verifier, alarms []alarm.Alarm, batch int) *ConsumerApp {
 	t.Helper()
 	b := broker.New()
 	t.Cleanup(func() { b.Close() })
@@ -294,7 +292,6 @@ func newClassifyApp(t *testing.T, verifier *Verifier, alarms []alarm.Alarm, work
 		t.Fatal(err)
 	}
 	cfg := DefaultConsumerConfig()
-	cfg.ClassifyWorkers = workers
 	cfg.ClassifyBatch = batch
 	cfg.MaxPerBatch = len(alarms)
 	app, err := NewConsumerApp(b, "alarms", "equiv", "c1", verifier, nil, cfg)

@@ -11,7 +11,6 @@ import (
 	"alarmverify/internal/codec"
 	"alarmverify/internal/docstore"
 	"alarmverify/internal/metrics"
-	"alarmverify/internal/stream"
 )
 
 // ComponentTimes is the Figure 12 breakdown: where the consumer's
@@ -48,26 +47,23 @@ func (c *ComponentTimes) Add(o ComponentTimes) {
 
 // ConsumerConfig tunes the consumer application.
 type ConsumerConfig struct {
-	// Codec deserializes alarms off the wire (the Figure 11 knob).
-	Codec codec.Codec
-	// Workers sizes the executor pool; 1 reproduces the serial
-	// pre-optimization consumer of §5.5.2.
+	// Workers is ignored.
+	//
+	// Deprecated: ignored. Serving has one consume path and no
+	// executor pool; the field stays only because the benchmark
+	// harness still assigns it, and goes once that assignment does.
 	Workers int
-	// ClassifyWorkers bounds the dedicated classify worker pool. The
-	// classify stage runs on its own pool (not the executor pool), so
-	// under the sharded pipeline classification of batch N overlaps
-	// decode of batch N+1 and persist of batch N-1. 0 means one
-	// worker per CPU.
+	// ClassifyWorkers is ignored.
+	//
+	// Deprecated: ignored. Classify verifies its chunks inline on the
+	// classify goroutine; the field stays only because the benchmark
+	// harness still assigns it, and goes once that assignment does.
 	ClassifyWorkers int
 	// ClassifyBatch is the micro-chunk size of the vectorized
-	// classify path: each classify worker verifies this many alarms
-	// per ml.SparseModel call out of one pooled batch of sparse rows.
+	// classify path: Classify verifies this many alarms per
+	// ml.SparseModel call out of one pooled batch of sparse rows.
 	// 0 means the 256 default; 1 reproduces the per-alarm baseline.
 	ClassifyBatch int
-	// CacheDecoded controls whether the deserialized batch is cached
-	// before being reused by the ML and history paths. False
-	// reproduces the double-deserialization bug of §6.2.
-	CacheDecoded bool
 	// HistogramSince and HistogramBucket shape the per-device history
 	// query (§4.1); zero values default to 30 days / 1 day buckets.
 	HistogramSince  time.Duration
@@ -84,7 +80,9 @@ type ConsumerConfig struct {
 	// AdaptiveMinBatch is the adaptive floor (default 64).
 	AdaptiveMinBatch int
 	// PollTimeout bounds how long a drain waits for the first record
-	// when the topic is idle; zero keeps the source default.
+	// when the topic is idle; zero means 10 ms. An append ends the
+	// wait at once, so this is only how often an idle intake gets to
+	// look at anything else (stop, rebalance), not a latency.
 	PollTimeout time.Duration
 	// Anomaly, when set, receives every micro-batch window so the
 	// §3 "large event" spikes are detected as they form.
@@ -96,14 +94,11 @@ type ConsumerConfig struct {
 	Metrics *metrics.Pipeline
 }
 
-// DefaultConsumerConfig returns the optimized configuration the paper
-// converged on: fast serializer, parallel execution, cached batches.
+// DefaultConsumerConfig returns the serving configuration: 256-alarm
+// classify chunks and a 30-day, 1-day-bucket device history.
 func DefaultConsumerConfig() ConsumerConfig {
 	return ConsumerConfig{
-		Codec:           codec.FastCodec{},
-		Workers:         0, // GOMAXPROCS
 		ClassifyBatch:   256,
-		CacheDecoded:    true,
 		HistogramSince:  30 * 24 * time.Hour,
 		HistogramBucket: 24 * time.Hour,
 	}
@@ -117,22 +112,13 @@ type ConsumerApp struct {
 	verifier *Verifier
 	history  *History
 	consumer broker.GroupConsumer
-	source   *stream.BrokerSource
-	pool     *stream.Pool
-	// classify is the dedicated bounded pool of the ML stage, sized
-	// by ConsumerConfig.ClassifyWorkers.
-	classify *stream.Pool
 	// batchLimit is the adaptive per-drain record bound; only Drain
 	// (single intake goroutine) writes it, BatchLimit reads it.
 	batchLimit atomic.Int64
 
-	// scratch is non-nil when the configured codec supports zero-copy
-	// scratch decoding and decoded batches are cached: Drain then
-	// takes the pooled, lease-borrowing hot path. sc is the decode
-	// scratch (string interner) — used only by the single intake
-	// goroutine — and batchPool recycles Batch scratch between
-	// ReleaseBatch and the next Drain.
-	scratch   codec.ScratchUnmarshaler
+	// sc is the decode scratch (string interner), used only by the
+	// single intake goroutine; batchPool recycles Batch scratch
+	// between ReleaseBatch and the next Drain.
 	sc        *codec.Scratch
 	batchPool sync.Pool
 	// hist is Persist's histogram-sweep scratch, one per app: only
@@ -163,18 +149,12 @@ func NewConsumerApp(b *broker.Broker, topicName, group, id string,
 // NewConsumerAppFor wires the consumer application onto an
 // already-joined group consumer — in-process or the network client —
 // so the same pipeline runs against a local broker or a remote
-// replicated one. partitions is the topic's partition count.
-func NewConsumerAppFor(cons broker.GroupConsumer, partitions int,
+// replicated one. The int is the topic's partition count; the drain
+// keeps no per-partition layout, so it is unused.
+func NewConsumerAppFor(cons broker.GroupConsumer, _ int,
 	verifier *Verifier, history *History, cfg ConsumerConfig) *ConsumerApp {
-	src := stream.NewGroupSource(cons, partitions)
-	if cfg.MaxPerBatch > 0 {
-		src.MaxPerBatch = cfg.MaxPerBatch
-	}
-	if cfg.PollTimeout > 0 {
-		src.PollTimeout = cfg.PollTimeout
-	}
-	if cfg.Codec == nil {
-		cfg.Codec = codec.FastCodec{}
+	if cfg.PollTimeout <= 0 {
+		cfg.PollTimeout = 10 * time.Millisecond
 	}
 	if cfg.HistogramSince <= 0 {
 		cfg.HistogramSince = 30 * 24 * time.Hour
@@ -201,87 +181,48 @@ func NewConsumerAppFor(cons broker.GroupConsumer, partitions int,
 		verifier: verifier,
 		history:  history,
 		consumer: cons,
-		source:   src,
-		pool:     stream.NewPool(cfg.Workers),
-		classify: stream.NewPool(cfg.ClassifyWorkers),
+		sc:       codec.NewScratch(),
 	}
 	if cfg.AdaptiveBatch {
 		// Start at the floor: the first saturated drain doubles it.
 		app.batchLimit.Store(int64(cfg.AdaptiveMinBatch))
 	}
 	// Persist's sweep scratch, sized like a pooled batch for a full drain.
-	n := src.MaxPerBatch
+	n := cfg.MaxPerBatch
 	app.hist = histScratch{macs: make([]string, 0, n), conds: make([]docstore.Cond, 0, 2*n),
 		filters: make([][]docstore.Cond, 0, n), out: make([][]HistogramBucket, 0, n)}
-	if su, ok := cfg.Codec.(codec.ScratchUnmarshaler); ok && cfg.CacheDecoded {
-		// The §6.2 cache ablation (CacheDecoded=false) must keep the
-		// copying RDD lineage, so the zero-copy path is gated on both.
-		app.scratch = su
-		app.sc = codec.NewScratch()
-	}
 	return app
 }
 
-// Close leaves the consumer group (releasing partitions to surviving
-// members) and shuts the worker pools down.
-func (c *ConsumerApp) Close() {
-	c.consumer.Close()
-	c.pool.Close()
-	c.classify.Close()
-}
+// Close leaves the consumer group, releasing partitions to surviving
+// members.
+func (c *ConsumerApp) Close() { c.consumer.Close() }
 
-// ProcessBatches synchronously drains and processes n micro-batches,
-// returning the number of alarms verified. Progress is committed to
-// the broker after each fully-processed batch, preserving the
-// exactly-once contract across consumer restarts.
+// ProcessBatches synchronously runs n micro-batches through the
+// serving stages — Drain, Decode, Classify, Persist, CommitBatch,
+// ReleaseBatch — and returns the number of alarms verified. Each
+// batch's offsets are committed only after it has fully persisted,
+// preserving the exactly-once contract across consumer restarts.
 func (c *ConsumerApp) ProcessBatches(n int) (int, error) {
 	total := 0
 	for i := 0; i < n; i++ {
-		processed, err := c.processBatch(c.source.Batch())
+		b := c.Drain()
+		c.Decode(b)
+		err := c.Classify(b)
+		if err == nil {
+			err = c.Persist(b)
+		}
+		if err == nil {
+			err = c.CommitBatch(b)
+		}
 		if err != nil {
+			c.ReleaseBatch(b)
 			return total, err
 		}
-		if err := c.source.Commit(); err != nil {
-			return total, err
-		}
-		total += processed
+		total += b.Len()
+		c.ReleaseBatch(b)
 	}
 	return total, nil
-}
-
-// Run attaches the consumer to a streaming context: every micro-batch
-// interval, one batch is drained, processed and committed. Callers own
-// Start/Stop on the context.
-func (c *ConsumerApp) Run(ctx *stream.Context) error {
-	records := stream.NewDStream(ctx, func(time.Time) *stream.RDD[broker.Record] {
-		return c.source.Batch()
-	})
-	return stream.ForEachCounted(records, func(_ time.Time, rdd *stream.RDD[broker.Record]) int {
-		n, err := c.processBatch(rdd)
-		if err != nil {
-			return 0
-		}
-		if err := c.source.Commit(); err != nil {
-			return n
-		}
-		return n
-	})
-}
-
-// processBatch is the Figure 3 workflow over one micro-batch: the
-// composable pipeline stages (pipeline.go) run back to back. The
-// sharded service in internal/serve runs the same stages overlapped
-// across consecutive batches.
-func (c *ConsumerApp) processBatch(raw *stream.RDD[broker.Record]) (int, error) {
-	b := &Batch{Raw: raw}
-	c.Decode(b)
-	if err := c.Classify(b); err != nil {
-		return 0, err
-	}
-	if err := c.Persist(b); err != nil {
-		return 0, err
-	}
-	return b.Len(), nil
 }
 
 // Times returns the accumulated component breakdown (Figure 12).

@@ -206,7 +206,7 @@ func (h *History) flusher(wb *writeBehind) {
 // blocking while the queue is at capacity. After Close it reports
 // false and the caller falls back to a synchronous write. The copies
 // outlive the caller's batch, and a decoded alarm's Payload is a view
-// of its leased record (codec.ScratchUnmarshaler): the queue drops it —
+// of its leased record (codec.FastCodec.UnmarshalScratch): the queue drops it —
 // it is not stored anyway.
 //
 //alarmvet:hotpath

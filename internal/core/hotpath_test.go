@@ -14,24 +14,9 @@ import (
 	"alarmverify/internal/docstore"
 )
 
-// copyOnlyCodec hides FastCodec's scratch path, forcing the copying
-// RDD pipeline even with decoded-batch caching on — the reference
-// behavior the zero-copy path must reproduce exactly.
-type copyOnlyCodec struct{}
-
-func (copyOnlyCodec) Name() string { return "fast-json-copyonly" }
-
-func (copyOnlyCodec) Marshal(dst []byte, a *alarm.Alarm) ([]byte, error) {
-	return codec.FastCodec{}.Marshal(dst, a)
-}
-
-func (copyOnlyCodec) Unmarshal(data []byte, a *alarm.Alarm) error {
-	return codec.FastCodec{}.Unmarshal(data, a)
-}
-
 // hotpathBroker preloads a single-partition topic with the alarms plus
-// a sprinkle of undecodable and zero-ID records, which both decode
-// paths must drop identically.
+// a sprinkle of undecodable and zero-ID records, which the drain must
+// drop exactly as the copying reference does.
 func hotpathBroker(t *testing.T, alarms []alarm.Alarm) *broker.Broker {
 	t.Helper()
 	b := broker.New()
@@ -67,10 +52,9 @@ func hotpathBroker(t *testing.T, alarms []alarm.Alarm) *broker.Broker {
 	return b
 }
 
-func hotpathApp(t *testing.T, b *broker.Broker, group string, v *Verifier, c codec.Codec, n int) *ConsumerApp {
+func hotpathApp(t *testing.T, b *broker.Broker, group string, v *Verifier, n int) *ConsumerApp {
 	t.Helper()
 	cfg := DefaultConsumerConfig()
-	cfg.Codec = c
 	cfg.MaxPerBatch = n
 	app, err := NewConsumerApp(b, "alarms", group, "c1", v, nil, cfg)
 	if err != nil {
@@ -80,58 +64,87 @@ func hotpathApp(t *testing.T, b *broker.Broker, group string, v *Verifier, c cod
 	return app
 }
 
+// copyingReference is what the drain replaces: copying polls, the
+// copying FastCodec.Unmarshal, the ID != 0 filter, and a device set.
+// It returns the decoded alarms, the device set, the positions after
+// the drain, and how many records it read.
+func copyingReference(t *testing.T, b *broker.Broker, n int) ([]alarm.Alarm, map[string]bool, map[int]int64, int) {
+	t.Helper()
+	topic, err := b.Topic("alarms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cons, err := broker.NewConsumer(b, "copy", topic, "c1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cons.Close()
+	var alarms []alarm.Alarm
+	devices := map[string]bool{}
+	raw := 0
+	for timeout := 10 * time.Millisecond; raw < n; timeout = 0 {
+		recs, err := cons.Poll(n-raw, timeout)
+		if err != nil || len(recs) == 0 {
+			break
+		}
+		raw += len(recs)
+		for _, r := range recs {
+			var a alarm.Alarm
+			if (codec.FastCodec{}).Unmarshal(r.Value, &a) != nil || a.ID == 0 {
+				continue
+			}
+			alarms = append(alarms, a)
+			devices[a.DeviceMAC] = true
+		}
+	}
+	return alarms, devices, cons.Positions(), raw
+}
+
 // TestFastDrainMatchesCopyingPath is the acceptance property of the
-// zero-copy hot path: over the same wire records — valid, corrupt, and
+// zero-copy drain: over the same wire records — valid, corrupt, and
 // zero-ID alike — the pooled scratch pipeline must produce the same
 // decoded alarms, the same distinct-device set, and the same offsets
-// as the copying RDD pipeline.
+// as copying polls decoded by the copying codec.
 func TestFastDrainMatchesCopyingPath(t *testing.T) {
 	_, alarms := testAlarms(600)
 	verifier := fastVerifier(t, alarms[:200])
 	bFast := hotpathBroker(t, alarms)
 	bCopy := hotpathBroker(t, alarms)
-	fast := hotpathApp(t, bFast, "fast", verifier, codec.FastCodec{}, 2*len(alarms))
-	ref := hotpathApp(t, bCopy, "copy", verifier, copyOnlyCodec{}, 2*len(alarms))
+	fast := hotpathApp(t, bFast, "fast", verifier, 2*len(alarms))
 
 	fb := fast.Drain()
 	fast.Decode(fb)
 	if !fb.pooled {
-		t.Fatal("fast app did not take the pooled drain path")
+		t.Fatal("the drain did not hand out a pooled batch")
 	}
-	rb := ref.Drain()
-	ref.Decode(rb)
-	if rb.pooled {
-		t.Fatal("copy-only codec unexpectedly took the pooled path")
-	}
+	refAlarms, refDevices, refOffsets, refRaw := copyingReference(t, bCopy, 2*len(alarms))
 
-	if fb.Len() != rb.Len() {
-		t.Fatalf("fast decoded %d alarms, copying %d", fb.Len(), rb.Len())
+	if fb.Len() != len(refAlarms) {
+		t.Fatalf("fast decoded %d alarms, copying %d", fb.Len(), len(refAlarms))
 	}
 	if fb.Len() != len(alarms) {
 		t.Fatalf("decoded %d alarms, want %d (corrupt records must drop)", fb.Len(), len(alarms))
 	}
 	for i := range fb.Alarms {
-		if !reflect.DeepEqual(fb.Alarms[i], rb.Alarms[i]) {
-			t.Fatalf("alarm %d differs:\nfast: %+v\ncopy: %+v", i, fb.Alarms[i], rb.Alarms[i])
+		if !reflect.DeepEqual(fb.Alarms[i], refAlarms[i]) {
+			t.Fatalf("alarm %d differs:\nfast: %+v\ncopy: %+v", i, fb.Alarms[i], refAlarms[i])
 		}
 	}
-	// Distinct extraction orders differ (shuffle vs first-occurrence):
-	// compare as sets of MACs.
-	set := func(devs []alarm.Alarm) map[string]bool {
-		out := make(map[string]bool, len(devs))
-		for i := range devs {
-			out[devs[i].DeviceMAC] = true
-		}
-		return out
+	fs := make(map[string]bool, len(fb.Devices))
+	for i := range fb.Devices {
+		fs[fb.Devices[i].DeviceMAC] = true
 	}
-	if fs, rs := set(fb.Devices), set(rb.Devices); !reflect.DeepEqual(fs, rs) {
-		t.Fatalf("device sets differ: fast %d devices, copy %d", len(fs), len(rs))
+	if len(fs) != len(fb.Devices) {
+		t.Fatalf("%d device entries for %d devices", len(fb.Devices), len(fs))
 	}
-	if !reflect.DeepEqual(fb.Offsets, rb.Offsets) {
-		t.Fatalf("offsets differ: fast %v, copy %v", fb.Offsets, rb.Offsets)
+	if !reflect.DeepEqual(fs, refDevices) {
+		t.Fatalf("device sets differ: fast %d devices, copy %d", len(fs), len(refDevices))
 	}
-	if fn, rn := len(fb.recs), rb.Raw.Count(ref.pool); fn != rn {
-		t.Fatalf("raw count %d != copying %d", fn, rn)
+	if !reflect.DeepEqual(fb.Offsets, refOffsets) {
+		t.Fatalf("offsets differ: fast %v, copy %v", fb.Offsets, refOffsets)
+	}
+	if len(fb.recs) != refRaw {
+		t.Fatalf("raw count %d != copying %d", len(fb.recs), refRaw)
 	}
 	fast.ReleaseBatch(fb)
 }
@@ -198,7 +211,7 @@ func TestPooledBatchLifecycle(t *testing.T) {
 func TestReleasePoisonsBatch(t *testing.T) {
 	_, alarms := testAlarms(50)
 	b := hotpathBroker(t, alarms)
-	app := hotpathApp(t, b, "poison", fastVerifier(t, alarms), codec.FastCodec{}, len(alarms)*2)
+	app := hotpathApp(t, b, "poison", fastVerifier(t, alarms), len(alarms)*2)
 
 	SetBatchCheck(true)
 	defer SetBatchCheck(false)
@@ -228,7 +241,7 @@ func TestPayloadViewStaysInTheBatch(t *testing.T) {
 		alarms[i].Payload = fmt.Sprintf("payload-of-%d", alarms[i].ID)
 	}
 	b := hotpathBroker(t, alarms)
-	app := hotpathApp(t, b, "view", fastVerifier(t, alarms), codec.FastCodec{}, len(alarms)*2)
+	app := hotpathApp(t, b, "view", fastVerifier(t, alarms), len(alarms)*2)
 
 	broker.SetLeaseCheck(true)
 	defer broker.SetLeaseCheck(false)
@@ -302,52 +315,39 @@ func TestDeviceHistogramsMatchesSingle(t *testing.T) {
 	}
 }
 
-// BenchmarkDecodePath measures the per-batch decode cost of the two
-// paths over identical records; allocs/op is the number the zero-copy
-// path exists to eliminate.
+// BenchmarkDecodePath measures the per-batch decode cost over one
+// 512-record batch; allocs/op is the number the zero-copy path exists
+// to keep at zero.
 func BenchmarkDecodePath(b *testing.B) {
 	_, alarms := testAlarms(512)
-	for _, mode := range []string{"scratch", "copying"} {
-		b.Run(mode, func(b *testing.B) {
-			var cdc codec.Codec = codec.FastCodec{}
-			if mode == "copying" {
-				cdc = copyOnlyCodec{}
-			}
-			bk := broker.New()
-			defer bk.Close()
-			topic, err := bk.CreateTopic("alarms", 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			prod := NewProducerApp(topic, codec.FastCodec{})
-			if _, err := prod.Replay(alarms, 0); err != nil {
-				b.Fatal(err)
-			}
-			cfg := DefaultConsumerConfig()
-			cfg.Codec = cdc
-			cfg.MaxPerBatch = len(alarms)
-			app, err := NewConsumerApp(bk, "alarms", fmt.Sprintf("bench-%s", mode), "c1", fastVerifier(b, alarms[:100]), nil, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer app.Close()
-			batch := app.Drain()
-			app.Decode(batch)
-			if batch.Len() != len(alarms) {
-				b.Fatalf("decoded %d, want %d", batch.Len(), len(alarms))
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if batch.pooled {
-					batch.Alarms = batch.Alarms[:0]
-					batch.Devices = batch.Devices[:0]
-					clear(batch.seen)
-					app.decodeScratch(batch)
-				} else {
-					app.Decode(batch)
-				}
-			}
-		})
+	bk := broker.New()
+	defer bk.Close()
+	topic, err := bk.CreateTopic("alarms", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prod := NewProducerApp(topic, codec.FastCodec{})
+	if _, err := prod.Replay(alarms, 0); err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConsumerConfig()
+	cfg.MaxPerBatch = len(alarms)
+	app, err := NewConsumerApp(bk, "alarms", "bench-decode", "c1", fastVerifier(b, alarms[:100]), nil, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer app.Close()
+	batch := app.Drain()
+	app.Decode(batch)
+	if batch.Len() != len(alarms) {
+		b.Fatalf("decoded %d, want %d", batch.Len(), len(alarms))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		batch.Alarms = batch.Alarms[:0]
+		batch.Devices = batch.Devices[:0]
+		clear(batch.seen)
+		app.Decode(batch)
 	}
 }

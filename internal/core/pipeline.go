@@ -1,13 +1,12 @@
 package core
 
 import (
-	"sync"
 	"time"
 
 	"alarmverify/internal/alarm"
 	"alarmverify/internal/broker"
+	"alarmverify/internal/codec"
 	"alarmverify/internal/metrics"
-	"alarmverify/internal/stream"
 )
 
 // Batch carries one micro-batch through the composable pipeline
@@ -23,11 +22,6 @@ import (
 // into the app's shared accounting, under the app mutex, which keeps
 // the ComponentTimes bookkeeping concurrency-safe under pipelining.
 type Batch struct {
-	// Raw is the drained record RDD (one partition per broker
-	// partition, the Direct-DStream mapping). It is nil on a pooled
-	// batch of the zero-copy drain path, whose records stay in the
-	// batch's scratch and never become an RDD.
-	Raw *stream.RDD[broker.Record]
 	// Offsets snapshots the consumer positions right after the drain;
 	// CommitBatch makes exactly these durable once the batch has been
 	// fully persisted, preserving the exactly-once contract even when
@@ -38,11 +32,6 @@ type Batch struct {
 	// batch an alarm's Payload is a view of its leased record: a copy of
 	// the alarm that outlives the batch must drop it.
 	Alarms []alarm.Alarm
-	// Decoded is the (cached) alarm RDD. Decode derives the distinct
-	// devices from it, and Classify re-collects it when caching is
-	// disabled — recomputing the deserialization lineage, the §6.2
-	// pitfall the cache ablation measures.
-	Decoded *stream.RDD[alarm.Alarm]
 	// Devices are the distinct alarming devices of the window (§4.1).
 	Devices []alarm.Alarm
 
@@ -65,48 +54,59 @@ type Batch struct {
 	// backlog drains instead of being redelivered.
 	Shed bool
 
-	// The remaining fields are the reusable scratch of the zero-copy
-	// drain path (see Drain): raw records whose Value bytes borrow from
-	// broker arena memory under leases, reused across batches through
-	// the app's batch pool. They are populated only on pooled batches.
+	// The remaining fields are the reusable scratch of the drain (see
+	// Drain): raw records whose Value bytes borrow from broker arena
+	// memory under leases, reused across batches through the app's
+	// batch pool. A Batch built outside Drain has none of them.
 	recs   []broker.Record
 	leases []*broker.Lease
 	seen   map[string]struct{} // distinct-device scratch
-	chunks chunkRun            // Classify's fan-out state
 	pooled bool
 }
 
 // Len returns the number of decoded alarms in the batch.
 func (b *Batch) Len() int { return len(b.Alarms) }
 
-// Drain pulls one micro-batch of raw records off the broker and
-// snapshots the consumer positions that CommitBatch will later make
-// durable. Drain must not be called concurrently with itself (one
-// intake goroutine per consumer); under adaptive batching it is also
-// the single writer of the source's per-drain record bound.
+// Drain pulls one micro-batch of raw records off the broker into a
+// pooled batch and snapshots the consumer positions that CommitBatch
+// will later make durable. Drain must not be called concurrently with
+// itself (one intake goroutine per consumer); under adaptive batching
+// it is also the single writer of the per-drain record bound.
 //
-// When the codec supports scratch decoding (and decoded batches are
-// cached — the optimized configuration), Drain takes the zero-copy
-// hot path: records land in a pooled batch's reusable scratch and
-// their payload bytes are borrowed from the broker's segment arenas
-// under leases instead of being copied out. Such a batch must be
-// returned through ReleaseBatch once it has fully left the pipeline.
-// With CacheDecoded off (the §6.2 ablation) or a codec without a
-// scratch path, Drain falls back to the copying RDD path.
+// The records' payload bytes are borrowed from the broker under
+// leases, not copied out, so the batch must be returned through
+// ReleaseBatch once it has fully left the pipeline. Only the first
+// poll parks — woken by the first record, for at most PollTimeout —
+// and the rest take what is already there, up to the drain bound: a
+// batch is whatever accumulated while the shard was busy, and one
+// record when it was not. A drain that finds nothing allocates nothing
+// and keeps no lease.
+//
+//alarmvet:hotpath
 func (c *ConsumerApp) Drain() *Batch {
-	if c.cfg.AdaptiveBatch {
-		c.source.MaxPerBatch = int(c.batchLimit.Load())
-	}
-	if c.scratch == nil {
-		raw := c.source.Batch()
-		b := &Batch{Raw: raw, Offsets: c.consumer.Positions(), DrainedAt: time.Now()}
-		if c.cfg.AdaptiveBatch {
-			c.adaptBatch(raw.Count(c.pool))
-		}
-		return b
-	}
+	max := c.BatchLimit()
 	b := c.getBatch()
-	b.recs, b.leases = c.source.DrainLeased(b.recs, b.leases)
+	if max <= 0 {
+		max = 1 << 20
+	}
+	timeout := c.cfg.PollTimeout
+	for len(b.recs) < max {
+		out, lease, err := c.consumer.PollLeased(max-len(b.recs), timeout, b.recs)
+		got := len(out) - len(b.recs)
+		b.recs = out
+		if got > 0 {
+			b.leases = append(b.leases, lease)
+		} else {
+			// An empty poll's lease guards nothing (the consumers hand
+			// out a shared released one); release it now so idle polls
+			// don't inflate the leak detector.
+			lease.Release()
+		}
+		if err != nil || got == 0 {
+			break
+		}
+		timeout = 0
+	}
 	b.Offsets = c.consumer.PositionsInto(b.Offsets)
 	b.DrainedAt = time.Now()
 	if c.cfg.AdaptiveBatch {
@@ -160,70 +160,18 @@ func (c *ConsumerApp) MarkShed(b *Batch) {
 	}
 }
 
-// Decode is the streaming component: it deserializes the wire records
-// into alarms (caching the decoded RDD unless the §6.2 pitfall is
-// being reproduced), feeds the anomaly monitor, and extracts the
-// window's distinct alarming devices. Pooled batches from the
-// zero-copy drain take the scratch decode path; RDD batches take the
-// copying path, byte-for-byte equivalent (the codec equivalence
-// property tests pin this).
-func (c *ConsumerApp) Decode(b *Batch) {
-	if b.pooled {
-		c.decodeScratch(b)
-		return
-	}
-	start := time.Now()
-	decoded := stream.Map(b.Raw, func(r broker.Record) alarm.Alarm {
-		var a alarm.Alarm
-		// Decoding errors surface as zero alarms; production systems
-		// would dead-letter them. The filter below drops them.
-		_ = c.cfg.Codec.Unmarshal(r.Value, &a)
-		return a
-	})
-	decoded = stream.Filter(decoded, func(a alarm.Alarm) bool { return a.ID != 0 })
-	if c.cfg.CacheDecoded {
-		decoded = decoded.Cache()
-	}
-	// Materialize once to attribute deserialization time fairly.
-	b.Alarms = decoded.Collect(c.pool)
-	b.Decoded = decoded
-	b.Times.Deserialize = time.Since(start)
-
-	// Feed the anomaly monitor before any per-alarm work: spike
-	// alerts should not wait for classification.
-	if c.cfg.Anomaly != nil && len(b.Alarms) > 0 {
-		c.cfg.Anomaly.Observe(b.Alarms[0].Timestamp, b.Alarms)
-	}
-
-	start = time.Now()
-	b.Devices = stream.Distinct(b.Decoded,
-		func(a alarm.Alarm) string { return a.DeviceMAC }, c.pool).Collect(c.pool)
-	b.Times.Streaming = time.Since(start)
-
-	if m := c.cfg.Metrics; m != nil {
-		// Keep the raw enqueue timestamps for the e2e measurement at
-		// commit time. Undecodable records count too: they spent the
-		// same time in the queue.
-		b.Enqueued = stream.Map(b.Raw, func(r broker.Record) time.Time {
-			return r.Timestamp
-		}).Collect(c.pool)
-		m.Stage(metrics.StageDecode).Record(b.Times.Deserialize + b.Times.Streaming)
-	}
-}
-
-// decodeScratch is Decode's zero-copy twin for pooled batches: it
-// deserializes straight out of the leased record views into the
-// batch's reusable alarm scratch (string fields are interned through
-// the app's codec scratch and Payload stays a view of the record, valid
-// until the batch's leases are released, so steady-state decode
-// performs no heap allocation), then extracts the distinct devices
-// with a reusable seen-set instead of a shuffle. Records the copying
-// path would filter out — decode errors and zero IDs — are dropped
-// identically: the copying codec leaves the alarm untouched on any
-// error, so its filter (ID != 0) reduces to exactly this predicate.
+// Decode is the streaming component: it deserializes the batch's
+// records straight out of their leased views into the batch's reusable
+// alarm scratch (codec.FastCodec's scratch path: string fields are
+// interned through the app's codec scratch and Payload stays a view of
+// the record, valid until the batch's leases are released, so
+// steady-state decode performs no heap allocation), feeds the anomaly
+// monitor, and extracts the window's distinct alarming devices with a
+// reusable seen-set. Records that fail to decode or carry a zero ID are
+// dropped.
 //
 //alarmvet:hotpath
-func (c *ConsumerApp) decodeScratch(b *Batch) {
+func (c *ConsumerApp) Decode(b *Batch) {
 	start := time.Now()
 	alarms := b.Alarms
 	for i := range b.recs {
@@ -233,7 +181,7 @@ func (c *ConsumerApp) decodeScratch(b *Batch) {
 			alarms = append(alarms, alarm.Alarm{})
 		}
 		slot := &alarms[len(alarms)-1]
-		if err := c.scratch.UnmarshalScratch(b.recs[i].Value, slot, c.sc); err != nil || slot.ID == 0 {
+		if err := (codec.FastCodec{}).UnmarshalScratch(b.recs[i].Value, slot, c.sc); err != nil || slot.ID == 0 {
 			alarms = alarms[:len(alarms)-1]
 		}
 	}
@@ -270,30 +218,21 @@ func (c *ConsumerApp) decodeScratch(b *Batch) {
 }
 
 // Classify is the machine-learning component: the batch's alarms are
-// split into ClassifyBatch-sized chunks and each chunk is verified
-// through the vectorized batch path on the app's dedicated bounded
-// classify pool. Chunk k writes the disjoint region
-// [k·chunk, (k+1)·chunk) of b.Verified, so results stay in batch
-// order without any post-hoc merge, and because the classify pool is
-// separate from the executor pool, the sharded pipeline overlaps
-// this stage with decode and persist of neighboring batches. The
-// verifier's model snapshot is pinned once for the whole micro-batch
-// — not per chunk — so a concurrent hot swap (Verifier.Swap) can
-// never split one batch's verifications across two models.
+// verified in ClassifyBatch-sized chunks, one vectorized
+// ml.SparseModel call a chunk, inline on the calling goroutine. Chunk
+// k writes the region [k·chunk, (k+1)·chunk) of b.Verified, so results
+// stay in batch order without any merge. The sharded pipeline overlaps
+// this stage with decode and persist of neighboring batches by giving
+// it its own goroutine. The verifier's model snapshot is pinned once
+// for the whole micro-batch — not per chunk — so a concurrent hot swap
+// (Verifier.Swap) can never split one batch's verifications across
+// two models.
 func (c *ConsumerApp) Classify(b *Batch) error {
 	start := time.Now()
-	alarms := b.Alarms
-	if !c.cfg.CacheDecoded && b.Decoded != nil {
-		// §6.2 pitfall reproduction: without caching, reusing the
-		// decoded stream in the ML stage recomputes its lineage — a
-		// full re-deserialization, exactly the double work the paper's
-		// pre-fix consumer paid.
-		alarms = b.Decoded.Collect(c.pool)
-	}
-	n := len(alarms)
+	n := len(b.Alarms)
 	if cap(b.Verified) >= n {
 		// Pooled batch: reuse the verification scratch; every slot is
-		// overwritten by verifyBatchInto below.
+		// overwritten below.
 		b.Verified = b.Verified[:n]
 	} else {
 		b.Verified = make([]alarm.Verification, n)
@@ -303,70 +242,18 @@ func (c *ConsumerApp) Classify(b *Batch) error {
 		return nil
 	}
 	snap := c.verifier.snap.Load()
-	var err error
-	if chunk := c.cfg.ClassifyBatch; n <= chunk {
-		// One chunk runs on the caller, as the pool would run it, without
-		// the fan-out's closure and error lock.
-		err = snap.verifyBatchInto(alarms, b.Verified)
-	} else {
-		err = c.classifyChunks(&b.chunks, snap, alarms, b.Verified, chunk)
-	}
-	if err != nil {
-		b.Verified = nil
-		return err
+	for lo := 0; lo < n; lo += c.cfg.ClassifyBatch {
+		hi := min(lo+c.cfg.ClassifyBatch, n)
+		if err := snap.verifyBatchInto(b.Alarms[lo:hi], b.Verified[lo:hi]); err != nil {
+			b.Verified = nil
+			return err
+		}
 	}
 	b.Times.ML = time.Since(start)
 	if m := c.cfg.Metrics; m != nil {
 		m.Stage(metrics.StageClassify).Record(b.Times.ML)
 	}
 	return nil
-}
-
-// classifyChunks fans the chunks of one micro-batch out over the
-// classify pool and returns the first error any of them reported. Each
-// worker takes one contiguous run of chunks — a hand-off per worker, not
-// per chunk: a chunk is a few microseconds of work an alarm, and at
-// small chunk sizes a pool dispatch costs as much as the chunk. The
-// fan-out's state lives in cr, the batch's, whose task closure is made
-// once with the batch: a pooled batch's classify allocates nothing.
-func (c *ConsumerApp) classifyChunks(cr *chunkRun, snap *modelSnapshot, alarms []alarm.Alarm, out []alarm.Verification, chunk int) error {
-	if cr.task == nil {
-		cr.task = cr.run
-	}
-	cr.snap, cr.alarms, cr.out, cr.chunk = snap, alarms, out, chunk
-	cr.chunks = (len(alarms) + chunk - 1) / chunk
-	cr.runs = min(cr.chunks, c.classify.Workers())
-	c.classify.Run(cr.runs, cr.task)
-	err := cr.err
-	cr.snap, cr.alarms, cr.out, cr.err = nil, nil, nil, nil
-	return err
-}
-
-// chunkRun is one classifyChunks fan-out: the chunks' inputs, the
-// first error a chunk reported, and the pool task over them.
-type chunkRun struct {
-	snap                *modelSnapshot
-	alarms              []alarm.Alarm
-	out                 []alarm.Verification
-	chunk, chunks, runs int
-	mu                  sync.Mutex
-	err                 error
-	task                func(r int)
-}
-
-// run verifies the r-th contiguous run of chunks.
-func (cr *chunkRun) run(r int) {
-	for k := r * cr.chunks / cr.runs; k < (r+1)*cr.chunks/cr.runs; k++ {
-		lo := k * cr.chunk
-		hi := min(lo+cr.chunk, len(cr.alarms))
-		if err := cr.snap.verifyBatchInto(cr.alarms[lo:hi], cr.out[lo:hi]); err != nil {
-			cr.mu.Lock()
-			if cr.err == nil {
-				cr.err = err
-			}
-			cr.mu.Unlock()
-		}
-	}
 }
 
 // Persist is the batch component: it ingests the batch into the alarm
@@ -382,8 +269,8 @@ func (cr *chunkRun) run(r int) {
 //
 // Persist must not run concurrently with itself on one app: the
 // histogram sweep's scratch is the app's. Every caller runs one persist
-// goroutine an app — the sharded service's per-shard persist stage, and
-// processBatch under ProcessBatches/Run.
+// goroutine an app — the sharded service's per-shard persist stage,
+// ProcessBatches, and the experiments' replay consumer.
 func (c *ConsumerApp) Persist(b *Batch) error {
 	if c.history != nil {
 		start := time.Now()

@@ -27,16 +27,12 @@ func SetBatchCheck(on bool) { batchCheckMode.Store(on) }
 const poisonedField = "\xdb\xdbRELEASED-BATCH\xdb\xdb"
 
 // getBatch takes a batch from the app's pool (or builds a fresh one)
-// and resets its scratch for the next drain. Only the zero-copy drain
-// path uses pooled batches; the RDD path allocates plain batches that
-// ReleaseBatch ignores.
+// and resets its scratch for the next drain.
 func (c *ConsumerApp) getBatch() *Batch {
 	b, _ := c.batchPool.Get().(*Batch)
 	if b == nil {
 		b = c.newBatch()
 	}
-	b.Raw = nil
-	b.Decoded = nil
 	b.Alarms = b.Alarms[:0]
 	b.Devices = b.Devices[:0]
 	b.Verified = b.Verified[:0]
@@ -52,14 +48,14 @@ func (c *ConsumerApp) getBatch() *Batch {
 }
 
 // newBatch builds a pooled batch with its scratch allocated once, for
-// a full drain at the source's current record bound (MaxPerBatch
-// unless adaptive batching moves it): records, alarms, devices,
+// a full drain at the current record bound (MaxPerBatch unless
+// adaptive batching moves it): records, alarms, devices,
 // verifications, enqueue times when metrics are attached and the
 // distinct-device set. A cold batch then regrows none of them on its way
-// through the pipeline. An unbounded source (MaxPerBatch 0) lets them grow
+// through the pipeline. An unbounded drain (MaxPerBatch 0) lets them grow
 // with the drains instead.
 func (c *ConsumerApp) newBatch() *Batch {
-	n := c.source.MaxPerBatch
+	n := c.BatchLimit()
 	b := &Batch{
 		recs:     make([]broker.Record, 0, n),
 		Alarms:   make([]alarm.Alarm, 0, n),
@@ -78,8 +74,9 @@ func (c *ConsumerApp) newBatch() *Batch {
 // batch goes back to the app's pool. Call it only after the batch has
 // fully left the pipeline — persisted (or shed) and its offsets
 // handed to a commit — and never touch the batch, its alarms, or its
-// raw record values afterwards. Safe (a no-op) on nil and non-pooled
-// batches; idempotent, since a released batch is marked unpooled.
+// raw record values afterwards. Safe (a no-op) on nil batches and on
+// batches not drained by this app; idempotent, since a released batch
+// is marked unpooled.
 func (c *ConsumerApp) ReleaseBatch(b *Batch) {
 	if b == nil || !b.pooled {
 		return

@@ -11,8 +11,9 @@ import (
 
 // AblationCache measures the §6.2 lesson ("Cache data that will be
 // reused"): total consumer batch time with and without caching the
-// deserialized stream. The uncached consumer recomputes the lineage
-// for the distinct-devices pass and the ML pass.
+// deserialized stream, on the replay consumer. Uncached, the
+// distinct-devices pass recomputes the decode lineage the ML pass
+// collected, so every record is deserialized twice.
 func AblationCache(env *Env) (cached, uncached time.Duration, err error) {
 	verifier, replay, err := streamVerifier(env, 5_000)
 	if err != nil {
@@ -33,18 +34,16 @@ func AblationCache(env *Env) (cached, uncached time.Duration, err error) {
 		if _, err := prod.Replay(replay, 0); err != nil {
 			return 0, err
 		}
-		cfg := core.DefaultConsumerConfig()
-		cfg.Codec = codec.ReflectCodec{} // slow codec makes recompute visible
-		cfg.CacheDecoded = cache
-		cons, err := core.NewConsumerApp(b, "alarms", "ablate", "c1", verifier, nil, cfg)
+		// The slow codec makes the recompute visible.
+		r, err := newReplay(b, "ablate", verifier, nil, codec.ReflectCodec{}, 0, cache)
 		if err != nil {
 			return 0, err
 		}
-		defer cons.Close()
-		if _, err := cons.ProcessBatches(1); err != nil {
+		defer r.close()
+		if _, err := r.batch(); err != nil {
 			return 0, err
 		}
-		return cons.Times().Total(), nil
+		return r.app.Times().Total(), nil
 	}
 	if cached, err = run(true); err != nil {
 		return 0, 0, err

@@ -48,7 +48,6 @@ func durabilityCell(v *core.Verifier, replay []alarm.Alarm, h *core.History) (fl
 	h.EnableWriteBehind(4096)
 	cfg := serve.DefaultConfig()
 	cfg.Shards = 2
-	cfg.Consumer.Workers = 2
 	cfg.Consumer.MaxPerBatch = 512
 	cfg.Consumer.PollTimeout = 2 * time.Millisecond
 	svc, err := serve.New(b, "alarms", "durability", v, h, cfg)

@@ -2,9 +2,13 @@ package experiments
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"alarmverify/internal/alarm"
+	"alarmverify/internal/broker"
+	"alarmverify/internal/codec"
 	"alarmverify/internal/core"
 )
 
@@ -270,6 +274,77 @@ func TestEndToEndLadder(t *testing.T) {
 		}
 		if r.Records != replayed {
 			t.Errorf("config %q processed %d records, want all %d", r.Label, r.Records, replayed)
+		}
+	}
+}
+
+// countingCodec is FastCodec counting its Unmarshal calls.
+type countingCodec struct {
+	codec.FastCodec
+	calls *atomic.Int64
+}
+
+func (c countingCodec) Unmarshal(data []byte, a *alarm.Alarm) error {
+	c.calls.Add(1)
+	return c.FastCodec.Unmarshal(data, a)
+}
+
+// TestReplayCacheCountsUnmarshals is the §6.2 ablation as counted
+// facts: an uncached replay deserializes every record twice, a cached
+// one once, and either replay's verdicts are VerifyBatch's over the
+// same records.
+func TestReplayCacheCountsUnmarshals(t *testing.T) {
+	env := NewEnv(tinyScale())
+	alarms := env.Alarms()
+	v, err := core.Train(alarms[:1000], core.DefaultVerifierConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed := alarms[1000:3000]
+	want, err := v.VerifyBatch(replayed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byID := make(map[int64]alarm.Verification, len(want))
+	for _, w := range want {
+		byID[w.AlarmID] = w
+	}
+	for _, cache := range []bool{true, false} {
+		b := broker.New()
+		topic, err := b.CreateTopic("alarms", env.Scale.Partitions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := core.NewProducerApp(topic, codec.FastCodec{}).Replay(replayed, 0); err != nil {
+			t.Fatal(err)
+		}
+		var calls atomic.Int64
+		r, err := newReplay(b, "count", v, nil, countingCodec{calls: &calls}, 2, cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := r.batch()
+		got := r.app.Verified()
+		r.close()
+		b.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != len(replayed) || len(got) != len(replayed) {
+			t.Fatalf("cache=%v: %d alarms, %d verdicts for %d records", cache, n, len(got), len(replayed))
+		}
+		wantCalls := int64(len(replayed))
+		if !cache {
+			wantCalls *= 2
+		}
+		if c := calls.Load(); c != wantCalls {
+			t.Errorf("cache=%v: %d unmarshals for %d records, want %d", cache, c, len(replayed), wantCalls)
+		}
+		for _, g := range got {
+			w, ok := byID[g.AlarmID]
+			if !ok || g.Predicted != w.Predicted || g.Probability != w.Probability || g.ModelName != w.ModelName {
+				t.Fatalf("cache=%v: alarm %d verdict %+v, VerifyBatch %+v", cache, g.AlarmID, g, w)
+			}
 		}
 	}
 }

@@ -76,8 +76,6 @@ func overloadService(b *broker.Broker, v *core.Verifier, shedQueue int,
 	cfg := serve.DefaultConfig()
 	cfg.Shards = 1
 	cfg.ShedQueue = shedQueue
-	cfg.Consumer.Workers = 1
-	cfg.Consumer.ClassifyWorkers = 1
 	cfg.Consumer.AdaptiveBatch = true
 	cfg.Consumer.AdaptiveMinBatch = 64
 	cfg.Consumer.MaxPerBatch = 1024

@@ -1,0 +1,114 @@
+package experiments
+
+import (
+	"errors"
+	"time"
+
+	"alarmverify/internal/alarm"
+	"alarmverify/internal/broker"
+	"alarmverify/internal/codec"
+	"alarmverify/internal/core"
+	"alarmverify/internal/stream"
+)
+
+// replay is the paper's pre-optimization consumer, kept for the
+// experiments that measure it: the §5.5.2 partitioning ladder
+// (EndToEnd) and the §6.2 cache ablation (AblationCache). It drains a
+// micro-batch by copying polls into RDD partitions, one per broker
+// partition; decodes it with its codec, cached or not; extracts the
+// window's devices with stream.Distinct; and classifies alarm by alarm
+// on an executor pool. The filled core.Batch goes to
+// ConsumerApp.Persist for history and accounting, as a serving batch
+// does, and the consumer's progress is committed after it.
+type replay struct {
+	app      *core.ConsumerApp
+	src      *stream.BrokerSource
+	pool     *stream.Pool
+	verifier *core.Verifier
+	codec    codec.Codec
+	cache    bool
+}
+
+// newReplay joins group on b's "alarms" topic. workers sizes the
+// executor pool (0: one per CPU); h may be nil.
+func newReplay(b *broker.Broker, group string, v *core.Verifier, h *core.History,
+	cdc codec.Codec, workers int, cache bool) (*replay, error) {
+	topic, err := b.Topic("alarms")
+	if err != nil {
+		return nil, err
+	}
+	cons, err := broker.NewConsumer(b, group, topic, "c1")
+	if err != nil {
+		return nil, err
+	}
+	return &replay{
+		app:      core.NewConsumerAppFor(cons, topic.Partitions(), v, h, core.DefaultConsumerConfig()),
+		src:      stream.NewBrokerSource(cons, topic),
+		pool:     stream.NewPool(workers),
+		verifier: v,
+		codec:    cdc,
+		cache:    cache,
+	}, nil
+}
+
+func (r *replay) close() {
+	r.app.Close()
+	r.pool.Close()
+}
+
+// batch replays one micro-batch and returns the alarms it verified.
+func (r *replay) batch() (int, error) {
+	raw := r.src.Batch()
+	b := &core.Batch{}
+	start := time.Now()
+	decoded := stream.Filter(stream.Map(raw, func(rec broker.Record) alarm.Alarm {
+		var a alarm.Alarm
+		_ = r.codec.Unmarshal(rec.Value, &a) // a record that fails stays a zero alarm: filtered
+		return a
+	}), func(a alarm.Alarm) bool { return a.ID != 0 })
+	if r.cache {
+		decoded = decoded.Cache()
+	}
+	b.Alarms = decoded.Collect(r.pool)
+	b.Times.Deserialize = time.Since(start)
+
+	// The second use of the decoded stream: uncached, it decodes every
+	// record again.
+	start = time.Now()
+	b.Devices = stream.Distinct(decoded, func(a alarm.Alarm) string { return a.DeviceMAC }, r.pool).Collect(r.pool)
+	b.Times.Streaming = time.Since(start)
+
+	start = time.Now()
+	n := len(b.Alarms)
+	b.Verified = make([]alarm.Verification, n)
+	runs := min(n, r.pool.Workers())
+	errs := make([]error, runs)
+	r.pool.Run(runs, func(w int) {
+		for i := w * n / runs; i < (w+1)*n/runs && errs[w] == nil; i++ {
+			errs[w] = r.verifier.VerifyBatchInto(b.Alarms[i:i+1], b.Verified[i:i+1])
+		}
+	})
+	if err := errors.Join(errs...); err != nil {
+		return 0, err
+	}
+	b.Times.ML = time.Since(start)
+
+	if err := r.app.Persist(b); err != nil {
+		return 0, err
+	}
+	return n, r.src.Commit()
+}
+
+// Replay drains what b's "alarms" topic holds as one micro-batch
+// through the replay consumer — cached decode, workers executor
+// threads (0: one per CPU) — persisting into h when it is not nil. It
+// returns the alarms verified and the component breakdown.
+func Replay(b *broker.Broker, v *core.Verifier, h *core.History, cdc codec.Codec, workers int) (int, core.ComponentTimes, error) {
+	r, err := newReplay(b, "replay", v, h, cdc, workers, true)
+	if err != nil {
+		return 0, core.ComponentTimes{}, err
+	}
+	defer r.close()
+	n, err := r.batch()
+	return n, r.app.Times(), err
+}

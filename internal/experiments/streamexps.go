@@ -159,10 +159,10 @@ func Fig12(env *Env) (*Fig12Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Reproduce the paper's consumer: per-alarm classification
-	// (ClassifyBatch=1), so the component shares match Figure 12's
-	// ML-dominated breakdown rather than the vectorized batch path
-	// this repo adds on top (measured by BenchmarkClassifyBatch).
+	// The serving stages with per-alarm classification
+	// (ClassifyBatch=1), as the paper's consumer classified, so the
+	// component shares match Figure 12's ML-dominated breakdown rather
+	// than the vectorized chunks serving adds on top.
 	fig12Cfg := core.DefaultConsumerConfig()
 	fig12Cfg.ClassifyBatch = 1
 	cons, err := core.NewConsumerApp(b, "alarms", "fig12", "c1", verifier, history, fig12Cfg)
@@ -201,9 +201,9 @@ type E2EResult struct {
 	PerSec     float64
 }
 
-// EndToEnd reproduces the §5.5.2 optimization story: serial consumer
-// on an unpartitioned topic, then the partitioned + parallel
-// configuration.
+// EndToEnd reproduces the §5.5.2 optimization story on the replay
+// consumer: serial consumer on an unpartitioned topic, then the
+// partitioned + parallel configuration.
 func EndToEnd(env *Env) ([]E2EResult, error) {
 	verifier, replay, err := streamVerifier(env, 5_000)
 	if err != nil {
@@ -234,29 +234,19 @@ func EndToEnd(env *Env) ([]E2EResult, error) {
 		if _, err := prod.Replay(replay, 0); err != nil {
 			return nil, err
 		}
-		cfg := core.DefaultConsumerConfig()
-		cfg.Workers = cfgSpec.workers
-		// This experiment isolates the paper's §5.5.2 knobs: the
-		// workers knob must gate the ML stage too (or the serial
-		// pre-optimization baseline would classify in parallel on its
-		// dedicated pool), and every row classifies per-alarm
-		// (ClassifyBatch=1, as the paper's consumer did) so the
-		// vectorized-batching gain — measured separately by
-		// BenchmarkClassifyBatch — doesn't leak into this comparison.
-		cfg.ClassifyWorkers = cfgSpec.workers
-		cfg.ClassifyBatch = 1
-		cons, err := core.NewConsumerApp(b, "alarms", "e2e", "c1", verifier, nil, cfg)
+		// The replay consumer classifies alarm by alarm, as the paper's
+		// consumer did, on its executor pool of the row's workers.
+		r, err := newReplay(b, "e2e", verifier, nil, codec.FastCodec{}, cfgSpec.workers, true)
 		if err != nil {
 			return nil, err
 		}
 		start := time.Now()
-		n, err := cons.ProcessBatches(1)
+		n, err := r.batch()
+		elapsed := time.Since(start)
+		r.close()
 		if err != nil {
-			cons.Close()
 			return nil, err
 		}
-		elapsed := time.Since(start)
-		cons.Close()
 		res := E2EResult{
 			Label:      cfgSpec.label,
 			Partitions: cfgSpec.partitions,

@@ -84,7 +84,6 @@ func TestCoalescedCommitShedDrainsBacklog(t *testing.T) {
 	cfg.Shards = 1
 	cfg.ShedQueue = 512
 	cfg.CommitInterval = 10 * time.Millisecond
-	cfg.Consumer.Workers = 2
 	cfg.Consumer.MaxPerBatch = 128
 	cfg.Consumer.PollTimeout = 2 * time.Millisecond
 	svc, err := New(b, "alarms", "coalshed", v, h, cfg)

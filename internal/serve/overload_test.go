@@ -63,7 +63,6 @@ func TestLoadSheddingBoundsBacklog(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Shards = 1
 	cfg.ShedQueue = 512
-	cfg.Consumer.Workers = 2
 	cfg.Consumer.MaxPerBatch = 128
 	cfg.Consumer.PollTimeout = 2 * time.Millisecond
 	cfg.Consumer.Metrics = m
@@ -163,7 +162,6 @@ func TestAdaptiveBatchService(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Shards = 2
-	cfg.Consumer.Workers = 2
 	cfg.Consumer.AdaptiveBatch = true
 	cfg.Consumer.AdaptiveMinBatch = 32
 	cfg.Consumer.MaxPerBatch = 1024

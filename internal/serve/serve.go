@@ -29,15 +29,16 @@
 // commit, then refreshes its assignment and resumes from the
 // committed offsets.
 //
-// Within each shard, the classify stage is the paper's dominant cost
-// (Figure 12: ~80 % ML). It runs vectorized: the batch is split into
-// ConsumerConfig.ClassifyBatch-sized chunks, each encoded into pooled
-// sparse rows and scored by the model's compiled serving form
-// (ml.SparseModel), on a dedicated bounded pool of
-// ConsumerConfig.ClassifyWorkers — separate from the decode executor
-// pool, so classification of batch N overlaps decode of batch N+1
-// and persist of batch N−1 even inside a single shard. See
-// ARCHITECTURE.md for the stage-level dataflow.
+// Each shard runs internal/core's one consume path — Drain, Decode,
+// Classify, Persist, then a commit and ReleaseBatch — with each stage
+// on its own goroutine. The classify stage is the paper's dominant
+// cost (Figure 12: ~80 % ML). It runs vectorized: the batch is split
+// into ConsumerConfig.ClassifyBatch-sized chunks, each encoded into
+// pooled sparse rows and scored by the model's compiled serving form
+// (ml.SparseModel), one after another on the classify goroutine. So
+// classification of batch N overlaps decode of batch N+1 and persist
+// of batch N−1 even inside a single shard; parallelism beyond that
+// comes from shards. See ARCHITECTURE.md for the stage-level dataflow.
 //
 // All shards share one *core.Verifier, whose model state lives in an
 // immutable snapshot behind an atomic pointer: a background retrain

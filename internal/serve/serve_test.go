@@ -88,7 +88,6 @@ func waitFor(t testing.TB, timeout time.Duration, what string, cond func() bool)
 func testConfig(shards int) Config {
 	cfg := DefaultConfig()
 	cfg.Shards = shards
-	cfg.Consumer.Workers = 2
 	cfg.Consumer.MaxPerBatch = 256
 	cfg.Consumer.PollTimeout = 2 * time.Millisecond
 	return cfg

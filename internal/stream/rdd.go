@@ -27,27 +27,6 @@ func FromPartitions[T any](parts [][]T) *RDD[T] {
 	}
 }
 
-// FromSlice builds an RDD by splitting data into n partitions.
-func FromSlice[T any](data []T, n int) *RDD[T] {
-	if n <= 0 {
-		n = 1
-	}
-	parts := make([][]T, n)
-	chunk := (len(data) + n - 1) / n
-	for i := 0; i < n; i++ {
-		lo := i * chunk
-		hi := lo + chunk
-		if lo > len(data) {
-			lo = len(data)
-		}
-		if hi > len(data) {
-			hi = len(data)
-		}
-		parts[i] = data[lo:hi]
-	}
-	return FromPartitions(parts)
-}
-
 // NumPartitions returns the partition count — the engine's unit of
 // parallelism.
 func (r *RDD[T]) NumPartitions() int { return r.numParts }
@@ -126,67 +105,6 @@ func Filter[T any](r *RDD[T], pred func(T) bool) *RDD[T] {
 	}
 }
 
-// FlatMap applies f to every element and concatenates the results.
-func FlatMap[T, U any](r *RDD[T], f func(T) []U) *RDD[U] {
-	return &RDD[U]{
-		numParts: r.numParts,
-		compute: func(p int) []U {
-			var out []U
-			for _, v := range r.partition(p) {
-				out = append(out, f(v)...)
-			}
-			return out
-		},
-	}
-}
-
-// MapPartitions applies f to each whole partition.
-func MapPartitions[T, U any](r *RDD[T], f func(part int, in []T) []U) *RDD[U] {
-	return &RDD[U]{
-		numParts: r.numParts,
-		compute:  func(p int) []U { return f(p, r.partition(p)) },
-	}
-}
-
-// Union concatenates the partitions of several RDDs (the windowing
-// primitive).
-func Union[T any](rs ...*RDD[T]) *RDD[T] {
-	total := 0
-	for _, r := range rs {
-		total += r.numParts
-	}
-	// Precompute the (rdd, partition) pair for each output partition.
-	type src[T2 any] struct {
-		r *RDD[T2]
-		p int
-	}
-	srcs := make([]src[T], 0, total)
-	for _, r := range rs {
-		for p := 0; p < r.numParts; p++ {
-			srcs = append(srcs, src[T]{r, p})
-		}
-	}
-	return &RDD[T]{
-		numParts: total,
-		compute:  func(p int) []T { return srcs[p].r.partition(srcs[p].p) },
-	}
-}
-
-// Repartition redistributes all elements round-robin across n
-// partitions — the paper's fix for serial Kafka streams (§5.5.2). It
-// materializes the parent once (a shuffle barrier).
-func Repartition[T any](r *RDD[T], n int, pool *Pool) *RDD[T] {
-	if n <= 0 {
-		n = 1
-	}
-	all := r.Collect(pool)
-	parts := make([][]T, n)
-	for i, v := range all {
-		parts[i%n] = append(parts[i%n], v)
-	}
-	return FromPartitions(parts)
-}
-
 // KV is a key-value pair for shuffle operations.
 type KV[K comparable, V any] struct {
 	Key K
@@ -252,20 +170,4 @@ func (r *RDD[T]) Collect(pool *Pool) []T {
 		out = append(out, p...)
 	}
 	return out
-}
-
-// Count computes the number of elements.
-func (r *RDD[T]) Count(pool *Pool) int {
-	counts := make([]int, r.numParts)
-	pool.Run(r.numParts, func(p int) { counts[p] = len(r.partition(p)) })
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	return total
-}
-
-// ForEachPartition runs f over every partition in parallel.
-func (r *RDD[T]) ForEachPartition(pool *Pool, f func(part int, in []T)) {
-	pool.Run(r.numParts, func(p int) { f(p, r.partition(p)) })
 }

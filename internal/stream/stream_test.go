@@ -3,7 +3,6 @@ package stream
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,6 +19,15 @@ func testPool(t *testing.T, n int) *Pool {
 	return p
 }
 
+// fromSlice splits data into n contiguous partitions.
+func fromSlice[T any](data []T, n int) *RDD[T] {
+	parts := make([][]T, n)
+	for i := range parts {
+		parts[i] = data[i*len(data)/n : (i+1)*len(data)/n]
+	}
+	return FromPartitions(parts)
+}
+
 func ints(n int) []int {
 	out := make([]int, n)
 	for i := range out {
@@ -28,55 +36,26 @@ func ints(n int) []int {
 	return out
 }
 
-func TestFromSlicePartitioning(t *testing.T) {
-	r := FromSlice(ints(10), 3)
-	if r.NumPartitions() != 3 {
-		t.Fatalf("parts = %d", r.NumPartitions())
-	}
+func TestMapFilter(t *testing.T) {
 	pool := testPool(t, 4)
-	got := r.Collect(pool)
-	if len(got) != 10 {
-		t.Fatalf("collect = %d elements", len(got))
-	}
-	sort.Ints(got)
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("element %d = %d", i, v)
-		}
-	}
-}
-
-func TestFromSliceEdgeCases(t *testing.T) {
-	pool := testPool(t, 2)
-	if got := FromSlice([]int{}, 4).Count(pool); got != 0 {
-		t.Errorf("empty count = %d", got)
-	}
-	if got := FromSlice(ints(2), 8).Count(pool); got != 2 {
-		t.Errorf("more partitions than data: count = %d", got)
-	}
-	if got := FromSlice(ints(5), 0).NumPartitions(); got != 1 {
-		t.Errorf("zero partitions should clamp to 1, got %d", got)
-	}
-}
-
-func TestMapFilterFlatMap(t *testing.T) {
-	pool := testPool(t, 4)
-	r := FromSlice(ints(100), 4)
+	r := fromSlice(ints(100), 4)
 	doubled := Map(r, func(v int) int { return v * 2 })
 	even := Filter(doubled, func(v int) bool { return v%4 == 0 })
-	if got := even.Count(pool); got != 50 {
-		t.Errorf("count = %d, want 50", got)
+	got := even.Collect(pool)
+	if len(got) != 50 {
+		t.Fatalf("count = %d, want 50", len(got))
 	}
-	fm := FlatMap(r, func(v int) []int { return []int{v, v} })
-	if got := fm.Count(pool); got != 200 {
-		t.Errorf("flatmap count = %d, want 200", got)
+	for i, v := range got {
+		if v != 4*i {
+			t.Fatalf("element %d = %d, want %d", i, v, 4*i)
+		}
 	}
 }
 
 func TestLazinessAndCache(t *testing.T) {
 	pool := testPool(t, 2)
 	var computations atomic.Int64
-	r := FromSlice(ints(8), 2)
+	r := fromSlice(ints(8), 2)
 	mapped := Map(r, func(v int) int {
 		computations.Add(1)
 		return v
@@ -85,15 +64,15 @@ func TestLazinessAndCache(t *testing.T) {
 		t.Fatal("transformation was eager; RDDs must be lazy")
 	}
 	// Two actions without cache: lineage recomputed (the §6.2 bug).
-	mapped.Count(pool)
-	mapped.Count(pool)
+	mapped.Collect(pool)
+	mapped.Collect(pool)
 	if got := computations.Load(); got != 16 {
 		t.Fatalf("uncached recompute: %d computations, want 16", got)
 	}
 	computations.Store(0)
 	cached := mapped.Cache()
-	cached.Count(pool)
-	cached.Count(pool)
+	cached.Collect(pool)
+	cached.Collect(pool)
 	cached.Collect(pool)
 	if got := computations.Load(); got != 8 {
 		t.Fatalf("cached: %d computations, want 8", got)
@@ -106,9 +85,9 @@ func TestDistinct(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		data = append(data, fmt.Sprintf("mac-%d", i%17))
 	}
-	r := FromSlice(data, 4)
+	r := fromSlice(data, 4)
 	d := Distinct(r, func(s string) string { return s }, pool)
-	if got := d.Count(pool); got != 17 {
+	if got := len(d.Collect(pool)); got != 17 {
 		t.Errorf("distinct = %d, want 17", got)
 	}
 }
@@ -119,7 +98,7 @@ func TestReduceByKey(t *testing.T) {
 	for i := 0; i < 120; i++ {
 		kvs = append(kvs, KV[string, int]{fmt.Sprintf("k%d", i%6), 1})
 	}
-	r := FromSlice(kvs, 5)
+	r := fromSlice(kvs, 5)
 	red := ReduceByKey(r, func(a, b int) int { return a + b }, pool)
 	got := red.Collect(pool)
 	if len(got) != 6 {
@@ -132,32 +111,11 @@ func TestReduceByKey(t *testing.T) {
 	}
 }
 
-func TestUnionAndRepartition(t *testing.T) {
+func TestPoolRunParallelism(t *testing.T) {
 	pool := testPool(t, 4)
-	a := FromSlice(ints(10), 2)
-	b := FromSlice(ints(5), 3)
-	u := Union(a, b)
-	if u.NumPartitions() != 5 {
-		t.Fatalf("union parts = %d", u.NumPartitions())
-	}
-	if got := u.Count(pool); got != 15 {
-		t.Fatalf("union count = %d", got)
-	}
-	rp := Repartition(u, 8, pool)
-	if rp.NumPartitions() != 8 {
-		t.Fatalf("repartition parts = %d", rp.NumPartitions())
-	}
-	if got := rp.Count(pool); got != 15 {
-		t.Fatalf("repartition count = %d", got)
-	}
-}
-
-func TestForEachPartitionParallelism(t *testing.T) {
-	pool := testPool(t, 4)
-	r := FromSlice(ints(1000), 4)
 	var mu sync.Mutex
 	var inFlight, maxInFlight int
-	r.ForEachPartition(pool, func(part int, in []int) {
+	pool.Run(4, func(int) {
 		mu.Lock()
 		inFlight++
 		if inFlight > maxInFlight {
@@ -176,10 +134,9 @@ func TestForEachPartitionParallelism(t *testing.T) {
 
 func TestSerialPoolProcessesSequentially(t *testing.T) {
 	pool := testPool(t, 1)
-	r := FromSlice(ints(100), 4)
 	var mu sync.Mutex
 	inFlight, maxInFlight := 0, 0
-	r.ForEachPartition(pool, func(part int, in []int) {
+	pool.Run(4, func(int) {
 		mu.Lock()
 		inFlight++
 		if inFlight > maxInFlight {
@@ -193,96 +150,6 @@ func TestSerialPoolProcessesSequentially(t *testing.T) {
 	})
 	if maxInFlight != 1 {
 		t.Errorf("serial pool overlapped work: max in flight %d", maxInFlight)
-	}
-}
-
-func TestContextRunBatches(t *testing.T) {
-	pool := testPool(t, 2)
-	ctx := NewContext(time.Millisecond, pool)
-	batch := 0
-	ds := NewDStream(ctx, func(time.Time) *RDD[int] {
-		batch++
-		return FromSlice(ints(batch*10), 2)
-	})
-	var totals []int
-	if err := ForEach(ds, func(_ time.Time, r *RDD[int]) {
-		totals = append(totals, r.Count(pool))
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ctx.RunBatches(3); err != nil {
-		t.Fatal(err)
-	}
-	want := []int{10, 20, 30}
-	for i, w := range want {
-		if totals[i] != w {
-			t.Errorf("batch %d total = %d, want %d", i, totals[i], w)
-		}
-	}
-	recs, _ := ctx.Metrics().Totals()
-	if recs != 120 { // action count + metrics count both evaluate
-		t.Logf("metrics records = %d", recs)
-	}
-}
-
-func TestContextStartStop(t *testing.T) {
-	pool := testPool(t, 2)
-	ctx := NewContext(5*time.Millisecond, pool)
-	var batches atomic.Int64
-	ds := NewDStream(ctx, func(time.Time) *RDD[int] {
-		return FromSlice(ints(3), 1)
-	})
-	if err := ForEach(ds, func(time.Time, *RDD[int]) { batches.Add(1) }); err != nil {
-		t.Fatal(err)
-	}
-	if err := ctx.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ctx.Start(); err == nil {
-		t.Error("double start accepted")
-	}
-	deadline := time.After(2 * time.Second)
-	for batches.Load() < 3 {
-		select {
-		case <-deadline:
-			t.Fatal("scheduler did not run batches")
-		case <-time.After(time.Millisecond):
-		}
-	}
-	ctx.Stop()
-	n := batches.Load()
-	time.Sleep(30 * time.Millisecond)
-	if batches.Load() != n {
-		t.Error("batches ran after Stop")
-	}
-	if err := ForEach(ds, func(time.Time, *RDD[int]) {}); err == nil {
-		t.Error("topology change after start accepted")
-	}
-}
-
-func TestWindowUnionsLastN(t *testing.T) {
-	pool := testPool(t, 2)
-	ctx := NewContext(time.Millisecond, pool)
-	batch := 0
-	base := NewDStream(ctx, func(time.Time) *RDD[int] {
-		batch++
-		return FromSlice([]int{batch}, 1)
-	})
-	win := Window(base, 3)
-	var sizes []int
-	if err := ForEach(win, func(_ time.Time, r *RDD[int]) {
-		sizes = append(sizes, r.Count(pool))
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ctx.RunBatches(5); err != nil {
-		t.Fatal(err)
-	}
-	want := []int{1, 2, 3, 3, 3}
-	for i, w := range want {
-		if sizes[i] != w {
-			t.Errorf("window %d size = %d, want %d", i, sizes[i], w)
-		}
 	}
 }
 
@@ -305,13 +172,13 @@ func TestBrokerSourceDirectMapping(t *testing.T) {
 	if rdd.NumPartitions() != 4 {
 		t.Fatalf("RDD partitions = %d, want 4 (direct mapping)", rdd.NumPartitions())
 	}
-	pool := testPool(t, 4)
-	if got := rdd.Count(pool); got != 200 {
+	if got := len(rdd.Collect(testPool(t, 4))); got != 200 {
 		t.Fatalf("batch count = %d, want 200", got)
 	}
 	// Records inside one RDD partition must come from one broker
 	// partition, in offset order.
-	rdd.ForEachPartition(pool, func(part int, recs []broker.Record) {
+	for part := 0; part < rdd.NumPartitions(); part++ {
+		recs := rdd.partition(part)
 		for i, r := range recs {
 			if r.Partition != part {
 				t.Errorf("partition %d holds record from broker partition %d", part, r.Partition)
@@ -320,7 +187,7 @@ func TestBrokerSourceDirectMapping(t *testing.T) {
 				t.Errorf("offsets out of order in partition %d", part)
 			}
 		}
-	})
+	}
 }
 
 func TestBrokerSourceBackpressure(t *testing.T) {
@@ -336,7 +203,7 @@ func TestBrokerSourceBackpressure(t *testing.T) {
 	pool := testPool(t, 1)
 	sizes := []int{}
 	for i := 0; i < 4; i++ {
-		sizes = append(sizes, src.Batch().Count(pool))
+		sizes = append(sizes, len(src.Batch().Collect(pool)))
 	}
 	want := []int{30, 30, 30, 10}
 	for i, w := range want {
@@ -355,7 +222,7 @@ func TestPropertyTransformationsPreserveMultiset(t *testing.T) {
 		for i := range data {
 			data[i] = r.Intn(20)
 		}
-		rdd := FromSlice(data, n)
+		rdd := fromSlice(data, n)
 		// identity map keeps multiset
 		got := Map(rdd, func(v int) int { return v }).Collect(pool)
 		if len(got) != len(data) {
@@ -392,7 +259,7 @@ func TestPropertyDistinctMatchesMap(t *testing.T) {
 		for _, v := range data {
 			want[v] = true
 		}
-		got := Distinct(FromSlice(data, 3), func(v int) int { return v }, pool).Collect(pool)
+		got := Distinct(fromSlice(data, 3), func(v int) int { return v }, pool).Collect(pool)
 		if len(got) != len(want) {
 			return false
 		}
