@@ -52,16 +52,20 @@ bench-classify:
 
 ## bench-persist: the persist stage's two store calls at the size of one
 ## benchmark drain round (internal/core) — 40 000 alarms recorded 512 at
-## a time, and one histogram sweep over every device — seven runs each
-## on one CPU, the before/after evidence for store write- and read-path
-## changes (compare two trees' outputs run by run). The CI bench-smoke
-## job runs this explicitly (and fails if either benchmark disappears)
+## a time, and one histogram sweep over every device — beside the
+## store's own batched insert, memory-only and WAL-backed at the default
+## group sync, with its per-call p50-us and p99-us (internal/docstore);
+## seven runs each on one CPU, the before/after evidence for store
+## write- and read-path changes (compare two trees' outputs run by run).
+## The CI bench-smoke job runs this explicitly (and fails if any of the
+## three benchmarks disappears)
 bench-persist:
-	@out=$$($(GO) test -run=- -bench='^(BenchmarkRecordBatch|BenchmarkDeviceHistograms)$$' -benchmem -cpu 1 -count 7 ./internal/core) || \
+	@out=$$($(GO) test -run=- -bench='^(BenchmarkRecordBatch|BenchmarkDeviceHistograms|BenchmarkInsertMany)$$' -benchmem -cpu 1 -count 7 ./internal/core ./internal/docstore) || \
 		{ echo "$$out"; echo "persist benchmarks failed"; exit 1; }; \
 	echo "$$out"; \
-	echo "$$out" | grep -q '^BenchmarkRecordBatch' && echo "$$out" | grep -q '^BenchmarkDeviceHistograms' || \
-		{ echo "BenchmarkRecordBatch or BenchmarkDeviceHistograms did not run"; exit 1; }
+	echo "$$out" | grep -q '^BenchmarkRecordBatch' && echo "$$out" | grep -q '^BenchmarkDeviceHistograms' && \
+		echo "$$out" | grep -q '^BenchmarkInsertMany/store=wal.*p99-us' || \
+		{ echo "BenchmarkRecordBatch, BenchmarkDeviceHistograms or BenchmarkInsertMany did not run"; exit 1; }
 
 ## bench-swap: serving throughput across the model lifecycle's three
 ## regimes (steady, hot-swap hammer, concurrent retrain) — the CI

@@ -137,7 +137,7 @@ func parseOptions(args []string, output io.Writer) (options, error) {
 	fs.StringVar(&o.dataDir, "data-dir", "",
 		"durable store directory: per-partition WALs + snapshots, crash recovery on boot (empty = memory only)")
 	fs.DurationVar(&o.walSync, "wal-sync", docstore.DefaultWALSyncInterval,
-		"WAL group-fsync interval; 0 fsyncs every append (strict, slow); requires -data-dir")
+		"WAL group-fsync interval; 0 makes each write wait for an fsync covering it (strict, slow); requires -data-dir")
 	fs.DurationVar(&o.retention, "retention", 0,
 		"prune alarm history older than this at each snapshot (0 = keep everything); requires -data-dir")
 	fs.DurationVar(&o.interval, "interval", 50*time.Millisecond, "idle poll wait per micro-batch drain")

@@ -13,8 +13,10 @@
 // sites; package-local functions whose bodies (transitively) sleep,
 // fsync or send are classified as blocking. A function annotated
 // //alarmvet:ignore <reason> is exempted from the blocking set — the
-// audited escape hatch for the docstore WAL's writeFrame and sync,
-// whose fsync under w.mu IS the group-commit ordering.
+// audited escape hatch for cold-path admin locks held across an atomic
+// file install on purpose (the docstore's replaceFileSync, the model
+// registry). The docstore WAL needs none: its fsync runs with no mutex
+// held, so every caller that waits for one is checked like any other.
 package lockscope
 
 import (

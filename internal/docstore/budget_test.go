@@ -8,7 +8,42 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
+	"time"
 )
+
+// TestSyncTickAllocBudget: a group-syncer tick over a store whose four
+// logs all hold unsynced frames allocates nothing — it gathers the logs
+// into the syncer's own slice and fsyncs them with no lock held. Before,
+// every tick copied the collection set into a fresh slice, busy or
+// idle: 137 of a drain_wal round's objects.
+func TestSyncTickAllocBudget(t *testing.T) {
+	db, err := OpenDB(t.TempDir(), DurableOptions{Partitions: 4, SyncInterval: time.Hour, CheckpointInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := db.Collection("a")
+	frame := frameOf([]byte(`{"op":"del","filter":{"none":1}}`))
+	logs, _ := db.syncAll(nil)
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, p := range col.parts {
+			p.wal.Load().writeFrame(frame)
+		}
+		if logs, err = db.syncAll(logs); err != nil {
+			t.Error(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a syncer tick over 4 dirty logs allocates %.1f objects, budget 0", allocs)
+	}
+	for _, p := range col.parts {
+		if w := p.wal.Load(); w.synced != w.written || w.written == 0 {
+			t.Fatalf("the ticks left frames %d..%d of a log unsynced", w.synced+1, w.written)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // TestIndexAppendAllocBudget: once its keys are known, an index shard
 // appends rows without allocating — a row goes into its key's tail

@@ -15,16 +15,19 @@ import (
 // Crash-recovery hammer: a child copy of this test binary ingests
 // alarm-shaped documents into a durable store, recording each
 // acknowledged high-water mark — a sequence number written to a side
-// file only AFTER db.Sync() returned for everything up to it — until
-// the parent SIGKILLs it mid-ingest. The parent then reopens the data
-// directory and asserts the durability contract: every acknowledged
-// document recovered (zero acked loss), replay bounded in time, and
-// the reopened store writable. Run under -race in CI; the child
-// inherits the instrumented binary.
+// file only AFTER the insert of everything up to it returned — until
+// the parent SIGKILLs it mid-ingest. An insert that returned has its
+// frame in the file in either sync mode (strict mode has also fsynced
+// it), and a process kill loses nothing the file holds. The parent then
+// reopens the data directory and asserts the durability contract: every
+// acknowledged document recovered (zero acked loss), replay bounded in
+// time, and the reopened store writable. Run under -race in CI; the
+// child inherits the instrumented binary.
 
 const (
-	crashChildEnv = "DOCSTORE_CRASH_CHILD_DIR"
-	crashAckFile  = "acked"
+	crashChildEnv     = "DOCSTORE_CRASH_CHILD_DIR"
+	crashChildSyncEnv = "DOCSTORE_CRASH_CHILD_SYNC" // the child's SyncInterval
+	crashAckFile      = "acked"
 )
 
 // TestCrashRecoveryChild is the child-process body; it only runs when
@@ -34,9 +37,13 @@ func TestCrashRecoveryChild(t *testing.T) {
 	if dir == "" {
 		t.Skip("crash-hammer child body; run via TestCrashRecoveryHammer")
 	}
+	syncEvery, err := time.ParseDuration(os.Getenv(crashChildSyncEnv))
+	if err != nil {
+		t.Fatal(err)
+	}
 	db, err := OpenDB(filepath.Join(dir, "db"), DurableOptions{
 		Partitions:         4,
-		SyncInterval:       time.Millisecond,
+		SyncInterval:       syncEvery,
 		CheckpointInterval: 20 * time.Millisecond, // checkpoints race the kill too
 	})
 	if err != nil {
@@ -65,17 +72,15 @@ func TestCrashRecoveryChild(t *testing.T) {
 			col.Insert(Doc{"deviceMac": fmt.Sprintf("d%d", seq%17), "seq": seq, "ts": float64(seq)})
 			seq++
 		}
+		// Durability ack point: the insert returned, so the high-water
+		// mark may be published to the side file.
+		if _, err := fmt.Fprintf(ack, "%d\n", seq-1); err != nil {
+			t.Fatal(err)
+		}
 		if seq%50 == 0 {
-			// Durability ack point: only after Sync returns may the
-			// high-water mark be published to the side file.
+			// Explicit syncs race the group syncer and the checkpoints.
 			if err := db.Sync(); err != nil {
 				t.Fatalf("sync: %v", err)
-			}
-			if _, err := fmt.Fprintf(ack, "%d\n", seq-1); err != nil {
-				t.Fatal(err)
-			}
-			if err := ack.Sync(); err != nil {
-				t.Fatal(err)
 			}
 		}
 	}
@@ -92,10 +97,18 @@ func TestCrashRecoveryHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, mode := range []struct{ name, sync string }{{"strict", "-1ms"}, {"group", "1ms"}} {
+		t.Run(mode.name, func(t *testing.T) { crashRounds(t, bin, mode.sync) })
+	}
+}
+
+// crashRounds kills a child ingesting at the given SyncInterval three
+// times, and checks each recovery.
+func crashRounds(t *testing.T, bin, syncEvery string) {
 	for round := 0; round < 3; round++ {
 		dir := t.TempDir()
 		cmd := exec.Command(bin, "-test.run", "^TestCrashRecoveryChild$", "-test.v")
-		cmd.Env = append(os.Environ(), crashChildEnv+"="+dir)
+		cmd.Env = append(os.Environ(), crashChildEnv+"="+dir, crashChildSyncEnv+"="+syncEvery)
 		var sink strings.Builder
 		cmd.Stdout, cmd.Stderr = &sink, &sink
 		if err := cmd.Start(); err != nil {

@@ -354,9 +354,12 @@ func (c *Collection) InsertRows(rows *Rows) int64 {
 		rows.touched = func(pi int) bool { return rows.starts[pi+2] > rows.starts[pi+1] }
 		rows.insert = rows.insertShare
 	}
-	rows.ins = insertRun{c: c, base: base, syncNow: c.syncEveryAppend()}
+	rows.ins = insertRun{c: c, base: base, strict: c.syncEveryAppend()}
 	c.forEach(0, np, rows.touched, rows.insert)
 	rows.ins.c = nil
+	awaitSynced(rows.marks)
+	clear(rows.marks)
+	rows.marks = rows.marks[:0]
 	return base
 }
 
@@ -377,8 +380,12 @@ func (r *Rows) insertShare(pi int, p *partition) error {
 	if w := p.wal.Load(); w != nil {
 		// The partition's whole share of the batch travels as one
 		// WAL frame: the write-behind flush upstream is the batching
-		// point.
-		w.appendRows(r.ins.syncNow, c.dict, r, group, base)
+		// point. Strict mode waits for its fsync once the locks are
+		// released (InsertRows).
+		seq := w.appendRows(c.dict, r, group, base)
+		if r.ins.strict {
+			r.marks = append(r.marks, walMark{w, seq})
+		}
 	}
 	return nil
 }
@@ -518,21 +525,27 @@ func (c *Collection) Count(filter Doc) (int, error) {
 
 // Delete removes all matching documents and returns how many were
 // removed. Each touched partition's lock is taken once, and a partition
-// that lost rows logs the delete to its WAL under that lock.
+// that lost rows logs the delete to its WAL under that lock; in strict
+// mode the call returns once an fsync covers those frames.
 func (c *Collection) Delete(filter Doc) (int, error) {
 	f := compileFilter(c.dict, filter)
 	lo, hi := c.targetRange(f)
 	total := 0
+	var marks []walMark
 	err := c.forEach(lo, hi, nil, func(_ int, p *partition) error {
 		p.mu.Lock()
 		defer p.mu.Unlock()
 		n, err := p.deleteLocked(f)
 		total += n
 		if w := p.wal.Load(); n > 0 && w != nil {
-			w.appendOp(walOp{Op: "del", Filter: encodeValue(filter)}, c.syncEveryAppend())
+			seq := w.appendOp(walOp{Op: "del", Filter: encodeValue(filter)})
+			if c.syncEveryAppend() {
+				marks = append(marks, walMark{w, seq})
+			}
 		}
 		return err
 	})
+	awaitSynced(marks)
 	return total, err
 }
 

@@ -80,11 +80,14 @@ type DurableOptions struct {
 	// <= 0 selects the default.
 	Partitions int
 	// SyncInterval is the WAL group-fsync cadence: every append is
-	// flushed to the operating system immediately (surviving a
-	// process kill), and a background syncer fsyncs dirty logs on
-	// this interval (bounding what a machine crash can lose). Zero
-	// selects DefaultWALSyncInterval; negative fsyncs on every
-	// append, making each write durable before it is acknowledged.
+	// written to the file immediately (surviving a process kill), and
+	// a background syncer fsyncs the logs on this interval (bounding
+	// what a machine crash can lose). Zero selects
+	// DefaultWALSyncInterval. Negative is strict mode: each insert or
+	// delete returns only after an fsync covering its frames, and
+	// concurrent writers share one. Either way fsync runs outside the
+	// append lock, so no append waits on the disk, and a reader may see
+	// a row before its fsync completes.
 	SyncInterval time.Duration
 	// CheckpointInterval is the automatic snapshot + WAL-truncation
 	// cadence (also when retention pruning runs). Zero selects
@@ -99,7 +102,7 @@ type DurableOptions struct {
 type durableDB struct {
 	dir             string
 	lockFile        *os.File
-	syncInterval    time.Duration // <= 0: fsync on every append
+	syncInterval    time.Duration // <= 0: strict mode, each write waits for its fsync
 	checkpointEvery time.Duration // <= 0: manual checkpoints only
 
 	stop      chan struct{}
@@ -107,9 +110,12 @@ type durableDB struct {
 	closeOnce sync.Once
 	closeErr  error
 
-	// ckptMu serializes checkpoints (and the epoch counters they
-	// advance).
-	ckptMu sync.Mutex
+	// ckptTurn serializes checkpoints (and the epoch counters they
+	// advance): a checkpoint holds its one slot across the fsyncs of the
+	// logs it rotates out and the snapshots it installs. Only another
+	// checkpoint ever waits for it — no read or write does — so it is a
+	// turn, not a mutex.
+	ckptTurn chan struct{}
 
 	errMu sync.Mutex
 	err   error // first WAL/snapshot failure; Sync/Checkpoint/Close surface it
@@ -203,6 +209,7 @@ func OpenDB(dir string, opts DurableOptions) (*DB, error) {
 		syncInterval:    opts.SyncInterval,
 		checkpointEvery: opts.CheckpointInterval,
 		stop:            make(chan struct{}),
+		ckptTurn:        make(chan struct{}, 1),
 	}
 	db := &DB{partitions: opts.Partitions, collections: make(map[string]*Collection), dur: d}
 	entries, err := os.ReadDir(dir)
@@ -274,14 +281,46 @@ func (db *DB) syncLoop() {
 	defer db.dur.wg.Done()
 	t := time.NewTicker(db.dur.syncInterval)
 	defer t.Stop()
+	var logs []*walWriter // the syncer's own: a tick allocates nothing
 	for {
 		select {
 		case <-db.dur.stop:
 			return
 		case <-t.C:
-			db.dur.noteErr(db.syncAll())
+			var err error
+			logs, err = db.syncAll(logs)
+			db.dur.noteErr(err)
 		}
 	}
+}
+
+// syncAll fsyncs every collection's logs and returns the first
+// failure: it gathers the logs into logs under db.mu, fsyncs them with
+// no lock held, and returns the slice emptied for reuse.
+func (db *DB) syncAll(logs []*walWriter) ([]*walWriter, error) {
+	logs = db.appendWALs(logs[:0])
+	var first error
+	for _, w := range logs {
+		if err := w.sync(); err != nil && first == nil {
+			first = err
+		}
+	}
+	clear(logs) // a rotated-out writer is not kept until the next tick
+	return logs[:0], first
+}
+
+// appendWALs appends every partition's current log to dst.
+func (db *DB) appendWALs(dst []*walWriter) []*walWriter {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	for _, c := range db.collections {
+		for _, p := range c.parts {
+			if w := p.wal.Load(); w != nil {
+				dst = append(dst, w)
+			}
+		}
+	}
+	return dst
 }
 
 // checkpointLoop drives periodic snapshots + WAL truncation.
@@ -310,33 +349,19 @@ func (db *DB) snapshotCollections() []*Collection {
 	return out
 }
 
-// Sync flushes and fsyncs every collection's write-ahead logs: when
-// it returns, every previously applied mutation is durable on disk.
-// It reports the database's first durability failure, if any. A
-// no-op on a memory-only database.
+// Sync fsyncs every collection's write-ahead logs: when it returns,
+// every previously applied mutation is durable on disk. It reports the
+// database's first durability failure, if any. A no-op on a
+// memory-only database, and on one already closed.
 func (db *DB) Sync() error {
 	if db.dur == nil {
 		return nil
 	}
-	if err := db.syncAll(); err != nil {
+	if _, err := db.syncAll(nil); err != nil {
 		db.dur.noteErr(err)
 		return err
 	}
 	return db.dur.firstErr()
-}
-
-func (db *DB) syncAll() error {
-	var first error
-	for _, c := range db.snapshotCollections() {
-		for _, p := range c.parts {
-			if w := p.wal.Load(); w != nil {
-				if err := w.sync(); err != nil && first == nil {
-					first = err
-				}
-			}
-		}
-	}
-	return first
 }
 
 // Checkpoint snapshots every collection and truncates its logs: each
@@ -359,8 +384,8 @@ func (db *DB) Checkpoint() error {
 }
 
 func (db *DB) checkpointAll() error {
-	db.dur.ckptMu.Lock()
-	defer db.dur.ckptMu.Unlock()
+	db.dur.ckptTurn <- struct{}{}
+	defer func() { <-db.dur.ckptTurn }()
 	now := time.Now()
 	for _, c := range db.snapshotCollections() {
 		if c.dur == nil {
@@ -392,13 +417,9 @@ func (db *DB) Close() error {
 	d.closeOnce.Do(func() {
 		close(d.stop)
 		d.wg.Wait()
-		for _, c := range db.snapshotCollections() {
-			for _, p := range c.parts {
-				if w := p.wal.Load(); w != nil {
-					if err := w.close(); err != nil {
-						d.noteErr(err)
-					}
-				}
+		for _, w := range db.appendWALs(nil) {
+			if err := w.close(); err != nil {
+				d.noteErr(err)
 			}
 		}
 		d.lockFile.Close() // releases the flock
@@ -467,8 +488,9 @@ func (c *Collection) metaSnapshot(indexes []string) collectionMeta {
 	return m
 }
 
-// syncEveryAppend reports whether this collection's WAL appends must
-// fsync inline (strict mode) instead of waiting for the group syncer.
+// syncEveryAppend reports whether this collection's writes wait for an
+// fsync of their WAL frames (strict mode) instead of leaving them to
+// the group syncer.
 func (c *Collection) syncEveryAppend() bool {
 	return c.dur != nil && c.dur.db.syncInterval <= 0
 }
@@ -499,7 +521,7 @@ func (d *durableDB) initCollection(db *DB, c *Collection) error {
 		return err
 	}
 	for pi, p := range c.parts {
-		w, err := openWALWriter(dc.walPath(pi, 1), d.noteErr)
+		w, err := openWALWriter(dc.walPath(pi, 1), c.dict, d.noteErr)
 		if err != nil {
 			return err
 		}
@@ -537,7 +559,7 @@ func (dc *durableCollection) writeMeta(m collectionMeta) error {
 // fsynced so the rename itself is durable. Meta files and snapshots
 // both install this way.
 //
-//alarmvet:ignore atomic installs fsync under cold-path admin mutexes (db.mu/metaMu/idxMu/ckptMu) by design; no partition lock is ever held here
+//alarmvet:ignore atomic installs fsync under cold-path admin mutexes (db.mu/metaMu/idxMu) by design; no partition lock is ever held here
 func replaceFileSync(path string, write func(w *bufio.Writer) error) error {
 	f, err := os.OpenFile(path+".tmp", os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err == nil {
@@ -577,26 +599,35 @@ func fsyncDir(dir string) error {
 // covers exactly the rotated-out epochs), and the snapshot is staged,
 // fsynced and renamed before older epochs are garbage-collected. A
 // crash at any point leaves a recoverable directory; see the package
-// comment at the top of this file. Caller holds ckptMu.
+// comment at the top of this file. Caller holds ckptTurn.
 func (c *Collection) checkpointPartition(pi int) error {
 	p := c.parts[pi]
 	dc := c.dur
 	newEpoch := p.walEpoch + 1
-	neww, err := openWALWriter(dc.walPath(pi, newEpoch), dc.db.noteErr)
+	f, err := openWALFile(dc.walPath(pi, newEpoch))
 	if err != nil {
 		return err
 	}
 	p.mu.Lock()
 	old := p.wal.Load()
+	// The new log takes over the old one's frame buffer, which no
+	// append uses once the swap is published; the slots a file names
+	// start afresh.
+	neww := newWALWriter(f, c.dict, old.enc.buf, dc.db.noteErr)
+	old.enc.buf = nil
+	neww.prev.Store(old)
 	p.wal.Store(neww)
 	p.walEpoch = newEpoch
 	snap := p.copyLocked()
 	nextID := c.nextID.Load()
 	p.mu.Unlock()
-	// Close (flush + fsync) the rotated-out log before publishing the
-	// snapshot that supersedes it: its frames must be durable in case
-	// the snapshot write below crashes halfway.
-	if err := old.close(); err != nil {
+	// Close (fsync) the rotated-out log before publishing the snapshot
+	// that supersedes it: its frames must be durable in case the
+	// snapshot write below crashes halfway. Until then a sync of the
+	// new log syncs the old one too.
+	err = old.close()
+	neww.prev.Store(nil)
+	if err != nil {
 		return err
 	}
 	if err := dc.writeSnapshot(pi, newEpoch, snap, nextID); err != nil {
@@ -841,7 +872,7 @@ func (db *DB) recoverCollection(name string) error {
 				}
 			}
 		}
-		w, err := openWALWriter(dc.walPath(pi, cur), d.noteErr)
+		w, err := openWALWriter(dc.walPath(pi, cur), c.dict, d.noteErr)
 		if err != nil {
 			return err
 		}

@@ -256,14 +256,14 @@ func TestRecoveryRefusesUnknownOp(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	w, err := openWALWriter(path, func(err error) { t.Error(err) })
+	dict := new(fieldDict)
+	w, err := openWALWriter(path, dict, func(err error) { t.Error(err) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	dict := new(fieldDict)
 	rows := &Rows{slots: []int{dict.slot("n")}}
 	rows.Next()[0] = Float(3)
-	w.appendRows(true, dict, rows, []int32{0}, 1)
+	w.appendRows(dict, rows, []int32{0}, 1)
 	if err := w.close(); err != nil {
 		t.Fatal(err)
 	}
@@ -310,14 +310,14 @@ func TestDurableSnapshotNewerThanWAL(t *testing.T) {
 	// Plant a stale epoch-1 WAL, as if a crash had interrupted the GC
 	// step right after the snapshot rename. Its ops are already inside
 	// the snapshot's lineage; replaying it would double-apply.
-	w, err := openWALWriter(filepath.Join(dir, "a", "p0-1.wal"), func(error) {})
+	dict := new(fieldDict)
+	w, err := openWALWriter(filepath.Join(dir, "a", "p0-1.wal"), dict, func(error) {})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dict := new(fieldDict)
 	rows := &Rows{slots: []int{dict.slot("stale")}}
 	rows.Next()[0] = boolCell(true)
-	w.appendRows(true, dict, rows, []int32{0}, 0)
+	w.appendRows(dict, rows, []int32{0}, 0)
 	if err := w.close(); err != nil {
 		t.Fatal(err)
 	}

@@ -41,8 +41,8 @@ type partition struct {
 	// database, nil otherwise. Mutating paths append under the write
 	// lock; checkpoints swap it under the same lock (so an append goes
 	// entirely to the old or the new epoch), while the group syncer
-	// loads it locklessly. walEpoch is only touched under ckptMu (plus
-	// the write lock for the swap itself).
+	// loads it locklessly. walEpoch is only touched by the checkpoint
+	// holding ckptTurn (under the write lock for the swap itself).
 	wal      atomic.Pointer[walWriter]
 	walEpoch uint64
 }

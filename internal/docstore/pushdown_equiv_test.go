@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 )
 
 // genGroup draws a Group stage whose By fields and accumulators stay
@@ -192,10 +193,22 @@ func TestPropertyPushdownPartitionInvariance(t *testing.T) {
 // TestPropertyPushdownDurableReopen pins the battery onto the durable
 // store: aggregation answers must survive a WAL checkpoint, mutations
 // past the checkpoint, Close, and recovery — and the recovered store
-// must again satisfy pushdown ≡ streaming.
+// must again satisfy pushdown ≡ streaming. It runs in strict mode and
+// beside a 1 ms group syncer.
 func TestPropertyPushdownDurableReopen(t *testing.T) {
+	group := fastOpts()
+	group.SyncInterval = time.Millisecond
+	for _, mode := range []struct {
+		name string
+		opts DurableOptions
+	}{{"strict", fastOpts()}, {"group", group}} {
+		t.Run(mode.name, func(t *testing.T) { pushdownDurableReopen(t, mode.opts) })
+	}
+}
+
+func pushdownDurableReopen(t *testing.T, opts DurableOptions) {
 	dir := t.TempDir()
-	db, err := OpenDB(dir, fastOpts())
+	db, err := OpenDB(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,7 +121,7 @@ func insertOutOfOrder(c *Collection, first, later []Doc, between func()) {
 		p.appendRowLocked(base+int64(i), slots, cells)
 		p.restoreOrderLocked()
 		if w := p.wal.Load(); w != nil {
-			w.appendRows(false, c.dict, rows, []int32{int32(i)}, base)
+			w.appendRows(c.dict, rows, []int32{int32(i)}, base)
 		}
 		p.mu.Unlock()
 	}

@@ -446,14 +446,17 @@ type Rows struct {
 	ins     insertRun
 	touched func(pi int) bool
 	insert  func(pi int, p *partition) error
+	// marks are the WAL frames a strict-mode InsertRows waits to see
+	// fsynced after it has released every partition lock.
+	marks []walMark
 }
 
 // insertRun is one InsertRows call: where the rows go, the id of the
-// first, and whether each WAL frame is synced as it is written.
+// first, and whether the call waits for an fsync of its WAL frames.
 type insertRun struct {
-	c       *Collection
-	base    int64
-	syncNow bool
+	c      *Collection
+	base   int64
+	strict bool
 }
 
 // NewRows returns an empty batch whose rows hold the given top-level

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -16,15 +17,18 @@ import (
 
 // Per-partition write-ahead log.
 //
-// Every mutation a durable collection applies to a partition is first
+// Every mutation a durable collection applies to a partition is
 // appended — under that partition's write lock, so the log order IS
-// the apply order — as one CRC-framed record to the partition's WAL
-// file. Appends are flushed to the operating system on every call
-// (surviving a process kill) and fsynced either on every append
-// (SyncInterval <= 0) or by the database's group syncer on a
-// configurable cadence — the group-commit trade: acknowledged writes
-// can lose at most one sync interval to a machine crash, while the
-// hot ingest path never blocks on the disk.
+// the apply order — as one CRC-framed record written straight to the
+// partition's WAL file (surviving a process kill). The fsync runs with
+// no mutex held, as a group commit (walWriter.syncThrough): the
+// database's group syncer runs one on a configurable cadence, so
+// acknowledged writes can lose at most one sync interval to a machine
+// crash, and in strict mode (SyncInterval < 0) each insert or delete
+// waits for one covering its frames after it has released every
+// partition lock, so concurrent strict writers share an fsync. No
+// append waits on the disk, and a reader may see a row before its
+// fsync completes.
 //
 // Frame wire format (little endian):
 //
@@ -68,39 +72,76 @@ type walOp struct {
 	Filter any    `json:"filter,omitempty"`
 }
 
-// walWriter appends frames to one partition's WAL file.
+// walWriter appends frames to one partition's WAL file and fsyncs them
+// in groups.
 type walWriter struct {
-	mu     sync.Mutex
-	f      *os.File
-	buf    *bufio.Writer
-	closed bool        // set by close(); makes a late sync() a no-op
-	dirty  atomic.Bool // appended since the last fsync
-	onErr  func(error) // sticky-error sink (durableDB.noteErr)
-	enc    rowEncoder  // guarded by the owning partition's write lock
+	f     *os.File
+	onErr func(error) // sticky-error sink (durableDB.noteErr)
+	enc   rowEncoder  // guarded by the owning partition's write lock
+
+	// prev is the writer a checkpoint rotated out for this one, until
+	// its close has fsynced it: a sync of this log covers it too.
+	prev atomic.Pointer[walWriter]
+
+	mu      sync.Mutex
+	cond    sync.Cond // on mu: an fsync finished
+	written uint64    // frames written to f
+	synced  uint64    // frames an fsync has covered
+	syncing bool      // a leader is in f.Sync, with mu released
+	closed  bool      // set by close(); makes a late sync a no-op
+	// syncHook, when set, runs in the leader just before f.Sync (tests
+	// stall the disk with it).
+	syncHook func()
 }
 
-func openWALWriter(path string, onErr func(error)) (*walWriter, error) {
+// openWALWriter opens (or creates) the log at path for appending, with
+// a fresh 64 KB frame buffer.
+func openWALWriter(path string, dict *fieldDict, onErr func(error)) (*walWriter, error) {
+	f, err := openWALFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return newWALWriter(f, dict, make([]byte, 0, 64<<10), onErr), nil
+}
+
+// openWALFile opens (or creates) a log file for appending.
+func openWALFile(path string) (*os.File, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("docstore: open wal: %w", err)
 	}
-	return &walWriter{f: f, buf: bufio.NewWriterSize(f, 64<<10), onErr: onErr}, nil
+	return f, nil
 }
 
-// appendOp frames and appends one operation, flushing it to the OS.
-// With syncNow it also fsyncs before returning (the SyncInterval <= 0
-// strict mode); otherwise the group syncer picks the file up on its
-// next tick. Failures are reported to the sticky-error sink — the
-// mutation itself has already been applied in memory, and the store's
-// write API is errorless by design; Sync, Checkpoint and Close
-// surface the first failure.
-func (w *walWriter) appendOp(op walOp, syncNow bool) {
+// newWALWriter makes the writer of an open log. buf is its frame
+// buffer: a fresh one, or the one a rotated-out writer grew. What a
+// file names is its own, so named starts empty; it and defs are sized
+// from the field dictionary — at least 16 slots, since a new
+// collection's dictionary holds little more than its shard key — so
+// the encoder does not regrow them as the file defines its fields.
+func newWALWriter(f *os.File, dict *fieldDict, buf []byte, onErr func(error)) *walWriter {
+	n := max(len(dict.fieldNames()), 16)
+	w := &walWriter{f: f, onErr: onErr, enc: rowEncoder{
+		named: make([]bool, 0, n),
+		defs:  make([]int, 0, n),
+		buf:   buf[:0],
+	}}
+	w.cond.L = &w.mu
+	return w
+}
+
+// appendOp frames and appends one operation and returns its sequence
+// number for syncThrough. Failures are reported to the sticky-error
+// sink — the mutation itself has already been applied in memory, and
+// the store's write API is errorless by design; Sync, Checkpoint and
+// Close surface the first failure.
+func (w *walWriter) appendOp(op walOp) uint64 {
 	payload, err := json.Marshal(op)
 	if err != nil {
 		w.onErr(fmt.Errorf("docstore: wal marshal: %w", err))
-		return
+		return 0
 	}
-	w.writeFrame(frameOf(payload), syncNow)
+	return w.writeFrame(frameOf(payload))
 }
 
 // frameOf wraps a payload in its [len][crc32] header.
@@ -213,11 +254,12 @@ func (e *rowEncoder) finish() ([]byte, error) {
 }
 
 // appendRows logs one partition's share of an insert batch — the rows
-// numbered by group, with ids base+i — as a single row frame. Caller
-// holds the partition's write lock, which also guards the encoder.
+// numbered by group, with ids base+i — as a single row frame, and
+// returns its sequence number for syncThrough. Caller holds the
+// partition's write lock, which also guards the encoder.
 //
 //alarmvet:hotpath
-func (w *walWriter) appendRows(syncNow bool, dict *fieldDict, rows *Rows, group []int32, base int64) {
+func (w *walWriter) appendRows(dict *fieldDict, rows *Rows, group []int32, base int64) uint64 {
 	for _, i := range group {
 		w.enc.define(rows.row(int(i)))
 	}
@@ -229,9 +271,9 @@ func (w *walWriter) appendRows(syncNow bool, dict *fieldDict, rows *Rows, group 
 	frame, err := w.enc.finish()
 	if err != nil {
 		w.onErr(err)
-		return
+		return 0
 	}
-	w.writeFrame(frame, syncNow)
+	return w.writeFrame(frame)
 }
 
 // rowDecoder reads the row frames of one file into the collection's
@@ -337,76 +379,104 @@ func (d *rowDecoder) decode(payload []byte, rows *Rows) error {
 	return nil
 }
 
-// writeFrame appends one pre-assembled frame (header included) to the
-// log, with the same flush/fsync semantics as appendOp.
+// writeFrame writes one finished frame (header included) to the file
+// and returns its sequence number: the file holds it when writeFrame
+// returns, an fsync covers it once syncThrough of that number returns.
+// Caller holds the partition's write lock, so frames are numbered in
+// apply order.
 //
-//alarmvet:ignore WAL appends and their fsync serialize under w.mu by design (group commit ordering)
 //alarmvet:hotpath
-func (w *walWriter) writeFrame(frame []byte, syncNow bool) {
+func (w *walWriter) writeFrame(frame []byte) uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if _, err := w.buf.Write(frame); err != nil {
+	if _, err := w.f.Write(frame); err != nil {
 		w.onErr(fmt.Errorf("docstore: wal append: %w", err)) //alarmvet:ignore error path: the write just failed, latency no longer matters
-		return
+		return w.written
 	}
-	if err := w.buf.Flush(); err != nil {
-		//alarmvet:ignore error path: the flush just failed, latency no longer matters
-		w.onErr(fmt.Errorf("docstore: wal flush: %w", err))
-		return
-	}
-	if syncNow {
-		if err := w.f.Sync(); err != nil {
-			//alarmvet:ignore error path: the fsync just failed, latency no longer matters
-			w.onErr(fmt.Errorf("docstore: wal fsync: %w", err))
-		}
-		return
-	}
-	w.dirty.Store(true)
+	w.written++
+	return w.written
 }
 
-// sync flushes buffered frames and fsyncs the file if anything was
-// appended since the last sync. The group syncer may race a
-// checkpoint rotation and reach a writer close() already flushed and
-// fsynced; that late sync is a no-op, not an error.
-//
-//alarmvet:ignore the WAL fsync must hold w.mu to order against concurrent appends
-func (w *walWriter) sync() error {
-	if !w.dirty.Swap(false) {
-		return nil
-	}
+// syncThrough returns once an fsync that started after frame seq was
+// written has completed (a seq past the frames written stands for all
+// of them), or the writer is closed. The caller that finds no fsync
+// running leads one for every frame written so far, with no lock held;
+// the others wait for it, then lead the next one if it did not cover
+// them. An fsync failure is returned to the leader only; a follower it
+// leaves uncovered retries.
+func (w *walWriter) syncThrough(seq uint64) error {
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return nil
+	for w.synced < min(seq, w.written) && !w.closed {
+		if w.syncing {
+			w.cond.Wait()
+			continue
+		}
+		target, hook := w.written, w.syncHook
+		w.syncing = true
+		w.mu.Unlock()
+		if hook != nil {
+			hook()
+		}
+		err := w.f.Sync()
+		w.mu.Lock()
+		w.syncing = false
+		w.cond.Broadcast()
+		if err != nil {
+			w.mu.Unlock()
+			return fmt.Errorf("docstore: wal fsync: %w", err)
+		}
+		w.synced = target
 	}
-	if err := w.buf.Flush(); err != nil {
-		return fmt.Errorf("docstore: wal flush: %w", err)
-	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("docstore: wal fsync: %w", err)
-	}
+	w.mu.Unlock()
 	return nil
 }
 
-// close flushes, fsyncs and closes the file. Idempotent.
-//
-//alarmvet:ignore the final flush/fsync must hold w.mu to order against concurrent appends
+// sync fsyncs every frame written so far — and the rotated-out log
+// this one follows, if its close is still under way. A writer with
+// nothing new, or one already closed, costs a lock round-trip.
+func (w *walWriter) sync() error {
+	if prev := w.prev.Load(); prev != nil {
+		if err := prev.sync(); err != nil {
+			return err
+		}
+	}
+	return w.syncThrough(math.MaxUint64)
+}
+
+// awaitSynced waits, with no lock held, until an fsync covers each
+// mark's frame: how a strict-mode insert or delete acknowledges.
+func awaitSynced(marks []walMark) {
+	for _, m := range marks {
+		if err := m.w.syncThrough(m.seq); err != nil {
+			m.w.onErr(err)
+		}
+	}
+}
+
+// walMark names one frame a strict-mode write waits to see fsynced.
+type walMark struct {
+	w   *walWriter
+	seq uint64
+}
+
+// close fsyncs and closes the file, after any fsync in flight. Its
+// callers have stopped the log's appends first: DB.Close's writers are
+// done, and a checkpoint has moved them to the next log. Idempotent.
 func (w *walWriter) close() error {
+	err := w.syncThrough(math.MaxUint64)
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	for w.syncing {
+		w.cond.Wait()
+	}
 	if w.closed {
 		return nil
 	}
 	w.closed = true
-	if err := w.buf.Flush(); err != nil {
-		_ = w.f.Close() // the flush failure supersedes; file is abandoned
-		return fmt.Errorf("docstore: wal flush: %w", err)
+	if cerr := w.f.Close(); err == nil {
+		err = cerr // an fsync failure supersedes; the file is abandoned
 	}
-	if err := w.f.Sync(); err != nil {
-		_ = w.f.Close() // the fsync failure supersedes; file is abandoned
-		return fmt.Errorf("docstore: wal fsync: %w", err)
-	}
-	return w.f.Close()
+	return err
 }
 
 // readFrames feeds every complete, CRC-valid frame payload of a file

@@ -2,6 +2,7 @@ package docstore
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 )
@@ -12,6 +13,8 @@ import (
 // interval. The e2e pair lives in the repo root's
 // BenchmarkDurableThroughput; this one isolates the docstore layer so
 // WAL encoding regressions are visible without the serving pipeline.
+// p50-us and p99-us are the per-call latencies: a call that waits for
+// the group syncer's fsync shows in the tail (`make bench-persist`).
 func BenchmarkInsertMany(b *testing.B) {
 	const batchSize = 256
 	mkBatch := func(base int) []Doc {
@@ -53,13 +56,19 @@ func BenchmarkInsertMany(b *testing.B) {
 			for i := range batches {
 				batches[i] = mkBatch(i * batchSize)
 			}
+			took := make([]time.Duration, b.N)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				start := time.Now()
 				col.InsertMany(batches[i%len(batches)])
+				took[i] = time.Since(start)
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(batchSize)*float64(b.N)/b.Elapsed().Seconds(), "docs/s")
+			slices.Sort(took)
+			b.ReportMetric(float64(took[b.N/2].Nanoseconds())/1e3, "p50-us")
+			b.ReportMetric(float64(took[b.N*99/100].Nanoseconds())/1e3, "p99-us")
 		})
 	}
 }
