@@ -35,7 +35,6 @@ var defaultPackages = []string{
 	"internal/ml",
 	"internal/core",
 	"internal/serve",
-	"internal/stream",
 	"internal/risk",
 	"internal/textproc",
 	"internal/modelreg",

@@ -62,8 +62,6 @@ type Broker struct {
 	groups map[string]*group
 	closed bool
 	clock  func() time.Time
-	// dataDir is set for durable brokers (see OpenDurable).
-	dataDir string
 }
 
 // New creates an empty broker.
@@ -175,10 +173,9 @@ func (b *Broker) AppendTopics(dst []*Topic) []*Topic {
 	return dst
 }
 
-// Close shuts the broker down and wakes all blocked consumers. The
-// returned error is the first segment-writer flush/close failure: a
-// record acked into a segment buffer that never reached the file is a
-// lost record, and Close is the last place to learn about it.
+// Close shuts the broker down and wakes all blocked consumers. The log
+// lives in memory, so nothing can fail to flush: the error is always
+// nil.
 func (b *Broker) Close() error {
 	b.mu.Lock()
 	topics := make([]*Topic, 0, len(b.topics))
@@ -187,21 +184,18 @@ func (b *Broker) Close() error {
 	}
 	b.closed = true
 	b.mu.Unlock()
-	var first error
 	for _, t := range topics {
-		if err := t.close(); err != nil && first == nil {
-			first = err
+		for _, p := range t.partitions {
+			p.close()
 		}
 	}
-	return first
+	return nil
 }
 
 // Topic is a named, partitioned log.
 type Topic struct {
 	name       string
 	partitions []*partition
-	// dir is the on-disk directory for durable topics ("" otherwise).
-	dir string
 }
 
 func newTopic(name string, n int, clock func() time.Time) *Topic {
@@ -273,13 +267,7 @@ func (t *Topic) AppendReplica(p int, recs []Record) error {
 // follower-side reconciliation at an epoch change, dropping an
 // uncommitted suffix the new leader never saw. Truncating below the
 // consumer-visible limit (committed records) is an invariant violation
-// and fails. Durable partitions refuse truncation outright: the
-// append-only segment writer cannot rewind, so trimming only the
-// in-memory slice would leave the on-disk log holding the dropped
-// suffix plus whatever replica appends follow it, and crash recovery
-// would reconstruct a divergent log. Replicated brokers are in-memory
-// (see ARCHITECTURE.md); the error keeps the combination loud instead
-// of silently corrupting.
+// and fails.
 func (t *Topic) Truncate(p int, off int64) error {
 	if p < 0 || p >= len(t.partitions) {
 		return fmt.Errorf("%w: partition %d", ErrInvalidOffset, p)
@@ -350,16 +338,6 @@ func (t *Topic) SetVisibleLimit(p int, off int64) {
 	t.partitions[p].setVisibleLimit(off)
 }
 
-func (t *Topic) close() error {
-	var first error
-	for _, p := range t.partitions {
-		if err := p.close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 // partitionFor hashes a key onto a partition (FNV-1a, like Kafka's
 // default murmur-based partitioner in spirit: stable and uniform).
 func (t *Topic) partitionFor(key []byte) int {
@@ -402,8 +380,6 @@ type partition struct {
 	// unbounded). The replicated broker keeps it at the quorum commit
 	// index; see Topic.SetVisibleLimit.
 	visible int64
-	// writer persists appends for durable topics (nil otherwise).
-	writer *segmentWriter
 	// waiters holds the wake channel (capacity 1) of every consumer
 	// this partition is currently assigned to.
 	waiters []chan struct{}
@@ -545,14 +521,6 @@ func (p *partition) append(producerID, baseSeq int64, recs []Record) (int64, err
 		r.Value = p.arena.hold(r.Value)
 		p.records = append(p.records, r)
 	}
-	if p.writer != nil {
-		if err := p.writer.append(p.records[base:]); err != nil {
-			// Roll the in-memory append back: an unpersisted record
-			// must not become visible on a durable topic.
-			p.records = p.records[:base]
-			return 0, fmt.Errorf("broker: durable append: %w", err)
-		}
-	}
 	p.wakeLocked()
 	return base, nil
 }
@@ -607,26 +575,15 @@ func (p *partition) appendReplica(recs []Record) error {
 		r.Value = p.arena.hold(r.Value)
 		p.records = append(p.records, r)
 	}
-	if p.writer != nil {
-		if err := p.writer.append(p.records[base:]); err != nil {
-			p.records = p.records[:base]
-			return fmt.Errorf("broker: durable append: %w", err)
-		}
-	}
 	p.wakeLocked()
 	return nil
 }
 
 // truncate drops records at and past off — only ever an uncommitted
 // suffix (off below the visible limit is an invariant violation).
-// Durable partitions refuse: the segment writer is append-only, so the
-// in-memory log must never be trimmed out from under the on-disk one.
 func (p *partition) truncate(off int64) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.writer != nil {
-		return fmt.Errorf("broker: truncate %s/%d: durable partitions cannot be truncated", p.topic, p.index)
-	}
 	if off < 0 || (p.visible >= 0 && off < p.visible) {
 		return fmt.Errorf("%w: truncate to %d below visible %d", ErrInvalidOffset, off, p.visible)
 	}
@@ -636,15 +593,9 @@ func (p *partition) truncate(off int64) error {
 	return nil
 }
 
-func (p *partition) close() error {
+func (p *partition) close() {
 	p.mu.Lock()
 	p.closed = true
-	var err error
-	if p.writer != nil {
-		err = p.writer.close()
-		p.writer = nil
-	}
 	p.wakeLocked()
 	p.mu.Unlock()
-	return err
 }

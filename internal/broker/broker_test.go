@@ -450,25 +450,3 @@ func TestFetchInvalidOffset(t *testing.T) {
 		t.Error("invalid partition accepted")
 	}
 }
-
-func TestSendBatch(t *testing.T) {
-	b := New()
-	tp := mustTopic(t, b, "alarms", 4)
-	p := NewProducer(tp)
-	recs := make([]Record, 100)
-	for i := range recs {
-		recs[i] = Record{Key: []byte(fmt.Sprintf("k%d", i)), Value: []byte(fmt.Sprintf("v%d", i))}
-	}
-	n, err := p.SendBatch(recs)
-	if err != nil || n != 100 {
-		t.Fatalf("SendBatch = %d, %v", n, err)
-	}
-	total := 0
-	for part := 0; part < 4; part++ {
-		rs, _ := tp.Fetch(part, 0, 1000)
-		total += len(rs)
-	}
-	if total != 100 {
-		t.Fatalf("batch produced %d records, want 100", total)
-	}
-}

@@ -11,7 +11,6 @@ import (
 // partition assignment generation, and committed offsets.
 type group struct {
 	mu         sync.Mutex
-	name       string
 	topic      *Topic
 	members    []string
 	generation int64
@@ -44,7 +43,7 @@ func (b *Broker) groupFor(name string, t *Topic) (*group, error) {
 	}
 	g, ok := b.groups[name]
 	if !ok {
-		g = &group{name: name, topic: t, committed: make(map[int]int64)}
+		g = &group{topic: t, committed: make(map[int]int64)}
 		b.groups[name] = g
 		return g, nil
 	}
@@ -123,7 +122,7 @@ func (g *group) commit(gen int64, offsets map[int]int64) error {
 		}
 	}
 	g.mu.Unlock()
-	return g.persistOffsets()
+	return nil
 }
 
 func (g *group) committedOffset(p int) int64 {
@@ -151,18 +150,12 @@ func (g *group) committedSnapshot() map[int]int64 {
 // the same operations, so shards run unmodified against a remote
 // replicated broker.
 type GroupConsumer interface {
-	// Poll fetches up to max records, blocking up to timeout.
-	Poll(max int, timeout time.Duration) ([]Record, error)
 	// PollLeased appends records into dst under a lease over their
 	// payload memory; see Consumer.PollLeased.
 	PollLeased(max int, timeout time.Duration, dst []Record) ([]Record, *Lease, error)
-	// Commit durably records the current positions.
-	Commit() error
 	// CommitOffsets durably records offsets under the current
 	// generation; stale generations fail with ErrRebalanceStale.
 	CommitOffsets(offsets map[int]int64) error
-	// Positions snapshots current read positions per partition.
-	Positions() map[int]int64
 	// PositionsInto fills dst with current read positions.
 	PositionsInto(dst map[int]int64) map[int]int64
 	// Committed returns the group's committed offsets for the
@@ -176,8 +169,6 @@ type GroupConsumer interface {
 	RefreshAssignment() error
 	// Assignment returns the currently assigned partitions.
 	Assignment() []int
-	// ActiveLeases counts outstanding unreleased leases.
-	ActiveLeases() int64
 	// LeaseStats snapshots the free list PollLeased draws leases from.
 	LeaseStats() LeaseStats
 	// Close leaves the group.
@@ -236,7 +227,7 @@ type Consumer struct {
 	next      int // round-robin cursor over assigned partitions
 	closed    bool
 
-	// leases is the free list PollLeased draws from (see ActiveLeases).
+	// leases is the free list PollLeased draws from (see LeaseStats).
 	leases LeasePool
 }
 
@@ -460,23 +451,11 @@ func (c *Consumer) CommitOffsets(offsets map[int]int64) error {
 	return c.grp.commit(gen, offsets)
 }
 
-// Positions returns a snapshot of the consumer's current read
-// positions per assigned partition — the offsets a CommitOffsets call
-// would make durable for everything polled so far.
-func (c *Consumer) Positions() map[int]int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[int]int64, len(c.positions))
-	for p, off := range c.positions {
-		out[p] = off
-	}
-	return out
-}
-
-// PositionsInto is Positions' allocation-free twin: it clears dst and
-// fills it with the current read positions, returning it (a nil dst
-// allocates). Pipelined consumers reuse one map per pooled batch
-// instead of allocating a snapshot per drain.
+// PositionsInto clears dst and fills it with the consumer's current
+// read positions per assigned partition — the offsets a CommitOffsets
+// call would make durable for everything polled so far — and returns it
+// (a nil dst allocates). Pipelined consumers reuse one map per pooled
+// batch instead of allocating a snapshot per drain.
 func (c *Consumer) PositionsInto(dst map[int]int64) map[int]int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -518,19 +497,6 @@ func (c *Consumer) Lag() (int64, error) {
 		lag += hw - c.positions[p]
 	}
 	return lag, nil
-}
-
-// Seek moves the consumer's position for partition p.
-func (c *Consumer) Seek(p int, offset int64) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, a := range c.assigned {
-		if a == p {
-			c.positions[p] = offset
-			return nil
-		}
-	}
-	return fmt.Errorf("broker: partition %d not assigned to %s", p, c.id)
 }
 
 // Close leaves the group and ends a parked poll. Other members must

@@ -26,7 +26,7 @@ func TestParkedPollLeasedIdleAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, idle); allocs != 0 {
 		t.Fatalf("idle PollLeased over 4 partitions: %.1f allocations per poll, want 0", allocs)
 	}
-	if n := c.ActiveLeases(); n != 0 {
+	if n := c.LeaseStats().Active; n != 0 {
 		t.Fatalf("%d leases outstanding after idle polls", n)
 	}
 }

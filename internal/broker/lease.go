@@ -297,10 +297,7 @@ func (c *Consumer) pollLeasedOnce(max int, dst []Record) ([]Record, *Lease, erro
 	return dst, lease, nil
 }
 
-// ActiveLeases returns how many leases handed out by this consumer
-// have not been released yet — the leak detector the aliasing tests
-// (and operators watching for buffer leaks) read.
-func (c *Consumer) ActiveLeases() int64 { return c.leases.Stats().Active }
-
-// LeaseStats snapshots the consumer's lease free list.
+// LeaseStats snapshots the consumer's lease free list; its Active count
+// is the leases handed out and not yet released — the leak detector the
+// aliasing tests (and operators watching for buffer leaks) read.
 func (c *Consumer) LeaseStats() LeaseStats { return c.leases.Stats() }

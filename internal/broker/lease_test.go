@@ -148,14 +148,14 @@ func TestPollLeasedMatchesPoll(t *testing.T) {
 		}
 		leases = append(leases, lease)
 	}
-	if leased.ActiveLeases() != int64(len(leases)) {
-		t.Fatalf("active leases %d, want %d", leased.ActiveLeases(), len(leases))
+	if leased.LeaseStats().Active != int64(len(leases)) {
+		t.Fatalf("active leases %d, want %d", leased.LeaseStats().Active, len(leases))
 	}
 	for _, l := range leases {
 		l.Release()
 	}
-	if leased.ActiveLeases() != 0 {
-		t.Fatalf("leases leaked: %d active after release", leased.ActiveLeases())
+	if leased.LeaseStats().Active != 0 {
+		t.Fatalf("leases leaked: %d active after release", leased.LeaseStats().Active)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("leased poll drained %d records, plain drained %d", len(got), len(want))
@@ -228,8 +228,8 @@ func TestLeaseHammer(t *testing.T) {
 	if len(seen) != 2*perProducer {
 		t.Fatalf("saw %d distinct records, want %d", len(seen), 2*perProducer)
 	}
-	if cons.ActiveLeases() != 0 {
-		t.Fatalf("%d leases leaked", cons.ActiveLeases())
+	if cons.LeaseStats().Active != 0 {
+		t.Fatalf("%d leases leaked", cons.LeaseStats().Active)
 	}
 }
 
@@ -257,11 +257,11 @@ func TestReleaseAfterRecycling(t *testing.T) {
 	first.Release()
 	first.Release() // not lent again yet: absorbed
 	second := poll()
-	if second != first || cons.ActiveLeases() != 1 {
-		t.Fatalf("second poll drew a new lease (%d active), want the released one", cons.ActiveLeases())
+	if second != first || cons.LeaseStats().Active != 1 {
+		t.Fatalf("second poll drew a new lease (%d active), want the released one", cons.LeaseStats().Active)
 	}
 	first.Release() // the stale holder
-	if !second.Released() || cons.ActiveLeases() != 0 {
+	if !second.Released() || cons.LeaseStats().Active != 0 {
 		t.Fatal("a stale Release after recycling was absorbed; the doc says it is not")
 	}
 

@@ -97,28 +97,3 @@ func (p *Producer) SendAt(key, value []byte, ts time.Time) (int, int64, error) {
 	}
 	return part, base, nil
 }
-
-// SendBatch appends a batch of records that share a partition choice
-// per record key. It returns the number of records accepted.
-func (p *Producer) SendBatch(recs []Record) (int, error) {
-	// Group records by destination partition to amortize locking.
-	byPart := make(map[int][]Record)
-	for _, r := range recs {
-		part := p.pickPartition(r.Key)
-		byPart[part] = append(byPart[part], r)
-	}
-	n := 0
-	for part, batch := range byPart {
-		pp := &p.parts[part]
-		pp.Lock()
-		seq := pp.seq
-		pp.seq += int64(len(batch))
-		_, err := p.topic.partitions[part].append(p.id, seq, batch)
-		pp.Unlock()
-		if err != nil {
-			return n, err
-		}
-		n += len(batch)
-	}
-	return n, nil
-}

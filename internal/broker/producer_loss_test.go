@@ -61,54 +61,3 @@ func TestConcurrentSendsLoseNothing(t *testing.T) {
 			total, want-total)
 	}
 }
-
-// TestConcurrentSendBatchLosesNothing covers the batched path the
-// same way (it had the same allocate-then-append race).
-func TestConcurrentSendBatchLosesNothing(t *testing.T) {
-	b := New()
-	defer b.Close()
-	topic, err := b.CreateTopic("t", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prod := NewProducer(topic)
-	const (
-		senders = 6
-		batches = 200
-		perB    = 10
-	)
-	var wg sync.WaitGroup
-	errs := make(chan error, senders)
-	for s := 0; s < senders; s++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < batches; i++ {
-				recs := make([]Record, perB)
-				for j := range recs {
-					recs[j] = Record{Key: []byte(fmt.Sprintf("k%d", j%4)), Value: []byte("v")}
-				}
-				if n, err := prod.SendBatch(recs); err != nil || n != perB {
-					errs <- fmt.Errorf("batch accepted %d of %d: %v", n, perB, err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	var total int64
-	for part := 0; part < topic.Partitions(); part++ {
-		hw, err := topic.HighWatermark(part)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += hw
-	}
-	if want := int64(senders * batches * perB); total != want {
-		t.Fatalf("log holds %d records, want %d", total, want)
-	}
-}

@@ -186,7 +186,7 @@ func TestGroupCommittedQueries(t *testing.T) {
 	if _, err := c.Poll(100, time.Second); err != nil {
 		t.Fatal(err)
 	}
-	positions := c.Positions()
+	positions := c.PositionsInto(nil)
 	if err := c.CommitOffsets(positions); err != nil {
 		t.Fatal(err)
 	}

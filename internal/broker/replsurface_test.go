@@ -53,29 +53,3 @@ func TestLogTailAndEpochAt(t *testing.T) {
 		t.Fatalf("post-truncate LogTail = (%d, %d), want (3, 3)", size, tail)
 	}
 }
-
-// TestTruncateDurablePartitionRefused pins the durability guard: the
-// segment writer is append-only, so truncating a durable partition —
-// which would trim only the in-memory slice and leave the on-disk log
-// holding the dropped suffix plus any later replica appends — must
-// fail instead of silently corrupting crash recovery.
-func TestTruncateDurablePartitionRefused(t *testing.T) {
-	b, err := OpenDurable(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	topic, err := b.CreateDurableTopic("alarms", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := topic.Append(0, -1, 0, []Record{{Value: []byte("v")}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := topic.Truncate(0, 0); err == nil {
-		t.Fatal("Truncate on a durable partition succeeded")
-	}
-	if size, err := topic.LogSize(0); err != nil || size != 1 {
-		t.Fatalf("LogSize after refused truncate = (%d, %v), want (1, nil)", size, err)
-	}
-}

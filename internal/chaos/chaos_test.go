@@ -369,14 +369,12 @@ func TestDistributedChaos(t *testing.T) {
 	}
 	seen := make(map[slot]uint32)
 	waitFor(t, 60*time.Second, "audit re-read covers the ledger", func() bool {
-		recs, err := audit.Poll(512, 100*time.Millisecond)
-		if err != nil {
-			return false
-		}
+		recs, lease, err := audit.PollLeased(512, 100*time.Millisecond, nil)
 		for _, r := range recs {
 			seen[slot{r.Partition, r.Offset}] = crc32.ChecksumIEEE(r.Value)
 		}
-		return len(seen) >= len(acks)
+		lease.Release()
+		return err == nil && len(seen) >= len(acks)
 	})
 	lost := 0
 	for _, a := range acks {
@@ -399,7 +397,7 @@ func TestDistributedChaos(t *testing.T) {
 
 	// --- the shard pipeline drains everything on the successor ---
 	var total int64
-	for _, off := range audit.Positions() {
+	for _, off := range audit.PositionsInto(nil) {
 		total += off
 	}
 	waitFor(t, 120*time.Second, "alarmd group commits the full log", func() bool {

@@ -97,7 +97,7 @@ func copyingReference(t *testing.T, b *broker.Broker, n int) ([]alarm.Alarm, map
 			devices[a.DeviceMAC] = true
 		}
 	}
-	return alarms, devices, cons.Positions(), raw
+	return alarms, devices, cons.PositionsInto(nil), raw
 }
 
 // TestFastDrainMatchesCopyingPath is the acceptance property of the
@@ -199,7 +199,7 @@ func TestPooledBatchLifecycle(t *testing.T) {
 	if total != 500 {
 		t.Fatalf("processed %d alarms, want 500", total)
 	}
-	if n := app.consumer.ActiveLeases(); n != 0 {
+	if n := app.consumer.LeaseStats().Active; n != 0 {
 		t.Fatalf("%d leases still active after all batches released", n)
 	}
 }

@@ -98,7 +98,7 @@ func DefaultVerifierConfig() VerifierConfig {
 // exactly once, so a hot Swap mid-stream is lock-free and each call
 // (and each batch) is classified by exactly one model — fields from
 // two models can never mix. The zero Verifier has no model; it must
-// be produced by Train, LoadVerifier, LoadFromRegistry, or populated
+// be produced by Train or LoadFromRegistry, or populated
 // via Swap before serving.
 type Verifier struct {
 	snap atomic.Pointer[modelSnapshot]
@@ -112,7 +112,7 @@ type modelSnapshot struct {
 	enc   *ml.SchemaEncoder
 	// rows and compiled are what serving reads: the alarm → ml.SparseRow
 	// encoder bound to enc, and model compiled against its layout. model
-	// and enc themselves are kept for Save and the registry.
+	// and enc themselves are kept for the registry.
 	rows       *dataset.AlarmEncoder
 	compiled   ml.SparseModel
 	numExtras  int
@@ -215,7 +215,7 @@ func TrainWithFeedback(history []alarm.Alarm, feedback map[int64]alarm.Label, cf
 // newVerifier makes a snapshot servable — binds its encoder to live
 // alarms and compiles its model against the encoder's layout — and
 // wraps it in a verifier. Every snapshot is born here (Train,
-// LoadVerifier, LoadFromRegistry), so a model that does not fit its
+// LoadFromRegistry), so a model that does not fit its
 // encoder never serves: it fails here with ml.ErrBadModelFile.
 func newVerifier(s *modelSnapshot) (*Verifier, error) {
 	var err error

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"errors"
+	"maps"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -346,6 +348,53 @@ func TestReplayCacheCountsUnmarshals(t *testing.T) {
 				t.Fatalf("cache=%v: alarm %d verdict %+v, VerifyBatch %+v", cache, g.AlarmID, g, w)
 			}
 		}
+	}
+}
+
+// TestReplayPollErrorIsNotCommitted: a batch whose poll fails returns
+// the poll's error and commits nothing. Here the replay's consumer is
+// closed under it, after one clean batch committed the first records.
+func TestReplayPollErrorIsNotCommitted(t *testing.T) {
+	alarms := NewEnv(tinyScale()).Alarms()
+	v, err := core.Train(alarms[:600], core.DefaultVerifierConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := broker.New()
+	defer b.Close()
+	topic, err := b.CreateTopic("alarms", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prod := core.NewProducerApp(topic, codec.FastCodec{})
+	if _, err := prod.Replay(alarms[600:700], 0); err != nil {
+		t.Fatal(err)
+	}
+	r, err := newReplay(b, "poll-error", v, nil, codec.FastCodec{}, 1, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.close()
+	if n, err := r.batch(); err != nil || n != 100 {
+		t.Fatalf("clean batch = %d, %v; want 100 alarms", n, err)
+	}
+	before, err := b.GroupCommitted("poll-error")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := prod.Replay(alarms[700:750], 0); err != nil {
+		t.Fatal(err)
+	}
+	r.src.consumer.Close()
+	if _, err := r.batch(); !errors.Is(err, broker.ErrClosed) {
+		t.Fatalf("batch on a closed consumer: err = %v, want ErrClosed", err)
+	}
+	after, err := b.GroupCommitted("poll-error")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !maps.Equal(before, after) {
+		t.Fatalf("committed offsets moved after a failed poll: %v -> %v", before, after)
 	}
 }
 

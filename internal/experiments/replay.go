@@ -8,22 +8,21 @@ import (
 	"alarmverify/internal/broker"
 	"alarmverify/internal/codec"
 	"alarmverify/internal/core"
-	"alarmverify/internal/stream"
 )
 
 // replay is the paper's pre-optimization consumer, kept for the
 // experiments that measure it: the §5.5.2 partitioning ladder
 // (EndToEnd) and the §6.2 cache ablation (AblationCache). It drains a
-// micro-batch by copying polls into RDD partitions, one per broker
-// partition; decodes it with its codec, cached or not; extracts the
-// window's devices with stream.Distinct; and classifies alarm by alarm
-// on an executor pool. The filled core.Batch goes to
+// micro-batch by copying polls into rdd partitions, one per broker
+// partition (rdd.go); decodes it with its codec, cached or not; extracts
+// the window's devices with distinct; and classifies alarm by alarm on
+// an executor pool. The filled core.Batch goes to
 // ConsumerApp.Persist for history and accounting, as a serving batch
 // does, and the consumer's progress is committed after it.
 type replay struct {
 	app      *core.ConsumerApp
-	src      *stream.BrokerSource
-	pool     *stream.Pool
+	src      *brokerSource
+	pool     *pool
 	verifier *core.Verifier
 	codec    codec.Codec
 	cache    bool
@@ -43,8 +42,8 @@ func newReplay(b *broker.Broker, group string, v *core.Verifier, h *core.History
 	}
 	return &replay{
 		app:      core.NewConsumerAppFor(cons, topic.Partitions(), v, h, core.DefaultConsumerConfig()),
-		src:      stream.NewBrokerSource(cons, topic),
-		pool:     stream.NewPool(workers),
+		src:      newBrokerSource(cons, topic),
+		pool:     newPool(workers),
 		verifier: v,
 		codec:    cdc,
 		cache:    cache,
@@ -53,37 +52,41 @@ func newReplay(b *broker.Broker, group string, v *core.Verifier, h *core.History
 
 func (r *replay) close() {
 	r.app.Close()
-	r.pool.Close()
+	r.pool.close()
 }
 
-// batch replays one micro-batch and returns the alarms it verified.
+// batch replays one micro-batch and returns the alarms it verified. A
+// batch whose poll failed is not processed and nothing is committed.
 func (r *replay) batch() (int, error) {
-	raw := r.src.Batch()
+	raw, err := r.src.batch()
+	if err != nil {
+		return 0, err
+	}
 	b := &core.Batch{}
 	start := time.Now()
-	decoded := stream.Filter(stream.Map(raw, func(rec broker.Record) alarm.Alarm {
+	decoded := filterRDD(mapRDD(raw, func(rec broker.Record) alarm.Alarm {
 		var a alarm.Alarm
 		_ = r.codec.Unmarshal(rec.Value, &a) // a record that fails stays a zero alarm: filtered
 		return a
 	}), func(a alarm.Alarm) bool { return a.ID != 0 })
 	if r.cache {
-		decoded = decoded.Cache()
+		decoded = decoded.cache()
 	}
-	b.Alarms = decoded.Collect(r.pool)
+	b.Alarms = decoded.collect(r.pool)
 	b.Times.Deserialize = time.Since(start)
 
 	// The second use of the decoded stream: uncached, it decodes every
 	// record again.
 	start = time.Now()
-	b.Devices = stream.Distinct(decoded, func(a alarm.Alarm) string { return a.DeviceMAC }, r.pool).Collect(r.pool)
+	b.Devices = distinct(decoded, func(a alarm.Alarm) string { return a.DeviceMAC }, r.pool)
 	b.Times.Streaming = time.Since(start)
 
 	start = time.Now()
 	n := len(b.Alarms)
 	b.Verified = make([]alarm.Verification, n)
-	runs := min(n, r.pool.Workers())
+	runs := min(n, r.pool.workers)
 	errs := make([]error, runs)
-	r.pool.Run(runs, func(w int) {
+	r.pool.run(runs, func(w int) {
 		for i := w * n / runs; i < (w+1)*n/runs && errs[w] == nil; i++ {
 			errs[w] = r.verifier.VerifyBatchInto(b.Alarms[i:i+1], b.Verified[i:i+1])
 		}
@@ -96,7 +99,7 @@ func (r *replay) batch() (int, error) {
 	if err := r.app.Persist(b); err != nil {
 		return 0, err
 	}
-	return n, r.src.Commit()
+	return n, r.src.commit()
 }
 
 // Replay drains what b's "alarms" topic holds as one micro-batch

@@ -1,9 +1,6 @@
 package ml
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // ConfusionMatrix counts binary classification outcomes. "Positive"
 // is class 1 (true alarm).
@@ -11,14 +8,11 @@ type ConfusionMatrix struct {
 	TP, FP, TN, FN int
 }
 
-// Evaluate runs the classifier over the dataset (through the
-// vectorized batch path when available) and tallies outcomes.
+// Evaluate runs the classifier over the dataset and tallies outcomes.
 func Evaluate(c Classifier, d *Dataset) ConfusionMatrix {
 	var cm ConfusionMatrix
-	preds := make([]int, d.Len())
-	PredictBatch(c, d.X, preds)
-	for i, pred := range preds {
-		switch {
+	for i, x := range d.X {
+		switch pred := Predict(c, x); {
 		case pred == 1 && d.Y[i] == 1:
 			cm.TP++
 		case pred == 1 && d.Y[i] == 0:
@@ -82,66 +76,4 @@ func (cm ConfusionMatrix) String() string {
 // Accuracy is a convenience wrapper around Evaluate.
 func Accuracy(c Classifier, d *Dataset) float64 {
 	return Evaluate(c, d).Accuracy()
-}
-
-// AUC computes the area under the ROC curve from the classifier's
-// P(class 1) scores — a threshold-free quality measure to accompany
-// the paper's accuracy numbers.
-func AUC(c Classifier, d *Dataset) float64 {
-	type scored struct {
-		p float64
-		y int
-	}
-	probs := make([][2]float64, d.Len())
-	ProbaBatch(c, d.X, probs)
-	s := make([]scored, d.Len())
-	pos, neg := 0, 0
-	for i := range d.X {
-		s[i] = scored{p: probs[i][1], y: d.Y[i]}
-		if d.Y[i] == 1 {
-			pos++
-		} else {
-			neg++
-		}
-	}
-	if pos == 0 || neg == 0 {
-		return 0.5
-	}
-	sort.Slice(s, func(i, j int) bool { return s[i].p < s[j].p })
-	// Rank-sum (Mann–Whitney) formulation with tie handling.
-	ranks := make([]float64, len(s))
-	for i := 0; i < len(s); {
-		j := i
-		for j < len(s) && s[j].p == s[i].p {
-			j++
-		}
-		avg := float64(i+j+1) / 2 // average of 1-based ranks i+1..j
-		for k := i; k < j; k++ {
-			ranks[k] = avg
-		}
-		i = j
-	}
-	var sumPos float64
-	for i, sc := range s {
-		if sc.y == 1 {
-			sumPos += ranks[i]
-		}
-	}
-	return (sumPos - float64(pos)*float64(pos+1)/2) / (float64(pos) * float64(neg))
-}
-
-// Brier computes the mean squared error of the P(class 1) scores — a
-// calibration measure for the confidence values operators rely on.
-func Brier(c Classifier, d *Dataset) float64 {
-	if d.Len() == 0 {
-		return 0
-	}
-	probs := make([][2]float64, d.Len())
-	ProbaBatch(c, d.X, probs)
-	var sum float64
-	for i := range d.X {
-		diff := probs[i][1] - float64(d.Y[i])
-		sum += diff * diff
-	}
-	return sum / float64(d.Len())
 }

@@ -401,51 +401,6 @@ func TestConfusionMatrixMetrics(t *testing.T) {
 	}
 }
 
-type fixedScore struct{ scores map[string]float64 }
-
-func (f fixedScore) Name() string         { return "fixed" }
-func (f fixedScore) Fit(d *Dataset) error { return nil }
-func (f fixedScore) Proba(x []float64) [2]float64 {
-	p := x[0]
-	return [2]float64{1 - p, p}
-}
-
-func TestAUC(t *testing.T) {
-	// Perfect ranking.
-	x := [][]float64{{0.1}, {0.2}, {0.8}, {0.9}}
-	y := []int{0, 0, 1, 1}
-	d, _ := NewDataset(x, y, nil)
-	if got := AUC(fixedScore{}, d); math.Abs(got-1) > 1e-12 {
-		t.Errorf("perfect AUC = %f", got)
-	}
-	// Inverted ranking.
-	y2 := []int{1, 1, 0, 0}
-	d2, _ := NewDataset(x, y2, nil)
-	if got := AUC(fixedScore{}, d2); math.Abs(got-0) > 1e-12 {
-		t.Errorf("inverted AUC = %f", got)
-	}
-	// All ties → 0.5.
-	x3 := [][]float64{{0.5}, {0.5}, {0.5}, {0.5}}
-	d3, _ := NewDataset(x3, y, nil)
-	if got := AUC(fixedScore{}, d3); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("tied AUC = %f", got)
-	}
-}
-
-func TestBrier(t *testing.T) {
-	x := [][]float64{{1}, {0}}
-	y := []int{1, 0}
-	d, _ := NewDataset(x, y, nil)
-	if got := Brier(fixedScore{}, d); got != 0 {
-		t.Errorf("perfect Brier = %f", got)
-	}
-	y2 := []int{0, 1}
-	d2, _ := NewDataset(x, y2, nil)
-	if got := Brier(fixedScore{}, d2); got != 1 {
-		t.Errorf("worst Brier = %f", got)
-	}
-}
-
 func TestGridSearchPrefersBetterConfig(t *testing.T) {
 	d := linearDataset(400, 70, 0.05)
 	grid := map[string][]float64{

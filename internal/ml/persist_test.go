@@ -144,7 +144,6 @@ func FuzzLoadClassifier(f *testing.F) {
 		// A walk that does not end trips the fuzz worker's own deadline.
 		zero := make([]float64, 8)
 		m.Proba(zero)
-		ProbaBatch(m, [][]float64{zero}, make([][2]float64, 1))
 	})
 }
 

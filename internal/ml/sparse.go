@@ -3,6 +3,7 @@ package ml
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // The serving row. A one-hot encoded alarm is Width() cells of which
@@ -249,6 +250,80 @@ func (s *sparseDNN) ProbSparse(rows *SparseRows, out [][2]float64) {
 	}, out)
 }
 
+// dnnArena holds the two flat activation matrices a batch forward
+// pass ping-pongs between (batch × widest-hidden-layer each).
+type dnnArena struct {
+	a, b []float64
+}
+
+var dnnArenaPool = sync.Pool{New: func() any { return new(dnnArena) }}
+
+func (ar *dnnArena) size(n int) {
+	if cap(ar.a) < n {
+		ar.a = make([]float64, n)
+		ar.b = make([]float64, n)
+	}
+	ar.a = ar.a[:n]
+	ar.b = ar.b[:n]
+}
+
+// denseDot adds w·x to z the way forward() does: in column order,
+// skipping zero cells.
+func denseDot(z float64, w, x []float64) float64 {
+	for i, v := range x {
+		if v != 0 {
+			z += w[i] * v
+		}
+	}
+	return z
+}
+
+// probBatch is the batch forward pass of the sparse serving form: first
+// fills act with row r's first-layer sums before activation, and the
+// layers behind it run over two pooled flat activation matrices. Per
+// row, the multiply-accumulate order is exactly forward()'s.
+func (m *DNN) probBatch(n int, first func(r int, act []float64), out [][2]float64) {
+	if n == 0 {
+		return
+	}
+	nLayers := len(m.sizes) - 1
+	stride := 0
+	for _, s := range m.sizes[1:] {
+		if s > stride {
+			stride = s
+		}
+	}
+	ar := dnnArenaPool.Get().(*dnnArena)
+	ar.size(n * stride)
+	cur, next := ar.a, ar.b
+	for l := 0; l < nLayers; l++ {
+		in, outW := m.sizes[l], m.sizes[l+1]
+		for r := 0; r < n; r++ {
+			act := next[r*stride : r*stride+outW]
+			if l == 0 {
+				first(r, act)
+			} else {
+				prev := cur[r*stride : r*stride+in]
+				for o := range act {
+					act[o] = denseDot(m.biases[l][o], m.weights[l][o*in:(o+1)*in], prev)
+				}
+			}
+			if l < nLayers-1 {
+				relu(act)
+			} else {
+				softmax(act)
+			}
+		}
+		cur, next = next, cur
+	}
+	// After the final swap, cur holds the softmax outputs.
+	for r := 0; r < n; r++ {
+		o := cur[r*stride : r*stride+2]
+		out[r] = [2]float64{o[0], o[1]}
+	}
+	dnnArenaPool.Put(ar)
+}
+
 // compiledForest is a forest flattened for serving: every tree in
 // preorder in one array, a node's left child the node after it, so a
 // walk is a run of 16-byte nodes mostly read in order. A split on a
@@ -317,8 +392,7 @@ func (f *compiledForest) emit(n *treeNode, l *RowLayout) error {
 	return f.emit(n.right, l)
 }
 
-// ProbSparse implements SparseModel. Like RandomForest.ProbBatch the
-// loop is tree-outer, row-inner — a tree stays in cache while the batch
+// ProbSparse implements SparseModel. The loop is tree-outer, row-inner — a tree stays in cache while the batch
 // walks it — and a row's leaf probabilities are added in tree order, as
 // Proba adds them. The sum is kept in out[i][1] until the last tree.
 //

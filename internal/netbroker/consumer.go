@@ -1,7 +1,6 @@
 package netbroker
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"sync"
@@ -291,21 +290,10 @@ func (k *Consumer) Generation() int64 {
 	return k.gen
 }
 
-// Poll fetches up to max records across assigned partitions, blocking
-// up to timeout server-side when nothing is available. The records'
-// bytes are copies the caller keeps.
-func (k *Consumer) Poll(max int, timeout time.Duration) ([]broker.Record, error) {
-	recs, lease, err := k.PollLeased(max, timeout, nil)
-	for i := range recs {
-		recs[i].Key, recs[i].Value = bytes.Clone(recs[i].Key), bytes.Clone(recs[i].Value)
-	}
-	lease.Release()
-	return recs, err
-}
-
-// PollLeased is Poll appending into dst under a lease, without the
-// copy: the fetch response is read into a buffer the returned lease
-// owns and the records' keys and values are views of it. Release puts
+// PollLeased fetches up to max records across assigned partitions into
+// dst, blocking up to timeout server-side when nothing is available.
+// The fetch response is read into a buffer the returned lease owns and
+// the records' keys and values are views of it. Release puts
 // lease and buffer on the consumer's free list and a later fetch is
 // read over those bytes, so the in-process contract has teeth here:
 // release after the batch is done, touch nothing after. A poll that
@@ -381,11 +369,6 @@ func (k *Consumer) PollLeased(max int, timeout time.Duration, dst []broker.Recor
 	return dst, lease, nil
 }
 
-// Commit durably records the current positions.
-func (k *Consumer) Commit() error {
-	return k.CommitOffsets(k.Positions())
-}
-
 // commitMsgs is one commit's messages; commits may come from any
 // goroutine, so they are pooled rather than kept on the consumer.
 type commitMsgs struct {
@@ -426,18 +409,7 @@ func (k *Consumer) CommitOffsets(offsets map[int]int64) error {
 	return err
 }
 
-// Positions snapshots the client-side read positions.
-func (k *Consumer) Positions() map[int]int64 {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	out := make(map[int]int64, len(k.positions))
-	for p, off := range k.positions {
-		out[p] = off
-	}
-	return out
-}
-
-// PositionsInto fills dst with the current read positions.
+// PositionsInto fills dst with the client-side read positions.
 func (k *Consumer) PositionsInto(dst map[int]int64) map[int]int64 {
 	k.mu.Lock()
 	defer k.mu.Unlock()
@@ -487,9 +459,6 @@ func (k *Consumer) Lag() (int64, error) {
 	}
 	return lag, nil
 }
-
-// ActiveLeases counts outstanding unreleased leases.
-func (k *Consumer) ActiveLeases() int64 { return k.leases.Stats().Active }
 
 // LeaseStats snapshots the lease free list and the receive buffer under it.
 func (k *Consumer) LeaseStats() broker.LeaseStats { return k.leases.Stats() }

@@ -47,19 +47,19 @@ func startParkedCluster(t *testing.T) (*testCluster, *netbroker.Producer, broker
 	if _, _, err := p.Send([]byte("k"), []byte("warm-up")); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := cons.Poll(1, 5*time.Second)
+	recs, err := pollCopy(cons, 1, 5*time.Second)
 	if err != nil || len(recs) != 1 {
 		t.Fatalf("warm-up poll = %d records, %v", len(recs), err)
 	}
 	return cl, p, cons
 }
 
-// parkPoll starts a Poll(1, timeout) that finds nothing and waits at
+// parkPoll starts a poll for one record that finds nothing and waits at
 // the leader, returning the channel its result arrives on.
 func parkPoll(cons broker.GroupConsumer, timeout time.Duration) <-chan []broker.Record {
 	done := make(chan []broker.Record, 1)
 	go func() {
-		recs, _ := cons.Poll(1, timeout)
+		recs, _ := pollCopy(cons, 1, timeout)
 		done <- recs
 	}()
 	// Nothing observable says the fetch has reached the leader; if it
@@ -206,12 +206,12 @@ func TestSubMillisecondPollWaits(t *testing.T) {
 	defer cons.Close()
 	for i := 0; i < 5; i++ {
 		start := time.Now()
-		recs, err := cons.Poll(1, 500*time.Microsecond)
+		recs, err := pollCopy(cons, 1, 500*time.Microsecond)
 		if err != nil || len(recs) != 0 {
 			t.Fatalf("empty poll = %v, %v", recs, err)
 		}
 		if took := time.Since(start); took < 500*time.Microsecond {
-			t.Fatalf("empty Poll(1, 500µs) returned after %s", took)
+			t.Fatalf("empty poll (500µs) returned after %s", took)
 		}
 	}
 }

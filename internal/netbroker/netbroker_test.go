@@ -1,6 +1,7 @@
 package netbroker_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -19,6 +20,22 @@ func fastClientOpts() netbroker.ClientOptions {
 		RetryTimeout:      10 * time.Second,
 		HeartbeatInterval: 25 * time.Millisecond,
 	}
+}
+
+// pollCopy polls under a lease, clones the records' bytes and releases
+// the lease: the copying poll tests that keep records read through.
+func pollCopy(cons broker.GroupConsumer, max int, timeout time.Duration) ([]broker.Record, error) {
+	recs, lease, err := cons.PollLeased(max, timeout, nil)
+	for i := range recs {
+		recs[i].Key, recs[i].Value = bytes.Clone(recs[i].Key), bytes.Clone(recs[i].Value)
+	}
+	lease.Release()
+	return recs, err
+}
+
+// commitPositions commits everything cons has polled so far.
+func commitPositions(cons broker.GroupConsumer) error {
+	return cons.CommitOffsets(cons.PositionsInto(nil))
 }
 
 func waitFor(t testing.TB, timeout time.Duration, what string, cond func() bool) {
@@ -106,7 +123,7 @@ func TestSingleNodeProduceConsume(t *testing.T) {
 	got := make(map[string]sent, n)
 	deadline := time.Now().Add(10 * time.Second)
 	for len(got) < n && time.Now().Before(deadline) {
-		recs, err := cons.Poll(64, 50*time.Millisecond)
+		recs, err := pollCopy(cons, 64, 50*time.Millisecond)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +158,7 @@ func TestSingleNodeProduceConsume(t *testing.T) {
 	if lag, err := cons.Lag(); err != nil || lag != 0 {
 		t.Fatalf("post-consume lag = %d, %v", lag, err)
 	}
-	if err := cons.Commit(); err != nil {
+	if err := commitPositions(cons); err != nil {
 		t.Fatal(err)
 	}
 	var sum int64
@@ -249,7 +266,7 @@ func TestConsumerRebalanceAndCommitFencing(t *testing.T) {
 	}
 
 	// A fresh commit under the current generation goes through.
-	if err := c1.Commit(); err != nil {
+	if err := commitPositions(c1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -322,12 +339,12 @@ func TestPollLeasedAccounting(t *testing.T) {
 	if len(recs) != 1 || string(recs[0].Value) != "v" {
 		t.Fatalf("leased poll got %d records", len(recs))
 	}
-	if got := cons.ActiveLeases(); got != 1 {
-		t.Fatalf("ActiveLeases = %d, want 1", got)
+	if got := cons.LeaseStats().Active; got != 1 {
+		t.Fatalf("active leases = %d, want 1", got)
 	}
 	lease.Release()
-	if got := cons.ActiveLeases(); got != 0 {
-		t.Fatalf("ActiveLeases after release = %d, want 0", got)
+	if got := cons.LeaseStats().Active; got != 0 {
+		t.Fatalf("active leases after release = %d, want 0", got)
 	}
 }
 

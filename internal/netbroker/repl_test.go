@@ -125,13 +125,13 @@ func TestLeaderFailoverNoAckedLoss(t *testing.T) {
 	defer cons.Close()
 	consumed := 0
 	for consumed < 50 {
-		recs, err := cons.Poll(64, 100*time.Millisecond)
+		recs, err := pollCopy(cons, 64, 100*time.Millisecond)
 		if err != nil {
 			t.Fatal(err)
 		}
 		consumed += len(recs)
 	}
-	if err := cons.Commit(); err != nil {
+	if err := commitPositions(cons); err != nil {
 		t.Fatal(err)
 	}
 	committedBefore := int64(0)
@@ -212,7 +212,7 @@ func TestLeaderFailoverNoAckedLoss(t *testing.T) {
 	// at-least-once across the failover, so count distinct payloads.
 	got := make(map[string]struct{}, len(acked))
 	waitFor(t, 30*time.Second, "consumer drains all records via new leader", func() bool {
-		recs, err := cons.Poll(64, 50*time.Millisecond)
+		recs, err := pollCopy(cons, 64, 50*time.Millisecond)
 		if err != nil {
 			return false
 		}
