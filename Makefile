@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-budgets bench bench-aggregate bench-classify bench-persist bench-swap bench-overload bench-e2e bench-durable bench-netbroker bench-harness-smoke bench-record bench-record-smoke test-crash test-events test-distributed bench-baseline profile cover docs-gate fuzz-smoke lint fmt
+.PHONY: build test test-budgets bench bench-aggregate bench-classify bench-train bench-persist bench-swap bench-overload bench-e2e bench-durable bench-netbroker bench-harness-smoke bench-record bench-record-smoke test-crash test-events test-distributed bench-baseline profile cover docs-gate fuzz-smoke lint fmt
 
 ## build: compile every package and command
 build:
@@ -49,6 +49,21 @@ bench-classify:
 	echo "$$out"; \
 	echo "$$out" | grep -q 'walk-ns/alarm' || \
 		{ echo "BenchmarkVerifyBatchSplit did not run"; exit 1; }
+
+## bench-train: what training the verifier costs at the benchmark
+## harness's full scale (12 000 alarms, 1 001 features, 50 trees × depth
+## 30): the forest's Fit on its own (internal/ml) and the whole of
+## core.Train — label, encode, fit, compile, the span the harness reports
+## as ml.train_s (internal/core); seven runs each on two CPUs, one
+## package at a time so the two never share them, the before/after
+## evidence for training changes. The CI bench-smoke job
+## runs this explicitly (and fails if either benchmark disappears)
+bench-train:
+	@out=$$($(GO) test -p 1 -run=- -bench='^(BenchmarkForestFit|BenchmarkTrain)$$' -benchmem -cpu 2 -count 7 ./internal/ml ./internal/core) || \
+		{ echo "$$out"; echo "training benchmarks failed"; exit 1; }; \
+	echo "$$out"; \
+	echo "$$out" | grep -q '^BenchmarkForestFit' && echo "$$out" | grep -q '^BenchmarkTrain' || \
+		{ echo "BenchmarkForestFit or BenchmarkTrain did not run"; exit 1; }
 
 ## bench-persist: the persist stage's two store calls at the size of one
 ## benchmark drain round (internal/core) — 40 000 alarms recorded 512 at

@@ -9,24 +9,38 @@ import (
 	"alarmverify/internal/ml"
 )
 
-// harnessVerifier trains the forest the benchmark harness serves
-// (bench/env.go's full scale: seed 1, 1 200 devices, 12 000 training
-// alarms, 50 trees × depth 30, about a thousand features) and returns
-// it with the alarms the harness replays.
-func harnessVerifier(tb testing.TB) (*Verifier, []alarm.Alarm) {
-	tb.Helper()
+// harnessAlarms generates the alarms of the benchmark harness's full
+// scale (bench/env.go: seed 1, 48 000 alarms over 1 200 devices); the
+// first 12 000 train, the last 30 000 are replayed.
+func harnessAlarms() []alarm.Alarm {
 	cfg := dataset.DefaultSitasysConfig()
 	cfg.NumAlarms, cfg.NumDevices, cfg.Seed = 48000, 1200, 1
-	alarms := dataset.GenerateSitasys(dataset.NewWorld(1), cfg)
+	return dataset.GenerateSitasys(dataset.NewWorld(1), cfg)
+}
+
+// harnessTrain trains the forest the benchmark harness serves (50 trees
+// × depth 30 over about a thousand features) on train.
+func harnessTrain(tb testing.TB, train []alarm.Alarm) *Verifier {
+	tb.Helper()
 	rf := ml.DefaultRandomForestConfig()
 	rf.Seed = 1
 	vcfg := DefaultVerifierConfig()
 	vcfg.Classifier = ml.NewRandomForest(rf)
-	v, err := Train(alarms[:12000], vcfg)
+	v, err := Train(train, vcfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return v, alarms[18000:]
+	return v
+}
+
+// BenchmarkTrain is Train at the harness's full scale — label, encode,
+// fit, compile — the span the harness reports as ml.train_s.
+func BenchmarkTrain(b *testing.B) {
+	train := harnessAlarms()[:12000]
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		harnessTrain(b, train)
+	}
 }
 
 // BenchmarkVerifyBatchSplit is where a classify batch's time goes, at
@@ -34,7 +48,8 @@ func harnessVerifier(tb testing.TB) (*Verifier, []alarm.Alarm) {
 // sparse rows, rows through the compiled forest — timed apart over
 // 512-alarm batches of the replay, beside the whole call.
 func BenchmarkVerifyBatchSplit(b *testing.B) {
-	v, replay := harnessVerifier(b)
+	all := harnessAlarms()
+	v, replay := harnessTrain(b, all[:12000]), all[18000:]
 	s := v.snap.Load()
 	const batch = 512
 	var rows ml.SparseRows

@@ -63,6 +63,25 @@ func TestNewClassifierCoversAllAlgorithms(t *testing.T) {
 	}
 }
 
+// TestTrainTimeIsTheWholeTrain: TrainTime runs from the top of Train to
+// the compiled snapshot, so with a model that fits in no time it is still
+// the labelling and encoding around the fit — nearly the wall time of
+// the call.
+func TestTrainTimeIsTheWholeTrain(t *testing.T) {
+	_, alarms := testAlarms(4000)
+	cfg := DefaultVerifierConfig()
+	cfg.Classifier = stubClassifier{}
+	start := time.Now()
+	v, err := Train(alarms, cfg)
+	wall := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := v.Stats().TrainTime; got > wall || got < wall/2 {
+		t.Fatalf("TrainTime %v for a call that took %v", got, wall)
+	}
+}
+
 func TestTrainAndVerify(t *testing.T) {
 	_, alarms := testAlarms(6000)
 	v := fastVerifier(t, alarms[:4000])

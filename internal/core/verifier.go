@@ -131,7 +131,10 @@ type TrainStats struct {
 	Algorithm    Algorithm
 	TrainRecords int
 	Features     int
-	TrainTime    time.Duration
+	// TrainTime is the whole of Train: labelling, encoding, fitting and
+	// compiling the model for serving — what a retrain costs the cores it
+	// runs on.
+	TrainTime time.Duration
 }
 
 // ModelInfo is a consistent view of the live serving model, read from
@@ -162,6 +165,7 @@ func Train(history []alarm.Alarm, cfg VerifierConfig) (*Verifier, error) {
 // closes the loop — the heuristic bootstraps the model, operators
 // correct it where the heuristic drifts from reality.
 func TrainWithFeedback(history []alarm.Alarm, feedback map[int64]alarm.Label, cfg VerifierConfig) (*Verifier, error) {
+	start := time.Now()
 	if len(history) == 0 {
 		return nil, ml.ErrEmptyDataset
 	}
@@ -191,11 +195,10 @@ func TrainWithFeedback(history []alarm.Alarm, feedback map[int64]alarm.Label, cf
 		// A custom classifier defines the algorithm actually served.
 		cfg.Algorithm = Algorithm(model.Name())
 	}
-	start := time.Now()
 	if err := model.Fit(ds); err != nil {
 		return nil, err
 	}
-	return newVerifier(&modelSnapshot{
+	s := &modelSnapshot{
 		model:     model,
 		enc:       enc,
 		numExtras: len(labeled[0].Extras),
@@ -207,9 +210,16 @@ func TrainWithFeedback(history []alarm.Alarm, feedback map[int64]alarm.Label, cf
 			Algorithm:    cfg.Algorithm,
 			TrainRecords: ds.Len(),
 			Features:     ds.Width(),
-			TrainTime:    time.Since(start),
 		},
-	})
+	}
+	v, err := newVerifier(s)
+	if err != nil {
+		return nil, err
+	}
+	// v has not been handed out yet, so its snapshot can still take the
+	// time the compile ended at.
+	s.trainStats.TrainTime = time.Since(start)
+	return v, nil
 }
 
 // newVerifier makes a snapshot servable — binds its encoder to live

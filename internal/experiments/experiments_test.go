@@ -485,3 +485,28 @@ func TestDriftRecovery(t *testing.T) {
 		t.Fatalf("render missing fields:\n%s", out)
 	}
 }
+
+// TestScalingCurveSizesIncrease: sizes past the dataset clamp to it, and
+// the clamp must not repeat a point — the command passes 20 000 and the
+// scale's own size, which are equal at small scale.
+func TestScalingCurveSizesIncrease(t *testing.T) {
+	s := tinyScale()
+	s.SitasysAlarms, s.RFTrees, s.RFDepth = 3_000, 4, 8
+	env := NewEnv(s)
+	points, err := ScalingCurve(env, []int{1_000, 2_000, 20_000, s.SitasysAlarms})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []int
+	for _, p := range points {
+		got = append(got, p.Alarms)
+	}
+	if len(got) != 3 || got[len(got)-1] != s.SitasysAlarms {
+		t.Fatalf("alarms %v, want 1000, 2000 and the dataset's %d", got, s.SitasysAlarms)
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i] <= got[i-1] {
+			t.Fatalf("alarms %v are not strictly increasing", got)
+		}
+	}
+}

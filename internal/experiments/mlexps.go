@@ -244,7 +244,9 @@ type ScalingPoint struct {
 // ScalingCurve measures random-forest verification accuracy as the
 // training volume grows, holding the world fixed. The paper's >90 %
 // headline comes from 350K alarms; this curve shows the approach to
-// it (per-location effects only become learnable with volume).
+// it (per-location effects only become learnable with volume). A size
+// larger than the dataset is clamped to it, and a clamped size the
+// previous point already measured is skipped.
 func ScalingCurve(env *Env, sizes []int) ([]ScalingPoint, error) {
 	if len(sizes) == 0 {
 		sizes = []int{5_000, 10_000, 20_000}
@@ -252,8 +254,9 @@ func ScalingCurve(env *Env, sizes []int) ([]ScalingPoint, error) {
 	var out []ScalingPoint
 	for _, n := range sizes {
 		alarms := env.Alarms()
-		if n > len(alarms) {
-			n = len(alarms)
+		n = min(n, len(alarms))
+		if len(out) > 0 && out[len(out)-1].Alarms == n {
+			continue
 		}
 		labeled := dataset.ToLabeled(alarms[:n], time.Minute, true)
 		ds, _, err := dataset.Encode(labeled)

@@ -172,10 +172,41 @@ func (e *SchemaEncoder) Transform(row Row) ([]float64, error) {
 	if !e.fitted {
 		return nil, ErrNotFitted
 	}
-	if err := e.check(row); err != nil {
+	dst := make([]float64, e.Width())
+	if err := e.encode(dst, row); err != nil {
 		return nil, err
 	}
-	dst := make([]float64, e.Width())
+	return dst, nil
+}
+
+// TransformAll encodes rows with labels into a Dataset. The rows of its
+// X are consecutive windows of one backing array, each capped at the
+// width, so a row can be written in place but appending to one copies
+// it.
+func (e *SchemaEncoder) TransformAll(rows []Row, labels []int) (*Dataset, error) {
+	if len(rows) != len(labels) {
+		return nil, fmt.Errorf("%w: %d rows vs %d labels", ErrShape, len(rows), len(labels))
+	}
+	if !e.fitted {
+		return nil, ErrNotFitted
+	}
+	w := e.Width()
+	slab := make([]float64, len(rows)*w)
+	x := make([][]float64, len(rows))
+	for i, row := range rows {
+		x[i] = slab[i*w : (i+1)*w : (i+1)*w]
+		if err := e.encode(x[i], row); err != nil {
+			return nil, fmt.Errorf("row %d: %w", i, err)
+		}
+	}
+	return NewDataset(x, labels, e.FeatureNames())
+}
+
+// encode writes row's one-hot encoding into dst, which is Width() zeros.
+func (e *SchemaEncoder) encode(dst []float64, row Row) error {
+	if err := e.check(row); err != nil {
+		return err
+	}
 	pos, ci, ni := 0, 0, 0
 	for i, c := range e.cols {
 		if c.Numeric {
@@ -189,23 +220,7 @@ func (e *SchemaEncoder) Transform(row Row) ([]float64, error) {
 		pos += ind.OneHotWidth()
 		ci++
 	}
-	return dst, nil
-}
-
-// TransformAll encodes rows with labels into a Dataset.
-func (e *SchemaEncoder) TransformAll(rows []Row, labels []int) (*Dataset, error) {
-	if len(rows) != len(labels) {
-		return nil, fmt.Errorf("%w: %d rows vs %d labels", ErrShape, len(rows), len(labels))
-	}
-	x := make([][]float64, len(rows))
-	for i, row := range rows {
-		v, err := e.Transform(row)
-		if err != nil {
-			return nil, fmt.Errorf("row %d: %w", i, err)
-		}
-		x[i] = v
-	}
-	return NewDataset(x, labels, e.FeatureNames())
+	return nil
 }
 
 // Pearson computes the Pearson correlation coefficient between two

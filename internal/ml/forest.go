@@ -138,7 +138,7 @@ func (m *RandomForest) Fit(d *Dataset) error {
 //   - a column that holds only 0 and 1 over every row (a one-hot
 //     indicator) is a []uint8, and each row also lists which of these
 //     columns are 1 in it, so a node can count all of them in one pass
-//     over its rows' lists (treeBuilder.countOnes);
+//     over its rows' lists (treeBuilder.scan);
 //   - a column with any other value is a contiguous []float64.
 type trainView struct {
 	y     []uint8     // label by row
@@ -232,12 +232,16 @@ type treeBuilder struct {
 	mtry int
 	rng  *rand.Rand
 
-	rows   []int32    // the tree's bootstrap sample (row numbers); a node is a sub-slice of it
-	spill  []int32    // rows going right while a node is partitioned
-	counts []oneCount // per 0/1 column over the current node's rows
-	vals   []float64  // one numeric column over the current node's rows
-	sample []float64  // the values its thresholds are drawn from
-	thr    []float64  // the thresholds
+	rows   []int32         // the tree's bootstrap sample (row numbers); a node is a sub-slice of it
+	spill  []int32         // rows going right while a node is partitioned
+	levels [][2][]oneCount // levels[d]: the counts of a left and a right node at depth d
+	vals   []float64       // one numeric column over the current node's rows
+	sample []float64       // the values its thresholds are drawn from
+	thr    []float64       // the thresholds
+
+	// visit, when set, sees every node grow is called on, with the counts
+	// and positives it was handed.
+	visit func(idx []int32, depth int, counts []oneCount, pos int)
 }
 
 // oneCount is what a split on a 0/1 column needs to know about a node.
@@ -252,63 +256,158 @@ func newTreeBuilder(v *trainView, cfg RandomForestConfig, mtry int) *treeBuilder
 		v: v, cfg: cfg, mtry: mtry,
 		rows:   make([]int32, n),
 		spill:  make([]int32, 0, n),
-		counts: make([]oneCount, len(v.bin)),
 		sample: make([]float64, 0, maxThresholdSample),
 		thr:    make([]float64, 0, cfg.MaxThresholds),
 	}
 }
 
-// tree grows one tree on a bootstrap sample drawn from seed.
+// tree grows one tree on a bootstrap sample drawn from seed. The root's
+// positives and counts are the only ones read off the rows; every other
+// node's come down from its parent.
 func (b *treeBuilder) tree(seed int64) *treeNode {
 	b.rng = rand.New(rand.NewSource(seed))
+	pos := 0
 	for j := range b.rows {
-		b.rows[j] = int32(b.rng.Intn(len(b.rows)))
+		i := int32(b.rng.Intn(len(b.rows)))
+		b.rows[j] = i
+		pos += int(b.v.y[i])
 	}
-	return b.grow(b.rows, 0)
+	var counts []oneCount
+	if b.splits(len(b.rows), pos, 0) {
+		counts = b.level(0)[0]
+		b.scan(counts, b.rows)
+	}
+	return b.grow(b.rows, 0, counts, pos)
+}
+
+// splits reports whether grow searches a node of n rows, pos of them
+// positive, at depth for a split. It is the one test that decides both
+// whether grow makes a leaf and whether the node is handed counts.
+func (b *treeBuilder) splits(n, pos, depth int) bool {
+	return n >= 2*b.cfg.MinLeaf && depth < b.cfg.MaxDepth && pos > 0 && pos < n
 }
 
 // grow builds the subtree over idx, reordering idx as it goes: a split
 // moves the rows that go left to the front, each side keeping its order
 // (the numeric threshold sample indexes a node's rows by position).
-func (b *treeBuilder) grow(idx []int32, depth int) *treeNode {
-	pos := 0
-	for _, i := range idx {
-		pos += int(b.v.y[i])
+// pos is the node's positives and counts its 0/1 column counts, nil
+// unless splits holds.
+func (b *treeBuilder) grow(idx []int32, depth int, counts []oneCount, pos int) *treeNode {
+	if b.visit != nil {
+		b.visit(idx, depth, counts, pos)
 	}
 	n := len(idx)
-	leaf := func() *treeNode {
+	if !b.splits(n, pos, depth) {
 		return &treeNode{feature: -1, prob: laplaceSmooth(pos, n)}
 	}
-	if n < 2*b.cfg.MinLeaf || depth >= b.cfg.MaxDepth || pos == 0 || pos == n {
-		return leaf()
+	s, ok := b.bestSplit(idx, pos, counts)
+	if !ok || s.nl < b.cfg.MinLeaf || n-s.nl < b.cfg.MinLeaf {
+		return &treeNode{feature: -1, prob: laplaceSmooth(pos, n)}
 	}
-	feat, thr, ok := b.bestSplit(idx, pos)
-	if !ok {
-		return leaf()
-	}
-	nl := b.partition(idx, feat, thr)
-	if nl < b.cfg.MinLeaf || n-nl < b.cfg.MinLeaf {
-		return leaf()
-	}
+	b.partition(idx, s.feature, s.threshold)
+	left, right := idx[:s.nl], idx[s.nl:]
+	lc, rc := b.childCounts(counts, left, right, s.lp, pos-s.lp, depth+1)
 	return &treeNode{
-		feature:   feat,
-		threshold: thr,
-		left:      b.grow(idx[:nl], depth+1),
-		right:     b.grow(idx[nl:], depth+1),
+		feature:   s.feature,
+		threshold: s.threshold,
+		left:      b.grow(left, depth+1, lc, s.lp),
+		right:     b.grow(right, depth+1, rc, pos-s.lp),
+	}
+}
+
+// level returns the count slots of depth d, made the first time a tree
+// reaches d.
+func (b *treeBuilder) level(d int) *[2][]oneCount {
+	for len(b.levels) <= d {
+		w := len(b.v.bin)
+		b.levels = append(b.levels, [2][]oneCount{make([]oneCount, w), make([]oneCount, w)})
+	}
+	return &b.levels[d]
+}
+
+// childCounts fills the counts of a split node's children at depth, the
+// left one in the depth's left slot and the right one in its right slot,
+// and returns each — nil for a child grow will make a leaf. Scanning a
+// child's rows costs its rows' 1s; its parent's counts minus its
+// sibling's cost one pass over the width. The smaller child is scanned,
+// and so is the larger one unless the subtraction is cheaper; a leaf
+// sibling is scanned only to be subtracted, when that beats the direct
+// scan. The slots of depth are free to take them: grow finishes a node's
+// left subtree before it starts the right one, so any earlier node at
+// depth is done with its counts.
+func (b *treeBuilder) childCounts(parent []oneCount, left, right []int32, lp, rp, depth int) (lc, rc []oneCount) {
+	need := [2]bool{b.splits(len(left), lp, depth), b.splits(len(right), rp, depth)}
+	if !need[0] && !need[1] {
+		return nil, nil
+	}
+	rows, slots := [2][]int32{left, right}, b.level(depth)
+	small, large := 0, 1
+	if len(left) > len(right) {
+		small, large = 1, 0
+	}
+	width := len(b.v.bin)
+	scanned := need[small] || b.scanCost(len(rows[small]))+width < b.scanCost(len(rows[large]))
+	if scanned {
+		b.scan(slots[small], rows[small])
+	}
+	if need[large] {
+		if scanned && width < b.scanCost(len(rows[large])) {
+			subtract(slots[large], parent, slots[small])
+		} else {
+			b.scan(slots[large], rows[large])
+		}
+	}
+	if need[0] {
+		lc = slots[0]
+	}
+	if need[1] {
+		rc = slots[1]
+	}
+	return lc, rc
+}
+
+// scanCost is what scan over k rows costs in columns touched: the view's
+// 1s per row, times k.
+func (b *treeBuilder) scanCost(k int) int { return k * len(b.v.ones) / len(b.v.y) }
+
+// scan fills dst with the counts over idx: one pass over its rows' lists
+// of 1s — a handful of increments a row into an array that stays in L1 —
+// after which every 0/1 column's split is known without another look at
+// the rows.
+func (b *treeBuilder) scan(dst []oneCount, idx []int32) {
+	clear(dst)
+	v := b.v
+	for _, i := range idx {
+		y := int32(v.y[i])
+		for _, f := range v.ones[v.start[i]:v.start[i+1]] {
+			c := &dst[f]
+			c.n++
+			c.pos += y
+		}
+	}
+}
+
+// subtract sets dst to parent − sib column by column: the counts over
+// the parent's rows that are not the sibling's. It is exact.
+func subtract(dst, parent, sib []oneCount) {
+	parent, sib = parent[:len(dst)], sib[:len(dst)]
+	for f := range dst {
+		dst[f] = oneCount{n: parent[f].n - sib[f].n, pos: parent[f].pos - sib[f].pos}
 	}
 }
 
 // partition moves the rows of idx with feature feat ≤ thr to the front,
-// both sides in their original order, and returns how many there are.
-func (b *treeBuilder) partition(idx []int32, feat int, thr float64) int {
+// both sides in their original order.
+func (b *treeBuilder) partition(idx []int32, feat int, thr float64) {
 	if col := b.v.bin[feat]; col != nil {
-		return partitionBy(idx, b.spill, col, 0) // thr is 0.5: the 0s go left
+		partitionBy(idx, b.spill, col, 0) // thr is 0.5: the 0s go left
+		return
 	}
-	return partitionBy(idx, b.spill, b.v.num[feat], thr)
+	partitionBy(idx, b.spill, b.v.num[feat], thr)
 }
 
 // partitionBy is partition over one column; spill has room for idx.
-func partitionBy[T uint8 | float64](idx, spill []int32, col []T, thr T) int {
+func partitionBy[T uint8 | float64](idx, spill []int32, col []T, thr T) {
 	nl, spill := 0, spill[:0]
 	for _, i := range idx {
 		if col[i] <= thr {
@@ -319,7 +418,6 @@ func partitionBy[T uint8 | float64](idx, spill []int32, col []T, thr T) int {
 		}
 	}
 	copy(idx[nl:], spill)
-	return nl
 }
 
 // laplaceSmooth avoids hard 0/1 leaf probabilities.
@@ -327,44 +425,34 @@ func laplaceSmooth(pos, n int) float64 {
 	return (float64(pos) + 1) / (float64(n) + 2)
 }
 
-// countOnes fills b.counts for the node idx: one pass over its rows'
-// lists of 1s — a handful of increments a row into an array that stays
-// in L1 — after which every 0/1 column's split is known without another
-// look at the rows.
-func (b *treeBuilder) countOnes(idx []int32) {
-	clear(b.counts)
-	v := b.v
-	for _, i := range idx {
-		y := int32(v.y[i])
-		for _, f := range v.ones[v.start[i]:v.start[i+1]] {
-			c := &b.counts[f]
-			c.n++
-			c.pos += y
-		}
-	}
+// split is a node's chosen split: the rows whose feature is ≤ threshold
+// go left, nl of them, lp of those positive.
+type split struct {
+	feature   int
+	threshold float64
+	nl, lp    int
 }
 
 // bestSplit searches mtry random features for the gini-optimal
-// threshold.
-func (b *treeBuilder) bestSplit(idx []int32, pos int) (feature int, threshold float64, ok bool) {
+// threshold, reading the 0/1 columns' splits off counts.
+func (b *treeBuilder) bestSplit(idx []int32, pos int, counts []oneCount) (best split, ok bool) {
 	n := len(idx)
 	parentGini := giniImpurity(pos, n)
 	bestGain := 1e-12
 	width := len(b.v.bin)
-	b.countOnes(idx)
 
 	// Sample mtry features (with replacement).
 	for k := 0; k < b.mtry; k++ {
 		f := b.rng.Intn(width)
 		if b.v.bin[f] != nil {
 			// The one threshold is 0.5 and the rows with a 0 go left.
-			c := b.counts[f]
+			c := counts[f]
 			ln, lp := n-int(c.n), pos-int(c.pos)
 			if ln == 0 || ln == n {
 				continue
 			}
 			if gain := splitGain(parentGini, lp, ln, pos, n); gain > bestGain {
-				bestGain, feature, threshold, ok = gain, f, 0.5, true
+				bestGain, best, ok = gain, split{f, 0.5, ln, lp}, true
 			}
 			continue
 		}
@@ -386,11 +474,11 @@ func (b *treeBuilder) bestSplit(idx []int32, pos int) (feature int, threshold fl
 				continue
 			}
 			if gain := splitGain(parentGini, lp, ln, pos, n); gain > bestGain {
-				bestGain, feature, threshold, ok = gain, f, t, true
+				bestGain, best, ok = gain, split{f, t, ln, lp}, true
 			}
 		}
 	}
-	return feature, threshold, ok
+	return best, ok
 }
 
 // splitGain is the gini gain of sending ln of a node's n rows left, lp

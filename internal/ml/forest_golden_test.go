@@ -78,6 +78,21 @@ func TestForestGoldenSitasys(t *testing.T) {
 	}
 }
 
+// TestForestGoldenFullScale pins the forest the bench harness trains at
+// its full scale (48 000 alarms / 1 200 devices / first 12 000 / 50 trees
+// / depth 30), the fit ml.train_s times. Its hash was recorded while
+// every node still counted its own rows.
+func TestForestGoldenFullScale(t *testing.T) {
+	const want = "e3f10a5450c8fa1b6a052985daea918be6c670b0b244e59c7b41bcf02373b0bc"
+	m := ml.NewRandomForest(ml.DefaultRandomForestConfig())
+	if err := m.Fit(sitasysDataset(t, 1, 48000, 1200, 12000)); err != nil {
+		t.Fatal(err)
+	}
+	if got := treesHash(t, m); got != want {
+		t.Errorf("trees hash %s, want %s", got, want)
+	}
+}
+
 // mixedDataset is one-hot blocks beside two numeric columns: one
 // continuous, and one taking the values {0, 1, 2} so that a node deep in
 // a tree can hold only its 0s and 1s and see a numeric column as binary.

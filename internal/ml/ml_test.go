@@ -1,8 +1,10 @@
 package ml
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -155,6 +157,63 @@ func TestSchemaEncoder(t *testing.T) {
 	e2 := NewSchemaEncoder([]ColumnSpec{{Name: "a"}})
 	if _, err := e2.Transform(Row{Cats: []string{"x"}}); err == nil {
 		t.Error("unfitted transform accepted")
+	}
+}
+
+// TestTransformAllOneSlab: TransformAll's rows are what Transform gives,
+// laid end to end in one array, and each is capped at the width so an
+// append to one cannot run into the next.
+func TestTransformAllOneSlab(t *testing.T) {
+	e := NewSchemaEncoder([]ColumnSpec{{Name: "zip"}, {Name: "risk", Numeric: true}})
+	rows := []Row{
+		{Cats: []string{"8000"}, Nums: []float64{0.5}},
+		{Cats: []string{"8400"}, Nums: []float64{0.1}},
+		{Cats: []string{"8000"}, Nums: []float64{2}},
+	}
+	if err := e.Fit(rows); err != nil {
+		t.Fatal(err)
+	}
+	d, err := e.TransformAll(rows, []int{1, 0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := e.Width()
+	for i, row := range rows {
+		want, err := e.Transform(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := d.X[i]; len(got) != w || cap(got) != w || !slices.Equal(got, want) {
+			t.Fatalf("row %d = %v (cap %d), want %v (cap %d)", i, got, cap(got), want, w)
+		}
+	}
+	_ = append(d.X[0], 9)
+	if d.X[1][0] != 0 {
+		t.Fatal("an append to row 0 wrote into row 1")
+	}
+	var many []Row
+	for range 50 {
+		many = append(many, rows...)
+	}
+	labels := make([]int, len(many))
+	allocs := func(rows []Row) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := e.TransformAll(rows, labels[:len(rows)]); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, lots := allocs(rows), allocs(many); lots != few {
+		t.Errorf("%v allocations for %d rows, %v for %d: want the same", lots, len(many), few, len(rows))
+	}
+	if _, err := e.TransformAll(rows[:1], []int{1, 0}); !errors.Is(err, ErrShape) {
+		t.Errorf("row/label mismatch: err = %v, want ErrShape", err)
+	}
+	if _, err := NewSchemaEncoder(nil).TransformAll(rows, []int{1, 0, 1}); !errors.Is(err, ErrNotFitted) {
+		t.Errorf("unfitted: err = %v, want ErrNotFitted", err)
+	}
+	if _, err := e.TransformAll([]Row{{Cats: []string{"8000"}}}, []int{1}); !errors.Is(err, ErrShape) {
+		t.Errorf("bad row shape: err = %v, want ErrShape", err)
 	}
 }
 
