@@ -50,20 +50,23 @@ bench-classify:
 	echo "$$out" | grep -q 'walk-ns/alarm' || \
 		{ echo "BenchmarkVerifyBatchSplit did not run"; exit 1; }
 
-## bench-train: what training the verifier costs at the benchmark
-## harness's full scale (12 000 alarms, 1 001 features, 50 trees × depth
-## 30): the forest's Fit on its own (internal/ml) and the whole of
-## core.Train — label, encode, fit, compile, the span the harness reports
-## as ml.train_s (internal/core); seven runs each on two CPUs, one
-## package at a time so the two never share them, the before/after
-## evidence for training changes. The CI bench-smoke job
-## runs this explicitly (and fails if either benchmark disappears)
+## bench-train: what training the verifier costs: the forest's Fit on
+## its own at the benchmark harness's full scale (12 000 alarms, 1 001
+## features, 50 trees × depth 30; internal/ml) and the whole of
+## core.Train — label, encode, fit, compile — on the harness's training
+## set (BenchmarkTrain/harness, the span the harness reports as
+## ml.train_s) and on a retrain window's (BenchmarkTrain/retrain, 40 000
+## alarms over 8 000 devices; internal/core); seven runs each on two
+## CPUs, one package at a time so the two never share them, the
+## before/after evidence for training changes. The CI bench-smoke job
+## runs this explicitly (and fails if any of the three disappears)
 bench-train:
 	@out=$$($(GO) test -p 1 -run=- -bench='^(BenchmarkForestFit|BenchmarkTrain)$$' -benchmem -cpu 2 -count 7 ./internal/ml ./internal/core) || \
 		{ echo "$$out"; echo "training benchmarks failed"; exit 1; }; \
 	echo "$$out"; \
-	echo "$$out" | grep -q '^BenchmarkForestFit' && echo "$$out" | grep -q '^BenchmarkTrain' || \
-		{ echo "BenchmarkForestFit or BenchmarkTrain did not run"; exit 1; }
+	echo "$$out" | grep -q '^BenchmarkForestFit' && echo "$$out" | grep -q '^BenchmarkTrain/harness' && \
+		echo "$$out" | grep -q '^BenchmarkTrain/retrain' || \
+		{ echo "BenchmarkForestFit, BenchmarkTrain/harness or BenchmarkTrain/retrain did not run"; exit 1; }
 
 ## bench-persist: the persist stage's two store calls at the size of one
 ## benchmark drain round (internal/core) — 40 000 alarms recorded 512 at

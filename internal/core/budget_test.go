@@ -282,3 +282,22 @@ func TestStandingQueryAllocBudget(t *testing.T) {
 		t.Fatalf("%d partials recomputed over tail appends, want 0", st.Recomputed-before.Recomputed)
 	}
 }
+
+// TestTrainFootprintBudget: Train at the benchmark harness's full scale
+// (12 000 alarms, 1 001 features, 50 trees × depth 30) allocates its
+// vocabulary, its serving rows, the forest's bitset view and the trees
+// — about 22 MB — where fitting on a dense design matrix allocated 130
+// MB, 96 MB of it the matrix and 12 MB its byte-per-cell view.
+func TestTrainFootprintBudget(t *testing.T) {
+	train := harnessAlarms()[:12000]
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	harnessTrain(t, train)
+	runtime.ReadMemStats(&after)
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	t.Logf("Train at the harness's scale allocated %.1f MB", mb)
+	if mb > 32 {
+		t.Fatalf("Train at the harness's scale allocated %.1f MB, budget 32 MB", mb)
+	}
+}

@@ -63,7 +63,7 @@ func (e *VotingVerifier) Verify(a *alarm.Alarm) (alarm.Verification, error) {
 	out := alarm.Verification{
 		AlarmID:   a.ID,
 		ModelName: "vote",
-		LatencyMS: float64(time.Since(start).Microseconds()) / 1000,
+		LatencyMS: float64(time.Since(start).Nanoseconds()) / 1e6,
 	}
 	if meanTrue >= 0.5 {
 		out.Predicted = alarm.True
@@ -101,7 +101,7 @@ func (e *VotingVerifier) VerifyBatch(alarms []alarm.Alarm) ([]alarm.Verification
 			sums[i] += pTrue
 		}
 	}
-	perAlarmMS := float64(time.Since(start).Microseconds()) / 1000 / float64(n)
+	perAlarmMS := float64(time.Since(start).Nanoseconds()) / 1e6 / float64(n)
 	for i := range out {
 		meanTrue := sums[i] / float64(len(e.verifiers))
 		out[i] = alarm.Verification{

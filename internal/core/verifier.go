@@ -16,6 +16,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -181,7 +182,7 @@ func TrainWithFeedback(history []alarm.Alarm, feedback map[int64]alarm.Label, cf
 	if cfg.Risk != nil {
 		dataset.AttachRisk(labeled, cfg.Risk, cfg.RiskKind)
 	}
-	ds, enc, err := dataset.Encode(labeled)
+	enc, labels, err := dataset.FitEncoder(labeled)
 	if err != nil {
 		return nil, err
 	}
@@ -195,9 +196,6 @@ func TrainWithFeedback(history []alarm.Alarm, feedback map[int64]alarm.Label, cf
 		// A custom classifier defines the algorithm actually served.
 		cfg.Algorithm = Algorithm(model.Name())
 	}
-	if err := model.Fit(ds); err != nil {
-		return nil, err
-	}
 	s := &modelSnapshot{
 		model:     model,
 		enc:       enc,
@@ -206,11 +204,25 @@ func TrainWithFeedback(history []alarm.Alarm, feedback map[int64]alarm.Label, cf
 		riskModel: cfg.Risk,
 		riskKind:  cfg.RiskKind,
 		deltaT:    cfg.DeltaT,
-		trainStats: TrainStats{
-			Algorithm:    cfg.Algorithm,
-			TrainRecords: ds.Len(),
-			Features:     ds.Width(),
-		},
+	}
+	// The training alarms are encoded the way serving encodes live ones,
+	// by the encoder the snapshot keeps, and fitted on in that form.
+	if s.rows, err = dataset.NewAlarmEncoder(enc, s.numExtras > 0, s.riskModel, s.riskKind); err != nil {
+		return nil, err
+	}
+	layout := s.rows.Layout()
+	var rows ml.SparseRows
+	rows.Resize(layout, len(history))
+	for i := range history {
+		s.rows.Encode(&history[i], rows.Row(i))
+	}
+	if err := ml.FitRows(model, layout, &rows, labels); err != nil {
+		return nil, err
+	}
+	s.trainStats = TrainStats{
+		Algorithm:    cfg.Algorithm,
+		TrainRecords: len(history),
+		Features:     layout.Width(),
 	}
 	v, err := newVerifier(s)
 	if err != nil {
@@ -223,14 +235,16 @@ func TrainWithFeedback(history []alarm.Alarm, feedback map[int64]alarm.Label, cf
 }
 
 // newVerifier makes a snapshot servable — binds its encoder to live
-// alarms and compiles its model against the encoder's layout — and
-// wraps it in a verifier. Every snapshot is born here (Train,
-// LoadFromRegistry), so a model that does not fit its
+// alarms, unless Train already did, and compiles its model against the
+// encoder's layout — and wraps it in a verifier. Every snapshot is born
+// here (Train, LoadFromRegistry), so a model that does not fit its
 // encoder never serves: it fails here with ml.ErrBadModelFile.
 func newVerifier(s *modelSnapshot) (*Verifier, error) {
 	var err error
-	if s.rows, err = dataset.NewAlarmEncoder(s.enc, s.numExtras > 0, s.riskModel, s.riskKind); err != nil {
-		return nil, err
+	if s.rows == nil {
+		if s.rows, err = dataset.NewAlarmEncoder(s.enc, s.numExtras > 0, s.riskModel, s.riskKind); err != nil {
+			return nil, err
+		}
 	}
 	if s.compiled, err = ml.Compile(s.model, s.rows.Layout()); err != nil {
 		return nil, err
@@ -342,7 +356,7 @@ func (s *modelSnapshot) verifyBatchInto(alarms []alarm.Alarm, out []alarm.Verifi
 		s.rows.Encode(&alarms[i], sc.rows.Row(i))
 	}
 	s.compiled.ProbSparse(&sc.rows, sc.probs)
-	perAlarmMS := float64(time.Since(start).Microseconds()) / 1000 / float64(n)
+	perAlarmMS := float64(time.Since(start).Nanoseconds()) / 1e6 / float64(n)
 	name := s.model.Name()
 	for i := range alarms {
 		p := sc.probs[i]
@@ -362,7 +376,8 @@ func (s *modelSnapshot) verifyBatchInto(alarms []alarm.Alarm, out []alarm.Verifi
 	return nil
 }
 
-// evalChunk bounds the pooled scratch of chunked evaluation runs.
+// evalChunk is how many alarms an evaluation worker classifies at a
+// time: the batch its verdict buffer holds.
 const evalChunk = 1024
 
 // EvaluateHoldout measures verification accuracy on held-out alarms
@@ -388,32 +403,59 @@ func (v *Verifier) EvaluateWithFeedback(holdout []alarm.Alarm, feedback map[int6
 // truthDeltaT is a parameter — not the snapshot's own Δt — so two
 // models trained with different thresholds can be compared against
 // one consistent ground truth (the shadow evaluation's requirement).
+// The hold-out is scored on every core: workers take evalChunk-alarm
+// chunks in turn, each into its own verdict buffer and confusion matrix,
+// and the matrices' integer counts are summed, so the result does not
+// depend on which worker scored what.
 func (s *modelSnapshot) evaluate(holdout []alarm.Alarm, feedback map[int64]alarm.Label, truthDeltaT time.Duration) (ml.ConfusionMatrix, error) {
+	chunks := (len(holdout) + evalChunk - 1) / evalChunk
+	workers := min(runtime.GOMAXPROCS(0), chunks)
+	cms, errs := make([]ml.ConfusionMatrix, workers), make([]error, workers)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := range cms {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			vers := make([]alarm.Verification, min(len(holdout), evalChunk))
+			for c := int(next.Add(1)) - 1; c < chunks; c = int(next.Add(1)) - 1 {
+				chunk := holdout[c*evalChunk : min((c+1)*evalChunk, len(holdout))]
+				if errs[w] = s.verifyBatchInto(chunk, vers); errs[w] != nil {
+					return
+				}
+				tally(&cms[w], chunk, vers, feedback, truthDeltaT)
+			}
+		}()
+	}
+	wg.Wait()
 	var cm ml.ConfusionMatrix
-	vers := make([]alarm.Verification, min(len(holdout), evalChunk))
-	for lo := 0; lo < len(holdout); lo += evalChunk {
-		hi := min(lo+evalChunk, len(holdout))
-		chunk := holdout[lo:hi]
-		if err := s.verifyBatchInto(chunk, vers); err != nil {
-			return cm, err
+	for w, c := range cms {
+		if errs[w] != nil {
+			return ml.ConfusionMatrix{}, errs[w]
 		}
-		for i := range chunk {
-			a := &chunk[i]
-			truth, ok := feedback[a.ID]
-			if !ok {
-				truth = alarm.DurationLabel(time.Duration(a.Duration*float64(time.Second)), truthDeltaT)
-			}
-			switch {
-			case vers[i].Predicted == alarm.True && truth == alarm.True:
-				cm.TP++
-			case vers[i].Predicted == alarm.True && truth == alarm.False:
-				cm.FP++
-			case vers[i].Predicted == alarm.False && truth == alarm.False:
-				cm.TN++
-			default:
-				cm.FN++
-			}
-		}
+		cm.TP, cm.FP, cm.TN, cm.FN = cm.TP+c.TP, cm.FP+c.FP, cm.TN+c.TN, cm.FN+c.FN
 	}
 	return cm, nil
+}
+
+// tally adds the verdicts vers on chunk to cm against the truth evaluate
+// describes.
+func tally(cm *ml.ConfusionMatrix, chunk []alarm.Alarm, vers []alarm.Verification, feedback map[int64]alarm.Label, truthDeltaT time.Duration) {
+	for i := range chunk {
+		a := &chunk[i]
+		truth, ok := feedback[a.ID]
+		if !ok {
+			truth = alarm.DurationLabel(time.Duration(a.Duration*float64(time.Second)), truthDeltaT)
+		}
+		switch {
+		case vers[i].Predicted == alarm.True && truth == alarm.True:
+			cm.TP++
+		case vers[i].Predicted == alarm.True && truth == alarm.False:
+			cm.FP++
+		case vers[i].Predicted == alarm.False && truth == alarm.False:
+			cm.TN++
+		default:
+			cm.FN++
+		}
+	}
 }

@@ -56,8 +56,30 @@ func AttachRisk(labeled []alarm.LabeledAlarm, m *risk.Model, kind risk.Kind) {
 // flag. The returned encoder transforms future alarms with the same
 // schema (unseen categories map to a reserved slot).
 func Encode(labeled []alarm.LabeledAlarm) (*ml.Dataset, *ml.SchemaEncoder, error) {
+	enc, rows, labels, err := fitEncoder(labeled)
+	if err != nil {
+		return nil, nil, err
+	}
+	ds, err := enc.TransformAll(rows, labels)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ds, enc, nil
+}
+
+// FitEncoder is Encode without the design matrix: the encoder fitted on
+// the records' vocabularies, and their labels. Training encodes the
+// alarms themselves with an AlarmEncoder bound to it, as serving does.
+func FitEncoder(labeled []alarm.LabeledAlarm) (*ml.SchemaEncoder, []int, error) {
+	enc, _, labels, err := fitEncoder(labeled)
+	return enc, labels, err
+}
+
+// fitEncoder is what Encode and FitEncoder share: the encoder fitted on
+// the records' rows, the rows and the labels.
+func fitEncoder(labeled []alarm.LabeledAlarm) (*ml.SchemaEncoder, []ml.Row, []int, error) {
 	if len(labeled) == 0 {
-		return nil, nil, ml.ErrEmptyDataset
+		return nil, nil, nil, ml.ErrEmptyDataset
 	}
 	first := &labeled[0]
 	cols := []ml.ColumnSpec{
@@ -79,19 +101,15 @@ func Encode(labeled []alarm.LabeledAlarm) (*ml.Dataset, *ml.SchemaEncoder, error
 	for i := range labeled {
 		row, err := LabeledToRow(&labeled[i], len(first.Extras), first.HasRisk)
 		if err != nil {
-			return nil, nil, fmt.Errorf("dataset: record %d: %w", i, err)
+			return nil, nil, nil, fmt.Errorf("dataset: record %d: %w", i, err)
 		}
 		rows[i] = row
 		labels[i] = int(labeled[i].Label)
 	}
 	if err := enc.Fit(rows); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	ds, err := enc.TransformAll(rows, labels)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ds, enc, nil
+	return enc, rows, labels, nil
 }
 
 func hourCat(h int) string { return "h" + strconv.Itoa(h) }
@@ -134,9 +152,9 @@ func LabeledToRow(la *alarm.LabeledAlarm, wantExtras int, wantRisk bool) (ml.Row
 }
 
 // AlarmEncoder turns a live alarm into the serving row (ml.SparseRow)
-// of an encoder Encode fitted: the cells ToLabeled, LabeledToRow and
-// Transform would set, without the record, the strings or the vector in
-// between. The fields with a fixed range — hour, weekday, alarm type,
+// of an encoder Encode or FitEncoder fitted: the cells ToLabeled,
+// LabeledToRow and Transform would set, without the record, the strings
+// or the vector in between. The fields with a fixed range — hour, weekday, alarm type,
 // property type — resolve through tables filled once; the ZIP code and
 // the sensor fields cost one vocabulary lookup each.
 type AlarmEncoder struct {

@@ -25,7 +25,11 @@ var (
 )
 
 // Dataset is a dense design matrix with binary labels (0 = false
-// alarm, 1 = true alarm).
+// alarm, 1 = true alarm) — what the experiments fit and score on. The
+// service's training builds none: it fits on the alarms encoded as
+// serving rows (FitRows), and a forest reads those straight into its
+// training view; only a classifier of another kind is handed the dense
+// matrix, built from the rows for its Fit.
 type Dataset struct {
 	X            [][]float64
 	Y            []int

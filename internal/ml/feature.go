@@ -190,16 +190,23 @@ func (e *SchemaEncoder) TransformAll(rows []Row, labels []int) (*Dataset, error)
 	if !e.fitted {
 		return nil, ErrNotFitted
 	}
-	w := e.Width()
-	slab := make([]float64, len(rows)*w)
-	x := make([][]float64, len(rows))
+	x := slabRows(len(rows), e.Width())
 	for i, row := range rows {
-		x[i] = slab[i*w : (i+1)*w : (i+1)*w]
 		if err := e.encode(x[i], row); err != nil {
 			return nil, fmt.Errorf("row %d: %w", i, err)
 		}
 	}
 	return NewDataset(x, labels, e.FeatureNames())
+}
+
+// slabRows returns n zeroed rows of width w that are consecutive windows
+// of one backing array, each capped at w.
+func slabRows(n, w int) [][]float64 {
+	slab, x := make([]float64, n*w), make([][]float64, n)
+	for i := range x {
+		x[i] = slab[i*w : (i+1)*w : (i+1)*w]
+	}
+	return x
 }
 
 // encode writes row's one-hot encoding into dst, which is Width() zeros.

@@ -79,6 +79,17 @@ func (m *RandomForest) Fit(d *Dataset) error {
 	if d == nil || d.Len() == 0 {
 		return ErrEmptyDataset
 	}
+	view, err := newTrainView(d)
+	if err != nil {
+		return err
+	}
+	m.fit(view)
+	return nil
+}
+
+// fit grows the forest on view. The view and the workers' scratch live
+// for this call only; the trees are all that the forest keeps.
+func (m *RandomForest) fit(view *trainView) {
 	cfg := m.Config
 	if cfg.NumTrees < 1 {
 		cfg.NumTrees = 1
@@ -89,21 +100,16 @@ func (m *RandomForest) Fit(d *Dataset) error {
 	if cfg.MaxThresholds < 1 {
 		cfg.MaxThresholds = 16
 	}
-	mtry := int(cfg.FeatureFraction * float64(d.Width()))
+	width := len(view.bin)
+	mtry := int(cfg.FeatureFraction * float64(width))
 	if mtry <= 0 {
-		mtry = int(math.Sqrt(float64(d.Width())))
+		mtry = int(math.Sqrt(float64(width)))
 		if mtry < defaultMtryFloor {
 			mtry = defaultMtryFloor
 		}
 	}
-	if mtry > d.Width() {
-		mtry = d.Width()
-	}
-	// The view and the workers' scratch live for this call only; the
-	// trees are all that Fit keeps.
-	view, err := newTrainView(d)
-	if err != nil {
-		return err
+	if mtry > width {
+		mtry = width
 	}
 	trees := make([]*treeNode, cfg.NumTrees)
 	seedRng := rand.New(rand.NewSource(cfg.Seed))
@@ -126,26 +132,42 @@ func (m *RandomForest) Fit(d *Dataset) error {
 	wg.Wait()
 	m.trees = trees
 	m.fitted = true
-	return nil
 }
 
-// trainView is the design matrix turned feature-major for one Fit.
-// Tree growth reads one feature over a node's rows, and in the row-major
-// Dataset those reads are a row apart — 8 KB at a thousand features, a
-// cache miss each. The view stores what growth reads the way it reads
-// it, by the kind of column Fit found:
+// trainView is the training set turned feature-major for one fit. Tree
+// growth reads one feature over a node's rows, and in a row-major matrix
+// those reads are a row apart — 8 KB at a thousand features, a cache
+// miss each. The view stores what growth reads the way it reads it, by
+// the kind of column the data holds:
 //
 //   - a column that holds only 0 and 1 over every row (a one-hot
-//     indicator) is a []uint8, and each row also lists which of these
-//     columns are 1 in it, so a node can count all of them in one pass
-//     over its rows' lists (treeBuilder.scan);
+//     indicator) is a bitset of n bits, and each row also lists which of
+//     these columns are 1 in it, so a node can count all of them in one
+//     pass over its rows' lists (treeBuilder.scan);
 //   - a column with any other value is a contiguous []float64.
 type trainView struct {
 	y     []uint8     // label by row
-	bin   [][]uint8   // bin[f] is column f if it is 0/1 throughout, else nil
+	bin   [][]uint64  // bin[f] is column f if it is 0/1 throughout (row i is bit i&63 of word i>>6), else nil
 	num   [][]float64 // num[f] is column f otherwise, else nil
 	ones  []int32     // the 0/1 columns that are 1, row after row
 	start []int       // row i's list is ones[start[i]:start[i+1]]
+}
+
+// viewCells is a training set the way its two sources (a dense Dataset,
+// serving rows) both read: row by row, the columns that hold a 1 and the
+// cells that hold anything else but 0. newView makes the view from it.
+type viewCells struct {
+	width int
+	y     []int
+	ones  []int32 // the columns holding 1, row after row
+	start []int   // row i's are ones[start[i]:start[i+1]]
+	other []cell  // every cell holding neither 0 nor 1, in row order
+}
+
+// cell is one cell of viewCells.other.
+type cell struct {
+	row, col int32
+	x        float64
 }
 
 // newTrainView reads d once, row by row, and builds the view.
@@ -154,44 +176,67 @@ func newTrainView(d *Dataset) (*trainView, error) {
 	if len(d.Y) != n {
 		return nil, fmt.Errorf("%w: %d rows vs %d labels", ErrShape, n, len(d.Y))
 	}
-	v := &trainView{
-		y:     make([]uint8, n),
-		bin:   make([][]uint8, width),
-		num:   make([][]float64, width),
-		start: make([]int, n+1),
-	}
-	numeric := make([]bool, width)
-	numerics := 0
+	c := viewCells{width: width, y: d.Y, start: make([]int, n+1)}
 	for i, row := range d.X {
 		if len(row) < width {
 			return nil, fmt.Errorf("%w: row %d has %d features, want %d", ErrShape, i, len(row), width)
 		}
-		if y := d.Y[i]; y != 0 && y != 1 {
-			return nil, fmt.Errorf("%w: label %d at row %d (want 0/1)", ErrShape, y, i)
-		}
-		v.y[i] = uint8(d.Y[i])
 		for f, x := range row[:width] {
 			switch x {
 			case 0:
 			case 1:
-				v.ones = append(v.ones, int32(f))
+				c.ones = append(c.ones, int32(f))
 			default:
-				if !numeric[f] {
-					numeric[f] = true
-					numerics++
-				}
+				c.other = append(c.other, cell{int32(i), int32(f), x})
 			}
 		}
-		v.start[i+1] = len(v.ones)
+		c.start[i+1] = len(c.ones)
+	}
+	return newView(c)
+}
+
+// newView is the one place a view's columns are classified and laid out.
+// A column with a cell in c.other is numeric: it is rebuilt whole — its
+// 1s from the lists, the rest from c.other — and its 1s leave the lists.
+// Every other column is 0/1 throughout and becomes a bitset.
+func newView(c viewCells) (*trainView, error) {
+	n := len(c.start) - 1
+	v := &trainView{
+		y:     make([]uint8, n),
+		bin:   make([][]uint64, c.width),
+		num:   make([][]float64, c.width),
+		ones:  c.ones,
+		start: c.start,
+	}
+	for i, y := range c.y {
+		if y != 0 && y != 1 {
+			return nil, fmt.Errorf("%w: label %d at row %d (want 0/1)", ErrShape, y, i)
+		}
+		v.y[i] = uint8(y)
+	}
+	numeric := make([]bool, c.width)
+	numerics := 0
+	for _, o := range c.other {
+		if !numeric[o.col] {
+			numeric[o.col] = true
+			numerics++
+		}
+	}
+	nums := make([]float64, numerics*n)
+	for f, isNum := range numeric {
+		if isNum {
+			v.num[f], nums = nums[:n:n], nums[n:]
+		}
 	}
 	if numerics > 0 {
-		// A column that turned out to hold something else takes its 1s
-		// back out of the lists.
+		// A numeric column takes its 1s back out of the lists.
 		w, lo := 0, 0
 		for i := 0; i < n; i++ {
 			hi := v.start[i+1]
 			for _, f := range v.ones[lo:hi] {
-				if !numeric[f] {
+				if numeric[f] {
+					v.num[f][i] = 1
+				} else {
 					v.ones[w] = f
 					w++
 				}
@@ -199,22 +244,20 @@ func newTrainView(d *Dataset) (*trainView, error) {
 			lo, v.start[i+1] = hi, w
 		}
 		v.ones = v.ones[:w]
-	}
-	bins := make([]uint8, (width-numerics)*n)
-	nums := make([]float64, numerics*n)
-	for f := range numeric {
-		if !numeric[f] {
-			v.bin[f], bins = bins[:n:n], bins[n:]
-			continue
+		for _, o := range c.other {
+			v.num[o.col][o.row] = o.x
 		}
-		v.num[f], nums = nums[:n:n], nums[n:]
-		for i, row := range d.X {
-			v.num[f][i] = row[f]
+	}
+	words := (n + 63) / 64
+	bins := make([]uint64, (c.width-numerics)*words)
+	for f, isNum := range numeric {
+		if !isNum {
+			v.bin[f], bins = bins[:words:words], bins[words:]
 		}
 	}
 	for i := 0; i < n; i++ {
 		for _, f := range v.ones[v.start[i]:v.start[i+1]] {
-			v.bin[f][i] = 1
+			v.bin[f][i>>6] |= 1 << (i & 63)
 		}
 	}
 	return v, nil
@@ -400,17 +443,32 @@ func subtract(dst, parent, sib []oneCount) {
 // both sides in their original order.
 func (b *treeBuilder) partition(idx []int32, feat int, thr float64) {
 	if col := b.v.bin[feat]; col != nil {
-		partitionBy(idx, b.spill, col, 0) // thr is 0.5: the 0s go left
+		partitionBits(idx, b.spill, col) // thr is 0.5: the 0s go left
 		return
 	}
 	partitionBy(idx, b.spill, b.v.num[feat], thr)
 }
 
-// partitionBy is partition over one column; spill has room for idx.
-func partitionBy[T uint8 | float64](idx, spill []int32, col []T, thr T) {
+// partitionBy is partition over a numeric column; spill has room for idx.
+func partitionBy(idx, spill []int32, col []float64, thr float64) {
 	nl, spill := 0, spill[:0]
 	for _, i := range idx {
 		if col[i] <= thr {
+			idx[nl] = i
+			nl++
+		} else {
+			spill = append(spill, i)
+		}
+	}
+	copy(idx[nl:], spill)
+}
+
+// partitionBits is partition over a 0/1 column's bits: the rows whose
+// bit is 0 go left.
+func partitionBits(idx, spill []int32, col []uint64) {
+	nl, spill := 0, spill[:0]
+	for _, i := range idx {
+		if col[i>>6]>>(i&63)&1 == 0 {
 			idx[nl] = i
 			nl++
 		} else {

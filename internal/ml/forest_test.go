@@ -28,7 +28,8 @@ func TestTrainViewColumnKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantBin := [][]uint8{{1, 0, 1}, {0, 1, 1}, nil, nil, {0, 0, 0}, {0, 1, 0}}
+	// Row i is bit i: column 0 is 1 in rows 0 and 2, 0b101.
+	wantBin := [][]uint64{{0b101}, {0b110}, nil, nil, {0}, {0b010}}
 	if !reflect.DeepEqual(v.bin, wantBin) {
 		t.Errorf("bin = %v, want %v", v.bin, wantBin)
 	}

@@ -183,6 +183,72 @@ func Compile(c Classifier, l *RowLayout) (SparseModel, error) {
 	return nil, fmt.Errorf("ml: cannot compile classifier %T", c)
 }
 
+// FitRows fits c on rows of layout l labelled y: the training set in the
+// form serving encodes alarms into, so training needs no dense design
+// matrix. A forest builds its view from the rows; any other classifier
+// is fitted on the dense matrix the rows stand for (RowLayout.Dense),
+// the cells SchemaEncoder.TransformAll would write. Either way the model
+// is the one Fit on that matrix makes.
+func FitRows(c Classifier, l *RowLayout, rows *SparseRows, y []int) error {
+	n := rows.Len()
+	if n == 0 {
+		return ErrEmptyDataset
+	}
+	if len(y) != n {
+		return fmt.Errorf("%w: %d rows vs %d labels", ErrShape, n, len(y))
+	}
+	if rows.groups != len(l.groups) || rows.nums != len(l.numCols) {
+		return fmt.Errorf("%w: rows have %d categorical and %d numeric cells, the layout %d and %d",
+			ErrShape, rows.groups, rows.nums, len(l.groups), len(l.numCols))
+	}
+	for _, col := range rows.active {
+		if int(col) >= l.width {
+			return fmt.Errorf("%w: column %d in a row of a layout %d wide", ErrShape, col, l.width)
+		}
+	}
+	if m, ok := c.(*RandomForest); ok {
+		view, err := newRowsView(l, rows, y)
+		if err != nil {
+			return err
+		}
+		m.fit(view)
+		return nil
+	}
+	x := slabRows(n, l.width)
+	for i := range x {
+		l.Dense(rows.Row(i), x[i])
+	}
+	d, err := NewDataset(x, y, nil)
+	if err != nil {
+		return err
+	}
+	return c.Fit(d)
+}
+
+// newRowsView reads serving rows the way newTrainView reads a Dataset: a
+// row's list is its Active columns and its numeric cells that are 1, and
+// its other non-zero numeric cells are the view's other cells.
+func newRowsView(l *RowLayout, rows *SparseRows, y []int) (*trainView, error) {
+	n, g, m := rows.n, rows.groups, rows.nums
+	c := viewCells{width: l.width, y: y, ones: make([]int32, 0, n*(g+m)), start: make([]int, n+1)}
+	for i := 0; i < n; i++ {
+		for _, col := range rows.active[i*g : (i+1)*g] {
+			c.ones = append(c.ones, int32(col))
+		}
+		for k, x := range rows.num[i*m : (i+1)*m] {
+			switch x {
+			case 0:
+			case 1:
+				c.ones = append(c.ones, int32(l.numCols[k]))
+			default:
+				c.other = append(c.other, cell{int32(i), int32(l.numCols[k]), x})
+			}
+		}
+		c.start[i+1] = len(c.ones)
+	}
+	return newView(c)
+}
+
 func misfit(what string, got int, l *RowLayout) error {
 	return fmt.Errorf("%w: %s is %d wide, the encoder %d", ErrBadModelFile, what, got, l.width)
 }

@@ -1,10 +1,13 @@
 package ml
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -200,4 +203,127 @@ func FuzzCompiledForest(f *testing.F) {
 		}
 		checkCompiled(t, m, enc, l, rows)
 	})
+}
+
+// mixedRows is a training set of serving rows beside its dense matrix:
+// two categorical columns, a numeric one that is 0/1 throughout between
+// them and a numeric one with other values (-0 among them) last.
+func mixedRows(t testing.TB, n int) (*RowLayout, *SparseRows, *Dataset) {
+	t.Helper()
+	enc := NewSchemaEncoder([]ColumnSpec{{Name: "zip"}, {Name: "flag", Numeric: true}, {Name: "type"}, {Name: "score", Numeric: true}})
+	rng := rand.New(rand.NewSource(3))
+	rows, y := make([]Row, n), make([]int, n)
+	for i := range rows {
+		score := []float64{0, 1, 0.5, math.Copysign(0, -1), rng.NormFloat64()}[rng.Intn(5)]
+		rows[i] = Row{
+			Cats: []string{fmt.Sprintf("z%d", rng.Intn(9)), fmt.Sprintf("t%d", rng.Intn(3))},
+			Nums: []float64{float64(rng.Intn(2)), score},
+		}
+		if rng.Float64() < 0.3+0.4*rows[i].Nums[0] {
+			y[i] = 1
+		}
+	}
+	if err := enc.Fit(rows); err != nil {
+		t.Fatal(err)
+	}
+	l, err := enc.Layout()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := enc.TransformAll(rows, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sr SparseRows
+	sr.Resize(l, n)
+	for i, row := range rows {
+		sparseOf(l, &sr, i, row)
+	}
+	return l, &sr, ds
+}
+
+// TestRowsViewMatchesDenseView: the view FitRows builds from serving rows
+// is the one Fit builds from their dense matrix — every column of the
+// same kind (the 0/1 numeric column a bitset, the other numeric column
+// numbers) and every row listing the same 1s, in whatever order.
+func TestRowsViewMatchesDenseView(t *testing.T) {
+	l, rows, ds := mixedRows(t, 300)
+	want, err := newTrainView(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := newRowsView(l, rows, ds.Y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []*trainView{want, got} {
+		for i := range v.y {
+			slices.Sort(v.ones[v.start[i]:v.start[i+1]])
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("the rows' view differs from the dense matrix's")
+	}
+	flag, score := l.numCols[0], l.numCols[1]
+	if got.bin[flag] == nil || got.num[score] == nil {
+		t.Fatalf("flag numeric %v, score binary %v", got.bin[flag] == nil, got.num[score] == nil)
+	}
+}
+
+// TestFitRowsMatchesFit: FitRows makes the model Fit makes on the rows'
+// dense matrix — a forest from its view of the rows, any other classifier
+// through the dense fallback.
+func TestFitRowsMatchesFit(t *testing.T) {
+	l, rows, ds := mixedRows(t, 500)
+	for _, mk := range []func() Classifier{
+		func() Classifier { return NewRandomForest(RandomForestConfig{NumTrees: 8, MaxDepth: 10, Seed: 4}) },
+		func() Classifier { return NewLogisticRegression(DefaultLogisticRegressionConfig()) },
+	} {
+		dense, fromRows := mk(), mk()
+		if err := dense.Fit(ds); err != nil {
+			t.Fatal(err)
+		}
+		if err := FitRows(fromRows, l, rows, ds.Y); err != nil {
+			t.Fatal(err)
+		}
+		var a, b bytes.Buffer
+		if err := SaveClassifier(&a, dense); err != nil {
+			t.Fatal(err)
+		}
+		if err := SaveClassifier(&b, fromRows); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("%s: FitRows saved a different model than Fit", dense.Name())
+		}
+	}
+}
+
+// TestFitRowsRejectsMalformedRows: rows that do not fit the layout or
+// their labels are refused before anything is fitted.
+func TestFitRowsRejectsMalformedRows(t *testing.T) {
+	l, rows, ds := mixedRows(t, 20)
+	_, other := sparseSchema(t, false)
+	var empty SparseRows
+	empty.Resize(l, 0)
+	if err := FitRows(NewRandomForest(DefaultRandomForestConfig()), l, &empty, nil); !errors.Is(err, ErrEmptyDataset) {
+		t.Errorf("no rows: err = %v, want ErrEmptyDataset", err)
+	}
+	bad := append([]int(nil), ds.Y...)
+	bad[3] = 2
+	var wide SparseRows
+	wide.Resize(l, 1)
+	copy(wide.active, []uint16{uint16(l.width), 0})
+	for name, fit := range map[string]func() error{
+		"short labels": func() error { return FitRows(NewRandomForest(DefaultRandomForestConfig()), l, rows, ds.Y[1:]) },
+		"label 2":      func() error { return FitRows(NewRandomForest(DefaultRandomForestConfig()), l, rows, bad) },
+		"other layout": func() error { return FitRows(NewRandomForest(DefaultRandomForestConfig()), other, rows, ds.Y) },
+		"column past the width": func() error {
+			return FitRows(NewLogisticRegression(DefaultLogisticRegressionConfig()), l, &wide, []int{1})
+		},
+	} {
+		if err := fit(); !errors.Is(err, ErrShape) {
+			t.Errorf("%s: err = %v, want ErrShape", name, err)
+		}
+	}
 }
