@@ -25,16 +25,20 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' .
 
 ## bench-aggregate: the analytics pushdown sweep on its own — the
-## streaming oracle vs pushdown execution of the same aggregation mix
-## across partition counts (internal/docstore, beside the oracle). The
-## CI bench-smoke job runs this explicitly (and fails if the benchmark
-## disappears) so the pushdown speedup story can't rot.
+## streaming reference vs pushdown execution of the asks serving makes
+## (the TopDevices pipeline, a 64-device histogram sweep, a filtered
+## per-ZIP count) across partition counts (internal/docstore, beside the
+## reference). The CI bench-smoke job runs this explicitly (and fails if
+## a partitions=8 pushdown ask disappears) so the pushdown speedup story
+## can't rot.
 bench-aggregate:
 	@out=$$($(GO) test -run=- -bench=BenchmarkAggregatePushdown -benchmem -benchtime=1x ./internal/docstore) || \
 		{ echo "$$out"; echo "BenchmarkAggregatePushdown failed"; exit 1; }; \
 	echo "$$out"; \
-	echo "$$out" | grep -q 'BenchmarkAggregatePushdown/mode=pushdown/partitions=8' || \
-		{ echo "BenchmarkAggregatePushdown did not run"; exit 1; }
+	for ask in top_devices histograms zip_counts; do \
+		echo "$$out" | grep -q "BenchmarkAggregatePushdown/mode=pushdown/partitions=8/ask=$$ask" || \
+			{ echo "BenchmarkAggregatePushdown did not run ask=$$ask"; exit 1; }; \
+	done
 
 ## bench-classify: where a classify batch's time goes at the benchmark
 ## harness's scale (1 001 features, 512-alarm batches, 50 trees × depth

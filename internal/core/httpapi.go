@@ -250,9 +250,11 @@ func (s *HTTPService) handleHistory(w http.ResponseWriter, r *http.Request) {
 	}
 	bucket := 24 * time.Hour
 	if q := r.URL.Query().Get("bucket"); q != "" {
+		// Stored timestamps are whole seconds and bars are labelled with
+		// whole-second starts, so a bucket is a whole number of seconds.
 		d, err := time.ParseDuration(q)
-		if err != nil || d <= 0 {
-			http.Error(w, "bad bucket parameter (duration)", http.StatusBadRequest)
+		if err != nil || d <= 0 || d%time.Second != 0 {
+			http.Error(w, "bad bucket parameter (a positive whole number of seconds)", http.StatusBadRequest)
 			return
 		}
 		bucket = d

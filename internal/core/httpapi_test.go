@@ -302,6 +302,38 @@ func TestHTTPHealthzAndBadParams(t *testing.T) {
 	}
 }
 
+// TestHTTPHistoryBucketWholeSeconds: bars start at origin + i × bucket
+// and are labelled with whole-second times, so a bucket that is not a
+// whole number of seconds is refused — 1500ms would mislabel every
+// other bar, and 1ns from year 1 takes the bar index past MaxInt64 and
+// used to fail the JSON encoding after a 200 header.
+func TestHTTPHistoryBucketWholeSeconds(t *testing.T) {
+	_, srv, _ := newTestService(t)
+	for _, tc := range []struct {
+		query string
+		want  int
+	}{
+		{"?bucket=1500ms", http.StatusBadRequest},
+		{"?since=0001-01-01T00:00:00Z&bucket=1ns", http.StatusBadRequest},
+		{"?bucket=90s", http.StatusOK},
+		{"?since=0001-01-01T00:00:00Z&bucket=2s", http.StatusOK},
+	} {
+		resp, err := http.Get(srv.URL + "/history/x" + tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bars []HistogramBucket
+		decodeErr := json.NewDecoder(resp.Body).Decode(&bars)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.query, resp.StatusCode, tc.want)
+		}
+		if tc.want == http.StatusOK && decodeErr != nil {
+			t.Errorf("%s: body does not decode: %v", tc.query, decodeErr)
+		}
+	}
+}
+
 func TestHTTPVerifyLatencyBudget(t *testing.T) {
 	_, srv, wire := newTestService(t)
 	start := time.Now()

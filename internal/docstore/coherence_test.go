@@ -41,36 +41,39 @@ func tailDocs(c *Collection, n int, fields ...string) []Doc {
 	return out
 }
 
-// TestCoherenceDeleteThenFieldValues: prime a per-device cached
-// histogram, delete some of its documents, and require the next ask —
-// and a plain scan of the values — to reflect the deletion: a Delete
-// that failed to invalidate would keep serving the deleted docs' counts
-// from the partial.
+// TestCoherenceDeleteThenFieldValues: prime a per-device cached group
+// count, delete some of its documents, and require the next ask — a
+// histogram of the device, and a plain scan of the values — to reflect
+// the deletion: a Delete that failed to invalidate would keep serving
+// the deleted docs' counts from the partial.
 func TestCoherenceDeleteThenFieldValues(t *testing.T) {
 	c := optimisticCollection(t, 2)
 	for i := 0; i < 40; i++ {
-		c.Insert(Doc{"deviceMac": "mac-a", "ts": float64(i)})
+		c.Insert(Doc{"deviceMac": "mac-a", "ts": float64(i), "tens": i / 10})
 	}
 	filter := Doc{"deviceMac": "mac-a"}
-	hist := Bucket{Field: "ts", Width: 10}
-	c.Aggregate(filter, hist)
-	before, err := c.Aggregate(filter, hist) // served from the partial
+	c.GroupCounts(filter, "tens")
+	before, err := c.GroupCounts(filter, "tens") // served from the partial
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(before) != 4 {
-		t.Fatalf("prime read: %d bars", len(before))
+		t.Fatalf("prime read: %d groups", len(before))
 	}
 	n, err := c.Delete(Doc{"deviceMac": "mac-a", "ts": map[string]any{"$gte": 30.0}})
 	if err != nil || n != 10 {
 		t.Fatalf("delete: n=%d err=%v", n, err)
 	}
-	bars, err := c.Aggregate(filter, hist)
+	groups, err := c.GroupCounts(filter, "tens")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(bars) != 3 {
-		t.Fatalf("histogram has %d bars after delete, want 3 (stale partial?): %v", len(bars), bars)
+	if len(groups) != 3 {
+		t.Fatalf("%d groups after delete, want 3 (stale partial?): %v", len(groups), groups)
+	}
+	bars, err := bucketCounts(c, [][]Cond{{{Field: "deviceMac", Op: "$eq", Value: String("mac-a")}}}, Bucket{Field: "ts", Width: 10})
+	if err != nil || len(bars[0]) != 3 {
+		t.Fatalf("histogram after delete: %v, %v; want 3 bars", bars, err)
 	}
 	after, err := fieldValues(c, filter, "ts")
 	if err != nil {

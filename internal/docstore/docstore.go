@@ -5,10 +5,10 @@
 // It is a schema-flexible document store: alarms go in and come out as
 // JSON-like documents (nested maps), queried by field path with
 // Mongo-style operator filters, optionally accelerated by hash or
-// ordered indexes, and aggregated through a pipeline (match → group →
-// sort → …) that serves the per-device alarm histograms of §4.1 and
-// the location queries of §4.2. Schema flexibility is exactly why the
-// paper chose a document store: "the structure of an alarm differs
+// ordered indexes, and aggregated inside the partitions into the
+// per-device alarm histograms of §4.1 and the group counts (noisiest
+// devices, alarms per ZIP) of §4.2. Schema flexibility is exactly why
+// the paper chose a document store: "the structure of an alarm differs
 // across sensor types and even across software updates" (§4.3).
 //
 // Internally each collection is hash-partitioned: documents split
@@ -26,12 +26,12 @@
 // InsertRows), age out (SetRetention → PruneExpired → Delete), read
 // back (BucketCounts, GroupCounts, TailRows, Aggregate, Find) — plus
 // the durability surface of durable.go. There is no update, no
-// dump/restore, no index or collection drop, and no latency model
-// inside the engine (the overload experiment's simulated round-trip is
-// core.History's, around the store). Kept on purpose although no
-// production path calls them: Get and Count (how the crash, durable and
-// equivalence batteries observe stored state), the one-line accessors,
-// and boxed cells with dotted paths (the paper's schema-flexibility
+// dump/restore, no index or collection drop, no point lookup or count
+// (Find(Doc{"_id": id}) and len(Find(filter)) answer them), and no
+// latency model inside the engine (the overload experiment's simulated
+// round-trip is core.History's, around the store). Kept on purpose
+// although no production path calls them: the one-line accessors, and
+// boxed cells with dotted paths (the paper's schema-flexibility
 // argument, above).
 package docstore
 
@@ -49,7 +49,6 @@ import (
 
 // Common errors.
 var (
-	ErrNotFound         = errors.New("docstore: document not found")
 	ErrBadFilter        = errors.New("docstore: malformed filter")
 	ErrIndexExists      = errors.New("docstore: index already exists")
 	ErrShardKeyMismatch = errors.New("docstore: collection exists with a different shard key")
@@ -390,58 +389,6 @@ func (r *Rows) insertShare(pi int, p *partition) error {
 	return nil
 }
 
-// Get returns the document with the given _id.
-func (c *Collection) Get(id int64) (Doc, error) {
-	// Under id routing the owning partition is known; under shard-key
-	// routing the id alone does not name it, so probe (a miss is a
-	// binary search).
-	probe := c.parts
-	if c.shardKey == "" {
-		i := uint64(id) % uint64(len(c.parts))
-		probe = c.parts[i : i+1]
-	}
-	for _, p := range probe {
-		p.mu.RLock()
-		r, ok := p.rowOf(id)
-		var out Doc
-		if ok {
-			out = p.doc(r)
-		}
-		p.mu.RUnlock()
-		if ok {
-			return out, nil
-		}
-	}
-	return nil, fmt.Errorf("%w: _id=%d", ErrNotFound, id)
-}
-
-// match pairs a matched row's document with its id so cross-partition
-// results can be merged back into insertion order.
-type match struct {
-	id  int64
-	doc Doc
-}
-
-// mergeByID concatenates per-partition scan results and restores the
-// collection-wide insertion order. Ids come from one collection-wide
-// counter, so ascending id IS the global insertion order across
-// partitions.
-func mergeByID(results [][]match) []match {
-	total := 0
-	for _, r := range results {
-		total += len(r)
-	}
-	if total == 0 {
-		return nil
-	}
-	all := make([]match, 0, total)
-	for _, r := range results {
-		all = append(all, r...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].id < all[j].id })
-	return all
-}
-
 // TailRows fills rows (a batch from NewRows, emptied first) with the
 // fields of the n most recently inserted documents, in insertion order
 // (the oldest of the tail first), without building a document. It
@@ -495,32 +442,32 @@ func (c *Collection) TailRows(n int, rows *Rows) {
 }
 
 // Find returns copies of all documents matching filter, in insertion
-// order.
+// order: each matching row is built into a document under its
+// partition's read lock, and the partitions' rows are merged by id —
+// ids come from one collection-wide counter, so ascending id is the
+// global insertion order. No match is nil.
 func (c *Collection) Find(filter Doc) ([]Doc, error) {
-	return c.Aggregate(filter) // no stages: a filtered scan, merged into id order
-}
-
-// Count returns the number of matching documents.
-func (c *Collection) Count(filter Doc) (int, error) {
-	if len(filter) == 0 {
-		return c.Len(), nil
-	}
 	f := compileFilter(c.dict, filter)
 	lo, hi := c.targetRange(f)
-	counts := make([]int, hi)
-	err := c.forEach(lo, hi, nil, func(i int, p *partition) error {
+	type match struct {
+		id  int64
+		doc Doc
+	}
+	var all []match
+	err := c.forEach(lo, hi, nil, func(_ int, p *partition) error {
 		p.mu.RLock()
 		defer p.mu.RUnlock()
-		return p.forEachMatch(f, 0, func(int) { counts[i]++ })
+		return p.forEachMatch(f, 0, func(r int) { all = append(all, match{p.ids[r], p.doc(r)}) })
 	})
-	if err != nil {
-		return 0, err
+	if err != nil || len(all) == 0 {
+		return nil, err
 	}
-	n := 0
-	for _, cnt := range counts {
-		n += cnt
+	sort.Slice(all, func(i, j int) bool { return all[i].id < all[j].id })
+	out := make([]Doc, len(all))
+	for i, m := range all {
+		out[i] = m.doc
 	}
-	return n, nil
+	return out, nil
 }
 
 // Delete removes all matching documents and returns how many were

@@ -265,15 +265,6 @@ func (db *DB) Err() error {
 	return db.dur.firstErr()
 }
 
-// DataDir returns the durable data directory, or "" for a memory-only
-// database.
-func (db *DB) DataDir() string {
-	if db.dur == nil {
-		return ""
-	}
-	return db.dur.dir
-}
-
 // syncLoop is the group syncer: on every tick it fsyncs each WAL that
 // received appends since the last tick — the batching point that lets
 // a thousand acknowledged inserts share one disk flush.

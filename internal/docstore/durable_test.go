@@ -68,7 +68,7 @@ func TestDurableRoundTrip(t *testing.T) {
 	if col2.Len() != 50 { // 51 inserted, 1 deleted
 		t.Fatalf("Len=%d, want 50", col2.Len())
 	}
-	got, err := col2.Get(id)
+	got, err := get(col2, id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,8 +378,8 @@ func TestDurableEmptyDataDir(t *testing.T) {
 	if got := db.snapshotCollections(); len(got) != 0 {
 		t.Fatalf("fresh dir recovered collections: %v", got)
 	}
-	if db.DataDir() != dir {
-		t.Fatalf("DataDir=%q", db.DataDir())
+	if db.dur == nil || db.dur.dir != dir {
+		t.Fatal("the database does not keep its data directory")
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -553,8 +553,8 @@ func TestMemoryDBDurabilityNoOps(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if db.DataDir() != "" {
-		t.Fatal("memory DB has a data dir")
+	if db.dur != nil {
+		t.Fatal("memory DB has a durable half")
 	}
 	// Retention still prunes on demand without a checkpointer.
 	col := db.Collection("h")

@@ -10,17 +10,17 @@ import (
 //
 // A standing aggregation (/stats, a dashboard panel) asks the same
 // question of a store that, between two asks, has almost only grown at
-// its tail. So a partition keeps the partial it computed for a group or
-// bucket plan — the groups or the bucket counts, keyed by the plan's
-// signature (pushdown.go) — together with a mark: the number of rows
-// folded into it. The next ask, under the partition's read lock, folds
-// only rows [mark, len(ids)) through the plan's filter and moves the
-// mark to the tail; an ask costs the rows appended since the last one
-// plus the groups it copies out, whatever the history's size. Rows
-// arrive in ascending id order and every accumulator breaks ties by id
-// (accState.fold), so the advanced partial is the one a scan from row 0
-// would build. The insert path does nothing for this: the advance is
-// lazy, on the reader.
+// its tail. So a partition keeps the partial it computed for a group
+// count — its groups, keyed by the plan's signature (countGroups,
+// pushdown.go) — together with a mark: the number of rows folded into
+// it. The next ask, under the partition's read lock, folds only rows
+// [mark, len(ids)) through the plan's filter and moves the mark to the
+// tail; an ask costs the rows appended since the last one plus the
+// groups it copies out, whatever the history's size. Rows arrive in
+// ascending id order, so the advanced partial — a group's identity is
+// its first row's value — is the one a scan from row 0 would build. The
+// insert path does nothing for this: the advance is lazy, on the
+// reader.
 //
 // A cached partial is folded again from row 0 only when something
 // other than a tail append touched a row below its mark. There are two
@@ -42,64 +42,51 @@ import (
 // out, and needs neither.
 
 // aggCacheBound caps the per-partition partial cache; at the bound an
-// arbitrary entry is evicted (the working set of repeating analytics
-// queries — /stats, retrainer scans, histogram dashboards — is a
-// handful of plan signatures).
+// arbitrary entry is evicted (the working set of repeating group counts
+// — /stats' noisiest devices and alarms per ZIP, the per-type true-alarm
+// counts — is a handful of plan signatures).
 const aggCacheBound = 32
 
 // stale marks a cached partial that holds nothing to build on: new,
 // invalidated, or left half-folded by a failed scan.
 const stale = -1
 
-// aggEntry is one partition's cached partial for one plan signature:
-// rows [0, mark) are folded into it.
+// aggEntry is one partition's cached group partial for one plan
+// signature: rows [0, mark) are folded into it.
 type aggEntry struct {
 	mu     sync.Mutex
 	mark   int
-	groups []pGroup         // group plans: in ascending minID order
-	index  map[string]int32 // group plans: class key → position in groups
-	bars   []bucketCount    // bucket plans: in ascending bucket order
-	// The slabs the groups' key values, accumulators and built class
-	// keys are carved from. A sweep's copy of a group still reads them
-	// after the entry's lock is gone, so reset drops them rather than
-	// carve over them.
-	cells []Cell
-	accs  []accState
-	kbuf  []byte
+	groups []pGroup         // in ascending minID order
+	index  map[string]int32 // class key → position in groups
+	// kbuf is the slab built class keys are copied into. A sweep's copy
+	// of a group still reads its key after the entry's lock is gone, so
+	// reset drops the slab rather than write over it.
+	kbuf []byte
 }
 
-// reset empties a stale entry for a plan of the given kind to fold
-// into from row 0.
-func (e *aggEntry) reset(kind planKind) {
-	e.groups, e.cells, e.accs, e.kbuf, e.bars = nil, nil, nil, nil, e.bars[:0]
+// reset empties a stale entry to fold into from row 0.
+func (e *aggEntry) reset() {
+	e.groups, e.kbuf = e.groups[:0], nil
 	clear(e.index)
-	if kind == planGroup && e.index == nil {
+	if e.index == nil {
 		e.index = make(map[string]int32)
 	}
 }
 
-// classKey returns a copy of a built class key, carved from the
-// entry's byte slab.
+// classKey returns a copy of a built class key out of the entry's byte
+// slab. A slab without room for it is replaced by a fresh chunk, twice
+// the last one's size (up to 1 KB), and the old chunk is left to the
+// keys already made from it: no key's bytes are ever rewritten.
 func (e *aggEntry) classKey(b []byte) string {
 	if len(b) == 0 {
 		return ""
 	}
-	k := carveFrom(&e.kbuf, len(b))
-	copy(k, b)
-	return unsafe.String(&k[0], len(k))
-}
-
-// carveFrom returns n zero elements off the end of slab. A slab without
-// room for them is replaced by a fresh chunk, twice the last one's size
-// (up to 1 024 elements), and the old chunk is left to the carves
-// already made from it: no carve moves or rewrites another's elements.
-func carveFrom[T any](slab *[]T, n int) []T {
-	s := *slab
-	if cap(s)-len(s) < n {
-		s = make([]T, 0, max(n, min(2*cap(s), 1024), 8))
+	if cap(e.kbuf)-len(e.kbuf) < len(b) {
+		e.kbuf = make([]byte, 0, max(len(b), min(2*cap(e.kbuf), 1024), 8))
 	}
-	*slab = s[:len(s)+n]
-	return s[len(s) : len(s)+n : len(s)+n]
+	at := len(e.kbuf)
+	e.kbuf = append(e.kbuf, b...)
+	return unsafe.String(&e.kbuf[at], len(b))
 }
 
 // entryFor returns the partition's cached partial for a signature — a
@@ -136,14 +123,14 @@ func (p *partition) invalidatePartialsLocked(lo int) {
 	}
 }
 
-// advance answers a cacheable plan from the partition's cached partial,
+// advance answers a group plan from the partition's cached partial,
 // folding in the rows appended since it was last asked (every row, when
 // it is stale), and copies the result into out. Caller holds the read
 // lock.
 //
 //alarmvet:hotpath
-func (p *partition) advance(run *planRun, out *aggPartial, sc *partialScratch, st *aggCounters) error {
-	e := p.entryFor(run.sig)
+func (p *partition) advance(plan *aggPlan, out *aggPartial, sc *partialScratch, st *aggCounters) error {
+	e := p.entryFor(plan.sig)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	from, n := e.mark, len(p.ids)
@@ -152,19 +139,14 @@ func (p *partition) advance(run *planRun, out *aggPartial, sc *partialScratch, s
 		st.served.Add(1)
 	case stale:
 		from = 0
-		e.reset(run.plan.kind)
+		e.reset()
 		st.recomputed.Add(1)
 	default:
 		st.advanced.Add(1)
 	}
 	st.rowsFolded.Add(int64(n - from))
 	e.mark = stale // until the fold has gone through
-	var err error
-	if run.plan.kind == planGroup {
-		err = groupPartial(p, run.plan, e, from, sc, out)
-	} else if err = bucketPartial(p, run.plan, e.bars, from, sc, out); err == nil {
-		e.bars = append(e.bars[:0], out.buckets...)
-	}
+	err := groupPartial(p, plan, e, from, sc, out)
 	if err == nil {
 		e.mark = n
 	}

@@ -259,18 +259,11 @@ func (p *partition) forEachMatch(f *filter, from int, fn func(r int)) error {
 
 // visitRow invokes fn for row r if it matches the filter, node skip aside.
 func (p *partition) visitRow(f *filter, skip, r int, fn func(r int)) error {
-	ok, err := f.match(row{p: p, r: r}, skip)
+	ok, err := f.match(p, r, skip)
 	if ok && err == nil {
 		fn(r)
 	}
 	return err
-}
-
-// matchingRows collects the rows matching the filter.
-func (p *partition) matchingRows(f *filter) ([]int, error) {
-	var rows []int
-	err := p.forEachMatch(f, 0, func(r int) { rows = append(rows, r) })
-	return rows, err
 }
 
 // applyLocked replays one logged delete (its filter decoded back into
@@ -304,7 +297,8 @@ func (p *partition) colLocked(slot int) *column {
 // deleteLocked removes the partition's matching rows and compacts the
 // columns. Caller holds the write lock.
 func (p *partition) deleteLocked(f *filter) (int, error) {
-	rows, err := p.matchingRows(f)
+	var rows []int
+	err := p.forEachMatch(f, 0, func(r int) { rows = append(rows, r) })
 	if len(rows) == 0 {
 		return 0, err
 	}

@@ -8,120 +8,150 @@ import (
 	"time"
 )
 
-// genGroup draws a Group stage whose By fields and accumulators stay
-// inside the corpus's scalar fields (no map/slice values at min/max
-// fields — compareValues rejects rank-5 pairs in both paths, but a
-// test crash teaches nothing).
-func genGroup(r *rand.Rand) Group {
-	bys := [][]string{
-		{"deviceMac"},
-		{"zip"},
-		{"verified"},
-		{"meta.sensor"},
-		{"deviceMac", "verified"},
-		{"zip", "meta.sensor"},
-	}
-	ops := []string{"count", "sum", "avg", "min", "max", "first"}
-	accs := map[string]Accumulator{}
-	for n := 1 + r.Intn(3); n > 0; n-- {
-		op := ops[r.Intn(len(ops))]
-		field := "duration"
-		if op == "min" || op == "max" || op == "first" {
-			// Strings and numbers both order totally; mix them in.
-			field = []string{"duration", "zip", "deviceMac"}[r.Intn(3)]
-		}
-		accs[fmt.Sprintf("a%d_%s", n, op)] = Accumulator{Op: op, Field: field}
-	}
-	return Group{By: bys[r.Intn(len(bys))], Accs: accs}
+// probe is one question of a shape the store answers: a scan (no
+// stages), a group count (a single-field count Group, then SortStage
+// and Limit), or — when bucket is set — a typed histogram per
+// conjunction of conds. Any other pipeline must be ErrBadFilter.
+type probe struct {
+	filter Doc
+	stages []Stage
+	conds  [][]Cond
+	bucket Bucket
 }
 
-// genSortField draws a sort key, sometimes descending, sometimes a
-// field absent from every doc (ties everywhere — pins the stable
-// id-order tie-break).
-func genSortField(r *rand.Rand) string {
-	f := []string{"duration", "deviceMac", "zip", "_id", "meta.sensor", "absent"}[r.Intn(6)]
-	if r.Intn(2) == 0 {
-		return "-" + f
-	}
-	return f
+func (pr probe) histogram() bool { return pr.bucket != (Bucket{}) }
+
+// answer is what a probe returned: documents, or one histogram per
+// conjunction.
+type answer struct {
+	docs []Doc
+	bars [][]BucketCount
 }
 
-// genStages draws one pipeline from a grammar spanning every plannable
-// head shape (group, bucket, sort+limit top-K, limit scans) and central
-// tails behind pushed heads, custom stages among them.
-func genStages(r *rand.Rand) []Stage {
-	var stages []Stage
-	for n := r.Intn(3); n > 0; n-- {
-		stages = append(stages, Match{Filter: genFilter(r)})
+// pushdown asks the probe of the store's pushdown.
+func (pr probe) pushdown(c *Collection) (answer, error) {
+	if pr.histogram() {
+		bars, err := bucketCounts(c, pr.conds, pr.bucket)
+		return answer{bars: bars}, err
 	}
-	switch r.Intn(7) {
-	case 0:
-		stages = append(stages, genGroup(r))
-	case 1:
-		stages = append(stages, Bucket{
-			Field:  "duration",
-			Origin: float64(r.Intn(50)),
-			Width:  float64(10 * (1 + r.Intn(8))),
-		})
-	case 2:
-		stages = append(stages, SortStage{Field: genSortField(r)})
-		if r.Intn(2) == 0 {
-			stages = append(stages, Limit{N: r.Intn(40)})
-		}
-	case 3:
-		if r.Intn(2) == 0 {
-			stages = append(stages, Limit{N: r.Intn(40)})
-		}
-	case 4:
-		// Pushed group head with a central tail over its outputs.
-		g := genGroup(r)
-		stages = append(stages, g)
-		for name := range g.Accs {
-			stages = append(stages, SortStage{Field: "-" + name}, Limit{N: 1 + r.Intn(10)})
-			break
-		}
-	case 5:
-		// Mid-pipeline Match stays central behind a pushed scan head.
-		stages = append(stages, Limit{N: 5 + r.Intn(40)}, Match{Filter: genFilter(r)})
-	default:
-		// A custom stage runs centrally behind a pushed head.
-		stages = append(stages, Limit{N: 5 + r.Intn(40)}, passthrough{})
-		if r.Intn(2) == 0 {
-			stages = append(stages, SortStage{Field: genSortField(r)})
-		}
-	}
-	return stages
+	docs, err := c.Aggregate(pr.filter, pr.stages...)
+	return answer{docs: docs}, err
 }
 
-// runBoth executes the same pipeline through the pushdown planner and
-// the streaming oracle and fails the test on any divergence — in error
-// presence or, via DeepEqual, in document content, order, and the
-// nil-versus-empty distinction.
-func runBoth(t *testing.T, c *Collection, filter Doc, stages []Stage, tag string) []Doc {
+// streaming asks the probe of the streaming reference.
+func (pr probe) streaming(c *Collection) (answer, error) {
+	if pr.histogram() {
+		bars, err := c.bucketStreaming(pr.conds, pr.bucket)
+		return answer{bars: bars}, err
+	}
+	docs, err := c.aggregateStreaming(pr.filter, pr.stages...)
+	return answer{docs: docs}, err
+}
+
+func (pr probe) String() string {
+	if pr.histogram() {
+		return fmt.Sprintf("histogram %v of %v", pr.bucket, pr.conds)
+	}
+	return fmt.Sprintf("filter %v stages %v", pr.filter, pr.stages)
+}
+
+// runBoth asks the probe of the pushdown and of the streaming reference
+// and fails the test on any divergence — in error presence or, via
+// DeepEqual, in content, order, and the nil-versus-empty distinction.
+func runBoth(t *testing.T, c *Collection, pr probe, tag string) answer {
 	t.Helper()
-	got, gotErr := c.Aggregate(filter, stages...)
-	want, wantErr := c.aggregateStreaming(filter, stages...)
+	got, gotErr := pr.pushdown(c)
+	want, wantErr := pr.streaming(c)
 	if (gotErr != nil) != (wantErr != nil) {
-		t.Fatalf("%s: filter %v stages %v: pushdown err %v, streaming err %v",
-			tag, filter, stages, gotErr, wantErr)
+		t.Fatalf("%s: %v: pushdown err %v, streaming err %v", tag, pr, gotErr, wantErr)
 	}
-	if gotErr != nil {
-		return nil
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s: filter %v stages %v:\npushdown  %v\nstreaming %v",
-			tag, filter, stages, got, want)
+	if gotErr == nil && !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: %v:\npushdown  %v\nstreaming %v", tag, pr, got, want)
 	}
 	return got
 }
 
+// groupFields are the fields the generators group by: indexed and
+// unindexed strings, a bool, a nested path, a number, the id and a
+// field no document carries.
+var groupFields = []string{"deviceMac", "zip", "verified", "meta.sensor", "duration", "_id", "absent"}
+
+// genStages draws one pipeline: mostly the shape Aggregate runs (a scan,
+// or a count Group with a central SortStage/Limit tail), sometimes one
+// it refuses.
+func genStages(r *rand.Rand) []Stage {
+	switch r.Intn(8) {
+	case 0:
+		return nil
+	case 1: // refused: a second By field, an accumulator other than count, a limit or sort head, a custom stage, a negative limit
+		return [][]Stage{
+			{Group{By: []string{"zip", "verified"}}},
+			{Group{By: []string{"zip"}, Accs: map[string]Accumulator{"s": {Op: "sum"}}}},
+			{Limit{N: 5}},
+			{SortStage{Field: "-duration"}, Limit{N: 3}},
+			{countGroup("zip"), passthrough{}},
+			{countGroup("zip"), Limit{N: -1}},
+		}[r.Intn(6)]
+	}
+	g := Group{By: []string{groupFields[r.Intn(len(groupFields))]}, Accs: map[string]Accumulator{}}
+	for n := r.Intn(3); n > 0; n-- {
+		g.Accs[fmt.Sprintf("n%d", n)] = Accumulator{Op: "count"}
+	}
+	stages := []Stage{g}
+	for n := r.Intn(4); n > 0; n-- {
+		if r.Intn(2) == 0 {
+			stages = append(stages, Limit{N: r.Intn(30)})
+			continue
+		}
+		field := g.By[0]
+		if r.Intn(2) == 0 {
+			field = "n1"
+		}
+		if r.Intn(2) == 0 {
+			field = "-" + field
+		}
+		stages = append(stages, SortStage{Field: field})
+	}
+	return stages
+}
+
+// genHistogram draws a typed histogram ask over one to three devices,
+// the history's per-device filter among them.
+func genHistogram(r *rand.Rand) probe {
+	pr := probe{bucket: Bucket{Field: "duration", Origin: float64(r.Intn(50)), Width: float64(10 * (1 + r.Intn(8)))}}
+	for n := 1 + r.Intn(3); n > 0; n-- {
+		mac := Cond{Field: "deviceMac", Op: "$eq", Value: String(fmt.Sprintf("mac-%02d", r.Intn(24)))}
+		switch r.Intn(3) {
+		case 0:
+			pr.conds = append(pr.conds, []Cond{mac})
+		case 1:
+			pr.conds = append(pr.conds, []Cond{mac, {Field: "duration", Op: "$gte", Value: Float(float64(r.Intn(400)))}})
+		default:
+			pr.conds = append(pr.conds, []Cond{{Field: "zip", Op: "$eq", Value: String(fmt.Sprintf("%04d", 8000+r.Intn(12)))}})
+		}
+	}
+	return pr
+}
+
+// genProbe draws a probe of any shape.
+func genProbe(r *rand.Rand) probe {
+	if r.Intn(4) == 0 {
+		return genHistogram(r)
+	}
+	var filter Doc
+	if r.Intn(4) > 0 {
+		filter = genFilter(r)
+	}
+	return probe{filter: filter, stages: genStages(r)}
+}
+
 // TestPropertyPushdownEquivalence is the pushdown battery's core
-// property: over random corpora, filters, and pipelines, Aggregate
-// (pushdown) and aggregateStreaming (the executable
-// specification) return byte-identical answers, across partition
-// counts and with indexes present or absent — on a store at rest, and
-// then with the standing queries asked between writes of every kind on
-// a durable one (pushdown_interleave_test.go).
+// property: over random corpora, filters and asks, the pushdown and the
+// streaming reference (the executable specification) return
+// byte-identical answers, across partition counts and with indexes
+// present or absent — on a store at rest, and then with the standing
+// queries asked between writes of every kind on a durable one
+// (pushdown_interleave_test.go).
 func TestPropertyPushdownEquivalence(t *testing.T) {
 	for _, parts := range []int{1, 3, 8} {
 		t.Run(fmt.Sprintf("partitions=%d", parts), func(t *testing.T) {
@@ -135,11 +165,7 @@ func TestPropertyPushdownEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for round := 0; round < 120; round++ {
-				var filter Doc
-				if r.Intn(4) > 0 {
-					filter = genFilter(r)
-				}
-				runBoth(t, c, filter, genStages(r), fmt.Sprintf("round %d", round))
+				runBoth(t, c, genProbe(r), fmt.Sprintf("round %d", round))
 			}
 			script := make([]byte, 6000)
 			r.Read(script)
@@ -149,10 +175,10 @@ func TestPropertyPushdownEquivalence(t *testing.T) {
 }
 
 // TestPropertyPushdownPartitionInvariance: the same insert sequence
-// must yield identical Aggregate answers whatever the partition count.
-// A merge bug that depends on how documents land across partitions
-// (torn group partials, wrong top-K clip, dropped bucket cells) shows
-// up as a diff against the single-partition build.
+// must yield identical answers whatever the partition count. A merge
+// bug that depends on how documents land across partitions (torn group
+// partials, dropped or doubled bars) shows up as a diff against the
+// single-partition build.
 func TestPropertyPushdownPartitionInvariance(t *testing.T) {
 	build := func(parts int) *Collection {
 		c, err := NewDBWithPartitions(parts).CollectionWithShardKey("alarms", "deviceMac")
@@ -166,35 +192,29 @@ func TestPropertyPushdownPartitionInvariance(t *testing.T) {
 	r := rand.New(rand.NewSource(99991))
 	probes := make([]probe, 50)
 	for i := range probes {
-		var filter Doc
-		if r.Intn(4) > 0 {
-			filter = genFilter(r)
-		}
-		probes[i] = probe{filter: filter, stages: genStages(r)}
+		probes[i] = genProbe(r)
 	}
 	ref := build(1)
 	for _, parts := range []int{2, 5, 8} {
 		c := build(parts)
 		for i, pr := range probes {
-			want, wantErr := ref.Aggregate(pr.filter, pr.stages...)
-			got, gotErr := c.Aggregate(pr.filter, pr.stages...)
+			want, wantErr := pr.pushdown(ref)
+			got, gotErr := pr.pushdown(c)
 			if (gotErr != nil) != (wantErr != nil) {
-				t.Fatalf("partitions=%d probe %d: err %v vs reference err %v",
-					parts, i, gotErr, wantErr)
+				t.Fatalf("partitions=%d probe %d: err %v vs reference err %v", parts, i, gotErr, wantErr)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("partitions=%d probe %d (filter %v stages %v):\ngot  %v\nwant %v",
-					parts, i, pr.filter, pr.stages, got, want)
+				t.Fatalf("partitions=%d probe %d (%v):\ngot  %v\nwant %v", parts, i, pr, got, want)
 			}
 		}
 	}
 }
 
 // TestPropertyPushdownDurableReopen pins the battery onto the durable
-// store: aggregation answers must survive a WAL checkpoint, mutations
-// past the checkpoint, Close, and recovery — and the recovered store
-// must again satisfy pushdown ≡ streaming. It runs in strict mode and
-// beside a 1 ms group syncer.
+// store: answers must survive a WAL checkpoint, mutations past the
+// checkpoint, Close, and recovery — and the recovered store must again
+// satisfy pushdown ≡ streaming. It runs in strict mode and beside a
+// 1 ms group syncer.
 func TestPropertyPushdownDurableReopen(t *testing.T) {
 	group := fastOpts()
 	group.SyncInterval = time.Millisecond
@@ -229,15 +249,11 @@ func pushdownDurableReopen(t *testing.T, opts DurableOptions) {
 
 	probes := make([]probe, 40)
 	for i := range probes {
-		var filter Doc
-		if r.Intn(4) > 0 {
-			filter = genFilter(r)
-		}
-		probes[i] = probe{filter: filter, stages: genStages(r)}
+		probes[i] = genProbe(r)
 	}
-	before := make([][]Doc, len(probes))
+	before := make([]answer, len(probes))
 	for i, pr := range probes {
-		before[i] = runBoth(t, c, pr.filter, pr.stages, fmt.Sprintf("pre-close probe %d", i))
+		before[i] = runBoth(t, c, pr, fmt.Sprintf("pre-close probe %d", i))
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -250,10 +266,10 @@ func pushdownDurableReopen(t *testing.T, opts DurableOptions) {
 	defer db2.Close()
 	c2 := db2.Collection("alarms")
 	for i, pr := range probes {
-		after := runBoth(t, c2, pr.filter, pr.stages, fmt.Sprintf("post-reopen probe %d", i))
+		after := runBoth(t, c2, pr, fmt.Sprintf("post-reopen probe %d", i))
 		if !reflect.DeepEqual(after, before[i]) {
-			t.Fatalf("post-reopen probe %d (filter %v stages %v): answer changed across recovery:\nbefore %v\nafter  %v",
-				i, pr.filter, pr.stages, before[i], after)
+			t.Fatalf("post-reopen probe %d (%v): answer changed across recovery:\nbefore %v\nafter  %v",
+				i, pr, before[i], after)
 		}
 	}
 }

@@ -42,7 +42,7 @@ func (f *fuzzReader) byte() byte {
 // decodeFilter maps one byte to a filter from the same shapes the
 // property generator draws — well-formed by construction, because a
 // malformed filter's error can legitimately surface from a different
-// partition (and so with different text) than the oracle's sequential
+// partition (and so with different text) than the reference's sequential
 // scan, and the battery compares error presence, not provenance.
 func decodeFilter(f *fuzzReader) Doc {
 	sel := f.byte()
@@ -66,52 +66,41 @@ func decodeFilter(f *fuzzReader) Doc {
 	}
 }
 
-// decodeStages maps the remaining bytes to a pipeline. Invalid shapes
-// whose rejection is doc-independent — negative limits, zero bucket
-// widths, unknown accumulator ops — are reachable on purpose: both
-// executors must reject them, and identically often (error presence is
-// part of the differential). So is a custom stage at the head, which
-// only the oracle can run (unplannable). Map-valued fields stay out of
-// sort and accumulator positions, matching the documented pushdown
-// contract.
+// decodeStages maps bytes to a pipeline. Shapes Aggregate refuses — a
+// second or no By field, an accumulator other than count, a stage other
+// than a Group at the head or a second Group, a custom stage, a
+// negative limit — are reachable on purpose: the pushdown must refuse
+// exactly those, and answer every other pipeline as the streaming
+// reference does. Map-valued fields stay out of By and sort positions.
 func decodeStages(f *fuzzReader) []Stage {
-	sortFields := []string{"duration", "deviceMac", "zip", "_id", "meta.sensor", "absent"}
-	accFields := []string{"duration", "zip", "deviceMac"}
-	accOps := []string{"count", "sum", "avg", "min", "max", "first", "median"}
+	sortFields := []string{"duration", "deviceMac", "zip", "_id", "meta.sensor", "absent", "n", "a1"}
+	accOps := []string{"count", "count", "count", "sum", "min", "median"}
 	var stages []Stage
-	n := 1 + int(f.byte())%4
+	n := int(f.byte()) % 5
 	for i := 0; i < n; i++ {
-		switch f.byte() % 8 {
-		case 0:
-			stages = append(stages, Match{Filter: decodeFilter(f)})
-		case 1:
-			g := Group{By: []string{[]string{"deviceMac", "zip", "verified", "meta.sensor"}[f.byte()%4]},
-				Accs: map[string]Accumulator{}}
-			for k := 1 + int(f.byte())%2; k > 0; k-- {
-				g.Accs[fmt.Sprintf("a%d", k)] = Accumulator{
-					Op:    accOps[f.byte()%7],
-					Field: accFields[f.byte()%3],
-				}
+		sel := f.byte() % 8
+		if sel <= 2 && i > 0 && f.byte()%4 != 0 {
+			sel = 3 // mostly a tail behind the head, sometimes a second Group
+		}
+		switch {
+		case sel <= 2:
+			lo := int(f.byte()) % len(groupFields)
+			by := []int{1, 1, 1, 0, 2}[f.byte()%5]
+			g := Group{By: groupFields[lo:min(lo+by, len(groupFields))], Accs: map[string]Accumulator{}}
+			for k := int(f.byte()) % 3; k > 0; k-- {
+				g.Accs[fmt.Sprintf("a%d", k)] = Accumulator{Op: accOps[f.byte()%6]}
 			}
 			stages = append(stages, g)
-		case 2:
-			stages = append(stages, Bucket{
-				Field:  "duration",
-				Origin: float64(int8(f.byte())),
-				Width:  float64(int8(f.byte())), // may be <= 0: ErrBadFilter
-			})
-		case 3:
-			field := sortFields[f.byte()%6]
+		case sel == 3:
+			field := sortFields[f.byte()%8]
 			if f.byte()%2 == 0 {
 				field = "-" + field
 			}
 			stages = append(stages, SortStage{Field: field})
-		case 4:
+		case sel == 4:
 			stages = append(stages, Limit{N: int(int8(f.byte()))}) // may be negative
-		case 5:
+		case sel <= 6:
 			stages = append(stages, Limit{N: int(f.byte()) % 50})
-		case 6:
-			stages = append(stages, Match{Filter: decodeFilter(f)})
 		default:
 			stages = append(stages, passthrough{})
 		}
@@ -119,57 +108,62 @@ func decodeStages(f *fuzzReader) []Stage {
 	return stages
 }
 
-// unplannable reports whether the pipeline's head — its first stage
-// that is not a Match — is a custom stage: Aggregate refuses it.
-func unplannable(stages []Stage) bool {
-	for _, s := range stages {
-		if _, isMatch := s.(Match); !isMatch {
-			_, custom := s.(passthrough)
-			return custom
+// decodeProbe maps the input's leading bytes to a probe: a typed
+// histogram (whose width may be <= 0: ErrBadFilter) or a filter and a
+// pipeline.
+func decodeProbe(f *fuzzReader) probe {
+	if f.byte()%4 == 0 {
+		pr := probe{bucket: Bucket{Field: "duration", Origin: float64(int8(f.byte())), Width: float64(int8(f.byte()))}}
+		for n := 1 + int(f.byte())%3; n > 0; n-- {
+			conds := []Cond{{Field: "deviceMac", Op: "$eq", Value: String(fmt.Sprintf("mac-%02d", int(f.byte())%24))}}
+			if b := f.byte(); b%2 == 0 {
+				conds = append(conds, Cond{Field: "duration", Op: "$lt", Value: Float(float64(b) * 2)})
+			}
+			pr.conds = append(pr.conds, conds)
 		}
+		return pr
 	}
-	return false
+	return probe{filter: decodeFilter(f), stages: decodeStages(f)}
 }
 
 // FuzzAggregate is the differential fuzz half of the pushdown battery:
-// any filter+pipeline the decoder can express must behave identically
-// through the pushdown planner and the streaming oracle — same error
-// presence, and byte-identical documents on success — on the fixed
-// corpus, and then, with whatever bytes are left as a script of writes,
-// asked between those writes on a small store of its own
-// (pushdown_interleave_test.go). Run continuously by `make fuzz-smoke`.
+// any probe the decoder can express must behave identically through the
+// pushdown and the streaming reference — same error presence, and
+// byte-identical answers on success; a pipeline outside the one shape
+// Aggregate runs must be ErrBadFilter — on the fixed corpus, and then,
+// with whatever bytes are left as a script of writes, asked between
+// those writes on a small store of its own (pushdown_interleave_test.go).
+// Run continuously by `make fuzz-smoke`.
 func FuzzAggregate(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{1, 3, 2, 1, 0, 5})
-	f.Add([]byte{0, 2, 1, 1, 6, 0, 1, 2})                // group heads
-	f.Add([]byte{3, 10, 4, 3, 2, 0, 4, 255})             // sort + negative limit
-	f.Add([]byte{5, 1, 1, 2, 2, 0, 0})                   // zero-width bucket
-	f.Add([]byte{2, 7, 3, 7, 3, 1, 4, 20})               // custom stage + tail
-	f.Add([]byte{4, 1, 1, 2, 1, 6, 1, 1, 0, 2, 3, 1, 4}) // mixed
-	f.Add([]byte{0, 0, 1, 0, 1, 5, 0,                    // a group head, then a script of writes
-		0, 3, 2, 2, 2, 3, 2, 2, 4, 3, 0, 9, 1, 5, 40, 6, 7, 7, 4, 5, 1, 7, 0, 5, 90, 2, 1, 1, 6, 0, 2, 3, 1, 1, 5, 0, 7})
+	script := []byte{0, 3, 2, 2, 2, 3, 2, 2, 4, 3, 0, 9, 1, 5, 40, 6, 7, 7, 4, 5, 1, 7, 0, 5, 90, 2, 1, 1, 6, 0, 2, 3, 1, 1, 5, 0, 7}
+	f.Add([]byte{})                                                          // a zero-width histogram of mac-00
+	f.Add([]byte{1, 3, 2, 1, 0, 5})                                          // a scan
+	f.Add([]byte{1, 0, 1, 1, 1, 0, 1, 2})                                    // a group count
+	f.Add([]byte{1, 3, 10, 4, 2, 3, 2, 0, 4, 255})                           // sort head + negative limit
+	f.Add([]byte{0, 1, 0, 0, 2, 1})                                          // zero-width histogram
+	f.Add([]byte{1, 2, 7, 2, 0, 0, 1, 0, 7})                                 // group + custom stage
+	f.Add([]byte{1, 4, 1, 4, 1, 3, 0, 2, 0, 2, 3, 7, 0, 5, 13, 3, 3, 1})     // group, two counts, sort, limit, sort
+	f.Add(append([]byte{1, 0, 3, 1, 0, 1, 1, 0, 3, 7, 0, 5, 10}, script...)) // TopDevices, then a script of writes
+	f.Add(append([]byte{0, 0, 20, 2, 5, 8, 3, 7}, script...))                // a three-device histogram, then writes
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr := &fuzzReader{data: data}
-		filter := decodeFilter(fr)
-		stages := decodeStages(fr)
-		got, gotErr := fuzzCorpus.Aggregate(filter, stages...)
-		if unplannable(stages) {
+		pr := decodeProbe(fr)
+		got, gotErr := pr.pushdown(fuzzCorpus)
+		if !pr.histogram() && !supported(pr.stages) {
 			if !errors.Is(gotErr, ErrBadFilter) {
-				t.Fatalf("filter %v stages %v: unplannable head returned %v, %v", filter, stages, got, gotErr)
+				t.Fatalf("%v: a pipeline outside the kept shape returned %v, %v", pr, got, gotErr)
 			}
 			return
 		}
-		want, wantErr := fuzzCorpus.aggregateStreaming(filter, stages...)
+		want, wantErr := pr.streaming(fuzzCorpus)
 		if (gotErr != nil) != (wantErr != nil) {
-			t.Fatalf("filter %v stages %v: pushdown err %v, streaming err %v",
-				filter, stages, gotErr, wantErr)
+			t.Fatalf("%v: pushdown err %v, streaming err %v", pr, gotErr, wantErr)
 		}
 		if gotErr == nil && !reflect.DeepEqual(got, want) {
-			t.Fatalf("filter %v stages %v:\npushdown  %v\nstreaming %v",
-				filter, stages, got, want)
+			t.Fatalf("%v:\npushdown  %v\nstreaming %v", pr, got, want)
 		}
 		if fr.pos < len(fr.data) {
-			runInterleaved(t, fr, 2, 30, 12, "", &probe{filter, stages})
+			runInterleaved(t, fr, 2, 30, 12, "", &pr)
 		}
 	})
 }

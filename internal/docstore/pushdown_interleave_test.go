@@ -11,36 +11,29 @@ import (
 // The interleaved half of the pushdown battery: the same standing
 // queries asked between writes of every kind, so a cached partial is
 // advanced, invalidated and rebuilt as it would be under ingest. After
-// every write the pushdown answers must equal the streaming oracle's,
+// every write the pushdown answers must equal the streaming reference's,
 // and the cached-partial counters must show the cost the design
 // promises: a tail append folds only the appended rows, a write below
 // a partial's mark costs exactly one fold from row 0, and nothing else
 // costs anything.
 
-// probe is one aggregation the interleaved driver keeps asking.
-type probe struct {
-	filter Doc
-	stages []Stage
-}
-
-// standingProbes cover every cached shape (group and bucket, with and
-// without an indexable filter) plus a top-K and a scan, which are
+// standingProbes are the asks the interleaved driver keeps making: the
+// cached group counts (with and without an indexable filter, one with
+// TopDevices' central tail), a typed histogram and a scan, which are
 // computed on every call. None pins the shard key: each visits every
 // partition, which is what makes the counter arithmetic exact.
 var standingProbes = []probe{
-	{nil, []Stage{Group{By: []string{"deviceMac"}, Accs: map[string]Accumulator{
-		"n": {Op: "count"}, "lo": {Op: "min", Field: "duration"},
-		"s": {Op: "sum", Field: "duration"}, "f": {Op: "first", Field: "zip"}}}}},
-	{Doc{"verified": true}, []Stage{Group{By: []string{"zip", "meta.sensor"}, Accs: map[string]Accumulator{
-		"a": {Op: "avg", Field: "duration"}, "hi": {Op: "max", Field: "deviceMac"}}}}},
-	{Doc{"zip": "8003"}, []Stage{Bucket{Field: "duration", Origin: 0, Width: 50}}},
-	{Doc{"duration": map[string]any{"$gte": 100.0, "$lt": 400.0}}, []Stage{Bucket{Field: "ts", Origin: 0, Width: 600}}},
-	{nil, []Stage{SortStage{Field: "-duration"}, Limit{N: 7}}},
-	{nil, []Stage{Limit{N: 5}}},
+	{stages: []Stage{countGroup("deviceMac"), SortStage{Field: "-n"}, Limit{N: 10}}},
+	{filter: Doc{"verified": true}, stages: []Stage{Group{By: []string{"meta.sensor"}, Accs: map[string]Accumulator{
+		"n": {Op: "count"}, "m": {Op: "count"}}}}},
+	{filter: Doc{"zip": "8003"}, stages: []Stage{countGroup("duration")}},
+	{filter: Doc{"duration": map[string]any{"$gte": 100.0, "$lt": 400.0}}, stages: []Stage{countGroup("zip"), SortStage{Field: "zip"}}},
+	{conds: [][]Cond{{{Field: "zip", Op: "$eq", Value: String("8003")}}}, bucket: Bucket{Field: "duration", Origin: 0, Width: 50}},
+	{filter: Doc{"zip": "8005"}},
 }
 
 // standingCached is how many plan signatures one ask caches in every
-// partition: the four group and bucket probes plus GroupCounts'.
+// partition: the four group probes plus GroupCounts'.
 const standingCached = 5
 
 // interleaved drives one collection through a script of writes, asking
@@ -137,13 +130,13 @@ func (d *interleaved) ask(tag string) AggPartialStats {
 	t, c := d.t, d.c
 	before := c.AggPartialStats()
 	for i, pr := range standingProbes {
-		runBoth(t, c, pr.filter, pr.stages, fmt.Sprintf("%s: standing probe %d", tag, i))
+		runBoth(t, c, pr, fmt.Sprintf("%s: standing probe %d", tag, i))
 	}
 	zips, err := c.GroupCounts(nil, "zip")
 	if err != nil {
 		t.Fatalf("%s: GroupCounts: %v", tag, err)
 	}
-	want, err := c.aggregateStreaming(nil, Group{By: []string{"zip"}, Accs: map[string]Accumulator{"n": {Op: "count"}}})
+	want, err := c.aggregateStreaming(nil, countGroup("zip"))
 	if err != nil || len(want) != len(zips) {
 		t.Fatalf("%s: GroupCounts has %d groups, streaming %d (%v)", tag, len(zips), len(want), err)
 	}
@@ -153,25 +146,19 @@ func (d *interleaved) ask(tag string) AggPartialStats {
 		}
 	}
 	after := c.AggPartialStats()
-
-	b := Bucket{Field: "duration", Origin: 0, Width: 50}
-	err = c.BucketCounts([][]Cond{{{Field: "zip", Op: "$eq", Value: String("8003")}}}, b,
-		func(_ int, bars []BucketCount) {
-			want, _ := c.aggregateStreaming(Doc{"zip": "8003"}, b)
-			if len(bars) != len(want) {
-				t.Fatalf("%s: BucketCounts has %d bars, streaming %d", tag, len(bars), len(want))
-			}
-			for i, bar := range bars {
-				if bar.Start != want[i]["bucket"] || bar.Count != want[i]["count"] {
-					t.Fatalf("%s: BucketCounts bar %d = %v, streaming %v", tag, i, bar, want[i])
-				}
-			}
-		})
-	if err != nil {
-		t.Fatalf("%s: BucketCounts: %v", tag, err)
+	// The history's per-device histogram sweep, computed afresh.
+	sweep := probe{bucket: Bucket{Field: "ts", Origin: float64(d.now.Unix() - 3000), Width: 600}}
+	for i := 0; i < 24; i += 5 {
+		sweep.conds = append(sweep.conds, []Cond{
+			{Field: "deviceMac", Op: "$eq", Value: String(fmt.Sprintf("mac-%02d", i))},
+			{Field: "ts", Op: "$gte", Value: Float(sweep.bucket.Origin)}})
+	}
+	runBoth(t, c, sweep, tag+": histogram sweep")
+	if st := c.AggPartialStats(); st != after {
+		t.Fatalf("%s: a histogram touched the cached partials: %+v, then %+v", tag, after, st)
 	}
 	if d.extra != nil {
-		runBoth(t, c, d.extra.filter, d.extra.stages, tag+": fuzzed probe")
+		runBoth(t, c, *d.extra, tag+": fuzzed probe")
 	}
 	return AggPartialStats{
 		Served:     after.Served - before.Served,

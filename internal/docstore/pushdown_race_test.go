@@ -8,20 +8,19 @@ import (
 	"time"
 )
 
-// TestPushdownConcurrentHammer runs pushdown aggregations against a
-// durable store while writers insert (two of them, out of id order) and delete, and a
-// maintenance goroutine checkpoints and prunes expired documents.
+// TestPushdownConcurrentHammer runs the store's asks against a durable
+// store while writers insert (two of them, out of id order) and delete,
+// and a maintenance goroutine checkpoints and prunes expired documents.
 // Run under -race (the repo's `make test` does), it checks the cached
-// partials — four readers share the group and bucket signatures, each
-// advancing what the others advance and what the writers invalidate —
-// and the per-partition partial scans for data races, and asserts the
-// invariants a torn partial would break:
+// group partials — four readers share their signatures, each advancing
+// what the others advance and what the writers invalidate — and the
+// per-partition histogram and scan visits for data races, and asserts
+// the invariants a torn partial would break:
 //
-//   - count ≡ sum over a field that is 1.0 in every document — both
-//     are computed under the same partition lock, so they can never
-//     disagree, no matter how the partitions interleave with writers;
-//   - top-K results sorted by (key, id) with at most K rows;
-//   - bucket cells strictly positive;
+//   - every document goes in twice, identically, in one InsertMany, so
+//     any filter deletes both copies or neither and every count in every
+//     answer — group, bar or scan — is even;
+//   - the TopDevices pipeline's groups sorted by count with at most 10;
 //   - once writers stop, pushdown ≡ streaming exactly.
 func TestPushdownConcurrentHammer(t *testing.T) {
 	dir := t.TempDir()
@@ -41,22 +40,23 @@ func TestPushdownConcurrentHammer(t *testing.T) {
 	c.SetRetention("ts", time.Hour)
 
 	now := float64(time.Now().UnixNano()) / 1e9
-	mkDoc := func(r *rand.Rand, expired bool) Doc {
+	// twice draws one document and returns it twice.
+	twice := func(r *rand.Rand, expired bool) []Doc {
 		ts := now
 		if expired {
 			ts = now - 7200 // beyond the 1h window: prune fodder
 		}
-		return Doc{
+		d := Doc{
 			"deviceMac": fmt.Sprintf("mac-%02d", r.Intn(12)),
 			"zip":       fmt.Sprintf("%04d", 8000+r.Intn(6)),
 			"duration":  float64(r.Intn(300)),
-			"v":         1.0,
 			"ts":        ts,
 		}
+		return []Doc{d, cloneDoc(d)}
 	}
 	seedR := rand.New(rand.NewSource(11))
-	for i := 0; i < 200; i++ {
-		c.Insert(mkDoc(seedR, i%5 == 0))
+	for i := 0; i < 100; i++ {
+		c.InsertMany(twice(seedR, i%5 == 0))
 	}
 
 	const writerRounds = 120
@@ -78,9 +78,9 @@ func TestPushdownConcurrentHammer(t *testing.T) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(seed))
 			for i := 0; i < writerRounds; i++ {
-				batch := make([]Doc, 8)
-				for j := range batch {
-					batch[j] = mkDoc(r, r.Intn(6) == 0)
+				var batch []Doc
+				for j := 0; j < 4; j++ {
+					batch = append(batch, twice(r, r.Intn(6) == 0)...)
 				}
 				c.InsertMany(batch)
 			}
@@ -117,6 +117,13 @@ func TestPushdownConcurrentHammer(t *testing.T) {
 		}
 	}()
 
+	even := func(what string, n int, of any) bool {
+		if n%2 != 0 {
+			report(fmt.Errorf("torn %s: odd count %d for %v", what, n, of))
+			return false
+		}
+		return true
+	}
 	reader := func(seed int64) {
 		defer wg.Done()
 		r := rand.New(rand.NewSource(seed))
@@ -126,60 +133,63 @@ func TestPushdownConcurrentHammer(t *testing.T) {
 				return
 			default:
 			}
+			zip := fmt.Sprintf("%04d", 8000+r.Intn(6))
 			switch r.Intn(4) {
-			case 0: // group: count must equal the sum of an all-ones field
-				docs, err := c.Aggregate(nil, Group{
-					By:   []string{"deviceMac"},
-					Accs: map[string]Accumulator{"n": {Op: "count"}, "s": {Op: "sum", Field: "v"}},
-				})
+			case 0: // TopDevices: bounded, sorted by count, every count even
+				docs, err := c.Aggregate(nil, countGroup("deviceMac"), SortStage{Field: "-n"}, Limit{N: 10})
 				if err != nil {
 					report(fmt.Errorf("group aggregate: %w", err))
 					return
 				}
-				for _, d := range docs {
-					if n, s := d["n"].(int), d["s"].(float64); float64(n) != s {
-						report(fmt.Errorf("torn group partial: count=%d sum=%v for %v", n, s, d["deviceMac"]))
-						return
-					}
-				}
-			case 1: // top-K: bounded and sorted by (duration desc, id asc)
-				docs, err := c.Aggregate(nil, SortStage{Field: "-duration"}, Limit{N: 10})
-				if err != nil {
-					report(fmt.Errorf("topk aggregate: %w", err))
-					return
-				}
 				if len(docs) > 10 {
-					report(fmt.Errorf("topk returned %d docs, limit 10", len(docs)))
+					report(fmt.Errorf("top devices returned %d groups, limit 10", len(docs)))
 					return
 				}
-				for i := 1; i < len(docs); i++ {
-					cmp := compareValues(docs[i-1]["duration"], docs[i]["duration"])
-					if cmp < 0 || (cmp == 0 && docs[i-1]["_id"].(int64) > docs[i]["_id"].(int64)) {
-						report(fmt.Errorf("topk out of order at %d: %v before %v", i, docs[i-1], docs[i]))
+				for i, d := range docs {
+					if !even("group", d["n"].(int), d["deviceMac"]) {
+						return
+					}
+					if i > 0 && docs[i-1]["n"].(int) < d["n"].(int) {
+						report(fmt.Errorf("top devices out of order at %d: %v before %v", i, docs[i-1], d))
 						return
 					}
 				}
-			case 2: // bucket: every emitted cell is positive
-				docs, err := c.Aggregate(Doc{"zip": fmt.Sprintf("%04d", 8000+r.Intn(6))},
-					Bucket{Field: "duration", Origin: 0, Width: 50})
+			case 1: // a group count behind an indexable-looking filter
+				groups, err := c.GroupCounts(Doc{"zip": zip}, "deviceMac")
 				if err != nil {
-					report(fmt.Errorf("bucket aggregate: %w", err))
+					report(fmt.Errorf("GroupCounts: %w", err))
 					return
 				}
-				for _, d := range docs {
-					if d["count"].(int) <= 0 {
-						report(fmt.Errorf("bucket cell not positive: %v", d))
+				for _, g := range groups {
+					if !even("group", g.Count, g.Key.Str()) {
 						return
 					}
 				}
-			default: // batched multi-filter sweep
-				filters := []Doc{
-					{"deviceMac": fmt.Sprintf("mac-%02d", r.Intn(12))},
-					{"deviceMac": fmt.Sprintf("mac-%02d", r.Intn(12))},
+			case 2: // a histogram sweep over devices: every bar positive and even
+				conds := [][]Cond{
+					{{Field: "deviceMac", Op: "$eq", Value: String(fmt.Sprintf("mac-%02d", r.Intn(12)))}},
+					{{Field: "deviceMac", Op: "$eq", Value: String(fmt.Sprintf("mac-%02d", r.Intn(12)))}, {Field: "ts", Op: "$gte", Value: Float(now - 3600)}},
+					{{Field: "zip", Op: "$eq", Value: String(zip)}},
 				}
-				if _, err := c.AggregateMulti(filters,
-					Bucket{Field: "ts", Origin: now - 7200, Width: 600}); err != nil {
-					report(fmt.Errorf("AggregateMulti: %w", err))
+				err := c.BucketCounts(conds, Bucket{Field: "duration", Origin: 0, Width: 50}, func(i int, bars []BucketCount) {
+					for _, b := range bars {
+						if b.Count <= 0 {
+							report(fmt.Errorf("bar not positive: %v", b))
+						}
+						even("bar", b.Count, conds[i])
+					}
+				})
+				if err != nil {
+					report(fmt.Errorf("BucketCounts: %w", err))
+					return
+				}
+			default: // a scan of one device
+				docs, err := c.Find(Doc{"deviceMac": fmt.Sprintf("mac-%02d", r.Intn(12))})
+				if err != nil {
+					report(fmt.Errorf("Find: %w", err))
+					return
+				}
+				if !even("scan", len(docs), "one device") {
 					return
 				}
 			}
@@ -211,15 +221,13 @@ func TestPushdownConcurrentHammer(t *testing.T) {
 	default:
 	}
 
-	// Quiesced: the planner and the oracle must agree exactly.
-	for _, probe := range [][]Stage{
-		{Group{By: []string{"deviceMac"}, Accs: map[string]Accumulator{
-			"n": {Op: "count"}, "s": {Op: "sum", Field: "v"},
-			"lo": {Op: "min", Field: "duration"}, "hi": {Op: "max", Field: "duration"}}}},
-		{SortStage{Field: "-duration"}, Limit{N: 25}},
-		{Bucket{Field: "duration", Origin: 0, Width: 25}},
-		{Limit{N: 40}, Match{Filter: Doc{"verified": true}}},
+	// Quiesced: the pushdown and the reference must agree exactly.
+	for _, pr := range []probe{
+		{stages: []Stage{countGroup("deviceMac"), SortStage{Field: "-n"}, Limit{N: 25}}},
+		{filter: Doc{"zip": "8002"}, stages: []Stage{countGroup("deviceMac")}},
+		{conds: [][]Cond{nil, {{Field: "zip", Op: "$eq", Value: String("8003")}}}, bucket: Bucket{Field: "duration", Origin: 0, Width: 25}},
+		{filter: Doc{"duration": map[string]any{"$lt": 40.0}}},
 	} {
-		runBoth(t, c, nil, probe, "post-hammer")
+		runBoth(t, c, pr, "post-hammer")
 	}
 }

@@ -4,174 +4,278 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 )
 
-// passthrough is a Stage implementation the planner has never heard
-// of: it runs as a central tail stage, and cannot head a pipeline.
+// passthrough is a Stage implementation Aggregate has never heard of:
+// no pipeline that holds it runs.
 type passthrough struct{}
 
-func (passthrough) apply(in []Doc) ([]Doc, error) { return in, nil }
+func (passthrough) stage() {}
 
-// aggregateStreaming runs the pipeline the pre-pushdown way: Find
-// streams a clone of every matched document out of every partition and
-// the stages apply centrally, one after another. It is the executable
-// specification of Aggregate — the equivalence oracle the pushdown
-// battery (property, fuzz, and race tests) pins the planner against.
+// supported reports whether Aggregate runs the pipeline: none, or one
+// Group with exactly one By field and only count accumulators, then any
+// run of SortStage and non-negative Limit.
+func supported(stages []Stage) bool {
+	if len(stages) == 0 {
+		return true
+	}
+	g, ok := stages[0].(Group)
+	if !ok || len(g.By) != 1 {
+		return false
+	}
+	for _, acc := range g.Accs {
+		if acc.Op != "count" {
+			return false
+		}
+	}
+	for _, s := range stages[1:] {
+		switch s := s.(type) {
+		case SortStage:
+		case Limit:
+			if s.N < 0 {
+				return false
+			}
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// aggregateStreaming answers a pipeline the streaming way: Find streams
+// a clone of every matched document out of every partition and the
+// groups are counted centrally, one document after another, keyed by
+// fmt's %v of the By field's value. It is the executable specification
+// of Aggregate — the reference the pushdown battery (property, fuzz,
+// interleave and race tests) pins the cached, merged group partials
+// against. A pipeline Aggregate does not run is ErrBadFilter here too.
 func (c *Collection) aggregateStreaming(filter Doc, stages ...Stage) ([]Doc, error) {
+	if !supported(stages) {
+		return nil, fmt.Errorf("%w: unsupported pipeline", ErrBadFilter)
+	}
 	docs, err := c.Find(filter)
+	if err != nil || len(stages) == 0 {
+		return docs, err
+	}
+	g := stages[0].(Group)
+	field := g.By[0]
+	out := []Doc{}
+	var counts []int
+	class := make(map[string]int)
+	for _, d := range docs {
+		v, _ := lookup(d, field)
+		ks := fmt.Sprintf("%v", v)
+		i, seen := class[ks]
+		if !seen {
+			i = len(out)
+			class[ks] = i
+			out = append(out, Doc{})
+			setPath(out[i], field, v)
+			counts = append(counts, 0)
+		}
+		counts[i]++
+	}
+	for i, d := range out {
+		for name := range g.Accs {
+			d[name] = counts[i]
+		}
+	}
+	for _, s := range stages[1:] {
+		switch s := s.(type) {
+		case SortStage:
+			out = s.apply(out)
+		case Limit:
+			if len(out) > s.N {
+				out = out[:s.N]
+			}
+		}
+	}
+	return out, nil
+}
+
+// condsDoc is the Doc filter a conjunction of typed conditions stands
+// for.
+func condsDoc(conds []Cond) Doc {
+	and := make([]any, len(conds))
+	for i, cd := range conds {
+		and[i] = map[string]any{cd.Field: map[string]any{cd.Op: cd.Value.value()}}
+	}
+	return Doc{"$and": and}
+}
+
+// bucketStreaming is the streaming specification of BucketCounts: the
+// documents each filter matches, out of Find, counted into b's buckets
+// centrally. An empty histogram is nil.
+func (c *Collection) bucketStreaming(filters [][]Cond, b Bucket) ([][]BucketCount, error) {
+	if b.Width <= 0 {
+		return nil, fmt.Errorf("%w: bucket width must be positive", ErrBadFilter)
+	}
+	out := make([][]BucketCount, len(filters))
+	for i, conds := range filters {
+		docs, err := c.Find(condsDoc(conds))
+		if err != nil {
+			return nil, err
+		}
+		counts := make(map[int]int)
+		for _, d := range docs {
+			if v, ok := lookup(d, b.Field); ok && rank(v) == 2 {
+				counts[int((toFloat(v)-b.Origin)/b.Width)]++
+			}
+		}
+		idxs := make([]int, 0, len(counts))
+		for idx := range counts {
+			idxs = append(idxs, idx)
+		}
+		sort.Ints(idxs)
+		for _, idx := range idxs {
+			out[i] = append(out[i], BucketCount{Start: b.Origin + float64(idx)*b.Width, Count: counts[idx]})
+		}
+	}
+	return out, nil
+}
+
+// bucketCounts collects BucketCounts' answers; an empty histogram is nil.
+func bucketCounts(c *Collection, filters [][]Cond, b Bucket) ([][]BucketCount, error) {
+	out := make([][]BucketCount, len(filters))
+	err := c.BucketCounts(filters, b, func(i int, bars []BucketCount) {
+		out[i] = append([]BucketCount(nil), bars...)
+	})
 	if err != nil {
 		return nil, err
 	}
-	return applyStages(docs, stages)
+	return out, nil
 }
 
-// Regression: Limit.apply used to slice in[:N] with a negative N and
-// panic. A negative limit is a malformed pipeline — ErrBadFilter on
-// both the streaming and the pushdown path, never a panic.
+// countGroup is the pipeline TopDevices and the benchmark harness ask.
+func countGroup(field string) Group {
+	return Group{By: []string{field}, Accs: map[string]Accumulator{"n": {Op: "count"}}}
+}
+
+// Regression: a negative Limit used to panic slicing in[:N]. A negative
+// limit is a malformed pipeline — ErrBadFilter, never a panic.
 func TestLimitNegativeN(t *testing.T) {
 	c := NewDBWithPartitions(3).Collection("x")
 	c.Insert(Doc{"v": 1.0})
 	c.Insert(Doc{"v": 2.0})
-	for name, run := range map[string]func() ([]Doc, error){
-		"pushdown":  func() ([]Doc, error) { return c.Aggregate(nil, Limit{N: -1}) },
-		"streaming": func() ([]Doc, error) { return c.aggregateStreaming(nil, Limit{N: -1}) },
-		"tail":      func() ([]Doc, error) { return c.Aggregate(nil, SortStage{Field: "v"}, Limit{N: -3}) },
-		"central": func() ([]Doc, error) {
-			return c.Aggregate(nil, Group{By: []string{"v"}, Accs: map[string]Accumulator{"n": {Op: "count"}}}, Limit{N: -2})
-		},
+	for name, stages := range map[string][]Stage{
+		"head":  {Limit{N: -1}},
+		"tail":  {countGroup("v"), SortStage{Field: "v"}, Limit{N: -3}},
+		"after": {countGroup("v"), Limit{N: -2}},
 	} {
-		if _, err := run(); !errors.Is(err, ErrBadFilter) {
+		if _, err := c.Aggregate(nil, stages...); !errors.Is(err, ErrBadFilter) {
 			t.Fatalf("%s: negative limit returned %v, want ErrBadFilter", name, err)
 		}
 	}
 	// Zero stays a valid (empty) limit.
-	docs, err := c.Aggregate(nil, Limit{N: 0})
-	if err != nil || len(docs) != 0 {
+	docs, err := c.Aggregate(nil, countGroup("v"), Limit{N: 0})
+	if err != nil || docs == nil || len(docs) != 0 {
 		t.Fatalf("Limit{0} = %v, %v; want empty, nil", docs, err)
 	}
 }
 
-// TestSortStageMixedTypePin pins the cross-type sort order (nil <
-// bool < number < string < time, ties stable by insertion) so the
-// pushdown top-K merge and the streaming stable sort can never drift
-// apart on heterogenous columns — the flexible-schema case where older
-// documents carry a differently-typed field.
+// TestSortStageMixedTypePin pins the cross-type sort order the central
+// SortStage gives group keys (nil < bool < number < string < time, ties
+// stable in first-seen order) and the group classes of a flexible-schema
+// field: int 7 and float 7.0 are one group, and so are an explicit nil
+// and an absent field.
 func TestSortStageMixedTypePin(t *testing.T) {
 	ts := time.Unix(1700000000, 0).UTC()
 	c := NewDBWithPartitions(4).Collection("x")
-	c.Insert(Doc{"v": "bravo", "tag": "s2"})
-	c.Insert(Doc{"v": 7.0, "tag": "n7"})
-	c.Insert(Doc{"v": true, "tag": "bt"})
-	c.Insert(Doc{"v": ts, "tag": "t"})
-	c.Insert(Doc{"v": nil, "tag": "nil"})
-	c.Insert(Doc{"v": "alpha", "tag": "s1"})
-	c.Insert(Doc{"v": 7, "tag": "n7i"}) // int 7 ties float 7.0: insertion order breaks it
-	c.Insert(Doc{"v": false, "tag": "bf"})
-	c.Insert(Doc{"tag": "missing"}) // absent field sorts as nil, after the explicit nil
+	c.Insert(Doc{"v": "bravo"})
+	c.Insert(Doc{"v": 7.0})
+	c.Insert(Doc{"v": true})
+	c.Insert(Doc{"v": ts})
+	c.Insert(Doc{"v": nil})
+	c.Insert(Doc{"v": "alpha"})
+	c.Insert(Doc{"v": 7}) // int 7 joins float 7.0's group
+	c.Insert(Doc{"v": false})
+	c.Insert(Doc{"tag": "missing"}) // absent joins nil's group
 
-	want := []string{"nil", "missing", "bf", "bt", "n7", "n7i", "s1", "s2", "t"}
-	for _, pipeline := range [][]Stage{
-		{SortStage{Field: "v"}},
-		{SortStage{Field: "v"}, Limit{N: 9}},
-	} {
-		got, err := c.Aggregate(nil, pipeline...)
+	keys := func(stages ...Stage) []any {
+		t.Helper()
+		got, err := c.Aggregate(nil, stages...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tags := make([]string, len(got))
+		want, err := c.aggregateStreaming(nil, stages...)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("pushdown %v != streaming %v (%v)", got, want, err)
+		}
+		out := make([]any, len(got))
 		for i, d := range got {
-			tags[i], _ = d["tag"].(string)
+			out[i] = d["v"]
 		}
-		if !reflect.DeepEqual(tags, want) {
-			t.Fatalf("ascending mixed-type sort order %v, want %v", tags, want)
-		}
-		oracle, err := c.aggregateStreaming(nil, pipeline...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, oracle) {
-			t.Fatalf("pushdown %v != streaming %v", got, oracle)
-		}
+		return out
 	}
-	// Descending reverses the type ranking; equal keys keep insertion
-	// order (stable), they do not reverse.
-	desc, err := c.Aggregate(nil, SortStage{Field: "-v"}, Limit{N: 3})
-	if err != nil {
-		t.Fatal(err)
+	if got, want := keys(countGroup("v"), SortStage{Field: "v"}), []any{nil, false, true, 7.0, "alpha", "bravo", ts}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("ascending mixed-type order %v, want %v", got, want)
 	}
-	gotDesc := []string{desc[0]["tag"].(string), desc[1]["tag"].(string), desc[2]["tag"].(string)}
-	if want := []string{"t", "s2", "s1"}; !reflect.DeepEqual(gotDesc, want) {
-		t.Fatalf("descending top-3 %v, want %v", gotDesc, want)
+	if got, want := keys(countGroup("v"), SortStage{Field: "-v"}, Limit{N: 3}), []any{ts, "bravo", "alpha"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("descending top-3 %v, want %v", got, want)
+	}
+	// Equal counts keep first-seen order: they do not reverse.
+	if got, want := keys(countGroup("v"), SortStage{Field: "-n"}, Limit{N: 4}), []any{7.0, nil, "bravo", true}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("count-descending top-4 %v, want %v", got, want)
 	}
 }
 
-// TestExplainPlans pins the planner's shape dispatch: which pipelines
-// push down, as what kind, how many stages land where, and that a head
-// the planner cannot push is an error.
+// TestExplainPlans pins the one pipeline shape Aggregate runs — none, or
+// a single-field count Group followed by SortStage and Limit — and that
+// every other shape is ErrBadFilter. A group pipeline leaves its
+// partials cached; a scan leaves nothing.
 func TestExplainPlans(t *testing.T) {
-	group := Group{By: []string{"zip"}, Accs: map[string]Accumulator{"n": {Op: "count"}}}
-	type shape struct {
-		kind      planKind
-		pushed    int
-		central   int
-		cacheable bool
-	}
-	cases := []struct {
-		name   string
-		filter Doc
-		stages []Stage
-		want   shape
-	}{
-		{"bare find", Doc{"zip": "8000"}, nil,
-			shape{kind: planScan}},
-		{"match fold", nil, []Stage{Match{Filter: Doc{"zip": "8000"}}, Match{Filter: Doc{"verified": true}}},
-			shape{kind: planScan, pushed: 2}},
-		{"group", nil, []Stage{group},
-			shape{kind: planGroup, pushed: 1, cacheable: true}},
-		{"match group tail", nil, []Stage{Match{Filter: Doc{"verified": true}}, group, SortStage{Field: "-n"}, Limit{N: 3}},
-			shape{kind: planGroup, pushed: 2, central: 2, cacheable: true}},
-		{"bucket", nil, []Stage{Bucket{Field: "ts", Origin: 0, Width: 60}},
-			shape{kind: planBucket, pushed: 1, cacheable: true}},
-		{"topk", nil, []Stage{SortStage{Field: "-duration"}, Limit{N: 10}},
-			shape{kind: planTopK, pushed: 2}},
-		{"full sort", nil, []Stage{SortStage{Field: "duration"}},
-			shape{kind: planTopK, pushed: 1}},
-		{"limit scan", nil, []Stage{Limit{N: 5}, Limit{N: 3}},
-			shape{kind: planScan, pushed: 1, central: 1}},
-		{"custom tail stays central", nil, []Stage{group, passthrough{}},
-			shape{kind: planGroup, pushed: 1, central: 1, cacheable: true}},
-		{"regex filter uncacheable", Doc{"zip": map[string]any{"$regexPrefix": "80"}}, []Stage{group},
-			shape{kind: planGroup, pushed: 1, cacheable: true}},
-	}
-	for _, tc := range cases {
-		plan, err := planAggregate(tc.filter, tc.stages)
-		if err != nil {
-			t.Errorf("%s: %v", tc.name, err)
-			continue
-		}
-		got := shape{plan.kind, len(tc.stages) - len(plan.tail), len(plan.tail), plan.cacheable()}
-		if got != tc.want {
-			t.Errorf("%s: plan = %+v, want %+v", tc.name, got, tc.want)
-		}
-	}
-	// A custom stage at the head has nowhere to run.
-	for _, stages := range [][]Stage{{passthrough{}, group}, {Match{Filter: Doc{"zip": "8000"}}, passthrough{}}, {nil}} {
-		if plan, err := planAggregate(nil, stages); !errors.Is(err, ErrBadFilter) {
-			t.Errorf("unplannable head %T: plan %+v, err %v; want ErrBadFilter", stages[len(stages)-1], plan, err)
-		}
-	}
 	c := NewDBWithPartitions(2).Collection("x")
-	c.Insert(Doc{"zip": "8000"})
-	if out, err := c.Aggregate(nil, passthrough{}, group); !errors.Is(err, ErrBadFilter) {
-		t.Errorf("Aggregate ran an unplannable pipeline: %v, %v", out, err)
+	c.Insert(Doc{"zip": "8000", "n": 1.0})
+	group := countGroup("zip")
+	cached := func() int {
+		n := 0
+		for _, p := range c.parts {
+			n += len(p.agg)
+		}
+		return n
+	}
+	for _, tc := range []struct {
+		name    string
+		stages  []Stage
+		ok      bool
+		entries int // cached partials afterwards
+	}{
+		{"bare find", nil, true, 0},
+		{"group", []Stage{group}, true, 2},
+		{"group tail", []Stage{group, SortStage{Field: "-n"}, Limit{N: 3}, SortStage{Field: "zip"}}, true, 2},
+		{"group, no accumulators", []Stage{Group{By: []string{"zip"}}}, true, 2},
+		{"group, two counts", []Stage{Group{By: []string{"zip"}, Accs: map[string]Accumulator{"a": {Op: "count"}, "b": {Op: "count"}}}}, true, 2},
+		{"other field", []Stage{countGroup("n")}, true, 4},
+		{"two By fields", []Stage{Group{By: []string{"zip", "n"}}}, false, 4},
+		{"no By field", []Stage{Group{}}, false, 4},
+		{"sum accumulator", []Stage{Group{By: []string{"zip"}, Accs: map[string]Accumulator{"s": {Op: "sum"}}}}, false, 4},
+		{"sort head", []Stage{SortStage{Field: "n"}, Limit{N: 1}}, false, 4},
+		{"limit head", []Stage{Limit{N: 5}}, false, 4},
+		{"custom head", []Stage{passthrough{}, group}, false, 4},
+		{"custom tail", []Stage{group, passthrough{}}, false, 4},
+		{"second group", []Stage{group, group}, false, 4},
+		{"nil stage", []Stage{nil}, false, 4},
+	} {
+		out, err := c.Aggregate(nil, tc.stages...)
+		if tc.ok != (err == nil) || !tc.ok && !errors.Is(err, ErrBadFilter) {
+			t.Errorf("%s: Aggregate = %v, %v; want accepted %v", tc.name, out, err, tc.ok)
+		}
+		if tc.ok != supported(tc.stages) {
+			t.Errorf("%s: the reference's supported() disagrees", tc.name)
+		}
+		if n := cached(); n != tc.entries {
+			t.Errorf("%s: %d cached partials, want %d", tc.name, n, tc.entries)
+		}
 	}
 }
 
-// TestPushdownMatchesStreamingBasics runs each planned shape over a
-// small fixed corpus and requires byte-identical answers from both
-// executors — the hand-written complement of the property battery.
+// TestPushdownMatchesStreamingBasics runs each kept shape over a small
+// fixed corpus and requires byte-identical answers from the pushdown
+// and the streaming reference — the hand-written complement of the
+// property battery.
 func TestPushdownMatchesStreamingBasics(t *testing.T) {
 	c, err := NewDBWithPartitions(4).CollectionWithShardKey("alarms", "deviceMac")
 	if err != nil {
@@ -184,97 +288,40 @@ func TestPushdownMatchesStreamingBasics(t *testing.T) {
 			"ts":        float64(1000 + 10*i),
 			"duration":  float64(i % 40),
 			"verified":  i%3 == 0,
+			"meta":      map[string]any{"sensor": fmt.Sprintf("s%d", i%3)},
 		})
 	}
-	group := Group{By: []string{"zip"}, Accs: map[string]Accumulator{
-		"n":    {Op: "count"},
-		"sum":  {Op: "sum", Field: "duration"},
-		"avg":  {Op: "avg", Field: "duration"},
-		"min":  {Op: "min", Field: "duration"},
-		"max":  {Op: "max", Field: "duration"},
-		"mac0": {Op: "first", Field: "deviceMac"},
-	}}
 	pipelines := [][]Stage{
 		nil,
-		{Match{Filter: Doc{"verified": true}}},
-		{group},
-		{Match{Filter: Doc{"duration": map[string]any{"$gte": 10.0}}}, group, SortStage{Field: "-n"}, Limit{N: 2}},
-		{Group{By: []string{"deviceMac", "verified"}, Accs: map[string]Accumulator{"n": {Op: "count"}}}},
-		{Bucket{Field: "ts", Origin: 1000, Width: 250}},
-		{Match{Filter: Doc{"deviceMac": "mac-3"}}, Bucket{Field: "ts", Origin: 0, Width: 100}},
-		{SortStage{Field: "-ts"}, Limit{N: 9}},
-		{SortStage{Field: "duration"}, Limit{N: 15}, Match{Filter: Doc{"verified": true}}},
-		{SortStage{Field: "duration"}},
-		{Limit{N: 13}},
-		{Limit{N: 17}, Match{Filter: Doc{"verified": true}}, Limit{N: 11}},
-		{group, passthrough{}, SortStage{Field: "-sum"}},
+		{countGroup("zip")},
+		{countGroup("deviceMac"), SortStage{Field: "-n"}, Limit{N: 2}},
+		{countGroup("verified"), SortStage{Field: "verified"}},
+		{countGroup("meta.sensor"), Limit{N: 2}, SortStage{Field: "-meta.sensor"}},
+		{countGroup("duration"), SortStage{Field: "-n"}, SortStage{Field: "duration"}, Limit{N: 9}},
+		{countGroup("absent")},
+		{Group{By: []string{"zip"}}},
 	}
-	filters := []Doc{nil, {"deviceMac": "mac-2"}, {"verified": false}}
+	filters := []Doc{nil, {"deviceMac": "mac-2"}, {"verified": false}, {"duration": map[string]any{"$gte": 10.0}}}
 	for fi, filter := range filters {
 		for pi, stages := range pipelines {
-			want, werr := c.aggregateStreaming(filter, stages...)
-			got, gerr := c.Aggregate(filter, stages...)
-			if (werr != nil) != (gerr != nil) {
-				t.Fatalf("filter %d pipeline %d: streaming err %v vs pushdown err %v", fi, pi, werr, gerr)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("filter %d pipeline %d: pushdown %v\nwant %v", fi, pi, got, want)
-			}
+			runBoth(t, c, probe{filter: filter, stages: stages}, fmt.Sprintf("filter %d pipeline %d", fi, pi))
 		}
 	}
-}
-
-// TestAggregateMultiMatchesSingle: the batched sweep must answer each
-// filter exactly as a standalone Aggregate would.
-func TestAggregateMultiMatchesSingle(t *testing.T) {
-	c, err := NewDBWithPartitions(3).CollectionWithShardKey("alarms", "deviceMac")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 90; i++ {
-		c.Insert(Doc{
-			"deviceMac": fmt.Sprintf("mac-%d", i%6),
-			"ts":        float64(100 * i),
-			"duration":  float64(i % 13),
-		})
-	}
-	filters := []Doc{
-		{"deviceMac": "mac-0"},
-		{"deviceMac": "mac-4"},
-		nil,
-		{"duration": map[string]any{"$lt": 6.0}},
-		{"deviceMac": "mac-no-such"},
-	}
-	for _, stages := range [][]Stage{
-		{Bucket{Field: "ts", Origin: 0, Width: 1000}},
-		{Group{By: []string{"deviceMac"}, Accs: map[string]Accumulator{"n": {Op: "count"}}}},
-		{SortStage{Field: "-ts"}, Limit{N: 4}},
+	for i, conds := range [][]Cond{
+		{{Field: "deviceMac", Op: "$eq", Value: String("mac-3")}},
+		{{Field: "deviceMac", Op: "$eq", Value: String("mac-4")}, {Field: "ts", Op: "$gte", Value: Float(1500)}},
+		{{Field: "duration", Op: "$lt", Value: Float(6)}},
+		{{Field: "deviceMac", Op: "$eq", Value: String("mac-no-such")}},
 	} {
-		batch, err := c.AggregateMulti(filters, stages...)
-		if err != nil {
-			t.Fatal(err)
+		for _, b := range []Bucket{{Field: "ts", Origin: 1000, Width: 250}, {Field: "ts", Origin: 0, Width: 100}, {Field: "zip", Width: 1}} {
+			runBoth(t, c, probe{conds: [][]Cond{conds, conds[:1]}, bucket: b}, fmt.Sprintf("histogram %d over %v", i, b))
 		}
-		if len(batch) != len(filters) {
-			t.Fatalf("AggregateMulti returned %d results for %d filters", len(batch), len(filters))
-		}
-		for i, filter := range filters {
-			want, err := c.Aggregate(filter, stages...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(batch[i], want) {
-				t.Fatalf("filter %d: batched %v != single %v", i, batch[i], want)
-			}
-		}
-	}
-	if out, err := c.AggregateMulti(nil); err != nil || len(out) != 0 {
-		t.Fatalf("empty batch = %v, %v", out, err)
 	}
 }
 
-// TestAggregateSnapshotCache: a repeated cacheable aggregation is
-// served from the partials the partitions kept; a write shows in the
-// next answer; served answers never alias cache internals.
+// TestAggregateSnapshotCache: a repeated group count is served from the
+// partials the partitions kept; a write shows in the next answer; served
+// answers never alias cache internals.
 func TestAggregateSnapshotCache(t *testing.T) {
 	c, err := NewDBWithPartitions(2).CollectionWithShardKey("alarms", "deviceMac")
 	if err != nil {
@@ -283,7 +330,7 @@ func TestAggregateSnapshotCache(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		c.Insert(Doc{"deviceMac": fmt.Sprintf("mac-%d", i%4), "ts": float64(i)})
 	}
-	pipeline := []Stage{Group{By: []string{"deviceMac"}, Accs: map[string]Accumulator{"n": {Op: "count"}}}}
+	pipeline := []Stage{countGroup("deviceMac")}
 	first, err := c.Aggregate(nil, pipeline...)
 	if err != nil {
 		t.Fatal(err)
@@ -295,7 +342,7 @@ func TestAggregateSnapshotCache(t *testing.T) {
 		p.cacheMu.Unlock()
 	}
 	if cached == 0 {
-		t.Fatal("cacheable aggregation left no partials behind")
+		t.Fatal("a group count left no partials behind")
 	}
 	second, err := c.Aggregate(nil, pipeline...)
 	if err != nil {
@@ -328,22 +375,23 @@ func TestAggregateSnapshotCache(t *testing.T) {
 	}
 }
 
-// TestGroupValidationErrors: unknown accumulators and malformed
-// bucket widths surface as ErrBadFilter on both executors.
+// TestGroupValidationErrors: accumulators other than count and
+// malformed bucket widths surface as ErrBadFilter, before any scan.
 func TestGroupValidationErrors(t *testing.T) {
 	c := NewDBWithPartitions(2).Collection("x")
 	c.Insert(Doc{"v": 1.0})
-	bad := []Stage{Group{By: []string{"v"}, Accs: map[string]Accumulator{"x": {Op: "median"}}}}
-	if _, err := c.Aggregate(nil, bad...); !errors.Is(err, ErrBadFilter) {
-		t.Fatalf("pushdown bad accumulator: %v", err)
+	for _, op := range []string{"median", "sum", "avg", "min", "max", "first", ""} {
+		bad := Group{By: []string{"v"}, Accs: map[string]Accumulator{"x": {Op: op}}}
+		if _, err := c.Aggregate(nil, bad); !errors.Is(err, ErrBadFilter) {
+			t.Fatalf("accumulator %q: %v", op, err)
+		}
 	}
-	if _, err := c.aggregateStreaming(nil, bad...); !errors.Is(err, ErrBadFilter) {
-		t.Fatalf("streaming bad accumulator: %v", err)
-	}
-	if _, err := c.Aggregate(nil, Bucket{Field: "v", Width: 0}); !errors.Is(err, ErrBadFilter) {
-		t.Fatalf("pushdown zero bucket width: %v", err)
-	}
-	if _, err := c.aggregateStreaming(nil, Bucket{Field: "v", Width: -1}); !errors.Is(err, ErrBadFilter) {
-		t.Fatalf("streaming negative bucket width: %v", err)
+	for _, w := range []float64{0, -1} {
+		err := c.BucketCounts([][]Cond{nil}, Bucket{Field: "v", Width: w}, func(int, []BucketCount) {
+			t.Fatal("a bad bucket answered")
+		})
+		if !errors.Is(err, ErrBadFilter) {
+			t.Fatalf("bucket width %v: %v", w, err)
+		}
 	}
 }

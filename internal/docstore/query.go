@@ -21,14 +21,6 @@ type filter struct {
 	nodes []node
 }
 
-// row is what a filter is evaluated against: row r of partition p, or
-// (mid-pipeline, in a Match stage) a document outside any partition.
-type row struct {
-	p   *partition
-	r   int
-	doc Doc
-}
-
 const (
 	nodePred = iota // field condition
 	nodeAnd         // $and / $or / $nor over sub-filters
@@ -87,11 +79,8 @@ func compileFilter(d *fieldDict, f Doc) *filter {
 				n.kind, n.err = nodeErr, fmt.Errorf("%w: unknown operator %q", ErrBadFilter, key)
 				break
 			}
-			n.path, n.cond = key, cond
-			if d != nil { // nil: the filter will only ever see documents
-				n.ref = d.ref(key)
-				n.op, n.lit = fastCond(cond)
-			}
+			n.path, n.cond, n.ref = key, cond, d.ref(key)
+			n.op, n.lit = fastCond(cond)
 		}
 		out.nodes = append(out.nodes, n)
 	}
@@ -158,9 +147,9 @@ func (n *node) eqKey() (indexKey, bool) {
 	return keyFor(v)
 }
 
-// match reports whether the row satisfies the filter, node skip (one
-// the caller proved true for the row; -1: none) aside.
-func (f *filter) match(src row, skip int) (bool, error) {
+// match reports whether row r of partition p satisfies the filter, node
+// skip (one the caller proved true for the row; -1: none) aside.
+func (f *filter) match(p *partition, r, skip int) (bool, error) {
 	for i := range f.nodes {
 		n := &f.nodes[i]
 		switch {
@@ -168,13 +157,13 @@ func (f *filter) match(src row, skip int) (bool, error) {
 		case n.kind == nodeErr:
 			return false, n.err
 		case n.kind == nodePred:
-			ok, err := n.matchRow(src)
+			ok, err := n.matchRow(p, r)
 			if err != nil || !ok {
 				return false, err
 			}
 		case n.kind == nodeAnd:
 			for _, s := range n.subs {
-				ok, err := s.match(src, -1)
+				ok, err := s.match(p, r, -1)
 				if err != nil || !ok {
 					return false, err
 				}
@@ -182,7 +171,7 @@ func (f *filter) match(src row, skip int) (bool, error) {
 		default: // nodeOr, nodeNor
 			hit := false
 			for _, s := range n.subs {
-				ok, err := s.match(src, -1)
+				ok, err := s.match(p, r, -1)
 				if err != nil {
 					return false, err
 				}
@@ -203,12 +192,7 @@ func (f *filter) match(src row, skip int) (bool, error) {
 // a typed column of the literal's family reads the column directly;
 // everything else (operator sets, dotted paths, promoted columns)
 // boxes the row's value and takes matchField.
-func (n *node) matchRow(src row) (bool, error) {
-	p, r := src.p, src.r
-	if p == nil {
-		val, exists := lookup(src.doc, n.path)
-		return matchField(val, exists, n.cond)
-	}
+func (n *node) matchRow(p *partition, r int) (bool, error) {
 	if n.op != "" && n.ref.rest == "" {
 		var c Cell
 		if n.ref.slot == slotID {

@@ -118,7 +118,7 @@ func (c Cell) Str() string {
 }
 
 // Num returns the cell's number as a float64 (0 for non-numbers), with
-// the same coercion filters and accumulators apply.
+// the same coercion filters and histograms apply.
 func (c Cell) Num() float64 {
 	switch c.kind {
 	case kindFloat:

@@ -136,8 +136,8 @@ func TestPropertyDocRoundTrip(t *testing.T) {
 
 // TestMixedKindFieldPromotes pins the fallback: a field that holds an
 // int and then a string is promoted to the boxed representation — and
-// counted as such — yet still answers Find, Group and Bucket exactly
-// like the streaming oracle, and survives checkpoint + recovery; the
+// counted as such — yet still answers Find, group counts and
+// histograms exactly like the streaming reference, and survives checkpoint + recovery; the
 // fields beside it stay typed.
 func TestMixedKindFieldPromotes(t *testing.T) {
 	dir := t.TempDir()
@@ -170,29 +170,29 @@ func TestMixedKindFieldPromotes(t *testing.T) {
 			}
 		}
 	}
-	probes := func(c *Collection) [][]Doc {
+	probes := func(c *Collection) []answer {
 		t.Helper()
-		var out [][]Doc
+		var out []answer
 		for i, filter := range []Doc{nil, {"v": 3}, {"v": "3"}, {"v": map[string]any{"$gte": 2}}, {"v": map[string]any{"$in": []any{1, "1"}}}} {
 			docs, err := c.Find(filter)
 			if err != nil {
 				t.Fatal(err)
 			}
-			out = append(out, docs)
-			for j, stages := range [][]Stage{
-				{Group{By: []string{"v"}, Accs: map[string]Accumulator{"n": {Op: "count"}, "lo": {Op: "min", Field: "v"}, "s": {Op: "sum", Field: "v"}}}},
-				{Group{By: []string{"tag", "v"}, Accs: map[string]Accumulator{"first": {Op: "first", Field: "v"}}}},
-				{Bucket{Field: "v", Origin: 0, Width: 2}},
-				{SortStage{Field: "-v"}, Limit{N: 7}},
+			out = append(out, answer{docs: docs})
+			for j, pr := range []probe{
+				{filter: filter, stages: []Stage{countGroup("v")}},
+				{filter: filter, stages: []Stage{countGroup("tag"), SortStage{Field: "-tag"}}},
+				{filter: filter, stages: []Stage{countGroup("v"), SortStage{Field: "-v"}, Limit{N: 7}}},
+				{conds: [][]Cond{{{Field: "v", Op: "$gte", Value: Float(1)}}, {{Field: "v", Op: "$eq", Value: String("3")}}}, bucket: Bucket{Field: "v", Origin: 0, Width: 2}},
 			} {
-				out = append(out, runBoth(t, c, filter, stages, fmt.Sprintf("filter %d stages %d", i, j)))
+				out = append(out, runBoth(t, c, pr, fmt.Sprintf("filter %d probe %d", i, j)))
 			}
 		}
 		return out
 	}
 	requireKinds(c)
 	before := probes(c)
-	if len(before[1]) == 0 || len(before[5]) == 0 {
+	if len(before[5].docs) == 0 || len(before[10].docs) == 0 {
 		t.Fatal("the int and the string probe must both match something")
 	}
 	if err := db.Checkpoint(); err != nil {
