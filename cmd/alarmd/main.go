@@ -28,24 +28,20 @@
 // The replayed stream is shaped by the scenario load generator
 // (internal/loadgen): -scenario picks the arrival process (constant,
 // poisson, burst, diurnal, flash) and -skew concentrates traffic on
-// Zipf-distributed hot devices, offered open-loop at -rate. Overload
-// control is opt-in: -adaptive-batch resizes micro-batches with queue
-// pressure and -shed-queue bounds the per-shard backlog, shedding the
-// oldest batches (counted, committed) past it. Latency histograms for
-// every stage and end-to-end run lock-free (internal/metrics) and are
-// served on /metrics and /stats.
-//
-// Two hot-path knobs ride on top: -commit-coalesce batches many
-// micro-batch offset commits into one commit per interval (trading a
-// wider redelivery window after a crash for fewer coordinator
-// round-trips), and -pprof-listen exposes the net/http/pprof profiler
-// on its own address so CPU and allocation profiles can be captured
-// from a live run (see PERFORMANCE.md and `make profile`).
+// Zipf-distributed hot devices, offered open-loop at -rate. Each shard
+// drains at most drainBound records per micro-batch, persists them and
+// commits that batch's offsets. Overload control is opt-in: -shed-queue
+// bounds the per-shard backlog, shedding the oldest batches (counted,
+// committed) past it. Latency histograms for every stage and
+// end-to-end run lock-free (internal/metrics) and are served on
+// /metrics and /stats. -pprof-listen exposes the net/http/pprof
+// profiler on its own address so CPU and allocation profiles can be
+// captured from a live run (see PERFORMANCE.md and `make profile`).
 //
 // Usage:
 //
 //	alarmd -rate 5000 -scenario flash -duration 10s -partitions 8 -shards 4 -pipeline-depth 2 \
-//	       -adaptive-batch -shed-queue 8192 -store-partitions 8 \
+//	       -shed-queue 8192 -store-partitions 8 \
 //	       -model-dir ./models -retrain-interval 5s -retrain-min-feedback 200 -listen :8080
 package main
 
@@ -86,7 +82,6 @@ type options struct {
 	partitions      int
 	shards          int
 	depth           int
-	adaptiveBatch   bool
 	shedQueue       int
 	storePartitions int
 	writeBehind     int
@@ -100,7 +95,6 @@ type options struct {
 	retrainMinFB    int
 	listen          string
 	pprofListen     string
-	commitCoalesce  time.Duration
 	topDevices      int
 	brokerAddr      string
 	produce         bool
@@ -126,8 +120,6 @@ func parseOptions(args []string, output io.Writer) (options, error) {
 	fs.IntVar(&o.partitions, "partitions", 8, "broker partitions (the §5.5.2 parallelism knob)")
 	fs.IntVar(&o.shards, "shards", 2, "consumer shards joining the verification group")
 	fs.IntVar(&o.depth, "pipeline-depth", 2, "bounded stage-queue depth per shard")
-	fs.BoolVar(&o.adaptiveBatch, "adaptive-batch", false,
-		"grow the micro-batch bound under queue pressure and shrink it when idle")
 	fs.IntVar(&o.shedQueue, "shed-queue", 0,
 		"per-shard backlog bound in records beyond which drained batches are load-shed (0 = never shed)")
 	fs.IntVar(&o.storePartitions, "store-partitions", 0,
@@ -140,7 +132,8 @@ func parseOptions(args []string, output io.Writer) (options, error) {
 		"WAL group-fsync interval; 0 makes each write wait for an fsync covering it (strict, slow); requires -data-dir")
 	fs.DurationVar(&o.retention, "retention", 0,
 		"prune alarm history older than this at each snapshot (0 = keep everything); requires -data-dir")
-	fs.DurationVar(&o.interval, "interval", 50*time.Millisecond, "idle poll wait per micro-batch drain")
+	fs.DurationVar(&o.interval, "interval", 50*time.Millisecond,
+		"how often an idle shard checks for stop and rebalance (an append ends a drain's wait at once)")
 	fs.IntVar(&o.trainN, "train", 30_000, "alarms for offline training")
 	fs.StringVar(&o.modelDir, "model-dir", "",
 		"versioned model registry directory: boot from the latest saved model and register retrained ones (empty = in-memory models only)")
@@ -152,8 +145,6 @@ func parseOptions(args []string, output io.Writer) (options, error) {
 		"HTTP listen address for /verify, /feedback, /stats, /history (empty = no HTTP API)")
 	fs.StringVar(&o.pprofListen, "pprof-listen", "",
 		"HTTP listen address for net/http/pprof profiling endpoints under /debug/pprof/ (empty = no profiler)")
-	fs.DurationVar(&o.commitCoalesce, "commit-coalesce", 0,
-		"offset-commit coalescing interval per shard: persisted batches accumulate and commit once per interval (0 = commit per micro-batch)")
 	fs.IntVar(&o.topDevices, "top-devices", 5,
 		"noisiest devices ranked in /stats and the final report via pushdown store aggregation (0 = disabled)")
 	fs.StringVar(&o.brokerAddr, "broker-addr", "",
@@ -214,8 +205,6 @@ func parseOptions(args []string, output io.Writer) (options, error) {
 		return options{}, fmt.Errorf("alarmd: -retrain-interval must be >= 0, got %s", o.retrainInterval)
 	case o.retrainMinFB < 0:
 		return options{}, fmt.Errorf("alarmd: -retrain-min-feedback must be >= 0, got %d", o.retrainMinFB)
-	case o.commitCoalesce < 0:
-		return options{}, fmt.Errorf("alarmd: -commit-coalesce must be >= 0, got %s", o.commitCoalesce)
 	case o.topDevices < 0:
 		return options{}, fmt.Errorf("alarmd: -top-devices must be >= 0, got %d", o.topDevices)
 	case !o.produce && o.brokerAddr == "":
@@ -405,18 +394,7 @@ func run(o options) error {
 		history.RecordBatch(alarms[:o.trainN])
 	}
 	pipeMetrics := metrics.NewPipeline()
-	svcCfg := serve.Config{
-		Shards:         o.shards,
-		PipelineDepth:  o.depth,
-		ShedQueue:      o.shedQueue,
-		CommitInterval: o.commitCoalesce,
-		Consumer:       core.DefaultConsumerConfig(),
-	}
-	svcCfg.Consumer.PollTimeout = o.interval
-	svcCfg.Consumer.AdaptiveBatch = o.adaptiveBatch
-	svcCfg.Consumer.Metrics = pipeMetrics
-	svcCfg.MemberPrefix = memberPrefix
-	svc, err := serve.NewWith(cluster, "alarmd", verifier, history, svcCfg)
+	svc, err := serve.NewWith(cluster, "alarmd", verifier, history, serviceConfig(o, pipeMetrics, memberPrefix))
 	if err != nil {
 		return err
 	}
@@ -424,8 +402,8 @@ func run(o options) error {
 	svc.Start()
 	fmt.Printf("serving with %d shard(s), pipeline depth %d, %d broker partitions, %d store partitions (write-behind %d)\n",
 		o.shards, o.depth, o.partitions, db.Partitions(), o.writeBehind)
-	if o.adaptiveBatch || o.shedQueue > 0 {
-		fmt.Printf("overload control: adaptive-batch=%v shed-queue=%d\n", o.adaptiveBatch, o.shedQueue)
+	if o.shedQueue > 0 {
+		fmt.Printf("overload control: shed-queue=%d\n", o.shedQueue)
 	}
 
 	var retrainer *core.Retrainer
@@ -636,6 +614,26 @@ loop:
 	}
 	// A halted shard left records unverified: fail loudly.
 	return svc.Err()
+}
+
+// drainBound is the most records a shard drains into one micro-batch.
+// PipelineDepth bounds batches, not records, so without it one drain
+// after a stall would take the whole backlog.
+const drainBound = 512
+
+// serviceConfig is the sharded service alarmd runs for o.
+func serviceConfig(o options, m *metrics.Pipeline, memberPrefix string) serve.Config {
+	cfg := serve.Config{
+		Shards:        o.shards,
+		PipelineDepth: o.depth,
+		ShedQueue:     o.shedQueue,
+		MemberPrefix:  memberPrefix,
+		Consumer:      core.DefaultConsumerConfig(),
+	}
+	cfg.Consumer.MaxPerBatch = drainBound
+	cfg.Consumer.PollTimeout = o.interval
+	cfg.Consumer.Metrics = m
+	return cfg
 }
 
 // alarmByID finds an alarm in the replay slice (IDs are sequential).

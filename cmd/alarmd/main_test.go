@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"alarmverify/internal/core"
 	"alarmverify/internal/docstore"
+	"alarmverify/internal/metrics"
 )
 
 func TestParseOptionsDefaults(t *testing.T) {
@@ -23,9 +25,8 @@ func TestParseOptionsDefaults(t *testing.T) {
 	if o.scenario != "constant" || o.skew != 0 {
 		t.Errorf("workload defaults wrong: scenario=%q skew=%g", o.scenario, o.skew)
 	}
-	if o.adaptiveBatch || o.shedQueue != 0 {
-		t.Errorf("overload defaults wrong: adaptive-batch=%v shed-queue=%d",
-			o.adaptiveBatch, o.shedQueue)
+	if o.shedQueue != 0 {
+		t.Errorf("overload defaults wrong: shed-queue=%d", o.shedQueue)
 	}
 	if o.storePartitions != 0 || o.writeBehind != 8192 {
 		t.Errorf("store defaults wrong: store-partitions=%d write-behind=%d",
@@ -41,9 +42,8 @@ func TestParseOptionsDefaults(t *testing.T) {
 	if o.modelDir != "" || o.retrainInterval != 0 || o.retrainMinFB != 0 || o.listen != "" {
 		t.Errorf("lifecycle defaults wrong: %+v", o)
 	}
-	if o.pprofListen != "" || o.commitCoalesce != 0 {
-		t.Errorf("hot-path defaults wrong: pprof-listen=%q commit-coalesce=%s",
-			o.pprofListen, o.commitCoalesce)
+	if o.pprofListen != "" {
+		t.Errorf("hot-path defaults wrong: pprof-listen=%q", o.pprofListen)
 	}
 }
 
@@ -56,7 +56,6 @@ func TestParseOptionsOverrides(t *testing.T) {
 		"-partitions", "16",
 		"-shards", "4",
 		"-pipeline-depth", "3",
-		"-adaptive-batch",
 		"-shed-queue", "4096",
 		"-store-partitions", "8",
 		"-write-behind", "0",
@@ -70,7 +69,6 @@ func TestParseOptionsOverrides(t *testing.T) {
 		"-retrain-min-feedback", "250",
 		"-listen", ":8080",
 		"-pprof-listen", ":6060",
-		"-commit-coalesce", "25ms",
 	}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
@@ -84,9 +82,8 @@ func TestParseOptionsOverrides(t *testing.T) {
 	if o.scenario != "flash" || o.skew != 1.2 {
 		t.Errorf("workload overrides lost: scenario=%q skew=%g", o.scenario, o.skew)
 	}
-	if !o.adaptiveBatch || o.shedQueue != 4096 {
-		t.Errorf("overload overrides lost: adaptive-batch=%v shed-queue=%d",
-			o.adaptiveBatch, o.shedQueue)
+	if o.shedQueue != 4096 {
+		t.Errorf("overload overrides lost: shed-queue=%d", o.shedQueue)
 	}
 	if o.storePartitions != 8 || o.writeBehind != 0 {
 		t.Errorf("store overrides lost: store-partitions=%d write-behind=%d",
@@ -103,9 +100,8 @@ func TestParseOptionsOverrides(t *testing.T) {
 		o.retrainMinFB != 250 || o.listen != ":8080" {
 		t.Errorf("lifecycle overrides lost: %+v", o)
 	}
-	if o.pprofListen != ":6060" || o.commitCoalesce != 25*time.Millisecond {
-		t.Errorf("hot-path overrides lost: pprof-listen=%q commit-coalesce=%s",
-			o.pprofListen, o.commitCoalesce)
+	if o.pprofListen != ":6060" {
+		t.Errorf("hot-path overrides lost: pprof-listen=%q", o.pprofListen)
 	}
 }
 
@@ -136,7 +132,6 @@ func TestParseOptionsValidation(t *testing.T) {
 		{"zero train", []string{"-train", "0"}, "-train"},
 		{"negative retrain interval", []string{"-retrain-interval", "-5s"}, "-retrain-interval"},
 		{"negative retrain feedback", []string{"-retrain-min-feedback", "-1"}, "-retrain-min-feedback"},
-		{"negative commit coalesce", []string{"-commit-coalesce", "-5ms"}, "-commit-coalesce"},
 		{"unknown flag", []string{"-bogus"}, "bogus"},
 		{"malformed int", []string{"-shards", "two"}, "shards"},
 	}
@@ -150,5 +145,31 @@ func TestParseOptionsValidation(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestServiceConfigBoundsDrains pins the drain bound alarmd runs: a
+// shard takes at most 512 records per micro-batch, so a backlog after a
+// stall splits into bounded batches instead of one batch holding all of
+// it. The other fields carry the options through unchanged.
+func TestServiceConfigBoundsDrains(t *testing.T) {
+	o, err := parseOptions([]string{"-shards", "3", "-pipeline-depth", "4", "-shed-queue", "900", "-interval", "7ms"}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := metrics.NewPipeline()
+	cfg := serviceConfig(o, m, "host-1")
+	if cfg.Consumer.MaxPerBatch != 512 {
+		t.Errorf("MaxPerBatch = %d, want 512", cfg.Consumer.MaxPerBatch)
+	}
+	if cfg.Shards != 3 || cfg.PipelineDepth != 4 || cfg.ShedQueue != 900 || cfg.MemberPrefix != "host-1" {
+		t.Errorf("service options lost: %+v", cfg)
+	}
+	if cfg.Consumer.PollTimeout != 7*time.Millisecond || cfg.Consumer.Metrics != m {
+		t.Errorf("consumer options lost: poll=%s metrics=%p", cfg.Consumer.PollTimeout, cfg.Consumer.Metrics)
+	}
+	if def := core.DefaultConsumerConfig(); cfg.Consumer.ClassifyBatch != def.ClassifyBatch ||
+		cfg.Consumer.HistogramSince != def.HistogramSince || cfg.Consumer.HistogramBucket != def.HistogramBucket {
+		t.Errorf("consumer defaults lost: %+v", cfg.Consumer)
 	}
 }

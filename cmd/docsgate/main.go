@@ -6,7 +6,10 @@
 //     comment,
 //   - an audited package has no package-level doc comment, or
 //   - a relative link in any *.md file points at a path that does not
-//     exist.
+//     exist, or
+//   - a backticked -flag in README.md, or in ARCHITECTURE.md's
+//     "Scale-out knobs" table, is not a flag cmd/alarmd or cmd/brokerd
+//     defines.
 //
 // Usage:
 //
@@ -72,6 +75,12 @@ func main() {
 		os.Exit(2)
 	}
 	problems = append(problems, mps...)
+	fps, err := auditFlags(*root)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "docsgate: flags: %v\n", err)
+		os.Exit(2)
+	}
+	problems = append(problems, fps...)
 	if len(problems) > 0 {
 		sort.Strings(problems)
 		for _, p := range problems {
@@ -229,4 +238,112 @@ func auditMarkdown(root string) ([]string, error) {
 		return nil
 	})
 	return problems, err
+}
+
+// flagCommands are the commands whose flags the docs may name.
+var flagCommands = []string{"cmd/alarmd", "cmd/brokerd"}
+
+// auditFlags reports every backticked -flag in README.md, and in the
+// "Scale-out knobs" table of ARCHITECTURE.md, that no flagCommands
+// command defines.
+func auditFlags(root string) ([]string, error) {
+	defined := map[string]bool{}
+	for _, cmd := range flagCommands {
+		if err := definedFlags(filepath.Join(root, cmd), defined); err != nil {
+			return nil, err
+		}
+	}
+	var problems []string
+	for _, doc := range []struct {
+		name    string
+		section string // heading the audit is limited to; "" = whole file
+	}{{"README.md", ""}, {"ARCHITECTURE.md", "Scale-out knobs"}} {
+		path := filepath.Join(root, doc.name)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		for _, f := range docFlags(string(data), doc.section) {
+			if !defined[f.name] {
+				problems = append(problems, fmt.Sprintf("%s:%d: flag -%s is not defined by %s",
+					path, f.line, f.name, strings.Join(flagCommands, " or ")))
+			}
+		}
+	}
+	return problems, nil
+}
+
+// definedFlags adds the name of every flag the package in dir defines
+// with a fs.XxxVar(&field, "name", ...) call to names.
+func definedFlags(dir string, names map[string]bool) error {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		return err
+	}
+	for _, p := range pkgs {
+		ast.Inspect(p, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) < 2 {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || !strings.HasSuffix(sel.Sel.Name, "Var") {
+				return true
+			}
+			if ref, ok := call.Args[0].(*ast.UnaryExpr); !ok || ref.Op != token.AND {
+				return true
+			}
+			if lit, ok := call.Args[1].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				names[strings.Trim(lit.Value, "`\"")] = true
+			}
+			return true
+		})
+	}
+	return nil
+}
+
+// docFlag is a flag a document names, with the line the name is on.
+type docFlag struct {
+	name string
+	line int
+}
+
+// codeSpan matches an inline code span, which may wrap across lines;
+// flagName matches the -name a span's text starts with.
+var (
+	codeSpan = regexp.MustCompile("`([^`]+)`")
+	flagName = regexp.MustCompile(`^\s*-([A-Za-z][A-Za-z0-9-]*)`)
+)
+
+// docFlags returns the flags named by inline code spans that start with
+// -name, outside fenced code blocks. With a section, only the table
+// rows under the heading containing it (up to the next heading) count.
+func docFlags(text, section string) []docFlag {
+	lines := strings.Split(text, "\n")
+	inSection, fenced := section == "", false
+	for i, line := range lines {
+		trimmed := strings.TrimSpace(line)
+		switch {
+		case strings.HasPrefix(trimmed, "```"):
+			fenced = !fenced
+			lines[i] = ""
+			continue
+		case !fenced && section != "" && strings.HasPrefix(trimmed, "#"):
+			inSection = strings.Contains(trimmed, section)
+		}
+		if fenced || !inSection || (section != "" && !strings.HasPrefix(trimmed, "|")) {
+			lines[i] = ""
+		}
+	}
+	kept := strings.Join(lines, "\n")
+	var out []docFlag
+	for _, m := range codeSpan.FindAllStringSubmatchIndex(kept, -1) {
+		if f := flagName.FindStringSubmatch(kept[m[2]:m[3]]); f != nil {
+			out = append(out, docFlag{name: f[1], line: strings.Count(kept[:m[2]], "\n") + 1})
+		}
+	}
+	return out
 }

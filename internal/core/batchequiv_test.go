@@ -200,9 +200,9 @@ func TestVotingBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestAdaptiveBatchUsesActiveMember asserts the adaptive wrapper's
+// TestAdaptiveVerifierBatchUsesActiveMember asserts the adaptive wrapper's
 // batch path serves the same member (and results) as per-alarm calls.
-func TestAdaptiveBatchUsesActiveMember(t *testing.T) {
+func TestAdaptiveVerifierBatchUsesActiveMember(t *testing.T) {
 	_, alarms := testAlarms(400)
 	train, live := alarms[:300], alarms[300:]
 	v1 := fastVerifier(t, train)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"alarmverify/internal/alarm"
@@ -68,17 +67,9 @@ type ConsumerConfig struct {
 	// query (§4.1); zero values default to 30 days / 1 day buckets.
 	HistogramSince  time.Duration
 	HistogramBucket time.Duration
-	// MaxPerBatch bounds records drained per micro-batch. Under
-	// adaptive batching it is the ceiling the batch can grow to.
+	// MaxPerBatch bounds records drained per micro-batch; 0 leaves the
+	// drain unbounded (it takes everything queued).
 	MaxPerBatch int
-	// AdaptiveBatch grows the per-drain record bound under queue
-	// pressure (a saturated drain doubles it, up to MaxPerBatch) and
-	// shrinks it when drains come back mostly empty (halving down to
-	// AdaptiveMinBatch) — big batches amortize per-batch costs during
-	// a burst, small batches keep latency low when idle.
-	AdaptiveBatch bool
-	// AdaptiveMinBatch is the adaptive floor (default 64).
-	AdaptiveMinBatch int
 	// PollTimeout bounds how long a drain waits for the first record
 	// when the topic is idle; zero means 10 ms. An append ends the
 	// wait at once, so this is only how often an idle intake gets to
@@ -112,9 +103,6 @@ type ConsumerApp struct {
 	verifier *Verifier
 	history  *History
 	consumer broker.GroupConsumer
-	// batchLimit is the adaptive per-drain record bound; only Drain
-	// (single intake goroutine) writes it, BatchLimit reads it.
-	batchLimit atomic.Int64
 
 	// sc is the decode scratch (string interner), used only by the
 	// single intake goroutine; batchPool recycles Batch scratch
@@ -165,27 +153,12 @@ func NewConsumerAppFor(cons broker.GroupConsumer, _ int,
 	if cfg.ClassifyBatch <= 0 {
 		cfg.ClassifyBatch = 256
 	}
-	if cfg.AdaptiveBatch {
-		if cfg.AdaptiveMinBatch <= 0 {
-			cfg.AdaptiveMinBatch = 64
-		}
-		if cfg.MaxPerBatch <= 0 {
-			cfg.MaxPerBatch = 8192
-		}
-		if cfg.AdaptiveMinBatch > cfg.MaxPerBatch {
-			cfg.AdaptiveMinBatch = cfg.MaxPerBatch
-		}
-	}
 	app := &ConsumerApp{
 		cfg:      cfg,
 		verifier: verifier,
 		history:  history,
 		consumer: cons,
 		sc:       codec.NewScratch(),
-	}
-	if cfg.AdaptiveBatch {
-		// Start at the floor: the first saturated drain doubles it.
-		app.batchLimit.Store(int64(cfg.AdaptiveMinBatch))
 	}
 	// Persist's sweep scratch, sized like a pooled batch for a full drain.
 	n := cfg.MaxPerBatch

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"alarmverify/internal/alarm"
 	"alarmverify/internal/broker"
 	"alarmverify/internal/codec"
 	"alarmverify/internal/docstore"
@@ -38,72 +39,60 @@ func preloadLive(t *testing.T, n int) (*broker.Broker, int) {
 	return b, len(alarms)
 }
 
-func TestAdaptiveBatchGrowsUnderPressureShrinksWhenIdle(t *testing.T) {
-	b, n := preloadLive(t, 3000)
-	defer b.Close()
-	_, train := testAlarms(800)
-	v := fastVerifier(t, train)
-
-	cfg := DefaultConsumerConfig()
-	cfg.AdaptiveBatch = true
-	cfg.AdaptiveMinBatch = 64
-	cfg.MaxPerBatch = 1024
-	cfg.PollTimeout = time.Millisecond
-	app, err := NewConsumerApp(b, "alarms", "adapt", "c1", v, nil, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer app.Close()
-
-	if got := app.BatchLimit(); got != 64 {
-		t.Fatalf("initial adaptive limit %d, want the 64 floor", got)
-	}
-	// A deep backlog saturates every drain: the limit must double its
-	// way up to the MaxPerBatch ceiling.
-	drained := 0
-	grew := false
-	for drained < n {
-		batch := app.Drain()
-		drained += len(batch.recs)
-		if app.BatchLimit() > 64 {
-			grew = true
-		}
-		if len(batch.recs) == 0 {
-			break
-		}
-	}
-	if !grew {
-		t.Fatal("adaptive limit never grew under a saturated backlog")
-	}
-	if got := app.BatchLimit(); got != 1024 {
-		t.Fatalf("limit after draining a deep backlog = %d, want ceiling 1024", got)
-	}
-	// Idle drains must shrink it back to the floor.
-	for i := 0; i < 10; i++ {
-		app.Drain()
-	}
-	if got := app.BatchLimit(); got != 64 {
-		t.Fatalf("limit after idling = %d, want floor 64", got)
-	}
-}
-
-func TestAdaptiveBatchDefaults(t *testing.T) {
+// TestDrainTakesWhatIsQueuedUpToMax pins the drain's batch sizing: a
+// drain returns what is queued, at most MaxPerBatch records, so a short
+// queue is one batch, a backlog splits into full batches and a
+// remainder, and an idle drain comes back empty.
+func TestDrainTakesWhatIsQueuedUpToMax(t *testing.T) {
+	const max = 64
+	_, alarms := testAlarms(2*max + 8)
+	v := fastVerifier(t, alarms)
 	b := broker.New()
 	defer b.Close()
-	if _, err := b.CreateTopic("alarms", 1); err != nil {
+	topic, err := b.CreateTopic("alarms", 4)
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, train := testAlarms(800)
-	v := fastVerifier(t, train)
+	prod := broker.NewProducer(topic)
+	send := func(as []alarm.Alarm) {
+		for i := range as {
+			val, err := codec.FastCodec{}.Marshal(nil, &as[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := prod.Send([]byte(as[i].DeviceMAC), val); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	cfg := DefaultConsumerConfig()
-	cfg.AdaptiveBatch = true // no explicit bounds
-	app, err := NewConsumerApp(b, "alarms", "adapt-def", "c1", v, nil, cfg)
+	cfg.MaxPerBatch = max
+	cfg.PollTimeout = time.Millisecond
+	app, err := NewConsumerApp(b, "alarms", "bound", "c1", v, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer app.Close()
-	if got := app.BatchLimit(); got != 64 {
-		t.Fatalf("default adaptive floor = %d, want 64", got)
+	drain := func() int {
+		batch := app.Drain()
+		app.Decode(batch)
+		n := batch.Len()
+		if n != len(batch.recs) {
+			t.Fatalf("decoded %d of %d records", n, len(batch.recs))
+		}
+		app.ReleaseBatch(batch)
+		return n
+	}
+
+	send(alarms[:3])
+	if got := drain(); got != 3 {
+		t.Fatalf("drain over 3 queued records took %d, want one batch of 3", got)
+	}
+	send(alarms[3 : 3+2*max+5])
+	for i, want := range []int{max, max, 5, 0} {
+		if got := drain(); got != want {
+			t.Fatalf("drain %d over a backlog of 2×%d+5 took %d records, want %d", i, max, got, want)
+		}
 	}
 }
 

@@ -70,21 +70,21 @@ func (b *Batch) Len() int { return len(b.Alarms) }
 // Drain pulls one micro-batch of raw records off the broker into a
 // pooled batch and snapshots the consumer positions that CommitBatch
 // will later make durable. Drain must not be called concurrently with
-// itself (one intake goroutine per consumer); under adaptive batching
-// it is also the single writer of the per-drain record bound.
+// itself (one intake goroutine per consumer).
 //
 // The records' payload bytes are borrowed from the broker under
 // leases, not copied out, so the batch must be returned through
 // ReleaseBatch once it has fully left the pipeline. Only the first
 // poll parks — woken by the first record, for at most PollTimeout —
-// and the rest take what is already there, up to the drain bound: a
-// batch is whatever accumulated while the shard was busy, and one
-// record when it was not. A drain that finds nothing allocates nothing
-// and keeps no lease.
+// and the rest take what is already there, up to MaxPerBatch: a batch
+// is whatever accumulated while the shard was busy, and one record
+// when it was not, so a backlog splits into full batches and a
+// remainder. A drain that finds nothing allocates nothing and keeps no
+// lease.
 //
 //alarmvet:hotpath
 func (c *ConsumerApp) Drain() *Batch {
-	max := c.BatchLimit()
+	max := c.cfg.MaxPerBatch
 	b := c.getBatch()
 	if max <= 0 {
 		max = 1 << 20
@@ -109,44 +109,7 @@ func (c *ConsumerApp) Drain() *Batch {
 	}
 	b.Offsets = c.consumer.PositionsInto(b.Offsets)
 	b.DrainedAt = time.Now()
-	if c.cfg.AdaptiveBatch {
-		c.adaptBatch(len(b.recs))
-	}
 	return b
-}
-
-// adaptBatch resizes the next drain's record bound from how full this
-// drain came back: a saturated drain means records are queueing in
-// the broker, so the batch doubles (amortizing per-batch costs —
-// commit round-trips, channel hops, histogram queries — exactly when
-// throughput matters); a mostly-empty drain halves it back toward the
-// floor so idle-period batches stay small and first-record latency
-// stays low.
-func (c *ConsumerApp) adaptBatch(drained int) {
-	limit := c.batchLimit.Load()
-	switch {
-	case drained >= int(limit):
-		next := limit * 2
-		if max := int64(c.cfg.MaxPerBatch); next > max {
-			next = max
-		}
-		c.batchLimit.Store(next)
-	case drained < int(limit)/4:
-		next := limit / 2
-		if min := int64(c.cfg.AdaptiveMinBatch); next < min {
-			next = min
-		}
-		c.batchLimit.Store(next)
-	}
-}
-
-// BatchLimit returns the current adaptive drain bound (the configured
-// MaxPerBatch when adaptive batching is off).
-func (c *ConsumerApp) BatchLimit() int {
-	if !c.cfg.AdaptiveBatch {
-		return c.cfg.MaxPerBatch
-	}
-	return int(c.batchLimit.Load())
 }
 
 // MarkShed flags the batch as dropped by load shedding and counts its
@@ -348,39 +311,6 @@ func (c *ConsumerApp) CommitBatch(b *Batch) error {
 				if !ts.IsZero() {
 					e2e.Record(now.Sub(ts))
 				}
-			}
-		}
-	}
-	return nil
-}
-
-// CommitAccumulated durably commits the max-merged offsets of several
-// already-persisted batches in one coordinator round-trip — the
-// coalesced-commit path of the sharded service (serve.Config.
-// CommitInterval). The caller owns the accumulation: offsets must be
-// the per-partition maximum over batches that have fully persisted
-// (or been shed), and enqueued the broker-enqueue timestamps of their
-// non-shed records, which close the e2e measurement window exactly as
-// CommitBatch would. The same generation fencing applies: after a
-// rebalance the commit fails with broker.ErrRebalanceStale and the
-// successor resumes from the last durable commit, so coalescing
-// widens the redelivery window but never weakens exactly-once under
-// stable membership.
-func (c *ConsumerApp) CommitAccumulated(offsets map[int]int64, enqueued []time.Time) error {
-	if len(offsets) == 0 {
-		return nil
-	}
-	start := time.Now()
-	if err := c.consumer.CommitOffsets(offsets); err != nil {
-		return err
-	}
-	if m := c.cfg.Metrics; m != nil {
-		now := time.Now()
-		m.Stage(metrics.StageCommit).Record(now.Sub(start))
-		e2e := m.Stage(metrics.StageE2E)
-		for _, ts := range enqueued {
-			if !ts.IsZero() {
-				e2e.Record(now.Sub(ts))
 			}
 		}
 	}

@@ -48,14 +48,13 @@ func (c *ConsumerApp) getBatch() *Batch {
 }
 
 // newBatch builds a pooled batch with its scratch allocated once, for
-// a full drain at the current record bound (MaxPerBatch unless
-// adaptive batching moves it): records, alarms, devices,
+// a full drain of MaxPerBatch records: records, alarms, devices,
 // verifications, enqueue times when metrics are attached and the
 // distinct-device set. A cold batch then regrows none of them on its way
 // through the pipeline. An unbounded drain (MaxPerBatch 0) lets them grow
 // with the drains instead.
 func (c *ConsumerApp) newBatch() *Batch {
-	n := c.BatchLimit()
+	n := c.cfg.MaxPerBatch
 	b := &Batch{
 		recs:     make([]broker.Record, 0, n),
 		Alarms:   make([]alarm.Alarm, 0, n),

@@ -62,8 +62,8 @@ type OverloadConfig struct {
 }
 
 // overloadService builds the deliberately capacity-bounded service
-// under test: one shard, one worker per pool, adaptive batching on,
-// and a simulated remote-docstore round-trip so persist costs are
+// under test: one shard, one worker per pool, drains of up to 1024
+// records, and a simulated remote-docstore round-trip so persist costs are
 // stable across machines. The same configuration serves calibration
 // and every sweep cell — only the shed bound varies.
 func overloadService(b *broker.Broker, v *core.Verifier, shedQueue int,
@@ -76,8 +76,6 @@ func overloadService(b *broker.Broker, v *core.Verifier, shedQueue int,
 	cfg := serve.DefaultConfig()
 	cfg.Shards = 1
 	cfg.ShedQueue = shedQueue
-	cfg.Consumer.AdaptiveBatch = true
-	cfg.Consumer.AdaptiveMinBatch = 64
 	cfg.Consumer.MaxPerBatch = 1024
 	cfg.Consumer.PollTimeout = 5 * time.Millisecond
 	cfg.Consumer.Metrics = m

@@ -449,6 +449,17 @@ func (cl *testCluster) restart(t *testing.T, i int) {
 	t.Cleanup(srv.Close)
 }
 
+// restartEmpty stops node i and boots it again on a fresh broker: a
+// process restart, which loses the node's log along with the rest of
+// what it held in memory.
+func (cl *testCluster) restartEmpty(t *testing.T, i int) {
+	t.Helper()
+	cl.servers[i].Close()
+	cl.brokers[i].Close()
+	cl.brokers[i] = broker.New()
+	cl.restart(t, i)
+}
+
 // leaderIndex returns which live node believes it leads, or -1.
 func (cl *testCluster) leaderIndex(skip int) int {
 	for i, s := range cl.servers {

@@ -144,42 +144,3 @@ func TestShedDisabledProcessesEverything(t *testing.T) {
 		t.Fatalf("shed %d records with shedding disabled", st.ShedRecords)
 	}
 }
-
-// TestAdaptiveBatchService runs the sharded service with adaptive
-// micro-batching end to end: exactly-once must hold and the observed
-// drain bound must have moved off the floor under backlog.
-func TestAdaptiveBatchService(t *testing.T) {
-	v, stream := testSetup(t)
-	total := 3000
-	if len(stream) < total {
-		total = len(stream)
-	}
-	b := liveBroker(t, stream[:total], 4)
-	defer b.Close()
-	h, err := core.NewHistory(docstore.NewDB())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.Shards = 2
-	cfg.Consumer.AdaptiveBatch = true
-	cfg.Consumer.AdaptiveMinBatch = 32
-	cfg.Consumer.MaxPerBatch = 1024
-	cfg.Consumer.PollTimeout = 2 * time.Millisecond
-	svc, err := New(b, "alarms", "adapt", v, h, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	svc.Start()
-	waitFor(t, 60*time.Second, "all records verified", func() bool {
-		return svc.Records() == total
-	})
-	svc.Stop()
-	if err := svc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if got := uniqueIDs(svc.Verified()); got != total {
-		t.Fatalf("verified %d unique alarms, want %d (exactly-once under adaptive batching)", got, total)
-	}
-}

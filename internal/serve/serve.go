@@ -9,19 +9,18 @@
 // Backpressure is structural: the stage queues are bounded by
 // Config.PipelineDepth, so when persist (the document-store
 // round-trips) lags, intake stops draining the broker instead of
-// buffering batches without bound. On top of it sit two overload
-// controls: adaptive micro-batching
-// (core.ConsumerConfig.AdaptiveBatch) grows the drain bound under
-// queue pressure and shrinks it when idle, and bounded-queue load
-// shedding (Config.ShedQueue) drops the oldest drained batches —
-// counted, offsets still committed — once the backlog passes the
-// bound, so end-to-end p99 stays bounded through a flash crowd
-// (experiments.Overload quantifies both). Offsets are committed per batch,
-// exactly as far as that batch read, only after the batch has fully
-// persisted — exactly-once under stable membership, at-least-once
-// across rebalances (a fenced commit fails with ErrRebalanceStale and
-// the successor resumes from the last durable commit, exactly like
-// Kafka's consumer groups).
+// buffering batches without bound. Each drain returns what is queued,
+// up to core.ConsumerConfig.MaxPerBatch records (one record when
+// idle), so batch size already follows the load. On top of it sits one
+// overload control: bounded-queue load shedding (Config.ShedQueue)
+// drops the oldest drained batches — counted, offsets still committed
+// — once the backlog passes the bound, so end-to-end p99 stays bounded
+// through a flash crowd (experiments.Overload quantifies it). Offsets
+// are committed per batch, exactly as far as that batch read, only
+// after the batch has fully persisted — exactly-once under stable
+// membership, at-least-once across rebalances (a fenced commit fails
+// with ErrRebalanceStale and the successor resumes from the last
+// durable commit, exactly like Kafka's consumer groups).
 //
 // Rebalances are handled with a pipeline barrier: on a membership
 // notification the shard stops draining, floats a flush marker
@@ -84,17 +83,6 @@ type Config struct {
 	// and in the pipeline metrics. 0 disables shedding (every record
 	// is eventually processed).
 	ShedQueue int
-	// CommitInterval coalesces offset commits: instead of one
-	// coordinator round-trip per micro-batch, each shard's persist
-	// stage accumulates the max-merged offsets of its persisted (and
-	// shed) batches and commits them once per interval — plus at every
-	// flush barrier (rebalance), on shutdown, and before halting on a
-	// stage error, so the exactly-once contract is unchanged: nothing
-	// commits before it persists, and generation fencing still rejects
-	// stale commits after a rebalance. Coalescing only widens the
-	// at-least-once redelivery window after a crash by at most one
-	// interval of already-persisted batches. 0 commits per batch.
-	CommitInterval time.Duration
 	// MemberPrefix prefixes the shard member ids this service joins the
 	// consumer group with ("shard-0" → "<prefix>-shard-0"). Member ids
 	// must be unique within a group, so every alarmd process joining the
@@ -215,7 +203,7 @@ func NewWith(cluster Cluster, group string, verifier *core.Verifier,
 				return metrics.ConsumerLeases{Shard: id, Active: st.Active, Free: st.Free, Bytes: st.Bytes}
 			})
 		}
-		s.shards = append(s.shards, newShard(id, app, cfg.PipelineDepth, cfg.ShedQueue, cfg.CommitInterval))
+		s.shards = append(s.shards, newShard(id, app, cfg.PipelineDepth, cfg.ShedQueue))
 	}
 	// Joining is sequential, so every shard but the last computed its
 	// assignment against a partial membership. Settle the group before
@@ -431,9 +419,6 @@ type shard struct {
 	// shed is the backlog bound (records) beyond which drained
 	// batches are dropped; 0 disables shedding.
 	shed int
-	// commitEvery is the offset-commit coalescing interval; 0 commits
-	// per batch (Config.CommitInterval).
-	commitEvery time.Duration
 
 	inflight     atomic.Int64
 	inflightPeak atomic.Int64
@@ -462,8 +447,8 @@ type shard struct {
 	firstErr error
 }
 
-func newShard(id string, app *core.ConsumerApp, depth, shed int, commitEvery time.Duration) *shard {
-	return &shard{id: id, app: app, depth: depth, shed: shed, commitEvery: commitEvery}
+func newShard(id string, app *core.ConsumerApp, depth, shed int) *shard {
+	return &shard{id: id, app: app, depth: depth, shed: shed}
 }
 
 func (s *shard) err() error {
@@ -618,14 +603,9 @@ func (s *shard) classify(wg *sync.WaitGroup, in <-chan item, out chan<- item) {
 }
 
 // persist runs the batch component and commits each batch's drained
-// offsets once it is durable — per batch by default, coalesced once
-// per commitEvery when commit coalescing is on.
+// offsets once it is durable.
 func (s *shard) persist(wg *sync.WaitGroup, in <-chan item) {
 	defer wg.Done()
-	if s.commitEvery > 0 {
-		s.persistCoalesced(in)
-		return
-	}
 	for it := range in {
 		if it.flush != nil {
 			close(it.flush)
@@ -656,80 +636,5 @@ func (s *shard) persist(wg *sync.WaitGroup, in <-chan item) {
 			}
 		}
 		s.batchDone(it.b)
-	}
-}
-
-// persistCoalesced is the commit-coalescing persist stage: every
-// persisted (or shed) batch folds its drained offsets into a pending
-// max-merge, and one CommitAccumulated round-trip per interval makes
-// them durable. Flush barriers, shutdown (channel close), and stage
-// errors all force an immediate flush, so the invariants the per-batch
-// path provides — a barrier means everything before it is committed;
-// graceful stop commits all persisted work; nothing after a failed
-// batch ever commits — hold unchanged. Only batches that fully
-// persisted before a failure are ever in the pending set, so flushing
-// on the error path cannot skip dropped records.
-func (s *shard) persistCoalesced(in <-chan item) {
-	pending := make(map[int]int64)
-	var pendingEnq []time.Time
-	dirty := false
-	flush := func() {
-		if !dirty {
-			return
-		}
-		if err := s.app.CommitAccumulated(pending, pendingEnq); err != nil {
-			if errors.Is(err, broker.ErrRebalanceStale) {
-				s.staleCommits.Add(1)
-			} else {
-				s.recordErr(err)
-			}
-		}
-		clear(pending)
-		pendingEnq = pendingEnq[:0]
-		dirty = false
-	}
-	ticker := time.NewTicker(s.commitEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case it, ok := <-in:
-			if !ok {
-				flush()
-				return
-			}
-			if it.flush != nil {
-				// Barrier contract: everything ahead of the marker is
-				// committed before the barrier lifts.
-				flush()
-				close(it.flush)
-				continue
-			}
-			if s.failed.Load() {
-				s.batchDone(it.b)
-				continue
-			}
-			if !it.b.Shed {
-				if err := s.app.Persist(it.b); err != nil {
-					s.recordErr(err)
-					flush() // earlier batches did persist: commit them
-					s.batchDone(it.b)
-					continue
-				}
-			}
-			// Accumulate before release: the offsets map is pooled
-			// scratch that the next drain will reuse.
-			for p, off := range it.b.Offsets {
-				if off > pending[p] {
-					pending[p] = off
-				}
-			}
-			if !it.b.Shed {
-				pendingEnq = append(pendingEnq, it.b.Enqueued...)
-			}
-			dirty = true
-			s.batchDone(it.b)
-		case <-ticker.C:
-			flush()
-		}
 	}
 }
