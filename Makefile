@@ -263,7 +263,10 @@ cover:
 	done; exit $$fail
 
 ## docs-gate: fail on undocumented exported identifiers in the audited
-## packages and on broken relative links in *.md (CI `build` job)
+## packages, on broken relative links in *.md, on documented flags no
+## daemon defines, and — the caller audit — on exported names under
+## internal/ that no non-test file of the module or bench/ uses, unless
+## cmd/docsgate/callers.allow lists them with a reason (CI `build` job)
 docs-gate:
 	$(GO) run ./cmd/docsgate
 

@@ -1,15 +1,18 @@
 // Command docsgate is the repository's documentation gate, run by CI
-// (`make docs-gate`). It fails the build when either:
+// (`make docs-gate`). It fails the build when any of these holds:
 //
 //   - an exported identifier in one of the audited packages (the ML,
 //     core and serve layers documented by ARCHITECTURE.md) has no doc
 //     comment,
-//   - an audited package has no package-level doc comment, or
+//   - an audited package has no package-level doc comment,
 //   - a relative link in any *.md file points at a path that does not
-//     exist, or
+//     exist,
 //   - a backticked -flag in README.md, or in ARCHITECTURE.md's
 //     "Scale-out knobs" table, is not a flag cmd/alarmd or cmd/brokerd
-//     defines.
+//     defines, or
+//   - an exported name or method under internal/ has no caller in any
+//     non-test file of the module or bench/, is not an interface
+//     method, and is not listed in callers.allow with a reason.
 //
 // Usage:
 //
@@ -48,9 +51,9 @@ var defaultPackages = []string{
 	"internal/netbroker",
 	"internal/docstore",
 	"internal/alarm",
-	"internal/anomaly",
 	"internal/dataset",
 	"internal/analysis",
+	"internal/fsync",
 }
 
 func main() {
@@ -81,6 +84,12 @@ func main() {
 		os.Exit(2)
 	}
 	problems = append(problems, fps...)
+	cps, err := auditCallers(*root)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "docsgate: callers: %v\n", err)
+		os.Exit(2)
+	}
+	problems = append(problems, cps...)
 	if len(problems) > 0 {
 		sort.Strings(problems)
 		for _, p := range problems {

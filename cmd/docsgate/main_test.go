@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -85,5 +86,109 @@ func TestAuditFlagsRepoDocs(t *testing.T) {
 	}
 	if len(problems) > 0 {
 		t.Fatalf("docs name undefined flags:\n%s", strings.Join(problems, "\n"))
+	}
+}
+
+// callerTree is a module whose internal package exports a function
+// nothing calls (Uncalled), one the command calls (Used), and two
+// methods reached only through interfaces: one the module declares
+// (Namer) and error.
+var callerTree = map[string]string{
+	"go.mod": "module example\n\ngo 1.22\n",
+	"internal/lib/lib.go": `package lib
+
+// Namer names things.
+type Namer interface{ Name() string }
+
+// T is a Namer.
+type T struct{}
+
+// Name implements Namer.
+func (T) Name() string { return "t" }
+
+// E is an error.
+type E struct{}
+
+// Error implements error.
+func (E) Error() string { return "e" }
+
+// Used is called by the command.
+func Used() Namer { return T{} }
+
+// Uncalled is called by nothing.
+func Uncalled() {}
+`,
+	"internal/lib/lib_test.go": `package lib
+
+import "testing"
+
+func TestUncalled(t *testing.T) { Uncalled() }
+`,
+	"cmd/app/main.go": `package main
+
+import "example/internal/lib"
+
+func main() {
+	var err error = lib.E{}
+	println(lib.Used().Name(), err.Error())
+}
+`,
+}
+
+// TestAuditCallersReportsUncalledNames seeds a module with an exported
+// function only a test calls: it fails the audit unless the allowlist
+// names it with a reason. A reasonless line and a line naming something
+// called fail too, and the interface-reached methods never do.
+func TestAuditCallersReportsUncalledNames(t *testing.T) {
+	for _, tc := range []struct {
+		name, allow string
+		want        []string
+	}{
+		{"uncalled", "", []string{"internal/lib/lib.go:22: exported internal/lib.Uncalled is called by no non-test file"}},
+		{"allowlisted", "# kept\ninternal/lib.Uncalled the paper's §9 reaches it\n", nil},
+		{"no reason", "internal/lib.Uncalled\n", []string{
+			"cmd/docsgate/callers.allow:1: internal/lib.Uncalled has no reason",
+			"internal/lib/lib.go:22: exported internal/lib.Uncalled is called by no non-test file",
+		}},
+		{"stale", "internal/lib.Uncalled a reason\ninternal/lib.Used a reason\n", []string{
+			"cmd/docsgate/callers.allow: internal/lib.Used names nothing uncalled",
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			files := map[string]string{}
+			for name, body := range callerTree {
+				files[name] = body
+			}
+			if tc.allow != "" {
+				files[allowFile] = tc.allow
+			}
+			root := writeTree(t, files)
+			problems, err := auditCallers(root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, p := range problems {
+				p = strings.TrimPrefix(p, root+string(filepath.Separator))
+				got = append(got, strings.SplitN(p, " (", 2)[0])
+			}
+			sort.Strings(got)
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("problems:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(tc.want, "\n"))
+			}
+		})
+	}
+}
+
+// TestAuditCallersRepo holds the repository to the caller audit: every
+// exported name under internal/ has a non-test caller, is an interface
+// method, or is listed in callers.allow with a reason.
+func TestAuditCallersRepo(t *testing.T) {
+	problems, err := auditCallers(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(problems) > 0 {
+		t.Fatalf("uncalled exported names:\n%s", strings.Join(problems, "\n"))
 	}
 }

@@ -6,7 +6,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"alarmverify"
@@ -17,17 +19,24 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the example, printing to w.
+func run(w io.Writer) error {
 	world := alarmverify.NewWorld(42)
 
 	// 1. Collect and process external reports (Figure 5).
 	cfg := dataset.DefaultIncidentConfig()
 	cfg.NumReports = 5_056 // the paper's corpus size
-	fmt.Printf("collecting %d raw reports (plus noise) from synthetic Twitter/RSS/web sources...\n",
+	fmt.Fprintf(w, "collecting %d raw reports (plus noise) from synthetic Twitter/RSS/web sources...\n",
 		cfg.NumReports)
 	raw := dataset.GenerateIncidentReports(world, cfg)
 	pipeline := textproc.NewPipeline(world.Gaz.Names())
 	incidents, stats := pipeline.Process(raw)
-	fmt.Printf("pipeline: %d collected → %d relevant → %d annotated incidents\n",
+	fmt.Fprintf(w, "pipeline: %d collected → %d relevant → %d annotated incidents\n",
 		stats.Collected, stats.Relevant, len(incidents))
 
 	langs := map[textproc.Language]int{}
@@ -36,17 +45,17 @@ func main() {
 		langs[inc.Language]++
 		locations[inc.Location] = true
 	}
-	fmt.Printf("languages: %d de / %d fr / %d en (paper: 2,743 / 1,516 / 797)\n",
+	fmt.Fprintf(w, "languages: %d de / %d fr / %d en (paper: 2,743 / 1,516 / 797)\n",
 		langs[textproc.German], langs[textproc.French], langs[textproc.English])
-	fmt.Printf("distinct locations: %d (paper: 1,027)\n\n", len(locations))
+	fmt.Fprintf(w, "distinct locations: %d (paper: 1,027)\n\n", len(locations))
 
 	// 2. Build the risk model and show a corner of the security map.
 	model := risk.BuildModel(world.Gaz, incidents)
-	fmt.Print(risk.SecurityMap{Width: 64, Height: 14}.Render(model))
+	fmt.Fprint(w, risk.SecurityMap{Width: 64, Height: 14}.Render(model))
 
 	// 3. Train with and without the risk feature on the covered
 	// fire/intrusion alarms (Table 9 scenario (d) spirit).
-	fmt.Println("\ngenerating alarms and comparing baseline vs risk-enriched training...")
+	fmt.Fprintln(w, "\ngenerating alarms and comparing baseline vs risk-enriched training...")
 	alarms := alarmverify.GenerateAlarms(world, 60_000)
 	var covered []alarmverify.Alarm
 	for _, a := range alarms {
@@ -54,7 +63,7 @@ func main() {
 			covered = append(covered, a)
 		}
 	}
-	fmt.Printf("%d fire/intrusion alarms in covered locations\n", len(covered))
+	fmt.Fprintf(w, "%d fire/intrusion alarms in covered locations\n", len(covered))
 	split := len(covered) / 2
 
 	rfCfg := ml.DefaultRandomForestConfig()
@@ -80,14 +89,15 @@ func main() {
 		start := time.Now()
 		verifier, err := alarmverify.Train(covered[:split], vcfg)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		acc, err := alarmverify.EvaluateAccuracy(verifier, covered[split:])
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("  %-28s accuracy=%.2f%%  (%s)\n",
+		fmt.Fprintf(w, "  %-28s accuracy=%.2f%%  (%s)\n",
 			treatment.name, 100*acc, time.Since(start).Round(time.Millisecond))
 	}
-	fmt.Println("\npaper's Table 9 (scenario d): baseline 86.56% → up to 87.56% with risk factors")
+	fmt.Fprintln(w, "\npaper's Table 9 (scenario d): baseline 86.56% → up to 87.56% with risk factors")
+	return nil
 }

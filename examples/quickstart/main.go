@@ -5,51 +5,60 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"alarmverify"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the example, printing to w.
+func run(w io.Writer) error {
 	// The synthetic country stands in for the proprietary Sitasys
 	// production environment (see DESIGN.md for the substitution).
 	world := alarmverify.NewWorld(7)
 
-	fmt.Println("generating 40,000 historical alarms...")
+	fmt.Fprintln(w, "generating 40,000 historical alarms...")
 	alarms := alarmverify.GenerateAlarms(world, 40_000)
 	train, test := alarms[:20_000], alarms[20_000:]
 
-	fmt.Println("training the verification service (random forest, Table 3 parameters)...")
+	fmt.Fprintln(w, "training the verification service (random forest, Table 3 parameters)...")
 	cfg := alarmverify.DefaultVerifierConfig()
 	verifier, err := alarmverify.Train(train, cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	st := verifier.Stats()
-	fmt.Printf("trained on %d alarms (%d one-hot features) in %s\n\n",
+	fmt.Fprintf(w, "trained on %d alarms (%d one-hot features) in %s\n\n",
 		st.TrainRecords, st.Features, st.TrainTime.Round(time.Millisecond))
 
 	acc, err := alarmverify.EvaluateAccuracy(verifier, test)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("verification accuracy on %d held-out alarms: %.1f%%\n", len(test), 100*acc)
-	fmt.Println("(the paper's >90% needs the full 350K-alarm history; see the")
-	fmt.Println(" scaling curve in EXPERIMENTS.md — accuracy grows with volume)")
-	fmt.Println()
+	fmt.Fprintf(w, "verification accuracy on %d held-out alarms: %.1f%%\n", len(test), 100*acc)
+	fmt.Fprintln(w, "(the paper's >90% needs the full 350K-alarm history; see the")
+	fmt.Fprintln(w, " scaling curve in EXPERIMENTS.md — accuracy grows with volume)")
+	fmt.Fprintln(w)
 
 	// Verify live alarms and route them; keep going until both routes
 	// have been demonstrated.
 	policy := alarmverify.DefaultCustomerPolicy()
 	queue := alarmverify.NewOperatorQueue()
-	fmt.Println("verifying incoming alarms:")
+	fmt.Fprintln(w, "verifying incoming alarms:")
 	printed, toARC := 0, 0
 	for i := 0; i < len(test) && (printed < 5 || toARC == 0); i += 137 {
 		a := test[i]
 		v, err := verifier.Verify(&a)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		route := policy.Decide(&a, v)
 		if route == alarmverify.RouteToARC {
@@ -57,17 +66,18 @@ func main() {
 			toARC++
 		}
 		if printed < 5 || (route == alarmverify.RouteToARC && toARC == 1) {
-			fmt.Printf("  alarm %-6d %-10s at %s → %-5s (P(%s)=%.2f) → route: %s\n",
+			fmt.Fprintf(w, "  alarm %-6d %-10s at %s → %-5s (P(%s)=%.2f) → route: %s\n",
 				a.ID, a.Type, a.ZIP, v.Predicted, v.Predicted, v.Probability, route)
 			printed++
 		}
 	}
-	fmt.Printf("\n%d alarms queued for ARC operators, most urgent first:\n", queue.Len())
+	fmt.Fprintf(w, "\n%d alarms queued for ARC operators, most urgent first:\n", queue.Len())
 	for {
 		item, ok := queue.Pop()
 		if !ok {
 			break
 		}
-		fmt.Printf("  alarm %d (P(true)=%.2f)\n", item.Alarm.ID, item.Verification.Probability)
+		fmt.Fprintf(w, "  alarm %d (P(true)=%.2f)\n", item.Alarm.ID, item.Verification.Probability)
 	}
+	return nil
 }

@@ -7,7 +7,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"alarmverify/internal/broker"
@@ -20,13 +22,20 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the example, printing to w.
+func run(w io.Writer) error {
 	world := dataset.NewWorld(7)
 	cfg := dataset.DefaultSitasysConfig()
 	cfg.NumAlarms = 60_000
 	alarms := dataset.GenerateSitasys(world, cfg)
 	trainSet, replay := alarms[:20_000], alarms[20_000:]
 
-	fmt.Println("training verifier...")
+	fmt.Fprintln(w, "training verifier...")
 	vcfg := core.DefaultVerifierConfig()
 	rf := ml.DefaultRandomForestConfig()
 	rf.NumTrees = 30
@@ -34,7 +43,7 @@ func main() {
 	vcfg.Classifier = ml.NewRandomForest(rf)
 	verifier, err := core.Train(trainSet, vcfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// The §5.5.2 optimization ladder.
@@ -49,36 +58,36 @@ func main() {
 		{"fast codec,    1 partition, 1 worker (serializer fix)", codec.FastCodec{}, 1, 1},
 		{"fast codec,    8 partitions, 8 workers (partition fix)", codec.FastCodec{}, 8, 8},
 	}
-	fmt.Printf("\nreplaying %d alarms through each configuration:\n\n", len(replay))
+	fmt.Fprintf(w, "\nreplaying %d alarms through each configuration:\n\n", len(replay))
 	for _, c := range configs {
 		b := broker.New()
 		topic, err := b.CreateTopic("alarms", c.partitions)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		prod := core.NewProducerApp(topic, c.codec)
 		prod.Threads = 4
 		pstats, err := prod.Replay(replay, 0)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 
 		history, err := core.NewHistory(docstore.NewDB())
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		start := time.Now()
 		n, t, err := experiments.Replay(b, verifier, history, c.codec, c.workers)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		elapsed := time.Since(start)
-		fmt.Printf("%s\n", c.label)
-		fmt.Printf("   producer: %8.0f alarms/s   consumer: %8.0f alarms/s (%d alarms in %s)\n",
+		fmt.Fprintf(w, "%s\n", c.label)
+		fmt.Fprintf(w, "   producer: %8.0f alarms/s   consumer: %8.0f alarms/s (%d alarms in %s)\n",
 			pstats.PerSecond, float64(n)/elapsed.Seconds(), n, elapsed.Round(time.Millisecond))
 		total := t.Total()
 		if total > 0 {
-			fmt.Printf("   breakdown: deserialize %2.0f%%  streaming %2.0f%%  history %2.0f%%  ml %2.0f%%\n\n",
+			fmt.Fprintf(w, "   breakdown: deserialize %2.0f%%  streaming %2.0f%%  history %2.0f%%  ml %2.0f%%\n\n",
 				100*t.Deserialize.Seconds()/total.Seconds(),
 				100*t.Streaming.Seconds()/total.Seconds(),
 				100*t.History.Seconds()/total.Seconds(),
@@ -86,5 +95,6 @@ func main() {
 		}
 		b.Close()
 	}
-	fmt.Println("paper's §5.5: serializer fix ≈2× producer throughput; partitioning unlocked ~30K alarms/s")
+	fmt.Fprintln(w, "paper's §5.5: serializer fix ≈2× producer throughput; partitioning unlocked ~30K alarms/s")
+	return nil
 }

@@ -134,11 +134,6 @@ type Alarm struct {
 	Payload string `json:"payload,omitempty"`
 }
 
-// Key returns the stream partitioning key for the alarm: the device
-// address, so that all alarms of one device land in one partition and
-// per-device history stays ordered.
-func (a *Alarm) Key() string { return a.DeviceMAC }
-
 // HourOfDay returns the alarm's hour in [0,24).
 func (a *Alarm) HourOfDay() int { return a.Timestamp.Hour() }
 

@@ -8,8 +8,8 @@
 //
 // A value becomes tracked when a call assigns it to a variable whose
 // type is a pointer to a named type Batch or Lease (getBatch, Drain,
-// FetchLease, PollLeased). Releases are calls to ReleaseBatch or
-// poisonBatch with the variable as argument, or v.Release(). Aliases
+// PollLeased). Releases are calls to ReleaseBatch or poisonBatch with
+// the variable as argument, or v.Release(). Aliases
 // of batch-owned slices (x := b.Verified) are tainted by the batch's
 // release. Bodies of the release machinery itself (ReleaseBatch,
 // Release, poisonBatch, Released) are exempt: touching the value

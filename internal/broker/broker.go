@@ -309,14 +309,10 @@ func (t *Topic) EpochAt(p int, off int64) (int64, error) {
 	return t.partitions[p].epochAt(off)
 }
 
-// FetchLog reads up to max records from partition p starting at
-// offset, ignoring the consumer-visible limit — the replication fetch:
-// followers must copy records before they are quorum-committed.
-func (t *Topic) FetchLog(p int, offset int64, max int) ([]Record, error) {
-	return t.FetchLogInto(p, offset, max, nil)
-}
-
-// FetchLogInto is FetchLog appending to dst, under FetchInto's terms.
+// FetchLogInto reads up to max records from partition p starting at
+// offset into dst, under FetchInto's terms but ignoring the
+// consumer-visible limit — the replication fetch: followers must copy
+// records before they are quorum-committed.
 func (t *Topic) FetchLogInto(p int, offset int64, max int, dst []Record) ([]Record, error) {
 	if p < 0 || p >= len(t.partitions) {
 		return dst, fmt.Errorf("%w: partition %d", ErrInvalidOffset, p)

@@ -37,7 +37,7 @@ func TestProduceFetchOrdering(t *testing.T) {
 	tp := mustTopic(t, b, "alarms", 1)
 	p := NewProducer(tp)
 	for i := 0; i < 100; i++ {
-		if _, _, err := p.Send(nil, []byte(fmt.Sprintf("v%d", i))); err != nil {
+		if _, _, err := p.SendAt(nil, []byte(fmt.Sprintf("v%d", i)), time.Time{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -63,12 +63,12 @@ func TestKeyedPartitioningIsStable(t *testing.T) {
 	tp := mustTopic(t, b, "alarms", 8)
 	p := NewProducer(tp)
 	key := []byte("00:1b:44:11:3a:b7")
-	first, _, err := p.Send(key, []byte("a"))
+	first, _, err := p.SendAt(key, []byte("a"), time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		part, _, err := p.Send(key, []byte("b"))
+		part, _, err := p.SendAt(key, []byte("b"), time.Time{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func TestRoundRobinSpreadsKeylessRecords(t *testing.T) {
 	p := NewProducer(tp)
 	counts := make([]int, 4)
 	for i := 0; i < 400; i++ {
-		part, _, err := p.Send(nil, []byte("x"))
+		part, _, err := p.SendAt(nil, []byte("x"), time.Time{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestPollAndCommitResume(t *testing.T) {
 	tp := mustTopic(t, b, "alarms", 2)
 	p := NewProducer(tp)
 	for i := 0; i < 20; i++ {
-		if _, _, err := p.Send([]byte(fmt.Sprintf("k%d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
+		if _, _, err := p.SendAt([]byte(fmt.Sprintf("k%d", i)), []byte(fmt.Sprintf("v%d", i)), time.Time{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -196,7 +196,7 @@ func TestUncommittedProgressIsRedelivered(t *testing.T) {
 	tp := mustTopic(t, b, "alarms", 1)
 	p := NewProducer(tp)
 	for i := 0; i < 5; i++ {
-		p.Send(nil, []byte{byte(i)})
+		p.SendAt(nil, []byte{byte(i)}, time.Time{})
 	}
 	c, err := NewConsumer(b, "g", tp, "c1")
 	if err != nil {
@@ -245,7 +245,7 @@ func TestPollBlocksUntilData(t *testing.T) {
 	}()
 	time.Sleep(20 * time.Millisecond)
 	p := NewProducer(tp)
-	p.Send(nil, []byte("wake"))
+	p.SendAt(nil, []byte("wake"), time.Time{})
 	select {
 	case recs := <-done:
 		if len(recs) != 1 || string(recs[0].Value) != "wake" {
@@ -278,7 +278,7 @@ func TestLag(t *testing.T) {
 	tp := mustTopic(t, b, "alarms", 2)
 	p := NewProducer(tp)
 	for i := 0; i < 10; i++ {
-		p.Send([]byte(fmt.Sprintf("k%d", i)), []byte("v"))
+		p.SendAt([]byte(fmt.Sprintf("k%d", i)), []byte("v"), time.Time{})
 	}
 	c, _ := NewConsumer(b, "g", tp, "c1")
 	lag, err := c.Lag()
@@ -325,7 +325,7 @@ func TestConcurrentProducersNoLossNoDup(t *testing.T) {
 			p := NewProducer(tp)
 			for i := 0; i < perProducer; i++ {
 				key := fmt.Sprintf("p%d-%d", pid, i)
-				if _, _, err := p.Send([]byte(key), []byte(key)); err != nil {
+				if _, _, err := p.SendAt([]byte(key), []byte(key), time.Time{}); err != nil {
 					t.Errorf("send: %v", err)
 					return
 				}
@@ -359,7 +359,7 @@ func TestConcurrentGroupConsumptionCoversLog(t *testing.T) {
 	p := NewProducer(tp)
 	const total = 2000
 	for i := 0; i < total; i++ {
-		p.Send([]byte(fmt.Sprintf("k%d", i)), []byte(fmt.Sprintf("v%d", i)))
+		p.SendAt([]byte(fmt.Sprintf("k%d", i)), []byte(fmt.Sprintf("v%d", i)), time.Time{})
 	}
 	var consumers []*Consumer
 	for i := 0; i < 4; i++ {

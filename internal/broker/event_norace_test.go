@@ -39,7 +39,7 @@ func TestPollLeasedAllocBudget(t *testing.T) {
 	_, topic, c := eventConsumer(t, 4)
 	p := NewProducer(topic)
 	for i := 0; i < 300; i++ {
-		if _, _, err := p.Send([]byte{byte(i)}, make([]byte, 300)); err != nil {
+		if _, _, err := p.SendAt([]byte{byte(i)}, make([]byte, 300), time.Time{}); err != nil {
 			t.Fatal(err)
 		}
 	}

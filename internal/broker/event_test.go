@@ -372,7 +372,7 @@ func TestLostWakeupHammer(t *testing.T) {
 			p := NewProducer(topic)
 			for i := 0; i < perProducer; i++ {
 				key := []byte(fmt.Sprintf("p%d-%d", pid, i))
-				if _, _, err := p.Send(key, key); err != nil {
+				if _, _, err := p.SendAt(key, key, time.Time{}); err != nil {
 					t.Errorf("send %s: %v", key, err)
 					return
 				}

@@ -67,8 +67,8 @@ func (a *valueArena) hold(b []byte) []byte {
 type Lease struct {
 	// live is set while the lease is lent: the zero Lease is released.
 	live atomic.Bool
-	// pool is the free list Release returns the lease to; nil for a
-	// FetchLease's and for noLease, which nothing recycles.
+	// pool is the free list Release returns the lease to; nil for
+	// noLease, which nothing recycles.
 	pool *LeasePool
 	// buf is the memory the lease owns (a wire consumer's receive
 	// buffer), bufs the check-mode private copies of an in-process fetch.
@@ -213,26 +213,6 @@ func (l *Lease) hold(buf []byte) {
 	if len(buf) > 0 {
 		l.bufs = append(l.bufs, buf)
 	}
-}
-
-// FetchLease reads up to max records from partition p starting at
-// offset into dst (which may carry reusable capacity), returning the
-// extended slice and a lease over the records' borrowed payload
-// memory. It never blocks. The caller owns dst; the broker owns the
-// bytes the records' Key/Value fields point into until the lease is
-// released.
-func (t *Topic) FetchLease(p int, offset int64, max int, dst []Record) ([]Record, *Lease, error) {
-	if p < 0 || p >= len(t.partitions) {
-		return dst, nil, fmt.Errorf("%w: partition %d", ErrInvalidOffset, p)
-	}
-	l := &Lease{}
-	l.live.Store(true)
-	part := t.partitions[p]
-	part.mu.Lock()
-	out, buf, err := part.fetchLeasedLocked(offset, max, dst)
-	part.mu.Unlock()
-	l.hold(buf)
-	return out, l, err
 }
 
 // PollLeased is Poll's scratch-reusing twin: records append into dst

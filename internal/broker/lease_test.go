@@ -19,7 +19,7 @@ func leaseTopic(t *testing.T, parts, records int) (*Broker, *Topic) {
 	for i := 0; i < records; i++ {
 		key := []byte(fmt.Sprintf("dev-%d", i%7))
 		val := []byte(fmt.Sprintf("payload-%04d", i))
-		if _, _, err := p.Send(key, val); err != nil {
+		if _, _, err := p.SendAt(key, val, time.Time{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -37,7 +37,7 @@ func TestAppendDoesNotAliasProducerBuffers(t *testing.T) {
 	}
 	p := NewProducer(topic)
 	buf := []byte("stable-value")
-	if _, _, err := p.Send([]byte("k"), buf); err != nil {
+	if _, _, err := p.SendAt([]byte("k"), buf, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range buf {
@@ -53,10 +53,23 @@ func TestAppendDoesNotAliasProducerBuffers(t *testing.T) {
 	_ = b
 }
 
+// leasedPoll polls up to max records of a fresh group member under a
+// lease.
+func leasedPoll(t *testing.T, b *Broker, topic *Topic, max int, dst []Record) ([]Record, *Lease, error) {
+	t.Helper()
+	c, err := NewConsumer(b, "lease-test", topic, "m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.PollLeased(max, time.Second, dst)
+}
+
+// TestFetchLeaseReturnsRecords: a leased fetch returns the records
+// under a live lease, and releasing it is idempotent.
 func TestFetchLeaseReturnsRecords(t *testing.T) {
-	_, topic := leaseTopic(t, 1, 10)
+	b, topic := leaseTopic(t, 1, 10)
 	scratch := make([]Record, 0, 16)
-	recs, lease, err := topic.FetchLease(0, 0, 10, scratch)
+	recs, lease, err := leasedPoll(t, b, topic, 10, scratch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +97,8 @@ func TestFetchLeaseReturnsRecords(t *testing.T) {
 func TestLeaseCheckPoisonsOnRelease(t *testing.T) {
 	SetLeaseCheck(true)
 	defer SetLeaseCheck(false)
-	_, topic := leaseTopic(t, 1, 4)
-	recs, lease, err := topic.FetchLease(0, 0, 4, nil)
+	b, topic := leaseTopic(t, 1, 4)
+	recs, lease, err := leasedPoll(t, b, topic, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +210,7 @@ func TestLeaseHammer(t *testing.T) {
 			buf := make([]byte, 0, 32)
 			for i := 0; i < perProducer; i++ {
 				buf = append(buf[:0], fmt.Sprintf("w%d-%04d", w, i)...)
-				if _, _, err := p.Send([]byte{byte('a' + i%4)}, buf); err != nil {
+				if _, _, err := p.SendAt([]byte{byte('a' + i%4)}, buf, time.Time{}); err != nil {
 					t.Error(err)
 					return
 				}

@@ -62,11 +62,6 @@ func NewProducer(t *Topic) *Producer {
 	}
 }
 
-// Send appends one record and returns its partition and offset.
-func (p *Producer) Send(key, value []byte) (partition int, offset int64, err error) {
-	return p.SendAt(key, value, time.Time{})
-}
-
 // pickPartition routes a key (round-robin for key-less records).
 func (p *Producer) pickPartition(key []byte) int {
 	part := p.topic.partitionFor(key)

@@ -20,7 +20,7 @@ func loadTopic(t *testing.T, partitions, n int) (*Broker, *Topic) {
 	p := NewProducer(topic)
 	for i := 0; i < n; i++ {
 		key := []byte(fmt.Sprintf("k%d", i))
-		if _, _, err := p.Send(key, []byte{byte(i)}); err != nil {
+		if _, _, err := p.SendAt(key, []byte{byte(i)}, time.Time{}); err != nil {
 			t.Fatal(err)
 		}
 	}

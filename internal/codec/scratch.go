@@ -22,20 +22,16 @@ func NewScratch() *Scratch {
 	return &Scratch{strings: NewInterner(0)}
 }
 
-// Strings returns the scratch's interner (for occupancy inspection).
-func (s *Scratch) Strings() *Interner { return s.strings }
-
 // Interner deduplicates the low-cardinality string fields of the alarm
 // stream (device addresses, ZIP hashes, sensor types, software
 // versions): every later sighting of a value returns the retained copy
 // without allocating, and a first sighting is copied into the current
 // append-only byte chunk, so a chunk's allocation pays for hundreds of
 // them. A retained string is a view of its chunk's bytes, which are
-// never rewritten — not even by Reset, which starts a fresh chunk — and
-// never of the input, so it may outlive any record it was read from.
-// The table is bounded; once full, unseen values fall back to plain
-// copies so a high-cardinality field cannot grow the table without
-// bound.
+// never rewritten, and never of the input, so it may outlive any
+// record it was read from. The table is bounded; once full, unseen
+// values fall back to plain copies so a high-cardinality field cannot
+// grow the table without bound.
 type Interner struct {
 	m     map[string]string
 	max   int
@@ -93,23 +89,6 @@ func (in *Interner) retain(b []byte) string {
 // newChunk starts the next chunk; the last one stays alive for as long
 // as a string retained from it does.
 func (in *Interner) newChunk() { in.chunk = make([]byte, 0, internChunk) }
-
-// Len returns how many strings the interner currently retains.
-func (in *Interner) Len() int {
-	if in == nil {
-		return 0
-	}
-	return len(in.m)
-}
-
-// Reset drops every retained string. The strings already handed out
-// stay valid: the next first sighting opens a fresh chunk.
-func (in *Interner) Reset() {
-	if in != nil {
-		clear(in.m)
-		in.chunk = nil
-	}
-}
 
 // UnmarshalScratch parses data into a exactly like Unmarshal — the
 // decoded alarm is bit-identical — but routes string fields through

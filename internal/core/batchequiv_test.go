@@ -56,7 +56,7 @@ func sameVerification(a, b alarm.Verification) error {
 
 // TestVerifyBatchMatchesSequential is the acceptance property of the
 // batched inference engine: for every one of the paper's four
-// classifiers, VerifyBatch must produce verifications bit-identical
+// classifiers, VerifyBatchInto must produce verifications bit-identical
 // (modulo latency) to calling Verify per alarm — across batch sizes,
 // including chunk sizes that don't divide the batch.
 func TestVerifyBatchMatchesSequential(t *testing.T) {
@@ -80,8 +80,8 @@ func TestVerifyBatchMatchesSequential(t *testing.T) {
 			for _, size := range []int{1, 7, 64, len(live)} {
 				for lo := 0; lo < len(live); lo += size {
 					hi := min(lo+size, len(live))
-					got, err := v.VerifyBatch(live[lo:hi])
-					if err != nil {
+					got := make([]alarm.Verification, len(live[lo:hi]))
+					if err := v.VerifyBatchInto(live[lo:hi], got); err != nil {
 						t.Fatalf("batch [%d:%d]: %v", lo, hi, err)
 					}
 					for i := range got {
@@ -109,12 +109,16 @@ func denseVerify(t *testing.T, v *Verifier, a *alarm.Alarm) alarm.Verification {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := s.enc.Transform(row)
+	d, err := s.enc.TransformAll([]ml.Row{row}, []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	class, prob := ml.Confidence(s.model, x)
-	return alarm.Verification{AlarmID: a.ID, Predicted: alarm.Label(class), Probability: prob, ModelName: s.model.Name()}
+	p := s.model.Proba(d.X[0])
+	class, prob := alarm.Label(0), p[0]
+	if p[1] >= p[0] {
+		class, prob = 1, p[1]
+	}
+	return alarm.Verification{AlarmID: a.ID, Predicted: class, Probability: prob, ModelName: s.model.Name()}
 }
 
 // TestServingMatchesDenseOracle: for each of the four classifiers, with
@@ -152,8 +156,8 @@ func TestServingMatchesDenseOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := v.VerifyBatch(live)
-				if err != nil {
+				got := make([]alarm.Verification, len(live))
+				if err := v.VerifyBatchInto(live, got); err != nil {
 					t.Fatal(err)
 				}
 				for i := range live {
@@ -162,66 +166,6 @@ func TestServingMatchesDenseOracle(t *testing.T) {
 					}
 				}
 			})
-		}
-	}
-}
-
-// TestVotingBatchMatchesSequential asserts the ensemble's batched
-// vote aggregates to bit-identical verifications.
-func TestVotingBatchMatchesSequential(t *testing.T) {
-	_, alarms := testAlarms(700)
-	train, live := alarms[:500], alarms[500:]
-	var members []*Verifier
-	for _, cls := range equivClassifiers() {
-		cfg := DefaultVerifierConfig()
-		cfg.Classifier = cls
-		v, err := Train(train, cfg)
-		if err != nil {
-			t.Fatalf("train: %v", err)
-		}
-		members = append(members, v)
-	}
-	vote, err := NewVotingVerifier(members...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := vote.VerifyBatch(live)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range live {
-		want, err := vote.Verify(&live[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sameVerification(got[i], want); err != nil {
-			t.Fatalf("alarm %d: %v", i, err)
-		}
-	}
-}
-
-// TestAdaptiveVerifierBatchUsesActiveMember asserts the adaptive wrapper's
-// batch path serves the same member (and results) as per-alarm calls.
-func TestAdaptiveVerifierBatchUsesActiveMember(t *testing.T) {
-	_, alarms := testAlarms(400)
-	train, live := alarms[:300], alarms[300:]
-	v1 := fastVerifier(t, train)
-	v2 := fastVerifier(t, train)
-	ad, err := NewAdaptiveVerifier(20, v1, v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ad.VerifyBatch(live)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range live {
-		want, err := ad.Verify(&live[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sameVerification(got[i], want); err != nil {
-			t.Fatalf("alarm %d: %v", i, err)
 		}
 	}
 }
@@ -237,15 +181,15 @@ func TestVerifyBatchIntoValidatesLength(t *testing.T) {
 }
 
 // TestClassifyStageMatchesSequential runs the pipeline's Classify
-// stage, chunk by chunk, against one VerifyBatch call over the same
+// stage, chunk by chunk, against one VerifyBatchInto call over the same
 // decoded batch: for each chunk size, batches of 1, 255, 256, 257 and
 // 512 alarms must verify bit-identically.
 func TestClassifyStageMatchesSequential(t *testing.T) {
 	_, alarms := testAlarms(1024)
 	verifier := fastVerifier(t, alarms[:512])
 	live := alarms[512:]
-	want, err := verifier.VerifyBatch(live)
-	if err != nil {
+	want := make([]alarm.Verification, len(live))
+	if err := verifier.VerifyBatchInto(live, want); err != nil {
 		t.Fatal(err)
 	}
 	for _, batch := range []int{1, 64, 32, 256, 7} {

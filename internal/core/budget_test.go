@@ -126,7 +126,7 @@ func budgetApp(t *testing.T, alarms []alarm.Alarm) *ConsumerApp {
 		if buf, err = c.Marshal(buf[:0], &alarms[i]); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := prod.Send([]byte(alarms[i].DeviceMAC), buf); err != nil {
+		if _, _, err := prod.SendAt([]byte(alarms[i].DeviceMAC), buf, time.Time{}); err != nil {
 			t.Fatal(err)
 		}
 	}

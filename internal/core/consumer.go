@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"alarmverify/internal/alarm"
-	"alarmverify/internal/anomaly"
 	"alarmverify/internal/broker"
 	"alarmverify/internal/codec"
 	"alarmverify/internal/docstore"
@@ -75,9 +74,6 @@ type ConsumerConfig struct {
 	// wait at once, so this is only how often an idle intake gets to
 	// look at anything else (stop, rebalance), not a latency.
 	PollTimeout time.Duration
-	// Anomaly, when set, receives every micro-batch window so the
-	// §3 "large event" spikes are detected as they form.
-	Anomaly *anomaly.Monitor
 	// Metrics, when set, receives per-stage durations
 	// (decode/classify/persist/commit), per-record end-to-end
 	// latencies and the shed counter. One Pipeline may be shared by
@@ -226,16 +222,4 @@ func (c *ConsumerApp) Batches() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.batches
-}
-
-// Throughput returns verified alarms per second of total component
-// time — the §5.5 headline metric.
-func (c *ConsumerApp) Throughput() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	total := c.times.Total()
-	if total <= 0 {
-		return 0
-	}
-	return float64(c.records) / total.Seconds()
 }

@@ -198,13 +198,6 @@ func TestHistoryHistogram(t *testing.T) {
 	if byLoc["8000"] != 48 || byLoc["8001"] != 1 {
 		t.Errorf("counts by location = %v", byLoc)
 	}
-	trueCounts, err := h.TrueAlarmCountsByZIP(time.Minute, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if trueCounts["8001"] != 1 || trueCounts["8000"] != 0 {
-		t.Errorf("true counts = %v", trueCounts)
-	}
 }
 
 func TestEndToEndProducerConsumer(t *testing.T) {
@@ -253,9 +246,6 @@ func TestEndToEndProducerConsumer(t *testing.T) {
 	times := cons.Times()
 	if times.ML <= 0 || times.Deserialize <= 0 {
 		t.Errorf("component times not recorded: %+v", times)
-	}
-	if cons.Throughput() <= 0 {
-		t.Error("throughput not positive")
 	}
 }
 

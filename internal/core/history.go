@@ -556,7 +556,7 @@ func (h *History) TopDevices(k int) ([]DeviceCount, error) {
 		return nil, nil
 	}
 	h.simulateRTT()
-	groups, err := h.groupCounts(nil, "deviceMac")
+	groups, err := h.groupCounts("deviceMac")
 	if err != nil {
 		return nil, err
 	}
@@ -579,14 +579,15 @@ func (h *History) TopDevices(k int) ([]DeviceCount, error) {
 
 // groupCounts is the typed group-count read the location and
 // top-device queries share, behind the write-behind barrier.
-func (h *History) groupCounts(filter docstore.Doc, field string) ([]docstore.GroupCount, error) {
+func (h *History) groupCounts(field string) ([]docstore.GroupCount, error) {
 	h.barrier()
-	return h.col.GroupCounts(filter, field)
+	return h.col.GroupCounts(nil, field)
 }
 
-// countByZIP tallies the alarms matching filter per ZIP code.
-func (h *History) countByZIP(filter docstore.Doc) (map[string]int, error) {
-	groups, err := h.groupCounts(filter, "zip")
+// CountByLocation aggregates alarm counts per ZIP code (the
+// location-histogram query of §4.2).
+func (h *History) CountByLocation() (map[string]int, error) {
+	groups, err := h.groupCounts("zip")
 	if err != nil {
 		return nil, err
 	}
@@ -595,20 +596,4 @@ func (h *History) countByZIP(filter docstore.Doc) (map[string]int, error) {
 		out[g.Key.Str()] = g.Count
 	}
 	return out, nil
-}
-
-// CountByLocation aggregates alarm counts per ZIP code (the
-// location-histogram query of §4.2).
-func (h *History) CountByLocation() (map[string]int, error) { return h.countByZIP(nil) }
-
-// TrueAlarmCountsByZIP counts alarms per ZIP whose duration exceeds
-// deltaT, per alarm type — the statistic behind Table 2 and Figure 7.
-func (h *History) TrueAlarmCountsByZIP(deltaT time.Duration, alarmType string) (map[string]int, error) {
-	filter := docstore.Doc{
-		"duration": map[string]any{"$gte": deltaT.Seconds()},
-	}
-	if alarmType != "" {
-		filter["alarmType"] = alarmType
-	}
-	return h.countByZIP(filter)
 }

@@ -35,16 +35,16 @@ func hotpathBroker(t *testing.T, alarms []alarm.Alarm) *broker.Broker {
 		}
 		val := make([]byte, len(buf))
 		copy(val, buf)
-		if _, _, err := prod.Send([]byte(alarms[i].DeviceMAC), val); err != nil {
+		if _, _, err := prod.SendAt([]byte(alarms[i].DeviceMAC), val, time.Time{}); err != nil {
 			t.Fatal(err)
 		}
 		if i%17 == 0 {
-			if _, _, err := prod.Send(nil, []byte(`{"truncated`)); err != nil {
+			if _, _, err := prod.SendAt(nil, []byte(`{"truncated`), time.Time{}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if i%23 == 0 {
-			if _, _, err := prod.Send(nil, []byte(`{"id":0,"type":"fire","status":"real"}`)); err != nil {
+			if _, _, err := prod.SendAt(nil, []byte(`{"id":0,"type":"fire","status":"real"}`), time.Time{}); err != nil {
 				t.Fatal(err)
 			}
 		}

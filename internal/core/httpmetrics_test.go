@@ -35,7 +35,7 @@ func TestHTTPMetricsEndpoint(t *testing.T) {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}
-	parts := svc.history.col.NumPartitions()
+	parts := svc.history.db.Partitions()
 
 	mresp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {

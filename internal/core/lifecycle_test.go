@@ -330,7 +330,7 @@ func matchesSnapshot(got, exp []alarm.Verification) bool {
 }
 
 // TestHotSwapRaceHammer hammers lock-free hot swaps concurrently with
-// Verify and VerifyBatch across all four classifiers. Every batch
+// Verify and VerifyBatchInto across all four classifiers. Every batch
 // result must be bit-identical to exactly one of the two snapshots'
 // per-alarm outputs — a batch can never straddle a swap — and every
 // single-alarm result must match one snapshot. Run under -race this
@@ -421,8 +421,8 @@ func TestHotSwapRaceHammer(t *testing.T) {
 				go func() {
 					defer readers.Done()
 					for i := 0; i < 60; i++ {
-						got, err := live.VerifyBatch(probe)
-						if err != nil {
+						got := make([]alarm.Verification, len(probe))
+						if err := live.VerifyBatchInto(probe, got); err != nil {
 							errs <- err.Error()
 							return
 						}

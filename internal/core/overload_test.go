@@ -60,7 +60,7 @@ func TestDrainTakesWhatIsQueuedUpToMax(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := prod.Send([]byte(as[i].DeviceMAC), val); err != nil {
+			if _, _, err := prod.SendAt([]byte(as[i].DeviceMAC), val, time.Time{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -186,7 +186,7 @@ func TestMarkShedCountsAndSkipsE2E(t *testing.T) {
 	if !batch.Shed {
 		t.Fatal("batch not flagged")
 	}
-	if got := m.ShedRecords(); got != int64(batch.Len()) {
+	if got := m.Snapshot().ShedRecords; got != int64(batch.Len()) {
 		t.Fatalf("shed counter %d, want %d", got, batch.Len())
 	}
 	if err := app.CommitBatch(batch); err != nil {

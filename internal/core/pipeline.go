@@ -128,10 +128,9 @@ func (c *ConsumerApp) MarkShed(b *Batch) {
 // alarm scratch (codec.FastCodec's scratch path: string fields are
 // interned through the app's codec scratch and Payload stays a view of
 // the record, valid until the batch's leases are released, so
-// steady-state decode performs no heap allocation), feeds the anomaly
-// monitor, and extracts the window's distinct alarming devices with a
-// reusable seen-set. Records that fail to decode or carry a zero ID are
-// dropped.
+// steady-state decode performs no heap allocation), and extracts the
+// window's distinct alarming devices with a reusable seen-set. Records
+// that fail to decode or carry a zero ID are dropped.
 //
 //alarmvet:hotpath
 func (c *ConsumerApp) Decode(b *Batch) {
@@ -150,10 +149,6 @@ func (c *ConsumerApp) Decode(b *Batch) {
 	}
 	b.Alarms = alarms
 	b.Times.Deserialize = time.Since(start)
-
-	if c.cfg.Anomaly != nil && len(b.Alarms) > 0 {
-		c.cfg.Anomaly.Observe(b.Alarms[0].Timestamp, b.Alarms)
-	}
 
 	start = time.Now()
 	devices := b.Devices
@@ -329,10 +324,6 @@ func (c *ConsumerApp) RefreshAssignment() error { return c.consumer.RefreshAssig
 // Assignment returns the broker partitions currently owned by this
 // consumer.
 func (c *ConsumerApp) Assignment() []int { return c.consumer.Assignment() }
-
-// Committed returns the group's committed offset for each partition
-// assigned to this consumer.
-func (c *ConsumerApp) Committed() map[int]int64 { return c.consumer.Committed() }
 
 // Lag returns how many records sit between the consumer's positions
 // and the high watermarks of its partitions.

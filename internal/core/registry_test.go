@@ -18,9 +18,9 @@ import (
 
 // registryRoundTrip saves v as a registry's first version and loads it
 // back with riskModel.
-func registryRoundTrip(t *testing.T, v *Verifier, riskModel *risk.Model) (*modelreg.Registry, *Verifier, error) {
+func registryRoundTrip(t *testing.T, dir string, v *Verifier, riskModel *risk.Model) (*modelreg.Registry, *Verifier, error) {
 	t.Helper()
-	reg, err := modelreg.Open(t.TempDir())
+	reg, err := modelreg.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestVerifierSaveLoadRoundTrip(t *testing.T) {
 	_, alarms := testAlarms(3000)
 	v := fastVerifier(t, alarms[:2000])
 
-	_, loaded, err := registryRoundTrip(t, v, nil)
+	_, loaded, err := registryRoundTrip(t, t.TempDir(), v, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestVerifierSaveLoadWithRisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Without a risk model the load must refuse.
-	reg, _, err := registryRoundTrip(t, v, nil)
+	reg, _, err := registryRoundTrip(t, t.TempDir(), v, nil)
 	if err == nil {
 		t.Error("risk-trained verifier loaded without a risk model")
 	}
@@ -110,11 +110,12 @@ func TestLoadFromRegistryRejectsGarbage(t *testing.T) {
 	_, alarms := testAlarms(600)
 	v := fastVerifier(t, alarms)
 	for _, file := range []string{"classifier.json", "encoder.json"} {
-		reg, _, err := registryRoundTrip(t, v, nil)
+		dir := t.TempDir()
+		reg, _, err := registryRoundTrip(t, dir, v, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(reg.Dir(), "v0001", file), []byte("junk"), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, "v0001", file), []byte("junk"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := LoadFromRegistry(reg, 1, nil); err == nil {
@@ -184,11 +185,12 @@ func TestLoadRefusesClassifierThatMisfitsEncoder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			reg, _, err := registryRoundTrip(t, v, nil)
+			root := t.TempDir()
+			reg, _, err := registryRoundTrip(t, root, v, nil)
 			if err != nil {
 				t.Fatalf("the untouched registry version: %v", err)
 			}
-			dir := filepath.Join(reg.Dir(), "v0001")
+			dir := filepath.Join(root, "v0001")
 			rewrite := func(name string, edit func([]byte) []byte) (restore func()) {
 				path := filepath.Join(dir, name)
 				good, err := os.ReadFile(path)

@@ -95,7 +95,7 @@ func DefaultVerifierConfig() VerifierConfig {
 //
 // All mutable model state — the classifier, the schema encoder, the
 // training summary, Δt — lives in one immutable snapshot behind an
-// atomic pointer. Every Verify/VerifyBatch call loads the snapshot
+// atomic pointer. Every Verify/VerifyBatchInto call loads the snapshot
 // exactly once, so a hot Swap mid-stream is lock-free and each call
 // (and each batch) is classified by exactly one model — fields from
 // two models can never mix. The zero Verifier has no model; it must
@@ -273,7 +273,7 @@ func (v *Verifier) Info() ModelInfo {
 }
 
 // Swap atomically installs nv's current snapshot as v's serving
-// model. In-flight Verify/VerifyBatch calls finish on the snapshot
+// model. In-flight Verify/VerifyBatchInto calls finish on the snapshot
 // they loaded; subsequent calls pick up the new model — no lock, no
 // drained pipeline, no dropped records. nv must not be refitted
 // afterwards (snapshots are immutable by contract).
@@ -312,21 +312,12 @@ type batchScratch struct {
 
 var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
-// VerifyBatch classifies a slice of alarms, returning one
-// verification per alarm; predictions and probabilities are
-// bit-identical to calling Verify per alarm, with LatencyMS reporting
-// the batch's amortized per-alarm latency.
-func (v *Verifier) VerifyBatch(alarms []alarm.Alarm) ([]alarm.Verification, error) {
-	out := make([]alarm.Verification, len(alarms))
-	if err := v.VerifyBatchInto(alarms, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// VerifyBatchInto is VerifyBatch writing into a caller-provided slice
-// (len(out) must be at least len(alarms)) — the allocation-free form
-// the pipeline's classify workers use to fill disjoint regions of one
+// VerifyBatchInto classifies a slice of alarms into a caller-provided
+// slice (len(out) must be at least len(alarms)), one verification per
+// alarm; predictions and probabilities are bit-identical to calling
+// Verify per alarm, with LatencyMS reporting the batch's amortized
+// per-alarm latency. It is the allocation-free form the pipeline's
+// classify workers use to fill disjoint regions of one
 // result slice concurrently. The model snapshot is loaded once per
 // call: the whole batch is encoded and classified by one model, so a
 // concurrent hot swap can never split a batch across two models.

@@ -303,7 +303,7 @@ func TestSFQualityProfile(t *testing.T) {
 	cfg := DefaultSFConfig()
 	cfg.TotalRecords = 200_000
 	recs := GenerateSF(cfg)
-	st := SFStats(recs)
+	st := sfStats(recs)
 	if frac := float64(st.OtherLabel) / float64(st.Total); frac < 0.5 {
 		t.Errorf("'Other' disposition fraction = %.2f, want > 0.5 (§5.1.3)", frac)
 	}
@@ -423,4 +423,38 @@ func TestIncidentReportsCorrelateWithRisk(t *testing.T) {
 		t.Errorf("covered avg risk %.3f ≤ uncovered %.3f; reports must concentrate on risky places",
 			covSum/covN, uncovSum/uncovN)
 	}
+}
+
+// sfQualityStats summarizes the data-quality story of §5.1.3.
+type sfQualityStats struct {
+	Total      int
+	OtherLabel int // disposition "Other" (unusable)
+	Medical    int
+	AlarmFire  int // alarm + fire call types, any label
+	NoMerit    int // explicit false alarms
+	Usable     int // alarm/fire with a definitive label
+}
+
+// sfStats tabulates the quality profile of a raw dump.
+func sfStats(recs []SFRecord) sfQualityStats {
+	var st sfQualityStats
+	st.Total = len(recs)
+	for _, r := range recs {
+		if r.CallFinalDisposition == "Other" {
+			st.OtherLabel++
+		}
+		if r.CallType == "Medical Incident" {
+			st.Medical++
+		}
+		if sfIsAlarmOrFire(r.CallType) {
+			st.AlarmFire++
+			if r.CallFinalDisposition != "Other" {
+				st.Usable++
+			}
+		}
+		if r.CallFinalDisposition == "No Merit" {
+			st.NoMerit++
+		}
+	}
+	return st
 }

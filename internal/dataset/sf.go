@@ -153,40 +153,6 @@ func GenerateSF(cfg SFConfig) []SFRecord {
 	return out
 }
 
-// SFQualityStats summarizes the data-quality story of §5.1.3.
-type SFQualityStats struct {
-	Total      int
-	OtherLabel int // disposition "Other" (unusable)
-	Medical    int
-	AlarmFire  int // alarm + fire call types, any label
-	NoMerit    int // explicit false alarms
-	Usable     int // alarm/fire with a definitive label
-}
-
-// SFStats tabulates the quality profile of a raw dump.
-func SFStats(recs []SFRecord) SFQualityStats {
-	var st SFQualityStats
-	st.Total = len(recs)
-	for _, r := range recs {
-		if r.CallFinalDisposition == "Other" {
-			st.OtherLabel++
-		}
-		if r.CallType == "Medical Incident" {
-			st.Medical++
-		}
-		if sfIsAlarmOrFire(r.CallType) {
-			st.AlarmFire++
-			if r.CallFinalDisposition != "Other" {
-				st.Usable++
-			}
-		}
-		if r.CallFinalDisposition == "No Merit" {
-			st.NoMerit++
-		}
-	}
-	return st
-}
-
 // SFUsable filters the raw dump down to the study subset: alarm/fire
 // call types with a definitive disposition (§5.1.3: "we could only
 // consider incidents of type alarm and fire that have a proper

@@ -67,28 +67,6 @@ type device struct {
 // GenerateSitasys synthesizes the production alarm stream. Alarms are
 // in timestamp order with sequential IDs.
 func GenerateSitasys(w *World, cfg SitasysConfig) []alarm.Alarm {
-	debug := generateSitasys(w, cfg)
-	out := make([]alarm.Alarm, len(debug))
-	for i := range debug {
-		out[i] = debug[i].A
-	}
-	return out
-}
-
-// DebugAlarm pairs a generated alarm with its latent true-probability
-// — exposed for calibration tests and ablation benches only.
-type DebugAlarm struct {
-	A     alarm.Alarm
-	PTrue float64
-}
-
-// GenerateSitasysDebug is GenerateSitasys with the latent generative
-// probability attached to every alarm.
-func GenerateSitasysDebug(w *World, cfg SitasysConfig) []DebugAlarm {
-	return generateSitasys(w, cfg)
-}
-
-func generateSitasys(w *World, cfg SitasysConfig) []DebugAlarm {
 	if cfg.NumAlarms < 1 {
 		return nil
 	}
@@ -105,7 +83,7 @@ func generateSitasys(w *World, cfg SitasysConfig) []DebugAlarm {
 	devices := makeDevices(w, cfg, rng)
 	span := cfg.Start.AddDate(0, cfg.Months, 0).Sub(cfg.Start)
 
-	out := make([]DebugAlarm, cfg.NumAlarms)
+	out := make([]alarm.Alarm, cfg.NumAlarms)
 	for i := range out {
 		d := devices[rng.Intn(len(devices))]
 		ts := cfg.Start.Add(time.Duration(rng.Int63n(int64(span))))
@@ -132,13 +110,13 @@ func generateSitasys(w *World, cfg SitasysConfig) []DebugAlarm {
 		if cfg.PayloadBytes > 0 {
 			a.Payload = payloadPad(rng, cfg.PayloadBytes)
 		}
-		out[i] = DebugAlarm{A: a, PTrue: pTrue}
+		out[i] = a
 	}
 	sort.Slice(out, func(i, j int) bool {
-		return out[i].A.Timestamp.Before(out[j].A.Timestamp)
+		return out[i].Timestamp.Before(out[j].Timestamp)
 	})
 	for i := range out {
-		out[i].A.ID = int64(i + 1)
+		out[i].ID = int64(i + 1)
 	}
 	return out
 }

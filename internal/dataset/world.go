@@ -70,12 +70,3 @@ func NewWorldWith(gaz *risk.Gazetteer, seed int64) *World {
 
 // PlaceRisk returns the latent risk of a place (0 for unknown names).
 func (w *World) PlaceRisk(name string) float64 { return w.placeRisk[name] }
-
-// RiskByZIP resolves the latent risk of a ZIP's place.
-func (w *World) RiskByZIP(zip string) float64 {
-	p, ok := w.Gaz.ByZIP(zip)
-	if !ok {
-		return 0
-	}
-	return w.placeRisk[p.Name]
-}

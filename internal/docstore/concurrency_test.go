@@ -231,8 +231,8 @@ func TestShardKeySemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.ShardKey() != "deviceMac" || c.NumPartitions() != 8 {
-		t.Fatalf("shardKey=%q partitions=%d", c.ShardKey(), c.NumPartitions())
+	if c.shardKey != "deviceMac" || len(c.parts) != 8 {
+		t.Fatalf("shardKey=%q partitions=%d", c.shardKey, len(c.parts))
 	}
 	if _, err := db.CollectionWithShardKey("alarms", "zip"); !errors.Is(err, ErrShardKeyMismatch) {
 		t.Fatalf("mismatched shard key accepted: %v", err)

@@ -192,16 +192,6 @@ func newCollection(name, shardKey string, partitions int) *Collection {
 	return c
 }
 
-// Name returns the collection name.
-func (c *Collection) Name() string { return c.name }
-
-// ShardKey returns the routing field, or "" when documents spread by
-// id.
-func (c *Collection) ShardKey() string { return c.shardKey }
-
-// NumPartitions returns how many partitions the collection spans.
-func (c *Collection) NumPartitions() int { return len(c.parts) }
-
 // Len returns the number of stored documents. It is lock-free: each
 // partition maintains an atomic document count, so monitoring paths
 // (/stats) never contend with the ingest or query locks.

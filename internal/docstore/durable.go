@@ -13,6 +13,8 @@ import (
 	"sync"
 	"syscall"
 	"time"
+
+	"alarmverify/internal/fsync"
 )
 
 // Durability.
@@ -440,15 +442,6 @@ func (c *Collection) SetRetention(field string, maxAge time.Duration) {
 	}
 }
 
-// Retention returns the collection's retention field and window, or
-// ("", 0) when unbounded.
-func (c *Collection) Retention() (string, time.Duration) {
-	if cfg := c.ret.Load(); cfg != nil {
-		return cfg.field, cfg.age
-	}
-	return "", 0
-}
-
 // PruneExpired deletes every document whose retention field holds a
 // unix-seconds timestamp older than now minus the retention window,
 // returning how many were pruned. A no-op without a configured
@@ -571,17 +564,7 @@ func replaceFileSync(path string, write func(w *bufio.Writer) error) error {
 	if err := os.Rename(path+".tmp", path); err != nil {
 		return fmt.Errorf("docstore: publish %s: %w", filepath.Base(path), err)
 	}
-	return fsyncDir(filepath.Dir(path))
-}
-
-//alarmvet:ignore directory-fsync primitive behind atomic installs; its callers hold only cold-path admin mutexes
-func fsyncDir(dir string) error {
-	f, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return f.Sync()
+	return fsync.Dir(filepath.Dir(path))
 }
 
 // checkpointPartition advances one partition to its next epoch: the
@@ -714,7 +697,7 @@ func (dc *durableCollection) removeEpochsBefore(pi int, keep uint64) error {
 			return fmt.Errorf("docstore: gc %s: %w", e.Name(), err)
 		}
 	}
-	return fsyncDir(dc.dir)
+	return fsync.Dir(dc.dir)
 }
 
 // parsePartFile decodes a partition file name of the form

@@ -59,8 +59,8 @@ func TestDurableRoundTrip(t *testing.T) {
 	}
 	defer db2.Close()
 	col2 := db2.Collection("alarms")
-	if col2.ShardKey() != "deviceMac" {
-		t.Fatalf("shard key not recovered: %q", col2.ShardKey())
+	if col2.shardKey != "deviceMac" {
+		t.Fatalf("shard key not recovered: %q", col2.shardKey)
 	}
 	if got := col2.Indexes(); !reflect.DeepEqual(got, []string{"zip"}) {
 		t.Fatalf("indexes not recovered: %v", got)
@@ -119,8 +119,8 @@ func TestDurableCheckpointAndGC(t *testing.T) {
 			wals++
 		}
 	}
-	if snaps != col.NumPartitions() || wals != col.NumPartitions() {
-		t.Fatalf("epoch GC left %d snapshots, %d wals; want %d each", snaps, wals, col.NumPartitions())
+	if snaps != len(col.parts) || wals != len(col.parts) {
+		t.Fatalf("epoch GC left %d snapshots, %d wals; want %d each", snaps, wals, len(col.parts))
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -450,8 +450,8 @@ func TestDurableRetention(t *testing.T) {
 	if n := col2.Len(); n != 10 {
 		t.Fatalf("Len=%d after recovery, want 10 (prune must be durable)", n)
 	}
-	if f, age := col2.Retention(); f != "ts" || age != time.Hour {
-		t.Fatalf("retention not recovered: field=%q age=%v", f, age)
+	if ret := col2.ret.Load(); ret == nil || ret.field != "ts" || ret.age != time.Hour {
+		t.Fatalf("retention not recovered: %+v", ret)
 	}
 }
 
@@ -473,10 +473,10 @@ func TestDurablePartitionCountPinnedByMeta(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if n := db2.Collection("a").NumPartitions(); n != 3 {
+	if n := len(db2.Collection("a").parts); n != 3 {
 		t.Fatalf("NumPartitions=%d after recovery, want 3", n)
 	}
-	if n := db2.Collection("fresh").NumPartitions(); n != 8 {
+	if n := len(db2.Collection("fresh").parts); n != 8 {
 		t.Fatalf("fresh collection NumPartitions=%d, want 8", n)
 	}
 }

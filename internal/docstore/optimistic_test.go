@@ -170,7 +170,7 @@ func TestOptimisticReadHammer(t *testing.T) {
 					t.Errorf("torn read: %s has %d values, floor %d", m, len(vals), floor[m])
 					return
 				}
-				if got := tailDocs(c, 7, "ts"); len(got) > 7*c.NumPartitions() {
+				if got := tailDocs(c, 7, "ts"); len(got) > 7*len(c.parts) {
 					t.Errorf("tail returned %d docs for n=7", len(got))
 					return
 				}
@@ -222,6 +222,30 @@ func TestOptimisticReadHammer(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	// Whatever the schedule did, one insert then an ask of the cached
+	// signature advances a partial, and one delete then an ask
+	// recomputes one.
+	if _, err := c.GroupCounts(nil, "deviceMac"); err != nil {
+		t.Fatal(err)
+	}
+	before := c.AggPartialStats()
+	c.Insert(Doc{"deviceMac": mac(0), "kind": "temp", "ts": float64(5000)})
+	if _, err := c.GroupCounts(nil, "deviceMac"); err != nil {
+		t.Fatal(err)
+	}
+	inserted := c.AggPartialStats()
+	if inserted.Advanced <= before.Advanced {
+		t.Errorf("an insert then an ask did not advance a partial: %+v then %+v", before, inserted)
+	}
+	if n, err := c.Delete(Doc{"kind": "temp", "ts": float64(5000)}); err != nil || n != 1 {
+		t.Fatalf("delete: %d docs, %v", n, err)
+	}
+	if _, err := c.GroupCounts(nil, "deviceMac"); err != nil {
+		t.Fatal(err)
+	}
+	if deleted := c.AggPartialStats(); deleted.Recomputed <= inserted.Recomputed {
+		t.Errorf("a delete then an ask did not recompute a partial: %+v then %+v", inserted, deleted)
+	}
 	if st := c.AggPartialStats(); st.Advanced == 0 || st.Recomputed == 0 {
 		t.Errorf("the hammer never advanced or never invalidated a partial: %+v", st)
 	}

@@ -10,7 +10,7 @@ import (
 // history: the TopDevices pipeline through Aggregate (a cached group
 // count with a central sort and limit), a 64-device BucketCounts sweep
 // (the Persist stage's per-device histograms, computed afresh), and
-// GroupCounts under TrueAlarmCountsByZIP's filter (a cached group count
+// GroupCounts under a true-fire-alarm filter (a cached group count
 // behind a range filter) — over a shard-keyed collection indexed by
 // device, as the history's is, swept across the partition count. The
 // reference clones every matching document out of the store on every

@@ -293,7 +293,7 @@ func (c countingCodec) Unmarshal(data []byte, a *alarm.Alarm) error {
 
 // TestReplayCacheCountsUnmarshals is the §6.2 ablation as counted
 // facts: an uncached replay deserializes every record twice, a cached
-// one once, and either replay's verdicts are VerifyBatch's over the
+// one once, and either replay's verdicts are VerifyBatchInto's over the
 // same records.
 func TestReplayCacheCountsUnmarshals(t *testing.T) {
 	env := NewEnv(tinyScale())
@@ -303,8 +303,8 @@ func TestReplayCacheCountsUnmarshals(t *testing.T) {
 		t.Fatal(err)
 	}
 	replayed := alarms[1000:3000]
-	want, err := v.VerifyBatch(replayed)
-	if err != nil {
+	want := make([]alarm.Verification, len(replayed))
+	if err := v.VerifyBatchInto(replayed, want); err != nil {
 		t.Fatal(err)
 	}
 	byID := make(map[int64]alarm.Verification, len(want))
@@ -345,7 +345,7 @@ func TestReplayCacheCountsUnmarshals(t *testing.T) {
 		for _, g := range got {
 			w, ok := byID[g.AlarmID]
 			if !ok || g.Predicted != w.Predicted || g.Probability != w.Probability || g.ModelName != w.ModelName {
-				t.Fatalf("cache=%v: alarm %d verdict %+v, VerifyBatch %+v", cache, g.AlarmID, g, w)
+				t.Fatalf("cache=%v: alarm %d verdict %+v, VerifyBatchInto %+v", cache, g.AlarmID, g, w)
 			}
 		}
 	}

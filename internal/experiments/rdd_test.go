@@ -141,7 +141,7 @@ func TestBrokerSourceDirectMapping(t *testing.T) {
 	}
 	prod := broker.NewProducer(topic)
 	for i := 0; i < 200; i++ {
-		prod.Send([]byte(fmt.Sprintf("k%d", i)), []byte(fmt.Sprintf("v%d", i)))
+		prod.SendAt([]byte(fmt.Sprintf("k%d", i)), []byte(fmt.Sprintf("v%d", i)), time.Time{})
 	}
 	cons, err := broker.NewConsumer(b, "g", topic, "c1")
 	if err != nil {
@@ -178,7 +178,7 @@ func TestBrokerSourceBackpressure(t *testing.T) {
 	topic, _ := b.CreateTopic("alarms", 1)
 	prod := broker.NewProducer(topic)
 	for i := 0; i < 100; i++ {
-		prod.Send(nil, []byte("x"))
+		prod.SendAt(nil, []byte("x"), time.Time{})
 	}
 	cons, _ := broker.NewConsumer(b, "g", topic, "c1")
 	src := newBrokerSource(cons, topic)

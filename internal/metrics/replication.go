@@ -41,12 +41,6 @@ func (r *Replication) SetRole(epoch int64, leader int, isLeader bool) {
 // AddFailover counts one won election (this node was promoted).
 func (r *Replication) AddFailover() { r.failovers.Add(1) }
 
-// Failovers returns how many elections this node has won.
-func (r *Replication) Failovers() int64 { return r.failovers.Load() }
-
-// Epoch returns the last published epoch.
-func (r *Replication) Epoch() int64 { return r.epoch.Load() }
-
 // SetReplicaLag records one follower's total replication lag in
 // records, summed across all topic partitions.
 func (r *Replication) SetReplicaLag(node int, lag int64) {

@@ -8,17 +8,17 @@ import (
 
 func TestReplicationRoleAndFailovers(t *testing.T) {
 	r := NewReplication()
-	if r.Epoch() != 0 || r.Failovers() != 0 {
-		t.Fatalf("fresh Replication not zeroed: epoch=%d failovers=%d", r.Epoch(), r.Failovers())
+	if r.epoch.Load() != 0 || r.failovers.Load() != 0 {
+		t.Fatalf("fresh Replication not zeroed: epoch=%d failovers=%d", r.epoch.Load(), r.failovers.Load())
 	}
 	r.SetRole(3, 1, true)
-	if r.Epoch() != 3 {
-		t.Fatalf("Epoch = %d, want 3", r.Epoch())
+	if r.epoch.Load() != 3 {
+		t.Fatalf("Epoch = %d, want 3", r.epoch.Load())
 	}
 	r.AddFailover()
 	r.AddFailover()
-	if r.Failovers() != 2 {
-		t.Fatalf("Failovers = %d, want 2", r.Failovers())
+	if r.failovers.Load() != 2 {
+		t.Fatalf("Failovers = %d, want 2", r.failovers.Load())
 	}
 }
 
@@ -82,8 +82,8 @@ func TestReplicationConcurrentUpdates(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if r.Failovers() != 8*200 {
-		t.Fatalf("Failovers = %d, want %d", r.Failovers(), 8*200)
+	if r.failovers.Load() != 8*200 {
+		t.Fatalf("Failovers = %d, want %d", r.failovers.Load(), 8*200)
 	}
 	var b strings.Builder
 	r.WriteProm(&b)

@@ -72,26 +72,6 @@ func (d *Dataset) Width() int {
 	return len(d.X[0])
 }
 
-// PositiveRate returns the fraction of rows labelled 1.
-func (d *Dataset) PositiveRate() float64 {
-	if len(d.Y) == 0 {
-		return 0
-	}
-	n := 0
-	for _, y := range d.Y {
-		n += y
-	}
-	return float64(n) / float64(len(d.Y))
-}
-
-// Shuffle permutes rows in place using rng.
-func (d *Dataset) Shuffle(rng *rand.Rand) {
-	rng.Shuffle(len(d.X), func(i, j int) {
-		d.X[i], d.X[j] = d.X[j], d.X[i]
-		d.Y[i], d.Y[j] = d.Y[j], d.Y[i]
-	})
-}
-
 // Split partitions the dataset into a training set with trainFrac of
 // the rows and a test set with the remainder, after shuffling with
 // rng. The paper uses a 50/50 split (§5.1.1).
@@ -167,14 +147,4 @@ func Predict(c Classifier, x []float64) int {
 		return 1
 	}
 	return 0
-}
-
-// Confidence returns the probability of the predicted class — the
-// number human ARC operators prioritize by (§6.1).
-func Confidence(c Classifier, x []float64) (class int, prob float64) {
-	p := c.Proba(x)
-	if p[1] >= p[0] {
-		return 1, p[1]
-	}
-	return 0, p[0]
 }

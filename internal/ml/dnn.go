@@ -288,7 +288,3 @@ func (m *DNN) Proba(x []float64) [2]float64 {
 	out := m.forward(x, acts)
 	return [2]float64{out[0], out[1]}
 }
-
-// LayerSizes returns the realized architecture including input and
-// output widths.
-func (m *DNN) LayerSizes() []int { return append([]int(nil), m.sizes...) }

@@ -1,10 +1,6 @@
 package ml
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "fmt"
 
 // StringIndexer maps categorical string values to dense integer
 // indices, in order of first appearance at fit time. Unknown values at
@@ -52,16 +48,6 @@ func (s *StringIndexer) Value(i int) (string, bool) {
 // OneHotWidth returns the width of the one-hot block for this
 // indexer: one slot per fitted value plus the unknown slot.
 func (s *StringIndexer) OneHotWidth() int { return len(s.values) + 1 }
-
-// Encode writes the one-hot encoding of v into dst (which must have
-// OneHotWidth elements) and returns dst.
-func (s *StringIndexer) Encode(dst []float64, v string) []float64 {
-	for i := range dst {
-		dst[i] = 0
-	}
-	dst[s.Index(v)] = 1
-	return dst
-}
 
 // ColumnSpec declares one column of a categorical schema.
 type ColumnSpec struct {
@@ -165,20 +151,6 @@ func (e *SchemaEncoder) FeatureNames() []string {
 	return names
 }
 
-// Transform encodes one row into a fresh feature vector. This is the
-// dense form training and the experiments read; serving reads the same
-// cells as a SparseRow (see Layout).
-func (e *SchemaEncoder) Transform(row Row) ([]float64, error) {
-	if !e.fitted {
-		return nil, ErrNotFitted
-	}
-	dst := make([]float64, e.Width())
-	if err := e.encode(dst, row); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
 // TransformAll encodes rows with labels into a Dataset. The rows of its
 // X are consecutive windows of one backing array, each capped at the
 // width, so a row can be written in place but appending to one copies
@@ -228,117 +200,4 @@ func (e *SchemaEncoder) encode(dst []float64, row Row) error {
 		ci++
 	}
 	return nil
-}
-
-// Pearson computes the Pearson correlation coefficient between two
-// equal-length series. It returns 0 when either series is constant.
-// The paper uses Pearson correlation (after [36]) for feature
-// selection: "to find dependencies between features and labels as well
-// as dependencies among features" (§5.3).
-func Pearson(a, b []float64) float64 {
-	if len(a) != len(b) || len(a) == 0 {
-		return 0
-	}
-	n := float64(len(a))
-	var ma, mb float64
-	for i := range a {
-		ma += a[i]
-		mb += b[i]
-	}
-	ma /= n
-	mb /= n
-	var cov, va, vb float64
-	for i := range a {
-		da, db := a[i]-ma, b[i]-mb
-		cov += da * db
-		va += da * da
-		vb += db * db
-	}
-	if va == 0 || vb == 0 {
-		return 0
-	}
-	return cov / math.Sqrt(va*vb)
-}
-
-// FeatureCorrelation is the label correlation of one feature.
-type FeatureCorrelation struct {
-	Index int
-	Name  string
-	Corr  float64 // Pearson correlation with the label
-}
-
-// CorrelationsWithLabel returns per-feature Pearson correlations with
-// the label, sorted by descending absolute correlation — the feature-
-// selection signal of §5.3.
-func CorrelationsWithLabel(d *Dataset) []FeatureCorrelation {
-	yf := make([]float64, len(d.Y))
-	for i, y := range d.Y {
-		yf[i] = float64(y)
-	}
-	col := make([]float64, len(d.X))
-	out := make([]FeatureCorrelation, d.Width())
-	for j := 0; j < d.Width(); j++ {
-		for i := range d.X {
-			col[i] = d.X[i][j]
-		}
-		name := ""
-		if d.FeatureNames != nil {
-			name = d.FeatureNames[j]
-		}
-		out[j] = FeatureCorrelation{Index: j, Name: name, Corr: Pearson(col, yf)}
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		return math.Abs(out[i].Corr) > math.Abs(out[j].Corr)
-	})
-	return out
-}
-
-// StandardScaler standardizes numeric features to zero mean and unit
-// variance (fitted on training data only).
-type StandardScaler struct {
-	mean, std []float64
-	fitted    bool
-}
-
-// FitScaler computes per-feature statistics on d.
-func FitScaler(d *Dataset) *StandardScaler {
-	w := d.Width()
-	s := &StandardScaler{mean: make([]float64, w), std: make([]float64, w), fitted: true}
-	n := float64(d.Len())
-	for _, row := range d.X {
-		for j, v := range row {
-			s.mean[j] += v
-		}
-	}
-	for j := range s.mean {
-		s.mean[j] /= n
-	}
-	for _, row := range d.X {
-		for j, v := range row {
-			dv := v - s.mean[j]
-			s.std[j] += dv * dv
-		}
-	}
-	for j := range s.std {
-		s.std[j] = math.Sqrt(s.std[j] / n)
-		if s.std[j] == 0 {
-			s.std[j] = 1
-		}
-	}
-	return s
-}
-
-// Apply standardizes all rows of d in place and returns d.
-func (s *StandardScaler) Apply(d *Dataset) *Dataset {
-	for _, row := range d.X {
-		s.ApplyRow(row)
-	}
-	return d
-}
-
-// ApplyRow standardizes one feature vector in place.
-func (s *StandardScaler) ApplyRow(row []float64) {
-	for j := range row {
-		row[j] = (row[j] - s.mean[j]) / s.std[j]
-	}
 }

@@ -637,28 +637,3 @@ func (m *RandomForest) Proba(x []float64) [2]float64 {
 	p := sum / float64(len(m.trees))
 	return [2]float64{1 - p, p}
 }
-
-// NumTrees returns the number of fitted trees.
-func (m *RandomForest) NumTrees() int { return len(m.trees) }
-
-// Depth returns the maximum depth across fitted trees.
-func (m *RandomForest) Depth() int {
-	max := 0
-	for _, t := range m.trees {
-		if d := nodeDepth(t); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
-func nodeDepth(n *treeNode) int {
-	if n == nil || n.feature < 0 {
-		return 0
-	}
-	l, r := nodeDepth(n.left), nodeDepth(n.right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
-}

@@ -204,3 +204,11 @@ func TestCountSlotsFollowTheDepthReached(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// nodeDepth is the depth of the tree below n.
+func nodeDepth(n *treeNode) int {
+	if n == nil || n.feature < 0 {
+		return 0
+	}
+	return 1 + max(nodeDepth(n.left), nodeDepth(n.right))
+}

@@ -125,8 +125,3 @@ func (m *LogisticRegression) Proba(x []float64) [2]float64 {
 	p := sigmoid(z)
 	return [2]float64{1 - p, p}
 }
-
-// Weights exposes the fitted coefficients (for inspection and tests).
-func (m *LogisticRegression) Weights() ([]float64, float64) {
-	return m.weights, m.bias
-}

@@ -104,10 +104,6 @@ func TestStringIndexer(t *testing.T) {
 	if s.OneHotWidth() != 4 {
 		t.Errorf("one-hot width = %d, want 4 (3 + unseen)", s.OneHotWidth())
 	}
-	enc := s.Encode(make([]float64, 4), "intrusion")
-	if enc[1] != 1 || enc[0]+enc[2]+enc[3] != 0 {
-		t.Errorf("encode = %v", enc)
-	}
 }
 
 func TestSchemaEncoder(t *testing.T) {
@@ -131,7 +127,7 @@ func TestSchemaEncoder(t *testing.T) {
 	if len(names) != 7 || names[0] != "zip=8000" || names[6] != "risk" {
 		t.Errorf("names = %v", names)
 	}
-	v, err := e.Transform(rows[1])
+	v, err := transform(e, rows[1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +138,7 @@ func TestSchemaEncoder(t *testing.T) {
 		}
 	}
 	// Unseen category routes to the reserved slot, not an error.
-	v, err = e.Transform(Row{Cats: []string{"9999", "fire"}, Nums: []float64{0}})
+	v, err = transform(e, Row{Cats: []string{"9999", "fire"}, Nums: []float64{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,19 +146,29 @@ func TestSchemaEncoder(t *testing.T) {
 		t.Errorf("unseen zip not in reserved slot: %v", v)
 	}
 	// Shape errors.
-	if _, err := e.Transform(Row{Cats: []string{"only-one"}, Nums: []float64{0}}); err == nil {
+	if _, err := transform(e, Row{Cats: []string{"only-one"}, Nums: []float64{0}}); err == nil {
 		t.Error("bad row shape accepted")
 	}
 	// Unfitted encoder refuses.
 	e2 := NewSchemaEncoder([]ColumnSpec{{Name: "a"}})
-	if _, err := e2.Transform(Row{Cats: []string{"x"}}); err == nil {
+	if _, err := transform(e2, Row{Cats: []string{"x"}}); err == nil {
 		t.Error("unfitted transform accepted")
 	}
 }
 
-// TestTransformAllOneSlab: TransformAll's rows are what Transform gives,
+// TestTransformAllOneSlab: TransformAll's rows are what transform gives,
 // laid end to end in one array, and each is capped at the width so an
 // append to one cannot run into the next.
+// transform encodes one row into a fresh vector, as TransformAll does
+// each of its rows.
+func transform(e *SchemaEncoder, row Row) ([]float64, error) {
+	if !e.fitted {
+		return nil, ErrNotFitted
+	}
+	dst := make([]float64, e.Width())
+	return dst, e.encode(dst, row)
+}
+
 func TestTransformAllOneSlab(t *testing.T) {
 	e := NewSchemaEncoder([]ColumnSpec{{Name: "zip"}, {Name: "risk", Numeric: true}})
 	rows := []Row{
@@ -179,7 +185,7 @@ func TestTransformAllOneSlab(t *testing.T) {
 	}
 	w := e.Width()
 	for i, row := range rows {
-		want, err := e.Transform(row)
+		want, err := transform(e, row)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,55 +220,6 @@ func TestTransformAllOneSlab(t *testing.T) {
 	}
 	if _, err := e.TransformAll([]Row{{Cats: []string{"8000"}}}, []int{1}); !errors.Is(err, ErrShape) {
 		t.Errorf("bad row shape: err = %v, want ErrShape", err)
-	}
-}
-
-func TestPearson(t *testing.T) {
-	a := []float64{1, 2, 3, 4, 5}
-	if got := Pearson(a, a); math.Abs(got-1) > 1e-12 {
-		t.Errorf("self correlation = %f", got)
-	}
-	b := []float64{5, 4, 3, 2, 1}
-	if got := Pearson(a, b); math.Abs(got+1) > 1e-12 {
-		t.Errorf("anti correlation = %f", got)
-	}
-	c := []float64{7, 7, 7, 7, 7}
-	if got := Pearson(a, c); got != 0 {
-		t.Errorf("constant series correlation = %f", got)
-	}
-	if got := Pearson(a, []float64{1}); got != 0 {
-		t.Errorf("length mismatch should give 0, got %f", got)
-	}
-}
-
-func TestCorrelationsWithLabelRanksSignalFirst(t *testing.T) {
-	d := linearDataset(500, 4, 0)
-	corrs := CorrelationsWithLabel(d)
-	if corrs[len(corrs)-1].Name != "noise" {
-		t.Errorf("noise feature should rank last: %+v", corrs)
-	}
-	if math.Abs(corrs[0].Corr) < 0.3 {
-		t.Errorf("top feature correlation too weak: %f", corrs[0].Corr)
-	}
-}
-
-func TestStandardScaler(t *testing.T) {
-	d := linearDataset(200, 5, 0)
-	s := FitScaler(d)
-	s.Apply(d)
-	for j := 0; j < d.Width(); j++ {
-		var mean, varsum float64
-		for _, row := range d.X {
-			mean += row[j]
-		}
-		mean /= float64(d.Len())
-		for _, row := range d.X {
-			varsum += (row[j] - mean) * (row[j] - mean)
-		}
-		sd := math.Sqrt(varsum / float64(d.Len()))
-		if math.Abs(mean) > 1e-9 || math.Abs(sd-1) > 1e-9 {
-			t.Errorf("feature %d: mean=%g sd=%g after scaling", j, mean, sd)
-		}
 	}
 }
 
@@ -401,7 +358,7 @@ func TestDNNArchitectureMatchesTable7(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []int{803, 50, 2, 2}
-	got := m.LayerSizes()
+	got := m.sizes
 	if len(got) != len(want) {
 		t.Fatalf("layers = %v", got)
 	}
@@ -420,11 +377,15 @@ func TestRandomForestRespectsDepthLimit(t *testing.T) {
 	if err := m.Fit(linearDataset(500, 50, 0.1)); err != nil {
 		t.Fatal(err)
 	}
-	if m.Depth() > 3 {
-		t.Errorf("tree depth %d exceeds limit 3", m.Depth())
+	depth := 0
+	for _, tree := range m.trees {
+		depth = max(depth, nodeDepth(tree))
 	}
-	if m.NumTrees() != 5 {
-		t.Errorf("trees = %d", m.NumTrees())
+	if depth > 3 {
+		t.Errorf("tree depth %d exceeds limit 3", depth)
+	}
+	if len(m.trees) != 5 {
+		t.Errorf("trees = %d", len(m.trees))
 	}
 }
 
@@ -500,12 +461,5 @@ func TestGridSearchErrors(t *testing.T) {
 		// behaviour, but it must not panic. Our implementation treats
 		// it as one empty point.
 		t.Logf("empty grid: %v", err)
-	}
-}
-
-func TestPositiveRate(t *testing.T) {
-	d, _ := NewDataset([][]float64{{1}, {2}, {3}, {4}}, []int{1, 1, 0, 0}, nil)
-	if got := d.PositiveRate(); got != 0.5 {
-		t.Errorf("positive rate = %f", got)
 	}
 }

@@ -170,8 +170,8 @@ func TestEncoderSaveLoad(t *testing.T) {
 		t.Fatalf("width changed: %d -> %d", e.Width(), loaded.Width())
 	}
 	for _, row := range rows {
-		a, err1 := e.Transform(row)
-		b, err2 := loaded.Transform(row)
+		a, err1 := transform(e, row)
+		b, err2 := transform(loaded, row)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("transform: %v %v", err1, err2)
 		}

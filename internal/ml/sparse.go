@@ -18,7 +18,7 @@ import (
 // bit for bit.
 
 // SparseRow is one serving row: what is not zero in the vector
-// SchemaEncoder.Transform would build.
+// SchemaEncoder.TransformAll would build for it.
 type SparseRow struct {
 	// Active[g] is the column holding the 1 of the schema's g-th
 	// categorical column; the rest of that column's one-hot block is 0.

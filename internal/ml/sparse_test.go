@@ -63,7 +63,7 @@ func sparseOf(l *RowLayout, rows *SparseRows, i int, row Row) {
 }
 
 // checkCompiled holds a compiled model to its classifier's Proba over
-// rows, bit for bit, and the layout's Dense to the encoder's Transform.
+// rows, bit for bit, and the layout's Dense to the encoder's dense encoding.
 func checkCompiled(t testing.TB, c Classifier, enc *SchemaEncoder, l *RowLayout, rows []Row) {
 	t.Helper()
 	sm, err := Compile(c, l)
@@ -79,14 +79,14 @@ func checkCompiled(t testing.TB, c Classifier, enc *SchemaEncoder, l *RowLayout,
 	sm.ProbSparse(&sparse, got)
 	dense := make([]float64, l.Width())
 	for i, row := range rows {
-		x, err := enc.Transform(row)
+		x, err := transform(enc, row)
 		if err != nil {
 			t.Fatal(err)
 		}
 		l.Dense(sparse.Row(i), dense)
 		for j := range x {
 			if math.Float64bits(x[j]) != math.Float64bits(dense[j]) {
-				t.Fatalf("row %d %v: Dense[%d] = %v, Transform says %v", i, row, j, dense[j], x[j])
+				t.Fatalf("row %d %v: Dense[%d] = %v, dense encoding says %v", i, row, j, dense[j], x[j])
 			}
 		}
 		want := c.Proba(x)

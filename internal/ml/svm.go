@@ -152,6 +152,3 @@ func (m *SVM) Proba(x []float64) [2]float64 {
 	p := sigmoid(m.plattA*m.margin(x) + m.plattB)
 	return [2]float64{1 - p, p}
 }
-
-// Weights exposes the fitted hyperplane.
-func (m *SVM) Weights() ([]float64, float64) { return m.weights, m.bias }

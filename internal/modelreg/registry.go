@@ -17,7 +17,9 @@
 //
 // Saves are atomic: a version is staged in a ".tmp-v*" directory and
 // renamed into place, so a crash mid-save can never leave a partial
-// version that LoadLatest would trust. Stale staging directories left
+// version that LoadLatest would trust; the staging and registry
+// directories are fsynced around the rename, so a version Save returned
+// survives a crash. Stale staging directories left
 // by such a crash are removed the next time the registry is opened.
 package modelreg
 
@@ -33,6 +35,7 @@ import (
 	"sync"
 	"time"
 
+	"alarmverify/internal/fsync"
 	"alarmverify/internal/ml"
 )
 
@@ -119,9 +122,6 @@ func Open(dir string) (*Registry, error) {
 	return &Registry{dir: dir}, nil
 }
 
-// Dir returns the registry's root directory.
-func (r *Registry) Dir() string { return r.dir }
-
 // versions lists committed version numbers in ascending order.
 func (r *Registry) versions() ([]int, error) {
 	entries, err := os.ReadDir(r.dir)
@@ -193,12 +193,25 @@ func (r *Registry) Save(c ml.Classifier, enc *ml.SchemaEncoder, m Manifest) (Man
 	}); err != nil {
 		return Manifest{}, err
 	}
+	if err := syncDir(staging); err != nil {
+		return Manifest{}, fmt.Errorf("modelreg: save: sync staging: %w", err)
+	}
 	if err := os.Rename(staging, r.versionPath(next)); err != nil {
 		return Manifest{}, fmt.Errorf("modelreg: save: commit v%04d: %w", next, err)
 	}
 	ok = true
+	if err := syncDir(r.dir); err != nil {
+		return Manifest{}, fmt.Errorf("modelreg: save: sync v%04d: %w", next, err)
+	}
 	return m, nil
 }
+
+// syncDir makes a directory's entries durable: Save syncs the staging
+// directory before the rename, so the version's files are in it, and
+// the registry directory after, so the rename itself survives a crash
+// and the next Save cannot reuse the version's number. Tests replace it
+// to see both syncs.
+var syncDir = fsync.Dir
 
 // writeFileWith creates path and streams content through write,
 // syncing before close so a committed version is durable.
@@ -276,23 +289,6 @@ func (r *Registry) Latest() (Manifest, bool, error) {
 		return Manifest{}, false, err
 	}
 	return m, true, nil
-}
-
-// List returns every committed version's manifest, oldest first.
-func (r *Registry) List() ([]Manifest, error) {
-	vs, err := r.versions()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Manifest, 0, len(vs))
-	for _, v := range vs {
-		m, err := readManifest(r.versionPath(v))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, m)
-	}
-	return out, nil
 }
 
 func readManifest(dir string) (Manifest, error) {

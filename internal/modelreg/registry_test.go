@@ -1,11 +1,14 @@
 package modelreg
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"alarmverify/internal/fsync"
 	"alarmverify/internal/ml"
 )
 
@@ -102,16 +105,13 @@ func TestRegistryVersionsAccumulate(t *testing.T) {
 			t.Fatalf("save %d assigned version %d", i, m.Version)
 		}
 	}
-	list, err := reg.List()
-	if err != nil {
-		t.Fatal(err)
-	}
+	list := manifests(t, reg)
 	if len(list) != 3 {
-		t.Fatalf("List returned %d manifests", len(list))
+		t.Fatalf("%d manifests", len(list))
 	}
 	for i, m := range list {
 		if m.Version != i+1 || m.TrainRecords != 100*(i+1) {
-			t.Fatalf("List[%d] = %+v", i, m)
+			t.Fatalf("manifest %d = %+v", i, m)
 		}
 	}
 	if _, _, m, err := reg.Load(2); err != nil || m.TrainRecords != 200 {
@@ -150,15 +150,62 @@ func TestRegistryCleansStaleStaging(t *testing.T) {
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
 		t.Fatalf("stale staging dir survived reopen: %v", err)
 	}
-	list, err := reg2.List()
-	if err != nil {
-		t.Fatal(err)
-	}
+	list := manifests(t, reg2)
 	if len(list) != 1 || list[0].Version != 1 {
 		t.Fatalf("registry after cleanup lists %+v", list)
 	}
 	// The next save must still get version 2.
 	if m, err := reg2.Save(model, enc, Manifest{}); err != nil || m.Version != 2 {
 		t.Fatalf("post-cleanup save = %+v, %v", m, err)
+	}
+}
+
+// manifests reads every committed version's manifest, oldest first.
+func manifests(t *testing.T, r *Registry) []Manifest {
+	t.Helper()
+	vs, err := r.versions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]Manifest, 0, len(vs))
+	for _, v := range vs {
+		m, err := readManifest(r.versionPath(v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, m)
+	}
+	return out
+}
+
+// TestSaveSyncsStagingAndRegistryDirs: Save fsyncs the staging
+// directory before the rename and the registry directory after it —
+// without either, a crash can lose a version Save returned.
+func TestSaveSyncsStagingAndRegistryDirs(t *testing.T) {
+	dir := t.TempDir()
+	reg, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var synced []string
+	syncDir = func(d string) error {
+		_, err := os.Stat(filepath.Join(d, "manifest.json"))
+		synced = append(synced, fmt.Sprintf("%s manifest=%v", d, err == nil))
+		return nil
+	}
+	defer func() { syncDir = fsync.Dir }()
+	model, enc, _ := fitSmall(t, 1)
+	if _, err := reg.Save(model, enc, Manifest{}); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		filepath.Join(dir, stagingPrefix+"0001") + " manifest=true",
+		dir + " manifest=false",
+	}
+	if !reflect.DeepEqual(synced, want) {
+		t.Fatalf("synced %q, want %q", synced, want)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "v0001", "manifest.json")); err != nil {
+		t.Fatalf("version not committed: %v", err)
 	}
 }

@@ -187,9 +187,6 @@ func Dial(addrs []string, topic string, opts ClientOptions) (*Client, error) {
 	return c, nil
 }
 
-// Topic returns the topic name this client is bound to.
-func (c *Client) Topic() string { return c.topic }
-
 // Close drops the client's control connection. Producers and
 // consumers own their connections and close independently.
 func (c *Client) Close() {
@@ -445,11 +442,6 @@ func (p *Producer) dropConn(rc *rpcConn) {
 	}
 	p.connMu.Unlock()
 	rc.close()
-}
-
-// Send appends one record with the producer's wall clock.
-func (p *Producer) Send(key, value []byte) (int, int64, error) {
-	return p.SendAt(key, value, time.Time{})
 }
 
 // SendAt appends one record, returning its partition and offset once

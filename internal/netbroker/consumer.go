@@ -283,13 +283,6 @@ func (k *Consumer) Assignment() []int {
 	return out
 }
 
-// Generation returns the assignment generation last installed.
-func (k *Consumer) Generation() int64 {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.gen
-}
-
 // PollLeased fetches up to max records across assigned partitions into
 // dst, blocking up to timeout server-side when nothing is available.
 // The fetch response is read into a buffer the returned lease owns and

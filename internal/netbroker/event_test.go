@@ -44,7 +44,7 @@ func startParkedCluster(t *testing.T) (*testCluster, *netbroker.Producer, broker
 		t.Fatal(err)
 	}
 	t.Cleanup(cons.Close)
-	if _, _, err := p.Send([]byte("k"), []byte("warm-up")); err != nil {
+	if _, _, err := p.SendAt([]byte("k"), []byte("warm-up"), time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := pollCopy(cons, 1, 5*time.Second)
@@ -76,7 +76,7 @@ func TestAppendAckedWithinOnePull(t *testing.T) {
 	took := make([]time.Duration, n)
 	for i := range took {
 		start := time.Now()
-		if _, _, err := p.Send([]byte("k"), []byte(fmt.Sprintf("v-%d", i))); err != nil {
+		if _, _, err := p.SendAt([]byte("k"), []byte(fmt.Sprintf("v-%d", i)), time.Time{}); err != nil {
 			t.Fatalf("send %d: %v", i, err)
 		}
 		took[i] = time.Since(start)
@@ -103,7 +103,7 @@ func TestAppendAckedWithinOnePull(t *testing.T) {
 func TestParkedPollWakesOnQuorumCommit(t *testing.T) {
 	_, p, cons := startParkedCluster(t)
 	polled := parkPoll(cons, 2*time.Second)
-	if _, _, err := p.Send([]byte("k"), []byte("wake")); err != nil {
+	if _, _, err := p.SendAt([]byte("k"), []byte("wake"), time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	acked := time.Now()

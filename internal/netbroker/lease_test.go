@@ -52,7 +52,7 @@ func pollOne(t *testing.T, cons broker.GroupConsumer) (broker.Record, *broker.Le
 func TestFetchedBytesBelongToTheLease(t *testing.T) {
 	c, p := leaseClient(t, 1)
 	for i := 0; i < 5; i++ {
-		if _, _, err := p.Send([]byte("k"), []byte(fmt.Sprintf("value-%d", i))); err != nil {
+		if _, _, err := p.SendAt([]byte("k"), []byte(fmt.Sprintf("value-%d", i)), time.Time{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -110,7 +110,7 @@ func TestReleasedFetchBufferIsPoisoned(t *testing.T) {
 	defer broker.SetLeaseCheck(false)
 	c, p := leaseClient(t, 1)
 	for i := 0; i < 3; i++ {
-		if _, _, err := p.Send([]byte("key"), []byte(fmt.Sprintf("value-%d", i))); err != nil {
+		if _, _, err := p.SendAt([]byte("key"), []byte(fmt.Sprintf("value-%d", i)), time.Time{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -170,7 +170,7 @@ func TestLeaseRecyclingHammer(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < total; i++ {
-			if _, _, err := p.Send([]byte{byte('a' + i%7)}, value(i)); err != nil {
+			if _, _, err := p.SendAt([]byte{byte('a' + i%7)}, value(i), time.Time{}); err != nil {
 				t.Error(err)
 				return
 			}

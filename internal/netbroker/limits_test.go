@@ -99,7 +99,7 @@ func TestRetryAfterFailoverIsStoredTwice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := topic.FetchLog(0, 0, 2)
+	recs, err := topic.FetchLogInto(0, 0, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestRestartedQuorumLosesAckedRecords(t *testing.T) {
 	}
 	const acked = 20
 	for i := 0; i < acked; i++ {
-		if _, off, err := p.Send([]byte("dev-1"), []byte("before")); err != nil || off != int64(i) {
+		if _, off, err := p.SendAt([]byte("dev-1"), []byte("before"), time.Time{}); err != nil || off != int64(i) {
 			t.Fatalf("send %d: offset %d, %v", i, off, err)
 		}
 	}
@@ -170,7 +170,7 @@ func TestRestartedQuorumLosesAckedRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p2.Close()
-	_, off, err := p2.Send([]byte("dev-1"), []byte("after"))
+	_, off, err := p2.SendAt([]byte("dev-1"), []byte("after"), time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestRestartedQuorumLosesAckedRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := topic.FetchLog(0, 0, acked+1)
+	recs, err := topic.FetchLogInto(0, 0, acked+1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -323,7 +323,7 @@ func TestPollLeasedAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if _, _, err := p.Send([]byte("k"), []byte("v")); err != nil {
+	if _, _, err := p.SendAt([]byte("k"), []byte("v"), time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	cons, _, err := c.NewGroupConsumer("g", "m")

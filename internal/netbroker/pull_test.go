@@ -76,7 +76,7 @@ func (pp *pullPair) diverge(t testing.TB, name string, p int, common int64, extr
 		t.Fatal(err)
 	}
 	ft := pp.follower.ensureLocalTopic(name, lt.Partitions())
-	recs, err := lt.FetchLog(p, 0, int(common))
+	recs, err := lt.FetchLogInto(p, 0, int(common), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func logs(t testing.TB, s *Server, b *broker.Broker) (map[string][]string, map[s
 	for _, tp := range b.AppendTopics(nil) {
 		for p := 0; p < tp.Partitions(); p++ {
 			size, _ := tp.LogSize(p)
-			got, err := tp.FetchLog(p, 0, int(size))
+			got, err := tp.FetchLogInto(p, 0, int(size), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package netbroker_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -169,13 +170,15 @@ func TestLeaderFailoverNoAckedLoss(t *testing.T) {
 	if cl.servers[newLeader].Epoch() <= 1 {
 		t.Fatalf("new leader still at epoch %d", cl.servers[newLeader].Epoch())
 	}
-	var failovers int64
+	failedOver := false
 	for i, rm := range cl.repl {
-		if i != oldLeader {
-			failovers += rm.Failovers()
+		var prom strings.Builder
+		rm.WriteProm(&prom)
+		if i != oldLeader && !strings.Contains(prom.String(), "alarmverify_broker_failovers_total 0\n") {
+			failedOver = true
 		}
 	}
-	if failovers == 0 {
+	if !failedOver {
 		t.Fatal("failover counter never incremented")
 	}
 
@@ -186,7 +189,7 @@ func TestLeaderFailoverNoAckedLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	for val, a := range acked {
-		recs, err := topic.FetchLog(a.part, a.off, 1)
+		recs, err := topic.FetchLogInto(a.part, a.off, 1, nil)
 		if err != nil || len(recs) != 1 {
 			t.Fatalf("acked record %q missing at %d/%d: %v", val, a.part, a.off, err)
 		}
@@ -317,7 +320,7 @@ func TestDivergentEqualLengthLogReconciled(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			recs, err := topic.FetchLog(0, 0, base+extra+10)
+			recs, err := topic.FetchLogInto(0, 0, base+extra+10, nil)
 			if err != nil || len(recs) != base+extra {
 				return false
 			}
@@ -381,7 +384,7 @@ func TestFollowerDeathKeepsQuorum(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if _, _, err := p.Send([]byte("k"), []byte("v0")); err != nil {
+	if _, _, err := p.SendAt([]byte("k"), []byte("v0"), time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -390,7 +393,7 @@ func TestFollowerDeathKeepsQuorum(t *testing.T) {
 	cl.servers[follower].Close()
 
 	for i := 1; i <= 20; i++ {
-		if _, _, err := p.Send([]byte(fmt.Sprintf("k-%d", i)), []byte(fmt.Sprintf("v-%d", i))); err != nil {
+		if _, _, err := p.SendAt([]byte(fmt.Sprintf("k-%d", i)), []byte(fmt.Sprintf("v-%d", i)), time.Time{}); err != nil {
 			t.Fatalf("send %d with one follower down: %v", i, err)
 		}
 	}

@@ -179,27 +179,6 @@ func (g *Gazetteer) ByZIP(zip string) (*Place, bool) {
 	return p, ok
 }
 
-// SingleZIPPlaces returns the places with exactly one ZIP code —
-// Table 9's scenario (c)/(d) population.
-func (g *Gazetteer) SingleZIPPlaces() []*Place {
-	var out []*Place
-	for i := range g.places {
-		if !g.places[i].MultiZIP() {
-			out = append(out, &g.places[i])
-		}
-	}
-	return out
-}
-
-// TotalPopulation sums over all places.
-func (g *Gazetteer) TotalPopulation() int {
-	t := 0
-	for i := range g.places {
-		t += g.places[i].Population
-	}
-	return t
-}
-
 // SortedByPopulation returns places largest-first (used by report
 // generators: incidents concentrate where people are).
 func (g *Gazetteer) SortedByPopulation() []*Place {

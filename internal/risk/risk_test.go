@@ -23,14 +23,12 @@ func TestGazetteerStructure(t *testing.T) {
 	if len(g.Places()) != 50 {
 		t.Fatalf("places = %d", len(g.Places()))
 	}
-	big, single := 0, 0
+	big := 0
 	seenZIP := map[string]bool{}
 	seenName := map[string]bool{}
 	for _, p := range g.Places() {
 		if p.MultiZIP() {
 			big++
-		} else {
-			single++
 		}
 		if seenName[p.Name] {
 			t.Errorf("duplicate place name %q", p.Name)
@@ -55,9 +53,6 @@ func TestGazetteerStructure(t *testing.T) {
 	}
 	if big != 5 {
 		t.Errorf("big cities = %d, want 5", big)
-	}
-	if got := len(g.SingleZIPPlaces()); got != single {
-		t.Errorf("SingleZIPPlaces = %d, want %d", got, single)
 	}
 }
 

@@ -34,8 +34,8 @@ func TestLeasedPayloadNeverRetained(t *testing.T) {
 			alarms[i].Payload += "\n\"escaped\"\t\\" // decoded into bytes of its own
 		}
 	}
-	want, err := v.VerifyBatch(alarms)
-	if err != nil {
+	want := make([]alarm.Verification, len(alarms))
+	if err := v.VerifyBatchInto(alarms, want); err != nil {
 		t.Fatal(err)
 	}
 

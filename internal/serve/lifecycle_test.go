@@ -47,8 +47,8 @@ func TestFeedbackRetrainHotSwapLive(t *testing.T) {
 	if len(probe) < 32 {
 		t.Fatalf("only %d intrusion probes in replay", len(probe))
 	}
-	preVers, err := live.VerifyBatch(probe)
-	if err != nil {
+	preVers := make([]alarm.Verification, len(probe))
+	if err := live.VerifyBatchInto(probe, preVers); err != nil {
 		t.Fatal(err)
 	}
 	preTrue := 0
@@ -136,8 +136,8 @@ func TestFeedbackRetrainHotSwapLive(t *testing.T) {
 	// operators marked every intrusion true, so the retrained model
 	// must flag strictly more of the intrusion probes than the stale
 	// one did.
-	postVers, err := live.VerifyBatch(probe)
-	if err != nil {
+	postVers := make([]alarm.Verification, len(probe))
+	if err := live.VerifyBatchInto(probe, postVers); err != nil {
 		t.Fatal(err)
 	}
 	postTrue := 0

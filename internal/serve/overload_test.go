@@ -93,7 +93,7 @@ func TestLoadSheddingBoundsBacklog(t *testing.T) {
 		t.Fatalf("processed %d + shed %d = %d, want %d (no record unaccounted)",
 			st.Records, st.ShedRecords, got, total)
 	}
-	if got := m.ShedRecords(); got != st.ShedRecords {
+	if got := m.Snapshot().ShedRecords; got != st.ShedRecords {
 		t.Fatalf("metrics shed %d != stats shed %d", got, st.ShedRecords)
 	}
 	committed, err := svc.Committed()

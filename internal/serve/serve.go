@@ -90,9 +90,7 @@ type Config struct {
 	// derives one from hostname+pid); empty keeps the bare ids — fine
 	// for the single-process deployment.
 	MemberPrefix string
-	// Consumer configures each shard's consumer application. A shared
-	// Anomaly monitor must be safe for concurrent use; give each shard
-	// its own monitor otherwise.
+	// Consumer configures each shard's consumer application.
 	Consumer core.ConsumerConfig
 }
 

@@ -32,12 +32,3 @@ func Tokenize(text string) []string {
 	flush()
 	return out
 }
-
-// TokenSet returns the distinct tokens of text.
-func TokenSet(text string) map[string]bool {
-	set := make(map[string]bool)
-	for _, t := range Tokenize(text) {
-		set[t] = true
-	}
-	return set
-}
