@@ -1,9 +1,13 @@
 # Targets mirror the CI jobs (.github/workflows/ci.yml) so local and
-# CI invocations stay identical.
+# CI invocations stay identical. One producer per kind of number: the
+# paper's rows come from `make bench` (cmd/experiments), end-to-end
+# speed from the benchmark harness (BENCHMARK.json → bench/run.sh, and
+# `make bench-record` for a PR's before/after), and the layer bench-*
+# targets time the finer splits no harness cell has.
 
 GO ?= go
 
-.PHONY: build test test-budgets bench bench-aggregate bench-classify bench-train bench-persist bench-swap bench-overload bench-e2e bench-durable bench-netbroker bench-harness-smoke bench-record bench-record-smoke test-crash test-events test-distributed bench-baseline profile cover docs-gate fuzz-smoke lint fmt
+.PHONY: build test test-budgets bench bench-aggregate bench-classify bench-train bench-persist bench-harness-smoke bench-record bench-record-smoke test-crash test-events test-distributed cover docs-gate fuzz-smoke lint fmt
 
 ## build: compile every package and command
 build:
@@ -18,11 +22,12 @@ test:
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 -run 'TestLeasedPayloadNeverRetained|TestPayloadViewStaysInTheBatch' -v ./internal/serve ./internal/core
 
-## bench: one pass over every benchmark — the reproduction smoke run
-## (CI `bench-smoke` job). Set ALARMVERIFY_SCALE=medium|paper to rerun
-## at larger scales.
+## bench: one pass over every reproduced experiment of the paper's
+## evaluation, ablations included — the reproduction smoke run (CI
+## `bench-smoke` job). Rerun at larger scales with
+## `go run ./cmd/experiments -exp all -scale medium|paper`.
 bench:
-	$(GO) test -bench=. -benchtime=1x -run '^$$' .
+	$(GO) run ./cmd/experiments -exp all
 
 ## bench-aggregate: the analytics pushdown sweep on its own — the
 ## streaming reference vs pushdown execution of the asks serving makes
@@ -88,66 +93,6 @@ bench-persist:
 	echo "$$out" | grep -q '^BenchmarkRecordBatch' && echo "$$out" | grep -q '^BenchmarkDeviceHistograms' && \
 		echo "$$out" | grep -q '^BenchmarkInsertMany/store=wal.*p99-us' || \
 		{ echo "BenchmarkRecordBatch, BenchmarkDeviceHistograms or BenchmarkInsertMany did not run"; exit 1; }
-
-## bench-swap: serving throughput across the model lifecycle's three
-## regimes (steady, hot-swap hammer, concurrent retrain) — the CI
-## bench-smoke job runs this explicitly (and fails if the benchmark
-## disappears) so the lock-free-swap story can't rot
-bench-swap:
-	@out=$$($(GO) test -run=- -bench=BenchmarkSwap -benchtime=1x .) || \
-		{ echo "$$out"; echo "BenchmarkSwap failed"; exit 1; }; \
-	echo "$$out"; \
-	echo "$$out" | grep -q 'BenchmarkSwap/swap-hammer' || \
-		{ echo "BenchmarkSwap did not run"; exit 1; }
-
-## bench-overload: the overload sweep on its own — scenario arrival
-## processes × load shedding, with the bounded-p99 property asserted
-## inside the benchmark. The CI bench-smoke job runs this explicitly
-## (and fails if the benchmark disappears) so the overload story can't
-## silently rot.
-bench-overload:
-	@out=$$($(GO) test -run=- -bench=BenchmarkOverload -benchtime=1x -timeout 20m .) || \
-		{ echo "$$out"; echo "BenchmarkOverload failed"; exit 1; }; \
-	echo "$$out"; \
-	echo "$$out" | grep -q 'p99_flash_shed_ms' || \
-		{ echo "BenchmarkOverload did not run"; exit 1; }
-
-## bench-e2e: the sharded end-to-end throughput sweep with -benchmem,
-## so alarms/s AND allocs/op land in the output — the pair the
-## zero-copy hot path is measured by (PERFORMANCE.md records both).
-## The CI perf-regression job gates both directions via cmd/benchdiff.
-bench-e2e:
-	@out=$$($(GO) test -run=- -bench=BenchmarkShardedThroughput -benchmem -benchtime=1x -timeout 20m .) || \
-		{ echo "$$out"; echo "BenchmarkShardedThroughput failed"; exit 1; }; \
-	echo "$$out"; \
-	echo "$$out" | grep -q 'BenchmarkShardedThroughput/shards=8' || \
-		{ echo "BenchmarkShardedThroughput did not run"; exit 1; }
-
-## bench-durable: the durability tax — the same sharded e2e replay
-## into a memory-only vs a WAL-backed history at the default
-## group-fsync interval. The CI perf-regression job gates the wal cell
-## against bench-baseline.txt via cmd/benchdiff; the acceptance bar
-## keeps store=wal within 30% of store=memory (PERFORMANCE.md records
-## the measured pair).
-bench-durable:
-	@out=$$($(GO) test -run=- -bench=BenchmarkDurableThroughput -benchmem -benchtime=1x -timeout 20m .) || \
-		{ echo "$$out"; echo "BenchmarkDurableThroughput failed"; exit 1; }; \
-	echo "$$out"; \
-	echo "$$out" | grep -q 'BenchmarkDurableThroughput/store=wal' || \
-		{ echo "BenchmarkDurableThroughput did not run"; exit 1; }
-
-## bench-netbroker: one produce round-trip over the framed TCP wire
-## path (encode, hop, idempotent append, ack) — the per-record floor a
-## remote alarmd pays versus the in-process broker. The CI bench-smoke
-## job runs this explicitly (and fails if the benchmark disappears);
-## the CI perf-regression job gates ns/op and B/op against
-## bench-baseline.txt via cmd/benchdiff.
-bench-netbroker:
-	@out=$$($(GO) test -run=- -bench=BenchmarkNetBrokerRoundtrip -benchmem -benchtime=20x .) || \
-		{ echo "$$out"; echo "BenchmarkNetBrokerRoundtrip failed"; exit 1; }; \
-	echo "$$out"; \
-	echo "$$out" | grep -q 'BenchmarkNetBrokerRoundtrip' || \
-		{ echo "BenchmarkNetBrokerRoundtrip did not run"; exit 1; }
 
 ## bench-harness-smoke: vet and race-test the benchmark harness
 ## (BENCHMARK.json → bench/). bench/ is a module of its own, so `go
@@ -219,27 +164,6 @@ test-distributed:
 	@mkdir -p $(DIST_ARTIFACTS)
 	ALARMVERIFY_DIST_BIN=$(CURDIR)/bin ALARMVERIFY_DIST_ARTIFACTS=$(CURDIR)/$(DIST_ARTIFACTS) \
 		$(GO) test -v -run 'TestDistributedChaos' -timeout 10m ./internal/chaos
-
-## profile: capture CPU and allocation profiles of the sharded e2e
-## sweep (shards=8, the hot-path configuration) into profiles/.
-## Inspect with `go tool pprof profiles/bench.test profiles/cpu.out`
-## (or mem.out); a live daemon profiles via `alarmd -pprof-listen`.
-profile:
-	@mkdir -p profiles
-	$(GO) test -run=- -bench='BenchmarkShardedThroughput/shards=8' -benchtime=3x -timeout 20m \
-		-cpuprofile profiles/cpu.out -memprofile profiles/mem.out -o profiles/bench.test .
-	@echo "profiles written: profiles/cpu.out profiles/mem.out"
-	@echo "inspect with: go tool pprof profiles/bench.test profiles/cpu.out"
-
-## bench-baseline: refresh the committed benchmark baseline
-## (bench-baseline.txt) from the named throughput sweeps — run on main,
-## commit the result, and the CI perf-regression job compares PRs
-## against it with cmd/benchdiff.
-bench-baseline:
-	@out=$$($(GO) test -run=- -bench='BenchmarkShardedThroughput|BenchmarkSwap|BenchmarkOverload|BenchmarkDurableThroughput|BenchmarkNetBrokerRoundtrip' \
-		-benchmem -benchtime=1x -timeout 30m .) || \
-		{ echo "$$out"; echo "named sweeps failed; baseline not refreshed"; exit 1; }; \
-	printf '%s\n' "$$out" | tee bench-baseline.txt
 
 ## cover: per-package statement coverage with enforced floors on the
 ## serving layers and the classifiers (CI `coverage` job). Floors sit

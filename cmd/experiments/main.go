@@ -13,7 +13,9 @@
 // drift recovery: feedback → retrain → shadow eval → hot swap),
 // overload (scenario sweep × load shedding: e2e latency quantiles
 // under steady, burst and flash-crowd arrivals), durability (WAL-on
-// vs memory-only service throughput plus crash-style recovery replay).
+// vs memory-only service throughput plus crash-style recovery replay),
+// ablation (§6.2 cached vs uncached batch time and §5.1.1 true-alarm
+// rate per Δt).
 package main
 
 import (
@@ -27,7 +29,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (or comma list): all, table1, table2, table8, table9, params, fig6, fig7, fig8, fig9, fig10, fig11, fig12, corpus, grid, e2e, drift, overload, durability")
+	exp := flag.String("exp", "all", "experiment id (or comma list): all, table1, table2, table8, table9, params, fig6, fig7, fig8, fig9, fig10, fig11, fig12, corpus, grid, e2e, scaling, drift, overload, durability, ablation")
 	scaleName := flag.String("scale", "small", "dataset scale: small, medium, paper")
 	runs := flag.Int("runs", 3, "averaging runs for table9 (paper uses 10)")
 	flag.Parse()
@@ -42,7 +44,7 @@ func main() {
 	ids := strings.Split(*exp, ",")
 	if *exp == "all" {
 		ids = []string{"table1", "params", "corpus", "fig6", "fig7", "fig8",
-			"table2", "fig9", "fig10", "table8", "table9", "fig11", "fig12", "e2e", "scaling", "drift", "overload", "durability"}
+			"table2", "fig9", "fig10", "table8", "table9", "fig11", "fig12", "e2e", "scaling", "drift", "overload", "durability", "ablation"}
 	}
 	for _, id := range ids {
 		if err := run(env, strings.TrimSpace(id), *runs); err != nil {
@@ -141,6 +143,21 @@ func run(env *experiments.Env, id string, runs int) error {
 			return err
 		}
 		fmt.Println(experiments.RenderDurability(res))
+	case "ablation":
+		cached, uncached, err := experiments.AblationCache(env)
+		if err != nil {
+			return err
+		}
+		fmt.Println("Ablation: caching the decoded stream (§6.2), one replay batch:")
+		fmt.Printf("  cached   : %8.1f ms\n", cached.Seconds()*1000)
+		fmt.Printf("  uncached : %8.1f ms\n", uncached.Seconds()*1000)
+		deltas := []time.Duration{30 * time.Second, time.Minute, 5 * time.Minute, 10 * time.Minute}
+		rates := experiments.AblationDeltaTBalance(env, deltas)
+		fmt.Println("Ablation: true-alarm rate per Δt label threshold (§5.1.1):")
+		for _, dt := range deltas {
+			fmt.Printf("  Δt=%-5s  true-alarm rate=%.4f\n", dt, rates[dt])
+		}
+		fmt.Println()
 	case "grid":
 		results, err := experiments.GridSearchDemo(env)
 		if err != nil {

@@ -237,9 +237,9 @@ func TestScratchDecodeAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkUnmarshalScratch measures the zero-copy decode path for
-// benchdiff's allocs/op gate, next to BenchmarkUnmarshal's copying
-// baselines.
+// BenchmarkUnmarshalScratch measures the zero-copy decode path next to
+// BenchmarkUnmarshal's copying baselines; TestScratchDecodeAllocs
+// holds its allocation count.
 func BenchmarkUnmarshalScratch(b *testing.B) {
 	a := sampleAlarm()
 	wire, err := (FastCodec{}).Marshal(nil, &a)

@@ -10,9 +10,9 @@ import (
 // BenchmarkInsertMany prices the WAL on the store's own batched hot
 // path (the write-behind flusher's call shape): alarm-shaped docs in
 // batches of 256, memory-only vs WAL-backed at the default group-sync
-// interval. The e2e pair lives in the repo root's
-// BenchmarkDurableThroughput; this one isolates the docstore layer so
-// WAL encoding regressions are visible without the serving pipeline.
+// interval. The e2e pair is the benchmark harness's drain_wal beside
+// drain_mem; this one isolates the docstore layer so WAL encoding
+// regressions are visible without the serving pipeline.
 // p50-us and p99-us are the per-call latencies: a call that waits for
 // the group syncer's fsync shows in the tail (`make bench-persist`).
 func BenchmarkInsertMany(b *testing.B) {

@@ -193,22 +193,31 @@ func TestTable2AndFig7(t *testing.T) {
 
 func TestFig11SerializerShape(t *testing.T) {
 	env := NewEnv(tinyScale())
-	results, err := Fig11(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("results = %d", len(results))
-	}
-	var reflectRes, fastRes Fig11Result
-	for _, r := range results {
-		switch r.Codec {
-		case "reflect":
-			reflectRes = r
-		case "fast":
-			fastRes = r
+	// Each rate is one wall-clock pass of some tens of milliseconds, and
+	// on the producer side most of a record's cost is the copy and the
+	// broker append, not the codec, so a GC cycle or a host stall inside
+	// the fast codec's pass alone inverts the comparison. Each codec's
+	// best producer and best consumer rate over five calls compare what
+	// the codecs can do, not the stall (best of three still inverted in
+	// 9 of 200 runs beside a concurrent load on two vCPUs).
+	const calls = 5
+	best := map[string]Fig11Result{}
+	for i := 0; i < calls; i++ {
+		results, err := Fig11(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(results) != 2 {
+			t.Fatalf("results = %d", len(results))
+		}
+		for _, r := range results {
+			b := best[r.Codec]
+			r.ProducerPerSec = max(r.ProducerPerSec, b.ProducerPerSec)
+			r.ConsumerPerSec = max(r.ConsumerPerSec, b.ConsumerPerSec)
+			best[r.Codec] = r
 		}
 	}
+	reflectRes, fastRes := best["reflect"], best["fast"]
 	// The Figure 11 headline: the specialized serializer clearly beats
 	// the reflection-based one on both sides.
 	if fastRes.ProducerPerSec <= reflectRes.ProducerPerSec {
@@ -508,5 +517,56 @@ func TestScalingCurveSizesIncrease(t *testing.T) {
 		if got[i] <= got[i-1] {
 			t.Fatalf("alarms %v are not strictly increasing", got)
 		}
+	}
+}
+
+func TestDurabilityRecoversEveryRecord(t *testing.T) {
+	env := NewEnv(tinyScale())
+	res, err := Durability(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Records == 0 || res.Recovered != res.Records {
+		t.Fatalf("recovered %d of %d records", res.Recovered, res.Records)
+	}
+	if res.MemPerSec <= 0 || res.WALPerSec <= 0 {
+		t.Fatalf("rates: memory %.0f/s, WAL %.0f/s", res.MemPerSec, res.WALPerSec)
+	}
+	if out := RenderDurability(res); !strings.Contains(out, "Durability tax") {
+		t.Fatalf("render missing its header:\n%s", out)
+	}
+}
+
+func TestAblationDeltaTBalanceFallsWithDeltaT(t *testing.T) {
+	env := NewEnv(tinyScale())
+	deltas := []time.Duration{30 * time.Second, time.Minute, 5 * time.Minute, 10 * time.Minute}
+	rates := AblationDeltaTBalance(env, deltas)
+	if len(rates) != len(deltas) {
+		t.Fatalf("got %d rates for %d thresholds", len(rates), len(deltas))
+	}
+	// A longer threshold only moves alarms from true to false.
+	for i, dt := range deltas {
+		r := rates[dt]
+		if r < 0 || r > 1 {
+			t.Fatalf("Δt=%s: rate %f outside [0, 1]", dt, r)
+		}
+		if i > 0 && r > rates[deltas[i-1]] {
+			t.Fatalf("Δt=%s: rate %f above Δt=%s's %f", dt, r, deltas[i-1], rates[deltas[i-1]])
+		}
+	}
+}
+
+// TestAblationCacheRuns runs the §6.2 ablation end to end. Which of the
+// two times is smaller is left to the printed row; the counted fact
+// behind it (two unmarshals a record uncached, one cached) is pinned by
+// TestReplayCacheCountsUnmarshals.
+func TestAblationCacheRuns(t *testing.T) {
+	env := NewEnv(tinyScale())
+	cached, uncached, err := AblationCache(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cached <= 0 || uncached <= 0 {
+		t.Fatalf("batch times: cached %s, uncached %s", cached, uncached)
 	}
 }
