@@ -197,7 +197,9 @@ docs-gate:
 ## fuzz-smoke: short fuzz passes (CI `test` job) — the codec decoder
 ## (malformed payloads must error, never panic), the aggregation
 ## differential (any decodable pipeline must behave identically
-## through the pushdown planner and the streaming oracle), the
+## through the pushdown planner and the streaming oracle), the store's
+## row-frame replay (a frame read from disk is stored or refused whole,
+## never a panic, and what it stores encodes back to the same cells), the
 ## wire-frame decoder (torn frames, hostile lengths and corrupt
 ## payloads must error, never panic or over-allocate), and the wire
 ## message decoders (the same for the binary bodies inside the frames,
@@ -210,6 +212,7 @@ docs-gate:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/codec
 	$(GO) test -run '^$$' -fuzz '^FuzzAggregate$$' -fuzztime 10s ./internal/docstore
+	$(GO) test -run '^$$' -fuzz '^FuzzRowFrame$$' -fuzztime 10s ./internal/docstore
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime 10s ./internal/netbroker
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime 10s ./internal/netbroker
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadClassifier$$' -fuzztime 10s ./internal/ml

@@ -14,8 +14,8 @@
 //
 // A partition-like type is recognized structurally: any struct with
 // both `ids` and `cols` fields. Row data lives inside the columns, so
-// a call to one of a column's mutating methods (set, gather, promote)
-// on a column reached through the partition — p.cols[s], p.col(s),
+// a call to one of a column's mutating methods (set, gather) on a
+// column reached through the partition — p.cols[s], p.col(s),
 // p.colLocked(s), or a local variable bound to one of those — counts as
 // a mutation of p.cols. Fresh values built inside the same function
 // (constructors, recovery) are exempt — they are unpublished and have
@@ -47,7 +47,7 @@ var guardedFields = map[string]bool{
 // columnMutators are the column methods that write row data, and
 // columnGetters the partition methods that hand out a column.
 var (
-	columnMutators = map[string]bool{"set": true, "gather": true, "promote": true}
+	columnMutators = map[string]bool{"set": true, "gather": true}
 	columnGetters  = map[string]bool{"col": true, "colLocked": true}
 )
 

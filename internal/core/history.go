@@ -401,22 +401,17 @@ func (h *History) FeedbackCount() int { return h.fb.Len() }
 // retraining (FeedbackLabels keeps the last).
 func (h *History) Feedbacks() ([]Feedback, error) {
 	h.simulateRTT()
-	docs, err := h.fb.Find(nil)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Feedback, 0, len(docs))
-	for _, d := range docs {
-		f := Feedback{}
-		f.AlarmID, _ = d["alarmId"].(int64)
-		f.DeviceMAC, _ = d["deviceMac"].(string)
-		if v, ok := d["verdict"].(int); ok {
-			f.Verdict = alarm.Label(v)
+	rows := h.fb.NewRows("alarmId", "deviceMac", "verdict", "at")
+	h.fb.TailRows(0, rows)
+	out := make([]Feedback, rows.Len())
+	for i := range out {
+		row := rows.Row(i)
+		out[i] = Feedback{
+			AlarmID:   row[0].I64(),
+			DeviceMAC: row[1].Str(),
+			Verdict:   alarm.Label(row[2].I64()),
+			At:        time.Unix(row[3].I64(), 0).UTC(),
 		}
-		if ts, ok := d["at"].(float64); ok {
-			f.At = time.Unix(int64(ts), 0).UTC()
-		}
-		out = append(out, f)
 	}
 	return out, nil
 }
@@ -581,7 +576,7 @@ func (h *History) TopDevices(k int) ([]DeviceCount, error) {
 // top-device queries share, behind the write-behind barrier.
 func (h *History) groupCounts(field string) ([]docstore.GroupCount, error) {
 	h.barrier()
-	return h.col.GroupCounts(nil, field)
+	return h.col.GroupCounts(field)
 }
 
 // CountByLocation aggregates alarm counts per ZIP code (the

@@ -291,9 +291,8 @@ type ServiceStats struct {
 	// attached).
 	TopDevices []DeviceCount `json:"topDevices,omitempty"`
 	// AlarmFields reports how the store holds each field of the alarms
-	// collection: its column kind, and in how many partitions the
-	// column has fallen back to the boxed representation (0 on a
-	// healthy history — the typed path is serving every field).
+	// collection: the kind its first value fixed (string, float64,
+	// int64 or int).
 	AlarmFields []docstore.FieldInfo `json:"alarmFields,omitempty"`
 }
 

@@ -267,14 +267,19 @@ func TestHTTPHistoryAndStats(t *testing.T) {
 	if routed != 2 {
 		t.Errorf("route counts = %v", st.ByRoute)
 	}
-	// The fallback counter: the verified alarms sit in nine typed
-	// columns, none boxed.
+	// The verified alarms sit in nine typed columns: the alarm id an
+	// int64, the timestamp and duration float64, the rest strings.
 	if len(st.AlarmFields) != len(alarmFields) {
 		t.Errorf("alarmFields = %+v, want the %d stored fields", st.AlarmFields, len(alarmFields))
 	}
+	kinds := map[string]string{"alarmId": "int64", "ts": "float64", "duration": "float64"}
 	for _, f := range st.AlarmFields {
-		if f.Kind == "boxed" || f.Boxed != 0 {
-			t.Errorf("field %s fell back to the boxed representation: %+v", f.Name, f)
+		want := kinds[f.Name]
+		if want == "" {
+			want = "string"
+		}
+		if f.Kind != want {
+			t.Errorf("field %s: kind %s, want %s", f.Name, f.Kind, want)
 		}
 	}
 }

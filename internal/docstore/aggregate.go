@@ -20,11 +20,10 @@ func (Limit) stage()     {}
 // with exactly one By field and only count accumulators — followed by
 // any run of SortStage and Limit, applied centrally to the groups. The
 // groups come from the partitions' cached partials (pushdown.go) in
-// first-seen order. With no stages it is Find. Any other pipeline is
-// ErrBadFilter.
-func (c *Collection) Aggregate(filter Doc, stages ...Stage) ([]Doc, error) {
+// first-seen order. Any other pipeline, none included, is ErrBadFilter.
+func (c *Collection) Aggregate(filter []Cond, stages ...Stage) ([]Doc, error) {
 	if len(stages) == 0 {
-		return c.Find(filter)
+		return nil, fmt.Errorf("%w: a pipeline needs a Group", ErrBadFilter)
 	}
 	g, isGroup := stages[0].(Group)
 	if !isGroup {
@@ -55,8 +54,7 @@ func (c *Collection) Aggregate(filter Doc, stages ...Stage) ([]Doc, error) {
 		docs = make([]Doc, len(groups))
 		for i := range groups {
 			d := make(Doc, 1+len(g.Accs))
-			// The key's boxed value is shared with the cached partial.
-			setPath(d, g.By[0], cloneValue(groups[i].key.value()))
+			d[g.By[0]] = groups[i].key.value()
 			for out := range g.Accs {
 				d[out] = groups[i].count
 			}
@@ -90,7 +88,8 @@ type Group struct {
 	Accs map[string]Accumulator // output field -> accumulator
 }
 
-// SortStage orders documents by a field; prefix with "-" to descend.
+// SortStage orders documents by a field, smallest first; a "-" prefix
+// puts the largest first.
 type SortStage struct{ Field string }
 
 func (s SortStage) apply(in []Doc) []Doc {
@@ -101,9 +100,10 @@ func (s SortStage) apply(in []Doc) []Doc {
 	out := make([]Doc, len(in))
 	copy(out, in)
 	sort.SliceStable(out, func(i, j int) bool {
-		vi, _ := lookup(out[i], field)
-		vj, _ := lookup(out[j], field)
-		cmp := compareValues(vi, vj)
+		// A field a document lacks, or holds no kind of, sorts first.
+		vi, _ := cellOf(out[i][field])
+		vj, _ := cellOf(out[j][field])
+		cmp := compareCells(vi, vj)
 		if desc {
 			return cmp > 0
 		}

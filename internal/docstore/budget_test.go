@@ -22,7 +22,7 @@ func TestSyncTickAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := db.Collection("a")
-	frame := frameOf([]byte(`{"op":"del","filter":{"none":1}}`))
+	frame := frameOf([]byte(`{"op":"del","filter":{"none":{"$eq":1}}}`))
 	logs, _ := db.syncAll(nil)
 	allocs := testing.AllocsPerRun(100, func() {
 		for _, p := range col.parts {
@@ -66,7 +66,7 @@ func TestIndexAppendAllocBudget(t *testing.T) {
 	// allocations too.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	measure := func() (allocs uint64, grown int) {
-		x := &index{ref: c.dict.ref("k"), eq: make(map[indexKey]postings), free: noBlock}
+		x := &index{slot: c.dict.ref("k"), eq: make(map[indexKey]postings), free: noBlock}
 		for r := 0; r < warm; r++ {
 			x.add(p, r) // every key seen, its first blocks carved
 		}
@@ -102,7 +102,7 @@ func TestColumnAppendAllocBudget(t *testing.T) {
 	const rows = 20_000
 	row := []Cell{
 		Int64(7), String("00:1a:2b:3c:4d:5e"), Float(1.7e9), String("fire"), String("Zürich"),
-		Float(47.37), Float(8.54), boolCell(true), Cell{kind: kindInt, num: 3},
+		Float(47.37), Float(8.54), Cell{kind: kindInt, num: 3},
 	}
 	cols := make([]column, len(row))
 	// A collection during the appends would count the runtime's own
@@ -124,7 +124,7 @@ func TestColumnAppendAllocBudget(t *testing.T) {
 		if c.present != nil {
 			t.Fatalf("column %d holds every row yet keeps a bitmap", i)
 		}
-		n := len(c.strs.chunks) + len(c.nums.chunks) + len(c.boxed.chunks)
+		n := len(c.strs.chunks) + len(c.nums.chunks)
 		chunks += 1 + uint64(bits.Len(chunkRows/firstChunkRows)) + uint64(n-1)
 	}
 	allocs := after.Mallocs - before.Mallocs

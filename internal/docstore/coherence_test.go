@@ -11,13 +11,13 @@ import (
 // These pin delete-then-read against a cached partial, plus CreateIndex,
 // which builds index shards under a cached aggregation partial.
 
-// fieldValues reads one field across the documents matching filter, in
+// fieldValues reads one field across the documents matching conds, in
 // insertion order, skipping documents that lack it.
-func fieldValues(c *Collection, filter Doc, field string) ([]any, error) {
-	docs, err := c.Find(filter)
+func fieldValues(c *Collection, conds []Cond, field string) ([]any, error) {
+	docs, err := findDocs(c, conds...)
 	var out []any
 	for _, d := range docs {
-		if v, ok := lookup(d, field); ok {
+		if v, ok := d[field]; ok {
 			out = append(out, v)
 		}
 	}
@@ -51,20 +51,20 @@ func TestCoherenceDeleteThenFieldValues(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		c.Insert(Doc{"deviceMac": "mac-a", "ts": float64(i), "tens": i / 10})
 	}
-	filter := Doc{"deviceMac": "mac-a"}
-	c.GroupCounts(filter, "tens")
-	before, err := c.GroupCounts(filter, "tens") // served from the partial
+	filter := []Cond{eq("deviceMac", "mac-a")}
+	groupCountsWhere(c, filter, "tens")
+	before, err := groupCountsWhere(c, filter, "tens") // served from the partial
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(before) != 4 {
 		t.Fatalf("prime read: %d groups", len(before))
 	}
-	n, err := c.Delete(Doc{"deviceMac": "mac-a", "ts": map[string]any{"$gte": 30.0}})
+	n, err := c.deleteWhere([]Cond{eq("deviceMac", "mac-a"), cond("ts", "$gte", 30.0)})
 	if err != nil || n != 10 {
 		t.Fatalf("delete: n=%d err=%v", n, err)
 	}
-	groups, err := c.GroupCounts(filter, "tens")
+	groups, err := groupCountsWhere(c, filter, "tens")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,10 +98,10 @@ func TestCoherenceIndexDDL(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		c.Insert(Doc{"deviceMac": "mac-a", "ts": float64(i), "zip": "1011"})
 	}
-	filter := Doc{"zip": "1011"}
+	filter := []Cond{eq("zip", "1011")}
 	ask := func(want int) {
 		t.Helper()
-		got, err := c.GroupCounts(filter, "deviceMac")
+		got, err := groupCountsWhere(c, filter, "deviceMac")
 		if err != nil || len(got) != 1 || got[0].Count != want {
 			t.Fatalf("GroupCounts = %v, %v; want one group of %d", got, err, want)
 		}
@@ -119,7 +119,7 @@ func TestCoherenceIndexDDL(t *testing.T) {
 		t.Fatalf("index DDL cost %d recomputed partials, want 0", st.Recomputed-before.Recomputed)
 	}
 	// Reads after the DDL still observe current data.
-	got, err := fieldValues(c, Doc{"deviceMac": "mac-a"}, "ts")
+	got, err := fieldValues(c, []Cond{eq("deviceMac", "mac-a")}, "ts")
 	if err != nil || len(got) != 22 {
 		t.Fatalf("scan after DDL: %d values err=%v", len(got), err)
 	}
@@ -149,13 +149,13 @@ func TestCoherenceHammer(t *testing.T) {
 			}
 			c.Insert(Doc{"deviceMac": "mac-a", "ts": float64(i)})
 			if i%2 == 0 {
-				c.Delete(Doc{"ts": float64(i - 40)})
+				c.deleteWhere([]Cond{eq("ts", float64(i-40))})
 			}
 			c.PruneExpired(time.Unix(int64(i-45), 0).Add(time.Hour)) // what the deletes left below ts i-45
 			i++
 		}
 	}()
-	filter := Doc{"deviceMac": "mac-a"}
+	filter := []Cond{eq("deviceMac", "mac-a")}
 	for r := 0; r < 2000; r++ {
 		vals, err := fieldValues(c, filter, "ts")
 		if err != nil {

@@ -75,8 +75,8 @@ func TestLaneMatchesFlat(t *testing.T) {
 }
 
 // TestColumnMatchesFlat drives a column and a flat []Cell through the
-// same appends — runs with and without gaps, a second kind that promotes
-// the column mid-chunk — and gathers with lo on and beside chunk
+// same appends — runs with and without gaps, of each kind — and
+// gathers with lo on and beside chunk
 // boundaries (re-sorts, deletes), then appends again. Every row must read
 // back the same, and the presence bitmap must stay nil until the first
 // gap and exist from then on.
@@ -88,17 +88,12 @@ func TestColumnMatchesFlat(t *testing.T) {
 			ref []Cell
 		)
 		gaps := trial%3 != 0 // a third of the columns stay dense
-		promoteAt := -1      // the row that brings a second kind
-		if trial%4 == 1 {
-			promoteAt = []int{100, 700, 4100, 6000}[r.Intn(4)]
-		}
 		typed := []func(i int) Cell{
 			func(i int) Cell { return String(fmt.Sprintf("s%d", i%37)) },
 			func(i int) Cell { return Float(float64(i) / 4) },
 			func(i int) Cell { return Int64(int64(i) << 40) },
-			func(i int) Cell { return boolCell(i%3 == 0) },
 			func(i int) Cell { return Cell{kind: kindInt, num: uint64(i)} },
-		}[trial%5]
+		}[trial%4]
 		appendRows := func(n int) {
 			afterGap := false
 			for end := len(ref) + n; len(ref) < end; {
@@ -108,9 +103,6 @@ func TestColumnMatchesFlat(t *testing.T) {
 					continue
 				}
 				v := typed(len(ref))
-				if len(ref) == promoteAt {
-					v = cellOf(time.Unix(int64(len(ref)), 0).UTC())
-				}
 				c.set(len(ref), v)
 				ref = append(ref, v)
 				if afterGap && c.present == nil {
@@ -124,9 +116,6 @@ func TestColumnMatchesFlat(t *testing.T) {
 				want := Cell{}
 				if i < len(ref) {
 					want = ref[i]
-				}
-				if c.kind == kindBoxed && want.Present() {
-					want = Cell{kind: kindBoxed, box: want.value()}
 				}
 				if got := c.cell(i); got != want {
 					t.Fatalf("trial %d, %s: row %d of %d reads %+v, want %+v", trial, stage, i, len(ref), got, want)
@@ -166,8 +155,8 @@ func TestColumnMatchesFlat(t *testing.T) {
 
 // TestCheckpointBesideWriters checkpoints a one-partition collection
 // over and over while writers append out-of-order batches (concurrent
-// InsertMany calls take the lock in the other order) of rows with gaps
-// and a field that gets promoted, delete id ranges, and prune by
+// InsertMany calls take the lock in the other order) of rows with gaps,
+// delete id ranges, and prune by
 // retention — so gathers cut the lanes at every depth while a snapshot
 // shares their chunks. Under -race a snapshot that reads a row a writer
 // rewrites fails; in any mode the reopened store must equal the live one.
@@ -196,15 +185,12 @@ func TestCheckpointBesideWriters(t *testing.T) {
 					if seq%5 != 0 {
 						d["tag"] = fmt.Sprintf("t%d", seq%3) // a gap every fifth row
 					}
-					if seq%997 == 500 {
-						d["w"] = "second kind" // promotes w mid-chunk
-					}
 					docs[i] = d
 				}
 				c.InsertMany(docs)
 				if b%8 == 7 {
 					lo := (w*batches + b - 7) * size
-					if _, err := c.Delete(Doc{"seq": map[string]any{"$gte": lo, "$lt": lo + size/2}}); err != nil {
+					if _, err := c.deleteWhere([]Cond{cond("seq", "$gte", lo), cond("seq", "$lt", lo+size/2)}); err != nil {
 						t.Error(err)
 					}
 				}

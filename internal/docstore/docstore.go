@@ -2,20 +2,22 @@
 // alarm pipeline — the role MongoDB plays in the paper (§4.2, "Batch
 // Component / Alarm History").
 //
-// It is a schema-flexible document store: alarms go in and come out as
-// JSON-like documents (nested maps), queried by field path with
-// Mongo-style operator filters, optionally accelerated by hash or
-// ordered indexes, and aggregated inside the partitions into the
+// The paper chose a document store because "the structure of an alarm
+// differs across sensor types and even across software updates"
+// (§4.3). This store serves that flexibility with flat typed fields: a
+// collection's field dictionary names a new top-level field the first
+// time a document carries it, and a row without a field simply has no
+// cell there. A field holds one kind — string, float64, int64 or int,
+// fixed by its first value — so every column stays typed. Reads filter
+// with conjunctions of typed comparisons (Cond), optionally served by
+// an equality index, and aggregate inside the partitions into the
 // per-device alarm histograms of §4.1 and the group counts (noisiest
-// devices, alarms per ZIP) of §4.2. Schema flexibility is exactly why
-// the paper chose a document store: "the structure of an alarm differs
-// across sensor types and even across software updates" (§4.3).
+// devices, alarms per ZIP) of §4.2.
 //
 // Internally each collection is hash-partitioned: documents split
 // across P partitions (default one per CPU, minimum two), each with
 // its own lock, typed columns (rows.go — a document is stored as a
-// row, and built back into a Doc only by the calls that return one)
-// and index shards, so inserts and queries on different devices
+// row) and index shards, so inserts and queries on different devices
 // proceed in parallel instead of funnelling through one
 // collection-wide mutex. A collection may declare a shard key (the
 // history uses the device address); documents then route by the hash
@@ -23,16 +25,12 @@
 // exactly one partition.
 //
 // The API is the one the pipeline calls — append (Insert, InsertMany,
-// InsertRows), age out (SetRetention → PruneExpired → Delete), read
-// back (BucketCounts, GroupCounts, TailRows, Aggregate, Find) — plus
-// the durability surface of durable.go. There is no update, no
-// dump/restore, no index or collection drop, no point lookup or count
-// (Find(Doc{"_id": id}) and len(Find(filter)) answer them), and no
-// latency model inside the engine (the overload experiment's simulated
-// round-trip is core.History's, around the store). Kept on purpose
-// although no production path calls them: the one-line accessors, and
-// boxed cells with dotted paths (the paper's schema-flexibility
-// argument, above).
+// InsertRows), age out (SetRetention → PruneExpired), read back
+// (BucketCounts, GroupCounts, TailRows, Aggregate) — plus the
+// durability surface of durable.go. There is no update, no point
+// lookup, no dump/restore, no index or collection drop, and no latency
+// model inside the engine (the overload experiment's simulated
+// round-trip is core.History's, around the store).
 package docstore
 
 import (
@@ -41,10 +39,8 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Common errors.
@@ -54,10 +50,9 @@ var (
 	ErrShardKeyMismatch = errors.New("docstore: collection exists with a different shard key")
 )
 
-// Doc is a document as the API takes and returns it — the edge type;
-// inside, a partition keeps rows (rows.go). Values are JSON-shaped: string, float64,
-// int, int64, bool, time.Time, nil, []any, or nested Doc /
-// map[string]any.
+// Doc is a document as Insert takes it and Aggregate returns it — the
+// edge type; inside, a partition keeps rows (rows.go). A Doc is flat:
+// each top-level value is a string, float64, int64 or int.
 type Doc = map[string]any
 
 // DB is a set of named collections sharing a partition count. A DB
@@ -148,8 +143,8 @@ func (db *DB) collection(name, key string, wantKey bool) (*Collection, error) {
 // parallel.
 type Collection struct {
 	name     string
-	shardKey string   // routing field; "" = route by id
-	shard    fieldRef // shardKey's slot
+	shardKey string // routing field; "" = route by id
+	shard    int    // shardKey's slot
 	dict     *fieldDict
 	parts    []*partition
 	nextID   atomic.Int64
@@ -210,10 +205,10 @@ func (c *Collection) Len() int {
 func (c *Collection) route(slots []int, cells []Cell, id int64) int {
 	if c.shardKey != "" {
 		for i, s := range slots {
-			if s != c.shard.slot {
+			if s != c.shard {
 				continue
 			}
-			if k, ok := keyForCell(cells[i].descend(c.shard.rest)); ok {
+			if k, ok := keyForCell(cells[i]); ok {
 				return int(hashKey(k) % uint64(len(c.parts)))
 			}
 			break
@@ -232,7 +227,7 @@ func (c *Collection) pruneTo(f *filter) (int, bool) {
 		return 0, false
 	}
 	for i := range f.nodes {
-		if n := &f.nodes[i]; n.kind == nodePred && n.path == c.shardKey {
+		if n := &f.nodes[i]; n.field == c.shardKey {
 			k, ok := n.eqKey()
 			return int(hashKey(k) % uint64(len(c.parts))), ok
 		}
@@ -268,13 +263,17 @@ func (c *Collection) forEach(lo, hi int, busy func(pi int) bool, fn func(pi int,
 
 // Insert stores a copy of doc and returns its assigned _id. On a
 // durable collection the insert is logged to the owning partition's
-// WAL under the same lock that applies it.
+// WAL under the same lock that applies it. A value the store cannot
+// hold — of a Go type outside string, float64, int64 and int, or of
+// another kind than its field already holds — is a caller bug: Insert
+// panics, naming the field, and stores nothing.
 func (c *Collection) Insert(doc Doc) int64 { return c.insertDocs(doc) }
 
 // InsertMany stores all docs and returns their ids. The batch is
 // grouped by target partition and each partition's lock is acquired
 // exactly once, so a batch costs P lock round-trips at most — not one
-// per document.
+// per document. It panics like Insert, before storing any of the
+// batch.
 func (c *Collection) InsertMany(docs []Doc) []int64 {
 	if len(docs) == 0 {
 		return nil
@@ -306,10 +305,16 @@ func (c *Collection) insertDocs(docs ...Doc) int64 {
 // lock is taken once, and on a durable collection each partition's
 // share of the batch travels as one WAL frame, encoded straight from
 // the cells. The batch is only read; the caller may Reset and refill
-// it afterwards.
+// it afterwards. A cell of another kind than its field already holds
+// (or than an earlier row of the batch gave it) is a caller bug:
+// InsertRows panics, naming the field and both kinds, and stores none
+// of the batch.
 //
 //alarmvet:hotpath
 func (c *Collection) InsertRows(rows *Rows) int64 {
+	if err := c.dict.admit(rows); err != nil {
+		panic(err)
+	}
 	n := rows.n
 	base := c.nextID.Add(int64(n)) - int64(n)
 	if n == 0 {
@@ -403,9 +408,7 @@ func (c *Collection) TailRows(n int, rows *Rows) {
 		run := run{ids: append([]int64(nil), p.ids[lo:hi]...), cells: make([]Cell, 0, (hi-lo)*w)}
 		for r := lo; r < hi; r++ {
 			for _, s := range rows.slots {
-				cell := p.col(s).cell(r)
-				cell.box = cloneValue(cell.box)
-				run.cells = append(run.cells, cell)
+				run.cells = append(run.cells, p.col(s).cell(r))
 			}
 		}
 		runs[i] = run
@@ -431,41 +434,13 @@ func (c *Collection) TailRows(n int, rows *Rows) {
 	rows.n = len(refs)
 }
 
-// Find returns copies of all documents matching filter, in insertion
-// order: each matching row is built into a document under its
-// partition's read lock, and the partitions' rows are merged by id —
-// ids come from one collection-wide counter, so ascending id is the
-// global insertion order. No match is nil.
-func (c *Collection) Find(filter Doc) ([]Doc, error) {
-	f := compileFilter(c.dict, filter)
-	lo, hi := c.targetRange(f)
-	type match struct {
-		id  int64
-		doc Doc
-	}
-	var all []match
-	err := c.forEach(lo, hi, nil, func(_ int, p *partition) error {
-		p.mu.RLock()
-		defer p.mu.RUnlock()
-		return p.forEachMatch(f, 0, func(r int) { all = append(all, match{p.ids[r], p.doc(r)}) })
-	})
-	if err != nil || len(all) == 0 {
-		return nil, err
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].id < all[j].id })
-	out := make([]Doc, len(all))
-	for i, m := range all {
-		out[i] = m.doc
-	}
-	return out, nil
-}
-
-// Delete removes all matching documents and returns how many were
-// removed. Each touched partition's lock is taken once, and a partition
-// that lost rows logs the delete to its WAL under that lock; in strict
-// mode the call returns once an fsync covers those frames.
-func (c *Collection) Delete(filter Doc) (int, error) {
-	f := compileFilter(c.dict, filter)
+// deleteWhere removes the documents matching conds and returns how
+// many were removed — the retention prune's delete. Each touched
+// partition's lock is taken once, and a partition that lost rows logs
+// the delete to its WAL under that lock; in strict mode the call
+// returns once an fsync covers those frames.
+func (c *Collection) deleteWhere(conds []Cond) (int, error) {
+	f := compileFilter(c.dict, conds)
 	lo, hi := c.targetRange(f)
 	total := 0
 	var marks []walMark
@@ -475,7 +450,7 @@ func (c *Collection) Delete(filter Doc) (int, error) {
 		n, err := p.deleteLocked(f)
 		total += n
 		if w := p.wal.Load(); n > 0 && w != nil {
-			seq := w.appendOp(walOp{Op: "del", Filter: encodeValue(filter)})
+			seq := w.appendOp(delOp(conds))
 			if c.syncEveryAppend() {
 				marks = append(marks, walMark{w, seq})
 			}
@@ -486,21 +461,9 @@ func (c *Collection) Delete(filter Doc) (int, error) {
 	return total, err
 }
 
-// cloneValues deep-copies a value slice (scalars copy by assignment).
-func cloneValues(vals []any) []any {
-	if len(vals) == 0 {
-		return nil
-	}
-	out := make([]any, len(vals))
-	for i, v := range vals {
-		out[i] = cloneValue(v)
-	}
-	return out
-}
-
 // hashKey hashes an index key for shard routing. Keys normalize
-// numbers to float64, so 3 and 3.0 route identically — matching
-// equalValues.
+// numbers to float64, so 3 and 3.0 route identically, as they compare
+// equal under $eq.
 func hashKey(k indexKey) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -525,113 +488,3 @@ func hashKey(k indexKey) uint64 {
 	}
 	return h
 }
-
-// cloneDoc deep-copies a document (maps and slices; scalars are
-// immutable).
-func cloneDoc(d Doc) Doc {
-	out := make(Doc, len(d))
-	for k, v := range d {
-		out[k] = cloneValue(v)
-	}
-	return out
-}
-
-func cloneValue(v any) any {
-	switch t := v.(type) {
-	case map[string]any:
-		return cloneDoc(t)
-	case []any:
-		out := make([]any, len(t))
-		for i, e := range t {
-			out[i] = cloneValue(e)
-		}
-		return out
-	default:
-		return v
-	}
-}
-
-// lookup resolves a dotted field path inside a document.
-func lookup(d Doc, path string) (any, bool) {
-	cur := any(d)
-	for {
-		i := strings.IndexByte(path, '.')
-		var head string
-		if i < 0 {
-			head = path
-		} else {
-			head = path[:i]
-		}
-		m, ok := cur.(map[string]any)
-		if !ok {
-			return nil, false
-		}
-		cur, ok = m[head]
-		if !ok {
-			return nil, false
-		}
-		if i < 0 {
-			return cur, true
-		}
-		path = path[i+1:]
-	}
-}
-
-// setPath writes a value at a dotted path, creating intermediate maps.
-func setPath(d Doc, path string, v any) {
-	cur := d
-	for {
-		i := strings.IndexByte(path, '.')
-		if i < 0 {
-			cur[path] = v
-			return
-		}
-		head := path[:i]
-		next, ok := cur[head].(map[string]any)
-		if !ok {
-			next = make(map[string]any)
-			cur[head] = next
-		}
-		cur = next
-		path = path[i+1:]
-	}
-}
-
-// compareValues orders two document values (see compareCells).
-func compareValues(a, b any) int { return compareCells(cellOf(a), cellOf(b)) }
-
-func rank(v any) int {
-	switch v.(type) {
-	case nil:
-		return 0
-	case bool:
-		return 1
-	case int, int32, int64, float32, float64:
-		return 2
-	case string:
-		return 3
-	case time.Time:
-		return 4
-	default:
-		return 5
-	}
-}
-
-func toFloat(v any) float64 {
-	switch t := v.(type) {
-	case int:
-		return float64(t)
-	case int32:
-		return float64(t)
-	case int64:
-		return float64(t)
-	case float32:
-		return float64(t)
-	case float64:
-		return t
-	default:
-		return 0
-	}
-}
-
-func comparable2(a, b any) bool { return rank(a) == rank(b) && rank(a) < 5 }

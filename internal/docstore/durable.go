@@ -49,7 +49,7 @@ import (
 //     removed, exactly like broker segment recovery.
 //
 // Retention (Collection.SetRetention) prunes expired documents at
-// checkpoint time through the ordinary logged Delete path, so the
+// checkpoint time through the ordinary logged delete path, so the
 // bound holds across crashes too.
 
 // Durability errors.
@@ -453,7 +453,7 @@ func (c *Collection) PruneExpired(now time.Time) (int, error) {
 		return 0, nil
 	}
 	cutoff := float64(now.Add(-cfg.age).UnixNano()) / 1e9
-	return c.Delete(Doc{cfg.field: map[string]any{"$lt": cutoff}})
+	return c.deleteWhere([]Cond{{Field: cfg.field, Op: "$lt", Value: Float(cutoff)}})
 }
 
 // metaSnapshot composes the collection's meta.json content. The index
@@ -611,10 +611,10 @@ func (c *Collection) checkpointPartition(pi int) error {
 }
 
 // copyLocked captures the partition's rows for the checkpointer to encode
-// after it has released the lock. The typed lanes' chunks are shared:
-// writers append past the captured rows, and a gather refills fresh
-// memory (lane.truncate). Copied are the ids, the presence bitmap (set
-// ORs bits into words it shares) and the boxed values, deep.
+// after it has released the lock. The lanes' chunks are shared: writers
+// append past the captured rows, and a gather refills fresh memory
+// (lane.truncate). Copied are the ids and the presence bitmap (set ORs
+// bits into words it shares).
 func (p *partition) copyLocked() *partition {
 	snap := &partition{dict: p.dict, ids: append([]int64(nil), p.ids...), cols: make([]*column, len(p.cols))}
 	for s, col := range p.cols {
@@ -624,10 +624,6 @@ func (p *partition) copyLocked() *partition {
 		cp := *col
 		cp.present = append([]uint64(nil), col.present...)
 		cp.strs, cp.nums = col.strs.share(), col.nums.share()
-		cp.boxed.chunks = make([][]any, len(col.boxed.chunks))
-		for i, ch := range col.boxed.chunks {
-			cp.boxed.chunks[i] = cloneValues(ch)
-		}
 		snap.cols[s] = &cp
 	}
 	return snap
@@ -669,11 +665,7 @@ func (dc *durableCollection) writeSnapshot(pi int, epoch uint64, snap *partition
 			for r := lo; r < hi; r++ {
 				enc.add(snap.ids[r], slots, row(r))
 			}
-			frame, err := enc.finish()
-			if err != nil {
-				return err
-			}
-			if _, err := w.Write(frame); err != nil {
+			if _, err := w.Write(enc.finish()); err != nil {
 				return err
 			}
 		}
@@ -892,20 +884,19 @@ func loadSnapshot(p *partition, path string, maxID *int64) (int64, error) {
 }
 
 // replayFrame applies one logged frame to a recovering partition: a
-// row frame appends its rows, a JSON frame replays its delete.
+// row frame appends its rows once the field dictionary has admitted
+// every cell's kind, a JSON frame replays its delete.
 func replayFrame(p *partition, dec *rowDecoder, payload []byte, maxID *int64) error {
 	if payload[0] != frameRows {
-		var op walOp
-		if json.Unmarshal(payload, &op) != nil {
-			return errBadFrame
-		}
-		op.Filter = decodeValue(op.Filter)
-		return p.applyLocked(op)
+		return p.applyLocked(payload)
 	}
 	rows := raggedPool.Get().(*Rows)
 	defer func() { rows.Reset(); raggedPool.Put(rows) }()
 	if err := dec.decode(payload, rows); err != nil {
 		return err
+	}
+	if err := p.dict.admit(rows); err != nil {
+		return fmt.Errorf("%w: %v", errBadFrame, err)
 	}
 	for i := 0; i < rows.n; i++ {
 		slots, cells := rows.row(i)

@@ -19,7 +19,7 @@ func TestNegativeZeroShardRouting(t *testing.T) {
 	}
 	c.Insert(Doc{"v": math.Copysign(0, -1), "tag": "neg"})
 	c.Insert(Doc{"v": 0.0, "tag": "pos"})
-	got, err := c.Find(Doc{"v": 0.0})
+	got, err := findDocs(c, eq("v", 0.0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,52 +29,41 @@ func TestNegativeZeroShardRouting(t *testing.T) {
 }
 
 // genCorpus fills a collection with documents mixing the field shapes
-// the filters below exercise: indexed strings, indexed numerics,
-// bools, and a nested path.
+// the filters below exercise: indexed strings, indexed float64s, and a
+// small int.
 func genCorpus(c *Collection, r *rand.Rand, n int) {
 	for i := 0; i < n; i++ {
 		c.Insert(Doc{
 			"deviceMac": fmt.Sprintf("mac-%02d", r.Intn(24)),
 			"zip":       fmt.Sprintf("%04d", 8000+r.Intn(12)),
 			"duration":  float64(r.Intn(500)),
-			"verified":  r.Intn(2) == 0,
-			"meta":      map[string]any{"sensor": fmt.Sprintf("s%d", r.Intn(4))},
+			"level":     r.Intn(3),
 		})
 	}
 }
 
 // genFilter draws one filter from a small grammar covering the
-// operators the index shards can serve plus ones forcing scans.
-func genFilter(r *rand.Rand) Doc {
-	switch r.Intn(7) {
+// equalities the index shards can serve plus ranges and conjunctions
+// that scan.
+func genFilter(r *rand.Rand) []Cond {
+	switch r.Intn(6) {
 	case 0:
-		return Doc{"zip": fmt.Sprintf("%04d", 8000+r.Intn(12))}
+		return []Cond{eq("zip", fmt.Sprintf("%04d", 8000+r.Intn(12)))}
 	case 1:
-		return Doc{"duration": map[string]any{"$eq": float64(r.Intn(500))}}
+		return []Cond{eq("duration", float64(r.Intn(500)))}
 	case 2:
 		lo := float64(r.Intn(400))
-		return Doc{"duration": map[string]any{"$gte": lo, "$lt": lo + float64(1+r.Intn(150))}}
+		return []Cond{cond("duration", "$gte", lo), cond("duration", "$lt", lo+float64(1+r.Intn(150)))}
 	case 3:
-		return Doc{"duration": map[string]any{"$gt": float64(r.Intn(500))}}
+		return []Cond{cond("duration", "$gt", float64(r.Intn(500)))}
 	case 4:
-		return Doc{
-			"zip":      fmt.Sprintf("%04d", 8000+r.Intn(12)),
-			"verified": r.Intn(2) == 0,
-		}
-	case 5:
-		return Doc{"$or": []any{
-			map[string]any{"zip": fmt.Sprintf("%04d", 8000+r.Intn(12))},
-			map[string]any{"duration": map[string]any{"$lt": float64(r.Intn(120))}},
-		}}
+		return []Cond{eq("zip", fmt.Sprintf("%04d", 8000+r.Intn(12))), cond("duration", "$lt", float64(r.Intn(500)))}
 	default:
-		return Doc{
-			"meta.sensor": fmt.Sprintf("s%d", r.Intn(4)),
-			"duration":    map[string]any{"$nin": []any{0.0, 1.0}},
-		}
+		return []Cond{cond("deviceMac", "$lte", fmt.Sprintf("mac-%02d", r.Intn(24))), eq("level", r.Intn(3))}
 	}
 }
 
-// resultKey canonicalizes a Find result for set comparison.
+// resultKey canonicalizes a findDocs result for set comparison.
 func resultKey(docs []Doc) []int64 {
 	ids := make([]int64, len(docs))
 	for i, d := range docs {
@@ -84,36 +73,35 @@ func resultKey(docs []Doc) []int64 {
 }
 
 // edgeDoc is row i of the corpus where an index key and $eq could part
-// ways: "nan" is a typed float column holding NaN, "count" a typed int
-// column, and "mixed" a column promoted to boxed values by holding
-// every edge literal in turn.
+// ways: "nan" is a float64 column holding NaN, "count" an int column,
+// "label" a string column holding the digits the numbers hold.
 func edgeDoc(i int) Doc {
 	return Doc{
-		"nan":      []float64{math.NaN(), 5, 5.5}[i%3],
-		"count":    i % 7,
-		"mixed":    edgeLits[i%len(edgeLits)],
-		"verified": i%2 == 0,
-		"ts":       float64(1_000_000 + i),
+		"nan":   []float64{math.NaN(), 5, 5.5}[i%3],
+		"count": i % 7,
+		"label": fmt.Sprint(i % 7),
+		"shift": i % 2,
+		"ts":    float64(1_000_000 + i),
 	}
 }
 
 // edgeLits are the equality literals asked of the edge fields: NaN,
-// ints and floats, the string "5" and a bool.
-var edgeLits = []any{math.NaN(), 5, 5.0, int64(5), "5", true, 7.5}
+// ints and floats, and the string "5".
+var edgeLits = []any{math.NaN(), 5, 5.0, int64(5), "5", 7.5}
 
 // TestPropertyIndexScanEquivalence is the partition-split regression
-// net: for a corpus of generated filters, Find served by index shards
-// and Find over an unindexed collection holding the same documents
+// net: for a corpus of generated filters, reads served by index shards
+// and reads over an unindexed collection holding the same documents
 // must return identical result sets, across several partition counts.
 // A bug that loses or duplicates documents when an index is split
 // across partitions shows up as a diff here.
 //
 // An equality the index resolves checks only the filter's other nodes,
 // so the test then asks equalities on the edge corpus — every edge
-// literal on every edge field, alone, beside another node, as a Doc
-// filter and as a typed BucketCounts condition — and ranges with and
-// on NaN, before and after rows are deleted and pruned: NaN must still
-// match nothing under $eq, and a range must still find NaN rows.
+// literal on every edge field, alone, beside another node, and as a
+// BucketCounts condition — and ranges with and on NaN, before and after
+// rows are deleted and pruned: NaN must still match nothing under $eq,
+// and a range must still find NaN rows.
 func TestPropertyIndexScanEquivalence(t *testing.T) {
 	for _, parts := range []int{1, 3, 8} {
 		t.Run(fmt.Sprintf("partitions=%d", parts), func(t *testing.T) {
@@ -134,11 +122,11 @@ func TestPropertyIndexScanEquivalence(t *testing.T) {
 			}
 			for round := 0; round < 60; round++ {
 				filter := genFilter(r)
-				indexed, err := withIndex.Find(filter)
+				indexed, err := findDocs(withIndex, filter...)
 				if err != nil {
 					t.Fatalf("filter %v (indexed): %v", filter, err)
 				}
-				scanned, err := without.Find(filter)
+				scanned, err := findDocs(without, filter...)
 				if err != nil {
 					t.Fatalf("filter %v (scan): %v", filter, err)
 				}
@@ -153,7 +141,7 @@ func TestPropertyIndexScanEquivalence(t *testing.T) {
 				grow(5) // later rounds read shards maintained on insert
 			}
 
-			for _, f := range []string{"nan", "count", "mixed"} {
+			for _, f := range []string{"nan", "count", "label"} {
 				if err := withIndex.CreateIndex(f); err != nil {
 					t.Fatal(err)
 				}
@@ -164,12 +152,12 @@ func TestPropertyIndexScanEquivalence(t *testing.T) {
 					without.Insert(edgeDoc(i))
 				}
 			}
-			same := func(stage string, filter Doc) {
-				indexed, err := withIndex.Find(filter)
+			same := func(stage string, filter ...Cond) {
+				indexed, err := findDocs(withIndex, filter...)
 				if err != nil {
 					t.Fatalf("%s: filter %v (indexed): %v", stage, filter, err)
 				}
-				scanned, err := without.Find(filter)
+				scanned, err := findDocs(without, filter...)
 				if err != nil {
 					t.Fatalf("%s: filter %v (scan): %v", stage, filter, err)
 				}
@@ -179,23 +167,20 @@ func TestPropertyIndexScanEquivalence(t *testing.T) {
 			}
 			askEdges := func(stage string) {
 				checkPostings(t, withIndex, stage) // NaN rows included: each is counted, under no key
-				for _, field := range []string{"nan", "count", "mixed"} {
+				for _, field := range []string{"nan", "count", "label"} {
 					// NaN is equal to every number under $gte and $lte,
 					// as a bound and as a row's value alike.
-					for _, bounds := range []map[string]any{
-						{"$gte": math.NaN()}, {"$lte": math.NaN()}, {"$gte": 5}, {"$gt": 5, "$lte": 7.5},
+					for _, bounds := range [][]Cond{
+						{cond(field, "$gte", math.NaN())}, {cond(field, "$lte", math.NaN())}, {cond(field, "$gte", 5)},
+						{cond(field, "$gt", 5), cond(field, "$lte", 7.5)}, {cond(field, "$gte", "5")},
 					} {
-						same(stage, Doc{field: bounds})
+						same(stage, bounds...)
 					}
 					for _, lit := range edgeLits {
-						for _, filter := range []Doc{
-							{field: lit},
-							{field: map[string]any{"$eq": lit}},
-							{field: lit, "verified": true},
-						} {
-							same(stage, filter)
-						}
-						conds := []Cond{{Field: field, Op: "$eq", Value: cellOf(lit)}, {Field: "ts", Op: "$gte", Value: Float(0)}}
+						same(stage, eq(field, lit))
+						same(stage, eq(field, lit), eq("shift", 1))
+						same(stage, eq("shift", 0), eq(field, lit))
+						conds := []Cond{eq(field, lit), cond("ts", "$gte", 0.0)}
 						b := Bucket{Field: "ts", Origin: 1_000_000, Width: 10}
 						var got, want []BucketCount
 						if err := withIndex.BucketCounts([][]Cond{conds}, b, func(_ int, bars []BucketCount) { got = append(got, bars...) }); err != nil {
@@ -217,8 +202,8 @@ func TestPropertyIndexScanEquivalence(t *testing.T) {
 				if _, err := c.PruneExpired(time.Unix(1_000_000+3600+30, 0)); err != nil {
 					t.Fatal(err)
 				}
-				for _, filter := range []Doc{{"mixed": "5"}, {"nan": 5.5}, {"count": 3}} {
-					if _, err := c.Delete(filter); err != nil {
+				for _, filter := range []Cond{eq("label", "5"), eq("nan", 5.5), eq("count", 3)} {
+					if _, err := c.deleteWhere([]Cond{filter}); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -227,7 +212,7 @@ func TestPropertyIndexScanEquivalence(t *testing.T) {
 			edges(140, 180)
 			askEdges("appended after deletes")
 			for _, c := range []*Collection{withIndex, without} {
-				if _, err := c.Delete(Doc{"nan": map[string]any{"$gte": 5.5, "$lte": 5}}); err != nil { // only NaN is both
+				if _, err := c.deleteWhere([]Cond{cond("nan", "$gte", 5.5), cond("nan", "$lte", 5)}); err != nil { // only NaN is both
 					t.Fatal(err)
 				}
 			}
@@ -255,18 +240,18 @@ func TestPartitioningInvariance(t *testing.T) {
 	}
 	ref := build(1)
 	r := rand.New(rand.NewSource(7))
-	filters := make([]Doc, 40)
+	filters := make([][]Cond, 40)
 	for i := range filters {
 		filters[i] = genFilter(r)
 	}
 	for _, parts := range []int{2, 5, 8} {
 		c := build(parts)
 		for _, filter := range filters {
-			want, err := ref.Find(filter)
+			want, err := findDocs(ref, filter...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := c.Find(filter)
+			got, err := findDocs(c, filter...)
 			if err != nil {
 				t.Fatal(err)
 			}

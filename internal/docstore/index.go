@@ -3,16 +3,13 @@ package docstore
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
-	"sync"
 )
 
-// index is one partition's shard of a secondary index over a field
-// path. It keeps a hash map from key to the key's posting list — the
-// rows holding it, ascending — for equality lookups and a sorted key
-// list for range scans; both are maintained incrementally on insert
-// under the owning partition's lock.
+// index is one partition's shard of an equality index over a field. It
+// keeps a hash map from key to the key's posting list — the rows
+// holding it, ascending — maintained incrementally on insert under the
+// owning partition's lock.
 //
 // A posting list is a chain of fixed 64-byte blocks of 15 rows, carved
 // from the shard's pages. An insert writes its row into the key's tail
@@ -29,7 +26,7 @@ import (
 // its key leaves the map.
 type index struct {
 	field string
-	ref   fieldRef
+	slot  int
 	eq    map[indexKey]postings
 	// pages hold the blocks: block b is pages[b>>pageShift][b&pageMask].
 	// used counts the blocks carved from the last page; free heads the
@@ -37,13 +34,6 @@ type index struct {
 	pages [][]block
 	used  int32
 	free  int32
-	// keys holds the distinct index keys in sorted order for range
-	// queries; rebuilt lazily when dirty. keyMu serializes rebuilds,
-	// which may run under the partition's read lock.
-	keyMu sync.Mutex
-	keys  []indexKey
-	dirty bool
-	nans  int // the rows holding NaN, which have no key
 }
 
 const (
@@ -75,38 +65,21 @@ type indexKey struct {
 	str  string
 }
 
-func keyFor(v any) (indexKey, bool) { return keyForCell(cellOf(v)) }
-
-// keyForCell reports false for a value no key stands for, NaN included.
+// keyForCell reports false for a value no key stands for: an absent
+// cell, and NaN, which equals nothing.
 func keyForCell(c Cell) (indexKey, bool) {
-	switch r := c.rank(); r {
+	switch c.rank() {
 	case 2:
 		f := c.Num()
 		return indexKey{rank: 2, num: f}, !math.IsNaN(f)
 	case 3:
-		return indexKey{rank: 3, str: c.Str()}, true
-	case 1:
-		k := indexKey{rank: 1}
-		if c.truth() {
-			k.num = 1
-		}
-		return k, true
+		return indexKey{rank: 3, str: c.str}, true
 	default:
 		return indexKey{}, false
 	}
 }
 
-func (k indexKey) less(o indexKey) bool {
-	if k.rank != o.rank {
-		return k.rank < o.rank
-	}
-	if k.rank == 3 {
-		return k.str < o.str
-	}
-	return k.num < o.num
-}
-
-// CreateIndex builds an index over the given field path: one shard
+// CreateIndex builds an equality index over the given field: one shard
 // per partition, each built and maintained under its partition's own
 // lock so index upkeep never serializes unrelated partitions. On a
 // durable collection the index registers in meta.json and is rebuilt
@@ -136,7 +109,7 @@ func (c *Collection) addIndexLocked(field string) error {
 	}
 	for _, p := range c.parts {
 		p.mu.Lock()
-		idx := &index{field: field, ref: c.dict.ref(field), eq: make(map[indexKey]postings), free: noBlock}
+		idx := &index{field: field, slot: c.dict.ref(field), eq: make(map[indexKey]postings), free: noBlock}
 		for r := range p.ids {
 			idx.add(p, r)
 		}
@@ -147,7 +120,7 @@ func (c *Collection) addIndexLocked(field string) error {
 	return nil
 }
 
-// Indexes returns the indexed field paths.
+// Indexes returns the indexed fields.
 func (c *Collection) Indexes() []string {
 	c.idxMu.Lock()
 	defer c.idxMu.Unlock()
@@ -170,18 +143,13 @@ func (x *index) block(b int32) *block { return &x.pages[b>>pageShift][b&pageMask
 //
 //alarmvet:hotpath
 func (x *index) add(p *partition, r int) {
-	c := p.cell(r, x.ref)
-	k, ok := keyForCell(c)
+	k, ok := keyForCell(p.cell(r, x.slot))
 	if !ok {
-		if c.rank() == 2 { // the one number without a key: NaN
-			x.nans++
-		}
 		return
 	}
 	pl, existed := x.eq[k]
 	switch {
 	case !existed:
-		x.dirty = true
 		pl.head = x.carve()
 		pl.tail = pl.head
 	case pl.n%blockRows == 0: // the tail is full: on to the next block
@@ -245,12 +213,8 @@ func (x *index) nextBlock(pl *postings) []int32 {
 // frees its chain, and its key leaves the map.
 func (x *index) cut(p *partition, lo int) {
 	for r := lo; r < len(p.ids); r++ {
-		c := p.cell(r, x.ref)
-		k, ok := keyForCell(c)
+		k, ok := keyForCell(p.cell(r, x.slot))
 		if !ok {
-			if c.rank() == 2 {
-				x.nans--
-			}
 			continue
 		}
 		pl, ok := x.eq[k]
@@ -260,7 +224,6 @@ func (x *index) cut(p *partition, lo int) {
 		if pl = x.cutList(pl, lo); pl.n == 0 {
 			x.freeChain(pl.head)
 			delete(x.eq, k)
-			x.dirty = true
 			continue
 		}
 		x.eq[k] = pl
@@ -300,78 +263,4 @@ func (x *index) freeChain(b int32) {
 		end = x.block(end.next)
 	}
 	end.next, x.free = x.free, b
-}
-
-// lookupRange serves operator maps consisting solely of range bounds
-// ($gt/$gte/$lt/$lte), returning the rows at or past row from. It
-// reports ok=false when the operator map contains anything it cannot
-// serve, or the shard holds NaN rows ($gte and $lte match NaN, yet no
-// key finds it), in which case the caller falls back to a scan.
-func (x *index) lookupRange(cond any, from int) ([]int32, bool) {
-	ops, isOps := cond.(map[string]any)
-	if !isOps || x.nans > 0 {
-		return nil, false
-	}
-	lo, hi := indexKey{rank: -1}, indexKey{rank: 99}
-	loExcl, hiExcl := false, false
-	for op, arg := range ops {
-		k, ok := keyFor(arg)
-		if !ok {
-			return nil, false
-		}
-		switch op {
-		case "$gt":
-			lo, loExcl = k, true
-		case "$gte":
-			lo, loExcl = k, false
-		case "$lt":
-			hi, hiExcl = k, true
-		case "$lte":
-			hi, hiExcl = k, false
-		default:
-			return nil, false
-		}
-	}
-	x.rebuildKeys()
-	start := sort.Search(len(x.keys), func(i int) bool {
-		if loExcl {
-			return lo.less(x.keys[i])
-		}
-		return !x.keys[i].less(lo)
-	})
-	var out []int32
-	for i := start; i < len(x.keys); i++ {
-		k := x.keys[i]
-		if hiExcl {
-			if !k.less(hi) {
-				break
-			}
-		} else if hi.less(k) {
-			break
-		}
-		pl := x.eq[k]
-		for rows := x.nextBlock(&pl); rows != nil; rows = x.nextBlock(&pl) {
-			for _, r := range rows {
-				if int(r) >= from {
-					out = append(out, r)
-				}
-			}
-		}
-	}
-	slices.Sort(out) // ascending rows = ascending ids, whatever the key order
-	return out, true
-}
-
-func (x *index) rebuildKeys() {
-	x.keyMu.Lock()
-	defer x.keyMu.Unlock()
-	if !x.dirty && x.keys != nil {
-		return
-	}
-	x.keys = x.keys[:0]
-	for k := range x.eq {
-		x.keys = append(x.keys, k)
-	}
-	sort.Slice(x.keys, func(i, j int) bool { return x.keys[i].less(x.keys[j]) })
-	x.dirty = false
 }

@@ -2,6 +2,7 @@ package docstore
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 	"sync"
 	"testing"
@@ -25,7 +26,7 @@ func TestOptimisticReadsSeeWrites(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		c.Insert(Doc{"deviceMac": fmt.Sprintf("mac-%d", i%3), "ts": float64(i)})
 	}
-	filter := Doc{"deviceMac": "mac-1"}
+	filter := []Cond{eq("deviceMac", "mac-1")}
 
 	first, err := fieldValues(c, filter, "ts")
 	if err != nil {
@@ -63,11 +64,11 @@ func TestOptimisticReadsSeeWrites(t *testing.T) {
 	}
 
 	// And for the lock-free Len.
-	if n, _ := count(c, Doc{}); n != c.Len() {
+	if n, _ := count(c); n != c.Len() {
 		t.Fatalf("Len %d != Count %d", c.Len(), n)
 	}
-	c.Delete(Doc{"deviceMac": "mac-0"})
-	if n, _ := count(c, Doc{}); n != c.Len() {
+	c.deleteWhere([]Cond{eq("deviceMac", "mac-0")})
+	if n, _ := count(c); n != c.Len() {
 		t.Fatalf("after delete: Len %d != Count %d", c.Len(), n)
 	}
 }
@@ -78,22 +79,22 @@ func TestOptimisticReadsSeeWrites(t *testing.T) {
 func TestCachedResultsAreIsolated(t *testing.T) {
 	c := optimisticCollection(t, 2)
 	for i := 0; i < 20; i++ {
-		c.Insert(Doc{"deviceMac": "mac-x", "ts": float64(i), "nested": map[string]any{"k": float64(i)}})
+		c.Insert(Doc{"deviceMac": "mac-x", "ts": float64(i)})
 	}
-	filter := Doc{"deviceMac": "mac-x"}
+	filter := []Cond{eq("deviceMac", "mac-x")}
 	// A group's key value lives on in the partition's cached partial.
-	byNested := countGroup("nested")
-	got, err := c.Aggregate(filter, byNested)
+	byTS := countGroup("ts")
+	got, err := c.Aggregate(filter, byTS)
 	if err != nil || len(got) != 20 {
 		t.Fatalf("%d groups, %v; want 20", len(got), err)
 	}
 	want := make([]Doc, len(got))
 	for i, d := range got {
-		want[i] = cloneDoc(d)
-		d["nested"].(map[string]any)["k"] = "scribbled"
+		want[i] = maps.Clone(d)
+		d["ts"] = "scribbled"
 		d["n"] = -1
 	}
-	again, err := c.Aggregate(filter, byNested)
+	again, err := c.Aggregate(filter, byTS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,17 +102,13 @@ func TestCachedResultsAreIsolated(t *testing.T) {
 		t.Fatalf("cache corrupted by caller mutation: %v", again)
 	}
 
-	tail := tailDocs(c, 5, "ts", "nested")
+	tail := tailDocs(c, 5, "ts")
 	for _, d := range tail {
 		d["ts"] = "scribbled"
-		d["nested"].(map[string]any)["k"] = "scribbled"
 	}
-	for _, d := range tailDocs(c, 5, "ts", "nested") {
+	for _, d := range tailDocs(c, 5, "ts") {
 		if _, ok := d["ts"].(float64); !ok {
 			t.Fatalf("tail snapshot corrupted by caller mutation: %v", d)
-		}
-		if _, ok := d["nested"].(map[string]any)["k"].(float64); !ok {
-			t.Fatalf("nested doc in tail snapshot corrupted: %v", d)
 		}
 	}
 }
@@ -146,7 +143,7 @@ func TestOptimisticReadHammer(t *testing.T) {
 			for i := 0; i < 150; i++ {
 				c.Insert(Doc{"deviceMac": mac(i), "kind": "temp", "ts": float64(1000 + i)})
 				if i%3 == 0 {
-					if _, err := c.Delete(Doc{"kind": "temp", "deviceMac": mac(i)}); err != nil {
+					if _, err := c.deleteWhere([]Cond{eq("kind", "temp"), eq("deviceMac", mac(i))}); err != nil {
 						t.Errorf("delete: %v", err)
 						return
 					}
@@ -161,7 +158,7 @@ func TestOptimisticReadHammer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				m := mac(i + r)
-				vals, err := fieldValues(c, Doc{"deviceMac": m}, "ts")
+				vals, err := fieldValues(c, []Cond{eq("deviceMac", m)}, "ts")
 				if err != nil {
 					t.Errorf("fieldvalues: %v", err)
 					return
@@ -178,7 +175,7 @@ func TestOptimisticReadHammer(t *testing.T) {
 					t.Errorf("len %d below durable floor 200", c.Len())
 					return
 				}
-				kept, err := count(c, Doc{"kind": "keep"})
+				kept, err := count(c, eq("kind", "keep"))
 				if err != nil {
 					t.Errorf("find: %v", err)
 					return
@@ -196,7 +193,7 @@ func TestOptimisticReadHammer(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				kept, err := c.GroupCounts(Doc{"kind": "keep"}, "deviceMac")
+				kept, err := groupCountsWhere(c, []Cond{eq("kind", "keep")}, "deviceMac")
 				if err != nil || len(kept) != devices {
 					t.Errorf("groupcounts: %d groups, %v", len(kept), err)
 					return
@@ -207,7 +204,7 @@ func TestOptimisticReadHammer(t *testing.T) {
 						return
 					}
 				}
-				all, err := c.GroupCounts(nil, "deviceMac")
+				all, err := c.GroupCounts("deviceMac")
 				if err != nil {
 					t.Errorf("groupcounts: %v", err)
 					return
@@ -225,22 +222,22 @@ func TestOptimisticReadHammer(t *testing.T) {
 	// Whatever the schedule did, one insert then an ask of the cached
 	// signature advances a partial, and one delete then an ask
 	// recomputes one.
-	if _, err := c.GroupCounts(nil, "deviceMac"); err != nil {
+	if _, err := c.GroupCounts("deviceMac"); err != nil {
 		t.Fatal(err)
 	}
 	before := c.AggPartialStats()
 	c.Insert(Doc{"deviceMac": mac(0), "kind": "temp", "ts": float64(5000)})
-	if _, err := c.GroupCounts(nil, "deviceMac"); err != nil {
+	if _, err := c.GroupCounts("deviceMac"); err != nil {
 		t.Fatal(err)
 	}
 	inserted := c.AggPartialStats()
 	if inserted.Advanced <= before.Advanced {
 		t.Errorf("an insert then an ask did not advance a partial: %+v then %+v", before, inserted)
 	}
-	if n, err := c.Delete(Doc{"kind": "temp", "ts": float64(5000)}); err != nil || n != 1 {
+	if n, err := c.deleteWhere([]Cond{eq("kind", "temp"), eq("ts", float64(5000))}); err != nil || n != 1 {
 		t.Fatalf("delete: %d docs, %v", n, err)
 	}
-	if _, err := c.GroupCounts(nil, "deviceMac"); err != nil {
+	if _, err := c.GroupCounts("deviceMac"); err != nil {
 		t.Fatal(err)
 	}
 	if deleted := c.AggPartialStats(); deleted.Recomputed <= inserted.Recomputed {
@@ -251,10 +248,10 @@ func TestOptimisticReadHammer(t *testing.T) {
 	}
 
 	// Settle and check the caches converge on the final truth.
-	if _, err := c.Delete(Doc{"kind": "temp"}); err != nil {
+	if _, err := c.deleteWhere([]Cond{eq("kind", "temp")}); err != nil {
 		t.Fatal(err)
 	}
-	settled, err := c.GroupCounts(nil, "deviceMac")
+	settled, err := c.GroupCounts("deviceMac")
 	if err != nil || len(settled) != devices {
 		t.Fatalf("settled group count: %d groups, %v", len(settled), err)
 	}
@@ -264,7 +261,7 @@ func TestOptimisticReadHammer(t *testing.T) {
 		}
 	}
 	for i := 0; i < devices; i++ {
-		vals, err := fieldValues(c, Doc{"deviceMac": mac(i)}, "ts")
+		vals, err := fieldValues(c, []Cond{eq("deviceMac", mac(i))}, "ts")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +269,7 @@ func TestOptimisticReadHammer(t *testing.T) {
 			t.Fatalf("%s: %d values after settle, want %d", mac(i), len(vals), floor[mac(i)])
 		}
 	}
-	if n, _ := count(c, Doc{}); n != c.Len() || n != 200 {
+	if n, _ := count(c); n != c.Len() || n != 200 {
 		t.Fatalf("final Len %d / Count %d, want 200", c.Len(), n)
 	}
 }

@@ -1,9 +1,9 @@
 package docstore
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -51,24 +51,16 @@ func newPartition(dict *fieldDict) *partition {
 	return &partition{dict: dict, indexes: make(map[string]*index)}
 }
 
-// fieldRef addresses a document field from inside a partition: the
-// slot of the path's first segment plus the dotted remainder, which
-// can only resolve inside a boxed (nested) value.
-type fieldRef struct {
-	slot int
-	rest string
-}
-
 // slotID is the pseudo-slot of the _id field, served from the id
 // column.
 const slotID = -1
 
-func (d *fieldDict) ref(path string) fieldRef {
-	head, rest, _ := strings.Cut(path, ".")
-	if head == "_id" {
-		return fieldRef{slot: slotID, rest: rest}
+// ref returns the slot a partition reads a field from: slotID for _id.
+func (d *fieldDict) ref(field string) int {
+	if field == "_id" {
+		return slotID
 	}
-	return fieldRef{slot: d.slot(head), rest: rest}
+	return d.slot(field)
 }
 
 func (p *partition) col(slot int) *column {
@@ -78,52 +70,13 @@ func (p *partition) col(slot int) *column {
 	return nil
 }
 
-// cell reads the field f of row r, typed: a top-level field comes
-// straight off its column, a dotted path out of the boxed value it
-// descends into. Caller holds at least a read lock.
-func (p *partition) cell(r int, f fieldRef) Cell {
-	var c Cell
-	if f.slot == slotID {
-		c = Int64(p.ids[r])
-	} else {
-		c = p.col(f.slot).cell(r)
+// cell reads row r's cell of a slot, typed. Caller holds at least a read
+// lock.
+func (p *partition) cell(r, slot int) Cell {
+	if slot == slotID {
+		return Int64(p.ids[r])
 	}
-	return c.descend(f.rest)
-}
-
-// descend follows a dotted path into a boxed nested value; the empty
-// path is the cell itself, a path nothing answers an absent cell.
-func (c Cell) descend(path string) Cell {
-	if path == "" {
-		return c
-	}
-	m, _ := c.box.(map[string]any)
-	v, ok := lookup(m, path)
-	if !ok {
-		return Cell{}
-	}
-	return cellOf(v)
-}
-
-// value is cell for callers that need a document value.
-func (p *partition) value(r int, f fieldRef) (any, bool) {
-	c := p.cell(r, f)
-	return c.value(), c.kind != kindAbsent
-}
-
-// doc builds row r's document — the only place a stored row becomes a
-// map. Nested values are deep-copied, so the result shares nothing
-// with the store.
-func (p *partition) doc(r int) Doc {
-	names := p.dict.fieldNames() // under the partition lock: covers every slot of p.cols
-	d := make(Doc, len(p.cols)+1)
-	for s, col := range p.cols {
-		if col != nil && col.has(r) {
-			d[names[s]] = cloneValue(col.cell(r).value())
-		}
-	}
-	d["_id"] = p.ids[r]
-	return d
+	return p.col(slot).cell(r)
 }
 
 // rowOf returns the row holding id.
@@ -134,9 +87,9 @@ func (p *partition) rowOf(id int64) (int, bool) {
 
 // appendRowLocked appends one row: the id, then each present cell into
 // its slot's column, then the index shards. Every insert — typed or
-// document, live or replayed — ends here. Caller holds the write lock
-// and, after the last append of its batch (ascending ids), calls
-// restoreOrderLocked.
+// document, live or replayed — ends here, once the field dictionary has
+// admitted its batch. Caller holds the write lock and, after the last
+// append of its batch (ascending ids), calls restoreOrderLocked.
 //
 //alarmvet:hotpath
 func (p *partition) appendRowLocked(id int64, slots []int, cells []Cell) {
@@ -207,47 +160,38 @@ func (p *partition) gatherLocked(lo int, src []int) {
 
 // forEachMatch invokes fn for every row from row from on that matches
 // the filter, in ascending row (= id) order. It is the one scan loop
-// every read and write path shares: when the filter constrains an
-// indexed field it examines only the rows the index shard names — an
-// equality walks its key's posting blocks, skipping those wholly below
-// from, and checks them against the filter's other nodes only (a key
-// is equal under $eq to exactly the values it keys), a range collects
-// its keys' rows — and every row otherwise. Caller holds at least a read lock; fn must
-// not mutate the partition (write paths collect the rows first).
+// every read and write path shares: when the filter pins an indexed
+// field by equality it examines only the rows the key's posting blocks
+// name, skipping the blocks wholly below from, and checks them against
+// the filter's other nodes only (a key is equal under $eq to exactly
+// the values it keys); otherwise it examines every row. Caller holds at
+// least a read lock; fn must not mutate the partition (write paths
+// collect the rows first).
 func (p *partition) forEachMatch(f *filter, from int, fn func(r int)) error {
 	for i := range f.nodes {
 		n := &f.nodes[i]
-		if n.kind != nodePred {
-			continue
-		}
-		idx := p.indexes[n.path]
+		idx := p.indexes[n.field]
 		if idx == nil {
 			continue
 		}
-		if k, ok := n.eqKey(); ok {
-			pl := idx.eq[k]
-			for rows := idx.nextBlock(&pl); rows != nil; rows = idx.nextBlock(&pl) {
-				if int(rows[len(rows)-1]) < from {
-					continue
-				}
-				for _, r := range rows {
-					if int(r) >= from {
-						if err := p.visitRow(f, i, int(r), fn); err != nil {
-							return err
-						}
+		k, ok := n.eqKey()
+		if !ok {
+			continue
+		}
+		pl := idx.eq[k]
+		for rows := idx.nextBlock(&pl); rows != nil; rows = idx.nextBlock(&pl) {
+			if int(rows[len(rows)-1]) < from {
+				continue
+			}
+			for _, r := range rows {
+				if int(r) >= from {
+					if err := p.visitRow(f, i, int(r), fn); err != nil {
+						return err
 					}
 				}
 			}
-			return nil
 		}
-		if rows, ok := idx.lookupRange(n.cond, from); ok {
-			for _, r := range rows {
-				if err := p.visitRow(f, -1, int(r), fn); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
+		return nil
 	}
 	for r := from; r < len(p.ids); r++ {
 		if err := p.visitRow(f, -1, r, fn); err != nil {
@@ -266,19 +210,29 @@ func (p *partition) visitRow(f *filter, skip, r int, fn func(r int)) error {
 	return err
 }
 
-// applyLocked replays one logged delete (its filter decoded back into
-// a document). Any other op is one this store does not write, and
-// recovery refuses the log rather than skip it. Caller holds the write
-// lock.
-func (p *partition) applyLocked(op walOp) error {
-	if op.Op != "del" {
-		return fmt.Errorf("unknown wal op %q", op.Op)
+// applyLocked replays one logged delete frame. Recovery refuses the log
+// rather than skip a frame it cannot apply: an op this store does not
+// write, or a delete of another shape than deleteWhere logs. Caller
+// holds the write lock.
+func (p *partition) applyLocked(payload []byte) error {
+	var head struct {
+		Op string `json:"op"`
 	}
-	filter, ok := op.Filter.(Doc)
-	if !ok {
-		return fmt.Errorf("wal %s: filter is not an object", op.Op)
+	if json.Unmarshal(payload, &head) != nil {
+		return errBadFrame
 	}
-	_, err := p.deleteLocked(compileFilter(p.dict, filter))
+	if head.Op != "del" {
+		return fmt.Errorf("unknown wal op %q", head.Op)
+	}
+	var op walOp
+	if err := json.Unmarshal(payload, &op); err != nil {
+		return fmt.Errorf("%w: wal del: %v", errBadFrame, err)
+	}
+	conds, err := op.conds()
+	if err != nil {
+		return err
+	}
+	_, err = p.deleteLocked(compileFilter(p.dict, conds))
 	return err
 }
 

@@ -10,7 +10,7 @@ import (
 // Analytics pushdown.
 //
 // The batch component asks the store three kinds of question (§4.1,
-// §4.3): recent and matching alarms (Find, TailRows), per-device alarm
+// §4.3): recent alarms and verdicts (TailRows), per-device alarm
 // histograms (BucketCounts) and group counts — the noisiest devices,
 // alarms per ZIP (GroupCounts, and Aggregate's one pipeline shape). The
 // answer to the last two is a handful of bars or groups, so this file
@@ -28,23 +28,24 @@ import (
 // stay behind in the partition and are advanced over the rows appended
 // since, not computed again (optimistic.go); histograms are typed asks
 // of one device each and are computed on every call. The streaming
-// reference every answer is pinned against — documents out of Find,
-// counted centrally — lives in the test files (pushdown_test.go).
+// reference every answer is pinned against — matching documents built
+// out of the rows, counted centrally — lives in the test files
+// (pushdown_test.go).
 
 // aggPlan is one pushed aggregation bound to a collection: its compiled
 // filter, the field it groups or buckets by, and the key its partials
 // are cached under.
 type aggPlan struct {
 	filter *filter
-	ref    fieldRef
+	slot   int
 	bucket *Bucket // nil: a group count
 	sig    string  // group counts: the cache key; "" for a histogram
 }
 
 // pGroup is one group's mergeable state — in a partition's partial and,
-// after the merge, in the typed result. Its key is cloned out of the
-// store under the partition lock, so a partial outlives the lock and may
-// stay behind in the partition's cache.
+// after the merge, in the typed result. Its key is a copy of a cell, so
+// a partial outlives the partition lock and may stay behind in the
+// partition's cache.
 type pGroup struct {
 	ks    string // the group's equivalence class: the reference's %v key
 	key   Cell   // the field's value in the group's smallest-id document
@@ -84,7 +85,7 @@ func groupPartial(p *partition, plan *aggPlan, e *aggEntry, from int, sc *partia
 	err := p.forEachMatch(plan.filter, from, func(r int) {
 		// The class key is what the streaming reference builds with fmt's
 		// %v — except that a string is its own key, with nothing to build.
-		v := p.cell(r, plan.ref)
+		v := p.cell(r, plan.slot)
 		var gi int32
 		var ok bool
 		if v.kind == kindString {
@@ -97,7 +98,6 @@ func groupPartial(p *partition, plan *aggPlan, e *aggEntry, from int, sc *partia
 			// Rows come in ascending id order, so a group's first row is
 			// its smallest id: its value is the group's identity.
 			g := pGroup{ks: v.str, key: v, minID: p.ids[r]}
-			g.key.box = cloneValue(v.box)
 			if v.kind != kindString {
 				g.ks = e.classKey(sc.key)
 			}
@@ -118,23 +118,18 @@ func groupPartial(p *partition, plan *aggPlan, e *aggEntry, from int, sc *partia
 
 // appendGroupKey appends a group key in exactly the representation the
 // streaming reference uses (fmt's %v verb) — grouping equivalence
-// classes must match it bit for bit — without boxing or allocating for
-// the typed kinds.
+// classes must match it bit for bit — without boxing or allocating.
 func appendGroupKey(b []byte, c Cell) []byte {
 	switch c.kind {
-	case kindAbsent:
-		return append(b, "<nil>"...)
 	case kindString:
 		return append(b, c.str...)
-	case kindBool:
-		return strconv.AppendBool(b, c.num != 0)
 	case kindInt, kindInt64:
 		return strconv.AppendInt(b, int64(c.num), 10)
 	case kindFloat:
 		// fmt's %v for float64 is strconv's shortest 'g' form.
 		return strconv.AppendFloat(b, c.Num(), 'g', -1, 64)
 	default:
-		return fmt.Appendf(b, "%v", c.box)
+		return append(b, "<nil>"...)
 	}
 }
 
@@ -147,7 +142,7 @@ func bucketPartial(p *partition, plan *aggPlan, sc *partialScratch, out *aggPart
 	b := plan.bucket
 	sc.idx = sc.idx[:0]
 	err := p.forEachMatch(plan.filter, 0, func(r int) {
-		if v := p.cell(r, plan.ref); v.rank() == 2 {
+		if v := p.cell(r, plan.slot); v.rank() == 2 {
 			sc.idx = append(sc.idx, int((v.Num()-b.Origin)/b.Width))
 		}
 	})
@@ -397,7 +392,7 @@ func (c *Collection) BucketCounts(filters [][]Cond, b Bucket, visit func(i int, 
 	// plans, all out of the pooled sweep: a sweep of N filters
 	// allocates per result, not per query, and nothing for being run.
 	sw.bucket = b
-	ref := c.dict.ref(b.Field)
+	slot := c.dict.ref(b.Field)
 	slab := resized(sw.nodes, nodes)[:0]
 	sw.filters = resized(sw.filters, len(filters))
 	sw.plans = resized(sw.plans, len(filters))
@@ -406,7 +401,7 @@ func (c *Collection) BucketCounts(filters [][]Cond, b Bucket, visit func(i int, 
 		start := len(slab)
 		slab = compileConds(c.dict, conds, slab)
 		sw.filters[i] = filter{nodes: slab[start:len(slab):len(slab)]}
-		sw.plans[i] = aggPlan{filter: &sw.filters[i], ref: ref, bucket: &sw.bucket}
+		sw.plans[i] = aggPlan{filter: &sw.filters[i], slot: slot, bucket: &sw.bucket}
 		sw.bound[i] = &sw.plans[i]
 	}
 	sw.nodes = slab
@@ -427,12 +422,12 @@ type GroupCount struct {
 	Count int
 }
 
-// GroupCounts counts the documents matching filter per value of one
-// field — Aggregate(filter, Group{By: {field}, Accs: {n: count}}) for
-// typed callers, in the same order, from the same partials.
-func (c *Collection) GroupCounts(filter Doc, field string) ([]GroupCount, error) {
+// GroupCounts counts the documents per value of one field —
+// Aggregate(nil, Group{By: {field}, Accs: {n: count}}) for typed
+// callers, in the same order, from the same partials.
+func (c *Collection) GroupCounts(field string) ([]GroupCount, error) {
 	var out []GroupCount
-	err := c.countGroups(filter, field, func(groups []pGroup) {
+	err := c.countGroups(nil, field, func(groups []pGroup) {
 		out = make([]GroupCount, len(groups))
 		for i := range groups {
 			out[i] = GroupCount{Key: groups[i].key, Count: groups[i].count}
@@ -441,19 +436,25 @@ func (c *Collection) GroupCounts(filter Doc, field string) ([]GroupCount, error)
 	return out, err
 }
 
-// countGroups counts the documents matching filter per value of field
+// countGroups counts the documents matching conds per value of field
 // from the partitions' cached partials and hands the merged groups to
 // emit, which must copy out what it keeps: they live in a pooled sweep.
-// The partials are cached under the field and the filter printed in
-// fmt's %#v form, which sorts map keys and prints numbers that filters
-// treat as equal (1 and 1.0) alike: equal keys mean equal answers.
-func (c *Collection) countGroups(filter Doc, field string, emit func([]pGroup)) error {
+// The partials are cached under a signature of the field and the
+// conditions that prints numbers filters treat as equal (1 and 1.0)
+// alike: equal signatures mean equal answers.
+func (c *Collection) countGroups(conds []Cond, field string, emit func([]pGroup)) error {
 	var buf [128]byte
 	sig := strconv.AppendQuote(buf[:0], field)
-	if len(filter) > 0 {
-		sig = fmt.Appendf(append(sig, '|'), "%#v", map[string]any(filter))
+	for _, cd := range conds {
+		sig = strconv.AppendQuote(append(sig, '|'), cd.Field)
+		sig = append(append(sig, cd.Op...), byte('0'+cd.Value.rank()))
+		if cd.Value.rank() == 2 {
+			sig = strconv.AppendFloat(sig, cd.Value.Num(), 'g', -1, 64)
+		} else {
+			sig = strconv.AppendQuote(sig, cd.Value.str)
+		}
 	}
-	plan := &aggPlan{filter: compileFilter(c.dict, filter), ref: c.dict.ref(field), sig: string(sig)}
+	plan := &aggPlan{filter: compileFilter(c.dict, conds), slot: c.dict.ref(field), sig: string(sig)}
 	sw := sweepPool.Get().(*sweep)
 	defer sw.release()
 	runs, err := c.execPlans(sw, []*aggPlan{plan})

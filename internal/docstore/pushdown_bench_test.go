@@ -47,7 +47,7 @@ func BenchmarkAggregatePushdown(b *testing.B) {
 		}
 	}
 	top := []Stage{countGroup("deviceMac"), SortStage{Field: "-n"}, Limit{N: 10}}
-	trueAlarms := Doc{"duration": map[string]any{"$gte": 300.0}, "alarmType": "fire"}
+	trueAlarms := []Cond{cond("duration", "$gte", 300.0), eq("alarmType", "fire")}
 	type ask func(*Collection) error
 	asks := []struct {
 		name                string
@@ -60,7 +60,7 @@ func BenchmarkAggregatePushdown(b *testing.B) {
 			func(c *Collection) error { return c.BucketCounts(macs, hist, func(int, []BucketCount) {}) },
 			func(c *Collection) error { _, err := c.bucketStreaming(macs, hist); return err }},
 		{"zip_counts",
-			func(c *Collection) error { _, err := c.GroupCounts(trueAlarms, "zip"); return err },
+			func(c *Collection) error { _, err := groupCountsWhere(c, trueAlarms, "zip"); return err },
 			func(c *Collection) error { _, err := c.aggregateStreaming(trueAlarms, countGroup("zip")); return err }},
 	}
 	for _, mode := range []string{"streaming", "pushdown"} {

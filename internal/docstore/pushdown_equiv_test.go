@@ -8,12 +8,12 @@ import (
 	"time"
 )
 
-// probe is one question of a shape the store answers: a scan (no
-// stages), a group count (a single-field count Group, then SortStage
-// and Limit), or — when bucket is set — a typed histogram per
-// conjunction of conds. Any other pipeline must be ErrBadFilter.
+// probe is one question of a shape the store answers: a group count (a
+// single-field count Group, then SortStage and Limit), or — when bucket
+// is set — a typed histogram per conjunction of conds. Any other
+// pipeline must be ErrBadFilter.
 type probe struct {
-	filter Doc
+	filter []Cond
 	stages []Stage
 	conds  [][]Cond
 	bucket Bucket
@@ -72,20 +72,20 @@ func runBoth(t *testing.T, c *Collection, pr probe, tag string) answer {
 }
 
 // groupFields are the fields the generators group by: indexed and
-// unindexed strings, a bool, a nested path, a number, the id and a
-// field no document carries.
-var groupFields = []string{"deviceMac", "zip", "verified", "meta.sensor", "duration", "_id", "absent"}
+// unindexed strings, an int, a float64, the id and a field no document
+// carries.
+var groupFields = []string{"deviceMac", "zip", "level", "duration", "_id", "absent"}
 
-// genStages draws one pipeline: mostly the shape Aggregate runs (a scan,
-// or a count Group with a central SortStage/Limit tail), sometimes one
-// it refuses.
+// genStages draws one pipeline: mostly the shape Aggregate runs (a
+// count Group with a central SortStage/Limit tail), sometimes one it
+// refuses.
 func genStages(r *rand.Rand) []Stage {
 	switch r.Intn(8) {
 	case 0:
 		return nil
 	case 1: // refused: a second By field, an accumulator other than count, a limit or sort head, a custom stage, a negative limit
 		return [][]Stage{
-			{Group{By: []string{"zip", "verified"}}},
+			{Group{By: []string{"zip", "level"}}},
 			{Group{By: []string{"zip"}, Accs: map[string]Accumulator{"s": {Op: "sum"}}}},
 			{Limit{N: 5}},
 			{SortStage{Field: "-duration"}, Limit{N: 3}},
@@ -138,7 +138,7 @@ func genProbe(r *rand.Rand) probe {
 	if r.Intn(4) == 0 {
 		return genHistogram(r)
 	}
-	var filter Doc
+	var filter []Cond
 	if r.Intn(4) > 0 {
 		filter = genFilter(r)
 	}
@@ -243,7 +243,7 @@ func pushdownDurableReopen(t *testing.T, opts DurableOptions) {
 	}
 	// Mutations past the checkpoint force WAL replay on recovery.
 	genCorpus(c, r, 60)
-	if _, err := c.Delete(Doc{"zip": "8007"}); err != nil {
+	if _, err := c.deleteWhere([]Cond{eq("zip", "8007")}); err != nil {
 		t.Fatal(err)
 	}
 

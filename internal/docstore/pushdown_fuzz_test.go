@@ -44,25 +44,22 @@ func (f *fuzzReader) byte() byte {
 // malformed filter's error can legitimately surface from a different
 // partition (and so with different text) than the reference's sequential
 // scan, and the battery compares error presence, not provenance.
-func decodeFilter(f *fuzzReader) Doc {
+func decodeFilter(f *fuzzReader) []Cond {
 	sel := f.byte()
 	switch sel % 6 {
 	case 0:
 		return nil
 	case 1:
-		return Doc{"zip": fmt.Sprintf("%04d", 8000+int(f.byte())%12)}
+		return []Cond{eq("zip", fmt.Sprintf("%04d", 8000+int(f.byte())%12))}
 	case 2:
-		return Doc{"deviceMac": fmt.Sprintf("mac-%02d", int(f.byte())%24)}
+		return []Cond{eq("deviceMac", fmt.Sprintf("mac-%02d", int(f.byte())%24))}
 	case 3:
 		lo := float64(int(f.byte()) * 2)
-		return Doc{"duration": map[string]any{"$gte": lo, "$lt": lo + float64(1+int(f.byte()))}}
+		return []Cond{cond("duration", "$gte", lo), cond("duration", "$lt", lo+float64(1+int(f.byte())))}
 	case 4:
-		return Doc{"verified": f.byte()%2 == 0}
+		return []Cond{eq("level", int(f.byte())%3)}
 	default:
-		return Doc{"$or": []any{
-			map[string]any{"zip": fmt.Sprintf("%04d", 8000+int(f.byte())%12)},
-			map[string]any{"duration": map[string]any{"$lt": float64(f.byte())}},
-		}}
+		return []Cond{eq("zip", fmt.Sprintf("%04d", 8000+int(f.byte())%12)), cond("duration", "$lt", float64(f.byte()))}
 	}
 }
 
@@ -71,9 +68,9 @@ func decodeFilter(f *fuzzReader) Doc {
 // than a Group at the head or a second Group, a custom stage, a
 // negative limit — are reachable on purpose: the pushdown must refuse
 // exactly those, and answer every other pipeline as the streaming
-// reference does. Map-valued fields stay out of By and sort positions.
+// reference does.
 func decodeStages(f *fuzzReader) []Stage {
-	sortFields := []string{"duration", "deviceMac", "zip", "_id", "meta.sensor", "absent", "n", "a1"}
+	sortFields := []string{"duration", "deviceMac", "zip", "_id", "level", "absent", "n", "a1"}
 	accOps := []string{"count", "count", "count", "sum", "min", "median"}
 	var stages []Stage
 	n := int(f.byte()) % 5
@@ -137,7 +134,7 @@ func decodeProbe(f *fuzzReader) probe {
 func FuzzAggregate(f *testing.F) {
 	script := []byte{0, 3, 2, 2, 2, 3, 2, 2, 4, 3, 0, 9, 1, 5, 40, 6, 7, 7, 4, 5, 1, 7, 0, 5, 90, 2, 1, 1, 6, 0, 2, 3, 1, 1, 5, 0, 7}
 	f.Add([]byte{})                                                          // a zero-width histogram of mac-00
-	f.Add([]byte{1, 3, 2, 1, 0, 5})                                          // a scan
+	f.Add([]byte{1, 3, 2, 1, 0, 5})                                          // no stages: refused
 	f.Add([]byte{1, 0, 1, 1, 1, 0, 1, 2})                                    // a group count
 	f.Add([]byte{1, 3, 10, 4, 2, 3, 2, 0, 4, 255})                           // sort head + negative limit
 	f.Add([]byte{0, 1, 0, 0, 2, 1})                                          // zero-width histogram

@@ -19,17 +19,17 @@ import (
 
 // standingProbes are the asks the interleaved driver keeps making: the
 // cached group counts (with and without an indexable filter, one with
-// TopDevices' central tail), a typed histogram and a scan, which are
+// TopDevices' central tail) and two typed histograms, which are
 // computed on every call. None pins the shard key: each visits every
 // partition, which is what makes the counter arithmetic exact.
 var standingProbes = []probe{
 	{stages: []Stage{countGroup("deviceMac"), SortStage{Field: "-n"}, Limit{N: 10}}},
-	{filter: Doc{"verified": true}, stages: []Stage{Group{By: []string{"meta.sensor"}, Accs: map[string]Accumulator{
+	{filter: []Cond{eq("level", 1)}, stages: []Stage{Group{By: []string{"sensor"}, Accs: map[string]Accumulator{
 		"n": {Op: "count"}, "m": {Op: "count"}}}}},
-	{filter: Doc{"zip": "8003"}, stages: []Stage{countGroup("duration")}},
-	{filter: Doc{"duration": map[string]any{"$gte": 100.0, "$lt": 400.0}}, stages: []Stage{countGroup("zip"), SortStage{Field: "zip"}}},
-	{conds: [][]Cond{{{Field: "zip", Op: "$eq", Value: String("8003")}}}, bucket: Bucket{Field: "duration", Origin: 0, Width: 50}},
-	{filter: Doc{"zip": "8005"}},
+	{filter: []Cond{eq("zip", "8003")}, stages: []Stage{countGroup("duration")}},
+	{filter: []Cond{cond("duration", "$gte", 100.0), cond("duration", "$lt", 400.0)}, stages: []Stage{countGroup("zip"), SortStage{Field: "zip"}}},
+	{conds: [][]Cond{{eq("zip", "8003")}}, bucket: Bucket{Field: "duration", Origin: 0, Width: 50}},
+	{conds: [][]Cond{{eq("zip", "8005")}, {eq("level", 2)}}, bucket: Bucket{Field: "ts", Origin: 1_699_990_000, Width: 900}},
 }
 
 // standingCached is how many plan signatures one ask caches in every
@@ -86,9 +86,9 @@ func (d *interleaved) gen(n int) []Doc {
 			"deviceMac": fmt.Sprintf("mac-%02d", int(d.src.byte())%24),
 			"zip":       fmt.Sprintf("%04d", 8000+int(d.src.byte())%12),
 			"duration":  float64(int(d.src.byte()) * 2),
-			"verified":  d.src.byte()%2 == 0,
+			"level":     int(d.src.byte()) % 3,
 			"ts":        ts,
-			"meta":      map[string]any{"sensor": fmt.Sprintf("s%d", d.src.byte()%4)},
+			"sensor":    fmt.Sprintf("s%d", d.src.byte()%4),
 		}
 	}
 	return out
@@ -106,6 +106,9 @@ func insertOutOfOrder(c *Collection, first, later []Doc, between func()) {
 	rows := raggedPool.Get().(*Rows)
 	for _, doc := range first {
 		rows.addDoc(c.dict, doc)
+	}
+	if err := c.dict.admit(rows); err != nil {
+		panic(err)
 	}
 	for i := range first {
 		slots, cells := rows.row(i)
@@ -132,7 +135,7 @@ func (d *interleaved) ask(tag string) AggPartialStats {
 	for i, pr := range standingProbes {
 		runBoth(t, c, pr, fmt.Sprintf("%s: standing probe %d", tag, i))
 	}
-	zips, err := c.GroupCounts(nil, "zip")
+	zips, err := c.GroupCounts("zip")
 	if err != nil {
 		t.Fatalf("%s: GroupCounts: %v", tag, err)
 	}
@@ -210,14 +213,17 @@ func (d *interleaved) step() {
 	case 2: // two batches out of id order, asked in between: the re-sort reaches below the marks
 		first, later := d.gen(1+int(d.src.byte())%4), d.gen(1+int(d.src.byte())%4)
 		hit := make(map[int]bool) // partitions later's rows reach
+		partOf := func(doc Doc) int {
+			k, _ := keyForCell(String(doc["deviceMac"].(string)))
+			return int(hashKey(k) % uint64(parts))
+		}
 		for _, doc := range later {
-			k, _ := keyFor(doc["deviceMac"])
-			hit[int(hashKey(k)%uint64(parts))] = true
+			hit[partOf(doc)] = true
 		}
 		resorted := 0 // partitions where a row of first lands below one of later
 		for pi := range hit {
 			for _, doc := range first {
-				if k, _ := keyFor(doc["deviceMac"]); int(hashKey(k)%uint64(parts)) == pi {
+				if partOf(doc) == pi {
 					resorted++
 					break
 				}
@@ -232,14 +238,14 @@ func (d *interleaved) step() {
 			d.t.Fatalf("unobserved late batch: %d rows folded, want %d", st.RowsFolded, standingCached*(len(first)+len(later)))
 		}
 	case 4: // delete by equality: index-served once zip is indexed
-		n, err := c.Delete(Doc{"zip": fmt.Sprintf("%04d", 8000+int(d.src.byte())%12), "verified": d.src.byte()%2 == 0})
+		n, err := c.deleteWhere([]Cond{eq("zip", fmt.Sprintf("%04d", 8000+int(d.src.byte())%12)), eq("level", int(d.src.byte())%3)})
 		if err != nil {
 			d.t.Fatal(err)
 		}
 		d.settleRewrite("delete by key", n > 0)
 	case 5: // delete by range
 		lo := float64(int(d.src.byte()) * 2)
-		n, err := c.Delete(Doc{"duration": map[string]any{"$gte": lo, "$lt": lo + 12}})
+		n, err := c.deleteWhere([]Cond{cond("duration", "$gte", lo), cond("duration", "$lt", lo+12)})
 		if err != nil {
 			d.t.Fatal(err)
 		}
@@ -307,7 +313,7 @@ func TestPartialAdvanceCost(t *testing.T) {
 			batch = batch[:0]
 		}
 	}
-	first, err := c.GroupCounts(nil, "deviceMac")
+	first, err := c.GroupCounts("deviceMac")
 	if err != nil || len(first) != 1200 {
 		t.Fatalf("first ask: %d groups, %v", len(first), err)
 	}
@@ -319,7 +325,7 @@ func TestPartialAdvanceCost(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			c.Insert(Doc{"deviceMac": fmt.Sprintf("mac-%04d", (round*10+i)%1200), "zip": "8000"})
 		}
-		got, err := c.GroupCounts(nil, "deviceMac")
+		got, err := c.GroupCounts("deviceMac")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -336,12 +342,12 @@ func TestPartialAdvanceCost(t *testing.T) {
 		}
 	}
 	// A cached answer is the caller's: scribbling on it changes nothing.
-	got, _ := c.GroupCounts(nil, "deviceMac")
+	got, _ := c.GroupCounts("deviceMac")
 	want := append([]GroupCount(nil), got...)
 	for i := range got {
 		got[i] = GroupCount{}
 	}
-	if again, _ := c.GroupCounts(nil, "deviceMac"); !reflect.DeepEqual(again, want) {
+	if again, _ := c.GroupCounts("deviceMac"); !reflect.DeepEqual(again, want) {
 		t.Fatal("a served answer aliased the cached partial")
 	}
 }

@@ -2,6 +2,7 @@ package docstore
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"sync"
 	"testing"
@@ -52,7 +53,7 @@ func TestPushdownConcurrentHammer(t *testing.T) {
 			"duration":  float64(r.Intn(300)),
 			"ts":        ts,
 		}
-		return []Doc{d, cloneDoc(d)}
+		return []Doc{d, maps.Clone(d)}
 	}
 	seedR := rand.New(rand.NewSource(11))
 	for i := 0; i < 100; i++ {
@@ -91,12 +92,9 @@ func TestPushdownConcurrentHammer(t *testing.T) {
 		defer wg.Done()
 		r := rand.New(rand.NewSource(41))
 		for i := 0; i < writerRounds/3; i++ {
-			f := Doc{
-				"zip":      fmt.Sprintf("%04d", 8000+r.Intn(6)),
-				"duration": map[string]any{"$lt": float64(r.Intn(40))},
-			}
-			if _, err := c.Delete(f); err != nil {
-				report(fmt.Errorf("Delete: %w", err))
+			f := []Cond{eq("zip", fmt.Sprintf("%04d", 8000+r.Intn(6))), cond("duration", "$lt", float64(r.Intn(40)))}
+			if _, err := c.deleteWhere(f); err != nil {
+				report(fmt.Errorf("delete: %w", err))
 				return
 			}
 		}
@@ -155,7 +153,7 @@ func TestPushdownConcurrentHammer(t *testing.T) {
 					}
 				}
 			case 1: // a group count behind an indexable-looking filter
-				groups, err := c.GroupCounts(Doc{"zip": zip}, "deviceMac")
+				groups, err := groupCountsWhere(c, []Cond{eq("zip", zip)}, "deviceMac")
 				if err != nil {
 					report(fmt.Errorf("GroupCounts: %w", err))
 					return
@@ -184,9 +182,9 @@ func TestPushdownConcurrentHammer(t *testing.T) {
 					return
 				}
 			default: // a scan of one device
-				docs, err := c.Find(Doc{"deviceMac": fmt.Sprintf("mac-%02d", r.Intn(12))})
+				docs, err := findDocs(c, eq("deviceMac", fmt.Sprintf("mac-%02d", r.Intn(12))))
 				if err != nil {
-					report(fmt.Errorf("Find: %w", err))
+					report(fmt.Errorf("scan: %w", err))
 					return
 				}
 				if !even("scan", len(docs), "one device") {
@@ -224,9 +222,9 @@ func TestPushdownConcurrentHammer(t *testing.T) {
 	// Quiesced: the pushdown and the reference must agree exactly.
 	for _, pr := range []probe{
 		{stages: []Stage{countGroup("deviceMac"), SortStage{Field: "-n"}, Limit{N: 25}}},
-		{filter: Doc{"zip": "8002"}, stages: []Stage{countGroup("deviceMac")}},
+		{filter: []Cond{eq("zip", "8002")}, stages: []Stage{countGroup("deviceMac")}},
 		{conds: [][]Cond{nil, {{Field: "zip", Op: "$eq", Value: String("8003")}}}, bucket: Bucket{Field: "duration", Origin: 0, Width: 25}},
-		{filter: Doc{"duration": map[string]any{"$lt": 40.0}}},
+		{filter: []Cond{cond("duration", "$lt", 40.0)}, stages: []Stage{countGroup("zip")}},
 	} {
 		runBoth(t, c, pr, "post-hammer")
 	}

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-	"time"
 )
 
 // passthrough is a Stage implementation Aggregate has never heard of:
@@ -15,12 +14,12 @@ type passthrough struct{}
 
 func (passthrough) stage() {}
 
-// supported reports whether Aggregate runs the pipeline: none, or one
-// Group with exactly one By field and only count accumulators, then any
-// run of SortStage and non-negative Limit.
+// supported reports whether Aggregate runs the pipeline: one Group with
+// exactly one By field and only count accumulators, then any run of
+// SortStage and non-negative Limit.
 func supported(stages []Stage) bool {
 	if len(stages) == 0 {
-		return true
+		return false
 	}
 	g, ok := stages[0].(Group)
 	if !ok || len(g.By) != 1 {
@@ -45,20 +44,20 @@ func supported(stages []Stage) bool {
 	return true
 }
 
-// aggregateStreaming answers a pipeline the streaming way: Find streams
-// a clone of every matched document out of every partition and the
-// groups are counted centrally, one document after another, keyed by
+// aggregateStreaming answers a pipeline the streaming way: findDocs
+// builds every matched document out of every partition and the groups
+// are counted centrally, one document after another, keyed by
 // fmt's %v of the By field's value. It is the executable specification
 // of Aggregate — the reference the pushdown battery (property, fuzz,
 // interleave and race tests) pins the cached, merged group partials
 // against. A pipeline Aggregate does not run is ErrBadFilter here too.
-func (c *Collection) aggregateStreaming(filter Doc, stages ...Stage) ([]Doc, error) {
+func (c *Collection) aggregateStreaming(filter []Cond, stages ...Stage) ([]Doc, error) {
 	if !supported(stages) {
 		return nil, fmt.Errorf("%w: unsupported pipeline", ErrBadFilter)
 	}
-	docs, err := c.Find(filter)
-	if err != nil || len(stages) == 0 {
-		return docs, err
+	docs, err := findDocs(c, filter...)
+	if err != nil {
+		return nil, err
 	}
 	g := stages[0].(Group)
 	field := g.By[0]
@@ -66,14 +65,13 @@ func (c *Collection) aggregateStreaming(filter Doc, stages ...Stage) ([]Doc, err
 	var counts []int
 	class := make(map[string]int)
 	for _, d := range docs {
-		v, _ := lookup(d, field)
+		v := d[field]
 		ks := fmt.Sprintf("%v", v)
 		i, seen := class[ks]
 		if !seen {
 			i = len(out)
 			class[ks] = i
-			out = append(out, Doc{})
-			setPath(out[i], field, v)
+			out = append(out, Doc{field: v})
 			counts = append(counts, 0)
 		}
 		counts[i]++
@@ -96,18 +94,8 @@ func (c *Collection) aggregateStreaming(filter Doc, stages ...Stage) ([]Doc, err
 	return out, nil
 }
 
-// condsDoc is the Doc filter a conjunction of typed conditions stands
-// for.
-func condsDoc(conds []Cond) Doc {
-	and := make([]any, len(conds))
-	for i, cd := range conds {
-		and[i] = map[string]any{cd.Field: map[string]any{cd.Op: cd.Value.value()}}
-	}
-	return Doc{"$and": and}
-}
-
 // bucketStreaming is the streaming specification of BucketCounts: the
-// documents each filter matches, out of Find, counted into b's buckets
+// documents each filter matches, out of findDocs, counted into b's buckets
 // centrally. An empty histogram is nil.
 func (c *Collection) bucketStreaming(filters [][]Cond, b Bucket) ([][]BucketCount, error) {
 	if b.Width <= 0 {
@@ -115,14 +103,14 @@ func (c *Collection) bucketStreaming(filters [][]Cond, b Bucket) ([][]BucketCoun
 	}
 	out := make([][]BucketCount, len(filters))
 	for i, conds := range filters {
-		docs, err := c.Find(condsDoc(conds))
+		docs, err := findDocs(c, conds...)
 		if err != nil {
 			return nil, err
 		}
 		counts := make(map[int]int)
 		for _, d := range docs {
-			if v, ok := lookup(d, b.Field); ok && rank(v) == 2 {
-				counts[int((toFloat(v)-b.Origin)/b.Width)]++
+			if v, _ := cellOf(d[b.Field]); v.rank() == 2 {
+				counts[int((v.Num()-b.Origin)/b.Width)]++
 			}
 		}
 		idxs := make([]int, 0, len(counts))
@@ -176,25 +164,23 @@ func TestLimitNegativeN(t *testing.T) {
 	}
 }
 
-// TestSortStageMixedTypePin pins the cross-type sort order the central
-// SortStage gives group keys (nil < bool < number < string < time, ties
-// stable in first-seen order) and the group classes of a flexible-schema
-// field: int 7 and float 7.0 are one group, and so are an explicit nil
-// and an absent field.
+// TestSortStageMixedTypePin pins the order the central SortStage gives
+// group keys: the group of documents lacking the field first, then the
+// field's values in order, ties stable in first-seen order — and that a
+// field's int values group with nothing but themselves.
 func TestSortStageMixedTypePin(t *testing.T) {
-	ts := time.Unix(1700000000, 0).UTC()
 	c := NewDBWithPartitions(4).Collection("x")
 	c.Insert(Doc{"v": "bravo"})
-	c.Insert(Doc{"v": 7.0})
-	c.Insert(Doc{"v": true})
-	c.Insert(Doc{"v": ts})
-	c.Insert(Doc{"v": nil})
+	c.Insert(Doc{"v": "charlie"})
+	c.Insert(Doc{"tag": "missing"}) // absent: the nil group
 	c.Insert(Doc{"v": "alpha"})
-	c.Insert(Doc{"v": 7}) // int 7 joins float 7.0's group
-	c.Insert(Doc{"v": false})
-	c.Insert(Doc{"tag": "missing"}) // absent joins nil's group
+	c.Insert(Doc{"v": "charlie"})
+	c.Insert(Doc{"tag": "missing"})
+	for i := 0; i < 3; i++ {
+		c.Insert(Doc{"k": i % 2})
+	}
 
-	keys := func(stages ...Stage) []any {
+	keys := func(field string, stages ...Stage) []any {
 		t.Helper()
 		got, err := c.Aggregate(nil, stages...)
 		if err != nil {
@@ -206,26 +192,29 @@ func TestSortStageMixedTypePin(t *testing.T) {
 		}
 		out := make([]any, len(got))
 		for i, d := range got {
-			out[i] = d["v"]
+			out[i] = d[field]
 		}
 		return out
 	}
-	if got, want := keys(countGroup("v"), SortStage{Field: "v"}), []any{nil, false, true, 7.0, "alpha", "bravo", ts}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("ascending mixed-type order %v, want %v", got, want)
+	if got, want := keys("v", countGroup("v"), SortStage{Field: "v"}), []any{nil, "alpha", "bravo", "charlie"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("ascending order %v, want %v", got, want)
 	}
-	if got, want := keys(countGroup("v"), SortStage{Field: "-v"}, Limit{N: 3}), []any{ts, "bravo", "alpha"}; !reflect.DeepEqual(got, want) {
+	if got, want := keys("v", countGroup("v"), SortStage{Field: "-v"}, Limit{N: 3}), []any{"charlie", "bravo", "alpha"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("descending top-3 %v, want %v", got, want)
 	}
 	// Equal counts keep first-seen order: they do not reverse.
-	if got, want := keys(countGroup("v"), SortStage{Field: "-n"}, Limit{N: 4}), []any{7.0, nil, "bravo", true}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("count-descending top-4 %v, want %v", got, want)
+	if got, want := keys("v", countGroup("v"), SortStage{Field: "-n"}, Limit{N: 3}), []any{nil, "charlie", "bravo"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("count-descending top-3 %v, want %v", got, want)
+	}
+	if got, want := keys("k", countGroup("k"), SortStage{Field: "k"}), []any{nil, 0, 1}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("int keys %v, want %v", got, want)
 	}
 }
 
-// TestExplainPlans pins the one pipeline shape Aggregate runs — none, or
-// a single-field count Group followed by SortStage and Limit — and that
-// every other shape is ErrBadFilter. A group pipeline leaves its
-// partials cached; a scan leaves nothing.
+// TestExplainPlans pins the one pipeline shape Aggregate runs — a
+// single-field count Group followed by SortStage and Limit — and that
+// every other shape, none included, is ErrBadFilter. A group pipeline
+// leaves its partials cached; a refused one leaves nothing.
 func TestExplainPlans(t *testing.T) {
 	c := NewDBWithPartitions(2).Collection("x")
 	c.Insert(Doc{"zip": "8000", "n": 1.0})
@@ -243,7 +232,7 @@ func TestExplainPlans(t *testing.T) {
 		ok      bool
 		entries int // cached partials afterwards
 	}{
-		{"bare find", nil, true, 0},
+		{"no stages", nil, false, 0},
 		{"group", []Stage{group}, true, 2},
 		{"group tail", []Stage{group, SortStage{Field: "-n"}, Limit{N: 3}, SortStage{Field: "zip"}}, true, 2},
 		{"group, no accumulators", []Stage{Group{By: []string{"zip"}}}, true, 2},
@@ -287,21 +276,19 @@ func TestPushdownMatchesStreamingBasics(t *testing.T) {
 			"zip":       fmt.Sprintf("%04d", 8000+i%5),
 			"ts":        float64(1000 + 10*i),
 			"duration":  float64(i % 40),
-			"verified":  i%3 == 0,
-			"meta":      map[string]any{"sensor": fmt.Sprintf("s%d", i%3)},
+			"shift":     i % 3,
 		})
 	}
 	pipelines := [][]Stage{
-		nil,
 		{countGroup("zip")},
 		{countGroup("deviceMac"), SortStage{Field: "-n"}, Limit{N: 2}},
-		{countGroup("verified"), SortStage{Field: "verified"}},
-		{countGroup("meta.sensor"), Limit{N: 2}, SortStage{Field: "-meta.sensor"}},
+		{countGroup("shift"), SortStage{Field: "shift"}},
+		{countGroup("zip"), Limit{N: 2}, SortStage{Field: "-zip"}},
 		{countGroup("duration"), SortStage{Field: "-n"}, SortStage{Field: "duration"}, Limit{N: 9}},
 		{countGroup("absent")},
 		{Group{By: []string{"zip"}}},
 	}
-	filters := []Doc{nil, {"deviceMac": "mac-2"}, {"verified": false}, {"duration": map[string]any{"$gte": 10.0}}}
+	filters := [][]Cond{nil, {eq("deviceMac", "mac-2")}, {eq("shift", 0)}, {cond("duration", "$gte", 10.0)}}
 	for fi, filter := range filters {
 		for pi, stages := range pipelines {
 			runBoth(t, c, probe{filter: filter, stages: stages}, fmt.Sprintf("filter %d pipeline %d", fi, pi))

@@ -1,10 +1,10 @@
 package docstore
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
-	"time"
 )
 
 // Typed rows.
@@ -12,45 +12,49 @@ import (
 // A partition does not store documents: it stores rows. The collection
 // keeps a field dictionary (name → slot, grown the first time a name
 // is seen, so the schema stays as flexible as the paper needs), and
-// each partition keeps an id column plus one column per slot, typed by
-// what the slot has held so far — string, float64, int64, int (a kind
-// of its own) or bool, in fixed chunks that are never copied (lane), a
-// presence bitmap from the first gap on. The first time a slot sees
-// anything else (nil, time.Time, a nested map or slice, a narrower
-// numeric type) or a second kind, its column is promoted to boxed
-// values and stays there. A Doc is built from a row only by the calls
-// that return documents.
+// each partition keeps an id column plus one column per slot, in fixed
+// chunks that are never copied (lane), a presence bitmap from the first
+// gap on. A field's kind — string, float64, int64 or int — is fixed by
+// the first value the collection stores in it: a later value of another
+// kind is refused, never converted (fieldDict.admit).
 //
 // Cell and Rows are the typed edge of the store: InsertRows appends
 // rows without a map or a boxed value per field, TailRows reads them
 // back the same way, and Insert/InsertMany take a Doc apart into the
 // same Rows before they reach the one insert path.
 
-// kind is the representation of a cell, and of a column.
+// kind is the representation of a cell, and of a column. Its values
+// are the kind bytes of WAL and snapshot row frames (wal.go), so they
+// never change: 5 and 6, the bool and boxed kinds of older builds, are
+// retired, and replay refuses them.
 type kind uint8
 
 const (
-	kindAbsent kind = iota // a zero Cell; a column that never held a value
+	kindAbsent kind = iota // a zero Cell; a field that never held a value
 	kindString
 	kindFloat
 	kindInt64
 	kindInt
-	kindBool
-	kindBoxed // everything else, and every column that has seen two kinds
 )
 
-var kindNames = [...]string{"absent", "string", "float64", "int64", "int", "bool", "boxed"}
+var kindNames = [...]string{"absent", "string", "float64", "int64", "int"}
+
+func (k kind) String() string {
+	if int(k) < len(kindNames) {
+		return kindNames[k]
+	}
+	return fmt.Sprintf("kind %d", uint8(k))
+}
 
 // Cell is one typed value of a row. The zero Cell is "no value".
 type Cell struct {
 	kind kind
-	num  uint64 // float64 bits, integer value, or 0/1
+	num  uint64 // float64 bits, or the integer value
 	str  string
-	box  any
 }
 
-// String, Float and Int64 build typed cells; documents reach the other
-// kinds (int, bool, boxed) through cellOf.
+// String, Float and Int64 build typed cells; documents reach the int
+// kind through cellOf.
 func String(s string) Cell { return Cell{kind: kindString, str: s} }
 
 // Float builds a float64 cell.
@@ -59,31 +63,21 @@ func Float(f float64) Cell { return Cell{kind: kindFloat, num: math.Float64bits(
 // Int64 builds an int64 cell.
 func Int64(i int64) Cell { return Cell{kind: kindInt64, num: uint64(i)} }
 
-func boolCell(b bool) Cell {
-	c := Cell{kind: kindBool}
-	if b {
-		c.num = 1
-	}
-	return c
-}
-
-// cellOf classifies a document value: an int is a kind of its own, so
-// it comes back an int; anything outside the five typed kinds is boxed
-// and must not be mutated afterwards.
-func cellOf(v any) Cell {
+// cellOf types a document value: string, float64, int64 and int (a kind
+// of its own, so it comes back an int). Any other Go type is not a kind
+// the store holds, and ok is false.
+func cellOf(v any) (c Cell, ok bool) {
 	switch t := v.(type) {
 	case string:
-		return String(t)
+		return String(t), true
 	case float64:
-		return Float(t)
+		return Float(t), true
 	case int64:
-		return Int64(t)
+		return Int64(t), true
 	case int:
-		return Cell{kind: kindInt, num: uint64(t)}
-	case bool:
-		return boolCell(t)
+		return Cell{kind: kindInt, num: uint64(t)}, true
 	default:
-		return Cell{kind: kindBoxed, box: v}
+		return Cell{}, false
 	}
 }
 
@@ -101,21 +95,13 @@ func (c Cell) value() any {
 		return int64(c.num)
 	case kindInt:
 		return int(c.num)
-	case kindBool:
-		return c.num != 0
 	default:
-		return c.box
+		return nil
 	}
 }
 
 // Str returns the cell's string, or "" when it holds anything else.
-func (c Cell) Str() string {
-	if c.kind == kindBoxed {
-		s, _ := c.box.(string)
-		return s
-	}
-	return c.str
-}
+func (c Cell) Str() string { return c.str }
 
 // Num returns the cell's number as a float64 (0 for non-numbers), with
 // the same coercion filters and histograms apply.
@@ -125,8 +111,6 @@ func (c Cell) Num() float64 {
 		return math.Float64frombits(c.num)
 	case kindInt64, kindInt:
 		return float64(int64(c.num))
-	case kindBoxed:
-		return toFloat(c.box)
 	default:
 		return 0
 	}
@@ -140,46 +124,27 @@ func (c Cell) I64() int64 {
 	return int64(c.Num())
 }
 
-// truth returns a rank-1 cell's bool.
-func (c Cell) truth() bool {
-	t, _ := c.box.(bool)
-	return t || (c.kind == kindBool && c.num != 0)
-}
-
-// rank orders cells like rank orders values: absent and nil < bool <
-// number < string < time.
+// rank orders the families of cells: absent (0) < number (2) < string
+// (3). The values are also the index keys' (hashKey), so they stay.
 func (c Cell) rank() int {
 	switch c.kind {
 	case kindAbsent:
 		return 0
 	case kindString:
 		return 3
-	case kindFloat, kindInt64, kindInt:
-		return 2
-	case kindBool:
-		return 1
 	default:
-		return rank(c.box)
+		return 2
 	}
 }
 
-// compareCells orders two values: absent and nil < bool < number <
-// string < time. Numbers compare numerically across int/int64/float64;
-// values of other types (nested ones) are incomparable and tie.
+// compareCells orders two values: absent < number < string. Numbers
+// compare numerically across int, int64 and float64.
 func compareCells(a, b Cell) int {
 	ra, rb := a.rank(), b.rank()
 	switch {
 	case ra != rb && ra < rb:
 		return -1
 	case ra != rb:
-		return 1
-	case ra == 1:
-		switch ta, tb := a.truth(), b.truth(); {
-		case ta == tb:
-			return 0
-		case tb:
-			return -1
-		}
 		return 1
 	case ra == 2:
 		fa, fb := a.Num(), b.Num()
@@ -190,12 +155,8 @@ func compareCells(a, b Cell) int {
 			return 1
 		}
 		return 0
-	case ra == 3:
-		return strings.Compare(a.Str(), b.Str())
-	case ra == 4:
-		return a.box.(time.Time).Compare(b.box.(time.Time))
 	default:
-		return 0
+		return strings.Compare(a.str, b.str)
 	}
 }
 
@@ -269,16 +230,15 @@ func (l *lane[T]) share() lane[T] {
 }
 
 // column is one slot of one partition: n rows, in the one lane its kind
-// uses — strings, numbers as Cell.num bits (float64, int64, int and
-// bool), or boxed values. While every row below n holds a value present
-// is nil; the first gap turns it into a presence bitmap.
+// uses — strings, or numbers as Cell.num bits (float64, int64 and int).
+// While every row below n holds a value present is nil; the first gap
+// turns it into a presence bitmap.
 type column struct {
 	kind    kind
 	n       int
 	present []uint64
 	strs    lane[string]
 	nums    lane[uint64]
-	boxed   lane[any]
 }
 
 func (c *column) has(r int) bool {
@@ -290,26 +250,19 @@ func (c *column) cell(r int) Cell {
 	if c == nil || !c.has(r) {
 		return Cell{}
 	}
-	switch c.kind {
-	case kindString:
+	if c.kind == kindString {
 		return Cell{kind: kindString, str: c.strs.at(r)}
-	case kindBoxed:
-		return Cell{kind: kindBoxed, box: c.boxed.at(r)}
-	default:
-		return Cell{kind: c.kind, num: c.nums.at(r)}
 	}
+	return Cell{kind: c.kind, num: c.nums.at(r)}
 }
 
-// set appends row r (r >= n), padding the rows between with no value
-// and promoting the column to the boxed representation when v is of
-// another kind than the column has held so far.
+// set appends row r (r >= n), padding the rows between with no value.
+// v is of the column's kind: the field dictionary admitted it (admit).
 //
 //alarmvet:hotpath
 func (c *column) set(r int, v Cell) {
 	if c.kind == kindAbsent {
 		c.kind = v.kind
-	} else if c.kind != v.kind && c.kind != kindBoxed {
-		c.promote()
 	}
 	if r > c.n && c.present == nil {
 		c.sparse()
@@ -330,12 +283,9 @@ func (c *column) set(r int, v Cell) {
 //
 //alarmvet:hotpath
 func (c *column) push(v Cell) {
-	switch c.kind {
-	case kindString:
+	if c.kind == kindString {
 		c.strs.push(v.str)
-	case kindBoxed:
-		c.boxed.push(v.value())
-	default:
+	} else {
 		c.nums.push(v.num)
 	}
 	c.n++
@@ -350,15 +300,6 @@ func (c *column) sparse() {
 	}
 }
 
-// promote rewrites a typed column as a boxed one.
-func (c *column) promote() {
-	var boxed lane[any]
-	for r := 0; r < c.n; r++ {
-		boxed.push(c.cell(r).value())
-	}
-	*c = column{kind: kindBoxed, n: c.n, present: c.present, boxed: boxed}
-}
-
 // gather rebuilds the column's tail: rows before lo stay, new row lo+i
 // holds what old row src[i] (>= lo) held.
 func (c *column) gather(lo int, src []int) {
@@ -370,7 +311,6 @@ func (c *column) gather(lo int, src []int) {
 	if lo < c.n {
 		c.strs.truncate(lo)
 		c.nums.truncate(lo)
-		c.boxed.truncate(lo)
 		c.n = lo
 	}
 	if w := (lo + 63) >> 6; w < len(c.present) {
@@ -387,11 +327,13 @@ func (c *column) gather(lo int, src []int) {
 }
 
 // fieldDict is a collection's field dictionary: top-level field names
-// to column slots, append-only, shared by the collection's partitions.
+// to column slots, append-only, shared by the collection's partitions,
+// and the kind each slot's first stored value fixed.
 type fieldDict struct {
 	mu    sync.RWMutex
 	slots map[string]int
 	names []string
+	kinds []kind // by slot; kindAbsent until the field holds a value
 }
 
 // slot returns the slot of a top-level field name, assigning the next
@@ -415,6 +357,7 @@ func (d *fieldDict) slot(name string) int {
 	s = len(d.names)
 	d.slots[name] = s
 	d.names = append(d.names, name)
+	d.kinds = append(d.kinds, kindAbsent)
 	return s
 }
 
@@ -424,6 +367,44 @@ func (d *fieldDict) fieldNames() []string {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return d.names
+}
+
+// admit checks every present cell of a batch against the kind of its
+// field, fixing the kind of a field the batch is the first to fill. It
+// returns the first mismatch, having changed nothing but those first
+// kinds; no row is stored before its batch is admitted.
+func (d *fieldDict) admit(r *Rows) error {
+	d.mu.RLock()
+	unfixed, err := d.check(r, false)
+	d.mu.RUnlock()
+	if unfixed {
+		d.mu.Lock()
+		_, err = d.check(r, true)
+		d.mu.Unlock()
+	}
+	return err
+}
+
+// check is admit's pass over the batch under d.mu: it fixes the kind of
+// a field without one when it may (write lock held), and otherwise
+// reports that one is unfixed.
+func (d *fieldDict) check(r *Rows, fix bool) (unfixed bool, err error) {
+	for i := 0; i < r.n; i++ {
+		slots, cells := r.row(i)
+		for j, c := range cells {
+			s := slots[j]
+			switch k := d.kinds[s]; {
+			case c.kind == kindAbsent || c.kind == k:
+			case k != kindAbsent:
+				return false, fmt.Errorf("field %q holds %s values, not %s", d.names[s], k, c.kind)
+			case !fix:
+				return true, nil
+			default:
+				d.kinds[s] = c.kind
+			}
+		}
+	}
+	return false, nil
 }
 
 // Rows is a reusable batch of typed rows bound to a collection: filled
@@ -471,7 +452,7 @@ func (c *Collection) NewRows(fields ...string) *Rows {
 
 // Reset empties the batch, keeping its buffers.
 func (r *Rows) Reset() {
-	clear(r.cells) // drop string and boxed references
+	clear(r.cells) // drop string references
 	r.cells, r.ids, r.n = r.cells[:0], r.ids[:0], 0
 	if r.off != nil {
 		r.slots, r.off = r.slots[:0], r.off[:1]
@@ -510,15 +491,20 @@ func (r *Rows) row(i int) ([]int, []Cell) {
 }
 
 // addDoc appends a document to a ragged batch: one cell per top-level
-// field, nested values deep-copied so the store shares nothing with
-// the caller. A caller-supplied _id is dropped; the store assigns ids.
+// field. A caller-supplied _id is dropped; the store assigns ids. A
+// value of a Go type outside the store's kinds is a caller bug, and
+// panics.
 func (r *Rows) addDoc(d *fieldDict, doc Doc) {
 	for k, v := range doc {
 		if k == "_id" {
 			continue
 		}
+		c, ok := cellOf(v)
+		if !ok {
+			panic(fmt.Sprintf("docstore: field %q: a %T is not a string, float64, int64 or int", k, v))
+		}
 		r.slots = append(r.slots, d.slot(k))
-		r.cells = append(r.cells, cellOf(cloneValue(v)))
+		r.cells = append(r.cells, c)
 	}
 	r.off = append(r.off, int32(len(r.cells)))
 	r.n++
@@ -528,47 +514,25 @@ func (r *Rows) addDoc(d *fieldDict, doc Doc) {
 // their documents into.
 var raggedPool = sync.Pool{New: func() any { return &Rows{off: []int32{0}} }}
 
-// FieldInfo reports how a collection stores one field — the counter
-// that says whether the typed path or the boxed fallback is serving it.
+// FieldInfo reports how a collection stores one field.
 type FieldInfo struct {
 	Name string `json:"name"`
-	// Kind is the column kind the partitions hold ("string", "float64",
-	// "int64", "int", "bool", "boxed"), or "mixed" when they disagree.
+	// Kind is the kind the field's first stored value fixed: "string",
+	// "float64", "int64" or "int".
 	Kind string `json:"kind"`
-	// Boxed counts the partitions whose column for the field has been
-	// promoted to (or began in) the boxed representation.
-	Boxed int `json:"boxed"`
 }
 
 // Fields lists the stored fields in dictionary order. Fields only ever
-// named by a query, which no partition holds, are left out.
+// named by a query or a batch layout, which hold no value, are left
+// out.
 func (c *Collection) Fields() []FieldInfo {
-	names := c.dict.fieldNames()
-	out := make([]FieldInfo, 0, len(names))
-	for s, name := range names {
-		info := FieldInfo{Name: name}
-		for _, p := range c.parts {
-			p.mu.RLock()
-			col, k := p.col(s), ""
-			if col != nil {
-				k = kindNames[col.kind]
-			}
-			p.mu.RUnlock()
-			if col == nil {
-				continue
-			}
-			switch {
-			case info.Kind == "":
-				info.Kind = k
-			case info.Kind != k:
-				info.Kind = "mixed"
-			}
-			if k == kindNames[kindBoxed] {
-				info.Boxed++
-			}
-		}
-		if info.Kind != "" {
-			out = append(out, info)
+	d := c.dict
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	out := make([]FieldInfo, 0, len(d.names))
+	for s, name := range d.names {
+		if k := d.kinds[s]; k != kindAbsent {
+			out = append(out, FieldInfo{Name: name, Kind: k.String()})
 		}
 	}
 	return out

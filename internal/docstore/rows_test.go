@@ -1,58 +1,48 @@
 package docstore
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
-	"sort"
+	"strings"
 	"testing"
 	"time"
 )
 
-// genValue draws one document value over the store's whole value
-// space: the five typed kinds, the boxed scalars, and nesting.
-func genValue(r *rand.Rand, depth int) any {
-	switch k := r.Intn(11); {
-	case k == 0:
+// genValue draws a value of field f's kind — field f holds one kind,
+// fixed by f modulo five: a string, a float64, an int64 beyond float64
+// exactness, an int, or a whole float64 (which must not come back an
+// int).
+func genValue(r *rand.Rand, f int) any {
+	switch f % 5 {
+	case 0:
 		return fmt.Sprintf("s%d", r.Intn(50))
-	case k == 1:
-		return r.NormFloat64() * 1e6
-	case k == 2:
-		return int64(1)<<55 + r.Int63n(1<<20) // beyond float64 exactness
-	case k == 3:
-		return r.Intn(1000) - 500
-	case k == 4:
-		return r.Intn(2) == 0
-	case k == 5:
-		return nil
-	case k == 6:
-		return time.Unix(1700000000+r.Int63n(1e6), r.Int63n(1e9)).UTC()
-	case k == 7:
-		return float64(r.Intn(100)) // a whole float64 must not come back an int
-	case k == 8 && depth < 3:
-		list := make([]any, r.Intn(4))
-		for i := range list {
-			list[i] = genValue(r, depth+1)
+	case 1:
+		if r.Intn(2) == 0 {
+			return r.NormFloat64() * 1e6
 		}
-		return list
-	case k == 9 && depth < 3:
-		m := make(map[string]any)
-		for i := r.Intn(4); i > 0; i-- {
-			m[fmt.Sprintf("n%d", r.Intn(6))] = genValue(r, depth+1)
-		}
-		return m
-	default:
 		return math.Float64frombits(r.Uint64() &^ (0x7ff << 52)) // any finite float64
+	case 2:
+		return int64(1)<<55 + r.Int63n(1<<20)
+	case 3:
+		return r.Intn(1000) - 500
+	default:
+		return float64(r.Intn(100))
 	}
 }
 
-// genDoc draws a flat-or-nested document over a small field pool, so
-// the same field sees several kinds and columns get promoted.
+// genDoc draws a flat document over a small field pool, so documents
+// differ in which fields they carry.
 func genDoc(r *rand.Rand) Doc {
 	d := make(Doc)
 	for i := 1 + r.Intn(6); i > 0; i-- {
-		d[fmt.Sprintf("f%d", r.Intn(8))] = genValue(r, 0)
+		f := r.Intn(8)
+		d[fmt.Sprintf("f%d", f)] = genValue(r, f)
 	}
 	return d
 }
@@ -61,7 +51,7 @@ func genDoc(r *rand.Rand) Doc {
 // added stripped again.
 func findAll(t *testing.T, c *Collection) map[int64]Doc {
 	t.Helper()
-	docs, err := c.Find(nil)
+	docs, err := findDocs(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,10 +65,10 @@ func findAll(t *testing.T, c *Collection) map[int64]Doc {
 }
 
 // TestPropertyDocRoundTrip is the store's persistence property: random
-// flat and nested documents come back from InsertMany → Find
-// reflect.DeepEqual to what went in — int, int64 and float64 staying
-// the kinds they were — live, after a WAL replay, and after a
-// checkpoint + replay, whatever columns were promoted on the way.
+// flat documents come back from InsertMany reflect.DeepEqual to what
+// went in — int, int64 and float64 staying the kinds they were, a
+// field a document lacks staying absent — live, after a WAL replay,
+// and after a checkpoint + replay.
 func TestPropertyDocRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	db, err := OpenDB(dir, fastOpts())
@@ -134,85 +124,108 @@ func TestPropertyDocRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMixedKindFieldPromotes pins the fallback: a field that holds an
-// int and then a string is promoted to the boxed representation — and
-// counted as such — yet still answers Find, group counts and
-// histograms exactly like the streaming reference, and survives checkpoint + recovery; the
-// fields beside it stay typed.
-func TestMixedKindFieldPromotes(t *testing.T) {
-	dir := t.TempDir()
-	db, err := OpenDB(dir, DurableOptions{Partitions: 1, SyncInterval: -1, CheckpointInterval: -1})
-	if err != nil {
-		t.Fatal(err)
+// mustPanic runs f and returns what it panicked with, failing the test
+// when it returns normally.
+func mustPanic(t *testing.T, what string, f func()) string {
+	t.Helper()
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		f()
+	}()
+	if got == nil {
+		t.Fatalf("%s: no panic", what)
 	}
-	c := db.Collection("m")
-	for i := 0; i < 40; i++ {
-		d := Doc{"n": float64(i % 7), "tag": fmt.Sprintf("t%d", i%3), "v": i % 5}
-		if i%4 == 3 {
-			d["v"] = fmt.Sprintf("%d", i%5) // the second kind
+	return fmt.Sprint(got)
+}
+
+// TestMixedKindFieldRefused: a field's kind is fixed by its first
+// value. In process, a value of another kind — or of a Go type outside
+// the kinds — is a caller bug: Insert, InsertMany and InsertRows panic
+// naming the field (and both kinds), and store none of the batch. From
+// disk, a row frame whose cell disagrees with its field's kind, or
+// carries a retired kind byte, fails recovery with errBadFrame and
+// leaves the log as it found it.
+func TestMixedKindFieldRefused(t *testing.T) {
+	c := NewDBWithPartitions(2).Collection("m")
+	c.Insert(Doc{"v": 1, "tag": "t0"})
+	for what, f := range map[string]func(){
+		"Insert":     func() { c.Insert(Doc{"v": "1"}) },
+		"InsertMany": func() { c.InsertMany([]Doc{{"v": 2, "tag": "t1"}, {"v": 2.5}}) },
+		"InsertRows": func() {
+			rows := c.NewRows("tag", "v")
+			row := rows.Next()
+			row[0], row[1] = String("t2"), Cell{kind: kindInt, num: 3}
+			row = rows.Next()
+			row[0], row[1] = String("t3"), Int64(3)
+			c.InsertRows(rows)
+		},
+	} {
+		msg := mustPanic(t, what, f)
+		if !strings.Contains(msg, `"v"`) || !strings.Contains(msg, "int") {
+			t.Errorf("%s panicked with %q, want the field and its kind named", what, msg)
 		}
-		c.Insert(d)
 	}
-	requireKinds := func(c *Collection) {
+	for what, v := range map[string]any{"bool": true, "nil": nil, "time": time.Unix(0, 0), "nested": map[string]any{"k": 1}, "int32": int32(1)} {
+		if msg := mustPanic(t, what, func() { c.Insert(Doc{"w": v}) }); !strings.Contains(msg, `"w"`) {
+			t.Errorf("%s value panicked with %q, want the field named", what, msg)
+		}
+	}
+	if c.Len() != 1 {
+		t.Fatalf("refused batches stored rows: Len=%d, want 1", c.Len())
+	}
+	want := []FieldInfo{{Name: "v", Kind: "int"}, {Name: "tag", Kind: "string"}}
+	if got := c.Fields(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Fields() = %+v, want %+v", got, want)
+	}
+
+	refuses := func(name string, frames ...[]byte) {
 		t.Helper()
-		want := map[string]FieldInfo{
-			"n":   {Name: "n", Kind: "float64"},
-			"tag": {Name: "tag", Kind: "string"},
-			"v":   {Name: "v", Kind: "boxed", Boxed: 1},
+		dir := t.TempDir()
+		opts := DurableOptions{Partitions: 1, SyncInterval: -1, CheckpointInterval: -1}
+		db, err := OpenDB(dir, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		fields := c.Fields()
-		if len(fields) != len(want) {
-			t.Fatalf("fields %+v, want %+v", fields, want)
+		db.Collection("a").Insert(Doc{"v": 1.0})
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
 		}
-		for _, f := range fields {
-			if f != want[f.Name] {
-				t.Errorf("field %+v, want %+v", f, want[f.Name])
-			}
+		path := filepath.Join(dir, "a", "p0-1.wal")
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	probes := func(c *Collection) []answer {
-		t.Helper()
-		var out []answer
-		for i, filter := range []Doc{nil, {"v": 3}, {"v": "3"}, {"v": map[string]any{"$gte": 2}}, {"v": map[string]any{"$in": []any{1, "1"}}}} {
-			docs, err := c.Find(filter)
-			if err != nil {
+		for _, frame := range frames {
+			if _, err := f.Write(frame); err != nil {
 				t.Fatal(err)
 			}
-			out = append(out, answer{docs: docs})
-			for j, pr := range []probe{
-				{filter: filter, stages: []Stage{countGroup("v")}},
-				{filter: filter, stages: []Stage{countGroup("tag"), SortStage{Field: "-tag"}}},
-				{filter: filter, stages: []Stage{countGroup("v"), SortStage{Field: "-v"}, Limit{N: 7}}},
-				{conds: [][]Cond{{{Field: "v", Op: "$gte", Value: Float(1)}}, {{Field: "v", Op: "$eq", Value: String("3")}}}, bucket: Bucket{Field: "v", Origin: 0, Width: 2}},
-			} {
-				out = append(out, runBoth(t, c, pr, fmt.Sprintf("filter %d probe %d", i, j)))
-			}
 		}
-		return out
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		before, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if db, err := OpenDB(dir, opts); !errors.Is(err, errBadFrame) {
+			if err == nil {
+				db.Close()
+			}
+			t.Fatalf("%s: OpenDB = %v, want errBadFrame", name, err)
+		}
+		if after, _ := os.ReadFile(path); !bytes.Equal(after, before) {
+			t.Fatalf("%s: refused log was rewritten", name)
+		}
 	}
-	requireKinds(c)
-	before := probes(c)
-	if len(before[5].docs) == 0 || len(before[10].docs) == 0 {
-		t.Fatal("the int and the string probe must both match something")
-	}
-	if err := db.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	c.Insert(Doc{"n": 1.0, "tag": "t0", "v": 2})
-	before = probes(c)
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	db2, err := OpenDB(dir, fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	c2 := db2.Collection("m")
-	requireKinds(c2)
-	if after := probes(c2); !reflect.DeepEqual(after, before) {
-		t.Fatalf("answers changed across checkpoint + recovery:\nbefore %v\nafter  %v", before, after)
-	}
+	// A frame of the format the store writes, "v" a string this time.
+	var enc rowEncoder
+	enc.define([]int{0}, []Cell{String("x")})
+	enc.begin([]string{"v"}, 1)
+	enc.add(7, []int{0}, []Cell{String("x")})
+	refuses("a string cell in a float64 field", append([]byte(nil), enc.finish()...))
+	// Kind byte 5, an older build's bool, in a field of its own.
+	refuses("a retired kind", frameOf([]byte{frameRows, 1, 0, 1, 'b', 1, 8, 1, 0, 5, 1}))
 }
 
 // TestTypedRowsMatchDocs pins "one insert path": the same content
@@ -227,7 +240,7 @@ func TestTypedRowsMatchDocs(t *testing.T) {
 		row[0], row[1], row[2] = Int64(int64(i)), String(fmt.Sprintf("n%d", i%7)), Float(float64(i)/4)
 		d := Doc{"id": int64(i), "name": fmt.Sprintf("n%d", i%7), "score": float64(i) / 4}
 		if i%3 == 0 {
-			row[3], d["ok"] = boolCell(true), true // otherwise left absent
+			row[3], d["ok"] = Cell{kind: kindInt, num: 1}, 1 // otherwise left absent
 		}
 		docs = append(docs, d)
 	}
@@ -235,8 +248,8 @@ func TestTypedRowsMatchDocs(t *testing.T) {
 		t.Fatalf("first id %d, want 0", first)
 	}
 	viaDocs.InsertMany(docs)
-	a, _ := typed.Find(nil)
-	b, _ := viaDocs.Find(nil)
+	a, _ := findDocs(typed)
+	b, _ := findDocs(viaDocs)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("typed rows and documents diverge:\n%v\n%v", a, b)
 	}
@@ -288,45 +301,5 @@ func TestDBErrLatchesWALFailure(t *testing.T) {
 	}
 	if err := db.Close(); err == nil {
 		t.Fatal("Close did not surface the failure")
-	}
-}
-
-// TestUnencodableFrameCostsOnlyItself inserts a document whose nested
-// value JSON cannot encode, in a field the log has not named yet. That
-// frame is dropped (and DB.Err says so), but the frames after it must
-// still define the field themselves: recovery keeps every later
-// document instead of reading an undefined slot as a torn tail.
-func TestUnencodableFrameCostsOnlyItself(t *testing.T) {
-	dir := t.TempDir()
-	opts := DurableOptions{Partitions: 1, CheckpointInterval: -1}
-	db, err := OpenDB(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := db.Collection("a")
-	c.Insert(Doc{"x": 1})
-	c.Insert(Doc{"x": 2, "extra": map[string]any{"bad": math.NaN()}})
-	if db.Err() == nil {
-		t.Fatal("the dropped frame was not reported")
-	}
-	c.Insert(Doc{"x": 3, "extra": "fine"})
-	c.Insert(Doc{"x": 4, "extra": map[string]any{"ok": 1.5}})
-	_ = db.Close() // surfaces the sticky error; the log itself is intact
-
-	db, err = OpenDB(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	var xs []int
-	for _, d := range findAll(t, db.Collection("a")) {
-		xs = append(xs, d["x"].(int))
-		if d["x"] == 3 && d["extra"] != "fine" {
-			t.Fatalf("field defined after the dropped frame came back as %v", d["extra"])
-		}
-	}
-	sort.Ints(xs)
-	if !reflect.DeepEqual(xs, []int{1, 3, 4}) {
-		t.Fatalf("recovered x = %v, want [1 3 4]: only the unencodable document may be lost", xs)
 	}
 }

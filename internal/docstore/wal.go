@@ -36,24 +36,28 @@ import (
 //
 // A payload is either a row frame (first byte frameRows) — the insert
 // path, and every frame of a snapshot — or a JSON walOp (first byte
-// '{') for the one filter-shaped mutation, delete. A row frame is
+// '{') for the one filter-shaped mutation, the retention delete. A row
+// frame is
 //
 //	frameRows
 //	uvarint ndefs, then per def: uvarint slot, uvarint len, field name
 //	uvarint nrows, then per row:  uvarint id, uvarint ncells, then per
 //	cell: uvarint slot, kind byte, value
 //
-// with values by kind: string = uvarint len + bytes; float64 = 8 bytes;
-// int64/int = zigzag varint; bool = 1 byte; boxed = uvarint len + the
-// JSON of encodeValue(v). The defs are the field-dictionary delta: a
-// writer names a slot in the first frame that uses it, so every log
-// and snapshot file is self-describing, and a reader maps file slots
-// to its own dictionary by name.
+// with values by kind: string (1) = uvarint len + bytes; float64 (2) =
+// 8 bytes; int64 (3) and int (4) = zigzag varint. The kind bytes keep
+// the values older builds wrote; their bool (5) and boxed (6) kinds
+// are retired, and replay refuses them. The defs are the
+// field-dictionary delta: a writer names a slot in the first frame
+// that uses it, so every log and snapshot file is self-describing, and
+// a reader maps file slots to its own dictionary by name.
 //
 // A torn tail — a partial frame after a crash, or any frame whose CRC
 // does not match — ends replay at the last valid frame boundary, and
 // recovery truncates the file there so the appender continues cleanly,
-// exactly like broker segment recovery.
+// exactly like broker segment recovery. A CRC-valid frame the store
+// refuses — an op it does not write, a cell of a retired kind or of
+// another kind than its field holds — fails recovery instead.
 
 // walMaxFrame bounds a single WAL frame's payload, so corrupt length
 // headers read as torn tails instead of huge allocations.
@@ -62,14 +66,53 @@ const walMaxFrame = 64 << 20
 // frameRows tags a row-frame payload.
 const frameRows = 0x01
 
-// walOp is one logged delete. Filter travels through
-// encodeValue/decodeValue, so time.Time and exact integer types
-// survive the JSON round-trip.
+// walOp is one logged delete, a conjunction of comparisons:
+// {"op":"del","filter":{"<field>":{"<op>":<number|string>}}}.
 type walOp struct {
-	// Op is "del": Filter of a delete applied to this partition. Replay
-	// refuses any other op (partition.applyLocked).
-	Op     string `json:"op"`
-	Filter any    `json:"filter,omitempty"`
+	// Op is "del". Replay refuses any other op (partition.applyLocked).
+	Op     string                    `json:"op"`
+	Filter map[string]map[string]any `json:"filter"`
+}
+
+// delOp is the logged form of a delete on conds.
+func delOp(conds []Cond) walOp {
+	op := walOp{Op: "del", Filter: make(map[string]map[string]any, len(conds))}
+	for _, c := range conds {
+		if op.Filter[c.Field] == nil {
+			op.Filter[c.Field] = make(map[string]any, 1)
+		}
+		op.Filter[c.Field][c.Op] = c.Value.value()
+	}
+	return op
+}
+
+// conds parses a logged delete's filter back into conditions; any
+// other shape than delOp writes is errBadFrame.
+func (op walOp) conds() ([]Cond, error) {
+	var conds []Cond
+	for field, cmps := range op.Filter {
+		for cmp, v := range cmps {
+			var c Cell
+			switch t := v.(type) {
+			case float64:
+				c = Float(t)
+			case string:
+				c = String(t)
+			default:
+				return nil, fmt.Errorf("%w: wal del: %s %s %v", errBadFrame, field, cmp, v)
+			}
+			switch cmp {
+			case "$eq", "$gt", "$gte", "$lt", "$lte":
+			default:
+				return nil, fmt.Errorf("%w: wal del: operator %q", errBadFrame, cmp)
+			}
+			conds = append(conds, Cond{Field: field, Op: cmp, Value: c})
+		}
+	}
+	if len(conds) == 0 {
+		return nil, fmt.Errorf("%w: wal del: no condition", errBadFrame)
+	}
+	return conds, nil
 }
 
 // walWriter appends frames to one partition's WAL file and fsyncs them
@@ -159,7 +202,6 @@ type rowEncoder struct {
 	named []bool // named[s]: an earlier frame, or this one, defines slot s
 	defs  []int  // slots this frame defines
 	buf   []byte
-	err   error // first boxed value of the frame that would not encode
 }
 
 // define notes the slots a row uses that the file does not name yet.
@@ -189,7 +231,7 @@ func (e *rowEncoder) begin(names []string, nrows int) {
 		b = binary.AppendUvarint(b, uint64(len(names[s])))
 		b = append(b, names[s]...)
 	}
-	e.buf, e.err = binary.AppendUvarint(b, uint64(nrows)), nil
+	e.buf = binary.AppendUvarint(b, uint64(nrows))
 }
 
 // add writes one row.
@@ -216,41 +258,23 @@ func (e *rowEncoder) add(id int64, slots []int, cells []Cell) {
 			b = append(b, c.str...)
 		case kindFloat:
 			b = binary.LittleEndian.AppendUint64(b, c.num)
-		case kindInt64, kindInt:
+		default: // int64, int
 			b = binary.AppendVarint(b, int64(c.num))
-		case kindBool:
-			b = append(b, byte(c.num))
-		default:
-			// Boxed cells (nested values, times, nil) are the counted
-			// fallback, not the typed path: they keep a JSON encoding.
-			raw, err := json.Marshal(encodeValue(c.box))
-			if err != nil && e.err == nil {
-				e.err = fmt.Errorf("docstore: wal marshal: %w", err) //alarmvet:ignore error path
-			}
-			b = binary.AppendUvarint(b, uint64(len(raw)))
-			b = append(b, raw...)
 		}
 	}
 	e.buf = b
 }
 
 // finish fills in the frame header and returns the whole frame, valid
-// until the next begin. A frame that failed to encode is never written,
-// so the slots it would have defined go back to unnamed: the next frame
-// that uses them defines them, and the file stays self-describing.
+// until the next begin.
 //
 //alarmvet:hotpath
-func (e *rowEncoder) finish() ([]byte, error) {
-	if e.err != nil {
-		for _, s := range e.defs {
-			e.named[s] = false
-		}
-	}
+func (e *rowEncoder) finish() []byte {
 	e.defs = e.defs[:0]
 	payload := e.buf[8:]
 	binary.LittleEndian.PutUint32(e.buf[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(e.buf[4:8], crc32.ChecksumIEEE(payload))
-	return e.buf, e.err
+	return e.buf
 }
 
 // appendRows logs one partition's share of an insert batch — the rows
@@ -268,12 +292,7 @@ func (w *walWriter) appendRows(dict *fieldDict, rows *Rows, group []int32, base 
 		slots, cells := rows.row(int(i))
 		w.enc.add(base+int64(i), slots, cells)
 	}
-	frame, err := w.enc.finish()
-	if err != nil {
-		w.onErr(err)
-		return 0
-	}
-	return w.writeFrame(frame)
+	return w.writeFrame(w.enc.finish())
 }
 
 // rowDecoder reads the row frames of one file into the collection's
@@ -284,7 +303,12 @@ type rowDecoder struct {
 	intern map[string]string // one string per distinct value, not one per cell
 }
 
-// errBadFrame marks a CRC-valid frame that does not parse.
+// errBadFrame marks a CRC-valid frame the store cannot apply. On its
+// own it says the payload does not parse, and readFrames ends the scan
+// there as at a torn tail; wrapped, it says what the frame asked for
+// that the store refuses (a retired or unknown kind, a cell of another
+// kind than its field holds, a delete of another shape than the store
+// logs), and recovery fails.
 var errBadFrame = errors.New("docstore: malformed frame")
 
 // decode parses a row-frame payload into rows (ragged, ids set),
@@ -344,28 +368,27 @@ func (d *rowDecoder) decode(payload []byte, rows *Rows) error {
 				return errBadFrame
 			}
 			var c Cell
-			switch k := kind(take(1)[0]); k {
-			case kindString:
+			switch k := kind(take(1)[0]); {
+			case fail:
+				return errBadFrame
+			case k == kindString:
 				c = String(str())
-			case kindFloat:
+			case k == kindFloat:
 				c = Cell{kind: kindFloat, num: binary.LittleEndian.Uint64(take(8))}
-			case kindInt64, kindInt:
+			case k == kindInt64 || k == kindInt:
 				v, n := binary.Varint(b)
 				if n <= 0 {
 					return errBadFrame
 				}
 				b = b[n:]
 				c = Cell{kind: k, num: uint64(v)}
-			case kindBool:
-				c = boolCell(take(1)[0] != 0)
-			case kindBoxed:
-				var v any
-				if err := json.Unmarshal(take(uvarint()), &v); err != nil {
-					return errBadFrame
-				}
-				c = Cell{kind: kindBoxed, box: decodeValue(v)}
 			default:
-				return errBadFrame
+				return fmt.Errorf("%w: field %q: a cell of %s", errBadFrame, d.dict.fieldNames()[d.slots[s]], k)
+			}
+			for _, prev := range rows.slots[rows.off[rows.n]:] {
+				if prev == d.slots[s] {
+					return errBadFrame // a row holds a field once
+				}
 			}
 			rows.slots = append(rows.slots, d.slots[s])
 			rows.cells = append(rows.cells, c)
@@ -482,10 +505,11 @@ func (w *walWriter) close() error {
 // readFrames feeds every complete, CRC-valid frame payload of a file
 // to fn, in order, and returns the byte offset up to which the file is
 // valid. A missing file is an empty log. A torn or corrupt tail — or a
-// payload fn rejects with errBadFrame — ends the scan at the last
-// valid frame; the caller truncates (a log) or refuses (a snapshot).
-// Any other error from fn aborts the read. The payload is only valid
-// during the call.
+// payload fn rejects with errBadFrame itself, one that does not parse
+// — ends the scan at the last valid frame; the caller truncates (a
+// log) or refuses (a snapshot). Any other error from fn, errBadFrame
+// wrapped included, aborts the read. The payload is only valid during
+// the call.
 func readFrames(path string, fn func(payload []byte) error) (int64, error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -518,7 +542,7 @@ func readFrames(path string, fn func(payload []byte) error) (int64, error) {
 		if crc32.ChecksumIEEE(payload) != sum {
 			break // bit rot or torn rewrite: stop at the last good frame
 		}
-		if err := fn(payload); errors.Is(err, errBadFrame) {
+		if err := fn(payload); err == errBadFrame {
 			break // CRC-valid but unparseable: treat as torn
 		} else if err != nil {
 			return valid, err

@@ -294,9 +294,9 @@ func TestWALHammerReopensExactly(t *testing.T) {
 						case 0:
 							col.Insert(Doc{"mac": mac, "i": i})
 						case 1:
-							col.InsertMany([]Doc{{"mac": mac, "i": i}, {"mac": mac, "i": i, "b": true}})
+							col.InsertMany([]Doc{{"mac": mac, "i": i}, {"mac": mac, "i": i, "b": 1}})
 						case 2:
-							if _, err := col.Delete(Doc{"mac": mac, "i": i - 2}); err != nil {
+							if _, err := col.deleteWhere([]Cond{eq("mac", mac), eq("i", i-2)}); err != nil {
 								t.Error(err)
 							}
 						default:

@@ -598,15 +598,9 @@ func (s *Server) commitLocked(topic string, partition int) int64 {
 	return c[partition]
 }
 
-// advance recomputes the quorum commit index of every partition of
-// topic t from the leader's own log sizes and the follower acks, and
-// publishes it as the consumer-visible limit.
-func (s *Server) advance(name string, t *broker.Topic) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.advanceLocked(name, t)
-}
-
+// advanceLocked recomputes the quorum commit index of every partition
+// of topic t from the leader's own log sizes and the follower acks, and
+// publishes it as the consumer-visible limit. Caller holds s.mu.
 func (s *Server) advanceLocked(name string, t *broker.Topic) {
 	n := t.Partitions()
 	commits := s.commits[name]
