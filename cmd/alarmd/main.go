@@ -4,9 +4,9 @@
 // the shape of the deployment sketched in §4, scaled out along the
 // paper's §5.5.2 lesson (partitions × shards are the parallelism
 // knobs). The alarm history persists into a hash-partitioned document
-// store (-store-partitions) through a write-behind buffer, so persist
-// round-trips coalesce across shards. With -data-dir the store is
-// durable: every mutation lands in a per-partition write-ahead log
+// store (-store-partitions): each shard's persist stage writes its own
+// batch before committing it. With -data-dir the store is durable:
+// every mutation lands in a per-partition write-ahead log
 // (group-fsynced every -wal-sync), periodic snapshots truncate the
 // logs, and a restart replays the tail — recovering the alarm history
 // and operator feedback instead of re-seeding from scratch. -retention
@@ -84,7 +84,6 @@ type options struct {
 	depth           int
 	shedQueue       int
 	storePartitions int
-	writeBehind     int
 	dataDir         string
 	walSync         time.Duration
 	retention       time.Duration
@@ -124,8 +123,6 @@ func parseOptions(args []string, output io.Writer) (options, error) {
 		"per-shard backlog bound in records beyond which drained batches are load-shed (0 = never shed)")
 	fs.IntVar(&o.storePartitions, "store-partitions", 0,
 		"document-store partitions per collection (0 = one per CPU, minimum 2)")
-	fs.IntVar(&o.writeBehind, "write-behind", 8192,
-		"history write-behind queue bound in documents (0 = synchronous ingest)")
 	fs.StringVar(&o.dataDir, "data-dir", "",
 		"durable store directory: per-partition WALs + snapshots, crash recovery on boot (empty = memory only)")
 	fs.DurationVar(&o.walSync, "wal-sync", docstore.DefaultWALSyncInterval,
@@ -191,8 +188,6 @@ func parseOptions(args []string, output io.Writer) (options, error) {
 		return options{}, fmt.Errorf("alarmd: -pipeline-depth must be >= 1, got %d", o.depth)
 	case o.storePartitions < 0:
 		return options{}, fmt.Errorf("alarmd: -store-partitions must be >= 0, got %d", o.storePartitions)
-	case o.writeBehind < 0:
-		return options{}, fmt.Errorf("alarmd: -write-behind must be >= 0, got %d", o.writeBehind)
 	case o.walSync < 0:
 		return options{}, fmt.Errorf("alarmd: -wal-sync must be >= 0, got %s", o.walSync)
 	case o.retention < 0:
@@ -360,9 +355,6 @@ func run(o options) error {
 	} else {
 		db = docstore.NewDBWithPartitions(o.storePartitions)
 	}
-	// Registered before the history is built: the LIFO defer order runs
-	// history.Close (draining the write-behind queue) first, then the
-	// store's final sync + close.
 	defer func() {
 		if err := db.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "alarmd: store close: %v\n", err)
@@ -377,10 +369,6 @@ func run(o options) error {
 		history.SetRetention(o.retention)
 		fmt.Printf("history retention: pruning alarms older than %s at each snapshot\n", o.retention)
 	}
-	if o.writeBehind > 0 {
-		history.EnableWriteBehind(o.writeBehind)
-	}
-	defer history.Close()
 	if recovered > 0 {
 		// A durable restart already holds a corpus; re-seeding the boot
 		// train set would duplicate it in every retrain thereafter.
@@ -400,8 +388,8 @@ func run(o options) error {
 	}
 	defer svc.Close()
 	svc.Start()
-	fmt.Printf("serving with %d shard(s), pipeline depth %d, %d broker partitions, %d store partitions (write-behind %d)\n",
-		o.shards, o.depth, o.partitions, db.Partitions(), o.writeBehind)
+	fmt.Printf("serving with %d shard(s), pipeline depth %d, %d broker partitions, %d store partitions\n",
+		o.shards, o.depth, o.partitions, db.Partitions())
 	if o.shedQueue > 0 {
 		fmt.Printf("overload control: shed-queue=%d\n", o.shedQueue)
 	}
@@ -565,10 +553,6 @@ loop:
 		if sh.Err != nil {
 			fmt.Printf("  %s: HALTED: %v\n", sh.ID, sh.Err)
 		}
-	}
-	if o.writeBehind > 0 {
-		fmt.Printf("history write-behind: %d flushes for %d batches\n",
-			history.WriteBehindFlushes(), stats.Batches)
 	}
 	if retrainer != nil {
 		rs := retrainer.Stats()

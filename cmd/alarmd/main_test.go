@@ -28,9 +28,8 @@ func TestParseOptionsDefaults(t *testing.T) {
 	if o.shedQueue != 0 {
 		t.Errorf("overload defaults wrong: shed-queue=%d", o.shedQueue)
 	}
-	if o.storePartitions != 0 || o.writeBehind != 8192 {
-		t.Errorf("store defaults wrong: store-partitions=%d write-behind=%d",
-			o.storePartitions, o.writeBehind)
+	if o.storePartitions != 0 {
+		t.Errorf("store defaults wrong: store-partitions=%d", o.storePartitions)
 	}
 	if o.dataDir != "" || o.walSync != docstore.DefaultWALSyncInterval || o.retention != 0 {
 		t.Errorf("durability defaults wrong: data-dir=%q wal-sync=%s retention=%s",
@@ -58,7 +57,6 @@ func TestParseOptionsOverrides(t *testing.T) {
 		"-pipeline-depth", "3",
 		"-shed-queue", "4096",
 		"-store-partitions", "8",
-		"-write-behind", "0",
 		"-data-dir", "/tmp/alarmd-data",
 		"-wal-sync", "20ms",
 		"-retention", "24h",
@@ -85,9 +83,8 @@ func TestParseOptionsOverrides(t *testing.T) {
 	if o.shedQueue != 4096 {
 		t.Errorf("overload overrides lost: shed-queue=%d", o.shedQueue)
 	}
-	if o.storePartitions != 8 || o.writeBehind != 0 {
-		t.Errorf("store overrides lost: store-partitions=%d write-behind=%d",
-			o.storePartitions, o.writeBehind)
+	if o.storePartitions != 8 {
+		t.Errorf("store overrides lost: store-partitions=%d", o.storePartitions)
 	}
 	if o.dataDir != "/tmp/alarmd-data" || o.walSync != 20*time.Millisecond || o.retention != 24*time.Hour {
 		t.Errorf("durability overrides lost: data-dir=%q wal-sync=%s retention=%s",
@@ -123,7 +120,6 @@ func TestParseOptionsValidation(t *testing.T) {
 		{"zero depth", []string{"-pipeline-depth", "0"}, "-pipeline-depth"},
 		{"negative depth", []string{"-pipeline-depth", "-2"}, "-pipeline-depth"},
 		{"negative store partitions", []string{"-store-partitions", "-1"}, "-store-partitions"},
-		{"negative write-behind", []string{"-write-behind", "-1"}, "-write-behind"},
 		{"negative wal-sync", []string{"-data-dir", "/tmp/d", "-wal-sync", "-5ms"}, "-wal-sync"},
 		{"negative retention", []string{"-data-dir", "/tmp/d", "-retention", "-1h"}, "-retention"},
 		{"wal-sync without data-dir", []string{"-wal-sync", "5ms"}, "-data-dir"},

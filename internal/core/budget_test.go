@@ -28,8 +28,6 @@ func budgetHistory(t *testing.T) *History {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.EnableWriteBehind(1024)
-	t.Cleanup(h.Close)
 	return h
 }
 
@@ -44,7 +42,7 @@ func TestRecordBatchAllocBudget(t *testing.T) {
 		}
 		next = (next + 512) % len(alarms)
 	}
-	record() // grow the queue buffers and the row batch once
+	record() // grow the row batch once
 	perAlarm := testing.AllocsPerRun(20, record) / 512
 	t.Logf("RecordBatch(512)+Flush: %.3f allocations per alarm", perAlarm)
 	// Reads ≈ 0.015, the lanes' chunks and the id column's growth; 0.03
@@ -110,7 +108,7 @@ func TestStoredAlarmFootprintBudget(t *testing.T) {
 // per-batch scratch moved onto the pooled Batch and the store's sweep).
 
 // budgetApp wires a consumer of a 4-partition topic holding the given
-// alarms to a write-behind history, draining at most one alarm a batch.
+// alarms to a history, draining at most one alarm a batch.
 func budgetApp(t *testing.T, alarms []alarm.Alarm) *ConsumerApp {
 	t.Helper()
 	b := broker.New()

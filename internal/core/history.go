@@ -31,15 +31,6 @@ type History struct {
 	// which would hide the I/O overlap the sharded service exploits.
 	rttNanos atomic.Int64
 
-	// wb, when non-nil, is the write-behind buffer: Record/RecordBatch
-	// enqueue and return immediately, a flusher goroutine drains the
-	// queue into one InsertRows per flush (coalescing batches from all
-	// shards into one store round-trip), and query paths barrier on
-	// the queue so reads always observe prior writes. Published
-	// atomically so EnableWriteBehind is safe against concurrent use.
-	wb     atomic.Pointer[writeBehind]
-	wbOnce sync.Once
-
 	// rows recycles the typed row batches alarms are written and read
 	// through, so neither direction allocates per alarm.
 	rows sync.Pool
@@ -105,9 +96,9 @@ func (h *History) insert(alarms []alarm.Alarm) {
 // SetSimulatedRTT makes every history round-trip (RecordBatch,
 // Record, DeviceHistogram) take at least d, emulating the network
 // latency of the remote document store in the paper's deployment
-// (§4.3). Zero (the default) disables the simulation. With
-// write-behind enabled, ingest pays the RTT once per flush instead of
-// once per batch. Safe to call concurrently with queries.
+// (§4.3). Zero (the default) disables the simulation. Ingest pays it
+// once per RecordBatch, on the caller's goroutine. Safe to call
+// concurrently with queries.
 func (h *History) SetSimulatedRTT(d time.Duration) { h.rttNanos.Store(int64(d)) }
 
 func (h *History) simulateRTT() {
@@ -133,151 +124,26 @@ func NewHistory(db *docstore.DB) (*History, error) {
 	return h, nil
 }
 
-// writeBehind is a bounded asynchronous ingest queue. Producers block
-// only when the queue is at capacity (bounded queueing: backpressure
-// instead of unbounded buffering), and one flusher goroutine turns
-// however many alarms accumulated during the previous store
-// round-trip into a single InsertRows. The queue holds alarm copies,
-// in two buffers the flusher swaps, so enqueueing allocates nothing
-// once both have grown to the working batch size.
-type writeBehind struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	queue    []alarm.Alarm
-	spare    []alarm.Alarm
-	max      int
-	flushing bool
-	closed   bool
-	flushes  int64
-	done     chan struct{}
-}
-
-// EnableWriteBehind switches the history to asynchronous ingest with
-// the given queue bound (alarms; <= 0 selects 4096). Call Close to
-// flush the queue and stop the flusher. Enabling twice (even
-// concurrently) is a no-op.
-func (h *History) EnableWriteBehind(maxQueued int) {
-	h.wbOnce.Do(func() {
-		if maxQueued <= 0 {
-			maxQueued = 4096
-		}
-		wb := &writeBehind{max: maxQueued, done: make(chan struct{})}
-		wb.cond = sync.NewCond(&wb.mu)
-		h.wb.Store(wb)
-		go h.flusher(wb)
-	})
-}
-
-// flusher drains the write-behind queue: each pass swaps out the
-// whole queue and persists it with one InsertRows (one simulated
-// round-trip), so batches enqueued by many shards while a flush is in
-// flight coalesce into the next one.
-func (h *History) flusher(wb *writeBehind) {
-	for {
-		wb.mu.Lock()
-		for len(wb.queue) == 0 && !wb.closed {
-			wb.cond.Wait()
-		}
-		if len(wb.queue) == 0 && wb.closed {
-			wb.mu.Unlock()
-			close(wb.done)
-			return
-		}
-		batch := wb.queue
-		wb.queue, wb.spare = wb.spare[:0], nil
-		wb.flushing = true
-		wb.cond.Broadcast() // queue has room again
-		wb.mu.Unlock()
-
-		h.simulateRTT()
-		h.insert(batch)
-		clear(batch) // drop the copies' string references
-
-		wb.mu.Lock()
-		wb.spare = batch
-		wb.flushing = false
-		wb.flushes++ // a completed flush: everything swapped out is durable
-		wb.cond.Broadcast()
-		wb.mu.Unlock()
-	}
-}
-
-// enqueue appends copies of the alarms to the write-behind queue,
-// blocking while the queue is at capacity. After Close it reports
-// false and the caller falls back to a synchronous write. The copies
-// outlive the caller's batch, and a decoded alarm's Payload is a view
-// of its leased record (codec.FastCodec.UnmarshalScratch): the queue drops it —
-// it is not stored anyway.
+// EnableWriteBehind does nothing.
 //
-//alarmvet:hotpath
-func (wb *writeBehind) enqueue(alarms []alarm.Alarm) bool {
-	wb.mu.Lock()
-	defer wb.mu.Unlock()
-	for !wb.closed && len(wb.queue) >= wb.max {
-		wb.cond.Wait()
-	}
-	if wb.closed {
-		return false
-	}
-	wb.queue = append(wb.queue, alarms...)
-	for i := len(wb.queue) - len(alarms); i < len(wb.queue); i++ {
-		wb.queue[i].Payload = ""
-	}
-	wb.cond.Broadcast()
-	return true
-}
+// Deprecated: a no-op. The persist stage writes its own batch; the
+// method stays only because the benchmark harness still calls it, and
+// goes once that call does.
+func (h *History) EnableWriteBehind(int) {}
 
-// Flush is the history's durability barrier: it blocks until every
-// alarm enqueued before the call has been handed to the store, then
-// reports the store's sticky durability error (docstore DB.Err) — on a
-// WAL-backed store, non-nil means some write since open exists in
-// memory only, and the caller must not acknowledge (commit) past it.
-func (h *History) Flush() error {
-	h.barrier()
-	return h.db.Err()
-}
+// Close does nothing.
+//
+// Deprecated: a no-op. The history holds no goroutine or queue to
+// stop; the method stays only because the benchmark harness still
+// calls it, and goes once that call does.
+func (h *History) Close() {}
 
-// Err reports the store's sticky durability error without waiting for
-// anything: non-nil once a WAL append has failed, from then on.
-func (h *History) Err() error { return h.db.Err() }
-
-// barrier blocks until every alarm enqueued before the call is in the
-// store — what reads need to observe prior writes. It waits on a flush
-// generation, not on the queue going empty, so concurrent writers
-// refilling the queue cannot starve it: at most two flush completions
-// (the in-flight one plus the one covering the current queue) release
-// it. A no-op without write-behind.
-func (h *History) barrier() {
-	wb := h.wb.Load()
-	if wb == nil {
-		return
-	}
-	wb.mu.Lock()
-	target := wb.flushes
-	if wb.flushing {
-		target++
-	}
-	if len(wb.queue) > 0 {
-		target++
-	}
-	for wb.flushes < target {
-		wb.cond.Wait()
-	}
-	wb.mu.Unlock()
-}
-
-// WriteBehindFlushes returns how many store round-trips the flusher
-// has completed — with coalescing this is well below the number of
-// RecordBatch calls under load.
-func (h *History) WriteBehindFlushes() int64 {
-	wb := h.wb.Load()
-	if wb == nil {
-		return 0
-	}
-	wb.mu.Lock()
-	defer wb.mu.Unlock()
-	return wb.flushes
-}
+// Flush reports the store's sticky durability error (docstore DB.Err)
+// and waits for nothing: every write is in the store when RecordBatch
+// returns. On a WAL-backed store, non-nil means some write since open
+// exists in memory only, and the caller must not acknowledge (commit)
+// past it.
+func (h *History) Flush() error { return h.db.Err() }
 
 // Fields reports how the store holds each alarm field (docstore
 // Collection.Fields): nine typed columns, none boxed, while the typed
@@ -299,45 +165,18 @@ func (h *History) SetRetention(maxAge time.Duration) {
 	h.col.SetRetention("ts", maxAge)
 }
 
-// Close flushes any queued writes and stops the write-behind flusher.
-// Safe to call more than once and without write-behind enabled, and
-// safe against concurrent producers: an in-flight Record/RecordBatch
-// either lands in the queue before the close (the flusher drains the
-// whole queue before exiting — nothing queued is ever dropped) or
-// observes the closed state and falls back to a synchronous store
-// write. Concurrent Flush calls are released once their generation's
-// documents are durable.
-func (h *History) Close() {
-	wb := h.wb.Load()
-	if wb == nil {
-		return
-	}
-	wb.mu.Lock()
-	if !wb.closed {
-		wb.closed = true
-		wb.cond.Broadcast()
-	}
-	wb.mu.Unlock()
-	<-wb.done
-}
-
 // Record stores one alarm (the flexible-schema ingest path of §4.3).
 func (h *History) Record(a *alarm.Alarm) {
 	one := [1]alarm.Alarm{*a}
 	h.RecordBatch(one[:])
 }
 
-// RecordBatch stores many alarms at once. With write-behind enabled
-// it only enqueues copies (blocking when the queue is full); the
-// flusher persists them asynchronously and query paths barrier on the
-// queue, so reads still observe prior writes.
+// RecordBatch stores many alarms at once, in one store round-trip on
+// the caller's goroutine: when it returns, every read observes them.
 //
 //alarmvet:hotpath
 func (h *History) RecordBatch(alarms []alarm.Alarm) {
 	if len(alarms) == 0 {
-		return
-	}
-	if wb := h.wb.Load(); wb != nil && wb.enqueue(alarms) {
 		return
 	}
 	h.simulateRTT()
@@ -353,7 +192,6 @@ func (h *History) RecordBatch(alarms []alarm.Alarm) {
 // large the history has grown over the daemon's lifetime. limit <= 0
 // returns everything.
 func (h *History) RecentAlarms(limit int) ([]alarm.Alarm, error) {
-	h.barrier()
 	h.simulateRTT()
 	rows := h.rows.Get().(*docstore.Rows)
 	h.col.TailRows(limit, rows)
@@ -430,10 +268,8 @@ func (h *History) FeedbackLabels() (map[int64]alarm.Label, error) {
 	return out, nil
 }
 
-// Len returns the number of stored alarms, including any still queued
-// in the write-behind buffer.
+// Len returns the number of stored alarms.
 func (h *History) Len() int {
-	h.barrier()
 	return h.col.Len()
 }
 
@@ -501,7 +337,6 @@ func (h *History) deviceHistograms(sc *histScratch, since time.Time, bucket time
 	if len(sc.macs) == 0 {
 		return nil
 	}
-	h.barrier()
 	h.simulateRTT()
 	if bucket <= 0 {
 		bucket = time.Hour
@@ -551,7 +386,7 @@ func (h *History) TopDevices(k int) ([]DeviceCount, error) {
 		return nil, nil
 	}
 	h.simulateRTT()
-	groups, err := h.groupCounts("deviceMac")
+	groups, err := h.col.GroupCounts("deviceMac")
 	if err != nil {
 		return nil, err
 	}
@@ -572,17 +407,10 @@ func (h *History) TopDevices(k int) ([]DeviceCount, error) {
 	return out, nil
 }
 
-// groupCounts is the typed group-count read the location and
-// top-device queries share, behind the write-behind barrier.
-func (h *History) groupCounts(field string) ([]docstore.GroupCount, error) {
-	h.barrier()
-	return h.col.GroupCounts(field)
-}
-
 // CountByLocation aggregates alarm counts per ZIP code (the
 // location-histogram query of §4.2).
 func (h *History) CountByLocation() (map[string]int, error) {
-	groups, err := h.groupCounts("zip")
+	groups, err := h.col.GroupCounts("zip")
 	if err != nil {
 		return nil, err
 	}

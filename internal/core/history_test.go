@@ -28,17 +28,14 @@ func historyAlarms(n int, mac string) []alarm.Alarm {
 	return out
 }
 
-// Write-behind must be invisible to readers: a histogram issued right
-// after RecordBatch returns must include that batch (read-your-writes
-// via the flush barrier).
+// A histogram issued right after RecordBatch returns must include that
+// batch (read-your-writes: the batch is in the store when the call
+// returns).
 func TestWriteBehindReadYourWrites(t *testing.T) {
 	h, err := NewHistory(docstore.NewDB())
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.EnableWriteBehind(1024)
-	defer h.Close()
-
 	alarms := historyAlarms(120, "mac-a")
 	h.RecordBatch(alarms)
 	buckets, err := h.DeviceHistogram("mac-a", alarms[0].Timestamp, time.Hour)
@@ -57,39 +54,14 @@ func TestWriteBehindReadYourWrites(t *testing.T) {
 	}
 }
 
-// Batches enqueued while a flush is in flight must coalesce into few
-// store round-trips — that is the point of the write-behind buffer.
-func TestWriteBehindCoalesces(t *testing.T) {
-	h, err := NewHistory(docstore.NewDB())
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.SetSimulatedRTT(2 * time.Millisecond)
-	h.EnableWriteBehind(100_000)
-	defer h.Close()
-
-	const batches = 50
-	for i := 0; i < batches; i++ {
-		h.RecordBatch(historyAlarms(10, "mac-b"))
-	}
-	h.Flush()
-	if h.Len() != batches*10 {
-		t.Fatalf("len = %d, want %d", h.Len(), batches*10)
-	}
-	if n := h.WriteBehindFlushes(); n >= batches/2 {
-		t.Errorf("%d flushes for %d batches — no coalescing happened", n, batches)
-	}
-}
-
-// The queue bound must hold writers back rather than buffer without
-// limit, and every document must still land exactly once.
+// Concurrent writers, each paying the simulated round-trip, must land
+// every alarm exactly once.
 func TestWriteBehindBoundedAndComplete(t *testing.T) {
 	h, err := NewHistory(docstore.NewDB())
 	if err != nil {
 		t.Fatal(err)
 	}
 	h.SetSimulatedRTT(200 * time.Microsecond)
-	h.EnableWriteBehind(64) // far below the write volume
 
 	const workers, batchesEach, perBatch = 4, 25, 16
 	var wg sync.WaitGroup
@@ -103,32 +75,12 @@ func TestWriteBehindBoundedAndComplete(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	h.Close()
 	want := workers * batchesEach * perBatch
 	if h.Len() != want {
 		t.Fatalf("len = %d, want %d", h.Len(), want)
 	}
-	// Close is idempotent and the history stays readable after it.
-	h.Close()
-	if _, err := h.CountByLocation(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// After Close, Record/RecordBatch fall back to the synchronous path
-// instead of losing writes.
-func TestWriteBehindClosedFallsBackToSync(t *testing.T) {
-	h, err := NewHistory(docstore.NewDB())
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.EnableWriteBehind(128)
-	h.Close()
-	a := historyAlarms(3, "mac-d")
-	h.RecordBatch(a)
-	h.Record(&a[0])
-	if h.Len() != 4 {
-		t.Fatalf("len = %d, want 4", h.Len())
+	if byZIP, err := h.CountByLocation(); err != nil || byZIP["8001"] != want {
+		t.Fatalf("by location = %v (%v), want 8001:%d", byZIP, err, want)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -232,9 +231,8 @@ func TestReleasePoisonsBatch(t *testing.T) {
 
 // TestPayloadViewStaysInTheBatch: a decoded alarm's Payload is a view of
 // its leased record — under lease check mode a header kept past the
-// release reads poison — so the two places that copy an alarm out of
-// the batch's alarm slots drop it: the distinct-device entries and the
-// write-behind queue.
+// release reads poison — so the one place that copies an alarm out of
+// the batch's alarm slots drops it: the distinct-device entries.
 func TestPayloadViewStaysInTheBatch(t *testing.T) {
 	_, alarms := testAlarms(60)
 	for i := range alarms {
@@ -261,17 +259,7 @@ func TestPayloadViewStaysInTheBatch(t *testing.T) {
 			t.Fatalf("device entry %d keeps a payload view: %q", i, batch.Devices[i].Payload)
 		}
 	}
-	wb := &writeBehind{max: len(alarms)}
-	wb.cond = sync.NewCond(&wb.mu)
-	if !wb.enqueue(batch.Alarms) || len(wb.queue) != len(alarms) {
-		t.Fatalf("enqueued %d of %d alarms", len(wb.queue), len(alarms))
-	}
-	for i := range wb.queue {
-		if wb.queue[i].Payload != "" || wb.queue[i].DeviceMAC != alarms[i].DeviceMAC {
-			t.Fatalf("queued copy %d = %+v: wants the alarm without its payload view", i, wb.queue[i])
-		}
-	}
-	view := batch.Alarms[0].Payload // the bug the two blankings prevent: a header outliving the lease
+	view := batch.Alarms[0].Payload // the bug the blanking prevents: a header outliving the lease
 	app.ReleaseBatch(batch)
 	if want := strings.Repeat("\xdb", len(alarms[0].Payload)); view != want {
 		t.Fatalf("a payload kept past the release reads %q: not a view of the leased record", view)

@@ -17,7 +17,9 @@ import (
 
 // HTTPService exposes the verification service over HTTP — the
 // integration surface an Alarm Receiving Center or the "My Security
-// Center" portal (§3) would call.
+// Center" portal (§3) would call. The two writes, /verify and
+// /feedback, answer 503 with the error once the store's log has
+// failed: what they stored exists in memory only.
 //
 //	POST /verify          body: one alarm in the wire JSON format
 //	                      response: the verification (and route)
@@ -92,7 +94,7 @@ func (s *HTTPService) Handler() http.Handler {
 // is committed) and the service is not healthy, whatever else answers.
 func (s *HTTPService) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if s.history != nil {
-		if err := s.history.Err(); err != nil {
+		if err := s.history.Flush(); err != nil {
 			http.Error(w, err.Error(), http.StatusServiceUnavailable)
 			return
 		}
@@ -153,6 +155,10 @@ func (s *HTTPService) handleVerify(w http.ResponseWriter, r *http.Request) {
 	route := s.policy.Decide(&a, v)
 	if s.history != nil {
 		s.history.Record(&a)
+		if err := s.history.Flush(); err != nil {
+			http.Error(w, err.Error(), http.StatusServiceUnavailable)
+			return
+		}
 	}
 	s.edgeLatency.Record(time.Since(start))
 	s.mu.Lock()
@@ -224,6 +230,10 @@ func (s *HTTPService) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		Verdict:   verdict,
 		At:        time.Now().UTC(),
 	})
+	if err := s.history.Flush(); err != nil {
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
 	json.NewEncoder(w).Encode(feedbackResponse{

@@ -214,16 +214,12 @@ func (c *ConsumerApp) Classify(b *Batch) error {
 	return nil
 }
 
-// Persist is the batch component: it ingests the batch into the alarm
-// history through the batched write path (with write-behind enabled
-// on the history, RecordBatch only enqueues and the flusher coalesces
-// batches from all shards into one store round-trip), runs each
-// alarming device's histogram query — which barriers on the
-// write-behind queue, so it observes this batch's own alarms — and
+// Persist is the batch component: it stores the batch in the alarm
+// history with one RecordBatch on this goroutine (timed as
+// Times.Ingest), runs every alarming device's histogram query — which
+// sees this batch's own alarms, since they are already stored — and
 // folds the finished batch into the app's accounting. It is the final
-// stage; a batch must not be committed before Persist returns. Note
-// Times.Ingest measures the enqueue under write-behind; the flush
-// wait lands in Times.History.
+// stage; a batch must not be committed before Persist returns.
 //
 // Persist must not run concurrently with itself on one app: the
 // histogram sweep's scratch is the app's. Every caller runs one persist
@@ -253,14 +249,10 @@ func (c *ConsumerApp) Persist(b *Batch) error {
 		if err := c.history.deviceHistograms(&c.hist, since, c.cfg.HistogramBucket); err != nil {
 			return err
 		}
-		// Durability barrier: CommitBatch must never run before this
-		// batch's documents are out of the write-behind queue, or a
-		// crash after commit would lose acknowledged alarms. The
-		// histogram queries above already flush as a side effect; this
-		// makes the committed-implies-durable guarantee structural —
-		// and it is where a failed WAL stops the shard: the barrier
-		// reports the store's sticky error, Persist fails, and
-		// CommitBatch never runs for alarms that exist only in memory.
+		// Committed ⇒ durable: a failed WAL append leaves the store a
+		// sticky error, and this is where it stops the shard — Persist
+		// fails, and CommitBatch never runs for alarms that exist only
+		// in memory.
 		if err := c.history.Flush(); err != nil {
 			return err
 		}

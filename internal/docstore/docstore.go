@@ -373,9 +373,9 @@ func (r *Rows) insertShare(pi int, p *partition) error {
 	p.restoreOrderLocked()
 	if w := p.wal.Load(); w != nil {
 		// The partition's whole share of the batch travels as one
-		// WAL frame: the write-behind flush upstream is the batching
-		// point. Strict mode waits for its fsync once the locks are
-		// released (InsertRows).
+		// WAL frame: the caller's batch (a persist stage's
+		// micro-batch) is the batching point. Strict mode waits for
+		// its fsync once the locks are released (InsertRows).
 		seq := w.appendRows(c.dict, r, group, base)
 		if r.ins.strict {
 			r.marks = append(r.marks, walMark{w, seq})

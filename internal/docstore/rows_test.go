@@ -148,6 +148,7 @@ func mustPanic(t *testing.T, what string, f func()) string {
 // leaves the log as it found it.
 func TestMixedKindFieldRefused(t *testing.T) {
 	c := NewDBWithPartitions(2).Collection("m")
+	c.NewRows("v", "tag") // name the fields in Fields' order: a Doc's map order is random
 	c.Insert(Doc{"v": 1, "tag": "t0"})
 	for what, f := range map[string]func(){
 		"Insert":     func() { c.Insert(Doc{"v": "1"}) },

@@ -8,7 +8,7 @@ import (
 )
 
 // BenchmarkInsertMany prices the WAL on the store's own batched hot
-// path (the write-behind flusher's call shape): alarm-shaped docs in
+// path (a persist stage's call shape): alarm-shaped docs in
 // batches of 256, memory-only vs WAL-backed at the default group-sync
 // interval. The e2e pair is the benchmark harness's drain_wal beside
 // drain_mem; this one isolates the docstore layer so WAL encoding

@@ -45,7 +45,6 @@ func durabilityCell(v *core.Verifier, replay []alarm.Alarm, h *core.History) (fl
 	if _, err := prod.Replay(replay, 0); err != nil {
 		return 0, err
 	}
-	h.EnableWriteBehind(4096)
 	cfg := serve.DefaultConfig()
 	cfg.Shards = 2
 	cfg.Consumer.MaxPerBatch = 512
@@ -102,7 +101,6 @@ func Durability(env *Env) (*DurabilityResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("memory cell: %w", err)
 	}
-	memHist.Close()
 
 	dir, err := os.MkdirTemp("", "durability-exp-")
 	if err != nil {
@@ -121,7 +119,6 @@ func Durability(env *Env) (*DurabilityResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal cell: %w", err)
 	}
-	walHist.Close()
 	if err := db.Close(); err != nil {
 		return nil, err
 	}

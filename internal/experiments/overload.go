@@ -67,10 +67,10 @@ type OverloadConfig struct {
 // stable across machines. The same configuration serves calibration
 // and every sweep cell — only the shed bound varies.
 func overloadService(b *broker.Broker, v *core.Verifier, shedQueue int,
-	m *metrics.Pipeline) (*serve.Service, *core.History, error) {
+	m *metrics.Pipeline) (*serve.Service, error) {
 	history, err := core.NewHistory(docstore.NewDB())
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	history.SetSimulatedRTT(300 * time.Microsecond)
 	cfg := serve.DefaultConfig()
@@ -79,11 +79,7 @@ func overloadService(b *broker.Broker, v *core.Verifier, shedQueue int,
 	cfg.Consumer.MaxPerBatch = 1024
 	cfg.Consumer.PollTimeout = 5 * time.Millisecond
 	cfg.Consumer.Metrics = m
-	svc, err := serve.New(b, "alarms", "overload", v, history, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return svc, history, nil
+	return serve.New(b, "alarms", "overload", v, history, cfg)
 }
 
 // waitAccounted polls until every sent record is accounted for —
@@ -125,11 +121,10 @@ func overloadCapacity(v *core.Verifier, replay []alarm.Alarm, n int) (float64, e
 	if _, err := prod.Replay(replay[:n], 0); err != nil {
 		return 0, err
 	}
-	svc, history, err := overloadService(b, v, 0, nil)
+	svc, err := overloadService(b, v, 0, nil)
 	if err != nil {
 		return 0, err
 	}
-	defer history.Close()
 	defer svc.Close()
 	start := time.Now()
 	svc.Start()
@@ -169,11 +164,10 @@ func overloadCell(v *core.Verifier, replay []alarm.Alarm, scenario string,
 		bound = shedQueue
 	}
 	m := metrics.NewPipeline()
-	svc, history, err := overloadService(b, v, bound, m)
+	svc, err := overloadService(b, v, bound, m)
 	if err != nil {
 		return nil, err
 	}
-	defer history.Close()
 	defer svc.Close()
 	svc.Start()
 	start := time.Now()

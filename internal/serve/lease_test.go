@@ -18,8 +18,7 @@ import (
 
 // TestLeasedPayloadNeverRetained: a decoded alarm's Payload is a view of
 // its leased record, so every copy of an alarm that outlives its batch —
-// the write-behind queue, the stored rows, the verdicts — must be free
-// of it. The sharded service drains payload-carrying alarms over the
+// the stored rows, the verdicts — must be free of it. The sharded service drains payload-carrying alarms over the
 // in-process broker and over the wire with both poison modes armed
 // (released lease copies and released batches are overwritten with
 // 0xDB), and afterwards nothing it kept reads differently from what was
@@ -66,8 +65,6 @@ func TestLeasedPayloadNeverRetained(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			h.EnableWriteBehind(512)
-			defer h.Close()
 			cfg := testConfig(2)
 			cfg.Consumer.MaxPerBatch = 64
 			svc, err := NewWith(cluster, "g", v, h, cfg)
@@ -158,7 +155,6 @@ func TestLeaseOccupancyOnMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h.Close()
 	cfg := testConfig(2)
 	cfg.Consumer.MaxPerBatch = 64
 	cfg.Consumer.Metrics = metrics.NewPipeline()
