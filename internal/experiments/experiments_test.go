@@ -2,7 +2,11 @@ package experiments
 
 import (
 	"errors"
+	"fmt"
 	"maps"
+	"os"
+	"slices"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -37,6 +41,34 @@ func tinyScale() Scale {
 	s.Partitions = 4
 	return s
 }
+
+// checkMLRows holds the deterministic cells of one paper row set at
+// tinyScale to its section of testdata/mlrows.golden: the lines there
+// that start with section and a space, in order. A float is written in
+// full (strconv 'g', -1), so a changed accuracy is a changed line.
+func checkMLRows(t *testing.T, section string, got []string) {
+	t.Helper()
+	data, err := os.ReadFile("testdata/mlrows.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, line := range strings.Split(string(data), "\n") {
+		if strings.HasPrefix(line, section+" ") {
+			want = append(want, line)
+		}
+	}
+	for i := range got {
+		got[i] = section + " " + got[i]
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("%s rows differ from testdata/mlrows.golden:\ngot:\n%s\nwant:\n%s",
+			section, strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// g formats a float the way mlrows.golden holds it.
+func g(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 func TestScaleByName(t *testing.T) {
 	for _, name := range []string{"small", "medium", "paper", ""} {
@@ -85,6 +117,11 @@ func TestFig9Shape(t *testing.T) {
 	if !strings.Contains(out, "delta_t") || !strings.Contains(out, "rf") {
 		t.Errorf("render missing columns:\n%s", out)
 	}
+	var rows []string
+	for _, r := range results {
+		rows = append(rows, fmt.Sprintf("%v %s %s", r.DeltaT, r.Algorithm, g(r.Accuracy)))
+	}
+	checkMLRows(t, "fig9", rows)
 }
 
 func TestFig10AndTable8Shape(t *testing.T) {
@@ -128,6 +165,11 @@ func TestFig10AndTable8Shape(t *testing.T) {
 	if out := RenderTable8(results); !strings.Contains(out, "Table 8") {
 		t.Error("render broken")
 	}
+	var rows []string
+	for _, r := range results {
+		rows = append(rows, fmt.Sprintf("%s %s %s %d", r.Dataset, r.Algorithm, g(r.Accuracy), r.TrainRows))
+	}
+	checkMLRows(t, "fig10", rows)
 }
 
 func TestTable9Shape(t *testing.T) {
@@ -157,6 +199,11 @@ func TestTable9Shape(t *testing.T) {
 	if out := RenderTable9(rows); !strings.Contains(out, "baseline") {
 		t.Error("render broken")
 	}
+	var lines []string
+	for _, r := range rows {
+		lines = append(lines, fmt.Sprintf("%s %s %s %d", r.Scenario, r.Treatment, g(r.Accuracy), r.NumAlarms))
+	}
+	checkMLRows(t, "table9", lines)
 }
 
 func TestTable2AndFig7(t *testing.T) {
@@ -464,6 +511,11 @@ func TestGridSearchDemo(t *testing.T) {
 	if best["trees"] == 5 && best["depth"] == 6 {
 		t.Errorf("grid search picked the weakest corner: %+v", results[0])
 	}
+	var rows []string
+	for _, r := range results {
+		rows = append(rows, fmt.Sprintf("trees=%s depth=%s %s", g(r.Point["trees"]), g(r.Point["depth"]), g(r.Score)))
+	}
+	checkMLRows(t, "grid", rows)
 }
 
 func TestDriftRecovery(t *testing.T) {
@@ -518,6 +570,11 @@ func TestScalingCurveSizesIncrease(t *testing.T) {
 			t.Fatalf("alarms %v are not strictly increasing", got)
 		}
 	}
+	var rows []string
+	for _, p := range points {
+		rows = append(rows, fmt.Sprintf("%d %s", p.Alarms, g(p.Accuracy)))
+	}
+	checkMLRows(t, "scaling", rows)
 }
 
 func TestDurabilityRecoversEveryRecord(t *testing.T) {
