@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"alarmverify/internal/alarm"
@@ -95,10 +96,12 @@ func TestVerifyBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// denseVerify is the oracle the serving path is held to: the alarm goes
-// the long way — labelled record, string row, Width()-wide one-hot
-// vector — and the classifier's own Proba reads it.
-func denseVerify(t *testing.T, v *Verifier, a *alarm.Alarm) alarm.Verification {
+// oracleVerify is the oracle the serving path is held to: the alarm
+// goes the long way — labelled record, string row, the encoder's
+// Transform — and its row must be, cell for cell, the one the serving
+// AlarmEncoder writes; model, the snapshot's classifier compiled afresh,
+// scores it.
+func oracleVerify(t *testing.T, v *Verifier, model ml.SparseModel, a *alarm.Alarm) alarm.Verification {
 	t.Helper()
 	s := v.snap.Load()
 	la := dataset.ToLabeled([]alarm.Alarm{*a}, s.deltaT, s.numExtras > 0)
@@ -109,22 +112,33 @@ func denseVerify(t *testing.T, v *Verifier, a *alarm.Alarm) alarm.Verification {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := s.enc.TransformAll([]ml.Row{row}, []int{0})
-	if err != nil {
+	var want, got ml.SparseRows
+	want.Resize(s.rows.Layout(), 1)
+	got.Resize(s.rows.Layout(), 1)
+	if err := s.enc.Transform(row, want.Row(0)); err != nil {
 		t.Fatal(err)
 	}
-	p := s.model.Proba(d.X[0])
-	class, prob := alarm.Label(0), p[0]
-	if p[1] >= p[0] {
-		class, prob = 1, p[1]
+	s.rows.Encode(a, got.Row(0))
+	w, g := want.Row(0), got.Row(0)
+	if !slices.Equal(w.Active, g.Active) || !slices.EqualFunc(w.Nums, g.Nums, func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y)
+	}) {
+		t.Fatalf("alarm %d: AlarmEncoder wrote %v, Transform %v", a.ID, g, w)
+	}
+	var p [1][2]float64
+	model.ProbSparse(&want, p[:])
+	class, prob := alarm.Label(0), p[0][0]
+	if p[0][1] >= p[0][0] {
+		class, prob = 1, p[0][1]
 	}
 	return alarm.Verification{AlarmID: a.ID, Predicted: class, Probability: prob, ModelName: s.model.Name()}
 }
 
 // TestServingMatchesDenseOracle: for each of the four classifiers, with
-// the hybrid risk column and without, what serving answers from sparse
-// rows is what Proba answers from the dense vector, bit for bit — over
-// a replay that holds devices, ZIP codes and sensor versions the
+// the hybrid risk column and without, serving encodes each alarm into
+// the row the schema encoder's Transform makes of its labelled record,
+// and answers what the compiled model answers on that row, bit for bit
+// — over a replay that holds devices, ZIP codes and sensor versions the
 // encoder never saw, and alarm and property types outside the enums.
 func TestServingMatchesDenseOracle(t *testing.T) {
 	w, alarms := testAlarms(1500)
@@ -156,13 +170,17 @@ func TestServingMatchesDenseOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				model, err := ml.Compile(cls, v.snap.Load().rows.Layout())
+				if err != nil {
+					t.Fatal(err)
+				}
 				got := make([]alarm.Verification, len(live))
 				if err := v.VerifyBatchInto(live, got); err != nil {
 					t.Fatal(err)
 				}
 				for i := range live {
-					if err := sameVerification(got[i], denseVerify(t, v, &live[i])); err != nil {
-						t.Fatalf("alarm %d: serving vs dense oracle: %v", i, err)
+					if err := sameVerification(got[i], oracleVerify(t, v, model, &live[i])); err != nil {
+						t.Fatalf("alarm %d: serving vs oracle: %v", i, err)
 					}
 				}
 			})

@@ -135,14 +135,13 @@ func TestTrainWithFeedbackOverridesLabels(t *testing.T) {
 // shadow evaluation to reject a candidate.
 type stubClassifier struct{}
 
-func (stubClassifier) Name() string               { return "rf" }
-func (stubClassifier) Fit(*ml.Dataset) error      { return nil }
-func (stubClassifier) Proba([]float64) [2]float64 { return [2]float64{0.1, 0.9} }
+func (stubClassifier) Name() string                                   { return "rf" }
+func (stubClassifier) Fit(*ml.RowLayout, *ml.SparseRows, []int) error { return nil }
 
 // ProbSparse makes the stub its own serving form (ml.Compile).
-func (c stubClassifier) ProbSparse(rows *ml.SparseRows, out [][2]float64) {
+func (stubClassifier) ProbSparse(rows *ml.SparseRows, out [][2]float64) {
 	for i := range out[:rows.Len()] {
-		out[i] = c.Proba(nil)
+		out[i] = [2]float64{0.1, 0.9}
 	}
 }
 

@@ -46,13 +46,14 @@ func savedModel(t *testing.T, c ml.Classifier) []byte {
 	return buf.Bytes()
 }
 
-// TestTrainRowsMatchDenseFit: Train fits on the alarms encoded as
-// serving rows, and the model it saves is byte for byte the one Fit on
-// dataset.Encode's dense matrix of the same alarms makes — for a forest
-// with no risk feature and with each kind of risk (Binary is a numeric
-// schema column that is 0/1 throughout, which the forest keeps as a
-// bitset, Absolute one it keeps as numbers), and for logistic regression
-// through FitRows' dense fallback, all with operator overrides on.
+// TestTrainRowsMatchDenseFit: Train encodes the alarms with the serving
+// AlarmEncoder and fits on those rows, and the model it saves is byte
+// for byte the one Fit makes on the rows dataset.Encode builds from the
+// same alarms' labelled records (the experiments' path) — for each of
+// the four classifiers, for a forest also with each kind of risk (Binary
+// is a numeric schema column that is 0/1 throughout, which the forest
+// keeps as a bitset, Absolute one it keeps as numbers), all with
+// operator overrides on.
 func TestTrainRowsMatchDenseFit(t *testing.T) {
 	w, alarms := testAlarms(3000)
 	riskModel := testRiskModel(w)
@@ -66,6 +67,16 @@ func TestTrainRowsMatchDenseFit(t *testing.T) {
 		cfg.MaxIterations = 60
 		return ml.NewLogisticRegression(cfg)
 	}
+	svm := func() ml.Classifier {
+		cfg := ml.DefaultSVMConfig()
+		cfg.MaxIterations = 100
+		return ml.NewSVM(cfg)
+	}
+	dnn := func() ml.Classifier {
+		cfg := ml.DefaultDNNConfig()
+		cfg.MaxEpochs = 3
+		return ml.NewDNN(cfg)
+	}
 	cases := []struct {
 		name string
 		cls  func() ml.Classifier
@@ -77,6 +88,8 @@ func TestTrainRowsMatchDenseFit(t *testing.T) {
 		{"rf_binary", rf, ptr(risk.Binary)},
 		{"lr", lr, nil},
 		{"lr_normalized", lr, ptr(risk.Normalized)},
+		{"svm_normalized", svm, ptr(risk.Normalized)},
+		{"dnn_normalized", dnn, ptr(risk.Normalized)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -101,19 +114,19 @@ func TestTrainRowsMatchDenseFit(t *testing.T) {
 				dataset.AttachRisk(labeled, cfg.Risk, cfg.RiskKind)
 				checkRiskValues(t, labeled, cfg.RiskKind)
 			}
-			ds, _, err := dataset.Encode(labeled)
+			l, rows, y, err := dataset.Encode(labeled)
 			if err != nil {
 				t.Fatal(err)
 			}
-			dense := tc.cls()
-			if err := dense.Fit(ds); err != nil {
+			ref := tc.cls()
+			if err := ref.Fit(l, rows, y); err != nil {
 				t.Fatal(err)
 			}
-			if got, want := savedModel(t, v.snap.Load().model), savedModel(t, dense); !bytes.Equal(got, want) {
-				t.Fatalf("Train saved %d bytes that differ from the dense fit's %d", len(got), len(want))
+			if got, want := savedModel(t, v.snap.Load().model), savedModel(t, ref); !bytes.Equal(got, want) {
+				t.Fatalf("Train saved %d bytes that differ from the %d of Fit on dataset.Encode's rows", len(got), len(want))
 			}
-			if got := v.Stats().Features; got != ds.Width() {
-				t.Fatalf("Stats().Features = %d, the dense matrix is %d wide", got, ds.Width())
+			if got := v.Stats().Features; got != l.Width() {
+				t.Fatalf("Stats().Features = %d, the layout is %d wide", got, l.Width())
 			}
 		})
 	}

@@ -216,7 +216,7 @@ func TrainWithFeedback(history []alarm.Alarm, feedback map[int64]alarm.Label, cf
 	for i := range history {
 		s.rows.Encode(&history[i], rows.Row(i))
 	}
-	if err := ml.FitRows(model, layout, &rows, labels); err != nil {
+	if err := model.Fit(layout, &rows, labels); err != nil {
 		return nil, err
 	}
 	s.trainStats = TrainStats{

@@ -22,6 +22,45 @@ func testWorld() *World {
 	return NewWorldWith(gaz, 7)
 }
 
+// encodedSet is a labelled set in serving rows.
+type encodedSet struct {
+	l    *ml.RowLayout
+	rows *ml.SparseRows
+	y    []int
+}
+
+// halves encodes labeled and splits it in two halves on a permutation
+// drawn from rng, the way the experiments split their sets.
+func halves(t *testing.T, labeled []alarm.LabeledAlarm, rng *rand.Rand) (train, test encodedSet) {
+	t.Helper()
+	l, rows, y, err := Encode(labeled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := rng.Perm(len(y))
+	gather := func(idx []int) encodedSet {
+		s := encodedSet{l, rows.Gather(idx), make([]int, len(idx))}
+		for i, id := range idx {
+			s.y[i] = y[id]
+		}
+		return s
+	}
+	return gather(idx[:len(y)/2]), gather(idx[len(y)/2:])
+}
+
+// fitScore fits c on train and returns its accuracy on test.
+func fitScore(t *testing.T, c ml.Classifier, train, test encodedSet) float64 {
+	t.Helper()
+	if err := c.Fit(train.l, train.rows, train.y); err != nil {
+		t.Fatal(err)
+	}
+	cm, err := ml.Evaluate(c, test.l, test.rows, test.y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cm.Accuracy()
+}
+
 func smallSitasys(n int) (*World, []alarm.Alarm) {
 	w := testWorld()
 	cfg := DefaultSitasysConfig()
@@ -105,28 +144,33 @@ func TestToLabeledHeuristic(t *testing.T) {
 func TestEncodeShapes(t *testing.T) {
 	_, alarms := smallSitasys(2000)
 	labeled := ToLabeled(alarms, time.Minute, true)
-	ds, enc, err := Encode(labeled)
+	l, rows, y, err := Encode(labeled)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds.Len() != 2000 {
-		t.Fatalf("rows = %d", ds.Len())
+	if rows.Len() != 2000 || len(y) != 2000 {
+		t.Fatalf("rows = %d, labels = %d", rows.Len(), len(y))
 	}
-	if ds.Width() != enc.Width() {
-		t.Fatalf("width mismatch %d vs %d", ds.Width(), enc.Width())
+	// Every row is one-hot per categorical block: 7 with extras, no
+	// risk, each 1 inside its own block.
+	if l.Groups() != 7 || l.Nums() != 0 {
+		t.Fatalf("layout has %d categorical and %d numeric columns, want 7 and 0", l.Groups(), l.Nums())
 	}
-	// Every row is one-hot per categorical block: row sums equal the
-	// number of categorical columns (7 with extras, no risk).
-	for i, row := range ds.X {
-		sum := 0.0
-		for _, v := range row {
-			sum += v
+	for i := range y {
+		act := rows.Row(i).Active
+		for g := 1; g < len(act); g++ {
+			if act[g] <= act[g-1] {
+				t.Fatalf("row %d: columns %v are not one per block", i, act)
+			}
 		}
-		if sum != 7 {
-			t.Fatalf("row %d sums to %v, want 7", i, sum)
+		if int(act[len(act)-1]) >= l.Width() {
+			t.Fatalf("row %d: column %d past the width %d", i, act[len(act)-1], l.Width())
+		}
+		if y[i] != int(labeled[i].Label) {
+			t.Fatalf("row %d: label %d, want %d", i, y[i], labeled[i].Label)
 		}
 	}
-	if _, _, err := Encode(nil); err == nil {
+	if _, _, _, err := Encode(nil); err == nil {
 		t.Error("empty encode accepted")
 	}
 }
@@ -141,16 +185,18 @@ func TestEncodeWithRisk(t *testing.T) {
 	}
 	model := risk.BuildModel(w.Gaz, incidents)
 	AttachRisk(labeled, model, risk.Normalized)
-	ds, enc, err := Encode(labeled)
+	l, rows, _, err := Encode(labeled)
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := enc.FeatureNames()
-	if names[len(names)-1] != "risk" {
-		t.Errorf("last feature = %s, want risk", names[len(names)-1])
+	if l.Nums() != 1 {
+		t.Fatalf("layout has %d numeric columns, want the risk", l.Nums())
 	}
-	for _, row := range ds.X {
-		r := row[len(row)-1]
+	for i := range labeled {
+		r := rows.Row(i).Nums[0]
+		if r != labeled[i].Risk {
+			t.Fatalf("row %d: risk cell %g, the record's %g", i, r, labeled[i].Risk)
+		}
 		if r < 0 || r > 1 {
 			t.Errorf("risk value %g out of range", r)
 		}
@@ -168,29 +214,16 @@ func TestSitasysAccuracyShape(t *testing.T) {
 	_, alarms := smallSitasys(24_000)
 	rng := rand.New(rand.NewSource(99))
 
-	full := ToLabeled(alarms, time.Minute, true)
-	dsFull, _, err := Encode(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trainF, testF := dsFull.Split(0.5, rng)
+	trainF, testF := halves(t, ToLabeled(alarms, time.Minute, true), rng)
 
 	rfCfg := ml.DefaultRandomForestConfig()
 	rfCfg.NumTrees = 40
 	rfCfg.MaxDepth = 25
-	rf := ml.NewRandomForest(rfCfg)
-	if err := rf.Fit(trainF); err != nil {
-		t.Fatal(err)
-	}
-	rfAcc := ml.Accuracy(rf, testF)
+	rfAcc := fitScore(t, ml.NewRandomForest(rfCfg), trainF, testF)
 
 	lrCfg := ml.DefaultLogisticRegressionConfig()
 	lrCfg.MaxIterations = 250
-	lr := ml.NewLogisticRegression(lrCfg)
-	if err := lr.Fit(trainF); err != nil {
-		t.Fatal(err)
-	}
-	lrAcc := ml.Accuracy(lr, testF)
+	lrAcc := fitScore(t, ml.NewLogisticRegression(lrCfg), trainF, testF)
 
 	if rfAcc < 0.85 {
 		t.Errorf("RF accuracy %.3f, want ≥ 0.85 (paper: >90%% at full scale)", rfAcc)
@@ -203,17 +236,8 @@ func TestSitasysAccuracyShape(t *testing.T) {
 	}
 
 	// Generic features only → several points lower (transfer story).
-	generic := ToLabeled(alarms, time.Minute, false)
-	dsGen, _, err := Encode(generic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trainG, testG := dsGen.Split(0.5, rand.New(rand.NewSource(99)))
-	rfG := ml.NewRandomForest(rfCfg)
-	if err := rfG.Fit(trainG); err != nil {
-		t.Fatal(err)
-	}
-	rfGenAcc := ml.Accuracy(rfG, testG)
+	trainG, testG := halves(t, ToLabeled(alarms, time.Minute, false), rand.New(rand.NewSource(99)))
+	rfGenAcc := fitScore(t, ml.NewRandomForest(rfCfg), trainG, testG)
 	if rfGenAcc > rfAcc-0.015 {
 		t.Errorf("generic features (%.3f) should trail sensor-specific (%.3f)", rfGenAcc, rfAcc)
 	}
@@ -231,17 +255,8 @@ func TestDeltaTStability(t *testing.T) {
 	rfCfg.MaxDepth = 20
 	var accs []float64
 	for _, dt := range []time.Duration{time.Minute, 5 * time.Minute, 10 * time.Minute} {
-		labeled := ToLabeled(alarms, dt, true)
-		ds, _, err := Encode(labeled)
-		if err != nil {
-			t.Fatal(err)
-		}
-		train, test := ds.Split(0.5, rand.New(rand.NewSource(3)))
-		rf := ml.NewRandomForest(rfCfg)
-		if err := rf.Fit(train); err != nil {
-			t.Fatal(err)
-		}
-		accs = append(accs, ml.Accuracy(rf, test))
+		train, test := halves(t, ToLabeled(alarms, dt, true), rand.New(rand.NewSource(3)))
+		accs = append(accs, fitScore(t, ml.NewRandomForest(rfCfg), train, test))
 	}
 	for i, a := range accs {
 		if a < 0.80 {
@@ -281,19 +296,10 @@ func TestLFBAccuracyBand(t *testing.T) {
 	}
 	cfg := DefaultLFBConfig()
 	cfg.NumIncidents = 20_000
-	labeled := LFBToLabeled(GenerateLFB(cfg))
-	ds, _, err := Encode(labeled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	train, test := ds.Split(0.5, rand.New(rand.NewSource(5)))
+	train, test := halves(t, LFBToLabeled(GenerateLFB(cfg)), rand.New(rand.NewSource(5)))
 	svmCfg := ml.DefaultSVMConfig()
 	svmCfg.MaxIterations = 600
-	svm := ml.NewSVM(svmCfg)
-	if err := svm.Fit(train); err != nil {
-		t.Fatal(err)
-	}
-	acc := ml.Accuracy(svm, test)
+	acc := fitScore(t, ml.NewSVM(svmCfg), train, test)
 	if acc < 0.78 || acc > 0.92 {
 		t.Errorf("LFB SVM accuracy %.3f outside the ≈85%% band", acc)
 	}
@@ -337,19 +343,11 @@ func TestSFAccuracyBand(t *testing.T) {
 	if len(usable) < 3_000 {
 		t.Fatalf("usable subset too small: %d", len(usable))
 	}
-	ds, _, err := Encode(SFToLabeled(usable))
-	if err != nil {
-		t.Fatal(err)
-	}
-	train, test := ds.Split(0.5, rand.New(rand.NewSource(5)))
+	train, test := halves(t, SFToLabeled(usable), rand.New(rand.NewSource(5)))
 	rfCfg := ml.DefaultRandomForestConfig()
 	rfCfg.NumTrees = 25
 	rfCfg.MaxDepth = 14
-	rf := ml.NewRandomForest(rfCfg)
-	if err := rf.Fit(train); err != nil {
-		t.Fatal(err)
-	}
-	acc := ml.Accuracy(rf, test)
+	acc := fitScore(t, ml.NewRandomForest(rfCfg), train, test)
 	if acc < 0.72 || acc > 0.90 {
 		t.Errorf("SF RF accuracy %.3f outside the ≈80%% band", acc)
 	}

@@ -51,25 +51,33 @@ func AttachRisk(labeled []alarm.LabeledAlarm, m *risk.Model, kind risk.Kind) {
 	}
 }
 
-// Encode builds the one-hot design matrix for a set of labelled
-// alarms. All records must agree on their Extras schema and HasRisk
-// flag. The returned encoder transforms future alarms with the same
-// schema (unseen categories map to a reserved slot).
-func Encode(labeled []alarm.LabeledAlarm) (*ml.Dataset, *ml.SchemaEncoder, error) {
+// Encode fits an encoder on a set of labelled alarms and encodes them
+// into serving rows of its layout, with their labels. All records must
+// agree on their Extras schema and HasRisk flag.
+func Encode(labeled []alarm.LabeledAlarm) (*ml.RowLayout, *ml.SparseRows, []int, error) {
 	enc, rows, labels, err := fitEncoder(labeled)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	ds, err := enc.TransformAll(rows, labels)
+	layout, err := enc.Layout()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return ds, enc, nil
+	sr := new(ml.SparseRows)
+	sr.Resize(layout, len(rows))
+	for i, row := range rows {
+		if err := enc.Transform(row, sr.Row(i)); err != nil {
+			return nil, nil, nil, fmt.Errorf("dataset: record %d: %w", i, err)
+		}
+	}
+	return layout, sr, labels, nil
 }
 
-// FitEncoder is Encode without the design matrix: the encoder fitted on
-// the records' vocabularies, and their labels. Training encodes the
-// alarms themselves with an AlarmEncoder bound to it, as serving does.
+// FitEncoder is Encode without the rows: the encoder fitted on the
+// records' vocabularies, and their labels. The returned encoder
+// transforms future alarms with the same schema (unseen categories map
+// to a reserved slot); training encodes the alarms themselves with an
+// AlarmEncoder bound to it, as serving does.
 func FitEncoder(labeled []alarm.LabeledAlarm) (*ml.SchemaEncoder, []int, error) {
 	enc, _, labels, err := fitEncoder(labeled)
 	return enc, labels, err
@@ -152,11 +160,11 @@ func LabeledToRow(la *alarm.LabeledAlarm, wantExtras int, wantRisk bool) (ml.Row
 }
 
 // AlarmEncoder turns a live alarm into the serving row (ml.SparseRow)
-// of an encoder Encode or FitEncoder fitted: the cells ToLabeled,
-// LabeledToRow and Transform would set, without the record, the strings
-// or the vector in between. The fields with a fixed range — hour, weekday, alarm type,
-// property type — resolve through tables filled once; the ZIP code and
-// the sensor fields cost one vocabulary lookup each.
+// of an encoder FitEncoder fitted: the cells ToLabeled, LabeledToRow
+// and SchemaEncoder.Transform would set, without the record or the
+// strings in between. The fields with a fixed range — hour, weekday,
+// alarm type, property type — resolve through tables filled once; the
+// ZIP code and the sensor fields cost one vocabulary lookup each.
 type AlarmEncoder struct {
 	layout   *ml.RowLayout
 	hour     [24]uint16

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"time"
 
@@ -94,11 +93,11 @@ func Table9(env *Env, runs int) ([]Table9Row, error) {
 				if tr.use {
 					dataset.AttachRisk(labeled, env.RiskModel(), tr.kind)
 				}
-				ds, _, err := dataset.Encode(labeled)
+				ds, err := encode(labeled)
 				if err != nil {
 					return nil, err
 				}
-				train, test := ds.Split(0.5, rand.New(rand.NewSource(int64(100+run))))
+				train, test := ds.split(0.5, int64(100+run))
 				c, err := ClassifierFor("rf", env.Scale)
 				if err != nil {
 					return nil, err
@@ -106,10 +105,14 @@ func Table9(env *Env, runs int) ([]Table9Row, error) {
 				if rf, ok := c.(*ml.RandomForest); ok {
 					rf.Config.Seed = int64(run + 1)
 				}
-				if err := c.Fit(train); err != nil {
+				if err := train.fit(c); err != nil {
 					return nil, err
 				}
-				sum += ml.Accuracy(c, test)
+				acc, err := test.accuracy(c)
+				if err != nil {
+					return nil, err
+				}
+				sum += acc
 			}
 			out = append(out, Table9Row{
 				Scenario:  sc,

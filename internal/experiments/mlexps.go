@@ -5,10 +5,52 @@ import (
 	"math/rand"
 	"time"
 
+	"alarmverify/internal/alarm"
 	"alarmverify/internal/core"
 	"alarmverify/internal/dataset"
 	"alarmverify/internal/ml"
 )
+
+// rowSet is a labelled set the way the service holds one: serving rows
+// of an encoder's layout and a label per row.
+type rowSet struct {
+	l    *ml.RowLayout
+	rows *ml.SparseRows
+	y    []int
+}
+
+// encode encodes labelled alarms into a rowSet (dataset.Encode).
+func encode(labeled []alarm.LabeledAlarm) (rowSet, error) {
+	l, rows, y, err := dataset.Encode(labeled)
+	return rowSet{l, rows, y}, err
+}
+
+// subset returns the rows idx names, in that order.
+func (s rowSet) subset(idx []int) rowSet {
+	y := make([]int, len(idx))
+	for i, id := range idx {
+		y[i] = s.y[id]
+	}
+	return rowSet{s.l, s.rows.Gather(idx), y}
+}
+
+// split shuffles the rows with a seeded RNG and gives trainFrac of them
+// (at least one, never all) to train and the rest to test. The paper
+// uses a 50/50 split (§5.1.1).
+func (s rowSet) split(trainFrac float64, seed int64) (train, test rowSet) {
+	idx := rand.New(rand.NewSource(seed)).Perm(len(s.y))
+	n := min(max(int(float64(len(s.y))*trainFrac), 1), len(s.y)-1)
+	return s.subset(idx[:n]), s.subset(idx[n:])
+}
+
+// fit fits c on s.
+func (s rowSet) fit(c ml.Classifier) error { return c.Fit(s.l, s.rows, s.y) }
+
+// accuracy scores c on s.
+func (s rowSet) accuracy(c ml.Classifier) (float64, error) {
+	cm, err := ml.Evaluate(c, s.l, s.rows, s.y)
+	return cm.Accuracy(), err
+}
 
 // Fig9Result is one accuracy measurement of Figure 9: verification
 // accuracy as a function of the Δt label threshold, per algorithm.
@@ -30,25 +72,24 @@ func Fig9(env *Env, deltas []time.Duration) ([]Fig9Result, error) {
 	alarms := env.Alarms()
 	var out []Fig9Result
 	for _, dt := range deltas {
-		labeled := dataset.ToLabeled(alarms, dt, true)
-		ds, _, err := dataset.Encode(labeled)
+		ds, err := encode(dataset.ToLabeled(alarms, dt, true))
 		if err != nil {
 			return nil, err
 		}
-		train, test := ds.Split(0.5, rand.New(rand.NewSource(17)))
+		train, test := ds.split(0.5, 17)
 		for _, algo := range core.Algorithms() {
 			c, err := ClassifierFor(algo, env.Scale)
 			if err != nil {
 				return nil, err
 			}
-			if err := c.Fit(train); err != nil {
+			if err := train.fit(c); err != nil {
 				return nil, err
 			}
-			out = append(out, Fig9Result{
-				DeltaT:    dt,
-				Algorithm: algo,
-				Accuracy:  ml.Accuracy(c, test),
-			})
+			acc, err := test.accuracy(c)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, Fig9Result{DeltaT: dt, Algorithm: algo, Accuracy: acc})
 		}
 	}
 	return out, nil
@@ -96,30 +137,25 @@ const (
 // DatasetNames lists them in the paper's order.
 func DatasetNames() []DatasetName { return []DatasetName{Sitasys, LondonFire, SanFrancisco} }
 
-// buildDataset materializes one of the three datasets as an encoded
-// design matrix.
-func buildDataset(env *Env, name DatasetName) (*ml.Dataset, error) {
+// buildDataset encodes one of the three datasets into serving rows.
+func buildDataset(env *Env, name DatasetName) (rowSet, error) {
 	switch name {
 	case Sitasys:
-		labeled := dataset.ToLabeled(env.Alarms(), time.Minute, true)
-		ds, _, err := dataset.Encode(labeled)
-		return ds, err
+		return encode(dataset.ToLabeled(env.Alarms(), time.Minute, true))
 	case LondonFire:
 		cfg := dataset.DefaultLFBConfig()
 		cfg.NumIncidents = env.Scale.LFBIncidents
-		ds, _, err := dataset.Encode(dataset.LFBToLabeled(dataset.GenerateLFB(cfg)))
-		return ds, err
+		return encode(dataset.LFBToLabeled(dataset.GenerateLFB(cfg)))
 	case SanFrancisco:
 		cfg := dataset.DefaultSFConfig()
 		cfg.TotalRecords = env.Scale.SFRecords
 		usable := dataset.SFUsable(dataset.GenerateSF(cfg))
 		if len(usable) == 0 {
-			return nil, fmt.Errorf("experiments: SF usable subset empty")
+			return rowSet{}, fmt.Errorf("experiments: SF usable subset empty")
 		}
-		ds, _, err := dataset.Encode(dataset.SFToLabeled(usable))
-		return ds, err
+		return encode(dataset.SFToLabeled(usable))
 	default:
-		return nil, fmt.Errorf("experiments: unknown dataset %q", name)
+		return rowSet{}, fmt.Errorf("experiments: unknown dataset %q", name)
 	}
 }
 
@@ -142,22 +178,27 @@ func Fig10AndTable8(env *Env) ([]Fig10Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		train, test := ds.Split(0.5, rand.New(rand.NewSource(23)))
+		train, test := ds.split(0.5, 23)
 		for _, algo := range core.Algorithms() {
 			c, err := ClassifierFor(algo, env.Scale)
 			if err != nil {
 				return nil, err
 			}
 			start := time.Now()
-			if err := c.Fit(train); err != nil {
+			if err := train.fit(c); err != nil {
+				return nil, err
+			}
+			took := time.Since(start)
+			acc, err := test.accuracy(c)
+			if err != nil {
 				return nil, err
 			}
 			out = append(out, Fig10Result{
 				Dataset:   name,
 				Algorithm: algo,
-				Accuracy:  ml.Accuracy(c, test),
-				TrainTime: time.Since(start),
-				TrainRows: train.Len(),
+				Accuracy:  acc,
+				TrainTime: took,
+				TrainRows: len(train.y),
 			})
 		}
 	}
@@ -212,21 +253,19 @@ func RenderTable8(results []Fig10Result) string {
 // Sitasys data: a grid over forest size and depth, scored by 3-fold
 // cross-validation. It returns results best-first.
 func GridSearchDemo(env *Env) ([]ml.GridResult, error) {
-	labeled := dataset.ToLabeled(env.Alarms(), time.Minute, true)
-	ds, _, err := dataset.Encode(labeled)
+	ds, err := encode(dataset.ToLabeled(env.Alarms(), time.Minute, true))
 	if err != nil {
 		return nil, err
 	}
 	// Subsample so the grid stays affordable.
-	if ds.Len() > 8000 {
-		rows := rand.New(rand.NewSource(5)).Perm(ds.Len())[:8000]
-		ds = ds.Subset(rows)
+	if len(ds.y) > 8000 {
+		ds = ds.subset(rand.New(rand.NewSource(5)).Perm(len(ds.y))[:8000])
 	}
 	grid := map[string][]float64{
 		"trees": {5, 15, 30},
 		"depth": {6, 14, 22},
 	}
-	return ml.GridSearch(ds, grid, 3, func(p ml.GridPoint) ml.Classifier {
+	return ml.GridSearch(ds.l, ds.rows, ds.y, grid, 3, func(p ml.GridPoint) ml.Classifier {
 		cfg := ml.DefaultRandomForestConfig()
 		cfg.NumTrees = int(p["trees"])
 		cfg.MaxDepth = int(p["depth"])
@@ -258,20 +297,23 @@ func ScalingCurve(env *Env, sizes []int) ([]ScalingPoint, error) {
 		if len(out) > 0 && out[len(out)-1].Alarms == n {
 			continue
 		}
-		labeled := dataset.ToLabeled(alarms[:n], time.Minute, true)
-		ds, _, err := dataset.Encode(labeled)
+		ds, err := encode(dataset.ToLabeled(alarms[:n], time.Minute, true))
 		if err != nil {
 			return nil, err
 		}
-		train, test := ds.Split(0.5, rand.New(rand.NewSource(31)))
+		train, test := ds.split(0.5, 31)
 		c, err := ClassifierFor(core.RandomForest, env.Scale)
 		if err != nil {
 			return nil, err
 		}
-		if err := c.Fit(train); err != nil {
+		if err := train.fit(c); err != nil {
 			return nil, err
 		}
-		out = append(out, ScalingPoint{Alarms: n, Accuracy: ml.Accuracy(c, test)})
+		acc, err := test.accuracy(c)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, ScalingPoint{Alarms: n, Accuracy: acc})
 	}
 	return out, nil
 }

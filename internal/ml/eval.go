@@ -8,22 +8,33 @@ type ConfusionMatrix struct {
 	TP, FP, TN, FN int
 }
 
-// Evaluate runs the classifier over the dataset and tallies outcomes.
-func Evaluate(c Classifier, d *Dataset) ConfusionMatrix {
+// Evaluate compiles c against l, scores rows with it and tallies the
+// outcomes against their labels y. A row is predicted true when
+// P(class 1) >= P(class 0).
+func Evaluate(c Classifier, l *RowLayout, rows *SparseRows, y []int) (ConfusionMatrix, error) {
+	if len(y) != rows.Len() {
+		return ConfusionMatrix{}, fmt.Errorf("%w: %d rows vs %d labels", ErrShape, rows.Len(), len(y))
+	}
+	m, err := Compile(c, l)
+	if err != nil {
+		return ConfusionMatrix{}, err
+	}
+	probs := make([][2]float64, rows.Len())
+	m.ProbSparse(rows, probs)
 	var cm ConfusionMatrix
-	for i, x := range d.X {
-		switch pred := Predict(c, x); {
-		case pred == 1 && d.Y[i] == 1:
+	for i, p := range probs {
+		switch pred := p[1] >= p[0]; {
+		case pred && y[i] == 1:
 			cm.TP++
-		case pred == 1 && d.Y[i] == 0:
+		case pred && y[i] == 0:
 			cm.FP++
-		case pred == 0 && d.Y[i] == 0:
+		case !pred && y[i] == 0:
 			cm.TN++
 		default:
 			cm.FN++
 		}
 	}
-	return cm
+	return cm, nil
 }
 
 // Total returns the number of evaluated samples.
@@ -71,9 +82,4 @@ func (cm ConfusionMatrix) F1() float64 {
 func (cm ConfusionMatrix) String() string {
 	return fmt.Sprintf("acc=%.4f prec=%.4f rec=%.4f f1=%.4f (tp=%d fp=%d tn=%d fn=%d)",
 		cm.Accuracy(), cm.Precision(), cm.Recall(), cm.F1(), cm.TP, cm.FP, cm.TN, cm.FN)
-}
-
-// Accuracy is a convenience wrapper around Evaluate.
-func Accuracy(c Classifier, d *Dataset) float64 {
-	return Evaluate(c, d).Accuracy()
 }

@@ -25,24 +25,13 @@ func (s *StringIndexer) Fit(v string) {
 	}
 }
 
-// Index returns the index for v; unseen values return Cardinality()
-// (the reserved unknown slot).
+// Index returns the index for v; unseen values return the number of
+// fitted values (the reserved unknown slot).
 func (s *StringIndexer) Index(v string) int {
 	if i, ok := s.byValue[v]; ok {
 		return i
 	}
 	return len(s.values)
-}
-
-// Cardinality returns the number of distinct fitted values.
-func (s *StringIndexer) Cardinality() int { return len(s.values) }
-
-// Value returns the string for a fitted index.
-func (s *StringIndexer) Value(i int) (string, bool) {
-	if i < 0 || i >= len(s.values) {
-		return "", false
-	}
-	return s.values[i], true
 }
 
 // OneHotWidth returns the width of the one-hot block for this
@@ -58,9 +47,10 @@ type ColumnSpec struct {
 }
 
 // SchemaEncoder one-hot encodes rows of mixed categorical/numeric
-// columns into a dense feature vector — the One Hot Encoding step the
-// paper applies before the DNN, which inflates the Sitasys schema to
-// roughly 800 input features (§5.3.3).
+// columns — the One Hot Encoding step the paper applies before the DNN,
+// which inflates the Sitasys schema to roughly 800 input features
+// (§5.3.3). The vector is never built: Transform writes the serving row
+// (SparseRow) that stands for it, in the encoder's Layout.
 type SchemaEncoder struct {
 	cols     []ColumnSpec
 	indexers []*StringIndexer // nil for numeric columns
@@ -133,71 +123,31 @@ func (e *SchemaEncoder) Width() int {
 	return w
 }
 
-// FeatureNames returns one name per encoded slot.
-func (e *SchemaEncoder) FeatureNames() []string {
-	names := make([]string, 0, e.Width())
-	for i, c := range e.cols {
-		if c.Numeric {
-			names = append(names, c.Name)
-			continue
-		}
-		ind := e.indexers[i]
-		for j := 0; j < ind.Cardinality(); j++ {
-			v, _ := ind.Value(j)
-			names = append(names, c.Name+"="+v)
-		}
-		names = append(names, c.Name+"=<unseen>")
-	}
-	return names
-}
-
-// TransformAll encodes rows with labels into a Dataset. The rows of its
-// X are consecutive windows of one backing array, each capped at the
-// width, so a row can be written in place but appending to one copies
-// it.
-func (e *SchemaEncoder) TransformAll(rows []Row, labels []int) (*Dataset, error) {
-	if len(rows) != len(labels) {
-		return nil, fmt.Errorf("%w: %d rows vs %d labels", ErrShape, len(rows), len(labels))
-	}
+// Transform encodes row into dst, a row of the encoder's Layout: the
+// column of each categorical value's 1 — the reserved unseen column for
+// a value the encoder was not fitted on — and the numeric cells.
+func (e *SchemaEncoder) Transform(row Row, dst SparseRow) error {
 	if !e.fitted {
-		return nil, ErrNotFitted
+		return ErrNotFitted
 	}
-	x := slabRows(len(rows), e.Width())
-	for i, row := range rows {
-		if err := e.encode(x[i], row); err != nil {
-			return nil, fmt.Errorf("row %d: %w", i, err)
-		}
-	}
-	return NewDataset(x, labels, e.FeatureNames())
-}
-
-// slabRows returns n zeroed rows of width w that are consecutive windows
-// of one backing array, each capped at w.
-func slabRows(n, w int) [][]float64 {
-	slab, x := make([]float64, n*w), make([][]float64, n)
-	for i := range x {
-		x[i] = slab[i*w : (i+1)*w : (i+1)*w]
-	}
-	return x
-}
-
-// encode writes row's one-hot encoding into dst, which is Width() zeros.
-func (e *SchemaEncoder) encode(dst []float64, row Row) error {
 	if err := e.check(row); err != nil {
 		return err
 	}
-	pos, ci, ni := 0, 0, 0
+	if len(dst.Active) != len(row.Cats) || len(dst.Nums) != len(row.Nums) {
+		return fmt.Errorf("%w: row has %d cats / %d nums, the destination %d / %d",
+			ErrShape, len(row.Cats), len(row.Nums), len(dst.Active), len(dst.Nums))
+	}
+	pos, ci := 0, 0
 	for i, c := range e.cols {
 		if c.Numeric {
-			dst[pos] = row.Nums[ni]
-			ni++
 			pos++
 			continue
 		}
 		ind := e.indexers[i]
-		dst[pos+ind.Index(row.Cats[ci])] = 1
+		dst.Active[ci] = uint16(pos + ind.Index(row.Cats[ci]))
 		pos += ind.OneHotWidth()
 		ci++
 	}
+	copy(dst.Nums, row.Nums)
 	return nil
 }

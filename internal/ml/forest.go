@@ -1,7 +1,6 @@
 package ml
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -47,8 +46,8 @@ const defaultMtryFloor = 48
 
 // RandomForest is a bagged ensemble of CART trees with per-split
 // feature subsampling — the paper's best classifier on the Sitasys
-// data (up to 92 % accuracy, Figure 10). Proba averages the leaf class
-// distributions across trees.
+// data (up to 92 % accuracy, Figure 10). Its probability is the mean of
+// the leaf class distributions across trees.
 type RandomForest struct {
 	Config RandomForestConfig
 
@@ -75,15 +74,11 @@ type treeNode struct {
 // Fit implements Classifier. Training is deterministic for a seed:
 // every tree draws from its own RNG, so which worker grows it and when
 // does not matter.
-func (m *RandomForest) Fit(d *Dataset) error {
-	if d == nil || d.Len() == 0 {
-		return ErrEmptyDataset
-	}
-	view, err := newTrainView(d)
-	if err != nil {
+func (m *RandomForest) Fit(l *RowLayout, rows *SparseRows, y []int) error {
+	if err := checkFit(l, rows, y); err != nil {
 		return err
 	}
-	m.fit(view)
+	m.fit(newRowsView(l, rows, y))
 	return nil
 }
 
@@ -153,9 +148,9 @@ type trainView struct {
 	start []int       // row i's list is ones[start[i]:start[i+1]]
 }
 
-// viewCells is a training set the way its two sources (a dense Dataset,
-// serving rows) both read: row by row, the columns that hold a 1 and the
-// cells that hold anything else but 0. newView makes the view from it.
+// viewCells is a training set read row by row: the columns that hold a
+// 1 and the cells that hold anything else but 0. newView makes the view
+// from it.
 type viewCells struct {
 	width int
 	y     []int
@@ -170,36 +165,11 @@ type cell struct {
 	x        float64
 }
 
-// newTrainView reads d once, row by row, and builds the view.
-func newTrainView(d *Dataset) (*trainView, error) {
-	n, width := d.Len(), d.Width()
-	if len(d.Y) != n {
-		return nil, fmt.Errorf("%w: %d rows vs %d labels", ErrShape, n, len(d.Y))
-	}
-	c := viewCells{width: width, y: d.Y, start: make([]int, n+1)}
-	for i, row := range d.X {
-		if len(row) < width {
-			return nil, fmt.Errorf("%w: row %d has %d features, want %d", ErrShape, i, len(row), width)
-		}
-		for f, x := range row[:width] {
-			switch x {
-			case 0:
-			case 1:
-				c.ones = append(c.ones, int32(f))
-			default:
-				c.other = append(c.other, cell{int32(i), int32(f), x})
-			}
-		}
-		c.start[i+1] = len(c.ones)
-	}
-	return newView(c)
-}
-
 // newView is the one place a view's columns are classified and laid out.
 // A column with a cell in c.other is numeric: it is rebuilt whole — its
 // 1s from the lists, the rest from c.other — and its 1s leave the lists.
 // Every other column is 0/1 throughout and becomes a bitset.
-func newView(c viewCells) (*trainView, error) {
+func newView(c viewCells) *trainView {
 	n := len(c.start) - 1
 	v := &trainView{
 		y:     make([]uint8, n),
@@ -209,9 +179,6 @@ func newView(c viewCells) (*trainView, error) {
 		start: c.start,
 	}
 	for i, y := range c.y {
-		if y != 0 && y != 1 {
-			return nil, fmt.Errorf("%w: label %d at row %d (want 0/1)", ErrShape, y, i)
-		}
 		v.y[i] = uint8(y)
 	}
 	numeric := make([]bool, c.width)
@@ -260,7 +227,7 @@ func newView(c viewCells) (*trainView, error) {
 			v.bin[f][i>>6] |= 1 << (i & 63)
 		}
 	}
-	return v, nil
+	return v
 }
 
 // maxThresholdSample is how many of a node's rows a numeric column's
@@ -615,25 +582,4 @@ func giniImpurity(pos, n int) float64 {
 	}
 	p := float64(pos) / float64(n)
 	return 2 * p * (1 - p)
-}
-
-// Proba implements Classifier.
-func (m *RandomForest) Proba(x []float64) [2]float64 {
-	if !m.fitted || len(m.trees) == 0 {
-		return [2]float64{0.5, 0.5}
-	}
-	sum := 0.0
-	for _, t := range m.trees {
-		node := t
-		for node.feature >= 0 {
-			if node.feature < len(x) && x[node.feature] <= node.threshold {
-				node = node.left
-			} else {
-				node = node.right
-			}
-		}
-		sum += node.prob
-	}
-	p := sum / float64(len(m.trees))
-	return [2]float64{1 - p, p}
 }

@@ -15,19 +15,14 @@ import (
 // its 1s stay out of the rows' lists; -0 counts as 0, NaN as a value.
 func TestTrainViewColumnKinds(t *testing.T) {
 	negZero := math.Copysign(0, -1)
-	d := &Dataset{
-		X: [][]float64{
-			// one-hot, one-hot, {0,1,2}, continuous, all-zero, has -0
-			{1, 0, 1, 0.5, 0, negZero},
-			{0, 1, 2, math.NaN(), 0, 1},
-			{1, 1, 0, 1, 0, 0},
-		},
-		Y: []int{1, 0, 1},
+	x := [][]float64{
+		// one-hot, one-hot, {0,1,2}, continuous, all-zero, has -0
+		{1, 0, 1, 0.5, 0, negZero},
+		{0, 1, 2, math.NaN(), 0, 1},
+		{1, 1, 0, 1, 0, 0},
 	}
-	v, err := newTrainView(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := numericSet(x, []int{1, 0, 1})
+	v := newRowsView(d.l, d.rows, d.y)
 	// Row i is bit i: column 0 is 1 in rows 0 and 2, 0b101.
 	wantBin := [][]uint64{{0b101}, {0b110}, nil, nil, {0}, {0b010}}
 	if !reflect.DeepEqual(v.bin, wantBin) {
@@ -38,7 +33,7 @@ func TestTrainViewColumnKinds(t *testing.T) {
 			t.Errorf("column %d: numeric %v, binary %v", f, col != nil, wantBin[f] != nil)
 		}
 		for i := range col {
-			if got, want := col[i], d.X[i][f]; got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+			if got, want := col[i], x[i][f]; got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
 				t.Errorf("num[%d][%d] = %v, want %v", f, i, got, want)
 			}
 		}
@@ -54,18 +49,29 @@ func TestTrainViewColumnKinds(t *testing.T) {
 	}
 }
 
-// TestFitRejectsMalformedDataset: a Dataset built as a literal skips
-// NewDataset's checks; Fit narrows labels and slices rows, so it makes
-// the two it depends on itself.
+// TestFitRejectsMalformedDataset: every classifier makes the one check
+// before it fits — rows that do not fit the layout or their labels are
+// refused with ErrShape, whatever the algorithm.
 func TestFitRejectsMalformedDataset(t *testing.T) {
-	cases := map[string]*Dataset{
-		"short row":     {X: [][]float64{{0, 1}, {1}}, Y: []int{0, 1}},
-		"label 2":       {X: [][]float64{{0, 1}, {1, 0}}, Y: []int{0, 2}},
-		"missing label": {X: [][]float64{{0, 1}, {1, 0}}, Y: []int{0}},
+	d := mixedRows(t, 20)
+	_, other := sparseSchema(t, false)
+	bad := append([]int(nil), d.y...)
+	bad[3] = 2
+	var wide SparseRows
+	wide.Resize(d.l, 1)
+	copy(wide.active, []uint16{uint16(d.l.width), 0})
+	cases := map[string]labelled{
+		"short labels":          {d.l, d.rows, d.y[1:]},
+		"label 2":               {d.l, d.rows, bad},
+		"other layout":          {other, d.rows, d.y},
+		"no layout":             {nil, d.rows, d.y},
+		"column past the width": {d.l, &wide, []int{1}},
 	}
-	for name, d := range cases {
-		if err := NewRandomForest(DefaultRandomForestConfig()).Fit(d); !errors.Is(err, ErrShape) {
-			t.Errorf("%s: err = %v, want ErrShape", name, err)
+	for name, c := range cases {
+		for _, m := range classifiersUnderTest() {
+			if err := c.fit(m); !errors.Is(err, ErrShape) {
+				t.Errorf("%s: %s: err = %v, want ErrShape", m.Name(), name, err)
+			}
 		}
 	}
 }
@@ -77,7 +83,7 @@ func TestFitIndependentOfWorkerCount(t *testing.T) {
 	fit := func(procs int) []*treeNode {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		m := NewRandomForest(RandomForestConfig{NumTrees: 7, MaxDepth: 8, Seed: 5})
-		if err := m.Fit(d); err != nil {
+		if err := d.fit(m); err != nil {
 			t.Fatal(err)
 		}
 		return m.trees
@@ -91,16 +97,17 @@ func TestFitIndependentOfWorkerCount(t *testing.T) {
 }
 
 // blockDataset is one-hot blocks of random sizes beside a continuous and
-// a {0, 1, 2} numeric column, labelled by a noisy score over all of them.
-func blockDataset(rng *rand.Rand, rows int) *Dataset {
+// a {0, 1, 2} numeric column, labelled by a noisy score over all of them,
+// as a matrix and its labels.
+func blockDataset(rng *rand.Rand, rows int) ([][]float64, []int) {
 	blocks := make([]int, 2+rng.Intn(3))
 	width := 2
 	for b := range blocks {
 		blocks[b] = 2 + rng.Intn(30)
 		width += blocks[b]
 	}
-	d := &Dataset{X: make([][]float64, rows), Y: make([]int, rows)}
-	for i := range d.X {
+	x, y := make([][]float64, rows), make([]int, rows)
+	for i := range x {
 		row := make([]float64, width)
 		score, off := 0.0, 0
 		for _, b := range blocks {
@@ -114,21 +121,21 @@ func blockDataset(rng *rand.Rand, rows int) *Dataset {
 		row[off], row[off+1] = rng.NormFloat64(), float64(rng.Intn(3))
 		score += row[off] + 0.5*row[off+1] + rng.NormFloat64()
 		if score > 1.5 {
-			d.Y[i] = 1
+			y[i] = 1
 		}
-		d.X[i] = row
+		x[i] = row
 	}
-	return d
+	return x, y
 }
 
-// directCounts counts the 0/1 columns over idx from the dense rows.
-func directCounts(d *Dataset, v *trainView, idx []int32) []oneCount {
+// directCounts counts the 0/1 columns over idx from the matrix.
+func directCounts(x [][]float64, y []int, v *trainView, idx []int32) []oneCount {
 	out := make([]oneCount, len(v.bin))
 	for _, i := range idx {
-		for f, x := range d.X[i] {
-			if v.bin[f] != nil && x == 1 {
+		for f, c := range x[i] {
+			if v.bin[f] != nil && c == 1 {
 				out[f].n++
-				out[f].pos += int32(d.Y[i])
+				out[f].pos += int32(y[i])
 			}
 		}
 	}
@@ -143,18 +150,16 @@ func directCounts(d *Dataset, v *trainView, idx []int32) []oneCount {
 func TestCarriedCountsMatchDirectCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 12; trial++ {
-		d := blockDataset(rng, 200+rng.Intn(1500))
-		v, err := newTrainView(d)
-		if err != nil {
-			t.Fatal(err)
-		}
+		x, y := blockDataset(rng, 200+rng.Intn(1500))
+		d := numericSet(x, y)
+		v := newRowsView(d.l, d.rows, d.y)
 		cfg := RandomForestConfig{MinLeaf: 1 + 2*(trial%2), MaxDepth: 4 + rng.Intn(8), MaxThresholds: 8}
 		b := newTreeBuilder(v, cfg, 1+rng.Intn(len(v.bin)))
 		var searched, pure, deep int
 		b.visit = func(idx []int32, depth int, counts []oneCount, pos int) {
 			want := 0
 			for _, i := range idx {
-				want += d.Y[i]
+				want += y[i]
 			}
 			if pos != want {
 				t.Fatalf("trial %d depth %d: %d rows carry %d positives, want %d", trial, depth, len(idx), pos, want)
@@ -172,7 +177,7 @@ func TestCarriedCountsMatchDirectCounts(t *testing.T) {
 				return
 			}
 			searched++
-			if want := directCounts(d, v, idx); !slices.Equal(counts, want) {
+			if want := directCounts(x, y, v, idx); !slices.Equal(counts, want) {
 				t.Fatalf("trial %d depth %d: counts over %d rows differ from a direct count", trial, depth, len(idx))
 			}
 		}
@@ -189,18 +194,15 @@ func TestCarriedCountsMatchDirectCounts(t *testing.T) {
 // TestCountSlotsFollowTheDepthReached: the count slots grow with the
 // depth a tree reaches, so an unbounded MaxDepth costs nothing up front.
 func TestCountSlotsFollowTheDepthReached(t *testing.T) {
-	d := blockDataset(rand.New(rand.NewSource(4)), 300)
-	v, err := newTrainView(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := numericSet(blockDataset(rand.New(rand.NewSource(4)), 300))
+	v := newRowsView(d.l, d.rows, d.y)
 	b := newTreeBuilder(v, RandomForestConfig{MinLeaf: 1, MaxDepth: 1 << 30, MaxThresholds: 8}, len(v.bin))
 	tree := b.tree(1)
 	if got, depth := len(b.levels), nodeDepth(tree); got == 0 || got > depth+1 {
 		t.Fatalf("%d count levels for a tree of depth %d", got, depth)
 	}
 	m := NewRandomForest(RandomForestConfig{NumTrees: 3, MaxDepth: 1 << 30, Seed: 2})
-	if err := m.Fit(d); err != nil {
+	if err := d.fit(m); err != nil {
 		t.Fatal(err)
 	}
 }

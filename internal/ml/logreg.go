@@ -55,39 +55,29 @@ func sigmoid(z float64) float64 {
 }
 
 // Fit implements Classifier.
-func (m *LogisticRegression) Fit(d *Dataset) error {
-	if d == nil || d.Len() == 0 {
-		return ErrEmptyDataset
+func (m *LogisticRegression) Fit(l *RowLayout, rows *SparseRows, y []int) error {
+	if err := checkFit(l, rows, y); err != nil {
+		return err
 	}
-	w := d.Width()
-	m.weights = make([]float64, w)
+	m.weights = make([]float64, l.width)
 	m.bias = 0
-	n := float64(d.Len())
-	grad := make([]float64, w)
+	n := float64(rows.Len())
+	grad := make([]float64, l.width)
 
 	prevLoss := math.Inf(1)
 	for iter := 0; iter < m.Config.MaxIterations; iter++ {
-		for j := range grad {
-			grad[j] = 0
-		}
+		clear(grad)
 		gradB := 0.0
 		loss := 0.0
-		for i, row := range d.X {
-			z := m.bias
-			for j, v := range row {
-				z += m.weights[j] * v
-			}
-			p := sigmoid(z)
-			y := float64(d.Y[i])
-			err := p - y
-			for j, v := range row {
-				if v != 0 {
-					grad[j] += err * v
-				}
-			}
+		for i := range y {
+			row := rows.Row(i)
+			p := sigmoid(sparseDot(m.bias, m.weights, row, l.numCols))
+			yi := float64(y[i])
+			err := p - yi
+			sparseAxpy(grad, err, row, l.numCols)
 			gradB += err
 			// Numerically-safe cross entropy.
-			if y > 0.5 {
+			if yi > 0.5 {
 				loss += -math.Log(math.Max(p, 1e-12))
 			} else {
 				loss += -math.Log(math.Max(1-p, 1e-12))
@@ -109,19 +99,4 @@ func (m *LogisticRegression) Fit(d *Dataset) error {
 	}
 	m.fitted = true
 	return nil
-}
-
-// Proba implements Classifier.
-func (m *LogisticRegression) Proba(x []float64) [2]float64 {
-	if !m.fitted {
-		return [2]float64{0.5, 0.5}
-	}
-	z := m.bias
-	for j, v := range x {
-		if j < len(m.weights) && v != 0 {
-			z += m.weights[j] * v
-		}
-	}
-	p := sigmoid(z)
-	return [2]float64{1 - p, p}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // linearDataset builds a noisy linearly-separable binary problem.
-func linearDataset(n int, seed int64, noise float64) *Dataset {
+func linearDataset(n int, seed int64, noise float64) labelled {
 	rng := rand.New(rand.NewSource(seed))
 	x := make([][]float64, n)
 	y := make([]int, n)
@@ -26,13 +26,12 @@ func linearDataset(n int, seed int64, noise float64) *Dataset {
 		}
 		y[i] = label
 	}
-	d, _ := NewDataset(x, y, []string{"a", "b", "noise"})
-	return d
+	return numericSet(x, y)
 }
 
 // xorDataset builds the classic non-linear problem linear models
 // cannot solve.
-func xorDataset(n int, seed int64) *Dataset {
+func xorDataset(n int, seed int64) labelled {
 	rng := rand.New(rand.NewSource(seed))
 	x := make([][]float64, n)
 	y := make([]int, n)
@@ -43,47 +42,42 @@ func xorDataset(n int, seed int64) *Dataset {
 			y[i] = 1
 		}
 	}
-	d, _ := NewDataset(x, y, nil)
-	return d
+	return numericSet(x, y)
 }
 
-func TestNewDatasetValidation(t *testing.T) {
-	if _, err := NewDataset(nil, nil, nil); err == nil {
-		t.Error("empty dataset accepted")
-	}
-	if _, err := NewDataset([][]float64{{1}}, []int{1, 0}, nil); err == nil {
-		t.Error("row/label mismatch accepted")
-	}
-	if _, err := NewDataset([][]float64{{1, 2}, {1}}, []int{0, 1}, nil); err == nil {
-		t.Error("ragged matrix accepted")
-	}
-	if _, err := NewDataset([][]float64{{1}}, []int{2}, nil); err == nil {
-		t.Error("non-binary label accepted")
-	}
-	if _, err := NewDataset([][]float64{{1, 2}}, []int{1}, []string{"only-one"}); err == nil {
-		t.Error("name/width mismatch accepted")
-	}
-}
-
-func TestSplitAndFolds(t *testing.T) {
+// TestFoldsPartitionTheRows: every row validates exactly one fold and
+// trains the others, and a fold's rows are gathered with their labels.
+func TestFoldsPartitionTheRows(t *testing.T) {
 	d := linearDataset(100, 1, 0)
-	train, test := d.Split(0.5, rand.New(rand.NewSource(2)))
-	if train.Len() != 50 || test.Len() != 50 {
-		t.Fatalf("split sizes %d/%d", train.Len(), test.Len())
-	}
-	folds := d.Folds(5, rand.New(rand.NewSource(3)))
+	folds := foldsOf(d.rows, d.y, 5, rand.New(rand.NewSource(3)))
 	if len(folds) != 5 {
 		t.Fatalf("folds = %d", len(folds))
 	}
-	total := 0
+	key := func(r SparseRow) [3]float64 { return [3]float64(r.Nums) }
+	label := make(map[[3]float64]int)
+	for i := range d.y {
+		label[key(d.rows.Row(i))] = d.y[i]
+	}
+	validated := make(map[[3]float64]int)
 	for _, f := range folds {
-		total += f.Val.Len()
-		if f.Train.Len()+f.Val.Len() != 100 {
-			t.Errorf("fold partition broken: %d + %d", f.Train.Len(), f.Val.Len())
+		if f.train.Len()+f.val.Len() != 100 || len(f.trainY) != f.train.Len() || len(f.valY) != f.val.Len() {
+			t.Fatalf("fold partition broken: %d + %d rows, %d + %d labels", f.train.Len(), f.val.Len(), len(f.trainY), len(f.valY))
+		}
+		for i := range f.valY {
+			k := key(f.val.Row(i))
+			validated[k]++
+			if label[k] != f.valY[i] {
+				t.Fatalf("row %v carries label %d, want %d", k, f.valY[i], label[k])
+			}
 		}
 	}
-	if total != 100 {
-		t.Errorf("validation folds cover %d rows", total)
+	if len(validated) != 100 {
+		t.Errorf("validation folds cover %d rows", len(validated))
+	}
+	for k, n := range validated {
+		if n != 1 {
+			t.Errorf("row %v validates %d folds", k, n)
+		}
 	}
 }
 
@@ -92,8 +86,8 @@ func TestStringIndexer(t *testing.T) {
 	for _, v := range []string{"fire", "intrusion", "fire", "water"} {
 		s.Fit(v)
 	}
-	if s.Cardinality() != 3 {
-		t.Fatalf("cardinality = %d", s.Cardinality())
+	if len(s.values) != 3 {
+		t.Fatalf("cardinality = %d", len(s.values))
 	}
 	if s.Index("fire") != 0 || s.Index("water") != 2 {
 		t.Error("indices not in first-appearance order")
@@ -123,19 +117,13 @@ func TestSchemaEncoder(t *testing.T) {
 	if e.Width() != 7 {
 		t.Fatalf("width = %d, want 7", e.Width())
 	}
-	names := e.FeatureNames()
-	if len(names) != 7 || names[0] != "zip=8000" || names[6] != "risk" {
-		t.Errorf("names = %v", names)
-	}
 	v, err := transform(e, rows[1])
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []float64{0, 1, 0, 0, 1, 0, 0.1}
-	for i := range want {
-		if v[i] != want[i] {
-			t.Fatalf("transform = %v, want %v", v, want)
-		}
+	if !slices.Equal(v, want) {
+		t.Fatalf("transform = %v, want %v", v, want)
 	}
 	// Unseen category routes to the reserved slot, not an error.
 	v, err = transform(e, Row{Cats: []string{"9999", "fire"}, Nums: []float64{0}})
@@ -146,81 +134,38 @@ func TestSchemaEncoder(t *testing.T) {
 		t.Errorf("unseen zip not in reserved slot: %v", v)
 	}
 	// Shape errors.
-	if _, err := transform(e, Row{Cats: []string{"only-one"}, Nums: []float64{0}}); err == nil {
-		t.Error("bad row shape accepted")
+	if _, err := transform(e, Row{Cats: []string{"only-one"}, Nums: []float64{0}}); !errors.Is(err, ErrShape) {
+		t.Errorf("bad row shape: err = %v, want ErrShape", err)
 	}
-	// Unfitted encoder refuses.
-	e2 := NewSchemaEncoder([]ColumnSpec{{Name: "a"}})
-	if _, err := transform(e2, Row{Cats: []string{"x"}}); err == nil {
-		t.Error("unfitted transform accepted")
-	}
-}
-
-// TestTransformAllOneSlab: TransformAll's rows are what transform gives,
-// laid end to end in one array, and each is capped at the width so an
-// append to one cannot run into the next.
-// transform encodes one row into a fresh vector, as TransformAll does
-// each of its rows.
-func transform(e *SchemaEncoder, row Row) ([]float64, error) {
-	if !e.fitted {
-		return nil, ErrNotFitted
-	}
-	dst := make([]float64, e.Width())
-	return dst, e.encode(dst, row)
-}
-
-func TestTransformAllOneSlab(t *testing.T) {
-	e := NewSchemaEncoder([]ColumnSpec{{Name: "zip"}, {Name: "risk", Numeric: true}})
-	rows := []Row{
-		{Cats: []string{"8000"}, Nums: []float64{0.5}},
-		{Cats: []string{"8400"}, Nums: []float64{0.1}},
-		{Cats: []string{"8000"}, Nums: []float64{2}},
-	}
-	if err := e.Fit(rows); err != nil {
-		t.Fatal(err)
-	}
-	d, err := e.TransformAll(rows, []int{1, 0, 1})
+	l, err := e.Layout()
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := e.Width()
-	for i, row := range rows {
-		want, err := transform(e, row)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := d.X[i]; len(got) != w || cap(got) != w || !slices.Equal(got, want) {
-			t.Fatalf("row %d = %v (cap %d), want %v (cap %d)", i, got, cap(got), want, w)
-		}
+	var short SparseRows
+	short.Resize(l, 1)
+	if err := e.Transform(rows[0], SparseRow{Active: short.Row(0).Active[:1], Nums: short.Row(0).Nums}); !errors.Is(err, ErrShape) {
+		t.Errorf("short destination: err = %v, want ErrShape", err)
 	}
-	_ = append(d.X[0], 9)
-	if d.X[1][0] != 0 {
-		t.Fatal("an append to row 0 wrote into row 1")
+	// Unfitted encoder refuses.
+	e2 := NewSchemaEncoder([]ColumnSpec{{Name: "a"}})
+	if err := e2.Transform(Row{Cats: []string{"x"}}, SparseRow{Active: make([]uint16, 1)}); !errors.Is(err, ErrNotFitted) {
+		t.Errorf("unfitted transform: err = %v, want ErrNotFitted", err)
 	}
-	var many []Row
-	for range 50 {
-		many = append(many, rows...)
+}
+
+// transform encodes one row with e and returns the one-hot vector it
+// stands for.
+func transform(e *SchemaEncoder, row Row) ([]float64, error) {
+	l, err := e.Layout()
+	if err != nil {
+		return nil, err
 	}
-	labels := make([]int, len(many))
-	allocs := func(rows []Row) float64 {
-		return testing.AllocsPerRun(5, func() {
-			if _, err := e.TransformAll(rows, labels[:len(rows)]); err != nil {
-				t.Fatal(err)
-			}
-		})
+	var rows SparseRows
+	rows.Resize(l, 1)
+	if err := e.Transform(row, rows.Row(0)); err != nil {
+		return nil, err
 	}
-	if few, lots := allocs(rows), allocs(many); lots != few {
-		t.Errorf("%v allocations for %d rows, %v for %d: want the same", lots, len(many), few, len(rows))
-	}
-	if _, err := e.TransformAll(rows[:1], []int{1, 0}); !errors.Is(err, ErrShape) {
-		t.Errorf("row/label mismatch: err = %v, want ErrShape", err)
-	}
-	if _, err := NewSchemaEncoder(nil).TransformAll(rows, []int{1, 0, 1}); !errors.Is(err, ErrNotFitted) {
-		t.Errorf("unfitted: err = %v, want ErrNotFitted", err)
-	}
-	if _, err := e.TransformAll([]Row{{Cats: []string{"8000"}}}, []int{1}); !errors.Is(err, ErrShape) {
-		t.Errorf("bad row shape: err = %v, want ErrShape", err)
-	}
+	return dense(l, rows.Row(0)), nil
 }
 
 func classifiersUnderTest() []Classifier {
@@ -246,10 +191,10 @@ func TestAllClassifiersLearnLinearProblem(t *testing.T) {
 	train := linearDataset(800, 10, 0.02)
 	test := linearDataset(400, 11, 0.02)
 	for _, c := range classifiersUnderTest() {
-		if err := c.Fit(train); err != nil {
+		if err := train.fit(c); err != nil {
 			t.Fatalf("%s: fit: %v", c.Name(), err)
 		}
-		acc := Accuracy(c, test)
+		acc := test.accuracy(t, c)
 		if acc < 0.9 {
 			t.Errorf("%s: accuracy %.3f < 0.9 on separable data", c.Name(), acc)
 		}
@@ -268,47 +213,79 @@ func TestNonLinearModelsLearnXOR(t *testing.T) {
 	dnnCfg.MaxEpochs = 300
 	dnnCfg.Patience = 30
 	for _, c := range []Classifier{NewRandomForest(rfCfg), NewDNN(dnnCfg)} {
-		if err := c.Fit(train); err != nil {
+		if err := train.fit(c); err != nil {
 			t.Fatalf("%s: %v", c.Name(), err)
 		}
-		if acc := Accuracy(c, test); acc < 0.95 {
+		if acc := test.accuracy(t, c); acc < 0.95 {
 			t.Errorf("%s: XOR accuracy %.3f", c.Name(), acc)
 		}
 	}
 	// Sanity: a linear model cannot beat ~0.75 on XOR.
 	lr := NewLogisticRegression(DefaultLogisticRegressionConfig())
-	lr.Fit(train)
-	if acc := Accuracy(lr, test); acc > 0.8 {
+	if err := train.fit(lr); err != nil {
+		t.Fatal(err)
+	}
+	if acc := test.accuracy(t, lr); acc > 0.8 {
 		t.Errorf("linear model should fail XOR, got %.3f", acc)
 	}
 }
 
 func TestFitRejectsEmptyDataset(t *testing.T) {
+	d := linearDataset(10, 1, 0)
+	var empty SparseRows
+	empty.Resize(d.l, 0)
 	for _, c := range classifiersUnderTest() {
-		if err := c.Fit(nil); err == nil {
-			t.Errorf("%s: nil dataset accepted", c.Name())
+		if err := c.Fit(d.l, nil, nil); !errors.Is(err, ErrEmptyDataset) {
+			t.Errorf("%s: nil rows: err = %v, want ErrEmptyDataset", c.Name(), err)
+		}
+		if err := c.Fit(d.l, &empty, nil); !errors.Is(err, ErrEmptyDataset) {
+			t.Errorf("%s: no rows: err = %v, want ErrEmptyDataset", c.Name(), err)
 		}
 	}
 }
 
+// TestUnfittedProbaIsNeutral: a model that is not fitted has no serving
+// form — Compile and Evaluate refuse it — and the dense reference
+// answers it with no preference.
 func TestUnfittedProbaIsNeutral(t *testing.T) {
+	d := linearDataset(10, 1, 0)
 	for _, c := range classifiersUnderTest() {
-		p := c.Proba([]float64{1, 2, 3})
-		if p[0] != 0.5 || p[1] != 0.5 {
+		if _, err := Compile(c, d.l); !errors.Is(err, ErrNotFitted) {
+			t.Errorf("%s: compile: err = %v, want ErrNotFitted", c.Name(), err)
+		}
+		if _, err := Evaluate(c, d.l, d.rows, d.y); !errors.Is(err, ErrNotFitted) {
+			t.Errorf("%s: evaluate: err = %v, want ErrNotFitted", c.Name(), err)
+		}
+		if p := denseProba(c, []float64{1, 2, 3}); p != [2]float64{0.5, 0.5} {
 			t.Errorf("%s: unfitted proba = %v", c.Name(), p)
 		}
 	}
 }
 
+// score returns the compiled c's probabilities on a row of d's layout
+// holding x.
+func score(t *testing.T, c Classifier, d labelled, x []float64) [2]float64 {
+	t.Helper()
+	sm, err := Compile(c, d.l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows SparseRows
+	rows.Resize(d.l, 1)
+	copy(rows.Row(0).Nums, x)
+	var out [1][2]float64
+	sm.ProbSparse(&rows, out[:])
+	return out[0]
+}
+
 func TestProbabilitiesSumToOne(t *testing.T) {
 	train := linearDataset(400, 30, 0.05)
 	for _, c := range classifiersUnderTest() {
-		if err := c.Fit(train); err != nil {
+		if err := train.fit(c); err != nil {
 			t.Fatal(err)
 		}
-		c := c
 		f := func(a, b, n float64) bool {
-			p := c.Proba([]float64{math.Mod(a, 3), math.Mod(b, 3), math.Mod(n, 1)})
+			p := score(t, c, train, []float64{math.Mod(a, 3), math.Mod(b, 3), math.Mod(n, 1)})
 			return p[0] >= 0 && p[1] >= 0 && math.Abs(p[0]+p[1]-1) < 1e-9
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -325,19 +302,26 @@ func TestDeterministicTraining(t *testing.T) {
 		a.Config.NumTrees = 10
 		a.Config.MaxDepth = 8
 		b := NewRandomForest(a.Config)
-		a.Fit(train)
-		b.Fit(train)
-		pa, pb := a.Proba(probe), b.Proba(probe)
-		if pa != pb {
+		if err := train.fit(a); err != nil {
+			t.Fatal(err)
+		}
+		if err := train.fit(b); err != nil {
+			t.Fatal(err)
+		}
+		if pa, pb := score(t, a, train, probe), score(t, b, train, probe); pa != pb {
 			t.Errorf("same seed, different forests: %v vs %v", pa, pb)
 		}
 	}
 	d1 := NewDNN(DefaultDNNConfig())
 	d1.Config.MaxEpochs = 10
 	d2 := NewDNN(d1.Config)
-	d1.Fit(train)
-	d2.Fit(train)
-	if d1.Proba(probe) != d2.Proba(probe) {
+	if err := train.fit(d1); err != nil {
+		t.Fatal(err)
+	}
+	if err := train.fit(d2); err != nil {
+		t.Fatal(err)
+	}
+	if score(t, d1, train, probe) != score(t, d2, train, probe) {
 		t.Error("same seed, different DNNs")
 	}
 }
@@ -353,8 +337,7 @@ func TestDNNArchitectureMatchesTable7(t *testing.T) {
 		x[i] = make([]float64, 803)
 		x[i][i] = 1
 	}
-	d, _ := NewDataset(x, y, nil)
-	if err := m.Fit(d); err != nil {
+	if err := numericSet(x, y).fit(m); err != nil {
 		t.Fatal(err)
 	}
 	want := []int{803, 50, 2, 2}
@@ -374,7 +357,7 @@ func TestRandomForestRespectsDepthLimit(t *testing.T) {
 	cfg.NumTrees = 5
 	cfg.MaxDepth = 3
 	m := NewRandomForest(cfg)
-	if err := m.Fit(linearDataset(500, 50, 0.1)); err != nil {
+	if err := linearDataset(500, 50, 0.1).fit(m); err != nil {
 		t.Fatal(err)
 	}
 	depth := 0
@@ -393,7 +376,7 @@ func TestLogisticRegressionConvergesEarly(t *testing.T) {
 	cfg := DefaultLogisticRegressionConfig()
 	cfg.Tolerance = 1e-3
 	m := NewLogisticRegression(cfg)
-	if err := m.Fit(linearDataset(200, 60, 0)); err != nil {
+	if err := linearDataset(200, 60, 0).fit(m); err != nil {
 		t.Fatal(err)
 	}
 	if m.Iterations >= cfg.MaxIterations {
@@ -427,7 +410,7 @@ func TestGridSearchPrefersBetterConfig(t *testing.T) {
 		"trees": {1, 15},
 		"depth": {1, 8},
 	}
-	results, err := GridSearch(d, grid, 3, func(p GridPoint) Classifier {
+	results, err := GridSearch(d.l, d.rows, d.y, grid, 3, func(p GridPoint) Classifier {
 		cfg := DefaultRandomForestConfig()
 		cfg.NumTrees = int(p["trees"])
 		cfg.MaxDepth = int(p["depth"])
@@ -451,11 +434,14 @@ func TestGridSearchPrefersBetterConfig(t *testing.T) {
 }
 
 func TestGridSearchErrors(t *testing.T) {
-	if _, err := GridSearch(nil, nil, 2, nil, 1); err == nil {
+	if _, err := GridSearch(nil, nil, nil, nil, 2, nil, 1); err == nil {
 		t.Error("nil dataset accepted")
 	}
 	d := linearDataset(20, 1, 0)
-	if _, err := GridSearch(d, map[string][]float64{}, 2,
+	if _, err := GridSearch(d.l, d.rows, d.y[1:], map[string][]float64{"trees": {1}}, 2, nil, 1); !errors.Is(err, ErrShape) {
+		t.Errorf("short labels: err = %v, want ErrShape", err)
+	}
+	if _, err := GridSearch(d.l, d.rows, d.y, map[string][]float64{}, 2,
 		func(GridPoint) Classifier { return NewLogisticRegression(DefaultLogisticRegressionConfig()) }, 1); err != nil {
 		// Empty grid means a single default point — accept either
 		// behaviour, but it must not panic. Our implementation treats

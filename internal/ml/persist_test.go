@@ -3,6 +3,7 @@ package ml
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -14,7 +15,7 @@ func TestSaveLoadRoundTripAllClassifiers(t *testing.T) {
 		{0.5, 0.5, 0.1}, {-0.8, 0.3, 0.9}, {0.1, -0.9, 0.4},
 	}
 	for _, c := range classifiersUnderTest() {
-		if err := c.Fit(train); err != nil {
+		if err := train.fit(c); err != nil {
 			t.Fatalf("%s: %v", c.Name(), err)
 		}
 		var buf bytes.Buffer
@@ -29,7 +30,7 @@ func TestSaveLoadRoundTripAllClassifiers(t *testing.T) {
 			t.Errorf("kind changed: %s -> %s", c.Name(), loaded.Name())
 		}
 		for _, x := range probes {
-			if got, want := loaded.Proba(x), c.Proba(x); got != want {
+			if got, want := denseProba(loaded, x), denseProba(c, x); got != want {
 				t.Errorf("%s: proba changed after reload: %v vs %v", c.Name(), got, want)
 			}
 		}
@@ -52,7 +53,8 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		`{"kind":"warp-drive","model":{}}`,
 		`{"kind":"rf","model":{"trees":[[{"f":0,"t":1,"l":99,"r":99,"p":0.5}]]}}`,
 		`{"kind":"dnn","model":{"sizes":[3,2],"weights":[[1,2,3]],"biases":[[0,0]]}}`,
-		// Shapes that agree with each other and would still panic Proba:
+		// Shapes that agree with each other and would still panic a
+		// forward pass:
 		// one output unit, a negative width.
 		`{"kind":"dnn","model":{"sizes":[3,1],"weights":[[1,2,3]],"biases":[[0]]}}`,
 		`{"kind":"dnn","model":{"sizes":[-3,0,2],"weights":[[],[]],"biases":[[],[0,0]]}}`,
@@ -66,7 +68,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 
 // TestLoadRejectsChildIndexCycle: child indices used to be checked for
 // range only, so a node that names itself (or any earlier node) as its
-// child loaded, and Proba on the result never returned — one bad model
+// child loaded, and a walk of the result never returned — one bad model
 // file hung the shard that served it.
 func TestLoadRejectsChildIndexCycle(t *testing.T) {
 	cases := []string{
@@ -80,7 +82,7 @@ func TestLoadRejectsChildIndexCycle(t *testing.T) {
 		go func() {
 			m, err := LoadClassifier(strings.NewReader(file))
 			if err == nil {
-				m.Proba([]float64{0, 0})
+				denseProba(m, []float64{0, 0})
 			}
 			done <- err
 		}()
@@ -90,7 +92,7 @@ func TestLoadRejectsChildIndexCycle(t *testing.T) {
 				t.Errorf("%s: err = %v, want ErrBadModelFile", tree, err)
 			}
 		case <-time.After(2 * time.Second):
-			t.Fatalf("%s: loaded, and Proba never returned", tree)
+			t.Fatalf("%s: loaded, and its walk never returned", tree)
 		}
 	}
 }
@@ -104,8 +106,8 @@ func TestLoadAcceptsRetiredConfigKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Proba([]float64{1}); got != [2]float64{0.25, 0.75} {
-		t.Errorf("Proba = %v, want [0.25 0.75]", got)
+	if got := denseProba(m, []float64{1}); got != [2]float64{0.25, 0.75} {
+		t.Errorf("proba = %v, want [0.25 0.75]", got)
 	}
 }
 
@@ -122,7 +124,7 @@ func FuzzLoadClassifier(f *testing.F) {
 		NewRandomForest(RandomForestConfig{NumTrees: 2, MaxDepth: 2}),
 		NewDNN(DNNConfig{HiddenLayers: []int{3}, MaxEpochs: 2, MiniBatch: 20, LearningRate: 0.1}),
 	} {
-		if err := c.Fit(train); err != nil {
+		if err := train.fit(c); err != nil {
 			f.Fatal(err)
 		}
 		var buf bytes.Buffer
@@ -133,6 +135,8 @@ func FuzzLoadClassifier(f *testing.F) {
 	}
 	f.Add([]byte(`{"kind":"rf","model":{"trees":[[{"f":0,"t":0.5,"l":0,"r":0}]]}}`))
 	f.Add([]byte(`{"kind":"dnn","model":{"sizes":[4611686018427387904,4,2],"weights":[[],[1,2,3,4,5,6,7,8]],"biases":[[0,0,0,0],[0,0]]}}`))
+	zero := numericSet([][]float64{make([]float64, 3)}, []int{0})
+	l := zero.l
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := LoadClassifier(bytes.NewReader(data))
 		if err != nil {
@@ -142,8 +146,12 @@ func FuzzLoadClassifier(f *testing.F) {
 			return
 		}
 		// A walk that does not end trips the fuzz worker's own deadline.
-		zero := make([]float64, 8)
-		m.Proba(zero)
+		// What loads is scored the way serving scores it, when it fits
+		// the layout, and by the dense reference either way.
+		if sm, err := Compile(m, l); err == nil {
+			sm.ProbSparse(zero.rows, make([][2]float64, 1))
+		}
+		denseProba(m, make([]float64, 8))
 	})
 }
 
@@ -182,11 +190,9 @@ func TestEncoderSaveLoad(t *testing.T) {
 		}
 	}
 	// Vocabulary order must be preserved exactly.
-	an := e.FeatureNames()
-	bn := loaded.FeatureNames()
-	for i := range an {
-		if an[i] != bn[i] {
-			t.Fatalf("feature names reordered: %v vs %v", an, bn)
+	for i, ind := range e.indexers {
+		if ind != nil && !slices.Equal(ind.values, loaded.indexers[i].values) {
+			t.Fatalf("column %d vocabulary reordered: %v vs %v", i, ind.values, loaded.indexers[i].values)
 		}
 	}
 	if _, err := LoadEncoder(strings.NewReader("junk")); err == nil {

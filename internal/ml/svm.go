@@ -29,7 +29,7 @@ func DefaultSVMConfig() SVMConfig {
 // SVM is a linear support-vector machine trained with hinge-loss
 // mini-batch SGD (step size decaying as stepSize/√t, matching Spark's
 // SVMWithSGD which the paper used). Because a raw SVM only yields a
-// margin, Proba applies Platt scaling fitted on the training margins,
+// margin, its compiled form applies Platt scaling fitted on the training margins,
 // preserving the paper's requirement that every classifier reports a
 // confidence (§6.1).
 type SVM struct {
@@ -48,28 +48,17 @@ func NewSVM(cfg SVMConfig) *SVM { return &SVM{Config: cfg} }
 // Name implements Classifier.
 func (m *SVM) Name() string { return "svm" }
 
-// margin returns w·x + b.
-func (m *SVM) margin(x []float64) float64 {
-	z := m.bias
-	for j, v := range x {
-		if j < len(m.weights) && v != 0 {
-			z += m.weights[j] * v
-		}
-	}
-	return z
-}
-
 // Fit implements Classifier.
-func (m *SVM) Fit(d *Dataset) error {
-	if d == nil || d.Len() == 0 {
-		return ErrEmptyDataset
+func (m *SVM) Fit(l *RowLayout, rows *SparseRows, y []int) error {
+	if err := checkFit(l, rows, y); err != nil {
+		return err
 	}
 	rng := rand.New(rand.NewSource(m.Config.Seed))
-	w := d.Width()
+	w := l.width
 	m.weights = make([]float64, w)
 	m.bias = 0
 
-	batch := int(m.Config.MiniBatchFraction * float64(d.Len()))
+	batch := int(m.Config.MiniBatchFraction * float64(len(y)))
 	if batch < 1 {
 		batch = 1
 	}
@@ -82,19 +71,14 @@ func (m *SVM) Fit(d *Dataset) error {
 	var avgB float64
 	avgN := 0
 	for t := 1; t <= m.Config.MaxIterations; t++ {
-		for j := range grad {
-			grad[j] = 0
-		}
+		clear(grad)
 		gradB := 0.0
 		for k := 0; k < batch; k++ {
-			i := rng.Intn(d.Len())
-			yi := 2.0*float64(d.Y[i]) - 1.0 // {-1, +1}
-			if yi*m.margin(d.X[i]) < 1 {
-				for j, v := range d.X[i] {
-					if v != 0 {
-						grad[j] -= yi * v
-					}
-				}
+			i := rng.Intn(len(y))
+			yi := 2.0*float64(y[i]) - 1.0 // {-1, +1}
+			row := rows.Row(i)
+			if yi*sparseDot(m.bias, m.weights, row, l.numCols) < 1 {
+				sparseAxpy(grad, -yi, row, l.numCols)
 				gradB -= yi
 			}
 		}
@@ -118,23 +102,26 @@ func (m *SVM) Fit(d *Dataset) error {
 		}
 		m.bias = avgB / float64(avgN)
 	}
-	m.fitPlatt(d)
+	m.fitPlatt(l, rows, y)
 	m.fitted = true
 	return nil
 }
 
 // fitPlatt calibrates P(y=1|margin) with a tiny logistic fit on the
-// training margins.
-func (m *SVM) fitPlatt(d *Dataset) {
+// training margins, which it computes once: the hyperplane is fixed.
+func (m *SVM) fitPlatt(l *RowLayout, rows *SparseRows, y []int) {
+	margins := make([]float64, len(y))
+	for i := range margins {
+		margins[i] = sparseDot(m.bias, m.weights, rows.Row(i), l.numCols)
+	}
 	a, b := 1.0, 0.0
 	const iters = 200
-	n := float64(d.Len())
+	n := float64(len(y))
 	for it := 0; it < iters; it++ {
 		var ga, gb float64
-		for i, row := range d.X {
-			mi := m.margin(row)
+		for i, mi := range margins {
 			p := sigmoid(a*mi + b)
-			err := p - float64(d.Y[i])
+			err := p - float64(y[i])
 			ga += err * mi
 			gb += err
 		}
@@ -142,13 +129,4 @@ func (m *SVM) fitPlatt(d *Dataset) {
 		b -= 0.5 * gb / n
 	}
 	m.plattA, m.plattB = a, b
-}
-
-// Proba implements Classifier.
-func (m *SVM) Proba(x []float64) [2]float64 {
-	if !m.fitted {
-		return [2]float64{0.5, 0.5}
-	}
-	p := sigmoid(m.plattA*m.margin(x) + m.plattB)
-	return [2]float64{1 - p, p}
 }

@@ -14,7 +14,7 @@ import (
 
 // fitSmall fits a tiny RF + encoder on a synthetic two-feature
 // problem and returns them with a few probe rows.
-func fitSmall(t *testing.T, seed int) (ml.Classifier, *ml.SchemaEncoder, [][]float64) {
+func fitSmall(t *testing.T, seed int) (ml.Classifier, *ml.SchemaEncoder, *ml.SparseRows) {
 	t.Helper()
 	cols := []ml.ColumnSpec{{Name: "cat"}, {Name: "x", Numeric: true}}
 	enc := ml.NewSchemaEncoder(cols)
@@ -34,18 +34,45 @@ func fitSmall(t *testing.T, seed int) (ml.Classifier, *ml.SchemaEncoder, [][]flo
 	if err := enc.Fit(rows); err != nil {
 		t.Fatal(err)
 	}
-	ds, err := enc.TransformAll(rows, labels)
+	l, err := enc.Layout()
 	if err != nil {
 		t.Fatal(err)
+	}
+	sr := new(ml.SparseRows)
+	sr.Resize(l, len(rows))
+	for i, row := range rows {
+		if err := enc.Transform(row, sr.Row(i)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	cfg := ml.DefaultRandomForestConfig()
 	cfg.NumTrees = 8
 	cfg.MaxDepth = 6
 	rf := ml.NewRandomForest(cfg)
-	if err := rf.Fit(ds); err != nil {
+	if err := rf.Fit(l, sr, labels); err != nil {
 		t.Fatal(err)
 	}
-	return rf, enc, ds.X[:16]
+	probes := make([]int, 16)
+	for i := range probes {
+		probes[i] = i
+	}
+	return rf, enc, sr.Gather(probes)
+}
+
+// scores is what c, compiled against enc's layout, answers on rows.
+func scores(t *testing.T, c ml.Classifier, enc *ml.SchemaEncoder, rows *ml.SparseRows) [][2]float64 {
+	t.Helper()
+	l, err := enc.Layout()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := ml.Compile(c, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([][2]float64, rows.Len())
+	m.ProbSparse(rows, out)
+	return out
 }
 
 func TestRegistrySaveLoadRoundTrip(t *testing.T) {
@@ -82,10 +109,10 @@ func TestRegistrySaveLoadRoundTrip(t *testing.T) {
 	if loadedEnc.Width() != enc.Width() {
 		t.Fatalf("encoder width %d, want %d", loadedEnc.Width(), enc.Width())
 	}
-	for _, x := range probes {
-		a, b := model.Proba(x), loaded.Proba(x)
-		if math.Float64bits(a[1]) != math.Float64bits(b[1]) {
-			t.Fatalf("loaded model diverges: %v vs %v", a, b)
+	want, got := scores(t, model, enc, probes), scores(t, loaded, loadedEnc, probes)
+	for i := range want {
+		if math.Float64bits(want[i][1]) != math.Float64bits(got[i][1]) {
+			t.Fatalf("loaded model diverges: %v vs %v", want[i], got[i])
 		}
 	}
 }
