@@ -174,7 +174,8 @@ func validateDNNState(st *dnnState) error {
 	for l := 0; l < nLayers; l++ {
 		// Every width is checked against a length the file really holds
 		// (by division: the product of two hostile widths can wrap), so
-		// nothing Proba later sizes from it is larger than the file.
+		// nothing a forward pass later sizes from it is larger than the
+		// file.
 		in, out := st.Sizes[l], st.Sizes[l+1]
 		if in < 1 || out < 1 || len(st.Biases[l]) != out ||
 			len(st.Weights[l])%out != 0 || len(st.Weights[l])/out != in {
@@ -208,7 +209,7 @@ func flattenTree(root *treeNode) []flatNode {
 // unflattenTree rebuilds a tree from its node list. SaveClassifier
 // writes preorder, so a child's index is always greater than its
 // parent's; anything else is refused — a child index at or below its
-// parent's can close a cycle, and Proba would walk it forever.
+// parent's can close a cycle, and a walk of it would never end.
 func unflattenTree(flat []flatNode) (*treeNode, error) {
 	if len(flat) == 0 {
 		return nil, fmt.Errorf("%w: empty tree", ErrBadModelFile)
