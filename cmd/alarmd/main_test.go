@@ -164,8 +164,7 @@ func TestServiceConfigBoundsDrains(t *testing.T) {
 	if cfg.Consumer.PollTimeout != 7*time.Millisecond || cfg.Consumer.Metrics != m {
 		t.Errorf("consumer options lost: poll=%s metrics=%p", cfg.Consumer.PollTimeout, cfg.Consumer.Metrics)
 	}
-	if def := core.DefaultConsumerConfig(); cfg.Consumer.ClassifyBatch != def.ClassifyBatch ||
-		cfg.Consumer.HistogramSince != def.HistogramSince || cfg.Consumer.HistogramBucket != def.HistogramBucket {
+	if def := core.DefaultConsumerConfig(); cfg.Consumer.ClassifyBatch != def.ClassifyBatch {
 		t.Errorf("consumer defaults lost: %+v", cfg.Consumer)
 	}
 }

@@ -8,11 +8,18 @@
 //
 //   - ReflectCodec — drives encoding/json, i.e. the generic,
 //     reflection-based path (the "Jackson" analog).
-//   - FastCodec — a hand-rolled, schema-specialized marshaller and
-//     parser with minimal allocation (the "Gson" analog).
+//   - FastCodec — a hand-rolled, schema-specialized marshaller and a
+//     single-pass scanner over the known key set (the "Gson" analog).
 //
-// Both produce interchangeable JSON: bytes written by one codec can be
-// read back by the other.
+// FastCodec has one scanner (scratch.go). Serving runs it through
+// UnmarshalScratch with a per-shard Scratch, which interns the string
+// fields and leaves Payload a view of the record; Unmarshal runs it
+// with no Scratch, so every string is a copy. The package's tests hold
+// it to a plain recursive-descent reference parser that lives in a
+// test file.
+//
+// Both codecs produce interchangeable JSON: bytes written by one codec
+// can be read back by the other.
 package codec
 
 import (
@@ -20,8 +27,6 @@ import (
 	"fmt"
 	"strconv"
 	"time"
-	"unicode/utf16"
-	"unicode/utf8"
 
 	"alarmverify/internal/alarm"
 )
@@ -33,7 +38,8 @@ type Codec interface {
 	// Marshal appends the wire form of a to dst and returns the
 	// extended slice.
 	Marshal(dst []byte, a *alarm.Alarm) ([]byte, error)
-	// Unmarshal parses data into a, overwriting all fields.
+	// Unmarshal parses data into a, overwriting all fields. A record
+	// it rejects leaves a as it was.
 	Unmarshal(data []byte, a *alarm.Alarm) error
 }
 
@@ -95,13 +101,9 @@ func (ReflectCodec) Unmarshal(data []byte, a *alarm.Alarm) error {
 }
 
 func fromWire(w *wireAlarm, a *alarm.Alarm) error {
-	t, ok := alarm.ParseType(w.Type)
-	if !ok {
-		return fmt.Errorf("codec: unknown alarm type %q", w.Type)
-	}
-	o, ok := alarm.ParseObjectType(w.ObjectType)
-	if !ok {
-		return fmt.Errorf("codec: unknown object type %q", w.ObjectType)
+	t, o, err := parseEnums(w.Type, w.ObjectType)
+	if err != nil {
+		return err
 	}
 	a.ID = w.ID
 	a.DeviceMAC = w.DeviceMAC
@@ -117,10 +119,25 @@ func fromWire(w *wireAlarm, a *alarm.Alarm) error {
 	return nil
 }
 
+// parseEnums maps the wire names of the two enumerated fields, alarm
+// type first; both codecs reject an unknown name, the empty name an
+// absent field decodes to included, with the same error text.
+func parseEnums(typeName, objectName string) (alarm.Type, alarm.ObjectType, error) {
+	t, ok := alarm.ParseType(typeName)
+	if !ok {
+		return 0, 0, fmt.Errorf("codec: unknown alarm type %q", typeName)
+	}
+	o, ok := alarm.ParseObjectType(objectName)
+	if !ok {
+		return 0, 0, fmt.Errorf("codec: unknown object type %q", objectName)
+	}
+	return t, o, nil
+}
+
 // FastCodec is the schema-specialized serializer. Marshal writes JSON
-// directly into the destination buffer; Unmarshal is a single-pass
-// scanner over the known key set. Neither path allocates beyond the
-// output strings themselves.
+// directly into the destination buffer; Unmarshal and UnmarshalScratch
+// run one single-pass scanner over the known key set. Neither
+// allocates beyond the output strings themselves.
 type FastCodec struct{}
 
 // Name implements Codec.
@@ -156,14 +173,16 @@ func (FastCodec) Marshal(dst []byte, a *alarm.Alarm) ([]byte, error) {
 	return dst, nil
 }
 
-// Unmarshal implements Codec.
-func (FastCodec) Unmarshal(data []byte, a *alarm.Alarm) error {
-	var w wireAlarm
-	p := parser{buf: data}
-	if err := p.object(&w); err != nil {
-		return fmt.Errorf("codec: fast unmarshal: %w", err)
+// Unmarshal implements Codec. It runs UnmarshalScratch without a
+// Scratch, so every string field is a copy, Payload included, and
+// writes a only once the record has been accepted.
+func (c FastCodec) Unmarshal(data []byte, a *alarm.Alarm) error {
+	var tmp alarm.Alarm
+	if err := c.UnmarshalScratch(data, &tmp, nil); err != nil {
+		return err
 	}
-	return fromWire(&w, a)
+	*a = tmp
+	return nil
 }
 
 // appendJSONString appends s as a quoted JSON string, escaping the
@@ -203,319 +222,4 @@ func hexDigit(b byte) byte {
 		return '0' + b
 	}
 	return 'a' + b - 10
-}
-
-// parser is a minimal single-pass JSON scanner specialized for the
-// flat wireAlarm object.
-type parser struct {
-	buf []byte
-	pos int
-}
-
-func (p *parser) object(w *wireAlarm) error {
-	p.ws()
-	if err := p.expect('{'); err != nil {
-		return err
-	}
-	p.ws()
-	if p.peek() == '}' {
-		p.pos++
-		return nil
-	}
-	for {
-		p.ws()
-		key, err := p.string()
-		if err != nil {
-			return err
-		}
-		p.ws()
-		if err := p.expect(':'); err != nil {
-			return err
-		}
-		p.ws()
-		if err := p.value(key, w); err != nil {
-			return err
-		}
-		p.ws()
-		switch p.peek() {
-		case ',':
-			p.pos++
-		case '}':
-			p.pos++
-			return nil
-		default:
-			return fmt.Errorf("unexpected byte %q at %d", p.peek(), p.pos)
-		}
-	}
-}
-
-func (p *parser) value(key string, w *wireAlarm) error {
-	switch key {
-	case "id":
-		n, err := p.int()
-		w.ID = n
-		return err
-	case "ts":
-		n, err := p.int()
-		w.TimestampUnixMS = n
-		return err
-	case "duration":
-		f, err := p.float()
-		w.Duration = f
-		return err
-	case "deviceMac":
-		s, err := p.string()
-		w.DeviceMAC = s
-		return err
-	case "deviceIp":
-		s, err := p.string()
-		w.DeviceIP = s
-		return err
-	case "zip":
-		s, err := p.string()
-		w.ZIP = s
-		return err
-	case "alarmType":
-		s, err := p.string()
-		w.Type = s
-		return err
-	case "objectType":
-		s, err := p.string()
-		w.ObjectType = s
-		return err
-	case "sensorType":
-		s, err := p.string()
-		w.SensorType = s
-		return err
-	case "softwareVersion":
-		s, err := p.string()
-		w.SoftwareVersion = s
-		return err
-	case "payload":
-		s, err := p.string()
-		w.Payload = s
-		return err
-	default:
-		// Unknown field: skip its value so newer producers stay
-		// compatible with older consumers.
-		return p.skip()
-	}
-}
-
-func (p *parser) ws() {
-	for p.pos < len(p.buf) {
-		switch p.buf[p.pos] {
-		case ' ', '\t', '\n', '\r':
-			p.pos++
-		default:
-			return
-		}
-	}
-}
-
-func (p *parser) peek() byte {
-	if p.pos < len(p.buf) {
-		return p.buf[p.pos]
-	}
-	return 0
-}
-
-func (p *parser) expect(c byte) error {
-	if p.pos >= len(p.buf) || p.buf[p.pos] != c {
-		return fmt.Errorf("expected %q at %d", c, p.pos)
-	}
-	p.pos++
-	return nil
-}
-
-func (p *parser) int() (int64, error) {
-	start := p.pos
-	if p.peek() == '-' {
-		p.pos++
-	}
-	for p.pos < len(p.buf) && p.buf[p.pos] >= '0' && p.buf[p.pos] <= '9' {
-		p.pos++
-	}
-	if p.pos == start {
-		return 0, fmt.Errorf("expected integer at %d", start)
-	}
-	return strconv.ParseInt(string(p.buf[start:p.pos]), 10, 64)
-}
-
-func (p *parser) float() (float64, error) {
-	start := p.pos
-	for p.pos < len(p.buf) {
-		c := p.buf[p.pos]
-		if (c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.' ||
-			c == 'e' || c == 'E' {
-			p.pos++
-			continue
-		}
-		break
-	}
-	if p.pos == start {
-		return 0, fmt.Errorf("expected number at %d", start)
-	}
-	return strconv.ParseFloat(string(p.buf[start:p.pos]), 64)
-}
-
-func (p *parser) string() (string, error) {
-	if err := p.expect('"'); err != nil {
-		return "", err
-	}
-	start := p.pos
-	for p.pos < len(p.buf) {
-		c := p.buf[p.pos]
-		if c == '"' {
-			s := string(p.buf[start:p.pos])
-			p.pos++
-			return s, nil
-		}
-		if c == '\\' {
-			return p.escapedString(start)
-		}
-		p.pos++
-	}
-	return "", fmt.Errorf("unterminated string at %d", start)
-}
-
-// escapedString handles the slow path once the first backslash is
-// seen; start points at the first content byte of the string.
-func (p *parser) escapedString(start int) (string, error) {
-	b, err := p.escapedBytes(start)
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-// escapedBytes decodes a string containing escapes into fresh bytes;
-// start points at the first content byte of the string.
-func (p *parser) escapedBytes(start int) ([]byte, error) {
-	out := append([]byte(nil), p.buf[start:p.pos]...)
-	for p.pos < len(p.buf) {
-		c := p.buf[p.pos]
-		switch {
-		case c == '"':
-			p.pos++
-			return out, nil
-		case c == '\\':
-			p.pos++
-			if p.pos >= len(p.buf) {
-				return nil, fmt.Errorf("truncated escape at %d", p.pos)
-			}
-			e := p.buf[p.pos]
-			p.pos++
-			switch e {
-			case '"', '\\', '/':
-				out = append(out, e)
-			case 'n':
-				out = append(out, '\n')
-			case 'r':
-				out = append(out, '\r')
-			case 't':
-				out = append(out, '\t')
-			case 'b':
-				out = append(out, '\b')
-			case 'f':
-				out = append(out, '\f')
-			case 'u':
-				r, err := p.unicodeEscape()
-				if err != nil {
-					return nil, err
-				}
-				var tmp [utf8.UTFMax]byte
-				out = append(out, tmp[:utf8.EncodeRune(tmp[:], r)]...)
-			default:
-				return nil, fmt.Errorf("bad escape %q at %d", e, p.pos-1)
-			}
-		default:
-			out = append(out, c)
-			p.pos++
-		}
-	}
-	return nil, fmt.Errorf("unterminated string")
-}
-
-func (p *parser) unicodeEscape() (rune, error) {
-	r1, err := p.hex4()
-	if err != nil {
-		return 0, err
-	}
-	if utf16.IsSurrogate(rune(r1)) && p.pos+1 < len(p.buf) &&
-		p.buf[p.pos] == '\\' && p.buf[p.pos+1] == 'u' {
-		p.pos += 2
-		r2, err := p.hex4()
-		if err != nil {
-			return 0, err
-		}
-		return utf16.DecodeRune(rune(r1), rune(r2)), nil
-	}
-	return rune(r1), nil
-}
-
-func (p *parser) hex4() (uint32, error) {
-	if p.pos+4 > len(p.buf) {
-		return 0, fmt.Errorf("truncated \\u escape at %d", p.pos)
-	}
-	var v uint32
-	for i := 0; i < 4; i++ {
-		c := p.buf[p.pos+i]
-		switch {
-		case c >= '0' && c <= '9':
-			v = v<<4 | uint32(c-'0')
-		case c >= 'a' && c <= 'f':
-			v = v<<4 | uint32(c-'a'+10)
-		case c >= 'A' && c <= 'F':
-			v = v<<4 | uint32(c-'A'+10)
-		default:
-			return 0, fmt.Errorf("bad hex digit %q at %d", c, p.pos+i)
-		}
-	}
-	p.pos += 4
-	return v, nil
-}
-
-// skip consumes one arbitrary JSON value (used for unknown fields).
-func (p *parser) skip() error {
-	p.ws()
-	switch c := p.peek(); {
-	case c == '"':
-		_, _, err := p.rawString()
-		return err
-	case c == '{' || c == '[':
-		open, close := c, byte('}')
-		if c == '[' {
-			close = ']'
-		}
-		depth := 0
-		for p.pos < len(p.buf) {
-			switch p.buf[p.pos] {
-			case '"':
-				if _, _, err := p.rawString(); err != nil {
-					return err
-				}
-				continue
-			case open:
-				depth++
-			case close:
-				depth--
-				if depth == 0 {
-					p.pos++
-					return nil
-				}
-			}
-			p.pos++
-		}
-		return fmt.Errorf("unterminated %q", open)
-	default:
-		for p.pos < len(p.buf) {
-			c := p.buf[p.pos]
-			if c == ',' || c == '}' || c == ']' || c == ' ' {
-				return nil
-			}
-			p.pos++
-		}
-		return nil
-	}
 }

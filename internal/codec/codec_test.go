@@ -116,10 +116,11 @@ func TestUnmarshalRejectsUnknownEnums(t *testing.T) {
 	raw := `{"id":1,"deviceMac":"m","deviceIp":"i","zip":"z","ts":0,` +
 		`"duration":0,"alarmType":"earthquake","objectType":"public",` +
 		`"sensorType":"s","softwareVersion":"v"}`
+	const want = `codec: unknown alarm type "earthquake"`
 	for _, c := range codecs() {
 		var a alarm.Alarm
-		if err := c.Unmarshal([]byte(raw), &a); err == nil {
-			t.Errorf("%s: expected error for unknown alarm type", c.Name())
+		if err := c.Unmarshal([]byte(raw), &a); err == nil || err.Error() != want {
+			t.Errorf("%s: error %v, want %s", c.Name(), err, want)
 		}
 	}
 }
@@ -130,6 +131,28 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 		var a alarm.Alarm
 		if err := (FastCodec{}).Unmarshal([]byte(s), &a); err == nil {
 			t.Errorf("fast codec accepted garbage %q", s)
+		}
+	}
+}
+
+// TestUnmarshalRejectLeavesAlarm pins the Codec contract callers rely
+// on: a record Unmarshal rejects leaves the alarm as it was, even when
+// fields before the fault had already scanned (the experiments' replay
+// consumer ignores the error and filters on a zero ID).
+func TestUnmarshalRejectLeavesAlarm(t *testing.T) {
+	rejected := []string{
+		`{"id":5,"alarmType":"nope","objectType":"public"}`,
+		`{"id":7,"deviceMac":"m","zip":"z`,
+	}
+	for _, c := range codecs() {
+		for _, raw := range rejected {
+			a := sampleAlarm()
+			if err := c.Unmarshal([]byte(raw), &a); err == nil {
+				t.Fatalf("%s accepted %q", c.Name(), raw)
+			}
+			if want := sampleAlarm(); !reflect.DeepEqual(a, want) {
+				t.Errorf("%s: rejecting %q rewrote the alarm:\n got %+v\nwant %+v", c.Name(), raw, a, want)
+			}
 		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"time"
+	"unicode/utf16"
+	"unicode/utf8"
 	"unsafe"
 
 	"alarmverify/internal/alarm"
@@ -90,74 +92,71 @@ func (in *Interner) retain(b []byte) string {
 // as a string retained from it does.
 func (in *Interner) newChunk() { in.chunk = make([]byte, 0, internChunk) }
 
-// UnmarshalScratch parses data into a exactly like Unmarshal — the
-// decoded alarm is bit-identical — but routes string fields through
-// the scratch's interner instead of allocating a fresh string per
-// field, and hands Payload out as a view of data: it is valid for as
-// long as data is, and a copy of the alarm that may outlive data must
-// drop it. A nil scratch degrades to per-field copies, Payload
-// included. It is a single-pass scan over the Fig. 11 key set that
-// writes fields straight into a. Numbers
-// parse through a non-retaining view of the input (strconv does not
-// keep its argument), enum names match in place, and string fields
-// intern through the scratch, and the payload — freeform padding no
-// stage reads — is not copied at all but left a view of data. So a
-// record whose field values have been seen before decodes with zero
-// heap allocations, while the decoded alarm stays bit-identical to the
-// copying Unmarshal path.
+// UnmarshalScratch parses data into a with FastCodec's scanner: one
+// pass over the Fig. 11 key set that writes each field into a as it
+// reads it. Numbers parse through a non-retaining view of the input
+// (strconv does not keep its argument) and enum names match in place.
+// With a Scratch, the string fields intern through its Interner, and
+// Payload — freeform padding no stage reads — is not copied at all but
+// left a view of data: it is valid for as long as data is, and a copy
+// of the alarm that may outlive data must drop it. So a record whose
+// field values have been seen before decodes with zero heap
+// allocations. A nil Scratch copies every string, Payload included.
+// A record it rejects may leave a partly written: the pipeline drops
+// such a slot, and Unmarshal decodes into a temporary instead.
 func (FastCodec) UnmarshalScratch(data []byte, a *alarm.Alarm, sc *Scratch) error {
 	var in *Interner
 	if sc != nil {
 		in = sc.strings
 	}
 	p := parser{buf: data}
-	if err := p.objectScratch(a, in); err != nil {
+	typeName, objectName, err := p.record(a, in)
+	if err != nil {
 		return fmt.Errorf("codec: fast unmarshal: %w", err)
 	}
-	return nil
+	a.Type, a.ObjectType, err = parseEnums(viewString(typeName), viewString(objectName))
+	return err
 }
 
-// objectScratch is the scratch-path twin of parser.object + fromWire.
-// Enum validation is deferred to the end so that syntax errors win
-// over unknown-name errors, matching the copying path's error order.
-func (p *parser) objectScratch(a *alarm.Alarm, in *Interner) error {
-	// The copying path always materializes the timestamp through
-	// time.UnixMilli, so an absent "ts" decodes as the epoch, not the
-	// zero time; start from the same state.
+// parser is FastCodec's single-pass JSON scanner, specialized for the
+// flat wire object.
+type parser struct {
+	buf []byte
+	pos int
+}
+
+// record scans one wire object into a and returns the last alarmType
+// and objectType names it read, for the caller to map once the whole
+// record has scanned: a syntax error anywhere wins over an unknown
+// name, and of duplicate keys the last one counts.
+func (p *parser) record(a *alarm.Alarm, in *Interner) (typeName, objectName []byte, err error) {
+	// An absent "ts" decodes as the epoch, not the zero time, as it
+	// does through ReflectCodec.
 	*a = alarm.Alarm{Timestamp: time.UnixMilli(0).UTC()}
-	// Absent enum fields must decode as the zero enum values, exactly
-	// like a zero wireAlarm string matching nothing — but fromWire
-	// rejects the empty name, so mirror that with "invalid unless the
-	// empty name is what was written" semantics: track whether each
-	// enum field parsed to a known name, defaulting to the same error
-	// fromWire raises for a zero-valued wire struct.
-	var badType, badObject []byte
-	typeOK, objectOK := false, false
 	p.ws()
 	if err := p.expect('{'); err != nil {
-		return err
+		return nil, nil, err
 	}
 	p.ws()
 	if p.peek() == '}' {
 		p.pos++
-		return p.enumErrors(badType, badObject, typeOK, objectOK)
+		return nil, nil, nil
 	}
 	for {
 		p.ws()
 		// rawString hands back decoded key bytes whether or not the key
-		// was escaped, so `"id"` dispatches exactly like `"id"` —
-		// matching the copying path.
-		key, _, err := p.rawString()
+		// was escaped, so `"\u0069d"` dispatches like `"id"`.
+		key, err := p.rawString()
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		p.ws()
 		if err := p.expect(':'); err != nil {
-			return err
+			return nil, nil, err
 		}
 		p.ws()
-		if err := p.valueScratch(key, a, in, &badType, &badObject, &typeOK, &objectOK); err != nil {
-			return err
+		if err := p.field(key, a, in, &typeName, &objectName); err != nil {
+			return nil, nil, err
 		}
 		p.ws()
 		switch p.peek() {
@@ -165,113 +164,92 @@ func (p *parser) objectScratch(a *alarm.Alarm, in *Interner) error {
 			p.pos++
 		case '}':
 			p.pos++
-			return p.enumErrors(badType, badObject, typeOK, objectOK)
+			return typeName, objectName, nil
 		default:
-			return fmt.Errorf("unexpected byte %q at %d", p.peek(), p.pos)
+			return nil, nil, fmt.Errorf("unexpected byte %q at %d", p.peek(), p.pos)
 		}
 	}
 }
 
-// enumErrors reports the deferred unknown-enum errors in the same
-// order fromWire checks them: alarm type first, then object type.
-func (p *parser) enumErrors(badType, badObject []byte, typeOK, objectOK bool) error {
-	if !typeOK {
-		return fmt.Errorf("codec: unknown alarm type %q", string(badType))
-	}
-	if !objectOK {
-		return fmt.Errorf("codec: unknown object type %q", string(badObject))
-	}
-	return nil
-}
-
-func (p *parser) valueScratch(key []byte, a *alarm.Alarm, in *Interner,
-	badType, badObject *[]byte, typeOK, objectOK *bool) error {
+// field scans the value of key into its field of a; an enum's name
+// goes to typeName or objectName unmapped, and an unknown key's value
+// is skipped so newer producers stay compatible with older consumers.
+func (p *parser) field(key []byte, a *alarm.Alarm, in *Interner, typeName, objectName *[]byte) (err error) {
 	switch string(key) { // compiles to allocation-free comparisons
 	case "id":
-		n, err := p.intScratch()
-		a.ID = n
-		return err
+		a.ID, err = p.integer()
 	case "ts":
-		n, err := p.intScratch()
-		a.Timestamp = time.UnixMilli(n).UTC()
-		return err
+		var ms int64
+		ms, err = p.integer()
+		a.Timestamp = time.UnixMilli(ms).UTC()
 	case "duration":
-		f, err := p.floatScratch()
-		a.Duration = f
-		return err
+		a.Duration, err = p.number()
 	case "deviceMac":
-		s, err := p.internString(in)
-		a.DeviceMAC = s
-		return err
+		a.DeviceMAC, err = p.internString(in)
 	case "deviceIp":
-		s, err := p.internString(in)
-		a.DeviceIP = s
-		return err
+		a.DeviceIP, err = p.internString(in)
 	case "zip":
-		s, err := p.internString(in)
-		a.ZIP = s
-		return err
+		a.ZIP, err = p.internString(in)
 	case "alarmType":
-		b, _, err := p.rawString()
-		if err != nil {
-			return err
-		}
-		if t, ok := alarm.ParseType(viewString(b)); ok {
-			a.Type = t
-			*typeOK = true
-		} else {
-			*badType = b
-			*typeOK = false
-		}
-		return nil
+		*typeName, err = p.rawString()
 	case "objectType":
-		b, _, err := p.rawString()
-		if err != nil {
-			return err
-		}
-		if o, ok := alarm.ParseObjectType(viewString(b)); ok {
-			a.ObjectType = o
-			*objectOK = true
-		} else {
-			*badObject = b
-			*objectOK = false
-		}
-		return nil
+		*objectName, err = p.rawString()
 	case "sensorType":
-		s, err := p.internString(in)
-		a.SensorType = s
-		return err
+		a.SensorType, err = p.internString(in)
 	case "softwareVersion":
-		s, err := p.internString(in)
-		a.SoftwareVersion = s
-		return err
+		a.SoftwareVersion, err = p.internString(in)
 	case "payload":
 		// Payload is freeform data, not a low-cardinality enum-like
-		// field; interning it would only churn the table. It stays where
-		// it is: a view of the record, or of the bytes rawString decoded
-		// its escapes into, which nothing else refers to.
-		b, _, err := p.rawString()
-		if err != nil {
-			return err
-		}
+		// field; interning it would only churn the table. With a
+		// Scratch it stays where it is: a view of the record, or of the
+		// bytes rawString decoded its escapes into, which nothing else
+		// refers to.
+		var b []byte
+		b, err = p.rawString()
 		if in == nil {
 			a.Payload = string(b)
 		} else {
 			a.Payload = viewString(b)
 		}
-		return nil
 	default:
-		return p.skip()
+		err = p.skip()
 	}
+	return err
+}
+
+func (p *parser) ws() {
+	for p.pos < len(p.buf) {
+		switch p.buf[p.pos] {
+		case ' ', '\t', '\n', '\r':
+			p.pos++
+		default:
+			return
+		}
+	}
+}
+
+func (p *parser) peek() byte {
+	if p.pos < len(p.buf) {
+		return p.buf[p.pos]
+	}
+	return 0
+}
+
+func (p *parser) expect(c byte) error {
+	if p.pos >= len(p.buf) || p.buf[p.pos] != c {
+		return fmt.Errorf("expected %q at %d", c, p.pos)
+	}
+	p.pos++
+	return nil
 }
 
 // rawString scans a JSON string and returns its contents as bytes: a
 // view into the input when the string has no escapes (the hot path),
-// or freshly decoded bytes otherwise. escaped reports which case
-// occurred — views must not outlive the input buffer.
-func (p *parser) rawString() ([]byte, bool, error) {
+// or freshly decoded bytes otherwise. A view must not outlive the
+// input buffer.
+func (p *parser) rawString() ([]byte, error) {
 	if err := p.expect('"'); err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	start := p.pos
 	for p.pos < len(p.buf) {
@@ -279,31 +257,31 @@ func (p *parser) rawString() ([]byte, bool, error) {
 		if c == '"' {
 			b := p.buf[start:p.pos]
 			p.pos++
-			return b, false, nil
+			return b, nil
 		}
 		if c == '\\' {
-			b, err := p.escapedBytes(start)
-			return b, true, err
+			return p.escapedBytes(start)
 		}
 		p.pos++
 	}
-	return nil, false, fmt.Errorf("unterminated string at %d", start)
+	return nil, fmt.Errorf("unterminated string at %d", start)
 }
 
-// internString scans a JSON string and interns its contents.
+// internString scans a JSON string and interns its contents; a nil
+// interner copies them.
 func (p *parser) internString(in *Interner) (string, error) {
-	b, _, err := p.rawString()
+	b, err := p.rawString()
 	if err != nil {
 		return "", err
 	}
 	return in.Intern(b), nil
 }
 
-// intScratch parses an integer without allocating: the digits are
-// handed to strconv through a non-retaining view. Only the error path
+// integer parses an integer without allocating: the digits are handed
+// to strconv through a non-retaining view. Only the error path
 // re-parses from a stable copy (so the returned error cannot alias a
 // buffer the caller later reuses).
-func (p *parser) intScratch() (int64, error) {
+func (p *parser) integer() (int64, error) {
 	start := p.pos
 	if p.peek() == '-' {
 		p.pos++
@@ -322,10 +300,9 @@ func (p *parser) intScratch() (int64, error) {
 	return n, nil
 }
 
-// floatScratch parses a float without allocating, mirroring
-// parser.float byte for byte (strconv.ParseFloat guarantees the
-// decoded value is bit-identical to the copying path's).
-func (p *parser) floatScratch() (float64, error) {
+// number parses a float without allocating, the same way integer
+// parses an integer.
+func (p *parser) number() (float64, error) {
 	start := p.pos
 	for p.pos < len(p.buf) {
 		c := p.buf[p.pos]
@@ -345,6 +322,137 @@ func (p *parser) floatScratch() (float64, error) {
 		return strconv.ParseFloat(string(seg), 64)
 	}
 	return f, nil
+}
+
+// escapedBytes decodes a string containing escapes into fresh bytes;
+// start points at the first content byte of the string.
+func (p *parser) escapedBytes(start int) ([]byte, error) {
+	out := append([]byte(nil), p.buf[start:p.pos]...)
+	for p.pos < len(p.buf) {
+		c := p.buf[p.pos]
+		switch {
+		case c == '"':
+			p.pos++
+			return out, nil
+		case c == '\\':
+			p.pos++
+			if p.pos >= len(p.buf) {
+				return nil, fmt.Errorf("truncated escape at %d", p.pos)
+			}
+			e := p.buf[p.pos]
+			p.pos++
+			switch e {
+			case '"', '\\', '/':
+				out = append(out, e)
+			case 'n':
+				out = append(out, '\n')
+			case 'r':
+				out = append(out, '\r')
+			case 't':
+				out = append(out, '\t')
+			case 'b':
+				out = append(out, '\b')
+			case 'f':
+				out = append(out, '\f')
+			case 'u':
+				r, err := p.unicodeEscape()
+				if err != nil {
+					return nil, err
+				}
+				var tmp [utf8.UTFMax]byte
+				out = append(out, tmp[:utf8.EncodeRune(tmp[:], r)]...)
+			default:
+				return nil, fmt.Errorf("bad escape %q at %d", e, p.pos-1)
+			}
+		default:
+			out = append(out, c)
+			p.pos++
+		}
+	}
+	return nil, fmt.Errorf("unterminated string")
+}
+
+func (p *parser) unicodeEscape() (rune, error) {
+	r1, err := p.hex4()
+	if err != nil {
+		return 0, err
+	}
+	if utf16.IsSurrogate(rune(r1)) && p.pos+1 < len(p.buf) &&
+		p.buf[p.pos] == '\\' && p.buf[p.pos+1] == 'u' {
+		p.pos += 2
+		r2, err := p.hex4()
+		if err != nil {
+			return 0, err
+		}
+		return utf16.DecodeRune(rune(r1), rune(r2)), nil
+	}
+	return rune(r1), nil
+}
+
+func (p *parser) hex4() (uint32, error) {
+	if p.pos+4 > len(p.buf) {
+		return 0, fmt.Errorf("truncated \\u escape at %d", p.pos)
+	}
+	var v uint32
+	for i := 0; i < 4; i++ {
+		c := p.buf[p.pos+i]
+		switch {
+		case c >= '0' && c <= '9':
+			v = v<<4 | uint32(c-'0')
+		case c >= 'a' && c <= 'f':
+			v = v<<4 | uint32(c-'a'+10)
+		case c >= 'A' && c <= 'F':
+			v = v<<4 | uint32(c-'A'+10)
+		default:
+			return 0, fmt.Errorf("bad hex digit %q at %d", c, p.pos+i)
+		}
+	}
+	p.pos += 4
+	return v, nil
+}
+
+// skip consumes one arbitrary JSON value (used for unknown fields).
+func (p *parser) skip() error {
+	p.ws()
+	switch c := p.peek(); {
+	case c == '"':
+		_, err := p.rawString()
+		return err
+	case c == '{' || c == '[':
+		open, close := c, byte('}')
+		if c == '[' {
+			close = ']'
+		}
+		depth := 0
+		for p.pos < len(p.buf) {
+			switch p.buf[p.pos] {
+			case '"':
+				if _, err := p.rawString(); err != nil {
+					return err
+				}
+				continue
+			case open:
+				depth++
+			case close:
+				depth--
+				if depth == 0 {
+					p.pos++
+					return nil
+				}
+			}
+			p.pos++
+		}
+		return fmt.Errorf("unterminated %q", open)
+	default:
+		for p.pos < len(p.buf) {
+			c := p.buf[p.pos]
+			if c == ',' || c == '}' || c == ']' || c == ' ' {
+				return nil
+			}
+			p.pos++
+		}
+		return nil
+	}
 }
 
 // viewString returns a string header over b without copying. The

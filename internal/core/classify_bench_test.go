@@ -34,9 +34,9 @@ func harnessTrain(tb testing.TB, train []alarm.Alarm) *Verifier {
 }
 
 // retrainAlarms is the retrainer's default window at the scale the
-// benchmark harness's devices would fill it: 50 000 alarms (MaxHistory)
-// over 8 000 devices, seed 1; the first 40 000 train, the rest are the
-// 20 % hold-out.
+// benchmark harness's devices would fill it: 50 000 alarms
+// (maxRetrainHistory) over 8 000 devices, seed 1; the first 40 000
+// train, the rest are the 20 % hold-out.
 func retrainAlarms() []alarm.Alarm {
 	cfg := dataset.DefaultSitasysConfig()
 	cfg.NumAlarms, cfg.NumDevices, cfg.Seed = 50000, 8000, 1

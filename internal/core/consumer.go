@@ -62,10 +62,6 @@ type ConsumerConfig struct {
 	// ml.SparseModel call out of one pooled batch of sparse rows.
 	// 0 means the 256 default; 1 reproduces the per-alarm baseline.
 	ClassifyBatch int
-	// HistogramSince and HistogramBucket shape the per-device history
-	// query (§4.1); zero values default to 30 days / 1 day buckets.
-	HistogramSince  time.Duration
-	HistogramBucket time.Duration
 	// MaxPerBatch bounds records drained per micro-batch; 0 leaves the
 	// drain unbounded (it takes everything queued).
 	MaxPerBatch int
@@ -82,14 +78,17 @@ type ConsumerConfig struct {
 }
 
 // DefaultConsumerConfig returns the serving configuration: 256-alarm
-// classify chunks and a 30-day, 1-day-bucket device history.
+// classify chunks.
 func DefaultConsumerConfig() ConsumerConfig {
-	return ConsumerConfig{
-		ClassifyBatch:   256,
-		HistogramSince:  30 * 24 * time.Hour,
-		HistogramBucket: 24 * time.Hour,
-	}
+	return ConsumerConfig{ClassifyBatch: 256}
 }
+
+// histogramSince and histogramBucket shape the per-device history
+// query Persist runs (§4.1): the last 30 days in 1-day buckets.
+const (
+	histogramSince  = 30 * 24 * time.Hour
+	histogramBucket = 24 * time.Hour
+)
 
 // ConsumerApp is the §5.5 Consumer application: it drains alarm
 // batches from the broker, verifies every alarm in real time, and
@@ -139,12 +138,6 @@ func NewConsumerAppFor(cons broker.GroupConsumer, _ int,
 	verifier *Verifier, history *History, cfg ConsumerConfig) *ConsumerApp {
 	if cfg.PollTimeout <= 0 {
 		cfg.PollTimeout = 10 * time.Millisecond
-	}
-	if cfg.HistogramSince <= 0 {
-		cfg.HistogramSince = 30 * 24 * time.Hour
-	}
-	if cfg.HistogramBucket <= 0 {
-		cfg.HistogramBucket = 24 * time.Hour
 	}
 	if cfg.ClassifyBatch <= 0 {
 		cfg.ClassifyBatch = 256

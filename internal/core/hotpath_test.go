@@ -63,8 +63,9 @@ func hotpathApp(t *testing.T, b *broker.Broker, group string, v *Verifier, n int
 	return app
 }
 
-// copyingReference is what the drain replaces: copying polls, the
-// copying FastCodec.Unmarshal, the ID != 0 filter, and a device set.
+// copyingReference is what the drain replaces: copying polls,
+// FastCodec.Unmarshal (every string a copy), the ID != 0 filter, and a
+// device set.
 // It returns the decoded alarms, the device set, the positions after
 // the drain, and how many records it read.
 func copyingReference(t *testing.T, b *broker.Broker, n int) ([]alarm.Alarm, map[string]bool, map[int]int64, int) {
@@ -103,7 +104,7 @@ func copyingReference(t *testing.T, b *broker.Broker, n int) ([]alarm.Alarm, map
 // zero-copy drain: over the same wire records — valid, corrupt, and
 // zero-ID alike — the pooled scratch pipeline must produce the same
 // decoded alarms, the same distinct-device set, and the same offsets
-// as copying polls decoded by the copying codec.
+// as copying polls decoded by Unmarshal.
 func TestFastDrainMatchesCopyingPath(t *testing.T) {
 	_, alarms := testAlarms(600)
 	verifier := fastVerifier(t, alarms[:200])

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -195,16 +196,27 @@ func TestHTTPStatsReflectsHotSwap(t *testing.T) {
 	}
 }
 
+// TestHTTPVerifyRejectsBadPayload pins /verify's 400 body, which
+// hands the codec's error text to the client: one "codec:" prefix, the
+// scanner's position for a syntax error, the name for an unknown enum.
 func TestHTTPVerifyRejectsBadPayload(t *testing.T) {
 	_, srv, _ := newTestService(t)
-	resp, err := http.Post(srv.URL+"/verify", "application/json",
-		bytes.NewReader([]byte("not an alarm")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400", resp.StatusCode)
+	for body, want := range map[string]string{
+		"not an alarm": "bad alarm payload: codec: fast unmarshal: expected '{' at 0\n",
+		`{"id":5,"alarmType":"nope","objectType":"public"}`: "bad alarm payload: codec: unknown alarm type \"nope\"\n",
+	} {
+		resp, err := http.Post(srv.URL+"/verify", "application/json", bytes.NewReader([]byte(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || string(got) != want {
+			t.Errorf("%s: %d %q, want 400 %q", body, resp.StatusCode, got, want)
+		}
 	}
 }
 

@@ -234,7 +234,7 @@ func (c *ConsumerApp) Persist(b *Batch) error {
 		start = time.Now()
 		var since time.Time
 		if len(b.Alarms) > 0 {
-			since = b.Alarms[0].Timestamp.Add(-c.cfg.HistogramSince)
+			since = b.Alarms[0].Timestamp.Add(-histogramSince)
 		}
 		// One batched histogram query for all of the window's devices:
 		// the store answers every per-device histogram in a single
@@ -246,7 +246,7 @@ func (c *ConsumerApp) Persist(b *Batch) error {
 		for i := range b.Devices {
 			c.hist.macs = append(c.hist.macs, b.Devices[i].DeviceMAC)
 		}
-		if err := c.history.deviceHistograms(&c.hist, since, c.cfg.HistogramBucket); err != nil {
+		if err := c.history.deviceHistograms(&c.hist, since, histogramBucket); err != nil {
 			return err
 		}
 		// Committed ⇒ durable: a failed WAL append leaves the store a

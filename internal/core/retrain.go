@@ -29,6 +29,14 @@ var ErrNoHistory = errors.New("core: retrain: not enough history")
 // below this a candidate would be noise.
 const minRetrainHistory = 64
 
+// A retrain pulls at most maxRetrainHistory alarms from the history,
+// most recent first, and holds out the last holdoutFrac of them for
+// the shadow evaluation.
+const (
+	maxRetrainHistory = 50_000
+	holdoutFrac       = 0.2
+)
+
 // RetrainerConfig tunes the background retraining loop.
 type RetrainerConfig struct {
 	// Interval triggers a retrain this long after the previous one
@@ -38,16 +46,6 @@ type RetrainerConfig struct {
 	// have accumulated since the previous retrain (0 disables the
 	// feedback trigger).
 	MinFeedback int
-	// MaxHistory caps the alarms pulled from the history per retrain
-	// (most recent first; 0 selects 50,000).
-	MaxHistory int
-	// HoldoutFrac is the tail fraction of the history window held out
-	// for shadow evaluation (0 selects 0.2).
-	HoldoutFrac float64
-	// Epsilon is the accuracy slack when comparing the candidate to
-	// the live model: the candidate is admitted when
-	// candidate >= live - Epsilon. Zero means strictly no worse.
-	Epsilon float64
 	// Verifier configures candidate training (algorithm, Δt, extras,
 	// risk). Its Classifier field is ignored — refitting a shared
 	// classifier instance would mutate the model being served; use
@@ -115,12 +113,6 @@ type Retrainer struct {
 // reg may be nil: candidates are then swapped without being persisted
 // (useful for tests and in-memory experiments).
 func NewRetrainer(live *Verifier, history *History, reg *modelreg.Registry, cfg RetrainerConfig) *Retrainer {
-	if cfg.MaxHistory <= 0 {
-		cfg.MaxHistory = 50_000
-	}
-	if cfg.HoldoutFrac <= 0 || cfg.HoldoutFrac >= 1 {
-		cfg.HoldoutFrac = 0.2
-	}
 	if cfg.CheckEvery <= 0 {
 		cfg.CheckEvery = 50 * time.Millisecond
 		if cfg.Interval > 0 {
@@ -210,7 +202,7 @@ func (r *Retrainer) loop() {
 
 // RetrainNow runs one synchronous retrain: pull history + feedback,
 // fit a candidate, shadow-evaluate candidate vs live on a shared
-// holdout, and — only if the candidate is no worse (within Epsilon) —
+// holdout, and — only if the candidate is no worse than live —
 // register it and atomically swap it live. Safe to call concurrently
 // with serving; concurrent RetrainNow calls are serialized by the
 // training cost, not a lock, so callers should avoid overlapping
@@ -220,7 +212,7 @@ func (r *Retrainer) RetrainNow() (RetrainResult, error) {
 	r.stats.Attempts++
 	r.mu.Unlock()
 
-	alarms, err := r.history.RecentAlarms(r.cfg.MaxHistory)
+	alarms, err := r.history.RecentAlarms(maxRetrainHistory)
 	if err != nil {
 		return RetrainResult{}, err
 	}
@@ -238,7 +230,7 @@ func (r *Retrainer) RetrainNow() (RetrainResult, error) {
 		return RetrainResult{}, err
 	}
 
-	holdN := int(float64(len(alarms)) * r.cfg.HoldoutFrac)
+	holdN := int(float64(len(alarms)) * holdoutFrac)
 	if holdN < 1 {
 		holdN = 1
 	}
@@ -289,7 +281,7 @@ func (r *Retrainer) RetrainNow() (RetrainResult, error) {
 		FeedbackRecords:   feedbackUsed,
 		HoldoutRecords:    len(holdout),
 	}
-	if res.CandidateAccuracy+r.cfg.Epsilon < res.LiveAccuracy {
+	if res.CandidateAccuracy < res.LiveAccuracy {
 		// Shadow evaluation lost: keep serving the proven model.
 		r.finish(res, fbSeen)
 		return res, nil

@@ -140,6 +140,7 @@ type Env struct {
 	alarms    []alarm.Alarm
 	incOnce   sync.Once
 	incidents []textproc.Incident
+	incStats  textproc.PipelineStats
 	riskModel *risk.Model
 }
 
@@ -181,7 +182,7 @@ func (e *Env) Incidents() []textproc.Incident {
 		cfg.NumLocations = e.Scale.IncidentPlaces
 		reports := dataset.GenerateIncidentReports(e.World(), cfg)
 		pipeline := textproc.NewPipeline(e.World().Gaz.Names())
-		e.incidents, _ = pipeline.Process(reports)
+		e.incidents, e.incStats = pipeline.Process(reports)
 		e.riskModel = risk.BuildModel(e.World().Gaz, e.incidents)
 	})
 	return e.incidents

@@ -471,8 +471,10 @@ func TestFig6Stats(t *testing.T) {
 func TestFig8AndCorpus(t *testing.T) {
 	env := NewEnv(tinyScale())
 	m := Fig8(env, 40, 12)
-	if !strings.Contains(m, "Security map") {
-		t.Error("map render broken")
+	for _, want := range []string{"annotated incidents", "Security map", "highest-risk locations", "NRF="} {
+		if !strings.Contains(m, want) {
+			t.Errorf("fig8 output lacks %q:\n%s", want, m)
+		}
 	}
 	st := CorpusStats(env)
 	if st.Total == 0 || st.German == 0 || st.French == 0 || st.English == 0 {

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 
 	"alarmverify/internal/dataset"
 	"alarmverify/internal/risk"
@@ -31,9 +33,33 @@ func RenderFig6(perYear []dataset.LFBYearStats, falseRatio float64) string {
 		100*falseRatio) + renderTable(header, rows)
 }
 
-// Fig8 renders the security map over the incident-derived risk model.
+// Fig8 renders the security map over the incident-derived risk model,
+// after the counts of the text pipeline behind it (reports collected,
+// relevant after the topic filter, annotated) and before the eight
+// locations of highest normalized risk, the map's red zones.
 func Fig8(env *Env, width, height int) string {
-	return risk.SecurityMap{Width: width, Height: height}.Render(env.RiskModel())
+	model := env.RiskModel()
+	var b strings.Builder
+	fmt.Fprintf(&b, "collected %d reports, %d relevant after topic filter, %d annotated incidents\n",
+		env.incStats.Collected, env.incStats.Relevant, len(env.Incidents()))
+	b.WriteString(risk.SecurityMap{Width: width, Height: height}.Render(model))
+	type hot struct {
+		name string
+		nrf  float64
+		n    int
+	}
+	var hots []hot
+	for _, p := range env.World().Gaz.Places() {
+		if n := model.IncidentCount(p.Name); n > 0 {
+			hots = append(hots, hot{p.Name, model.FactorByZIP(p.ZIPs[0], risk.Normalized), n})
+		}
+	}
+	sort.SliceStable(hots, func(i, j int) bool { return hots[i].nrf > hots[j].nrf })
+	b.WriteString("\nhighest-risk locations (normalized risk factor):\n")
+	for _, h := range hots[:min(8, len(hots))] {
+		fmt.Fprintf(&b, "  %-24s NRF=%.3f (%d incidents)\n", h.name, h.nrf, h.n)
+	}
+	return b.String()
 }
 
 // Table1 documents the feature correspondence across the three
