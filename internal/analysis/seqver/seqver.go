@@ -17,9 +17,11 @@
 // a call to one of a column's mutating methods (set, gather) on a
 // column reached through the partition — p.cols[s], p.col(s),
 // p.colLocked(s), or a local variable bound to one of those — counts as
-// a mutation of p.cols. Fresh values built inside the same function
-// (constructors, recovery) are exempt — they are unpublished and have
-// no readers yet.
+// a mutation of p.cols. The id column is a lane, so a lane mutator
+// (push, truncate) called on a guarded field — p.ids.push(id) — counts
+// as a mutation of that field. Fresh values built inside the same
+// function (constructors, recovery) are exempt — they are unpublished
+// and have no readers yet.
 package seqver
 
 import (
@@ -44,10 +46,12 @@ var guardedFields = map[string]bool{
 	"ids": true, "cols": true, "index": true, "indexes": true,
 }
 
-// columnMutators are the column methods that write row data, and
-// columnGetters the partition methods that hand out a column.
+// columnMutators are the column methods that write row data,
+// laneMutators the lane methods that do, and columnGetters the
+// partition methods that hand out a column.
 var (
 	columnMutators = map[string]bool{"set": true, "gather": true}
+	laneMutators   = map[string]bool{"push": true, "truncate": true}
 	columnGetters  = map[string]bool{"col": true, "colLocked": true}
 )
 
@@ -115,9 +119,16 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
 				}
 			}
 			// p.cols[s].set(...), p.colLocked(s).set(...), col.gather(...).
-			if recv, name := analysis.CallName(t); recv != nil && columnMutators[name] {
+			recv, name := analysis.CallName(t)
+			if recv != nil && columnMutators[name] {
 				if base := columnOwner(pass, recv, cols); base != nil {
 					report(base, "cols", t.Pos())
+				}
+			}
+			// p.ids.push(id), p.ids.truncate(n).
+			if recv != nil && laneMutators[name] {
+				if base, field, ok := guardedTarget(pass, recv); ok {
+					report(base, field, t.Pos())
 				}
 			}
 		}

@@ -11,10 +11,16 @@ type column struct{ vals []string }
 func (c *column) set(v string)  { c.vals = append(c.vals, v) }
 func (c *column) gather(lo int) { c.vals = c.vals[:lo] }
 
+// lane holds the id column; push and truncate write it.
+type lane []string
+
+func (l *lane) push(v string)  { *l = append(*l, v) }
+func (l *lane) truncate(n int) { *l = (*l)[:n] }
+
 type partition struct {
 	mu   sync.RWMutex
 	cols map[string]*column
-	ids  []string
+	ids  lane
 }
 
 func (p *partition) colLocked(k string) *column { return p.cols[k] }
@@ -55,6 +61,14 @@ func (p *partition) unguardedCompact() {
 	for _, col := range p.cols {
 		col.gather(0) // want `mutation of p\.cols outside a write section`
 	}
+}
+
+// The id column changes through its lane's own methods too.
+func (p *partition) unguardedIDPush(k string) {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	p.ids.push(k)     // want `mutation of p\.ids outside a write section`
+	p.ids.truncate(0) // want `mutation of p\.ids outside a write section`
 }
 
 func (p *partition) recoveryRebuild(k, v string) {

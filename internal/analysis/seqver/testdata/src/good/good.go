@@ -11,10 +11,16 @@ type column struct{ vals []string }
 func (c *column) set(v string)  { c.vals = append(c.vals, v) }
 func (c *column) gather(lo int) { c.vals = c.vals[:lo] }
 
+// lane holds the id column; push and truncate write it.
+type lane []string
+
+func (l *lane) push(v string)  { *l = append(*l, v) }
+func (l *lane) truncate(n int) { *l = (*l)[:n] }
+
 type partition struct {
 	mu   sync.RWMutex
 	cols map[string]*column
-	ids  []string
+	ids  lane
 }
 
 func (p *partition) colLocked(k string) *column { return p.cols[k] }
@@ -29,6 +35,18 @@ func (p *partition) guardedInsert(k, v string) {
 func (p *partition) insertLocked(k, v string) {
 	p.cols[k] = &column{vals: []string{v}}
 	p.ids = append(p.ids, k)
+}
+
+func (p *partition) guardedIDPush(k string) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.ids.push(k)
+	p.ids.truncate(0)
+}
+
+func (p *partition) pushIDLocked(k string) {
+	p.ids.push(k)
+	p.ids.truncate(0)
 }
 
 func (p *partition) guardedCellWrite(k, v string) {

@@ -104,7 +104,7 @@ func TestTrainRowsMatchDenseFit(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			labeled := dataset.ToLabeled(alarms, cfg.DeltaT, cfg.IncludeExtras)
+			labeled := dataset.ToLabeled(alarms, cfg.DeltaT)
 			for i := range labeled {
 				if verdict, ok := feedback[alarms[i].ID]; ok {
 					labeled[i].Label = verdict

@@ -72,8 +72,6 @@ type VerifierConfig struct {
 	// DeltaT is the duration threshold of the label heuristic
 	// (§5.1.1); the paper's best setting is 1 minute.
 	DeltaT time.Duration
-	// IncludeExtras keeps sensor-specific features.
-	IncludeExtras bool
 	// Risk enables the hybrid approach: a-priori risk factors from
 	// the incident history are appended as a model feature.
 	Risk     *risk.Model
@@ -84,9 +82,8 @@ type VerifierConfig struct {
 // forest on all features with Δt = 1 min.
 func DefaultVerifierConfig() VerifierConfig {
 	return VerifierConfig{
-		Algorithm:     RandomForest,
-		DeltaT:        time.Minute,
-		IncludeExtras: true,
+		Algorithm: RandomForest,
+		DeltaT:    time.Minute,
 	}
 }
 
@@ -173,7 +170,7 @@ func TrainWithFeedback(history []alarm.Alarm, feedback map[int64]alarm.Label, cf
 	if cfg.DeltaT <= 0 {
 		cfg.DeltaT = time.Minute
 	}
-	labeled := dataset.ToLabeled(history, cfg.DeltaT, cfg.IncludeExtras)
+	labeled := dataset.ToLabeled(history, cfg.DeltaT)
 	for i := range labeled {
 		if verdict, ok := feedback[history[i].ID]; ok {
 			labeled[i].Label = verdict

@@ -97,7 +97,7 @@ func TestSitasysGeneratorShape(t *testing.T) {
 	}
 	// Roughly balanced classes at Δt = 1 min (the paper's data is in
 	// "roughly equal proportions of true and false alarms").
-	labeled := ToLabeled(alarms, time.Minute, true)
+	labeled := ToLabeled(alarms, time.Minute)
 	pos := 0
 	for _, la := range labeled {
 		pos += int(la.Label)
@@ -125,25 +125,21 @@ func TestToLabeledHeuristic(t *testing.T) {
 		{Duration: 120, Type: alarm.TypeIntrusion, ObjectType: alarm.ObjectResidential,
 			ZIP: "1001", Timestamp: time.Date(2016, 1, 9, 3, 0, 0, 0, time.UTC)},
 	}
-	labeled := ToLabeled(alarms, time.Minute, false)
+	labeled := ToLabeled(alarms, time.Minute)
 	if labeled[0].Label != alarm.False || labeled[1].Label != alarm.True {
 		t.Errorf("duration heuristic broken: %+v", labeled)
 	}
 	if labeled[0].HourOfDay != 14 || labeled[1].DayOfWeek != 6 {
 		t.Errorf("time features wrong: %+v", labeled)
 	}
-	if len(labeled[0].Extras) != 0 {
-		t.Error("extras present without includeExtras")
-	}
-	withExtras := ToLabeled(alarms, time.Minute, true)
-	if len(withExtras[0].Extras) != 2 {
-		t.Errorf("extras = %v", withExtras[0].Extras)
+	if len(labeled[0].Extras) != 2 {
+		t.Errorf("extras = %v", labeled[0].Extras)
 	}
 }
 
 func TestEncodeShapes(t *testing.T) {
 	_, alarms := smallSitasys(2000)
-	labeled := ToLabeled(alarms, time.Minute, true)
+	labeled := ToLabeled(alarms, time.Minute)
 	l, rows, y, err := Encode(labeled)
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +173,7 @@ func TestEncodeShapes(t *testing.T) {
 
 func TestEncodeWithRisk(t *testing.T) {
 	w, alarms := smallSitasys(1000)
-	labeled := ToLabeled(alarms, time.Minute, false)
+	labeled := ToLabeled(alarms, time.Minute)
 	// Risk from a trivial incident model.
 	var incidents []textproc.Incident
 	for _, p := range w.Gaz.Places()[:20] {
@@ -214,7 +210,7 @@ func TestSitasysAccuracyShape(t *testing.T) {
 	_, alarms := smallSitasys(24_000)
 	rng := rand.New(rand.NewSource(99))
 
-	trainF, testF := halves(t, ToLabeled(alarms, time.Minute, true), rng)
+	trainF, testF := halves(t, ToLabeled(alarms, time.Minute), rng)
 
 	rfCfg := ml.DefaultRandomForestConfig()
 	rfCfg.NumTrees = 40
@@ -236,7 +232,11 @@ func TestSitasysAccuracyShape(t *testing.T) {
 	}
 
 	// Generic features only → several points lower (transfer story).
-	trainG, testG := halves(t, ToLabeled(alarms, time.Minute, false), rand.New(rand.NewSource(99)))
+	generic := ToLabeled(alarms, time.Minute)
+	for i := range generic {
+		generic[i].Extras = nil
+	}
+	trainG, testG := halves(t, generic, rand.New(rand.NewSource(99)))
 	rfGenAcc := fitScore(t, ml.NewRandomForest(rfCfg), trainG, testG)
 	if rfGenAcc > rfAcc-0.015 {
 		t.Errorf("generic features (%.3f) should trail sensor-specific (%.3f)", rfGenAcc, rfAcc)
@@ -255,7 +255,7 @@ func TestDeltaTStability(t *testing.T) {
 	rfCfg.MaxDepth = 20
 	var accs []float64
 	for _, dt := range []time.Duration{time.Minute, 5 * time.Minute, 10 * time.Minute} {
-		train, test := halves(t, ToLabeled(alarms, dt, true), rand.New(rand.NewSource(3)))
+		train, test := halves(t, ToLabeled(alarms, dt), rand.New(rand.NewSource(3)))
 		accs = append(accs, fitScore(t, ml.NewRandomForest(rfCfg), train, test))
 	}
 	for i, a := range accs {

@@ -12,31 +12,27 @@ import (
 
 // ToLabeled converts raw alarms into generic training records using
 // the paper's duration-threshold label heuristic (§5.1.1): alarms
-// reset within deltaT are labelled false.
-//
-// includeExtras keeps the Sitasys-specific sensor features (sensor
-// type, software version) that push accuracy above 90 %; the
-// transfer experiments (London, San Francisco) use generic features
-// only.
-func ToLabeled(alarms []alarm.Alarm, deltaT time.Duration, includeExtras bool) []alarm.LabeledAlarm {
+// reset within deltaT are labelled false. Every record keeps the
+// Sitasys-specific sensor features (sensor type, software version)
+// that push accuracy above 90 %; the transfer experiments (London, San
+// Francisco) build generic records of their own (LFBToLabeled,
+// SFToLabeled).
+func ToLabeled(alarms []alarm.Alarm, deltaT time.Duration) []alarm.LabeledAlarm {
 	out := make([]alarm.LabeledAlarm, len(alarms))
 	for i := range alarms {
 		a := &alarms[i]
-		la := alarm.LabeledAlarm{
+		out[i] = alarm.LabeledAlarm{
 			Location:     a.ZIP,
 			PropertyType: a.ObjectType.String(),
 			HourOfDay:    a.HourOfDay(),
 			DayOfWeek:    a.DayOfWeek(),
 			AlarmType:    a.Type.String(),
 			Label:        alarm.DurationLabel(time.Duration(a.Duration*float64(time.Second)), deltaT),
-		}
-		if includeExtras {
-			la.Extras = []alarm.Extra{
+			Extras: []alarm.Extra{
 				{Name: "sensorType", Value: a.SensorType},
 				{Name: "softwareVersion", Value: a.SoftwareVersion},
-			}
+			},
 		}
-		out[i] = la
 	}
 	return out
 }
@@ -178,9 +174,9 @@ type AlarmEncoder struct {
 
 // NewAlarmEncoder binds enc to live alarms. extras says whether the
 // encoder was fitted with the Sitasys sensor features (ToLabeled's
-// includeExtras), riskModel — nil for none — supplies the a-priori risk
-// feature. An encoder with other columns than that schema has is
-// refused with ml.ErrBadModelFile.
+// records carry them; a loaded model's schema says), riskModel — nil
+// for none — supplies the a-priori risk feature. An encoder with other
+// columns than that schema has is refused with ml.ErrBadModelFile.
 func NewAlarmEncoder(enc *ml.SchemaEncoder, extras bool, riskModel *risk.Model, kind risk.Kind) (*AlarmEncoder, error) {
 	layout, err := enc.Layout()
 	if err != nil {

@@ -4,6 +4,7 @@ package docstore
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"runtime"
 	"runtime/debug"
@@ -131,5 +132,76 @@ func TestColumnAppendAllocBudget(t *testing.T) {
 	t.Logf("%d rows of %d fields appended: %d allocations, %d of them the lanes' chunks", rows, len(row), allocs, chunks)
 	if allocs > chunks {
 		t.Fatalf("%d rows of %d fields appended: %d allocations, budget the lanes' %d", rows, len(row), allocs, chunks)
+	}
+}
+
+// TestIDColumnAllocBudget: a partition's id column is a lane like every
+// field's values, so appending ids allocates the lane's chunks and
+// nothing else, and a checkpoint's capture (copyLocked) shares them.
+// Before, the ids were one slice that regrew by copy as it filled, and
+// copyLocked copied all of it under the write lock: 805 KB at 100 000
+// rows, where sharing leaves the chunk lists and the columns' headers.
+func TestIDColumnAllocBudget(t *testing.T) {
+	const rows = 100_000
+	c := NewDBWithPartitions(1).Collection("x")
+	fields := []string{"alarmId", "deviceMac", "ts", "type", "location", "lat", "lon", "zone"}
+	row := []Cell{
+		Int64(7), String("00:1a:2b:3c:4d:5e"), Float(1.7e9), String("fire"), String("Zürich"),
+		Float(47.37), Float(8.54), Cell{kind: kindInt, num: 3},
+	}
+	batch := c.NewRows(fields...)
+	for r := 0; r < rows; r++ {
+		copy(batch.Next(), row)
+	}
+	c.InsertRows(batch)
+	p := c.parts[0]
+	// A collection during a measurement would count the runtime's own
+	// allocations too.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// Mallocs and TotalAlloc count the whole process, so a goroutine of
+	// the test binary's can land in a window: each figure is the least of
+	// a few trials.
+	var before, after runtime.MemStats
+	captured := uint64(math.MaxUint64)
+	for trial := 0; trial < 3; trial++ {
+		p.mu.Lock()
+		runtime.ReadMemStats(&before)
+		snap := p.copyLocked()
+		runtime.ReadMemStats(&after)
+		p.mu.Unlock()
+		if snap.ids.len() != rows {
+			t.Fatalf("the capture holds %d of %d ids", snap.ids.len(), rows)
+		}
+		captured = min(captured, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("copyLocked of %d rows of %d fields: %d B", rows, len(fields), captured)
+	if captured > 16<<10 {
+		t.Fatalf("copyLocked of %d rows of %d fields allocates %d B, budget 16 KB", rows, len(fields), captured)
+	}
+
+	// The lane allocates its chunk list, chunk 0 at each size it doubles
+	// through (together less than two full chunks), and every later
+	// chunk: objects and bytes both. The object count alone would not
+	// tell a regrown slice (28 allocations to 100 000 ids) from the
+	// lane; the bytes do (about 4 MB of copies).
+	appended, bytes := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	var chunks, chunkBytes uint64
+	for trial := 0; trial < 3; trial++ {
+		q := newPartition(p.dict)
+		runtime.ReadMemStats(&before)
+		for r := 0; r < rows; r++ {
+			q.appendRowLocked(int64(r), nil, nil)
+		}
+		runtime.ReadMemStats(&after)
+		appended = min(appended, after.Mallocs-before.Mallocs)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		full := uint64(len(q.ids.chunks) - 1)
+		chunks = 1 + uint64(bits.Len(chunkRows/firstChunkRows)) + full
+		chunkBytes = 8 * (2 + full) * chunkRows
+	}
+	t.Logf("%d ids appended: %d allocations (%d B), %d of them the lane's chunks", rows, appended, bytes, chunks)
+	if appended > chunks+2 || bytes > chunkBytes+4<<10 { // the chunk list's own growth past 8 chunks
+		t.Fatalf("%d ids appended: %d allocations (%d B), budget the lane's %d chunks (%d B) + 2 (4 KB)",
+			rows, appended, bytes, chunks, chunkBytes)
 	}
 }

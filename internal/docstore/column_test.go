@@ -12,7 +12,7 @@ import (
 
 // laneRows returns every row a lane holds, checking its layout on the
 // way: every chunk but the last is full, chunk 0 holds at most chunkRows
-// and a later chunk exactly chunkRows.
+// and a later chunk exactly chunkRows, and len counts every row.
 func laneRows(t *testing.T, l *lane[int]) []int {
 	t.Helper()
 	var out []int
@@ -24,6 +24,9 @@ func laneRows(t *testing.T, l *lane[int]) []int {
 			t.Fatalf("chunk %d of %d holds %d of %d rows", k, len(l.chunks), len(ch), cap(ch))
 		}
 		out = append(out, ch...)
+	}
+	if l.len() != len(out) {
+		t.Fatalf("len() = %d, the chunks hold %d rows", l.len(), len(out))
 	}
 	for r := range out {
 		if got := l.at(r); got != out[r] {

@@ -401,12 +401,13 @@ func (c *Collection) TailRows(n int, rows *Rows) {
 	c.forEach(0, len(c.parts), nil, func(i int, p *partition) error {
 		p.mu.RLock()
 		defer p.mu.RUnlock()
-		lo, hi := 0, len(p.ids)
+		lo, hi := 0, p.ids.len()
 		if n > 0 && hi > n {
 			lo = hi - n
 		}
-		run := run{ids: append([]int64(nil), p.ids[lo:hi]...), cells: make([]Cell, 0, (hi-lo)*w)}
+		run := run{ids: make([]int64, 0, hi-lo), cells: make([]Cell, 0, (hi-lo)*w)}
 		for r := lo; r < hi; r++ {
+			run.ids = append(run.ids, p.ids.at(r))
 			for _, s := range rows.slots {
 				run.cells = append(run.cells, p.col(s).cell(r))
 			}

@@ -52,7 +52,7 @@ func findDocs(c *Collection, conds ...Cond) ([]Doc, error) {
 	err := c.forEach(lo, hi, nil, func(_ int, p *partition) error {
 		p.mu.RLock()
 		defer p.mu.RUnlock()
-		return p.forEachMatch(f, 0, func(r int) { all = append(all, match{p.ids[r], rowDoc(p, r)}) })
+		return p.forEachMatch(f, 0, func(r int) { all = append(all, match{p.ids.at(r), rowDoc(p, r)}) })
 	})
 	if err != nil || len(all) == 0 {
 		return nil, err
@@ -86,7 +86,7 @@ func rowDoc(p *partition, r int) Doc {
 			d[names[s]] = col.cell(r).value()
 		}
 	}
-	d["_id"] = p.ids[r]
+	d["_id"] = p.ids.at(r)
 	return d
 }
 

@@ -613,10 +613,10 @@ func (c *Collection) checkpointPartition(pi int) error {
 // copyLocked captures the partition's rows for the checkpointer to encode
 // after it has released the lock. The lanes' chunks are shared: writers
 // append past the captured rows, and a gather refills fresh memory
-// (lane.truncate). Copied are the ids and the presence bitmap (set ORs
-// bits into words it shares).
+// (lane.truncate). Copied is only a sparse column's presence bitmap
+// (set ORs bits into words it shares).
 func (p *partition) copyLocked() *partition {
-	snap := &partition{dict: p.dict, ids: append([]int64(nil), p.ids...), cols: make([]*column, len(p.cols))}
+	snap := &partition{dict: p.dict, ids: p.ids.share(), cols: make([]*column, len(p.cols))}
 	for s, col := range p.cols {
 		if col == nil {
 			continue
@@ -636,7 +636,7 @@ const snapshotFrameRows = 1024
 // the rows in the WAL's own row frames.
 func (dc *durableCollection) writeSnapshot(pi int, epoch uint64, snap *partition, nextID int64) error {
 	return replaceFileSync(dc.snapPath(pi, epoch), func(w *bufio.Writer) error {
-		hdr, err := json.Marshal(snapHeader{Count: len(snap.ids), NextID: nextID})
+		hdr, err := json.Marshal(snapHeader{Count: snap.ids.len(), NextID: nextID})
 		if err != nil {
 			return err
 		}
@@ -656,14 +656,14 @@ func (dc *durableCollection) writeSnapshot(pi int, epoch uint64, snap *partition
 			}
 			return cells
 		}
-		for lo := 0; lo < len(snap.ids); lo += snapshotFrameRows {
-			hi := min(lo+snapshotFrameRows, len(snap.ids))
+		for lo := 0; lo < snap.ids.len(); lo += snapshotFrameRows {
+			hi := min(lo+snapshotFrameRows, snap.ids.len())
 			for r := lo; r < hi; r++ {
 				enc.define(slots, row(r))
 			}
 			enc.begin(names, hi-lo)
 			for r := lo; r < hi; r++ {
-				enc.add(snap.ids[r], slots, row(r))
+				enc.add(snap.ids.at(r), slots, row(r))
 			}
 			if _, err := w.Write(enc.finish()); err != nil {
 				return err
@@ -877,8 +877,8 @@ func loadSnapshot(p *partition, path string, maxID *int64) (int64, error) {
 		return 0, err
 	case hdr == nil:
 		return 0, fmt.Errorf("truncated snapshot %s: bad header", filepath.Base(path))
-	case len(p.ids) != hdr.Count:
-		return 0, fmt.Errorf("truncated snapshot %s: %d of %d documents", filepath.Base(path), len(p.ids), hdr.Count)
+	case p.ids.len() != hdr.Count:
+		return 0, fmt.Errorf("truncated snapshot %s: %d of %d documents", filepath.Base(path), p.ids.len(), hdr.Count)
 	}
 	return hdr.NextID, nil
 }

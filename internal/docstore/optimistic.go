@@ -14,7 +14,7 @@ import (
 // count — its groups, keyed by the plan's signature (countGroups,
 // pushdown.go) — together with a mark: the number of rows folded into
 // it. The next ask, under the partition's read lock, folds only rows
-// [mark, len(ids)) through the plan's filter and moves the mark to the
+// [mark, ids.len()) through the plan's filter and moves the mark to the
 // tail; an ask costs the rows appended since the last one plus the
 // groups it copies out, whatever the history's size. Rows arrive in
 // ascending id order, so the advanced partial — a group's identity is
@@ -133,7 +133,7 @@ func (p *partition) advance(plan *aggPlan, out *aggPartial, sc *partialScratch, 
 	e := p.entryFor(plan.sig)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	from, n := e.mark, len(p.ids)
+	from, n := e.mark, p.ids.len()
 	switch from {
 	case n:
 		st.served.Add(1)

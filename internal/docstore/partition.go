@@ -21,13 +21,13 @@ type partition struct {
 	// batches can arrive out of order; sortFrom marks the first row
 	// such a batch displaced, and the insert path merges the tail back
 	// into order before it releases the lock.
-	ids      []int64
+	ids      lane[int64]
 	cols     []*column // by slot; nil until the partition sees the field
 	unsorted bool
 	sortFrom int
 	indexes  map[string]*index
 
-	// size mirrors len(ids) so Len() needs no lock.
+	// size mirrors ids.len() so Len() needs no lock.
 	size atomic.Int64
 
 	// agg holds the partition's cached aggregation partials by plan
@@ -74,15 +74,16 @@ func (p *partition) col(slot int) *column {
 // lock.
 func (p *partition) cell(r, slot int) Cell {
 	if slot == slotID {
-		return Int64(p.ids[r])
+		return Int64(p.ids.at(r))
 	}
 	return p.col(slot).cell(r)
 }
 
 // rowOf returns the row holding id.
 func (p *partition) rowOf(id int64) (int, bool) {
-	r := sort.Search(len(p.ids), func(i int) bool { return p.ids[i] >= id })
-	return r, r < len(p.ids) && p.ids[r] == id
+	n := p.ids.len()
+	r := sort.Search(n, func(i int) bool { return p.ids.at(i) >= id })
+	return r, r < n && p.ids.at(r) == id
 }
 
 // appendRowLocked appends one row: the id, then each present cell into
@@ -93,14 +94,14 @@ func (p *partition) rowOf(id int64) (int, bool) {
 //
 //alarmvet:hotpath
 func (p *partition) appendRowLocked(id int64, slots []int, cells []Cell) {
-	r := len(p.ids)
-	if r > 0 && id < p.ids[r-1] && !p.unsorted {
+	r := p.ids.len()
+	if r > 0 && id < p.ids.at(r-1) && !p.unsorted {
 		// The batch's first id is its smallest: everything before the
 		// first row above it is already in place.
 		p.unsorted = true
 		p.sortFrom, _ = p.rowOf(id)
 	}
-	p.ids = append(p.ids, id)
+	p.ids.push(id)
 	for i, s := range slots {
 		if cells[i].kind == kindAbsent {
 			continue
@@ -122,11 +123,11 @@ func (p *partition) restoreOrderLocked() {
 		return
 	}
 	p.unsorted = false
-	src := make([]int, len(p.ids)-p.sortFrom)
+	src := make([]int, p.ids.len()-p.sortFrom)
 	for i := range src {
 		src[i] = p.sortFrom + i
 	}
-	sort.SliceStable(src, func(i, j int) bool { return p.ids[src[i]] < p.ids[src[j]] })
+	sort.SliceStable(src, func(i, j int) bool { return p.ids.at(src[i]) < p.ids.at(src[j]) })
 	p.gatherLocked(p.sortFrom, src)
 }
 
@@ -141,18 +142,18 @@ func (p *partition) gatherLocked(lo int, src []int) {
 	for _, idx := range p.indexes {
 		idx.cut(p, lo)
 	}
-	ids := make([]int64, len(src))
-	for i, r := range src {
-		ids[i] = p.ids[r]
+	old := p.ids.share() // the truncation and the pushes write no row it reads
+	p.ids.truncate(lo)
+	for _, r := range src {
+		p.ids.push(old.at(r))
 	}
-	p.ids = append(p.ids[:lo], ids...)
 	for _, col := range p.cols {
 		if col != nil {
 			col.gather(lo, src)
 		}
 	}
 	for _, idx := range p.indexes {
-		for r := lo; r < len(p.ids); r++ {
+		for r, n := lo, p.ids.len(); r < n; r++ {
 			idx.add(p, r)
 		}
 	}
@@ -193,7 +194,7 @@ func (p *partition) forEachMatch(f *filter, from int, fn func(r int)) error {
 		}
 		return nil
 	}
-	for r := from; r < len(p.ids); r++ {
+	for r, n := from, p.ids.len(); r < n; r++ {
 		if err := p.visitRow(f, -1, r, fn); err != nil {
 			return err
 		}
@@ -256,8 +257,8 @@ func (p *partition) deleteLocked(f *filter) (int, error) {
 	if len(rows) == 0 {
 		return 0, err
 	}
-	keep := make([]int, 0, len(p.ids)-rows[0]-len(rows))
-	for r, next := rows[0], 0; r < len(p.ids); r++ {
+	keep := make([]int, 0, p.ids.len()-rows[0]-len(rows))
+	for r, next := rows[0], 0; r < p.ids.len(); r++ {
 		if next < len(rows) && rows[next] == r {
 			next++
 			continue

@@ -181,6 +181,18 @@ type lane[T any] struct{ chunks [][]T }
 //alarmvet:hotpath
 func (l *lane[T]) at(r int) T { return l.chunks[r>>chunkShift][r&chunkMask] }
 
+// len returns how many rows the lane holds: every chunk but the last
+// is full.
+//
+//alarmvet:hotpath
+func (l *lane[T]) len() int {
+	last := len(l.chunks) - 1
+	if last < 0 {
+		return 0
+	}
+	return last<<chunkShift + len(l.chunks[last])
+}
+
 // push appends a row.
 //
 //alarmvet:hotpath

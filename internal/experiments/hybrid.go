@@ -89,7 +89,7 @@ func Table9(env *Env, runs int) ([]Table9Row, error) {
 		for _, tr := range treatments {
 			sum := 0.0
 			for run := 0; run < runs; run++ {
-				labeled := dataset.ToLabeled(alarms, time.Minute, true)
+				labeled := dataset.ToLabeled(alarms, time.Minute)
 				if tr.use {
 					dataset.AttachRisk(labeled, env.RiskModel(), tr.kind)
 				}

@@ -72,7 +72,7 @@ func Fig9(env *Env, deltas []time.Duration) ([]Fig9Result, error) {
 	alarms := env.Alarms()
 	var out []Fig9Result
 	for _, dt := range deltas {
-		ds, err := encode(dataset.ToLabeled(alarms, dt, true))
+		ds, err := encode(dataset.ToLabeled(alarms, dt))
 		if err != nil {
 			return nil, err
 		}
@@ -141,7 +141,7 @@ func DatasetNames() []DatasetName { return []DatasetName{Sitasys, LondonFire, Sa
 func buildDataset(env *Env, name DatasetName) (rowSet, error) {
 	switch name {
 	case Sitasys:
-		return encode(dataset.ToLabeled(env.Alarms(), time.Minute, true))
+		return encode(dataset.ToLabeled(env.Alarms(), time.Minute))
 	case LondonFire:
 		cfg := dataset.DefaultLFBConfig()
 		cfg.NumIncidents = env.Scale.LFBIncidents
@@ -253,7 +253,7 @@ func RenderTable8(results []Fig10Result) string {
 // Sitasys data: a grid over forest size and depth, scored by 3-fold
 // cross-validation. It returns results best-first.
 func GridSearchDemo(env *Env) ([]ml.GridResult, error) {
-	ds, err := encode(dataset.ToLabeled(env.Alarms(), time.Minute, true))
+	ds, err := encode(dataset.ToLabeled(env.Alarms(), time.Minute))
 	if err != nil {
 		return nil, err
 	}
@@ -297,7 +297,7 @@ func ScalingCurve(env *Env, sizes []int) ([]ScalingPoint, error) {
 		if len(out) > 0 && out[len(out)-1].Alarms == n {
 			continue
 		}
-		ds, err := encode(dataset.ToLabeled(alarms[:n], time.Minute, true))
+		ds, err := encode(dataset.ToLabeled(alarms[:n], time.Minute))
 		if err != nil {
 			return nil, err
 		}

@@ -60,7 +60,7 @@ func sitasysDataset(t testing.TB, seed int64, alarms, devices, train int) rowSet
 	cfg := dataset.DefaultSitasysConfig()
 	cfg.NumAlarms, cfg.NumDevices, cfg.Seed = alarms, devices, seed
 	all := dataset.GenerateSitasys(dataset.NewWorld(seed), cfg)
-	l, rows, y, err := dataset.Encode(dataset.ToLabeled(all[:train], time.Minute, true))
+	l, rows, y, err := dataset.Encode(dataset.ToLabeled(all[:train], time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
