@@ -24,7 +24,7 @@ func BenchmarkInsertMany(b *testing.B) {
 			docs[i] = Doc{
 				"deviceMac": fmt.Sprintf("mac-%03d", n%512),
 				"alarmId":   int64(1)<<55 + int64(n),
-				"ts":        time.Unix(1700000000+int64(n), 0),
+				"ts":        float64(1700000000 + n),
 				"duration":  float64(n % 600),
 				"type":      n % 8,
 				"objType":   n % 5,
