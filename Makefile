@@ -81,18 +81,20 @@ bench-train:
 ## benchmark drain round (internal/core) — 40 000 alarms recorded 512 at
 ## a time, and one histogram sweep over every device — beside the
 ## store's own batched insert, memory-only and WAL-backed at the default
-## group sync, with its per-call p50-us and p99-us (internal/docstore);
-## seven runs each on one CPU, the before/after evidence for store
-## write- and read-path changes (compare two trees' outputs run by run).
-## The CI bench-smoke job runs this explicitly (and fails if any of the
-## three benchmarks disappears)
+## group sync, with its per-call p50-us and p99-us, and a retention
+## prune of one partition's oldest row at 10 000 and 100 000 rows
+## (internal/docstore); seven runs each on one CPU, the before/after
+## evidence for store write- and read-path changes (compare two trees'
+## outputs run by run). The CI bench-smoke job runs this explicitly (and
+## fails if any of the four benchmarks disappears)
 bench-persist:
-	@out=$$($(GO) test -run=- -bench='^(BenchmarkRecordBatch|BenchmarkDeviceHistograms|BenchmarkInsertMany)$$' -benchmem -cpu 1 -count 7 ./internal/core ./internal/docstore) || \
+	@out=$$($(GO) test -run=- -bench='^(BenchmarkRecordBatch|BenchmarkDeviceHistograms|BenchmarkInsertMany|BenchmarkPruneExpired)$$' -benchmem -cpu 1 -count 7 ./internal/core ./internal/docstore) || \
 		{ echo "$$out"; echo "persist benchmarks failed"; exit 1; }; \
 	echo "$$out"; \
 	echo "$$out" | grep -q '^BenchmarkRecordBatch' && echo "$$out" | grep -q '^BenchmarkDeviceHistograms' && \
-		echo "$$out" | grep -q '^BenchmarkInsertMany/store=wal.*p99-us' || \
-		{ echo "BenchmarkRecordBatch, BenchmarkDeviceHistograms or BenchmarkInsertMany did not run"; exit 1; }
+		echo "$$out" | grep -q '^BenchmarkInsertMany/store=wal.*p99-us' && \
+		echo "$$out" | grep -q '^BenchmarkPruneExpired/rows=100000' || \
+		{ echo "BenchmarkRecordBatch, BenchmarkDeviceHistograms, BenchmarkInsertMany or BenchmarkPruneExpired did not run"; exit 1; }
 
 ## bench-harness-smoke: vet and race-test the benchmark harness
 ## (BENCHMARK.json → bench/). bench/ is a module of its own, so `go

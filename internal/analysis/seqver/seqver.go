@@ -1,6 +1,7 @@
 // Package seqver proves the docstore's write-section discipline: every
 // mutation of a partition's core state (the id column, the field
-// columns, or secondary indexes) happens inside a write section —
+// columns, the slabs their chunks are carved from, or secondary
+// indexes) happens inside a write section —
 // either the function itself opens one (p.mu.Lock() on the partition
 // it mutates; a read lock does not count), or it follows the
 // repository's "Locked" naming contract, documenting that its caller
@@ -19,7 +20,8 @@
 // p.colLocked(s), or a local variable bound to one of those — counts as
 // a mutation of p.cols. The id column is a lane, so a lane mutator
 // (push, truncate) called on a guarded field — p.ids.push(id) — counts
-// as a mutation of that field. Fresh values built inside the same
+// as a mutation of that field, and so does a carve from a slab inside
+// one — p.slabs.strs.carve(n). Fresh values built inside the same
 // function (constructors, recovery) are exempt — they are unpublished
 // and have no readers yet.
 package seqver
@@ -43,15 +45,16 @@ var Analyzer = &analysis.Analyzer{
 // guardedFields are the partition fields whose mutation needs a write
 // section.
 var guardedFields = map[string]bool{
-	"ids": true, "cols": true, "index": true, "indexes": true,
+	"ids": true, "cols": true, "slabs": true, "index": true, "indexes": true,
 }
 
 // columnMutators are the column methods that write row data,
-// laneMutators the lane methods that do, and columnGetters the
-// partition methods that hand out a column.
+// laneMutators the lane and slab methods that do (a carve hands out
+// memory no other chunk may use), and columnGetters the partition
+// methods that hand out a column.
 var (
 	columnMutators = map[string]bool{"set": true, "gather": true}
-	laneMutators   = map[string]bool{"push": true, "truncate": true}
+	laneMutators   = map[string]bool{"push": true, "truncate": true, "carve": true, "carveList": true, "sizeTo": true}
 	columnGetters  = map[string]bool{"col": true, "colLocked": true}
 )
 
@@ -125,7 +128,7 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
 					report(base, "cols", t.Pos())
 				}
 			}
-			// p.ids.push(id), p.ids.truncate(n).
+			// p.ids.push(id), p.ids.truncate(n), p.slabs.strs.carve(n).
 			if recv != nil && laneMutators[name] {
 				if base, field, ok := guardedTarget(pass, recv); ok {
 					report(base, field, t.Pos())
@@ -161,22 +164,25 @@ func sectionStarts(pass *analysis.Pass, body *ast.BlockStmt) []section {
 
 // guardedTarget decomposes an lvalue into (base, guardedField) when it
 // denotes guarded partition state: base.ids, base.ids[i],
-// base.cols[s], base.indexes[name], with base a partition-like
-// struct.
+// base.cols[s], base.indexes[name], or a field inside one —
+// base.slabs.strs — with base a partition-like struct.
 func guardedTarget(pass *analysis.Pass, e ast.Expr) (ast.Expr, string, bool) {
 	e = ast.Unparen(e)
 	if ix, ok := e.(*ast.IndexExpr); ok {
 		e = ast.Unparen(ix.X)
 	}
-	sel, ok := e.(*ast.SelectorExpr)
-	if !ok || !guardedFields[sel.Sel.Name] {
-		return nil, "", false
+	for {
+		sel, ok := e.(*ast.SelectorExpr)
+		if !ok {
+			return nil, "", false
+		}
+		if guardedFields[sel.Sel.Name] {
+			if names := analysis.StructFieldNames(pass.TypesInfo.TypeOf(sel.X)); names["ids"] && names["cols"] {
+				return sel.X, sel.Sel.Name, true
+			}
+		}
+		e = ast.Unparen(sel.X)
 	}
-	names := analysis.StructFieldNames(pass.TypesInfo.TypeOf(sel.X))
-	if names == nil || !names["ids"] || !names["cols"] {
-		return nil, "", false
-	}
-	return sel.X, sel.Sel.Name, true
 }
 
 // columnOwner returns the partition-like expression a column

@@ -1,6 +1,7 @@
 // Package a seeds seqver violations: partition-state mutations (the
-// field columns, the id column) outside a write section, where the
-// primitives that invalidate cached partials cannot vouch for them.
+// field columns, the id column, the slabs) outside a write section,
+// where the primitives that invalidate cached partials cannot vouch
+// for them.
 package a
 
 import "sync"
@@ -17,10 +18,22 @@ type lane []string
 func (l *lane) push(v string)  { *l = append(*l, v) }
 func (l *lane) truncate(n int) { *l = (*l)[:n] }
 
+// slab is where chunks are carved from; a carve hands out memory.
+type slab struct{ block []string }
+
+func (s *slab) carve(n int) []string {
+	c := s.block[:n:n]
+	s.block = s.block[n:]
+	return c
+}
+
+type slabs struct{ strs slab }
+
 type partition struct {
-	mu   sync.RWMutex
-	cols map[string]*column
-	ids  lane
+	mu    sync.RWMutex
+	cols  map[string]*column
+	ids   lane
+	slabs slabs
 }
 
 func (p *partition) colLocked(k string) *column { return p.cols[k] }
@@ -69,6 +82,13 @@ func (p *partition) unguardedIDPush(k string) {
 	defer p.mu.RUnlock()
 	p.ids.push(k)     // want `mutation of p\.ids outside a write section`
 	p.ids.truncate(0) // want `mutation of p\.ids outside a write section`
+}
+
+// So does a carve from the partition's slabs.
+func (p *partition) unguardedCarve() {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	p.slabs.strs.carve(1) // want `mutation of p\.slabs outside a write section`
 }
 
 func (p *partition) recoveryRebuild(k, v string) {

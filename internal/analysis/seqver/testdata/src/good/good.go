@@ -17,10 +17,22 @@ type lane []string
 func (l *lane) push(v string)  { *l = append(*l, v) }
 func (l *lane) truncate(n int) { *l = (*l)[:n] }
 
+// slab is where chunks are carved from; a carve hands out memory.
+type slab struct{ block []string }
+
+func (s *slab) carve(n int) []string {
+	c := s.block[:n:n]
+	s.block = s.block[n:]
+	return c
+}
+
+type slabs struct{ strs slab }
+
 type partition struct {
-	mu   sync.RWMutex
-	cols map[string]*column
-	ids  lane
+	mu    sync.RWMutex
+	cols  map[string]*column
+	ids   lane
+	slabs slabs
 }
 
 func (p *partition) colLocked(k string) *column { return p.cols[k] }
@@ -48,6 +60,14 @@ func (p *partition) pushIDLocked(k string) {
 	p.ids.push(k)
 	p.ids.truncate(0)
 }
+
+func (p *partition) guardedCarve() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.slabs.strs.carve(1)
+}
+
+func (p *partition) carveLocked() { p.slabs.strs.carve(1) }
 
 func (p *partition) guardedCellWrite(k, v string) {
 	p.mu.Lock()

@@ -48,11 +48,14 @@ func TestLaneMatchesFlat(t *testing.T) {
 			if lo < 0 || lo > n {
 				continue
 			}
-			var l lane[int]
+			var (
+				l lane[int]
+				s slab[int]
+			)
 			flat := make([]int, n)
 			for i := range flat {
 				flat[i] = i
-				l.push(i)
+				l.push(i, &s)
 			}
 			if got := laneRows(t, &l); !slices.Equal(got, flat) {
 				t.Fatalf("%d rows pushed: lane holds %d", n, len(got))
@@ -61,10 +64,10 @@ func TestLaneMatchesFlat(t *testing.T) {
 				t.Fatalf("%d rows: chunk list capacity %d, want at least 8", n, cap(l.chunks))
 			}
 			shared := l.share()
-			l.truncate(lo)
+			l.truncate(lo, &s)
 			want := append([]int(nil), flat[:lo]...)
 			for i := 0; i < 600; i++ {
-				l.push(-1 - i)
+				l.push(-1-i, &s)
 				want = append(want, -1-i)
 			}
 			if got := laneRows(t, &l); !slices.Equal(got, want) {
@@ -74,6 +77,72 @@ func TestLaneMatchesFlat(t *testing.T) {
 				t.Fatalf("%d rows truncated to %d: the shared copy changed", n, lo)
 			}
 		}
+	}
+}
+
+// TestLanesShareSlab drives several lanes carving from one slab — sized
+// for fewer lanes than carve from it, so generations of different sizes
+// share blocks and blocks run out mid-generation — through interleaved
+// pushes (chunk 0's doublings among them), truncations on and beside
+// chunk boundaries, and shares. Every lane must read back as its flat
+// model after every step: a carve that overlapped a neighbour's chunk,
+// or an append that crossed into one, shows as another lane's rows
+// changing. And every shared view must still read what it captured
+// after the pushes and truncations that follow it.
+func TestLanesShareSlab(t *testing.T) {
+	r := rand.New(rand.NewSource(45))
+	const lanes = 5
+	type view struct {
+		l    lane[int]
+		rows []int
+	}
+	for trial := 0; trial < 8; trial++ {
+		s := slab[int]{lanes: 1 + trial%4}
+		var (
+			ls    [lanes]lane[int]
+			model [lanes][]int
+			views []view
+		)
+		check := func(stage string) {
+			t.Helper()
+			for i := range ls {
+				if got := laneRows(t, &ls[i]); !slices.Equal(got, model[i]) {
+					t.Fatalf("trial %d, %s: lane %d holds %d rows that differ from its %d-row model", trial, stage, i, len(got), len(model[i]))
+				}
+			}
+			for j := range views {
+				if got := laneRows(t, &views[j].l); !slices.Equal(got, views[j].rows) {
+					t.Fatalf("trial %d, %s: shared view %d changed", trial, stage, j)
+				}
+			}
+		}
+		next := 0
+		for step := 0; step < 400; step++ {
+			i := r.Intn(lanes)
+			switch op := r.Intn(20); {
+			case op == 0 && len(model[i]) > 0:
+				cut := []int{0, 511, 512, 513, 4095, 4096, 4097, r.Intn(len(model[i]) + 1)}[r.Intn(8)]
+				if cut > len(model[i]) {
+					continue
+				}
+				ls[i].truncate(cut, &s)
+				model[i] = model[i][:cut:cut]
+			case op == 1:
+				views = append(views, view{ls[i].share(), slices.Clone(model[i])})
+			default:
+				// Runs long enough to cross chunk 0's doublings and the
+				// full chunks, at different rates per lane.
+				for n := r.Intn(600); n > 0; n-- {
+					next++
+					ls[i].push(next, &s)
+					model[i] = append(model[i], next)
+				}
+			}
+			if step%20 == 0 {
+				check(fmt.Sprintf("step %d", step))
+			}
+		}
+		check("the end")
 	}
 }
 
@@ -88,6 +157,7 @@ func TestColumnMatchesFlat(t *testing.T) {
 	for trial := 0; trial < 24; trial++ {
 		var (
 			c   column
+			s   slabs
 			ref []Cell
 		)
 		gaps := trial%3 != 0 // a third of the columns stay dense
@@ -106,7 +176,7 @@ func TestColumnMatchesFlat(t *testing.T) {
 					continue
 				}
 				v := typed(len(ref))
-				c.set(len(ref), v)
+				c.set(len(ref), v, &s)
 				ref = append(ref, v)
 				if afterGap && c.present == nil {
 					t.Fatalf("trial %d: row %d set past a gap, and the column has no bitmap", trial, len(ref)-1)
@@ -147,7 +217,7 @@ func TestColumnMatchesFlat(t *testing.T) {
 			for i, s := range src {
 				moved[i] = ref[s]
 			}
-			c.gather(lo, src)
+			c.gather(lo, src, &s)
 			ref = append(ref[:lo], moved...)
 			check(fmt.Sprintf("gathered from %d", lo))
 			appendRows(r.Intn(700))

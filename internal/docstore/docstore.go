@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -322,17 +323,18 @@ func (c *Collection) InsertRows(rows *Rows) int64 {
 	}
 	// Stable counting sort of the row numbers by target partition:
 	// afterwards partition pi's rows are order[starts[pi+1]:starts[pi+2]].
+	// The scratch is sized in one step: a batch that outgrows it costs
+	// one allocation per slice, not one per doubling.
 	np := len(c.parts)
-	rows.part, rows.order, rows.starts = rows.part[:0], rows.order[:0], rows.starts[:0]
-	for i := 0; i < np+2; i++ {
-		rows.starts = append(rows.starts, 0)
-	}
+	rows.part = slices.Grow(rows.part[:0], n)[:n]
+	rows.order = slices.Grow(rows.order[:0], n)[:n]
+	rows.starts = slices.Grow(rows.starts[:0], np+2)[:np+2]
 	starts := rows.starts
+	clear(starts)
 	for i := 0; i < n; i++ {
 		slots, cells := rows.row(i)
 		pi := c.route(slots, cells, base+int64(i))
-		rows.part = append(rows.part, int32(pi))
-		rows.order = append(rows.order, 0)
+		rows.part[i] = int32(pi)
 		starts[pi+1]++
 	}
 	for pi := 0; pi < np; pi++ {

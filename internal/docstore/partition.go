@@ -27,6 +27,10 @@ type partition struct {
 	sortFrom int
 	indexes  map[string]*index
 
+	// slabs hold the blocks the columns, their lanes and the id lane
+	// are carved from (rows.go).
+	slabs slabs
+
 	// size mirrors ids.len() so Len() needs no lock.
 	size atomic.Int64
 
@@ -101,12 +105,12 @@ func (p *partition) appendRowLocked(id int64, slots []int, cells []Cell) {
 		p.unsorted = true
 		p.sortFrom, _ = p.rowOf(id)
 	}
-	p.ids.push(id)
+	p.ids.push(id, &p.slabs.ids)
 	for i, s := range slots {
 		if cells[i].kind == kindAbsent {
 			continue
 		}
-		p.colLocked(s).set(r, cells[i])
+		p.colLocked(s).set(r, cells[i], &p.slabs)
 	}
 	p.size.Add(1)
 	for _, idx := range p.indexes {
@@ -143,13 +147,13 @@ func (p *partition) gatherLocked(lo int, src []int) {
 		idx.cut(p, lo)
 	}
 	old := p.ids.share() // the truncation and the pushes write no row it reads
-	p.ids.truncate(lo)
+	p.ids.truncate(lo, &p.slabs.ids)
 	for _, r := range src {
-		p.ids.push(old.at(r))
+		p.ids.push(old.at(r), &p.slabs.ids)
 	}
 	for _, col := range p.cols {
 		if col != nil {
-			col.gather(lo, src)
+			col.gather(lo, src, &p.slabs)
 		}
 	}
 	for _, idx := range p.indexes {
@@ -238,15 +242,19 @@ func (p *partition) applyLocked(payload []byte) error {
 }
 
 // colLocked returns the slot's column, creating it the first time the
-// partition sees the field. Caller holds the write lock.
+// partition sees the field: carved from the column slab, with cols
+// grown to the dictionary's size in one step and the slabs sized to its
+// fields. Caller holds the write lock.
 func (p *partition) colLocked(slot int) *column {
-	for len(p.cols) <= slot {
-		p.cols = append(p.cols, nil)
+	if slot < len(p.cols) && p.cols[slot] != nil {
+		return p.cols[slot]
 	}
-	if p.cols[slot] == nil {
-		p.cols[slot] = new(column)
+	if n := p.slabs.sizeTo(p.dict); n > len(p.cols) {
+		p.cols = append(p.cols, make([]*column, n-len(p.cols))...)
 	}
-	return p.cols[slot]
+	c := &p.slabs.columns.carve(1)[:1][0]
+	p.cols[slot] = c
+	return c
 }
 
 // deleteLocked removes the partition's matching rows and compacts the

@@ -173,7 +173,9 @@ const (
 // chunks[r>>chunkShift][r&chunkMask], and a chunk's length is how many
 // rows it holds. An append writes past every row already stored and
 // never moves one (chunk 0's doublings copy it to fresh memory), so a
-// checkpoint can share the chunks (share).
+// checkpoint can share the chunks (share). A lane allocates nothing of
+// its own: its chunks and its chunk list are carved from its
+// partition's slab of the element type.
 type lane[T any] struct{ chunks [][]T }
 
 // at reads row r.
@@ -193,42 +195,42 @@ func (l *lane[T]) len() int {
 	return last<<chunkShift + len(l.chunks[last])
 }
 
-// push appends a row.
+// push appends a row, carving a chunk from s when the last is full.
 //
 //alarmvet:hotpath
-func (l *lane[T]) push(v T) {
+func (l *lane[T]) push(v T, s *slab[T]) {
 	last := len(l.chunks) - 1
 	if last < 0 || len(l.chunks[last]) == cap(l.chunks[last]) {
-		l.grow()
+		l.grow(s)
 		last = len(l.chunks) - 1
 	}
 	l.chunks[last] = append(l.chunks[last], v)
 }
 
 // grow makes room for one more row: the first chunk, chunk 0 doubled,
-// or a new full-size chunk.
-func (l *lane[T]) grow() {
+// or a new full-size chunk, each carved from s.
+func (l *lane[T]) grow(s *slab[T]) {
 	switch {
 	case len(l.chunks) == 0:
-		l.chunks = make([][]T, 1, 8)
-		l.chunks[0] = make([]T, 0, firstChunkRows)
+		l.chunks = append(s.carveList(), s.carve(firstChunkRows))
 	case len(l.chunks) == 1 && cap(l.chunks[0]) < chunkRows:
-		l.chunks[0] = append(make([]T, 0, 2*cap(l.chunks[0])), l.chunks[0]...)
+		l.chunks[0] = append(s.carve(2*cap(l.chunks[0])), l.chunks[0]...)
 	default:
-		l.chunks = append(l.chunks, make([]T, 0, chunkRows))
+		l.chunks = append(l.chunks, s.carve(chunkRows))
 	}
 }
 
 // truncate drops the rows from n on, n at most the lane's length. The
-// chunk holding row n moves to fresh memory first — a checkpoint may
-// share it, and the appends that follow would overwrite rows it reads.
-func (l *lane[T]) truncate(n int) {
+// chunk holding row n moves to fresh memory carved from s first — a
+// checkpoint may share it, and the appends that follow would overwrite
+// rows it reads.
+func (l *lane[T]) truncate(n int, s *slab[T]) {
 	k, off := n>>chunkShift, n&chunkMask
 	if k >= len(l.chunks) {
 		return
 	}
 	if off > 0 {
-		l.chunks[k] = append(make([]T, 0, cap(l.chunks[k])), l.chunks[k][:off]...)
+		l.chunks[k] = append(s.carve(cap(l.chunks[k])), l.chunks[k][:off]...)
 		k++
 	}
 	clear(l.chunks[k:])
@@ -239,6 +241,73 @@ func (l *lane[T]) truncate(n int) {
 // own: later appends and truncations of l never write a row it reads.
 func (l *lane[T]) share() lane[T] {
 	return lane[T]{chunks: append([][]T(nil), l.chunks...)}
+}
+
+// listChunks is the capacity a lane's chunk list is carved with: eight
+// chunks, 32 768 rows, before its first append copies it.
+const listChunks = 8
+
+// slab is where a partition's lanes of one element type carve their
+// chunks and chunk lists from. A block holds one chunk for every lane
+// that carves from it (lanes), so a chunk generation — every column
+// crossing the same row count — costs one allocation per element type,
+// not one per column. A carve is a 3-index slice of the block's uncarved rest: its
+// capacity ends where the next carve starts, so a lane's append can
+// never write into a neighbour's chunk, and no memory is carved twice —
+// a carve is fresh memory no shared lane reads.
+type slab[T any] struct {
+	block []T   // [len, cap) is not carved yet
+	lists [][]T // the same, for chunk lists
+	lanes int   // lanes carving a chunk of each generation; 0 counts as 1
+}
+
+// carve returns an empty chunk of capacity n.
+func (s *slab[T]) carve(n int) []T { return carveFrom(&s.block, n, s.lanes) }
+
+// carveList returns an empty chunk list of capacity listChunks.
+func (s *slab[T]) carveList() [][]T { return carveFrom(&s.lists, listChunks, s.lanes) }
+
+// carveFrom returns an empty slice of capacity n cut from the uncarved
+// rest of *block, first starting a new block, n for every lane, when
+// the rest is shorter than n.
+func carveFrom[E any](block *[]E, n, lanes int) []E {
+	l := len(*block)
+	if cap(*block)-l < n {
+		*block, l = make([]E, 0, n*max(lanes, 1)), 0
+	}
+	*block = (*block)[:l+n]
+	return (*block)[l : l : l+n]
+}
+
+// slabs are what a partition carves its columns and their lanes from:
+// one slab per element type, sized from the field dictionary (sizeTo).
+// A field the collection adds later adds a chunk to each block of its
+// element type, not an allocation per generation.
+type slabs struct {
+	columns slab[column]
+	strs    slab[string]
+	nums    slab[uint64]
+	ids     slab[int64] // one lane: a block is one chunk
+}
+
+// sizeTo sizes the slabs' next blocks to the dictionary — a column for
+// every slot, a string chunk for every string field and a number chunk
+// for every numeric one — and returns its slot count.
+func (s *slabs) sizeTo(d *fieldDict) int {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	s.strs.lanes, s.nums.lanes = 0, 0
+	for _, k := range d.kinds {
+		switch k {
+		case kindAbsent:
+		case kindString:
+			s.strs.lanes++
+		default:
+			s.nums.lanes++
+		}
+	}
+	s.columns.lanes = len(d.kinds)
+	return len(d.kinds)
 }
 
 // column is one slot of one partition: n rows, in the one lane its kind
@@ -268,11 +337,12 @@ func (c *column) cell(r int) Cell {
 	return Cell{kind: c.kind, num: c.nums.at(r)}
 }
 
-// set appends row r (r >= n), padding the rows between with no value.
-// v is of the column's kind: the field dictionary admitted it (admit).
+// set appends row r (r >= n), padding the rows between with no value;
+// a lane's next chunk is carved from s. v is of the column's kind: the
+// field dictionary admitted it (admit).
 //
 //alarmvet:hotpath
-func (c *column) set(r int, v Cell) {
+func (c *column) set(r int, v Cell, s *slabs) {
 	if c.kind == kindAbsent {
 		c.kind = v.kind
 	}
@@ -280,9 +350,9 @@ func (c *column) set(r int, v Cell) {
 		c.sparse()
 	}
 	for c.n < r {
-		c.push(Cell{})
+		c.push(Cell{}, s)
 	}
-	c.push(v)
+	c.push(v, s)
 	if c.present != nil {
 		for len(c.present) <= r>>6 {
 			c.present = append(c.present, 0)
@@ -294,11 +364,11 @@ func (c *column) set(r int, v Cell) {
 // push appends v to the column's lane.
 //
 //alarmvet:hotpath
-func (c *column) push(v Cell) {
+func (c *column) push(v Cell, s *slabs) {
 	if c.kind == kindString {
-		c.strs.push(v.str)
+		c.strs.push(v.str, &s.strs)
 	} else {
-		c.nums.push(v.num)
+		c.nums.push(v.num, &s.nums)
 	}
 	c.n++
 }
@@ -313,16 +383,17 @@ func (c *column) sparse() {
 }
 
 // gather rebuilds the column's tail: rows before lo stay, new row lo+i
-// holds what old row src[i] (>= lo) held.
-func (c *column) gather(lo int, src []int) {
+// holds what old row src[i] (>= lo) held. Fresh chunks are carved from
+// s.
+func (c *column) gather(lo int, src []int, s *slabs) {
 	moved := make([]Cell, len(src))
 	for i, r := range src {
 		moved[i] = c.cell(r)
 	}
 	// Truncate to lo rows: the lanes, and the presence bits.
 	if lo < c.n {
-		c.strs.truncate(lo)
-		c.nums.truncate(lo)
+		c.strs.truncate(lo, &s.strs)
+		c.nums.truncate(lo, &s.nums)
 		c.n = lo
 	}
 	if w := (lo + 63) >> 6; w < len(c.present) {
@@ -333,7 +404,7 @@ func (c *column) gather(lo int, src []int) {
 	}
 	for i, v := range moved {
 		if v.kind != kindAbsent {
-			c.set(lo+i, v)
+			c.set(lo+i, v, s)
 		}
 	}
 }
