@@ -11,8 +11,10 @@
 // exit status is 0 when every package is clean, 1 when any checker
 // reported a finding.
 //
-// Checkers: lockscope, batchlife, seqver, snapshotonly, hotalloc,
-// errsink. `alarmvet help` prints each checker's contract.
+// Checkers: lockscope, batchlife, snapshotonly, hotalloc, errsink.
+// `alarmvet help` prints each checker's contract and the directives
+// they read: ignore and hotpath, and the field directives guardedby
+// (lockscope) and snapshot (snapshotonly).
 package main
 
 import (
@@ -28,7 +30,6 @@ import (
 	"alarmverify/internal/analysis/errsink"
 	"alarmverify/internal/analysis/hotalloc"
 	"alarmverify/internal/analysis/lockscope"
-	"alarmverify/internal/analysis/seqver"
 	"alarmverify/internal/analysis/snapshotonly"
 )
 
@@ -36,7 +37,6 @@ import (
 var analyzers = []*analysis.Analyzer{
 	lockscope.Analyzer,
 	batchlife.Analyzer,
-	seqver.Analyzer,
 	snapshotonly.Analyzer,
 	hotalloc.Analyzer,
 	errsink.Analyzer,
@@ -155,4 +155,8 @@ func help() {
 	fmt.Println("\nDirectives:")
 	fmt.Println("  //alarmvet:ignore <reason>  suppress findings on this/next line (reason mandatory)")
 	fmt.Println("  //alarmvet:hotpath          function must not allocate (hotalloc)")
+	fmt.Println("  //alarmvet:guardedby <mu>   struct field written only with its struct's mutex mu")
+	fmt.Println("                              held for writing, or in a ...Locked function (lockscope)")
+	fmt.Println("  //alarmvet:snapshot         atomic pointer field loaded once per function, never")
+	fmt.Println("                              written through (snapshotonly)")
 }

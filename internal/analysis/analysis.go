@@ -2,12 +2,16 @@
 // dependency-free reimplementation of the golang.org/x/tools
 // go/analysis surface that cmd/alarmvet drives, both standalone and
 // under `go vet -vettool`. Each checker in the subdirectories
-// (lockscope, batchlife, seqver, snapshotonly, hotalloc, errsink)
-// proves one of the hot-path ownership or locking invariants that the
-// runtime poison modes and -race hammers can only catch on exercised
-// paths; this package supplies the shared Analyzer/Pass/Diagnostic
-// types, the typechecking loaders, and the //alarmvet: directive
-// handling (see ARCHITECTURE.md, "Invariants & enforcement").
+// (lockscope, batchlife, snapshotonly, hotalloc, errsink) proves one of
+// the hot-path ownership or locking invariants that the runtime poison
+// modes and -race hammers can only catch on exercised paths; this
+// package supplies the shared Analyzer/Pass/Diagnostic types, the
+// typechecking loaders, and the //alarmvet: directives (directive.go):
+// the audited ignores and the declarations — //alarmvet:hotpath on a
+// function, //alarmvet:guardedby and //alarmvet:snapshot on a struct
+// field — that tell the checkers what to guard, so a rename never
+// switches a check off (see ARCHITECTURE.md, "Invariants &
+// enforcement").
 package analysis
 
 import (

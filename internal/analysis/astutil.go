@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -71,6 +72,14 @@ func NamedOf(t types.Type) *types.Named {
 	}
 }
 
+// IsMutex reports whether t, pointers stripped, is sync.Mutex or
+// sync.RWMutex.
+func IsMutex(t types.Type) bool {
+	n := NamedOf(t)
+	return n != nil && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == "sync" &&
+		(n.Obj().Name() == "Mutex" || n.Obj().Name() == "RWMutex")
+}
+
 // TypeName returns the bare name of the expression type's named type
 // after pointer stripping ("" for unnamed types).
 func TypeName(t types.Type) string {
@@ -80,27 +89,29 @@ func TypeName(t types.Type) string {
 	return ""
 }
 
-// StructFieldNames returns the field-name set of the type's struct
-// underlying (after pointer/named stripping), or nil.
-func StructFieldNames(t types.Type) map[string]bool {
-	if t == nil {
-		return nil
+// BuiltinName returns the name of the builtin a call invokes (append,
+// make, ...), or "".
+func BuiltinName(info *types.Info, call *ast.CallExpr) string {
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+		if _, ok := info.Uses[id].(*types.Builtin); ok {
+			return id.Name
+		}
 	}
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	if n := NamedOf(t); n != nil {
-		t = n.Underlying()
-	}
-	st, ok := t.Underlying().(*types.Struct)
-	if !ok {
-		return nil
-	}
-	names := make(map[string]bool, st.NumFields())
-	for i := 0; i < st.NumFields(); i++ {
-		names[st.Field(i).Name()] = true
-	}
-	return names
+	return ""
+}
+
+// HasBreak reports whether body contains any break statement (at any
+// nesting — an over-approximation that errs toward walking the code
+// after a loop).
+func HasBreak(body *ast.BlockStmt) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if b, ok := n.(*ast.BranchStmt); ok && b.Tok == token.BREAK {
+			found = true
+		}
+		return !found
+	})
+	return found
 }
 
 // Render produces a canonical source string for an expression,

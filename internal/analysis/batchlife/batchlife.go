@@ -20,6 +20,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 
 	"alarmverify/internal/analysis"
 )
@@ -279,7 +280,7 @@ func (w *walker) stmt(s ast.Stmt, st state) bool {
 		if t.Post != nil {
 			w.stmt(t.Post, bodySt)
 		}
-		if t.Cond == nil && !hasBreak(t.Body) {
+		if t.Cond == nil && !analysis.HasBreak(t.Body) {
 			return true // for{}: only leaves via return inside the body
 		}
 		st.mergeFrom(bodySt)
@@ -413,20 +414,6 @@ func (w *walker) transfer(n ast.Node, st state) {
 	})
 }
 
-// hasBreak reports whether body contains any break statement (at any
-// nesting — an over-approximation that errs toward walking the code
-// after the loop).
-func hasBreak(body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if b, ok := n.(*ast.BranchStmt); ok && b.Tok == token.BREAK {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
 // exprs scans one expression tree: release calls first (double
 // release), then plain uses of released values.
 func (w *walker) exprs(n ast.Node, st state) {
@@ -545,10 +532,6 @@ func (w *walker) checkLeaks(st state, at token.Pos, results []ast.Expr) {
 
 // replace overwrites dst's contents with src's.
 func replace(dst, src state) {
-	for k := range dst {
-		delete(dst, k)
-	}
-	for k, v := range src {
-		dst[k] = v
-	}
+	clear(dst)
+	maps.Copy(dst, src)
 }

@@ -1,23 +1,34 @@
 package analysis_test
 
 import (
-	"go/ast"
-	"go/parser"
 	"go/token"
+	"go/types"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"alarmverify/internal/analysis"
 )
 
-func parseOne(t *testing.T, src string) (*token.FileSet, *analysis.Directives) {
+// load typechecks src as the one file of package x.
+func load(t *testing.T, src string) *analysis.Unit {
 	t.Helper()
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "x.go", src, parser.ParseComments)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "x.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	return fset, analysis.ParseDirectives(fset, []*ast.File{f})
+	u, err := analysis.LoadDir(dir, "x")
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	return u
+}
+
+func parseOne(t *testing.T, src string) (*analysis.Unit, *analysis.Directives) {
+	t.Helper()
+	u := load(t, src)
+	return u, analysis.ParseDirectives(u.Fset, u.Files, u.Info)
 }
 
 func TestBareIgnoreIsAFinding(t *testing.T) {
@@ -27,10 +38,11 @@ func f() {
 	_ = 1 //alarmvet:ignore
 }
 `
-	fset, dirs := parseOne(t, src)
-	bad := dirs.BadIgnores()
+	u, dirs := parseOne(t, src)
+	fset := u.Fset
+	bad := dirs.Bad()
 	if len(bad) != 1 {
-		t.Fatalf("BadIgnores = %d findings, want 1", len(bad))
+		t.Fatalf("Bad = %d findings, want 1", len(bad))
 	}
 	d := bad[0]
 	if d.Analyzer != "directive" {
@@ -57,9 +69,10 @@ func f() {
 	_ = 2
 }
 `
-	fset, dirs := parseOne(t, src)
-	if len(dirs.BadIgnores()) != 0 {
-		t.Fatalf("BadIgnores = %v, want none", dirs.BadIgnores())
+	u, dirs := parseOne(t, src)
+	fset := u.Fset
+	if len(dirs.Bad()) != 0 {
+		t.Fatalf("Bad = %v, want none", dirs.Bad())
 	}
 	lineStart := func(line int) token.Pos {
 		return fset.File(token.Pos(fset.Base() - 1)).LineStart(line)
@@ -69,5 +82,96 @@ func f() {
 	}
 	if _, ok := dirs.IgnoredAt(lineStart(6)); ok {
 		t.Error("suppression leaked two lines below the directive")
+	}
+}
+
+// badLines returns the lines of the directive findings, with their
+// messages.
+func badLines(fset *token.FileSet, dirs *analysis.Directives) map[int]string {
+	out := make(map[int]string)
+	for _, d := range dirs.Bad() {
+		if d.Analyzer != "directive" {
+			continue
+		}
+		out[fset.Position(d.Pos).Line] = d.Message
+	}
+	return out
+}
+
+func TestFieldDirectiveOffAFieldIsAFinding(t *testing.T) {
+	src := `package x
+
+import "sync/atomic"
+
+//alarmvet:guardedby mu
+var counter int
+
+//alarmvet:snapshot
+func load(p *atomic.Pointer[int]) *int {
+	//alarmvet:guardedby mu
+	return p.Load()
+}
+
+type ok struct {
+	snap atomic.Pointer[int] //alarmvet:snapshot
+}
+`
+	u, dirs := parseOne(t, src)
+	got := badLines(u.Fset, dirs)
+	for _, line := range []int{5, 8, 10} {
+		if !strings.Contains(got[line], "must sit on a struct field") {
+			t.Errorf("line %d: finding %q, want one saying the directive must sit on a struct field", line, got[line])
+		}
+	}
+	if len(got) != 3 {
+		t.Errorf("findings %v, want lines 5, 8 and 10 only", got)
+	}
+}
+
+func TestGuardedByMustNameAMutexOfItsStruct(t *testing.T) {
+	src := `package x
+
+import "sync"
+
+type other struct{ mu sync.Mutex }
+
+type s struct {
+	mu  sync.Mutex
+	rw  sync.RWMutex
+	ptr *sync.Mutex
+	n   int
+
+	a int //alarmvet:guardedby mu
+	// b is guarded by the read-write lock.
+	//
+	//alarmvet:guardedby rw
+	b    int
+	c, d int //alarmvet:guardedby ptr
+	e    int //alarmvet:guardedby n
+	f    int //alarmvet:guardedby missing
+	g    int //alarmvet:guardedby
+	h    struct {
+		i int //alarmvet:guardedby mu
+	}
+}
+`
+	u, dirs := parseOne(t, src)
+	got := badLines(u.Fset, dirs)
+	for _, line := range []int{18, 19, 20, 21, 23} {
+		if !strings.Contains(got[line], "must name a sync.Mutex or sync.RWMutex field of the same struct") {
+			t.Errorf("line %d: finding %q, want one saying guardedby must name a mutex field", line, got[line])
+		}
+	}
+	if len(got) != 5 {
+		t.Errorf("findings %v, want lines 18-21 and 23 only", got)
+	}
+	st := u.Pkg.Scope().Lookup("s").Type().Underlying().(*types.Struct)
+	want := map[string]string{"a": "mu", "b": "rw"}
+	for i := range st.NumFields() {
+		f := st.Field(i)
+		mu, ok := dirs.GuardedBy(f)
+		if w, guarded := want[f.Name()]; ok != guarded || mu != w {
+			t.Errorf("GuardedBy(%s) = %q, %v; want %q, %v", f.Name(), mu, ok, w, guarded)
+		}
 	}
 }

@@ -11,11 +11,11 @@ import (
 // and returns the surviving findings in position order. Findings in
 // _test.go files are dropped (test hammers intentionally violate the
 // production invariants), as are findings on lines carrying a
-// justified //alarmvet:ignore; reason-less ignore directives are
-// findings themselves.
+// justified //alarmvet:ignore; reason-less ignores and misplaced field
+// directives are findings themselves.
 func RunAnalyzers(u *Unit, analyzers []*Analyzer) ([]Diagnostic, error) {
-	dirs := ParseDirectives(u.Fset, u.Files)
-	raw := append([]Diagnostic(nil), dirs.BadIgnores()...)
+	dirs := ParseDirectives(u.Fset, u.Files, u.Info)
+	raw := append([]Diagnostic(nil), dirs.Bad()...)
 	for _, a := range analyzers {
 		if a.Match != nil && !a.Match(u.Pkg.Path()) {
 			continue

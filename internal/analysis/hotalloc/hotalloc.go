@@ -89,11 +89,8 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
 func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
 	switch fn := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		switch fn.Name {
-		case "make", "new":
-			if isBuiltin(pass, fn) {
-				pass.Reportf(call.Pos(), "%s allocates in a hotpath function; hoist it to setup or a pool", fn.Name)
-			}
+		if name := analysis.BuiltinName(pass.TypesInfo, call); name == "make" || name == "new" {
+			pass.Reportf(call.Pos(), "%s allocates in a hotpath function; hoist it to setup or a pool", name)
 		}
 	case *ast.SelectorExpr:
 		if obj, ok := pass.TypesInfo.Uses[fn.Sel].(*types.Func); ok &&
@@ -112,11 +109,7 @@ func checkAppend(pass *analysis.Pass, t *ast.AssignStmt) {
 		if !ok || len(call.Args) == 0 {
 			continue
 		}
-		id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-		if !ok || id.Name != "append" || !isBuiltin(pass, id) {
-			continue
-		}
-		if i >= len(t.Lhs) {
+		if analysis.BuiltinName(pass.TypesInfo, call) != "append" || i >= len(t.Lhs) {
 			continue
 		}
 		if _, isReslice := ast.Unparen(call.Args[0]).(*ast.SliceExpr); isReslice {
@@ -128,11 +121,6 @@ func checkAppend(pass *analysis.Pass, t *ast.AssignStmt) {
 			pass.Reportf(call.Pos(), "append into %s from %s allocates in a hotpath function; append a variable into itself (or slice pooled scratch)", dst, src)
 		}
 	}
-}
-
-func isBuiltin(pass *analysis.Pass, id *ast.Ident) bool {
-	_, ok := pass.TypesInfo.Uses[id].(*types.Builtin)
-	return ok
 }
 
 func kindOf(pass *analysis.Pass, e ast.Expr) string {

@@ -7,9 +7,10 @@
 // concurrent verifications are reading — both defeat the entire
 // point of the copy-then-publish design.
 //
-// The checker keys on fields named `snap` held in an atomic pointer:
+// The checker keys on atomic pointer fields declared
+// //alarmvet:snapshot, whatever their name:
 //
-//   - more than one x.snap.Load() of the same base in one function is
+//   - more than one x.snap.Load() of the same field in one function is
 //     reported (pass the loaded snapshot instead);
 //   - field writes through a variable assigned from snap.Load() are
 //     reported (the withVersion idiom — copy the struct with s := *old,
@@ -19,6 +20,7 @@ package snapshotonly
 
 import (
 	"go/ast"
+	"go/types"
 
 	"alarmverify/internal/analysis"
 )
@@ -53,16 +55,16 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch t := n.(type) {
 		case *ast.CallExpr:
-			if base, ok := snapOp(t, "Load"); ok {
-				loads[base]++
-				if loads[base] == 2 {
-					pass.Reportf(t.Pos(), "second load of %s.snap in one function can observe a different model version; load once and pass the snapshot", base)
+			if snap, ok := snapLoad(pass, t); ok {
+				loads[snap]++
+				if loads[snap] == 2 {
+					pass.Reportf(t.Pos(), "second load of %s in one function can observe a different model version; load once and pass the snapshot", snap)
 				}
 			}
 		case *ast.AssignStmt:
 			for i, r := range t.Rhs {
 				if call, ok := ast.Unparen(r).(*ast.CallExpr); ok {
-					if _, ok := snapOp(call, "Load"); ok && i < len(t.Lhs) {
+					if _, ok := snapLoad(pass, call); ok && i < len(t.Lhs) {
 						if id, ok := ast.Unparen(t.Lhs[i]).(*ast.Ident); ok {
 							if obj := analysis.ObjectOf(pass.TypesInfo, id); obj != nil {
 								loadedObjs[obj] = true
@@ -91,15 +93,17 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
 	})
 }
 
-// snapOp matches x.snap.<method>() and returns the rendered base x.
-func snapOp(call *ast.CallExpr, method string) (string, bool) {
+// snapLoad matches x.f.Load() on a field f declared //alarmvet:snapshot
+// and returns the rendered x.f.
+func snapLoad(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != method {
+	if !ok || sel.Sel.Name != "Load" {
 		return "", false
 	}
 	inner, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
-	if !ok || inner.Sel.Name != "snap" {
+	if !ok {
 		return "", false
 	}
-	return analysis.Render(inner.X), true
+	f, _ := pass.TypesInfo.Uses[inner.Sel].(*types.Var)
+	return analysis.Render(inner), pass.Directives.IsSnapshot(f)
 }

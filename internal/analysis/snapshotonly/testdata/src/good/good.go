@@ -1,6 +1,6 @@
 // Package good mirrors the verifier's correct snapshot idioms: one
-// load per operation and the copy-then-CompareAndSwap publish. No
-// findings are expected.
+// load per operation and the copy-then-CompareAndSwap publish, and a
+// field named snap that declares no snapshot. No findings are expected.
 package good
 
 import "sync/atomic"
@@ -11,7 +11,7 @@ type model struct {
 }
 
 type verifier struct {
-	snap atomic.Pointer[model]
+	snap atomic.Pointer[model] //alarmvet:snapshot
 }
 
 func (v *verifier) read() (int, float64) {
@@ -32,4 +32,13 @@ func (v *verifier) withVersion(n int) {
 
 func (v *verifier) publish(m *model) {
 	v.snap.Store(m)
+}
+
+// cache is no published snapshot: its name alone guards nothing.
+type cache struct {
+	snap atomic.Pointer[model]
+}
+
+func (c *cache) refresh() (int, int) {
+	return c.snap.Load().version, c.snap.Load().version
 }

@@ -99,7 +99,7 @@ func DefaultVerifierConfig() VerifierConfig {
 // be produced by Train or LoadFromRegistry, or populated
 // via Swap before serving.
 type Verifier struct {
-	snap atomic.Pointer[modelSnapshot]
+	snap atomic.Pointer[modelSnapshot] //alarmvet:snapshot
 }
 
 // modelSnapshot is the immutable serving state of one model version.

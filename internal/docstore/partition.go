@@ -21,15 +21,20 @@ type partition struct {
 	// batches can arrive out of order; sortFrom marks the first row
 	// such a batch displaced, and the insert path merges the tail back
 	// into order before it releases the lock.
-	ids      lane[int64]
-	cols     []*column // by slot; nil until the partition sees the field
+	//
+	// mu guards ids, cols, indexes and slabs: they change only in a
+	// write section, so a reader under the read lock sees whole rows.
+	ids lane[int64] //alarmvet:guardedby mu
+	// cols holds the columns by slot; nil until the partition sees the
+	// field.
+	cols     []*column //alarmvet:guardedby mu
 	unsorted bool
 	sortFrom int
-	indexes  map[string]*index
+	indexes  map[string]*index //alarmvet:guardedby mu
 
 	// slabs hold the blocks the columns, their lanes and the id lane
 	// are carved from (rows.go).
-	slabs slabs
+	slabs slabs //alarmvet:guardedby mu
 
 	// size mirrors ids.len() so Len() needs no lock.
 	size atomic.Int64

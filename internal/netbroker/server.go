@@ -89,33 +89,40 @@ type Server struct {
 	ln     net.Listener
 	quorum int
 
-	// mu guards the replication state below; cond broadcasts on local
-	// appends, commit advances, epoch changes and shutdown (append ack
-	// waiters, parked follower pulls, parked consumer fetches).
+	// mu guards the replication state its fields declare; cond
+	// broadcasts on local appends, commit advances, epoch changes and
+	// shutdown (append ack waiters, parked follower pulls, parked
+	// consumer fetches).
 	mu          sync.Mutex
 	cond        *sync.Cond
-	epoch       int64
-	leader      int
-	votedEpoch  int64
-	lastContact time.Time
+	epoch       int64     //alarmvet:guardedby mu
+	leader      int       //alarmvet:guardedby mu
+	votedEpoch  int64     //alarmvet:guardedby mu
+	lastContact time.Time //alarmvet:guardedby mu
 	// match[topic][node] is the per-partition log size follower node
 	// has acknowledged (its pull request's Sizes, prefix-verified
 	// against the local log before being counted), leader-side state.
+	//
+	//alarmvet:guardedby mu
 	match map[string]map[int][]int64
 	// lastPull[node] is when follower node last pulled from this
 	// leader; leadSince is when this node assumed leadership. Together
 	// they drive the step-down check: a leader that stops hearing a
 	// follower quorum demotes itself.
-	lastPull  map[int]time.Time
-	leadSince time.Time
+	lastPull  map[int]time.Time //alarmvet:guardedby mu
+	leadSince time.Time         //alarmvet:guardedby mu
 	// commits[topic][partition] is the quorum commit index — the
 	// consumer-visible limit. Monotonic.
+	//
+	//alarmvet:guardedby mu
 	commits map[string][]int64
 	// logGen counts local appends (what a parked follower pull waits
 	// for), commitGen counts moves of any consumer-visible limit (what a
 	// parked consumer fetch waits for); see park.
+	//
+	//alarmvet:guardedby mu
 	logGen, commitGen uint64
-	closed            bool
+	closed            bool //alarmvet:guardedby mu
 
 	sessMu   sync.Mutex
 	sessions map[sessionKey]*session
