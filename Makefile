@@ -83,18 +83,27 @@ bench-train:
 ## store's own batched insert, memory-only and WAL-backed at the default
 ## group sync, with its per-call p50-us and p99-us, and a retention
 ## prune of one partition's oldest row at 10 000 and 100 000 rows
-## (internal/docstore); seven runs each on one CPU, the before/after
+## (internal/docstore); and the reads beside them (internal/core): the
+## benchmark harness operator's four calls on the 30 000-row store its
+## ops_mix workload reads (BenchmarkOperatorQueries), and the newest-n
+## read at a dashboard's 100 and a retrain's 50 000 on 250 000 rows
+## (BenchmarkRecentAlarms); seven runs each on one CPU, the before/after
 ## evidence for store write- and read-path changes (compare two trees'
 ## outputs run by run). The CI bench-smoke job runs this explicitly (and
-## fails if any of the four benchmarks disappears)
+## fails if any of the six benchmarks disappears)
 bench-persist:
-	@out=$$($(GO) test -run=- -bench='^(BenchmarkRecordBatch|BenchmarkDeviceHistograms|BenchmarkInsertMany|BenchmarkPruneExpired)$$' -benchmem -cpu 1 -count 7 ./internal/core ./internal/docstore) || \
+	@out=$$($(GO) test -run=- -bench='^(BenchmarkRecordBatch|BenchmarkDeviceHistograms|BenchmarkInsertMany|BenchmarkPruneExpired|BenchmarkOperatorQueries|BenchmarkRecentAlarms)$$' -benchmem -cpu 1 -count 7 ./internal/core ./internal/docstore) || \
 		{ echo "$$out"; echo "persist benchmarks failed"; exit 1; }; \
 	echo "$$out"; \
 	echo "$$out" | grep -q '^BenchmarkRecordBatch' && echo "$$out" | grep -q '^BenchmarkDeviceHistograms' && \
 		echo "$$out" | grep -q '^BenchmarkInsertMany/store=wal.*p99-us' && \
-		echo "$$out" | grep -q '^BenchmarkPruneExpired/rows=100000' || \
-		{ echo "BenchmarkRecordBatch, BenchmarkDeviceHistograms, BenchmarkInsertMany or BenchmarkPruneExpired did not run"; exit 1; }
+		echo "$$out" | grep -q '^BenchmarkPruneExpired/rows=100000' && \
+		echo "$$out" | grep -q '^BenchmarkRecentAlarms/n=100[-[:space:]]' && echo "$$out" | grep -q '^BenchmarkRecentAlarms/n=50000' || \
+		{ echo "BenchmarkRecordBatch, BenchmarkDeviceHistograms, BenchmarkInsertMany, BenchmarkPruneExpired or BenchmarkRecentAlarms did not run"; exit 1; }; \
+	for q in top_devices recent by_location device_histogram; do \
+		echo "$$out" | grep -q "^BenchmarkOperatorQueries/query=$$q" || \
+			{ echo "BenchmarkOperatorQueries did not run query=$$q"; exit 1; }; \
+	done
 
 ## bench-harness-smoke: vet and race-test the benchmark harness
 ## (BENCHMARK.json → bench/). bench/ is a module of its own, so `go

@@ -25,11 +25,15 @@
 // The checker simulates each function body with a branch-aware
 // abstract interpreter over the held-lock set: a lock stays in the set
 // where paths meet if either holds it (the blocking rule), and counts as
-// held for a guarded write only if all of them do. Package-local lock
-// wrappers (a method whose body is the Lock, or the Unlock) are
-// classified by their bodies and treated as acquire/release at call
-// sites; package-local functions whose bodies (transitively) sleep,
-// fsync or send are classified as blocking. A function annotated
+// held for a guarded write only if all of them do. A function literal
+// passed straight to a call — not as the operand of go or defer, which
+// run it elsewhere or later — is simulated at that call, under the locks
+// held there: the callee may run it before it returns (a partition
+// visit, a sort's less). Any other literal starts from no lock held.
+// Package-local lock wrappers (a method whose body is the Lock, or the
+// Unlock) are classified by their bodies and treated as acquire/release
+// at call sites; package-local functions whose bodies (transitively)
+// sleep, fsync or send are classified as blocking. A function annotated
 // //alarmvet:ignore <reason> is exempted from the blocking set and from
 // the walk — the audited escape hatch for cold-path admin locks held
 // across an atomic file install on purpose (the docstore's
@@ -141,6 +145,9 @@ type pkgIndex struct {
 	writers map[*types.Func]bool
 	// binds holds each declaration's local bindings.
 	binds map[*ast.FuncDecl]binds
+	// atCall holds the function literals simulated at the call they are
+	// passed to, which no walk of their own then repeats.
+	atCall map[*ast.FuncLit]bool
 }
 
 func run(pass *analysis.Pass) error {
@@ -154,6 +161,9 @@ func run(pass *analysis.Pass) error {
 		}
 		body := decl.Body
 		if lit != nil {
+			if idx.atCall[lit] {
+				return
+			}
 			body = lit.Body
 		}
 		w := &walker{idx: idx, pass: pass, binds: idx.binds[decl],
@@ -177,6 +187,7 @@ func buildIndex(pass *analysis.Pass) *pkgIndex {
 		getters:  make(map[*types.Func]*types.Var),
 		writers:  make(map[*types.Func]bool),
 		binds:    make(map[*ast.FuncDecl]binds),
+		atCall:   make(map[*ast.FuncLit]bool),
 	}
 	var decls []*ast.FuncDecl
 	for _, f := range pass.Files {
@@ -877,9 +888,10 @@ func (w *walker) deferCall(call *ast.CallExpr, st state) {
 	}
 }
 
-// exprs scans an expression tree (skipping function literals) for
-// writes, then per call for lock operations (direct or through a
-// wrapper) and blocking calls, in that order of precedence.
+// exprs scans an expression tree for writes, then per call for the
+// function literals passed to it (callback), lock operations (direct or
+// through a wrapper) and blocking calls, in that order of precedence.
+// Other function literals are skipped: they get a walk of their own.
 func (w *walker) exprs(n ast.Node, st state) {
 	ast.Inspect(n, func(c ast.Node) bool {
 		if _, ok := c.(*ast.FuncLit); ok {
@@ -890,6 +902,11 @@ func (w *walker) exprs(n ast.Node, st state) {
 			return true
 		}
 		w.writes(call, st)
+		for _, a := range call.Args {
+			if lit, ok := ast.Unparen(a).(*ast.FuncLit); ok {
+				w.callback(lit, st)
+			}
+		}
 		if ops := w.idx.lockOps(call); ops != nil {
 			for _, op := range ops {
 				key := op.lock + ":" + string(op.mode)
@@ -906,6 +923,20 @@ func (w *walker) exprs(n ast.Node, st state) {
 		}
 		return true
 	})
+}
+
+// callback simulates a function literal passed to a call under the
+// locks held at the call. Those locks are the call site's to release,
+// so a return from the literal is not held to them.
+func (w *walker) callback(lit *ast.FuncLit, st state) {
+	w.idx.atCall[lit] = true
+	in := st.clone()
+	for _, h := range in {
+		h.deferred = true
+	}
+	if !w.stmts(lit.Body.List, in) {
+		w.checkReturn(in, lit.Body.Rbrace)
+	}
 }
 
 // checkReturn reports locks still explicitly held (no unlock, no

@@ -16,6 +16,7 @@ type part struct {
 	ch    chan int
 	items map[string]int
 	seq   int
+	rows  []int //alarmvet:guardedby mu
 }
 
 // writeLock and writeUnlock mirror the docstore seqlock wrapper pair;
@@ -119,3 +120,36 @@ func (p *part) wrapperWithoutUnlock(k string, v int) {
 	p.writeLock()
 	p.items[k] = v
 } // want `p\.mu acquired at .* may still be held on this return path \(missing Unlock\)`
+
+// each runs fn over the rows before it returns.
+func (p *part) each(fn func(r int)) {
+	for r := range p.rows {
+		fn(r)
+	}
+}
+
+// A callback handed straight to a call runs under the locks its call
+// site holds.
+func (p *part) sleepInCallbackUnderLock(d time.Duration) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.each(func(int) {
+		time.Sleep(d) // want `p\.mu held across time\.Sleep`
+	})
+}
+
+// A callback run with no lock held writes outside a write section, and
+// so does one a go statement runs on another goroutine.
+func (p *part) writeInCallbackUnlocked() {
+	p.each(func(r int) {
+		p.rows[0] = r // want `mutation of p\.rows outside a write section`
+	})
+}
+
+func (p *part) writeInGoCallbackUnderLock() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	go p.each(func(r int) {
+		p.rows[0] = r // want `mutation of p\.rows outside a write section`
+	})
+}

@@ -4,13 +4,17 @@
 // expected.
 package good
 
-import "sync"
+import (
+	"sync"
+	"time"
+)
 
 type part struct {
 	mu    sync.RWMutex
 	ch    chan int
 	items map[string]int
 	seq   int
+	rows  []int //alarmvet:guardedby mu
 }
 
 func (p *part) writeLock() {
@@ -60,4 +64,27 @@ func (p *part) sendOutsideLock(v int) {
 	p.items["last"] = v
 	p.mu.Unlock()
 	p.ch <- v
+}
+
+// each runs fn over the rows before it returns.
+func (p *part) each(fn func(r int)) {
+	for r := range p.rows {
+		fn(r)
+	}
+}
+
+// A callback handed straight to a call under the write lock writes
+// inside the write section.
+func (p *part) writeInCallbackUnderLock() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.each(func(r int) { p.rows[0] = r })
+}
+
+// A callback a go statement runs holds none of its spawner's locks, and
+// may sleep.
+func (p *part) sleepInGoCallbackUnderLock(d time.Duration) {
+	p.mu.Lock()
+	go p.each(func(int) { time.Sleep(d) })
+	p.mu.Unlock()
 }

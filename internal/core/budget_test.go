@@ -319,3 +319,62 @@ func TestTrainFootprintBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestOperatorQueryAllocBudget: each of the harness operator's four
+// calls, on a warmed store the size of the one its ops_mix workload
+// reads, allocates only the answer it returns — the ranking's slice,
+// the alarms' slice, the bars, and the map of ZIPs, which costs what
+// building that map costs. Before the store filled caller-owned scratch
+// and merged the partitions' tails, the four read 5, 26, 10 and 10.
+// And the retrain's newest-50 000 read of a 250 000-row history costs
+// the alarms it returns and the rows it copies them from, not 50 000
+// rows per partition: 174 MB before, about 22 MB now.
+func TestOperatorQueryAllocBudget(t *testing.T) {
+	h, alarms := operatorHistory(t, 30_000, 1_200)
+	zips, err := h.CountByLocation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapAllocs := testing.AllocsPerRun(20, func() {
+		m := make(map[string]int, len(zips))
+		for k, v := range zips {
+			m[k] = v
+		}
+		zipSink = m
+	})
+	budget := map[string]float64{"top_devices": 1, "recent": 1, "by_location": mapAllocs, "device_histogram": 1}
+	for _, q := range operatorQueries(h, alarms[0].DeviceMAC) {
+		if err := q.call(); err != nil { // grow the pooled scratch once
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := q.call(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocations, budget %.0f", q.name, allocs, budget[q.name])
+		if allocs > budget[q.name] {
+			t.Errorf("%s: %.0f allocations, budget %.0f", q.name, allocs, budget[q.name])
+		}
+	}
+
+	// The first call on a fresh history, as a retrain finds the store:
+	// minutes apart, with no batch of that size left in the pool.
+	h, _ = operatorHistory(t, 250_000, 8_000)
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if out, err := h.RecentAlarms(50_000); err != nil || len(out) != 50_000 {
+		t.Fatalf("RecentAlarms(50 000) = %d alarms, %v", len(out), err)
+	}
+	runtime.ReadMemStats(&after)
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
+	t.Logf("RecentAlarms(50 000) on 250 000 rows: %.1f MB", mb)
+	if mb > 28 {
+		t.Errorf("RecentAlarms(50 000) on 250 000 rows: %.1f MB, budget 28 MB", mb)
+	}
+}
+
+// zipSink keeps the reference map of TestOperatorQueryAllocBudget on
+// the heap, where CountByLocation's answer lives.
+var zipSink map[string]int

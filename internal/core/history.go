@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -32,8 +33,13 @@ type History struct {
 	rttNanos atomic.Int64
 
 	// rows recycles the typed row batches alarms are written and read
-	// through, so neither direction allocates per alarm.
-	rows sync.Pool
+	// through, so neither direction allocates per alarm; groups (of
+	// *[]docstore.GroupCount) and hists (of *histScratch) recycle what
+	// the group counts and DeviceHistogram read through, so a dashboard
+	// call allocates only the answer it returns.
+	rows   sync.Pool
+	groups sync.Pool
+	hists  sync.Pool
 }
 
 // alarmFields is the stored form of an alarm: one typed column per
@@ -93,11 +99,13 @@ func (h *History) insert(alarms []alarm.Alarm) {
 	h.rows.Put(rows)
 }
 
-// SetSimulatedRTT makes every history round-trip (RecordBatch,
-// Record, DeviceHistogram) take at least d, emulating the network
-// latency of the remote document store in the paper's deployment
-// (§4.3). Zero (the default) disables the simulation. Ingest pays it
-// once per RecordBatch, on the caller's goroutine. Safe to call
+// SetSimulatedRTT makes every history round-trip take at least d,
+// emulating the network latency of the remote document store in the
+// paper's deployment (§4.3): the writes (RecordBatch and Record,
+// RecordFeedback) and the reads (RecentAlarms, Feedbacks and
+// FeedbackLabels, DeviceHistogram and DeviceHistograms, TopDevices,
+// CountByLocation). Zero (the default) disables the simulation. Ingest
+// pays it once per RecordBatch, on the caller's goroutine. Safe to call
 // concurrently with queries.
 func (h *History) SetSimulatedRTT(d time.Duration) { h.rttNanos.Store(int64(d)) }
 
@@ -121,6 +129,8 @@ func NewHistory(db *docstore.DB) (*History, error) {
 	}
 	h := &History{db: db, col: col, fb: db.Collection("feedback")}
 	h.rows.New = func() any { return col.NewRows(alarmFields...) }
+	h.groups.New = func() any { return new([]docstore.GroupCount) }
+	h.hists.New = func() any { return new(histScratch) }
 	return h, nil
 }
 
@@ -185,12 +195,13 @@ func (h *History) RecordBatch(alarms []alarm.Alarm) {
 
 // RecentAlarms returns up to limit of the most recently ingested
 // alarms in chronological order — the retrainer's train-set window.
-// The read is a typed tail scan (docstore Collection.TailRows): each
-// store partition hands over its limit newest rows under one lock,
-// column by column, and alarms are rebuilt from the cells without a
-// document in between — so the cost depends on limit, not on how
-// large the history has grown over the daemon's lifetime. limit <= 0
-// returns everything.
+// The read is a typed tail read (docstore Collection.TailRows): the
+// store merges its partitions' id-ordered tails and copies out exactly
+// the limit newest rows, and alarms are rebuilt from the cells without
+// a document in between — so the cost depends on limit, not on how
+// large the history has grown over the daemon's lifetime, and once its
+// pooled row batch has grown to limit the call allocates only the slice
+// it returns. limit <= 0 returns everything.
 func (h *History) RecentAlarms(limit int) ([]alarm.Alarm, error) {
 	h.simulateRTT()
 	rows := h.rows.Get().(*docstore.Rows)
@@ -204,7 +215,7 @@ func (h *History) RecentAlarms(limit int) ([]alarm.Alarm, error) {
 	// Ingest order approximates time order but concurrent shards can
 	// interleave; restore strict chronology for the Δt-windowed
 	// train/holdout split (stable: equal timestamps keep ingest order).
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Timestamp.Before(out[j].Timestamp) })
+	slices.SortStableFunc(out, func(a, b alarm.Alarm) int { return a.Timestamp.Compare(b.Timestamp) })
 	return out, nil
 }
 
@@ -291,11 +302,13 @@ type HistogramBucket struct {
 // one cost more than the index probe and count it would save), and
 // their partials live in the sweep's own memory.
 func (h *History) DeviceHistogram(mac string, since time.Time, bucket time.Duration) ([]HistogramBucket, error) {
-	out, err := h.DeviceHistograms([]string{mac}, since, bucket)
-	if err != nil {
+	sc := h.hists.Get().(*histScratch)
+	defer h.hists.Put(sc)
+	sc.macs = append(sc.macs[:0], mac)
+	if err := h.deviceHistograms(sc, since, bucket); err != nil {
 		return nil, err
 	}
-	return out[0], nil
+	return slices.Clone(sc.out[0]), nil
 }
 
 // DeviceHistograms answers one histogram per device in a single
@@ -386,7 +399,10 @@ func (h *History) TopDevices(k int) ([]DeviceCount, error) {
 		return nil, nil
 	}
 	h.simulateRTT()
-	groups, err := h.col.GroupCounts("deviceMac")
+	scratch := h.groups.Get().(*[]docstore.GroupCount)
+	defer h.groups.Put(scratch)
+	groups, err := h.col.GroupCounts("deviceMac", (*scratch)[:0])
+	*scratch = groups
 	if err != nil {
 		return nil, err
 	}
@@ -408,9 +424,14 @@ func (h *History) TopDevices(k int) ([]DeviceCount, error) {
 }
 
 // CountByLocation aggregates alarm counts per ZIP code (the
-// location-histogram query of §4.2).
+// location-histogram query of §4.2), from the same cached partials as
+// TopDevices.
 func (h *History) CountByLocation() (map[string]int, error) {
-	groups, err := h.col.GroupCounts("zip")
+	h.simulateRTT()
+	scratch := h.groups.Get().(*[]docstore.GroupCount)
+	defer h.groups.Put(scratch)
+	groups, err := h.col.GroupCounts("zip", (*scratch)[:0])
+	*scratch = groups
 	if err != nil {
 		return nil, err
 	}

@@ -129,3 +129,40 @@ func TestTopDevicesTieOrder(t *testing.T) {
 		t.Fatalf("TopDevices(0) = %v, want nil", got)
 	}
 }
+
+// TestEveryHistoryReadPaysSimulatedRTT: under a simulated store
+// round-trip, every History read takes at least one — a read that
+// skipped it would look faster than the remote store it stands in for
+// (CountByLocation did, until it paid it like the others).
+func TestEveryHistoryReadPaysSimulatedRTT(t *testing.T) {
+	h, err := NewHistory(docstore.NewDB())
+	if err != nil {
+		t.Fatal(err)
+	}
+	alarms := historyAlarms(50, "mac-a")
+	h.RecordBatch(alarms)
+	h.RecordFeedback(Feedback{AlarmID: 1, DeviceMAC: "mac-a", Verdict: alarm.False, At: alarms[0].Timestamp})
+	const rtt = 2 * time.Millisecond
+	h.SetSimulatedRTT(rtt)
+	since := alarms[0].Timestamp.Add(-time.Hour)
+	for _, read := range []struct {
+		name string
+		call func() error
+	}{
+		{"RecentAlarms", func() error { _, err := h.RecentAlarms(10); return err }},
+		{"Feedbacks", func() error { _, err := h.Feedbacks(); return err }},
+		{"FeedbackLabels", func() error { _, err := h.FeedbackLabels(); return err }},
+		{"DeviceHistogram", func() error { _, err := h.DeviceHistogram("mac-a", since, time.Hour); return err }},
+		{"DeviceHistograms", func() error { _, err := h.DeviceHistograms([]string{"mac-a"}, since, time.Hour); return err }},
+		{"TopDevices", func() error { _, err := h.TopDevices(3); return err }},
+		{"CountByLocation", func() error { _, err := h.CountByLocation(); return err }},
+	} {
+		start := time.Now()
+		if err := read.call(); err != nil {
+			t.Fatalf("%s: %v", read.name, err)
+		}
+		if took := time.Since(start); took < rtt {
+			t.Errorf("%s took %v under a simulated %v round-trip", read.name, took, rtt)
+		}
+	}
+}

@@ -39,7 +39,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -388,53 +387,68 @@ func (r *Rows) insertShare(pi int, p *partition) error {
 
 // TailRows fills rows (a batch from NewRows, emptied first) with the
 // fields of the n most recently inserted documents, in insertion order
-// (the oldest of the tail first), without building a document. It
-// reads only each partition's last n rows, so the cost is bounded by
-// n × partitions however large the collection has grown. n <= 0 returns
-// every document.
+// (the oldest of the tail first), without building a document. Ids
+// ascend within a partition, so the collection's tail is the
+// partitions' tails merged by id: with every partition read-locked,
+// the merge walks back from the newest row and copies exactly the n
+// rows it picks. The cost is n rows however large the collection has
+// grown and however many partitions hold it, and the rows are one
+// snapshot of the collection. n <= 0 returns every document.
 func (c *Collection) TailRows(n int, rows *Rows) {
 	rows.Reset()
-	w := len(rows.slots)
-	type run struct {
-		ids   []int64
-		cells []Cell
+	c.readLocked(0, func() { c.tailLocked(n, rows) })
+}
+
+// readLocked runs fn with the read locks of partitions [i, P) held. It
+// takes them in ascending order, and no writer holds one partition's
+// lock while it waits for another's, so no cycle can form.
+func (c *Collection) readLocked(i int, fn func()) {
+	if i == len(c.parts) {
+		fn()
+		return
 	}
-	runs := make([]run, len(c.parts))
-	c.forEach(0, len(c.parts), nil, func(i int, p *partition) error {
-		p.mu.RLock()
-		defer p.mu.RUnlock()
-		lo, hi := 0, p.ids.len()
-		if n > 0 && hi > n {
-			lo = hi - n
-		}
-		run := run{ids: make([]int64, 0, hi-lo), cells: make([]Cell, 0, (hi-lo)*w)}
-		for r := lo; r < hi; r++ {
-			run.ids = append(run.ids, p.ids.at(r))
-			for _, s := range rows.slots {
-				run.cells = append(run.cells, p.col(s).cell(r))
+	p := c.parts[i]
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	c.readLocked(i+1, fn)
+}
+
+// tailLocked is TailRows' merge. Caller holds every partition's read
+// lock.
+func (c *Collection) tailLocked(n int, rows *Rows) {
+	// ends[pi] is one past partition pi's newest row not yet picked.
+	ends := rows.ends[:0]
+	total := 0
+	for _, p := range c.parts {
+		ends = append(ends, p.ids.len())
+		total += p.ids.len()
+	}
+	rows.ends = ends
+	if n <= 0 || n > total {
+		n = total
+	}
+	w := len(rows.slots)
+	rows.ids = slices.Grow(rows.ids, n)[:n]
+	rows.cells = slices.Grow(rows.cells, n*w)[:n*w]
+	rows.n = n
+	for j := n - 1; j >= 0; j-- {
+		pick, id := -1, int64(0)
+		for pi, end := range ends {
+			if end == 0 {
+				continue
+			}
+			if v := c.parts[pi].ids.at(end - 1); pick < 0 || v > id {
+				pick, id = pi, v
 			}
 		}
-		runs[i] = run
-		return nil
-	})
-	// Order every row read by id; the tail of that order is the
-	// collection's tail.
-	type ref struct{ run, j int }
-	var refs []ref
-	for i, run := range runs {
-		for j := range run.ids {
-			refs = append(refs, ref{i, j})
+		p, r := c.parts[pick], ends[pick]-1
+		ends[pick] = r
+		rows.ids[j] = id
+		row := rows.cells[j*w : (j+1)*w]
+		for i, s := range rows.slots {
+			row[i] = p.col(s).cell(r)
 		}
 	}
-	sort.Slice(refs, func(a, b int) bool { return runs[refs[a].run].ids[refs[a].j] < runs[refs[b].run].ids[refs[b].j] })
-	if n > 0 && len(refs) > n {
-		refs = refs[len(refs)-n:]
-	}
-	for _, at := range refs {
-		rows.ids = append(rows.ids, runs[at.run].ids[at.j])
-		rows.cells = append(rows.cells, runs[at.run].cells[at.j*w:(at.j+1)*w]...)
-	}
-	rows.n = len(refs)
 }
 
 // deleteWhere removes the documents matching conds and returns how

@@ -5,10 +5,13 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func seedAlarms(c *Collection, n int) {
@@ -475,4 +478,141 @@ func TestTailReturnsMostRecentInInsertionOrder(t *testing.T) {
 	if len(got) != 3 || got[2]["seq"].(int) != total-2 || got[2]["tag"] != fmt.Sprintf("t%d", total-2) {
 		t.Fatalf("Tail after delete = %v", got)
 	}
+}
+
+// TestTailRowsMatchesReference holds TailRows to the naive tail — every
+// row of every partition, sorted by id, the last n kept — on 1, 4 and 8
+// partitions, after rounds of concurrent batches whose arrivals
+// interleave (rows land below ids already stored and are merged back
+// into order), one batch landed out of order on purpose, and retention
+// prunes run between the batches. Tail reads run beside the writers
+// too: each is one snapshot, so its ids ascend and it holds at most n
+// rows.
+func TestTailRowsMatchesReference(t *testing.T) {
+	fields := []string{"dev", "ts", "seq"}
+	for _, parts := range []int{1, 4, 8} {
+		t.Run(fmt.Sprintf("partitions=%d", parts), func(t *testing.T) {
+			c, err := NewDBWithPartitions(parts).CollectionWithShardKey("tail", "dev")
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.SetRetention("ts", 3*time.Second)
+			var clock atomic.Int64 // the logical now, in seconds: a batch's ts
+			clock.Store(100)
+			r := rand.New(rand.NewSource(int64(parts)))
+			for round := 0; round < 6; round++ {
+				var wg sync.WaitGroup
+				stop := make(chan struct{})
+				for w := 0; w < 3; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						wr := rand.New(rand.NewSource(int64(100*round + w)))
+						rows := c.NewRows(fields...)
+						for b := 0; b < 30; b++ {
+							for k := wr.Intn(40) + 1; k > 0; k-- {
+								row := rows.Next()
+								row[0] = String(fmt.Sprintf("d%02d", wr.Intn(12)))
+								row[1] = Float(float64(clock.Load()))
+								row[2] = Int64(int64(w<<20 | b<<8 | k))
+							}
+							c.InsertRows(rows)
+							rows.Reset()
+						}
+					}(w)
+				}
+				wg.Add(1)
+				go func() { // retention: the clock moves on, the oldest rows go
+					defer wg.Done()
+					for i := 0; i < 4; i++ {
+						if _, err := c.PruneExpired(time.Unix(clock.Add(1), 0)); err != nil {
+							t.Error(err)
+						}
+					}
+				}()
+				var readers sync.WaitGroup
+				readers.Add(1)
+				go func() { // tail reads beside the writers
+					defer readers.Done()
+					rows := c.NewRows(fields...)
+					for n := 1; ; n = n%300 + 37 {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						c.TailRows(n, rows)
+						if rows.Len() > n {
+							t.Errorf("TailRows(%d) beside writers: %d rows", n, rows.Len())
+						}
+						for i := 1; i < rows.Len(); i++ {
+							if rows.ids[i-1] >= rows.ids[i] {
+								t.Errorf("TailRows(%d) beside writers: id %d before %d", n, rows.ids[i-1], rows.ids[i])
+								break
+							}
+						}
+					}
+				}()
+				wg.Wait()
+				close(stop)
+				readers.Wait()
+				var first, later []Doc
+				for k := 0; k < 20; k++ {
+					first = append(first, Doc{"dev": fmt.Sprintf("d%02d", r.Intn(12)), "ts": float64(clock.Load()), "seq": int64(1<<30 + k)})
+					later = append(later, Doc{"dev": fmt.Sprintf("d%02d", r.Intn(12)), "ts": float64(clock.Load()), "seq": int64(1<<31 + k)})
+				}
+				insertOutOfOrder(c, first, later, func() {})
+
+				total := c.Len()
+				for _, n := range []int{0, 1, int(c.parts[0].size.Load()), total + 5, r.Intn(total) + 1} {
+					rows := c.NewRows(fields...)
+					c.TailRows(n, rows)
+					ids, cells := referenceTail(c, n, fields)
+					if rows.Len() != len(ids) {
+						t.Fatalf("round %d: TailRows(%d) = %d rows, reference %d", round, n, rows.Len(), len(ids))
+					}
+					for i := range ids {
+						if rows.ids[i] != ids[i] || !slices.Equal(rows.Row(i), cells[i]) {
+							t.Fatalf("round %d: TailRows(%d) row %d = id %d %v, reference id %d %v",
+								round, n, i, rows.ids[i], rows.Row(i), ids[i], cells[i])
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// referenceTail is the naive tail: every row of every partition read
+// out, sorted by id, and the last n kept (all of them for n <= 0).
+func referenceTail(c *Collection, n int, fields []string) ([]int64, [][]Cell) {
+	slots := make([]int, len(fields))
+	for i, f := range fields {
+		slots[i] = c.dict.slot(f)
+	}
+	type row struct {
+		id    int64
+		cells []Cell
+	}
+	var all []row
+	for _, p := range c.parts {
+		p.mu.RLock()
+		for r := 0; r < p.ids.len(); r++ {
+			cells := make([]Cell, len(slots))
+			for i, s := range slots {
+				cells[i] = p.cell(r, s)
+			}
+			all = append(all, row{p.ids.at(r), cells})
+		}
+		p.mu.RUnlock()
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].id < all[j].id })
+	if n > 0 && n < len(all) {
+		all = all[len(all)-n:]
+	}
+	ids, cells := make([]int64, len(all)), make([][]Cell, len(all))
+	for i, r := range all {
+		ids[i], cells[i] = r.id, r.cells
+	}
+	return ids, cells
 }

@@ -91,7 +91,7 @@ func TestPinnedFormatReplays(t *testing.T) {
 		}
 	}
 
-	groups, err := col.GroupCounts("deviceMac")
+	groups, err := col.GroupCounts("deviceMac", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

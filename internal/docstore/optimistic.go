@@ -92,10 +92,10 @@ func (e *aggEntry) classKey(b []byte) string {
 // entryFor returns the partition's cached partial for a signature — a
 // stale one the first time it is asked for. Caller holds the read
 // lock, and keeps holding it for as long as it uses the entry.
-func (p *partition) entryFor(sig string) *aggEntry {
+func (p *partition) entryFor(sig []byte) *aggEntry {
 	p.cacheMu.Lock()
 	defer p.cacheMu.Unlock()
-	e := p.agg[sig]
+	e := p.agg[string(sig)]
 	if e == nil {
 		if p.agg == nil {
 			p.agg = make(map[string]*aggEntry)
@@ -107,7 +107,7 @@ func (p *partition) entryFor(sig string) *aggEntry {
 			}
 		}
 		e = &aggEntry{mark: stale}
-		p.agg[sig] = e
+		p.agg[string(sig)] = e
 	}
 	return e
 }

@@ -204,7 +204,7 @@ func TestOptimisticReadHammer(t *testing.T) {
 						return
 					}
 				}
-				all, err := c.GroupCounts("deviceMac")
+				all, err := c.GroupCounts("deviceMac", nil)
 				if err != nil {
 					t.Errorf("groupcounts: %v", err)
 					return
@@ -222,12 +222,12 @@ func TestOptimisticReadHammer(t *testing.T) {
 	// Whatever the schedule did, one insert then an ask of the cached
 	// signature advances a partial, and one delete then an ask
 	// recomputes one.
-	if _, err := c.GroupCounts("deviceMac"); err != nil {
+	if _, err := c.GroupCounts("deviceMac", nil); err != nil {
 		t.Fatal(err)
 	}
 	before := c.AggPartialStats()
 	c.Insert(Doc{"deviceMac": mac(0), "kind": "temp", "ts": float64(5000)})
-	if _, err := c.GroupCounts("deviceMac"); err != nil {
+	if _, err := c.GroupCounts("deviceMac", nil); err != nil {
 		t.Fatal(err)
 	}
 	inserted := c.AggPartialStats()
@@ -237,7 +237,7 @@ func TestOptimisticReadHammer(t *testing.T) {
 	if n, err := c.deleteWhere([]Cond{eq("kind", "temp"), eq("ts", float64(5000))}); err != nil || n != 1 {
 		t.Fatalf("delete: %d docs, %v", n, err)
 	}
-	if _, err := c.GroupCounts("deviceMac"); err != nil {
+	if _, err := c.GroupCounts("deviceMac", nil); err != nil {
 		t.Fatal(err)
 	}
 	if deleted := c.AggPartialStats(); deleted.Recomputed <= inserted.Recomputed {
@@ -251,7 +251,7 @@ func TestOptimisticReadHammer(t *testing.T) {
 	if _, err := c.deleteWhere([]Cond{eq("kind", "temp")}); err != nil {
 		t.Fatal(err)
 	}
-	settled, err := c.GroupCounts("deviceMac")
+	settled, err := c.GroupCounts("deviceMac", nil)
 	if err != nil || len(settled) != devices {
 		t.Fatalf("settled group count: %d groups, %v", len(settled), err)
 	}

@@ -39,7 +39,7 @@ type aggPlan struct {
 	filter *filter
 	slot   int
 	bucket *Bucket // nil: a group count
-	sig    string  // group counts: the cache key; "" for a histogram
+	sig    []byte  // group counts: the cache key; nil for a histogram
 }
 
 // pGroup is one group's mergeable state — in a partition's partial and,
@@ -275,7 +275,9 @@ type sweep struct {
 	heads  []int
 
 	// BucketCounts' plans: compiled conditions, filters and plans in one
-	// slab each, the shared bucket, and the merged bars.
+	// slab each, the shared bucket, and the merged bars; countGroups'
+	// plan, its filter and its signature.
+	sig     []byte
 	nodes   []node
 	filters []filter
 	plans   []aggPlan
@@ -424,16 +426,17 @@ type GroupCount struct {
 
 // GroupCounts counts the documents per value of one field —
 // Aggregate(nil, Group{By: {field}, Accs: {n: count}}) for typed
-// callers, in the same order, from the same partials.
-func (c *Collection) GroupCounts(field string) ([]GroupCount, error) {
-	var out []GroupCount
+// callers, in the same order, from the same partials — and appends the
+// groups to dst. The caller owns dst: one reused across asks makes an
+// ask allocate nothing.
+func (c *Collection) GroupCounts(field string, dst []GroupCount) ([]GroupCount, error) {
 	err := c.countGroups(nil, field, func(groups []pGroup) {
-		out = make([]GroupCount, len(groups))
+		dst = slices.Grow(dst, len(groups))
 		for i := range groups {
-			out[i] = GroupCount{Key: groups[i].key, Count: groups[i].count}
+			dst = append(dst, GroupCount{Key: groups[i].key, Count: groups[i].count})
 		}
 	})
-	return out, err
+	return dst, err
 }
 
 // countGroups counts the documents matching conds per value of field
@@ -443,8 +446,11 @@ func (c *Collection) GroupCounts(field string) ([]GroupCount, error) {
 // conditions that prints numbers filters treat as equal (1 and 1.0)
 // alike: equal signatures mean equal answers.
 func (c *Collection) countGroups(conds []Cond, field string, emit func([]pGroup)) error {
-	var buf [128]byte
-	sig := strconv.AppendQuote(buf[:0], field)
+	sw := sweepPool.Get().(*sweep)
+	defer sw.release()
+	// The plan, its filter and its signature live in the sweep, so an
+	// ask allocates none of them.
+	sig := strconv.AppendQuote(sw.sig[:0], field)
 	for _, cd := range conds {
 		sig = strconv.AppendQuote(append(sig, '|'), cd.Field)
 		sig = append(append(sig, cd.Op...), byte('0'+cd.Value.rank()))
@@ -454,10 +460,15 @@ func (c *Collection) countGroups(conds []Cond, field string, emit func([]pGroup)
 			sig = strconv.AppendQuote(sig, cd.Value.str)
 		}
 	}
-	plan := &aggPlan{filter: compileFilter(c.dict, conds), slot: c.dict.ref(field), sig: string(sig)}
-	sw := sweepPool.Get().(*sweep)
-	defer sw.release()
-	runs, err := c.execPlans(sw, []*aggPlan{plan})
+	sw.sig = sig
+	sw.nodes = compileConds(c.dict, conds, sw.nodes[:0])
+	sw.filters = resized(sw.filters, 1)
+	sw.filters[0] = filter{nodes: sw.nodes}
+	sw.plans = resized(sw.plans, 1)
+	sw.plans[0] = aggPlan{filter: &sw.filters[0], slot: c.dict.ref(field), sig: sig}
+	sw.bound = resized(sw.bound, 1)
+	sw.bound[0] = &sw.plans[0]
+	runs, err := c.execPlans(sw, sw.bound)
 	if err != nil {
 		return err
 	}

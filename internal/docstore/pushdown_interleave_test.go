@@ -135,7 +135,7 @@ func (d *interleaved) ask(tag string) AggPartialStats {
 	for i, pr := range standingProbes {
 		runBoth(t, c, pr, fmt.Sprintf("%s: standing probe %d", tag, i))
 	}
-	zips, err := c.GroupCounts("zip")
+	zips, err := c.GroupCounts("zip", nil)
 	if err != nil {
 		t.Fatalf("%s: GroupCounts: %v", tag, err)
 	}
@@ -313,7 +313,7 @@ func TestPartialAdvanceCost(t *testing.T) {
 			batch = batch[:0]
 		}
 	}
-	first, err := c.GroupCounts("deviceMac")
+	first, err := c.GroupCounts("deviceMac", nil)
 	if err != nil || len(first) != 1200 {
 		t.Fatalf("first ask: %d groups, %v", len(first), err)
 	}
@@ -325,7 +325,7 @@ func TestPartialAdvanceCost(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			c.Insert(Doc{"deviceMac": fmt.Sprintf("mac-%04d", (round*10+i)%1200), "zip": "8000"})
 		}
-		got, err := c.GroupCounts("deviceMac")
+		got, err := c.GroupCounts("deviceMac", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,12 +342,12 @@ func TestPartialAdvanceCost(t *testing.T) {
 		}
 	}
 	// A cached answer is the caller's: scribbling on it changes nothing.
-	got, _ := c.GroupCounts("deviceMac")
+	got, _ := c.GroupCounts("deviceMac", nil)
 	want := append([]GroupCount(nil), got...)
 	for i := range got {
 		got[i] = GroupCount{}
 	}
-	if again, _ := c.GroupCounts("deviceMac"); !reflect.DeepEqual(again, want) {
+	if again, _ := c.GroupCounts("deviceMac", nil); !reflect.DeepEqual(again, want) {
 		t.Fatal("a served answer aliased the cached partial")
 	}
 }

@@ -501,6 +501,9 @@ type Rows struct {
 	cells []Cell
 	ids   []int64 // TailRows: the rows' document ids
 	n     int
+	// TailRows scratch: one past each partition's newest row its merge
+	// has not picked yet.
+	ends []int
 	// InsertRows scratch: target partition per row, the rows grouped
 	// by partition, and where each partition's group starts.
 	part, order, starts []int32
