@@ -32,9 +32,12 @@ const allowFile = "cmd/docsgate/callers.allow"
 // exported method, of a package under internal/ that no non-test file
 // uses. A method is exempt when its receiver implements an interface
 // that declares it — one of the module's, one of the standard library
-// packages the module imports, or error. Any other uncalled name must
-// be listed in allowFile with a reason; an entry with no reason, or
-// one that names nothing uncalled, is itself a problem.
+// packages the module imports, or error. An interface's own methods
+// are audited instead: one declared under internal/ is reported when no
+// non-test file calls it, through the interface or on a module type
+// that implements it. Any other uncalled name must be listed in
+// allowFile with a reason; an entry with no reason, or one that names
+// nothing uncalled, is itself a problem.
 func auditCallers(root string) ([]string, error) {
 	module, err := modulePath(root)
 	if err != nil {
@@ -66,8 +69,10 @@ func auditCallers(root string) ([]string, error) {
 	}
 
 	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	var concrete []*types.Named
 	for _, pkg := range l.checked {
 		ifaces = appendInterfaces(ifaces, pkg)
+		concrete = appendConcrete(concrete, pkg)
 	}
 	for _, pkg := range l.stdUsed {
 		ifaces = appendInterfaces(ifaces, pkg)
@@ -105,6 +110,15 @@ func auditCallers(root string) ([]string, error) {
 			}
 			named, ok := tn.Type().(*types.Named)
 			if !ok {
+				continue
+			}
+			if iface, ok := named.Underlying().(*types.Interface); ok {
+				for i := 0; i < iface.NumExplicitMethods(); i++ {
+					m := iface.ExplicitMethod(i)
+					if m.Exported() && !l.calledThrough(iface, m, concrete) {
+						report(m, prefix+name+"."+m.Name())
+					}
+				}
 				continue
 			}
 			for i := 0; i < named.NumMethods(); i++ {
@@ -252,6 +266,41 @@ func appendInterfaces(ifaces []*types.Interface, pkg *types.Package) []*types.In
 		}
 	}
 	return ifaces
+}
+
+// appendConcrete adds the package's non-generic named types that are
+// not interfaces.
+func appendConcrete(out []*types.Named, pkg *types.Package) []*types.Named {
+	scope := pkg.Scope()
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok || tn.IsAlias() {
+			continue
+		}
+		named, ok := tn.Type().(*types.Named)
+		if ok && named.TypeParams().Len() == 0 && !types.IsInterface(named) {
+			out = append(out, named)
+		}
+	}
+	return out
+}
+
+// calledThrough reports whether a non-test file calls method m of iface,
+// through the interface or on a type of concrete that implements it.
+func (l *loader) calledThrough(iface *types.Interface, m *types.Func, concrete []*types.Named) bool {
+	if l.used[m] {
+		return true
+	}
+	for _, t := range concrete {
+		ptr := types.NewPointer(t)
+		if !types.Implements(ptr, iface) {
+			continue
+		}
+		if obj, _, _ := types.LookupFieldOrMethod(ptr, false, m.Pkg(), m.Name()); obj != nil && l.used[obj] {
+			return true
+		}
+	}
+	return false
 }
 
 // implementsWith reports whether *T (whose method set holds T's)

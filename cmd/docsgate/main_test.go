@@ -180,6 +180,63 @@ func TestAuditCallersReportsUncalledNames(t *testing.T) {
 	}
 }
 
+// TestAuditCallersReportsUncalledInterfaceMethods seeds an interface
+// with one method called through it, one called only on a type that
+// implements it, and one only a test calls: the last is reported, at
+// the interface, while its implementation stays exempt.
+func TestAuditCallersReportsUncalledInterfaceMethods(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"go.mod": "module example\n\ngo 1.22\n",
+		"internal/shape/shape.go": `package shape
+
+// Shape is a rate curve.
+type Shape interface {
+	// Rate is called through the interface.
+	Rate() float64
+	// Peak is called on Flat only.
+	Peak() float64
+	// Name is called by a test only.
+	Name() string
+}
+
+// Flat is a Shape.
+type Flat struct{}
+
+// Rate implements Shape.
+func (Flat) Rate() float64 { return 1 }
+
+// Peak implements Shape.
+func (Flat) Peak() float64 { return 1 }
+
+// Name implements Shape.
+func (Flat) Name() string { return "flat" }
+
+// New returns a Shape.
+func New() Shape { return Flat{} }
+`,
+		"internal/shape/shape_test.go": `package shape
+
+import "testing"
+
+func TestName(t *testing.T) { _ = New().Name() }
+`,
+		"cmd/app/main.go": `package main
+
+import "example/internal/shape"
+
+func main() { println(shape.New().Rate(), shape.Flat{}.Peak()) }
+`,
+	})
+	problems, err := auditCallers(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "internal/shape/shape.go:10: exported internal/shape.Shape.Name is called by no non-test file"
+	if len(problems) != 1 || !strings.HasPrefix(strings.TrimPrefix(problems[0], root+string(filepath.Separator)), want) {
+		t.Fatalf("problems:\n%s\nwant one: %s", strings.Join(problems, "\n"), want)
+	}
+}
+
 // TestAuditCallersRepo holds the repository to the caller audit: every
 // exported name under internal/ has a non-test caller, is an interface
 // method, or is listed in callers.allow with a reason.

@@ -158,9 +158,6 @@ type GroupConsumer interface {
 	CommitOffsets(offsets map[int]int64) error
 	// PositionsInto fills dst with current read positions.
 	PositionsInto(dst map[int]int64) map[int]int64
-	// Committed returns the group's committed offsets for the
-	// currently assigned partitions.
-	Committed() map[int]int64
 	// Lag totals records between positions and high watermarks.
 	Lag() (int64, error)
 	// Rebalances is the channel signalled when the assignment is stale.
@@ -467,20 +464,6 @@ func (c *Consumer) PositionsInto(dst map[int]int64) map[int]int64 {
 		dst[p] = off
 	}
 	return dst
-}
-
-// Committed returns the group's committed offset for each partition
-// currently assigned to this consumer.
-func (c *Consumer) Committed() map[int]int64 {
-	c.mu.Lock()
-	parts := make([]int, len(c.assigned))
-	copy(parts, c.assigned)
-	c.mu.Unlock()
-	out := make(map[int]int64, len(parts))
-	for _, p := range parts {
-		out[p] = c.grp.committedOffset(p)
-	}
-	return out
 }
 
 // Lag returns the total number of records between the consumer's

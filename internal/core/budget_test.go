@@ -4,6 +4,7 @@ package core
 
 import (
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -372,6 +373,31 @@ func TestOperatorQueryAllocBudget(t *testing.T) {
 	t.Logf("RecentAlarms(50 000) on 250 000 rows: %.1f MB", mb)
 	if mb > 28 {
 		t.Errorf("RecentAlarms(50 000) on 250 000 rows: %.1f MB, budget 28 MB", mb)
+	}
+}
+
+// TestReadBatchIngestFootprintBudget: a retrain's cold RecentAlarms(50 000)
+// must not leave its row batch in the pool ingest draws from. The probe
+// fills the batch ingest would draw next with 50 000 rows: rows that fit
+// allocate nothing, so a fill that allocates no megabytes found the
+// read's batch there, 14 MB of cells held for batches of a few hundred.
+func TestReadBatchIngestFootprintBudget(t *testing.T) {
+	h, _ := operatorHistory(t, 60_000, 1_200)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if out, err := h.RecentAlarms(50_000); err != nil || len(out) != 50_000 {
+		t.Fatalf("RecentAlarms(50 000) = %d alarms, %v", len(out), err)
+	}
+	rows := h.rows.Get().(*docstore.Rows)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 50_000; i++ {
+		rows.Next()
+	}
+	runtime.ReadMemStats(&after)
+	rows.Reset()
+	h.rows.Put(rows)
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6; mb < 1 {
+		t.Fatalf("the ingest pool's batch took 50 000 rows in %.1f MB: it is the read's batch", mb)
 	}
 }
 

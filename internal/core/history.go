@@ -32,12 +32,17 @@ type History struct {
 	// which would hide the I/O overlap the sharded service exploits.
 	rttNanos atomic.Int64
 
-	// rows recycles the typed row batches alarms are written and read
-	// through, so neither direction allocates per alarm; groups (of
-	// *[]docstore.GroupCount) and hists (of *histScratch) recycle what
-	// the group counts and DeviceHistogram read through, so a dashboard
-	// call allocates only the answer it returns.
+	// rows recycles the typed row batches alarms are written through,
+	// and reads those RecentAlarms reads through, so neither direction
+	// allocates per alarm. They are apart because a read batch grows to
+	// the read's limit: a retrain's 50 000-row window would otherwise
+	// leave a 14 MB batch for ingest, whose batches hold a drain's few
+	// hundred. groups (of *[]docstore.GroupCount) and hists (of
+	// *histScratch) recycle what the group counts and DeviceHistogram
+	// read through, so a dashboard call allocates only the answer it
+	// returns.
 	rows   sync.Pool
+	reads  sync.Pool
 	groups sync.Pool
 	hists  sync.Pool
 }
@@ -129,6 +134,7 @@ func NewHistory(db *docstore.DB) (*History, error) {
 	}
 	h := &History{db: db, col: col, fb: db.Collection("feedback")}
 	h.rows.New = func() any { return col.NewRows(alarmFields...) }
+	h.reads.New = h.rows.New
 	h.groups.New = func() any { return new([]docstore.GroupCount) }
 	h.hists.New = func() any { return new(histScratch) }
 	return h, nil
@@ -204,14 +210,14 @@ func (h *History) RecordBatch(alarms []alarm.Alarm) {
 // it returns. limit <= 0 returns everything.
 func (h *History) RecentAlarms(limit int) ([]alarm.Alarm, error) {
 	h.simulateRTT()
-	rows := h.rows.Get().(*docstore.Rows)
+	rows := h.reads.Get().(*docstore.Rows)
 	h.col.TailRows(limit, rows)
 	out := make([]alarm.Alarm, rows.Len())
 	for i := range out {
 		out[i] = rowAlarm(rows.Row(i))
 	}
 	rows.Reset()
-	h.rows.Put(rows)
+	h.reads.Put(rows)
 	// Ingest order approximates time order but concurrent shards can
 	// interleave; restore strict chronology for the Δt-windowed
 	// train/holdout split (stable: equal timestamps keep ingest order).

@@ -41,9 +41,6 @@ type Batch struct {
 	// own component only.
 	Times ComponentTimes
 
-	// DrainedAt timestamps the drain — the moment the batch left the
-	// broker queue and entered the pipeline.
-	DrainedAt time.Time
 	// Enqueued holds each raw record's broker timestamp (collected by
 	// Decode when latency metrics are attached); CommitBatch turns
 	// them into per-record end-to-end latencies, so the e2e histogram
@@ -108,7 +105,6 @@ func (c *ConsumerApp) Drain() *Batch {
 		timeout = 0
 	}
 	b.Offsets = c.consumer.PositionsInto(b.Offsets)
-	b.DrainedAt = time.Now()
 	return b
 }
 

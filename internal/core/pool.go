@@ -41,7 +41,6 @@ func (c *ConsumerApp) getBatch() *Batch {
 	b.leases = b.leases[:0]
 	clear(b.seen)
 	b.Times = ComponentTimes{}
-	b.DrainedAt = time.Time{}
 	b.Shed = false
 	b.pooled = true
 	return b

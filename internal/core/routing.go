@@ -48,18 +48,12 @@ type CustomerPolicy struct {
 	// SuppressTechnical drops technical alarms (connection loss etc.)
 	// instead of transmitting them.
 	SuppressTechnical bool
-	// CustomerTimeout bounds how long the customer may take to
-	// confirm; on expiry the alarm escalates to the ARC.
-	CustomerTimeout time.Duration
 }
 
 // DefaultCustomerPolicy is a conservative default: only confident
 // true alarms bypass the customer.
 func DefaultCustomerPolicy() CustomerPolicy {
-	return CustomerPolicy{
-		TrueThreshold:   0.75,
-		CustomerTimeout: 90 * time.Second,
-	}
+	return CustomerPolicy{TrueThreshold: 0.75}
 }
 
 // Decide routes a verified alarm under the policy.

@@ -108,34 +108,44 @@ func TestColumnAppendAllocBudget(t *testing.T) {
 		Int64(7), String("00:1a:2b:3c:4d:5e"), Float(1.7e9), String("fire"), String("Zürich"),
 		Float(47.37), Float(8.54), Cell{kind: kindInt, num: 3},
 	}
-	cols := make([]column, len(row))
-	var s slabs
 	// A collection during the appends would count the runtime's own
 	// allocations too.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for r := 0; r < rows; r++ {
+	measure := func() (allocs, chunks uint64) {
+		cols := make([]column, len(row))
+		var s slabs
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for r := 0; r < rows; r++ {
+			for i := range cols {
+				cols[i].set(r, row[i], &s)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		// A lane allocates its chunk list, chunk 0 at each size it
+		// doubles through, and every later chunk.
 		for i := range cols {
-			cols[i].set(r, row[i], &s)
+			c := &cols[i]
+			if c.present != nil {
+				t.Fatalf("column %d holds every row yet keeps a bitmap", i)
+			}
+			if c.n != rows {
+				t.Fatalf("column %d holds %d of %d rows", i, c.n, rows)
+			}
+			n := len(c.strs.chunks) + len(c.nums.chunks)
+			chunks += 1 + uint64(bits.Len(chunkRows/firstChunkRows)) + uint64(n-1)
 		}
+		return after.Mallocs - before.Mallocs, chunks
 	}
-	runtime.ReadMemStats(&after)
-	// A lane allocates its chunk list, chunk 0 at each size it doubles
-	// through, and every later chunk.
-	var chunks uint64
-	for i := range cols {
-		c := &cols[i]
-		if c.present != nil {
-			t.Fatalf("column %d holds every row yet keeps a bitmap", i)
-		}
-		if c.n != rows {
-			t.Fatalf("column %d holds %d of %d rows", i, c.n, rows)
-		}
-		n := len(c.strs.chunks) + len(c.nums.chunks)
-		chunks += 1 + uint64(bits.Len(chunkRows/firstChunkRows)) + uint64(n-1)
+	// Mallocs counts the whole process, so a goroutine of the test
+	// binary's can land in the window: the appends' own count is the
+	// least of a few trials. Each trial appends to fresh columns, so an
+	// allocation the appends make themselves fails every one of them.
+	allocs, chunks := measure()
+	for trial := 1; trial < 5 && allocs > chunks; trial++ {
+		a, _ := measure()
+		allocs = min(allocs, a)
 	}
-	allocs := after.Mallocs - before.Mallocs
 	t.Logf("%d rows of %d fields appended: %d allocations, %d of them the lanes' chunks", rows, len(row), allocs, chunks)
 	if allocs > chunks {
 		t.Fatalf("%d rows of %d fields appended: %d allocations, budget the lanes' %d", rows, len(row), allocs, chunks)

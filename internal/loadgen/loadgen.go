@@ -40,8 +40,6 @@ import (
 // Shape is a target arrival-rate curve: the offered load in alarms
 // per second at each offset from stream start.
 type Shape interface {
-	// Name identifies the shape in stats and CLI output.
-	Name() string
 	// Rate returns the instantaneous target rate (alarms/s, >= 0) at
 	// the elapsed offset.
 	Rate(elapsed time.Duration) float64
@@ -53,9 +51,6 @@ type Constant struct {
 	// PerSec is the arrival rate in alarms per second.
 	PerSec float64
 }
-
-// Name implements Shape.
-func (c Constant) Name() string { return "constant" }
 
 // Rate implements Shape.
 func (c Constant) Rate(time.Duration) float64 { return c.PerSec }
@@ -72,9 +67,6 @@ type Bursty struct {
 	// off-phase.
 	On, Off time.Duration
 }
-
-// Name implements Shape.
-func (b Bursty) Name() string { return "burst" }
 
 // Rate implements Shape.
 func (b Bursty) Rate(elapsed time.Duration) float64 {
@@ -100,9 +92,6 @@ type Diurnal struct {
 	Period time.Duration
 }
 
-// Name implements Shape.
-func (d Diurnal) Name() string { return "diurnal" }
-
 // Rate implements Shape.
 func (d Diurnal) Rate(elapsed time.Duration) float64 {
 	if d.Period <= 0 {
@@ -127,9 +116,6 @@ type FlashCrowd struct {
 	// SpikeAt is the window's start offset; SpikeFor its length.
 	SpikeAt, SpikeFor time.Duration
 }
-
-// Name implements Shape.
-func (f FlashCrowd) Name() string { return "flash" }
 
 // Rate implements Shape.
 func (f FlashCrowd) Rate(elapsed time.Duration) float64 {

@@ -122,11 +122,97 @@ func (rc *rpcConn) callWire(op byte, req request, resp response, rbuf *[]byte) e
 	return resp.toErr()
 }
 
-func (rc *rpcConn) close() {
-	rc.c.Close()
-	rc.mu.Lock()
-	rc.dead = true
-	rc.mu.Unlock()
+// close shuts the socket: a call in flight fails on it, and so does
+// every later one, as a transport failure.
+func (rc *rpcConn) close() { rc.c.Close() }
+
+// connSlot caches one connection to a node: the leader, for a client's
+// control calls, a producer's sends or a consumer's group calls and
+// fetches, or a peer, for replication and elections. get dials outside
+// the lock and keeps the first of two racing dials; drop empties the
+// slot only while the failed connection is still its own, so a caller
+// holding a stale one cannot discard its successor; close empties it for
+// good, and every later get answers broker.ErrClosed.
+type connSlot struct {
+	dial func() (*rpcConn, error)
+
+	mu     sync.Mutex
+	rc     *rpcConn //alarmvet:guardedby mu
+	closed bool     //alarmvet:guardedby mu
+}
+
+// get returns the slot's connection, dialing when it is empty.
+func (s *connSlot) get() (*rpcConn, error) {
+	s.mu.Lock()
+	rc, closed := s.rc, s.closed
+	s.mu.Unlock()
+	if closed {
+		return nil, broker.ErrClosed
+	}
+	if rc != nil {
+		return rc, nil
+	}
+	rc, err := s.dial()
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	cur, closed := s.rc, s.closed
+	if cur == nil && !closed {
+		s.rc = rc
+	}
+	s.mu.Unlock()
+	switch {
+	case closed:
+		rc.close()
+		return nil, broker.ErrClosed
+	case cur != nil:
+		rc.close()
+		return cur, nil
+	}
+	return rc, nil
+}
+
+// drop closes rc, emptying the slot if rc is still its connection, and
+// reports whether it was; nil drops whatever the slot holds.
+func (s *connSlot) drop(rc *rpcConn) bool {
+	s.mu.Lock()
+	cur := s.rc
+	if rc == nil {
+		rc = cur
+	}
+	own := rc != nil && rc == cur
+	if own {
+		s.rc = nil
+	}
+	s.mu.Unlock()
+	if rc != nil {
+		rc.close()
+	}
+	return own
+}
+
+// close drops the slot's connection and refuses every later get.
+func (s *connSlot) close() {
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
+	s.drop(nil)
+}
+
+// call runs one call on the slot's connection (see callWire). A
+// transport failure or a leader redirect drops the connection; dropped
+// reports that it was still the slot's own, the cue for a caller with
+// other slots on the same node to drop those too.
+func (s *connSlot) call(op byte, req request, resp response, rbuf *[]byte) (dropped bool, err error) {
+	rc, err := s.get()
+	if err != nil {
+		return false, err
+	}
+	if err = rc.callWire(op, req, resp, rbuf); err != nil && retriable(err) {
+		dropped = s.drop(rc)
+	}
+	return dropped, err
 }
 
 // ClientOptions tunes a Client.
@@ -165,10 +251,9 @@ type Client struct {
 	topic string
 	opts  ClientOptions
 
-	mu     sync.Mutex
-	leader int
-	ctl    *rpcConn
-	closed bool
+	// ctl carries the control calls: topic creation and the group
+	// audit.
+	ctl connSlot
 }
 
 // Dial connects to a replica set (addrs in node-id order, same list
@@ -180,25 +265,18 @@ func Dial(addrs []string, topic string, opts ClientOptions) (*Client, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("netbroker: no addresses")
 	}
-	c := &Client{addrs: addrs, topic: topic, opts: opts, leader: -1}
-	if _, err := c.leaderConn(); err != nil {
+	c := &Client{addrs: addrs, topic: topic, opts: opts}
+	c.ctl.dial = c.dialLeader
+	if _, err := c.ctl.get(); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// Close drops the client's control connection. Producers and
-// consumers own their connections and close independently.
-func (c *Client) Close() {
-	c.mu.Lock()
-	c.closed = true
-	ctl := c.ctl
-	c.ctl = nil
-	c.mu.Unlock()
-	if ctl != nil {
-		ctl.close()
-	}
-}
+// Close drops the client's control connection; its later calls answer
+// broker.ErrClosed. Producers and consumers own their connections and
+// close independently.
+func (c *Client) Close() { c.ctl.close() }
 
 // discoverLeader probes every node for its view and returns the
 // leader claimed by the highest epoch.
@@ -222,60 +300,18 @@ func (c *Client) discoverLeader() (int, error) {
 		}
 	}
 	if leader < 0 || leader >= len(c.addrs) {
-		return -1, errors.New("netbroker: no reachable leader")
+		return -1, fmt.Errorf("%w: no reachable leader", errTransport)
 	}
 	return leader, nil
 }
 
-// leaderConn returns the cached control connection to the current
-// leader, discovering and dialing as needed.
-func (c *Client) leaderConn() (*rpcConn, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, broker.ErrClosed
-	}
-	if c.ctl != nil {
-		rc := c.ctl
-		c.mu.Unlock()
-		return rc, nil
-	}
-	c.mu.Unlock()
+// dialLeader dials the current leader: every leader slot's dial.
+func (c *Client) dialLeader() (*rpcConn, error) {
 	leader, err := c.discoverLeader()
 	if err != nil {
 		return nil, err
 	}
-	rc, err := dialRPC(c.addrs[leader], c.opts.DialTimeout)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		rc.close()
-		return nil, broker.ErrClosed
-	}
-	if c.ctl != nil {
-		old := c.ctl
-		c.mu.Unlock()
-		rc.close()
-		return old, nil
-	}
-	c.leader = leader
-	c.ctl = rc
-	c.mu.Unlock()
-	return rc, nil
-}
-
-// invalidate drops a failed control connection.
-func (c *Client) invalidate(rc *rpcConn) {
-	c.mu.Lock()
-	if c.ctl == rc {
-		c.ctl = nil
-		c.leader = -1
-	}
-	c.mu.Unlock()
-	rc.close()
+	return dialRPC(c.addrs[leader], c.opts.DialTimeout)
 }
 
 // retriable reports whether an error warrants leader rediscovery:
@@ -293,29 +329,42 @@ func retriable(err error) bool {
 	return errors.As(err, &ne)
 }
 
-// callLeader runs one control-plane call against the leader, retrying
-// through failovers until RetryTimeout.
-func (c *Client) callLeader(op byte, req any, resp interface{ toErr() error }) error {
+// retry runs try until it succeeds or fails for good: once RetryTimeout
+// has passed since the first try, or with an error that is neither
+// retriable nor broker.ErrNotMember (a session the coordinator expired,
+// which a rejoin at the current leader mends). It pauses 100 ms between
+// tries, and a close of stop (nil for none) ends the pause with
+// broker.ErrClosed. Every call that rides out a failover — control
+// calls, sends, a consumer's refresh — retries here.
+func (c *Client) retry(stop <-chan struct{}, try func() error) error {
 	deadline := time.Now().Add(c.opts.RetryTimeout)
-	var lastErr error
 	for {
-		rc, err := c.leaderConn()
-		if err == nil {
-			err = rc.call(op, req, resp)
-			if err == nil {
-				return nil
-			}
-			if !retriable(err) {
-				return err
-			}
-			c.invalidate(rc)
+		err := try()
+		if err == nil || !retriable(err) && !errors.Is(err, broker.ErrNotMember) {
+			return err
 		}
-		lastErr = err
 		if !time.Now().Before(deadline) {
-			return fmt.Errorf("netbroker: retries exhausted: %w", lastErr)
+			return fmt.Errorf("netbroker: retries exhausted: %w", err)
 		}
-		time.Sleep(100 * time.Millisecond)
+		select {
+		case <-stop:
+			return broker.ErrClosed
+		case <-time.After(100 * time.Millisecond):
+		}
 	}
+}
+
+// callLeader runs one control-plane call against the leader, retrying
+// through failovers.
+func (c *Client) callLeader(op byte, req any, resp interface{ toErr() error }) error {
+	enc, err := json.Marshal(req)
+	if err != nil {
+		return err
+	}
+	return c.retry(nil, func() error {
+		_, err := c.ctl.call(op, jsonBody(enc), jsonResp{resp}, nil)
+		return err
+	})
 }
 
 // EnsureTopic creates the client's topic with the given partition
@@ -376,8 +425,7 @@ type Producer struct {
 	id         int64
 	partitions int
 
-	connMu sync.Mutex
-	conn   *rpcConn
+	conn connSlot
 
 	rr    atomic.Int64
 	parts []sendPartition
@@ -399,49 +447,14 @@ func (c *Client) NewProducer() (*Producer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Producer{
+	p := &Producer{
 		c:          c,
 		id:         randomProducerID(),
 		partitions: parts,
 		parts:      make([]sendPartition, parts),
-	}, nil
-}
-
-// sendConn returns the producer's connection to the leader.
-func (p *Producer) sendConn() (*rpcConn, error) {
-	p.connMu.Lock()
-	rc := p.conn
-	p.connMu.Unlock()
-	if rc != nil {
-		return rc, nil
 	}
-	leader, err := p.c.discoverLeader()
-	if err != nil {
-		return nil, err
-	}
-	rc, err = dialRPC(p.c.addrs[leader], p.c.opts.DialTimeout)
-	if err != nil {
-		return nil, err
-	}
-	p.connMu.Lock()
-	if p.conn != nil {
-		old := p.conn
-		p.connMu.Unlock()
-		rc.close()
-		return old, nil
-	}
-	p.conn = rc
-	p.connMu.Unlock()
-	return rc, nil
-}
-
-func (p *Producer) dropConn(rc *rpcConn) {
-	p.connMu.Lock()
-	if p.conn == rc {
-		p.conn = nil
-	}
-	p.connMu.Unlock()
-	rc.close()
+	p.conn.dial = c.dialLeader
+	return p, nil
 }
 
 // SendAt appends one record, returning its partition and offset once
@@ -467,35 +480,16 @@ func (p *Producer) SendAt(key, value []byte, ts time.Time) (int, int64, error) {
 	}
 	pp.req.Topic, pp.req.Partition, pp.req.ProducerID, pp.req.BaseSeq = p.c.topic, part, p.id, seq
 	pp.req.Recs = append(pp.req.Recs[:0], broker.Record{Key: key, Value: value, Timestamp: ts})
-	deadline := time.Now().Add(p.c.opts.RetryTimeout)
-	var lastErr error
-	for {
-		rc, err := p.sendConn()
-		if err == nil {
-			err = rc.callWire(opAppend, &pp.req, &pp.resp, nil)
-			if err == nil {
-				return part, pp.resp.Base, nil
-			}
-			if !retriable(err) {
-				return part, 0, err
-			}
-			p.dropConn(rc)
-		}
-		lastErr = err
-		if !time.Now().Before(deadline) {
-			return part, 0, fmt.Errorf("netbroker: send retries exhausted: %w", lastErr)
-		}
-		time.Sleep(100 * time.Millisecond)
+	err := p.c.retry(nil, func() error {
+		_, err := p.conn.call(opAppend, &pp.req, &pp.resp, nil)
+		return err
+	})
+	if err != nil {
+		return part, 0, err
 	}
+	return part, pp.resp.Base, nil
 }
 
-// Close drops the producer's connection.
-func (p *Producer) Close() {
-	p.connMu.Lock()
-	rc := p.conn
-	p.conn = nil
-	p.connMu.Unlock()
-	if rc != nil {
-		rc.close()
-	}
-}
+// Close drops the producer's connection; later sends answer
+// broker.ErrClosed.
+func (p *Producer) Close() { p.conn.close() }

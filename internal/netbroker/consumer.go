@@ -38,9 +38,7 @@ type Consumer struct {
 	// polls. An rpcConn is held for a whole round-trip, and the server
 	// parks a fetch until records are visible, so on one connection
 	// every commit and heartbeat would queue behind the parked fetch.
-	connMu sync.Mutex
-	conn   *rpcConn
-	fetch  *rpcConn
+	conn, fetch connSlot
 
 	// fetchReq and fetchResp are the polling goroutine's messages, kept
 	// for their capacity; recv is the buffer its next fetch response is
@@ -72,59 +70,13 @@ func (c *Client) newConsumer(group, id string) (*Consumer, error) {
 		rebalance: make(chan struct{}, 1),
 		stopc:     make(chan struct{}),
 	}
+	cons.conn.dial, cons.fetch.dial = c.dialLeader, c.dialLeader
 	if err := cons.join(); err != nil {
 		return nil, err
 	}
 	cons.hbWG.Add(1)
 	go cons.heartbeatLoop()
 	return cons, nil
-}
-
-// leaderConn returns the connection kept in slot (&k.conn or &k.fetch),
-// dialing the current leader when the slot is empty.
-func (k *Consumer) leaderConn(slot **rpcConn) (*rpcConn, error) {
-	k.connMu.Lock()
-	rc := *slot
-	k.connMu.Unlock()
-	if rc != nil {
-		return rc, nil
-	}
-	leader, err := k.c.discoverLeader()
-	if err != nil {
-		return nil, err
-	}
-	rc, err = dialRPC(k.c.addrs[leader], k.c.opts.DialTimeout)
-	if err != nil {
-		return nil, err
-	}
-	k.connMu.Lock()
-	if *slot != nil {
-		old := *slot
-		k.connMu.Unlock()
-		rc.close()
-		return old, nil
-	}
-	*slot = rc
-	k.connMu.Unlock()
-	return rc, nil
-}
-
-// dropConn discards a failed connection and, the leader having moved or
-// died, its sibling: both re-aim at the next call. A connection already
-// replaced is only closed; nil drops whatever is open.
-func (k *Consumer) dropConn(rc *rpcConn) {
-	k.connMu.Lock()
-	stale := [...]*rpcConn{rc, nil}
-	if rc == nil || rc == k.conn || rc == k.fetch {
-		stale = [...]*rpcConn{k.conn, k.fetch}
-		k.conn, k.fetch = nil, nil
-	}
-	k.connMu.Unlock()
-	for _, c := range stale {
-		if c != nil {
-			c.close()
-		}
-	}
 }
 
 // call runs one JSON control RPC on the ordered connection.
@@ -137,20 +89,16 @@ func (k *Consumer) call(op byte, req any, resp interface{ toErr() error }) error
 }
 
 // callOn runs one RPC on the connection kept in slot, the response read
-// into *rbuf (see callWire); transport failures and leader redirects
-// drop the consumer's connections.
-func (k *Consumer) callOn(slot **rpcConn, op byte, req request, resp response, rbuf *[]byte) error {
-	rc, err := k.leaderConn(slot)
-	if err != nil {
-		return err
+// into *rbuf (see callWire). A transport failure or a leader redirect
+// drops the connection and, the leader having moved or died, its
+// sibling: both re-aim at the next call.
+func (k *Consumer) callOn(slot *connSlot, op byte, req request, resp response, rbuf *[]byte) error {
+	dropped, err := slot.call(op, req, resp, rbuf)
+	if dropped {
+		k.conn.drop(nil)
+		k.fetch.drop(nil)
 	}
-	if err := rc.callWire(op, req, resp, rbuf); err != nil {
-		if retriable(err) {
-			k.dropConn(rc)
-		}
-		return err
-	}
-	return nil
+	return err
 }
 
 // join (re)joins the group at the current leader and installs the
@@ -241,24 +189,7 @@ func (k *Consumer) Rebalances() <-chan struct{} { return k.rebalance }
 // now is for the client's RetryTimeout. Only an outage outlasting that
 // budget (or a non-retriable refusal) surfaces.
 func (k *Consumer) RefreshAssignment() error {
-	deadline := time.Now().Add(k.c.opts.RetryTimeout)
-	for {
-		err := k.refreshOnce()
-		if err == nil {
-			return nil
-		}
-		if !errors.Is(err, broker.ErrNotMember) && !retriable(err) {
-			return err
-		}
-		if time.Now().After(deadline) {
-			return err
-		}
-		select {
-		case <-k.stopc:
-			return broker.ErrClosed
-		case <-time.After(100 * time.Millisecond):
-		}
-	}
+	return k.c.retry(k.stopc, k.refreshOnce)
 }
 
 func (k *Consumer) refreshOnce() error {
@@ -416,17 +347,6 @@ func (k *Consumer) PositionsInto(dst map[int]int64) map[int]int64 {
 	return dst
 }
 
-// Committed returns the group's committed offsets for the assigned
-// partitions.
-func (k *Consumer) Committed() map[int]int64 {
-	parts := k.Assignment()
-	var resp committedResp
-	if err := k.call(opCommitted, committedReq{Group: k.group, Parts: parts}, &resp); err != nil {
-		return map[int]int64{}
-	}
-	return resp.Offsets
-}
-
 // Lag totals the records between positions and the high watermarks.
 func (k *Consumer) Lag() (int64, error) {
 	k.mu.Lock()
@@ -470,5 +390,6 @@ func (k *Consumer) Close() {
 	var resp leaveResp
 	// Best-effort: the janitor expires us if the leave never lands.
 	_ = k.call(opLeave, leaveReq{Group: k.group, Member: k.member}, &resp)
-	k.dropConn(nil)
+	k.conn.close()
+	k.fetch.close()
 }

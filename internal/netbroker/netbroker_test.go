@@ -161,18 +161,11 @@ func TestSingleNodeProduceConsume(t *testing.T) {
 	if err := commitPositions(cons); err != nil {
 		t.Fatal(err)
 	}
-	var sum int64
-	for _, off := range cons.Committed() {
-		sum += off
-	}
-	if sum != n {
-		t.Fatalf("committed %d records, want %d", sum, n)
-	}
 	offs, err := c.GroupCommitted("verify")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum = 0
+	var sum int64
 	for _, off := range offs {
 		sum += off
 	}

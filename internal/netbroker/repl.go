@@ -413,7 +413,7 @@ func (s *Server) maybeStepDown() {
 // because the leader held the pull — so the next pull may follow at
 // once: it carries the ack and becomes the next held pull.
 func (s *Server) pullFrom(leader int) (served bool, err error) {
-	rc, err := s.peerConn(leader)
+	peer, rc, err := s.peerConn(leader)
 	if err != nil {
 		return false, err
 	}
@@ -433,7 +433,7 @@ func (s *Server) pullFrom(leader int) (served bool, err error) {
 		}
 	}
 	if err := rc.callWire(opReplFetch, req, resp, nil); err != nil {
-		s.dropPeerConn(leader, rc)
+		peer.drop(rc)
 		return false, err
 	}
 	s.mu.Lock()
@@ -555,13 +555,13 @@ func (s *Server) runElection() {
 		if node == s.opts.NodeID {
 			continue
 		}
-		rc, err := s.peerConn(node)
+		peer, rc, err := s.peerConn(node)
 		if err != nil {
 			continue
 		}
 		var resp voteResp
 		if err := rc.call(opVote, voteReq{Epoch: newEpoch, NodeID: s.opts.NodeID}, &resp); err != nil {
-			s.dropPeerConn(node, rc)
+			peer.drop(rc)
 			continue
 		}
 		if !resp.Granted {
@@ -646,13 +646,13 @@ func (s *Server) runElection() {
 		if node == s.opts.NodeID {
 			continue
 		}
-		rc, err := s.peerConn(node)
+		peer, rc, err := s.peerConn(node)
 		if err != nil {
 			continue
 		}
 		var resp declareResp
 		if err := rc.call(opDeclare, declare, &resp); err != nil {
-			s.dropPeerConn(node, rc)
+			peer.drop(rc)
 		}
 	}
 }
@@ -678,14 +678,14 @@ func (s *Server) reconcilePartition(t *broker.Topic, name string, p int, theirs 
 			}
 			continue
 		}
-		rc, err := s.peerConn(node)
+		peer, rc, err := s.peerConn(node)
 		if err != nil {
 			return false
 		}
 		var resp fetchResp
 		req := fetchLogReq{Topic: name, Partition: p, Offset: local - 1, Max: 1}
 		if err := rc.callWire(opFetchLog, &req, &resp, nil); err != nil {
-			s.dropPeerConn(node, rc)
+			peer.drop(rc)
 			return false
 		}
 		if len(resp.Recs) == 0 {
@@ -709,14 +709,14 @@ func (s *Server) syncPartition(t *broker.Topic, name string, p int, theirs int64
 		if err != nil || local >= theirs {
 			return err == nil
 		}
-		rc, err := s.peerConn(node)
+		peer, rc, err := s.peerConn(node)
 		if err != nil {
 			return false
 		}
 		var resp fetchResp
 		req := fetchLogReq{Topic: name, Partition: p, Offset: local, Max: replBatch}
 		if err := rc.callWire(opFetchLog, &req, &resp, nil); err != nil {
-			s.dropPeerConn(node, rc)
+			peer.drop(rc)
 			return false
 		}
 		// The records point into the peer connection's receive buffer;
@@ -727,39 +727,25 @@ func (s *Server) syncPartition(t *broker.Topic, name string, p int, theirs int64
 	}
 }
 
-// peerConn returns a cached connection to a peer, dialing on demand.
-func (s *Server) peerConn(node int) (*rpcConn, error) {
+// peerConn returns node's connection slot, built on first use, and
+// the connection it holds, dialed with a 250 ms timeout when it is empty.
+func (s *Server) peerConn(node int) (*connSlot, *rpcConn, error) {
 	s.peerMu.Lock()
-	rc := s.peerConns[node]
-	s.peerMu.Unlock()
-	if rc != nil {
-		return rc, nil
-	}
-	if node < 0 || node >= len(s.opts.Peers) {
-		return nil, fmt.Errorf("netbroker: no peer %d", node)
-	}
-	c, err := dialRPC(s.opts.Peers[node], 250*time.Millisecond)
-	if err != nil {
-		return nil, err
-	}
-	s.peerMu.Lock()
-	if cur := s.peerConns[node]; cur != nil {
+	ps := s.peers[node]
+	switch {
+	case ps != nil:
+	case s.peers == nil:
 		s.peerMu.Unlock()
-		c.close()
-		return cur, nil
-	}
-	s.peerConns[node] = c
-	s.peerMu.Unlock()
-	return c, nil
-}
-
-// dropPeerConn discards a failed peer connection so the next call
-// redials.
-func (s *Server) dropPeerConn(node int, rc *rpcConn) {
-	s.peerMu.Lock()
-	if s.peerConns[node] == rc {
-		delete(s.peerConns, node)
+		return nil, nil, broker.ErrClosed
+	case node < 0 || node >= len(s.opts.Peers):
+		s.peerMu.Unlock()
+		return nil, nil, fmt.Errorf("netbroker: no peer %d", node)
+	default:
+		addr := s.opts.Peers[node]
+		ps = &connSlot{dial: func() (*rpcConn, error) { return dialRPC(addr, 250*time.Millisecond) }}
+		s.peers[node] = ps
 	}
 	s.peerMu.Unlock()
-	rc.close()
+	rc, err := ps.get()
+	return ps, rc, err
 }

@@ -130,8 +130,9 @@ type Server struct {
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
 
-	peerMu    sync.Mutex
-	peerConns map[int]*rpcConn
+	// peers[node] is the connection slot for a peer, nil once closed.
+	peerMu sync.Mutex
+	peers  map[int]*connSlot
 
 	// pull is replLoop's own: the follower's pull messages and topic
 	// list, kept for their capacity.
@@ -174,7 +175,7 @@ func NewServer(b *broker.Broker, addr string, opts Options) (*Server, error) {
 		commits:     make(map[string][]int64),
 		sessions:    make(map[sessionKey]*session),
 		conns:       make(map[net.Conn]struct{}),
-		peerConns:   make(map[int]*rpcConn),
+		peers:       make(map[int]*connSlot),
 		stopc:       make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -245,10 +246,10 @@ func (s *Server) Close() {
 	}
 	s.connMu.Unlock()
 	s.peerMu.Lock()
-	for _, rc := range s.peerConns {
-		rc.close()
+	for _, ps := range s.peers {
+		ps.close()
 	}
-	s.peerConns = make(map[int]*rpcConn)
+	s.peers = nil
 	s.peerMu.Unlock()
 	s.wg.Wait()
 }
