@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: build test test-budgets bench bench-aggregate bench-classify bench-train bench-persist bench-harness-smoke bench-record bench-record-smoke test-crash test-events test-distributed cover docs-gate fuzz-smoke lint fmt
+.PHONY: build test test-budgets bench bench-aggregate bench-classify bench-train bench-persist bench-wire bench-harness-smoke bench-record bench-record-smoke test-crash test-events test-distributed cover docs-gate fuzz-smoke lint fmt
 
 ## build: compile every package and command
 build:
@@ -104,6 +104,19 @@ bench-persist:
 		echo "$$out" | grep -q "^BenchmarkOperatorQueries/query=$$q" || \
 			{ echo "BenchmarkOperatorQueries did not run query=$$q"; exit 1; }; \
 	done
+
+## bench-wire: the two round trips a remote shard repeats, both ends in
+## one process (internal/netbroker) — an RF 1 SendAt, and a consumer
+## heartbeat — seven runs each on one CPU, the before/after evidence for
+## wire-path changes (compare two trees' outputs run by run). The CI
+## bench-smoke job runs this explicitly (and fails if either
+## sub-benchmark disappears)
+bench-wire:
+	@out=$$($(GO) test -run=- -bench='^BenchmarkWire$$' -benchmem -cpu 1 -count 7 ./internal/netbroker) || \
+		{ echo "$$out"; echo "BenchmarkWire failed"; exit 1; }; \
+	echo "$$out"; \
+	echo "$$out" | grep -q '^BenchmarkWire/send' && echo "$$out" | grep -q '^BenchmarkWire/heartbeat' || \
+		{ echo "BenchmarkWire/send or BenchmarkWire/heartbeat did not run"; exit 1; }
 
 ## bench-harness-smoke: vet and race-test the benchmark harness
 ## (BENCHMARK.json → bench/). bench/ is a module of its own, so `go

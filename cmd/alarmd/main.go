@@ -300,10 +300,12 @@ func run(o options) error {
 		sender       broker.RecordSender
 		cluster      serve.Cluster
 		memberPrefix string
+		client       *netbroker.Client
 	)
 	if o.brokerAddr != "" {
 		addrs := strings.Split(o.brokerAddr, ",")
-		client, err := netbroker.Dial(addrs, "alarms", netbroker.ClientOptions{})
+		var err error
+		client, err = netbroker.Dial(addrs, "alarms", netbroker.ClientOptions{})
 		if err != nil {
 			return err
 		}
@@ -569,6 +571,10 @@ loop:
 		}
 		fmt.Printf("committed offsets: %d records durable across %d partitions\n",
 			sum, len(committed))
+	}
+	if client != nil {
+		retries, reconnects := client.WireStats()
+		fmt.Printf("wire: %d retries, %d reconnects\n", retries, reconnects)
 	}
 	if o.topDevices > 0 {
 		if top, err := svc.TopDevices(o.topDevices); err == nil && len(top) > 0 {

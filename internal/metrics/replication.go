@@ -3,15 +3,17 @@ package metrics
 import (
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
 )
 
 // Replication tracks a replicated broker node's role and health: the
-// current epoch and leader, how many failovers this node has won, and
-// each follower's replication lag (records appended on the leader but
-// not yet acknowledged by that follower). brokerd renders it on
+// current epoch and leader, how many failovers this node has won, each
+// follower's replication lag (records appended on the leader but not
+// yet acknowledged by that follower), and how often the node dialed
+// each peer again after its connection dropped. brokerd renders it on
 // /metrics next to the pipeline histograms; updates are lock-free on
 // the hot path (the lag gauge takes a small mutex, updated once per
 // replication round-trip, not per record).
@@ -21,13 +23,14 @@ type Replication struct {
 	isLeader  atomic.Bool
 	failovers atomic.Int64
 
-	mu  sync.Mutex
-	lag map[int]int64
+	mu         sync.Mutex
+	lag        map[int]int64
+	reconnects map[int]int64
 }
 
 // NewReplication returns an empty replication metric set.
 func NewReplication() *Replication {
-	return &Replication{lag: make(map[int]int64)}
+	return &Replication{lag: make(map[int]int64), reconnects: make(map[int]int64)}
 }
 
 // SetRole records the node's current view: epoch, leader id and
@@ -53,11 +56,22 @@ func (r *Replication) SetReplicaLag(node int, lag int64) {
 func (r *Replication) ReplicaLag() map[int]int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make(map[int]int64, len(r.lag))
-	for n, l := range r.lag {
-		out[n] = l
-	}
-	return out
+	return maps.Clone(r.lag)
+}
+
+// AddPeerReconnect counts one connection to a peer node dialed again
+// after the last one dropped.
+func (r *Replication) AddPeerReconnect(node int) {
+	r.mu.Lock()
+	r.reconnects[node]++
+	r.mu.Unlock()
+}
+
+// PeerReconnects snapshots the per-peer reconnect counters.
+func (r *Replication) PeerReconnects() map[int]int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return maps.Clone(r.reconnects)
 }
 
 // WriteProm renders the replication metrics in the Prometheus text
@@ -73,14 +87,19 @@ func (r *Replication) WriteProm(w io.Writer) {
 	fmt.Fprintf(w, "alarmverify_broker_is_leader %d\n", lead)
 	fmt.Fprintf(w, "# TYPE alarmverify_broker_failovers_total counter\n")
 	fmt.Fprintf(w, "alarmverify_broker_failovers_total %d\n", r.failovers.Load())
-	lag := r.ReplicaLag()
-	nodes := make([]int, 0, len(lag))
-	for n := range lag {
+	writePerNode(w, "alarmverify_broker_replica_lag_records", "gauge", r.ReplicaLag())
+	writePerNode(w, "alarmverify_broker_peer_reconnects_total", "counter", r.PeerReconnects())
+}
+
+// writePerNode renders one metric family labelled by node, in node order.
+func writePerNode(w io.Writer, name, kind string, byNode map[int]int64) {
+	nodes := make([]int, 0, len(byNode))
+	for n := range byNode {
 		nodes = append(nodes, n)
 	}
 	sort.Ints(nodes)
-	fmt.Fprintf(w, "# TYPE alarmverify_broker_replica_lag_records gauge\n")
+	fmt.Fprintf(w, "# TYPE %s %s\n", name, kind)
 	for _, n := range nodes {
-		fmt.Fprintf(w, "alarmverify_broker_replica_lag_records{node=\"%d\"} %d\n", n, lag[n])
+		fmt.Fprintf(w, "%s{node=\"%d\"} %d\n", name, n, byNode[n])
 	}
 }

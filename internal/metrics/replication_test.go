@@ -43,6 +43,8 @@ func TestReplicationWriteProm(t *testing.T) {
 	r.AddFailover()
 	r.SetReplicaLag(2, 0)
 	r.SetReplicaLag(1, 34)
+	r.AddPeerReconnect(2)
+	r.AddPeerReconnect(2)
 	var b strings.Builder
 	r.WriteProm(&b)
 	out := b.String()
@@ -52,6 +54,7 @@ func TestReplicationWriteProm(t *testing.T) {
 		"alarmverify_broker_failovers_total 1\n",
 		`alarmverify_broker_replica_lag_records{node="1"} 34` + "\n",
 		`alarmverify_broker_replica_lag_records{node="2"} 0` + "\n",
+		`alarmverify_broker_peer_reconnects_total{node="2"} 2` + "\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("WriteProm output missing %q:\n%s", want, out)

@@ -3,6 +3,9 @@
 package netbroker
 
 import (
+	"encoding/binary"
+	"hash/crc32"
+	"io"
 	"testing"
 	"time"
 
@@ -14,30 +17,12 @@ import (
 // keeps, and would not survive a return to encoding/json (a send was 29
 // allocations, an idle pull about as many on each side). Each run
 // counts both ends of the round trip: client and server share the
-// process. Since readFrame reads its header into the connection's
-// scratch (it cost each end one allocation a frame), an idle round trip
-// allocates nothing. The race runtime inflates the counts, hence the tag.
-
-// budgetClient boots a standalone node with an eight-partition topic
-// and a client whose heartbeats stay out of the measurements.
-func budgetClient(t *testing.T) (*Server, *Client) {
-	t.Helper()
-	b := broker.New()
-	srv, err := NewServer(b, "127.0.0.1:0", Options{SessionTimeout: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close(); b.Close() })
-	c, err := Dial([]string{srv.Addr()}, "alarms", ClientOptions{HeartbeatInterval: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	if _, err := c.EnsureTopic(8); err != nil {
-		t.Fatal(err)
-	}
-	return srv, c
-}
+// process. Since readFrame reads header and body into the connection's
+// buffer (a header of its own cost each end one allocation a frame), an
+// idle round trip allocates nothing; since the heartbeat and the
+// high-watermarks request joined the binary messages, neither does a
+// heartbeat or a Lag. The race runtime inflates the counts, hence the
+// tag.
 
 func TestSendAllocBudget(t *testing.T) {
 	_, c := budgetClient(t)
@@ -170,5 +155,118 @@ func TestCommitOffsetsAllocBudget(t *testing.T) {
 	t.Logf("CommitOffsets of 8 partitions: %.2f allocations", allocs)
 	if allocs > 2 {
 		t.Fatalf("CommitOffsets of 8 partitions: %.2f allocations, budget 2", allocs)
+	}
+}
+
+// TestHeartbeatAllocBudget: a heartbeat round trip encodes into and
+// decodes out of messages both ends keep (18 allocations when its bodies
+// were JSON).
+func TestHeartbeatAllocBudget(t *testing.T) {
+	_, c := budgetClient(t)
+	gc, _, err := c.NewGroupConsumer("verify", "m1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gc.Close()
+	cons := gc.(*Consumer)
+	heartbeat := func() {
+		if stale, err := cons.heartbeat(); err != nil || stale {
+			t.Fatalf("heartbeat: stale %v, %v", stale, err)
+		}
+	}
+	heartbeat()
+	allocs := testing.AllocsPerRun(200, heartbeat)
+	t.Logf("heartbeat round trip: %.2f allocations", allocs)
+	if allocs > 0 {
+		t.Fatalf("heartbeat round trip: %.2f allocations, budget 0", allocs)
+	}
+}
+
+// TestLagAllocBudget: Lag, which a shard that sheds load asks once a
+// batch, keeps its messages and positions on the consumer (30
+// allocations a call when its bodies were JSON).
+func TestLagAllocBudget(t *testing.T) {
+	_, c := budgetClient(t)
+	p, err := c.NewProducer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	for i := 0; i < 10; i++ {
+		if _, _, err := p.SendAt([]byte{byte(i)}, []byte("v"), time.Unix(1_700_000_000, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cons, _, err := c.NewGroupConsumer("verify", "m1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cons.Close()
+	lag := func() {
+		if n, err := cons.Lag(); err != nil || n != 10 {
+			t.Fatalf("Lag = %d, %v; want 10", n, err)
+		}
+	}
+	lag()
+	allocs := testing.AllocsPerRun(200, lag)
+	t.Logf("Lag over 8 partitions: %.2f allocations", allocs)
+	if allocs > 0 {
+		t.Fatalf("Lag over 8 partitions: %.2f allocations, budget 0", allocs)
+	}
+}
+
+// growingFrames serves frames of 1 KB, 2 KB, … up to max, one at a
+// time, out of one body it keeps, so reading it allocates nothing.
+type growingFrames struct {
+	body      []byte
+	hdr       [frameHeader]byte
+	size, off int
+}
+
+func (g *growingFrames) Read(p []byte) (int, error) {
+	if g.off == frameHeader+g.size {
+		if g.size == len(g.body) {
+			return 0, io.EOF
+		}
+		g.size += 1 << 10
+		binary.BigEndian.PutUint32(g.hdr[0:4], uint32(g.size))
+		binary.BigEndian.PutUint32(g.hdr[4:8], crc32.ChecksumIEEE(g.body[:g.size]))
+		g.off = 0
+	}
+	var n int
+	if g.off < frameHeader {
+		n = copy(p, g.hdr[g.off:])
+		g.off += n
+	}
+	m := copy(p[n:], g.body[g.off-frameHeader:g.size])
+	g.off += m
+	return n + m, nil
+}
+
+// TestReadFrameGrowAllocBudget: frames growing from 1 KB to 1 MB in 1 KB
+// steps are read through one buffer, which doubles as it fills (by one
+// readChunk at most) instead of being allocated again at every new size
+// (1 024 allocations when it grew to fit each frame exactly).
+func TestReadFrameGrowAllocBudget(t *testing.T) {
+	g := &growingFrames{body: make([]byte, 1<<20)}
+	for i := range g.body {
+		g.body[i] = byte(i * 7)
+	}
+	fr := &frameReader{r: g}
+	var buf []byte
+	read := func() {
+		g.size, g.off, buf = 0, frameHeader, nil
+		for want := 1 << 10; want <= len(g.body); want += 1 << 10 {
+			body, b, err := fr.readFrame(buf)
+			buf = b
+			if err != nil || len(body) != want {
+				t.Fatalf("frame of %d bytes: read %d, %v", want, len(body), err)
+			}
+		}
+	}
+	allocs := testing.AllocsPerRun(1, read)
+	t.Logf("1 024 frames of 1 KB to 1 MB: %.0f buffer allocations, ending at %d KB", allocs, cap(buf)>>10)
+	if allocs > 16 {
+		t.Fatalf("1 024 frames of 1 KB to 1 MB: %.0f buffer allocations, budget 16", allocs)
 	}
 }

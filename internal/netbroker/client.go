@@ -27,6 +27,7 @@ var errTransport = errors.New("netbroker: transport failure")
 type rpcConn struct {
 	mu   sync.Mutex
 	c    net.Conn
+	fr   frameReader
 	rbuf []byte
 	wbuf []byte
 	fbuf []byte
@@ -41,7 +42,7 @@ func dialRPC(addr string, timeout time.Duration) (*rpcConn, error) {
 	if tc, ok := c.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	return &rpcConn{c: c}, nil
+	return &rpcConn{c: c, fr: frameReader{r: c}}, nil
 }
 
 // request is a message body that encodes itself: the binary messages of
@@ -105,7 +106,7 @@ func (rc *rpcConn) callWire(op byte, req request, resp response, rbuf *[]byte) e
 		rc.dead = true
 		return fmt.Errorf("%w: %w", errTransport, err)
 	}
-	rbody, buf, err := readFrame(rc.c, *rbuf)
+	rbody, buf, err := rc.fr.readFrame(*rbuf)
 	*rbuf = buf
 	if err != nil {
 		rc.dead = true
@@ -132,12 +133,16 @@ func (rc *rpcConn) close() { rc.c.Close() }
 // the lock and keeps the first of two racing dials; drop empties the
 // slot only while the failed connection is still its own, so a caller
 // holding a stale one cannot discard its successor; close empties it for
-// good, and every later get answers broker.ErrClosed.
+// good, and every later get answers broker.ErrClosed. A connection the
+// slot keeps after it held one before is a reconnect, which it reports
+// to reconnected when that is set.
 type connSlot struct {
-	dial func() (*rpcConn, error)
+	dial        func() (*rpcConn, error)
+	reconnected func()
 
 	mu     sync.Mutex
 	rc     *rpcConn //alarmvet:guardedby mu
+	held   bool     //alarmvet:guardedby mu
 	closed bool     //alarmvet:guardedby mu
 }
 
@@ -157,9 +162,9 @@ func (s *connSlot) get() (*rpcConn, error) {
 		return nil, err
 	}
 	s.mu.Lock()
-	cur, closed := s.rc, s.closed
+	cur, closed, again := s.rc, s.closed, s.held
 	if cur == nil && !closed {
-		s.rc = rc
+		s.rc, s.held = rc, true
 	}
 	s.mu.Unlock()
 	switch {
@@ -169,6 +174,9 @@ func (s *connSlot) get() (*rpcConn, error) {
 	case cur != nil:
 		rc.close()
 		return cur, nil
+	}
+	if again && s.reconnected != nil {
+		s.reconnected()
 	}
 	return rc, nil
 }
@@ -254,6 +262,11 @@ type Client struct {
 	// ctl carries the control calls: topic creation and the group
 	// audit.
 	ctl connSlot
+
+	// retries counts the pauses between tries in retry; reconnects the
+	// connections the slots of the client, its producers and consumers
+	// dialed after a drop.
+	retries, reconnects atomic.Int64
 }
 
 // Dial connects to a replica set (addrs in node-id order, same list
@@ -266,11 +279,25 @@ func Dial(addrs []string, topic string, opts ClientOptions) (*Client, error) {
 		return nil, errors.New("netbroker: no addresses")
 	}
 	c := &Client{addrs: addrs, topic: topic, opts: opts}
-	c.ctl.dial = c.dialLeader
+	c.leaderSlot(&c.ctl)
 	if _, err := c.ctl.get(); err != nil {
 		return nil, err
 	}
 	return c, nil
+}
+
+// leaderSlot aims slot at the leader and counts its reconnects as the
+// client's.
+func (c *Client) leaderSlot(slot *connSlot) {
+	slot.dial = c.dialLeader
+	slot.reconnected = func() { c.reconnects.Add(1) }
+}
+
+// WireStats reports how often the client paused to retry a call and
+// how many connections it dialed again after a drop, its producers' and
+// consumers' included.
+func (c *Client) WireStats() (retries, reconnects int64) {
+	return c.retries.Load(), c.reconnects.Load()
 }
 
 // Close drops the client's control connection; its later calls answer
@@ -346,6 +373,7 @@ func (c *Client) retry(stop <-chan struct{}, try func() error) error {
 		if !time.Now().Before(deadline) {
 			return fmt.Errorf("netbroker: retries exhausted: %w", err)
 		}
+		c.retries.Add(1)
 		select {
 		case <-stop:
 			return broker.ErrClosed
@@ -453,7 +481,7 @@ func (c *Client) NewProducer() (*Producer, error) {
 		partitions: parts,
 		parts:      make([]sendPartition, parts),
 	}
-	p.conn.dial = c.dialLeader
+	c.leaderSlot(&p.conn)
 	return p, nil
 }
 

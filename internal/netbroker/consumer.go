@@ -47,6 +47,20 @@ type Consumer struct {
 	fetchResp fetchResp
 	recv      []byte
 
+	// hbReq and hbResp are the heartbeat goroutine's messages.
+	hbReq  heartbeatReq
+	hbResp heartbeatResp
+
+	// lag is Lag's scratch: its messages and the read positions of the
+	// partitions it asks about. Lag runs on a shard's goroutine and on
+	// whatever goroutine totals the service's lag, hence its own lock.
+	lag struct {
+		sync.Mutex
+		req  hwReq
+		resp hwResp
+		pos  []int64
+	}
+
 	mu        sync.Mutex
 	gen       int64
 	assigned  []int
@@ -70,7 +84,8 @@ func (c *Client) newConsumer(group, id string) (*Consumer, error) {
 		rebalance: make(chan struct{}, 1),
 		stopc:     make(chan struct{}),
 	}
-	cons.conn.dial, cons.fetch.dial = c.dialLeader, c.dialLeader
+	c.leaderSlot(&cons.conn)
+	c.leaderSlot(&cons.fetch)
 	if err := cons.join(); err != nil {
 		return nil, err
 	}
@@ -153,12 +168,8 @@ func (k *Consumer) heartbeatLoop() {
 			return
 		case <-tick.C:
 		}
-		var resp heartbeatResp
-		err := k.call(opHeartbeat, heartbeatReq{Group: k.group, Member: k.member}, &resp)
+		stale, err := k.heartbeat()
 		if err == nil {
-			k.mu.Lock()
-			stale := resp.Gen != k.gen
-			k.mu.Unlock()
 			if stale {
 				k.signalRebalance()
 			}
@@ -174,6 +185,24 @@ func (k *Consumer) heartbeatLoop() {
 			k.signalRebalance()
 		}
 	}
+}
+
+// heartbeat runs one heartbeat round trip and reports whether the
+// coordinator's generation has moved past the member's.
+//
+//alarmvet:hotpath
+func (k *Consumer) heartbeat() (stale bool, err error) {
+	req, resp := &k.hbReq, &k.hbResp
+	k.mu.Lock()
+	req.Gen = k.gen
+	k.mu.Unlock()
+	req.Group, req.Member = k.group, k.member
+	if err := k.callOn(&k.conn, opHeartbeat, req, resp, nil); err != nil {
+		return false, err
+	}
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return resp.Gen != k.gen, nil
 }
 
 // Rebalances returns the channel signalled when the assignment is
@@ -348,26 +377,30 @@ func (k *Consumer) PositionsInto(dst map[int]int64) map[int]int64 {
 }
 
 // Lag totals the records between positions and the high watermarks.
+//
+//alarmvet:hotpath
 func (k *Consumer) Lag() (int64, error) {
+	s := &k.lag
+	s.Lock()
+	defer s.Unlock()
+	req, resp := &s.req, &s.resp
 	k.mu.Lock()
-	parts := make([]int, len(k.assigned))
-	copy(parts, k.assigned)
-	pos := make([]int64, len(parts))
-	for i, p := range parts {
-		pos[i] = k.positions[p]
+	req.Parts, s.pos = append(req.Parts[:0], k.assigned...), s.pos[:0]
+	for _, p := range req.Parts {
+		s.pos = append(s.pos, k.positions[p])
 	}
 	k.mu.Unlock()
-	if len(parts) == 0 {
+	if len(req.Parts) == 0 {
 		return 0, nil
 	}
-	var resp hwResp
-	if err := k.call(opHighWatermarks, hwReq{Topic: k.c.topic, Parts: parts}, &resp); err != nil {
+	req.Topic = k.c.topic
+	if err := k.callOn(&k.conn, opHighWatermarks, req, resp, nil); err != nil {
 		return 0, err
 	}
 	var lag int64
-	for i := range parts {
-		if i < len(resp.HWs) && resp.HWs[i] > pos[i] {
-			lag += resp.HWs[i] - pos[i]
+	for i, pos := range s.pos {
+		if i < len(resp.HWs) && resp.HWs[i] > pos {
+			lag += resp.HWs[i] - pos
 		}
 	}
 	return lag, nil

@@ -19,10 +19,11 @@
 // length prefix cannot balloon memory).
 //
 // Payloads: each opcode has one encoding. The five opcodes that carry
-// the traffic have binary bodies (wire.go). Numbers are zig-zag
-// varints, lengths and counts unsigned varints, strings and byte
-// strings length-prefixed; a response opens with one error-kind byte,
-// 0 for success, else the kind followed by the text.
+// the traffic and the two control opcodes that recur have binary bodies
+// (wire.go). Numbers are zig-zag varints, lengths and counts unsigned
+// varints, strings and byte strings length-prefixed; a response opens
+// with one error-kind byte, 0 for success, else the kind followed by
+// the text.
 //
 //	record       timestamp (Unix ns) | epoch | key | value
 //	runs         { count | partition | first offset | count × record } … | 0
@@ -35,6 +36,11 @@
 //	             → kind
 //	opFetchLog   partition | offset | max | topic
 //	             → kind | runs
+//	opHeartbeat  generation | group | member
+//	             → kind | generation
+//	opHighWatermarks
+//	             n (zig-zag) | n × partition | topic
+//	             → kind | n | n × high watermark
 //	opReplFetch  node | epoch | topics | per topic: name | n | n × (size | tail epoch)
 //	             → kind | epoch | leader
 //	               | topics | per topic: name | n | n × commit index | runs
@@ -46,11 +52,10 @@
 // treats trailing bytes as an error; because every request opens with
 // a varint that cannot be negative and every response with the kind
 // byte, a JSON body from a node that predates this format is refused
-// at its first field. The control opcodes (meta, ensure-topic, join,
-// leave, assign, committed, group-committed, heartbeat,
-// high-watermarks, vote, declare) keep JSON bodies: they run at
-// set-up, a few times a second, or once per election, and carry none
-// of the traffic.
+// at its first field. The other control opcodes (meta, ensure-topic,
+// join, leave, assign, committed, group-committed, vote, declare) keep
+// JSON bodies: they run at set-up, at a rebalance, or once per
+// election, and carry none of the traffic.
 //
 // See ARCHITECTURE.md "Distributed deployment" for the replication
 // protocol and its delivery invariants.
@@ -117,55 +122,74 @@ func DecodeFrame(b []byte) (body, rest []byte, err error) {
 	return body, b[frameHeader+int(n):], nil
 }
 
-// readChunk bounds how much readFrame grows its buffer per read: a
-// hostile length prefix costs at most one chunk before the connection
-// errors out, instead of a MaxFrame-sized up-front allocation.
+// readChunk bounds how far past the bytes that have arrived a frame's
+// buffer grows: a hostile length prefix costs at most one chunk before
+// the connection errors out, instead of a MaxFrame-sized up-front
+// allocation.
 const readChunk = 256 << 10
 
-// readFrame reads one complete frame body from r, reusing scratch's
-// capacity when possible, and returns the body plus the (possibly
-// grown) scratch for the next call. The header is read into the front
-// of scratch and its two fields lifted out before the body overwrites
-// it — a header array of its own would escape through the io.Reader
-// and cost every frame an allocation. The buffer grows chunk by chunk
-// as bytes actually arrive, so allocation tracks delivery.
-func readFrame(r io.Reader, scratch []byte) (body, newScratch []byte, err error) {
-	buf := scratch
-	if cap(buf) < frameHeader {
-		buf = make([]byte, frameHeader)
+// minRead is the smallest buffer readFrame reads into.
+const minRead = 4 << 10
+
+// frameReader reads one stream's frames. Bytes a read delivered past the
+// end of a frame are kept in carry, storage of its own, for the next
+// call: the caller may hand that call a different buffer, and the one
+// the frame was read into belongs to whoever holds the body.
+type frameReader struct {
+	r     io.Reader
+	carry []byte
+}
+
+// readFrame reads one complete frame into buf, reusing its capacity,
+// and returns the body (a view of buf) and the possibly grown buffer,
+// header and body at its front, for the next call. It starts from the
+// carried bytes and reads as much as has arrived — the header and,
+// usually, the whole body — in one read; the rest it reads with
+// io.ReadFull, never past the frame. A full buffer grows to the frame's
+// size or to twice its own, whichever is more, but never to more than
+// one readChunk past the bytes that have arrived: allocation tracks
+// delivery, a hostile length prefix cannot balloon it, and frames that
+// grow a little at a time do not cost an allocation each.
+func (fr *frameReader) readFrame(buf []byte) (body, newBuf []byte, err error) {
+	buf = buf[:cap(buf)]
+	if len(buf) < minRead || len(buf) < len(fr.carry) {
+		buf = make([]byte, max(minRead, len(fr.carry)))
 	}
-	if _, err := io.ReadFull(r, buf[:frameHeader]); err != nil {
-		return nil, buf, err
+	have := copy(buf, fr.carry)
+	fr.carry = fr.carry[:0]
+	if have < frameHeader {
+		n, err := io.ReadAtLeast(fr.r, buf[have:], frameHeader-have)
+		have += n
+		if err != nil {
+			return nil, buf[:have], err
+		}
 	}
-	n := int(binary.BigEndian.Uint32(buf[0:4]))
-	sum := binary.BigEndian.Uint32(buf[4:8])
+	n := binary.BigEndian.Uint32(buf[0:4])
 	if n > MaxFrame {
-		return nil, buf, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+		return nil, buf[:have], fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
-	// Grow incrementally: each ReadFull below fills at most one chunk,
-	// and the buffer only extends once the previous chunk arrived.
-	have := 0
-	for have < n {
-		step := n - have
-		if step > readChunk {
-			step = readChunk
-		}
-		if cap(buf) < have+step {
-			next := make([]byte, have, have+step)
-			copy(next, buf[:have])
-			buf = next
-		}
-		buf = buf[:have+step]
-		if _, err := io.ReadFull(r, buf[have:have+step]); err != nil {
-			return nil, buf, err
-		}
-		have += step
+	total := frameHeader + int(n)
+	if have > total {
+		fr.carry = append(fr.carry, buf[total:have]...)
+		have = total
 	}
-	buf = buf[:n]
-	if crc32.ChecksumIEEE(buf) != sum {
-		return nil, buf, ErrFrameCorrupt
+	for have < total {
+		if have == len(buf) {
+			grown := make([]byte, min(max(2*len(buf), total), have+readChunk))
+			copy(grown, buf[:have])
+			buf = grown
+		}
+		end := min(total, len(buf))
+		if _, err := io.ReadFull(fr.r, buf[have:end]); err != nil {
+			return nil, buf[:have], err
+		}
+		have = end
 	}
-	return buf, buf, nil
+	body = buf[frameHeader:total]
+	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(buf[4:8]) {
+		return nil, buf[:total], ErrFrameCorrupt
+	}
+	return body, buf[:total], nil
 }
 
 // writeFrame writes one framed body to w, reusing scratch for the

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"testing"
+	"testing/iotest"
 )
 
 func TestFrameRoundtrip(t *testing.T) {
@@ -41,30 +42,68 @@ func TestFrameRoundtrip(t *testing.T) {
 	}
 }
 
+// countingReader counts the Read calls that reach its reader.
+type countingReader struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// TestFrameReadStream reads frames back off a stream however its bytes
+// arrive: a frame larger than one read chunk, two frames in one read
+// (the second comes from the bytes carried past the first, with no read
+// of its own), and a frame delivered one byte at a time.
 func TestFrameReadStream(t *testing.T) {
-	var wire []byte
-	bodies := [][]byte{[]byte("one"), bytes.Repeat([]byte{7}, 512<<10), []byte("three")}
-	for _, b := range bodies {
-		var err error
-		wire, err = AppendFrame(wire, b)
-		if err != nil {
-			t.Fatal(err)
-		}
+	pattern := make([]byte, 5000)
+	for i := range pattern {
+		pattern[i] = byte(i)
 	}
-	r := bytes.NewReader(wire)
-	var scratch []byte
-	for i, want := range bodies {
-		body, s, err := readFrame(r, scratch)
-		scratch = s
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if !bytes.Equal(body, want) {
-			t.Fatalf("frame %d: mismatch", i)
-		}
+	cases := []struct {
+		name   string
+		bodies [][]byte
+		reader func([]byte) io.Reader
+		reads  int // Read calls the frames may take, 0 for any
+	}{
+		{"a frame spanning read chunks", [][]byte{[]byte("one"), bytes.Repeat([]byte{7}, 512<<10), []byte("three")},
+			func(b []byte) io.Reader { return bytes.NewReader(b) }, 0},
+		{"two frames in one read", [][]byte{[]byte("one"), []byte("two")},
+			func(b []byte) io.Reader { return bytes.NewReader(b) }, 1},
+		{"one byte at a time", [][]byte{pattern, []byte("tail")},
+			func(b []byte) io.Reader { return iotest.OneByteReader(bytes.NewReader(b)) }, 0},
 	}
-	if _, _, err := readFrame(r, scratch); err != io.EOF {
-		t.Fatalf("want EOF, got %v", err)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var wire []byte
+			for _, b := range c.bodies {
+				var err error
+				if wire, err = AppendFrame(wire, b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			r := &countingReader{r: c.reader(wire)}
+			fr := frameReader{r: r}
+			var scratch []byte
+			for i, want := range c.bodies {
+				body, s, err := fr.readFrame(scratch)
+				scratch = s
+				if err != nil {
+					t.Fatalf("frame %d: %v", i, err)
+				}
+				if !bytes.Equal(body, want) {
+					t.Fatalf("frame %d: mismatch", i)
+				}
+			}
+			if c.reads > 0 && r.reads != c.reads {
+				t.Fatalf("%d frames took %d reads, want %d", len(c.bodies), r.reads, c.reads)
+			}
+			if _, _, err := fr.readFrame(scratch); err != io.EOF {
+				t.Fatalf("want EOF, got %v", err)
+			}
+		})
 	}
 }
 
@@ -105,7 +144,8 @@ func TestReadFrameHostileLength(t *testing.T) {
 	var hdr [frameHeader]byte
 	binary.BigEndian.PutUint32(hdr[0:4], MaxFrame) // claims 16MB
 	wire := append(hdr[:], []byte("tiny")...)
-	body, scratch, err := readFrame(bytes.NewReader(wire), nil)
+	fr := frameReader{r: bytes.NewReader(wire)}
+	body, scratch, err := fr.readFrame(nil)
 	if err == nil {
 		t.Fatalf("want error, got %d-byte body", len(body))
 	}
@@ -135,7 +175,8 @@ func TestReadFrameCorruptOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, _, err := readFrame(c, nil); !errors.Is(err, ErrFrameCorrupt) {
+	fr := frameReader{r: c}
+	if _, _, err := fr.readFrame(nil); !errors.Is(err, ErrFrameCorrupt) {
 		t.Fatalf("want ErrFrameCorrupt, got %v", err)
 	}
 }
@@ -182,7 +223,8 @@ func FuzzFrameDecode(f *testing.F) {
 		// The streaming reader must agree with the datagram decoder on
 		// whether the prefix holds a valid first frame — and never
 		// allocate more than delivery-proportional memory.
-		body, scratch, err := readFrame(bytes.NewReader(data), nil)
+		fr := frameReader{r: bytes.NewReader(data)}
+		body, scratch, err := fr.readFrame(nil)
 		if err == nil {
 			first, _, derr := DecodeFrame(data)
 			if derr != nil {

@@ -140,16 +140,6 @@ type ensureTopicResp struct {
 	Partitions int `json:"partitions"`
 }
 
-type hwReq struct {
-	Topic string `json:"topic"`
-	Parts []int  `json:"parts"`
-}
-
-type hwResp struct {
-	wireErr
-	HWs []int64 `json:"hws"`
-}
-
 type joinReq struct {
 	Group  string `json:"group"`
 	Topic  string `json:"topic"`
@@ -198,16 +188,6 @@ type groupCommittedReq struct {
 type groupCommittedResp struct {
 	wireErr
 	Offsets map[int]int64 `json:"offsets"`
-}
-
-type heartbeatReq struct {
-	Group  string `json:"group"`
-	Member string `json:"member"`
-}
-
-type heartbeatResp struct {
-	wireErr
-	Gen int64 `json:"gen"`
 }
 
 type voteReq struct {

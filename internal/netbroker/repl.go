@@ -743,6 +743,9 @@ func (s *Server) peerConn(node int) (*connSlot, *rpcConn, error) {
 	default:
 		addr := s.opts.Peers[node]
 		ps = &connSlot{dial: func() (*rpcConn, error) { return dialRPC(addr, 250*time.Millisecond) }}
+		if repl := s.opts.Repl; repl != nil {
+			ps.reconnected = func() { repl.AddPeerReconnect(node) }
+		}
 		s.peers[node] = ps
 	}
 	s.peerMu.Unlock()

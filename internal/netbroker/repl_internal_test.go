@@ -173,9 +173,10 @@ func TestUnservedPullFallsBackToTicker(t *testing.T) {
 			}
 			go func() {
 				defer c.Close()
+				fr := frameReader{r: c}
 				var rbuf, wbuf []byte
 				for {
-					body, buf, err := readFrame(c, rbuf)
+					body, buf, err := fr.readFrame(rbuf)
 					rbuf = buf
 					if err != nil || len(body) == 0 || body[0] != opReplFetch {
 						return

@@ -39,7 +39,8 @@ type Options struct {
 	// heartbeating, releasing their partitions (default 3s).
 	SessionTimeout time.Duration
 	// Repl, when set, receives replication metrics: current epoch and
-	// leader, failover count, per-follower replica lag.
+	// leader, failover count, per-follower replica lag, per-peer
+	// reconnects.
 	Repl *metrics.Replication
 }
 
@@ -293,6 +294,10 @@ type connScratch struct {
 	fetchResp  fetchResp
 	commitReq  commitReq
 	commitResp commitResp
+	hbReq      heartbeatReq
+	hbResp     heartbeatResp
+	hwReq      hwReq
+	hwResp     hwResp
 	replReq    replFetchReq
 	replResp   replFetchResp
 	topics     []*broker.Topic
@@ -318,9 +323,10 @@ func (s *Server) serveConn(c net.Conn) {
 		s.connMu.Unlock()
 	}()
 	sc := s.newConnScratch()
+	fr := frameReader{r: c}
 	var rbuf, wbuf []byte
 	for {
-		body, buf, err := readFrame(c, rbuf)
+		body, buf, err := fr.readFrame(rbuf)
 		rbuf = buf
 		if err != nil {
 			return
@@ -381,12 +387,20 @@ func (s *Server) dispatch(sc *connScratch, op byte, payload []byte) ([]byte, err
 			s.handleFetchLog(&sc.logReq, &sc.fetchResp)
 			out = sc.fetchResp.appendTo(out)
 		}
+	case opHeartbeat:
+		if err = sc.hbReq.decode(payload); err == nil {
+			s.handleHeartbeat(&sc.hbReq, &sc.hbResp)
+			out = sc.hbResp.appendTo(out)
+		}
+	case opHighWatermarks:
+		if err = sc.hwReq.decode(payload); err == nil {
+			s.handleHighWatermarks(&sc.hwReq, &sc.hwResp)
+			out = sc.hwResp.appendTo(out)
+		}
 	case opMeta:
 		resp, err = viaJSON(payload, s.handleMeta)
 	case opEnsureTopic:
 		resp, err = viaJSON(payload, s.handleEnsureTopic)
-	case opHighWatermarks:
-		resp, err = viaJSON(payload, s.handleHighWatermarks)
 	case opJoin:
 		resp, err = viaJSON(payload, s.handleJoin)
 	case opLeave:
@@ -397,8 +411,6 @@ func (s *Server) dispatch(sc *connScratch, op byte, payload []byte) ([]byte, err
 		resp, err = viaJSON(payload, s.handleCommitted)
 	case opGroupCommitted:
 		resp, err = viaJSON(payload, s.handleGroupCommitted)
-	case opHeartbeat:
-		resp, err = viaJSON(payload, s.handleHeartbeat)
 	case opVote:
 		resp, err = viaJSON(payload, s.handleVote)
 	case opDeclare:
@@ -729,23 +741,21 @@ func (s *Server) handleFetch(req *fetchReq, resp *fetchResp, timer *time.Timer) 
 	}
 }
 
-func (s *Server) handleHighWatermarks(req hwReq) hwResp {
-	var resp hwResp
+func (s *Server) handleHighWatermarks(req *hwReq, resp *hwResp) {
+	resp.wireErr, resp.HWs = wireErr{}, resp.HWs[:0]
 	t, err := s.b.Topic(req.Topic)
 	if err != nil {
 		resp.setErr(err)
-		return resp
+		return
 	}
-	resp.HWs = make([]int64, len(req.Parts))
-	for i, p := range req.Parts {
+	for _, p := range req.Parts {
 		hw, err := t.HighWatermark(p)
 		if err != nil {
 			resp.setErr(err)
-			return resp
+			return
 		}
-		resp.HWs[i] = hw
+		resp.HWs = append(resp.HWs, hw)
 	}
-	return resp
 }
 
 // sessionKey names one member of one group.
@@ -870,16 +880,16 @@ func (s *Server) handleGroupCommitted(req groupCommittedReq) groupCommittedResp 
 	return resp
 }
 
-func (s *Server) handleHeartbeat(req heartbeatReq) heartbeatResp {
-	var resp heartbeatResp
+func (s *Server) handleHeartbeat(req *heartbeatReq, resp *heartbeatResp) {
+	*resp = heartbeatResp{}
 	if err := s.requireLeader(); err != nil {
 		resp.setErr(err)
-		return resp
+		return
 	}
 	sess, err := s.lookupSession(req.Group, req.Member)
 	if err != nil {
 		resp.setErr(err)
-		return resp
+		return
 	}
 	// Absorb any pending rebalance signal into the session's view, so
 	// the generation returned reflects current membership and the
@@ -888,12 +898,11 @@ func (s *Server) handleHeartbeat(req heartbeatReq) heartbeatResp {
 	case <-sess.cons.Rebalances():
 		if err := sess.cons.RefreshAssignment(); err != nil {
 			resp.setErr(err)
-			return resp
+			return
 		}
 	default:
 	}
 	resp.Gen = sess.cons.Generation()
-	return resp
 }
 
 func (s *Server) handleFetchLog(req *fetchLogReq, resp *fetchResp) {

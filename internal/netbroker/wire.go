@@ -10,7 +10,8 @@ import (
 )
 
 // The binary bodies of the five opcodes that carry the traffic (append,
-// fetch, commit, replication pull, log fetch); frame.go's package
+// fetch, commit, replication pull, log fetch) and of the two control
+// opcodes that recur (heartbeat, high watermarks); frame.go's package
 // comment has the layouts. Encoders append to the caller's buffer;
 // decoders fill a message the caller keeps between calls, reusing its
 // slices and strings, so a steady-state round trip allocates nothing.
@@ -86,6 +87,31 @@ type commitReq struct {
 }
 
 type commitResp struct{ wireErr }
+
+// heartbeatReq keeps a member's session alive. Gen, the member's
+// generation, leads so that the body opens with a varint that cannot be
+// negative; the member compares the response's with its own.
+type heartbeatReq struct {
+	Gen    int64
+	Group  string
+	Member string
+}
+
+type heartbeatResp struct {
+	wireErr
+	Gen int64
+}
+
+// hwReq asks for the high watermarks of Parts, answered in their order.
+type hwReq struct {
+	Parts []int
+	Topic string
+}
+
+type hwResp struct {
+	wireErr
+	HWs []int64
+}
 
 type fetchLogReq struct {
 	Partition int
@@ -482,6 +508,83 @@ func (m *commitResp) appendTo(dst []byte) []byte { return m.appendEnvelope(dst) 
 func (m *commitResp) decode(b []byte) error {
 	r := wireReader{b: b}
 	r.envelope(&m.wireErr)
+	return r.end()
+}
+
+//alarmvet:hotpath
+func (m *heartbeatReq) appendTo(dst []byte) []byte {
+	dst = binary.AppendVarint(dst, m.Gen)
+	dst = appendString(dst, m.Group)
+	return appendString(dst, m.Member)
+}
+
+//alarmvet:hotpath
+func (m *heartbeatReq) decode(b []byte) error {
+	r := wireReader{b: b}
+	m.Gen = r.nonneg()
+	r.str(&m.Group)
+	r.str(&m.Member)
+	return r.end()
+}
+
+//alarmvet:hotpath
+func (m *heartbeatResp) appendTo(dst []byte) []byte {
+	return binary.AppendVarint(m.appendEnvelope(dst), m.Gen)
+}
+
+//alarmvet:hotpath
+func (m *heartbeatResp) decode(b []byte) error {
+	r := wireReader{b: b}
+	r.envelope(&m.wireErr)
+	m.Gen = r.nonneg()
+	return r.end()
+}
+
+// The partition count leads the request as a zig-zag varint, not an
+// unsigned one, so that this request too opens with a field that
+// cannot be negative.
+//
+//alarmvet:hotpath
+func (m *hwReq) appendTo(dst []byte) []byte {
+	dst = binary.AppendVarint(dst, int64(len(m.Parts)))
+	for _, p := range m.Parts {
+		dst = binary.AppendVarint(dst, int64(p))
+	}
+	return appendString(dst, m.Topic)
+}
+
+//alarmvet:hotpath
+func (m *hwReq) decode(b []byte) error {
+	r := wireReader{b: b}
+	n := r.nonneg()
+	if n > int64(len(r.b)) {
+		r.fail()
+	}
+	m.Parts = m.Parts[:0]
+	for ; n > 0 && !r.bad; n-- {
+		m.Parts = append(m.Parts, int(r.nonneg()))
+	}
+	r.str(&m.Topic)
+	return r.end()
+}
+
+//alarmvet:hotpath
+func (m *hwResp) appendTo(dst []byte) []byte {
+	dst = binary.AppendUvarint(m.appendEnvelope(dst), uint64(len(m.HWs)))
+	for _, hw := range m.HWs {
+		dst = binary.AppendVarint(dst, hw)
+	}
+	return dst
+}
+
+//alarmvet:hotpath
+func (m *hwResp) decode(b []byte) error {
+	r := wireReader{b: b}
+	r.envelope(&m.wireErr)
+	m.HWs = m.HWs[:0]
+	for n := r.count(1); n > 0; n-- {
+		m.HWs = append(m.HWs, r.nonneg())
+	}
 	return r.end()
 }
 

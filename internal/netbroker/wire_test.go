@@ -30,6 +30,10 @@ var wireKinds = []func() wireMsg{
 	func() wireMsg { return new(fetchLogReq) },
 	func() wireMsg { return new(replFetchReq) },
 	func() wireMsg { return new(replFetchResp) },
+	func() wireMsg { return new(heartbeatReq) },
+	func() wireMsg { return new(heartbeatResp) },
+	func() wireMsg { return new(hwReq) },
+	func() wireMsg { return new(hwResp) },
 }
 
 func wireRec(topic string, p int, off, epoch int64, key, value string) broker.Record {
@@ -63,11 +67,15 @@ func wireSamples() []wireMsg {
 			Recs:   []broker.Record{wireRec("alarms", 0, 7, 3, "k", "v"), wireRec("alarms", 2, 1, 3, "", "w"), wireRec("audit", 0, 0, 3, "k", "")},
 			Truncs: []truncAt{{Topic: "alarms", P: 1, Size: 4}},
 			Groups: []broker.GroupOffset{{Group: "verify", Topic: "alarms", Partition: 0, Offset: 6}, {Group: "verify", Topic: "alarms", Partition: 2, Offset: 1}}},
+		&heartbeatReq{Gen: 4, Group: "verify", Member: "host-12-shard-0"},
+		&heartbeatResp{Gen: 5},
+		&hwReq{Parts: []int{0, 3, 5}, Topic: "alarms"},
+		&hwResp{HWs: []int64{120, 0, 7}},
 	}
 }
 
 // oldJSONBodies are bodies as the JSON wire format before this one wrote
-// them, one per hot message plus an error envelope.
+// them, one per binary message plus an error envelope.
 var oldJSONBodies = []string{
 	`{"topic":"alarms","partition":3,"pid":1099511627776,"seq":7,"recs":[{"p":3,"off":0,"k":"ZGV2LTE=","v":"eyJhIjoxfQ==","ts":1700000000000000000}]}`,
 	`{"topic":"alarms","partition":3,"pid":1099511627776,"seq":7,"recs":[{"p":3,"off":0,"k":"ZGV2LTE=","v":"` + strings.Repeat("QUJD", 200) + `","ts":1700000000000000000}]}`,
@@ -80,6 +88,10 @@ var oldJSONBodies = []string{
 	`{"topic":"alarms","partition":1,"off":9,"max":1}`,
 	`{"node":2,"epoch":3,"sizes":{"alarms":[7,0,1]},"tails":{"alarms":[3,0,2]}}`,
 	`{"epoch":3,"leader":0,"partitions":{"alarms":3},"recs":{"alarms":{"0":[{"p":0,"off":7,"v":"dg==","ts":1,"e":3}]}},"commits":{"alarms":[7,0,1]},"groups":{"verify":{"topic":"alarms","offsets":{"0":6}}}}`,
+	`{"group":"verify","member":"host-12-shard-0"}`,
+	`{"gen":5}`,
+	`{"topic":"alarms","parts":[0,1,2,3,4,5,6,7]}`,
+	`{"hws":[120,0,7,3,0,0,9,1]}`,
 }
 
 func TestWireRoundTrip(t *testing.T) {
@@ -144,6 +156,9 @@ func TestWireHostileCounts(t *testing.T) {
 		{8, huge(0, 0, 0, 0)},          // replFetchResp: 2³² truncations
 		{8, huge(0, 0, 0, 0, 0)},       // replFetchResp: 2³² group offsets
 		{0, huge(0, 2, 0, 0, 1, 0, 0)}, // appendReq: one record with a 2³²-byte key
+		{9, huge(0, 0)},                // heartbeatReq: a 2³²-byte member name
+		{11, huge()},                   // hwReq: 2³¹ partitions (the count is zig-zag)
+		{12, huge(0)},                  // hwResp: 2³² high watermarks
 	}
 	for _, c := range bodies {
 		m := wireKinds[c.kind]()
