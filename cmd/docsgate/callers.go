@@ -13,6 +13,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -74,6 +75,7 @@ func auditCallers(root string) ([]string, error) {
 		ifaces = appendInterfaces(ifaces, pkg)
 		concrete = appendConcrete(concrete, pkg)
 	}
+	ifaces = appendInstances(ifaces, l.checked, concrete)
 	for _, pkg := range l.stdUsed {
 		ifaces = appendInterfaces(ifaces, pkg)
 	}
@@ -263,6 +265,31 @@ func appendInterfaces(ifaces []*types.Interface, pkg *types.Package) []*types.In
 		}
 		if iface, ok := tn.Type().Underlying().(*types.Interface); ok && iface.NumMethods() > 0 {
 			ifaces = append(ifaces, iface)
+		}
+	}
+	return ifaces
+}
+
+// appendInstances adds each generic named interface of one type
+// parameter declared in a module package, instantiated with each type
+// of concrete from that package or one that imports it — the instances
+// a package's own types can implement (analysis.Hooks[state]).
+func appendInstances(ifaces []*types.Interface, pkgs map[string]*types.Package, concrete []*types.Named) []*types.Interface {
+	for _, pkg := range pkgs {
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			named, ok := scope.Lookup(name).Type().(*types.Named)
+			if !ok || named.TypeParams().Len() != 1 || !types.IsInterface(named) {
+				continue
+			}
+			for _, t := range concrete {
+				if t.Obj().Pkg() != pkg && !slices.Contains(t.Obj().Pkg().Imports(), pkg) {
+					continue
+				}
+				if inst, err := types.Instantiate(nil, named, []types.Type{t}, true); err == nil {
+					ifaces = append(ifaces, inst.Underlying().(*types.Interface))
+				}
+			}
 		}
 	}
 	return ifaces

@@ -237,6 +237,53 @@ func main() { println(shape.New().Rate(), shape.Flat{}.Peak()) }
 	}
 }
 
+// TestAuditCallersExemptsGenericInterfaceInstances seeds a generic
+// interface whose instance a type of an importing package implements,
+// reached only through a generic function: its method stays exempt,
+// while a method of the same type that implements nothing is reported.
+func TestAuditCallersExemptsGenericInterfaceInstances(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"go.mod": "module example\n\ngo 1.22\n",
+		"internal/flow/flow.go": `package flow
+
+// Lattice joins states.
+type Lattice[S any] interface{ Join(S) S }
+
+// Meet joins b into a.
+func Meet[S Lattice[S]](a, b S) S { return a.Join(b) }
+`,
+		"internal/check/check.go": `package check
+
+import "example/internal/flow"
+
+type set map[string]bool
+
+// Join implements flow.Lattice[set].
+func (s set) Join(o set) set { return s }
+
+// Dead implements nothing.
+func (s set) Dead() {}
+
+// Use meets two sets.
+func Use() { flow.Meet(set{}, set{}) }
+`,
+		"cmd/app/main.go": `package main
+
+import "example/internal/check"
+
+func main() { check.Use() }
+`,
+	})
+	problems, err := auditCallers(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "internal/check/check.go:11: exported internal/check.set.Dead is called by no non-test file"
+	if len(problems) != 1 || !strings.HasPrefix(strings.TrimPrefix(problems[0], root+string(filepath.Separator)), want) {
+		t.Fatalf("problems:\n%s\nwant one: %s", strings.Join(problems, "\n"), want)
+	}
+}
+
 // TestAuditCallersRepo holds the repository to the caller audit: every
 // exported name under internal/ has a non-test caller, is an interface
 // method, or is listed in callers.allow with a reason.

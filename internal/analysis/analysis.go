@@ -6,7 +6,9 @@
 // the hot-path ownership or locking invariants that the runtime poison
 // modes and -race hammers can only catch on exercised paths; this
 // package supplies the shared Analyzer/Pass/Diagnostic types, the
-// typechecking loaders, and the //alarmvet: directives (directive.go):
+// typechecking loaders, the path walker the path-sensitive checkers
+// plug their state and hooks into (flow.go), and the //alarmvet:
+// directives (directive.go):
 // the audited ignores and the declarations — //alarmvet:hotpath on a
 // function, //alarmvet:guardedby and //alarmvet:snapshot on a struct
 // field — that tell the checkers what to guard, so a rename never

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -98,20 +97,6 @@ func BuiltinName(info *types.Info, call *ast.CallExpr) string {
 		}
 	}
 	return ""
-}
-
-// HasBreak reports whether body contains any break statement (at any
-// nesting — an over-approximation that errs toward walking the code
-// after a loop).
-func HasBreak(body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if b, ok := n.(*ast.BranchStmt); ok && b.Tok == token.BREAK {
-			found = true
-		}
-		return !found
-	})
-	return found
 }
 
 // Render produces a canonical source string for an expression,

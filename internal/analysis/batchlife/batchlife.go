@@ -4,7 +4,9 @@
 // release, and no batch-owned scratch slice outlives ReleaseBatch.
 // The runtime poison modes (SetBatchCheck / SetLeaseCheck) catch these
 // bugs only on exercised schedules; this checker catches them on every
-// path at compile time.
+// path at compile time, walking each body with the shared path walker
+// (analysis.Walk): where paths meet, a handle released on either counts
+// as released.
 //
 // A value becomes tracked when a call assigns it to a variable whose
 // type is a pointer to a named type Batch or Lease (getBatch, Drain,
@@ -20,7 +22,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"maps"
 
 	"alarmverify/internal/analysis"
 )
@@ -59,7 +60,8 @@ type vstate struct {
 
 type state map[*types.Var]*vstate
 
-func (s state) clone() state {
+// Clone copies s for a path that forks off.
+func (s state) Clone() state {
 	out := make(state, len(s))
 	for k, v := range s {
 		c := *v
@@ -68,10 +70,9 @@ func (s state) clone() state {
 	return out
 }
 
-// mergeFrom unions another surviving path into s: released-anywhere
-// wins (a use after a one-sided release is still a race with that
-// path).
-func (s state) mergeFrom(o state) {
+// Join unions another surviving path into s: released-anywhere wins (a
+// use after a one-sided release is still a race with that path).
+func (s state) Join(o state) state {
 	for k, v := range o {
 		if cur, ok := s[k]; ok {
 			if v.released && !cur.released {
@@ -82,15 +83,13 @@ func (s state) mergeFrom(o state) {
 			s[k] = &c
 		}
 	}
+	return s
 }
 
 func run(pass *analysis.Pass) error {
 	analysis.FuncBodies(pass.Files, func(decl *ast.FuncDecl, lit *ast.FuncLit) {
-		if lit == nil && exemptBodies[decl.Name.Name] {
-			return
-		}
-		if lit != nil && exemptBodies[decl.Name.Name] {
-			return // literals inside the release machinery
+		if exemptBodies[decl.Name.Name] {
+			return // the release machinery, literals inside it included
 		}
 		if _, ok := analysis.FuncIgnoreReason(decl); ok && lit == nil {
 			return
@@ -104,10 +103,7 @@ func run(pass *analysis.Pass) error {
 			releases: collectReleases(pass, body),
 			deferred: collectDeferredReleases(pass, body),
 		}
-		if !w.stmts(body.List, make(state)) {
-			// Fall-off-the-end is a return path too.
-			w.checkLeaks(w.last, body.Rbrace, nil)
-		}
+		analysis.Walk(w, body, make(state))
 	})
 	return nil
 }
@@ -178,23 +174,11 @@ type walker struct {
 	pass     *analysis.Pass
 	releases map[*types.Var]bool
 	deferred map[*types.Var]bool
-	// last remembers the state reaching the end of the walked
-	// sequence, for the implicit-return leak check.
-	last state
 }
 
-func (w *walker) stmts(list []ast.Stmt, st state) bool {
-	w.last = st
-	for _, s := range list {
-		if w.stmt(s, st) {
-			return true
-		}
-	}
-	w.last = st
-	return false
-}
-
-func (w *walker) stmt(s ast.Stmt, st state) bool {
+// Stmt applies a statement's ownership effects: tracking what it
+// assigns, releases and uses, and the handles it hands on.
+func (w *walker) Stmt(s ast.Stmt, st state) {
 	switch t := s.(type) {
 	case *ast.ExprStmt:
 		w.exprs(t.X, st)
@@ -224,7 +208,7 @@ func (w *walker) stmt(s ast.Stmt, st state) bool {
 		w.transfer(t.Value, st)
 	case *ast.DeferStmt:
 		if releaseTarget(w.pass, t.Call) != nil {
-			return false // covered by collectDeferredReleases
+			return // covered by collectDeferredReleases
 		}
 		for _, a := range t.Call.Args {
 			w.exprs(a, st)
@@ -233,105 +217,15 @@ func (w *walker) stmt(s ast.Stmt, st state) bool {
 		for _, a := range t.Call.Args {
 			w.exprs(a, st)
 		}
-	case *ast.ReturnStmt:
-		for _, e := range t.Results {
-			w.exprs(e, st)
-		}
-		w.checkLeaks(st, t.Return, t.Results)
-		return true
-	case *ast.BranchStmt:
-		return true
-	case *ast.BlockStmt:
-		return w.stmts(t.List, st)
-	case *ast.LabeledStmt:
-		return w.stmt(t.Stmt, st)
-	case *ast.IfStmt:
-		if t.Init != nil {
-			w.stmt(t.Init, st)
-		}
-		w.exprs(t.Cond, st)
-		thenSt := st.clone()
-		thenTerm := w.stmts(t.Body.List, thenSt)
-		elseSt := st.clone()
-		elseTerm := false
-		if t.Else != nil {
-			elseTerm = w.stmt(t.Else, elseSt)
-		}
-		switch {
-		case thenTerm && elseTerm:
-			return true
-		case thenTerm:
-			replace(st, elseSt)
-		case elseTerm:
-			replace(st, thenSt)
-		default:
-			replace(st, thenSt)
-			st.mergeFrom(elseSt)
-		}
-	case *ast.ForStmt:
-		if t.Init != nil {
-			w.stmt(t.Init, st)
-		}
-		if t.Cond != nil {
-			w.exprs(t.Cond, st)
-		}
-		bodySt := st.clone()
-		w.stmts(t.Body.List, bodySt)
-		if t.Post != nil {
-			w.stmt(t.Post, bodySt)
-		}
-		if t.Cond == nil && !analysis.HasBreak(t.Body) {
-			return true // for{}: only leaves via return inside the body
-		}
-		st.mergeFrom(bodySt)
-	case *ast.RangeStmt:
-		w.exprs(t.X, st)
-		bodySt := st.clone()
-		w.stmts(t.Body.List, bodySt)
-		st.mergeFrom(bodySt)
-	case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-		// Clause-level precision is not needed for ownership: walk each
-		// clause from the entry state and union the survivors.
-		var body *ast.BlockStmt
-		switch sw := t.(type) {
-		case *ast.SwitchStmt:
-			if sw.Init != nil {
-				w.stmt(sw.Init, st)
-			}
-			if sw.Tag != nil {
-				w.exprs(sw.Tag, st)
-			}
-			body = sw.Body
-		case *ast.TypeSwitchStmt:
-			if sw.Init != nil {
-				w.stmt(sw.Init, st)
-			}
-			w.stmt(sw.Assign, st)
-			body = sw.Body
-		case *ast.SelectStmt:
-			body = sw.Body
-		}
-		entry := st.clone()
-		for _, c := range body.List {
-			var list []ast.Stmt
-			switch cc := c.(type) {
-			case *ast.CaseClause:
-				list = cc.Body
-			case *ast.CommClause:
-				if cc.Comm != nil {
-					w.stmt(cc.Comm, entry)
-				}
-				list = cc.Body
-			}
-			ccSt := entry.clone()
-			if !w.stmts(list, ccSt) {
-				st.mergeFrom(ccSt)
-			}
+	case *ast.CommClause:
+		if t.Comm != nil {
+			w.Stmt(t.Comm, st)
 		}
 	}
-	w.last = st
-	return false
 }
+
+// Expr checks the releases and uses of an expression a path evaluates.
+func (w *walker) Expr(e ast.Expr, st state) { w.exprs(e, st) }
 
 // assign applies tracking/alias/retire rules after RHS uses were
 // checked.
@@ -383,15 +277,11 @@ func (w *walker) assign(t *ast.AssignStmt, st state) {
 func (w *walker) declSpec(vs *ast.ValueSpec, st state) {
 	for i, name := range vs.Names {
 		v, _ := analysis.ObjectOf(w.pass.TypesInfo, name).(*types.Var)
-		if v == nil || !trackedTypeNames[analysis.TypeName(v.Type())] {
-			continue
+		if len(vs.Values) == 1 {
+			i = 0 // var b, err = call()
 		}
-		if i < len(vs.Values) {
+		if v != nil && trackedTypeNames[analysis.TypeName(v.Type())] && i < len(vs.Values) {
 			if _, isCall := ast.Unparen(vs.Values[i]).(*ast.CallExpr); isCall {
-				st[v] = &vstate{}
-			}
-		} else if len(vs.Values) == 1 {
-			if _, isCall := ast.Unparen(vs.Values[0]).(*ast.CallExpr); isCall {
 				st[v] = &vstate{}
 			}
 		}
@@ -459,13 +349,7 @@ func (w *walker) exprs(n ast.Node, st state) {
 			if !ok || !vs.released || w.deferred[v] {
 				return true
 			}
-			if vs.aliasOf != nil {
-				w.pass.Reportf(t.Pos(), "use of %s, a scratch slice of pooled %s, after the batch was released at %s",
-					v.Name(), vs.aliasOf.Name(), w.pass.Fset.Position(vs.relPos))
-			} else {
-				w.pass.Reportf(t.Pos(), "use of pooled %s after its release at %s",
-					v.Name(), w.pass.Fset.Position(vs.relPos))
-			}
+			w.useAfterRelease(t, v, vs)
 			delete(st, v) // one report per variable per path
 		}
 		return true
@@ -489,25 +373,28 @@ func (w *walker) escape(n ast.Node, st state) {
 			return true
 		}
 		if vs.released {
-			if vs.aliasOf != nil {
-				w.pass.Reportf(id.Pos(), "use of %s, a scratch slice of pooled %s, after the batch was released at %s",
-					v.Name(), vs.aliasOf.Name(), w.pass.Fset.Position(vs.relPos))
-			} else {
-				w.pass.Reportf(id.Pos(), "use of pooled %s after its release at %s",
-					v.Name(), w.pass.Fset.Position(vs.relPos))
-			}
+			w.useAfterRelease(id, v, vs)
 		}
 		delete(st, v)
 		return true
 	})
 }
 
-// checkLeaks reports pooled handles that this function releases on
-// some path but neither releases, defers, nor returns on this one.
-func (w *walker) checkLeaks(st state, at token.Pos, results []ast.Expr) {
-	if st == nil {
-		return
+// useAfterRelease reports id, a use of v after its release on this
+// path.
+func (w *walker) useAfterRelease(id *ast.Ident, v *types.Var, vs *vstate) {
+	if vs.aliasOf != nil {
+		w.pass.Reportf(id.Pos(), "use of %s, a scratch slice of pooled %s, after the batch was released at %s",
+			v.Name(), vs.aliasOf.Name(), w.pass.Fset.Position(vs.relPos))
+	} else {
+		w.pass.Reportf(id.Pos(), "use of pooled %s after its release at %s",
+			v.Name(), w.pass.Fset.Position(vs.relPos))
 	}
+}
+
+// Return reports pooled handles that this function releases on some
+// path but neither releases, defers, nor returns on this one.
+func (w *walker) Return(st state, at token.Pos, results []ast.Expr) {
 	returned := make(map[*types.Var]bool)
 	for _, r := range results {
 		ast.Inspect(r, func(n ast.Node) bool {
@@ -528,10 +415,4 @@ func (w *walker) checkLeaks(st state, at token.Pos, results []ast.Expr) {
 		}
 		w.pass.Reportf(at, "pooled %s is released on another path but not on this one (leaked back to the pool)", v.Name())
 	}
-}
-
-// replace overwrites dst's contents with src's.
-func replace(dst, src state) {
-	clear(dst)
-	maps.Copy(dst, src)
 }

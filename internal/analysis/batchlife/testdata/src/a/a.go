@@ -77,3 +77,131 @@ func (p *pool) auditRelease() int {
 	p.ReleaseBatch(b)
 	return cap(b.scratch) //alarmvet:ignore pool telemetry samples the retained capacity right after release
 }
+
+// A case-list expression is evaluated on the path: it reads the batch
+// after its release.
+func (p *pool) caseListAfterRelease() int {
+	b := p.getBatch()
+	p.ReleaseBatch(b)
+	switch {
+	case len(b.Verified) > 0: // want `use of pooled b after its release`
+		return 1
+	}
+	return 0
+}
+
+// A switch with no default can run no clause: the entry path leaks.
+func (p *pool) switchNoDefaultLeak(k int) {
+	b := p.getBatch()
+	switch k {
+	case 0:
+		p.ReleaseBatch(b)
+		return
+	}
+} // want `pooled b is released on another path but not on this one`
+
+// A clause's release reaches the code after the switch.
+func (p *pool) useAfterClauseRelease(k int) int {
+	b := p.getBatch()
+	switch k {
+	case 0:
+		p.ReleaseBatch(b)
+	default:
+		b.Verified = b.Verified[:0]
+	}
+	return len(b.Verified) // want `use of pooled b after its release`
+}
+
+func (p *pool) typeSwitchDoubleRelease(v any) {
+	b := p.getBatch()
+	switch v.(type) {
+	case int:
+		p.ReleaseBatch(b)
+	}
+	p.ReleaseBatch(b) // want `pooled b released twice on this path`
+}
+
+// A select clause that returns without the release leaks the batch.
+func (p *pool) selectClauseLeak(done chan struct{}, in chan int) {
+	b := p.getBatch()
+	select {
+	case <-done:
+		return // want `pooled b is released on another path but not on this one`
+	case v := <-in:
+		b.Verified = append(b.Verified, v)
+	}
+	p.ReleaseBatch(b)
+}
+
+// A labeled break carries the release out of both loops.
+func (p *pool) breakOutReleased(rows [][]int) int {
+	b := p.getBatch()
+outer:
+	for _, r := range rows {
+		for _, v := range r {
+			if v < 0 {
+				p.ReleaseBatch(b)
+				break outer
+			}
+		}
+	}
+	return len(b.Verified) // want `use of pooled b after its release`
+}
+
+// A var declaration tracks its batch like an assignment does.
+func (p *pool) varDeclUseAfterRelease() int {
+	var b = p.getBatch()
+	p.ReleaseBatch(b)
+	var n = len(b.Verified) // want `use of pooled b after its release`
+	return n
+}
+
+func (p *pool) getBatchErr() (*Batch, error) { return p.getBatch(), nil }
+
+func (p *pool) varTupleLeak(fail bool) {
+	var b, err = p.getBatchErr()
+	if err != nil || fail {
+		return // want `pooled b is released on another path but not on this one`
+	}
+	p.ReleaseBatch(b)
+}
+
+// Where paths meet, a release on either one counts.
+func (p *pool) useAfterElseRelease(c bool) int {
+	b := p.getBatch()
+	if c {
+		b.Verified = nil
+	} else {
+		p.ReleaseBatch(b)
+	}
+	return len(b.Verified) // want `use of pooled b after its release`
+}
+
+func (p *pool) tupleLeak(fail bool) {
+	b, err := p.getBatchErr()
+	if err != nil || fail {
+		return // want `pooled b is released on another path but not on this one`
+	}
+	p.ReleaseBatch(b)
+}
+
+func consume(n int) {}
+
+// The arguments of go and defer statements are evaluated on the path.
+func (p *pool) goArgAfterRelease() {
+	b := p.getBatch()
+	p.ReleaseBatch(b)
+	go consume(len(b.Verified)) // want `use of pooled b after its release`
+}
+
+func (p *pool) deferArgAfterRelease() {
+	b := p.getBatch()
+	p.ReleaseBatch(b)
+	defer consume(len(b.Verified)) // want `use of pooled b after its release`
+}
+
+func (p *pool) incAfterRelease() {
+	b := p.getBatch()
+	p.ReleaseBatch(b)
+	b.Verified[0]++ // want `use of pooled b after its release`
+}

@@ -22,10 +22,10 @@
 // field's elements: p.colLocked(s).set(v), col := p.cols[s], and
 // for _, col := range p.cols.
 //
-// The checker simulates each function body with a branch-aware
-// abstract interpreter over the held-lock set: a lock stays in the set
-// where paths meet if either holds it (the blocking rule), and counts as
-// held for a guarded write only if all of them do. A function literal
+// The checker runs each function body through the shared path walker
+// (analysis.Walk) over the held-lock set: a lock stays in the set where
+// paths meet if either holds it (the blocking rule), and counts as held
+// for a guarded write only if all of them do. A function literal
 // passed straight to a call — not as the operand of go or defer, which
 // run it elsewhere or later — is simulated at that call, under the locks
 // held there: the callee may run it before it returns (a partition
@@ -46,7 +46,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"maps"
 	"strings"
 
 	"alarmverify/internal/analysis"
@@ -82,7 +81,8 @@ type held struct {
 // mode ("p.mu:w").
 type state map[string]*held
 
-func (s state) clone() state {
+// Clone copies s for a path that forks off.
+func (s state) Clone() state {
 	out := make(state, len(s))
 	for k, v := range s {
 		c := *v
@@ -91,11 +91,11 @@ func (s state) clone() state {
 	return out
 }
 
-// merge joins o into s where two paths meet. A lock held on either
+// Join merges o into s where two paths meet. A lock held on either
 // stays in the set, since the blocking rule asks whether a lock may be
 // held; it stays sure only when both paths hold it surely, since the
 // guardedby rule asks whether every path holds it.
-func (s state) merge(o state) {
+func (s state) Join(o state) state {
 	for k, h := range s {
 		if oh, ok := o[k]; !ok || !oh.sure {
 			h.sure = false
@@ -108,15 +108,7 @@ func (s state) merge(o state) {
 			s[k] = &c
 		}
 	}
-}
-
-// join merges b into a, a nil while no path has reached the meet.
-func join(a, b state) state {
-	if a == nil {
-		return b
-	}
-	a.merge(b)
-	return a
+	return s
 }
 
 // lockOp is one acquire or release of a mutex: lock is the rendered
@@ -168,10 +160,7 @@ func run(pass *analysis.Pass) error {
 		}
 		w := &walker{idx: idx, pass: pass, binds: idx.binds[decl],
 			locked: strings.HasSuffix(decl.Name.Name, "Locked"), seen: make(map[int]bool)}
-		st := make(state)
-		if !w.stmts(body.List, st) {
-			w.checkReturn(st, body.Rbrace)
-		}
+		analysis.Walk(w, body, make(state))
 	})
 	return nil
 }
@@ -228,8 +217,8 @@ func buildIndex(pass *analysis.Pass) *pkgIndex {
 	// Blocking functions, getters and receiver writers, to a
 	// package-local fixpoint: each can make a function that calls it one
 	// too. Functions with an //alarmvet:ignore reason are exempt from
-	// the blocking set (audited: e.g. the simulated-RTT sleep that
-	// models the remote store).
+	// the blocking set (audited: e.g. the docstore's replaceFileSync,
+	// which fsyncs an atomic install under a cold-path admin mutex).
 	for changed := true; changed; {
 		changed = false
 		for _, decl := range decls {
@@ -528,7 +517,7 @@ func (x *pkgIndex) blockingCause(body *ast.BlockStmt) string {
 				return
 			}
 		case *ast.SelectStmt:
-			if !hasDefault(t.Body) {
+			if !analysis.HasDefault(t.Body) {
 				cause = "blocks in a select"
 				return
 			}
@@ -549,24 +538,6 @@ func (x *pkgIndex) blockingCause(body *ast.BlockStmt) string {
 	}
 	visit(body, false)
 	return cause
-}
-
-// hasDefault reports whether a switch or select body has a default
-// clause.
-func hasDefault(body *ast.BlockStmt) bool {
-	for _, c := range body.List {
-		switch cc := c.(type) {
-		case *ast.CaseClause:
-			if cc.List == nil {
-				return true
-			}
-		case *ast.CommClause:
-			if cc.Comm == nil {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // visitChildren invokes fn on each direct child node.
@@ -712,18 +683,9 @@ func (w *walker) heldAcross(pos token.Pos, st state, what string) {
 	}
 }
 
-// stmts walks a statement sequence, returning true when every path
-// through it terminates (return/branch/panic-free fallthrough ends).
-func (w *walker) stmts(list []ast.Stmt, st state) bool {
-	for _, s := range list {
-		if w.stmt(s, st) {
-			return true
-		}
-	}
-	return false
-}
-
-func (w *walker) stmt(s ast.Stmt, st state) bool {
+// Stmt applies a statement's own effect: its lock operations and
+// writes, and what it blocks on.
+func (w *walker) Stmt(s ast.Stmt, st state) {
 	switch t := s.(type) {
 	case *ast.ExprStmt:
 		w.exprs(t.X, st)
@@ -750,127 +712,22 @@ func (w *walker) stmt(s ast.Stmt, st state) bool {
 		for _, a := range t.Call.Args {
 			w.exprs(a, st)
 		}
-	case *ast.ReturnStmt:
-		for _, e := range t.Results {
-			w.exprs(e, st)
-		}
-		w.checkReturn(st, t.Return)
-		return true
-	case *ast.BranchStmt:
-		return true // break/continue/goto leave this sequence
-	case *ast.BlockStmt:
-		return w.stmts(t.List, st)
-	case *ast.LabeledStmt:
-		return w.stmt(t.Stmt, st)
-	case *ast.IfStmt:
-		if t.Init != nil {
-			w.stmt(t.Init, st)
-		}
-		w.exprs(t.Cond, st)
-		thenSt := st.clone()
-		thenTerm := w.stmts(t.Body.List, thenSt)
-		elseSt := st.clone()
-		elseTerm := false
-		if t.Else != nil {
-			elseTerm = w.stmt(t.Else, elseSt)
-		}
-		switch {
-		case thenTerm && elseTerm:
-			return true
-		case thenTerm:
-			replace(st, elseSt)
-		case elseTerm:
-			replace(st, thenSt)
-		default:
-			replace(st, thenSt)
-			st.merge(elseSt)
-		}
-	case *ast.ForStmt:
-		if t.Init != nil {
-			w.stmt(t.Init, st)
-		}
-		if t.Cond != nil {
-			w.exprs(t.Cond, st)
-		}
-		bodySt := st.clone()
-		w.stmts(t.Body.List, bodySt)
-		if t.Post != nil {
-			w.stmt(t.Post, bodySt)
-		}
-		if t.Cond == nil && !analysis.HasBreak(t.Body) {
-			return true // for{}: only leaves via return inside the body
-		}
-		st.merge(bodySt)
-	case *ast.RangeStmt:
-		w.exprs(t.X, st)
-		bodySt := st.clone()
-		w.stmts(t.Body.List, bodySt)
-		st.merge(bodySt)
-	case *ast.SwitchStmt:
-		if t.Init != nil {
-			w.stmt(t.Init, st)
-		}
-		if t.Tag != nil {
-			w.exprs(t.Tag, st)
-		}
-		w.caseClauses(t.Body, st)
-	case *ast.TypeSwitchStmt:
-		if t.Init != nil {
-			w.stmt(t.Init, st)
-		}
-		w.stmt(t.Assign, st)
-		w.caseClauses(t.Body, st)
 	case *ast.SelectStmt:
-		if !hasDefault(t.Body) {
+		if !analysis.HasDefault(t.Body) {
 			w.heldAcross(t.Select, st, "blocking select")
 		}
-		allTerm := true
-		var merged state
-		for _, c := range t.Body.List {
-			cc := c.(*ast.CommClause)
-			ccSt := st.clone()
-			// The comm op itself is the select's business; walk it only
-			// for lock ops in nested expressions.
-			if es, ok := cc.Comm.(*ast.ExprStmt); ok {
-				w.exprs(es.X, ccSt)
-			}
-			if !w.stmts(cc.Body, ccSt) {
-				allTerm = false
-				merged = join(merged, ccSt)
-			}
+	case *ast.CommClause:
+		// The comm op itself is the select's business; walk it only for
+		// lock ops in nested expressions.
+		if es, ok := t.Comm.(*ast.ExprStmt); ok {
+			w.exprs(es.X, st)
 		}
-		if allTerm && len(t.Body.List) > 0 {
-			return true
-		}
-		replace(st, merged)
 	}
-	return false
 }
 
-// caseClauses walks a switch body: each clause sees the entry state;
-// the exit state joins the non-terminating clauses and, without a
-// default, the entry state.
-func (w *walker) caseClauses(body *ast.BlockStmt, st state) {
-	entry := st.clone()
-	var merged state
-	if !hasDefault(body) {
-		merged = entry.clone() // the fall-through path
-	}
-	for _, c := range body.List {
-		cc := c.(*ast.CaseClause)
-		ccSt := entry.clone()
-		for _, e := range cc.List {
-			w.exprs(e, ccSt)
-		}
-		if !w.stmts(cc.Body, ccSt) {
-			merged = join(merged, ccSt)
-		}
-	}
-	if merged == nil {
-		merged = entry // every clause returns
-	}
-	replace(st, merged)
-}
+// Expr applies the lock operations and writes of an expression a path
+// evaluates.
+func (w *walker) Expr(e ast.Expr, st state) { w.exprs(e, st) }
 
 // deferCall handles `defer x.Unlock()` and unlock-wrapper defers by
 // marking the corresponding held entries as covered on every path.
@@ -930,18 +787,16 @@ func (w *walker) exprs(n ast.Node, st state) {
 // so a return from the literal is not held to them.
 func (w *walker) callback(lit *ast.FuncLit, st state) {
 	w.idx.atCall[lit] = true
-	in := st.clone()
+	in := st.Clone()
 	for _, h := range in {
 		h.deferred = true
 	}
-	if !w.stmts(lit.Body.List, in) {
-		w.checkReturn(in, lit.Body.Rbrace)
-	}
+	analysis.Walk(w, lit.Body, in)
 }
 
-// checkReturn reports locks still explicitly held (no unlock, no
-// deferred unlock) when a path leaves the function.
-func (w *walker) checkReturn(st state, at token.Pos) {
+// Return reports locks still explicitly held (no unlock, no deferred
+// unlock) when a path leaves the function.
+func (w *walker) Return(st state, at token.Pos, _ []ast.Expr) {
 	for _, h := range st {
 		if h.deferred {
 			continue
@@ -965,10 +820,4 @@ func anyHeld(st state) *held {
 		r = h
 	}
 	return r
-}
-
-// replace overwrites dst's contents with src's.
-func replace(dst, src state) {
-	clear(dst)
-	maps.Copy(dst, src)
 }

@@ -153,3 +153,54 @@ func (p *part) writeInGoCallbackUnderLock() {
 		p.rows[0] = r // want `mutation of p\.rows outside a write section`
 	})
 }
+
+// When every clause of a switch with a default returns, the switch is
+// the end of every path: the clause that keeps the lock is reported at
+// its return, and nothing at the closing brace.
+func (p *part) switchClauseKeepsLock(k int) int {
+	p.mu.Lock()
+	switch k {
+	case 0:
+		p.mu.Unlock()
+		return 0
+	default:
+		return 1 // want `p\.mu acquired at .* may still be held on this return path \(missing Unlock\)`
+	}
+}
+
+func (p *part) typeSwitchClauseKeepsLock(v any) int {
+	p.mu.RLock()
+	switch v.(type) {
+	case int:
+		p.mu.RUnlock()
+		return 0
+	default:
+		return 1 // want `p\.mu acquired at .* may still be held on this return path \(missing RUnlock\)`
+	}
+}
+
+// A labeled break carries the lock it holds out of both loops.
+func (p *part) breakOutHolding(rows [][]int) {
+outer:
+	for _, r := range rows {
+		for _, v := range r {
+			p.mu.Lock()
+			if v < 0 {
+				break outer
+			}
+			p.mu.Unlock()
+		}
+	}
+} // want `p\.mu acquired at .* may still be held on this return path \(missing Unlock\)`
+
+// A guarded write after a switch is in the write section only if every
+// clause that reaches it holds the lock.
+func (p *part) writeAfterOneSidedSwitch(k, r int) {
+	switch k {
+	case 0:
+		p.mu.Lock()
+		defer p.mu.Unlock()
+	default:
+	}
+	p.rows[0] = r // want `mutation of p\.rows outside a write section`
+}

@@ -88,3 +88,70 @@ func (p *part) sleepInGoCallbackUnderLock(d time.Duration) {
 	go p.each(func(int) { time.Sleep(d) })
 	p.mu.Unlock()
 }
+
+// Every clause of a switch or type switch with a default returns, so no
+// path reaches the closing brace holding the lock.
+func (p *part) switchAllReturn(k int) int {
+	p.mu.Lock()
+	switch k {
+	case 0:
+		p.mu.Unlock()
+		return 0
+	default:
+		p.mu.Unlock()
+		return 1
+	}
+}
+
+func (p *part) typeSwitchAllReturn(v any) int {
+	p.mu.RLock()
+	switch v.(type) {
+	case int:
+		p.mu.RUnlock()
+		return 0
+	default:
+		p.mu.RUnlock()
+		return 1
+	}
+}
+
+// A select whose clauses all return ends every path too.
+func (p *part) selectAllReturn(done chan struct{}) int {
+	p.mu.Lock()
+	p.seq++
+	p.mu.Unlock()
+	select {
+	case v := <-p.ch:
+		return v
+	case <-done:
+		return 0
+	}
+}
+
+// Each path out of the loop, the break included, has unlocked.
+func (p *part) unlockThenBreak(ks []string) int {
+	n := 0
+	for {
+		p.mu.Lock()
+		if _, ok := p.items[ks[n]]; ok {
+			p.mu.Unlock()
+			break
+		}
+		p.mu.Unlock()
+		n++
+	}
+	return n
+}
+
+// A write after a switch whose every clause takes the write lock is in
+// the write section.
+func (p *part) writeAfterBalancedSwitch(k, r int) {
+	switch k {
+	case 0:
+		p.mu.Lock()
+	default:
+		p.mu.Lock()
+	}
+	p.rows[0] = r
+	p.mu.Unlock()
+}

@@ -24,10 +24,13 @@
 // of that field, and queries that pin the shard key by equality touch
 // exactly one partition.
 //
-// The API is the one the pipeline calls — append (Insert, InsertMany,
-// InsertRows), age out (SetRetention → PruneExpired), read back
-// (BucketCounts, GroupCounts, TailRows, Aggregate) — plus the
-// durability surface of durable.go. There is no update, no point
+// The API is the one the pipeline calls — append (Insert, InsertRows),
+// age out (SetRetention → PruneExpired), read back (BucketCounts,
+// GroupCounts, TailRows) — plus the durability surface of durable.go.
+// InsertMany and Aggregate, the document-shaped batch insert and
+// pipeline read, are called only by the benchmark harness (bench/),
+// whose layer timings (docstore.insert_*, docstore.aggregate_*) they
+// stay for: ROADMAP item 1(j). There is no update, no point
 // lookup, no dump/restore, no index or collection drop, and no latency
 // model inside the engine (the overload experiment's simulated
 // round-trip is core.History's, around the store).

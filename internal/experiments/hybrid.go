@@ -165,7 +165,6 @@ type Table2Row struct {
 	ZIP           string
 	TrueIntrusion int
 	TrueFire      int
-	CityKnown     bool // per-district incident counts are unknown
 }
 
 // Table2Result is the Basel-style granularity-divergence table.

@@ -270,3 +270,43 @@ func TestReadFrameGrowAllocBudget(t *testing.T) {
 		t.Fatalf("1 024 frames of 1 KB to 1 MB: %.0f buffer allocations, budget 16", allocs)
 	}
 }
+
+// repeatedFrame serves one frame over and over, a read ending at the
+// frame's end, so reading it allocates nothing.
+type repeatedFrame struct {
+	frame []byte
+	off   int
+}
+
+func (r *repeatedFrame) Read(p []byte) (int, error) {
+	n := copy(p, r.frame[r.off:])
+	r.off = (r.off + n) % len(r.frame)
+	return n, nil
+}
+
+// TestReadFrameFreshBufferAllocBudget: a frame read into no buffer — a
+// consumer fetch into a new lease's — allocates its buffer once, at the
+// frame's size, from 100 B to 200 KB (a minRead buffer for the first
+// read and then one of the frame's size was two above 4 KB).
+func TestReadFrameFreshBufferAllocBudget(t *testing.T) {
+	for _, size := range []int{100, 3_000, 20_000, 200_000} {
+		body := make([]byte, size)
+		for i := range body {
+			body[i] = byte(i * 7)
+		}
+		frame, err := AppendFrame(nil, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr := &frameReader{r: &repeatedFrame{frame: frame}}
+		allocs := testing.AllocsPerRun(50, func() {
+			got, _, err := fr.readFrame(nil)
+			if err != nil || len(got) != size {
+				t.Fatalf("%d-byte frame: read %d, %v", size, len(got), err)
+			}
+		})
+		if allocs != 1 {
+			t.Errorf("%d-byte body into a fresh buffer: %.1f allocations, budget 1", size, allocs)
+		}
+	}
+}

@@ -145,15 +145,23 @@ type frameReader struct {
 // header and body at its front, for the next call. It starts from the
 // carried bytes and reads as much as has arrived — the header and,
 // usually, the whole body — in one read; the rest it reads with
-// io.ReadFull, never past the frame. A full buffer grows to the frame's
-// size or to twice its own, whichever is more, but never to more than
-// one readChunk past the bytes that have arrived: allocation tracks
-// delivery, a hostile length prefix cannot balloon it, and frames that
-// grow a little at a time do not cost an allocation each.
+// io.ReadFull, never past the frame. A buffer too small to start from
+// is replaced once, at the frame's size: the first bytes are read into
+// the carry, whose length prefix sizes the new buffer, capped at one
+// readChunk but never smaller than the carried bytes. A full buffer
+// grows to the frame's size or to twice its own, whichever is more, but
+// never to more than one readChunk past the bytes that have arrived:
+// allocation tracks delivery, a hostile length prefix cannot balloon
+// it, and frames that grow a little at a time do not cost an
+// allocation each.
 func (fr *frameReader) readFrame(buf []byte) (body, newBuf []byte, err error) {
 	buf = buf[:cap(buf)]
 	if len(buf) < minRead || len(buf) < len(fr.carry) {
-		buf = make([]byte, max(minRead, len(fr.carry)))
+		if err := fr.fillHeader(); err != nil {
+			return nil, buf[:0], err
+		}
+		total := frameHeader + int(binary.BigEndian.Uint32(fr.carry[0:4]))
+		buf = make([]byte, max(len(fr.carry), min(max(minRead, total), readChunk)))
 	}
 	have := copy(buf, fr.carry)
 	fr.carry = fr.carry[:0]
@@ -190,6 +198,21 @@ func (fr *frameReader) readFrame(buf []byte) (body, newBuf []byte, err error) {
 		return nil, buf[:total], ErrFrameCorrupt
 	}
 	return body, buf[:total], nil
+}
+
+// fillHeader reads into the carry, at least minRead of storage kept
+// from call to call, until it holds a frame header.
+func (fr *frameReader) fillHeader() error {
+	have := len(fr.carry)
+	if have >= frameHeader {
+		return nil
+	}
+	if cap(fr.carry) < minRead {
+		fr.carry = append(make([]byte, 0, minRead), fr.carry...)
+	}
+	n, err := io.ReadAtLeast(fr.r, fr.carry[have:cap(fr.carry)], frameHeader-have)
+	fr.carry = fr.carry[:have+n]
+	return err
 }
 
 // writeFrame writes one framed body to w, reusing scratch for the

@@ -137,6 +137,34 @@ func TestFrameDecodeErrors(t *testing.T) {
 	}
 }
 
+// TestReadFrameCarryIntoFreshBuffer: frames a large buffer's one read
+// delivered ahead are carried into the next calls' fresh buffers whole,
+// though the carry outgrows both minRead and the next frame.
+func TestReadFrameCarryIntoFreshBuffer(t *testing.T) {
+	var wire []byte
+	var bodies [][]byte
+	for i := 0; i < 200; i++ {
+		body := bytes.Repeat([]byte{byte(i)}, 100+i)
+		bodies = append(bodies, body)
+		var err error
+		if wire, err = AppendFrame(wire, body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fr := frameReader{r: bytes.NewReader(wire)}
+	buf := make([]byte, 64<<10)
+	for i, want := range bodies {
+		body, _, err := fr.readFrame(buf)
+		if err != nil || !bytes.Equal(body, want) {
+			t.Fatalf("frame %d: %d bytes, %v", i, len(body), err)
+		}
+		buf = nil // every later frame into a fresh buffer
+	}
+	if _, _, err := fr.readFrame(nil); err != io.EOF {
+		t.Fatalf("want EOF, got %v", err)
+	}
+}
+
 // TestReadFrameHostileLength proves the anti-ballooning property: a
 // length prefix claiming MaxFrame with only a few bytes behind it must
 // error out after at most one chunk of allocation, not reserve 16MB.
