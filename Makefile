@@ -192,12 +192,12 @@ test-distributed:
 ## cover: per-package statement coverage with enforced floors on the
 ## serving layers, the classifiers and the two path-sensitive analyzers
 ## (CI `coverage` job). Floors sit ~10 points under measured coverage
-## (core 89%, serve 80%, loadgen 90%, metrics 90%, netbroker 78%, ml
-## 96%, lockscope 95%, batchlife 94%) so they catch real erosion
+## (core 89%, serve 80%, loadgen 90%, metrics 90%, netbroker 78%, frame
+## 95%, ml 96%, lockscope 95%, batchlife 94%) so they catch real erosion
 ## without flaking on noise; docstore's sits one point under its 93.0%,
 ## most of it the pushdown battery. Profiles land in coverage/ for the
 ## CI artifact upload.
-COVER_FLOORS = internal/core:79 internal/serve:70 internal/loadgen:80 internal/metrics:80 internal/docstore:92 internal/netbroker:70 internal/ml:88 internal/analysis/lockscope:85 internal/analysis/batchlife:84
+COVER_FLOORS = internal/core:79 internal/serve:70 internal/loadgen:80 internal/metrics:80 internal/docstore:92 internal/netbroker:70 internal/frame:85 internal/ml:88 internal/analysis/lockscope:85 internal/analysis/batchlife:84
 cover:
 	@mkdir -p coverage; fail=0; \
 	for spec in $(COVER_FLOORS); do \
@@ -225,8 +225,9 @@ docs-gate:
 ## through the pushdown planner and the streaming oracle), the store's
 ## row-frame replay (a frame read from disk is stored or refused whole,
 ## never a panic, and what it stores encodes back to the same cells), the
-## wire-frame decoder (torn frames, hostile lengths and corrupt
-## payloads must error, never panic or over-allocate), and the wire
+## frame decoder the log and the wire share (internal/frame: torn frames,
+## hostile lengths and corrupt payloads must error, never panic or
+## over-allocate), and the wire
 ## message decoders (the same for the binary bodies inside the frames,
 ## JSON bodies of the format before them included, plus: whatever
 ## decodes survives a round trip), the model-file loader (a file
@@ -238,7 +239,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/codec
 	$(GO) test -run '^$$' -fuzz '^FuzzAggregate$$' -fuzztime 10s ./internal/docstore
 	$(GO) test -run '^$$' -fuzz '^FuzzRowFrame$$' -fuzztime 10s ./internal/docstore
-	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime 10s ./internal/netbroker
+	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime 10s ./internal/frame
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime 10s ./internal/netbroker
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadClassifier$$' -fuzztime 10s ./internal/ml
 	$(GO) test -run '^$$' -fuzz '^FuzzCompiledForest$$' -fuzztime 10s ./internal/ml

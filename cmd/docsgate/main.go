@@ -54,6 +54,7 @@ var defaultPackages = []string{
 	"internal/dataset",
 	"internal/analysis",
 	"internal/fsync",
+	"internal/frame",
 }
 
 func main() {

@@ -53,6 +53,9 @@ var (
 type vstate struct {
 	released bool
 	relPos   token.Pos
+	// used is set once a use after the release is reported: the path
+	// reports no other use, but still a second release.
+	used bool
 	// aliasOf is the pooled base variable for slice aliases, nil for
 	// the pooled handle itself.
 	aliasOf *types.Var
@@ -78,6 +81,7 @@ func (s state) Join(o state) state {
 			if v.released && !cur.released {
 				cur.released, cur.relPos = true, v.relPos
 			}
+			cur.used = cur.used && v.used
 		} else {
 			c := *v
 			s[k] = &c
@@ -346,11 +350,11 @@ func (w *walker) exprs(n ast.Node, st state) {
 				return true
 			}
 			vs, ok := st[v]
-			if !ok || !vs.released || w.deferred[v] {
+			if !ok || !vs.released || vs.used || w.deferred[v] {
 				return true
 			}
 			w.useAfterRelease(t, v, vs)
-			delete(st, v) // one report per variable per path
+			vs.used = true // one report per variable per path
 		}
 		return true
 	})
@@ -372,7 +376,7 @@ func (w *walker) escape(n ast.Node, st state) {
 		if !tracked {
 			return true
 		}
-		if vs.released {
+		if vs.released && !vs.used {
 			w.useAfterRelease(id, v, vs)
 		}
 		delete(st, v)

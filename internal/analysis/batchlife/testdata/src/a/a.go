@@ -205,3 +205,13 @@ func (p *pool) incAfterRelease() {
 	p.ReleaseBatch(b)
 	b.Verified[0]++ // want `use of pooled b after its release`
 }
+
+// A round's release reaches the next round's start: the append uses
+// the batch the previous round released, and the release is a second.
+func (p *pool) releaseInLoop(n int) {
+	b := p.getBatch()
+	for i := 0; i < n; i++ {
+		b.Verified = append(b.Verified, i) // want `use of pooled b after its release`
+		p.ReleaseBatch(b)                  // want `pooled b released twice on this path`
+	}
+}

@@ -11,8 +11,9 @@ import (
 // and returns the surviving findings in position order. Findings in
 // _test.go files are dropped (test hammers intentionally violate the
 // production invariants), as are findings on lines carrying a
-// justified //alarmvet:ignore; reason-less ignores and misplaced field
-// directives are findings themselves.
+// justified //alarmvet:ignore and repeats of a finding (a loop body is
+// walked twice); reason-less ignores and misplaced field directives are
+// findings themselves.
 func RunAnalyzers(u *Unit, analyzers []*Analyzer) ([]Diagnostic, error) {
 	dirs := ParseDirectives(u.Fset, u.Files, u.Info)
 	raw := append([]Diagnostic(nil), dirs.Bad()...)
@@ -34,11 +35,13 @@ func RunAnalyzers(u *Unit, analyzers []*Analyzer) ([]Diagnostic, error) {
 		}
 	}
 	var out []Diagnostic
+	seen := make(map[Diagnostic]bool, len(raw))
 	for _, d := range raw {
 		p := u.Fset.Position(d.Pos)
-		if strings.HasSuffix(p.Filename, "_test.go") {
+		if strings.HasSuffix(p.Filename, "_test.go") || seen[d] {
 			continue
 		}
+		seen[d] = true
 		if _, ok := dirs.IgnoredAt(d.Pos); ok && d.Analyzer != "directive" {
 			continue
 		}

@@ -38,8 +38,9 @@ type Hooks[S any] interface {
 
 // Walk simulates body from st along every path, calling h as each path
 // reaches each statement, and h.Return on each path that leaves it. A
-// loop body is walked once, from the state on entry; the state after the
-// loop joins the paths that skip it, go round again, and break out.
+// loop body is walked twice (loop), so a hook may see a statement twice;
+// the driver keeps each finding once. The state after the loop joins
+// the paths that skip it, go round again, and break out.
 func Walk[S Lattice[S]](h Hooks[S], body *ast.BlockStmt, st S) {
 	w := &flow[S]{h: h}
 	if st, live := w.stmts(body.List, st); live {
@@ -143,10 +144,10 @@ func (w *flow[S]) stmt(s ast.Stmt, st S) (S, bool) {
 		if t.Cond != nil {
 			w.h.Expr(t.Cond, st)
 		}
-		return w.loop(label, t.Body, t.Post, st, t.Cond != nil)
+		return w.loop(label, t.Body, t.Post, t.Cond, st, t.Cond != nil)
 	case *ast.RangeStmt:
 		w.h.Expr(t.X, st)
-		return w.loop(label, t.Body, nil, st, true)
+		return w.loop(label, t.Body, nil, nil, st, true)
 	case *ast.SwitchStmt:
 		w.simple(t.Init, st)
 		if t.Tag != nil {
@@ -172,29 +173,41 @@ func (w *flow[S]) simple(s ast.Stmt, st S) {
 	}
 }
 
-// loop walks a loop body once from the entry state. The paths that go
-// round again (the body's end and each continue) pass through post; the
-// loop is left when its condition fails — from the entry state or a
-// later iteration's — or by a break. A loop with no condition and no
-// break is never left.
-func (w *flow[S]) loop(label string, body *ast.BlockStmt, post ast.Stmt, st S, cond bool) (S, bool) {
-	tg := w.push(label, true)
-	if end, live := w.stmts(body.List, st.Clone()); live {
-		tg.next.add(end)
-	}
-	w.targets = w.targets[:len(w.targets)-1]
+// loop walks a loop body twice: a round from the entry state, then, if
+// any path comes back round, a round from the entry state joined with
+// those, cond evaluated again first. The paths that go round again (the
+// body's end and each continue) pass through post; the loop is left
+// when its condition fails (leaves) — from the entry state or a later
+// round's — or by a break. A loop with no condition and no break is
+// never left.
+func (w *flow[S]) loop(label string, body *ast.BlockStmt, post ast.Stmt, cond ast.Expr, st S, leaves bool) (S, bool) {
 	var out meet[S]
-	if cond {
-		out.add(st)
+	if leaves {
+		out.add(st.Clone())
 	}
-	if tg.next.reached {
-		w.simple(post, tg.next.st)
-		if cond {
-			out.add(tg.next.st)
+	from := st.Clone()
+	for round := 0; ; round++ {
+		tg := w.push(label, true)
+		if end, live := w.stmts(body.List, from); live {
+			tg.next.add(end)
 		}
-	}
-	if tg.brk.reached {
-		out.add(tg.brk.st)
+		w.targets = w.targets[:len(w.targets)-1]
+		if tg.brk.reached {
+			out.add(tg.brk.st)
+		}
+		if !tg.next.reached {
+			break
+		}
+		w.simple(post, tg.next.st)
+		if leaves {
+			out.add(tg.next.st.Clone())
+		}
+		if round == 1 {
+			break
+		}
+		if from = st.Join(tg.next.st); cond != nil {
+			w.h.Expr(cond, from)
+		}
 	}
 	return out.st, out.reached
 }

@@ -22,8 +22,10 @@ func (m must) Join(o must) must {
 	return m
 }
 
-// recorder marks each call a path evaluates and records each exit as
-// "<returned literal or }>:<sorted marks>".
+// recorder marks each call a path evaluates — a call to un<name> takes
+// <name>'s mark away — and records each distinct exit as "<returned
+// literal or }>:<sorted marks>" (a loop's second walk reaches its exits
+// again).
 type recorder struct{ exits []string }
 
 func (r *recorder) Stmt(s ast.Stmt, st must) {
@@ -51,14 +53,20 @@ func (r *recorder) Return(st must, _ token.Pos, results []ast.Expr) {
 		calls = append(calls, k)
 	}
 	slices.Sort(calls)
-	r.exits = append(r.exits, at+":"+strings.Join(calls, ","))
+	if exit := at + ":" + strings.Join(calls, ","); !slices.Contains(r.exits, exit) {
+		r.exits = append(r.exits, exit)
+	}
 }
 
 func mark(n ast.Node, st must) {
 	ast.Inspect(n, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
 			if id, ok := call.Fun.(*ast.Ident); ok {
-				st[id.Name] = true
+				if name, ok := strings.CutPrefix(id.Name, "un"); ok {
+					delete(st, name)
+				} else {
+					st[id.Name] = true
+				}
 			}
 		}
 		return true
@@ -99,6 +107,8 @@ func TestWalkPaths(t *testing.T) {
 			[]string{"1:c,f"}},
 		{"labeled continue goes round the outer loop", `outer: for a() { for { if c() { continue outer }; return 1 } }; return 2`,
 			[]string{"1:a,c", "2:a"}},
+		{"the back edge reaches the next round", `lock(); for c() { if d() { return 1 }; unlock() }; return 2`,
+			[]string{"1:c,d,lock", "1:c,d", "2:c"}},
 		{"goto ends the path", `if c() { goto end }; f(); end: return 1`, []string{"1:c,f"}},
 		{"block", `{ f(); return 1 }`, []string{"1:f"}},
 	} {

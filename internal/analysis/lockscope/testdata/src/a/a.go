@@ -204,3 +204,17 @@ func (p *part) writeAfterOneSidedSwitch(k, r int) {
 	}
 	p.rows[0] = r // want `mutation of p\.rows outside a write section`
 }
+
+// A continue skips the unlock, so the next round sleeps holding the
+// lock, and a return after the loop may hold it too.
+func (p *part) continueKeepsLock(d time.Duration, rows []int) {
+	for _, r := range rows {
+		time.Sleep(d) // want `p\.mu held across time\.Sleep`
+		p.mu.Lock()
+		if r < 0 {
+			continue
+		}
+		p.rows[0] = r
+		p.mu.Unlock()
+	}
+} // want `p\.mu acquired at .* may still be held on this return path \(missing Unlock\)`

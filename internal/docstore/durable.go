@@ -14,6 +14,7 @@ import (
 	"syscall"
 	"time"
 
+	"alarmverify/internal/frame"
 	"alarmverify/internal/fsync"
 )
 
@@ -637,10 +638,13 @@ const snapshotFrameRows = 1024
 func (dc *durableCollection) writeSnapshot(pi int, epoch uint64, snap *partition, nextID int64) error {
 	return replaceFileSync(dc.snapPath(pi, epoch), func(w *bufio.Writer) error {
 		hdr, err := json.Marshal(snapHeader{Count: snap.ids.len(), NextID: nextID})
+		if err == nil {
+			hdr, err = frame.Append(nil, hdr, walMaxFrame)
+		}
 		if err != nil {
 			return err
 		}
-		if _, err := w.Write(frameOf(hdr)); err != nil {
+		if _, err := w.Write(hdr); err != nil {
 			return err
 		}
 		var enc rowEncoder
@@ -665,7 +669,11 @@ func (dc *durableCollection) writeSnapshot(pi int, epoch uint64, snap *partition
 			for r := lo; r < hi; r++ {
 				enc.add(snap.ids.at(r), slots, row(r))
 			}
-			if _, err := w.Write(enc.finish()); err != nil {
+			f, err := enc.finish()
+			if err != nil {
+				return err
+			}
+			if _, err := w.Write(f); err != nil {
 				return err
 			}
 		}
@@ -885,9 +893,10 @@ func loadSnapshot(p *partition, path string, maxID *int64) (int64, error) {
 
 // replayFrame applies one logged frame to a recovering partition: a
 // row frame appends its rows once the field dictionary has admitted
-// every cell's kind, a JSON frame replays its delete.
+// every cell's kind, a JSON frame replays its delete (and an empty one
+// does not parse).
 func replayFrame(p *partition, dec *rowDecoder, payload []byte, maxID *int64) error {
-	if payload[0] != frameRows {
+	if len(payload) == 0 || payload[0] != frameRows {
 		return p.applyLocked(payload)
 	}
 	rows := raggedPool.Get().(*Rows)

@@ -2,6 +2,7 @@ package docstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -132,57 +133,93 @@ func TestDurableCheckpointAndGC(t *testing.T) {
 	}
 }
 
+// TestDurableTornWALTail tears every partition's log after 40 inserts,
+// once per kind of torn tail. Each bad frame hides a valid one behind
+// it, a delete of every row: replay keeps exactly the frames before
+// the bad one, recovery truncates the file there, and an append after
+// it survives a reopen.
 func TestDurableTornWALTail(t *testing.T) {
-	dir := t.TempDir()
-	db, err := OpenDB(dir, fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := db.Collection("a")
-	for i := 0; i < 40; i++ {
-		col.Insert(Doc{"i": i})
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Tear every partition's WAL tail: a half-written frame header and
-	// a frame whose declared length exceeds the bytes present.
-	entries, _ := os.ReadDir(filepath.Join(dir, "a"))
-	torn := 0
-	for _, e := range entries {
-		if !strings.HasSuffix(e.Name(), ".wal") {
-			continue
-		}
-		f, err := os.OpenFile(filepath.Join(dir, "a", e.Name()), os.O_WRONLY|os.O_APPEND, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.Write([]byte{0xFF, 0x00, 0x00, 0x00, 0xDE, 0xAD, 0xBE, 0xEF, 0x01, 0x02})
-		f.Close()
-		torn++
-	}
-	if torn == 0 {
-		t.Fatal("no WAL files found to tear")
-	}
-	db2, err := OpenDB(dir, fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := db2.Collection("a").Len(); n != 40 {
-		t.Fatalf("Len=%d after torn-tail recovery, want 40", n)
-	}
-	// Recovery truncated the tails, so appends continue cleanly.
-	db2.Collection("a").Insert(Doc{"after": 1})
-	if err := db2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	db3, err := OpenDB(dir, fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db3.Close()
-	if n := db3.Collection("a").Len(); n != 41 {
-		t.Fatalf("Len=%d after post-truncation append, want 41", n)
+	valid := frameOf([]byte(`{"op":"del","filter":{"i":{"$gte":0}}}`))
+	corrupt := frameOf([]byte(`{"op":"del","filter":{"i":{"$gte":1}}}`))
+	corrupt[len(corrupt)-2] ^= 0x20
+	overlong := binary.LittleEndian.AppendUint32(nil, walMaxFrame+1)
+	overlong = binary.LittleEndian.AppendUint32(overlong, 0)
+	for _, tc := range []struct {
+		name string
+		tail []byte
+	}{
+		// A half-written frame header and a frame whose declared length
+		// exceeds the bytes present.
+		{"a half-written frame", []byte{0xFF, 0x00, 0x00, 0x00, 0xDE, 0xAD, 0xBE, 0xEF, 0x01, 0x02}},
+		{"a zero-length frame", append(make([]byte, 8), valid...)},
+		{"a length above walMaxFrame", append(overlong, valid...)},
+		{"a CRC mismatch before a valid frame", append(corrupt, valid...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			db, err := OpenDB(dir, fastOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			col := db.Collection("a")
+			for i := 0; i < 40; i++ {
+				col.Insert(Doc{"i": i})
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			sizes := make(map[string]int64)
+			entries, _ := os.ReadDir(filepath.Join(dir, "a"))
+			for _, e := range entries {
+				if !strings.HasSuffix(e.Name(), ".wal") {
+					continue
+				}
+				path := filepath.Join(dir, "a", e.Name())
+				fi, err := os.Stat(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sizes[path] = fi.Size()
+				f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f.Write(tc.tail)
+				f.Close()
+			}
+			if len(sizes) == 0 {
+				t.Fatal("no WAL files found to tear")
+			}
+			db2, err := OpenDB(dir, fastOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := db2.Collection("a").Len(); n != 40 {
+				t.Fatalf("Len=%d after torn-tail recovery, want 40", n)
+			}
+			for path, size := range sizes {
+				fi, err := os.Stat(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fi.Size() != size {
+					t.Fatalf("%s: %d bytes after recovery, want it truncated to %d", filepath.Base(path), fi.Size(), size)
+				}
+			}
+			// Recovery truncated the tails, so appends continue cleanly.
+			db2.Collection("a").Insert(Doc{"after": 1})
+			if err := db2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			db3, err := OpenDB(dir, fastOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db3.Close()
+			if n := db3.Collection("a").Len(); n != 41 {
+				t.Fatalf("Len=%d after post-truncation append, want 41", n)
+			}
+		})
 	}
 }
 

@@ -27,7 +27,11 @@ func FuzzRowFrame(f *testing.F) {
 		for i, row := range rows {
 			enc.add(ids[i], slots, row)
 		}
-		f.Add(append([]byte(nil), enc.finish()[8:]...))
+		fr, err := enc.finish()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(append([]byte(nil), fr[8:]...))
 	}
 	seed([]string{"alarmId", "deviceMac", "ts", "duration"}, []int64{0, 1, 2},
 		[]Cell{Int64(1), String("00:1a:2b"), Float(1.7e9), Float(12.5)},
@@ -83,7 +87,11 @@ func FuzzRowFrame(f *testing.F) {
 		}
 		var again Rows
 		again.off = []int32{0}
-		if err := (&rowDecoder{dict: c.dict}).decode(enc.finish()[8:], &again); err != nil {
+		fr, err := enc.finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := (&rowDecoder{dict: c.dict}).decode(fr[8:], &again); err != nil {
 			t.Fatalf("the re-encoded frame is refused: %v", err)
 		}
 		if !reflect.DeepEqual(again.ids, got.ids) || !reflect.DeepEqual(again.slots, got.slots) ||

@@ -224,7 +224,11 @@ func TestMixedKindFieldRefused(t *testing.T) {
 	enc.define([]int{0}, []Cell{String("x")})
 	enc.begin([]string{"v"}, 1)
 	enc.add(7, []int{0}, []Cell{String("x")})
-	refuses("a string cell in a float64 field", append([]byte(nil), enc.finish()...))
+	f, err := enc.finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	refuses("a string cell in a float64 field", append([]byte(nil), f...))
 	// Kind byte 5, an older build's bool, in a field of its own.
 	refuses("a retired kind", frameOf([]byte{frameRows, 1, 0, 1, 'b', 1, 8, 1, 0, 5, 1}))
 }

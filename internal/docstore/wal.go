@@ -6,13 +6,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+
+	"alarmverify/internal/frame"
 )
 
 // Per-partition write-ahead log.
@@ -30,14 +30,12 @@ import (
 // append waits on the disk, and a reader may see a row before its
 // fsync completes.
 //
-// Frame wire format (little endian):
-//
-//	[4 payload length][4 IEEE CRC32 of payload][payload]
-//
-// A payload is either a row frame (first byte frameRows) — the insert
-// path, and every frame of a snapshot — or a JSON walOp (first byte
-// '{') for the one filter-shaped mutation, the retention delete. A row
-// frame is
+// Every record is one frame of internal/frame, the format the broker
+// wire uses too: a little-endian payload length, the payload's CRC-32
+// (IEEE), the payload, bounded here by walMaxFrame. A payload is either
+// a row frame (first byte frameRows) — the insert path, and every frame
+// of a snapshot — or a JSON walOp (first byte '{') for the one
+// filter-shaped mutation, the retention delete. A row frame is
 //
 //	frameRows
 //	uvarint ndefs, then per def: uvarint slot, uvarint len, field name
@@ -52,15 +50,15 @@ import (
 // that uses it, so every log and snapshot file is self-describing, and
 // a reader maps file slots to its own dictionary by name.
 //
-// A torn tail — a partial frame after a crash, or any frame whose CRC
-// does not match — ends replay at the last valid frame boundary, and
-// recovery truncates the file there so the appender continues cleanly,
-// exactly like broker segment recovery. A CRC-valid frame the store
-// refuses — an op it does not write, a cell of a retired kind or of
-// another kind than its field holds — fails recovery instead.
+// A torn tail — a partial frame after a crash, an empty one, one longer
+// than walMaxFrame, or any frame whose CRC does not match — ends replay
+// at the last valid frame boundary (frame.Scan), and recovery truncates
+// the file there so the appender continues cleanly. A CRC-valid frame
+// the store refuses — an op it does not write, a cell of a retired kind
+// or of another kind than its field holds — fails recovery instead.
 
-// walMaxFrame bounds a single WAL frame's payload, so corrupt length
-// headers read as torn tails instead of huge allocations.
+// walMaxFrame bounds a single WAL frame's payload: a longer one is
+// refused on write, and a corrupt length header reads as a torn tail.
 const walMaxFrame = 64 << 20
 
 // frameRows tags a row-frame payload.
@@ -180,19 +178,15 @@ func newWALWriter(f *os.File, dict *fieldDict, buf []byte, onErr func(error)) *w
 // Close surface the first failure.
 func (w *walWriter) appendOp(op walOp) uint64 {
 	payload, err := json.Marshal(op)
+	var f []byte
+	if err == nil {
+		f, err = frame.Append(nil, payload, walMaxFrame)
+	}
 	if err != nil {
 		w.onErr(fmt.Errorf("docstore: wal marshal: %w", err))
 		return 0
 	}
-	return w.writeFrame(frameOf(payload))
-}
-
-// frameOf wraps a payload in its [len][crc32] header.
-func frameOf(payload []byte) []byte {
-	frame := make([]byte, 8, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	return append(frame, payload...)
+	return w.writeFrame(f)
 }
 
 // rowEncoder assembles row frames for one file, remembering which
@@ -219,12 +213,13 @@ func (e *rowEncoder) define(slots []int, cells []Cell) {
 	}
 }
 
-// begin writes the frame's head: header placeholder, tag, the
+// begin writes the frame's head: room for the frame header, tag, the
 // definitions gathered by define, and the row count.
 //
 //alarmvet:hotpath
 func (e *rowEncoder) begin(names []string, nrows int) {
-	b := append(e.buf[:0], 0, 0, 0, 0, 0, 0, 0, 0, frameRows)
+	b := frame.Begin(e.buf[:0])
+	b = append(b, frameRows)
 	b = binary.AppendUvarint(b, uint64(len(e.defs)))
 	for _, s := range e.defs {
 		b = binary.AppendUvarint(b, uint64(s))
@@ -265,16 +260,13 @@ func (e *rowEncoder) add(id int64, slots []int, cells []Cell) {
 	e.buf = b
 }
 
-// finish fills in the frame header and returns the whole frame, valid
-// until the next begin.
+// finish seals the frame and returns it whole, valid until the next
+// begin; a payload beyond walMaxFrame is refused.
 //
 //alarmvet:hotpath
-func (e *rowEncoder) finish() []byte {
+func (e *rowEncoder) finish() ([]byte, error) {
 	e.defs = e.defs[:0]
-	payload := e.buf[8:]
-	binary.LittleEndian.PutUint32(e.buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(e.buf[4:8], crc32.ChecksumIEEE(payload))
-	return e.buf
+	return e.buf, frame.Seal(e.buf, walMaxFrame)
 }
 
 // appendRows logs one partition's share of an insert batch — the rows
@@ -292,7 +284,12 @@ func (w *walWriter) appendRows(dict *fieldDict, rows *Rows, group []int32, base 
 		slots, cells := rows.row(int(i))
 		w.enc.add(base+int64(i), slots, cells)
 	}
-	return w.writeFrame(w.enc.finish())
+	f, err := w.enc.finish()
+	if err != nil {
+		w.onErr(err)
+		return 0
+	}
+	return w.writeFrame(f)
 }
 
 // rowDecoder reads the row frames of one file into the collection's
@@ -315,44 +312,10 @@ var errBadFrame = errors.New("docstore: malformed frame")
 // replacing what rows held. Nothing is applied on error.
 func (d *rowDecoder) decode(payload []byte, rows *Rows) error {
 	rows.Reset()
-	b := payload[1:]
-	fail := false
-	uvarint := func() uint64 {
-		v, n := binary.Uvarint(b)
-		if n <= 0 {
-			fail, n = true, len(b)
-		}
-		b = b[n:]
-		return v
-	}
-	take := func(n uint64) []byte {
-		if n > uint64(len(b)) {
-			// Short: hand back zeros so the fixed-size reads stay in
-			// bounds; the frame is rejected below.
-			fail, b = true, nil
-			return make([]byte, min(n, 8))
-		}
-		out := b[:n]
-		b = b[n:]
-		return out
-	}
-	str := func() string {
-		raw := take(uvarint())
-		if s, ok := d.intern[string(raw)]; ok {
-			return s
-		}
-		s := string(raw)
-		if d.intern == nil {
-			d.intern = make(map[string]string)
-		}
-		if len(d.intern) < 1<<16 {
-			d.intern[s] = s
-		}
-		return s
-	}
-	for ndefs := uvarint(); ndefs > 0 && !fail; ndefs-- {
-		s, name := uvarint(), str()
-		if s > 1<<20 {
+	r := frame.NewCursor(payload[1:])
+	for ndefs := r.Uvarint(); ndefs > 0 && !r.Failed(); ndefs-- {
+		s, name := r.Uvarint(), d.str(&r)
+		if s > 1<<20 || r.Failed() {
 			return errBadFrame
 		}
 		for uint64(len(d.slots)) <= s {
@@ -360,28 +323,26 @@ func (d *rowDecoder) decode(payload []byte, rows *Rows) error {
 		}
 		d.slots[s] = d.dict.slot(name)
 	}
-	for nrows := uvarint(); nrows > 0 && !fail; nrows-- {
-		rows.ids = append(rows.ids, int64(uvarint()))
-		for ncells := uvarint(); ncells > 0 && !fail; ncells-- {
-			s := uvarint()
+	for nrows := r.Uvarint(); nrows > 0 && !r.Failed(); nrows-- {
+		rows.ids = append(rows.ids, int64(r.Uvarint()))
+		for ncells := r.Uvarint(); ncells > 0 && !r.Failed(); ncells-- {
+			s := r.Uvarint()
 			if s >= uint64(len(d.slots)) || d.slots[s] < 0 {
 				return errBadFrame
 			}
 			var c Cell
-			switch k := kind(take(1)[0]); {
-			case fail:
+			switch k := kind(r.Byte()); {
+			case r.Failed():
 				return errBadFrame
 			case k == kindString:
-				c = String(str())
+				c = String(d.str(&r))
 			case k == kindFloat:
-				c = Cell{kind: kindFloat, num: binary.LittleEndian.Uint64(take(8))}
+				c = Cell{kind: kindFloat, num: r.Uint64()}
 			case k == kindInt64 || k == kindInt:
-				v, n := binary.Varint(b)
-				if n <= 0 {
+				c = Cell{kind: k, num: uint64(r.Varint())}
+				if r.Failed() {
 					return errBadFrame
 				}
-				b = b[n:]
-				c = Cell{kind: k, num: uint64(v)}
 			default:
 				return fmt.Errorf("%w: field %q: a cell of %s", errBadFrame, d.dict.fieldNames()[d.slots[s]], k)
 			}
@@ -396,23 +357,38 @@ func (d *rowDecoder) decode(payload []byte, rows *Rows) error {
 		rows.off = append(rows.off, int32(len(rows.cells)))
 		rows.n++
 	}
-	if fail || len(b) != 0 {
+	if !r.Done() {
 		return errBadFrame
 	}
 	return nil
 }
 
-// writeFrame writes one finished frame (header included) to the file
-// and returns its sequence number: the file holds it when writeFrame
-// returns, an fsync covers it once syncThrough of that number returns.
-// Caller holds the partition's write lock, so frames are numbered in
-// apply order.
+// str reads a string, one string per distinct value, not one per cell.
+func (d *rowDecoder) str(r *frame.Cursor) string {
+	raw := r.Bytes()
+	if s, ok := d.intern[string(raw)]; ok {
+		return s
+	}
+	s := string(raw)
+	if d.intern == nil {
+		d.intern = make(map[string]string)
+	}
+	if len(d.intern) < 1<<16 {
+		d.intern[s] = s
+	}
+	return s
+}
+
+// writeFrame writes one sealed frame to the file and returns its
+// sequence number: the file holds it when writeFrame returns, an fsync
+// covers it once syncThrough of that number returns. Caller holds the
+// partition's write lock, so frames are numbered in apply order.
 //
 //alarmvet:hotpath
-func (w *walWriter) writeFrame(frame []byte) uint64 {
+func (w *walWriter) writeFrame(f []byte) uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if _, err := w.f.Write(frame); err != nil {
+	if _, err := w.f.Write(f); err != nil {
 		w.onErr(fmt.Errorf("docstore: wal append: %w", err)) //alarmvet:ignore error path: the write just failed, latency no longer matters
 		return w.written
 	}
@@ -505,11 +481,11 @@ func (w *walWriter) close() error {
 // readFrames feeds every complete, CRC-valid frame payload of a file
 // to fn, in order, and returns the byte offset up to which the file is
 // valid. A missing file is an empty log. A torn or corrupt tail — or a
-// payload fn rejects with errBadFrame itself, one that does not parse
-// — ends the scan at the last valid frame; the caller truncates (a
-// log) or refuses (a snapshot). Any other error from fn, errBadFrame
-// wrapped included, aborts the read. The payload is only valid during
-// the call.
+// payload fn rejects with errBadFrame itself, one that does not parse —
+// ends the scan at the last valid frame; the caller
+// truncates (a log) or refuses (a snapshot). Any other error from fn,
+// errBadFrame wrapped included, or from reading the file aborts the
+// read. The payload is only valid during the call.
 func readFrames(path string, fn func(payload []byte) error) (int64, error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -519,35 +495,9 @@ func readFrames(path string, fn func(payload []byte) error) (int64, error) {
 		return 0, fmt.Errorf("docstore: read %s: %w", filepath.Base(path), err)
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 256<<10)
-	var valid int64
-	var hdr [8]byte
-	var payload []byte
-	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			break // EOF or torn header
-		}
-		plen := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if plen == 0 || plen > walMaxFrame {
-			break // corrupt length: treat as torn tail
-		}
-		if uint32(cap(payload)) < plen {
-			payload = make([]byte, plen)
-		}
-		payload = payload[:plen]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			break // torn payload
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			break // bit rot or torn rewrite: stop at the last good frame
-		}
-		if err := fn(payload); err == errBadFrame {
-			break // CRC-valid but unparseable: treat as torn
-		} else if err != nil {
-			return valid, err
-		}
-		valid += 8 + int64(plen)
+	valid, err := frame.Scan(bufio.NewReaderSize(f, 256<<10), walMaxFrame, fn)
+	if err == errBadFrame {
+		err = nil // CRC-valid but unparseable: treat as torn
 	}
-	return valid, nil
+	return valid, err
 }

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"alarmverify/internal/frame"
 )
 
 // setSyncHook installs fn to run in w's fsync leader just before
@@ -55,6 +57,15 @@ func logRows(t *testing.T, path string, dict *fieldDict) map[int64]uint64 {
 		t.Fatal(err)
 	}
 	return at
+}
+
+// frameOf frames a payload as the log does.
+func frameOf(payload []byte) []byte {
+	f, err := frame.Append(nil, payload, walMaxFrame)
+	if err != nil {
+		panic(err)
+	}
+	return f
 }
 
 // TestWALAppendsAndReadsPassStalledFsync: with a partition's fsync

@@ -4,9 +4,7 @@ import (
 	"time"
 
 	"alarmverify/internal/alarm"
-	"alarmverify/internal/broker"
 	"alarmverify/internal/codec"
-	"alarmverify/internal/core"
 )
 
 // AblationCache measures the §6.2 lesson ("Cache data that will be
@@ -15,25 +13,16 @@ import (
 // distinct-devices pass recomputes the decode lineage the ML pass
 // collected, so every record is deserialized twice.
 func AblationCache(env *Env) (cached, uncached time.Duration, err error) {
-	verifier, replay, err := streamVerifier(env, 5_000)
+	verifier, replay, err := streamVerifier(env, env.Scale.StreamAlarms)
 	if err != nil {
 		return 0, 0, err
 	}
-	if len(replay) > env.Scale.StreamAlarms {
-		replay = replay[:env.Scale.StreamAlarms]
-	}
 	run := func(cache bool) (time.Duration, error) {
-		b := broker.New()
-		defer b.Close()
-		topic, err := b.CreateTopic("alarms", env.Scale.Partitions)
+		b, _, err := preload(replay, env.Scale.Partitions, 2, codec.ReflectCodec{})
 		if err != nil {
 			return 0, err
 		}
-		prod := core.NewProducerApp(topic, codec.ReflectCodec{})
-		prod.Threads = 2
-		if _, err := prod.Replay(replay, 0); err != nil {
-			return 0, err
-		}
+		defer b.Close()
 		// The slow codec makes the recompute visible.
 		r, err := newReplay(b, "ablate", verifier, nil, codec.ReflectCodec{}, 0, cache)
 		if err != nil {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"alarmverify/internal/alarm"
-	"alarmverify/internal/broker"
 	"alarmverify/internal/codec"
 	"alarmverify/internal/core"
 	"alarmverify/internal/docstore"
@@ -34,17 +33,11 @@ type DurabilityResult struct {
 // durabilityCell drains a preloaded backlog through the sharded
 // service into the given history and returns the wall-clock rate.
 func durabilityCell(v *core.Verifier, replay []alarm.Alarm, h *core.History) (float64, error) {
-	b := broker.New()
-	defer b.Close()
-	topic, err := b.CreateTopic("alarms", 4)
+	b, _, err := preload(replay, 4, 2, codec.FastCodec{})
 	if err != nil {
 		return 0, err
 	}
-	prod := core.NewProducerApp(topic, codec.FastCodec{})
-	prod.Threads = 2
-	if _, err := prod.Replay(replay, 0); err != nil {
-		return 0, err
-	}
+	defer b.Close()
 	cfg := serve.DefaultConfig()
 	cfg.Shards = 2
 	cfg.Consumer.MaxPerBatch = 512
@@ -56,15 +49,8 @@ func durabilityCell(v *core.Verifier, replay []alarm.Alarm, h *core.History) (fl
 	defer svc.Close()
 	start := time.Now()
 	svc.Start()
-	deadline := time.Now().Add(120 * time.Second)
-	for svc.Records() < len(replay) {
-		if err := svc.Err(); err != nil {
-			return 0, err
-		}
-		if time.Now().After(deadline) {
-			return 0, fmt.Errorf("processed %d of %d within 120s", svc.Records(), len(replay))
-		}
-		time.Sleep(2 * time.Millisecond)
+	if err := waitAccounted(svc, len(replay), 120*time.Second); err != nil {
+		return 0, err
 	}
 	svc.Stop()
 	elapsed := time.Since(start)
@@ -84,14 +70,10 @@ func Durability(env *Env) (*DurabilityResult, error) {
 	if env.Scale.Name == "paper" {
 		n = 16384
 	}
-	verifier, replay, err := streamVerifier(env, 5_000)
+	verifier, replay, err := streamVerifier(env, n)
 	if err != nil {
 		return nil, err
 	}
-	if n > len(replay) {
-		n = len(replay)
-	}
-	replay = replay[:n]
 
 	memHist, err := core.NewHistory(docstore.NewDBWithPartitions(4))
 	if err != nil {

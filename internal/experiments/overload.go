@@ -110,17 +110,11 @@ func overloadCapacity(v *core.Verifier, replay []alarm.Alarm, n int) (float64, e
 	if n > len(replay) {
 		n = len(replay)
 	}
-	b := broker.New()
-	defer b.Close()
-	topic, err := b.CreateTopic("alarms", 4)
+	b, _, err := preload(replay[:n], 4, 2, codec.FastCodec{})
 	if err != nil {
 		return 0, err
 	}
-	prod := core.NewProducerApp(topic, codec.FastCodec{})
-	prod.Threads = 2
-	if _, err := prod.Replay(replay[:n], 0); err != nil {
-		return 0, err
-	}
+	defer b.Close()
 	svc, err := overloadService(b, v, 0, nil)
 	if err != nil {
 		return 0, err
@@ -234,7 +228,7 @@ func OverloadWithConfig(env *Env, cfg OverloadConfig) (*OverloadResult, error) {
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 60 * time.Second
 	}
-	verifier, replay, err := streamVerifier(env, 5_000)
+	verifier, replay, err := streamVerifier(env, len(env.Alarms()))
 	if err != nil {
 		return nil, err
 	}

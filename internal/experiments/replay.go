@@ -10,6 +10,27 @@ import (
 	"alarmverify/internal/core"
 )
 
+// preload returns a broker whose "alarms" topic, of partitions
+// partitions, holds alarms, sent through c as fast as threads producer
+// goroutines go, and the producer's stats. The caller closes the
+// broker.
+func preload(alarms []alarm.Alarm, partitions, threads int, c codec.Codec) (*broker.Broker, core.ReplayStats, error) {
+	b := broker.New()
+	topic, err := b.CreateTopic("alarms", partitions)
+	if err != nil {
+		b.Close()
+		return nil, core.ReplayStats{}, err
+	}
+	prod := core.NewProducerApp(topic, c)
+	prod.Threads = threads
+	stats, err := prod.Replay(alarms, 0)
+	if err != nil {
+		b.Close()
+		return nil, stats, err
+	}
+	return b, stats, nil
+}
+
 // replay is the paper's pre-optimization consumer, kept for the
 // experiments that measure it: the §5.5.2 partitioning ladder
 // (EndToEnd) and the §6.2 cache ablation (AblationCache). It drains a

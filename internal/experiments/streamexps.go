@@ -32,17 +32,16 @@ func Fig11(env *Env) ([]Fig11Result, error) {
 	}
 	var out []Fig11Result
 	for _, c := range []codec.Codec{codec.ReflectCodec{}, codec.FastCodec{}} {
-		b := broker.New()
-		topic, err := b.CreateTopic("alarms", 1)
+		b, stats, err := preload(alarms, 1, 1, c)
 		if err != nil {
 			return nil, err
 		}
-		prod := core.NewProducerApp(topic, c)
-		stats, err := prod.Replay(alarms, 0)
-		if err != nil {
-			return nil, err
-		}
+		defer b.Close()
 		// Consumer side: drain and deserialize everything.
+		topic, err := b.Topic("alarms")
+		if err != nil {
+			return nil, err
+		}
 		cons, err := broker.NewConsumer(b, "fig11", topic, "c1")
 		if err != nil {
 			return nil, err
@@ -117,44 +116,37 @@ func (f Fig12Result) Shares() (deser, streaming, history, mlShare float64) {
 }
 
 // streamVerifier trains the verifier used by the streaming
-// experiments. Serving cost must match the production model, so the
-// forest uses the paper's Table 3 shape (50 trees, depth 30); the
-// training set is capped because only inference speed matters here.
-func streamVerifier(env *Env, trainN int) (*core.Verifier, []alarm.Alarm, error) {
+// experiments and returns it with up to replayN of the alarms after its
+// training set, to replay. Serving cost must match the production
+// model, so the forest uses the paper's Table 3 shape (50 trees, depth
+// 30); the training set is capped at 5 000 alarms because only
+// inference speed matters here.
+func streamVerifier(env *Env, replayN int) (*core.Verifier, []alarm.Alarm, error) {
 	alarms := env.Alarms()
-	if trainN > len(alarms)/2 {
-		trainN = len(alarms) / 2
-	}
+	trainN := min(5_000, len(alarms)/2)
 	cfg := core.DefaultVerifierConfig()
 	cfg.Classifier = ml.NewRandomForest(ml.DefaultRandomForestConfig())
 	v, err := core.Train(alarms[:trainN], cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	return v, alarms[trainN:], nil
+	replay := alarms[trainN:]
+	return v, replay[:min(replayN, len(replay))], nil
 }
 
 // Fig12 reproduces the consumer component breakdown: a 10-second-
 // window-sized batch is processed end to end and the per-component
 // times recorded.
 func Fig12(env *Env) (*Fig12Result, error) {
-	verifier, replay, err := streamVerifier(env, 5_000)
+	verifier, replay, err := streamVerifier(env, env.Scale.StreamAlarms)
 	if err != nil {
 		return nil, err
 	}
-	if len(replay) > env.Scale.StreamAlarms {
-		replay = replay[:env.Scale.StreamAlarms]
-	}
-	b := broker.New()
-	topic, err := b.CreateTopic("alarms", env.Scale.Partitions)
+	b, _, err := preload(replay, env.Scale.Partitions, 2, codec.FastCodec{})
 	if err != nil {
 		return nil, err
 	}
-	prod := core.NewProducerApp(topic, codec.FastCodec{})
-	prod.Threads = 2
-	if _, err := prod.Replay(replay, 0); err != nil {
-		return nil, err
-	}
+	defer b.Close()
 	history, err := core.NewHistory(docstore.NewDB())
 	if err != nil {
 		return nil, err
@@ -205,12 +197,9 @@ type E2EResult struct {
 // consumer: serial consumer on an unpartitioned topic, then the
 // partitioned + parallel configuration.
 func EndToEnd(env *Env) ([]E2EResult, error) {
-	verifier, replay, err := streamVerifier(env, 5_000)
+	verifier, replay, err := streamVerifier(env, env.Scale.StreamAlarms)
 	if err != nil {
 		return nil, err
-	}
-	if len(replay) > env.Scale.StreamAlarms {
-		replay = replay[:env.Scale.StreamAlarms]
 	}
 	configs := []struct {
 		label      string
@@ -224,26 +213,23 @@ func EndToEnd(env *Env) ([]E2EResult, error) {
 	}
 	var out []E2EResult
 	for _, cfgSpec := range configs {
-		b := broker.New()
-		topic, err := b.CreateTopic("alarms", cfgSpec.partitions)
+		// Four producers: the producer must not be the bottleneck.
+		b, _, err := preload(replay, cfgSpec.partitions, 4, codec.FastCodec{})
 		if err != nil {
-			return nil, err
-		}
-		prod := core.NewProducerApp(topic, codec.FastCodec{})
-		prod.Threads = 4 // ensure the producer is not the bottleneck
-		if _, err := prod.Replay(replay, 0); err != nil {
 			return nil, err
 		}
 		// The replay consumer classifies alarm by alarm, as the paper's
 		// consumer did, on its executor pool of the row's workers.
 		r, err := newReplay(b, "e2e", verifier, nil, codec.FastCodec{}, cfgSpec.workers, true)
 		if err != nil {
+			b.Close()
 			return nil, err
 		}
 		start := time.Now()
 		n, err := r.batch()
 		elapsed := time.Since(start)
 		r.close()
+		b.Close()
 		if err != nil {
 			return nil, err
 		}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"alarmverify/internal/broker"
+	"alarmverify/internal/frame"
 )
 
 // The wire path's allocation budgets. They hold because the per-alarm
@@ -219,26 +220,26 @@ func TestLagAllocBudget(t *testing.T) {
 // time, out of one body it keeps, so reading it allocates nothing.
 type growingFrames struct {
 	body      []byte
-	hdr       [frameHeader]byte
+	hdr       [frame.HeaderLen]byte
 	size, off int
 }
 
 func (g *growingFrames) Read(p []byte) (int, error) {
-	if g.off == frameHeader+g.size {
+	if g.off == frame.HeaderLen+g.size {
 		if g.size == len(g.body) {
 			return 0, io.EOF
 		}
 		g.size += 1 << 10
-		binary.BigEndian.PutUint32(g.hdr[0:4], uint32(g.size))
-		binary.BigEndian.PutUint32(g.hdr[4:8], crc32.ChecksumIEEE(g.body[:g.size]))
+		binary.LittleEndian.PutUint32(g.hdr[0:4], uint32(g.size))
+		binary.LittleEndian.PutUint32(g.hdr[4:8], crc32.ChecksumIEEE(g.body[:g.size]))
 		g.off = 0
 	}
 	var n int
-	if g.off < frameHeader {
+	if g.off < frame.HeaderLen {
 		n = copy(p, g.hdr[g.off:])
 		g.off += n
 	}
-	m := copy(p[n:], g.body[g.off-frameHeader:g.size])
+	m := copy(p[n:], g.body[g.off-frame.HeaderLen:g.size])
 	g.off += m
 	return n + m, nil
 }
@@ -252,12 +253,12 @@ func TestReadFrameGrowAllocBudget(t *testing.T) {
 	for i := range g.body {
 		g.body[i] = byte(i * 7)
 	}
-	fr := &frameReader{r: g}
+	fr := frame.NewReader(g, MaxFrame)
 	var buf []byte
 	read := func() {
-		g.size, g.off, buf = 0, frameHeader, nil
+		g.size, g.off, buf = 0, frame.HeaderLen, nil
 		for want := 1 << 10; want <= len(g.body); want += 1 << 10 {
-			body, b, err := fr.readFrame(buf)
+			body, b, err := fr.Next(buf)
 			buf = b
 			if err != nil || len(body) != want {
 				t.Fatalf("frame of %d bytes: read %d, %v", want, len(body), err)
@@ -294,13 +295,13 @@ func TestReadFrameFreshBufferAllocBudget(t *testing.T) {
 		for i := range body {
 			body[i] = byte(i * 7)
 		}
-		frame, err := AppendFrame(nil, body)
+		wire, err := AppendFrame(nil, body)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fr := &frameReader{r: &repeatedFrame{frame: frame}}
+		fr := frame.NewReader(&repeatedFrame{frame: wire}, MaxFrame)
 		allocs := testing.AllocsPerRun(50, func() {
-			got, _, err := fr.readFrame(nil)
+			got, _, err := fr.Next(nil)
 			if err != nil || len(got) != size {
 				t.Fatalf("%d-byte frame: read %d, %v", size, len(got), err)
 			}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"alarmverify/internal/broker"
+	"alarmverify/internal/frame"
 )
 
 // errTransport tags connection-level failures — dead connections,
@@ -27,10 +28,9 @@ var errTransport = errors.New("netbroker: transport failure")
 type rpcConn struct {
 	mu   sync.Mutex
 	c    net.Conn
-	fr   frameReader
+	fr   *frame.Reader
 	rbuf []byte
-	wbuf []byte
-	fbuf []byte
+	wbuf []byte // the request frame, sealed in place
 	dead bool
 }
 
@@ -42,7 +42,7 @@ func dialRPC(addr string, timeout time.Duration) (*rpcConn, error) {
 	if tc, ok := c.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	return &rpcConn{c: c, fr: frameReader{r: c}}, nil
+	return &rpcConn{c: c, fr: frame.NewReader(c, MaxFrame)}, nil
 }
 
 // request is a message body that encodes itself: the binary messages of
@@ -99,14 +99,13 @@ func (rc *rpcConn) callWire(op byte, req request, resp response, rbuf *[]byte) e
 	if rbuf == nil {
 		rbuf = &rc.rbuf
 	}
-	rc.wbuf = req.appendTo(append(rc.wbuf[:0], op))
-	fbuf, err := writeFrame(rc.c, rc.fbuf, rc.wbuf)
-	rc.fbuf = fbuf
-	if err != nil {
+	rc.wbuf = frame.Begin(rc.wbuf[:0])
+	rc.wbuf = req.appendTo(append(rc.wbuf, op))
+	if err := writeFrame(rc.c, rc.wbuf); err != nil {
 		rc.dead = true
 		return fmt.Errorf("%w: %w", errTransport, err)
 	}
-	rbody, buf, err := rc.fr.readFrame(*rbuf)
+	rbody, buf, err := rc.fr.Next(*rbuf)
 	*rbuf = buf
 	if err != nil {
 		rc.dead = true

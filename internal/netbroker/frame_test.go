@@ -8,6 +8,8 @@ import (
 	"net"
 	"testing"
 	"testing/iotest"
+
+	"alarmverify/internal/frame"
 )
 
 func TestFrameRoundtrip(t *testing.T) {
@@ -85,10 +87,10 @@ func TestFrameReadStream(t *testing.T) {
 				}
 			}
 			r := &countingReader{r: c.reader(wire)}
-			fr := frameReader{r: r}
+			fr := frame.NewReader(r, MaxFrame)
 			var scratch []byte
 			for i, want := range c.bodies {
-				body, s, err := fr.readFrame(scratch)
+				body, s, err := fr.Next(scratch)
 				scratch = s
 				if err != nil {
 					t.Fatalf("frame %d: %v", i, err)
@@ -100,7 +102,7 @@ func TestFrameReadStream(t *testing.T) {
 			if c.reads > 0 && r.reads != c.reads {
 				t.Fatalf("%d frames took %d reads, want %d", len(c.bodies), r.reads, c.reads)
 			}
-			if _, _, err := fr.readFrame(scratch); err != io.EOF {
+			if _, _, err := fr.Next(scratch); err != io.EOF {
 				t.Fatalf("want EOF, got %v", err)
 			}
 		})
@@ -108,32 +110,32 @@ func TestFrameReadStream(t *testing.T) {
 }
 
 func TestFrameDecodeErrors(t *testing.T) {
-	frame, err := AppendFrame(nil, []byte("payload"))
+	wire, err := AppendFrame(nil, []byte("payload"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Torn: every strict prefix must report truncation.
-	for cut := 0; cut < len(frame); cut++ {
-		if _, _, err := DecodeFrame(frame[:cut]); !errors.Is(err, ErrFrameTruncated) {
-			t.Fatalf("cut %d: want ErrFrameTruncated, got %v", cut, err)
+	for cut := 0; cut < len(wire); cut++ {
+		if _, _, err := DecodeFrame(wire[:cut]); !errors.Is(err, frame.ErrTruncated) {
+			t.Fatalf("cut %d: want frame.ErrTruncated, got %v", cut, err)
 		}
 	}
 	// Corrupt body: CRC must catch any single-byte flip in the body.
-	for i := frameHeader; i < len(frame); i++ {
-		bad := bytes.Clone(frame)
+	for i := frame.HeaderLen; i < len(wire); i++ {
+		bad := bytes.Clone(wire)
 		bad[i] ^= 0xFF
-		if _, _, err := DecodeFrame(bad); !errors.Is(err, ErrFrameCorrupt) {
-			t.Fatalf("flip %d: want ErrFrameCorrupt, got %v", i, err)
+		if _, _, err := DecodeFrame(bad); !errors.Is(err, frame.ErrCorrupt) {
+			t.Fatalf("flip %d: want frame.ErrCorrupt, got %v", i, err)
 		}
 	}
 	// Oversized length prefix.
-	huge := bytes.Clone(frame)
-	binary.BigEndian.PutUint32(huge[0:4], MaxFrame+1)
-	if _, _, err := DecodeFrame(huge); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("want ErrFrameTooLarge, got %v", err)
+	huge := bytes.Clone(wire)
+	binary.LittleEndian.PutUint32(huge[0:4], MaxFrame+1)
+	if _, _, err := DecodeFrame(huge); !errors.Is(err, frame.ErrTooLarge) {
+		t.Fatalf("want frame.ErrTooLarge, got %v", err)
 	}
-	if _, err := AppendFrame(nil, make([]byte, MaxFrame+1)); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("encode oversized: want ErrFrameTooLarge, got %v", err)
+	if _, err := AppendFrame(nil, make([]byte, MaxFrame+1)); !errors.Is(err, frame.ErrTooLarge) {
+		t.Fatalf("encode oversized: want frame.ErrTooLarge, got %v", err)
 	}
 }
 
@@ -151,16 +153,16 @@ func TestReadFrameCarryIntoFreshBuffer(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fr := frameReader{r: bytes.NewReader(wire)}
+	fr := frame.NewReader(bytes.NewReader(wire), MaxFrame)
 	buf := make([]byte, 64<<10)
 	for i, want := range bodies {
-		body, _, err := fr.readFrame(buf)
+		body, _, err := fr.Next(buf)
 		if err != nil || !bytes.Equal(body, want) {
 			t.Fatalf("frame %d: %d bytes, %v", i, len(body), err)
 		}
 		buf = nil // every later frame into a fresh buffer
 	}
-	if _, _, err := fr.readFrame(nil); err != io.EOF {
+	if _, _, err := fr.Next(nil); err != io.EOF {
 		t.Fatalf("want EOF, got %v", err)
 	}
 }
@@ -169,16 +171,16 @@ func TestReadFrameCarryIntoFreshBuffer(t *testing.T) {
 // length prefix claiming MaxFrame with only a few bytes behind it must
 // error out after at most one chunk of allocation, not reserve 16MB.
 func TestReadFrameHostileLength(t *testing.T) {
-	var hdr [frameHeader]byte
-	binary.BigEndian.PutUint32(hdr[0:4], MaxFrame) // claims 16MB
+	var hdr [frame.HeaderLen]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], MaxFrame) // claims 16MB
 	wire := append(hdr[:], []byte("tiny")...)
-	fr := frameReader{r: bytes.NewReader(wire)}
-	body, scratch, err := fr.readFrame(nil)
+	fr := frame.NewReader(bytes.NewReader(wire), MaxFrame)
+	body, scratch, err := fr.Next(nil)
 	if err == nil {
 		t.Fatalf("want error, got %d-byte body", len(body))
 	}
-	if cap(scratch) > readChunk {
-		t.Fatalf("hostile length allocated %d bytes (> one %d chunk)", cap(scratch), readChunk)
+	if cap(scratch) > frame.ReadChunk {
+		t.Fatalf("hostile length allocated %d bytes (> one %d chunk)", cap(scratch), frame.ReadChunk)
 	}
 }
 
@@ -203,67 +205,8 @@ func TestReadFrameCorruptOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	fr := frameReader{r: c}
-	if _, _, err := fr.readFrame(nil); !errors.Is(err, ErrFrameCorrupt) {
-		t.Fatalf("want ErrFrameCorrupt, got %v", err)
+	fr := frame.NewReader(c, MaxFrame)
+	if _, _, err := fr.Next(nil); !errors.Is(err, frame.ErrCorrupt) {
+		t.Fatalf("want frame.ErrCorrupt, got %v", err)
 	}
-}
-
-// FuzzFrameDecode fuzzes the wire-frame decoder: arbitrary bytes must
-// never panic, never over-allocate, and any accepted frame must
-// re-encode to the identical bytes (decode/encode round-trip).
-func FuzzFrameDecode(f *testing.F) {
-	good, _ := AppendFrame(nil, []byte("seed payload"))
-	f.Add(good)
-	f.Add(good[:3])
-	f.Add([]byte{})
-	two, _ := AppendFrame(good, []byte{0xFF, 0x00})
-	f.Add(two)
-	huge := bytes.Clone(good)
-	binary.BigEndian.PutUint32(huge[0:4], 1<<31)
-	f.Add(huge)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		rest := data
-		for {
-			body, r, err := DecodeFrame(rest)
-			if err != nil {
-				// Errors must be one of the typed framing errors.
-				if !errors.Is(err, ErrFrameTruncated) &&
-					!errors.Is(err, ErrFrameCorrupt) &&
-					!errors.Is(err, ErrFrameTooLarge) {
-					t.Fatalf("untyped decode error: %v", err)
-				}
-				break
-			}
-			// Round-trip: an accepted frame re-encodes byte-identically.
-			enc, encErr := AppendFrame(nil, body)
-			if encErr != nil {
-				t.Fatalf("accepted body failed re-encode: %v", encErr)
-			}
-			if !bytes.Equal(enc, rest[:len(rest)-len(r)]) {
-				t.Fatalf("round-trip mismatch for %d-byte body", len(body))
-			}
-			if len(r) == len(rest) {
-				t.Fatal("decode made no progress")
-			}
-			rest = r
-		}
-		// The streaming reader must agree with the datagram decoder on
-		// whether the prefix holds a valid first frame — and never
-		// allocate more than delivery-proportional memory.
-		fr := frameReader{r: bytes.NewReader(data)}
-		body, scratch, err := fr.readFrame(nil)
-		if err == nil {
-			first, _, derr := DecodeFrame(data)
-			if derr != nil {
-				t.Fatalf("readFrame accepted what DecodeFrame rejects: %v", derr)
-			}
-			if !bytes.Equal(body, first) {
-				t.Fatal("readFrame/DecodeFrame disagree on body")
-			}
-		}
-		if cap(scratch) > len(data)+readChunk {
-			t.Fatalf("readFrame allocated %d for %d input bytes", cap(scratch), len(data))
-		}
-	})
 }

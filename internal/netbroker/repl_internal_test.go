@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"alarmverify/internal/broker"
+	"alarmverify/internal/frame"
 )
 
 // newTestServer boots a standalone server around a fresh in-memory
@@ -173,17 +174,17 @@ func TestUnservedPullFallsBackToTicker(t *testing.T) {
 			}
 			go func() {
 				defer c.Close()
-				fr := frameReader{r: c}
-				var rbuf, wbuf []byte
+				fr := frame.NewReader(c, MaxFrame)
+				var rbuf []byte
 				for {
-					body, buf, err := fr.readFrame(rbuf)
+					body, buf, err := fr.Next(rbuf)
 					rbuf = buf
 					if err != nil || len(body) == 0 || body[0] != opReplFetch {
 						return
 					}
 					pulls.Add(1)
 					resp := replFetchResp{Epoch: 1, Leader: -1}
-					if wbuf, err = writeFrame(c, wbuf, resp.appendTo([]byte{opReplFetch})); err != nil {
+					if err := writeFrame(c, resp.appendTo(append(frame.Begin(nil), opReplFetch))); err != nil {
 						return
 					}
 				}

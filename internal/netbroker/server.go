@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"alarmverify/internal/broker"
+	"alarmverify/internal/frame"
 	"alarmverify/internal/metrics"
 )
 
@@ -323,10 +324,10 @@ func (s *Server) serveConn(c net.Conn) {
 		s.connMu.Unlock()
 	}()
 	sc := s.newConnScratch()
-	fr := frameReader{r: c}
-	var rbuf, wbuf []byte
+	fr := frame.NewReader(c, MaxFrame)
+	var rbuf []byte
 	for {
-		body, buf, err := fr.readFrame(rbuf)
+		body, buf, err := fr.Next(rbuf)
 		rbuf = buf
 		if err != nil {
 			return
@@ -334,12 +335,11 @@ func (s *Server) serveConn(c net.Conn) {
 		if len(body) == 0 {
 			return
 		}
-		respBody, err := s.dispatch(sc, body[0], body[1:])
+		resp, err := s.dispatch(sc, body[0], body[1:])
 		if err != nil {
 			return
 		}
-		wbuf, err = writeFrame(c, wbuf, respBody)
-		if err != nil {
+		if err := writeFrame(c, resp); err != nil {
 			return
 		}
 	}
@@ -355,10 +355,12 @@ func viaJSON[Q, R any](payload []byte, handle func(Q) R) (any, error) {
 }
 
 // dispatch decodes one request, runs its handler and encodes the
-// response under the echoed opcode into sc.out. Unknown opcodes and
-// malformed payloads drop the connection (err != nil).
+// response under the echoed opcode into sc.out, after room for the
+// frame header, and returns that frame for writeFrame to seal. Unknown
+// opcodes and malformed payloads drop the connection (err != nil).
 func (s *Server) dispatch(sc *connScratch, op byte, payload []byte) ([]byte, error) {
-	out := append(sc.out[:0], op)
+	out := frame.Begin(sc.out[:0])
+	out = append(out, op)
 	var resp any
 	var err error
 	switch op {

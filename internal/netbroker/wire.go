@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"alarmverify/internal/broker"
+	"alarmverify/internal/frame"
 )
 
 // The binary bodies of the five opcodes that carry the traffic (append,
@@ -268,99 +269,17 @@ func (e *wireErr) appendEnvelope(dst []byte) []byte {
 	return appendString(dst, e.Err)
 }
 
-// wireReader walks a body. The first malformed field latches bad and
-// empties the reader, so every later read fails too and a decoder
-// checks once, in end. Every count is checked against the bytes that
-// remain before anything is sized from it, which bounds what a hostile
-// body can make a decoder allocate by the body's own length.
-type wireReader struct {
-	b   []byte
-	bad bool
-}
-
-func (r *wireReader) fail() { r.b, r.bad = nil, true }
-
-//alarmvet:hotpath
-func (r *wireReader) uvarint() uint64 {
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-//alarmvet:hotpath
-func (r *wireReader) varint() int64 {
-	v, n := binary.Varint(r.b)
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-// nonneg reads a varint that cannot be negative: a partition, an offset,
-// a size, an epoch, a generation. Every request opens with one, so a
-// JSON body from a node that predates this format — '{' reads as -62 —
-// is refused at its first field.
-//
-//alarmvet:hotpath
-func (r *wireReader) nonneg() int64 {
-	v := r.varint()
-	if v < 0 {
-		r.fail()
-		return 0
-	}
-	return v
-}
-
-// count reads the number of items that follow, each at least each bytes
-// long, and refuses one the remaining bytes cannot hold.
-//
-//alarmvet:hotpath
-func (r *wireReader) count(each int) int {
-	n := r.uvarint()
-	if n > uint64(len(r.b)/each) {
-		r.fail()
-		return 0
-	}
-	return int(n)
-}
-
-// bytes reads a length-prefixed byte string as a view of the body (nil
-// when empty, as the log stores it).
-//
-//alarmvet:hotpath
-func (r *wireReader) bytes() []byte {
-	n := r.count(1)
-	if n == 0 {
-		return nil
-	}
-	v := r.b[:n:n]
-	r.b = r.b[n:]
-	return v
-}
-
-// str reads a string into *dst, keeping the string already there when
-// it is the same one: names repeat from message to message.
-//
-//alarmvet:hotpath
-func (r *wireReader) str(dst *string) {
-	if b := r.bytes(); string(b) != *dst {
-		*dst = string(b)
-	}
-}
+// wireReader reads a message body: the cursor every frame body is read
+// with, and the encodings this wire shares between its messages.
+type wireReader struct{ frame.Cursor }
 
 //alarmvet:hotpath
 func (r *wireReader) record() broker.Record {
 	var rec broker.Record
-	rec.Timestamp = time.Unix(0, r.varint())
-	rec.Epoch = r.nonneg()
-	rec.Key = r.bytes()
-	rec.Value = r.bytes()
+	rec.Timestamp = time.Unix(0, r.Varint())
+	rec.Epoch = r.Nonneg()
+	rec.Key = r.Bytes()
+	rec.Value = r.Bytes()
 	return rec
 }
 
@@ -368,9 +287,9 @@ func (r *wireReader) record() broker.Record {
 //
 //alarmvet:hotpath
 func (r *wireReader) runs(topic string, dst []broker.Record) []broker.Record {
-	for n := r.count(minRecord); n > 0; n = r.count(minRecord) {
-		p, base := int(r.nonneg()), r.nonneg()
-		for i := 0; i < n && !r.bad; i++ {
+	for n := r.Count(minRecord); n > 0; n = r.Count(minRecord) {
+		p, base := int(r.Nonneg()), r.Nonneg()
+		for i := 0; i < n && !r.Failed(); i++ {
 			rec := r.record()
 			rec.Topic, rec.Partition, rec.Offset = topic, p, base+int64(i)
 			dst = append(dst, rec)
@@ -382,8 +301,8 @@ func (r *wireReader) runs(topic string, dst []broker.Record) []broker.Record {
 //alarmvet:hotpath
 func (r *wireReader) partOffsets(dst []partOffset) []partOffset {
 	dst = dst[:0]
-	for n := r.count(2); n > 0; n-- {
-		dst = append(dst, partOffset{P: int(r.nonneg()), Off: r.nonneg()})
+	for n := r.Count(2); n > 0; n-- {
+		dst = append(dst, partOffset{P: int(r.Nonneg()), Off: r.Nonneg()})
 	}
 	return dst
 }
@@ -391,22 +310,21 @@ func (r *wireReader) partOffsets(dst []partOffset) []partOffset {
 //alarmvet:hotpath
 func (r *wireReader) envelope(e *wireErr) {
 	e.Err, e.Kind = "", ""
-	if len(r.b) == 0 || int(r.b[0]) > len(errKinds) {
-		r.fail()
+	code := r.Byte()
+	if int(code) > len(errKinds) {
+		r.Fail()
 		return
 	}
-	code := r.b[0]
-	r.b = r.b[1:]
 	if code != 0 {
 		e.Kind = errKinds[code-1]
-		e.Err = string(r.bytes())
+		e.Err = string(r.Bytes())
 	}
 }
 
 // end closes a decode: bytes left over are as malformed as bytes
 // missing.
 func (r *wireReader) end() error {
-	if r.bad || len(r.b) != 0 {
+	if !r.Done() {
 		return errMalformed
 	}
 	return nil
@@ -427,13 +345,13 @@ func (m *appendReq) appendTo(dst []byte) []byte {
 
 //alarmvet:hotpath
 func (m *appendReq) decode(b []byte) error {
-	r := wireReader{b: b}
-	m.Partition = int(r.nonneg())
-	m.ProducerID = r.varint()
-	m.BaseSeq = r.varint()
-	r.str(&m.Topic)
+	r := wireReader{frame.NewCursor(b)}
+	m.Partition = int(r.Nonneg())
+	m.ProducerID = r.Varint()
+	m.BaseSeq = r.Varint()
+	r.Str(&m.Topic)
 	m.Recs = m.Recs[:0]
-	for n := r.count(minRecord); n > 0 && !r.bad; n-- {
+	for n := r.Count(minRecord); n > 0 && !r.Failed(); n-- {
 		m.Recs = append(m.Recs, r.record())
 	}
 	return r.end()
@@ -446,9 +364,9 @@ func (m *appendResp) appendTo(dst []byte) []byte {
 
 //alarmvet:hotpath
 func (m *appendResp) decode(b []byte) error {
-	r := wireReader{b: b}
+	r := wireReader{frame.NewCursor(b)}
 	r.envelope(&m.wireErr)
-	m.Base = r.varint()
+	m.Base = r.Varint()
 	return r.end()
 }
 
@@ -462,10 +380,10 @@ func (m *fetchReq) appendTo(dst []byte) []byte {
 
 //alarmvet:hotpath
 func (m *fetchReq) decode(b []byte) error {
-	r := wireReader{b: b}
-	m.WaitMicros = r.nonneg()
-	m.Max = int(r.varint())
-	r.str(&m.Topic)
+	r := wireReader{frame.NewCursor(b)}
+	m.WaitMicros = r.Nonneg()
+	m.Max = int(r.Varint())
+	r.Str(&m.Topic)
 	m.Parts = r.partOffsets(m.Parts)
 	return r.end()
 }
@@ -477,7 +395,7 @@ func (m *fetchResp) appendTo(dst []byte) []byte {
 
 //alarmvet:hotpath
 func (m *fetchResp) decode(b []byte) error {
-	r := wireReader{b: b}
+	r := wireReader{frame.NewCursor(b)}
 	r.envelope(&m.wireErr)
 	m.Recs = r.runs("", m.Recs[:0])
 	return r.end()
@@ -493,10 +411,10 @@ func (m *commitReq) appendTo(dst []byte) []byte {
 
 //alarmvet:hotpath
 func (m *commitReq) decode(b []byte) error {
-	r := wireReader{b: b}
-	m.Gen = r.nonneg()
-	r.str(&m.Group)
-	r.str(&m.Member)
+	r := wireReader{frame.NewCursor(b)}
+	m.Gen = r.Nonneg()
+	r.Str(&m.Group)
+	r.Str(&m.Member)
 	m.Offsets = r.partOffsets(m.Offsets)
 	return r.end()
 }
@@ -506,7 +424,7 @@ func (m *commitResp) appendTo(dst []byte) []byte { return m.appendEnvelope(dst) 
 
 //alarmvet:hotpath
 func (m *commitResp) decode(b []byte) error {
-	r := wireReader{b: b}
+	r := wireReader{frame.NewCursor(b)}
 	r.envelope(&m.wireErr)
 	return r.end()
 }
@@ -520,10 +438,10 @@ func (m *heartbeatReq) appendTo(dst []byte) []byte {
 
 //alarmvet:hotpath
 func (m *heartbeatReq) decode(b []byte) error {
-	r := wireReader{b: b}
-	m.Gen = r.nonneg()
-	r.str(&m.Group)
-	r.str(&m.Member)
+	r := wireReader{frame.NewCursor(b)}
+	m.Gen = r.Nonneg()
+	r.Str(&m.Group)
+	r.Str(&m.Member)
 	return r.end()
 }
 
@@ -534,9 +452,9 @@ func (m *heartbeatResp) appendTo(dst []byte) []byte {
 
 //alarmvet:hotpath
 func (m *heartbeatResp) decode(b []byte) error {
-	r := wireReader{b: b}
+	r := wireReader{frame.NewCursor(b)}
 	r.envelope(&m.wireErr)
-	m.Gen = r.nonneg()
+	m.Gen = r.Nonneg()
 	return r.end()
 }
 
@@ -555,16 +473,16 @@ func (m *hwReq) appendTo(dst []byte) []byte {
 
 //alarmvet:hotpath
 func (m *hwReq) decode(b []byte) error {
-	r := wireReader{b: b}
-	n := r.nonneg()
-	if n > int64(len(r.b)) {
-		r.fail()
+	r := wireReader{frame.NewCursor(b)}
+	n := r.Nonneg()
+	if n > int64(r.Len()) {
+		r.Fail()
 	}
 	m.Parts = m.Parts[:0]
-	for ; n > 0 && !r.bad; n-- {
-		m.Parts = append(m.Parts, int(r.nonneg()))
+	for ; n > 0 && !r.Failed(); n-- {
+		m.Parts = append(m.Parts, int(r.Nonneg()))
 	}
-	r.str(&m.Topic)
+	r.Str(&m.Topic)
 	return r.end()
 }
 
@@ -579,11 +497,11 @@ func (m *hwResp) appendTo(dst []byte) []byte {
 
 //alarmvet:hotpath
 func (m *hwResp) decode(b []byte) error {
-	r := wireReader{b: b}
+	r := wireReader{frame.NewCursor(b)}
 	r.envelope(&m.wireErr)
 	m.HWs = m.HWs[:0]
-	for n := r.count(1); n > 0; n-- {
-		m.HWs = append(m.HWs, r.nonneg())
+	for n := r.Count(1); n > 0; n-- {
+		m.HWs = append(m.HWs, r.Nonneg())
 	}
 	return r.end()
 }
@@ -598,11 +516,11 @@ func (m *fetchLogReq) appendTo(dst []byte) []byte {
 
 //alarmvet:hotpath
 func (m *fetchLogReq) decode(b []byte) error {
-	r := wireReader{b: b}
-	m.Partition = int(r.nonneg())
-	m.Offset = r.nonneg()
-	m.Max = int(r.varint())
-	r.str(&m.Topic)
+	r := wireReader{frame.NewCursor(b)}
+	m.Partition = int(r.Nonneg())
+	m.Offset = r.Nonneg()
+	m.Max = int(r.Varint())
+	r.Str(&m.Topic)
 	return r.end()
 }
 
@@ -625,18 +543,18 @@ func (m *replFetchReq) appendTo(dst []byte) []byte {
 
 //alarmvet:hotpath
 func (m *replFetchReq) decode(b []byte) error {
-	r := wireReader{b: b}
-	m.NodeID = int(r.nonneg())
-	m.Epoch = r.nonneg()
+	r := wireReader{frame.NewCursor(b)}
+	m.NodeID = int(r.Nonneg())
+	m.Epoch = r.Nonneg()
 	m.Topics = m.Topics[:0]
-	for n := r.count(2); n > 0 && !r.bad; n-- {
+	for n := r.Count(2); n > 0 && !r.Failed(); n-- {
 		var t *topicTails
 		m.Topics, t = next(m.Topics)
-		r.str(&t.Name)
+		r.Str(&t.Name)
 		t.Sizes, t.Tails = t.Sizes[:0], t.Tails[:0]
-		for parts := r.count(2); parts > 0; parts-- {
-			t.Sizes = append(t.Sizes, r.nonneg())
-			t.Tails = append(t.Tails, r.nonneg())
+		for parts := r.Count(2); parts > 0; parts-- {
+			t.Sizes = append(t.Sizes, r.Nonneg())
+			t.Tails = append(t.Tails, r.Nonneg())
 		}
 	}
 	return r.end()
@@ -681,35 +599,35 @@ func (m *replFetchResp) appendTo(dst []byte) []byte {
 
 //alarmvet:hotpath
 func (m *replFetchResp) decode(b []byte) error {
-	r := wireReader{b: b}
+	r := wireReader{frame.NewCursor(b)}
 	r.envelope(&m.wireErr)
-	m.Epoch = r.nonneg()
-	m.Leader = int(r.varint())
+	m.Epoch = r.Nonneg()
+	m.Leader = int(r.Varint())
 	m.Topics, m.Recs = m.Topics[:0], m.Recs[:0]
-	for n := r.count(3); n > 0 && !r.bad; n-- {
+	for n := r.Count(3); n > 0 && !r.Failed(); n-- {
 		var t *topicCommits
 		m.Topics, t = next(m.Topics)
-		r.str(&t.Name)
+		r.Str(&t.Name)
 		t.Commits = t.Commits[:0]
-		for parts := r.count(1); parts > 0; parts-- {
-			t.Commits = append(t.Commits, r.nonneg())
+		for parts := r.Count(1); parts > 0; parts-- {
+			t.Commits = append(t.Commits, r.Nonneg())
 		}
 		m.Recs = r.runs(t.Name, m.Recs)
 	}
 	m.Truncs = m.Truncs[:0]
-	for n := r.count(3); n > 0 && !r.bad; n-- {
+	for n := r.Count(3); n > 0 && !r.Failed(); n-- {
 		var t *truncAt
 		m.Truncs, t = next(m.Truncs)
-		r.str(&t.Topic)
-		t.P, t.Size = int(r.nonneg()), r.nonneg()
+		r.Str(&t.Topic)
+		t.P, t.Size = int(r.Nonneg()), r.Nonneg()
 	}
 	m.Groups = m.Groups[:0]
-	for n := r.count(4); n > 0 && !r.bad; n-- {
+	for n := r.Count(4); n > 0 && !r.Failed(); n-- {
 		var g *broker.GroupOffset
 		m.Groups, g = next(m.Groups)
-		r.str(&g.Group)
-		r.str(&g.Topic)
-		g.Partition, g.Offset = int(r.nonneg()), r.nonneg()
+		r.Str(&g.Group)
+		r.Str(&g.Topic)
+		g.Partition, g.Offset = int(r.Nonneg()), r.Nonneg()
 	}
 	return r.end()
 }
