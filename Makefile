@@ -105,18 +105,20 @@ bench-persist:
 			{ echo "BenchmarkOperatorQueries did not run query=$$q"; exit 1; }; \
 	done
 
-## bench-wire: the two round trips a remote shard repeats, both ends in
-## one process (internal/netbroker) — an RF 1 SendAt, and a consumer
-## heartbeat — seven runs each on one CPU, the before/after evidence for
-## wire-path changes (compare two trees' outputs run by run). The CI
-## bench-smoke job runs this explicitly (and fails if either
+## bench-wire: the round trips a remote shard repeats, both ends in
+## one process (internal/netbroker) — an RF 1 SendAt, a consumer
+## heartbeat, and one record sent and drained (SendAt, then a shard's
+## Drain to ReleaseBatch) — seven runs each on one CPU, the before/after
+## evidence for wire-path changes (compare two trees' outputs run by
+## run). The CI bench-smoke job runs this explicitly (and fails if any
 ## sub-benchmark disappears)
 bench-wire:
 	@out=$$($(GO) test -run=- -bench='^BenchmarkWire$$' -benchmem -cpu 1 -count 7 ./internal/netbroker) || \
 		{ echo "$$out"; echo "BenchmarkWire failed"; exit 1; }; \
 	echo "$$out"; \
-	echo "$$out" | grep -q '^BenchmarkWire/send' && echo "$$out" | grep -q '^BenchmarkWire/heartbeat' || \
-		{ echo "BenchmarkWire/send or BenchmarkWire/heartbeat did not run"; exit 1; }
+	echo "$$out" | grep -q '^BenchmarkWire/send' && echo "$$out" | grep -q '^BenchmarkWire/heartbeat' && \
+		echo "$$out" | grep -q '^BenchmarkWire/drain' || \
+		{ echo "BenchmarkWire/send, BenchmarkWire/heartbeat or BenchmarkWire/drain did not run"; exit 1; }
 
 ## bench-harness-smoke: vet and race-test the benchmark harness
 ## (BENCHMARK.json → bench/). bench/ is a module of its own, so `go
@@ -168,9 +170,9 @@ test-events:
 ## the race detector — they carry a `!race` tag (the race runtime
 ## inflates the counts), so `make test` never compiles them and `make
 ## cover` runs only those whose package it lists. Fails if one of the
-## four packages ran none (CI `test` job).
+## five packages ran none (CI `test` job).
 test-budgets:
-	@out=$$($(GO) test -count=1 -v -run 'AllocBudget|ScratchBudget|FootprintBudget|IdleAllocs' ./internal/broker ./internal/netbroker ./internal/core ./internal/docstore) || \
+	@out=$$($(GO) test -count=1 -v -run 'AllocBudget|ScratchBudget|FootprintBudget|IdleAllocs' ./internal/broker ./internal/netbroker ./internal/core ./internal/docstore ./internal/serve) || \
 		{ echo "$$out"; echo "budget tests failed"; exit 1; }; \
 	echo "$$out"; \
 	if echo "$$out" | grep -q 'no tests to run'; then echo "a package ran no budget test"; exit 1; fi

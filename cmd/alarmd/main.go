@@ -573,8 +573,9 @@ loop:
 			sum, len(committed))
 	}
 	if client != nil {
-		retries, reconnects := client.WireStats()
-		fmt.Printf("wire: %d retries, %d reconnects\n", retries, reconnects)
+		ws := client.WireStats()
+		fmt.Printf("wire: %d retries, %d reconnects, %d fetches (%d empty)\n",
+			ws.Retries, ws.Reconnects, ws.Fetches, ws.EmptyFetches)
 	}
 	if o.topDevices > 0 {
 		if top, err := svc.TopDevices(o.topDevices); err == nil && len(top) > 0 {

@@ -206,7 +206,6 @@ func TestDecodeAllocBudget(t *testing.T) {
 	defer app.ReleaseBatch(b)
 	allocs := testing.AllocsPerRun(100, func() {
 		b.Alarms, b.Devices, b.Enqueued = b.Alarms[:0], b.Devices[:0], b.Enqueued[:0]
-		clear(b.seen)
 		app.Decode(b)
 	})
 	if b.Len() != 1 || len(b.Alarms[0].Payload) != 256 {

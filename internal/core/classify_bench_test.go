@@ -79,6 +79,7 @@ func BenchmarkVerifyBatchSplit(b *testing.B) {
 	probs := make([][2]float64, batch)
 	out := make([]alarm.Verification, batch)
 	var encode, walk, whole time.Duration
+	var sc batchScratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lo := i * batch % (len(replay) - batch)
@@ -90,7 +91,7 @@ func BenchmarkVerifyBatchSplit(b *testing.B) {
 		t1 := time.Now()
 		s.compiled.ProbSparse(&rows, probs)
 		t2 := time.Now()
-		if err := s.verifyBatchInto(alarms, out); err != nil {
+		if err := s.verifyBatchInto(alarms, out, &sc); err != nil {
 			b.Fatal(err)
 		}
 		encode, walk, whole = encode+t1.Sub(t0), walk+t2.Sub(t1), whole+time.Since(t2)

@@ -59,7 +59,7 @@ type ConsumerConfig struct {
 	ClassifyWorkers int
 	// ClassifyBatch is the micro-chunk size of the vectorized
 	// classify path: Classify verifies this many alarms per
-	// ml.SparseModel call out of one pooled batch of sparse rows.
+	// ml.SparseModel call out of the app's one batch of sparse rows.
 	// 0 means the 256 default; 1 reproduces the per-alarm baseline.
 	ClassifyBatch int
 	// MaxPerBatch bounds records drained per micro-batch; 0 leaves the
@@ -99,14 +99,20 @@ type ConsumerApp struct {
 	history  *History
 	consumer broker.GroupConsumer
 
-	// sc is the decode scratch (string interner), used only by the
-	// single intake goroutine; batchPool recycles Batch scratch
-	// between ReleaseBatch and the next Drain.
-	sc        *codec.Scratch
-	batchPool sync.Pool
-	// hist is Persist's histogram-sweep scratch, one per app: only
-	// Persist touches it, and an app runs one persist goroutine.
-	hist histScratch
+	// Each stage owns its scratch, kept for the app's life: a GC does
+	// not take it back as it would a sync.Pool's. sc (the string
+	// interner) and seen (the distinct-device set) are Decode's, on the
+	// single intake goroutine; free holds released batches between
+	// ReleaseBatch and the next Drain; class is Classify's sparse rows
+	// and probabilities; rows (the row batch alarms are stored through)
+	// and hist (the histogram sweep) are Persist's, and an app runs one
+	// persist goroutine.
+	sc    *codec.Scratch
+	seen  map[string]struct{}
+	free  batchList
+	class batchScratch
+	rows  *docstore.Rows
+	hist  histScratch
 
 	mu       sync.Mutex
 	times    ComponentTimes
@@ -142,17 +148,22 @@ func NewConsumerAppFor(cons broker.GroupConsumer, _ int,
 	if cfg.ClassifyBatch <= 0 {
 		cfg.ClassifyBatch = 256
 	}
+	n := cfg.MaxPerBatch
 	app := &ConsumerApp{
 		cfg:      cfg,
 		verifier: verifier,
 		history:  history,
 		consumer: cons,
 		sc:       codec.NewScratch(),
+		seen:     make(map[string]struct{}, n),
 	}
-	// Persist's sweep scratch, sized like a pooled batch for a full drain.
-	n := cfg.MaxPerBatch
-	app.hist = histScratch{macs: make([]string, 0, n), conds: make([]docstore.Cond, 0, 2*n),
-		filters: make([][]docstore.Cond, 0, n), out: make([][]HistogramBucket, 0, n)}
+	if history != nil {
+		// Persist's scratch, sized like a batch for a full drain.
+		app.rows = history.col.NewRows(alarmFields...)
+		app.hist = histScratch{macs: make([]string, 0, n), conds: make([]docstore.Cond, 0, 2*n),
+			filters: make([][]docstore.Cond, 0, n), out: make([][]HistogramBucket, 0, n),
+			sweep: docstore.NewSweep()}
+	}
 	return app
 }
 

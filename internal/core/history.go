@@ -32,9 +32,10 @@ type History struct {
 	// which would hide the I/O overlap the sharded service exploits.
 	rttNanos atomic.Int64
 
-	// rows recycles the typed row batches alarms are written through,
-	// and reads those RecentAlarms reads through, so neither direction
-	// allocates per alarm. They are apart because a read batch grows to
+	// rows recycles the typed row batches RecordBatch writes alarms
+	// through (the pipeline's persist stage keeps its own), and reads
+	// those RecentAlarms reads through, so neither direction allocates
+	// per alarm. They are apart because a read batch grows to
 	// the read's limit: a retrain's 50 000-row window would otherwise
 	// leave a 14 MB batch for ingest, whose batches hold a drain's few
 	// hundred. groups (of *[]docstore.GroupCount) and hists (of
@@ -91,19 +92,6 @@ func rowAlarm(row []docstore.Cell) alarm.Alarm {
 	return a
 }
 
-// insert stores alarms through a pooled row batch.
-//
-//alarmvet:hotpath
-func (h *History) insert(alarms []alarm.Alarm) {
-	rows := h.rows.Get().(*docstore.Rows)
-	for i := range alarms {
-		fillRow(rows.Next(), &alarms[i])
-	}
-	h.col.InsertRows(rows)
-	rows.Reset()
-	h.rows.Put(rows)
-}
-
 // SetSimulatedRTT makes every history round-trip take at least d,
 // emulating the network latency of the remote document store in the
 // paper's deployment (§4.3): the writes (RecordBatch and Record,
@@ -136,7 +124,7 @@ func NewHistory(db *docstore.DB) (*History, error) {
 	h.rows.New = func() any { return col.NewRows(alarmFields...) }
 	h.reads.New = h.rows.New
 	h.groups.New = func() any { return new([]docstore.GroupCount) }
-	h.hists.New = func() any { return new(histScratch) }
+	h.hists.New = func() any { return &histScratch{sweep: docstore.NewSweep()} }
 	return h, nil
 }
 
@@ -189,14 +177,27 @@ func (h *History) Record(a *alarm.Alarm) {
 
 // RecordBatch stores many alarms at once, in one store round-trip on
 // the caller's goroutine: when it returns, every read observes them.
+func (h *History) RecordBatch(alarms []alarm.Alarm) {
+	rows := h.rows.Get().(*docstore.Rows)
+	h.recordBatch(rows, alarms)
+	h.rows.Put(rows)
+}
+
+// recordBatch is RecordBatch through the caller's row batch, which it
+// leaves empty: the pipeline's persist stage keeps its own, so its
+// batches need no pool.
 //
 //alarmvet:hotpath
-func (h *History) RecordBatch(alarms []alarm.Alarm) {
+func (h *History) recordBatch(rows *docstore.Rows, alarms []alarm.Alarm) {
 	if len(alarms) == 0 {
 		return
 	}
 	h.simulateRTT()
-	h.insert(alarms)
+	for i := range alarms {
+		fillRow(rows.Next(), &alarms[i])
+	}
+	h.col.InsertRows(rows)
+	rows.Reset()
 }
 
 // RecentAlarms returns up to limit of the most recently ingested
@@ -340,17 +341,27 @@ func (h *History) DeviceHistograms(macs []string, since time.Time, bucket time.D
 // array, whose bars are never rewritten within a sweep). The pipeline's
 // Persist stage keeps one on its ConsumerApp, so a micro-batch's sweep —
 // one round-trip for its N distinct devices instead of N serialized
-// ones — allocates only what the store does.
+// ones — allocates only what the store does. sweep, when set, is the
+// store's sweep memory, kept with the rest (the stage's, and
+// DeviceHistogram's pooled scratch); without it the store draws one
+// from its pool.
 type histScratch struct {
 	macs    []string
 	conds   []docstore.Cond
 	filters [][]docstore.Cond
 	bars    []HistogramBucket
 	out     [][]HistogramBucket
+	sweep   *docstore.Sweep
 }
+
+// noBars is what a device without alarms answers: [], not nil (the
+// HTTP edge encodes it).
+var noBars = []HistogramBucket{}
 
 // deviceHistograms answers sc.macs into sc.out, reusing sc's memory;
 // the answers are valid until sc's next sweep.
+//
+//alarmvet:hotpath
 func (h *History) deviceHistograms(sc *histScratch, since time.Time, bucket time.Duration) error {
 	sc.out = sc.out[:0]
 	if len(sc.macs) == 0 {
@@ -372,17 +383,20 @@ func (h *History) deviceHistograms(sc *histScratch, since time.Time, bucket time
 	}
 	sc.bars = sc.bars[:0]
 	if sc.bars == nil {
-		sc.bars = []HistogramBucket{} // a device without alarms answers [], not nil (the HTTP edge encodes it)
+		sc.bars = noBars
 	}
-	return h.col.BucketCounts(sc.filters,
-		docstore.Bucket{Field: "ts", Origin: origin, Width: bucket.Seconds()},
-		func(_ int, bars []docstore.BucketCount) {
-			start := len(sc.bars)
-			for _, b := range bars {
-				sc.bars = append(sc.bars, HistogramBucket{Start: time.Unix(int64(b.Start), 0).UTC(), Count: b.Count})
-			}
-			sc.out = append(sc.out, sc.bars[start:len(sc.bars):len(sc.bars)])
-		})
+	by := docstore.Bucket{Field: "ts", Origin: origin, Width: bucket.Seconds()}
+	visit := func(_ int, bars []docstore.BucketCount) {
+		start := len(sc.bars)
+		for _, b := range bars {
+			sc.bars = append(sc.bars, HistogramBucket{Start: time.Unix(int64(b.Start), 0).UTC(), Count: b.Count})
+		}
+		sc.out = append(sc.out, sc.bars[start:len(sc.bars):len(sc.bars)])
+	}
+	if sc.sweep == nil {
+		return h.col.BucketCounts(sc.filters, by, visit)
+	}
+	return h.col.BucketCountsWith(sc.sweep, sc.filters, by, visit)
 }
 
 // DeviceCount is one entry of a top-devices ranking: a device and how

@@ -336,7 +336,6 @@ func BenchmarkDecodePath(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		batch.Alarms = batch.Alarms[:0]
 		batch.Devices = batch.Devices[:0]
-		clear(batch.seen)
 		app.Decode(batch)
 	}
 }

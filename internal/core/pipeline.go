@@ -52,12 +52,11 @@ type Batch struct {
 	Shed bool
 
 	// The remaining fields are the reusable scratch of the drain (see
-	// Drain): raw records whose Value bytes borrow from broker arena
-	// memory under leases, reused across batches through the app's
-	// batch pool. A Batch built outside Drain has none of them.
+	// Drain): raw records whose Value bytes borrow from broker memory
+	// under the drain's one lease, reused across batches through the
+	// app's free list. A Batch built outside Drain has none of them.
 	recs   []broker.Record
-	leases []*broker.Lease
-	seen   map[string]struct{} // distinct-device scratch
+	lease  *broker.Lease
 	pooled bool
 }
 
@@ -65,44 +64,44 @@ type Batch struct {
 func (b *Batch) Len() int { return len(b.Alarms) }
 
 // Drain pulls one micro-batch of raw records off the broker into a
-// pooled batch and snapshots the consumer positions that CommitBatch
-// will later make durable. Drain must not be called concurrently with
-// itself (one intake goroutine per consumer).
+// batch from the app's free list and snapshots the consumer positions
+// that CommitBatch will later make durable. Drain must not be called
+// concurrently with itself (one intake goroutine per consumer).
 //
-// The records' payload bytes are borrowed from the broker under
-// leases, not copied out, so the batch must be returned through
-// ReleaseBatch once it has fully left the pipeline. Only the first
-// poll parks — woken by the first record, for at most PollTimeout —
-// and the rest take what is already there, up to MaxPerBatch: a batch
-// is whatever accumulated while the shard was busy, and one record
-// when it was not, so a backlog splits into full batches and a
-// remainder. A drain that finds nothing allocates nothing and keeps no
-// lease.
+// The records' payload bytes are borrowed from the broker under a
+// lease, not copied out, so the batch must be returned through
+// ReleaseBatch once it has fully left the pipeline. A drain is one
+// poll: it parks — woken by the first record, for at most PollTimeout —
+// and takes what is there, up to MaxPerBatch. A batch is whatever
+// accumulated while the shard was busy, and one record when it was not,
+// so a backlog splits into full batches and a remainder. No second poll
+// follows a short one (fewer records than asked for): both consumers
+// sweep every assigned partition up to the ask, so it would find only
+// what arrived during its own round trip — over the wire, a whole
+// fetch — and a response the server's budget cut short just ends that
+// batch early. A full poll asked for the batch's whole remainder, so it
+// filled the batch. A drain that finds nothing allocates nothing and
+// keeps no lease.
 //
 //alarmvet:hotpath
 func (c *ConsumerApp) Drain() *Batch {
 	max := c.cfg.MaxPerBatch
-	b := c.getBatch()
 	if max <= 0 {
 		max = 1 << 20
 	}
-	timeout := c.cfg.PollTimeout
-	for len(b.recs) < max {
-		out, lease, err := c.consumer.PollLeased(max-len(b.recs), timeout, b.recs)
-		got := len(out) - len(b.recs)
-		b.recs = out
-		if got > 0 {
-			b.leases = append(b.leases, lease)
-		} else {
-			// An empty poll's lease guards nothing (the consumers hand
-			// out a shared released one); release it now so idle polls
-			// don't inflate the leak detector.
-			lease.Release()
-		}
-		if err != nil || got == 0 {
-			break
-		}
-		timeout = 0
+	b := c.getBatch()
+	// A poll error ends the drain with what the poll returned: the next
+	// drain polls again, and a close or a rebalance reaches the shard
+	// through its own checks.
+	recs, lease, _ := c.consumer.PollLeased(max, c.cfg.PollTimeout, b.recs)
+	b.recs = recs
+	if len(recs) > 0 {
+		b.lease = lease
+	} else {
+		// An empty poll's lease guards nothing (the consumers hand out a
+		// shared released one); release it now so idle polls don't
+		// inflate the leak detector.
+		lease.Release()
 	}
 	b.Offsets = c.consumer.PositionsInto(b.Offsets)
 	return b
@@ -123,10 +122,11 @@ func (c *ConsumerApp) MarkShed(b *Batch) {
 // records straight out of their leased views into the batch's reusable
 // alarm scratch (codec.FastCodec's scratch path: string fields are
 // interned through the app's codec scratch and Payload stays a view of
-// the record, valid until the batch's leases are released, so
+// the record, valid until the batch's lease is released, so
 // steady-state decode performs no heap allocation), and extracts the
-// window's distinct alarming devices with a reusable seen-set. Records
-// that fail to decode or carry a zero ID are dropped.
+// window's distinct alarming devices with the app's seen-set, which
+// only Decode reads. Records that fail to decode or carry a zero ID are
+// dropped.
 //
 //alarmvet:hotpath
 func (c *ConsumerApp) Decode(b *Batch) {
@@ -148,10 +148,11 @@ func (c *ConsumerApp) Decode(b *Batch) {
 
 	start = time.Now()
 	devices := b.Devices
+	clear(c.seen)
 	for i := range b.Alarms {
 		mac := b.Alarms[i].DeviceMAC
-		if _, ok := b.seen[mac]; !ok {
-			b.seen[mac] = struct{}{}
+		if _, ok := c.seen[mac]; !ok {
+			c.seen[mac] = struct{}{}
 			devices = append(devices, b.Alarms[i])
 			// A device entry is read for its address; it does not keep
 			// the alarm's view of the leased record alive.
@@ -198,7 +199,7 @@ func (c *ConsumerApp) Classify(b *Batch) error {
 	snap := c.verifier.snap.Load()
 	for lo := 0; lo < n; lo += c.cfg.ClassifyBatch {
 		hi := min(lo+c.cfg.ClassifyBatch, n)
-		if err := snap.verifyBatchInto(b.Alarms[lo:hi], b.Verified[lo:hi]); err != nil {
+		if err := snap.verifyBatchInto(b.Alarms[lo:hi], b.Verified[lo:hi], &c.class); err != nil {
 			b.Verified = nil
 			return err
 		}
@@ -217,14 +218,14 @@ func (c *ConsumerApp) Classify(b *Batch) error {
 // folds the finished batch into the app's accounting. It is the final
 // stage; a batch must not be committed before Persist returns.
 //
-// Persist must not run concurrently with itself on one app: the
-// histogram sweep's scratch is the app's. Every caller runs one persist
+// Persist must not run concurrently with itself on one app: its row
+// batch and histogram sweep are the app's. Every caller runs one persist
 // goroutine an app — the sharded service's per-shard persist stage,
 // ProcessBatches, and the experiments' replay consumer.
 func (c *ConsumerApp) Persist(b *Batch) error {
 	if c.history != nil {
 		start := time.Now()
-		c.history.RecordBatch(b.Alarms)
+		c.history.recordBatch(c.rows, b.Alarms)
 		b.Times.Ingest = time.Since(start)
 
 		start = time.Now()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -10,9 +11,9 @@ import (
 
 // batchCheckMode, when enabled, makes ReleaseBatch poison the released
 // batch's alarm and verification scratch instead of returning it to
-// the pool, so any stage that keeps reading a batch after its release
-// observes sentinel garbage deterministically instead of whatever the
-// next batch happened to write there. See SetBatchCheck.
+// the app's free list, so any stage that keeps reading a batch after
+// its release observes sentinel garbage deterministically instead of
+// whatever the next batch happened to write there. See SetBatchCheck.
 var batchCheckMode atomic.Bool
 
 // SetBatchCheck toggles batch-release checking globally. It is a test
@@ -20,16 +21,36 @@ var batchCheckMode atomic.Bool
 // checking on, released batches are poisoned and never reused, turning
 // use-after-release aliasing bugs into immediate assertion failures in
 // the -race hammers. Production mode (off, the default) recycles the
-// batch scratch through the pool with no extra work.
+// batch scratch through the app's free list with no extra work.
 func SetBatchCheck(on bool) { batchCheckMode.Store(on) }
 
 // poisonedField marks strings of a released batch in check mode.
 const poisonedField = "\xdb\xdbRELEASED-BATCH\xdb\xdb"
 
-// getBatch takes a batch from the app's pool (or builds a fresh one)
-// and resets its scratch for the next drain.
+// batchList is the app's free list of released batches, the
+// broker.LeasePool idiom: a batch ReleaseBatch hands back waits on it
+// for the next Drain, and a GC does not empty it as it would a
+// sync.Pool, so a warm shard builds no batch again. Nothing caps it: it
+// holds what the pipeline once had out at once, which the shard's stage
+// queues bound. ReleaseBatch runs on whichever stage retires the batch
+// and Drain on the intake goroutine, hence the lock.
+type batchList struct {
+	mu      sync.Mutex
+	batches []*Batch
+}
+
+// getBatch takes a batch off the app's free list (or builds a fresh
+// one) and resets its scratch for the next drain.
+//
+//alarmvet:hotpath
 func (c *ConsumerApp) getBatch() *Batch {
-	b, _ := c.batchPool.Get().(*Batch)
+	l := &c.free
+	var b *Batch
+	l.mu.Lock()
+	if n := len(l.batches); n > 0 {
+		b, l.batches = l.batches[n-1], l.batches[:n-1]
+	}
+	l.mu.Unlock()
 	if b == nil {
 		b = c.newBatch()
 	}
@@ -38,20 +59,17 @@ func (c *ConsumerApp) getBatch() *Batch {
 	b.Verified = b.Verified[:0]
 	b.Enqueued = b.Enqueued[:0]
 	b.recs = b.recs[:0]
-	b.leases = b.leases[:0]
-	clear(b.seen)
 	b.Times = ComponentTimes{}
 	b.Shed = false
 	b.pooled = true
 	return b
 }
 
-// newBatch builds a pooled batch with its scratch allocated once, for
-// a full drain of MaxPerBatch records: records, alarms, devices,
-// verifications, enqueue times when metrics are attached and the
-// distinct-device set. A cold batch then regrows none of them on its way
-// through the pipeline. An unbounded drain (MaxPerBatch 0) lets them grow
-// with the drains instead.
+// newBatch builds a batch with its scratch allocated once, for a full
+// drain of MaxPerBatch records: records, alarms, devices, verifications
+// and enqueue times when metrics are attached. A cold batch then
+// regrows none of them on its way through the pipeline. An unbounded
+// drain (MaxPerBatch 0) lets them grow with the drains instead.
 func (c *ConsumerApp) newBatch() *Batch {
 	n := c.cfg.MaxPerBatch
 	b := &Batch{
@@ -59,7 +77,6 @@ func (c *ConsumerApp) newBatch() *Batch {
 		Alarms:   make([]alarm.Alarm, 0, n),
 		Devices:  make([]alarm.Alarm, 0, n),
 		Verified: make([]alarm.Verification, 0, n),
-		seen:     make(map[string]struct{}, n),
 	}
 	if c.cfg.Metrics != nil {
 		b.Enqueued = make([]time.Time, 0, n)
@@ -67,28 +84,32 @@ func (c *ConsumerApp) newBatch() *Batch {
 	return b
 }
 
-// ReleaseBatch returns a pooled batch's scratch memory for reuse: the
-// broker leases over its raw record payloads are released and the
-// batch goes back to the app's pool. Call it only after the batch has
-// fully left the pipeline — persisted (or shed) and its offsets
-// handed to a commit — and never touch the batch, its alarms, or its
-// raw record values afterwards. Safe (a no-op) on nil batches and on
+// ReleaseBatch returns a drained batch's scratch memory for reuse: the
+// broker lease over its raw record payloads is released and the batch
+// goes back on the app's free list. Call it only after the batch has
+// fully left the pipeline — persisted (or shed) and its offsets handed
+// to a commit — and never touch the batch, its alarms, or its raw
+// record values afterwards. Safe (a no-op) on nil batches and on
 // batches not drained by this app; idempotent, since a released batch
-// is marked unpooled.
+// is marked unpooled. In check mode the batch is poisoned instead and
+// never comes back.
+//
+//alarmvet:hotpath
 func (c *ConsumerApp) ReleaseBatch(b *Batch) {
 	if b == nil || !b.pooled {
 		return
 	}
 	b.pooled = false
-	for _, l := range b.leases {
-		l.Release()
-	}
-	b.leases = b.leases[:0]
+	b.lease.Release()
+	b.lease = nil
 	if batchCheckMode.Load() {
 		poisonBatch(b)
-		return // poisoned memory must never come back from the pool
+		return // poisoned memory must never be drained into again
 	}
-	c.batchPool.Put(b)
+	l := &c.free
+	l.mu.Lock()
+	l.batches = append(l.batches, b)
+	l.mu.Unlock()
 }
 
 // poisonBatch overwrites the batch's decoded scratch with sentinel

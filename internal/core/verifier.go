@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -298,10 +299,11 @@ func (v *Verifier) Verify(a *alarm.Alarm) (alarm.Verification, error) {
 	return out[0], err
 }
 
-// batchScratch is one batch's pooled serving state: the sparse rows
-// the alarms are encoded into and the probability column the model
-// fills — 30 bytes an alarm. Recycled through sync.Pool so steady-state
-// batches allocate nothing.
+// batchScratch is one batch's serving state: the sparse rows the
+// alarms are encoded into and the probability column the model fills —
+// 30 bytes an alarm. The pipeline's classify stage keeps one on its
+// ConsumerApp; VerifyBatchInto's other callers recycle theirs through
+// batchPool, so steady-state batches allocate nothing either way.
 type batchScratch struct {
 	rows  ml.SparseRows
 	probs [][2]float64
@@ -319,27 +321,27 @@ var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 // call: the whole batch is encoded and classified by one model, so a
 // concurrent hot swap can never split a batch across two models.
 func (v *Verifier) VerifyBatchInto(alarms []alarm.Alarm, out []alarm.Verification) error {
-	return v.snap.Load().verifyBatchInto(alarms, out)
+	sc := batchPool.Get().(*batchScratch)
+	defer batchPool.Put(sc)
+	return v.snap.Load().verifyBatchInto(alarms, out, sc)
 }
 
 // verifyBatchInto is the one serving path: every alarm becomes a
-// sparse row (dataset.AlarmEncoder) and the compiled model scores the
-// batch. No dense feature vector exists on it.
-func (s *modelSnapshot) verifyBatchInto(alarms []alarm.Alarm, out []alarm.Verification) error {
+// sparse row (dataset.AlarmEncoder) in sc and the compiled model scores
+// the batch. No dense feature vector exists on it.
+//
+//alarmvet:hotpath
+func (s *modelSnapshot) verifyBatchInto(alarms []alarm.Alarm, out []alarm.Verification, sc *batchScratch) error {
 	if len(out) < len(alarms) {
-		return fmt.Errorf("core: verify batch: %d outputs for %d alarms", len(out), len(alarms))
+		return shortOutputs(len(out), len(alarms))
 	}
 	n := len(alarms)
 	if n == 0 {
 		return nil
 	}
 	start := time.Now()
-	sc := batchPool.Get().(*batchScratch)
 	sc.rows.Resize(s.rows.Layout(), n)
-	if cap(sc.probs) < n {
-		sc.probs = make([][2]float64, n)
-	}
-	sc.probs = sc.probs[:n]
+	sc.probs = slices.Grow(sc.probs[:0], n)[:n]
 	for i := range alarms {
 		s.rows.Encode(&alarms[i], sc.rows.Row(i))
 	}
@@ -360,8 +362,13 @@ func (s *modelSnapshot) verifyBatchInto(alarms []alarm.Alarm, out []alarm.Verifi
 			LatencyMS:   perAlarmMS,
 		}
 	}
-	batchPool.Put(sc)
 	return nil
+}
+
+// shortOutputs is verifyBatchInto's error for an output slice shorter
+// than its alarms.
+func shortOutputs(out, alarms int) error {
+	return fmt.Errorf("core: verify batch: %d outputs for %d alarms", out, alarms)
 }
 
 // evalChunk is how many alarms an evaluation worker classifies at a
@@ -406,9 +413,10 @@ func (s *modelSnapshot) evaluate(holdout []alarm.Alarm, feedback map[int64]alarm
 		go func() {
 			defer wg.Done()
 			vers := make([]alarm.Verification, min(len(holdout), evalChunk))
+			var sc batchScratch
 			for c := int(next.Add(1)) - 1; c < chunks; c = int(next.Add(1)) - 1 {
 				chunk := holdout[c*evalChunk : min((c+1)*evalChunk, len(holdout))]
-				if errs[w] = s.verifyBatchInto(chunk, vers); errs[w] != nil {
+				if errs[w] = s.verifyBatchInto(chunk, vers, &sc); errs[w] != nil {
 					return
 				}
 				tally(&cms[w], chunk, vers, feedback, truthDeltaT)

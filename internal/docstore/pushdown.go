@@ -170,7 +170,7 @@ func bucketPartial(p *partition, plan *aggPlan, sc *partialScratch, out *aggPart
 // among the partials' heads: groups arrive in the merged order, and a
 // class's first sighting is its smallest id. The result lives in the
 // sweep until its next merge.
-func mergeGroups(sw *sweep, partials []aggPartial) []pGroup {
+func mergeGroups(sw *Sweep, partials []aggPartial) []pGroup {
 	if len(partials) == 1 {
 		return partials[0].groups
 	}
@@ -249,13 +249,15 @@ type planRun struct {
 	partials []aggPartial
 }
 
-// sweep is the reusable memory of one execPlans sweep. A sweep's fixed
+// Sweep is the reusable memory of one execPlans sweep. A sweep's fixed
 // cost — all there is to a sweep of one filter, which is what a
 // micro-batch of one alarm asks for — is paid out of it, and so are the
-// partials themselves (partialScratch). Sweeps are pooled, and every
-// slice of a pooled sweep is zero up to its capacity (release sees to
-// it).
-type sweep struct {
+// partials themselves (partialScratch). Every slice of a sweep at rest
+// is zero up to its capacity (reset sees to it). The store's calls draw
+// theirs from a pool; a caller that runs one sweep at a time and keeps
+// its own (NewSweep, BucketCountsWith) holds its memory across a GC,
+// which empties the pool.
+type Sweep struct {
 	runs     []planRun
 	partials []aggPartial   // one slab for every run's partials
 	touched  []bool         // per partition: it has partials to supply
@@ -286,16 +288,20 @@ type sweep struct {
 	bars    []BucketCount
 }
 
-var sweepPool = sync.Pool{New: func() any {
-	sw := new(sweep)
+// NewSweep makes a sweep for BucketCountsWith, its two closures made
+// once with it, so a sweep costs no closure.
+func NewSweep() *Sweep {
+	sw := new(Sweep)
 	sw.busy = func(pi int) bool { return sw.touched[pi] }
 	sw.visit = func(pi int, _ *partition) error { return sw.c.visit(sw, pi) }
 	return sw
-}}
+}
 
-// release drops what the sweep references (plans, partials, filter
-// literals, group keys) and returns it to the pool.
-func (sw *sweep) release() {
+var sweepPool = sync.Pool{New: func() any { return NewSweep() }}
+
+// reset drops what the sweep references (plans, partials, filter
+// literals, group keys), keeping its memory.
+func (sw *Sweep) reset() {
 	sw.c = nil
 	clear(sw.runs)
 	clear(sw.partials)
@@ -308,6 +314,11 @@ func (sw *sweep) release() {
 	clear(sw.nodes)
 	clear(sw.plans)
 	clear(sw.bound)
+}
+
+// release resets a pooled sweep and returns it to the pool.
+func (sw *Sweep) release() {
+	sw.reset()
 	sweepPool.Put(sw)
 }
 
@@ -324,7 +335,7 @@ func resized[T any](s []T, n int) []T {
 // run in one store sweep: filters pinned to one partition by a shard-key
 // equality only visit that partition, and each touched partition's lock
 // is taken once for the whole batch.
-func (c *Collection) execPlans(sw *sweep, plans []*aggPlan) ([]planRun, error) {
+func (c *Collection) execPlans(sw *Sweep, plans []*aggPlan) ([]planRun, error) {
 	runs := resized(sw.runs, len(plans))
 	total := 0
 	for i, plan := range plans {
@@ -352,7 +363,7 @@ func (c *Collection) execPlans(sw *sweep, plans []*aggPlan) ([]planRun, error) {
 
 // visit computes, under one read lock, every partial partition pi owes
 // the sweep.
-func (c *Collection) visit(sw *sweep, pi int) error {
+func (c *Collection) visit(sw *Sweep, pi int) error {
 	runs, p, sc := sw.runs, c.parts[pi], &sw.scratch
 	p.mu.RLock()
 	defer p.mu.RUnlock()
@@ -381,6 +392,22 @@ func (c *Collection) visit(sw *sweep, pi int) error {
 // filter, in order, with its bars in ascending bucket order; bars is
 // reused between calls.
 func (c *Collection) BucketCounts(filters [][]Cond, b Bucket, visit func(i int, bars []BucketCount)) error {
+	sw := sweepPool.Get().(*Sweep)
+	defer sw.release()
+	return c.bucketCounts(sw, filters, b, visit)
+}
+
+// BucketCountsWith is BucketCounts out of the caller's sweep, which
+// must not run two sweeps at once.
+//
+//alarmvet:hotpath
+func (c *Collection) BucketCountsWith(sw *Sweep, filters [][]Cond, b Bucket, visit func(i int, bars []BucketCount)) error {
+	defer sw.reset()
+	return c.bucketCounts(sw, filters, b, visit)
+}
+
+// bucketCounts is BucketCounts' sweep in sw.
+func (c *Collection) bucketCounts(sw *Sweep, filters [][]Cond, b Bucket, visit func(i int, bars []BucketCount)) error {
 	if b.Width <= 0 {
 		return fmt.Errorf("%w: bucket width must be positive", ErrBadFilter)
 	}
@@ -388,11 +415,9 @@ func (c *Collection) BucketCounts(filters [][]Cond, b Bucket, visit func(i int, 
 	for _, conds := range filters {
 		nodes += len(conds)
 	}
-	sw := sweepPool.Get().(*sweep)
-	defer sw.release()
 	// One slab each for the compiled conditions, the filters and the
-	// plans, all out of the pooled sweep: a sweep of N filters
-	// allocates per result, not per query, and nothing for being run.
+	// plans, all out of the sweep: a sweep of N filters allocates per
+	// result, not per query, and nothing for being run.
 	sw.bucket = b
 	slot := c.dict.ref(b.Field)
 	slab := resized(sw.nodes, nodes)[:0]
@@ -446,7 +471,7 @@ func (c *Collection) GroupCounts(field string, dst []GroupCount) ([]GroupCount, 
 // conditions that prints numbers filters treat as equal (1 and 1.0)
 // alike: equal signatures mean equal answers.
 func (c *Collection) countGroups(conds []Cond, field string, emit func([]pGroup)) error {
-	sw := sweepPool.Get().(*sweep)
+	sw := sweepPool.Get().(*Sweep)
 	defer sw.release()
 	// The plan, its filter and its signature live in the sweep, so an
 	// ask allocates none of them.

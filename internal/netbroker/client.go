@@ -264,8 +264,10 @@ type Client struct {
 
 	// retries counts the pauses between tries in retry; reconnects the
 	// connections the slots of the client, its producers and consumers
-	// dialed after a drop.
-	retries, reconnects atomic.Int64
+	// dialed after a drop; fetches the fetch round trips its consumers
+	// made, and emptyFetches those that brought no record.
+	retries, reconnects   atomic.Int64
+	fetches, emptyFetches atomic.Int64
 }
 
 // Dial connects to a replica set (addrs in node-id order, same list
@@ -292,11 +294,24 @@ func (c *Client) leaderSlot(slot *connSlot) {
 	slot.reconnected = func() { c.reconnects.Add(1) }
 }
 
-// WireStats reports how often the client paused to retry a call and
-// how many connections it dialed again after a drop, its producers' and
-// consumers' included.
-func (c *Client) WireStats() (retries, reconnects int64) {
-	return c.retries.Load(), c.reconnects.Load()
+// WireStats counts what a client's calls cost on the wire, its
+// producers' and consumers' included.
+type WireStats struct {
+	// Retries counts the pauses between tries of a call, Reconnects the
+	// connections dialed again after a drop.
+	Retries, Reconnects int64
+	// Fetches counts the consumers' fetch round trips, EmptyFetches
+	// those that brought no record: a parked fetch that timed out, or
+	// one that lost a race with a rebalance or a failover.
+	Fetches, EmptyFetches int64
+}
+
+// WireStats snapshots the client's wire counters.
+func (c *Client) WireStats() WireStats {
+	return WireStats{
+		Retries: c.retries.Load(), Reconnects: c.reconnects.Load(),
+		Fetches: c.fetches.Load(), EmptyFetches: c.emptyFetches.Load(),
+	}
 }
 
 // Close drops the client's control connection; its later calls answer

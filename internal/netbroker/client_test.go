@@ -5,7 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"alarmverify/internal/alarm"
 	"alarmverify/internal/broker"
+	"alarmverify/internal/codec"
+	"alarmverify/internal/core"
 	"alarmverify/internal/metrics"
 )
 
@@ -87,13 +90,13 @@ func TestClientCountsRetriesAndReconnects(t *testing.T) {
 		}
 	}
 	send()
-	if retries, reconnects := c.WireStats(); retries != 0 || reconnects != 0 {
-		t.Fatalf("before any drop: %d retries, %d reconnects", retries, reconnects)
+	if ws := c.WireStats(); ws.Retries != 0 || ws.Reconnects != 0 {
+		t.Fatalf("before any drop: %d retries, %d reconnects", ws.Retries, ws.Reconnects)
 	}
 	dropConns(srv)
 	send()
-	if retries, reconnects := c.WireStats(); retries != 1 || reconnects != 1 {
-		t.Fatalf("after one drop: %d retries, %d reconnects, want 1 and 1", retries, reconnects)
+	if ws := c.WireStats(); ws.Retries != 1 || ws.Reconnects != 1 {
+		t.Fatalf("after one drop: %d retries, %d reconnects, want 1 and 1", ws.Retries, ws.Reconnects)
 	}
 }
 
@@ -133,9 +136,67 @@ func TestLagFromSeveralGoroutines(t *testing.T) {
 	wg.Wait()
 }
 
-// BenchmarkWire times the two round trips a remote shard repeats, both
-// ends in this process: an RF 1 SendAt and a consumer heartbeat. Run
-// with -benchmem -cpu 1 (make bench-wire).
+// drainPair is a producer and a shard's consumer app on one client:
+// the app drains at most 512 records a batch and has neither verifier
+// nor history, so it runs Drain, Decode and ReleaseBatch only. send
+// produces one encoded alarm.
+func drainPair(t testing.TB, c *Client) (app *core.ConsumerApp, send func()) {
+	t.Helper()
+	p, err := c.NewProducer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	gc, parts, err := c.NewGroupConsumer("verify", "m1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConsumerConfig()
+	cfg.MaxPerBatch = 512
+	cfg.PollTimeout = time.Second
+	app = core.NewConsumerAppFor(gc, parts, nil, nil, cfg)
+	t.Cleanup(app.Close)
+	a := alarm.Alarm{ID: 1, DeviceMAC: "00:11:22:33:44:55", ZIP: "8001", Timestamp: time.Unix(1_700_000_000, 0)}
+	value, err := codec.FastCodec{}.Marshal(nil, &a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := []byte(a.DeviceMAC)
+	return app, func() {
+		if _, _, err := p.SendAt(key, value, a.Timestamp); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestOneRecordDrainIsOneFetch: a shard that drains one record over the
+// wire makes one fetch round trip. The fetch sweeps every assigned
+// partition up to its ask, so the drain does not poll again for what
+// arrived meanwhile — which cost a second, empty fetch a batch.
+func TestOneRecordDrainIsOneFetch(t *testing.T) {
+	_, c := budgetClient(t)
+	app, send := drainPair(t, c)
+	for i := 0; i < 20; i++ {
+		send()
+		before := c.WireStats()
+		b := app.Drain()
+		app.Decode(b)
+		after := c.WireStats()
+		if b.Len() != 1 {
+			t.Fatalf("drain %d decoded %d alarms, want 1", i, b.Len())
+		}
+		app.ReleaseBatch(b)
+		if n, empty := after.Fetches-before.Fetches, after.EmptyFetches-before.EmptyFetches; n != 1 || empty != 0 {
+			t.Fatalf("drain %d of one record: %d fetches, %d of them empty; want 1 and 0", i, n, empty)
+		}
+	}
+}
+
+// BenchmarkWire times the round trips a remote shard repeats, both ends
+// in this process: an RF 1 SendAt, a consumer heartbeat, and one record
+// sent and drained (SendAt, then Drain to ReleaseBatch: what a batch of
+// an idle shard costs on the wire). Run with -benchmem -cpu 1 (make
+// bench-wire).
 func BenchmarkWire(b *testing.B) {
 	b.Run("send", func(b *testing.B) {
 		_, c := budgetClient(b)
@@ -167,6 +228,16 @@ func BenchmarkWire(b *testing.B) {
 			if _, err := cons.heartbeat(); err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+	b.Run("drain", func(b *testing.B) {
+		_, c := budgetClient(b)
+		app, send := drainPair(b, c)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			send()
+			app.ReleaseBatch(app.Drain())
 		}
 	})
 }

@@ -51,6 +51,14 @@ type Consumer struct {
 	hbReq  heartbeatReq
 	hbResp heartbeatResp
 
+	// commit is CommitOffsets' messages. Commits may come from any
+	// goroutine, hence its own lock.
+	commit struct {
+		sync.Mutex
+		req  commitReq
+		resp commitResp
+	}
+
 	// lag is Lag's scratch: its messages and the read positions of the
 	// partitions it asks about. Lag runs on a shard's goroutine and on
 	// whatever goroutine totals the service's lag, hence its own lock.
@@ -291,7 +299,9 @@ func (k *Consumer) PollLeased(max int, timeout time.Duration, dst []broker.Recor
 		return dst, broker.NoLease(), nil
 	}
 	req.Topic, req.Max, req.WaitMicros = k.c.topic, max, timeout.Microseconds()
+	k.c.fetches.Add(1)
 	if err := k.callOn(&k.fetch, opFetch, req, resp, &k.recv); err != nil {
+		k.c.emptyFetches.Add(1)
 		if !errors.Is(err, broker.ErrInvalidOffset) {
 			// Failover window: return an empty poll; the heartbeat loop
 			// re-aims the consumer and signals a rebalance.
@@ -313,6 +323,7 @@ func (k *Consumer) PollLeased(max int, timeout time.Duration, dst []broker.Recor
 	}
 	k.mu.Unlock()
 	if len(dst) == base {
+		k.c.emptyFetches.Add(1)
 		return dst, broker.NoLease(), nil
 	}
 	// resp.Recs, and so dst, point into k.recv: the lease takes it and
@@ -322,25 +333,21 @@ func (k *Consumer) PollLeased(max int, timeout time.Duration, dst []broker.Recor
 	return dst, lease, nil
 }
 
-// commitMsgs is one commit's messages; commits may come from any
-// goroutine, so they are pooled rather than kept on the consumer.
-type commitMsgs struct {
-	req  commitReq
-	resp commitResp
-}
-
-var commitPool = sync.Pool{New: func() any { return new(commitMsgs) }}
-
 // CommitOffsets durably records offsets under the consumer's current
 // generation. A commit interrupted by a failover reports
 // ErrRebalanceStale — the records are persisted but not committed, so
 // the successor assignment re-reads them (at-least-once).
+//
+//alarmvet:hotpath
 func (k *Consumer) CommitOffsets(offsets map[int]int64) error {
 	k.mu.Lock()
 	gen := k.gen
 	k.mu.Unlock()
-	cm := commitPool.Get().(*commitMsgs)
-	defer commitPool.Put(cm)
+	// Commits already take turns on the control connection, so one set
+	// of messages, held across the round trip, serves them all.
+	cm := &k.commit
+	cm.Lock()
+	defer cm.Unlock()
 	cm.req.Group, cm.req.Member, cm.req.Gen, cm.req.Offsets = k.group, k.member, gen, cm.req.Offsets[:0]
 	for p, off := range offsets {
 		cm.req.Offsets = append(cm.req.Offsets, partOffset{P: p, Off: off})

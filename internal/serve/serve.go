@@ -33,7 +33,7 @@
 // on its own goroutine. The classify stage is the paper's dominant
 // cost (Figure 12: ~80 % ML). It runs vectorized: the batch is split
 // into ConsumerConfig.ClassifyBatch-sized chunks, each encoded into
-// pooled sparse rows and scored by the model's compiled serving form
+// the shard's sparse rows and scored by the model's compiled serving form
 // (ml.SparseModel), one after another on the classify goroutine. So
 // classification of batch N overlaps decode of batch N+1 and persist
 // of batch N−1 even inside a single shard; parallelism beyond that
@@ -476,8 +476,8 @@ func (s *shard) inflightAdd(d int64) {
 
 // batchDone retires a batch from the in-flight accounting, whatever
 // its fate (persisted, shed, or dropped on error), and recycles its
-// scratch: the broker leases over its raw payloads are released and a
-// pooled batch returns to the app's pool. The batch must not be
+// scratch: the broker lease over its raw payloads is released and a
+// drained batch goes back on the app's free list. The batch must not be
 // touched after this call.
 func (s *shard) batchDone(b *core.Batch) {
 	if !b.Shed {
