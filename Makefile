@@ -194,12 +194,12 @@ test-distributed:
 ## cover: per-package statement coverage with enforced floors on the
 ## serving layers, the classifiers and the two path-sensitive analyzers
 ## (CI `coverage` job). Floors sit ~10 points under measured coverage
-## (core 89%, serve 80%, loadgen 90%, metrics 90%, netbroker 78%, frame
-## 95%, ml 96%, lockscope 95%, batchlife 94%) so they catch real erosion
-## without flaking on noise; docstore's sits one point under its 93.0%,
-## most of it the pushdown battery. Profiles land in coverage/ for the
-## CI artifact upload.
-COVER_FLOORS = internal/core:79 internal/serve:70 internal/loadgen:80 internal/metrics:80 internal/docstore:92 internal/netbroker:70 internal/frame:85 internal/ml:88 internal/analysis/lockscope:85 internal/analysis/batchlife:84
+## (broker 85%, core 89%, serve 80%, loadgen 90%, metrics 90%, netbroker
+## 78%, frame 95%, ml 96%, lockscope 95%, batchlife 94%) so they catch
+## real erosion without flaking on noise; docstore's sits one point under
+## its 93.0%, most of it the pushdown battery. Profiles land in coverage/
+## for the CI artifact upload.
+COVER_FLOORS = internal/broker:75 internal/core:79 internal/serve:70 internal/loadgen:80 internal/metrics:80 internal/docstore:92 internal/netbroker:70 internal/frame:85 internal/ml:88 internal/analysis/lockscope:85 internal/analysis/batchlife:84
 cover:
 	@mkdir -p coverage; fail=0; \
 	for spec in $(COVER_FLOORS); do \

@@ -106,25 +106,67 @@ func (b *Broker) Topic(name string) (*Topic, error) {
 // committed offsets per partition — the coordinator-side view shards
 // and monitoring use to audit progress without joining the group.
 func (b *Broker) GroupCommitted(group string) (map[int]int64, error) {
-	b.mu.RLock()
-	g, ok := b.groups[group]
-	b.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownGroup, group)
+	g, err := b.lookupGroup(group)
+	if err != nil {
+		return nil, err
 	}
 	return g.committedSnapshot(), nil
 }
 
+// JoinGroup adds member to the named consumer group on topic t,
+// creating the group if need be, and returns the member's assignment
+// and the group's generation. A join under an id already present keeps
+// one member and moves no generation. It and the Group calls below are
+// the coordinator as the network server drives it for remote members,
+// which poll client-side and hold no in-process Consumer.
+func (b *Broker) JoinGroup(groupName string, t *Topic, member string) ([]int, int64, error) {
+	g, err := b.groupFor(groupName, t)
+	if err != nil {
+		return nil, 0, err
+	}
+	g.join(member, nil)
+	return g.assignment(member)
+}
+
+// GroupAssignment returns member's partitions and the generation they
+// belong to; a member that left or never joined gets ErrNotMember.
+func (b *Broker) GroupAssignment(groupName, member string) ([]int, int64, error) {
+	g, err := b.lookupGroup(groupName)
+	if err != nil {
+		return nil, 0, err
+	}
+	return g.assignment(member)
+}
+
+// GroupGeneration returns the named group's assignment generation,
+// which every membership change bumps: a remote member whose
+// assignment is of an older one must refresh it.
+func (b *Broker) GroupGeneration(groupName string) (int64, error) {
+	g, err := b.lookupGroup(groupName)
+	if err != nil {
+		return 0, err
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.generation, nil
+}
+
+// LeaveGroup removes member from the named group; an unknown group or
+// member is a no-op.
+func (b *Broker) LeaveGroup(groupName, member string) {
+	if g, err := b.lookupGroup(groupName); err == nil {
+		g.leave(member)
+	}
+}
+
 // GroupCommit durably records offsets for the named group under an
-// explicit generation — the network server's commit path, where the
-// fencing generation is the remote consumer's view, not a local
-// consumer's. A generation mismatch fails with ErrRebalanceStale.
+// explicit generation — a remote member's commit, fenced by the
+// generation that member last read. A generation mismatch fails with
+// ErrRebalanceStale.
 func (b *Broker) GroupCommit(groupName string, gen int64, offsets map[int]int64) error {
-	b.mu.RLock()
-	g, ok := b.groups[groupName]
-	b.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownGroup, groupName)
+	g, err := b.lookupGroup(groupName)
+	if err != nil {
+		return err
 	}
 	return g.commit(gen, offsets)
 }
@@ -220,17 +262,12 @@ func (t *Topic) HighWatermark(p int) (int64, error) {
 	return t.partitions[p].highWatermark(), nil
 }
 
-// Fetch reads up to max records from partition p starting at offset.
-// It never blocks; it returns an empty slice when offset is at the
-// high watermark.
-func (t *Topic) Fetch(p int, offset int64, max int) ([]Record, error) {
-	return t.FetchInto(p, offset, max, nil)
-}
-
-// FetchInto is Fetch appending to dst, which it returns as it was on an
-// error. The records' keys and values are views of the partition's
-// arena, which is never rewritten: they stay valid for as long as the
-// caller keeps them, and with capacity in dst nothing is allocated.
+// FetchInto appends up to max records of partition p, starting at
+// offset, to dst, which it returns as it was on an error. It never
+// blocks and appends nothing when offset is at the high watermark. The
+// records' keys and values are views of the partition's arena, which is
+// never rewritten: they stay valid for as long as the caller keeps
+// them, and with capacity in dst nothing is allocated.
 func (t *Topic) FetchInto(p int, offset int64, max int, dst []Record) ([]Record, error) {
 	if p < 0 || p >= len(t.partitions) {
 		return dst, fmt.Errorf("%w: partition %d", ErrInvalidOffset, p)
@@ -484,9 +521,10 @@ func (p *partition) setVisibleLimit(off int64) {
 	p.mu.Unlock()
 }
 
-// append adds records to the log. producerID/baseSeq implement
-// idempotence: a batch whose sequence numbers were already observed is
-// acknowledged without being re-appended.
+// append adds records to the log, stamping the clock's time on those
+// that carry none. producerID/baseSeq implement idempotence: a batch
+// whose sequence numbers were already observed is acknowledged without
+// being re-appended.
 func (p *partition) append(producerID, baseSeq int64, recs []Record) (int64, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -501,8 +539,34 @@ func (p *partition) append(producerID, baseSeq int64, recs []Record) (int64, err
 		}
 		p.seqs[producerID] = baseSeq + int64(len(recs)) - 1
 	}
+	return p.installLocked(recs, p.clock()), nil
+}
+
+// appendReplica installs leader records with the leader's timestamps;
+// recs[0].Offset must equal the local log size (sequential
+// replication).
+func (p *partition) appendReplica(recs []Record) error {
+	if len(recs) == 0 {
+		return nil
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		return ErrClosed
+	}
+	if base := int64(len(p.records)); recs[0].Offset != base {
+		return fmt.Errorf("%w: replica append at %d (log %d)", ErrInvalidOffset, recs[0].Offset, base)
+	}
+	p.installLocked(recs, time.Time{})
+	return nil
+}
+
+// installLocked appends recs at the end of the log, stamping now on
+// the records without a timestamp (a zero now leaves them as they
+// are), wakes the partition's consumers and returns the first record's
+// offset. Caller holds p.mu.
+func (p *partition) installLocked(recs []Record, now time.Time) int64 {
 	base := int64(len(p.records))
-	now := p.clock()
 	for i := range recs {
 		r := recs[i]
 		r.Topic = p.topic
@@ -512,13 +576,13 @@ func (p *partition) append(producerID, baseSeq int64, recs []Record) (int64, err
 			r.Timestamp = now
 		}
 		// Copy payloads into the partition arena: the caller may reuse
-		// its buffers the moment append returns.
+		// its buffers the moment the append returns.
 		r.Key = p.arena.hold(r.Key)
 		r.Value = p.arena.hold(r.Value)
 		p.records = append(p.records, r)
 	}
 	p.wakeLocked()
-	return base, nil
+	return base
 }
 
 // read appends up to max records starting at offset to dst: up to the
@@ -545,34 +609,6 @@ func (p *partition) read(offset int64, max int, committed bool, dst []Record) ([
 		return dst, nil
 	}
 	return append(dst, p.records[offset:end]...), nil
-}
-
-// appendReplica installs leader records verbatim; recs[0].Offset must
-// equal the local log size (sequential replication).
-func (p *partition) appendReplica(recs []Record) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return ErrClosed
-	}
-	base := int64(len(p.records))
-	if recs[0].Offset != base {
-		return fmt.Errorf("%w: replica append at %d (log %d)", ErrInvalidOffset, recs[0].Offset, base)
-	}
-	for i := range recs {
-		r := recs[i]
-		r.Topic = p.topic
-		r.Partition = p.index
-		r.Offset = base + int64(i)
-		r.Key = p.arena.hold(r.Key)
-		r.Value = p.arena.hold(r.Value)
-		p.records = append(p.records, r)
-	}
-	p.wakeLocked()
-	return nil
 }
 
 // truncate drops records at and past off — only ever an uncommitted

@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -16,6 +17,22 @@ func mustTopic(t *testing.T, b *Broker, name string, parts int) *Topic {
 		t.Fatalf("CreateTopic: %v", err)
 	}
 	return tp
+}
+
+// pollCopy polls under a lease, clones the records' bytes and releases
+// the lease: the tests that keep the records they read.
+func pollCopy(c *Consumer, max int, timeout time.Duration) ([]Record, error) {
+	recs, lease, err := c.PollLeased(max, timeout, nil)
+	for i := range recs {
+		recs[i].Key, recs[i].Value = bytes.Clone(recs[i].Key), bytes.Clone(recs[i].Value)
+	}
+	lease.Release()
+	return recs, err
+}
+
+// commitPositions commits everything c has polled so far.
+func commitPositions(c *Consumer) error {
+	return c.CommitOffsets(c.PositionsInto(nil))
 }
 
 func TestCreateTopicValidation(t *testing.T) {
@@ -41,7 +58,7 @@ func TestProduceFetchOrdering(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	recs, err := tp.Fetch(0, 0, 1000)
+	recs, err := tp.FetchInto(0, 0, 1000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,13 +176,13 @@ func TestPollAndCommitResume(t *testing.T) {
 	}
 	seen := 0
 	for seen < 10 {
-		recs, err := c.Poll(5, time.Second)
+		recs, err := pollCopy(c, 5, time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
 		seen += len(recs)
 	}
-	if err := c.Commit(); err != nil {
+	if err := commitPositions(c); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate crash: new consumer in the same group resumes from the
@@ -177,7 +194,7 @@ func TestPollAndCommitResume(t *testing.T) {
 	}
 	rest := 0
 	for {
-		recs, err := c2.Poll(100, 50*time.Millisecond)
+		recs, err := pollCopy(c2, 100, 50*time.Millisecond)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,14 +219,14 @@ func TestUncommittedProgressIsRedelivered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := c.Poll(5, time.Second)
+	recs, err := pollCopy(c, 5, time.Second)
 	if err != nil || len(recs) != 5 {
 		t.Fatalf("poll: %v (%d records)", err, len(recs))
 	}
 	// No commit; successor must re-read everything.
 	c.Close()
 	c2, _ := NewConsumer(b, "g", tp, "c2")
-	recs2, err := c2.Poll(5, time.Second)
+	recs2, err := pollCopy(c2, 5, time.Second)
 	if err != nil || len(recs2) != 5 {
 		t.Fatalf("successor should re-read uncommitted records, got %d", len(recs2))
 	}
@@ -223,13 +240,13 @@ func TestStaleGenerationCommitRejected(t *testing.T) {
 	if _, err := NewConsumer(b, "g", tp, "c2"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c1.Commit(); err == nil {
+	if err := commitPositions(c1); err == nil {
 		t.Error("commit with stale generation should fail")
 	}
 	if err := c1.RefreshAssignment(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c1.Commit(); err != nil {
+	if err := commitPositions(c1); err != nil {
 		t.Errorf("commit after refresh: %v", err)
 	}
 }
@@ -240,7 +257,7 @@ func TestPollBlocksUntilData(t *testing.T) {
 	c, _ := NewConsumer(b, "g", tp, "c1")
 	done := make(chan []Record, 1)
 	go func() {
-		recs, _ := c.Poll(1, 2*time.Second)
+		recs, _ := pollCopy(c, 1, 2*time.Second)
 		done <- recs
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -261,7 +278,7 @@ func TestPollTimeout(t *testing.T) {
 	tp := mustTopic(t, b, "alarms", 1)
 	c, _ := NewConsumer(b, "g", tp, "c1")
 	start := time.Now()
-	recs, err := c.Poll(1, 30*time.Millisecond)
+	recs, err := pollCopy(c, 1, 30*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +305,7 @@ func TestLag(t *testing.T) {
 	if lag != 10 {
 		t.Fatalf("lag = %d, want 10", lag)
 	}
-	c.Poll(4, time.Second)
+	pollCopy(c, 4, time.Second)
 	lag, _ = c.Lag()
 	if lag != 6 {
 		t.Fatalf("lag after poll = %d, want 6", lag)
@@ -301,7 +318,7 @@ func TestCloseWakesConsumers(t *testing.T) {
 	c, _ := NewConsumer(b, "g", tp, "c1")
 	done := make(chan struct{})
 	go func() {
-		c.Poll(1, 10*time.Second)
+		pollCopy(c, 1, 10*time.Second)
 		close(done)
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -335,7 +352,7 @@ func TestConcurrentProducersNoLossNoDup(t *testing.T) {
 	wg.Wait()
 	seen := make(map[string]int)
 	for part := 0; part < 4; part++ {
-		recs, err := tp.Fetch(part, 0, producers*perProducer)
+		recs, err := tp.FetchInto(part, 0, producers*perProducer, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -382,7 +399,7 @@ func TestConcurrentGroupConsumptionCoversLog(t *testing.T) {
 		go func(c *Consumer) {
 			defer wg.Done()
 			for {
-				recs, err := c.Poll(100, 100*time.Millisecond)
+				recs, err := pollCopy(c, 100, 100*time.Millisecond)
 				if err != nil {
 					t.Errorf("poll: %v", err)
 					return
@@ -440,13 +457,13 @@ func TestPropertyPartitionerUniformAndStable(t *testing.T) {
 func TestFetchInvalidOffset(t *testing.T) {
 	b := New()
 	tp := mustTopic(t, b, "alarms", 1)
-	if _, err := tp.Fetch(0, -1, 10); err == nil {
+	if _, err := tp.FetchInto(0, -1, 10, nil); err == nil {
 		t.Error("negative offset accepted")
 	}
-	if _, err := tp.Fetch(0, 5, 10); err == nil {
+	if _, err := tp.FetchInto(0, 5, 10, nil); err == nil {
 		t.Error("offset past high watermark accepted")
 	}
-	if _, err := tp.Fetch(3, 0, 10); err == nil {
+	if _, err := tp.FetchInto(3, 0, 10, nil); err == nil {
 		t.Error("invalid partition accepted")
 	}
 }

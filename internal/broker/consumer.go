@@ -2,22 +2,25 @@ package broker
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 )
 
 // group is the coordinator state for one consumer group: membership,
-// partition assignment generation, and committed offsets.
+// partition assignment generation, and committed offsets. Its members
+// are in-process Consumers and the wire server's remote sessions alike.
 type group struct {
 	mu         sync.Mutex
 	topic      *Topic
 	members    []string
 	generation int64
 	committed  map[int]int64 // partition -> next offset to consume
-	// watchers holds one signal channel per member; a buffered send on
-	// membership change is the rebalance notification consumers poll
-	// via Consumer.Rebalances.
+	// watchers holds the rebalance channel of each in-process member: a
+	// buffered send on membership change is the notification
+	// Consumer.Rebalances hands out. Remote members hold none; they
+	// compare generations in their heartbeats.
 	watchers map[string]chan struct{}
 }
 
@@ -25,12 +28,8 @@ type group struct {
 // change (it learns its assignment synchronously). Callers hold g.mu.
 func (g *group) notifyLocked(except string) {
 	for m, ch := range g.watchers {
-		if m == except {
-			continue
-		}
-		select {
-		case ch <- struct{}{}:
-		default: // already has a pending notification
+		if m != except {
+			signal(ch)
 		}
 	}
 }
@@ -43,7 +42,7 @@ func (b *Broker) groupFor(name string, t *Topic) (*group, error) {
 	}
 	g, ok := b.groups[name]
 	if !ok {
-		g = &group{topic: t, committed: make(map[int]int64)}
+		g = &group{topic: t, committed: make(map[int]int64), watchers: make(map[string]chan struct{})}
 		b.groups[name] = g
 		return g, nil
 	}
@@ -53,34 +52,47 @@ func (b *Broker) groupFor(name string, t *Topic) (*group, error) {
 	return g, nil
 }
 
-// join adds a member, bumps the assignment generation, notifies the
-// surviving members and returns the new member's rebalance channel.
-func (g *group) join(member string) <-chan struct{} {
+// lookupGroup returns the named group, which a member must have
+// created by joining.
+func (b *Broker) lookupGroup(name string) (*group, error) {
+	b.mu.RLock()
+	g, ok := b.groups[name]
+	b.mu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrUnknownGroup, name)
+	}
+	return g, nil
+}
+
+// join adds a member, bumps the assignment generation and notifies the
+// other members; a join under an id already present keeps one member
+// and moves nothing. Either way a non-nil watch becomes the member's
+// rebalance channel.
+func (g *group) join(member string, watch chan struct{}) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	if watch != nil {
+		g.watchers[member] = watch
+	}
+	if slices.Contains(g.members, member) {
+		return
+	}
 	g.members = append(g.members, member)
 	sort.Strings(g.members)
 	g.generation++
-	if g.watchers == nil {
-		g.watchers = make(map[string]chan struct{})
-	}
-	ch := make(chan struct{}, 1)
-	g.watchers[member] = ch
 	g.notifyLocked(member)
-	return ch
 }
 
 // leave removes a member, bumps the assignment generation and notifies
-// the survivors.
+// the survivors; leaving as a non-member changes nothing.
 func (g *group) leave(member string) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	for i, m := range g.members {
-		if m == member {
-			g.members = append(g.members[:i], g.members[i+1:]...)
-			break
-		}
+	i := slices.Index(g.members, member)
+	if i < 0 {
+		return
 	}
+	g.members = slices.Delete(g.members, i, i+1)
 	delete(g.watchers, member)
 	g.generation++
 	g.notifyLocked(member)
@@ -91,13 +103,7 @@ func (g *group) leave(member string) {
 func (g *group) assignment(member string) (parts []int, gen int64, err error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	idx := -1
-	for i, m := range g.members {
-		if m == member {
-			idx = i
-			break
-		}
-	}
+	idx := slices.Index(g.members, member)
 	if idx < 0 {
 		return nil, 0, ErrNotMember
 	}
@@ -195,21 +201,22 @@ func (b *Broker) SeedGroupOffset(groupName string, t *Topic, p int, off int64) e
 	return nil
 }
 
-// Consumer reads records from the partitions assigned to it by its
-// consumer group. Position advances on Poll; progress becomes durable
-// (and visible to a successor after a crash/rebalance) only on Commit —
-// the read-committed half of the exactly-once contract. One goroutine
-// polls at a time; every other method, Close included, may be called
-// from any goroutine beside it. The assigned partitions hold the
-// consumer's wake channel and signal it on every append, so a consumer
-// must be Closed to be released: dropping one without Close leaves its
-// channel registered for the life of the topic.
+// Consumer is an in-process shard's member of a consumer group: it
+// polls the partitions the group assigns it through PollLeased.
+// Positions advance on each poll; progress becomes durable (and
+// visible to a successor after a crash/rebalance) only on
+// CommitOffsets — the read-committed half of the exactly-once
+// contract. One goroutine polls at a time; every other method, Close
+// included, may be called from any goroutine beside it. The assigned
+// partitions hold the consumer's wake channel and signal it on every
+// append, so a consumer must be Closed to be released: dropping one
+// without Close leaves its channel registered for the life of the
+// topic.
 type Consumer struct {
-	broker     *Broker
 	topic      *Topic
 	grp        *group
 	id         string
-	rebalances <-chan struct{}
+	rebalances chan struct{}
 	// wake (capacity 1) is what a poll that found nothing parks on: the
 	// assigned partitions signal it (partition.wakeLocked), as do Close
 	// and a refreshed assignment. timer is the park's deadline, reused
@@ -230,15 +237,15 @@ type Consumer struct {
 
 // NewConsumer joins (or creates) the named consumer group on topic t
 // and returns a consumer with its partition assignment. Member ids
-// must be unique within a group: the coordinator keys rebalance
-// watchers by id.
+// must be unique within a group: the coordinator keys members and
+// their rebalance channels by id.
 func NewConsumer(b *Broker, groupName string, t *Topic, id string) (*Consumer, error) {
 	g, err := b.groupFor(groupName, t)
 	if err != nil {
 		return nil, err
 	}
-	c := &Consumer{broker: b, topic: t, grp: g, id: id, wake: make(chan struct{}, 1)}
-	c.rebalances = g.join(id)
+	c := &Consumer{topic: t, grp: g, id: id, rebalances: make(chan struct{}, 1), wake: make(chan struct{}, 1)}
+	g.join(id, c.rebalances)
 	if err := c.refreshAssignment(); err != nil {
 		return nil, err
 	}
@@ -251,15 +258,6 @@ func NewConsumer(b *Broker, groupName string, t *Topic, id string) (*Consumer, e
 // called. The channel is buffered (capacity 1); coalesced signals are
 // fine because a single refresh observes the latest generation.
 func (c *Consumer) Rebalances() <-chan struct{} { return c.rebalances }
-
-// Generation returns the assignment generation this consumer last
-// refreshed at. Commits are fenced against it: a commit from an older
-// generation fails with ErrRebalanceStale.
-func (c *Consumer) Generation() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.gen
-}
 
 // refreshAssignment re-reads the group's assignment for this member,
 // seeks newly-acquired partitions to their committed offsets and moves
@@ -305,58 +303,6 @@ func (c *Consumer) Assignment() []int {
 	out := make([]int, len(c.assigned))
 	copy(out, c.assigned)
 	return out
-}
-
-// Poll fetches up to max records across assigned partitions. When
-// none has data it parks until an append, a raised visible limit, a
-// refreshed assignment or a close on this consumer or one of its
-// partitions wakes it, for at most timeout. A nil, nil return means
-// the timeout elapsed, or the poll was parked when a partition or the
-// consumer closed, with no records; a poll that starts on partitions
-// already closed still waits out its timeout, so a caller looping on
-// Poll after Broker.Close stays paced.
-func (c *Consumer) Poll(max int, timeout time.Duration) ([]Record, error) {
-	if max <= 0 {
-		max = 1
-	}
-	deadline := time.Now().Add(timeout)
-	for {
-		recs, err := c.pollOnce(max)
-		if err != nil || len(recs) > 0 {
-			return recs, err
-		}
-		if !c.waitAny(deadline) {
-			return nil, nil
-		}
-	}
-}
-
-// pollOnce does a non-blocking sweep over assigned partitions starting
-// at the round-robin cursor, so one hot partition cannot starve the
-// others.
-func (c *Consumer) pollOnce(max int) ([]Record, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil, ErrClosed
-	}
-	var out []Record
-	n := len(c.assigned)
-	for i := 0; i < n && len(out) < max; i++ {
-		p := c.assigned[(c.next+i)%n]
-		recs, err := c.topic.Fetch(p, c.positions[p], max-len(out))
-		if err != nil {
-			return out, err
-		}
-		if len(recs) > 0 {
-			c.positions[p] += int64(len(recs))
-			out = append(out, recs...)
-		}
-	}
-	if n > 0 {
-		c.next = (c.next + 1) % n
-	}
-	return out, nil
 }
 
 // waitAny parks a poll that found nothing: it reports true as soon as
@@ -421,26 +367,14 @@ func (c *Consumer) readable() (ready, open bool) {
 	return false, open
 }
 
-// Commit durably records the consumer's current positions in the
-// group coordinator. After a crash, a successor resumes from the last
-// committed offsets, so records are never skipped; the idempotent
-// producer ensures they are never duplicated.
-func (c *Consumer) Commit() error {
-	c.mu.Lock()
-	gen := c.gen
-	offsets := make(map[int]int64, len(c.positions))
-	for p, off := range c.positions {
-		offsets[p] = off
-	}
-	c.mu.Unlock()
-	return c.grp.commit(gen, offsets)
-}
-
 // CommitOffsets durably records the given offsets (captured earlier,
-// e.g. when a batch was drained) under the consumer's current
-// generation. Pipelined consumers use it to commit each batch exactly
-// as far as that batch read, even though later batches have already
-// advanced the live positions.
+// e.g. when a batch was drained) under the generation of the
+// consumer's assignment; after a rebalance it fails with
+// ErrRebalanceStale until RefreshAssignment. Pipelined consumers use it
+// to commit each batch exactly as far as that batch read, even though
+// later batches have already advanced the live positions. A successor
+// resumes from the last committed offsets, so records are never
+// skipped; the idempotent producer ensures they are never duplicated.
 func (c *Consumer) CommitOffsets(offsets map[int]int64) error {
 	c.mu.Lock()
 	gen := c.gen

@@ -45,7 +45,7 @@ func eventConsumer(t *testing.T, partitions int) (*Broker, *Topic, *Consumer) {
 func parkPoll(c *Consumer, timeout time.Duration) <-chan polled {
 	done := make(chan polled, 1)
 	go func() {
-		recs, err := c.Poll(1, timeout)
+		recs, err := pollCopy(c, 1, timeout)
 		done <- polled{recs, err, time.Now()}
 	}()
 	// Nothing observable says the poll has parked; if it has not, the
@@ -94,7 +94,7 @@ func TestParkedPollWakeLatency(t *testing.T) {
 	results := make(chan polled)
 	go func() {
 		for i := 0; i < n; i++ {
-			recs, err := c.Poll(1, 2*time.Second)
+			recs, err := pollCopy(c, 1, 2*time.Second)
 			results <- polled{recs, err, time.Now()}
 		}
 	}()
@@ -183,7 +183,7 @@ func TestPollAfterPartitionCloseStaysParked(t *testing.T) {
 	var slowest time.Duration
 	for i := 0; i < 3; i++ {
 		start := time.Now()
-		if recs, err := c.Poll(1, timeout); err != nil || recs != nil {
+		if recs, err := pollCopy(c, 1, timeout); err != nil || recs != nil {
 			t.Fatalf("poll on a closed broker = %v, %v", recs, err)
 		}
 		slowest = max(slowest, time.Since(start))
@@ -348,7 +348,7 @@ func TestLostWakeupHammer(t *testing.T) {
 			for {
 				// Small polls keep the members at the edge of their
 				// logs, where sweep and append race.
-				recs, err := c.Poll(8, 30*time.Second)
+				recs, err := pollCopy(c, 8, 30*time.Second)
 				if err != nil || len(recs) == 0 {
 					return // closed below, once everything arrived
 				}

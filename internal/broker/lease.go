@@ -1,7 +1,6 @@
 package broker
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -177,52 +176,21 @@ var noLease Lease
 // NoLease returns that shared, already released lease.
 func NoLease() *Lease { return &noLease }
 
-// fetchLeasedLocked appends up to max records starting at offset to
-// dst. In check mode, record values are copied into one private buffer,
-// returned for the caller's lease to own and poison. Caller holds p.mu.
-func (p *partition) fetchLeasedLocked(offset int64, max int, dst []Record) ([]Record, []byte, error) {
-	if offset < 0 || offset > int64(len(p.records)) {
-		return dst, nil, fmt.Errorf("%w: offset %d (hw %d)", ErrInvalidOffset, offset, len(p.records))
-	}
-	end := offset + int64(max)
-	if ve := p.visibleEndLocked(); end > ve {
-		end = ve
-	}
-	if end <= offset {
-		return dst, nil, nil
-	}
-	if !leaseCheckMode.Load() {
-		return append(dst, p.records[offset:end]...), nil, nil
-	}
-	total := 0
-	for _, r := range p.records[offset:end] {
-		total += len(r.Value)
-	}
-	checkBuf := make([]byte, 0, total)
-	for _, r := range p.records[offset:end] {
-		n := len(checkBuf)
-		checkBuf = append(checkBuf, r.Value...)
-		r.Value = checkBuf[n:len(checkBuf):len(checkBuf)]
-		dst = append(dst, r)
-	}
-	return dst, checkBuf, nil
-}
-
-// hold makes the lease own a check-mode buffer (nil is ignored).
-func (l *Lease) hold(buf []byte) {
-	if len(buf) > 0 {
-		l.bufs = append(l.bufs, buf)
-	}
-}
-
-// PollLeased is Poll's scratch-reusing twin: records append into dst
-// (typically a pooled slice with retained capacity) and their payload
-// bytes are borrowed from the broker under the returned lease instead
-// of staying referenced forever. It waits exactly as Poll does. The
-// lease must be released after the batch is fully processed; until
-// then the values are stable. A poll that fetched nothing returns a
-// shared, already-released lease and allocates nothing; a nil lease is
-// returned only with an error.
+// PollLeased fetches up to max records across the assigned partitions,
+// appending them to dst (typically a batch's slice with retained
+// capacity), and advances the consumer's positions past them. The
+// records' payload bytes are borrowed from the broker under the
+// returned lease, which must be released after the batch is fully
+// processed; until then the values are stable. When no partition has
+// data it parks until an append, a raised visible limit, a refreshed
+// assignment or a close on this consumer or one of its partitions
+// wakes it, for at most timeout (see waitAny). A poll that fetched
+// nothing — the timeout elapsed, or the poll was parked when a
+// partition or the consumer closed — returns dst with a shared,
+// already-released lease and allocates nothing; a nil lease is
+// returned only with an error. A poll that starts on partitions already
+// closed still waits out its timeout, so a caller looping on PollLeased
+// after Broker.Close stays paced.
 func (c *Consumer) PollLeased(max int, timeout time.Duration, dst []Record) ([]Record, *Lease, error) {
 	if max <= 0 {
 		max = 1
@@ -239,9 +207,11 @@ func (c *Consumer) PollLeased(max int, timeout time.Duration, dst []Record) ([]R
 	}
 }
 
-// pollLeasedOnce sweeps the assigned partitions once, appending into
-// dst under one lease, made when the first record is fetched (nil
-// when none was).
+// pollLeasedOnce sweeps the assigned partitions once, starting at the
+// round-robin cursor so one hot partition cannot starve the others,
+// and appends into dst under one lease, made when the first record is
+// read (nil when none was). In check mode the lease owns a private
+// copy of the values read.
 //
 //alarmvet:hotpath
 func (c *Consumer) pollLeasedOnce(max int, dst []Record) ([]Record, *Lease, error) {
@@ -255,19 +225,19 @@ func (c *Consumer) pollLeasedOnce(max int, dst []Record) ([]Record, *Lease, erro
 	n := len(c.assigned)
 	for i := 0; i < n && len(dst)-base < max; i++ {
 		p := c.assigned[(c.next+i)%n]
-		part := c.topic.partitions[p]
-		part.mu.Lock()
-		out, buf, err := part.fetchLeasedLocked(c.positions[p], max-(len(dst)-base), dst)
-		part.mu.Unlock()
+		from := len(dst)
+		out, err := c.topic.partitions[p].read(c.positions[p], max-(from-base), true, dst)
 		if err != nil {
 			return dst, lease, err
 		}
-		if got := len(out) - len(dst); got > 0 {
+		if got := len(out) - from; got > 0 {
 			c.positions[p] += int64(got)
 			if lease == nil {
 				lease, _ = c.leases.Lend(nil)
 			}
-			lease.hold(buf)
+			if leaseCheckMode.Load() {
+				lease.copyValues(out[from:])
+			}
 		}
 		dst = out
 	}
@@ -275,6 +245,22 @@ func (c *Consumer) pollLeasedOnce(max int, dst []Record) ([]Record, *Lease, erro
 		c.next = (c.next + 1) % n
 	}
 	return dst, lease, nil
+}
+
+// copyValues moves recs' values into one buffer the lease owns and
+// Release poisons: check mode's private copy of an in-process read.
+func (l *Lease) copyValues(recs []Record) {
+	total := 0
+	for _, r := range recs {
+		total += len(r.Value)
+	}
+	buf := make([]byte, 0, total)
+	for i := range recs {
+		n := len(buf)
+		buf = append(buf, recs[i].Value...)
+		recs[i].Value = buf[n:len(buf):len(buf)]
+	}
+	l.bufs = append(l.bufs, buf)
 }
 
 // LeaseStats snapshots the consumer's lease free list; its Active count

@@ -43,7 +43,7 @@ func TestAppendDoesNotAliasProducerBuffers(t *testing.T) {
 	for i := range buf {
 		buf[i] = 'X' // producer reuses its buffer
 	}
-	recs, err := topic.Fetch(0, 0, 10)
+	recs, err := topic.FetchInto(0, 0, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestLeaseCheckPoisonsOnRelease(t *testing.T) {
 	}
 	// The log itself must be unharmed: only the lease's private copies
 	// are poisoned, never the shared arena.
-	fresh, err := topic.Fetch(0, 2, 1)
+	fresh, err := topic.FetchInto(0, 2, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,28 +123,17 @@ func TestLeaseCheckPoisonsOnRelease(t *testing.T) {
 	}
 }
 
+// TestPollLeasedMatchesPoll holds leased polls to the log: every record
+// arrives once, each partition's in offset order, with the bytes
+// FetchInto reads at its offset.
 func TestPollLeasedMatchesPoll(t *testing.T) {
 	b, topic := leaseTopic(t, 4, 200)
-	plain, err := NewConsumer(b, "plain", topic, "c0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	leased, err := NewConsumer(b, "leased", topic, "c1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want, got []Record
-	for len(want) < 200 {
-		recs, err := plain.Poll(64, 10*time.Millisecond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(recs) == 0 {
-			break
-		}
-		want = append(want, recs...)
-	}
 	scratch := make([]Record, 0, 64)
+	var got []Record
 	var leases []*Lease
 	for len(got) < 200 {
 		recs, lease, err := leased.PollLeased(64, 10*time.Millisecond, scratch[:0])
@@ -170,20 +159,26 @@ func TestPollLeasedMatchesPoll(t *testing.T) {
 	if leased.LeaseStats().Active != 0 {
 		t.Fatalf("leases leaked: %d active after release", leased.LeaseStats().Active)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("leased poll drained %d records, plain drained %d", len(got), len(want))
+	if len(got) != 200 {
+		t.Fatalf("leased polls drained %d records, want 200", len(got))
 	}
-	byOffset := func(rs []Record) map[string]string {
-		m := make(map[string]string, len(rs))
-		for _, r := range rs {
-			m[fmt.Sprintf("%d/%d", r.Partition, r.Offset)] = string(r.Value)
+	next := make([]int64, topic.Partitions())
+	for _, r := range got {
+		if r.Offset != next[r.Partition] {
+			t.Fatalf("partition %d: offset %d arrived where %d was due", r.Partition, r.Offset, next[r.Partition])
 		}
-		return m
+		next[r.Partition]++
+		ref, err := topic.FetchInto(r.Partition, r.Offset, 1, nil)
+		if err != nil || len(ref) != 1 {
+			t.Fatalf("FetchInto(%d, %d) = %d records, %v", r.Partition, r.Offset, len(ref), err)
+		}
+		if !bytes.Equal(r.Value, ref[0].Value) || !bytes.Equal(r.Key, ref[0].Key) {
+			t.Fatalf("record %d/%d: leased %q, log %q", r.Partition, r.Offset, r.Value, ref[0].Value)
+		}
 	}
-	wm, gm := byOffset(want), byOffset(got)
-	for k, v := range wm {
-		if gm[k] != v {
-			t.Fatalf("record %s: leased %q plain %q", k, gm[k], v)
+	for p, n := range next {
+		if hw, _ := topic.HighWatermark(p); n != hw {
+			t.Fatalf("partition %d: %d records arrived, log holds %d", p, n, hw)
 		}
 	}
 }

@@ -36,7 +36,7 @@ func TestCommitFencedByRebalanceEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c1.Close()
-	recs, err := c1.Poll(100, time.Second)
+	recs, err := pollCopy(c1, 100, time.Second)
 	if err != nil || len(recs) == 0 {
 		t.Fatalf("poll: %d records, err %v", len(recs), err)
 	}
@@ -48,7 +48,7 @@ func TestCommitFencedByRebalanceEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	if err := c1.Commit(); !errors.Is(err, ErrRebalanceStale) {
+	if err := commitPositions(c1); !errors.Is(err, ErrRebalanceStale) {
 		t.Fatalf("commit after rebalance = %v, want ErrRebalanceStale", err)
 	}
 	committed, err := b.GroupCommitted("g")
@@ -66,11 +66,11 @@ func TestCommitFencedByRebalanceEndToEnd(t *testing.T) {
 	if err := c1.RefreshAssignment(); err != nil {
 		t.Fatal(err)
 	}
-	recs2, err := c1.Poll(100, time.Second)
+	recs2, err := pollCopy(c1, 100, time.Second)
 	if err != nil || len(recs2) == 0 {
 		t.Fatalf("re-poll: %d records, err %v", len(recs2), err)
 	}
-	if err := c1.Commit(); err != nil {
+	if err := commitPositions(c1); err != nil {
 		t.Fatalf("commit after refresh: %v", err)
 	}
 	committed, err = b.GroupCommitted("g")
@@ -116,12 +116,18 @@ func TestRebalanceNotifications(t *testing.T) {
 	default:
 	}
 
-	gen := c1.Generation()
+	gen, err := b.GroupGeneration("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c1.gen >= gen {
+		t.Fatalf("c2's join left the group at generation %d, c1 already at %d", gen, c1.gen)
+	}
 	if err := c1.RefreshAssignment(); err != nil {
 		t.Fatal(err)
 	}
-	if c1.Generation() <= gen {
-		t.Fatalf("generation did not advance: %d -> %d", gen, c1.Generation())
+	if c1.gen != gen {
+		t.Fatalf("refreshed c1 holds generation %d, the group %d", c1.gen, gen)
 	}
 
 	c2.Close()
@@ -161,7 +167,7 @@ func TestPollPacesEmptyAssignment(t *testing.T) {
 		t.Fatal("expected one member with an empty assignment")
 	}
 	start := time.Now()
-	recs, err := empty.Poll(10, 50*time.Millisecond)
+	recs, err := pollCopy(empty, 10, 50*time.Millisecond)
 	if err != nil || recs != nil {
 		t.Fatalf("empty-assignment poll = %d records, err %v", len(recs), err)
 	}
@@ -183,7 +189,7 @@ func TestGroupCommittedQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Poll(100, time.Second); err != nil {
+	if _, err := pollCopy(c, 100, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	positions := c.PositionsInto(nil)
@@ -257,7 +263,7 @@ func TestRebalanceChurnConcurrentJoinLeave(t *testing.T) {
 		defer c.Close()
 		deadline := time.Now().Add(30 * time.Second)
 		for time.Now().Before(deadline) {
-			recs, err := c.Poll(64, 5*time.Millisecond)
+			recs, err := pollCopy(c, 64, 5*time.Millisecond)
 			if err != nil {
 				t.Errorf("%s: poll: %v", id, err)
 				return
@@ -268,7 +274,7 @@ func TestRebalanceChurnConcurrentJoinLeave(t *testing.T) {
 			}
 			done := len(seen) == total
 			mu.Unlock()
-			if err := c.Commit(); err != nil {
+			if err := commitPositions(c); err != nil {
 				if !errors.Is(err, ErrRebalanceStale) {
 					t.Errorf("%s: commit: %v", id, err)
 					return
@@ -323,4 +329,40 @@ func TestRebalanceChurnConcurrentJoinLeave(t *testing.T) {
 		}
 	}
 	t.Logf("churn survived: %d stale commits recovered", staleCommits)
+}
+
+// TestJoinUnderPresentIdKeepsOneMember: a remote member that rejoins
+// under its own id (after a dropped connection, say) stays one member
+// — it keeps every partition, moves no generation, and a later leave
+// removes it for good — and each join returns the group's generation.
+func TestJoinUnderPresentIdKeepsOneMember(t *testing.T) {
+	b, topic := loadTopic(t, 4, 0)
+	defer b.Close()
+	for i := 0; i < 2; i++ {
+		parts, gen, err := b.JoinGroup("g", topic, "m1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur, err := b.GroupGeneration("g")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gen != cur || gen != 1 {
+			t.Fatalf("join %d returned generation %d, the group is at %d, want 1", i+1, gen, cur)
+		}
+		if len(parts) != 4 {
+			t.Fatalf("join %d: sole member assigned %v, want all 4 partitions", i+1, parts)
+		}
+	}
+	parts, gen, err := b.JoinGroup("g", topic, "m2")
+	if err != nil || gen != 2 || len(parts) != 2 {
+		t.Fatalf("second member's join = %v at generation %d, %v; want 2 partitions at 2", parts, gen, err)
+	}
+	b.LeaveGroup("g", "m1")
+	if _, _, err := b.GroupAssignment("g", "m1"); !errors.Is(err, ErrNotMember) {
+		t.Fatalf("assignment after m1's one leave: %v, want ErrNotMember", err)
+	}
+	if parts, gen, err := b.GroupAssignment("g", "m2"); err != nil || gen != 3 || len(parts) != 4 {
+		t.Fatalf("survivor's assignment = %v at generation %d, %v; want all 4 at 3", parts, gen, err)
+	}
 }

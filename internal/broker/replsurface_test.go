@@ -53,3 +53,47 @@ func TestLogTailAndEpochAt(t *testing.T) {
 		t.Fatalf("post-truncate LogTail = (%d, %d), want (3, 3)", size, tail)
 	}
 }
+
+// TestAppendStampsReplicaKeeps: the one install loop under Append and
+// AppendReplica stamps the broker's clock on a leader record that
+// carries no timestamp, keeps one that does, and installs a replica's
+// record with the leader's timestamp as it came.
+func TestAppendStampsReplicaKeeps(t *testing.T) {
+	b := New()
+	defer b.Close()
+	at := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	b.clock = func() time.Time { return at }
+	leader, err := b.CreateTopic("leader", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := time.Unix(42, 0)
+	if _, err := leader.Append(0, -1, 0, []Record{{Value: []byte("a")}, {Value: []byte("b"), Timestamp: sent}}); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := leader.FetchInto(0, 0, 2, nil)
+	if err != nil || len(recs) != 2 {
+		t.Fatalf("leader log = %d records, %v", len(recs), err)
+	}
+	if !recs[0].Timestamp.Equal(at) || !recs[1].Timestamp.Equal(sent) {
+		t.Fatalf("Append stamped %v and %v, want the clock's %v and the record's own %v",
+			recs[0].Timestamp, recs[1].Timestamp, at, sent)
+	}
+	replica, err := b.CreateTopic("replica", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := replica.AppendReplica(0, recs); err != nil {
+		t.Fatal(err)
+	}
+	got, err := replica.FetchInto(0, 0, 2, nil)
+	if err != nil || len(got) != 2 {
+		t.Fatalf("replica log = %d records, %v", len(got), err)
+	}
+	for i, r := range got {
+		if !r.Timestamp.Equal(recs[i].Timestamp) || string(r.Value) != string(recs[i].Value) ||
+			r.Offset != int64(i) || r.Topic != "replica" {
+			t.Fatalf("replica record %d = %+v, want the leader's %+v at offset %d of topic replica", i, r, recs[i], i)
+		}
+	}
+}

@@ -63,9 +63,9 @@ func hotpathApp(t *testing.T, b *broker.Broker, group string, v *Verifier, n int
 	return app
 }
 
-// copyingReference is what the drain replaces: copying polls,
-// FastCodec.Unmarshal (every string a copy), the ID != 0 filter, and a
-// device set.
+// copyingReference is what the drain replaces: polls whose records
+// FastCodec.Unmarshal copies out (every string a copy) before the
+// lease goes, the ID != 0 filter, and a device set.
 // It returns the decoded alarms, the device set, the positions after
 // the drain, and how many records it read.
 func copyingReference(t *testing.T, b *broker.Broker, n int) ([]alarm.Alarm, map[string]bool, map[int]int64, int) {
@@ -83,8 +83,9 @@ func copyingReference(t *testing.T, b *broker.Broker, n int) ([]alarm.Alarm, map
 	devices := map[string]bool{}
 	raw := 0
 	for timeout := 10 * time.Millisecond; raw < n; timeout = 0 {
-		recs, err := cons.Poll(n-raw, timeout)
+		recs, lease, err := cons.PollLeased(n-raw, timeout, nil)
 		if err != nil || len(recs) == 0 {
+			lease.Release()
 			break
 		}
 		raw += len(recs)
@@ -96,6 +97,7 @@ func copyingReference(t *testing.T, b *broker.Broker, n int) ([]alarm.Alarm, map
 			alarms = append(alarms, a)
 			devices[a.DeviceMAC] = true
 		}
+		lease.Release()
 	}
 	return alarms, devices, cons.PositionsInto(nil), raw
 }

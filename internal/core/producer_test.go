@@ -32,10 +32,11 @@ func TestReplayEnqueueTimestamps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs, err := cons.Poll(len(alarms), time.Second)
+		recs, lease, err := cons.PollLeased(len(alarms), time.Second, nil)
 		if err != nil || len(recs) == 0 {
 			t.Fatalf("poll: %d records, err %v", len(recs), err)
 		}
+		lease.Release() // only the timestamps are read below
 		for _, r := range recs {
 			recent := !r.Timestamp.Before(before)
 			if enqueue && !recent {

@@ -197,11 +197,11 @@ func (p *pool) close() {
 	p.once.Do(func() { close(p.tasks) })
 }
 
-// brokerSource turns a broker consumer's copying polls into one rdd
-// per micro-batch, using the Direct-DStream mapping: each broker
-// partition becomes one rdd partition, so the broker's partition count
-// directly bounds the engine's parallelism — the coupling behind the
-// paper's §5.5.2 observation that an unpartitioned stream is processed
+// brokerSource turns a broker consumer's leased polls into one rdd per
+// micro-batch, using the Direct-DStream mapping: each broker partition
+// becomes one rdd partition, so the broker's partition count directly
+// bounds the engine's parallelism — the coupling behind the paper's
+// §5.5.2 observation that an unpartitioned stream is processed
 // serially.
 type brokerSource struct {
 	consumer   *broker.Consumer
@@ -221,33 +221,32 @@ func newBrokerSource(c *broker.Consumer, t *broker.Topic) *brokerSource {
 	return &brokerSource{consumer: c, partitions: t.Partitions()}
 }
 
-// batch drains available records and groups them by broker partition
-// into rdd partitions. Only the first poll of a batch waits — until a
-// record arrives, for at most sourcePollTimeout; the rest take what is
-// already there, so a batch is whatever accumulated while the caller
-// was busy, and one record when it was not. A poll error ends the batch
-// and is returned beside the records polled until then, the failing
-// poll's own included.
-func (s *brokerSource) batch() (*rdd[broker.Record], error) {
+// batch is one poll, grouped by broker partition into rdd partitions:
+// it waits until a record arrives, for at most sourcePollTimeout, and
+// takes what has accumulated across the partitions, so a batch is
+// whatever arrived while the caller was busy, and one record when it
+// was not. The records' values borrow the broker's memory under the
+// returned lease, which the caller releases once the batch's actions
+// are done. A poll error is returned with no records and a nil lease.
+func (s *brokerSource) batch() (*rdd[broker.Record], *broker.Lease, error) {
 	max := s.maxPerBatch
 	if max <= 0 {
 		max = 1 << 20
 	}
-	parts := make([][]broker.Record, s.partitions)
-	timeout := sourcePollTimeout
-	for total := 0; total < max; timeout = 0 {
-		recs, err := s.consumer.Poll(max-total, timeout)
-		for _, r := range recs {
-			parts[r.Partition] = append(parts[r.Partition], r)
-		}
-		total += len(recs)
-		if err != nil || len(recs) == 0 {
-			return fromPartitions(parts), err
-		}
+	recs, lease, err := s.consumer.PollLeased(max, sourcePollTimeout, nil)
+	if err != nil {
+		lease.Release()
+		return nil, nil, err
 	}
-	return fromPartitions(parts), nil
+	parts := make([][]broker.Record, s.partitions)
+	for _, r := range recs {
+		parts[r.Partition] = append(parts[r.Partition], r)
+	}
+	return fromPartitions(parts), lease, nil
 }
 
-// commit commits the consumer's progress; call it after a batch's
-// actions have completed to preserve exactly-once processing.
-func (s *brokerSource) commit() error { return s.consumer.Commit() }
+// commit commits everything the consumer has polled; call it after a
+// batch's actions have completed to preserve exactly-once processing.
+func (s *brokerSource) commit() error {
+	return s.consumer.CommitOffsets(s.consumer.PositionsInto(nil))
+}

@@ -148,10 +148,11 @@ func TestBrokerSourceDirectMapping(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := newBrokerSource(cons, topic)
-	batch, err := src.batch()
+	batch, lease, err := src.batch()
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer lease.Release()
 	if batch.parts != 4 {
 		t.Fatalf("rdd partitions = %d, want 4 (direct mapping)", batch.parts)
 	}
@@ -186,11 +187,12 @@ func TestBrokerSourceBackpressure(t *testing.T) {
 	pool := testPool(t, 1)
 	sizes := []int{}
 	for i := 0; i < 4; i++ {
-		batch, err := src.batch()
+		batch, lease, err := src.batch()
 		if err != nil {
 			t.Fatal(err)
 		}
 		sizes = append(sizes, len(batch.collect(pool)))
+		lease.Release()
 	}
 	want := []int{30, 30, 30, 10}
 	for i, w := range want {

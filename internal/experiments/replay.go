@@ -34,7 +34,7 @@ func preload(alarms []alarm.Alarm, partitions, threads int, c codec.Codec) (*bro
 // replay is the paper's pre-optimization consumer, kept for the
 // experiments that measure it: the §5.5.2 partitioning ladder
 // (EndToEnd) and the §6.2 cache ablation (AblationCache). It drains a
-// micro-batch by copying polls into rdd partitions, one per broker
+// micro-batch by a leased poll into rdd partitions, one per broker
 // partition (rdd.go); decodes it with its codec, cached or not; extracts
 // the window's devices with distinct; and classifies alarm by alarm on
 // an executor pool. The filled core.Batch goes to
@@ -79,10 +79,11 @@ func (r *replay) close() {
 // batch replays one micro-batch and returns the alarms it verified. A
 // batch whose poll failed is not processed and nothing is committed.
 func (r *replay) batch() (int, error) {
-	raw, err := r.src.batch()
+	raw, lease, err := r.src.batch()
 	if err != nil {
 		return 0, err
 	}
+	defer lease.Release()
 	b := &core.Batch{}
 	start := time.Now()
 	decoded := filterRDD(mapRDD(raw, func(rec broker.Record) alarm.Alarm {

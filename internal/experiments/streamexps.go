@@ -49,22 +49,24 @@ func Fig11(env *Env) ([]Fig11Result, error) {
 		start := time.Now()
 		decoded := 0
 		var a alarm.Alarm
+		var recs []broker.Record
 		for {
-			recs, err := cons.Poll(4096, 10*time.Millisecond)
-			if err != nil {
-				return nil, err
+			var lease *broker.Lease
+			recs, lease, err = cons.PollLeased(4096, 10*time.Millisecond, recs[:0])
+			for i := 0; i < len(recs) && err == nil; i++ {
+				err = c.Unmarshal(recs[i].Value, &a)
 			}
-			if len(recs) == 0 {
+			lease.Release()
+			if err != nil || len(recs) == 0 {
 				break
 			}
-			for _, r := range recs {
-				if err := c.Unmarshal(r.Value, &a); err != nil {
-					return nil, err
-				}
-				decoded++
-			}
+			decoded += len(recs)
 		}
 		consElapsed := time.Since(start)
+		cons.Close()
+		if err != nil {
+			return nil, err
+		}
 		res := Fig11Result{
 			Codec:            c.Name(),
 			ProducerPerSec:   stats.PerSecond,

@@ -386,10 +386,11 @@ func TestBrokerSink(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cons.Close()
-	recs, err := cons.Poll(len(alarms), time.Second)
+	recs, lease, err := cons.PollLeased(len(alarms), time.Second, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer lease.Release()
 	var c codec.FastCodec
 	for _, r := range recs {
 		if r.Timestamp.Before(before) {

@@ -71,15 +71,6 @@ func (o *Options) defaults() error {
 	return nil
 }
 
-// session is one remote consumer-group member: a real in-process
-// consumer held on its behalf, plus a liveness stamp the janitor
-// expires (an alarmd process that dies without Leave releases its
-// partitions after SessionTimeout).
-type session struct {
-	cons     *broker.Consumer
-	lastSeen time.Time
-}
-
 // Server wraps an in-process broker behind the framed TCP protocol
 // and, when Peers is set, replicates every partition log across the
 // replica set with quorum-acknowledged appends and epoch-fenced leader
@@ -126,8 +117,13 @@ type Server struct {
 	logGen, commitGen uint64
 	closed            bool //alarmvet:guardedby mu
 
+	// sessions[key] is when the remote group member key last joined or
+	// was heard from: its liveness stamp, which the janitor expires (an
+	// alarmd process that dies without Leave releases its partitions
+	// after SessionTimeout). The member itself lives in the broker's
+	// group; sessMu is held across every change to both.
 	sessMu   sync.Mutex
-	sessions map[sessionKey]*session
+	sessions map[sessionKey]time.Time
 
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -175,7 +171,7 @@ func NewServer(b *broker.Broker, addr string, opts Options) (*Server, error) {
 		lastPull:    make(map[int]time.Time),
 		leadSince:   time.Now(),
 		commits:     make(map[string][]int64),
-		sessions:    make(map[sessionKey]*session),
+		sessions:    make(map[sessionKey]time.Time),
 		conns:       make(map[net.Conn]struct{}),
 		peers:       make(map[int]*connSlot),
 		stopc:       make(chan struct{}),
@@ -774,48 +770,48 @@ func (s *Server) handleJoin(req joinReq) joinResp {
 		resp.setErr(err)
 		return resp
 	}
-	cons, err := broker.NewConsumer(s.b, req.Group, t, req.Member)
+	s.sessMu.Lock()
+	resp.Parts, resp.Gen, err = s.b.JoinGroup(req.Group, t, req.Member)
+	if err == nil {
+		s.sessions[sessionKey{req.Group, req.Member}] = time.Now()
+	}
+	s.sessMu.Unlock()
 	if err != nil {
 		resp.setErr(err)
 		return resp
 	}
-	key := sessionKey{req.Group, req.Member}
-	s.sessMu.Lock()
-	if old, ok := s.sessions[key]; ok {
-		old.cons.Close()
-	}
-	s.sessions[key] = &session{cons: cons, lastSeen: time.Now()}
-	s.sessMu.Unlock()
-	resp.Gen = cons.Generation()
-	resp.Parts = cons.Assignment()
 	resp.Partitions = t.Partitions()
 	return resp
 }
 
-// lookupSession returns the live session for a member, refreshing its
-// liveness stamp.
-func (s *Server) lookupSession(group, member string) (*session, error) {
+// stampSession refreshes a member's liveness stamp; a member without a
+// session (it left, or the janitor expired it) gets ErrNotMember.
+func (s *Server) stampSession(group, member string) error {
+	key := sessionKey{group, member}
 	s.sessMu.Lock()
 	defer s.sessMu.Unlock()
-	sess, ok := s.sessions[sessionKey{group, member}]
-	if !ok {
-		return nil, broker.ErrNotMember
+	if _, ok := s.sessions[key]; !ok {
+		return broker.ErrNotMember
 	}
-	sess.lastSeen = time.Now()
-	return sess, nil
+	s.sessions[key] = time.Now()
+	return nil
+}
+
+// endSessionLocked drops a member's session and its group membership.
+// Caller holds s.sessMu.
+func (s *Server) endSessionLocked(key sessionKey) {
+	delete(s.sessions, key)
+	s.b.LeaveGroup(key.group, key.member)
 }
 
 func (s *Server) handleLeave(req leaveReq) leaveResp {
-	var resp leaveResp
 	key := sessionKey{req.Group, req.Member}
 	s.sessMu.Lock()
-	sess, ok := s.sessions[key]
-	delete(s.sessions, key)
-	s.sessMu.Unlock()
-	if ok {
-		sess.cons.Close()
+	if _, ok := s.sessions[key]; ok {
+		s.endSessionLocked(key)
 	}
-	return resp
+	s.sessMu.Unlock()
+	return leaveResp{}
 }
 
 func (s *Server) handleAssign(req assignReq) assignResp {
@@ -824,17 +820,13 @@ func (s *Server) handleAssign(req assignReq) assignResp {
 		resp.setErr(err)
 		return resp
 	}
-	sess, err := s.lookupSession(req.Group, req.Member)
+	err := s.stampSession(req.Group, req.Member)
+	if err == nil {
+		resp.Parts, resp.Gen, err = s.b.GroupAssignment(req.Group, req.Member)
+	}
 	if err != nil {
 		resp.setErr(err)
-		return resp
 	}
-	if err := sess.cons.RefreshAssignment(); err != nil {
-		resp.setErr(err)
-		return resp
-	}
-	resp.Gen = sess.cons.Generation()
-	resp.Parts = sess.cons.Assignment()
 	return resp
 }
 
@@ -844,7 +836,7 @@ func (s *Server) handleCommit(req *commitReq, resp *commitResp, offsets map[int]
 		resp.setErr(err)
 		return
 	}
-	if _, err := s.lookupSession(req.Group, req.Member); err != nil {
+	if err := s.stampSession(req.Group, req.Member); err != nil {
 		resp.setErr(err)
 		return
 	}
@@ -888,23 +880,15 @@ func (s *Server) handleHeartbeat(req *heartbeatReq, resp *heartbeatResp) {
 		resp.setErr(err)
 		return
 	}
-	sess, err := s.lookupSession(req.Group, req.Member)
+	// The member compares the generation with its assignment's: a
+	// membership change since it last read one is its cue to refresh.
+	err := s.stampSession(req.Group, req.Member)
+	if err == nil {
+		resp.Gen, err = s.b.GroupGeneration(req.Group)
+	}
 	if err != nil {
 		resp.setErr(err)
-		return
 	}
-	// Absorb any pending rebalance signal into the session's view, so
-	// the generation returned reflects current membership and the
-	// remote client notices the change by comparing generations.
-	select {
-	case <-sess.cons.Rebalances():
-		if err := sess.cons.RefreshAssignment(); err != nil {
-			resp.setErr(err)
-			return
-		}
-	default:
-	}
-	resp.Gen = sess.cons.Generation()
 }
 
 func (s *Server) handleFetchLog(req *fetchLogReq, resp *fetchResp) {
@@ -938,18 +922,13 @@ func (s *Server) janitor() {
 		case <-tick.C:
 		}
 		cutoff := time.Now().Add(-s.opts.SessionTimeout)
-		var expired []*session
 		s.sessMu.Lock()
-		for key, sess := range s.sessions {
-			if sess.lastSeen.Before(cutoff) {
-				expired = append(expired, sess)
-				delete(s.sessions, key)
+		for key, seen := range s.sessions {
+			if seen.Before(cutoff) {
+				s.endSessionLocked(key)
 			}
 		}
 		s.sessMu.Unlock()
-		for _, sess := range expired {
-			sess.cons.Close()
-		}
 	}
 }
 

@@ -62,3 +62,79 @@ func TestJanitorExpiresSilentSessions(t *testing.T) {
 	}
 	t.Fatalf("survivor still owns %v after janitor window", survivor.Assignment())
 }
+
+// TestRejoinedMemberHearsLaterRebalance: a member whose connections
+// drop rejoins its live leader under its own id, where it is still a
+// member. It must stay one member that later joins rebalance: when a
+// second member joins, the first hears of it within a few heartbeats,
+// refreshes onto exactly the partitions the newcomer does not own, and
+// commits under the new generation.
+func TestRejoinedMemberHearsLaterRebalance(t *testing.T) {
+	b := broker.New()
+	defer b.Close()
+	srv, err := NewServer(b, "127.0.0.1:0", Options{SessionTimeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	const hb = 25 * time.Millisecond
+	c, err := Dial([]string{srv.Addr()}, "alarms", ClientOptions{HeartbeatInterval: hb})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.EnsureTopic(4); err != nil {
+		t.Fatal(err)
+	}
+	first, _, err := c.NewGroupConsumer("g", "m1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer first.Close()
+
+	// The next heartbeat fails on the dropped connection and the member
+	// rejoins; the rejoin is a rebalance signal of its own.
+	dropConns(srv)
+	select {
+	case <-first.Rebalances():
+	case <-time.After(5 * time.Second):
+		t.Fatal("m1 never rejoined after its connections dropped")
+	}
+	if err := first.RefreshAssignment(); err != nil {
+		t.Fatal(err)
+	}
+	if got := first.Assignment(); len(got) != 4 {
+		t.Fatalf("rejoined sole member holds %v, want all 4 partitions", got)
+	}
+
+	second, _, err := c.NewGroupConsumer("g", "m2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Close()
+	select {
+	case <-first.Rebalances():
+	case <-time.After(20 * hb):
+		t.Fatalf("m1 not told of m2's join within 20 heartbeats; it still holds %v beside m2's %v",
+			first.Assignment(), second.Assignment())
+	}
+	if err := first.RefreshAssignment(); err != nil {
+		t.Fatal(err)
+	}
+	owned := map[int]bool{}
+	for _, p := range second.Assignment() {
+		owned[p] = true
+	}
+	got := first.Assignment()
+	for _, p := range got {
+		if owned[p] {
+			t.Fatalf("m1 holds %v, m2 %v: partition %d owned twice", got, second.Assignment(), p)
+		}
+	}
+	if len(got)+len(owned) != 4 {
+		t.Fatalf("m1 holds %v, m2 %v: together not all 4 partitions", got, second.Assignment())
+	}
+	if err := first.CommitOffsets(first.PositionsInto(nil)); err != nil {
+		t.Fatalf("m1's commit after the refresh: %v", err)
+	}
+}
