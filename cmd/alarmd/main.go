@@ -578,7 +578,7 @@ loop:
 			ws.Retries, ws.Reconnects, ws.Fetches, ws.EmptyFetches)
 	}
 	if o.topDevices > 0 {
-		if top, err := svc.TopDevices(o.topDevices); err == nil && len(top) > 0 {
+		if top, err := history.TopDevices(o.topDevices); err == nil && len(top) > 0 {
 			fmt.Printf("noisiest devices (pushdown group-count over %d stored alarms):\n", history.Len())
 			for i, dc := range top {
 				fmt.Printf("  %d. %s: %d alarms\n", i+1, dc.Mac, dc.Count)
@@ -587,13 +587,7 @@ loop:
 	}
 
 	// Operator view: top 3 most urgent verified alarms.
-	q := core.NewOperatorQueue()
-	verified := svc.Verified()
-	for i := range verified {
-		if verified[i].Predicted == 1 {
-			q.Push(alarmByID(replay, verified[i].AlarmID), verified[i])
-		}
-	}
+	q := operatorQueue(history)
 	fmt.Printf("\noperator queue: %d likely-true alarms; most urgent:\n", q.Len())
 	for i := 0; i < 3; i++ {
 		item, ok := q.Pop()
@@ -627,17 +621,14 @@ func serviceConfig(o options, m *metrics.Pipeline, memberPrefix string) serve.Co
 	return cfg
 }
 
-// alarmByID finds an alarm in the replay slice (IDs are sequential).
-func alarmByID(alarms []alarm.Alarm, id int64) alarm.Alarm {
-	base := alarms[0].ID
-	idx := int(id - base)
-	if idx >= 0 && idx < len(alarms) && alarms[idx].ID == id {
-		return alarms[idx]
-	}
-	for i := range alarms {
-		if alarms[i].ID == id {
-			return alarms[i]
+// operatorQueue queues every stored alarm predicted true, as stored.
+func operatorQueue(h *core.History) *core.OperatorQueue {
+	q := core.NewOperatorQueue()
+	alarms, verdicts := h.Verdicts()
+	for i := range verdicts {
+		if verdicts[i].Predicted == alarm.True {
+			q.Push(alarms[i], verdicts[i])
 		}
 	}
-	return alarm.Alarm{ID: id}
+	return q
 }

@@ -1,11 +1,13 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"strings"
 	"testing"
 	"time"
 
+	"alarmverify/internal/alarm"
 	"alarmverify/internal/core"
 	"alarmverify/internal/docstore"
 	"alarmverify/internal/metrics"
@@ -166,5 +168,49 @@ func TestServiceConfigBoundsDrains(t *testing.T) {
 	}
 	if def := core.DefaultConsumerConfig(); cfg.Consumer.ClassifyBatch != def.ClassifyBatch {
 		t.Errorf("consumer defaults lost: %+v", cfg.Consumer)
+	}
+}
+
+// TestOperatorQueueReadsStoredRows: the shutdown queue lists what the
+// store holds. Its alarms' ids lie far past any replay slice — as a
+// stream that cycled its pool numbers them, or a -produce=false shard's
+// do — and each queued alarm still shows its stored type, ZIP and
+// probability, most likely true first. Alarms stored unverified (the
+// boot train set) or predicted false are not queued.
+func TestOperatorQueueReadsStoredRows(t *testing.T) {
+	h, err := core.NewHistory(docstore.NewDB())
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := time.Date(2016, 1, 1, 0, 0, 0, 0, time.UTC)
+	stored := func(i int) alarm.Alarm {
+		return alarm.Alarm{ID: 5_000_000 + int64(i), DeviceMAC: fmt.Sprintf("dev-%d", i%7), ZIP: fmt.Sprintf("80%02d", i),
+			Timestamp: base.Add(time.Duration(i) * time.Minute), Type: alarm.Type(i % 3)}
+	}
+	seed := []alarm.Alarm{stored(100), stored(101)}
+	seed[0].ID, seed[1].ID = 1, 2
+	h.RecordBatch(seed)
+	for i := 0; i < 6; i++ {
+		a := stored(i)
+		h.Record(&a, alarm.Verification{AlarmID: a.ID, Predicted: alarm.Label(i % 2),
+			Probability: 0.5 + float64(i)/20, ModelName: "random-forest"})
+	}
+
+	q := operatorQueue(h)
+	if q.Len() != 3 {
+		t.Fatalf("queue holds %d alarms, want the 3 predicted true", q.Len())
+	}
+	for _, i := range []int{5, 3, 1} {
+		item, ok := q.Pop()
+		if !ok {
+			t.Fatalf("queue ran dry before alarm %d", i)
+		}
+		want := stored(i)
+		if got := item.Alarm; got.ID != want.ID || got.Type != want.Type || got.ZIP != want.ZIP {
+			t.Errorf("queued alarm %d: %+v, want the stored %+v", i, got, want)
+		}
+		if p := 0.5 + float64(i)/20; item.Verification.Probability != p || item.Verification.Predicted != alarm.True {
+			t.Errorf("queued alarm %d: verdict %+v, want true at P=%v", i, item.Verification, p)
+		}
 	}
 }

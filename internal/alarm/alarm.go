@@ -197,9 +197,10 @@ func DurationLabel(duration time.Duration, deltaT time.Duration) Label {
 // (confidence), which human ARC operators use to prioritize (§6.1
 // "Provide probability of verification").
 type Verification struct {
-	AlarmID     int64   `json:"alarmId"`
-	Predicted   Label   `json:"predicted"`
-	Probability float64 `json:"probability"` // confidence of the predicted class
-	ModelName   string  `json:"modelName"`
-	LatencyMS   float64 `json:"latencyMs"`
+	AlarmID      int64   `json:"alarmId"`
+	Predicted    Label   `json:"predicted"`
+	Probability  float64 `json:"probability"` // confidence of the predicted class
+	ModelName    string  `json:"modelName"`
+	ModelVersion int     `json:"modelVersion"` // registry version of that model (0: unregistered)
+	LatencyMS    float64 `json:"latencyMs"`
 }

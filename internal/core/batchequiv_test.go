@@ -49,8 +49,8 @@ func sameVerification(a, b alarm.Verification) error {
 			math.Float64bits(a.Probability), math.Float64bits(b.Probability),
 			a.Probability, b.Probability)
 	}
-	if a.ModelName != b.ModelName {
-		return fmt.Errorf("model %q != %q", a.ModelName, b.ModelName)
+	if a.ModelName != b.ModelName || a.ModelVersion != b.ModelVersion {
+		return fmt.Errorf("model %q v%d != %q v%d", a.ModelName, a.ModelVersion, b.ModelName, b.ModelVersion)
 	}
 	return nil
 }

@@ -259,7 +259,7 @@ func TestStandingQueryAllocBudget(t *testing.T) {
 	h.RecordBatch(alarms[:4096])
 	next := 4096
 	ask := func() {
-		h.Record(&alarms[next])
+		h.Record(&alarms[next], alarm.Verification{AlarmID: alarms[next].ID, Probability: 0.5})
 		next++
 		if top, err := h.TopDevices(10); err != nil || len(top) != 10 {
 			t.Fatalf("TopDevices(10) = %d rows, %v", len(top), err)

@@ -2,9 +2,9 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"alarmverify/internal/alarm"
 	"alarmverify/internal/broker"
 	"alarmverify/internal/codec"
 	"alarmverify/internal/docstore"
@@ -114,11 +114,10 @@ type ConsumerApp struct {
 	rows  *docstore.Rows
 	hist  histScratch
 
-	mu       sync.Mutex
-	times    ComponentTimes
-	verified []alarm.Verification
-	batches  int
-	records  int
+	mu      sync.Mutex
+	times   ComponentTimes
+	batches atomic.Int64
+	records atomic.Int64
 }
 
 // NewConsumerApp wires a consumer onto an in-process broker topic.
@@ -205,25 +204,8 @@ func (c *ConsumerApp) Times() ComponentTimes {
 	return c.times
 }
 
-// Verified returns all verifications produced so far.
-func (c *ConsumerApp) Verified() []alarm.Verification {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]alarm.Verification, len(c.verified))
-	copy(out, c.verified)
-	return out
-}
-
 // Records returns the total alarms processed.
-func (c *ConsumerApp) Records() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.records
-}
+func (c *ConsumerApp) Records() int { return int(c.records.Load()) }
 
 // Batches returns the number of micro-batches fully processed.
-func (c *ConsumerApp) Batches() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.batches
-}
+func (c *ConsumerApp) Batches() int { return int(c.batches.Load()) }

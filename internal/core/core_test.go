@@ -164,10 +164,10 @@ func TestHistoryHistogram(t *testing.T) {
 			ZIP:       "8000",
 			Timestamp: base.Add(time.Duration(i) * time.Hour),
 			Duration:  30,
-		})
+		}, alarm.Verification{})
 	}
 	h.Record(&alarm.Alarm{ID: 100, DeviceMAC: "dev-b", ZIP: "8001",
-		Timestamp: base, Duration: 400})
+		Timestamp: base, Duration: 400}, alarm.Verification{})
 
 	buckets, err := h.DeviceHistogram("dev-a", base, 24*time.Hour)
 	if err != nil {
@@ -237,8 +237,8 @@ func TestEndToEndProducerConsumer(t *testing.T) {
 	if n != 2000 {
 		t.Fatalf("processed %d alarms, want 2000", n)
 	}
-	if got := len(cons.Verified()); got != 2000 {
-		t.Fatalf("verifications = %d", got)
+	if _, vs := h.Verdicts(); len(vs) != 2000 {
+		t.Fatalf("verifications = %d", len(vs))
 	}
 	if h.Len() != 2000 {
 		t.Fatalf("history holds %d alarms", h.Len())

@@ -48,20 +48,26 @@ type History struct {
 	hists  sync.Pool
 }
 
-// alarmFields is the stored form of an alarm: one typed column per
-// field, in the order fillRow writes and rowAlarm reads. DeviceIP
-// (duplicates the MAC as device identity) and Payload (wire-size
-// padding, §5.5.2) are not stored. The sensor-specific fields ride
-// along so retraining from the store keeps the §5.3.4 extra features
-// (flexible schema: older rows without them read back as empty
-// strings).
+// alarmFields is the stored form of an alarm and its verdict: one typed
+// column per field, in the order fillRow writes and rowAlarm and
+// Verdicts read. DeviceIP (duplicates the MAC as device identity) and
+// Payload (wire-size padding, §5.5.2) are not stored. The sensor-specific
+// fields ride along so retraining from the store keeps the §5.3.4 extra
+// features (flexible schema: older rows without them read back as empty
+// strings). The verdict's columns, from verdictCol on, share the alarm's
+// row, WAL frame and durability check; a row stored without a verdict
+// has no cells there, and reads back unverified.
 var alarmFields = []string{"alarmId", "deviceMac", "zip", "ts", "duration",
-	"alarmType", "objectType", "sensorType", "swVersion"}
+	"alarmType", "objectType", "sensorType", "swVersion",
+	"predicted", "probability", "model", "modelVersion"}
 
-// fillRow writes an alarm into a row of alarmFields.
+const verdictCol = 9 // alarmFields[verdictCol:] are the verdict's
+
+// fillRow writes an alarm, and its verdict when v is not nil, into a
+// row of alarmFields.
 //
 //alarmvet:hotpath
-func fillRow(row []docstore.Cell, a *alarm.Alarm) {
+func fillRow(row []docstore.Cell, a *alarm.Alarm, v *alarm.Verification) {
 	row[0] = docstore.Int64(a.ID)
 	row[1] = docstore.String(a.DeviceMAC)
 	row[2] = docstore.String(a.ZIP)
@@ -71,6 +77,12 @@ func fillRow(row []docstore.Cell, a *alarm.Alarm) {
 	row[6] = docstore.String(a.ObjectType.String())
 	row[7] = docstore.String(a.SensorType)
 	row[8] = docstore.String(a.SoftwareVersion)
+	if v != nil {
+		row[9] = docstore.Int64(int64(v.Predicted))
+		row[10] = docstore.Float(v.Probability)
+		row[11] = docstore.String(v.ModelName)
+		row[12] = docstore.Int64(int64(v.ModelVersion))
+	}
 }
 
 // rowAlarm rebuilds an alarm from a row of alarmFields — the inverse
@@ -92,14 +104,11 @@ func rowAlarm(row []docstore.Cell) alarm.Alarm {
 	return a
 }
 
-// SetSimulatedRTT makes every history round-trip take at least d,
-// emulating the network latency of the remote document store in the
-// paper's deployment (§4.3): the writes (RecordBatch and Record,
-// RecordFeedback) and the reads (RecentAlarms, Feedbacks and
-// FeedbackLabels, DeviceHistogram and DeviceHistograms, TopDevices,
-// CountByLocation). Zero (the default) disables the simulation. Ingest
-// pays it once per RecordBatch, on the caller's goroutine. Safe to call
-// concurrently with queries.
+// SetSimulatedRTT makes every history round-trip — each write and each
+// read — take at least d, emulating the network latency of the remote
+// document store in the paper's deployment (§4.3). Zero (the default)
+// disables the simulation. Ingest pays it once per batch, on the
+// caller's goroutine. Safe to call concurrently with queries.
 func (h *History) SetSimulatedRTT(d time.Duration) { h.rttNanos.Store(int64(d)) }
 
 func (h *History) simulateRTT() {
@@ -122,7 +131,7 @@ func NewHistory(db *docstore.DB) (*History, error) {
 	}
 	h := &History{db: db, col: col, fb: db.Collection("feedback")}
 	h.rows.New = func() any { return col.NewRows(alarmFields...) }
-	h.reads.New = h.rows.New
+	h.reads.New = func() any { return col.NewRows(alarmFields[:verdictCol]...) }
 	h.groups.New = func() any { return new([]docstore.GroupCount) }
 	h.hists.New = func() any { return &histScratch{sweep: docstore.NewSweep()} }
 	return h, nil
@@ -150,8 +159,9 @@ func (h *History) Close() {}
 func (h *History) Flush() error { return h.db.Err() }
 
 // Fields reports how the store holds each alarm field (docstore
-// Collection.Fields): nine typed columns, none boxed, while the typed
-// path is serving the history.
+// Collection.Fields): thirteen typed columns, none boxed, once a
+// verified alarm is stored — the alarm's nine and its verdict's four
+// (alarmFields); nine while only unverified alarms are.
 func (h *History) Fields() []docstore.FieldInfo { return h.col.Fields() }
 
 // AggPartials reports how the store brought its cached aggregation
@@ -169,35 +179,68 @@ func (h *History) SetRetention(maxAge time.Duration) {
 	h.col.SetRetention("ts", maxAge)
 }
 
-// Record stores one alarm (the flexible-schema ingest path of §4.3).
-func (h *History) Record(a *alarm.Alarm) {
-	one := [1]alarm.Alarm{*a}
-	h.RecordBatch(one[:])
-}
-
-// RecordBatch stores many alarms at once, in one store round-trip on
-// the caller's goroutine: when it returns, every read observes them.
-func (h *History) RecordBatch(alarms []alarm.Alarm) {
+// Record stores one alarm with the verdict it was answered with (the
+// flexible-schema ingest path of §4.3, as /verify takes it).
+func (h *History) Record(a *alarm.Alarm, v alarm.Verification) {
+	one, verdict := [1]alarm.Alarm{*a}, [1]alarm.Verification{v}
 	rows := h.rows.Get().(*docstore.Rows)
-	h.recordBatch(rows, alarms)
+	h.recordBatch(rows, one[:], verdict[:])
 	h.rows.Put(rows)
 }
 
-// recordBatch is RecordBatch through the caller's row batch, which it
-// leaves empty: the pipeline's persist stage keeps its own, so its
-// batches need no pool.
+// RecordBatch stores many alarms at once, unverified, in one store
+// round-trip on the caller's goroutine: when it returns, every read
+// observes them. It seeds a history — a boot train set — and stores no
+// verdict.
+func (h *History) RecordBatch(alarms []alarm.Alarm) {
+	rows := h.rows.Get().(*docstore.Rows)
+	h.recordBatch(rows, alarms, nil)
+	h.rows.Put(rows)
+}
+
+// recordBatch stores alarms, with verdicts[i] in alarm i's row when
+// verdicts is not nil, through the caller's row batch, which it leaves
+// empty: the pipeline's persist stage keeps its own, so its batches
+// need no pool.
 //
 //alarmvet:hotpath
-func (h *History) recordBatch(rows *docstore.Rows, alarms []alarm.Alarm) {
+func (h *History) recordBatch(rows *docstore.Rows, alarms []alarm.Alarm, verdicts []alarm.Verification) {
 	if len(alarms) == 0 {
 		return
 	}
 	h.simulateRTT()
 	for i := range alarms {
-		fillRow(rows.Next(), &alarms[i])
+		var v *alarm.Verification
+		if verdicts != nil {
+			v = &verdicts[i]
+		}
+		fillRow(rows.Next(), &alarms[i], v)
 	}
 	h.col.InsertRows(rows)
 	rows.Reset()
+}
+
+// Verdicts returns every stored alarm that carries a verdict, with it
+// (verdicts[i] is alarms[i]'s), in ingest order: one tail read of the
+// whole history, so a verdict lasts as long as its row. Rows stored
+// without one (RecordBatch's, or an older build's) are skipped;
+// LatencyMS is not stored, and reads 0.
+func (h *History) Verdicts() ([]alarm.Alarm, []alarm.Verification) {
+	h.simulateRTT()
+	rows := h.col.NewRows(alarmFields...)
+	h.col.TailRows(0, rows)
+	var alarms []alarm.Alarm
+	var verdicts []alarm.Verification
+	for i := 0; i < rows.Len(); i++ {
+		row := rows.Row(i)
+		if !row[verdictCol].Present() {
+			continue
+		}
+		alarms = append(alarms, rowAlarm(row))
+		verdicts = append(verdicts, alarm.Verification{AlarmID: row[0].I64(), Predicted: alarm.Label(row[9].I64()),
+			Probability: row[10].Num(), ModelName: row[11].Str(), ModelVersion: int(row[12].I64())})
+	}
+	return alarms, verdicts
 }
 
 // RecentAlarms returns up to limit of the most recently ingested

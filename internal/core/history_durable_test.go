@@ -121,8 +121,10 @@ func TestAlarmRowRoundTripAllFields(t *testing.T) {
 // after, so they come back out of the log — must read back identical
 // after a close + reopen, so the row frames (exact int64 ids beyond
 // float64 exactness, timestamps) cannot corrupt the retrain loop's
-// train set. The nine alarm fields must also still be typed columns:
-// recovery must not have promoted any of them to the boxed fallback.
+// train set. The alarms after the checkpoint are stored with verdicts,
+// which must come back bit for bit. The thirteen fields must also
+// still be typed columns: recovery must not have promoted any of them
+// to the boxed fallback.
 func TestAlarmRoundTripThroughWALReplay(t *testing.T) {
 	dir := t.TempDir()
 	opts := docstore.DurableOptions{Partitions: 2, SyncInterval: -1, CheckpointInterval: -1}
@@ -143,7 +145,14 @@ func TestAlarmRoundTripThroughWALReplay(t *testing.T) {
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	h.RecordBatch(want[64:])
+	verdicts := make([]alarm.Verification, 0, 64)
+	for i := range want[64:] {
+		a := &want[64+i]
+		v := alarm.Verification{AlarmID: a.ID, Predicted: alarm.Label(i % 2), Probability: 1 / (1 + rng.Float64()),
+			ModelName: "rf", ModelVersion: i / 32}
+		h.Record(a, v)
+		verdicts = append(verdicts, v)
+	}
 	requireTypedAlarmColumns(t, db)
 	h.RecordFeedback(Feedback{AlarmID: want[0].ID, DeviceMAC: want[0].DeviceMAC, Verdict: alarm.True, At: time.Unix(1700000001, 0)})
 	if err := db.Close(); err != nil {
@@ -165,6 +174,15 @@ func TestAlarmRoundTripThroughWALReplay(t *testing.T) {
 	}
 	requireStored(t, got, want)
 	requireTypedAlarmColumns(t, db2)
+	_, vs := h2.Verdicts()
+	if len(vs) != len(verdicts) {
+		t.Fatalf("%d verdicts after WAL replay, want %d", len(vs), len(verdicts))
+	}
+	for i := range vs {
+		if err := sameVerification(vs[i], verdicts[i]); err != nil {
+			t.Fatalf("verdict %d corrupted by WAL replay: %v", i, err)
+		}
+	}
 	fbs, err := h2.Feedbacks()
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +197,8 @@ func TestAlarmRoundTripThroughWALReplay(t *testing.T) {
 // promoted to the boxed representation.
 func requireTypedAlarmColumns(t *testing.T, db *docstore.DB) {
 	t.Helper()
-	kinds := map[string]string{"alarmId": "int64", "ts": "float64", "duration": "float64"}
+	kinds := map[string]string{"alarmId": "int64", "ts": "float64", "duration": "float64",
+		"predicted": "int64", "probability": "float64", "modelVersion": "int64"}
 	fields := db.Collection("alarms").Fields()
 	if len(fields) != len(alarmFields) {
 		t.Fatalf("alarms has %d fields, want the %d of alarmFields: %+v", len(fields), len(alarmFields), fields)
@@ -215,7 +234,7 @@ func TestHistoryFlushCloseHammer(t *testing.T) {
 				for i := 0; i < per; i++ {
 					a := randomAlarm(rng, int64(w*per+i))
 					if i%2 == 0 {
-						h.Record(&a)
+						h.Record(&a, alarm.Verification{AlarmID: a.ID, Predicted: alarm.True, Probability: 0.75, ModelName: "m"})
 					} else {
 						h.RecordBatch([]alarm.Alarm{a})
 					}

@@ -108,7 +108,7 @@ func TestTopDevicesTieOrder(t *testing.T) {
 				ingest = append(ingest, a.DeviceMAC)
 			}
 			counts[a.DeviceMAC]++
-			h.Record(&a)
+			h.Record(&a, alarm.Verification{})
 		}
 	}
 	want := make([]DeviceCount, len(ingest))
@@ -150,6 +150,7 @@ func TestEveryHistoryReadPaysSimulatedRTT(t *testing.T) {
 		call func() error
 	}{
 		{"RecentAlarms", func() error { _, err := h.RecentAlarms(10); return err }},
+		{"Verdicts", func() error { h.Verdicts(); return nil }},
 		{"Feedbacks", func() error { _, err := h.Feedbacks(); return err }},
 		{"FeedbackLabels", func() error { _, err := h.FeedbackLabels(); return err }},
 		{"DeviceHistogram", func() error { _, err := h.DeviceHistogram("mac-a", since, time.Hour); return err }},

@@ -154,7 +154,7 @@ func (s *HTTPService) handleVerify(w http.ResponseWriter, r *http.Request) {
 	}
 	route := s.policy.Decide(&a, v)
 	if s.history != nil {
-		s.history.Record(&a)
+		s.history.Record(&a, v)
 		if err := s.history.Flush(); err != nil {
 			http.Error(w, err.Error(), http.StatusServiceUnavailable)
 			return

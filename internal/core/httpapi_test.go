@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -33,7 +34,7 @@ func newTestService(t *testing.T) (*HTTPService, *httptest.Server, []byte) {
 }
 
 func TestHTTPVerify(t *testing.T) {
-	_, srv, wire := newTestService(t)
+	svc, srv, wire := newTestService(t)
 	resp, err := http.Post(srv.URL+"/verify", "application/json", bytes.NewReader(wire))
 	if err != nil {
 		t.Fatal(err)
@@ -54,6 +55,16 @@ func TestHTTPVerify(t *testing.T) {
 	}
 	if out.Route == "" {
 		t.Error("route missing")
+	}
+	// The alarm is stored with the verdict it was answered with (a
+	// float64 survives the JSON round trip bit for bit).
+	_, stored := svc.history.Verdicts()
+	if len(stored) != 1 {
+		t.Fatalf("%d stored verdicts, want 1", len(stored))
+	}
+	if v := stored[0]; v.AlarmID != out.AlarmID || v.Predicted.String() != out.Predicted ||
+		math.Float64bits(v.Probability) != math.Float64bits(out.Probability) || v.ModelName != out.Model {
+		t.Fatalf("stored verdict %+v, answered %+v", v, out)
 	}
 }
 
@@ -279,12 +290,15 @@ func TestHTTPHistoryAndStats(t *testing.T) {
 	if routed != 2 {
 		t.Errorf("route counts = %v", st.ByRoute)
 	}
-	// The verified alarms sit in nine typed columns: the alarm id an
-	// int64, the timestamp and duration float64, the rest strings.
+	// The verified alarms sit in thirteen typed columns, the alarm's
+	// nine and its verdict's four: the alarm id, predicted and the model
+	// version int64, the timestamp, duration and probability float64,
+	// the rest strings.
 	if len(st.AlarmFields) != len(alarmFields) {
 		t.Errorf("alarmFields = %+v, want the %d stored fields", st.AlarmFields, len(alarmFields))
 	}
-	kinds := map[string]string{"alarmId": "int64", "ts": "float64", "duration": "float64"}
+	kinds := map[string]string{"alarmId": "int64", "ts": "float64", "duration": "float64",
+		"predicted": "int64", "probability": "float64", "modelVersion": "int64"}
 	for _, f := range st.AlarmFields {
 		want := kinds[f.Name]
 		if want == "" {

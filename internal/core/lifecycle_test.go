@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"alarmverify/internal/alarm"
+	"alarmverify/internal/broker"
+	"alarmverify/internal/codec"
 	"alarmverify/internal/docstore"
 	"alarmverify/internal/ml"
 	"alarmverify/internal/modelreg"
@@ -326,6 +328,91 @@ func matchesSnapshot(got, exp []alarm.Verification) bool {
 		}
 	}
 	return true
+}
+
+// TestHotSwapStoresOneModelVersionPerBatch: the stored row records which
+// model reached its verdict. With a Verifier.Swap between
+// ProcessBatches(1) calls, every batch's stored rows carry the one
+// modelVersion its Classify pinned, each verdict that model's, and the
+// rows stored after the swap carry the new version.
+func TestHotSwapStoresOneModelVersionPerBatch(t *testing.T) {
+	_, alarms := testAlarms(1600)
+	vA, vB := fastVerifier(t, alarms[:600]), fastVerifier(t, alarms[200:800])
+	vA.withVersion(1)
+	vB.withVersion(2)
+	stream := alarms[800:]
+	want := map[int]map[int64]alarm.Verification{}
+	for version, v := range map[int]*Verifier{1: vA, 2: vB} {
+		out := make([]alarm.Verification, len(stream))
+		if err := v.VerifyBatchInto(stream, out); err != nil {
+			t.Fatal(err)
+		}
+		want[version] = make(map[int64]alarm.Verification, len(out))
+		for _, w := range out {
+			want[version][w.AlarmID] = w
+		}
+	}
+
+	b := broker.New()
+	defer b.Close()
+	topic, err := b.CreateTopic("alarms", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewProducerApp(topic, codec.FastCodec{}).Replay(stream, 0); err != nil {
+		t.Fatal(err)
+	}
+	h, err := NewHistory(docstore.NewDBWithPartitions(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := &Verifier{}
+	live.Swap(vA)
+	cfg := DefaultConsumerConfig()
+	cfg.MaxPerBatch = 100
+	app, err := NewConsumerApp(b, "alarms", "swap", "c1", live, h, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer app.Close()
+	const batches, swapAt = 8, 4
+	var sizes []int
+	for i := 0; i < batches; i++ {
+		if i == swapAt {
+			live.Swap(vB)
+		}
+		n, err := app.ProcessBatches(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes = append(sizes, n)
+	}
+
+	// Verdicts come back in ingest order, so batch i's rows are the
+	// next sizes[i].
+	_, got := h.Verdicts()
+	at := 0
+	for i, n := range sizes {
+		version := 1
+		if i >= swapAt {
+			version = 2
+		}
+		if n == 0 || at+n > len(got) {
+			t.Fatalf("batch %d: %d alarms, %d verdicts stored from row %d", i, n, len(got), at)
+		}
+		for _, g := range got[at : at+n] {
+			if g.ModelVersion != version {
+				t.Fatalf("batch %d: a row carries model version %d, want %d", i, g.ModelVersion, version)
+			}
+			if err := sameVerification(g, want[version][g.AlarmID]); err != nil {
+				t.Fatalf("batch %d, alarm %d: %v", i, g.AlarmID, err)
+			}
+		}
+		at += n
+	}
+	if at != len(got) || at != len(stream) {
+		t.Fatalf("%d verdicts stored for %d alarms in %d batches, want %d", len(got), at, batches, len(stream))
+	}
 }
 
 // TestHotSwapRaceHammer hammers lock-free hot swaps concurrently with

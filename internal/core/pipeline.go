@@ -211,8 +211,9 @@ func (c *ConsumerApp) Classify(b *Batch) error {
 	return nil
 }
 
-// Persist is the batch component: it stores the batch in the alarm
-// history with one RecordBatch on this goroutine (timed as
+// Persist is the batch component: it stores the batch's alarms, each
+// row carrying its verdict (the only record of it), in the alarm
+// history with one store write on this goroutine (timed as
 // Times.Ingest), runs every alarming device's histogram query — which
 // sees this batch's own alarms, since they are already stored — and
 // folds the finished batch into the app's accounting. It is the final
@@ -225,7 +226,7 @@ func (c *ConsumerApp) Classify(b *Batch) error {
 func (c *ConsumerApp) Persist(b *Batch) error {
 	if c.history != nil {
 		start := time.Now()
-		c.history.recordBatch(c.rows, b.Alarms)
+		c.history.recordBatch(c.rows, b.Alarms, b.Verified)
 		b.Times.Ingest = time.Since(start)
 
 		start = time.Now()
@@ -234,11 +235,8 @@ func (c *ConsumerApp) Persist(b *Batch) error {
 			since = b.Alarms[0].Timestamp.Add(-histogramSince)
 		}
 		// One batched histogram query for all of the window's devices:
-		// the store answers every per-device histogram in a single
-		// history round-trip (one sweep that visits each touched
-		// partition once, in turn), instead of one serialized
-		// round-trip per device — the dominant cost of the
-		// pre-optimization e2e path.
+		// one history round-trip, one sweep over the touched
+		// partitions, not a round-trip per device.
 		c.hist.macs = c.hist.macs[:0]
 		for i := range b.Devices {
 			c.hist.macs = append(c.hist.macs, b.Devices[i].DeviceMAC)
@@ -258,10 +256,9 @@ func (c *ConsumerApp) Persist(b *Batch) error {
 
 	c.mu.Lock()
 	c.times.Add(b.Times)
-	c.batches++
-	c.records += len(b.Alarms)
-	c.verified = append(c.verified, b.Verified...)
 	c.mu.Unlock()
+	c.batches.Add(1)
+	c.records.Add(int64(len(b.Alarms)))
 	if m := c.cfg.Metrics; m != nil {
 		m.Stage(metrics.StagePersist).Record(b.Times.Ingest + b.Times.History)
 	}

@@ -355,11 +355,12 @@ func (s *modelSnapshot) verifyBatchInto(alarms []alarm.Alarm, out []alarm.Verifi
 			class, prob = 1, p[1]
 		}
 		out[i] = alarm.Verification{
-			AlarmID:     alarms[i].ID,
-			Predicted:   alarm.Label(class),
-			Probability: prob,
-			ModelName:   name,
-			LatencyMS:   perAlarmMS,
+			AlarmID:      alarms[i].ID,
+			Predicted:    alarm.Label(class),
+			Probability:  prob,
+			ModelName:    name,
+			ModelVersion: s.version,
+			LatencyMS:    perAlarmMS,
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package docstore_test
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,9 +14,12 @@ import (
 	"alarmverify/internal/docstore"
 )
 
-// The data directory under testdata/format was written by
-// testdata/genformat.go through core.History, at the revision before
-// the store dropped boxed cells; these are the values it wrote.
+// The data directories under testdata were written by
+// testdata/genformat.go through core.History: format at the revision
+// before the store dropped boxed cells, every alarm stored unverified;
+// format-verdicts once the store kept verdicts, alarms 1–8 stored
+// unverified and 9–24 each with its verdict. These are the values they
+// wrote.
 
 var formatBase = time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
 
@@ -33,15 +37,27 @@ func formatAlarm(i int) alarm.Alarm {
 	}
 }
 
-// openFormatCopy opens a copy of the pinned data directory.
-func openFormatCopy(t *testing.T) *docstore.DB {
+// formatVerdict is the verdict format-verdicts stored with alarm i.
+func formatVerdict(i int) alarm.Verification {
+	return alarm.Verification{
+		AlarmID:      int64(i + 1),
+		Predicted:    alarm.Label(i % 2),
+		Probability:  0.5 + math.Sqrt(float64(i))/10,
+		ModelName:    "random-forest",
+		ModelVersion: 1 + i/16,
+	}
+}
+
+// openFormatCopy opens a copy of the pinned data directory testdata/pin.
+func openFormatCopy(t *testing.T, pin string) *docstore.DB {
 	t.Helper()
 	dir := t.TempDir()
-	err := filepath.WalkDir("testdata/format", func(path string, d os.DirEntry, err error) error {
+	src := filepath.Join("testdata", pin)
+	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		rel, _ := filepath.Rel("testdata/format", path)
+		rel, _ := filepath.Rel(src, path)
 		if d.IsDir() {
 			return os.MkdirAll(filepath.Join(dir, rel), 0o755)
 		}
@@ -64,9 +80,17 @@ func openFormatCopy(t *testing.T) *docstore.DB {
 
 // TestPinnedFormatReplays: a data directory an older build wrote — a
 // checkpoint snapshot, later row frames and a retention delete frame —
-// opens, and every read the pipeline makes returns what was written.
+// opens, and every read the pipeline makes returns what was written:
+// both generations, the one whose rows carry no verdict and the one
+// whose verified rows do.
 func TestPinnedFormatReplays(t *testing.T) {
-	db := openFormatCopy(t)
+	for _, pin := range []string{"format", "format-verdicts"} {
+		t.Run(pin, func(t *testing.T) { replayPinnedFormat(t, pin, pin == "format-verdicts") })
+	}
+}
+
+func replayPinnedFormat(t *testing.T, pin string, verdicts bool) {
+	db := openFormatCopy(t, pin)
 	col, err := db.CollectionWithShardKey("alarms", "deviceMac")
 	if err != nil {
 		t.Fatal(err)
@@ -122,12 +146,19 @@ func TestPinnedFormatReplays(t *testing.T) {
 		t.Errorf("BucketCounts: %v, want %v", bars, wantBars)
 	}
 
-	for _, f := range col.Fields() {
+	fields, wantFields := col.Fields(), 9
+	if verdicts {
+		wantFields = 13
+	}
+	if len(fields) != wantFields {
+		t.Errorf("%d fields, want %d: %v", len(fields), wantFields, fields)
+	}
+	for _, f := range fields {
 		want := "string"
 		switch f.Name {
-		case "alarmId":
+		case "alarmId", "predicted", "modelVersion":
 			want = "int64"
-		case "ts", "duration":
+		case "ts", "duration", "probability":
 			want = "float64"
 		}
 		if f.Kind != want {
@@ -152,14 +183,42 @@ func TestPinnedFormatReplays(t *testing.T) {
 		t.Errorf("Feedbacks: %v, want %v", fbs, wantFbs)
 	}
 
+	// An older generation's rows read back unverified; the verdicts
+	// format-verdicts stored come back bit for bit, with their alarms.
+	var wantVerified []int
+	if verdicts {
+		for i := 8; i < 24; i++ {
+			wantVerified = append(wantVerified, i)
+		}
+	}
+	checkVerdicts := func(when string) {
+		t.Helper()
+		alarms, vs := h.Verdicts()
+		if len(alarms) != len(wantVerified) || len(vs) != len(wantVerified) {
+			t.Fatalf("%s: %d verified alarms and %d verdicts, want %d", when, len(alarms), len(vs), len(wantVerified))
+		}
+		for k, i := range wantVerified {
+			if a := formatAlarm(i); alarms[k] != a {
+				t.Errorf("%s: verified alarm %d = %+v, want %+v", when, k, alarms[k], a)
+			}
+			w := formatVerdict(i)
+			if vs[k] != w || math.Float64bits(vs[k].Probability) != math.Float64bits(w.Probability) {
+				t.Errorf("%s: verdict %d = %+v, want %+v", when, k, vs[k], w)
+			}
+		}
+	}
+	checkVerdicts("replayed")
+
 	// The replayed columns take the kinds the pipeline writes: the
-	// history keeps appending to them.
+	// history keeps appending to them, verdicts included.
 	more := formatAlarm(24)
-	h.Record(&more)
+	h.Record(&more, formatVerdict(24))
 	h.RecordFeedback(core.Feedback{AlarmID: 25, DeviceMAC: "mac-0", Verdict: alarm.True, At: formatBase})
 	if col.Len() != 20 || h.FeedbackCount() != 6 {
 		t.Errorf("after appends: %d alarms, %d verdicts, want 20 and 6", col.Len(), h.FeedbackCount())
 	}
+	wantVerified = append(wantVerified, 24)
+	checkVerdicts("after an append")
 	if err := db.Err(); err != nil {
 		t.Fatal(err)
 	}

@@ -37,6 +37,12 @@ func FuzzRowFrame(f *testing.F) {
 		[]Cell{Int64(1), String("00:1a:2b"), Float(1.7e9), Float(12.5)},
 		[]Cell{Int64(2), String("00:1a:2c"), Float(1.7e9 + 60), Float(0)},
 		[]Cell{Int64(3), String("00:1a:2b"), Float(1.7e9 + 120), Float(math.Inf(1))})
+	// A verified alarm's row: the alarm, then its verdict's four cells
+	// (predicted, probability, model, modelVersion); beside it a row
+	// stored unverified, which has none of them.
+	seed([]string{"alarmId", "deviceMac", "ts", "predicted", "probability", "model", "modelVersion"}, []int64{3, 4},
+		[]Cell{Int64(11), String("00:1a:2b"), Float(1.7e9), Int64(1), Float(0.5 + math.Sqrt2/10), String("random-forest"), Int64(2)},
+		[]Cell{Int64(12), String("00:1a:2c"), Float(1.7e9 + 60), {}, {}, {}, {}})
 	seed([]string{"alarmId", "deviceMac", "verdict", "at"}, []int64{7, 9},
 		[]Cell{Int64(-5), String(""), {kind: kindInt, num: 1}, Float(-0.5)},
 		[]Cell{{}, String("mac"), {}, Float(math.NaN())})

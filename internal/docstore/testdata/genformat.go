@@ -1,27 +1,33 @@
 //go:build ignore
 
-// Command genformat writes the durable data directory format_test.go
+// Command genformat writes a durable data directory format_test.go
 // replays: what core.History writes in production, on two partitions —
 //
-//   - an "alarms" collection, shard key deviceMac, indexed on it: 16
-//     alarms recorded in two batches, then a checkpoint snapshot;
+//   - an "alarms" collection, shard key deviceMac, indexed on it: 8
+//     alarms stored unverified in one batch (a boot train set's seed),
+//     then 8 stored one at a time, each with its verdict
+//     (formatVerdict), then a checkpoint snapshot;
 //   - a "feedback" collection of int verdicts: three before the
 //     checkpoint, two after;
-//   - after the checkpoint, in the logs: 8 more alarms, and one
-//     retention delete frame (ts below formatBase + 3 000 s, which
-//     removes alarms 1–5).
+//   - after the checkpoint, in the logs: 8 more alarms with their
+//     verdicts, and one retention delete frame (ts below formatBase +
+//     3 000 s, which removes alarms 1–5).
 //
 // Every value follows from the alarm's index (formatAlarm), so the test
 // knows what each read must return. Run it from the module root, at the
 // revision whose on-disk format is to be pinned:
 //
-//	go run ./internal/docstore/testdata/genformat.go -out internal/docstore/testdata/format
+//	go run ./internal/docstore/testdata/genformat.go -out internal/docstore/testdata/format-verdicts
+//
+// testdata/format holds the generation before the store kept verdicts:
+// the same 24 alarms, each stored unverified in batches of 8.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"path/filepath"
 	"time"
@@ -48,6 +54,18 @@ func formatAlarm(i int) alarm.Alarm {
 	}
 }
 
+// formatVerdict is the verdict stored with alarm i: probabilities that
+// no short decimal spells, so a read that is not bit-exact shows.
+func formatVerdict(i int) alarm.Verification {
+	return alarm.Verification{
+		AlarmID:      int64(i + 1),
+		Predicted:    alarm.Label(i % 2),
+		Probability:  0.5 + math.Sqrt(float64(i))/10,
+		ModelName:    "random-forest",
+		ModelVersion: 1 + i/16,
+	}
+}
+
 func formatFeedback(i int) core.Feedback {
 	return core.Feedback{
 		AlarmID:   int64(i + 1),
@@ -58,7 +76,7 @@ func formatFeedback(i int) core.Feedback {
 }
 
 func main() {
-	out := flag.String("out", "internal/docstore/testdata/format", "data directory to write (must not exist)")
+	out := flag.String("out", "internal/docstore/testdata/format-verdicts", "data directory to write (must not exist)")
 	flag.Parse()
 	if _, err := os.Stat(*out); err == nil {
 		log.Fatalf("%s exists", *out)
@@ -71,22 +89,25 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	batch := func(lo, hi int) {
-		alarms := make([]alarm.Alarm, 0, hi-lo)
+	verified := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			alarms = append(alarms, formatAlarm(i))
+			a := formatAlarm(i)
+			h.Record(&a, formatVerdict(i))
 		}
-		h.RecordBatch(alarms)
 	}
-	batch(0, 8)
-	batch(8, 16)
+	seed := make([]alarm.Alarm, 0, 8)
+	for i := 0; i < 8; i++ {
+		seed = append(seed, formatAlarm(i))
+	}
+	h.RecordBatch(seed)
+	verified(8, 16)
 	for i := 0; i < 3; i++ {
 		h.RecordFeedback(formatFeedback(i))
 	}
 	if err := db.Checkpoint(); err != nil {
 		log.Fatal(err)
 	}
-	batch(16, 24)
+	verified(16, 24)
 	for i := 3; i < 5; i++ {
 		h.RecordFeedback(formatFeedback(i))
 	}

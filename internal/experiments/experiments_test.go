@@ -16,6 +16,7 @@ import (
 	"alarmverify/internal/broker"
 	"alarmverify/internal/codec"
 	"alarmverify/internal/core"
+	"alarmverify/internal/docstore"
 )
 
 // tinyScale keeps unit tests fast; the shape assertions here are the
@@ -377,12 +378,16 @@ func TestReplayCacheCountsUnmarshals(t *testing.T) {
 			t.Fatal(err)
 		}
 		var calls atomic.Int64
-		r, err := newReplay(b, "count", v, nil, countingCodec{calls: &calls}, 2, cache)
+		h, err := core.NewHistory(docstore.NewDB())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := newReplay(b, "count", v, h, countingCodec{calls: &calls}, 2, cache)
 		if err != nil {
 			t.Fatal(err)
 		}
 		n, err := r.batch()
-		got := r.app.Verified()
+		_, got := h.Verdicts()
 		r.close()
 		b.Close()
 		if err != nil {

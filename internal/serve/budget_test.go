@@ -26,8 +26,8 @@ import (
 // them, as production's GCs do — and produces and drains K one-alarm
 // batches, each through Drain, Decode, Classify, Persist, the commit and
 // ReleaseBatch. Mallocs counts the whole process, so a window's count is
-// what the store, the broker's log and the verdict list grow by for
-// those rows, plus whatever another goroutine of the test binary
+// what the store and the broker's log grow by for those rows (a row's
+// verdict is four of its columns), plus whatever another goroutine of the test binary
 // allocates meanwhile: the least of several windows is held to the
 // store's chunk generations for K rows and a small constant. It reads
 // 0 on both brokers. While the batch path drew its batches and its
@@ -46,7 +46,7 @@ func TestWarmShardAllocBudget(t *testing.T) {
 		// and the device index's next page.
 		chunkObjects = 4
 		// slack covers a growth of the broker log's arena or record
-		// list, or of the shards' verdict lists, landing in the window.
+		// list landing in the window.
 		slack = 6
 	)
 	v, stream := testSetup(t)

@@ -119,7 +119,7 @@ func TestLeasedPayloadNeverRetained(t *testing.T) {
 					t.Fatalf("stored row %d = %+v, produced %+v", i, s, a)
 				}
 			}
-			top, err := svc.TopDevices(5)
+			top, err := h.TopDevices(5)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -201,7 +201,7 @@ func NewWith(cluster Cluster, group string, verifier *core.Verifier,
 				return metrics.ConsumerLeases{Shard: id, Active: st.Active, Free: st.Free, Bytes: st.Bytes}
 			})
 		}
-		s.shards = append(s.shards, newShard(id, app, cfg.PipelineDepth, cfg.ShedQueue))
+		s.shards = append(s.shards, &shard{id: id, app: app, depth: cfg.PipelineDepth, shed: cfg.ShedQueue})
 	}
 	// Joining is sequential, so every shard but the last computed its
 	// assignment against a partial membership. Settle the group before
@@ -265,26 +265,15 @@ func (s *Service) Records() int {
 	return total
 }
 
-// Verified returns every verification produced so far, shard by
-// shard (order within a shard follows its batch order).
+// Verified returns every verdict stored in the service's history, in
+// ingest order (History.Verdicts) — the shared store's, so any other
+// service's or earlier run's too. Nil without a history.
 func (s *Service) Verified() []alarm.Verification {
-	var out []alarm.Verification
-	for _, sh := range s.shards {
-		out = append(out, sh.app.Verified()...)
-	}
-	return out
-}
-
-// TopDevices ranks the k noisiest devices in the shared alarm history
-// by stored alarm count, descending — a pushdown group-count
-// aggregation computed inside the store partitions (only per-device
-// partial counts leave a partition). Returns nil when the service was
-// built without a history.
-func (s *Service) TopDevices(k int) ([]core.DeviceCount, error) {
 	if s.history == nil {
-		return nil, nil
+		return nil
 	}
-	return s.history.TopDevices(k)
+	_, out := s.history.Verdicts()
+	return out
 }
 
 // Lag sums the records between each shard's position and the high
@@ -443,10 +432,6 @@ type shard struct {
 	failed   atomic.Bool
 	errMu    sync.Mutex
 	firstErr error
-}
-
-func newShard(id string, app *core.ConsumerApp, depth, shed int) *shard {
-	return &shard{id: id, app: app, depth: depth, shed: shed}
 }
 
 func (s *shard) err() error {

@@ -175,9 +175,15 @@ func TestGracefulStopResumesExactlyOnce(t *testing.T) {
 	b := loadedBroker(t, stream, 4)
 	defer b.Close()
 
+	// Both services store into one history, as a restarted daemon
+	// reopens its store.
+	h, err := core.NewHistory(docstore.NewDB())
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := testConfig(2)
 	cfg.Consumer.MaxPerBatch = 128
-	svc1, err := New(b, "alarms", "g", v, nil, cfg)
+	svc1, err := New(b, "alarms", "g", v, h, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +197,7 @@ func TestGracefulStopResumesExactlyOnce(t *testing.T) {
 		t.Skip("first service drained everything before stop; nothing to resume")
 	}
 
-	svc2, err := New(b, "alarms", "g", v, nil, cfg)
+	svc2, err := New(b, "alarms", "g", v, h, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,10 +211,11 @@ func TestGracefulStopResumesExactlyOnce(t *testing.T) {
 	if total := n1 + svc2.Records(); total != len(stream) {
 		t.Fatalf("restart processed %d in total, want exactly %d", total, len(stream))
 	}
-	all := append(svc1.Verified(), svc2.Verified()...)
-	if uniqueIDs(all) != len(stream) {
-		t.Fatalf("coverage %d unique of %d — records lost or duplicated across restart",
-			uniqueIDs(all), len(stream))
+	// The shared history holds both services' verdicts.
+	all := svc2.Verified()
+	if len(all) != len(stream) || uniqueIDs(all) != len(stream) {
+		t.Fatalf("coverage %d (%d unique) of %d — records lost or duplicated across restart",
+			len(all), uniqueIDs(all), len(stream))
 	}
 }
 
@@ -221,9 +228,13 @@ func TestRebalanceUnderConcurrentJoinLeave(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	h, err := core.NewHistory(docstore.NewDB())
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := testConfig(2)
 	cfg.Consumer.MaxPerBatch = 64 // many small batches so the churn lands mid-stream
-	svc, err := New(b, "alarms", "g", v, nil, cfg)
+	svc, err := New(b, "alarms", "g", v, h, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
