@@ -159,12 +159,14 @@ test-crash:
 
 ## test-events: the event-driven wait paths — the in-process consumer's
 ## park on its wake channel (internal/broker) and the wire's parked
-## pulls and fetches (internal/netbroker) — twenty times over under the
-## race detector, so the sweep/park/signal interleavings get more than
-## one shot per CI run (CI `test` job). A lost wake-up is a hang up to
-## the tests' 30 s poll timeouts, hence the explicit -timeout.
+## pulls and fetches (internal/netbroker) — and the group protocol —
+## rebalances, a same-id rejoin, session expiry and the heartbeat pace
+## a join hands out — twenty times over under the race detector, so
+## the sweep/park/signal and join/heartbeat/expire interleavings get
+## more than one shot per CI run (CI `test` job). A lost wake-up is a
+## hang up to the tests' 30 s poll timeouts, hence the explicit -timeout.
 test-events:
-	$(GO) test -race -count=20 -timeout 5m -run 'Event|Wake|Parked|LostWakeup' ./internal/broker ./internal/netbroker
+	$(GO) test -race -count=20 -timeout 5m -run 'Event|Wake|Parked|LostWakeup|Rebalance|Rejoin|Session|Janitor|JoinUnder' ./internal/broker ./internal/netbroker
 
 ## test-budgets: the allocation and footprint budgets by name, without
 ## the race detector — they carry a `!race` tag (the race runtime

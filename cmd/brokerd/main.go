@@ -74,7 +74,7 @@ func parseOptions(args []string, output io.Writer) (options, error) {
 		"leader-silence tolerance before standing for election, staggered by node id (0 = default 750ms)")
 	fs.DurationVar(&o.ackTimeout, "ack-timeout", 0, "append quorum-ack deadline (0 = default 5s)")
 	fs.DurationVar(&o.sessionTimeout, "session-timeout", 0,
-		"consumer-group member expiry without heartbeats (0 = default 3s)")
+		"consumer-group member expiry without heartbeats; members heartbeat at a twentieth of it (0 = default 3s)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return options{}, err

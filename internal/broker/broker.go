@@ -114,27 +114,19 @@ func (b *Broker) GroupCommitted(group string) (map[int]int64, error) {
 }
 
 // JoinGroup adds member to the named consumer group on topic t,
-// creating the group if need be, and returns the member's assignment
-// and the group's generation. A join under an id already present keeps
-// one member and moves no generation. It and the Group calls below are
-// the coordinator as the network server drives it for remote members,
-// which poll client-side and hold no in-process Consumer.
-func (b *Broker) JoinGroup(groupName string, t *Topic, member string) ([]int, int64, error) {
+// creating the group if need be, and returns the member's assignment:
+// its partitions, their committed offsets and the group's generation,
+// read together. A join under an id already present keeps one member
+// and moves no generation, so a member re-reads its assignment by
+// joining again. It and the Group calls below are the coordinator as
+// the network server drives it for remote members, which poll
+// client-side and hold no in-process Consumer.
+func (b *Broker) JoinGroup(groupName string, t *Topic, member string) (parts []int, offsets map[int]int64, gen int64, err error) {
 	g, err := b.groupFor(groupName, t)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
 	g.join(member, nil)
-	return g.assignment(member)
-}
-
-// GroupAssignment returns member's partitions and the generation they
-// belong to; a member that left or never joined gets ErrNotMember.
-func (b *Broker) GroupAssignment(groupName, member string) ([]int, int64, error) {
-	g, err := b.lookupGroup(groupName)
-	if err != nil {
-		return nil, 0, err
-	}
 	return g.assignment(member)
 }
 

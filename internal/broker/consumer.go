@@ -99,21 +99,25 @@ func (g *group) leave(member string) {
 }
 
 // assignment computes the range assignment of partitions to a member
-// under the current generation.
-func (g *group) assignment(member string) (parts []int, gen int64, err error) {
+// under the current generation, with each assigned partition's
+// committed offset read under the same lock: the positions a member
+// resumes from belong to the generation it commits under.
+func (g *group) assignment(member string) (parts []int, offsets map[int]int64, gen int64, err error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	idx := slices.Index(g.members, member)
 	if idx < 0 {
-		return nil, 0, ErrNotMember
+		return nil, nil, 0, ErrNotMember
 	}
 	n := g.topic.Partitions()
+	offsets = make(map[int]int64, n/len(g.members)+1)
 	for p := 0; p < n; p++ {
 		if p%len(g.members) == idx {
 			parts = append(parts, p)
+			offsets[p] = g.committed[p]
 		}
 	}
-	return parts, g.generation, nil
+	return parts, offsets, g.generation, nil
 }
 
 func (g *group) commit(gen int64, offsets map[int]int64) error {
@@ -129,12 +133,6 @@ func (g *group) commit(gen int64, offsets map[int]int64) error {
 	}
 	g.mu.Unlock()
 	return nil
-}
-
-func (g *group) committedOffset(p int) int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.committed[p]
 }
 
 // committedSnapshot copies the group's committed offsets for every
@@ -260,12 +258,12 @@ func NewConsumer(b *Broker, groupName string, t *Topic, id string) (*Consumer, e
 func (c *Consumer) Rebalances() <-chan struct{} { return c.rebalances }
 
 // refreshAssignment re-reads the group's assignment for this member,
-// seeks newly-acquired partitions to their committed offsets and moves
+// seeks its partitions to the committed offsets read with it and moves
 // the wake channel to the new partitions; a poll parked under the old
 // assignment is woken to sweep the new one. A closed consumer watches
 // nothing and stays that way.
 func (c *Consumer) refreshAssignment() error {
-	parts, gen, err := c.grp.assignment(c.id)
+	parts, offsets, gen, err := c.grp.assignment(c.id)
 	if err != nil {
 		return err
 	}
@@ -277,9 +275,8 @@ func (c *Consumer) refreshAssignment() error {
 	c.unwatchLocked()
 	c.gen = gen
 	c.assigned = parts
-	c.positions = make(map[int]int64, len(parts))
+	c.positions = offsets
 	for _, p := range parts {
-		c.positions[p] = c.grp.committedOffset(p)
 		c.topic.partitions[p].watch(c.wake)
 	}
 	c.next = 0

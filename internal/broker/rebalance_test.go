@@ -339,7 +339,7 @@ func TestJoinUnderPresentIdKeepsOneMember(t *testing.T) {
 	b, topic := loadTopic(t, 4, 0)
 	defer b.Close()
 	for i := 0; i < 2; i++ {
-		parts, gen, err := b.JoinGroup("g", topic, "m1")
+		parts, _, gen, err := b.JoinGroup("g", topic, "m1")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -354,15 +354,19 @@ func TestJoinUnderPresentIdKeepsOneMember(t *testing.T) {
 			t.Fatalf("join %d: sole member assigned %v, want all 4 partitions", i+1, parts)
 		}
 	}
-	parts, gen, err := b.JoinGroup("g", topic, "m2")
+	parts, _, gen, err := b.JoinGroup("g", topic, "m2")
 	if err != nil || gen != 2 || len(parts) != 2 {
 		t.Fatalf("second member's join = %v at generation %d, %v; want 2 partitions at 2", parts, gen, err)
 	}
 	b.LeaveGroup("g", "m1")
-	if _, _, err := b.GroupAssignment("g", "m1"); !errors.Is(err, ErrNotMember) {
+	g, err := b.lookupGroup("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := g.assignment("m1"); !errors.Is(err, ErrNotMember) {
 		t.Fatalf("assignment after m1's one leave: %v, want ErrNotMember", err)
 	}
-	if parts, gen, err := b.GroupAssignment("g", "m2"); err != nil || gen != 3 || len(parts) != 4 {
+	if parts, _, gen, err := g.assignment("m2"); err != nil || gen != 3 || len(parts) != 4 {
 		t.Fatalf("survivor's assignment = %v at generation %d, %v; want all 4 at 3", parts, gen, err)
 	}
 }

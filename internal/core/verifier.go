@@ -315,9 +315,12 @@ var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 // slice (len(out) must be at least len(alarms)), one verification per
 // alarm; predictions and probabilities are bit-identical to calling
 // Verify per alarm, with LatencyMS reporting the batch's amortized
-// per-alarm latency. It is the allocation-free form the pipeline's
-// classify workers use to fill disjoint regions of one
-// result slice concurrently. The model snapshot is loaded once per
+// per-alarm latency. It draws its scratch from batchPool, so callers
+// with none of their own — Verify, the replay baseline's workers
+// filling disjoint regions of one result slice — allocate nothing in
+// the steady state; the pipeline's Classify scores on its
+// ConsumerApp's own scratch, on one goroutine, through
+// verifyBatchInto. The model snapshot is loaded once per
 // call: the whole batch is encoded and classified by one model, so a
 // concurrent hot swap can never split a batch across two models.
 func (v *Verifier) VerifyBatchInto(alarms []alarm.Alarm, out []alarm.Verification) error {

@@ -62,8 +62,9 @@ type OverloadConfig struct {
 }
 
 // overloadService builds the deliberately capacity-bounded service
-// under test: one shard, one worker per pool, drains of up to 1024
-// records, and a simulated remote-docstore round-trip so persist costs are
+// under test: one shard, each of its pipeline stages one goroutine,
+// drains of up to 1024 records, and a simulated remote-docstore
+// round-trip so persist costs are
 // stable across machines. The same configuration serves calibration
 // and every sweep cell — only the shed bound varies.
 func overloadService(b *broker.Broker, v *core.Verifier, shedQueue int,

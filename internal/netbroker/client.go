@@ -230,9 +230,6 @@ type ClientOptions struct {
 	// rediscovery keep retrying through a failover before giving up
 	// (default 15s).
 	RetryTimeout time.Duration
-	// HeartbeatInterval paces each consumer's group heartbeat
-	// (default 150ms).
-	HeartbeatInterval time.Duration
 }
 
 func (o *ClientOptions) defaults() {
@@ -241,9 +238,6 @@ func (o *ClientOptions) defaults() {
 	}
 	if o.RetryTimeout <= 0 {
 		o.RetryTimeout = 15 * time.Second
-	}
-	if o.HeartbeatInterval <= 0 {
-		o.HeartbeatInterval = 150 * time.Millisecond
 	}
 }
 
@@ -371,17 +365,16 @@ func retriable(err error) bool {
 }
 
 // retry runs try until it succeeds or fails for good: once RetryTimeout
-// has passed since the first try, or with an error that is neither
-// retriable nor broker.ErrNotMember (a session the coordinator expired,
-// which a rejoin at the current leader mends). It pauses 100 ms between
-// tries, and a close of stop (nil for none) ends the pause with
-// broker.ErrClosed. Every call that rides out a failover — control
-// calls, sends, a consumer's refresh — retries here.
+// has passed since the first try, or with an error that is not
+// retriable. It pauses 100 ms between tries, and a close of stop (nil
+// for none) ends the pause with broker.ErrClosed. Every call that rides
+// out a failover — control calls, sends, a consumer's refresh (a join,
+// which re-adds a session the coordinator expired) — retries here.
 func (c *Client) retry(stop <-chan struct{}, try func() error) error {
 	deadline := time.Now().Add(c.opts.RetryTimeout)
 	for {
 		err := try()
-		if err == nil || !retriable(err) && !errors.Is(err, broker.ErrNotMember) {
+		if err == nil || !retriable(err) {
 			return err
 		}
 		if !time.Now().Before(deadline) {
@@ -438,6 +431,8 @@ func (c *Client) NewGroupConsumer(group, id string) (broker.GroupConsumer, int, 
 	if err != nil {
 		return nil, 0, err
 	}
+	cons.mu.Lock()
+	defer cons.mu.Unlock()
 	return cons, cons.partitions, nil
 }
 

@@ -13,16 +13,17 @@ import (
 )
 
 // budgetClient boots a standalone node with an eight-partition topic
-// and a client whose heartbeats stay out of the measurements.
+// and a client whose heartbeats stay out of the measurements: the
+// server's 20-minute session paces them at one a minute.
 func budgetClient(t testing.TB) (*Server, *Client) {
 	t.Helper()
 	b := broker.New()
-	srv, err := NewServer(b, "127.0.0.1:0", Options{SessionTimeout: time.Minute})
+	srv, err := NewServer(b, "127.0.0.1:0", Options{SessionTimeout: 20 * time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close(); b.Close() })
-	c, err := Dial([]string{srv.Addr()}, "alarms", ClientOptions{HeartbeatInterval: time.Minute})
+	c, err := Dial([]string{srv.Addr()}, "alarms", ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

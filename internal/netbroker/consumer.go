@@ -3,6 +3,7 @@ package netbroker
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -28,16 +29,15 @@ import (
 // below are its scratch); every other method may be called from any
 // goroutine beside it.
 type Consumer struct {
-	c          *Client
-	group      string
-	member     string
-	partitions int
+	c      *Client
+	group  string
+	member string
 
 	// conn carries the group's strictly ordered control RPCs (join,
-	// assign, commit, committed, heartbeat, leave); fetch carries only
-	// polls. An rpcConn is held for a whole round-trip, and the server
-	// parks a fetch until records are visible, so on one connection
-	// every commit and heartbeat would queue behind the parked fetch.
+	// commit, heartbeat, leave); fetch carries only polls. An rpcConn is
+	// held for a whole round-trip, and the server parks a fetch until
+	// records are visible, so on one connection every commit and
+	// heartbeat would queue behind the parked fetch.
 	conn, fetch connSlot
 
 	// fetchReq and fetchResp are the polling goroutine's messages, kept
@@ -75,6 +75,10 @@ type Consumer struct {
 	positions map[int]int64
 	next      int
 	closed    bool
+	// partitions is the topic's partition count and pace the heartbeat
+	// interval, both as the last join handed them out.
+	partitions int
+	pace       time.Duration
 
 	rebalance chan struct{}
 	stopc     chan struct{}
@@ -125,32 +129,25 @@ func (k *Consumer) callOn(slot *connSlot, op byte, req request, resp response, r
 }
 
 // join (re)joins the group at the current leader and installs the
-// returned assignment, seeking to the committed offsets.
+// assignment its one answer carries: partitions, generation, the
+// committed offsets every partition is re-sought to, and the heartbeat
+// pace.
 func (k *Consumer) join() error {
 	var resp joinResp
 	req := joinReq{Group: k.group, Topic: k.c.topic, Member: k.member}
 	if err := k.call(opJoin, req, &resp); err != nil {
 		return err
 	}
-	k.partitions = resp.Partitions
-	return k.install(resp.Gen, resp.Parts)
-}
-
-// install adopts an assignment and re-seeks every partition to the
-// group's committed offset.
-func (k *Consumer) install(gen int64, parts []int) error {
-	var resp committedResp
-	if err := k.call(opCommitted, committedReq{Group: k.group, Parts: parts}, &resp); err != nil {
-		return err
+	if resp.Heartbeat <= 0 {
+		return fmt.Errorf("netbroker: join answered heartbeat pace %s", resp.Heartbeat)
 	}
 	k.mu.Lock()
-	k.gen = gen
-	k.assigned = append(k.assigned[:0], parts...)
-	k.positions = make(map[int]int64, len(parts))
-	for _, p := range parts {
-		k.positions[p] = resp.Offsets[p]
-	}
+	k.partitions = resp.Partitions
+	k.gen = resp.Gen
+	k.assigned = resp.Parts
+	k.positions = resp.Offsets
 	k.next = 0
+	k.pace = resp.Heartbeat
 	k.mu.Unlock()
 	return nil
 }
@@ -168,13 +165,20 @@ func (k *Consumer) signalRebalance() {
 // rebalance so the shard re-syncs.
 func (k *Consumer) heartbeatLoop() {
 	defer k.hbWG.Done()
-	tick := time.NewTicker(k.c.opts.HeartbeatInterval)
+	pace := k.heartbeatPace()
+	tick := time.NewTicker(pace)
 	defer tick.Stop()
 	for {
 		select {
 		case <-k.stopc:
 			return
 		case <-tick.C:
+		}
+		// A rejoin, here or in RefreshAssignment, may have brought
+		// another server's pace.
+		if p := k.heartbeatPace(); p != pace {
+			pace = p
+			tick.Reset(pace)
 		}
 		stale, err := k.heartbeat()
 		if err == nil {
@@ -193,6 +197,13 @@ func (k *Consumer) heartbeatLoop() {
 			k.signalRebalance()
 		}
 	}
+}
+
+// heartbeatPace is the heartbeat interval of the member's last join.
+func (k *Consumer) heartbeatPace() time.Duration {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return k.pace
 }
 
 // heartbeat runs one heartbeat round trip and reports whether the
@@ -218,28 +229,16 @@ func (k *Consumer) heartbeat() (stale bool, err error) {
 // broker failover).
 func (k *Consumer) Rebalances() <-chan struct{} { return k.rebalance }
 
-// RefreshAssignment re-reads the assignment from the coordinator and
-// re-seeks to committed offsets. The serving pipeline treats a refresh
-// error as fatal to the shard, so transient failures — the mid-election
-// window where no node answers, or a session the janitor expired while
-// the member was partitioned — are retried against wherever the leader
-// now is for the client's RetryTimeout. Only an outage outlasting that
-// budget (or a non-retriable refusal) surfaces.
+// RefreshAssignment re-reads the assignment by joining again: a join
+// under the member's own id keeps one member and moves no generation,
+// and one whose session the janitor expired, while the member was
+// partitioned say, adds it back. The serving pipeline treats a refresh
+// error as fatal to the shard, so transient failures — the
+// mid-election window where no node answers — are retried against
+// wherever the leader now is for the client's RetryTimeout. Only an
+// outage outlasting that budget (or a non-retriable refusal) surfaces.
 func (k *Consumer) RefreshAssignment() error {
-	return k.c.retry(k.stopc, k.refreshOnce)
-}
-
-func (k *Consumer) refreshOnce() error {
-	var resp assignResp
-	err := k.call(opAssign, assignReq{Group: k.group, Member: k.member}, &resp)
-	if err != nil {
-		if errors.Is(err, broker.ErrNotMember) || retriable(err) {
-			// Session expired or leader moved: rejoin entirely.
-			return k.join()
-		}
-		return err
-	}
-	return k.install(resp.Gen, resp.Parts)
+	return k.c.retry(k.stopc, k.join)
 }
 
 // Assignment returns the partitions currently assigned.

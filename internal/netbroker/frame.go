@@ -49,9 +49,11 @@
 // a varint that cannot be negative and every response with the kind
 // byte, a JSON body from a node that predates this format is refused
 // at its first field. The other control opcodes (meta, ensure-topic,
-// join, leave, assign, committed, group-committed, vote, declare) keep
-// JSON bodies: they run at set-up, at a rebalance, or once per
-// election, and carry none of the traffic.
+// join, leave, group-committed, vote, declare) keep JSON bodies: they
+// run at set-up, at a rebalance, or once per election, and carry none
+// of the traffic. A join's answer is the member's whole assignment —
+// partitions, their committed offsets, generation — and its heartbeat
+// pace.
 //
 // See ARCHITECTURE.md "Distributed deployment" for the replication
 // protocol and its delivery invariants.

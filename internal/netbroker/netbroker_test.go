@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
@@ -16,11 +17,16 @@ import (
 // fastClientOpts keeps test retries snappy.
 func fastClientOpts() netbroker.ClientOptions {
 	return netbroker.ClientOptions{
-		DialTimeout:       250 * time.Millisecond,
-		RetryTimeout:      10 * time.Second,
-		HeartbeatInterval: 25 * time.Millisecond,
+		DialTimeout:  250 * time.Millisecond,
+		RetryTimeout: 10 * time.Second,
 	}
 }
+
+// testSessionTimeout is the test servers' session timeout: its
+// twentieth, the pace their members heartbeat at, is 25 ms, so a
+// member hears of a rebalance or a failover within a few tens of
+// milliseconds.
+const testSessionTimeout = 500 * time.Millisecond
 
 // pollCopy polls under a lease, clones the records' bytes and releases
 // the lease: the copying poll tests that keep records read through.
@@ -56,7 +62,7 @@ func startStandalone(t *testing.T) (*netbroker.Server, *broker.Broker) {
 	t.Helper()
 	b := broker.New()
 	srv, err := netbroker.NewServer(b, "127.0.0.1:0", netbroker.Options{
-		SessionTimeout: time.Second,
+		SessionTimeout: testSessionTimeout,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -64,6 +70,68 @@ func startStandalone(t *testing.T) (*netbroker.Server, *broker.Broker) {
 	t.Cleanup(srv.Close)
 	t.Cleanup(func() { b.Close() })
 	return srv, b
+}
+
+// TestRejoinResumesAtCommittedOffsets: a join's one answer seeks the
+// member to the group's committed offsets, so the same member's refresh
+// (a join under its own id) and a fresh member after it both start
+// where the group committed — not where the member had polled to, and
+// not at zero.
+func TestRejoinResumesAtCommittedOffsets(t *testing.T) {
+	srv, _ := startStandalone(t)
+	c, err := netbroker.Dial([]string{srv.Addr()}, "alarms", fastClientOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.EnsureTopic(2); err != nil {
+		t.Fatal(err)
+	}
+	p, err := c.NewProducer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	const n = 40
+	for i := 0; i < n; i++ {
+		if _, _, err := p.SendAt([]byte(fmt.Sprintf("dev-%d", i)), []byte("alarm"), time.Unix(0, int64(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, _, err := c.NewGroupConsumer("verify", "m1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer first.Close()
+	for got := 0; got < n; {
+		recs, err := pollCopy(first, n, time.Second)
+		if err != nil || len(recs) == 0 {
+			t.Fatalf("polled %d of %d records, then %v", got, n, err)
+		}
+		got += len(recs)
+	}
+	committed := first.PositionsInto(nil)
+	for p := range committed {
+		committed[p] /= 2
+	}
+	if err := first.CommitOffsets(committed); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.RefreshAssignment(); err != nil {
+		t.Fatal(err)
+	}
+	if got := first.PositionsInto(nil); !reflect.DeepEqual(got, committed) {
+		t.Fatalf("refreshed member at %v, the group committed %v", got, committed)
+	}
+	first.Close()
+	second, _, err := c.NewGroupConsumer("verify", "m2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Close()
+	if got := second.PositionsInto(nil); !reflect.DeepEqual(got, committed) {
+		t.Fatalf("successor at %v, the group committed %v", got, committed)
+	}
 }
 
 func TestSingleNodeProduceConsume(t *testing.T) {
@@ -381,7 +449,7 @@ func clusterOpts(i int, addrs []string, rm *metrics.Replication) netbroker.Optio
 		ReplInterval:    2 * time.Millisecond,
 		ElectionTimeout: 150 * time.Millisecond,
 		AckTimeout:      3 * time.Second,
-		SessionTimeout:  time.Second,
+		SessionTimeout:  testSessionTimeout,
 		Repl:            rm,
 	}
 }

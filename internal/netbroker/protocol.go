@@ -3,6 +3,7 @@ package netbroker
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"alarmverify/internal/broker"
 )
@@ -17,9 +18,7 @@ const (
 	opHighWatermarks
 	opJoin
 	opLeave
-	opAssign
 	opCommit
-	opCommitted
 	opGroupCommitted
 	opHeartbeat
 	opReplFetch
@@ -146,11 +145,17 @@ type joinReq struct {
 	Member string `json:"member"`
 }
 
+// joinResp is a member's whole assignment, read in one join: its
+// partitions, their committed offsets and the generation they belong
+// to, plus the pace its heartbeat must keep to hold the session (a
+// twentieth of the server's SessionTimeout).
 type joinResp struct {
 	wireErr
-	Gen        int64 `json:"gen"`
-	Parts      []int `json:"parts"`
-	Partitions int   `json:"partitions"`
+	Gen        int64         `json:"gen"`
+	Parts      []int         `json:"parts"`
+	Offsets    map[int]int64 `json:"offsets"`
+	Partitions int           `json:"partitions"`
+	Heartbeat  time.Duration `json:"heartbeat"`
 }
 
 type leaveReq struct {
@@ -159,27 +164,6 @@ type leaveReq struct {
 }
 
 type leaveResp struct{ wireErr }
-
-type assignReq struct {
-	Group  string `json:"group"`
-	Member string `json:"member"`
-}
-
-type assignResp struct {
-	wireErr
-	Gen   int64 `json:"gen"`
-	Parts []int `json:"parts"`
-}
-
-type committedReq struct {
-	Group string `json:"group"`
-	Parts []int  `json:"parts"`
-}
-
-type committedResp struct {
-	wireErr
-	Offsets map[int]int64 `json:"offsets"`
-}
 
 type groupCommittedReq struct {
 	Group string `json:"group"`

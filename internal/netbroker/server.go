@@ -37,7 +37,8 @@ type Options struct {
 	// before failing with ErrAckTimeout (default 5s).
 	AckTimeout time.Duration
 	// SessionTimeout expires consumer-group members that stop
-	// heartbeating, releasing their partitions (default 3s).
+	// heartbeating, releasing their partitions (default 3s). A member
+	// learns its heartbeat pace, a twentieth of it, when it joins.
 	SessionTimeout time.Duration
 	// Repl, when set, receives replication metrics: current epoch and
 	// leader, failover count, per-follower replica lag, per-peer
@@ -403,10 +404,6 @@ func (s *Server) dispatch(sc *connScratch, op byte, payload []byte) ([]byte, err
 		resp, err = viaJSON(payload, s.handleJoin)
 	case opLeave:
 		resp, err = viaJSON(payload, s.handleLeave)
-	case opAssign:
-		resp, err = viaJSON(payload, s.handleAssign)
-	case opCommitted:
-		resp, err = viaJSON(payload, s.handleCommitted)
 	case opGroupCommitted:
 		resp, err = viaJSON(payload, s.handleGroupCommitted)
 	case opVote:
@@ -771,7 +768,7 @@ func (s *Server) handleJoin(req joinReq) joinResp {
 		return resp
 	}
 	s.sessMu.Lock()
-	resp.Parts, resp.Gen, err = s.b.JoinGroup(req.Group, t, req.Member)
+	resp.Parts, resp.Offsets, resp.Gen, err = s.b.JoinGroup(req.Group, t, req.Member)
 	if err == nil {
 		s.sessions[sessionKey{req.Group, req.Member}] = time.Now()
 	}
@@ -781,6 +778,10 @@ func (s *Server) handleJoin(req joinReq) joinResp {
 		return resp
 	}
 	resp.Partitions = t.Partitions()
+	// Twenty heartbeats a session: a member stays live through a few
+	// lost or late ones, and the janitor, which sweeps every third of a
+	// session, never expires one that keeps the pace.
+	resp.Heartbeat = s.opts.SessionTimeout / 20
 	return resp
 }
 
@@ -814,22 +815,6 @@ func (s *Server) handleLeave(req leaveReq) leaveResp {
 	return leaveResp{}
 }
 
-func (s *Server) handleAssign(req assignReq) assignResp {
-	var resp assignResp
-	if err := s.requireLeader(); err != nil {
-		resp.setErr(err)
-		return resp
-	}
-	err := s.stampSession(req.Group, req.Member)
-	if err == nil {
-		resp.Parts, resp.Gen, err = s.b.GroupAssignment(req.Group, req.Member)
-	}
-	if err != nil {
-		resp.setErr(err)
-	}
-	return resp
-}
-
 func (s *Server) handleCommit(req *commitReq, resp *commitResp, offsets map[int]int64) {
 	*resp = commitResp{}
 	if err := s.requireLeader(); err != nil {
@@ -849,22 +834,15 @@ func (s *Server) handleCommit(req *commitReq, resp *commitResp, offsets map[int]
 	}
 }
 
-func (s *Server) handleCommitted(req committedReq) committedResp {
-	var resp committedResp
-	all, err := s.b.GroupCommitted(req.Group)
-	if err != nil {
+// handleGroupCommitted answers the group audit from the leader's
+// coordinator only: a follower's offsets are the gossip it was last
+// fed, so it redirects the caller to the leader.
+func (s *Server) handleGroupCommitted(req groupCommittedReq) groupCommittedResp {
+	var resp groupCommittedResp
+	if err := s.requireLeader(); err != nil {
 		resp.setErr(err)
 		return resp
 	}
-	resp.Offsets = make(map[int]int64, len(req.Parts))
-	for _, p := range req.Parts {
-		resp.Offsets[p] = all[p]
-	}
-	return resp
-}
-
-func (s *Server) handleGroupCommitted(req groupCommittedReq) groupCommittedResp {
-	var resp groupCommittedResp
 	offsets, err := s.b.GroupCommitted(req.Group)
 	if err != nil {
 		resp.setErr(err)

@@ -1,6 +1,7 @@
 package netbroker
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -19,9 +20,7 @@ func TestJanitorExpiresSilentSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := Dial([]string{srv.Addr()}, "alarms", ClientOptions{
-		HeartbeatInterval: 25 * time.Millisecond,
-	})
+	c, err := Dial([]string{srv.Addr()}, "alarms", ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,13 +71,14 @@ func TestJanitorExpiresSilentSessions(t *testing.T) {
 func TestRejoinedMemberHearsLaterRebalance(t *testing.T) {
 	b := broker.New()
 	defer b.Close()
-	srv, err := NewServer(b, "127.0.0.1:0", Options{SessionTimeout: time.Minute})
+	const session = 500 * time.Millisecond
+	const hb = session / 20 // the pace a join hands the member
+	srv, err := NewServer(b, "127.0.0.1:0", Options{SessionTimeout: session})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	const hb = 25 * time.Millisecond
-	c, err := Dial([]string{srv.Addr()}, "alarms", ClientOptions{HeartbeatInterval: hb})
+	c, err := Dial([]string{srv.Addr()}, "alarms", ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,5 +136,114 @@ func TestRejoinedMemberHearsLaterRebalance(t *testing.T) {
 	}
 	if err := first.CommitOffsets(first.PositionsInto(nil)); err != nil {
 		t.Fatalf("m1's commit after the refresh: %v", err)
+	}
+}
+
+// TestHeartbeatPaceHoldsShortSession: a member heartbeats at the pace
+// its join hands out, a twentieth of the server's session, so a live
+// member built from default client options keeps even a 100 ms
+// session: over 1.5 s it hears no rebalance and the group's generation
+// stays where its join left it. A client that paced itself, slower
+// than the session, would be expired and re-added over and over.
+func TestHeartbeatPaceHoldsShortSession(t *testing.T) {
+	b := broker.New()
+	defer b.Close()
+	srv, err := NewServer(b, "127.0.0.1:0", Options{SessionTimeout: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := Dial([]string{srv.Addr()}, "alarms", ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.EnsureTopic(4); err != nil {
+		t.Fatal(err)
+	}
+	cons, _, err := c.NewGroupConsumer("g", "m1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cons.Close()
+	joined, err := b.GroupGeneration("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	signals := 0
+	for end := time.After(1500 * time.Millisecond); ; {
+		select {
+		case <-cons.Rebalances():
+			signals++
+			if err := cons.RefreshAssignment(); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		case <-end:
+		}
+		break
+	}
+	gen, err := b.GroupGeneration("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if signals != 0 || gen != joined {
+		t.Fatalf("a live member heard %d rebalances in 1.5 s and the generation moved %d -> %d: its heartbeats do not keep a 100 ms session",
+			signals, joined, gen)
+	}
+}
+
+// TestFollowerRefusesGroupCommitted: a follower's group offsets are the
+// gossip its last pull brought, not the coordinator's, so sent the
+// group audit directly it refuses with ErrNotLeader — the redirect on
+// which Client.GroupCommitted finds the leader and asks again.
+func TestFollowerRefusesGroupCommitted(t *testing.T) {
+	pp := newPullPair(t, 2*time.Millisecond)
+	pp.topic(t, "alarms", 2)
+	pp.produce(t, "alarms", 0, 2, 8)
+	if resp := pp.leader.handleJoin(joinReq{Group: "verify", Topic: "alarms", Member: "m1"}); resp.Err != "" {
+		t.Fatal(resp.Err)
+	} else if err := pp.lb.GroupCommit("verify", resp.Gen, map[int]int64{0: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pp.follower.pullFrom(0); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := pp.fb.GroupCommitted("verify"); got[0] != 1 {
+		t.Fatalf("follower's gossiped offsets %v, want partition 0 at 1", got)
+	}
+	rc, err := dialRPC(pp.follower.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.close()
+	var resp groupCommittedResp
+	if err := rc.call(opGroupCommitted, groupCommittedReq{Group: "verify"}, &resp); !errors.Is(err, ErrNotLeader) {
+		t.Fatalf("follower answered the group audit with %v, %v; want ErrNotLeader", resp.Offsets, err)
+	}
+}
+
+// TestJoinRefusesPacelessAnswer: a session timeout under 20 ns leaves a
+// member no heartbeat pace; its join then fails with an error instead
+// of panicking the heartbeat ticker.
+func TestJoinRefusesPacelessAnswer(t *testing.T) {
+	b := broker.New()
+	defer b.Close()
+	srv, err := NewServer(b, "127.0.0.1:0", Options{SessionTimeout: 19})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := Dial([]string{srv.Addr()}, "alarms", ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.EnsureTopic(1); err != nil {
+		t.Fatal(err)
+	}
+	if cons, _, err := c.NewGroupConsumer("g", "m1"); err == nil {
+		cons.Close()
+		t.Fatal("a join answered with no heartbeat pace succeeded")
 	}
 }
