@@ -89,8 +89,11 @@ bench-train:
 ## read at a dashboard's 100 and a retrain's 50 000 on 250 000 rows
 ## (BenchmarkRecentAlarms); seven runs each on one CPU, the before/after
 ## evidence for store write- and read-path changes (compare two trees'
-## outputs run by run). The CI bench-smoke job runs this explicitly (and
-## fails if any of the six benchmarks disappears)
+## outputs run by run). Beside them the broker log's own write path
+## (internal/broker): 2 000 000 single appends to one partition, one
+## fill a run, with the slowest append's max-us and the median's p50-ns
+## (BenchmarkAppendLongLog). The CI bench-smoke job runs this explicitly
+## (and fails if any of the seven benchmarks disappears)
 bench-persist:
 	@out=$$($(GO) test -run=- -bench='^(BenchmarkRecordBatch|BenchmarkDeviceHistograms|BenchmarkInsertMany|BenchmarkPruneExpired|BenchmarkOperatorQueries|BenchmarkRecentAlarms)$$' -benchmem -cpu 1 -count 7 ./internal/core ./internal/docstore) || \
 		{ echo "$$out"; echo "persist benchmarks failed"; exit 1; }; \
@@ -104,6 +107,11 @@ bench-persist:
 		echo "$$out" | grep -q "^BenchmarkOperatorQueries/query=$$q" || \
 			{ echo "BenchmarkOperatorQueries did not run query=$$q"; exit 1; }; \
 	done
+	@out=$$($(GO) test -run=- -bench='^BenchmarkAppendLongLog$$' -benchtime 1x -benchmem -cpu 1 -count 7 ./internal/broker) || \
+		{ echo "$$out"; echo "broker log benchmark failed"; exit 1; }; \
+	echo "$$out"; \
+	echo "$$out" | grep -q '^BenchmarkAppendLongLog.*max-us.*p50-ns' || \
+		{ echo "BenchmarkAppendLongLog did not run"; exit 1; }
 
 ## bench-wire: the round trips a remote shard repeats, both ends in
 ## one process (internal/netbroker) — an RF 1 SendAt, a consumer

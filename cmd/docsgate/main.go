@@ -55,6 +55,7 @@ var defaultPackages = []string{
 	"internal/analysis",
 	"internal/fsync",
 	"internal/frame",
+	"internal/lane",
 }
 
 func main() {

@@ -20,10 +20,14 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"slices"
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
+
+	"alarmverify/internal/lane"
 )
 
 // Common broker errors.
@@ -36,6 +40,10 @@ var (
 	ErrNotMember      = errors.New("broker: consumer is not a group member")
 	ErrRebalanceStale = errors.New("broker: assignment changed, rejoin required")
 	ErrUnknownGroup   = errors.New("broker: unknown consumer group")
+	// ErrBelowLogStart reports a read below a partition's log start:
+	// those records were released once every group had committed past
+	// them (and, replicated, every follower had them).
+	ErrBelowLogStart = errors.New("broker: offset below the log start")
 )
 
 // Record is one entry in a partition log.
@@ -230,6 +238,12 @@ func (b *Broker) Close() error {
 type Topic struct {
 	name       string
 	partitions []*partition
+	// holdMu orders a partition's log start rising (raiseStart) with a
+	// group joining the topic: a group that joins after a rise reads
+	// the new start, one that joins before it holds the log where it
+	// is. groups are the consumer groups bound to the topic.
+	holdMu sync.Mutex
+	groups []*group
 }
 
 func newTopic(name string, n int, clock func() time.Time) *Topic {
@@ -256,15 +270,17 @@ func (t *Topic) HighWatermark(p int) (int64, error) {
 
 // FetchInto appends up to max records of partition p, starting at
 // offset, to dst, which it returns as it was on an error. It never
-// blocks and appends nothing when offset is at the high watermark. The
-// records' keys and values are views of the partition's arena, which is
-// never rewritten: they stay valid for as long as the caller keeps
-// them, and with capacity in dst nothing is allocated.
-func (t *Topic) FetchInto(p int, offset int64, max int, dst []Record) ([]Record, error) {
+// blocks and appends nothing when offset is at the high watermark; an
+// offset below the log start fails with ErrBelowLogStart. The records'
+// keys and values are views of the partition's arena: with a non-nil
+// pins they stay valid until pins.Release, without one only until the
+// log start passes them. With capacity in dst and pins nothing is
+// allocated.
+func (t *Topic) FetchInto(p int, offset int64, max int, dst []Record, pins *Pins) ([]Record, error) {
 	if p < 0 || p >= len(t.partitions) {
 		return dst, fmt.Errorf("%w: partition %d", ErrInvalidOffset, p)
 	}
-	return t.partitions[p].read(offset, max, true, dst)
+	return t.partitions[p].read(offset, max, true, dst, pins)
 }
 
 // Append appends a batch to partition p with explicit idempotence
@@ -342,11 +358,95 @@ func (t *Topic) EpochAt(p int, off int64) (int64, error) {
 // offset into dst, under FetchInto's terms but ignoring the
 // consumer-visible limit — the replication fetch: followers must copy
 // records before they are quorum-committed.
-func (t *Topic) FetchLogInto(p int, offset int64, max int, dst []Record) ([]Record, error) {
+func (t *Topic) FetchLogInto(p int, offset int64, max int, dst []Record, pins *Pins) ([]Record, error) {
 	if p < 0 || p >= len(t.partitions) {
 		return dst, fmt.Errorf("%w: partition %d", ErrInvalidOffset, p)
 	}
-	return t.partitions[p].read(offset, max, false, dst)
+	return t.partitions[p].read(offset, max, false, dst, pins)
+}
+
+// LogStart returns partition p's log start offset, below which its
+// records are released, and the epoch of the record just below it (0
+// at offset 0).
+func (t *Topic) LogStart(p int) (start, epoch int64, err error) {
+	if p < 0 || p >= len(t.partitions) {
+		return 0, 0, fmt.Errorf("%w: partition %d", ErrInvalidOffset, p)
+	}
+	start, epoch = t.partitions[p].logStart()
+	return start, epoch, nil
+}
+
+// SetLogStartFloor caps partition p's log start at off, beside the
+// groups' commits: the replicated broker holds a leader's log at the
+// lowest verified follower match and a follower's at the leader's log
+// start. A negative off removes the cap (the single-process default).
+// The floor may fall; the log start never does.
+func (t *Topic) SetLogStartFloor(p int, off int64) {
+	if p < 0 || p >= len(t.partitions) {
+		return
+	}
+	part := t.partitions[p]
+	part.mu.Lock()
+	// Only a floor that capped the start can let it rise by rising: one
+	// above the start left the groups' commits or the visible end to cap
+	// it, and a commit raises the start itself.
+	rose := part.floor >= 0 && (off < 0 || off > part.start && part.floor <= part.start)
+	part.floor = off
+	part.mu.Unlock()
+	if rose {
+		t.raiseStart(p)
+	}
+}
+
+// ResetLog moves partition p, whose log ends below start, to start: its
+// records are dropped and the next one appended is start's, the record
+// before it having been appended in epoch. A follower whose log ends
+// below the leader's log start resets to it, since the records between
+// are released on the leader. A log that reaches start is left alone.
+func (t *Topic) ResetLog(p int, start, epoch int64) error {
+	if p < 0 || p >= len(t.partitions) {
+		return fmt.Errorf("%w: partition %d", ErrInvalidOffset, p)
+	}
+	part := t.partitions[p]
+	part.mu.Lock()
+	defer part.mu.Unlock()
+	if part.endLocked() < start {
+		part.resetLocked(start, epoch)
+	}
+	return nil
+}
+
+// raiseStart raises partition p's log start to its low-water mark: the
+// lowest offset a consumer group bound to the topic has not committed
+// there (a group with no commit holds the log where it is), capped by
+// the partition's floor and visible end. A topic no group has joined
+// keeps every record.
+func (t *Topic) raiseStart(p int) {
+	if p < 0 || p >= len(t.partitions) {
+		return
+	}
+	t.holdMu.Lock()
+	defer t.holdMu.Unlock()
+	if len(t.groups) == 0 {
+		return
+	}
+	low := int64(math.MaxInt64)
+	for _, g := range t.groups {
+		g.mu.Lock()
+		low = min(low, g.committed[p])
+		g.mu.Unlock()
+	}
+	part := t.partitions[p]
+	part.mu.Lock()
+	part.advanceStartLocked(low)
+	part.mu.Unlock()
+}
+
+// bind registers a group created on the topic; see holdMu.
+func (t *Topic) bind(g *group) {
+	t.holdMu.Lock()
+	t.groups = append(t.groups, g)
+	t.holdMu.Unlock()
 }
 
 // SetVisibleLimit bounds the offsets consumers may observe in
@@ -383,20 +483,37 @@ func PartitionForKey(key []byte, partitions int) int {
 	return int(h.Sum32() % uint32(partitions))
 }
 
-// partition is a single append-only log; consumers assigned to it
+// partition is a single log of records; consumers assigned to it
 // park on their own wake channels, which the partition signals
-// whenever what they may read changes (see wakeLocked).
+// whenever what they may read changes (see wakeLocked). The log keeps
+// the records from its log start to its end: those below the start are
+// released (see advanceStartLocked).
 type partition struct {
 	topic string
 	index int
 	clock func() time.Time
 
-	mu      sync.Mutex
-	records []Record
+	mu sync.Mutex
+	// records holds the record headers, offset o at row o-origin, in
+	// chunks an append never copies (hdrs is their slab). origin is 0
+	// but on a follower a reset (resetLocked) moved its log.
+	records lane.Lane[entry]
+	hdrs    lane.Slab[entry]
+	origin  int64
+	// start is the log start offset: a read below it fails with
+	// ErrBelowLogStart. startEpoch is the epoch of the record at start-1
+	// (0 at 0), what EpochAt and LogTail answer for it once released.
+	start, startEpoch int64
+	// floor caps the log start (-1: no cap); see Topic.SetLogStartFloor.
+	floor int64
 	// arena owns the payload bytes of appended records: append copies
 	// keys and values in, so the log never aliases producer buffers and
 	// leased fetches can hand out stable views (see lease.go).
 	arena valueArena
+	// pins counts the readers holding views of the arena (a lease, a
+	// wire read between its fetch and its encode): while one is out, a
+	// released block carries no new appends.
+	pins int
 	// seqs tracks the highest sequence number seen per producer ID,
 	// making Append idempotent across producer retries.
 	seqs   map[int64]int64
@@ -416,6 +533,7 @@ func newPartition(topic string, index int, clock func() time.Time) *partition {
 		index:   index,
 		clock:   clock,
 		seqs:    make(map[int64]int64),
+		floor:   -1,
 		visible: -1,
 	}
 }
@@ -459,10 +577,14 @@ func (p *partition) unwatch(w chan struct{}) {
 	p.mu.Unlock()
 }
 
+// endLocked returns the log's end offset, one past its last record.
+// Caller holds p.mu.
+func (p *partition) endLocked() int64 { return p.origin + int64(p.records.Len()) }
+
 // visibleEndLocked returns the first offset consumers may NOT read:
-// the log size clamped to the visible limit. Caller holds p.mu.
+// the log's end clamped to the visible limit. Caller holds p.mu.
 func (p *partition) visibleEndLocked() int64 {
-	end := int64(len(p.records))
+	end := p.endLocked()
 	if p.visible >= 0 && p.visible < end {
 		end = p.visible
 	}
@@ -478,26 +600,38 @@ func (p *partition) highWatermark() int64 {
 func (p *partition) logSize() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return int64(len(p.records))
+	return p.endLocked()
+}
+
+func (p *partition) logStart() (start, epoch int64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.start, p.startEpoch
 }
 
 func (p *partition) logTail() (size, lastEpoch int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	n := int64(len(p.records))
-	if n == 0 {
-		return 0, 0
+	n := p.endLocked()
+	if n == p.start {
+		return n, p.startEpoch
 	}
-	return n, p.records[n-1].Epoch
+	return n, p.records.At(int(n - 1 - p.origin)).epoch
 }
 
 func (p *partition) epochAt(off int64) (int64, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if off < 0 || off >= int64(len(p.records)) {
-		return 0, fmt.Errorf("%w: offset %d (log %d)", ErrInvalidOffset, off, len(p.records))
+	end := p.endLocked()
+	switch {
+	case off < 0 || off >= end:
+		return 0, fmt.Errorf("%w: offset %d (log %d)", ErrInvalidOffset, off, end)
+	case off == p.start-1:
+		return p.startEpoch, nil
+	case off < p.start:
+		return 0, fmt.Errorf("%w: offset %d (log start %d)", ErrBelowLogStart, off, p.start)
 	}
-	return p.records[off].Epoch, nil
+	return p.records.At(int(off - p.origin)).epoch, nil
 }
 
 func (p *partition) setVisibleLimit(off int64) {
@@ -527,7 +661,7 @@ func (p *partition) append(producerID, baseSeq int64, recs []Record) (int64, err
 		last, ok := p.seqs[producerID]
 		if ok && baseSeq <= last {
 			// Duplicate batch from a retry: already appended.
-			return int64(len(p.records)), nil
+			return p.endLocked(), nil
 		}
 		p.seqs[producerID] = baseSeq + int64(len(recs)) - 1
 	}
@@ -546,8 +680,8 @@ func (p *partition) appendReplica(recs []Record) error {
 	if p.closed {
 		return ErrClosed
 	}
-	if base := int64(len(p.records)); recs[0].Offset != base {
-		return fmt.Errorf("%w: replica append at %d (log %d)", ErrInvalidOffset, recs[0].Offset, base)
+	if end := p.endLocked(); recs[0].Offset != end {
+		return fmt.Errorf("%w: replica append at %d (log %d)", ErrInvalidOffset, recs[0].Offset, end)
 	}
 	p.installLocked(recs, time.Time{})
 	return nil
@@ -557,21 +691,21 @@ func (p *partition) appendReplica(recs []Record) error {
 // the records without a timestamp (a zero now leaves them as they
 // are), wakes the partition's consumers and returns the first record's
 // offset. Caller holds p.mu.
+//
+//alarmvet:hotpath
 func (p *partition) installLocked(recs []Record, now time.Time) int64 {
-	base := int64(len(p.records))
+	base := p.endLocked()
 	for i := range recs {
-		r := recs[i]
-		r.Topic = p.topic
-		r.Partition = p.index
-		r.Offset = base + int64(i)
-		if r.Timestamp.IsZero() {
-			r.Timestamp = now
+		r := &recs[i]
+		ts := r.Timestamp
+		if ts.IsZero() {
+			ts = now
 		}
+		e := entry{ts: stamp(ts), epoch: r.Epoch, klen: uint32(len(r.Key)), vlen: uint32(len(r.Value))}
 		// Copy payloads into the partition arena: the caller may reuse
 		// its buffers the moment the append returns.
-		r.Key = p.arena.hold(r.Key)
-		r.Value = p.arena.hold(r.Value)
-		p.records = append(p.records, r)
+		e.block, e.off = p.arena.hold(r.Key, r.Value, base+int64(i))
+		p.records.Push(e, &p.hdrs)
 	}
 	p.wakeLocked()
 	return base
@@ -580,14 +714,19 @@ func (p *partition) installLocked(recs []Record, now time.Time) int64 {
 // read appends up to max records starting at offset to dst: up to the
 // visible limit when committed is set (what consumers may see), up to
 // the end of the log otherwise (the replication read path — followers
-// copy records before they are committed).
-func (p *partition) read(offset int64, max int, committed bool, dst []Record) ([]Record, error) {
+// copy records before they are committed). A read that returns records
+// pins the partition into pins, when it is not nil, under the same
+// lock: no block a record views is reused before pins.Release.
+func (p *partition) read(offset int64, max int, committed bool, dst []Record, pins *Pins) ([]Record, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if offset < 0 || offset > int64(len(p.records)) {
-		return dst, fmt.Errorf("%w: offset %d (log %d)", ErrInvalidOffset, offset, len(p.records))
+	end := p.endLocked()
+	switch {
+	case offset < 0 || offset > end:
+		return dst, fmt.Errorf("%w: offset %d (log %d)", ErrInvalidOffset, offset, end)
+	case offset < p.start:
+		return dst, fmt.Errorf("%w: offset %d (log start %d)", ErrBelowLogStart, offset, p.start)
 	}
-	end := int64(len(p.records))
 	if committed {
 		end = p.visibleEndLocked()
 	}
@@ -600,21 +739,134 @@ func (p *partition) read(offset int64, max int, committed bool, dst []Record) ([
 	if end <= offset {
 		return dst, nil
 	}
-	return append(dst, p.records[offset:end]...), nil
+	if pins != nil {
+		p.pins++
+		pins.add(p)
+	}
+	// Each Record is written in its place in dst, every field set: one
+	// built aside would be copied twice. Entries are walked a chunk at a
+	// time, and consecutive records mostly share a block.
+	dst = slices.Grow(dst, int(end-offset))
+	blk, buf := ^uint32(0), []byte(nil)
+	for o := offset; o < end; {
+		run := p.records.Run(int(o - p.origin))
+		run = run[:min(int64(len(run)), end-o)]
+		for i := range run {
+			e := &run[i]
+			dst = dst[:len(dst)+1]
+			r := &dst[len(dst)-1]
+			r.Topic, r.Partition, r.Offset, r.Epoch = p.topic, p.index, o+int64(i), e.epoch
+			r.Timestamp = unstamp(e.ts)
+			r.Key, r.Value = nil, nil
+			if e.klen+e.vlen == 0 {
+				continue
+			}
+			if e.block != blk {
+				blk, buf = e.block, p.arena.block(e.block)
+			}
+			k, v := e.off+e.klen, e.off+e.klen+e.vlen
+			if e.klen > 0 {
+				r.Key = buf[e.off:k:k]
+			}
+			if e.vlen > 0 {
+				r.Value = buf[k:v:v]
+			}
+		}
+		o += int64(len(run))
+	}
+	return dst, nil
+}
+
+// unpin ends one pin a read took; the last one out hands the blocks
+// released under the pins to the next appends.
+func (p *partition) unpin() {
+	p.mu.Lock()
+	if p.pins--; p.pins == 0 {
+		p.arena.unhold()
+	}
+	p.mu.Unlock()
 }
 
 // truncate drops records at and past off — only ever an uncommitted
-// suffix (off below the visible limit is an invariant violation).
+// suffix (off below the visible limit, or the log start, is an
+// invariant violation).
 func (p *partition) truncate(off int64) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if off < 0 || (p.visible >= 0 && off < p.visible) {
-		return fmt.Errorf("%w: truncate to %d below visible %d", ErrInvalidOffset, off, p.visible)
+	if off < p.start || (p.visible >= 0 && off < p.visible) {
+		return fmt.Errorf("%w: truncate to %d below visible %d or log start %d", ErrInvalidOffset, off, p.visible, p.start)
 	}
-	if off < int64(len(p.records)) {
-		p.records = p.records[:off]
+	if off < p.endLocked() {
+		p.records.Truncate(int(off-p.origin), &p.hdrs)
 	}
 	return nil
+}
+
+// advanceStartLocked raises the log start to off, capped by the floor
+// and the visible end: the record headers below it go with whole
+// chunks, and the arena blocks wholly below it are released. Caller
+// holds p.mu.
+func (p *partition) advanceStartLocked(off int64) {
+	if p.floor >= 0 {
+		off = min(off, p.floor)
+	}
+	off = min(off, p.visibleEndLocked())
+	if off <= p.start {
+		return
+	}
+	p.startEpoch = p.records.At(int(off - 1 - p.origin)).epoch
+	p.start = off
+	p.records.Release(int(off - p.origin))
+	p.arena.release(off, p.pins > 0)
+}
+
+// resetLocked empties a log that ends below start and moves it there:
+// the next record is start's, and the one before it was appended in
+// epoch. Caller holds p.mu.
+func (p *partition) resetLocked(start, epoch int64) {
+	p.records = lane.Lane[entry]{}
+	p.origin, p.start, p.startEpoch = start, start, epoch
+	p.arena.release(math.MaxInt64, p.pins > 0)
+	p.wakeLocked()
+}
+
+// retained returns the bytes the log holds: its header chunks, sized
+// as full ones, and its arena's blocks.
+func (p *partition) retained() int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return int64(p.records.Chunks())*lane.ChunkRows*int64(unsafe.Sizeof(entry{})) + p.arena.bytes()
+}
+
+// entry is a record's header in the log: its timestamp, its epoch and
+// where the arena holds its key and value (key first, then value, in
+// one block). An entry holds no pointer, so the collector never scans
+// the log's headers, and at 32 bytes it is less than a third of a
+// Record; read builds the Record a reader sees from it.
+type entry struct {
+	ts, epoch  int64
+	block, off uint32 // the block's sequence number, the key's place in it
+	klen, vlen uint32
+}
+
+// noTime is what stamp stores for the zero time, whose UnixNano is
+// undefined.
+const noTime = math.MinInt64
+
+// stamp and unstamp carry a record's timestamp through an entry: wall
+// clock nanoseconds, as the wire carries it.
+func stamp(t time.Time) int64 {
+	if t.IsZero() {
+		return noTime
+	}
+	return t.UnixNano()
+}
+
+func unstamp(ns int64) time.Time {
+	if ns == noTime {
+		return time.Time{}
+	}
+	return time.Unix(0, ns)
 }
 
 func (p *partition) close() {

@@ -58,7 +58,7 @@ func TestProduceFetchOrdering(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	recs, err := tp.FetchInto(0, 0, 1000, nil)
+	recs, err := tp.FetchInto(0, 0, 1000, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestConcurrentProducersNoLossNoDup(t *testing.T) {
 	wg.Wait()
 	seen := make(map[string]int)
 	for part := 0; part < 4; part++ {
-		recs, err := tp.FetchInto(part, 0, producers*perProducer, nil)
+		recs, err := tp.FetchInto(part, 0, producers*perProducer, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -457,13 +457,13 @@ func TestPropertyPartitionerUniformAndStable(t *testing.T) {
 func TestFetchInvalidOffset(t *testing.T) {
 	b := New()
 	tp := mustTopic(t, b, "alarms", 1)
-	if _, err := tp.FetchInto(0, -1, 10, nil); err == nil {
+	if _, err := tp.FetchInto(0, -1, 10, nil, nil); err == nil {
 		t.Error("negative offset accepted")
 	}
-	if _, err := tp.FetchInto(0, 5, 10, nil); err == nil {
+	if _, err := tp.FetchInto(0, 5, 10, nil, nil); err == nil {
 		t.Error("offset past high watermark accepted")
 	}
-	if _, err := tp.FetchInto(3, 0, 10, nil); err == nil {
+	if _, err := tp.FetchInto(3, 0, 10, nil, nil); err == nil {
 		t.Error("invalid partition accepted")
 	}
 }

@@ -44,6 +44,7 @@ func (b *Broker) groupFor(name string, t *Topic) (*group, error) {
 	if !ok {
 		g = &group{topic: t, committed: make(map[int]int64), watchers: make(map[string]chan struct{})}
 		b.groups[name] = g
+		t.bind(g)
 		return g, nil
 	}
 	if g.topic != t {
@@ -101,7 +102,9 @@ func (g *group) leave(member string) {
 // assignment computes the range assignment of partitions to a member
 // under the current generation, with each assigned partition's
 // committed offset read under the same lock: the positions a member
-// resumes from belong to the generation it commits under.
+// resumes from belong to the generation it commits under. A partition
+// without a commit, or one committed below the log start, starts at the
+// log start.
 func (g *group) assignment(member string) (parts []int, offsets map[int]int64, gen int64, err error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -114,12 +117,15 @@ func (g *group) assignment(member string) (parts []int, offsets map[int]int64, g
 	for p := 0; p < n; p++ {
 		if p%len(g.members) == idx {
 			parts = append(parts, p)
-			offsets[p] = g.committed[p]
+			start, _ := g.topic.partitions[p].logStart()
+			offsets[p] = max(g.committed[p], start)
 		}
 	}
 	return parts, offsets, g.generation, nil
 }
 
+// commit records offsets under generation gen and raises the log start
+// of each partition committed.
 func (g *group) commit(gen int64, offsets map[int]int64) error {
 	g.mu.Lock()
 	if gen != g.generation {
@@ -132,6 +138,9 @@ func (g *group) commit(gen int64, offsets map[int]int64) error {
 		}
 	}
 	g.mu.Unlock()
+	for p := range offsets {
+		g.topic.raiseStart(p)
+	}
 	return nil
 }
 
@@ -196,6 +205,7 @@ func (b *Broker) SeedGroupOffset(groupName string, t *Topic, p int, off int64) e
 		g.committed[p] = off
 	}
 	g.mu.Unlock()
+	t.raiseStart(p)
 	return nil
 }
 
@@ -229,8 +239,10 @@ type Consumer struct {
 	next      int // round-robin cursor over assigned partitions
 	closed    bool
 
-	// leases is the free list PollLeased draws from (see LeaseStats).
+	// leases is the free list PollLeased draws from (see LeaseStats);
+	// pins collects a sweep's pins for the lease it lends.
 	leases LeasePool
+	pins   Pins
 }
 
 // NewConsumer joins (or creates) the named consumer group on topic t

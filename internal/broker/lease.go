@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,44 +23,200 @@ func SetLeaseCheck(on bool) { leaseCheckMode.Store(on) }
 const leasePoison = 0xDB
 
 // valueArena owns the payload bytes of a partition's in-memory log.
-// Append copies record keys and values into fixed-size blocks, so the
-// log never aliases producer buffers (producers may reuse theirs) and
-// fetched Record views borrow from stable arena memory until released.
-// Blocks are append-only: once a view is handed out, its block is
-// never rewritten, only eventually garbage-collected when no record
-// references it.
+// Append copies each record's key and value into fixed-size blocks, so
+// the log never aliases producer buffers (producers may reuse theirs)
+// and a fetched Record's views borrow from arena memory. Each block is
+// tagged with the last offset it holds bytes for, and numbered: an
+// entry names its block by that number. Once the log start passes a
+// block's tag the block is released (release): it carries the next
+// appends once no view of it can still be read. A block released with
+// no pin out goes straight to spare; one released under a pin waits on
+// held until the partition's last pin ends (unhold). Both lists are
+// short (maxSpare), and a block either cannot take goes to the garbage
+// collector, as does a payload's dedicated block. Lease-check mode
+// poisons a block with 0xDB as it becomes spare, so a stale view of a
+// reused block reads the poison or a later record, never its own.
 type valueArena struct {
-	block []byte
+	blocks []arenaBlock // oldest first; the last is being filled
+	first  uint32       // the number of blocks[0]
+	spare  blockList    // released, no view left: the next appends' blocks
+	held   blockList    // released under a pin: spare once the pins end
+}
+
+// blockList is a short stack of released blocks, kept in place so that
+// no release allocates.
+type blockList struct {
+	bufs [maxSpare][]byte
+	n    int
+}
+
+// arenaBlock is one block of the arena and the offset of the last
+// record it holds bytes for.
+type arenaBlock struct {
+	buf  []byte
+	last int64
 }
 
 // arenaBlockSize is the allocation unit of the value arena; payloads
 // larger than a block get a dedicated block.
 const arenaBlockSize = 64 << 10
 
-// hold copies b into the arena and returns a stable, capacity-clamped
-// view of the copy. Empty input returns nil without touching the arena.
-func (a *valueArena) hold(b []byte) []byte {
-	if len(b) == 0 {
-		return nil
+// maxSpare bounds spare and held each: 1 MB of blocks, more than a
+// drained batch of 512-byte records releases at once.
+const maxSpare = 16
+
+// hold copies key and value, the payload of the record at offset off,
+// into one block, key first, and returns the block's number and where
+// the key starts in it. An empty payload touches nothing.
+//
+//alarmvet:hotpath
+func (a *valueArena) hold(key, value []byte, off int64) (block, at uint32) {
+	size := len(key) + len(value)
+	if size == 0 {
+		return 0, 0
 	}
-	if cap(a.block)-len(a.block) < len(b) {
-		size := arenaBlockSize
-		if len(b) > size {
-			size = len(b)
+	n := len(a.blocks)
+	if n == 0 || cap(a.blocks[n-1].buf)-len(a.blocks[n-1].buf) < size {
+		a.open(size)
+		n++
+	}
+	blk := &a.blocks[n-1]
+	at = uint32(len(blk.buf))
+	blk.buf = append(blk.buf, key...)
+	blk.buf = append(blk.buf, value...)
+	blk.last = off
+	return a.first + uint32(n-1), at
+}
+
+// block returns the bytes of block number n, one an entry at or above
+// the log start names.
+func (a *valueArena) block(n uint32) []byte { return a.blocks[n-a.first].buf }
+
+// open starts a block for a payload of size bytes. The block list is
+// made room for sixteen blocks with its first, and moves down in place
+// as blocks are released, so it grows only with the blocks live.
+func (a *valueArena) open(size int) {
+	if a.blocks == nil {
+		a.blocks = make([]arenaBlock, 0, maxSpare)
+	}
+	a.blocks = append(a.blocks, arenaBlock{buf: a.fresh(size)})
+}
+
+// fresh returns an empty block for a payload of size bytes: a spare one
+// when one waits and the payload fits, else a new one.
+func (a *valueArena) fresh(size int) []byte {
+	if s := &a.spare; s.n > 0 && size <= arenaBlockSize {
+		s.n--
+		b := s.bufs[s.n]
+		s.bufs[s.n] = nil
+		return b[:0]
+	}
+	return make([]byte, 0, max(size, arenaBlockSize))
+}
+
+// release lets go of every block but the last whose records all lie
+// below start: to held when pinned, else to spare. It allocates
+// nothing.
+func (a *valueArena) release(start int64, pinned bool) {
+	k := 0
+	for k < len(a.blocks)-1 && a.blocks[k].last < start {
+		if pinned {
+			a.held.keep(a.blocks[k].buf, false)
+		} else {
+			a.spare.keep(a.blocks[k].buf, true)
 		}
-		// The previous block stays alive for exactly as long as records
-		// reference it; replacing the slice header never moves it.
-		a.block = make([]byte, 0, size)
+		k++
 	}
-	n := len(a.block)
-	a.block = append(a.block, b...)
-	return a.block[n : n+len(b) : n+len(b)]
+	if k > 0 {
+		m := copy(a.blocks, a.blocks[k:])
+		clear(a.blocks[m:])
+		a.blocks = a.blocks[:m]
+		a.first += uint32(k)
+	}
+}
+
+// unhold moves the blocks released under pins to spare: the last pin
+// has ended, so nothing views them.
+func (a *valueArena) unhold() {
+	h := &a.held
+	for ; h.n > 0; h.n-- {
+		a.spare.keep(h.bufs[h.n-1], true)
+		h.bufs[h.n-1] = nil
+	}
+}
+
+// keep adds a released block to l when it is a standard one and l has
+// room; poison fills it with 0xDB in lease-check mode first.
+func (l *blockList) keep(b []byte, poison bool) {
+	if cap(b) != arenaBlockSize || l.n == maxSpare {
+		return
+	}
+	if poison && leaseCheckMode.Load() {
+		b = b[:cap(b)]
+		for i := range b {
+			b[i] = leasePoison
+		}
+	}
+	l.bufs[l.n] = b
+	l.n++
+}
+
+// bytes counts the arena's blocks, live and released alike.
+func (a *valueArena) bytes() int64 {
+	n := a.spare.n + a.held.n
+	var live int64
+	for _, b := range a.blocks {
+		live += int64(cap(b.buf))
+	}
+	return live + int64(n)*arenaBlockSize
+}
+
+// Pins holds the partitions whose arena memory a reader's records view:
+// a read that returns records pins its partition, and no block the
+// partition releases carries new appends until the pin ends. A Lease
+// carries the pins of its poll; the wire server keeps one per
+// connection, released once a response is encoded. The zero value is
+// empty; a Pins is used in place, never copied.
+type Pins struct {
+	parts []*partition
+	// first backs parts until more partitions are pinned at once than
+	// it holds, so the usual few pins allocate nothing.
+	first [8]*partition
+}
+
+// add records a pin of p.
+func (ps *Pins) add(p *partition) {
+	if ps.parts == nil {
+		ps.parts = ps.first[:0]
+	}
+	ps.parts = append(ps.parts, p)
+}
+
+// take moves every pin of from into ps.
+func (ps *Pins) take(from *Pins) {
+	for _, p := range from.parts {
+		ps.add(p)
+	}
+	clear(from.parts)
+	from.parts = from.parts[:0]
+}
+
+// Release ends every pin and empties the set.
+//
+//alarmvet:hotpath
+func (ps *Pins) Release() {
+	for _, p := range ps.parts {
+		p.unpin()
+	}
+	clear(ps.parts)
+	ps.parts = ps.parts[:0]
 }
 
 // Lease is the borrow handle of a leased fetch: every Record returned
 // alongside it has a Value (and Key) that borrows from memory valid only
-// until Release — the broker's arena in process, the lease's own receive
-// buffer over the wire, where the next fetch overwrites it. Callers must
+// until Release — the broker's arena in process, whose blocks the
+// lease's pins keep from reuse, the lease's own receive buffer over the
+// wire, where the next fetch overwrites it. Callers must
 // call Release exactly once, after the last touch of any borrowed
 // Record; the pipeline releases when a batch's scratch is recycled,
 // after its offsets are committed. Release is safe from any goroutine.
@@ -73,6 +230,8 @@ type Lease struct {
 	// buffer), bufs the check-mode private copies of an in-process fetch.
 	buf  []byte
 	bufs [][]byte
+	// pins are the partitions an in-process poll's records view.
+	pins Pins
 }
 
 // Release returns the borrowed memory — and, from a consumer's poll,
@@ -105,6 +264,7 @@ func (l *Lease) Release() {
 		}
 	}
 	l.bufs = nil
+	l.pins.Release()
 	if p := l.pool; p != nil {
 		p.mu.Lock()
 		p.stats.Active--
@@ -210,8 +370,8 @@ func (c *Consumer) PollLeased(max int, timeout time.Duration, dst []Record) ([]R
 // pollLeasedOnce sweeps the assigned partitions once, starting at the
 // round-robin cursor so one hot partition cannot starve the others,
 // and appends into dst under one lease, made when the first record is
-// read (nil when none was). In check mode the lease owns a private
-// copy of the values read.
+// read (nil when none was), which takes the pins of the partitions
+// read. In check mode the lease owns a private copy of the values read.
 //
 //alarmvet:hotpath
 func (c *Consumer) pollLeasedOnce(max int, dst []Record) ([]Record, *Lease, error) {
@@ -221,14 +381,24 @@ func (c *Consumer) pollLeasedOnce(max int, dst []Record) ([]Record, *Lease, erro
 		return dst, nil, ErrClosed
 	}
 	var lease *Lease
+	var err error
 	base := len(dst)
 	n := len(c.assigned)
 	for i := 0; i < n && len(dst)-base < max; i++ {
 		p := c.assigned[(c.next+i)%n]
+		part := c.topic.partitions[p]
 		from := len(dst)
-		out, err := c.topic.partitions[p].read(c.positions[p], max-(from-base), true, dst)
+		var out []Record
+		out, err = part.read(c.positions[p], max-(from-base), true, dst, &c.pins)
+		for errors.Is(err, ErrBelowLogStart) {
+			// Only a stale assignment's position falls below the log
+			// start: the group has committed past it. Resume at the
+			// start, as a refresh would.
+			c.positions[p], _ = part.logStart()
+			out, err = part.read(c.positions[p], max-(from-base), true, dst, &c.pins)
+		}
 		if err != nil {
-			return dst, lease, err
+			break
 		}
 		if got := len(out) - from; got > 0 {
 			c.positions[p] += int64(got)
@@ -241,10 +411,13 @@ func (c *Consumer) pollLeasedOnce(max int, dst []Record) ([]Record, *Lease, erro
 		}
 		dst = out
 	}
-	if n > 0 {
+	if lease != nil {
+		lease.pins.take(&c.pins)
+	}
+	if n > 0 && err == nil {
 		c.next = (c.next + 1) % n
 	}
-	return dst, lease, nil
+	return dst, lease, err
 }
 
 // copyValues moves recs' values into one buffer the lease owns and

@@ -43,7 +43,7 @@ func TestAppendDoesNotAliasProducerBuffers(t *testing.T) {
 	for i := range buf {
 		buf[i] = 'X' // producer reuses its buffer
 	}
-	recs, err := topic.FetchInto(0, 0, 10, nil)
+	recs, err := topic.FetchInto(0, 0, 10, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestLeaseCheckPoisonsOnRelease(t *testing.T) {
 	}
 	// The log itself must be unharmed: only the lease's private copies
 	// are poisoned, never the shared arena.
-	fresh, err := topic.FetchInto(0, 2, 1, nil)
+	fresh, err := topic.FetchInto(0, 2, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestPollLeasedMatchesPoll(t *testing.T) {
 			t.Fatalf("partition %d: offset %d arrived where %d was due", r.Partition, r.Offset, next[r.Partition])
 		}
 		next[r.Partition]++
-		ref, err := topic.FetchInto(r.Partition, r.Offset, 1, nil)
+		ref, err := topic.FetchInto(r.Partition, r.Offset, 1, nil, nil)
 		if err != nil || len(ref) != 1 {
 			t.Fatalf("FetchInto(%d, %d) = %d records, %v", r.Partition, r.Offset, len(ref), err)
 		}

@@ -71,7 +71,7 @@ func TestAppendStampsReplicaKeeps(t *testing.T) {
 	if _, err := leader.Append(0, -1, 0, []Record{{Value: []byte("a")}, {Value: []byte("b"), Timestamp: sent}}); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := leader.FetchInto(0, 0, 2, nil)
+	recs, err := leader.FetchInto(0, 0, 2, nil, nil)
 	if err != nil || len(recs) != 2 {
 		t.Fatalf("leader log = %d records, %v", len(recs), err)
 	}
@@ -86,7 +86,7 @@ func TestAppendStampsReplicaKeeps(t *testing.T) {
 	if err := replica.AppendReplica(0, recs); err != nil {
 		t.Fatal(err)
 	}
-	got, err := replica.FetchInto(0, 0, 2, nil)
+	got, err := replica.FetchInto(0, 0, 2, nil, nil)
 	if err != nil || len(got) != 2 {
 		t.Fatalf("replica log = %d records, %v", len(got), err)
 	}

@@ -238,6 +238,14 @@ func TestDistributedChaos(t *testing.T) {
 	if _, err := cl.EnsureTopic(partitions); err != nil {
 		t.Fatal(err)
 	}
+	// The audit group joins now and commits nothing, so the leader keeps
+	// every record (a group with no commit holds the log start at 0) and
+	// a successor, whose log start follows the leader's, keeps them too.
+	hold, _, err := cl.NewGroupConsumer("chaos-audit", "auditor")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hold.Close()
 
 	// --- boot two remote shard processes ---
 	alarmdArgs := []string{
@@ -357,7 +365,9 @@ func TestDistributedChaos(t *testing.T) {
 	}
 
 	// --- zero lost acked alarms: re-read every partition from the
-	// successor via a fresh audit group and match the ledger ---
+	// successor via a fresh audit group and match the ledger. The audit
+	// group joined before the first record, so it holds every log at
+	// offset 0 and the sweep reads each acked record ---
 	audit, _, err := cl.NewGroupConsumer("chaos-audit", "auditor")
 	if err != nil {
 		t.Fatal(err)

@@ -5,13 +5,18 @@ package docstore
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"runtime"
 	"runtime/debug"
 	"slices"
 	"testing"
 	"time"
+
+	"alarmverify/internal/lane"
 )
+
+// chunk0Sizes is how many sizes a lane's chunk 0 grows through: 512,
+// 1 024, 2 048 and 4 096 rows, each a chunk of its own.
+const chunk0Sizes = 4
 
 // TestSyncTickAllocBudget: a group-syncer tick over a store whose four
 // logs all hold unsynced frames allocates nothing — it gathers the logs
@@ -132,8 +137,8 @@ func TestColumnAppendAllocBudget(t *testing.T) {
 			if c.n != rows {
 				t.Fatalf("column %d holds %d of %d rows", i, c.n, rows)
 			}
-			n := len(c.strs.chunks) + len(c.nums.chunks)
-			chunks += 1 + uint64(bits.Len(chunkRows/firstChunkRows)) + uint64(n-1)
+			n := c.strs.Chunks() + c.nums.Chunks()
+			chunks += 1 + uint64(chunk0Sizes) + uint64(n-1)
 		}
 		return after.Mallocs - before.Mallocs, chunks
 	}
@@ -207,7 +212,7 @@ func TestPartitionFillAllocBudget(t *testing.T) {
 	allocs, p := fill(nine, row)
 	// Generations: chunk 0 at each size it doubles through, then every
 	// later chunk. Each costs one block per element type.
-	gens := bits.Len(chunkRows/firstChunkRows) + len(p.ids.chunks) - 1
+	gens := chunk0Sizes + p.ids.Chunks() - 1
 	budget := uint64(3*gens + 3 + 2)
 	t.Logf("%d rows of %d fields: %d allocations, budget %d (%d chunk generations)", rows, len(nine), allocs, budget, gens)
 	if allocs > budget {
@@ -258,8 +263,8 @@ func TestIDColumnAllocBudget(t *testing.T) {
 		snap := p.copyLocked()
 		runtime.ReadMemStats(&after)
 		p.mu.Unlock()
-		if snap.ids.len() != rows {
-			t.Fatalf("the capture holds %d of %d ids", snap.ids.len(), rows)
+		if snap.ids.Len() != rows {
+			t.Fatalf("the capture holds %d of %d ids", snap.ids.Len(), rows)
 		}
 		captured = min(captured, after.TotalAlloc-before.TotalAlloc)
 	}
@@ -284,9 +289,9 @@ func TestIDColumnAllocBudget(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		appended = min(appended, after.Mallocs-before.Mallocs)
 		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
-		full := uint64(len(q.ids.chunks) - 1)
-		chunks = 1 + uint64(bits.Len(chunkRows/firstChunkRows)) + full
-		chunkBytes = 8 * (2 + full) * chunkRows
+		full := uint64(q.ids.Chunks() - 1)
+		chunks = 1 + uint64(chunk0Sizes) + full
+		chunkBytes = 8 * (2 + full) * lane.ChunkRows
 	}
 	t.Logf("%d ids appended: %d allocations (%d B), %d of them the lane's chunks", rows, appended, bytes, chunks)
 	if appended > chunks+2 || bytes > chunkBytes+4<<10 { // the chunk list's own growth past 8 chunks

@@ -423,8 +423,8 @@ func (c *Collection) tailLocked(n int, rows *Rows) {
 	ends := rows.ends[:0]
 	total := 0
 	for _, p := range c.parts {
-		ends = append(ends, p.ids.len())
-		total += p.ids.len()
+		ends = append(ends, p.ids.Len())
+		total += p.ids.Len()
 	}
 	rows.ends = ends
 	if n <= 0 || n > total {
@@ -440,7 +440,7 @@ func (c *Collection) tailLocked(n int, rows *Rows) {
 			if end == 0 {
 				continue
 			}
-			if v := c.parts[pi].ids.at(end - 1); pick < 0 || v > id {
+			if v := c.parts[pi].ids.At(end - 1); pick < 0 || v > id {
 				pick, id = pi, v
 			}
 		}

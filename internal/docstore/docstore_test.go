@@ -55,7 +55,7 @@ func findDocs(c *Collection, conds ...Cond) ([]Doc, error) {
 	err := c.forEach(lo, hi, nil, func(_ int, p *partition) error {
 		p.mu.RLock()
 		defer p.mu.RUnlock()
-		return p.forEachMatch(f, 0, func(r int) { all = append(all, match{p.ids.at(r), rowDoc(p, r)}) })
+		return p.forEachMatch(f, 0, func(r int) { all = append(all, match{p.ids.At(r), rowDoc(p, r)}) })
 	})
 	if err != nil || len(all) == 0 {
 		return nil, err
@@ -89,7 +89,7 @@ func rowDoc(p *partition, r int) Doc {
 			d[names[s]] = col.cell(r).value()
 		}
 	}
-	d["_id"] = p.ids.at(r)
+	d["_id"] = p.ids.At(r)
 	return d
 }
 
@@ -597,12 +597,12 @@ func referenceTail(c *Collection, n int, fields []string) ([]int64, [][]Cell) {
 	var all []row
 	for _, p := range c.parts {
 		p.mu.RLock()
-		for r := 0; r < p.ids.len(); r++ {
+		for r := 0; r < p.ids.Len(); r++ {
 			cells := make([]Cell, len(slots))
 			for i, s := range slots {
 				cells[i] = p.cell(r, s)
 			}
-			all = append(all, row{p.ids.at(r), cells})
+			all = append(all, row{p.ids.At(r), cells})
 		}
 		p.mu.RUnlock()
 	}

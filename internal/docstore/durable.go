@@ -617,14 +617,14 @@ func (c *Collection) checkpointPartition(pi int) error {
 // (lane.truncate). Copied is only a sparse column's presence bitmap
 // (set ORs bits into words it shares).
 func (p *partition) copyLocked() *partition {
-	snap := &partition{dict: p.dict, ids: p.ids.share(), cols: make([]*column, len(p.cols))}
+	snap := &partition{dict: p.dict, ids: p.ids.Share(), cols: make([]*column, len(p.cols))}
 	for s, col := range p.cols {
 		if col == nil {
 			continue
 		}
 		cp := *col
 		cp.present = append([]uint64(nil), col.present...)
-		cp.strs, cp.nums = col.strs.share(), col.nums.share()
+		cp.strs, cp.nums = col.strs.Share(), col.nums.Share()
 		snap.cols[s] = &cp
 	}
 	return snap
@@ -637,7 +637,7 @@ const snapshotFrameRows = 1024
 // the rows in the WAL's own row frames.
 func (dc *durableCollection) writeSnapshot(pi int, epoch uint64, snap *partition, nextID int64) error {
 	return replaceFileSync(dc.snapPath(pi, epoch), func(w *bufio.Writer) error {
-		hdr, err := json.Marshal(snapHeader{Count: snap.ids.len(), NextID: nextID})
+		hdr, err := json.Marshal(snapHeader{Count: snap.ids.Len(), NextID: nextID})
 		if err == nil {
 			hdr, err = frame.Append(nil, hdr, walMaxFrame)
 		}
@@ -660,14 +660,14 @@ func (dc *durableCollection) writeSnapshot(pi int, epoch uint64, snap *partition
 			}
 			return cells
 		}
-		for lo := 0; lo < snap.ids.len(); lo += snapshotFrameRows {
-			hi := min(lo+snapshotFrameRows, snap.ids.len())
+		for lo := 0; lo < snap.ids.Len(); lo += snapshotFrameRows {
+			hi := min(lo+snapshotFrameRows, snap.ids.Len())
 			for r := lo; r < hi; r++ {
 				enc.define(slots, row(r))
 			}
 			enc.begin(names, hi-lo)
 			for r := lo; r < hi; r++ {
-				enc.add(snap.ids.at(r), slots, row(r))
+				enc.add(snap.ids.At(r), slots, row(r))
 			}
 			f, err := enc.finish()
 			if err != nil {
@@ -885,8 +885,8 @@ func loadSnapshot(p *partition, path string, maxID *int64) (int64, error) {
 		return 0, err
 	case hdr == nil:
 		return 0, fmt.Errorf("truncated snapshot %s: bad header", filepath.Base(path))
-	case p.ids.len() != hdr.Count:
-		return 0, fmt.Errorf("truncated snapshot %s: %d of %d documents", filepath.Base(path), p.ids.len(), hdr.Count)
+	case p.ids.Len() != hdr.Count:
+		return 0, fmt.Errorf("truncated snapshot %s: %d of %d documents", filepath.Base(path), p.ids.Len(), hdr.Count)
 	}
 	return hdr.NextID, nil
 }

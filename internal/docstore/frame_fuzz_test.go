@@ -60,8 +60,8 @@ func FuzzRowFrame(f *testing.F) {
 		maxID := int64(-1)
 		err := replayFrame(p, &rowDecoder{dict: c.dict}, payload, &maxID)
 		if err != nil {
-			if p.ids.len() != 0 {
-				t.Fatalf("a refused frame (%v) stored %d rows", err, p.ids.len())
+			if p.ids.Len() != 0 {
+				t.Fatalf("a refused frame (%v) stored %d rows", err, p.ids.Len())
 			}
 			return
 		}
@@ -74,12 +74,12 @@ func FuzzRowFrame(f *testing.F) {
 		if err := (&rowDecoder{dict: c.dict}).decode(payload, &got); err != nil {
 			t.Fatalf("replayed, then refused on a second decode: %v", err)
 		}
-		if p.ids.len() != got.n || p.size.Load() != int64(got.n) {
-			t.Fatalf("%d rows decoded, %d stored (size %d)", got.n, p.ids.len(), p.size.Load())
+		if p.ids.Len() != got.n || p.size.Load() != int64(got.n) {
+			t.Fatalf("%d rows decoded, %d stored (size %d)", got.n, p.ids.Len(), p.size.Load())
 		}
 		for s, col := range p.cols {
-			if col != nil && col.n > p.ids.len() {
-				t.Fatalf("column %d holds %d rows of %d: a row stored a field twice", s, col.n, p.ids.len())
+			if col != nil && col.n > p.ids.Len() {
+				t.Fatalf("column %d holds %d rows of %d: a row stored a field twice", s, col.n, p.ids.Len())
 			}
 		}
 		var enc rowEncoder

@@ -110,7 +110,7 @@ func (c *Collection) addIndexLocked(field string) error {
 	for _, p := range c.parts {
 		p.mu.Lock()
 		idx := &index{field: field, slot: c.dict.ref(field), eq: make(map[indexKey]postings), free: noBlock}
-		for r := range p.ids.len() {
+		for r := range p.ids.Len() {
 			idx.add(p, r)
 		}
 		p.indexes[field] = idx
@@ -212,7 +212,7 @@ func (x *index) nextBlock(pl *postings) []int32 {
 // below lo and its blocks chained for the refill; a list left empty
 // frees its chain, and its key leaves the map.
 func (x *index) cut(p *partition, lo int) {
-	for r, n := lo, p.ids.len(); r < n; r++ {
+	for r, n := lo, p.ids.Len(); r < n; r++ {
 		k, ok := keyForCell(p.cell(r, x.slot))
 		if !ok {
 			continue

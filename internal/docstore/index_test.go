@@ -18,7 +18,7 @@ func checkPostings(t *testing.T, c *Collection, tag string) {
 		p.mu.RLock()
 		for field, x := range p.indexes {
 			want := make(map[indexKey][]int32)
-			for r := range p.ids.len() {
+			for r := range p.ids.Len() {
 				if k, ok := keyForCell(p.cell(r, x.slot)); ok {
 					want[k] = append(want[k], int32(r))
 				}
@@ -81,7 +81,7 @@ func checkAsks(t *testing.T, c *Collection, r *rand.Rand, keys []string, tag str
 			if err := p.forEachMatch(compileFilter(c.dict, filter), from, func(r int) { got = append(got, r) }); err != nil {
 				t.Fatal(err)
 			}
-			for r := from; r < p.ids.len(); r++ {
+			for r := from; r < p.ids.Len(); r++ {
 				if want(r) {
 					scan = append(scan, r)
 				}
@@ -92,12 +92,12 @@ func checkAsks(t *testing.T, c *Collection, r *rand.Rand, keys []string, tag str
 		}
 		for _, key := range keys {
 			var rows []int
-			for r := range p.ids.len() {
+			for r := range p.ids.Len() {
 				if p.cell(r, kSlot).Str() == key {
 					rows = append(rows, r)
 				}
 			}
-			froms := []int{0, p.ids.len()}
+			froms := []int{0, p.ids.Len()}
 			for _, i := range []int{0, 1, 13, 14, 15, 16, 29, 30, 31, 44, 45} {
 				if i < len(rows) {
 					froms = append(froms, rows[i]-1, rows[i], rows[i]+1)
@@ -109,7 +109,7 @@ func checkAsks(t *testing.T, c *Collection, r *rand.Rand, keys []string, tag str
 			}
 		}
 		for i := 0; i < 4; i++ {
-			lo, from := float64(r.Intn(400)), r.Intn(p.ids.len()+1)
+			lo, from := float64(r.Intn(400)), r.Intn(p.ids.Len()+1)
 			ask([]Cond{cond("ts", "$gte", lo)}, from, func(r int) bool { return p.cell(r, tsSlot).Num() >= lo })
 		}
 		p.mu.RUnlock()

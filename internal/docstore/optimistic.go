@@ -133,7 +133,7 @@ func (p *partition) advance(plan *aggPlan, out *aggPartial, sc *partialScratch, 
 	e := p.entryFor(plan.sig)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	from, n := e.mark, p.ids.len()
+	from, n := e.mark, p.ids.Len()
 	switch from {
 	case n:
 		st.served.Add(1)

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"alarmverify/internal/lane"
 )
 
 // partition is one shard of a collection: its own lock, an id column
@@ -24,7 +26,7 @@ type partition struct {
 	//
 	// mu guards ids, cols, indexes and slabs: they change only in a
 	// write section, so a reader under the read lock sees whole rows.
-	ids lane[int64] //alarmvet:guardedby mu
+	ids lane.Lane[int64] //alarmvet:guardedby mu
 	// cols holds the columns by slot; nil until the partition sees the
 	// field.
 	cols     []*column //alarmvet:guardedby mu
@@ -83,16 +85,16 @@ func (p *partition) col(slot int) *column {
 // lock.
 func (p *partition) cell(r, slot int) Cell {
 	if slot == slotID {
-		return Int64(p.ids.at(r))
+		return Int64(p.ids.At(r))
 	}
 	return p.col(slot).cell(r)
 }
 
 // rowOf returns the row holding id.
 func (p *partition) rowOf(id int64) (int, bool) {
-	n := p.ids.len()
-	r := sort.Search(n, func(i int) bool { return p.ids.at(i) >= id })
-	return r, r < n && p.ids.at(r) == id
+	n := p.ids.Len()
+	r := sort.Search(n, func(i int) bool { return p.ids.At(i) >= id })
+	return r, r < n && p.ids.At(r) == id
 }
 
 // appendRowLocked appends one row: the id, then each present cell into
@@ -103,14 +105,14 @@ func (p *partition) rowOf(id int64) (int, bool) {
 //
 //alarmvet:hotpath
 func (p *partition) appendRowLocked(id int64, slots []int, cells []Cell) {
-	r := p.ids.len()
-	if r > 0 && id < p.ids.at(r-1) && !p.unsorted {
+	r := p.ids.Len()
+	if r > 0 && id < p.ids.At(r-1) && !p.unsorted {
 		// The batch's first id is its smallest: everything before the
 		// first row above it is already in place.
 		p.unsorted = true
 		p.sortFrom, _ = p.rowOf(id)
 	}
-	p.ids.push(id, &p.slabs.ids)
+	p.ids.Push(id, &p.slabs.ids)
 	for i, s := range slots {
 		if cells[i].kind == kindAbsent {
 			continue
@@ -132,11 +134,11 @@ func (p *partition) restoreOrderLocked() {
 		return
 	}
 	p.unsorted = false
-	src := make([]int, p.ids.len()-p.sortFrom)
+	src := make([]int, p.ids.Len()-p.sortFrom)
 	for i := range src {
 		src[i] = p.sortFrom + i
 	}
-	sort.SliceStable(src, func(i, j int) bool { return p.ids.at(src[i]) < p.ids.at(src[j]) })
+	sort.SliceStable(src, func(i, j int) bool { return p.ids.At(src[i]) < p.ids.At(src[j]) })
 	p.gatherLocked(p.sortFrom, src)
 }
 
@@ -151,10 +153,10 @@ func (p *partition) gatherLocked(lo int, src []int) {
 	for _, idx := range p.indexes {
 		idx.cut(p, lo)
 	}
-	old := p.ids.share() // the truncation and the pushes write no row it reads
-	p.ids.truncate(lo, &p.slabs.ids)
+	old := p.ids.Share() // the truncation and the pushes write no row it reads
+	p.ids.Truncate(lo, &p.slabs.ids)
 	for _, r := range src {
-		p.ids.push(old.at(r), &p.slabs.ids)
+		p.ids.Push(old.At(r), &p.slabs.ids)
 	}
 	for _, col := range p.cols {
 		if col != nil {
@@ -162,7 +164,7 @@ func (p *partition) gatherLocked(lo int, src []int) {
 		}
 	}
 	for _, idx := range p.indexes {
-		for r, n := lo, p.ids.len(); r < n; r++ {
+		for r, n := lo, p.ids.Len(); r < n; r++ {
 			idx.add(p, r)
 		}
 	}
@@ -203,7 +205,7 @@ func (p *partition) forEachMatch(f *filter, from int, fn func(r int)) error {
 		}
 		return nil
 	}
-	for r, n := from, p.ids.len(); r < n; r++ {
+	for r, n := from, p.ids.Len(); r < n; r++ {
 		if err := p.visitRow(f, -1, r, fn); err != nil {
 			return err
 		}
@@ -257,7 +259,7 @@ func (p *partition) colLocked(slot int) *column {
 	if n := p.slabs.sizeTo(p.dict); n > len(p.cols) {
 		p.cols = append(p.cols, make([]*column, n-len(p.cols))...)
 	}
-	c := &p.slabs.columns.carve(1)[:1][0]
+	c := &p.slabs.columns.Carve(1)[:1][0]
 	p.cols[slot] = c
 	return c
 }
@@ -270,8 +272,8 @@ func (p *partition) deleteLocked(f *filter) (int, error) {
 	if len(rows) == 0 {
 		return 0, err
 	}
-	keep := make([]int, 0, p.ids.len()-rows[0]-len(rows))
-	for r, next := rows[0], 0; r < p.ids.len(); r++ {
+	keep := make([]int, 0, p.ids.Len()-rows[0]-len(rows))
+	for r, next := rows[0], 0; r < p.ids.Len(); r++ {
 		if next < len(rows) && rows[next] == r {
 			next++
 			continue

@@ -97,7 +97,7 @@ func groupPartial(p *partition, plan *aggPlan, e *aggEntry, from int, sc *partia
 		if !ok {
 			// Rows come in ascending id order, so a group's first row is
 			// its smallest id: its value is the group's identity.
-			g := pGroup{ks: v.str, key: v, minID: p.ids.at(r)}
+			g := pGroup{ks: v.str, key: v, minID: p.ids.At(r)}
 			if v.kind != kindString {
 				g.ks = e.classKey(sc.key)
 			}

@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"sync"
+
+	"alarmverify/internal/lane"
 )
 
 // Typed rows.
@@ -13,10 +15,10 @@ import (
 // keeps a field dictionary (name → slot, grown the first time a name
 // is seen, so the schema stays as flexible as the paper needs), and
 // each partition keeps an id column plus one column per slot, in fixed
-// chunks that are never copied (lane), a presence bitmap from the first
-// gap on. A field's kind — string, float64, int64 or int — is fixed by
-// the first value the collection stores in it: a later value of another
-// kind is refused, never converted (fieldDict.admit).
+// chunks that are never copied (internal/lane), a presence bitmap from
+// the first gap on. A field's kind — string, float64, int64 or int — is
+// fixed by the first value the collection stores in it: a later value
+// of another kind is refused, never converted (fieldDict.admit).
 //
 // Cell and Rows are the typed edge of the store: InsertRows appends
 // rows without a map or a boxed value per field, TailRows reads them
@@ -160,134 +162,15 @@ func compareCells(a, b Cell) int {
 	}
 }
 
-// Chunk sizes of a lane: chunk 0 starts at firstChunkRows and doubles up
-// to chunkRows, so a small partition stays small; later chunks are full.
-const (
-	chunkShift     = 12
-	chunkRows      = 1 << chunkShift
-	chunkMask      = chunkRows - 1
-	firstChunkRows = 512
-)
-
-// lane holds one column's values in fixed chunks: row r lives at
-// chunks[r>>chunkShift][r&chunkMask], and a chunk's length is how many
-// rows it holds. An append writes past every row already stored and
-// never moves one (chunk 0's doublings copy it to fresh memory), so a
-// checkpoint can share the chunks (share). A lane allocates nothing of
-// its own: its chunks and its chunk list are carved from its
-// partition's slab of the element type.
-type lane[T any] struct{ chunks [][]T }
-
-// at reads row r.
-//
-//alarmvet:hotpath
-func (l *lane[T]) at(r int) T { return l.chunks[r>>chunkShift][r&chunkMask] }
-
-// len returns how many rows the lane holds: every chunk but the last
-// is full.
-//
-//alarmvet:hotpath
-func (l *lane[T]) len() int {
-	last := len(l.chunks) - 1
-	if last < 0 {
-		return 0
-	}
-	return last<<chunkShift + len(l.chunks[last])
-}
-
-// push appends a row, carving a chunk from s when the last is full.
-//
-//alarmvet:hotpath
-func (l *lane[T]) push(v T, s *slab[T]) {
-	last := len(l.chunks) - 1
-	if last < 0 || len(l.chunks[last]) == cap(l.chunks[last]) {
-		l.grow(s)
-		last = len(l.chunks) - 1
-	}
-	l.chunks[last] = append(l.chunks[last], v)
-}
-
-// grow makes room for one more row: the first chunk, chunk 0 doubled,
-// or a new full-size chunk, each carved from s.
-func (l *lane[T]) grow(s *slab[T]) {
-	switch {
-	case len(l.chunks) == 0:
-		l.chunks = append(s.carveList(), s.carve(firstChunkRows))
-	case len(l.chunks) == 1 && cap(l.chunks[0]) < chunkRows:
-		l.chunks[0] = append(s.carve(2*cap(l.chunks[0])), l.chunks[0]...)
-	default:
-		l.chunks = append(l.chunks, s.carve(chunkRows))
-	}
-}
-
-// truncate drops the rows from n on, n at most the lane's length. The
-// chunk holding row n moves to fresh memory carved from s first — a
-// checkpoint may share it, and the appends that follow would overwrite
-// rows it reads.
-func (l *lane[T]) truncate(n int, s *slab[T]) {
-	k, off := n>>chunkShift, n&chunkMask
-	if k >= len(l.chunks) {
-		return
-	}
-	if off > 0 {
-		l.chunks[k] = append(s.carve(cap(l.chunks[k])), l.chunks[k][:off]...)
-		k++
-	}
-	clear(l.chunks[k:])
-	l.chunks = l.chunks[:k]
-}
-
-// share returns a lane reading the same rows whose chunk list is its
-// own: later appends and truncations of l never write a row it reads.
-func (l *lane[T]) share() lane[T] {
-	return lane[T]{chunks: append([][]T(nil), l.chunks...)}
-}
-
-// listChunks is the capacity a lane's chunk list is carved with: eight
-// chunks, 32 768 rows, before its first append copies it.
-const listChunks = 8
-
-// slab is where a partition's lanes of one element type carve their
-// chunks and chunk lists from. A block holds one chunk for every lane
-// that carves from it (lanes), so a chunk generation — every column
-// crossing the same row count — costs one allocation per element type,
-// not one per column. A carve is a 3-index slice of the block's uncarved rest: its
-// capacity ends where the next carve starts, so a lane's append can
-// never write into a neighbour's chunk, and no memory is carved twice —
-// a carve is fresh memory no shared lane reads.
-type slab[T any] struct {
-	block []T   // [len, cap) is not carved yet
-	lists [][]T // the same, for chunk lists
-	lanes int   // lanes carving a chunk of each generation; 0 counts as 1
-}
-
-// carve returns an empty chunk of capacity n.
-func (s *slab[T]) carve(n int) []T { return carveFrom(&s.block, n, s.lanes) }
-
-// carveList returns an empty chunk list of capacity listChunks.
-func (s *slab[T]) carveList() [][]T { return carveFrom(&s.lists, listChunks, s.lanes) }
-
-// carveFrom returns an empty slice of capacity n cut from the uncarved
-// rest of *block, first starting a new block, n for every lane, when
-// the rest is shorter than n.
-func carveFrom[E any](block *[]E, n, lanes int) []E {
-	l := len(*block)
-	if cap(*block)-l < n {
-		*block, l = make([]E, 0, n*max(lanes, 1)), 0
-	}
-	*block = (*block)[:l+n]
-	return (*block)[l : l : l+n]
-}
-
 // slabs are what a partition carves its columns and their lanes from:
 // one slab per element type, sized from the field dictionary (sizeTo).
 // A field the collection adds later adds a chunk to each block of its
 // element type, not an allocation per generation.
 type slabs struct {
-	columns slab[column]
-	strs    slab[string]
-	nums    slab[uint64]
-	ids     slab[int64] // one lane: a block is one chunk
+	columns lane.Slab[column]
+	strs    lane.Slab[string]
+	nums    lane.Slab[uint64]
+	ids     lane.Slab[int64] // one lane: a block is one chunk
 }
 
 // sizeTo sizes the slabs' next blocks to the dictionary — a column for
@@ -296,17 +179,17 @@ type slabs struct {
 func (s *slabs) sizeTo(d *fieldDict) int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	s.strs.lanes, s.nums.lanes = 0, 0
+	s.strs.Lanes, s.nums.Lanes = 0, 0
 	for _, k := range d.kinds {
 		switch k {
 		case kindAbsent:
 		case kindString:
-			s.strs.lanes++
+			s.strs.Lanes++
 		default:
-			s.nums.lanes++
+			s.nums.Lanes++
 		}
 	}
-	s.columns.lanes = len(d.kinds)
+	s.columns.Lanes = len(d.kinds)
 	return len(d.kinds)
 }
 
@@ -318,8 +201,8 @@ type column struct {
 	kind    kind
 	n       int
 	present []uint64
-	strs    lane[string]
-	nums    lane[uint64]
+	strs    lane.Lane[string]
+	nums    lane.Lane[uint64]
 }
 
 func (c *column) has(r int) bool {
@@ -332,9 +215,9 @@ func (c *column) cell(r int) Cell {
 		return Cell{}
 	}
 	if c.kind == kindString {
-		return Cell{kind: kindString, str: c.strs.at(r)}
+		return Cell{kind: kindString, str: c.strs.At(r)}
 	}
-	return Cell{kind: c.kind, num: c.nums.at(r)}
+	return Cell{kind: c.kind, num: c.nums.At(r)}
 }
 
 // set appends row r (r >= n), padding the rows between with no value;
@@ -366,9 +249,9 @@ func (c *column) set(r int, v Cell, s *slabs) {
 //alarmvet:hotpath
 func (c *column) push(v Cell, s *slabs) {
 	if c.kind == kindString {
-		c.strs.push(v.str, &s.strs)
+		c.strs.Push(v.str, &s.strs)
 	} else {
-		c.nums.push(v.num, &s.nums)
+		c.nums.Push(v.num, &s.nums)
 	}
 	c.n++
 }
@@ -392,8 +275,8 @@ func (c *column) gather(lo int, src []int, s *slabs) {
 	}
 	// Truncate to lo rows: the lanes, and the presence bits.
 	if lo < c.n {
-		c.strs.truncate(lo, &s.strs)
-		c.nums.truncate(lo, &s.nums)
+		c.strs.Truncate(lo, &s.strs)
+		c.nums.Truncate(lo, &s.nums)
 		c.n = lo
 	}
 	if w := (lo + 63) >> 6; w < len(c.present) {

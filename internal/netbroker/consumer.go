@@ -301,7 +301,13 @@ func (k *Consumer) PollLeased(max int, timeout time.Duration, dst []broker.Recor
 	k.c.fetches.Add(1)
 	if err := k.callOn(&k.fetch, opFetch, req, resp, &k.recv); err != nil {
 		k.c.emptyFetches.Add(1)
-		if !errors.Is(err, broker.ErrInvalidOffset) {
+		switch {
+		case errors.Is(err, broker.ErrBelowLogStart):
+			// Only a stale assignment's position falls below the log
+			// start, its group having committed past it: the refresh
+			// this signal asks for resumes at the start.
+			k.signalRebalance()
+		case !errors.Is(err, broker.ErrInvalidOffset):
 			// Failover window: return an empty poll; the heartbeat loop
 			// re-aims the consumer and signals a rebalance.
 			err = nil

@@ -39,7 +39,8 @@
 //	             → kind | n | n × high watermark
 //	opReplFetch  node | epoch | topics | per topic: name | n | n × (size | tail epoch)
 //	             → kind | epoch | leader
-//	               | topics | per topic: name | n | n × commit index | runs
+//	               | topics | per topic: name | n
+//	                 | n × (commit index | log start | epoch below it) | runs
 //	               | truncations | each: topic | partition | size
 //	               | group offsets | each: group | topic | partition | offset
 //

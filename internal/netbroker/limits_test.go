@@ -99,7 +99,7 @@ func TestRetryAfterFailoverIsStoredTwice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := topic.FetchLogInto(0, 0, 2, nil)
+	recs, err := topic.FetchLogInto(0, 0, 2, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestRestartedQuorumLosesAckedRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := topic.FetchLogInto(0, 0, acked+1, nil)
+	recs, err := topic.FetchLogInto(0, 0, acked+1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,6 +40,7 @@ const (
 	kindUnknownGroup  = "unknown_group"
 	kindClosed        = "closed"
 	kindAckTimeout    = "ack_timeout"
+	kindBelowLogStart = "below_log_start"
 )
 
 // Protocol-level errors surfaced by the client.
@@ -87,6 +88,8 @@ func (e *wireErr) toErr() error {
 		return broker.ErrClosed
 	case kindAckTimeout:
 		return ErrAckTimeout
+	case kindBelowLogStart:
+		return fmt.Errorf("%w: %s", broker.ErrBelowLogStart, e.Err)
 	}
 	return fmt.Errorf("netbroker: %s", e.Err)
 }
@@ -116,6 +119,8 @@ func (e *wireErr) setErr(err error) {
 		e.Kind = kindClosed
 	case errors.Is(err, ErrAckTimeout):
 		e.Kind = kindAckTimeout
+	case errors.Is(err, broker.ErrBelowLogStart):
+		e.Kind = kindBelowLogStart
 	}
 }
 
@@ -188,11 +193,15 @@ type voteReq struct {
 // them, so no acked record is lost across a failover.
 type voteResp struct {
 	wireErr
-	Granted    bool               `json:"granted"`
-	Epoch      int64              `json:"epoch"`
-	Sizes      map[string][]int64 `json:"sizes,omitempty"`
-	Tails      map[string][]int64 `json:"tails,omitempty"`
-	Partitions map[string]int     `json:"partitions,omitempty"`
+	Granted bool               `json:"granted"`
+	Epoch   int64              `json:"epoch"`
+	Sizes   map[string][]int64 `json:"sizes,omitempty"`
+	Tails   map[string][]int64 `json:"tails,omitempty"`
+	// Starts and StartEpochs are the voter's log starts and the epochs
+	// below them: a candidate whose log ends below a start moves to it.
+	Starts      map[string][]int64 `json:"starts,omitempty"`
+	StartEpochs map[string][]int64 `json:"startEpochs,omitempty"`
+	Partitions  map[string]int     `json:"partitions,omitempty"`
 }
 
 // declareReq announces a reconciled leader for a new epoch. Sizes are

@@ -76,7 +76,7 @@ func (pp *pullPair) diverge(t testing.TB, name string, p int, common int64, extr
 		t.Fatal(err)
 	}
 	ft := pp.follower.ensureLocalTopic(name, lt.Partitions())
-	recs, err := lt.FetchLogInto(p, 0, int(common), nil)
+	recs, err := lt.FetchLogInto(p, 0, int(common), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,16 +88,20 @@ func (pp *pullPair) diverge(t testing.TB, name string, p int, common int64, extr
 	}
 }
 
-// logs flattens a node's state into comparable form: every record of
-// every partition (values by length and checksum), and the commit
-// indexes.
+// logs flattens a node's state into comparable form: every partition's
+// log start and the epoch below it, every record from there on (values
+// by length and checksum), and the commit indexes.
 func logs(t testing.TB, s *Server, b *broker.Broker) (map[string][]string, map[string][]int64) {
 	t.Helper()
 	recs, commits := make(map[string][]string), make(map[string][]int64)
 	for _, tp := range b.AppendTopics(nil) {
 		for p := 0; p < tp.Partitions(); p++ {
 			size, _ := tp.LogSize(p)
-			got, err := tp.FetchLogInto(p, 0, int(size), nil)
+			start, epoch, _ := tp.LogStart(p)
+			if start > 0 {
+				recs[tp.Name()] = append(recs[tp.Name()], fmt.Sprintf("%d/start %d e%d", p, start, epoch))
+			}
+			got, err := tp.FetchLogInto(p, start, int(size-start), nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,6 +170,23 @@ func TestPullConverges(t *testing.T) {
 				t.Fatal(err)
 			}
 		}, 1, 1},
+		{"empty follower behind the log start", func(t *testing.T, pp *pullPair) {
+			pp.topic(t, "alarms", 2)
+			pp.produce(t, "alarms", 0, 10, 8)
+			pp.produce(t, "alarms", 1, 3, 8)
+			if resp := pp.leader.handleJoin(joinReq{Group: "verify", Topic: "alarms", Member: "m1"}); resp.Err != "" {
+				t.Fatal(resp.Err)
+			} else if err := pp.lb.GroupCommit("verify", resp.Gen, map[int]int64{0: 6, 1: 3}); err != nil {
+				t.Fatal(err)
+			}
+			lt, err := pp.lb.Topic("alarms")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if start, _, _ := lt.LogStart(0); start != 6 {
+				t.Fatalf("the leader's log start is %d after a commit at 6", start)
+			}
+		}, 1, 1}, // the pull that resets the follower to the start carries the records past it
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -210,6 +231,55 @@ func TestPullConverges(t *testing.T) {
 			want, _ := pp.lb.GroupCommitted("verify")
 			if got, _ := pp.fb.GroupCommitted("verify"); !reflect.DeepEqual(got, want) {
 				t.Fatalf("follower's group offsets %v, leader's %v", got, want)
+			}
+		})
+	}
+}
+
+// TestReconcileAtVoterLogStart: a candidate whose log ends at or below
+// the voter's log start reconciles onto the voter's log. The group has
+// committed everything up to the start, the voter has pulled one record
+// more, and the record below the start is released there; everything
+// below a log start is committed and on every follower, so a candidate
+// ending at the start agrees with the voter and only catches up, and an
+// empty one (a restarted node) moves to the start first.
+func TestReconcileAtVoterLogStart(t *testing.T) {
+	for _, held := range []int64{10, 0} {
+		t.Run(fmt.Sprintf("candidate holds %d", held), func(t *testing.T) {
+			pp := newPullPair(t, 20*time.Millisecond)
+			pp.topic(t, "alarms", 1)
+			pp.produce(t, "alarms", 0, 10, 8)
+			pp.diverge(t, "alarms", 0, held, 0)
+			join := pp.leader.handleJoin(joinReq{Group: "verify", Topic: "alarms", Member: "m1"})
+			if join.Err != "" {
+				t.Fatal(join.Err)
+			}
+			if err := pp.lb.GroupCommit("verify", join.Gen, map[int]int64{0: 10}); err != nil {
+				t.Fatal(err)
+			}
+			pp.produce(t, "alarms", 0, 1, 8)
+			lt, err := pp.lb.Topic("alarms")
+			if err != nil {
+				t.Fatal(err)
+			}
+			start, startEpoch, _ := lt.LogStart(0)
+			if start != 10 {
+				t.Fatalf("the voter's log start is %d after a commit at 10", start)
+			}
+			ft, err := pp.fb.Topic("alarms")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !pp.follower.reconcilePartition(ft, "alarms", 0, 11, start, startEpoch, 0) {
+				t.Fatal("the candidate stood down")
+			}
+			want, err := lt.FetchLogInto(0, 10, 1, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ft.FetchLogInto(0, 10, 2, nil, nil)
+			if err != nil || len(got) != 1 || got[0].Epoch != want[0].Epoch || !bytes.Equal(got[0].Value, want[0].Value) {
+				t.Fatalf("the candidate holds %v (%v) from offset 10, the voter %v", got, err, want)
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package netbroker
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -36,6 +37,23 @@ func (s *Server) localState() (sizes, tails map[string][]int64) {
 		tails[t.Name()] = te
 	}
 	return sizes, tails
+}
+
+// logStarts snapshots every local topic's per-partition log starts and
+// the epochs of the records just below them, for the vote response.
+func (s *Server) logStarts() (starts, epochs map[string][]int64) {
+	starts = make(map[string][]int64)
+	epochs = make(map[string][]int64)
+	for _, t := range s.b.AppendTopics(nil) {
+		st := make([]int64, t.Partitions())
+		ep := make([]int64, t.Partitions())
+		for p := range st {
+			st[p], ep[p], _ = t.LogStart(p)
+		}
+		starts[t.Name()] = st
+		epochs[t.Name()] = ep
+	}
+	return starts, epochs
 }
 
 // at reads a per-partition slice that may be shorter than the
@@ -112,36 +130,49 @@ func (s *Server) handleReplFetch(req *replFetchReq, resp *replFetchResp, sc *con
 	}
 	s.publishLag(req, sc.topics)
 
-	s.shipLog(req, resp, sc.topics)
+	s.shipLog(req, resp, sc.topics, &sc.pins)
 	if len(resp.Recs) == 0 && len(resp.Truncs) == 0 {
 		s.mu.Lock()
 		grew := s.park(&s.logGen, seen, time.Now().Add(s.opts.ReplInterval), sc.timer)
 		s.mu.Unlock()
 		if grew {
-			s.shipLog(req, resp, sc.topics)
+			s.shipLog(req, resp, sc.topics, &sc.pins)
 		}
 	}
 	s.mu.Lock()
 	for i, t := range sc.topics {
 		// A topic created on the broker directly has no commit indexes
 		// yet: zeros, one per partition.
-		c := resp.Topics[i].Commits[:0]
+		rt := &resp.Topics[i]
+		c := rt.Commits[:0]
 		c = append(c, s.commits[t.Name()]...)
 		for len(c) < t.Partitions() {
 			c = append(c, 0)
 		}
-		resp.Topics[i].Commits = c
+		rt.Commits = c
 	}
 	s.mu.Unlock()
+	for i, t := range sc.topics {
+		// Every response announces the log starts: a follower holds
+		// its own at them, and one whose log ends below resets to it.
+		rt := &resp.Topics[i]
+		rt.Starts, rt.StartEpochs = rt.Starts[:0], rt.StartEpochs[:0]
+		for p := 0; p < t.Partitions(); p++ {
+			start, epoch, _ := t.LogStart(p)
+			rt.Starts, rt.StartEpochs = append(rt.Starts, start), append(rt.StartEpochs, epoch)
+		}
+	}
 	resp.Groups = s.b.AppendGroupOffsets(resp.Groups)
 }
 
 // shipLog lists topics in resp.Topics, index for index, and fills
-// resp.Recs with the records past the follower's verified sizes,
-// skipping partitions that must truncate first.
+// resp.Recs with the records past the follower's verified sizes, or
+// past the log start for a follower whose log ends below it, pinning
+// the partitions read and skipping partitions that must truncate
+// first.
 //
 //alarmvet:hotpath
-func (s *Server) shipLog(req *replFetchReq, resp *replFetchResp, topics []*broker.Topic) {
+func (s *Server) shipLog(req *replFetchReq, resp *replFetchResp, topics []*broker.Topic, pins *broker.Pins) {
 	resp.Topics, resp.Recs = resp.Topics[:0], resp.Recs[:0]
 	budget := respBudget
 	for _, t := range topics {
@@ -157,7 +188,10 @@ func (s *Server) shipLog(req *replFetchReq, resp *replFetchResp, topics []*broke
 				continue // the follower must truncate before pulling records
 			}
 			from := len(resp.Recs)
-			recs, err := t.FetchLogInto(p, at(acked, p), replBatch, resp.Recs)
+			// A follower whose log ends below the log start gets the
+			// records from the start on, after it resets to it.
+			start, _, _ := t.LogStart(p)
+			recs, err := t.FetchLogInto(p, max(at(acked, p), start), replBatch, resp.Recs, pins)
 			if err != nil {
 				continue
 			}
@@ -249,6 +283,7 @@ func (s *Server) handleVote(req voteReq) voteResp {
 	s.mu.Unlock()
 	if resp.Granted {
 		resp.Sizes, resp.Tails = s.localState()
+		resp.Starts, resp.StartEpochs = s.logStarts()
 		resp.Partitions = s.topicSizes()
 		s.publishRole()
 	}
@@ -470,6 +505,9 @@ func (s *Server) pullFrom(leader int) (served bool, err error) {
 	for i := range resp.Topics {
 		rt := &resp.Topics[i]
 		t := s.ensureLocalTopic(rt.Name, len(rt.Commits))
+		if t != nil {
+			applied += followLogStart(t, rt)
+		}
 		for len(recs) > 0 && recs[0].Topic == rt.Name {
 			run := recs[:runLen(recs)]
 			recs = recs[len(run):]
@@ -526,6 +564,23 @@ func (s *Server) pullFrom(leader int) (served bool, err error) {
 	return applied > 0 || len(resp.Recs)+len(resp.Truncs) == 0, nil
 }
 
+// followLogStart applies the leader's log starts to a follower's topic:
+// a partition whose log ends below the leader's start is reset to it
+// (the leader released the records between, and ships from its start),
+// and every partition's log start is held at the leader's. It returns
+// how many partitions it reset.
+func followLogStart(t *broker.Topic, rt *topicCommits) (resets int) {
+	for p, start := range rt.Starts {
+		if size, err := t.LogSize(p); err == nil && size < start {
+			if t.ResetLog(p, start, rt.StartEpochs[p]) == nil {
+				resets++
+			}
+		}
+		t.SetLogStartFloor(p, start)
+	}
+	return resets
+}
+
 // runElection stands this node for leadership: collect votes for a
 // fresh epoch, and if a quorum grants them, adopt the most up-to-date
 // log — max (tail epoch, size), compared per partition — among this
@@ -545,9 +600,9 @@ func (s *Server) runElection() {
 
 	votes := 1 // own
 	type voterState struct {
-		node  int
-		sizes map[string][]int64
-		tails map[string][]int64
+		node                int
+		sizes, tails        map[string][]int64
+		starts, startEpochs map[string][]int64
 	}
 	var voters []voterState
 	partitions := s.topicSizes()
@@ -572,7 +627,8 @@ func (s *Server) runElection() {
 			continue
 		}
 		votes++
-		voters = append(voters, voterState{node: node, sizes: resp.Sizes, tails: resp.Tails})
+		voters = append(voters, voterState{node: node, sizes: resp.Sizes, tails: resp.Tails,
+			starts: resp.Starts, startEpochs: resp.StartEpochs})
 		for name, parts := range resp.Partitions {
 			if partitions[name] < parts {
 				partitions[name] = parts
@@ -602,17 +658,19 @@ func (s *Server) runElection() {
 			if err != nil {
 				return
 			}
-			bestNode, bestSize, bestTail := -1, localSize, localTail
-			for _, v := range voters {
+			best, bestSize, bestTail := -1, localSize, localTail
+			for i, v := range voters {
 				sz, te := at(v.sizes[name], p), at(v.tails[name], p)
 				if te > bestTail || (te == bestTail && sz > bestSize) {
-					bestNode, bestSize, bestTail = v.node, sz, te
+					best, bestSize, bestTail = i, sz, te
 				}
 			}
-			if bestNode < 0 {
+			if best < 0 {
 				continue // own log is the most up to date
 			}
-			if !s.reconcilePartition(t, name, p, bestSize, bestNode) {
+			v := voters[best]
+			start, startEpoch := at(v.starts[name], p), at(v.startEpochs[name], p)
+			if !s.reconcilePartition(t, name, p, bestSize, start, startEpoch, v.node) {
 				return // can't guarantee completeness; stand down
 			}
 		}
@@ -661,9 +719,15 @@ func (s *Server) runElection() {
 // canonical (most up-to-date) voter's: back up past any divergent
 // local suffix — truncating record by record while the (epoch, offset)
 // pair at the local tail disagrees with the voter's — then pull
-// forward to the voter's size. Reports whether the local log reached
-// it; a false return means the election must stand down.
-func (s *Server) reconcilePartition(t *broker.Topic, name string, p int, theirs int64, node int) bool {
+// forward to the voter's size. A local log that ends below the voter's
+// log start first moves to it (start, with startEpoch the epoch below
+// it): the records between are committed and released on the voter.
+// Reports whether the local log reached the voter's size; a false
+// return means the election must stand down.
+func (s *Server) reconcilePartition(t *broker.Topic, name string, p int, theirs, start, startEpoch int64, node int) bool {
+	if t.ResetLog(p, start, startEpoch) != nil {
+		return false
+	}
 	for {
 		local, localTail, err := t.LogTail(p)
 		if err != nil {
@@ -685,6 +749,11 @@ func (s *Server) reconcilePartition(t *broker.Topic, name string, p int, theirs 
 		var resp fetchResp
 		req := fetchLogReq{Topic: name, Partition: p, Offset: local - 1, Max: 1}
 		if err := rc.callWire(opFetchLog, &req, &resp, nil); err != nil {
+			if errors.Is(err, broker.ErrBelowLogStart) {
+				// Below the voter's log start every record is committed
+				// and on every follower, so the prefixes agree.
+				break
+			}
 			peer.drop(rc)
 			return false
 		}

@@ -283,7 +283,8 @@ func (s *Server) isClosed() bool {
 // its responses built in, kept between requests for the capacity: the
 // messages of the binary opcodes, the broker-side forms they are turned
 // into, the response body, and the one deadline timer a parked request
-// arms (it fires into wake; stopped whenever no request is parked).
+// arms (it fires into wake; stopped whenever no request is parked), and
+// the pins of the partitions whose records a response carries.
 type connScratch struct {
 	appendReq  appendReq
 	appendResp appendResp
@@ -302,6 +303,9 @@ type connScratch struct {
 	offsets    map[int]int64
 	timer      *time.Timer
 	out        []byte
+	// pins are the partitions the request's records view, released
+	// once the response is encoded.
+	pins broker.Pins
 }
 
 func (s *Server) newConnScratch() *connScratch {
@@ -356,6 +360,9 @@ func viaJSON[Q, R any](payload []byte, handle func(Q) R) (any, error) {
 // frame header, and returns that frame for writeFrame to seal. Unknown
 // opcodes and malformed payloads drop the connection (err != nil).
 func (s *Server) dispatch(sc *connScratch, op byte, payload []byte) ([]byte, error) {
+	// The records a fetch, log fetch or pull response carries are views
+	// of the log's arena until they are encoded into out.
+	defer sc.pins.Release()
 	out := frame.Begin(sc.out[:0])
 	out = append(out, op)
 	var resp any
@@ -368,7 +375,7 @@ func (s *Server) dispatch(sc *connScratch, op byte, payload []byte) ([]byte, err
 		}
 	case opFetch:
 		if err = sc.fetchReq.decode(payload); err == nil {
-			s.handleFetch(&sc.fetchReq, &sc.fetchResp, sc.timer)
+			s.handleFetch(&sc.fetchReq, &sc.fetchResp, sc)
 			out = sc.fetchResp.appendTo(out)
 		}
 	case opCommit:
@@ -383,7 +390,7 @@ func (s *Server) dispatch(sc *connScratch, op byte, payload []byte) ([]byte, err
 		}
 	case opFetchLog:
 		if err = sc.logReq.decode(payload); err == nil {
-			s.handleFetchLog(&sc.logReq, &sc.fetchResp)
+			s.handleFetchLog(&sc.logReq, &sc.fetchResp, &sc.pins)
 			out = sc.fetchResp.appendTo(out)
 		}
 	case opHeartbeat:
@@ -494,10 +501,15 @@ func (s *Server) handleEnsureTopic(req ensureTopicReq) ensureTopicResp {
 
 // initTopic puts a fresh topic under replicated visibility: nothing is
 // consumer-visible until quorum-committed (limit starts at 0 and only
-// the commit recomputation advances it).
+// the commit recomputation advances it). In a replica set the log start
+// is held at 0 too, until the followers' matches (on the leader) or the
+// leader's log start (on a follower) let it rise.
 func (s *Server) initTopic(name string, t *broker.Topic) {
 	for p := 0; p < t.Partitions(); p++ {
 		t.SetVisibleLimit(p, 0)
+		if len(s.opts.Peers) > 1 {
+			t.SetLogStartFloor(p, 0)
+		}
 	}
 	s.mu.Lock()
 	if _, ok := s.commits[name]; !ok {
@@ -615,7 +627,10 @@ func (s *Server) commitLocked(topic string, partition int) int64 {
 
 // advanceLocked recomputes the quorum commit index of every partition
 // of topic t from the leader's own log sizes and the follower acks, and
-// publishes it as the consumer-visible limit. Caller holds s.mu.
+// publishes it as the consumer-visible limit; in a replica set the
+// lowest follower ack (0 for one not heard from) becomes the floor of
+// the log start, so no follower is left needing a released record.
+// Caller holds s.mu.
 func (s *Server) advanceLocked(name string, t *broker.Topic) {
 	n := t.Partitions()
 	commits := s.commits[name]
@@ -636,6 +651,7 @@ func (s *Server) advanceLocked(name string, t *broker.Topic) {
 			continue
 		}
 		sizes = append(sizes, own)
+		floor := own
 		for node, acked := range s.match[name] {
 			if node == s.opts.NodeID {
 				continue
@@ -645,10 +661,15 @@ func (s *Server) advanceLocked(name string, t *broker.Topic) {
 				v = acked[p]
 			}
 			sizes = append(sizes, v)
+			floor = min(floor, v)
 		}
 		// Pad unheard-from followers with zero acks.
 		for len(sizes) < len(s.opts.Peers) {
 			sizes = append(sizes, 0)
+			floor = 0
+		}
+		if len(s.opts.Peers) > 1 {
+			t.SetLogStartFloor(p, floor)
 		}
 		// The quorum-th largest ack is on a quorum of logs.
 		slices.Sort(sizes)
@@ -688,7 +709,7 @@ func fit(recs []broker.Record, from, budget int) ([]broker.Record, int) {
 	return recs, budget
 }
 
-func (s *Server) handleFetch(req *fetchReq, resp *fetchResp, timer *time.Timer) {
+func (s *Server) handleFetch(req *fetchReq, resp *fetchResp, sc *connScratch) {
 	resp.wireErr, resp.Recs = wireErr{}, resp.Recs[:0]
 	t, err := s.b.Topic(req.Topic)
 	if err != nil {
@@ -714,7 +735,7 @@ func (s *Server) handleFetch(req *fetchReq, resp *fetchResp, timer *time.Timer) 
 			if got >= max || budget <= 0 {
 				break
 			}
-			if resp.Recs, err = t.FetchInto(fp.P, fp.Off, max-got, resp.Recs); err != nil {
+			if resp.Recs, err = t.FetchInto(fp.P, fp.Off, max-got, resp.Recs, &sc.pins); err != nil {
 				resp.setErr(err)
 				return
 			}
@@ -726,7 +747,7 @@ func (s *Server) handleFetch(req *fetchReq, resp *fetchResp, timer *time.Timer) 
 		// Nothing visible yet: sleep until a visible limit moves (a
 		// quorum commit here, an adopted commit index on a follower).
 		s.mu.Lock()
-		s.park(&s.commitGen, seen, deadline, timer)
+		s.park(&s.commitGen, seen, deadline, sc.timer)
 		seen = s.commitGen
 		closed := s.closed
 		s.mu.Unlock()
@@ -736,8 +757,14 @@ func (s *Server) handleFetch(req *fetchReq, resp *fetchResp, timer *time.Timer) 
 	}
 }
 
+// handleHighWatermarks answers from the leader only: a deposed node's
+// watermarks stop moving, so it redirects the caller to the leader.
 func (s *Server) handleHighWatermarks(req *hwReq, resp *hwResp) {
 	resp.wireErr, resp.HWs = wireErr{}, resp.HWs[:0]
+	if err := s.requireLeader(); err != nil {
+		resp.setErr(err)
+		return
+	}
 	t, err := s.b.Topic(req.Topic)
 	if err != nil {
 		resp.setErr(err)
@@ -869,7 +896,7 @@ func (s *Server) handleHeartbeat(req *heartbeatReq, resp *heartbeatResp) {
 	}
 }
 
-func (s *Server) handleFetchLog(req *fetchLogReq, resp *fetchResp) {
+func (s *Server) handleFetchLog(req *fetchLogReq, resp *fetchResp, pins *broker.Pins) {
 	resp.wireErr, resp.Recs = wireErr{}, resp.Recs[:0]
 	t, err := s.b.Topic(req.Topic)
 	if err != nil {
@@ -880,7 +907,7 @@ func (s *Server) handleFetchLog(req *fetchLogReq, resp *fetchResp) {
 	if max <= 0 || max > replBatch {
 		max = replBatch
 	}
-	if resp.Recs, err = t.FetchLogInto(req.Partition, req.Offset, max, resp.Recs); err != nil {
+	if resp.Recs, err = t.FetchLogInto(req.Partition, req.Offset, max, resp.Recs, pins); err != nil {
 		resp.setErr(err)
 		return
 	}

@@ -46,10 +46,11 @@ type topicTails struct {
 }
 
 // topicCommits is one topic on the leader: per partition, the quorum
-// commit index; the length is the partition count.
+// commit index, the log start and the epoch of the record just below
+// it; each slice's length is the partition count.
 type topicCommits struct {
-	Name    string
-	Commits []int64
+	Name                         string
+	Commits, Starts, StartEpochs []int64
 }
 
 type appendReq struct {
@@ -252,7 +253,7 @@ func appendPartOffsets(dst []byte, v []partOffset) []byte {
 // errKinds lists the error kinds in wire order: a response opens with
 // one byte, 0 for success or 1 + the kind's index followed by the text.
 var errKinds = [...]string{"", kindNotLeader, kindStale, kindNotMember, kindUnknownTopic,
-	kindTopicExists, kindInvalidOffset, kindUnknownGroup, kindClosed, kindAckTimeout}
+	kindTopicExists, kindInvalidOffset, kindUnknownGroup, kindClosed, kindAckTimeout, kindBelowLogStart}
 
 //alarmvet:hotpath
 func (e *wireErr) appendEnvelope(dst []byte) []byte {
@@ -571,8 +572,10 @@ func (m *replFetchResp) appendTo(dst []byte) []byte {
 		t := &m.Topics[i]
 		dst = appendString(dst, t.Name)
 		dst = binary.AppendUvarint(dst, uint64(len(t.Commits)))
-		for _, c := range t.Commits {
+		for p, c := range t.Commits {
 			dst = binary.AppendVarint(dst, c)
+			dst = binary.AppendVarint(dst, t.Starts[p])
+			dst = binary.AppendVarint(dst, t.StartEpochs[p])
 		}
 		mine := 0
 		for mine < len(recs) && recs[mine].Topic == t.Name {
@@ -608,9 +611,11 @@ func (m *replFetchResp) decode(b []byte) error {
 		var t *topicCommits
 		m.Topics, t = next(m.Topics)
 		r.Str(&t.Name)
-		t.Commits = t.Commits[:0]
-		for parts := r.Count(1); parts > 0; parts-- {
+		t.Commits, t.Starts, t.StartEpochs = t.Commits[:0], t.Starts[:0], t.StartEpochs[:0]
+		for parts := r.Count(3); parts > 0; parts-- {
 			t.Commits = append(t.Commits, r.Nonneg())
+			t.Starts = append(t.Starts, r.Nonneg())
+			t.StartEpochs = append(t.StartEpochs, r.Nonneg())
 		}
 		m.Recs = r.runs(t.Name, m.Recs)
 	}

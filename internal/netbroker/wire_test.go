@@ -63,7 +63,8 @@ func wireSamples() []wireMsg {
 			{Name: "alarms", Sizes: []int64{7, 0, 1}, Tails: []int64{3, 0, 2}},
 			{Name: "audit", Sizes: []int64{0}, Tails: []int64{0}}}},
 		&replFetchResp{Epoch: 3, Leader: 0,
-			Topics: []topicCommits{{Name: "alarms", Commits: []int64{7, 0, 1}}, {Name: "audit", Commits: []int64{0}}},
+			Topics: []topicCommits{{Name: "alarms", Commits: []int64{7, 0, 1}, Starts: []int64{5, 0, 1}, StartEpochs: []int64{2, 0, 3}},
+				{Name: "audit", Commits: []int64{0}, Starts: []int64{0}, StartEpochs: []int64{0}}},
 			Recs:   []broker.Record{wireRec("alarms", 0, 7, 3, "k", "v"), wireRec("alarms", 2, 1, 3, "", "w"), wireRec("audit", 0, 0, 3, "k", "")},
 			Truncs: []truncAt{{Topic: "alarms", P: 1, Size: 4}},
 			Groups: []broker.GroupOffset{{Group: "verify", Topic: "alarms", Partition: 0, Offset: 6}, {Group: "verify", Topic: "alarms", Partition: 2, Offset: 1}}},
