@@ -9,7 +9,9 @@
 // every mutation lands in a per-partition write-ahead log
 // (group-fsynced every -wal-sync), periodic snapshots truncate the
 // logs, and a restart replays the tail — recovering the alarm history
-// and operator feedback instead of re-seeding from scratch. -retention
+// and operator feedback instead of re-seeding from scratch, and
+// numbering the replayed stream after the highest alarm id stored, so
+// no id is issued twice. -retention
 // prunes history older than the given age at each snapshot.
 //
 // With -model-dir the daemon boots from the latest version in the
@@ -30,7 +32,10 @@
 // poisson, burst, diurnal, flash) and -skew concentrates traffic on
 // Zipf-distributed hot devices, offered open-loop at -rate. Each shard
 // drains at most drainBound records per micro-batch, persists them and
-// commits that batch's offsets. Overload control is opt-in: -shed-queue
+// commits that batch's offsets; its stage queues hold two batches each,
+// and an idle drain parks for at most 50 ms (an append, or an
+// in-process rebalance, ends it at once), so neither needs a flag.
+// Overload control is opt-in: -shed-queue
 // bounds the per-shard backlog, shedding the oldest batches (counted,
 // committed) past it. Latency histograms for every stage and
 // end-to-end run lock-free (internal/metrics) and are served on
@@ -40,7 +45,7 @@
 //
 // Usage:
 //
-//	alarmd -rate 5000 -scenario flash -duration 10s -partitions 8 -shards 4 -pipeline-depth 2 \
+//	alarmd -rate 5000 -scenario flash -duration 10s -partitions 8 -shards 4 \
 //	       -shed-queue 8192 -store-partitions 8 \
 //	       -model-dir ./models -retrain-interval 5s -retrain-min-feedback 200 -listen :8080
 package main
@@ -81,13 +86,11 @@ type options struct {
 	duration        time.Duration
 	partitions      int
 	shards          int
-	depth           int
 	shedQueue       int
 	storePartitions int
 	dataDir         string
 	walSync         time.Duration
 	retention       time.Duration
-	interval        time.Duration
 	trainN          int
 	modelDir        string
 	retrainInterval time.Duration
@@ -118,7 +121,6 @@ func parseOptions(args []string, output io.Writer) (options, error) {
 	fs.DurationVar(&o.duration, "duration", 10*time.Second, "how long to run")
 	fs.IntVar(&o.partitions, "partitions", 8, "broker partitions (the §5.5.2 parallelism knob)")
 	fs.IntVar(&o.shards, "shards", 2, "consumer shards joining the verification group")
-	fs.IntVar(&o.depth, "pipeline-depth", 2, "bounded stage-queue depth per shard")
 	fs.IntVar(&o.shedQueue, "shed-queue", 0,
 		"per-shard backlog bound in records beyond which drained batches are load-shed (0 = never shed)")
 	fs.IntVar(&o.storePartitions, "store-partitions", 0,
@@ -129,8 +131,6 @@ func parseOptions(args []string, output io.Writer) (options, error) {
 		"WAL group-fsync interval; 0 makes each write wait for an fsync covering it (strict, slow); requires -data-dir")
 	fs.DurationVar(&o.retention, "retention", 0,
 		"prune alarm history older than this at each snapshot (0 = keep everything); requires -data-dir")
-	fs.DurationVar(&o.interval, "interval", 50*time.Millisecond,
-		"how often an idle shard checks for stop and rebalance (an append ends a drain's wait at once)")
 	fs.IntVar(&o.trainN, "train", 30_000, "alarms for offline training")
 	fs.StringVar(&o.modelDir, "model-dir", "",
 		"versioned model registry directory: boot from the latest saved model and register retrained ones (empty = in-memory models only)")
@@ -184,16 +184,12 @@ func parseOptions(args []string, output io.Writer) (options, error) {
 		return options{}, fmt.Errorf("alarmd: -partitions must be >= 1, got %d", o.partitions)
 	case o.shards < 1:
 		return options{}, fmt.Errorf("alarmd: -shards must be >= 1, got %d", o.shards)
-	case o.depth < 1:
-		return options{}, fmt.Errorf("alarmd: -pipeline-depth must be >= 1, got %d", o.depth)
 	case o.storePartitions < 0:
 		return options{}, fmt.Errorf("alarmd: -store-partitions must be >= 0, got %d", o.storePartitions)
 	case o.walSync < 0:
 		return options{}, fmt.Errorf("alarmd: -wal-sync must be >= 0, got %s", o.walSync)
 	case o.retention < 0:
 		return options{}, fmt.Errorf("alarmd: -retention must be >= 0, got %s", o.retention)
-	case o.interval <= 0:
-		return options{}, fmt.Errorf("alarmd: -interval must be positive, got %s", o.interval)
 	case o.trainN < 1:
 		return options{}, fmt.Errorf("alarmd: -train must be >= 1, got %d", o.trainN)
 	case o.retrainInterval < 0:
@@ -373,8 +369,12 @@ func run(o options) error {
 	}
 	if recovered > 0 {
 		// A durable restart already holds a corpus; re-seeding the boot
-		// train set would duplicate it in every retrain thereafter.
+		// train set would duplicate it in every retrain thereafter, and
+		// replaying the earlier run's ids would store each alarm twice.
 		fmt.Printf("recovered %d alarms from %s\n", recovered, o.dataDir)
+		if err := numberAfterStored(history, alarms[o.trainN:]); err != nil {
+			return err
+		}
 	} else {
 		// Seed the history with the boot train set: an early retrain
 		// (feedback arriving in the first seconds) then competes on at
@@ -390,8 +390,8 @@ func run(o options) error {
 	}
 	defer svc.Close()
 	svc.Start()
-	fmt.Printf("serving with %d shard(s), pipeline depth %d, %d broker partitions, %d store partitions\n",
-		o.shards, o.depth, o.partitions, db.Partitions())
+	fmt.Printf("serving with %d shard(s), %d broker partitions, %d store partitions\n",
+		o.shards, o.partitions, db.Partitions())
 	if o.shedQueue > 0 {
 		fmt.Printf("overload control: shed-queue=%d\n", o.shedQueue)
 	}
@@ -602,23 +602,38 @@ loop:
 }
 
 // drainBound is the most records a shard drains into one micro-batch.
-// PipelineDepth bounds batches, not records, so without it one drain
+// The stage queues bound batches, not records, so without it one drain
 // after a stall would take the whole backlog.
 const drainBound = 512
 
 // serviceConfig is the sharded service alarmd runs for o.
 func serviceConfig(o options, m *metrics.Pipeline, memberPrefix string) serve.Config {
 	cfg := serve.Config{
-		Shards:        o.shards,
-		PipelineDepth: o.depth,
-		ShedQueue:     o.shedQueue,
-		MemberPrefix:  memberPrefix,
-		Consumer:      core.DefaultConsumerConfig(),
+		Shards:       o.shards,
+		ShedQueue:    o.shedQueue,
+		MemberPrefix: memberPrefix,
+		Consumer:     core.DefaultConsumerConfig(),
 	}
 	cfg.Consumer.MaxPerBatch = drainBound
-	cfg.Consumer.PollTimeout = o.interval
 	cfg.Consumer.Metrics = m
 	return cfg
+}
+
+// numberAfterStored renumbers alarms in order from one past the highest
+// alarm id h holds, so a replay re-issues none of the stored ids.
+func numberAfterStored(h *core.History, alarms []alarm.Alarm) error {
+	stored, err := h.RecentAlarms(0)
+	if err != nil {
+		return err
+	}
+	var last int64
+	for i := range stored {
+		last = max(last, stored[i].ID)
+	}
+	for i := range alarms {
+		alarms[i].ID = last + 1 + int64(i)
+	}
+	return nil
 }
 
 // operatorQueue queues every stored alarm predicted true, as stored.

@@ -21,8 +21,8 @@ func TestParseOptionsDefaults(t *testing.T) {
 	if o.rate != 5_000 || o.duration != 10*time.Second || o.partitions != 8 {
 		t.Errorf("producer defaults wrong: %+v", o)
 	}
-	if o.shards != 2 || o.depth != 2 {
-		t.Errorf("service defaults wrong: shards=%d depth=%d", o.shards, o.depth)
+	if o.shards != 2 {
+		t.Errorf("service defaults wrong: shards=%d", o.shards)
 	}
 	if o.scenario != "constant" || o.skew != 0 {
 		t.Errorf("workload defaults wrong: scenario=%q skew=%g", o.scenario, o.skew)
@@ -37,7 +37,7 @@ func TestParseOptionsDefaults(t *testing.T) {
 		t.Errorf("durability defaults wrong: data-dir=%q wal-sync=%s retention=%s",
 			o.dataDir, o.walSync, o.retention)
 	}
-	if o.interval != 50*time.Millisecond || o.trainN != 30_000 {
+	if o.trainN != 30_000 {
 		t.Errorf("remaining defaults wrong: %+v", o)
 	}
 	if o.modelDir != "" || o.retrainInterval != 0 || o.retrainMinFB != 0 || o.listen != "" {
@@ -56,13 +56,11 @@ func TestParseOptionsOverrides(t *testing.T) {
 		"-duration", "3s",
 		"-partitions", "16",
 		"-shards", "4",
-		"-pipeline-depth", "3",
 		"-shed-queue", "4096",
 		"-store-partitions", "8",
 		"-data-dir", "/tmp/alarmd-data",
 		"-wal-sync", "20ms",
 		"-retention", "24h",
-		"-interval", "5ms",
 		"-train", "1000",
 		"-model-dir", "/tmp/models",
 		"-retrain-interval", "30s",
@@ -76,8 +74,8 @@ func TestParseOptionsOverrides(t *testing.T) {
 	if o.rate != 0 || o.duration != 3*time.Second || o.partitions != 16 {
 		t.Errorf("producer overrides lost: %+v", o)
 	}
-	if o.shards != 4 || o.depth != 3 {
-		t.Errorf("service overrides lost: shards=%d depth=%d", o.shards, o.depth)
+	if o.shards != 4 {
+		t.Errorf("service overrides lost: shards=%d", o.shards)
 	}
 	if o.scenario != "flash" || o.skew != 1.2 {
 		t.Errorf("workload overrides lost: scenario=%q skew=%g", o.scenario, o.skew)
@@ -92,7 +90,7 @@ func TestParseOptionsOverrides(t *testing.T) {
 		t.Errorf("durability overrides lost: data-dir=%q wal-sync=%s retention=%s",
 			o.dataDir, o.walSync, o.retention)
 	}
-	if o.interval != 5*time.Millisecond || o.trainN != 1000 {
+	if o.trainN != 1000 {
 		t.Errorf("remaining overrides lost: %+v", o)
 	}
 	if o.modelDir != "/tmp/models" || o.retrainInterval != 30*time.Second ||
@@ -119,14 +117,16 @@ func TestParseOptionsValidation(t *testing.T) {
 		{"zero partitions", []string{"-partitions", "0"}, "-partitions"},
 		{"zero shards", []string{"-shards", "0"}, "-shards"},
 		{"negative shards", []string{"-shards", "-3"}, "-shards"},
-		{"zero depth", []string{"-pipeline-depth", "0"}, "-pipeline-depth"},
-		{"negative depth", []string{"-pipeline-depth", "-2"}, "-pipeline-depth"},
+		// The stage-queue depth and the idle poll are constants: their
+		// old flags are undefined.
+		{"zero depth", []string{"-pipeline-depth", "0"}, "not defined: -pipeline-depth"},
+		{"negative depth", []string{"-pipeline-depth", "-2"}, "not defined: -pipeline-depth"},
 		{"negative store partitions", []string{"-store-partitions", "-1"}, "-store-partitions"},
 		{"negative wal-sync", []string{"-data-dir", "/tmp/d", "-wal-sync", "-5ms"}, "-wal-sync"},
 		{"negative retention", []string{"-data-dir", "/tmp/d", "-retention", "-1h"}, "-retention"},
 		{"wal-sync without data-dir", []string{"-wal-sync", "5ms"}, "-data-dir"},
 		{"retention without data-dir", []string{"-retention", "1h"}, "-data-dir"},
-		{"zero interval", []string{"-interval", "0s"}, "-interval"},
+		{"zero interval", []string{"-interval", "0s"}, "not defined: -interval"},
 		{"zero train", []string{"-train", "0"}, "-train"},
 		{"negative retrain interval", []string{"-retrain-interval", "-5s"}, "-retrain-interval"},
 		{"negative retrain feedback", []string{"-retrain-min-feedback", "-1"}, "-retrain-min-feedback"},
@@ -149,9 +149,10 @@ func TestParseOptionsValidation(t *testing.T) {
 // TestServiceConfigBoundsDrains pins the drain bound alarmd runs: a
 // shard takes at most 512 records per micro-batch, so a backlog after a
 // stall splits into bounded batches instead of one batch holding all of
-// it. The other fields carry the options through unchanged.
+// it. The other fields carry the options through unchanged, and the
+// deprecated stage-queue depth and poll timeout stay unset.
 func TestServiceConfigBoundsDrains(t *testing.T) {
-	o, err := parseOptions([]string{"-shards", "3", "-pipeline-depth", "4", "-shed-queue", "900", "-interval", "7ms"}, io.Discard)
+	o, err := parseOptions([]string{"-shards", "3", "-shed-queue", "900"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,11 +161,14 @@ func TestServiceConfigBoundsDrains(t *testing.T) {
 	if cfg.Consumer.MaxPerBatch != 512 {
 		t.Errorf("MaxPerBatch = %d, want 512", cfg.Consumer.MaxPerBatch)
 	}
-	if cfg.Shards != 3 || cfg.PipelineDepth != 4 || cfg.ShedQueue != 900 || cfg.MemberPrefix != "host-1" {
+	if cfg.Shards != 3 || cfg.ShedQueue != 900 || cfg.MemberPrefix != "host-1" {
 		t.Errorf("service options lost: %+v", cfg)
 	}
-	if cfg.Consumer.PollTimeout != 7*time.Millisecond || cfg.Consumer.Metrics != m {
-		t.Errorf("consumer options lost: poll=%s metrics=%p", cfg.Consumer.PollTimeout, cfg.Consumer.Metrics)
+	if cfg.Consumer.Metrics != m {
+		t.Errorf("consumer options lost: metrics=%p", cfg.Consumer.Metrics)
+	}
+	if cfg.PipelineDepth != 0 || cfg.Consumer.PollTimeout != 0 {
+		t.Errorf("deprecated knobs set: depth=%d poll=%s", cfg.PipelineDepth, cfg.Consumer.PollTimeout)
 	}
 	if def := core.DefaultConsumerConfig(); cfg.Consumer.ClassifyBatch != def.ClassifyBatch {
 		t.Errorf("consumer defaults lost: %+v", cfg.Consumer)
@@ -212,5 +216,41 @@ func TestOperatorQueueReadsStoredRows(t *testing.T) {
 		if p := 0.5 + float64(i)/20; item.Verification.Probability != p || item.Verification.Predicted != alarm.True {
 			t.Errorf("queued alarm %d: verdict %+v, want true at P=%v", i, item.Verification, p)
 		}
+	}
+}
+
+// TestRestartIssuesNoStoredIDs: a daemon restarted on its data
+// directory replays alarms under ids after the highest one the
+// recovered store holds, so every stored alarm id is distinct.
+func TestRestartIssuesNoStoredIDs(t *testing.T) {
+	dir := t.TempDir()
+	o, err := parseOptions([]string{"-rate", "0", "-duration", "2s", "-train", "3000", "-data-dir", dir}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := run(o); err != nil {
+			t.Fatalf("run %d: %v", i+1, err)
+		}
+	}
+	db, err := docstore.OpenDB(dir, docstore.DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	h, err := core.NewHistory(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, err := h.RecentAlarms(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make(map[int64]struct{}, len(stored))
+	for _, a := range stored {
+		ids[a.ID] = struct{}{}
+	}
+	if len(ids) != h.Len() {
+		t.Fatalf("%d distinct alarm ids among %d stored alarms after a restart", len(ids), h.Len())
 	}
 }

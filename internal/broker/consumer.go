@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -17,19 +18,19 @@ type group struct {
 	members    []string
 	generation int64
 	committed  map[int]int64 // partition -> next offset to consume
-	// watchers holds the rebalance channel of each in-process member: a
-	// buffered send on membership change is the notification
-	// Consumer.Rebalances hands out. Remote members hold none; they
+	// watchers holds each in-process member, which a membership change
+	// notifies (Consumer.rebalance). Remote members hold none; they
 	// compare generations in their heartbeats.
-	watchers map[string]chan struct{}
+	watchers map[string]*Consumer
 }
 
-// notifyLocked signals every watcher except the member that caused the
-// change (it learns its assignment synchronously). Callers hold g.mu.
+// notifyLocked notifies every watcher except the member that caused
+// the change (it learns its assignment synchronously). Callers hold
+// g.mu.
 func (g *group) notifyLocked(except string) {
-	for m, ch := range g.watchers {
+	for m, c := range g.watchers {
 		if m != except {
-			signal(ch)
+			c.rebalance()
 		}
 	}
 }
@@ -42,7 +43,7 @@ func (b *Broker) groupFor(name string, t *Topic) (*group, error) {
 	}
 	g, ok := b.groups[name]
 	if !ok {
-		g = &group{topic: t, committed: make(map[int]int64), watchers: make(map[string]chan struct{})}
+		g = &group{topic: t, committed: make(map[int]int64), watchers: make(map[string]*Consumer)}
 		b.groups[name] = g
 		t.bind(g)
 		return g, nil
@@ -67,13 +68,13 @@ func (b *Broker) lookupGroup(name string) (*group, error) {
 
 // join adds a member, bumps the assignment generation and notifies the
 // other members; a join under an id already present keeps one member
-// and moves nothing. Either way a non-nil watch becomes the member's
-// rebalance channel.
-func (g *group) join(member string, watch chan struct{}) {
+// and moves nothing. Either way a non-nil c becomes the member's
+// watcher.
+func (g *group) join(member string, c *Consumer) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if watch != nil {
-		g.watchers[member] = watch
+	if c != nil {
+		g.watchers[member] = c
 	}
 	if slices.Contains(g.members, member) {
 		return
@@ -174,6 +175,10 @@ type GroupConsumer interface {
 	// Lag totals records between positions and high watermarks.
 	Lag() (int64, error)
 	// Rebalances is the channel signalled when the assignment is stale.
+	// In process the notification also ends a poll parked at that
+	// moment, once (see Consumer.Rebalances); over the wire the member
+	// learns of it from its next heartbeat, and a parked fetch runs on
+	// to its timeout.
 	Rebalances() <-chan struct{}
 	// RefreshAssignment re-reads the assignment after a rebalance.
 	RefreshAssignment() error
@@ -231,6 +236,10 @@ type Consumer struct {
 	// across polls and touched only by the polling goroutine.
 	wake  chan struct{}
 	timer *time.Timer
+	// rebalanced is set, with a token on wake, when the group's
+	// membership changes under the consumer; the park that takes it
+	// ends its poll empty (see waitAny), and a refresh clears it.
+	rebalanced atomic.Bool
 
 	mu        sync.Mutex
 	gen       int64
@@ -255,7 +264,7 @@ func NewConsumer(b *Broker, groupName string, t *Topic, id string) (*Consumer, e
 		return nil, err
 	}
 	c := &Consumer{topic: t, grp: g, id: id, rebalances: make(chan struct{}, 1), wake: make(chan struct{}, 1)}
-	g.join(id, c.rebalances)
+	g.join(id, c)
 	if err := c.refreshAssignment(); err != nil {
 		return nil, err
 	}
@@ -266,15 +275,29 @@ func NewConsumer(b *Broker, groupName string, t *Topic, id string) (*Consumer, e
 // changes under this consumer. A signal means the current assignment
 // is stale: in-flight work should be drained and RefreshAssignment
 // called. The channel is buffered (capacity 1); coalesced signals are
-// fine because a single refresh observes the latest generation.
+// fine because a single refresh observes the latest generation. The
+// same change ends the consumer's parked poll, or its next idle one,
+// empty, so the poller gets to the signal without waiting out its
+// timeout; only that one poll does, so a caller that never reads the
+// channel stays paced by its timeouts.
 func (c *Consumer) Rebalances() <-chan struct{} { return c.rebalances }
+
+// rebalance notifies the consumer that its assignment is stale: the
+// token on Rebalances, then the wake that ends a parked poll.
+func (c *Consumer) rebalance() {
+	signal(c.rebalances)
+	c.rebalanced.Store(true)
+	signal(c.wake)
+}
 
 // refreshAssignment re-reads the group's assignment for this member,
 // seeks its partitions to the committed offsets read with it and moves
 // the wake channel to the new partitions; a poll parked under the old
-// assignment is woken to sweep the new one. A closed consumer watches
-// nothing and stays that way.
+// assignment is woken to sweep the new one. The refresh answers any
+// rebalance notified before it, so no later poll ends early for one. A
+// closed consumer watches nothing and stays that way.
 func (c *Consumer) refreshAssignment() error {
+	c.rebalanced.Store(false)
 	parts, offsets, gen, err := c.grp.assignment(c.id)
 	if err != nil {
 		return err
@@ -316,15 +339,16 @@ func (c *Consumer) Assignment() []int {
 
 // waitAny parks a poll that found nothing: it reports true as soon as
 // an assigned partition can be read past the consumer's position, and
-// false once the deadline passes or a wake finds that nothing more can
-// arrive (the consumer or one of its partitions closed while the poll
-// was parked; a close that predates the poll does not cut it short, so
-// polling what is already closed is paced by the timeout). In between
-// it waits on the wake channel, so a record costs one channel
-// hand-off; the only timer is the deadline's, which fires when nothing
-// arrived for the whole timeout (a stale tick from an earlier park
-// costs one more sweep). A member without partitions parks the same
-// way for its whole timeout, which paces its caller's poll loop.
+// false once the deadline passes, a wake carries a rebalance, or a wake
+// finds that nothing more can arrive (the consumer or one of its
+// partitions closed while the poll was parked; a close that predates
+// the poll does not cut it short, so polling what is already closed is
+// paced by the timeout). In between it waits on the wake channel, so a
+// record costs one channel hand-off; the only timer is the deadline's,
+// which fires when nothing arrived for the whole timeout (a stale tick
+// from an earlier park costs one more sweep). A member without
+// partitions parks the same way for its whole timeout, which paces its
+// caller's poll loop.
 //
 //alarmvet:hotpath
 func (c *Consumer) waitAny(deadline time.Time) bool {
@@ -344,6 +368,9 @@ func (c *Consumer) waitAny(deadline time.Time) bool {
 		select {
 		case <-c.wake:
 			c.timer.Stop()
+			if c.rebalanced.Swap(false) {
+				return false
+			}
 		case <-c.timer.C:
 		}
 	}

@@ -289,7 +289,9 @@ func TestParkedPollIgnoresUnownedAppend(t *testing.T) {
 
 // TestParkedPollFollowsRefreshedAssignment: a poll parked under one
 // assignment is woken by the refresh and then by appends to the
-// partitions it gained.
+// partitions it gained. The leave that freed them ended the poll that
+// followed it (TestParkedPollEndsOnRebalanceOnce), so the poll parks
+// after that one.
 func TestParkedPollFollowsRefreshedAssignment(t *testing.T) {
 	b, topic, c1 := eventConsumer(t, 2)
 	c2, err := NewConsumer(b, "g", topic, "c2")
@@ -300,8 +302,11 @@ func TestParkedPollFollowsRefreshedAssignment(t *testing.T) {
 		t.Fatal(err)
 	}
 	gained := c2.Assignment()[0]
-	done := parkPoll(c1, 10*time.Second)
 	c2.Close()
+	if recs, err := pollCopy(c1, 1, 10*time.Second); err != nil || len(recs) != 0 {
+		t.Fatalf("poll after a leave: %d records, %v; want an empty poll", len(recs), err)
+	}
+	done := parkPoll(c1, 10*time.Second)
 	if err := c1.RefreshAssignment(); err != nil {
 		t.Fatal(err)
 	}
@@ -311,6 +316,46 @@ func TestParkedPollFollowsRefreshedAssignment(t *testing.T) {
 	}
 	if got := wantWoken(t, done, time.Now(), 1); got.recs[0].Partition != gained {
 		t.Fatalf("woken with a record of partition %d, want %d", got.recs[0].Partition, gained)
+	}
+}
+
+// TestParkedPollEndsOnRebalanceOnce: a member parked for 3 s comes
+// back empty at a second member's join, leaving the join's token on
+// Rebalances for its caller, and only that poll ends early: the next
+// idle one parks for its whole timeout, so a caller that never reads
+// Rebalances is still paced.
+func TestParkedPollEndsOnRebalanceOnce(t *testing.T) {
+	b, topic, c1 := eventConsumer(t, 4)
+	done := parkPoll(c1, 3*time.Second)
+	joined := time.Now()
+	c2, err := NewConsumer(b, "g", topic, "c2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	select {
+	case got := <-done:
+		if late := got.at.Sub(joined); late >= time.Second {
+			t.Fatalf("parked poll returned %s after the join", late)
+		}
+		if got.err != nil || len(got.recs) != 0 {
+			t.Fatalf("parked poll returned %d records, err %v; want an empty poll", len(got.recs), got.err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("parked poll did not end at the join")
+	}
+	if len(c1.Rebalances()) != 1 {
+		t.Fatal("the join's token left Rebalances")
+	}
+	start := time.Now()
+	if recs, err := pollCopy(c1, 1, 200*time.Millisecond); err != nil || len(recs) != 0 {
+		t.Fatalf("idle poll: %d records, %v", len(recs), err)
+	}
+	if took := time.Since(start); took < 150*time.Millisecond {
+		t.Fatalf("the idle poll after the rebalance's returned after %s, want its 200 ms timeout", took)
+	}
+	if len(c1.Rebalances()) != 1 {
+		t.Fatal("the idle poll took the join's token")
 	}
 }
 

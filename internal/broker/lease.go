@@ -343,14 +343,14 @@ func NoLease() *Lease { return &noLease }
 // returned lease, which must be released after the batch is fully
 // processed; until then the values are stable. When no partition has
 // data it parks until an append, a raised visible limit, a refreshed
-// assignment or a close on this consumer or one of its partitions
-// wakes it, for at most timeout (see waitAny). A poll that fetched
-// nothing — the timeout elapsed, or the poll was parked when a
-// partition or the consumer closed — returns dst with a shared,
-// already-released lease and allocates nothing; a nil lease is
-// returned only with an error. A poll that starts on partitions already
-// closed still waits out its timeout, so a caller looping on PollLeased
-// after Broker.Close stays paced.
+// assignment, a rebalance or a close on this consumer or one of its
+// partitions wakes it, for at most timeout (see waitAny). A poll that
+// fetched nothing — the timeout elapsed, the group's membership
+// changed, or the poll was parked when a partition or the consumer
+// closed — returns dst with a shared, already-released lease and
+// allocates nothing; a nil lease is returned only with an error. A poll
+// that starts on partitions already closed still waits out its timeout,
+// so a caller looping on PollLeased after Broker.Close stays paced.
 func (c *Consumer) PollLeased(max int, timeout time.Duration, dst []Record) ([]Record, *Lease, error) {
 	if max <= 0 {
 		max = 1

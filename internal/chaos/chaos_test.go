@@ -251,7 +251,7 @@ func TestDistributedChaos(t *testing.T) {
 	alarmdArgs := []string{
 		"-broker-addr", peers, "-produce=false",
 		"-partitions", fmt.Sprint(partitions), "-shards", "2",
-		"-train", "2000", "-duration", "5m", "-interval", "10ms",
+		"-train", "2000", "-duration", "5m",
 	}
 	shardA := startProc(t, artifacts, "alarmd-a", filepath.Join(binDir, "alarmd"), alarmdArgs...)
 	shardB := startProc(t, artifacts, "alarmd-b", filepath.Join(binDir, "alarmd"), alarmdArgs...)

@@ -3,6 +3,7 @@
 package core
 
 import (
+	"math"
 	"runtime"
 	"runtime/debug"
 	"strings"
@@ -133,7 +134,6 @@ func budgetApp(t *testing.T, alarms []alarm.Alarm) *ConsumerApp {
 	_, train := testAlarms(800)
 	cfg := DefaultConsumerConfig()
 	cfg.MaxPerBatch = 1
-	cfg.PollTimeout = time.Millisecond
 	cfg.Metrics = metrics.NewPipeline()
 	app, err := NewConsumerApp(b, "alarms", "budget", "c1", fastVerifier(t, train), budgetHistory(t), cfg)
 	if err != nil {
@@ -154,7 +154,7 @@ func TestIdleDrainAllocBudget(t *testing.T) {
 	}
 	idle() // the pooled batch and the consumer's deadline timer
 	if allocs := testing.AllocsPerRun(20, idle); allocs != 0 {
-		t.Fatalf("one idle PollTimeout cycle of Drain: %.1f allocations, budget 0", allocs)
+		t.Fatalf("one idle park of Drain: %.1f allocations, budget 0", allocs)
 	}
 }
 
@@ -227,15 +227,20 @@ func TestClassifyScratchBudget(t *testing.T) {
 	_, alarms := testAlarms(1312)
 	v := fastVerifier(t, alarms[:800])
 	out := make([]alarm.Verification, 512)
-	runtime.GC()
-	runtime.GC() // twice: the pooled scratch of earlier tests is gone
+	// TotalAlloc counts the whole process, so a goroutine of the test
+	// binary's can land in the window: the first call's own bytes, on a
+	// fresh scratch each time, are the least of a few windows.
 	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if err := v.VerifyBatchInto(alarms[800:], out); err != nil {
-		t.Fatal(err)
+	bytes := uint64(math.MaxUint64)
+	for trial := 0; trial < 5; trial++ {
+		sc := new(batchScratch)
+		runtime.ReadMemStats(&before)
+		if err := v.snap.Load().verifyBatchInto(alarms[800:], out, sc); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
 	}
-	runtime.ReadMemStats(&after)
-	bytes := after.TotalAlloc - before.TotalAlloc
 	t.Logf("first 512-alarm classify call allocated %d B", bytes)
 	if bytes > 17<<10 {
 		t.Fatalf("first 512-alarm classify call allocated %d B, budget 16 KB of slabs", bytes)

@@ -65,10 +65,11 @@ type ConsumerConfig struct {
 	// MaxPerBatch bounds records drained per micro-batch; 0 leaves the
 	// drain unbounded (it takes everything queued).
 	MaxPerBatch int
-	// PollTimeout bounds how long a drain waits for the first record
-	// when the topic is idle; zero means 10 ms. An append ends the
-	// wait at once, so this is only how often an idle intake gets to
-	// look at anything else (stop, rebalance), not a latency.
+	// PollTimeout is ignored.
+	//
+	// Deprecated: ignored. A drain parks at most idlePoll (50 ms);
+	// the field stays only because the benchmark harness still
+	// assigns it, and goes once that assignment does.
 	PollTimeout time.Duration
 	// Metrics, when set, receives per-stage durations
 	// (decode/classify/persist/commit), per-record end-to-end
@@ -76,6 +77,13 @@ type ConsumerConfig struct {
 	// every shard of a service — recording is lock-free.
 	Metrics *metrics.Pipeline
 }
+
+// idlePoll bounds how long a drain parks for the first record when
+// the consumer's partitions are idle. An append ends the park at once,
+// and so does an in-process rebalance, so it is no latency: it is only
+// how soon an idle intake sees a stop (and, over the wire, a
+// rebalance), like Kafka's fetch.max.wait.ms.
+const idlePoll = 50 * time.Millisecond
 
 // DefaultConsumerConfig returns the serving configuration: 256-alarm
 // classify chunks.
@@ -141,9 +149,6 @@ func NewConsumerApp(b *broker.Broker, topicName, group, id string,
 // keeps no per-partition layout, so it is unused.
 func NewConsumerAppFor(cons broker.GroupConsumer, _ int,
 	verifier *Verifier, history *History, cfg ConsumerConfig) *ConsumerApp {
-	if cfg.PollTimeout <= 0 {
-		cfg.PollTimeout = 10 * time.Millisecond
-	}
 	if cfg.ClassifyBatch <= 0 {
 		cfg.ClassifyBatch = 256
 	}

@@ -61,7 +61,6 @@ func (p *pollCounter) Close()                        {}
 func drainApp(p *pollCounter, maxPerBatch int) *ConsumerApp {
 	cfg := DefaultConsumerConfig()
 	cfg.MaxPerBatch = maxPerBatch
-	cfg.PollTimeout = time.Millisecond
 	return NewConsumerAppFor(p, 1, nil, nil, cfg)
 }
 

@@ -67,7 +67,6 @@ func TestDrainTakesWhatIsQueuedUpToMax(t *testing.T) {
 	}
 	cfg := DefaultConsumerConfig()
 	cfg.MaxPerBatch = max
-	cfg.PollTimeout = time.Millisecond
 	app, err := NewConsumerApp(b, "alarms", "bound", "c1", v, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +109,6 @@ func TestPipelineMetricsRecordStagesAndE2E(t *testing.T) {
 	cfg := DefaultConsumerConfig()
 	cfg.Metrics = m
 	cfg.MaxPerBatch = 500
-	cfg.PollTimeout = time.Millisecond
 	app, err := NewConsumerApp(b, "alarms", "met", "c1", v, h, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +168,6 @@ func TestMarkShedCountsAndSkipsE2E(t *testing.T) {
 	cfg := DefaultConsumerConfig()
 	cfg.Metrics = m
 	cfg.MaxPerBatch = 600
-	cfg.PollTimeout = time.Millisecond
 	app, err := NewConsumerApp(b, "alarms", "shed", "c1", v, nil, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -71,7 +71,7 @@ func (b *Batch) Len() int { return len(b.Alarms) }
 // The records' payload bytes are borrowed from the broker under a
 // lease, not copied out, so the batch must be returned through
 // ReleaseBatch once it has fully left the pipeline. A drain is one
-// poll: it parks — woken by the first record, for at most PollTimeout —
+// poll: it parks — woken by the first record, for at most idlePoll —
 // and takes what is there, up to MaxPerBatch. A batch is whatever
 // accumulated while the shard was busy, and one record when it was not,
 // so a backlog splits into full batches and a remainder. No second poll
@@ -93,7 +93,7 @@ func (c *ConsumerApp) Drain() *Batch {
 	// A poll error ends the drain with what the poll returned: the next
 	// drain polls again, and a close or a rebalance reaches the shard
 	// through its own checks.
-	recs, lease, _ := c.consumer.PollLeased(max, c.cfg.PollTimeout, b.recs)
+	recs, lease, _ := c.consumer.PollLeased(max, idlePoll, b.recs)
 	b.recs = recs
 	if len(recs) > 0 {
 		b.lease = lease

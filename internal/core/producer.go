@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,7 +13,7 @@ import (
 
 // ProducerApp is the §5.5.1 Producer application: it simulates a
 // stream of new alarms by replaying test-set alarms into the broker
-// at a controlled rate, through a configurable serializer.
+// as fast as it can, through a configurable serializer.
 type ProducerApp struct {
 	producer broker.RecordSender
 	codec    codec.Codec
@@ -53,9 +54,13 @@ type ReplayStats struct {
 }
 
 // Replay serializes and sends all alarms as fast as the configured
-// thread count allows (rate = 0), or throttled to approximately
-// ratePerSec alarms per second.
+// thread count allows. ratePerSec must be 0: paced load goes through
+// internal/loadgen, and the parameter stays only because the benchmark
+// harness still passes it.
 func (p *ProducerApp) Replay(alarms []alarm.Alarm, ratePerSec int) (ReplayStats, error) {
+	if ratePerSec != 0 {
+		return ReplayStats{}, fmt.Errorf("core: Replay does not pace (rate %d/s); use internal/loadgen", ratePerSec)
+	}
 	threads := p.Threads
 	if threads < 1 {
 		threads = 1
@@ -79,18 +84,7 @@ func (p *ProducerApp) Replay(alarms []alarm.Alarm, ratePerSec int) (ReplayStats,
 		go func(batch []alarm.Alarm) {
 			defer wg.Done()
 			var buf []byte
-			var interval time.Duration
-			if ratePerSec > 0 {
-				interval = time.Duration(int64(time.Second) * int64(threads) / int64(ratePerSec))
-			}
-			next := time.Now()
 			for i := range batch {
-				if interval > 0 {
-					if d := time.Until(next); d > 0 {
-						time.Sleep(d)
-					}
-					next = next.Add(interval)
-				}
 				var err error
 				buf, err = p.codec.Marshal(buf[:0], &batch[i])
 				if err != nil {

@@ -50,3 +50,24 @@ func TestReplayEnqueueTimestamps(t *testing.T) {
 		b.Close()
 	}
 }
+
+// TestReplayRefusesARate: Replay does not pace, so a non-zero rate is
+// an error and nothing is sent.
+func TestReplayRefusesARate(t *testing.T) {
+	_, alarms := testAlarms(8)
+	b := broker.New()
+	defer b.Close()
+	topic, err := b.CreateTopic("alarms", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rate := range []int{1000, -1} {
+		stats, err := NewProducerApp(topic, codec.FastCodec{}).Replay(alarms, rate)
+		if err == nil || stats.Sent != 0 {
+			t.Fatalf("Replay at rate %d: sent %d, err %v; want an error and nothing sent", rate, stats.Sent, err)
+		}
+	}
+	if hw, err := topic.HighWatermark(0); err != nil || hw != 0 {
+		t.Fatalf("topic holds %d records after refused replays (%v)", hw, err)
+	}
+}

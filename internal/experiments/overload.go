@@ -78,7 +78,6 @@ func overloadService(b *broker.Broker, v *core.Verifier, shedQueue int,
 	cfg.Shards = 1
 	cfg.ShedQueue = shedQueue
 	cfg.Consumer.MaxPerBatch = 1024
-	cfg.Consumer.PollTimeout = 5 * time.Millisecond
 	cfg.Consumer.Metrics = m
 	return serve.New(b, "alarms", "overload", v, history, cfg)
 }

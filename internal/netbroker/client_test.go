@@ -154,7 +154,6 @@ func drainPair(t testing.TB, c *Client) (app *core.ConsumerApp, send func()) {
 	}
 	cfg := core.DefaultConsumerConfig()
 	cfg.MaxPerBatch = 512
-	cfg.PollTimeout = time.Second
 	app = core.NewConsumerAppFor(gc, parts, nil, nil, cfg)
 	t.Cleanup(app.Close)
 	a := alarm.Alarm{ID: 1, DeviceMAC: "00:11:22:33:44:55", ZIP: "8001", Timestamp: time.Unix(1_700_000_000, 0)}

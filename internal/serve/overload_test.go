@@ -64,7 +64,6 @@ func TestLoadSheddingBoundsBacklog(t *testing.T) {
 	cfg.Shards = 1
 	cfg.ShedQueue = 512
 	cfg.Consumer.MaxPerBatch = 128
-	cfg.Consumer.PollTimeout = 2 * time.Millisecond
 	cfg.Consumer.Metrics = m
 	svc, err := New(b, "alarms", "shed", v, h, cfg)
 	if err != nil {

@@ -6,8 +6,8 @@
 // batches overlap instead of running strictly serially as in the
 // single-process consumer the paper started from.
 //
-// Backpressure is structural: the stage queues are bounded by
-// Config.PipelineDepth, so when persist (the document-store
+// Backpressure is structural: each stage queue holds at most
+// pipelineDepth (2) batches, so when persist (the document-store
 // round-trips) lags, intake stops draining the broker instead of
 // buffering batches without bound. Each drain returns what is queued,
 // up to core.ConsumerConfig.MaxPerBatch records (one record when
@@ -26,7 +26,11 @@
 // notification the shard stops draining, floats a flush marker
 // through its stages, waits for every in-flight batch to persist and
 // commit, then refreshes its assignment and resumes from the
-// committed offsets.
+// committed offsets. An idle shard's drain parks in the consumer for at
+// most core's idle bound (50 ms); an append ends the park at once, and
+// in process so does the rebalance notification, so only a stop (or,
+// over the wire, a rebalance the heartbeat reports) waits for the
+// bound.
 //
 // Each shard runs internal/core's one consume path — Drain, Decode,
 // Classify, Persist, then a commit and ReleaseBatch — with each stage
@@ -68,8 +72,11 @@ type Config struct {
 	// partition subset, so throughput scales with min(Shards,
 	// Partitions). Default 1.
 	Shards int
-	// PipelineDepth bounds the per-shard stage queues (batches that
-	// may sit between decode and persist). Default 2.
+	// PipelineDepth is ignored.
+	//
+	// Deprecated: ignored. Each stage queue holds pipelineDepth
+	// batches; the field stays only because the benchmark harness
+	// still assigns it, and goes once that assignment does.
 	PipelineDepth int
 	// ShedQueue bounds the per-shard backlog (in records) the
 	// pipeline accepts before load shedding. The backlog is broker
@@ -134,15 +141,20 @@ func (lc LocalCluster) GroupCommitted(group string) (map[int]int64, error) {
 	return lc.Broker.GroupCommitted(group)
 }
 
-// DefaultConfig returns a two-deep pipeline on a single shard with
-// the paper's optimized consumer configuration.
+// DefaultConfig returns a single shard with the paper's optimized
+// consumer configuration.
 func DefaultConfig() Config {
 	return Config{
-		Shards:        1,
-		PipelineDepth: 2,
-		Consumer:      core.DefaultConsumerConfig(),
+		Shards:   1,
+		Consumer: core.DefaultConsumerConfig(),
 	}
 }
+
+// pipelineDepth bounds each of a shard's stage queues, in batches. Two
+// lets decode run a batch ahead of classify and classify one ahead of
+// persist; the drain bound (core.ConsumerConfig.MaxPerBatch) bounds the
+// records a batch holds.
+const pipelineDepth = 2
 
 // Service is the sharded, pipelined verification service.
 type Service struct {
@@ -178,9 +190,6 @@ func NewWith(cluster Cluster, group string, verifier *core.Verifier,
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
-	if cfg.PipelineDepth <= 0 {
-		cfg.PipelineDepth = 2
-	}
 	s := &Service{group: group, cluster: cluster, history: history, stop: make(chan struct{})}
 	for i := 0; i < cfg.Shards; i++ {
 		id := fmt.Sprintf("shard-%d", i)
@@ -201,7 +210,7 @@ func NewWith(cluster Cluster, group string, verifier *core.Verifier,
 				return metrics.ConsumerLeases{Shard: id, Active: st.Active, Free: st.Free, Bytes: st.Bytes}
 			})
 		}
-		s.shards = append(s.shards, &shard{id: id, app: app, depth: cfg.PipelineDepth, shed: cfg.ShedQueue})
+		s.shards = append(s.shards, &shard{id: id, app: app, shed: cfg.ShedQueue})
 	}
 	// Joining is sequential, so every shard but the last computed its
 	// assignment against a partial membership. Settle the group before
@@ -317,7 +326,7 @@ type ShardStats struct {
 	Records    int
 	Times      core.ComponentTimes
 	// InFlightPeak is the most batches ever simultaneously between
-	// decode and persist — bounded by the pipeline depth (the
+	// decode and persist — bounded by the stage queues' depth (the
 	// backpressure guarantee).
 	InFlightPeak int64
 	// ShedRecords counts records dropped by bounded-queue load
@@ -400,9 +409,8 @@ type item struct {
 // pipeline. Each stage is a single goroutine, so batches move through
 // the shard in FIFO order and commits stay ordered.
 type shard struct {
-	id    string
-	app   *core.ConsumerApp
-	depth int
+	id  string
+	app *core.ConsumerApp
 	// shed is the backlog bound (records) beyond which drained
 	// batches are dropped; 0 disables shedding.
 	shed int
@@ -478,8 +486,8 @@ func (s *shard) batchDone(b *core.Batch) {
 // and committed before run's goroutines finish — the graceful-drain
 // guarantee behind Service.Stop.
 func (s *shard) run(wg *sync.WaitGroup, stop <-chan struct{}) {
-	toClassify := make(chan item, s.depth)
-	toPersist := make(chan item, s.depth)
+	toClassify := make(chan item, pipelineDepth)
+	toPersist := make(chan item, pipelineDepth)
 	wg.Add(3)
 	go s.intake(wg, stop, toClassify)
 	go s.classify(wg, toClassify, toPersist)
@@ -512,11 +520,12 @@ func (s *shard) intake(wg *sync.WaitGroup, stop <-chan struct{}, out chan<- item
 		b := s.app.Drain()
 		s.app.Decode(b)
 		if b.Len() == 0 {
-			// Idle poll: the drain sat parked in the consumer for its
-			// whole PollTimeout and no record woke it (or every record
-			// it pulled was undecodable), so there is nothing to push
-			// downstream — only the stop and rebalance checks above
-			// to come back to. Recycle the pooled scratch and leases.
+			// Idle poll: the drain parked in the consumer until its idle
+			// bound or a rebalance ended it, and no record woke it (or
+			// every record it pulled was undecodable), so there is
+			// nothing to push downstream — only the stop and rebalance
+			// checks above to come back to. Recycle the pooled scratch
+			// and leases.
 			s.app.ReleaseBatch(b)
 			continue
 		}

@@ -89,7 +89,6 @@ func testConfig(shards int) Config {
 	cfg := DefaultConfig()
 	cfg.Shards = shards
 	cfg.Consumer.MaxPerBatch = 256
-	cfg.Consumer.PollTimeout = 2 * time.Millisecond
 	return cfg
 }
 
@@ -306,7 +305,6 @@ func TestBackpressureBoundsInFlightBatches(t *testing.T) {
 	h.SetSimulatedRTT(500 * time.Microsecond)
 
 	cfg := testConfig(1)
-	cfg.PipelineDepth = 1
 	cfg.Consumer.MaxPerBatch = 64
 	svc, err := New(b, "alarms", "g", v, h, cfg)
 	if err != nil {
@@ -320,8 +318,8 @@ func TestBackpressureBoundsInFlightBatches(t *testing.T) {
 	svc.Stop()
 
 	// In flight = decoded but not yet persisted: at most one batch in
-	// each stage goroutine plus the two depth-1 queues.
-	const maxInFlight = 2*1 + 3
+	// each stage goroutine plus the two queues of pipelineDepth.
+	const maxInFlight = 2*pipelineDepth + 3
 	for _, sh := range svc.Stats().Shards {
 		if sh.InFlightPeak > maxInFlight {
 			t.Errorf("shard %s in-flight peak %d exceeds bound %d — backpressure broken",
@@ -368,5 +366,82 @@ func TestShardedServicePartitionedHistory(t *testing.T) {
 	}
 	if h.Len() != len(stream) {
 		t.Fatalf("history holds %d alarms, want %d", h.Len(), len(stream))
+	}
+}
+
+// TestIdleShardFollowsRebalance: a shard parked on an idle topic
+// follows a member joining and leaving — the notification ends its
+// parked drain, so the barrier and the refresh run without a record to
+// wake it — and then serves what is produced afterwards, exactly once.
+func TestIdleShardFollowsRebalance(t *testing.T) {
+	v, stream := testSetup(t)
+	b := broker.New()
+	defer b.Close()
+	topic, err := b.CreateTopic("alarms", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := core.NewHistory(docstore.NewDB())
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := New(b, "alarms", "g", v, h, testConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	svc.Start()
+	time.Sleep(20 * time.Millisecond) // let the shard find nothing and park
+
+	owns := func(n int) func() bool {
+		return func() bool { return len(svc.Stats().Shards[0].Partitions) == n }
+	}
+	ext, err := broker.NewConsumer(b, "g", topic, "external")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, "the shard to give up half its partitions", owns(2))
+	ext.Close()
+	waitFor(t, 5*time.Second, "the shard to take every partition back", owns(4))
+
+	const n = 100
+	if _, err := core.NewProducerApp(topic, codec.FastCodec{}).Replay(stream[:n], 0); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 30*time.Second, "the records produced after the rebalances", func() bool {
+		return svc.Records() >= n
+	})
+	svc.Stop()
+	if err := svc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if got := svc.Stats().Shards[0].Rebalances; got < 2 {
+		t.Errorf("shard refreshed %d times, want one per membership change", got)
+	}
+	if got := svc.Records(); got != n || uniqueIDs(svc.Verified()) != n {
+		t.Fatalf("verified %d records (%d unique), want %d once each", got, uniqueIDs(svc.Verified()), n)
+	}
+}
+
+// TestStopIdleServiceIsPrompt: Stop on shards parked on an idle topic
+// returns within the drain's idle bound, not after a timeout of
+// anyone's choosing.
+func TestStopIdleServiceIsPrompt(t *testing.T) {
+	b := broker.New()
+	defer b.Close()
+	if _, err := b.CreateTopic("alarms", 4); err != nil {
+		t.Fatal(err)
+	}
+	svc, err := New(b, "alarms", "g", nil, nil, testConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	svc.Start()
+	time.Sleep(20 * time.Millisecond) // let the shards find nothing and park
+	start := time.Now()
+	svc.Stop()
+	if took := time.Since(start); took >= time.Second {
+		t.Fatalf("Stop on an idle service took %s", took)
 	}
 }
