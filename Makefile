@@ -170,13 +170,14 @@ test-crash:
 ## pulls and fetches (internal/netbroker) — and the group protocol —
 ## rebalances, a same-id rejoin, session expiry and the heartbeat pace
 ## a join hands out — plus the sharded service's rebalance barrier,
-## whose idle intake a rebalance wakes (internal/serve), twenty times
-## over under the race detector, so the sweep/park/signal and
-## join/heartbeat/expire interleavings get more than one shot per CI
-## run (CI `test` job). A lost wake-up is a hang up to the tests' 30 s
-## poll timeouts, hence the explicit -timeout.
+## whose idle intake a rebalance wakes, and the live feedback → retrain
+## → hot-swap lifecycle (internal/serve), twenty times over under the
+## race detector, so the sweep/park/signal, join/heartbeat/expire and
+## retrain-trigger interleavings get more than one shot per CI run (CI
+## `test` job). A lost wake-up is a hang up to the tests' 30 s poll
+## timeouts, hence the explicit -timeout.
 test-events:
-	$(GO) test -race -count=20 -timeout 5m -run 'Event|Wake|Parked|LostWakeup|Rebalance|Rejoin|Session|Janitor|JoinUnder' ./internal/broker ./internal/netbroker ./internal/serve
+	$(GO) test -race -count=20 -timeout 5m -run 'Event|Wake|Parked|LostWakeup|Rebalance|Rejoin|Session|Janitor|JoinUnder|HotSwap' ./internal/broker ./internal/netbroker ./internal/serve
 
 ## test-budgets: the allocation and footprint budgets by name, without
 ## the race detector — they carry a `!race` tag (the race runtime

@@ -31,10 +31,11 @@
 // (internal/loadgen): -scenario picks the arrival process (constant,
 // poisson, burst, diurnal, flash) and -skew concentrates traffic on
 // Zipf-distributed hot devices, offered open-loop at -rate. Each shard
-// drains at most drainBound records per micro-batch, persists them and
-// commits that batch's offsets; its stage queues hold two batches each,
-// and an idle drain parks for at most 50 ms (an append, or an
-// in-process rebalance, ends it at once), so neither needs a flag.
+// runs serve.DefaultConfig: it drains at most 512 records per
+// micro-batch, persists them and commits that batch's offsets; its
+// stage queues hold two batches each, and an idle drain parks for at
+// most 50 ms (an append, or an in-process rebalance, ends it at once),
+// so none of these needs a flag.
 // Overload control is opt-in: -shed-queue
 // bounds the per-shard backlog, shedding the oldest batches (counted,
 // committed) past it. Latency histograms for every stage and
@@ -384,7 +385,7 @@ func run(o options) error {
 		history.RecordBatch(alarms[:o.trainN])
 	}
 	pipeMetrics := metrics.NewPipeline()
-	svc, err := serve.NewWith(cluster, "alarmd", verifier, history, serviceConfig(o, pipeMetrics, memberPrefix))
+	svc, err := serve.NewWith(cluster, "alarmd", verifier, history, o.config(pipeMetrics, memberPrefix))
 	if err != nil {
 		return err
 	}
@@ -534,12 +535,13 @@ loop:
 	stats := svc.Stats()
 	fmt.Printf("\nfinal: %d alarms verified in %s, throughput %.0f alarms/s\n",
 		stats.Records, stats.Elapsed.Round(time.Millisecond), stats.PerSec)
-	times := stats.Times
-	fmt.Printf("component breakdown: deserialize=%s streaming=%s history=%s ml=%s (ingest=%s)\n",
-		times.Deserialize.Round(time.Millisecond), times.Streaming.Round(time.Millisecond),
-		times.History.Round(time.Millisecond), times.ML.Round(time.Millisecond),
-		times.Ingest.Round(time.Millisecond))
 	snap := pipeMetrics.Snapshot()
+	fmt.Print("stage latency p50/p99 (ms):")
+	for _, st := range []metrics.Stage{metrics.StageDecode, metrics.StageClassify, metrics.StagePersist, metrics.StageCommit} {
+		s := snap.Stages[st].Summary()
+		fmt.Printf(" %s=%.2f/%.2f", st, s.P50MS, s.P99MS)
+	}
+	fmt.Println()
 	if e2e := snap.Stages[metrics.StageE2E]; e2e.N > 0 {
 		s := e2e.Summary()
 		fmt.Printf("e2e latency (enqueue→commit, %d records): p50=%.1fms p95=%.1fms p99=%.1fms max≈%.0fms\n",
@@ -601,20 +603,13 @@ loop:
 	return svc.Err()
 }
 
-// drainBound is the most records a shard drains into one micro-batch.
-// The stage queues bound batches, not records, so without it one drain
-// after a stall would take the whole backlog.
-const drainBound = 512
-
-// serviceConfig is the sharded service alarmd runs for o.
-func serviceConfig(o options, m *metrics.Pipeline, memberPrefix string) serve.Config {
-	cfg := serve.Config{
-		Shards:       o.shards,
-		ShedQueue:    o.shedQueue,
-		MemberPrefix: memberPrefix,
-		Consumer:     core.DefaultConsumerConfig(),
-	}
-	cfg.Consumer.MaxPerBatch = drainBound
+// config is the sharded service alarmd runs for o: serve.DefaultConfig
+// with the shard count, shed bound, member prefix and metrics set.
+func (o options) config(m *metrics.Pipeline, memberPrefix string) serve.Config {
+	cfg := serve.DefaultConfig()
+	cfg.Shards = o.shards
+	cfg.ShedQueue = o.shedQueue
+	cfg.MemberPrefix = memberPrefix
 	cfg.Consumer.Metrics = m
 	return cfg
 }

@@ -11,6 +11,7 @@ import (
 	"alarmverify/internal/core"
 	"alarmverify/internal/docstore"
 	"alarmverify/internal/metrics"
+	"alarmverify/internal/serve"
 )
 
 func TestParseOptionsDefaults(t *testing.T) {
@@ -146,32 +147,28 @@ func TestParseOptionsValidation(t *testing.T) {
 	}
 }
 
-// TestServiceConfigBoundsDrains pins the drain bound alarmd runs: a
-// shard takes at most 512 records per micro-batch, so a backlog after a
-// stall splits into bounded batches instead of one batch holding all of
-// it. The other fields carry the options through unchanged, and the
-// deprecated stage-queue depth and poll timeout stay unset.
+// TestServiceConfigBoundsDrains pins the service alarmd runs: the
+// serving defaults (serve.DefaultConfig, whose shards drain at most 512
+// records a micro-batch, so a backlog after a stall splits into bounded
+// batches) with only the shard count, shed bound, member prefix and
+// metrics changed.
 func TestServiceConfigBoundsDrains(t *testing.T) {
 	o, err := parseOptions([]string{"-shards", "3", "-shed-queue", "900"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := metrics.NewPipeline()
-	cfg := serviceConfig(o, m, "host-1")
+	cfg := o.config(m, "host-1")
+	if cfg.Shards != 3 || cfg.ShedQueue != 900 || cfg.MemberPrefix != "host-1" || cfg.Consumer.Metrics != m {
+		t.Errorf("alarmd's options lost: %+v", cfg)
+	}
+	want := serve.DefaultConfig()
+	want.Shards, want.ShedQueue, want.MemberPrefix, want.Consumer.Metrics = 3, 900, "host-1", m
+	if cfg != want {
+		t.Errorf("config %+v, want serve.DefaultConfig with alarmd's options %+v", cfg, want)
+	}
 	if cfg.Consumer.MaxPerBatch != 512 {
 		t.Errorf("MaxPerBatch = %d, want 512", cfg.Consumer.MaxPerBatch)
-	}
-	if cfg.Shards != 3 || cfg.ShedQueue != 900 || cfg.MemberPrefix != "host-1" {
-		t.Errorf("service options lost: %+v", cfg)
-	}
-	if cfg.Consumer.Metrics != m {
-		t.Errorf("consumer options lost: metrics=%p", cfg.Consumer.Metrics)
-	}
-	if cfg.PipelineDepth != 0 || cfg.Consumer.PollTimeout != 0 {
-		t.Errorf("deprecated knobs set: depth=%d poll=%s", cfg.PipelineDepth, cfg.Consumer.PollTimeout)
-	}
-	if def := core.DefaultConsumerConfig(); cfg.Consumer.ClassifyBatch != def.ClassifyBatch {
-		t.Errorf("consumer defaults lost: %+v", cfg.Consumer)
 	}
 }
 

@@ -254,11 +254,11 @@ func newClassifyApp(t *testing.T, verifier *Verifier, alarms []alarm.Alarm, batc
 		t.Fatal(err)
 	}
 	cfg := DefaultConsumerConfig()
-	cfg.ClassifyBatch = batch
 	cfg.MaxPerBatch = len(alarms)
-	app, err := NewConsumerApp(b, "alarms", "equiv", "c1", verifier, nil, cfg)
+	app, err := newTestApp(b, "alarms", "equiv", "c1", verifier, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	app.chunk = batch
 	return app
 }

@@ -135,7 +135,7 @@ func budgetApp(t *testing.T, alarms []alarm.Alarm) *ConsumerApp {
 	cfg := DefaultConsumerConfig()
 	cfg.MaxPerBatch = 1
 	cfg.Metrics = metrics.NewPipeline()
-	app, err := NewConsumerApp(b, "alarms", "budget", "c1", fastVerifier(t, train), budgetHistory(t), cfg)
+	app, err := newTestApp(b, "alarms", "budget", "c1", fastVerifier(t, train), budgetHistory(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -11,10 +10,12 @@ import (
 	"alarmverify/internal/metrics"
 )
 
-// ComponentTimes is the Figure 12 breakdown: where the consumer's
-// batch time goes. In the paper, machine learning dominates (~80 %),
-// the streaming component (deserialization + distinct addresses)
-// takes most of the rest, and the history query is insignificant.
+// ComponentTimes is the Figure 12 breakdown of one batch: where the
+// consumer's batch time goes. Each stage fills its own component of
+// Batch.Times; experiments.Fig12 reads the replay consumer's. In the
+// paper, machine learning dominates (~80 %), the streaming component
+// (deserialization + distinct addresses) takes most of the rest, and
+// the history query is insignificant.
 type ComponentTimes struct {
 	Deserialize time.Duration
 	Streaming   time.Duration // distinct-device extraction and bookkeeping
@@ -33,16 +34,6 @@ func (c ComponentTimes) Total() time.Duration {
 	return c.Deserialize + c.Streaming + c.History + c.ML
 }
 
-// Add accumulates another breakdown (e.g. a batch's, or another
-// shard's) into c.
-func (c *ComponentTimes) Add(o ComponentTimes) {
-	c.Deserialize += o.Deserialize
-	c.Streaming += o.Streaming
-	c.History += o.History
-	c.ML += o.ML
-	c.Ingest += o.Ingest
-}
-
 // ConsumerConfig tunes the consumer application.
 type ConsumerConfig struct {
 	// Workers is ignored.
@@ -57,13 +48,17 @@ type ConsumerConfig struct {
 	// classify goroutine; the field stays only because the benchmark
 	// harness still assigns it, and goes once that assignment does.
 	ClassifyWorkers int
-	// ClassifyBatch is the micro-chunk size of the vectorized
-	// classify path: Classify verifies this many alarms per
-	// ml.SparseModel call out of the app's one batch of sparse rows.
-	// 0 means the 256 default; 1 reproduces the per-alarm baseline.
+	// ClassifyBatch is ignored.
+	//
+	// Deprecated: ignored. Classify verifies classifyChunk (256) alarms
+	// per ml.SparseModel call; the field stays only because the
+	// benchmark harness still reads it from DefaultConsumerConfig, and
+	// goes once that read does.
 	ClassifyBatch int
-	// MaxPerBatch bounds records drained per micro-batch; 0 leaves the
-	// drain unbounded (it takes everything queued).
+	// MaxPerBatch bounds records drained per micro-batch; 0 or less
+	// means defaultMaxPerBatch (512). The stage queues bound batches,
+	// not records, so without a bound one drain after a stall would
+	// take the whole backlog.
 	MaxPerBatch int
 	// PollTimeout is ignored.
 	//
@@ -85,10 +80,18 @@ type ConsumerConfig struct {
 // rebalance), like Kafka's fetch.max.wait.ms.
 const idlePoll = 50 * time.Millisecond
 
-// DefaultConsumerConfig returns the serving configuration: 256-alarm
-// classify chunks.
+// defaultMaxPerBatch is the drain bound a MaxPerBatch of 0 or less
+// means, and classifyChunk the alarms Classify verifies per
+// ml.SparseModel call out of the app's one batch of sparse rows.
+const (
+	defaultMaxPerBatch = 512
+	classifyChunk      = 256
+)
+
+// DefaultConsumerConfig returns the serving configuration: 512-record
+// drains. ClassifyBatch reports the classify chunk.
 func DefaultConsumerConfig() ConsumerConfig {
-	return ConsumerConfig{ClassifyBatch: 256}
+	return ConsumerConfig{ClassifyBatch: classifyChunk, MaxPerBatch: defaultMaxPerBatch}
 }
 
 // histogramSince and histogramBucket shape the per-device history
@@ -107,6 +110,10 @@ type ConsumerApp struct {
 	history  *History
 	consumer broker.GroupConsumer
 
+	// chunk is Classify's chunk size: classifyChunk, which only the
+	// package's tests change.
+	chunk int
+
 	// Each stage owns its scratch, kept for the app's life: a GC does
 	// not take it back as it would a sync.Pool's. sc (the string
 	// interner) and seen (the distinct-device set) are Decode's, on the
@@ -122,24 +129,8 @@ type ConsumerApp struct {
 	rows  *docstore.Rows
 	hist  histScratch
 
-	mu      sync.Mutex
-	times   ComponentTimes
 	batches atomic.Int64
 	records atomic.Int64
-}
-
-// NewConsumerApp wires a consumer onto an in-process broker topic.
-func NewConsumerApp(b *broker.Broker, topicName, group, id string,
-	verifier *Verifier, history *History, cfg ConsumerConfig) (*ConsumerApp, error) {
-	topic, err := b.Topic(topicName)
-	if err != nil {
-		return nil, err
-	}
-	cons, err := broker.NewConsumer(b, group, topic, id)
-	if err != nil {
-		return nil, err
-	}
-	return NewConsumerAppFor(cons, topic.Partitions(), verifier, history, cfg), nil
 }
 
 // NewConsumerAppFor wires the consumer application onto an
@@ -149,12 +140,13 @@ func NewConsumerApp(b *broker.Broker, topicName, group, id string,
 // keeps no per-partition layout, so it is unused.
 func NewConsumerAppFor(cons broker.GroupConsumer, _ int,
 	verifier *Verifier, history *History, cfg ConsumerConfig) *ConsumerApp {
-	if cfg.ClassifyBatch <= 0 {
-		cfg.ClassifyBatch = 256
+	if cfg.MaxPerBatch <= 0 {
+		cfg.MaxPerBatch = defaultMaxPerBatch
 	}
 	n := cfg.MaxPerBatch
 	app := &ConsumerApp{
 		cfg:      cfg,
+		chunk:    classifyChunk,
 		verifier: verifier,
 		history:  history,
 		consumer: cons,
@@ -174,40 +166,6 @@ func NewConsumerAppFor(cons broker.GroupConsumer, _ int,
 // Close leaves the consumer group, releasing partitions to surviving
 // members.
 func (c *ConsumerApp) Close() { c.consumer.Close() }
-
-// ProcessBatches synchronously runs n micro-batches through the
-// serving stages — Drain, Decode, Classify, Persist, CommitBatch,
-// ReleaseBatch — and returns the number of alarms verified. Each
-// batch's offsets are committed only after it has fully persisted,
-// preserving the exactly-once contract across consumer restarts.
-func (c *ConsumerApp) ProcessBatches(n int) (int, error) {
-	total := 0
-	for i := 0; i < n; i++ {
-		b := c.Drain()
-		c.Decode(b)
-		err := c.Classify(b)
-		if err == nil {
-			err = c.Persist(b)
-		}
-		if err == nil {
-			err = c.CommitBatch(b)
-		}
-		if err != nil {
-			c.ReleaseBatch(b)
-			return total, err
-		}
-		total += b.Len()
-		c.ReleaseBatch(b)
-	}
-	return total, nil
-}
-
-// Times returns the accumulated component breakdown (Figure 12).
-func (c *ConsumerApp) Times() ComponentTimes {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.times
-}
 
 // Records returns the total alarms processed.
 func (c *ConsumerApp) Records() int { return int(c.records.Load()) }

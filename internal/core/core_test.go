@@ -33,6 +33,46 @@ func testAlarms(n int) (*dataset.World, []alarm.Alarm) {
 	return w, dataset.GenerateSitasys(w, cfg)
 }
 
+// newTestApp joins a consumer app to group on b's topic as member id.
+func newTestApp(b *broker.Broker, topicName, group, id string,
+	verifier *Verifier, history *History, cfg ConsumerConfig) (*ConsumerApp, error) {
+	topic, err := b.Topic(topicName)
+	if err != nil {
+		return nil, err
+	}
+	cons, err := broker.NewConsumer(b, group, topic, id)
+	if err != nil {
+		return nil, err
+	}
+	return NewConsumerAppFor(cons, topic.Partitions(), verifier, history, cfg), nil
+}
+
+// processBatches runs n batches through the one consume path — Drain,
+// Decode, Classify, Persist, CommitBatch, ReleaseBatch — on the calling
+// goroutine, and returns the alarms verified. A batch is committed only
+// once it has persisted.
+func processBatches(c *ConsumerApp, n int) (int, error) {
+	total := 0
+	for i := 0; i < n; i++ {
+		b := c.Drain()
+		c.Decode(b)
+		err := c.Classify(b)
+		if err == nil {
+			err = c.Persist(b)
+		}
+		if err == nil {
+			err = c.CommitBatch(b)
+		}
+		if err != nil {
+			c.ReleaseBatch(b)
+			return total, err
+		}
+		total += b.Len()
+		c.ReleaseBatch(b)
+	}
+	return total, nil
+}
+
 // fastVerifier trains a small random forest quickly.
 func fastVerifier(t testing.TB, history []alarm.Alarm) *Verifier {
 	t.Helper()
@@ -225,15 +265,26 @@ func TestEndToEndProducerConsumer(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConsumerConfig()
-	cons, err := NewConsumerApp(b, "alarms", "verify", "c1", v, h, cfg)
+	cfg.MaxPerBatch = 2000
+	cons, err := newTestApp(b, "alarms", "verify", "c1", v, h, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cons.Close()
-	n, err := cons.ProcessBatches(1)
-	if err != nil {
+	// One batch through the stages by hand, to read its breakdown.
+	batch := cons.Drain()
+	cons.Decode(batch)
+	if err := cons.Classify(batch); err != nil {
 		t.Fatal(err)
 	}
+	if err := cons.Persist(batch); err != nil {
+		t.Fatal(err)
+	}
+	if err := cons.CommitBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	n, times := batch.Len(), batch.Times
+	cons.ReleaseBatch(batch)
 	if n != 2000 {
 		t.Fatalf("processed %d alarms, want 2000", n)
 	}
@@ -243,8 +294,7 @@ func TestEndToEndProducerConsumer(t *testing.T) {
 	if h.Len() != 2000 {
 		t.Fatalf("history holds %d alarms", h.Len())
 	}
-	times := cons.Times()
-	if times.ML <= 0 || times.Deserialize <= 0 {
+	if times.ML <= 0 || times.Deserialize <= 0 || times.History <= 0 || times.Ingest <= 0 {
 		t.Errorf("component times not recorded: %+v", times)
 	}
 }
@@ -260,25 +310,25 @@ func TestConsumerExactlyOnceAcrossRestart(t *testing.T) {
 	}
 	cfg := DefaultConsumerConfig()
 	cfg.MaxPerBatch = 200
-	c1, err := NewConsumerApp(b, "alarms", "g", "c1", v, nil, cfg)
+	c1, err := newTestApp(b, "alarms", "g", "c1", v, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n1, err := c1.ProcessBatches(1) // processes and commits 200
+	n1, err := processBatches(c1, 1) // processes and commits 200
 	if err != nil {
 		t.Fatal(err)
 	}
 	c1.Close()
 	// "Restart": a new consumer in the same group picks up from the
 	// committed offsets.
-	c2, err := NewConsumerApp(b, "alarms", "g", "c2", v, nil, cfg)
+	c2, err := newTestApp(b, "alarms", "g", "c2", v, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c2.Close()
 	total := n1
 	for i := 0; i < 10 && total < 500; i++ {
-		n, err := c2.ProcessBatches(1)
+		n, err := processBatches(c2, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

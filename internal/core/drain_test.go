@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"alarmverify/internal/broker"
+	"alarmverify/internal/codec"
 )
 
 // pollCounter is a GroupConsumer over one queue of records that counts
@@ -56,6 +57,38 @@ func (p *pollCounter) Assignment() []int             { return []int{0} }
 func (p *pollCounter) LeaseStats() broker.LeaseStats { return p.leases.Stats() }
 func (p *pollCounter) Close()                        {}
 
+// TestDefaultDrainBound pins the drain bound serving runs by default:
+// over a 2 000-record backlog, a consumer from DefaultConsumerConfig and
+// one whose MaxPerBatch is 0 each drain 512 records into their first
+// batch, so a backlog after a stall splits into bounded batches instead
+// of one batch holding all of it.
+func TestDefaultDrainBound(t *testing.T) {
+	_, alarms := testAlarms(2000)
+	b := broker.New()
+	defer b.Close()
+	topic, err := b.CreateTopic("alarms", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewProducerApp(topic, codec.FastCodec{}).Replay(alarms, 0); err != nil {
+		t.Fatal(err)
+	}
+	zero := DefaultConsumerConfig()
+	zero.MaxPerBatch = 0
+	for name, cfg := range map[string]ConsumerConfig{"default": DefaultConsumerConfig(), "zero": zero} {
+		app, err := newTestApp(b, "alarms", name, "c1", nil, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch := app.Drain()
+		if n := len(batch.recs); n != 512 {
+			t.Errorf("%s config: first drain took %d of 2000 records, want 512", name, n)
+		}
+		app.ReleaseBatch(batch)
+		app.Close()
+	}
+}
+
 // drainApp is a consumer app over p that drains at most maxPerBatch
 // records a batch.
 func drainApp(p *pollCounter, maxPerBatch int) *ConsumerApp {
@@ -105,12 +138,14 @@ func TestDrainStopsAtShortPoll(t *testing.T) {
 		drain(t, app, p, 8, 1)
 		drain(t, app, p, 4, 1)
 	})
-	t.Run("unbounded drain takes the backlog in one poll", func(t *testing.T) {
+	t.Run("zero bound drains the default 512 in one poll", func(t *testing.T) {
 		p := &pollCounter{queued: 600}
 		app := drainApp(p, 0)
-		drain(t, app, p, 600, 1)
-		p.queued = 5
-		drain(t, app, p, 5, 1)
+		drain(t, app, p, 512, 1)
+		if p.asks[0] != 512 {
+			t.Fatalf("the poll asked for %d records, want the default 512", p.asks[0])
+		}
+		drain(t, app, p, 88, 1)
 	})
 	t.Run("poll error ends the drain", func(t *testing.T) {
 		p := &pollCounter{queued: 2}

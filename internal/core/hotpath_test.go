@@ -55,7 +55,7 @@ func hotpathApp(t *testing.T, b *broker.Broker, group string, v *Verifier, n int
 	t.Helper()
 	cfg := DefaultConsumerConfig()
 	cfg.MaxPerBatch = n
-	app, err := NewConsumerApp(b, "alarms", group, "c1", v, nil, cfg)
+	app, err := newTestApp(b, "alarms", group, "c1", v, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestPooledBatchLifecycle(t *testing.T) {
 	}
 	cfg := DefaultConsumerConfig()
 	cfg.MaxPerBatch = 64
-	app, err := NewConsumerApp(b, "alarms", "pool", "c1", verifier, h, cfg)
+	app, err := newTestApp(b, "alarms", "pool", "c1", verifier, h, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func BenchmarkDecodePath(b *testing.B) {
 	}
 	cfg := DefaultConsumerConfig()
 	cfg.MaxPerBatch = len(alarms)
-	app, err := NewConsumerApp(bk, "alarms", "bench-decode", "c1", fastVerifier(b, alarms[:100]), nil, cfg)
+	app, err := newTestApp(bk, "alarms", "bench-decode", "c1", fastVerifier(b, alarms[:100]), nil, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

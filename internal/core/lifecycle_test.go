@@ -332,7 +332,7 @@ func matchesSnapshot(got, exp []alarm.Verification) bool {
 
 // TestHotSwapStoresOneModelVersionPerBatch: the stored row records which
 // model reached its verdict. With a Verifier.Swap between
-// ProcessBatches(1) calls, every batch's stored rows carry the one
+// processBatches(app, 1) calls, every batch's stored rows carry the one
 // modelVersion its Classify pinned, each verdict that model's, and the
 // rows stored after the swap carry the new version.
 func TestHotSwapStoresOneModelVersionPerBatch(t *testing.T) {
@@ -370,7 +370,7 @@ func TestHotSwapStoresOneModelVersionPerBatch(t *testing.T) {
 	live.Swap(vA)
 	cfg := DefaultConsumerConfig()
 	cfg.MaxPerBatch = 100
-	app, err := NewConsumerApp(b, "alarms", "swap", "c1", live, h, cfg)
+	app, err := newTestApp(b, "alarms", "swap", "c1", live, h, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +381,7 @@ func TestHotSwapStoresOneModelVersionPerBatch(t *testing.T) {
 		if i == swapAt {
 			live.Swap(vB)
 		}
-		n, err := app.ProcessBatches(1)
+		n, err := processBatches(app, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -67,7 +67,7 @@ func TestDrainTakesWhatIsQueuedUpToMax(t *testing.T) {
 	}
 	cfg := DefaultConsumerConfig()
 	cfg.MaxPerBatch = max
-	app, err := NewConsumerApp(b, "alarms", "bound", "c1", v, nil, cfg)
+	app, err := newTestApp(b, "alarms", "bound", "c1", v, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestPipelineMetricsRecordStagesAndE2E(t *testing.T) {
 	cfg := DefaultConsumerConfig()
 	cfg.Metrics = m
 	cfg.MaxPerBatch = 500
-	app, err := NewConsumerApp(b, "alarms", "met", "c1", v, h, cfg)
+	app, err := newTestApp(b, "alarms", "met", "c1", v, h, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestMarkShedCountsAndSkipsE2E(t *testing.T) {
 	cfg := DefaultConsumerConfig()
 	cfg.Metrics = m
 	cfg.MaxPerBatch = 600
-	app, err := NewConsumerApp(b, "alarms", "shed", "c1", v, nil, cfg)
+	app, err := newTestApp(b, "alarms", "shed", "c1", v, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

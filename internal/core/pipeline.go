@@ -18,9 +18,8 @@ import (
 //
 // A Batch is owned by exactly one stage at a time, so the sharded
 // service (internal/serve) can run stages of consecutive batches
-// concurrently without locking: only Persist folds the finished batch
-// into the app's shared accounting, under the app mutex, which keeps
-// the ComponentTimes bookkeeping concurrency-safe under pipelining.
+// concurrently without locking: each stage writes only its own fields,
+// and Persist counts the finished batch on the app's atomic counters.
 type Batch struct {
 	// Offsets snapshots the consumer positions right after the drain;
 	// CommitBatch makes exactly these durable once the batch has been
@@ -37,8 +36,10 @@ type Batch struct {
 
 	// Verified holds one verification per alarm after Classify.
 	Verified []alarm.Verification
-	// Times is this batch's component breakdown; stages fill in their
-	// own component only.
+	// Times is this batch's component breakdown (Figure 12); stages
+	// fill in their own component only. Nothing sums it across batches:
+	// serving reports its stage times through ConsumerConfig.Metrics,
+	// and the experiments read one replayed batch's.
 	Times ComponentTimes
 
 	// Enqueued holds each raw record's broker timestamp (collected by
@@ -85,15 +86,11 @@ func (b *Batch) Len() int { return len(b.Alarms) }
 //
 //alarmvet:hotpath
 func (c *ConsumerApp) Drain() *Batch {
-	max := c.cfg.MaxPerBatch
-	if max <= 0 {
-		max = 1 << 20
-	}
 	b := c.getBatch()
 	// A poll error ends the drain with what the poll returned: the next
 	// drain polls again, and a close or a rebalance reaches the shard
 	// through its own checks.
-	recs, lease, _ := c.consumer.PollLeased(max, idlePoll, b.recs)
+	recs, lease, _ := c.consumer.PollLeased(c.cfg.MaxPerBatch, idlePoll, b.recs)
 	b.recs = recs
 	if len(recs) > 0 {
 		b.lease = lease
@@ -173,7 +170,7 @@ func (c *ConsumerApp) Decode(b *Batch) {
 }
 
 // Classify is the machine-learning component: the batch's alarms are
-// verified in ClassifyBatch-sized chunks, one vectorized
+// verified in chunks of classifyChunk (256), one vectorized
 // ml.SparseModel call a chunk, inline on the calling goroutine. Chunk
 // k writes the region [k·chunk, (k+1)·chunk) of b.Verified, so results
 // stay in batch order without any merge. The sharded pipeline overlaps
@@ -197,8 +194,8 @@ func (c *ConsumerApp) Classify(b *Batch) error {
 		return nil
 	}
 	snap := c.verifier.snap.Load()
-	for lo := 0; lo < n; lo += c.cfg.ClassifyBatch {
-		hi := min(lo+c.cfg.ClassifyBatch, n)
+	for lo := 0; lo < n; lo += c.chunk {
+		hi := min(lo+c.chunk, n)
 		if err := snap.verifyBatchInto(b.Alarms[lo:hi], b.Verified[lo:hi], &c.class); err != nil {
 			b.Verified = nil
 			return err
@@ -215,14 +212,14 @@ func (c *ConsumerApp) Classify(b *Batch) error {
 // row carrying its verdict (the only record of it), in the alarm
 // history with one store write on this goroutine (timed as
 // Times.Ingest), runs every alarming device's histogram query — which
-// sees this batch's own alarms, since they are already stored — and
-// folds the finished batch into the app's accounting. It is the final
+// sees this batch's own alarms, since they are already stored (timed as
+// Times.History) — and counts the finished batch. It is the final
 // stage; a batch must not be committed before Persist returns.
 //
 // Persist must not run concurrently with itself on one app: its row
 // batch and histogram sweep are the app's. Every caller runs one persist
-// goroutine an app — the sharded service's per-shard persist stage,
-// ProcessBatches, and the experiments' replay consumer.
+// goroutine an app — the sharded service's per-shard persist stage and
+// the experiments' replay consumer.
 func (c *ConsumerApp) Persist(b *Batch) error {
 	if c.history != nil {
 		start := time.Now()
@@ -254,9 +251,6 @@ func (c *ConsumerApp) Persist(b *Batch) error {
 		b.Times.History = time.Since(start)
 	}
 
-	c.mu.Lock()
-	c.times.Add(b.Times)
-	c.mu.Unlock()
 	c.batches.Add(1)
 	c.records.Add(int64(len(b.Alarms)))
 	if m := c.cfg.Metrics; m != nil {

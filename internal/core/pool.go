@@ -68,8 +68,7 @@ func (c *ConsumerApp) getBatch() *Batch {
 // newBatch builds a batch with its scratch allocated once, for a full
 // drain of MaxPerBatch records: records, alarms, devices, verifications
 // and enqueue times when metrics are attached. A cold batch then
-// regrows none of them on its way through the pipeline. An unbounded
-// drain (MaxPerBatch 0) lets them grow with the drains instead.
+// regrows none of them on its way through the pipeline.
 func (c *ConsumerApp) newBatch() *Batch {
 	n := c.cfg.MaxPerBatch
 	b := &Batch{

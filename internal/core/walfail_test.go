@@ -77,11 +77,11 @@ func TestWALFailureStopsTheShard(t *testing.T) {
 	}
 	cfg := DefaultConsumerConfig()
 	cfg.MaxPerBatch = 100
-	app, err := NewConsumerApp(b, "alarms", "g", "c1", v, h, cfg)
+	app, err := newTestApp(b, "alarms", "g", "c1", v, h, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, err := app.ProcessBatches(1); err != nil || n != 100 {
+	if n, err := processBatches(app, 1); err != nil || n != 100 {
 		t.Fatalf("healthy batch: %d alarms, %v", n, err)
 	}
 	committed, _ := b.GroupCommitted("g")
@@ -90,7 +90,7 @@ func TestWALFailureStopsTheShard(t *testing.T) {
 	}
 
 	breakWALs(t, dir)
-	if _, err := app.ProcessBatches(1); err == nil {
+	if _, err := processBatches(app, 1); err == nil {
 		t.Fatal("persist succeeded over a failed WAL")
 	}
 	if err := h.Flush(); err == nil {

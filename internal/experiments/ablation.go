@@ -29,10 +29,8 @@ func AblationCache(env *Env) (cached, uncached time.Duration, err error) {
 			return 0, err
 		}
 		defer r.close()
-		if _, err := r.batch(); err != nil {
-			return 0, err
-		}
-		return r.app.Times().Total(), nil
+		_, times, err := r.batch()
+		return times.Total(), err
 	}
 	if cached, err = run(true); err != nil {
 		return 0, 0, err

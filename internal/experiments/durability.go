@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"os"
+	"path/filepath"
+	"slices"
 	"time"
 
 	"alarmverify/internal/alarm"
@@ -14,12 +16,14 @@ import (
 
 // DurabilityResult quantifies what WAL durability costs and buys: the
 // same blast workload through a memory-only history and a WAL-backed
-// one (group fsync at the default interval), then a crash-style reopen
-// of the durable directory.
+// one (group fsync at the default interval), the two cells interleaved
+// durabilityRounds times, then a crash-style reopen of the last durable
+// directory.
 type DurabilityResult struct {
-	// Records is the blast size per cell.
+	// Records is the blast size per cell: the scale's replay stream.
 	Records int
-	// MemPerSec and WALPerSec are the measured service throughputs.
+	// MemPerSec and WALPerSec are the median service throughputs of
+	// the rounds.
 	MemPerSec, WALPerSec float64
 	// WALRatio is WALPerSec / MemPerSec — the durability tax. The PR 7
 	// acceptance bar keeps this ≥ 0.7 at the default sync interval.
@@ -41,7 +45,6 @@ func durabilityCell(v *core.Verifier, replay []alarm.Alarm, h *core.History) (fl
 	defer b.Close()
 	cfg := serve.DefaultConfig()
 	cfg.Shards = 2
-	cfg.Consumer.MaxPerBatch = 512
 	svc, err := serve.New(b, "alarms", "durability", v, h, cfg)
 	if err != nil {
 		return 0, err
@@ -62,50 +65,60 @@ func durabilityCell(v *core.Verifier, replay []alarm.Alarm, h *core.History) (fl
 	return float64(len(replay)) / elapsed.Seconds(), nil
 }
 
-// Durability runs the WAL-cost experiment: identical blast workloads
+// durabilityRounds is how many times Durability runs the memory and
+// WAL cells, interleaved, before taking each one's median.
+const durabilityRounds = 3
+
+// Durability runs the WAL-cost experiment: identical blast workloads —
+// the scale's replay stream, as Fig 12 and the cache ablation replay —
 // against a memory-only and a WAL-backed history (default group-fsync
-// interval), then reopens the durable directory the way a restarted
-// alarmd would and reports replay size and time. EXPERIMENTS.md and
-// PERFORMANCE.md record the measured tax.
+// interval), interleaved durabilityRounds times, then reopens the last
+// durable directory the way a restarted alarmd would and reports replay
+// size and time. EXPERIMENTS.md and PERFORMANCE.md record the measured
+// tax.
 func Durability(env *Env) (*DurabilityResult, error) {
-	n := 4096
-	if env.Scale.Name == "paper" {
-		n = 16384
-	}
-	verifier, replay, err := streamVerifier(env, n)
+	verifier, replay, err := streamVerifier(env, env.Scale.StreamAlarms)
 	if err != nil {
 		return nil, err
 	}
+	root, err := os.MkdirTemp("", "durability-exp-")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(root)
 
-	memHist, err := core.NewHistory(docstore.NewDBWithPartitions(4))
-	if err != nil {
-		return nil, err
-	}
-	memRate, err := durabilityCell(verifier, replay, memHist)
-	if err != nil {
-		return nil, fmt.Errorf("memory cell: %w", err)
-	}
+	var memRates, walRates []float64
+	var dir string
+	for round := 0; round < durabilityRounds; round++ {
+		memHist, err := core.NewHistory(docstore.NewDBWithPartitions(4))
+		if err != nil {
+			return nil, err
+		}
+		memRate, err := durabilityCell(verifier, replay, memHist)
+		if err != nil {
+			return nil, fmt.Errorf("memory cell: %w", err)
+		}
+		memRates = append(memRates, memRate)
 
-	dir, err := os.MkdirTemp("", "durability-exp-")
-	if err != nil {
-		return nil, err
+		dir = filepath.Join(root, fmt.Sprint(round))
+		db, err := docstore.OpenDB(dir, docstore.DurableOptions{Partitions: 4})
+		if err != nil {
+			return nil, err
+		}
+		walHist, err := core.NewHistory(db)
+		if err != nil {
+			return nil, err
+		}
+		walRate, err := durabilityCell(verifier, replay, walHist)
+		if err != nil {
+			return nil, fmt.Errorf("wal cell: %w", err)
+		}
+		if err := db.Close(); err != nil {
+			return nil, err
+		}
+		walRates = append(walRates, walRate)
 	}
-	defer os.RemoveAll(dir)
-	db, err := docstore.OpenDB(dir, docstore.DurableOptions{Partitions: 4})
-	if err != nil {
-		return nil, err
-	}
-	walHist, err := core.NewHistory(db)
-	if err != nil {
-		return nil, err
-	}
-	walRate, err := durabilityCell(verifier, replay, walHist)
-	if err != nil {
-		return nil, fmt.Errorf("wal cell: %w", err)
-	}
-	if err := db.Close(); err != nil {
-		return nil, err
-	}
+	memRate, walRate := median(memRates), median(walRates)
 
 	start := time.Now()
 	db2, err := docstore.OpenDB(dir, docstore.DurableOptions{Partitions: 4, SyncInterval: -1, CheckpointInterval: -1})
@@ -138,13 +151,20 @@ func Durability(env *Env) (*DurabilityResult, error) {
 	return res, nil
 }
 
+// median sorts xs and returns its middle (the upper one of an even
+// count).
+func median(xs []float64) float64 {
+	slices.Sort(xs)
+	return xs[len(xs)/2]
+}
+
 // RenderDurability formats the experiment.
 func RenderDurability(r *DurabilityResult) string {
 	return fmt.Sprintf(
-		"Durability tax (%d alarms through the sharded service):\n"+
+		"Durability tax (%d alarms through the sharded service, median of %d interleaved rounds):\n"+
 			"  memory-only : %8.0f alarms/s\n"+
 			"  WAL-backed  : %8.0f alarms/s  (%.0f%% of memory; group fsync every %s)\n"+
 			"  recovery    : %d alarms replayed in %s on reopen\n",
-		r.Records, r.MemPerSec, r.WALPerSec, 100*r.WALRatio,
+		r.Records, durabilityRounds, r.MemPerSec, r.WALPerSec, 100*r.WALRatio,
 		docstore.DefaultWALSyncInterval, r.Recovered, r.RecoveryTime.Round(time.Millisecond))
 }

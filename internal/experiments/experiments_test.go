@@ -386,7 +386,7 @@ func TestReplayCacheCountsUnmarshals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := r.batch()
+		n, _, err := r.batch()
 		_, got := h.Verdicts()
 		r.close()
 		b.Close()
@@ -436,7 +436,7 @@ func TestReplayPollErrorIsNotCommitted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.close()
-	if n, err := r.batch(); err != nil || n != 100 {
+	if n, _, err := r.batch(); err != nil || n != 100 {
 		t.Fatalf("clean batch = %d, %v; want 100 alarms", n, err)
 	}
 	before, err := b.GroupCommitted("poll-error")
@@ -447,7 +447,7 @@ func TestReplayPollErrorIsNotCommitted(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.src.consumer.Close()
-	if _, err := r.batch(); !errors.Is(err, broker.ErrClosed) {
+	if _, _, err := r.batch(); !errors.Is(err, broker.ErrClosed) {
 		t.Fatalf("batch on a closed consumer: err = %v, want ErrClosed", err)
 	}
 	after, err := b.GroupCommitted("poll-error")

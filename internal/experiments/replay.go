@@ -33,13 +33,16 @@ func preload(alarms []alarm.Alarm, partitions, threads int, c codec.Codec) (*bro
 
 // replay is the paper's pre-optimization consumer, kept for the
 // experiments that measure it: the §5.5.2 partitioning ladder
-// (EndToEnd) and the §6.2 cache ablation (AblationCache). It drains a
+// (EndToEnd), the Figure 12 breakdown (Fig12) and the §6.2 cache
+// ablation (AblationCache). It drains a
 // micro-batch by a leased poll into rdd partitions, one per broker
 // partition (rdd.go); decodes it with its codec, cached or not; extracts
 // the window's devices with distinct; and classifies alarm by alarm on
-// an executor pool. The filled core.Batch goes to
-// ConsumerApp.Persist for history and accounting, as a serving batch
-// does, and the consumer's progress is committed after it.
+// an executor pool, timing each component into the batch's
+// core.ComponentTimes. The filled core.Batch goes to ConsumerApp.Persist,
+// which stores it with its verdicts and times the ingest and history
+// parts, as for a serving batch, and the consumer's progress is
+// committed after it.
 type replay struct {
 	app      *core.ConsumerApp
 	src      *brokerSource
@@ -76,12 +79,13 @@ func (r *replay) close() {
 	r.pool.close()
 }
 
-// batch replays one micro-batch and returns the alarms it verified. A
-// batch whose poll failed is not processed and nothing is committed.
-func (r *replay) batch() (int, error) {
+// batch replays one micro-batch and returns the alarms it verified and
+// the batch's component breakdown. A batch whose poll failed is not
+// processed and nothing is committed.
+func (r *replay) batch() (int, core.ComponentTimes, error) {
 	raw, lease, err := r.src.batch()
 	if err != nil {
-		return 0, err
+		return 0, core.ComponentTimes{}, err
 	}
 	defer lease.Release()
 	b := &core.Batch{}
@@ -114,26 +118,25 @@ func (r *replay) batch() (int, error) {
 		}
 	})
 	if err := errors.Join(errs...); err != nil {
-		return 0, err
+		return 0, b.Times, err
 	}
 	b.Times.ML = time.Since(start)
 
 	if err := r.app.Persist(b); err != nil {
-		return 0, err
+		return 0, b.Times, err
 	}
-	return n, r.src.commit()
+	return n, b.Times, r.src.commit()
 }
 
 // Replay drains what b's "alarms" topic holds as one micro-batch
 // through the replay consumer — cached decode, workers executor
 // threads (0: one per CPU) — persisting into h when it is not nil. It
-// returns the alarms verified and the component breakdown.
+// returns the alarms verified and the batch's component breakdown.
 func Replay(b *broker.Broker, v *core.Verifier, h *core.History, cdc codec.Codec, workers int) (int, core.ComponentTimes, error) {
 	r, err := newReplay(b, "replay", v, h, cdc, workers, true)
 	if err != nil {
 		return 0, core.ComponentTimes{}, err
 	}
 	defer r.close()
-	n, err := r.batch()
-	return n, r.app.Times(), err
+	return r.batch()
 }

@@ -136,9 +136,11 @@ func streamVerifier(env *Env, replayN int) (*core.Verifier, []alarm.Alarm, error
 	return v, replay[:min(replayN, len(replay))], nil
 }
 
-// Fig12 reproduces the consumer component breakdown: a 10-second-
-// window-sized batch is processed end to end and the per-component
-// times recorded.
+// Fig12 reproduces the consumer component breakdown: one 10-second-
+// window-sized batch runs through the replay consumer — the paper's
+// consumer, which classified alarm by alarm, here on one executor
+// thread — into a memory history, and its per-component times are
+// recorded.
 func Fig12(env *Env) (*Fig12Result, error) {
 	verifier, replay, err := streamVerifier(env, env.Scale.StreamAlarms)
 	if err != nil {
@@ -153,22 +155,11 @@ func Fig12(env *Env) (*Fig12Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The serving stages with per-alarm classification
-	// (ClassifyBatch=1), as the paper's consumer classified, so the
-	// component shares match Figure 12's ML-dominated breakdown rather
-	// than the vectorized chunks serving adds on top.
-	fig12Cfg := core.DefaultConsumerConfig()
-	fig12Cfg.ClassifyBatch = 1
-	cons, err := core.NewConsumerApp(b, "alarms", "fig12", "c1", verifier, history, fig12Cfg)
+	n, times, err := Replay(b, verifier, history, codec.FastCodec{}, 1)
 	if err != nil {
 		return nil, err
 	}
-	defer cons.Close()
-	n, err := cons.ProcessBatches(1)
-	if err != nil {
-		return nil, err
-	}
-	return &Fig12Result{Times: cons.Times(), Records: n}, nil
+	return &Fig12Result{Times: times, Records: n}, nil
 }
 
 // RenderFig12 formats the breakdown.
@@ -228,7 +219,7 @@ func EndToEnd(env *Env) ([]E2EResult, error) {
 			return nil, err
 		}
 		start := time.Now()
-		n, err := r.batch()
+		n, _, err := r.batch()
 		elapsed := time.Since(start)
 		r.close()
 		b.Close()

@@ -76,15 +76,22 @@ func TestFeedbackRetrainHotSwapLive(t *testing.T) {
 		Verifier:      core.DefaultVerifierConfig(),
 		NewClassifier: smallRF,
 	})
-	rt.Start()
 	defer rt.Stop()
 
 	svc.Start()
-	// Operators file verdicts while the stream is being served. The
-	// correction is systematic, so it covers recent alarms too — the
-	// retrainer's shadow holdout (the most recent slice) must see the
-	// same ground truth the train set learned, or the stale model
-	// rightly wins the evaluation.
+	// Operators file verdicts while the stream is being served, once
+	// the history holds the first half of it. The correction is
+	// systematic, so it covers recent alarms too — the retrainer's
+	// shadow holdout (the most recent slice) must see the same ground
+	// truth the train set learned, or the stale model rightly wins the
+	// evaluation. So the retrainer starts only once every verdict is
+	// filed: a retrain that began after the first 200 would hold out a
+	// slice no verdict covers yet, could lose, and would then absorb
+	// the verdicts it read into its watermark, leaving too few to
+	// trigger another.
+	waitFor(t, 30*time.Second, "first half of the stream stored", func() bool {
+		return history.Len() >= len(replay)/2
+	})
 	fed := 0
 	for i := range replay {
 		if replay[i].Type == alarm.TypeIntrusion {
@@ -100,10 +107,16 @@ func TestFeedbackRetrainHotSwapLive(t *testing.T) {
 	if fed < 200 {
 		t.Fatalf("only %d feedback verdicts available, trigger needs 200", fed)
 	}
+	rt.Start()
 
-	waitFor(t, 30*time.Second, "feedback-triggered hot swap", func() bool {
-		return rt.Stats().Swaps >= 1
-	})
+	deadline := time.Now().Add(30 * time.Second)
+	for rt.Stats().Swaps < 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for feedback-triggered hot swap: history %d, retrainer %+v",
+				history.Len(), rt.Stats())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 	waitFor(t, 30*time.Second, "stream fully drained", func() bool {
 		lag, err := svc.Lag()
 		return err == nil && lag == 0

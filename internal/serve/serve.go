@@ -10,8 +10,9 @@
 // pipelineDepth (2) batches, so when persist (the document-store
 // round-trips) lags, intake stops draining the broker instead of
 // buffering batches without bound. Each drain returns what is queued,
-// up to core.ConsumerConfig.MaxPerBatch records (one record when
-// idle), so batch size already follows the load. On top of it sits one
+// up to core's drain bound (512 records unless
+// core.ConsumerConfig.MaxPerBatch names another; one record when idle),
+// so batch size already follows the load. On top of it sits one
 // overload control: bounded-queue load shedding (Config.ShedQueue)
 // drops the oldest drained batches — counted, offsets still committed
 // — once the backlog passes the bound, so end-to-end p99 stays bounded
@@ -36,12 +37,14 @@
 // Classify, Persist, then a commit and ReleaseBatch — with each stage
 // on its own goroutine. The classify stage is the paper's dominant
 // cost (Figure 12: ~80 % ML). It runs vectorized: the batch is split
-// into ConsumerConfig.ClassifyBatch-sized chunks, each encoded into
-// the shard's sparse rows and scored by the model's compiled serving form
-// (ml.SparseModel), one after another on the classify goroutine. So
-// classification of batch N overlaps decode of batch N+1 and persist
-// of batch N−1 even inside a single shard; parallelism beyond that
-// comes from shards. See ARCHITECTURE.md for the stage-level dataflow.
+// into 256-alarm chunks, each encoded into the shard's sparse rows and
+// scored by the model's compiled serving form (ml.SparseModel), one
+// after another on the classify goroutine. So classification of batch
+// N overlaps decode of batch N+1 and persist of batch N−1 even inside a
+// single shard; parallelism beyond that comes from shards. Stage
+// timings go to the metrics.Pipeline a caller attaches
+// (core.ConsumerConfig.Metrics). See ARCHITECTURE.md for the
+// stage-level dataflow.
 //
 // All shards share one *core.Verifier, whose model state lives in an
 // immutable snapshot behind an atomic pointer: a background retrain
@@ -66,7 +69,8 @@ import (
 	"alarmverify/internal/metrics"
 )
 
-// Config tunes the sharded service.
+// Config tunes the sharded service. DefaultConfig is the serving
+// configuration; a caller changes only the fields it names.
 type Config struct {
 	// Shards is the number of consumer-group members; each owns a
 	// partition subset, so throughput scales with min(Shards,
@@ -97,7 +101,8 @@ type Config struct {
 	// derives one from hostname+pid); empty keeps the bare ids — fine
 	// for the single-process deployment.
 	MemberPrefix string
-	// Consumer configures each shard's consumer application.
+	// Consumer configures each shard's consumer application: its drain
+	// bound (core's 512 by default) and the metrics it records into.
 	Consumer core.ConsumerConfig
 }
 
@@ -141,8 +146,9 @@ func (lc LocalCluster) GroupCommitted(group string) (map[int]int64, error) {
 	return lc.Broker.GroupCommitted(group)
 }
 
-// DefaultConfig returns a single shard with the paper's optimized
-// consumer configuration.
+// DefaultConfig returns a single shard with the serving consumer
+// configuration (core.DefaultConsumerConfig: 512-record drains), no
+// shedding and no metrics.
 func DefaultConfig() Config {
 	return Config{
 		Shards:   1,
@@ -152,8 +158,8 @@ func DefaultConfig() Config {
 
 // pipelineDepth bounds each of a shard's stage queues, in batches. Two
 // lets decode run a batch ahead of classify and classify one ahead of
-// persist; the drain bound (core.ConsumerConfig.MaxPerBatch) bounds the
-// records a batch holds.
+// persist; the drain bound (core.ConsumerConfig.MaxPerBatch, 512 by
+// default) bounds the records a batch holds.
 const pipelineDepth = 2
 
 // Service is the sharded, pipelined verification service.
@@ -324,7 +330,6 @@ type ShardStats struct {
 	Partitions []int
 	Batches    int
 	Records    int
-	Times      core.ComponentTimes
 	// InFlightPeak is the most batches ever simultaneously between
 	// decode and persist — bounded by the stage queues' depth (the
 	// backpressure guarantee).
@@ -354,7 +359,6 @@ type Stats struct {
 	// ShedRecords is the total records dropped by load shedding
 	// across all shards.
 	ShedRecords int64
-	Times       core.ComponentTimes
 	Shards      []ShardStats
 }
 
@@ -362,13 +366,11 @@ type Stats struct {
 func (s *Service) Stats() Stats {
 	var st Stats
 	for _, sh := range s.shards {
-		times := sh.app.Times()
 		shs := ShardStats{
 			ID:           sh.id,
 			Partitions:   sh.app.Assignment(),
 			Batches:      sh.app.Batches(),
 			Records:      sh.app.Records(),
-			Times:        times,
 			InFlightPeak: sh.inflightPeak.Load(),
 			ShedRecords:  sh.shedRecords.Load(),
 			StaleCommits: sh.staleCommits.Load(),
@@ -379,7 +381,6 @@ func (s *Service) Stats() Stats {
 		st.Records += shs.Records
 		st.Batches += shs.Batches
 		st.ShedRecords += shs.ShedRecords
-		st.Times.Add(times)
 		st.Shards = append(st.Shards, shs)
 	}
 	s.mu.Lock()

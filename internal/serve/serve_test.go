@@ -159,7 +159,7 @@ func TestShardedServiceVerifiesAllExactlyOnce(t *testing.T) {
 		t.Fatalf("committed %d records, want %d", sum, len(stream))
 	}
 	st := svc.Stats()
-	if st.PerSec <= 0 || st.Times.ML <= 0 || st.Batches == 0 {
+	if st.PerSec <= 0 || st.Batches == 0 {
 		t.Errorf("stats not populated: %+v", st)
 	}
 	for _, sh := range st.Shards {
