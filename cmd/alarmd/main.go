@@ -73,7 +73,6 @@ import (
 	"alarmverify/internal/docstore"
 	"alarmverify/internal/loadgen"
 	"alarmverify/internal/metrics"
-	"alarmverify/internal/ml"
 	"alarmverify/internal/modelreg"
 	"alarmverify/internal/netbroker"
 	"alarmverify/internal/serve"
@@ -256,9 +255,7 @@ func run(o options) error {
 	}
 	if verifier == nil {
 		fmt.Println("training verifier (random forest, Table 3 parameters)...")
-		vcfg := core.DefaultVerifierConfig()
-		vcfg.Classifier = ml.NewRandomForest(ml.DefaultRandomForestConfig())
-		v, err := core.Train(alarms[:o.trainN], vcfg)
+		v, err := core.Train(alarms[:o.trainN], core.DefaultVerifierConfig())
 		if err != nil {
 			return err
 		}
@@ -274,13 +271,7 @@ func run(o options) error {
 			if err != nil {
 				return err
 			}
-			m, err := core.SaveToRegistry(reg, verifier, modelreg.HoldoutMetrics{
-				Records:   cm.Total(),
-				Accuracy:  cm.Accuracy(),
-				Precision: cm.Precision(),
-				Recall:    cm.Recall(),
-				F1:        cm.F1(),
-			}, 0)
+			m, err := core.SaveToRegistry(reg, verifier, cm, 0)
 			if err != nil {
 				return err
 			}
@@ -373,9 +364,7 @@ func run(o options) error {
 		// train set would duplicate it in every retrain thereafter, and
 		// replaying the earlier run's ids would store each alarm twice.
 		fmt.Printf("recovered %d alarms from %s\n", recovered, o.dataDir)
-		if err := numberAfterStored(history, alarms[o.trainN:]); err != nil {
-			return err
-		}
+		numberAfterStored(history, alarms[o.trainN:])
 	} else {
 		// Seed the history with the boot train set: an early retrain
 		// (feedback arriving in the first seconds) then competes on at
@@ -616,19 +605,11 @@ func (o options) config(m *metrics.Pipeline, memberPrefix string) serve.Config {
 
 // numberAfterStored renumbers alarms in order from one past the highest
 // alarm id h holds, so a replay re-issues none of the stored ids.
-func numberAfterStored(h *core.History, alarms []alarm.Alarm) error {
-	stored, err := h.RecentAlarms(0)
-	if err != nil {
-		return err
-	}
-	var last int64
-	for i := range stored {
-		last = max(last, stored[i].ID)
-	}
+func numberAfterStored(h *core.History, alarms []alarm.Alarm) {
+	last := h.MaxAlarmID()
 	for i := range alarms {
 		alarms[i].ID = last + 1 + int64(i)
 	}
-	return nil
 }
 
 // operatorQueue queues every stored alarm predicted true, as stored.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
 	"time"
 
 	"alarmverify/internal/broker"
@@ -103,7 +102,9 @@ const (
 
 // ConsumerApp is the §5.5 Consumer application: it drains alarm
 // batches from the broker, verifies every alarm in real time, and
-// performs the historic per-device analysis.
+// performs the historic per-device analysis. It is the stages and their
+// scratch: whoever joined the group member it drains (serve's shard)
+// asks that member for the rest and counts the batches it finished.
 type ConsumerApp struct {
 	cfg      ConsumerConfig
 	verifier *Verifier
@@ -128,9 +129,6 @@ type ConsumerApp struct {
 	class batchScratch
 	rows  *docstore.Rows
 	hist  histScratch
-
-	batches atomic.Int64
-	records atomic.Int64
 }
 
 // NewConsumerAppFor wires the consumer application onto an
@@ -156,7 +154,7 @@ func NewConsumerAppFor(cons broker.GroupConsumer, _ int,
 	if history != nil {
 		// Persist's scratch, sized like a batch for a full drain.
 		app.rows = history.col.NewRows(alarmFields...)
-		app.hist = histScratch{macs: make([]string, 0, n), conds: make([]docstore.Cond, 0, 2*n),
+		app.hist = histScratch{conds: make([]docstore.Cond, 0, 2*n),
 			filters: make([][]docstore.Cond, 0, n), out: make([][]HistogramBucket, 0, n),
 			sweep: docstore.NewSweep()}
 	}
@@ -166,9 +164,3 @@ func NewConsumerAppFor(cons broker.GroupConsumer, _ int,
 // Close leaves the consumer group, releasing partitions to surviving
 // members.
 func (c *ConsumerApp) Close() { c.consumer.Close() }
-
-// Records returns the total alarms processed.
-func (c *ConsumerApp) Records() int { return int(c.records.Load()) }
-
-// Batches returns the number of micro-batches fully processed.
-func (c *ConsumerApp) Batches() int { return int(c.batches.Load()) }

@@ -269,6 +269,21 @@ func (h *History) RecentAlarms(limit int) ([]alarm.Alarm, error) {
 	return out, nil
 }
 
+// MaxAlarmID returns the highest stored alarm id, 0 for an empty
+// history: one typed tail read of the alarmId column alone, so its cost
+// is the column's cells, not the rebuilt and sorted alarms RecentAlarms
+// returns.
+func (h *History) MaxAlarmID() int64 {
+	h.simulateRTT()
+	rows := h.col.NewRows(alarmFields[0])
+	h.col.TailRows(0, rows)
+	var last int64
+	for i := 0; i < rows.Len(); i++ {
+		last = max(last, rows.Row(i)[0].I64())
+	}
+	return last
+}
+
 // Feedback is one operator verdict: the eventual ground truth for an
 // alarm, reported once the intervention force (or the premise owner)
 // resolved it. Feedback is the signal the §4.1 "periodic offline"

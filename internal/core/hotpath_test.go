@@ -133,8 +133,8 @@ func TestFastDrainMatchesCopyingPath(t *testing.T) {
 		}
 	}
 	fs := make(map[string]bool, len(fb.Devices))
-	for i := range fb.Devices {
-		fs[fb.Devices[i].DeviceMAC] = true
+	for _, mac := range fb.Devices {
+		fs[mac] = true
 	}
 	if len(fs) != len(fb.Devices) {
 		t.Fatalf("%d device entries for %d devices", len(fb.Devices), len(fs))
@@ -234,8 +234,9 @@ func TestReleasePoisonsBatch(t *testing.T) {
 
 // TestPayloadViewStaysInTheBatch: a decoded alarm's Payload is a view of
 // its leased record — under lease check mode a header kept past the
-// release reads poison — so the one place that copies an alarm out of
-// the batch's alarm slots drops it: the distinct-device entries.
+// release reads poison — so nothing copies an alarm out of the batch's
+// alarm slots: the distinct-device entries are the alarms' addresses,
+// each once.
 func TestPayloadViewStaysInTheBatch(t *testing.T) {
 	_, alarms := testAlarms(60)
 	for i := range alarms {
@@ -257,10 +258,19 @@ func TestPayloadViewStaysInTheBatch(t *testing.T) {
 			t.Fatalf("alarm %d: payload %q, produced %q", i, batch.Alarms[i].Payload, alarms[i].Payload)
 		}
 	}
-	for i := range batch.Devices {
-		if batch.Devices[i].Payload != "" {
-			t.Fatalf("device entry %d keeps a payload view: %q", i, batch.Devices[i].Payload)
+	addrs := make(map[string]bool, len(batch.Alarms))
+	for i := range batch.Alarms {
+		addrs[batch.Alarms[i].DeviceMAC] = true
+	}
+	seen := make(map[string]bool, len(batch.Devices))
+	for i, mac := range batch.Devices {
+		if !addrs[mac] || seen[mac] {
+			t.Fatalf("device entry %d = %q: not one of the batch's addresses, once", i, mac)
 		}
+		seen[mac] = true
+	}
+	if len(seen) != len(addrs) {
+		t.Fatalf("%d device entries for %d addresses", len(seen), len(addrs))
 	}
 	view := batch.Alarms[0].Payload // the bug the blanking prevents: a header outliving the lease
 	app.ReleaseBatch(batch)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -243,7 +244,6 @@ func TestRetrainerFeedbackTrigger(t *testing.T) {
 	h.RecordBatch(alarms[600:])
 	rt := NewRetrainer(live, h, nil, RetrainerConfig{
 		MinFeedback: 5,
-		CheckEvery:  2 * time.Millisecond,
 		Verifier:    DefaultVerifierConfig(),
 		NewClassifier: func() (ml.Classifier, error) {
 			cfg := ml.DefaultRandomForestConfig()
@@ -272,7 +272,7 @@ func TestRetrainerFeedbackTrigger(t *testing.T) {
 // TestRetrainerBacksOffOnFailure: feedback arriving before the
 // history holds enough alarms keeps the trigger armed (a failed
 // retrain must not swallow the verdicts), but retries must back off
-// instead of re-running every CheckEvery tick.
+// instead of re-running every trigger tick.
 func TestRetrainerBacksOffOnFailure(t *testing.T) {
 	h, err := NewHistory(docstore.NewDB())
 	if err != nil {
@@ -282,7 +282,6 @@ func TestRetrainerBacksOffOnFailure(t *testing.T) {
 	live := fastVerifier(t, alarms[:600])
 	rt := NewRetrainer(live, h, nil, RetrainerConfig{
 		MinFeedback: 3,
-		CheckEvery:  2 * time.Millisecond,
 		Verifier:    DefaultVerifierConfig(),
 	})
 	rt.Start()
@@ -310,6 +309,50 @@ func TestRetrainerBacksOffOnFailure(t *testing.T) {
 	time.Sleep(300 * time.Millisecond)
 	if again := rt.Stats().Attempts; again > 2 {
 		t.Fatalf("failed retrain retried %d times in 300ms — backoff not applied", again)
+	}
+}
+
+// TestRetrainerRetriesAfterRejection: a candidate that loses the shadow
+// evaluation leaves the feedback watermark where it was, so the verdicts
+// it was trained on trigger another attempt once the 1 s backoff has
+// passed — no new verdict needed.
+func TestRetrainerRetriesAfterRejection(t *testing.T) {
+	_, alarms := testAlarms(2000)
+	live := fastVerifier(t, alarms[:1000])
+	h, err := NewHistory(docstore.NewDB())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.RecordBatch(alarms[1000:])
+	var calls atomic.Int32
+	rt := NewRetrainer(live, h, nil, RetrainerConfig{
+		MinFeedback: 3,
+		Verifier:    DefaultVerifierConfig(),
+		NewClassifier: func() (ml.Classifier, error) {
+			if calls.Add(1) == 1 {
+				return stubClassifier{}, nil // constant: loses to the live model
+			}
+			cfg := ml.DefaultRandomForestConfig()
+			cfg.NumTrees = 6
+			cfg.MaxDepth = 8
+			return ml.NewRandomForest(cfg), nil
+		},
+	})
+	rt.Start()
+	defer rt.Stop()
+	for i := 0; i < 3; i++ {
+		h.RecordFeedback(Feedback{AlarmID: alarms[1000+i].ID, Verdict: alarm.True, At: time.Now()})
+	}
+	deadline := time.Now().Add(3 * time.Second)
+	for time.Now().Before(deadline) && rt.Stats().Attempts < 2 {
+		time.Sleep(5 * time.Millisecond)
+	}
+	st := rt.Stats()
+	if st.Rejected < 1 {
+		t.Fatalf("the constant candidate was not rejected: %+v", st)
+	}
+	if st.Attempts < 2 {
+		t.Fatalf("a rejected candidate spent its verdicts: no second attempt within 3 s: %+v", st)
 	}
 }
 

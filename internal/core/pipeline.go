@@ -18,8 +18,7 @@ import (
 //
 // A Batch is owned by exactly one stage at a time, so the sharded
 // service (internal/serve) can run stages of consecutive batches
-// concurrently without locking: each stage writes only its own fields,
-// and Persist counts the finished batch on the app's atomic counters.
+// concurrently without locking: each stage writes only its own fields.
 type Batch struct {
 	// Offsets snapshots the consumer positions right after the drain;
 	// CommitBatch makes exactly these durable once the batch has been
@@ -31,8 +30,11 @@ type Batch struct {
 	// batch an alarm's Payload is a view of its leased record: a copy of
 	// the alarm that outlives the batch must drop it.
 	Alarms []alarm.Alarm
-	// Devices are the distinct alarming devices of the window (§4.1).
-	Devices []alarm.Alarm
+	// Devices are the window's distinct alarming device addresses
+	// (§4.1), in first-seen order: the devices Persist queries the
+	// history for. An address is an interned string, not a view of a
+	// leased record.
+	Devices []string
 
 	// Verified holds one verification per alarm after Classify.
 	Verified []alarm.Verification
@@ -150,10 +152,7 @@ func (c *ConsumerApp) Decode(b *Batch) {
 		mac := b.Alarms[i].DeviceMAC
 		if _, ok := c.seen[mac]; !ok {
 			c.seen[mac] = struct{}{}
-			devices = append(devices, b.Alarms[i])
-			// A device entry is read for its address; it does not keep
-			// the alarm's view of the leased record alive.
-			devices[len(devices)-1].Payload = ""
+			devices = append(devices, mac)
 		}
 	}
 	b.Devices = devices
@@ -211,10 +210,10 @@ func (c *ConsumerApp) Classify(b *Batch) error {
 // Persist is the batch component: it stores the batch's alarms, each
 // row carrying its verdict (the only record of it), in the alarm
 // history with one store write on this goroutine (timed as
-// Times.Ingest), runs every alarming device's histogram query — which
+// Times.Ingest) and runs every alarming device's histogram query — which
 // sees this batch's own alarms, since they are already stored (timed as
-// Times.History) — and counts the finished batch. It is the final
-// stage; a batch must not be committed before Persist returns.
+// Times.History). It is the final stage; a batch must not be committed
+// before Persist returns.
 //
 // Persist must not run concurrently with itself on one app: its row
 // batch and histogram sweep are the app's. Every caller runs one persist
@@ -234,10 +233,7 @@ func (c *ConsumerApp) Persist(b *Batch) error {
 		// One batched histogram query for all of the window's devices:
 		// one history round-trip, one sweep over the touched
 		// partitions, not a round-trip per device.
-		c.hist.macs = c.hist.macs[:0]
-		for i := range b.Devices {
-			c.hist.macs = append(c.hist.macs, b.Devices[i].DeviceMAC)
-		}
+		c.hist.macs = b.Devices
 		if err := c.history.deviceHistograms(&c.hist, since, histogramBucket); err != nil {
 			return err
 		}
@@ -251,8 +247,6 @@ func (c *ConsumerApp) Persist(b *Batch) error {
 		b.Times.History = time.Since(start)
 	}
 
-	c.batches.Add(1)
-	c.records.Add(int64(len(b.Alarms)))
 	if m := c.cfg.Metrics; m != nil {
 		m.Stage(metrics.StagePersist).Record(b.Times.Ingest + b.Times.History)
 	}
@@ -291,23 +285,3 @@ func (c *ConsumerApp) CommitBatch(b *Batch) error {
 	}
 	return nil
 }
-
-// Rebalances exposes the consumer's rebalance-notification channel: a
-// signal means the shard's partition assignment is stale and should be
-// refreshed once in-flight batches have drained.
-func (c *ConsumerApp) Rebalances() <-chan struct{} { return c.consumer.Rebalances() }
-
-// RefreshAssignment re-runs partition assignment after a group
-// membership change; positions reset to the committed offsets.
-func (c *ConsumerApp) RefreshAssignment() error { return c.consumer.RefreshAssignment() }
-
-// Assignment returns the broker partitions currently owned by this
-// consumer.
-func (c *ConsumerApp) Assignment() []int { return c.consumer.Assignment() }
-
-// Lag returns how many records sit between the consumer's positions
-// and the high watermarks of its partitions.
-func (c *ConsumerApp) Lag() (int64, error) { return c.consumer.Lag() }
-
-// LeaseStats snapshots the consumer's lease free list.
-func (c *ConsumerApp) LeaseStats() broker.LeaseStats { return c.consumer.LeaseStats() }

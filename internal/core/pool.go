@@ -74,7 +74,7 @@ func (c *ConsumerApp) newBatch() *Batch {
 	b := &Batch{
 		recs:     make([]broker.Record, 0, n),
 		Alarms:   make([]alarm.Alarm, 0, n),
-		Devices:  make([]alarm.Alarm, 0, n),
+		Devices:  make([]string, 0, n),
 		Verified: make([]alarm.Verification, 0, n),
 	}
 	if c.cfg.Metrics != nil {
@@ -118,7 +118,7 @@ func poisonBatch(b *Batch) {
 		b.Alarms[i] = alarm.Alarm{ID: -1, DeviceMAC: poisonedField, Payload: poisonedField}
 	}
 	for i := range b.Devices {
-		b.Devices[i] = alarm.Alarm{ID: -1, DeviceMAC: poisonedField, Payload: poisonedField}
+		b.Devices[i] = poisonedField
 	}
 	for i := range b.Verified {
 		b.Verified[i] = alarm.Verification{AlarmID: -1, ModelName: poisonedField}

@@ -24,7 +24,7 @@ func registryRoundTrip(t *testing.T, dir string, v *Verifier, riskModel *risk.Mo
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := SaveToRegistry(reg, v, modelreg.HoldoutMetrics{}, 0)
+	m, err := SaveToRegistry(reg, v, ml.ConfusionMatrix{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

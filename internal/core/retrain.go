@@ -55,9 +55,6 @@ type RetrainerConfig struct {
 	// classifier (defaults to the paper-parameter classifier for
 	// Verifier.Algorithm).
 	NewClassifier func() (ml.Classifier, error)
-	// CheckEvery is the trigger-polling cadence (0 selects Interval/8
-	// clamped to [10ms, 1s], or 50ms when Interval is 0).
-	CheckEvery time.Duration
 }
 
 // RetrainResult summarizes one retrain attempt.
@@ -113,12 +110,6 @@ type Retrainer struct {
 // reg may be nil: candidates are then swapped without being persisted
 // (useful for tests and in-memory experiments).
 func NewRetrainer(live *Verifier, history *History, reg *modelreg.Registry, cfg RetrainerConfig) *Retrainer {
-	if cfg.CheckEvery <= 0 {
-		cfg.CheckEvery = 50 * time.Millisecond
-		if cfg.Interval > 0 {
-			cfg.CheckEvery = max(10*time.Millisecond, min(cfg.Interval/8, time.Second))
-		}
-	}
 	return &Retrainer{
 		live:    live,
 		history: history,
@@ -149,20 +140,27 @@ func (r *Retrainer) Stats() RetrainerStats {
 	return r.stats
 }
 
-// retryBackoffMax caps the failure backoff of the background loop.
+// retryBackoffMax caps the backoff of the background loop after a
+// retrain that failed or whose candidate was rejected.
 const retryBackoffMax = 30 * time.Second
 
 // loop polls the two triggers — interval elapsed, feedback threshold
-// reached — and retrains when either fires. A failed retrain does
-// not advance the feedback watermark (the verdicts still deserve a
-// retrain), so failures back off exponentially: without the backoff
-// a persistent error — feedback arriving before the history holds
-// enough alarms, a full registry disk — would re-run a full history
-// pull and model fit every CheckEvery tick, starving the serving
+// reached — every Interval/8 (clamped to [10ms, 1s]; 50ms without an
+// interval) and retrains when either fires. Neither a failed retrain
+// nor a rejected candidate advances the feedback watermark (the
+// verdicts still deserve a model trained on them), so both back off
+// exponentially from 1s until a swap: without the backoff a persistent
+// error — feedback arriving before the history holds enough alarms, a
+// full registry disk — or a candidate that keeps losing would re-run a
+// full history pull and model fit every tick, starving the serving
 // shards.
 func (r *Retrainer) loop() {
 	defer close(r.done)
-	ticker := time.NewTicker(r.cfg.CheckEvery)
+	every := 50 * time.Millisecond
+	if r.cfg.Interval > 0 {
+		every = max(10*time.Millisecond, min(r.cfg.Interval/8, time.Second))
+	}
+	ticker := time.NewTicker(every)
 	defer ticker.Stop()
 	last := time.Now()
 	var backoff time.Duration
@@ -187,10 +185,13 @@ func (r *Retrainer) loop() {
 			continue
 		}
 		last = time.Now()
-		if _, err := r.RetrainNow(); err != nil {
+		res, err := r.RetrainNow()
+		if err != nil {
 			r.mu.Lock()
 			r.stats.LastErr = err.Error()
 			r.mu.Unlock()
+		}
+		if err != nil || !res.Swapped {
 			backoff = min(max(2*backoff, time.Second), retryBackoffMax)
 			notBefore = time.Now().Add(backoff)
 		} else {
@@ -288,13 +289,7 @@ func (r *Retrainer) RetrainNow() (RetrainResult, error) {
 	}
 
 	if r.reg != nil {
-		m, err := SaveToRegistry(r.reg, candidate, modelreg.HoldoutMetrics{
-			Records:   candCM.Total(),
-			Accuracy:  candCM.Accuracy(),
-			Precision: candCM.Precision(),
-			Recall:    candCM.Recall(),
-			F1:        candCM.F1(),
-		}, feedbackUsed)
+		m, err := SaveToRegistry(r.reg, candidate, candCM, feedbackUsed)
 		if err != nil {
 			return res, err
 		}
@@ -309,31 +304,33 @@ func (r *Retrainer) RetrainNow() (RetrainResult, error) {
 	return res, nil
 }
 
-// finish folds a completed result into the stats and advances the
-// feedback watermark to the count observed when this retrain read
-// its verdicts, so verdicts that arrived mid-retrain still count
-// toward the next trigger.
+// finish folds a completed result into the stats. A swap advances the
+// feedback watermark to the count observed when this retrain read its
+// verdicts, so verdicts that arrived mid-retrain still count toward the
+// next trigger; a rejected candidate leaves it, so the verdicts it was
+// trained on trigger another attempt once the loop's backoff allows.
 func (r *Retrainer) finish(res RetrainResult, fb int) {
 	r.mu.Lock()
 	if res.Swapped {
 		r.stats.Swaps++
+		r.fbAtRetrain = fb
 	} else {
 		r.stats.Rejected++
 	}
 	r.stats.LastErr = ""
 	r.stats.Last = res
-	r.fbAtRetrain = fb
 	r.mu.Unlock()
 }
 
 // SaveToRegistry persists the verifier's current snapshot as the
-// next registry version, recording its shadow-evaluation metrics and
-// how many operator verdicts shaped its train set. The snapshot is
+// next registry version, recording its shadow-evaluation metrics (from
+// cm, its confusion matrix on a holdout) and how many operator verdicts
+// shaped its train set. The snapshot is
 // then stamped with the assigned version (so ModelVersion and /stats
 // report the registered identity) — unless a concurrent Swap
 // replaced it first, in which case the newer model wins and the
 // stamp is dropped.
-func SaveToRegistry(reg *modelreg.Registry, v *Verifier, hm modelreg.HoldoutMetrics, feedbackRecords int) (modelreg.Manifest, error) {
+func SaveToRegistry(reg *modelreg.Registry, v *Verifier, cm ml.ConfusionMatrix, feedbackRecords int) (modelreg.Manifest, error) {
 	s := v.snap.Load()
 	m, err := reg.Save(s.model, s.enc, modelreg.Manifest{
 		TrainRecords:    s.trainStats.TrainRecords,
@@ -343,7 +340,8 @@ func SaveToRegistry(reg *modelreg.Registry, v *Verifier, hm modelreg.HoldoutMetr
 		NumExtras:       s.numExtras,
 		HasRisk:         s.hasRisk,
 		RiskKind:        int(s.riskKind),
-		Holdout:         hm,
+		Holdout: modelreg.HoldoutMetrics{Records: cm.Total(), Accuracy: cm.Accuracy(),
+			Precision: cm.Precision(), Recall: cm.Recall(), F1: cm.F1()},
 	})
 	if err != nil {
 		return m, err

@@ -126,19 +126,18 @@ func (r *rdd[T]) collect(p *pool) []T {
 	return out
 }
 
-// distinct returns the first element of r under each key, in partition
-// order — the workflow of §4.1 extracting "all devices that trigger an
-// alarm within the observation period". It is an action: it computes
-// r's partitions through their lineage, so an uncached r recomputes
-// them.
-func distinct[T any, K comparable](r *rdd[T], key func(T) K, p *pool) []T {
+// distinct returns r's distinct keys, in partition order — the
+// workflow of §4.1 extracting "all devices that trigger an alarm within
+// the observation period". It is an action: it computes r's partitions
+// through their lineage, so an uncached r recomputes them.
+func distinct[T any, K comparable](r *rdd[T], key func(T) K, p *pool) []K {
 	seen := make(map[K]struct{})
-	var out []T
+	var out []K
 	for _, v := range r.collect(p) {
 		k := key(v)
 		if _, ok := seen[k]; !ok {
 			seen[k] = struct{}{}
-			out = append(out, v)
+			out = append(out, k)
 		}
 	}
 	return out

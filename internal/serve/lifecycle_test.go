@@ -72,7 +72,6 @@ func TestFeedbackRetrainHotSwapLive(t *testing.T) {
 
 	rt := core.NewRetrainer(live, history, nil, core.RetrainerConfig{
 		MinFeedback:   200,
-		CheckEvery:    5 * time.Millisecond,
 		Verifier:      core.DefaultVerifierConfig(),
 		NewClassifier: smallRF,
 	})
@@ -86,9 +85,8 @@ func TestFeedbackRetrainHotSwapLive(t *testing.T) {
 	// truth the train set learned, or the stale model rightly wins the
 	// evaluation. So the retrainer starts only once every verdict is
 	// filed: a retrain that began after the first 200 would hold out a
-	// slice no verdict covers yet, could lose, and would then absorb
-	// the verdicts it read into its watermark, leaving too few to
-	// trigger another.
+	// slice no verdict covers yet and could lose, and the next attempt
+	// would wait out the retrainer's backoff.
 	waitFor(t, 30*time.Second, "first half of the stream stored", func() bool {
 		return history.Len() >= len(replay)/2
 	})

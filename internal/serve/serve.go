@@ -35,11 +35,14 @@
 //
 // Each shard runs internal/core's one consume path — Drain, Decode,
 // Classify, Persist, then a commit and ReleaseBatch — with each stage
-// on its own goroutine. The classify stage is the paper's dominant
-// cost (Figure 12: ~80 % ML). It runs vectorized: the batch is split
-// into 256-alarm chunks, each encoded into the shard's sparse rows and
-// scored by the model's compiled serving form (ml.SparseModel), one
-// after another on the classify goroutine. So classification of batch
+// on its own goroutine. The shard holds the group member it joined
+// (core.ConsumerApp drains and commits through it), asks it for
+// rebalances, lag, assignment and leases, and keeps its own counters.
+// The classify stage is the paper's dominant cost (Figure 12: ~80 %
+// ML). It runs vectorized: the batch is split into 256-alarm chunks,
+// each encoded into the shard's sparse rows and scored by the model's
+// compiled serving form (ml.SparseModel), one after another on the
+// classify goroutine. So classification of batch
 // N overlaps decode of batch N+1 and persist of batch N−1 even inside a
 // single shard; parallelism beyond that comes from shards. Stage
 // timings go to the metrics.Pipeline a caller attaches
@@ -204,9 +207,7 @@ func NewWith(cluster Cluster, group string, verifier *core.Verifier,
 		}
 		cons, partitions, err := cluster.NewGroupConsumer(group, id)
 		if err != nil {
-			for _, sh := range s.shards {
-				sh.app.Close()
-			}
+			s.Close()
 			return nil, fmt.Errorf("serve: shard %d: %w", i, err)
 		}
 		app := core.NewConsumerAppFor(cons, partitions, verifier, history, cfg.Consumer)
@@ -216,21 +217,19 @@ func NewWith(cluster Cluster, group string, verifier *core.Verifier,
 				return metrics.ConsumerLeases{Shard: id, Active: st.Active, Free: st.Free, Bytes: st.Bytes}
 			})
 		}
-		s.shards = append(s.shards, &shard{id: id, app: app, shed: cfg.ShedQueue})
+		s.shards = append(s.shards, &shard{id: id, cons: cons, app: app, shed: cfg.ShedQueue})
 	}
 	// Joining is sequential, so every shard but the last computed its
 	// assignment against a partial membership. Settle the group before
 	// processing starts: refresh each shard against the final
 	// membership and absorb the join-time rebalance signals.
 	for _, sh := range s.shards {
-		if err := sh.app.RefreshAssignment(); err != nil {
-			for _, sh := range s.shards {
-				sh.app.Close()
-			}
+		if err := sh.cons.RefreshAssignment(); err != nil {
+			s.Close()
 			return nil, fmt.Errorf("serve: %s: %w", sh.id, err)
 		}
 		select {
-		case <-sh.app.Rebalances():
+		case <-sh.cons.Rebalances():
 		default:
 		}
 	}
@@ -267,7 +266,7 @@ func (s *Service) Stop() {
 func (s *Service) Close() {
 	s.Stop()
 	for _, sh := range s.shards {
-		sh.app.Close()
+		sh.cons.Close()
 	}
 }
 
@@ -275,7 +274,7 @@ func (s *Service) Close() {
 func (s *Service) Records() int {
 	total := 0
 	for _, sh := range s.shards {
-		total += sh.app.Records()
+		total += int(sh.records.Load())
 	}
 	return total
 }
@@ -296,7 +295,7 @@ func (s *Service) Verified() []alarm.Verification {
 func (s *Service) Lag() (int64, error) {
 	var total int64
 	for _, sh := range s.shards {
-		lag, err := sh.app.Lag()
+		lag, err := sh.cons.Lag()
 		if err != nil {
 			return total, err
 		}
@@ -368,14 +367,14 @@ func (s *Service) Stats() Stats {
 	for _, sh := range s.shards {
 		shs := ShardStats{
 			ID:           sh.id,
-			Partitions:   sh.app.Assignment(),
-			Batches:      sh.app.Batches(),
-			Records:      sh.app.Records(),
+			Partitions:   sh.cons.Assignment(),
+			Batches:      int(sh.batches.Load()),
+			Records:      int(sh.records.Load()),
 			InFlightPeak: sh.inflightPeak.Load(),
 			ShedRecords:  sh.shedRecords.Load(),
 			StaleCommits: sh.staleCommits.Load(),
 			Rebalances:   sh.rebalances.Load(),
-			Leases:       sh.app.LeaseStats(),
+			Leases:       sh.cons.LeaseStats(),
 			Err:          sh.err(),
 		}
 		st.Records += shs.Records
@@ -410,8 +409,11 @@ type item struct {
 // pipeline. Each stage is a single goroutine, so batches move through
 // the shard in FIFO order and commits stay ordered.
 type shard struct {
-	id  string
-	app *core.ConsumerApp
+	id string
+	// cons is the group member the shard joined: app's stages drain and
+	// commit through it, and the shard asks it for the rest.
+	cons broker.GroupConsumer
+	app  *core.ConsumerApp
 	// shed is the backlog bound (records) beyond which drained
 	// batches are dropped; 0 disables shedding.
 	shed int
@@ -428,6 +430,9 @@ type shard struct {
 	// the queues hold them — a shard that drains faster than it
 	// persists would then shed everything instead of the excess.
 	inflightRecs atomic.Int64
+	// batches and records count persisted batches and their alarms.
+	batches      atomic.Int64
+	records      atomic.Int64
 	shedRecords  atomic.Int64
 	staleCommits atomic.Int64
 	rebalances   atomic.Int64
@@ -513,7 +518,7 @@ func (s *shard) intake(wg *sync.WaitGroup, stop <-chan struct{}, out chan<- item
 			return
 		}
 		select {
-		case <-s.app.Rebalances():
+		case <-s.cons.Rebalances():
 			s.handleRebalance(stop, out)
 			continue
 		default:
@@ -540,7 +545,7 @@ func (s *shard) intake(wg *sync.WaitGroup, stop <-chan struct{}, out chan<- item
 			// target. The batch still flows through the pipeline to
 			// keep commits FIFO; classify and persist skip it.
 			backlog := s.inflightRecs.Load() + int64(b.Len())
-			if lag, err := s.app.Lag(); err == nil {
+			if lag, err := s.cons.Lag(); err == nil {
 				backlog += lag
 			}
 			if backlog > int64(s.shed) {
@@ -570,7 +575,7 @@ func (s *shard) handleRebalance(stop <-chan struct{}, out chan<- item) {
 		// close, so skipping the refresh is safe.
 		return
 	}
-	if err := s.app.RefreshAssignment(); err != nil {
+	if err := s.cons.RefreshAssignment(); err != nil {
 		s.recordErr(err)
 	}
 }
@@ -616,6 +621,8 @@ func (s *shard) persist(wg *sync.WaitGroup, in <-chan item) {
 				s.batchDone(it.b)
 				continue
 			}
+			s.batches.Add(1)
+			s.records.Add(int64(it.b.Len()))
 		}
 		if err := s.app.CommitBatch(it.b); err != nil {
 			if errors.Is(err, broker.ErrRebalanceStale) {
