@@ -89,11 +89,15 @@ bench-train:
 ## read at a dashboard's 100 and a retrain's 50 000 on 250 000 rows
 ## (BenchmarkRecentAlarms); seven runs each on one CPU, the before/after
 ## evidence for store write- and read-path changes (compare two trees'
-## outputs run by run). Beside them the broker log's own write path
+## outputs run by run). Then the persist stage itself (internal/core):
+## ConsumerApp.Persist of 512-alarm batches on histories of 50 000 and
+## 800 000 rows, 50 batches a run, with ns/alarm and allocs/alarm
+## (BenchmarkPersist; its cost must not grow with the history). Beside
+## them the broker log's own write path
 ## (internal/broker): 2 000 000 single appends to one partition, one
 ## fill a run, with the slowest append's max-us and the median's p50-ns
 ## (BenchmarkAppendLongLog). The CI bench-smoke job runs this explicitly
-## (and fails if any of the seven benchmarks disappears)
+## (and fails if any of the eight benchmarks disappears)
 bench-persist:
 	@out=$$($(GO) test -run=- -bench='^(BenchmarkRecordBatch|BenchmarkDeviceHistograms|BenchmarkInsertMany|BenchmarkPruneExpired|BenchmarkOperatorQueries|BenchmarkRecentAlarms)$$' -benchmem -cpu 1 -count 7 ./internal/core ./internal/docstore) || \
 		{ echo "$$out"; echo "persist benchmarks failed"; exit 1; }; \
@@ -107,6 +111,12 @@ bench-persist:
 		echo "$$out" | grep -q "^BenchmarkOperatorQueries/query=$$q" || \
 			{ echo "BenchmarkOperatorQueries did not run query=$$q"; exit 1; }; \
 	done
+	@out=$$($(GO) test -run=- -bench='^BenchmarkPersist$$' -benchtime 50x -benchmem -cpu 1 -count 7 ./internal/core) || \
+		{ echo "$$out"; echo "persist stage benchmark failed"; exit 1; }; \
+	echo "$$out"; \
+	echo "$$out" | grep -q '^BenchmarkPersist/rows=50000[-[:space:]].*ns/alarm' && \
+		echo "$$out" | grep -q '^BenchmarkPersist/rows=800000[-[:space:]].*ns/alarm' || \
+		{ echo "BenchmarkPersist did not run rows=50000 and rows=800000"; exit 1; }
 	@out=$$($(GO) test -run=- -bench='^BenchmarkAppendLongLog$$' -benchtime 1x -benchmem -cpu 1 -count 7 ./internal/broker) || \
 		{ echo "$$out"; echo "broker log benchmark failed"; exit 1; }; \
 	echo "$$out"; \
@@ -185,7 +195,7 @@ test-events:
 ## cover` runs only those whose package it lists. Fails if one of the
 ## six packages ran none (CI `test` job).
 test-budgets:
-	@out=$$($(GO) test -count=1 -v -run 'AllocBudget|ScratchBudget|FootprintBudget|IdleAllocs' ./internal/broker ./internal/netbroker ./internal/core ./internal/docstore ./internal/serve ./cmd/alarmd) || \
+	@out=$$($(GO) test -count=1 -v -run 'AllocBudget|ScratchBudget|FootprintBudget|VisitBudget|IdleAllocs' ./internal/broker ./internal/netbroker ./internal/core ./internal/docstore ./internal/serve ./cmd/alarmd) || \
 		{ echo "$$out"; echo "budget tests failed"; exit 1; }; \
 	echo "$$out"; \
 	if echo "$$out" | grep -q 'no tests to run'; then echo "a package ran no budget test"; exit 1; fi

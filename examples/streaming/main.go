@@ -85,7 +85,7 @@ func run(w io.Writer) error {
 		fmt.Fprintf(w, "%s\n", c.label)
 		fmt.Fprintf(w, "   producer: %8.0f alarms/s   consumer: %8.0f alarms/s (%d alarms in %s)\n",
 			pstats.PerSecond, float64(n)/elapsed.Seconds(), n, elapsed.Round(time.Millisecond))
-		total := t.Total()
+		total := t.Deserialize + t.Streaming + t.History + t.ML
 		if total > 0 {
 			fmt.Fprintf(w, "   breakdown: deserialize %2.0f%%  streaming %2.0f%%  history %2.0f%%  ml %2.0f%%\n\n",
 				100*t.Deserialize.Seconds()/total.Seconds(),

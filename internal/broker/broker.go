@@ -830,12 +830,13 @@ func (p *partition) resetLocked(start, epoch int64) {
 	p.wakeLocked()
 }
 
-// retained returns the bytes the log holds: its header chunks, sized
-// as full ones, and its arena's blocks.
+// retained returns the bytes the log holds: its header chunks, each at
+// its own capacity, and its arena's blocks.
 func (p *partition) retained() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return int64(p.records.Chunks())*lane.ChunkRows*int64(unsafe.Sizeof(entry{})) + p.arena.bytes()
+	_, rows := p.records.Chunks()
+	return int64(rows)*int64(unsafe.Sizeof(entry{})) + p.arena.bytes()
 }
 
 // entry is a record's header in the log: its timestamp, its epoch and

@@ -88,6 +88,22 @@ func TestCommittedGroupReleasesLog(t *testing.T) {
 	}
 }
 
+// TestShortLogRetainsItsChunk: a log of fewer than lane.ChunkRows
+// records holds a young header chunk — 512 headers, doubling as it
+// fills — and retained counts it at that size, not as a full chunk.
+func TestShortLogRetainsItsChunk(t *testing.T) {
+	_, topic, _, appendN := releaseLog(t)
+	for _, tc := range []struct{ records, headers int }{{100, 512}, {600, 1024}} {
+		end, _ := topic.LogSize(0)
+		appendN(tc.records-int(end), 8)
+		// The headers, and one arena block holds every 8-byte value.
+		want := int64(tc.headers)*int64(unsafe.Sizeof(entry{})) + arenaBlockSize
+		if got := topic.partitions[0].retained(); got != want {
+			t.Fatalf("a log of %d records retains %d B, want %d (%d headers and one block)", tc.records, got, want, tc.headers)
+		}
+	}
+}
+
 // TestUncommittedGroupHoldsLog: a group that has joined but commits
 // nothing holds the log at its start, however far another group
 // commits, and a topic no group has joined releases nothing.

@@ -80,6 +80,32 @@ func TestDeviceHistogramsAllocBudget(t *testing.T) {
 	}
 }
 
+// TestPersistVisitBudget: storing a 512-alarm batch reads no more
+// store rows on a history of 400 000 alarms than on one of 50 000, over
+// the same 2 000 devices — the persist stage costs its batch, not the
+// history. A per-device histogram sweep of the batch's devices read
+// every row each held, the batch's own included (13 312 rows at 50 000,
+// 102 912 at 400 000), and nothing read its answer.
+func TestPersistVisitBudget(t *testing.T) {
+	f := newPersistFill(t)
+	visits := func(rows int) int64 {
+		f.fillTo(rows)
+		f.nextBatch(512)
+		before := f.h.AggPartials()
+		if err := f.app.Persist(&f.batch); err != nil {
+			t.Fatal(err)
+		}
+		after := f.h.AggPartials()
+		return after.RowsFolded - before.RowsFolded + after.RowsBucketed - before.RowsBucketed
+	}
+	small := visits(50_000)
+	large := visits(400_000)
+	t.Logf("one 512-alarm Persist read %d store rows at 50 000 rows, %d at 400 000", small, large)
+	if large > small {
+		t.Fatalf("one 512-alarm Persist read %d store rows at 400 000 rows, %d at 50 000: its reads grow with the history", large, small)
+	}
+}
+
 func TestStoredAlarmFootprintBudget(t *testing.T) {
 	const n = 100_000
 	_, alarms := testAlarms(n)

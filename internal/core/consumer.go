@@ -18,19 +18,13 @@ import (
 type ComponentTimes struct {
 	Deserialize time.Duration
 	Streaming   time.Duration // distinct-device extraction and bookkeeping
-	History     time.Duration // per-device histogram queries
+	History     time.Duration // per-device histogram queries: the replay consumer's, serving runs none
 	ML          time.Duration
 	// Ingest is the alarm-persistence write path. The paper's
 	// consumer breakdown does not include it (alarms reached MongoDB
-	// through a separate ingestion path), so Total excludes it; it is
-	// still measured for completeness.
+	// through a separate ingestion path), so Figure 12's total excludes
+	// it; it is still measured, and is the persist stage's whole time.
 	Ingest time.Duration
-}
-
-// Total sums the verification-path components (excluding Ingest, as
-// in the paper's Figure 12).
-func (c ComponentTimes) Total() time.Duration {
-	return c.Deserialize + c.Streaming + c.History + c.ML
 }
 
 // ConsumerConfig tunes the consumer application.
@@ -93,18 +87,12 @@ func DefaultConsumerConfig() ConsumerConfig {
 	return ConsumerConfig{ClassifyBatch: classifyChunk, MaxPerBatch: defaultMaxPerBatch}
 }
 
-// histogramSince and histogramBucket shape the per-device history
-// query Persist runs (§4.1): the last 30 days in 1-day buckets.
-const (
-	histogramSince  = 30 * 24 * time.Hour
-	histogramBucket = 24 * time.Hour
-)
-
 // ConsumerApp is the §5.5 Consumer application: it drains alarm
 // batches from the broker, verifies every alarm in real time, and
-// performs the historic per-device analysis. It is the stages and their
-// scratch: whoever joined the group member it drains (serve's shard)
-// asks that member for the rest and counts the batches it finished.
+// stores each with its verdict in the alarm history. It is the stages
+// and their scratch: whoever joined the group member it drains (serve's
+// shard) asks that member for the rest and counts the batches it
+// finished.
 type ConsumerApp struct {
 	cfg      ConsumerConfig
 	verifier *Verifier
@@ -121,14 +109,12 @@ type ConsumerApp struct {
 	// single intake goroutine; free holds released batches between
 	// ReleaseBatch and the next Drain; class is Classify's sparse rows
 	// and probabilities; rows (the row batch alarms are stored through)
-	// and hist (the histogram sweep) are Persist's, and an app runs one
-	// persist goroutine.
+	// is Persist's, and an app runs one persist goroutine.
 	sc    *codec.Scratch
 	seen  map[string]struct{}
 	free  batchList
 	class batchScratch
 	rows  *docstore.Rows
-	hist  histScratch
 }
 
 // NewConsumerAppFor wires the consumer application onto an
@@ -141,7 +127,6 @@ func NewConsumerAppFor(cons broker.GroupConsumer, _ int,
 	if cfg.MaxPerBatch <= 0 {
 		cfg.MaxPerBatch = defaultMaxPerBatch
 	}
-	n := cfg.MaxPerBatch
 	app := &ConsumerApp{
 		cfg:      cfg,
 		chunk:    classifyChunk,
@@ -149,14 +134,10 @@ func NewConsumerAppFor(cons broker.GroupConsumer, _ int,
 		history:  history,
 		consumer: cons,
 		sc:       codec.NewScratch(),
-		seen:     make(map[string]struct{}, n),
+		seen:     make(map[string]struct{}, cfg.MaxPerBatch),
 	}
 	if history != nil {
-		// Persist's scratch, sized like a batch for a full drain.
 		app.rows = history.col.NewRows(alarmFields...)
-		app.hist = histScratch{conds: make([]docstore.Cond, 0, 2*n),
-			filters: make([][]docstore.Cond, 0, n), out: make([][]HistogramBucket, 0, n),
-			sweep: docstore.NewSweep()}
 	}
 	return app
 }

@@ -294,8 +294,10 @@ func TestEndToEndProducerConsumer(t *testing.T) {
 	if h.Len() != 2000 {
 		t.Fatalf("history holds %d alarms", h.Len())
 	}
-	if times.ML <= 0 || times.Deserialize <= 0 || times.History <= 0 || times.Ingest <= 0 {
-		t.Errorf("component times not recorded: %+v", times)
+	// Serving runs no histogram sweep: the replay consumer times its
+	// own for Figure 12.
+	if times.ML <= 0 || times.Deserialize <= 0 || times.Ingest <= 0 || times.History != 0 {
+		t.Errorf("component times not recorded as the stages fill them: %+v", times)
 	}
 }
 

@@ -108,7 +108,9 @@ func rowAlarm(row []docstore.Cell) alarm.Alarm {
 // read — take at least d, emulating the network latency of the remote
 // document store in the paper's deployment (§4.3). Zero (the default)
 // disables the simulation. Ingest pays it once per batch, on the
-// caller's goroutine. Safe to call concurrently with queries.
+// caller's goroutine, and it is all a persisted batch pays: serving's
+// persist stage reads nothing back. Safe to call concurrently with
+// queries.
 func (h *History) SetSimulatedRTT(d time.Duration) { h.rttNanos.Store(int64(d)) }
 
 func (h *History) simulateRTT() {
@@ -396,12 +398,10 @@ func (h *History) DeviceHistograms(macs []string, since time.Time, bucket time.D
 // asked about, their typed filters (two conditions each, one slab) and
 // the answers (every device's bars back to back in one slab, out[i] a
 // view of device i's; a view taken before the slab grew keeps the old
-// array, whose bars are never rewritten within a sweep). The pipeline's
-// Persist stage keeps one on its ConsumerApp, so a micro-batch's sweep —
-// one round-trip for its N distinct devices instead of N serialized
-// ones — allocates only what the store does. sweep, when set, is the
-// store's sweep memory, kept with the rest (the stage's, and
-// DeviceHistogram's pooled scratch); without it the store draws one
+// array, whose bars are never rewritten within a sweep). DeviceHistogram
+// draws one from the history's pool, so a warm ask allocates only the
+// answer it returns. sweep, when set, is the store's sweep memory, kept
+// with the rest (the pooled scratch's); without it the store draws one
 // from its pool.
 type histScratch struct {
 	macs    []string

@@ -29,7 +29,8 @@ import (
 //	GET  /stats           service statistics (latency quantiles included)
 //	GET  /metrics         Prometheus text exposition of the edge and
 //	                      pipeline latency histograms, the shed counter
-//	                      and the store's cached-partial counters
+//	                      and the store's cached-partial and
+//	                      histogram-row counters
 //	GET  /healthz         liveness: 503 with the error once the store's
 //	                      log has failed
 type HTTPService struct {
@@ -352,7 +353,7 @@ func (s *HTTPService) handleStats(w http.ResponseWriter, _ *http.Request) {
 // attached pipeline's stage/e2e histograms and shed counter, plus how
 // the attached history's store kept its cached aggregation partials up
 // to date (recomputed is the fallback; served and advanced are the
-// fast paths).
+// fast paths) and how many rows its histogram sweeps counted.
 func (s *HTTPService) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	metrics.WritePromHistogram(w, "alarmverify_http_verify_latency_seconds",
@@ -370,5 +371,8 @@ func (s *HTTPService) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "# HELP alarmverify_store_agg_rows_folded_total Rows read to bring cached aggregation partials up to date.")
 		fmt.Fprintln(w, "# TYPE alarmverify_store_agg_rows_folded_total counter")
 		fmt.Fprintf(w, "alarmverify_store_agg_rows_folded_total %d\n", st.RowsFolded)
+		fmt.Fprintln(w, "# HELP alarmverify_store_histogram_rows_total Rows the per-device histogram sweeps counted.")
+		fmt.Fprintln(w, "# TYPE alarmverify_store_histogram_rows_total counter")
+		fmt.Fprintf(w, "alarmverify_store_histogram_rows_total %d\n", st.RowsBucketed)
 	}
 }

@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"alarmverify/internal/alarm"
+	"alarmverify/internal/codec"
 	"alarmverify/internal/metrics"
 )
 
@@ -22,11 +24,17 @@ func TestHTTPMetricsEndpoint(t *testing.T) {
 	svc.SetTopDevices(3)
 
 	// Drive one verification so the edge histogram has an observation,
-	// and the /stats ranking around it so the store's partials are built,
-	// then advanced over the verified alarm.
-	for _, step := range []string{"/stats", "/verify", "/stats"} {
+	// the /stats ranking around it so the store's partials are built,
+	// then advanced over the verified alarm, and the device's histogram,
+	// which counts that alarm.
+	var a alarm.Alarm
+	if err := (codec.FastCodec{}).Unmarshal(wire, &a); err != nil {
+		t.Fatal(err)
+	}
+	history := "/history/" + a.DeviceMAC + "?since=2000-01-01T00:00:00Z"
+	for _, step := range []string{"/stats", "/verify", "/stats", history} {
 		resp, err := http.Post(srv.URL+step, "application/json", bytes.NewReader(wire))
-		if step == "/stats" {
+		if step != "/verify" {
 			resp, err = http.Get(srv.URL + step)
 		}
 		if err != nil {
@@ -64,6 +72,7 @@ func TestHTTPMetricsEndpoint(t *testing.T) {
 		`alarmverify_store_agg_partials_total{outcome="advanced"} 1`,
 		fmt.Sprintf(`alarmverify_store_agg_partials_total{outcome="recomputed"} %d`, parts),
 		"alarmverify_store_agg_rows_folded_total 1",
+		"alarmverify_store_histogram_rows_total 1",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, out)

@@ -14,7 +14,8 @@ import (
 // Figure 3 workflow split along the paper's component boundaries
 // (Figure 12): Decode is the streaming component (deserialization +
 // distinct devices), Classify the ML component, Persist the batch
-// component (history ingest + per-device histograms).
+// component (history ingest; the per-device histograms are the
+// experiments' replay consumer's, see Persist).
 //
 // A Batch is owned by exactly one stage at a time, so the sharded
 // service (internal/serve) can run stages of consecutive batches
@@ -31,9 +32,9 @@ type Batch struct {
 	// the alarm that outlives the batch must drop it.
 	Alarms []alarm.Alarm
 	// Devices are the window's distinct alarming device addresses
-	// (§4.1), in first-seen order: the devices Persist queries the
-	// history for. An address is an interned string, not a view of a
-	// leased record.
+	// (§4.1), in first-seen order: the devices the experiments' replay
+	// consumer queries the history for. An address is an interned
+	// string, not a view of a leased record.
 	Devices []string
 
 	// Verified holds one verification per alarm after Classify.
@@ -209,46 +210,36 @@ func (c *ConsumerApp) Classify(b *Batch) error {
 
 // Persist is the batch component: it stores the batch's alarms, each
 // row carrying its verdict (the only record of it), in the alarm
-// history with one store write on this goroutine (timed as
-// Times.Ingest) and runs every alarming device's histogram query — which
-// sees this batch's own alarms, since they are already stored (timed as
-// Times.History). It is the final stage; a batch must not be committed
-// before Persist returns.
+// history with one store write on this goroutine, then reads the
+// store's sticky durability error (Flush); both are timed as
+// Times.Ingest. It reads nothing back, so its cost is the batch's, not
+// the history's: serving runs no per-device histogram sweep, since no
+// output shows one (the HTTP edge answers /history/{mac} with its own
+// query, and the experiments' replay consumer sweeps for Figure 12
+// after its own Persist). It is the final stage; a batch must not be
+// committed before Persist returns.
 //
 // Persist must not run concurrently with itself on one app: its row
-// batch and histogram sweep are the app's. Every caller runs one persist
-// goroutine an app — the sharded service's per-shard persist stage and
-// the experiments' replay consumer.
+// batch is the app's. Every caller runs one persist goroutine an app —
+// the sharded service's per-shard persist stage and the experiments'
+// replay consumer.
 func (c *ConsumerApp) Persist(b *Batch) error {
 	if c.history != nil {
 		start := time.Now()
 		c.history.recordBatch(c.rows, b.Alarms, b.Verified)
-		b.Times.Ingest = time.Since(start)
-
-		start = time.Now()
-		var since time.Time
-		if len(b.Alarms) > 0 {
-			since = b.Alarms[0].Timestamp.Add(-histogramSince)
-		}
-		// One batched histogram query for all of the window's devices:
-		// one history round-trip, one sweep over the touched
-		// partitions, not a round-trip per device.
-		c.hist.macs = b.Devices
-		if err := c.history.deviceHistograms(&c.hist, since, histogramBucket); err != nil {
-			return err
-		}
 		// Committed ⇒ durable: a failed WAL append leaves the store a
 		// sticky error, and this is where it stops the shard — Persist
 		// fails, and CommitBatch never runs for alarms that exist only
 		// in memory.
-		if err := c.history.Flush(); err != nil {
+		err := c.history.Flush()
+		b.Times.Ingest = time.Since(start)
+		if err != nil {
 			return err
 		}
-		b.Times.History = time.Since(start)
 	}
 
 	if m := c.cfg.Metrics; m != nil {
-		m.Stage(metrics.StagePersist).Record(b.Times.Ingest + b.Times.History)
+		m.Stage(metrics.StagePersist).Record(b.Times.Ingest)
 	}
 	return nil
 }

@@ -99,6 +99,13 @@ func (c *ConsumerApp) ReleaseBatch(b *Batch) {
 		return
 	}
 	b.pooled = false
+	// The batch waits on the free list with no view of the log: its
+	// records and its alarms' payloads point into arena blocks the broker
+	// hands to the collector once the lease is gone, and would keep them.
+	clear(b.recs)
+	for i := range b.Alarms {
+		b.Alarms[i].Payload = ""
+	}
 	b.lease.Release()
 	b.lease = nil
 	if batchCheckMode.Load() {

@@ -137,8 +137,9 @@ func TestColumnAppendAllocBudget(t *testing.T) {
 			if c.n != rows {
 				t.Fatalf("column %d holds %d of %d rows", i, c.n, rows)
 			}
-			n := c.strs.Chunks() + c.nums.Chunks()
-			chunks += 1 + uint64(chunk0Sizes) + uint64(n-1)
+			strs, _ := c.strs.Chunks()
+			nums, _ := c.nums.Chunks()
+			chunks += 1 + uint64(chunk0Sizes) + uint64(strs+nums-1)
 		}
 		return after.Mallocs - before.Mallocs, chunks
 	}
@@ -212,7 +213,8 @@ func TestPartitionFillAllocBudget(t *testing.T) {
 	allocs, p := fill(nine, row)
 	// Generations: chunk 0 at each size it doubles through, then every
 	// later chunk. Each costs one block per element type.
-	gens := chunk0Sizes + p.ids.Chunks() - 1
+	ids, _ := p.ids.Chunks()
+	gens := chunk0Sizes + ids - 1
 	budget := uint64(3*gens + 3 + 2)
 	t.Logf("%d rows of %d fields: %d allocations, budget %d (%d chunk generations)", rows, len(nine), allocs, budget, gens)
 	if allocs > budget {
@@ -289,7 +291,8 @@ func TestIDColumnAllocBudget(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		appended = min(appended, after.Mallocs-before.Mallocs)
 		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
-		full := uint64(q.ids.Chunks() - 1)
+		ids, _ := q.ids.Chunks()
+		full := uint64(ids - 1)
 		chunks = 1 + uint64(chunk0Sizes) + full
 		chunkBytes = 8 * (2 + full) * lane.ChunkRows
 	}

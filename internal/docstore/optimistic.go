@@ -154,9 +154,10 @@ func (p *partition) advance(plan *aggPlan, out *aggPartial, sc *partialScratch, 
 }
 
 // aggCounters counts, per collection, how its cached partials were
-// brought up to date (AggPartialStats).
+// brought up to date, and the rows its histogram sweeps counted
+// (AggPartialStats).
 type aggCounters struct {
-	served, advanced, recomputed, rowsFolded atomic.Int64
+	served, advanced, recomputed, rowsFolded, rowsBucketed atomic.Int64
 }
 
 // AggPartialStats reports how often a partition's cached partial
@@ -165,18 +166,22 @@ type aggCounters struct {
 // fold from row 0 (Recomputed: the first ask of a signature, or the
 // first after a write below the partial's mark), and how many rows
 // those folds read — the fallback rate of the optimistic design. One
-// aggregation counts once per partition it visits.
+// aggregation counts once per partition it visits. RowsBucketed is the
+// rows the histogram sweeps (BucketCounts), which keep no partial,
+// counted into their bars: a sweep reads every row it counts, so what
+// it costs grows with it.
 type AggPartialStats struct {
-	Served, Advanced, Recomputed, RowsFolded int64
+	Served, Advanced, Recomputed, RowsFolded, RowsBucketed int64
 }
 
 // AggPartialStats returns the collection's cached-partial counters.
 func (c *Collection) AggPartialStats() AggPartialStats {
 	st := &c.aggStats
 	return AggPartialStats{
-		Served:     st.served.Load(),
-		Advanced:   st.advanced.Load(),
-		Recomputed: st.recomputed.Load(),
-		RowsFolded: st.rowsFolded.Load(),
+		Served:       st.served.Load(),
+		Advanced:     st.advanced.Load(),
+		Recomputed:   st.recomputed.Load(),
+		RowsFolded:   st.rowsFolded.Load(),
+		RowsBucketed: st.rowsBucketed.Load(),
 	}
 }

@@ -436,10 +436,15 @@ func (c *Collection) bucketCounts(sw *Sweep, filters [][]Cond, b Bucket, visit f
 	if err != nil {
 		return err
 	}
+	rows := 0
 	for i, run := range runs {
 		sw.bars = mergeBuckets(&sw.bucket, run.partials, sw.bars[:0])
+		for _, bar := range sw.bars {
+			rows += bar.Count
+		}
 		visit(i, sw.bars)
 	}
+	c.aggStats.rowsBucketed.Add(int64(rows))
 	return nil
 }
 

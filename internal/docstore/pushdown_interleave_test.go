@@ -156,8 +156,20 @@ func (d *interleaved) ask(tag string) AggPartialStats {
 			{Field: "deviceMac", Op: "$eq", Value: String(fmt.Sprintf("mac-%02d", i))},
 			{Field: "ts", Op: "$gte", Value: Float(sweep.bucket.Origin)}})
 	}
-	runBoth(t, c, sweep, tag+": histogram sweep")
-	if st := c.AggPartialStats(); st != after {
+	bars := runBoth(t, c, sweep, tag+": histogram sweep").bars
+	// The sweep counts exactly the rows in its bars, and touches no
+	// cached partial.
+	counted := int64(0)
+	for _, dev := range bars {
+		for _, bar := range dev {
+			counted += int64(bar.Count)
+		}
+	}
+	st := c.AggPartialStats()
+	if st.RowsBucketed-after.RowsBucketed != counted {
+		t.Fatalf("%s: the histogram sweep counted %d rows, its bars hold %d", tag, st.RowsBucketed-after.RowsBucketed, counted)
+	}
+	if st.RowsBucketed = after.RowsBucketed; st != after {
 		t.Fatalf("%s: a histogram touched the cached partials: %+v, then %+v", tag, after, st)
 	}
 	if d.extra != nil {

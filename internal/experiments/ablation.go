@@ -30,7 +30,7 @@ func AblationCache(env *Env) (cached, uncached time.Duration, err error) {
 		}
 		defer r.close()
 		_, times, err := r.batch()
-		return times.Total(), err
+		return batchTime(times), err
 	}
 	if cached, err = run(true); err != nil {
 		return 0, 0, err

@@ -107,7 +107,7 @@ type Fig12Result struct {
 
 // Shares returns each component's share of total batch time.
 func (f Fig12Result) Shares() (deser, streaming, history, mlShare float64) {
-	total := f.Times.Total().Seconds()
+	total := batchTime(f.Times).Seconds()
 	if total <= 0 {
 		return 0, 0, 0, 0
 	}

@@ -54,8 +54,14 @@ func (l Lane[T]) Len() int {
 	return (l.first+last)<<chunkShift + len(l.chunks[last])
 }
 
-// Chunks returns how many chunks the lane holds.
-func (l Lane[T]) Chunks() int { return len(l.chunks) }
+// Chunks returns how many chunks the lane holds and how many rows they
+// have room for: a young chunk 0 holds fewer than ChunkRows.
+func (l Lane[T]) Chunks() (n, rows int) {
+	for _, ch := range l.chunks {
+		rows += cap(ch)
+	}
+	return len(l.chunks), rows
+}
 
 // Run returns the rows from r, one not released and below Len, to the
 // end of its chunk: a reader walks a range a chunk at a time.

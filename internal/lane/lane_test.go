@@ -182,7 +182,7 @@ func TestLaneReleaseMatchesFlat(t *testing.T) {
 				t.Fatalf("trial %d, step %d: Len %d, flat %d", trial, step, l.Len(), len(flat))
 			}
 			if lo := l.base; lo < l.Len() {
-				if lo>>chunkShift != l.first && l.Chunks() > 1 {
+				if lo>>chunkShift != l.first && len(l.chunks) > 1 {
 					t.Fatalf("trial %d, step %d: base %d, first chunk %d", trial, step, lo, l.first)
 				}
 				for _, c := range l.chunks[0][:lo-l.first<<chunkShift] {

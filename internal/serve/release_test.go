@@ -23,7 +23,8 @@ import (
 // once the drain is done. Each alarm carries a 4 000-byte payload the
 // store does not keep, so the 10 000 make about 42 MB of log, which a
 // log that kept its records, or its blocks while pinned, would hold;
-// the heap grows about 17 MB, against a bound of 26 MB once drained.
+// the heap grows about 7 MB, against a bound of 26 MB once drained (14
+// to 20 MB while a released batch kept its views of the log).
 func TestDrainReleasesBrokerLog(t *testing.T) {
 	const n, parts = 10_000, 2
 	v, stream := testSetup(t)
